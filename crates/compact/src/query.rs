@@ -63,13 +63,13 @@ impl CompactScheme {
                     *slot = 0;
                     continue;
                 }
-                let mut best = rows[0].get(dest).map_or(INF, |e| e.est);
+                let mut best = rows[0].est(dest).unwrap_or(INF);
                 for l in 1..self.k {
                     let (pivot, d_w, _) = self.labels[dest.index()].pivots[(l - 1) as usize];
                     let here = if x == pivot {
                         0
                     } else {
-                        rows[l as usize].get(pivot).map_or(INF, |e| e.est)
+                        rows[l as usize].est(pivot).unwrap_or(INF)
                     };
                     best = best.min(here.saturating_add(d_w));
                 }
@@ -126,7 +126,7 @@ impl RoutingScheme for CompactScheme {
         // Estimate-only reduction: same level options as `option`, but
         // without resolving next hops — the minimum is independent of the
         // hop tie-break, so no per-level `Topology` loads.
-        let mut best = self.routes[0].get(x, dest).map_or(INF, |e| e.est);
+        let mut best = self.routes[0].est(x, dest).unwrap_or(INF);
         for l in 1..self.k {
             let (pivot, d_w, _) = self.labels[dest.index()].pivots[(l - 1) as usize];
             // If x *is* the level-l pivot of dest, the estimate is the
@@ -134,7 +134,7 @@ impl RoutingScheme for CompactScheme {
             let here = if x == pivot {
                 0
             } else {
-                self.routes[l as usize].get(x, pivot).map_or(INF, |e| e.est)
+                self.routes[l as usize].est(x, pivot).unwrap_or(INF)
             };
             best = best.min(here.saturating_add(d_w));
         }

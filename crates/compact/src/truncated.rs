@@ -722,31 +722,27 @@ impl TruncatedScheme {
                 }
                 let label = &self.labels[dest.index()];
                 let mut best = INF;
-                if let Some(e) = lower_rows[0].get(dest) {
-                    best = best.min(e.est);
+                if let Some(est) = lower_rows[0].est(dest) {
+                    best = best.min(est);
                 }
                 for (li, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
                     let l = li + 1;
                     let here = if x == pivot {
                         0
                     } else {
-                        lower_rows[l].get(pivot).map_or(INF, |e| e.est)
+                        lower_rows[l].est(pivot).unwrap_or(INF)
                     };
                     best = best.min(here.saturating_add(d_w));
                 }
                 for (j, up) in label.upper.iter().enumerate() {
                     let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
                     let mut to_pivot = INF;
-                    for (e, &ti) in self
-                        .base_routes
-                        .entries_in(base_range.clone())
-                        .zip(base_idx)
-                    {
+                    for (est, &ti) in self.base_routes.ests_in(base_range.clone()).zip(base_idx) {
                         if ti == DenseIndex::NONE {
                             continue;
                         }
                         if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
-                            to_pivot = to_pivot.min(e.est.saturating_add(eg));
+                            to_pivot = to_pivot.min(est.saturating_add(eg));
                         }
                     }
                     if let Some(xi) = xi {
@@ -800,15 +796,15 @@ impl RoutingScheme for TruncatedScheme {
         }
         let label = &self.labels[dest.index()];
         let mut best = INF;
-        if let Some(e) = self.lower_routes[0].get(x, dest) {
-            best = best.min(e.est);
+        if let Some(est) = self.lower_routes[0].est(x, dest) {
+            best = best.min(est);
         }
         for (i, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
             let l = i + 1;
             let here = if x == pivot {
                 0
             } else {
-                self.lower_routes[l].get(x, pivot).map_or(INF, |e| e.est)
+                self.lower_routes[l].est(x, pivot).unwrap_or(INF)
             };
             best = best.min(here.saturating_add(d_w));
         }
@@ -817,12 +813,12 @@ impl RoutingScheme for TruncatedScheme {
             let mut to_pivot = INF;
             let range = self.base_routes.row_range(x);
             let idx = &self.base_row_idx[range.clone()];
-            for (e, &ti) in self.base_routes.entries_in(range).zip(idx) {
+            for (est, &ti) in self.base_routes.ests_in(range).zip(idx) {
                 if ti == DenseIndex::NONE {
                     continue;
                 }
                 if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
-                    to_pivot = to_pivot.min(e.est.saturating_add(eg));
+                    to_pivot = to_pivot.min(est.saturating_add(eg));
                 }
             }
             if let Some(xi) = self.skel_index.get(x) {

@@ -45,6 +45,13 @@ pub enum SnapshotError {
     /// write (crashed saver, partial copy), not a disk error. A
     /// load-or-rebuild path should treat this as "no usable snapshot".
     Truncated,
+    /// The file carries a layout version this binary no longer (or not
+    /// yet) reads. Snapshots are caches of a deterministic build, so
+    /// there is no migration: rebuild with this binary and re-save.
+    Rebuild {
+        /// The version tag found in the file.
+        version: u16,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -53,6 +60,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Truncated => {
                 write!(f, "snapshot truncated: stream ended mid-record")
             }
+            SnapshotError::Rebuild { version } => write!(
+                f,
+                "unsupported snapshot version {version}: rebuild with this binary"
+            ),
         }
     }
 }
@@ -77,12 +88,20 @@ pub fn map_truncation(e: io::Error) -> io::Error {
     }
 }
 
-/// `true` if `e` is (or wraps) [`SnapshotError::Truncated`].
-pub fn is_truncated(e: &io::Error) -> bool {
+/// The `InvalidData` error wrapping [`SnapshotError::Rebuild`].
+pub fn rebuild(version: u16) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        SnapshotError::Rebuild { version },
+    )
+}
+
+/// The typed cause `e` is (or wraps), if any.
+pub fn snapshot_cause(e: &io::Error) -> Option<SnapshotError> {
     let mut src: Option<&(dyn std::error::Error + 'static)> = e.get_ref().map(|b| b as _);
     while let Some(s) = src {
-        if matches!(s.downcast_ref(), Some(SnapshotError::Truncated)) {
-            return true;
+        if let Some(&cause) = s.downcast_ref::<SnapshotError>() {
+            return Some(cause);
         }
         // `io::Error::source()` skips its own custom payload, so descend
         // into nested io::Errors by hand or a double wrap goes unseen.
@@ -91,7 +110,12 @@ pub fn is_truncated(e: &io::Error) -> bool {
             None => s.source(),
         };
     }
-    false
+    None
+}
+
+/// `true` if `e` is (or wraps) [`SnapshotError::Truncated`].
+pub fn is_truncated(e: &io::Error) -> bool {
+    snapshot_cause(e) == Some(SnapshotError::Truncated)
 }
 
 /// Upper bound on any length prefix a snapshot reader accepts, as `u64`

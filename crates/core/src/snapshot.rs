@@ -5,6 +5,7 @@
 //! this makes reload → re-save byte-identical.
 
 use crate::pde::{PdeEntry, RouteInfo, RouteTable};
+use crate::tables::{Escapes, EST_ESCAPE};
 use congest::arena::{SharedBytes, U32View, U64View};
 use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
 use congest::{NodeId, Topology};
@@ -133,110 +134,65 @@ pub fn read_lists(source: &mut dyn Read) -> io::Result<Vec<Vec<PdeEntry>>> {
     Ok(lists)
 }
 
-/// Emits per-node combined lists into a v3 arena, split SoA: row
-/// offsets, estimates, sources and tags as four typed sections.
-pub fn write_lists_arena(a: &mut congest::arena::ArenaWriter, lists: &[Vec<PdeEntry>]) {
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let mut starts = Vec::with_capacity(lists.len() + 1);
-    let mut ests = Vec::with_capacity(total);
-    let mut srcs = Vec::with_capacity(total);
-    let mut tags = Vec::with_capacity(total);
-    starts.push(0u64);
-    for list in lists {
-        for e in list {
-            ests.push(e.est);
-            srcs.push(e.src.0);
-            tags.push(u8::from(e.tag));
-        }
-        starts.push(ests.len() as u64);
-    }
-    a.u64s(&starts);
-    a.u64s(&ests);
-    a.u32s(&srcs);
-    a.u8s(&tags);
-}
-
-/// Reads what [`write_lists_arena`] wrote.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on malformed sections.
-pub fn read_lists_arena(c: &mut congest::arena::ArenaCursor<'_>) -> io::Result<Vec<Vec<PdeEntry>>> {
-    let starts = c.u64s()?;
-    let ests = c.u64s()?;
-    let srcs = c.u32s()?;
-    let tags = c.bools()?;
-    let n = starts
-        .len()
-        .checked_sub(1)
-        .ok_or_else(|| invalid_data("list starts section empty"))?;
-    let total = ests.len();
-    if srcs.len() != total || tags.len() != total {
-        return Err(invalid_data("list SoA sections disagree on length"));
-    }
-    if starts[0] != 0
-        || starts.windows(2).any(|w| w[0] > w[1])
-        || *starts.last().expect("nonempty") != total as u64
-    {
-        return Err(invalid_data("list offsets inconsistent"));
-    }
-    let mut lists = Vec::with_capacity(clamped_capacity(n));
-    for w in starts.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        lists.push(
-            (lo..hi)
-                .map(|i| PdeEntry {
-                    est: ests[i],
-                    src: NodeId(srcs[i]),
-                    tag: tags[i],
-                })
-                .collect(),
-        );
-    }
-    Ok(lists)
-}
-
 /// Per-node combined lists (`PdeOutput::lists`) flattened behind
 /// zero-copy views — the query-side replacement for `Vec<Vec<PdeEntry>>`
 /// where the lists are hot state of a scheme (RTC's short-range lists).
-/// The four arrays mirror [`write_lists_arena`]'s SoA sections (row
-/// offsets, estimates, sources, tags), so a v3 load is four views and an
-/// O(n) offsets check, and load → re-save is a byte passthrough.
+/// Nine bytes per entry, split SoA (`est u32`, `src u32`, `tag u8`) under
+/// `u64` row offsets; an estimate `≥ u32::MAX` stores the all-ones marker
+/// and its true value in an escape section pair (the same escape as
+/// [`crate::FlatTables`]). A v3 load is views plus an offsets check and
+/// one scan of the tag and estimate sections, and load → re-save is a
+/// byte passthrough.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatLists {
     /// `starts[v]..starts[v + 1]` delimits node `v`'s list (`n + 1`
     /// offsets).
     starts: U64View,
-    /// All estimates back to back.
-    ests: U64View,
+    /// All estimates back to back ([`EST_ESCAPE`] where escaped).
+    ests: U32View,
     /// Sources, parallel to `ests`.
     srcs: U32View,
     /// Truncation tags (one byte each, 0/1), parallel to `ests`.
     tags: SharedBytes,
+    /// True estimates of the marked entries, one word each.
+    wide: Escapes,
 }
 
 impl FlatLists {
     /// Flattens owned per-node lists (the build-side constructor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total entry count exceeds `u32::MAX` (escape indices
+    /// are 4 bytes, as in [`crate::FlatTables`]).
     pub fn from_lists(lists: &[Vec<PdeEntry>]) -> Self {
         let total: usize = lists.iter().map(Vec::len).sum();
+        u32::try_from(total).expect("flat lists fit u32 indices");
         let mut starts = Vec::with_capacity(lists.len() + 1);
-        let mut ests = Vec::with_capacity(total);
-        let mut srcs = Vec::with_capacity(total);
+        let mut ests: Vec<u32> = Vec::with_capacity(total);
+        let mut srcs: Vec<u32> = Vec::with_capacity(total);
         let mut tags = Vec::with_capacity(total);
+        let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
         starts.push(0u64);
         for list in lists {
             for e in list {
-                ests.push(e.est);
+                let est = u32::try_from(e.est).unwrap_or(EST_ESCAPE);
+                if est == EST_ESCAPE {
+                    wide_idx.push(tags.len() as u32);
+                    wide_vals.push(e.est);
+                }
+                ests.push(est);
                 srcs.push(e.src.0);
                 tags.push(u8::from(e.tag));
             }
-            starts.push(ests.len() as u64);
+            starts.push(tags.len() as u64);
         }
         FlatLists {
             starts: U64View::from_vals(&starts),
-            ests: U64View::from_vals(&ests),
+            ests: U32View::from_vals(&ests),
             srcs: U32View::from_vals(&srcs),
             tags: SharedBytes::from_vec(tags),
+            wide: Escapes::from_vals(&wide_idx, &wide_vals),
         }
     }
 
@@ -256,21 +212,28 @@ impl FlatLists {
         (self.starts.get(v.index() + 1) - self.starts.get(v.index())) as usize
     }
 
+    /// The estimate of arena entry `i`. [`FlatLists::read_arena`] pairs
+    /// every marker with a record, so the fallback is never taken.
+    fn est(&self, i: usize) -> u64 {
+        match self.ests.get(i) {
+            EST_ESCAPE => self
+                .wide
+                .find(i)
+                .map_or(u64::from(EST_ESCAPE), |at| self.wide.word(at)),
+            est => u64::from(est),
+        }
+    }
+
     /// Iterates node `v`'s list in stored order.
     #[inline]
     pub fn iter_row(&self, v: NodeId) -> impl Iterator<Item = PdeEntry> + '_ {
         let lo = self.starts.get(v.index()) as usize;
         let hi = self.starts.get(v.index() + 1) as usize;
-        let tags = &self.tags.as_slice()[lo..hi];
-        self.ests
-            .iter_range(lo..hi)
-            .zip(self.srcs.iter_range(lo..hi))
-            .zip(tags)
-            .map(|((est, src), &tag)| PdeEntry {
-                est,
-                src: NodeId(src),
-                tag: tag != 0,
-            })
+        (lo..hi).map(|i| PdeEntry {
+            est: self.est(i),
+            src: NodeId(self.srcs.get(i)),
+            tag: self.tags.as_slice()[i] != 0,
+        })
     }
 
     /// Decodes back into owned per-node lists (tests and cold paths).
@@ -311,24 +274,25 @@ impl FlatLists {
     }
 
     /// Emits the lists into a v3 arena, the views' backing bytes
-    /// verbatim (same four sections as [`write_lists_arena`]).
+    /// verbatim: row offsets, estimates, sources, tags, escapes.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.section(self.starts.as_bytes());
         a.section(self.ests.as_bytes());
         a.section(self.srcs.as_bytes());
         a.section(self.tags.as_slice());
+        self.wide.write_arena(a);
     }
 
-    /// Reads what [`FlatLists::write_arena`] (or [`write_lists_arena`])
-    /// wrote: four zero-copy views plus O(n) offset checks and a tag
-    /// byte scan.
+    /// Reads what [`FlatLists::write_arena`] wrote: zero-copy views plus
+    /// O(n) offset checks, a tag byte scan and the marker ↔ escape-record
+    /// correspondence.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on malformed sections.
     pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> io::Result<Self> {
         let starts = c.u64v()?;
-        let ests = c.u64v()?;
+        let ests = c.u32v()?;
         let srcs = c.u32v()?;
         let tags = c.shared()?;
         let n = starts
@@ -339,6 +303,7 @@ impl FlatLists {
         if srcs.len() != total || tags.len() != total {
             return Err(invalid_data("list SoA sections disagree on length"));
         }
+        let wide = Escapes::read_arena(c, total, 1)?;
         if starts.get(0) != 0
             || (0..n).any(|v| starts.get(v) > starts.get(v + 1))
             || starts.get(n) != total as u64
@@ -348,11 +313,19 @@ impl FlatLists {
         if tags.as_slice().iter().any(|&b| b > 1) {
             return Err(invalid_data("invalid list tag byte"));
         }
+        // Distinct in-range records, each on a marker, as many as there
+        // are markers: every marker has its record.
+        if wide.indices().any(|i| ests.get(i as usize) != EST_ESCAPE)
+            || ests.iter().filter(|&e| e == EST_ESCAPE).count() != wide.len()
+        {
+            return Err(invalid_data("list escapes do not match the markers"));
+        }
         Ok(FlatLists {
             starts,
             ests,
             srcs,
             tags,
+            wide,
         })
     }
 }
@@ -426,18 +399,27 @@ mod tests {
                     src: NodeId(2),
                     tag: true,
                 },
+                // The marker value itself and a 2⁴⁰ estimate take the
+                // escape; one below the marker stays inline.
                 PdeEntry {
-                    est: 9,
+                    est: u64::from(u32::MAX),
                     src: NodeId(5),
                     tag: false,
                 },
             ],
             vec![],
-            vec![PdeEntry {
-                est: 1,
-                src: NodeId(0),
-                tag: false,
-            }],
+            vec![
+                PdeEntry {
+                    est: u64::from(u32::MAX) - 1,
+                    src: NodeId(0),
+                    tag: false,
+                },
+                PdeEntry {
+                    est: 1 << 40,
+                    src: NodeId(1),
+                    tag: true,
+                },
+            ],
         ];
         let fl = FlatLists::from_lists(&lists);
         assert_eq!(fl.len(), 3);
@@ -453,23 +435,59 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(FlatLists::read_from(&mut &b[..]).unwrap(), fl);
 
-        // v3 arena round trip is a byte passthrough, and the sections are
-        // interchangeable with write_lists_arena's.
+        // v3 arena round trip is a byte passthrough.
         let mut aw = congest::arena::ArenaWriter::new();
         fl.write_arena(&mut aw);
-        let mut free = congest::arena::ArenaWriter::new();
-        write_lists_arena(&mut free, &lists);
-        let (mut buf, mut free_buf) = (Vec::new(), Vec::new());
+        let mut buf = Vec::new();
         aw.finish(&mut buf).unwrap();
-        free.finish(&mut free_buf).unwrap();
-        assert_eq!(buf, free_buf);
         let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
         let back = FlatLists::read_arena(&mut r.cursor()).unwrap();
         assert_eq!(back, fl);
+        assert_eq!(back.to_lists(), lists);
         let mut aw2 = congest::arena::ArenaWriter::new();
         back.write_arena(&mut aw2);
         let mut buf2 = Vec::new();
         aw2.finish(&mut buf2).unwrap();
         assert_eq!(buf, buf2);
+    }
+
+    #[test]
+    fn hostile_flat_list_arenas_are_rejected() {
+        let entry = |est, src| PdeEntry {
+            est,
+            src: NodeId(src),
+            tag: false,
+        };
+        let fl = FlatLists::from_lists(&[vec![entry(3, 0), entry(1 << 40, 1)], vec![entry(5, 2)]]);
+        // Sections: starts, ests, srcs, tags, escape indices, escape values.
+        let load = |mutate: &dyn Fn(&mut [Vec<u8>])| {
+            let mut aw = congest::arena::ArenaWriter::new();
+            fl.write_arena(&mut aw);
+            let mut buf = Vec::new();
+            aw.finish(&mut buf).unwrap();
+            let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf)).unwrap();
+            let mut sections: Vec<Vec<u8>> =
+                (0..6).map(|i| r.section(i).unwrap().to_vec()).collect();
+            mutate(&mut sections);
+            let mut aw = congest::arena::ArenaWriter::new();
+            for s in &sections {
+                aw.section(s);
+            }
+            let mut buf = Vec::new();
+            aw.finish(&mut buf).unwrap();
+            let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf)).unwrap();
+            let loaded = FlatLists::read_arena(&mut r.cursor());
+            loaded
+        };
+        assert_eq!(load(&|_| {}).unwrap(), fl);
+        let marker = u32::MAX.to_le_bytes();
+        // A marker with no record; a record on a non-marker; a record
+        // past the arena; sections that disagree on length.
+        assert!(load(&|s| s[1][..4].copy_from_slice(&marker)).is_err());
+        assert!(load(&|s| s[4][..4].copy_from_slice(&0u32.to_le_bytes())).is_err());
+        assert!(load(&|s| s[4][..4].copy_from_slice(&3u32.to_le_bytes())).is_err());
+        assert!(load(&|s| s[5].clear()).is_err());
+        assert!(load(&|s| s[3].push(0)).is_err());
+        assert!(load(&|s| s[3][0] = 2).is_err());
     }
 }

@@ -12,35 +12,56 @@
 //!   sorted by source id. Point lookups are a bucket probe over the
 //!   near-uniform node-id keys (see [`FlatTables::get`]); "iterate
 //!   everything `v` knows" is a contiguous walk. The arrays live behind
-//!   zero-copy [`congest::arena`] views (entries as packed 16-byte
-//!   little-endian records), so a v3 snapshot load *is* the in-memory
-//!   form: no decode pass, no copy.
+//!   zero-copy [`congest::arena`] views, so a v3 snapshot load *is* the
+//!   in-memory form: no decode pass, no copy.
 //! * [`PairTable`] — a `k × k` partial map in either dense
 //!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
 //!   form; [`PairTable::auto`] picks dense unless the table is large and
 //!   sparse. Lookups agree exactly with the `HashMap` model they replace
 //!   (pinned by proptests in `tests/flat_tables.rs`).
 //!
+//! # The narrow record format
+//!
+//! The paper's table entries are `O(log n)` bits (weights are poly(n)),
+//! and the batch kernel is memory-bound, so a [`FlatTables`] entry costs
+//! 11 bytes plus its share of the bucket index, split by temperature:
+//!
+//! | section | bytes/entry | read by |
+//! |---|---|---|
+//! | hot record `src u32 \| est u32` (one LE `u64` word) | 8 | every probe |
+//! | `port u16`, arena-aligned | 2 | `next_hop` / `route_into` |
+//! | `level u8`, arena-aligned | 1 | the v2 codec, [`unflatten`] |
+//! | bucket index `u32` slots, one per two records | ≈ 2 | rows above 16 entries |
+//!
+//! **One escape, always on:** a value that does not fit its field
+//! (`est ≥ u32::MAX`, `port ≥ u16::MAX`, `level ≥ u8::MAX`) stores the
+//! field's all-ones marker, and the entry's true `(est, port, level)`
+//! goes to the table's one escape section pair, keyed by arena index
+//! and binary-searched only when a marker is read. Heavy-weight graphs
+//! stay exactly correct and merely slower; poly(n) weights never take the
+//! escape. The format is private to this module and
+//! [`crate::snapshot`]; everything else sees [`FlatEntry`] values.
+//!
 //! Both layouts serialize *directly* (their snapshot bytes are the
 //! in-memory layout, already canonical because rows are sorted), so
 //! reload → re-save stays byte-identical without any sort-on-write step.
 
 use crate::pde::{RouteInfo, RouteTable};
-use congest::arena::{SharedBytes, U32View};
+use congest::arena::{ArenaCursor, ArenaWriter, SharedBytes, U32View, U64View};
 use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
 use congest::{NodeId, Port, Topology};
+use graphs::INF;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Sentinel for "no entry" in dense [`PairTable`] storage (never a valid
 /// stored value: estimates in pair maps are finite and next-hop indices
 /// fit `u32`).
 pub const ABSENT: u64 = u64::MAX;
 
-/// One flattened routing entry: the destination source, the estimate and
-/// the out-port — the fields query loops actually read, packed into 16
-/// bytes. The [`RouteInfo::level`] payload is kept in a parallel cold
-/// array ([`FlatTables::levels`]): no query path touches it, so it would
-/// only inflate the hot arena's cache traffic.
+/// One decoded routing entry: the destination source, the estimate and
+/// the out-port — the fields query loops read. (The stored form is
+/// narrower; see the module docs.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlatEntry {
     /// Source node id (the row's sort key).
@@ -51,89 +72,114 @@ pub struct FlatEntry {
     pub est: u64,
 }
 
-/// Zero-copy view of packed 16-byte [`FlatEntry`] records
-/// (`src: u32 | port: u32 | est: u64`, all little-endian).
+/// Bytes per hot record (`src u32 | est u32`).
+const REC_BYTES: usize = 8;
+/// Marker of an escaped estimate (shared with [`crate::snapshot::FlatLists`]).
+pub(crate) const EST_ESCAPE: u32 = u32::MAX;
+/// Marker of an escaped port.
+const PORT_ESCAPE: u16 = u16::MAX;
+/// Marker of an escaped ladder level.
+const LEVEL_ESCAPE: u8 = u8::MAX;
+
+/// Expected records per bucket of the per-row index: a row of `len`
+/// entries gets `next_power_of_two(len / BUCKET_RECORDS)` buckets. Two
+/// 8-byte records cost a probe the bytes one 16-byte record used to, and
+/// halve the index; measured against 1 and 4 on
+/// `oracle.grouped_ns.pde` / `oracle.scalar_ns.pde` (see CHANGES.md).
+const BUCKET_RECORDS: usize = 2;
+
+/// One hot record as its `u64` word (`src` low, `est` high).
+#[inline]
+fn rec_word(rec: &[u8]) -> u64 {
+    u64::from_le_bytes(rec.try_into().expect("8 bytes"))
+}
+
+/// Bucket count of a row of `len` entries.
+fn bucket_count(len: usize) -> usize {
+    len.div_ceil(BUCKET_RECORDS).next_power_of_two()
+}
+
+/// The one escape of the narrow layouts: the true values of the entries
+/// whose stored field is an all-ones marker, as a section pair — strictly
+/// increasing arena indices, and a fixed number of `u64` value words per
+/// index. Only a marker read searches it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EntryView(SharedBytes);
+pub(crate) struct Escapes {
+    idx: U32View,
+    vals: U64View,
+}
 
-/// Bytes per packed [`FlatEntry`] record.
-const ENTRY_BYTES: usize = 16;
+impl Escapes {
+    /// Wraps build-side vectors (`vals` holds a fixed number of words per
+    /// index, in index order).
+    pub(crate) fn from_vals(idx: &[u32], vals: &[u64]) -> Self {
+        Escapes {
+            idx: U32View::from_vals(idx),
+            vals: U64View::from_vals(vals),
+        }
+    }
 
-impl EntryView {
-    /// Wraps `bytes` as packed entry records.
+    /// Number of escaped entries.
+    pub(crate) fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Position of arena entry `i`'s record, if it has one.
+    #[cold]
+    pub(crate) fn find(&self, i: usize) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.idx.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match (self.idx.get(mid) as usize).cmp(&i) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+
+    /// Value word `at` (records are back to back).
+    pub(crate) fn word(&self, at: usize) -> u64 {
+        self.vals.get(at)
+    }
+
+    /// The escaped arena indices, increasing.
+    pub(crate) fn indices(&self) -> impl Iterator<Item = u32> + '_ {
+        self.idx.iter()
+    }
+
+    /// Emits the section pair.
+    pub(crate) fn write_arena(&self, a: &mut ArenaWriter) {
+        a.section(self.idx.as_bytes());
+        a.section(self.vals.as_bytes());
+    }
+
+    /// Reads the section pair for a table of `entries` entries with
+    /// `words` value words per record.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the byte length is not a multiple of 16.
-    pub fn new(bytes: SharedBytes) -> io::Result<Self> {
-        if !bytes.len().is_multiple_of(ENTRY_BYTES) {
-            return Err(invalid_data("entry section length not a multiple of 16"));
+    /// `InvalidData` unless the indices are strictly increasing, below
+    /// `entries`, and matched by exactly `words` values each.
+    pub(crate) fn read_arena(
+        c: &mut ArenaCursor<'_>,
+        entries: usize,
+        words: usize,
+    ) -> io::Result<Self> {
+        let idx = c.u32v()?;
+        let vals = c.u64v()?;
+        if idx.len().checked_mul(words) != Some(vals.len()) {
+            return Err(invalid_data("escape sections disagree on length"));
         }
-        Ok(EntryView(bytes))
-    }
-
-    /// Encodes `xs` into a fresh owned view (the build-side constructor).
-    pub fn from_entries(xs: &[FlatEntry]) -> Self {
-        let mut buf = Vec::with_capacity(xs.len() * ENTRY_BYTES);
-        for e in xs {
-            buf.extend_from_slice(&e.src.to_le_bytes());
-            buf.extend_from_slice(&e.port.to_le_bytes());
-            buf.extend_from_slice(&e.est.to_le_bytes());
+        let mut prev = None;
+        for i in idx.iter() {
+            if prev.is_some_and(|p| p >= i) || i as usize >= entries {
+                return Err(invalid_data("escape indices unsorted or out of range"));
+            }
+            prev = Some(i);
         }
-        EntryView(SharedBytes::from_vec(buf))
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.0.len() / ENTRY_BYTES
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Decodes record `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of bounds, exactly like slice indexing.
-    #[inline]
-    pub fn get(&self, i: usize) -> FlatEntry {
-        let b = &self.0.as_slice()[i * ENTRY_BYTES..(i + 1) * ENTRY_BYTES];
-        FlatEntry {
-            src: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
-            port: u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")),
-            est: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-        }
-    }
-
-    /// Iterates the records of `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds, exactly like slice indexing.
-    pub fn iter_range(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.0.as_slice()[range.start * ENTRY_BYTES..range.end * ENTRY_BYTES]
-            .chunks_exact(ENTRY_BYTES)
-            .map(|b| FlatEntry {
-                src: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
-                port: u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")),
-                est: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            })
-    }
-
-    /// Iterates all records in order.
-    pub fn iter(&self) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.iter_range(0..self.len())
-    }
-
-    /// The backing bytes (for re-serialization).
-    pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_slice()
+        Ok(Escapes { idx, vals })
     }
 }
 
@@ -146,21 +192,31 @@ impl EntryView {
 pub struct FlatTables {
     /// `starts[v]..starts[v + 1]` delimits node `v`'s row (`n + 1` offsets).
     starts: U32View,
-    /// All rows back to back, each sorted by `src`, as packed records.
-    entries: EntryView,
-    /// Ladder level of each entry, arena-aligned (cold: codec-only).
-    levels: U32View,
+    /// All rows back to back, each sorted by `src`, as hot records.
+    recs: SharedBytes,
+    /// Out-port of each entry (`u16` LE), arena-aligned.
+    ports: SharedBytes,
+    /// Ladder level of each entry (`u8`), arena-aligned.
+    levels: SharedBytes,
     /// Concatenated per-row bucket offset tables: row `v` owns
     /// `bucket_starts[v]..bucket_starts[v+1]` slots, one per high-bits
     /// bucket plus a terminator, each holding the row-relative index of
     /// the bucket's first entry.
     buckets: U32View,
     /// `bucket_starts[v]..bucket_starts[v+1]` delimits `v`'s slice of
-    /// [`FlatTables::buckets`] (`n + 1` offsets).
+    /// `buckets` (`n + 1` offsets).
     bucket_starts: U32View,
     /// Per-row right-shift mapping a source id to its bucket.
     shifts: SharedBytes,
+    /// True `(est, port | level << 32)` of the entries carrying a marker.
+    wide: Escapes,
 }
+
+/// Value words per [`FlatTables`] escape record.
+const WIDE_WORDS: usize = 2;
+
+/// A row under construction: decoded entries with their ladder levels.
+type ScratchRow = Vec<(FlatEntry, u32)>;
 
 impl FlatTables {
     /// Flattens per-node hash tables into sorted CSR rows.
@@ -172,72 +228,113 @@ impl FlatTables {
     pub fn from_tables(tables: &[RouteTable]) -> Self {
         let mut starts = Vec::with_capacity(tables.len() + 1);
         starts.push(0u32);
-        let total = tables.iter().map(|t| t.len()).sum();
-        let mut entries: Vec<FlatEntry> = Vec::with_capacity(total);
-        let mut levels: Vec<u32> = Vec::with_capacity(total);
-        let mut scratch: Vec<(FlatEntry, u32)> = Vec::new();
+        let mut total = 0usize;
         for table in tables {
-            scratch.clear();
-            scratch.extend(table.iter().map(|(&s, r)| {
-                (
-                    FlatEntry {
+            total += table.len();
+            starts.push(u32::try_from(total).expect("flat table fits u32 offsets"));
+        }
+        let built = Self::encode(
+            starts,
+            |exact| exact,
+            |v, _, row| {
+                row.extend(tables[v].iter().map(|(&s, r)| {
+                    let e = FlatEntry {
                         src: s.0,
                         port: r.port,
                         est: r.est,
-                    },
-                    r.level,
-                )
-            }));
-            scratch.sort_unstable_by_key(|(e, _)| e.src);
-            entries.extend(scratch.iter().map(|&(e, _)| e));
-            levels.extend(scratch.iter().map(|&(_, l)| l));
-            starts.push(u32::try_from(entries.len()).expect("flat table fits u32 offsets"));
+                    };
+                    (e, r.level)
+                }));
+                row.sort_unstable_by_key(|(e, _)| e.src);
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
+        match built {
+            Ok(t) => t,
+            Err(never) => match never {},
         }
-        FlatTables::from_parts(starts, entries, levels)
     }
 
-    /// Assembles a table from validated offsets + sorted rows, computing
-    /// the derived per-row bucket index (see [`FlatTables::get`]).
-    fn from_parts(starts: Vec<u32>, entries: Vec<FlatEntry>, levels: Vec<u32>) -> Self {
-        let n = starts.len().saturating_sub(1);
-        let mut buckets: Vec<u32> = Vec::with_capacity(2 * entries.len() + n + 1);
-        let mut bucket_starts = Vec::with_capacity(n + 1);
-        let mut shifts = Vec::with_capacity(n);
+    /// Encodes the narrow sections row by row from validated offsets:
+    /// `fill(v, len, row)` appends row `v`'s `len` entries, sorted by
+    /// source, to the (cleared) scratch row, and the records, side
+    /// arrays, bucket index and escapes are written straight from it —
+    /// the only transient state is one row. `reserve` maps an element
+    /// count to the capacity to pre-allocate (exact for trusted counts,
+    /// clamped for counts read from a stream).
+    fn encode<E>(
+        starts: Vec<u32>,
+        reserve: impl Fn(usize) -> usize,
+        mut fill: impl FnMut(usize, usize, &mut ScratchRow) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let n = starts.len() - 1;
+        let total = starts[n] as usize;
+        let slots: usize = starts
+            .windows(2)
+            .map(|w| bucket_count((w[1] - w[0]) as usize) + 1)
+            .sum();
+        let mut recs: Vec<u8> = Vec::with_capacity(reserve(total) * REC_BYTES);
+        let mut ports: Vec<u8> = Vec::with_capacity(reserve(total) * 2);
+        let mut levels: Vec<u8> = Vec::with_capacity(reserve(total));
+        let mut buckets: Vec<u8> = Vec::with_capacity(reserve(slots) * 4);
+        let mut bucket_starts = Vec::with_capacity(reserve(n + 1));
+        let mut shifts = Vec::with_capacity(reserve(n));
+        let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
+        let mut row = ScratchRow::new();
         bucket_starts.push(0u32);
-        for w in starts.windows(2) {
-            let row = &entries[w[0] as usize..w[1] as usize];
-            // One bucket per entry (rounded up to a power of two): with
-            // near-uniform node-id keys the expected occupancy is ≤ 1.
-            let count = row.len().next_power_of_two().max(1);
-            let max_src = row.iter().map(|e| e.src).max().unwrap_or(0);
+        for v in 0..n {
+            let len = (starts[v + 1] - starts[v]) as usize;
+            row.clear();
+            fill(v, len, &mut row)?;
+            assert_eq!(row.len(), len, "row {v} does not match its offsets");
+            for &(e, level) in &row {
+                let est = u32::try_from(e.est).unwrap_or(EST_ESCAPE);
+                let port = u16::try_from(e.port).unwrap_or(PORT_ESCAPE);
+                let lvl = u8::try_from(level).unwrap_or(LEVEL_ESCAPE);
+                if est == EST_ESCAPE || port == PORT_ESCAPE || lvl == LEVEL_ESCAPE {
+                    wide_idx.push((recs.len() / REC_BYTES) as u32);
+                    wide_vals.push(e.est);
+                    wide_vals.push(u64::from(e.port) | u64::from(level) << 32);
+                }
+                let word = u64::from(e.src) | u64::from(est) << 32;
+                recs.extend_from_slice(&word.to_le_bytes());
+                ports.extend_from_slice(&port.to_le_bytes());
+                levels.push(lvl);
+            }
+            // With near-uniform node-id keys the expected occupancy of a
+            // bucket is ≤ BUCKET_RECORDS. Rows are sorted, so the last
+            // key is the largest.
+            let count = bucket_count(len);
+            let max_src = row.last().map_or(0, |(e, _)| e.src);
             let key_bits = 32 - max_src.leading_zeros();
             let shift = key_bits.saturating_sub(count.trailing_zeros());
             shifts.push(shift as u8);
-            let base = buckets.len();
-            buckets.resize(base + count + 1, 0);
             let mut cur = 0usize;
-            for (i, e) in row.iter().enumerate() {
+            for (i, (e, _)) in row.iter().enumerate() {
                 let b = e.src.checked_shr(shift).unwrap_or(0) as usize;
                 while cur <= b {
-                    buckets[base + cur] = i as u32;
+                    buckets.extend_from_slice(&(i as u32).to_le_bytes());
                     cur += 1;
                 }
             }
             while cur <= count {
-                buckets[base + cur] = row.len() as u32;
+                buckets.extend_from_slice(&(len as u32).to_le_bytes());
                 cur += 1;
             }
             bucket_starts
-                .push(u32::try_from(buckets.len()).expect("bucket index fits u32 offsets"));
+                .push(u32::try_from(buckets.len() / 4).expect("bucket index fits u32 offsets"));
         }
-        FlatTables {
+        Ok(FlatTables {
             starts: U32View::from_vals(&starts),
-            entries: EntryView::from_entries(&entries),
-            levels: U32View::from_vals(&levels),
-            buckets: U32View::from_vals(&buckets),
+            recs: SharedBytes::from_vec(recs),
+            ports: SharedBytes::from_vec(ports),
+            levels: SharedBytes::from_vec(levels),
+            buckets: U32View::new(SharedBytes::from_vec(buckets))
+                .expect("whole u32 words were pushed"),
             bucket_starts: U32View::from_vals(&bucket_starts),
             shifts: SharedBytes::from_vec(shifts),
-        }
+            wide: Escapes::from_vals(&wide_idx, &wide_vals),
+        })
     }
 
     /// Number of nodes covered (rows).
@@ -249,7 +346,7 @@ impl FlatTables {
     /// Total entries across all rows.
     #[inline]
     pub fn len_entries(&self) -> usize {
-        self.entries.len()
+        self.recs.len() / REC_BYTES
     }
 
     /// Length of node `v`'s row.
@@ -262,7 +359,7 @@ impl FlatTables {
     /// by source id.
     #[inline]
     pub fn row_iter(&self, v: NodeId) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.entries.iter_range(self.row_range(v))
+        self.entries_in(self.row_range(v))
     }
 
     /// Node `v`'s row decoded into a `Vec` (tests and cold paths).
@@ -279,6 +376,13 @@ impl FlatTables {
     #[inline]
     pub fn get(&self, v: NodeId, s: NodeId) -> Option<FlatEntry> {
         self.cursor(v).get(s)
+    }
+
+    /// Estimate-only point lookup: `v`'s estimate for source `s`, if
+    /// present, from the hot record alone (see [`RowCursor::est`]).
+    #[inline]
+    pub fn est(&self, v: NodeId, s: NodeId) -> Option<u64> {
+        self.cursor(v).est(s)
     }
 
     /// Resolves node `v`'s row metadata (CSR start, bucket index base,
@@ -301,23 +405,26 @@ impl FlatTables {
         }
     }
 
-    /// Branchless key scan over the packed records
-    /// `[start, start + len)`: compares the low-`u32` source key of each
-    /// 16-byte chunk and keeps the last hit — row keys are unique
-    /// (strictly sorted), so "last" and "first" coincide on valid data.
-    /// The loop carries no early exit and no data-dependent branch, so
-    /// LLVM unrolls and vectorizes it over the AoS layout (the workspace
-    /// forbids `unsafe`, so this shape — not intrinsics — is the whole
-    /// trick).
+    /// Branchless key scan over the hot records `[start, start + len)`:
+    /// compares the low-`u32` source key of each 8-byte word and keeps
+    /// the last hit as `(arena index, word)` — row keys are unique
+    /// (strictly sorted), so "last" and "first" coincide on valid data,
+    /// and the word that matched already carries the estimate. The loop
+    /// has no early exit and no data-dependent branch, so LLVM unrolls
+    /// and vectorizes it (the workspace forbids `unsafe`, so this shape —
+    /// not intrinsics — is the whole trick).
     #[inline]
-    fn scan_keys(&self, start: usize, len: usize, key: u32) -> Option<FlatEntry> {
-        let bytes = &self.entries.as_bytes()[start * ENTRY_BYTES..(start + len) * ENTRY_BYTES];
+    fn scan_keys(&self, start: usize, len: usize, key: u32) -> Option<(usize, u64)> {
+        let bytes = &self.recs.as_slice()[start * REC_BYTES..(start + len) * REC_BYTES];
         let mut hit = usize::MAX;
-        for (i, rec) in bytes.chunks_exact(ENTRY_BYTES).enumerate() {
-            let word = u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes"));
-            hit = if word as u32 == key { i } else { hit };
+        let mut hit_word = 0u64;
+        for (i, rec) in bytes.chunks_exact(REC_BYTES).enumerate() {
+            let word = rec_word(rec);
+            let eq = word as u32 == key;
+            hit = if eq { i } else { hit };
+            hit_word = if eq { word } else { hit_word };
         }
-        (hit != usize::MAX).then(|| self.entries.get(start + hit))
+        (hit != usize::MAX).then(|| (start + hit, hit_word))
     }
 
     /// The index range of node `v`'s row within the entry arena (for
@@ -325,32 +432,88 @@ impl FlatTables {
     /// e.g. pre-resolved skeleton indices; see
     /// [`FlatTables::entries_in`]).
     #[inline]
-    pub fn row_range(&self, v: NodeId) -> std::ops::Range<usize> {
+    pub fn row_range(&self, v: NodeId) -> Range<usize> {
         self.starts.get(v.index()) as usize..self.starts.get(v.index() + 1) as usize
     }
 
-    /// Decodes arena entry `i` (rows back to back; see
-    /// [`FlatTables::row_range`]).
+    /// Hot record `i` as its `u64` word.
     #[inline]
-    pub fn entry(&self, i: usize) -> FlatEntry {
-        self.entries.get(i)
+    fn word(&self, i: usize) -> u64 {
+        rec_word(&self.recs.as_slice()[i * REC_BYTES..(i + 1) * REC_BYTES])
+    }
+
+    /// Stored (possibly marker) port of entry `i`.
+    #[inline]
+    fn port16(&self, i: usize) -> u16 {
+        let b = &self.ports.as_slice()[2 * i..2 * i + 2];
+        u16::from_le_bytes(b.try_into().expect("2 bytes"))
+    }
+
+    /// The escape record of entry `i`: its true `(est, port, level)`.
+    fn wide(&self, i: usize) -> Option<(u64, u32, u32)> {
+        let at = self.wide.find(i)? * WIDE_WORDS;
+        let side = self.wide.word(at + 1);
+        Some((self.wide.word(at), side as u32, (side >> 32) as u32))
+    }
+
+    /// The estimate of entry `i`, given its hot word. A marker whose
+    /// escape record is missing (a hostile arena that skipped
+    /// [`FlatTables::validate`]) reads as an absent entry.
+    #[inline]
+    fn est_of(&self, i: usize, word: u64) -> Option<u64> {
+        match (word >> 32) as u32 {
+            EST_ESCAPE => self.wide(i).map(|w| w.0),
+            est => Some(u64::from(est)),
+        }
+    }
+
+    /// Decodes entry `i`, given its hot word (absent as in
+    /// [`FlatTables::est_of`]).
+    #[inline]
+    fn entry_of(&self, i: usize, word: u64) -> Option<FlatEntry> {
+        let (est, port) = ((word >> 32) as u32, self.port16(i));
+        let (est, port) = if est == EST_ESCAPE || port == PORT_ESCAPE {
+            let w = self.wide(i)?;
+            (w.0, w.1)
+        } else {
+            (u64::from(est), Port::from(port))
+        };
+        Some(FlatEntry {
+            src: word as u32,
+            port,
+            est,
+        })
+    }
+
+    /// Decodes entry `i` with its ladder level (the codec's view).
+    fn entry_with_level(&self, i: usize) -> Option<(FlatEntry, u32)> {
+        let e = self.entry_of(i, self.word(i))?;
+        let level = match self.levels.as_slice()[i] {
+            LEVEL_ESCAPE => self.wide(i)?.2,
+            lvl => u32::from(lvl),
+        };
+        Some((e, level))
     }
 
     /// Iterates the arena entries of `range` (see
     /// [`FlatTables::row_range`]).
     #[inline]
-    pub fn entries_in(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.entries.iter_range(range)
+    pub fn entries_in(&self, range: Range<usize>) -> impl Iterator<Item = FlatEntry> + '_ {
+        self.recs.as_slice()[range.start * REC_BYTES..range.end * REC_BYTES]
+            .chunks_exact(REC_BYTES)
+            .zip(range)
+            .filter_map(|(rec, i)| self.entry_of(i, rec_word(rec)))
     }
 
-    /// Ladder level of each arena entry (cold data, kept out of the hot
-    /// entry records; arena-aligned).
+    /// Iterates the estimates of the arena entries of `range`, one per
+    /// entry (`INF` for an absent one), reading hot records only — the
+    /// row-sweep counterpart of [`RowCursor::est`].
     #[inline]
-    pub fn levels(&self) -> &U32View {
-        &self.levels
+    pub fn ests_in(&self, range: Range<usize>) -> impl Iterator<Item = u64> + '_ {
+        self.recs.as_slice()[range.start * REC_BYTES..range.end * REC_BYTES]
+            .chunks_exact(REC_BYTES)
+            .zip(range)
+            .map(|(rec, i)| self.est_of(i, rec_word(rec)).unwrap_or(INF))
     }
 
     /// Serializes rows + offsets (already canonical: rows are sorted).
@@ -364,7 +527,7 @@ impl FlatTables {
         for v in 0..self.len_nodes() {
             w.len((self.starts.get(v + 1) - self.starts.get(v)) as usize)?;
         }
-        for (e, level) in self.entries.iter().zip(self.levels.iter()) {
+        for (e, level) in (0..self.len_entries()).filter_map(|i| self.entry_with_level(i)) {
             w.u32(e.src)?;
             w.u64(e.est)?;
             w.u32(e.port)?;
@@ -375,7 +538,8 @@ impl FlatTables {
 
     /// Deserializes what [`FlatTables::write_into`] wrote, validating the
     /// CSR shape and per-row sort order (strictly increasing sources —
-    /// anything else would corrupt binary search and canonical re-save).
+    /// anything else would corrupt the bucket index and canonical
+    /// re-save).
     ///
     /// # Errors
     ///
@@ -393,70 +557,71 @@ impl FlatTables {
                 u32::try_from(next).map_err(|_| invalid_data("flat table offsets overflow"))?,
             );
         }
-        let total = *starts.last().expect("starts is never empty") as usize;
-        let mut entries = Vec::with_capacity(clamped_capacity(total));
-        let mut levels = Vec::with_capacity(clamped_capacity(total));
-        for _ in 0..total {
-            let src = r.u32()?;
-            let est = r.u64()?;
-            let port = r.u32()?;
-            levels.push(r.u32()?);
-            entries.push(FlatEntry { src, port, est });
-        }
-        // Sortedness must hold before the bucket index is derived from
-        // the rows (and binary invariants like canonical re-save rely on
-        // it), so check it on the raw data first.
-        for w in starts.windows(2) {
-            let row = &entries[w[0] as usize..w[1] as usize];
-            if row.windows(2).any(|p| p[0].src >= p[1].src) {
+        Self::encode(starts, clamped_capacity, |_, len, row| {
+            for _ in 0..len {
+                let src = r.u32()?;
+                let est = r.u64()?;
+                let port = r.u32()?;
+                let level = r.u32()?;
+                row.push((FlatEntry { src, port, est }, level));
+            }
+            if row.windows(2).any(|p| p[0].0.src >= p[1].0.src) {
                 return Err(invalid_data("flat table row not sorted by source"));
             }
-        }
-        Ok(FlatTables::from_parts(starts, entries, levels))
+            Ok(())
+        })
     }
 
-    /// Emits the table into a v3 arena: one typed section per array,
-    /// entries as packed 16-byte records, **including the derived bucket
-    /// index** — a v3 load rebuilds nothing. The sections are the views'
-    /// backing bytes verbatim, so load → re-save is a passthrough.
-    pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
+    /// Emits the table into a v3 arena: one section per array,
+    /// **including the derived bucket index** — a v3 load rebuilds
+    /// nothing. The sections are the views' backing bytes verbatim, so
+    /// load → re-save is a passthrough.
+    pub fn write_arena(&self, a: &mut ArenaWriter) {
         a.section(self.starts.as_bytes());
-        a.section(self.entries.as_bytes());
-        a.section(self.levels.as_bytes());
+        a.section(self.recs.as_slice());
+        a.section(self.ports.as_slice());
+        a.section(self.levels.as_slice());
         a.section(self.buckets.as_bytes());
         a.section(self.bucket_starts.as_bytes());
         a.section(self.shifts.as_slice());
+        self.wide.write_arena(a);
     }
 
-    /// Reads what [`FlatTables::write_arena`] wrote: six zero-copy views
-    /// over the container plus O(n) shape checks on the offset arrays
-    /// (CSR offsets and bucket offsets monotone and bounded). Per-entry
-    /// sweeps — row sort order, per-bucket bounds — are *not* re-run
-    /// here: the arena checksum owns integrity, and [`FlatTables::get`]
-    /// re-checks its probe bounds so even a hostile bucket index answers
-    /// with a miss rather than a panic.
+    /// Reads what [`FlatTables::write_arena`] wrote: zero-copy views over
+    /// the container plus shape checks on the offset arrays (CSR offsets
+    /// and bucket offsets monotone and bounded), the side-section
+    /// lengths and the escape indices. Per-entry sweeps are *not* run
+    /// here: [`FlatTables::validate`] owns them, the arena checksum owns
+    /// integrity, and [`RowCursor`] re-checks its probe bounds so even a
+    /// hostile bucket index answers with a miss rather than a panic.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on any malformed section or inconsistent
     /// shape.
-    pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> io::Result<Self> {
+    pub fn read_arena(c: &mut ArenaCursor<'_>) -> io::Result<Self> {
         let starts = c.u32v()?;
-        let entries = EntryView::new(c.shared()?)?;
-        let levels = c.u32v()?;
+        let recs = c.shared()?;
+        let ports = c.shared()?;
+        let levels = c.shared()?;
         let buckets = c.u32v()?;
         let bucket_starts = c.u32v()?;
         let shifts = c.shared()?;
-        if levels.len() != entries.len() {
+        if !recs.len().is_multiple_of(REC_BYTES) {
+            return Err(invalid_data("record section length not a multiple of 8"));
+        }
+        let entries = recs.len() / REC_BYTES;
+        if ports.len() != 2 * entries || levels.len() != entries {
             return Err(invalid_data("flat table sections disagree on length"));
         }
+        let wide = Escapes::read_arena(c, entries, WIDE_WORDS)?;
         let n = starts
             .len()
             .checked_sub(1)
             .ok_or_else(|| invalid_data("flat table starts section empty"))?;
         if starts.get(0) != 0
             || (0..n).any(|v| starts.get(v) > starts.get(v + 1))
-            || starts.get(n) as usize != entries.len()
+            || starts.get(n) as usize != entries
         {
             return Err(invalid_data("flat table offsets inconsistent"));
         }
@@ -471,42 +636,60 @@ impl FlatTables {
         }
         Ok(FlatTables {
             starts,
-            entries,
+            recs,
+            ports,
             levels,
             buckets,
             bucket_starts,
             shifts,
+            wide,
         })
     }
 
     /// Validates rows against the topology they will be queried on: one
     /// row per node, sources in range, ports within each node's degree
     /// ([`Topology::neighbor`] only debug-asserts its port, so a corrupted
-    /// port would silently resolve to a wrong neighbor in release builds).
+    /// port would silently resolve to a wrong neighbor in release builds),
+    /// and markers and escape records in one-to-one correspondence.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on any out-of-range source or port.
+    /// Returns `InvalidData` on any out-of-range source or port, a marker
+    /// without an escape record, or an escape record without a marker.
     pub fn validate(&self, topo: &Topology) -> io::Result<()> {
         if self.len_nodes() != topo.len() {
             return Err(invalid_data("flat table row count mismatch"));
         }
+        let levels = self.levels.as_slice();
+        let mut marked = 0usize;
         for v in topo.nodes() {
             let deg = topo.degree(v) as u32;
-            for e in self.row_iter(v) {
-                if e.src as usize >= topo.len() {
+            for i in self.row_range(v) {
+                let word = self.word(i);
+                let (src, est, stored) = (word as u32, (word >> 32) as u32, self.port16(i));
+                if src as usize >= topo.len() {
                     return Err(invalid_data(format!(
-                        "flat route source {} out of range",
-                        e.src
+                        "flat route source {src} out of range"
                     )));
                 }
-                if e.port >= deg {
+                let port =
+                    if est == EST_ESCAPE || stored == PORT_ESCAPE || levels[i] == LEVEL_ESCAPE {
+                        marked += 1;
+                        self.wide(i)
+                            .ok_or_else(|| invalid_data(format!("flat route {i} lost its escape")))?
+                            .1
+                    } else {
+                        Port::from(stored)
+                    };
+                if port >= deg {
                     return Err(invalid_data(format!(
-                        "flat route port {} out of range at {v} (degree {deg})",
-                        e.port
+                        "flat route port {port} out of range at {v} (degree {deg})"
                     )));
                 }
             }
+        }
+        if marked != self.wide.len() {
+            return Err(invalid_data("flat table escape record without a marker"));
         }
         Ok(())
     }
@@ -541,17 +724,16 @@ impl RowCursor<'_> {
         self.row_len
     }
 
-    /// Point lookup within the cursor's row (same answers as
-    /// [`FlatTables::get`] on the same row, by construction).
+    /// Locates source `s` in the cursor's row: `(arena index, hot word)`.
     ///
     /// Small rows take one branchless sweep of the whole row; larger
     /// rows take the bucket probe — one bucket-offset pair load plus a
-    /// branchless sweep of the (expected ≤ 1-entry) bucket slice. Probe
-    /// bounds are re-checked as in [`FlatTables::get`]: the arena
-    /// checksum owns integrity, and a bucket that still points outside
-    /// its row answers with a miss, never a panic.
+    /// branchless sweep of the (expected ≤ [`BUCKET_RECORDS`]-entry)
+    /// bucket slice. Probe bounds are re-checked: the arena checksum owns
+    /// integrity, and a bucket that still points outside its row answers
+    /// with a miss, never a panic.
     #[inline]
-    pub fn get(&self, s: NodeId) -> Option<FlatEntry> {
+    fn find(&self, s: NodeId) -> Option<(usize, u64)> {
         let key = s.0;
         if self.row_len <= SMALL_ROW_SCAN {
             if self.row_len == 0 {
@@ -570,6 +752,24 @@ impl RowCursor<'_> {
         }
         self.tab.scan_keys(self.row_start + lo, hi - lo, key)
     }
+
+    /// Point lookup within the cursor's row (same answers as
+    /// [`FlatTables::get`] on the same row, by construction). Reads the
+    /// port side array; estimate-only callers use [`RowCursor::est`].
+    #[inline]
+    pub fn get(&self, s: NodeId) -> Option<FlatEntry> {
+        let (i, word) = self.find(s)?;
+        self.tab.entry_of(i, word)
+    }
+
+    /// The estimate for source `s`, if present: the key scan's matching
+    /// word already holds it, so the probe touches no side array (and the
+    /// escape section only on a marker).
+    #[inline]
+    pub fn est(&self, s: NodeId) -> Option<u64> {
+        let (i, word) = self.find(s)?;
+        self.tab.est_of(i, word)
+    }
 }
 
 /// Convenience: flatten each run of a multi-level route archive.
@@ -584,11 +784,10 @@ pub fn flatten_runs(runs: &[Vec<RouteTable>]) -> Vec<FlatTables> {
 /// non-members) so query loops read an arena-aligned side table instead
 /// of probing the index per entry.
 pub fn resolve_entry_indices(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<u32> {
-    tables
-        .entries_in(0..tables.len_entries())
-        .map(|e| {
+    (0..tables.len_entries())
+        .map(|i| {
             index
-                .get(NodeId(e.src))
+                .get(NodeId(tables.word(i) as u32))
                 .map_or(graphs::DenseIndex::NONE, |i| i as u32)
         })
         .collect()
@@ -599,12 +798,10 @@ pub fn resolve_entry_indices(tables: &FlatTables, index: &graphs::DenseIndex) ->
 pub fn unflatten(ft: &FlatTables) -> Vec<RouteTable> {
     (0..ft.len_nodes())
         .map(|v| {
-            let v = NodeId::from_index(v);
             let mut t = RouteTable::default();
-            let range = ft.row_range(v);
             for (e, level) in ft
-                .entries_in(range.clone())
-                .zip(ft.levels().iter_range(range))
+                .row_range(NodeId::from_index(v))
+                .filter_map(|i| ft.entry_with_level(i))
             {
                 t.insert(
                     NodeId(e.src),
@@ -1033,8 +1230,13 @@ mod tests {
         assert_eq!(row[1].src, 3);
         assert_eq!(ft.get(NodeId(0), NodeId(3)).unwrap().est, 10);
         assert!(ft.get(NodeId(0), NodeId(2)).is_none());
+        assert_eq!(ft.est(NodeId(0), NodeId(1)), Some(7));
+        assert_eq!(ft.est(NodeId(0), NodeId(2)), None);
+        assert_eq!(
+            ft.ests_in(ft.row_range(NodeId(0))).collect::<Vec<_>>(),
+            [7, 10]
+        );
         assert_eq!(ft.row_len(NodeId(1)), 0);
-        assert_eq!(ft.entry(0), row[0]);
     }
 
     #[test]
@@ -1055,24 +1257,14 @@ mod tests {
         let ft = FlatTables::from_tables(&sample_tables());
         let mut buf = Vec::new();
         ft.write_into(&mut buf).unwrap();
-        let e3 = FlatEntry {
-            src: 3,
-            port: 1,
-            est: 10,
-        };
-        let e1 = FlatEntry {
-            src: 1,
-            port: 0,
-            est: 7,
-        };
-        let tampered = FlatTables::from_parts(vec![0, 2, 2], vec![e3, e1], vec![0, 2]);
-        let mut bad = Vec::new();
-        tampered.write_into(&mut bad).unwrap();
+        // The stream ends with the two 20-byte entries of row 0; swapping
+        // them leaves a well-formed stream whose row is out of order.
+        let mut bad = buf.clone();
+        let at = bad.len() - 40;
+        let (a, b) = bad[at..].split_at_mut(20);
+        a.swap_with_slice(b);
         assert!(FlatTables::read_from(&mut &bad[..]).is_err());
-        let sorted = FlatTables::from_parts(vec![0, 2, 2], vec![e1, e3], vec![2, 0]);
-        let mut good = Vec::new();
-        sorted.write_into(&mut good).unwrap();
-        assert!(FlatTables::read_from(&mut &good[..]).is_ok());
+        assert!(FlatTables::read_from(&mut &buf[..]).is_ok());
     }
 
     #[test]

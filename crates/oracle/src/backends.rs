@@ -105,7 +105,7 @@ impl DistanceOracle for PdeOracle {
         if u == v {
             return 0;
         }
-        self.routes.get(u, v).map_or(INF, |e| e.est)
+        self.routes.est(u, v).unwrap_or(INF)
     }
 
     fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
@@ -117,11 +117,7 @@ impl DistanceOracle for PdeOracle {
             let row = self.routes.cursor(u);
             for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
                 let v = pairs[i as usize].1;
-                *slot = if u == v {
-                    0
-                } else {
-                    row.get(v).map_or(INF, |e| e.est)
-                };
+                *slot = if u == v { 0 } else { row.est(v).unwrap_or(INF) };
             }
             start = end;
         }
@@ -523,6 +519,10 @@ impl DistanceOracle for FloodOracle {
 // ------------------------------------------------------- construction --
 
 /// The concrete backend behind an [`crate::Oracle`].
+// One `Inner` per oracle, never stored in bulk: its size is immaterial,
+// and boxing the widest variant would put a pointer chase in front of
+// every RTC query.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Inner {
     Pde(PdeOracle),
     Aps(ApsOracle),

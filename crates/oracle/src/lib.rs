@@ -637,9 +637,10 @@ impl Oracle {
         snapshot::save(self, sink)
     }
 
-    /// Writes the **version-3** arena snapshot: one 8-byte-aligned
-    /// section directory plus typed sections and a trailing checksum,
-    /// with derived query state (bucket indexes, RTC long-range tables)
+    /// Writes the **v3** arena snapshot (on-disk tag 4): one
+    /// 8-byte-aligned section directory plus typed sections and a
+    /// trailing checksum, with narrow routing tables and derived query
+    /// state (bucket indexes, RTC long-range tables)
     /// stored instead of rebuilt on load. Loading a v3 snapshot is an
     /// order of magnitude faster than v2 (see `oracle::snapshot` module
     /// docs); [`Oracle::load`] accepts both versions.
@@ -678,15 +679,18 @@ impl Oracle {
     }
 
     /// Loads an oracle from a snapshot written by [`Oracle::save`] or
-    /// [`Oracle::save_v3`] (the version is auto-detected; version-1
-    /// snapshots are rejected with a pointer to rebuild).
+    /// [`Oracle::save_v3`] (the version is auto-detected; files in a
+    /// retired layout — tags 1 and 3 — are rejected with a pointer to
+    /// rebuild).
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on bad magic/version/backend bytes or any
-    /// malformed payload; truncated inputs wrap
+    /// Returns `InvalidData` on bad magic/backend bytes or any malformed
+    /// payload; truncated inputs wrap
     /// [`congest::wire::SnapshotError::Truncated`] (test with
-    /// [`congest::wire::is_truncated`]).
+    /// [`congest::wire::is_truncated`]) and unsupported version tags
+    /// [`congest::wire::SnapshotError::Rebuild`] (test with
+    /// [`congest::wire::snapshot_cause`]).
     pub fn load<R: Read>(source: &mut R) -> io::Result<Oracle> {
         snapshot::load(source)
     }

@@ -2,19 +2,26 @@
 //!
 //! # Version matrix
 //!
-//! | version | layout | write | read |
+//! | tag | layout | write | read |
 //! |---|---|---|---|
 //! | 1 | PR-3 hash-table streams | — | rejected (rebuild) |
-//! | 2 | flat-table wire streams | [`Oracle::save`] | copying decode |
-//! | 3 | aligned arena container | [`Oracle::save_v3`] | header-validated bulk decode, derived state stored |
+//! | 2 | flat-table wire streams ("v2") | [`Oracle::save`] | copying decode |
+//! | 3 | arena container, 16-byte table records | — | rejected (rebuild) |
+//! | 4 | arena container, narrow tables ("v3") | [`Oracle::save_v3`] | zero-copy views, derived state stored |
+//!
+//! The API keeps calling the arena format "v3"; its on-disk tag moved
+//! 3 → 4 when the tables went narrow. A rejected tag surfaces as
+//! `InvalidData` wrapping [`congest::wire::SnapshotError::Rebuild`]
+//! (test with [`congest::wire::snapshot_cause`]): snapshots are caches of
+//! a deterministic build, so there is no migration — rebuild and re-save.
 //!
 //! Common header (all little-endian, via [`congest::wire`]):
 //!
 //! ```text
 //! magic  "PDOR"            4 bytes
-//! version u16              2 or 3
+//! version u16              2 or 4
 //! backend u8               Backend::tag
-//! pad     u8               v3 only (zero) — aligns the arena to 8 bytes
+//! pad     u8               arena only (zero) — aligns the arena to 8 bytes
 //! n       u64
 //! rounds  u64              build metrics (summary)
 //! msgs    u64
@@ -35,6 +42,17 @@
 //! cold-start time comes from (see `README.md`, "Serving").
 //! [`Oracle::load`] auto-detects the version; [`Oracle::load_shared`] is
 //! the copy-free in-memory entry point the `serve` crate uses.
+//!
+//! The routing tables inside a v3 payload are
+//! [`pde_core::FlatTables`] / [`pde_core::snapshot::FlatLists`] sections
+//! in their narrow form: per table entry an 8-byte hot record
+//! (`src u32 | est u32`), a `u16` port and a `u8` ladder level in cold
+//! side sections, and a bucket-index slot per two records (≈ 13 bytes);
+//! 9 bytes per list entry. A value too wide for its field stores the
+//! all-ones marker and its true value in the table's one escape section
+//! pair. The record format itself is private to `pde_core`'s
+//! `tables.rs` / `snapshot.rs`; a v2 stream decodes to the same tables,
+//! so `artifact_bytes()` does not depend on it.
 //!
 //! Every map written anywhere in a payload is in sorted key order, so
 //! `load` → `save` reproduces the byte stream exactly (within one
@@ -69,8 +87,10 @@ const MAGIC: &[u8; 4] = b"PDOR";
 /// pointer to rebuild — snapshots are caches of a deterministic build,
 /// not primary data, so there is no in-place migration.
 const VERSION: u16 = 2;
-/// Snapshot version 3: the arena container (see the module docs).
-const VERSION_V3: u16 = 3;
+/// The arena container's version tag (see the module docs): 4 since the
+/// tables went narrow. Tag-3 files carried 16-byte records and are
+/// rejected like tag-1 ones — rebuild and re-save.
+const VERSION_ARENA: u16 = 4;
 /// Fixed header size: magic + version + backend + 4 × u64 metrics. The
 /// v3 header adds one pad byte after the backend tag, so the arena that
 /// follows starts on an 8-byte boundary.
@@ -189,7 +209,7 @@ pub(crate) fn save_v3(oracle: &Oracle, sink: &mut dyn Write) -> io::Result<()> {
     let m = *oracle.inner.as_dyn().build_metrics();
     let mut w = WireWriter::new(sink);
     w.bytes(MAGIC)?;
-    w.u16(VERSION_V3)?;
+    w.u16(VERSION_ARENA)?;
     w.u8(m.backend.tag())?;
     w.u8(0)?; // pad: the arena starts 8-aligned
     w.usize(m.n)?;
@@ -460,16 +480,13 @@ fn read_header(source: &mut dyn Read) -> io::Result<Header> {
         return Err(invalid_data("not an oracle snapshot (bad magic)"));
     }
     let version = r.u16()?;
-    if version != VERSION && version != VERSION_V3 {
-        return Err(invalid_data(format!(
-            "unsupported snapshot version {version} (expected {VERSION} or {VERSION_V3}; \
-             version-1 hash-table snapshots must be rebuilt with this binary)"
-        )));
+    if version != VERSION && version != VERSION_ARENA {
+        return Err(congest::wire::rebuild(version));
     }
     let tag = r.u8()?;
     let backend =
         Backend::from_tag(tag).ok_or_else(|| invalid_data(format!("unknown backend tag {tag}")))?;
-    if version == VERSION_V3 {
+    if version == VERSION_ARENA {
         let pad = r.u8()?;
         if pad != 0 {
             return Err(invalid_data("nonzero pad byte in v3 header"));
@@ -486,7 +503,7 @@ fn read_header(source: &mut dyn Read) -> io::Result<Header> {
         messages,
         build_nanos,
     };
-    Ok(if version == VERSION_V3 {
+    Ok(if version == VERSION_ARENA {
         Header::V3(metrics)
     } else {
         Header::V2(metrics)

@@ -69,7 +69,7 @@ impl RtcScheme {
                     continue;
                 }
                 let label = &self.labels[dest.index()];
-                let direct = short_row.get(dest).map_or(INF, |e| e.est);
+                let direct = short_row.est(dest).unwrap_or(INF);
                 let long = self.skel_index.get(label.home).map_or(INF, |home| {
                     let d = self.long_dist.get(long_row + home);
                     if d == INF {
@@ -120,7 +120,7 @@ impl RoutingScheme for RtcScheme {
             return 0;
         }
         let label = &self.labels[dest.index()];
-        let direct = self.short.get(x, dest).map_or(INF, |e| e.est);
+        let direct = self.short.est(x, dest).unwrap_or(INF);
         let long = self.skeleton_option(x, label).map_or(INF, |(e, _)| e);
         direct.min(long)
     }

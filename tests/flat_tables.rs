@@ -2,9 +2,11 @@
 //! hash maps on every oracle hot path (`pde_core::tables`): dense and CSR
 //! [`PairTable`] lookups must agree with a `HashMap` model across random
 //! probes — including misses and out-of-range keys — and [`FlatTables`]
-//! lookups with a per-node `HashMap` model, with byte-identical
-//! round-trips through the wire codecs.
+//! lookups with a per-node `HashMap` model — including values that take
+//! the narrow layout's escape and the marker values themselves — with
+//! byte-identical round-trips through the wire and arena codecs.
 
+use pde_repro::congest::arena::{ArenaReader, ArenaWriter, SharedBytes};
 use pde_repro::graphs::NodeId;
 use pde_repro::pde_core::tables::{FlatTables, PairTable};
 use pde_repro::pde_core::{RouteInfo, RouteTable};
@@ -36,6 +38,43 @@ fn pair_entries() -> impl Strategy<Value = PairCase> {
             (k, entries, probes)
         })
     })
+}
+
+/// One generated route: `(src, est, port, level)`.
+type RouteRow = (u32, u64, u32, u32);
+
+/// Per-node rows of routes. The narrow class is what
+/// the builders produce in the paper's regime (short rows, small
+/// values). The wide class mixes in every way a value can leave its
+/// stored field — `est ≥ 2³²`, `port ≥ 2¹⁶`, `level ≥ 2⁸`, and the
+/// all-ones markers with their predecessors — over rows long enough to
+/// take the bucket probe as well as the small-row scan.
+fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
+    if !wide {
+        let row = proptest::collection::vec(((0u32..30), 0u64..1_000, (0u32..4), (0u32..3)), 0..12);
+        return proptest::collection::vec(row, 1..8).boxed();
+    }
+    let est = prop_oneof![
+        0u64..1_000,
+        Just(u64::from(u32::MAX) - 1),
+        Just(u64::from(u32::MAX)),
+        (1u64 << 32)..(1u64 << 41),
+        Just(u64::MAX),
+    ];
+    let port = prop_oneof![
+        0u32..4,
+        Just(u32::from(u16::MAX) - 1),
+        Just(u32::from(u16::MAX)),
+        (1u32 << 16)..(1u32 << 20),
+    ];
+    let level = prop_oneof![
+        0u32..3,
+        Just(u32::from(u8::MAX) - 1),
+        Just(u32::from(u8::MAX)),
+        256u32..100_000,
+    ];
+    let row = proptest::collection::vec(((0u32..120), est, port, level), 0..48);
+    proptest::collection::vec(row, 1..8).boxed()
 }
 
 proptest! {
@@ -90,14 +129,11 @@ proptest! {
     }
 
     /// Flat per-node route rows agree with the hash tables they were
-    /// flattened from, across hits and misses.
+    /// flattened from, across hits and misses, narrow and escaped values.
     #[test]
     fn flat_tables_agree_with_route_table_model(
-        tables in proptest::collection::vec(
-            proptest::collection::vec(((0u32..30), 0u64..1_000, (0u32..4), (0u32..3)), 0..12),
-            1..8,
-        ),
-        probes in proptest::collection::vec(((0u32..10), (0u32..33)), 60),
+        tables in prop_oneof![route_rows(false), route_rows(true)],
+        probes in proptest::collection::vec(((0u32..10), (0u32..130)), 60),
     ) {
         let model: Vec<RouteTable> = tables
             .iter()
@@ -111,20 +147,48 @@ proptest! {
             .collect();
         let flat = FlatTables::from_tables(&model);
         prop_assert_eq!(flat.len_nodes(), model.len());
-        for &(v, s) in &probes {
-            let v = NodeId(v % model.len() as u32);
-            let want = model[v.index()].get(&NodeId(s));
-            let got = flat.get(v, NodeId(s));
-            prop_assert_eq!(want.map(|r| (r.est, r.port)),
-                got.map(|e| (e.est, e.port)), "({}, {})", v, s);
-        }
-        // The cold level array round-trips through unflatten.
-        prop_assert_eq!(pde_repro::pde_core::tables::unflatten(&flat), model.clone());
-        // Rows enumerate exactly the model's entries, sorted by source.
-        for (v, table) in model.iter().enumerate() {
-            let row = flat.row_vec(NodeId(v as u32));
-            prop_assert_eq!(row.len(), table.len());
-            prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
+
+        // The arena codec hands back the same table, and re-saving the
+        // loaded views is a byte passthrough.
+        let arena_bytes = |t: &FlatTables| {
+            let mut a = ArenaWriter::new();
+            t.write_arena(&mut a);
+            let mut buf = Vec::new();
+            a.finish(&mut buf).unwrap();
+            buf
+        };
+        let saved = arena_bytes(&flat);
+        let reader = ArenaReader::parse(SharedBytes::from_vec(saved.clone())).unwrap();
+        let mut cursor = reader.cursor();
+        let loaded = FlatTables::read_arena(&mut cursor).unwrap();
+        cursor.expect_end().unwrap();
+        prop_assert_eq!(&flat, &loaded);
+        prop_assert_eq!(&saved, &arena_bytes(&loaded));
+
+        for t in [&flat, &loaded] {
+            for &(v, s) in &probes {
+                let v = NodeId(v % model.len() as u32);
+                let want = model[v.index()].get(&NodeId(s));
+                let got = t.get(v, NodeId(s));
+                prop_assert_eq!(want.map(|r| (r.est, r.port)),
+                    got.map(|e| (e.est, e.port)), "({}, {})", v, s);
+                prop_assert_eq!(want.map(|r| r.est), t.est(v, NodeId(s)), "est ({}, {})", v, s);
+            }
+            // The cold level array round-trips through unflatten.
+            prop_assert_eq!(pde_repro::pde_core::tables::unflatten(t), model.clone());
+            // Rows enumerate exactly the model's entries, sorted by source.
+            for (v, table) in model.iter().enumerate() {
+                let v = NodeId(v as u32);
+                let row = t.row_vec(v);
+                prop_assert_eq!(row.len(), table.len());
+                prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
+                for e in &row {
+                    let want = &table[&NodeId(e.src)];
+                    prop_assert_eq!((e.est, e.port), (want.est, want.port));
+                }
+                let ests: Vec<u64> = t.ests_in(t.row_range(v)).collect();
+                prop_assert_eq!(ests, row.iter().map(|e| e.est).collect::<Vec<_>>());
+            }
         }
         // Byte-identical codec round-trip.
         let mut buf = Vec::new();

@@ -273,6 +273,82 @@ fn v3_snapshots_round_trip_and_answer_identically_to_v2() {
 }
 
 #[test]
+fn heavy_weights_answer_identically_from_every_snapshot_form() {
+    // Weights ≈ 2⁴⁰ put every estimate above the narrow tables' 32-bit
+    // field (each entry takes the escape) and every edge above
+    // DIAL_WEIGHT_LIMIT (heap Dijkstra, hash-row fallbacks). Exact
+    // answers must not depend on which form serves them: the built
+    // oracle, its v2 reload and its arena reload agree on everything.
+    use pde_repro::graphs::algo::DIAL_WEIGHT_LIMIT;
+    let lo = 1u64 << 40;
+    assert!(lo > DIAL_WEIGHT_LIMIT);
+    let mut rng = Seed(21).rng();
+    let g = gen::gnp_connected(20, 0.2, Weights::Uniform { lo, hi: lo + 30 }, &mut rng);
+    let square: Vec<(NodeId, NodeId)> = (0..g.len() as u32)
+        .flat_map(|u| (0..g.len() as u32).map(move |v| (NodeId(u), NodeId(v))))
+        .collect();
+    // Tiled past the grouping gate and the per-worker shard floor.
+    let batch: Vec<(NodeId, NodeId)> = square
+        .iter()
+        .cycle()
+        .take(12 * square.len())
+        .copied()
+        .collect();
+    for backend in Backend::ALL {
+        let built = build(backend, &g, 23);
+        let (mut v2, mut v3) = (Vec::new(), Vec::new());
+        built.save(&mut v2).expect("v2 save succeeds");
+        built.save_v3(&mut v3).expect("v3 save succeeds");
+        let from_v2 = Oracle::load(&mut &v2[..]).expect("v2 load succeeds");
+        let from_v3 = Oracle::load_bytes(&v3).expect("v3 load succeeds");
+        let mut v3_again = Vec::new();
+        from_v3.save_v3(&mut v3_again).expect("re-save succeeds");
+        assert_eq!(v3, v3_again, "{backend}: v3 snapshot is not canonical");
+
+        let artifact = built.artifact_bytes();
+        let mut want = Vec::new();
+        built.estimate_many(&batch, &mut want);
+        assert!(
+            square
+                .iter()
+                .zip(&want)
+                .all(|(&(u, v), &est)| u == v || est >= lo),
+            "{backend}: an estimate below the lightest edge"
+        );
+        let (mut route, mut other) = Default::default();
+        for loaded in [&from_v2, &from_v3] {
+            assert_eq!(loaded.artifact_bytes(), artifact, "{backend}");
+            for threads in [1usize, 4] {
+                let mut got = Vec::new();
+                loaded.estimate_many_with(&batch, &mut got, threads);
+                assert_eq!(want, got, "{backend}: threads={threads}");
+            }
+            for &(u, v) in &square {
+                assert_eq!(
+                    built.estimate(u, v),
+                    loaded.estimate(u, v),
+                    "{backend} ({u},{v})"
+                );
+                assert_eq!(
+                    built.next_hop(u, v),
+                    loaded.next_hop(u, v),
+                    "{backend} ({u},{v})"
+                );
+                let ok = built.route_into(u, v, &mut route);
+                assert_eq!(
+                    ok,
+                    loaded.route_into(u, v, &mut other),
+                    "{backend} ({u},{v})"
+                );
+                if ok {
+                    assert_eq!(route, other, "{backend} ({u},{v})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "one slot per pair")]
 fn estimate_into_rejects_mismatched_batch_shapes() {
     // The batch kernel's shape contract is checked in release builds too:
