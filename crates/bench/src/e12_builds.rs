@@ -8,9 +8,10 @@
 //! [`E12_RUNS`] builds per engine so warmup noise does not land in the
 //! recorded numbers. Reproduce with
 //! `cargo run --release -p bench --bin experiments -- builds`
-//! (or `-- builds --smoke` for the tiny CI variant, which additionally
-//! asserts Native == Simulated canonical artifact bytes and query
-//! digests for all 8 backends at threads ∈ {1, 4}).
+//! (or `-- builds --smoke` for the tiny CI variant, which asserts
+//! Native == Simulated canonical artifact bytes and query digests for all
+//! 8 backends at threads ∈ {1, 2, 4} on the *weighted* G(n, p), whose
+//! multi-rung ladder none of the three worker counts leaves idle).
 
 use crate::table::{f, Fnv1a, Table};
 use crate::workloads;
@@ -162,19 +163,21 @@ pub fn e12_builds(sizes: &[usize], headline: bool, seed: u64) -> Table {
 }
 
 /// CI smoke: builds every backend at a tiny size under both engines and
-/// threads ∈ {1, 4}, asserting canonical-artifact byte identity and
+/// threads ∈ {1, 2, 4}, asserting canonical-artifact byte identity and
 /// identical batch answers — the cheap always-on version of
-/// `tests/build_parity.rs`.
+/// `tests/build_parity.rs`. The graph is weighted (w ≤ 32, a 14-rung
+/// ladder at the default ε), so the worker counts include ones that do
+/// and do not divide the ladder and rungs fold in varying orders.
 ///
 /// # Panics
 ///
 /// Panics loudly on any divergence (that is the point of the smoke).
 pub fn e12_smoke(n: usize, seed: u64) -> Table {
     let mut t = Table::new(
-        "E12 smoke: native == simulated canonical artifacts, threads ∈ {1, 4}",
+        "E12 smoke: native == simulated canonical artifacts, threads ∈ {1, 2, 4}",
         &["backend", "bytes", "artifact", "checks"],
     );
-    let g = workloads::gnp_unit(n, seed);
+    let g = workloads::gnp(n, seed);
     let pairs: Vec<(NodeId, NodeId)> = (0..n as u32)
         .flat_map(|u| (0..n as u32).map(move |v| (NodeId(u), NodeId(v))))
         .collect();
@@ -184,8 +187,10 @@ pub fn e12_smoke(n: usize, seed: u64) -> Table {
         let mut want = Vec::new();
         reference.estimate_many(&pairs, &mut want);
         for (mode, threads) in [
+            (BuildMode::Simulated, 2),
             (BuildMode::Simulated, 4),
             (BuildMode::Native, 1),
+            (BuildMode::Native, 2),
             (BuildMode::Native, 4),
         ] {
             let o = build(backend, &g, seed, mode, threads);
@@ -205,7 +210,7 @@ pub fn e12_smoke(n: usize, seed: u64) -> Table {
             backend.name().to_string(),
             bytes.len().to_string(),
             format!("{:016x}", digest_bytes(&bytes)),
-            "sim==native, t∈{1,4} identical".into(),
+            "sim==native, t∈{1,2,4} identical".into(),
         ]);
     }
     t

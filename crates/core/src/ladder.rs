@@ -12,7 +12,7 @@
 //!   the subdivided topology through `congest::Runtime` (the
 //!   paper-faithful round/message measurement);
 //!   [`BuildMode::Native`] runs the centralized bucketed multi-source
-//!   Dijkstra of [`sourcedetect::native_detection`] and charges no rounds.
+//!   Dijkstra of [`sourcedetect::native_solve`] and charges no rounds.
 //!
 //! # The determinism contract
 //!
@@ -22,14 +22,25 @@
 //! of the detection algorithm (see `sourcedetect::native` for the
 //! semantics and the argument). In `Simulated` mode the rung still runs
 //! the full CONGEST simulation and its rounds/messages/broadcast counts
-//! are what the metrics report, but the artifact is assembled from the
+//! are what the metrics report, but the artifact is read from the
 //! canonical kernel; a `debug_assert` cross-checks that the simulated
 //! lists match the canonical ones on every rung (they provably do — both
 //! equal the exact top-σ lists).
+//!
+//! # A rung is never materialised
+//!
+//! [`run_rung`] returns a [`SolvedRung`]: the kernel's final state tables
+//! (12 B per `(node, source)` cell) plus the engine's small per-node
+//! broadcast counts and metrics. Its lists and archive rows exist only as
+//! the two scratch rows [`SolvedRung::for_each_row`] hands to a visitor,
+//! so the rung merge of [`run_pde`](crate::run_pde) folds a rung and
+//! drops it without a `DetectionOutput` ever being built.
 
 use crate::rounding::subdivision_len;
-use congest::Topology;
-use sourcedetect::{native_detection, run_detection, DetectParams, DetectionOutput};
+use congest::{Metrics, Port, Topology};
+use sourcedetect::{
+    native_solve, run_detection, DetectParams, DetectionOutput, NativeSolution, SourceSpace,
+};
 
 /// How a build executes: round-accurate CONGEST simulation, or the
 /// centralized native engine.
@@ -85,11 +96,30 @@ impl LadderSpec {
     }
 }
 
+/// One executed rung: the canonical kernel's solved state plus the
+/// engine's measurements.
+pub struct SolvedRung {
+    solution: NativeSolution,
+    /// Per-node broadcast counts: simulated counts, or the
+    /// idealized-schedule announcement counts in `Native` mode.
+    pub msgs_per_node: Vec<u64>,
+    /// The engine's metrics (zeroed in `Native` mode).
+    pub metrics: Metrics,
+    #[cfg(test)]
+    _alive: residency::Alive,
+}
+
+impl SolvedRung {
+    /// Visits the rung's canonical artifact node by node; see
+    /// [`NativeSolution::for_each_row`] for the row shapes.
+    pub fn for_each_row(&self, visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)])) {
+        self.solution.for_each_row(visit);
+    }
+}
+
 /// Executes one ladder rung (rung value `b`) on the base topology in the
-/// given mode; returns the detection output whose `lists`/`routes` are
-/// the canonical artifacts and whose `msgs_per_node`/`metrics` reflect
-/// the engine (simulated counts, or idealized-schedule announcement
-/// counts with zeroed metrics).
+/// given mode. Row indices of the result are into
+/// `SourceSpace::new(sources, tags)`.
 pub fn run_rung(
     topo: &Topology,
     b: u64,
@@ -97,30 +127,105 @@ pub fn run_rung(
     tags: &[bool],
     detect: &DetectParams,
     mode: BuildMode,
-) -> DetectionOutput {
+) -> SolvedRung {
+    #[cfg(test)]
+    let _alive = residency::Alive::enter(sources);
     let level_topo = topo.with_delays(|w| subdivision_len(w, b));
-    match mode {
-        BuildMode::Native => native_detection(&level_topo, sources, tags, detect),
+    let space = SourceSpace::new(sources, tags);
+    let (solution, msgs_per_node, metrics) = match mode {
+        BuildMode::Native => {
+            let solution = native_solve(&level_topo, &space, detect);
+            let msgs = solution.msgs_per_node().to_vec();
+            (solution, msgs, Metrics::new(topo.len()))
+        }
         BuildMode::Simulated => {
-            let sim = run_detection(&level_topo, sources, tags, detect);
-            let nat = native_detection(&level_topo, sources, tags, detect);
-            debug_assert_eq!(
-                sim.lists, nat.lists,
-                "simulated lists diverged from the canonical fixpoint (rung b={b})"
-            );
-            DetectionOutput {
-                lists: nat.lists,
-                routes: nat.routes,
-                msgs_per_node: sim.msgs_per_node,
-                metrics: sim.metrics,
+            // Only the measurements are kept; the simulated archives are
+            // dropped here, before the kernel allocates its tables.
+            let DetectionOutput {
+                lists: sim_lists,
+                msgs_per_node,
+                metrics,
+                ..
+            } = run_detection(&level_topo, sources, tags, detect);
+            let solution = native_solve(&level_topo, &space, detect);
+            if cfg!(debug_assertions) {
+                solution.for_each_row(|v, list, _| {
+                    let canonical = list.iter().map(|&(dist, si)| space.entry(dist, si));
+                    assert!(
+                        canonical.eq(sim_lists[v].iter().copied()),
+                        "simulated list of node {v} diverged from the canonical fixpoint (rung b={b})"
+                    );
+                });
+            }
+            (solution, msgs_per_node, metrics)
+        }
+    };
+    SolvedRung {
+        solution,
+        msgs_per_node,
+        metrics,
+        #[cfg(test)]
+        _alive,
+    }
+}
+
+/// Test-only gauge of how many rungs are alive at once: [`run_rung`]
+/// enters it before the state tables are allocated and the returned
+/// [`SolvedRung`] leaves it on drop. Only rungs over the probed `sources`
+/// slice are counted, so tests running concurrently in this process
+/// don't disturb a measurement.
+#[cfg(test)]
+pub(crate) mod residency {
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+    static PROBE: AtomicUsize = AtomicUsize::new(0);
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    pub(crate) struct Alive(bool);
+
+    impl Alive {
+        pub(crate) fn enter(sources: &[bool]) -> Self {
+            let counted = PROBE.load(SeqCst) == sources.as_ptr() as usize;
+            if counted {
+                PEAK.fetch_max(LIVE.fetch_add(1, SeqCst) + 1, SeqCst);
+            }
+            Alive(counted)
+        }
+    }
+
+    impl Drop for Alive {
+        fn drop(&mut self) {
+            if self.0 {
+                LIVE.fetch_sub(1, SeqCst);
             }
         }
+    }
+
+    /// Runs `f` and returns the most rungs over `sources` that were alive
+    /// at any one time during it. One probe at a time: the statics are
+    /// shared.
+    pub(crate) fn peak_during(sources: &[bool], f: impl FnOnce()) -> usize {
+        PEAK.store(0, SeqCst);
+        PROBE.store(sources.as_ptr() as usize, SeqCst);
+        f();
+        PROBE.store(0, SeqCst);
+        assert_eq!(LIVE.load(SeqCst), 0, "every counted rung was dropped");
+        PEAK.load(SeqCst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Rows = Vec<(Vec<(u32, u32)>, Vec<(u32, u32, Port)>)>;
+
+    fn rows(rung: &SolvedRung) -> Rows {
+        let mut out = Rows::new();
+        rung.for_each_row(|_, list, archive| out.push((list.to_vec(), archive.to_vec())));
+        out
+    }
 
     #[test]
     fn modes_produce_identical_artifacts_per_rung() {
@@ -148,8 +253,7 @@ mod tests {
         for b in [1u64, 2, 4] {
             let sim = run_rung(&topo, b, &sources, &tags, &detect, BuildMode::Simulated);
             let nat = run_rung(&topo, b, &sources, &tags, &detect, BuildMode::Native);
-            assert_eq!(sim.lists, nat.lists, "b={b}");
-            assert_eq!(sim.routes, nat.routes, "b={b}");
+            assert_eq!(rows(&sim), rows(&nat), "b={b}");
             assert!(sim.metrics.rounds > 0, "simulated mode must charge rounds");
             assert_eq!(nat.metrics.rounds, 0, "native mode charges no rounds");
         }

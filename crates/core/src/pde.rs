@@ -1,13 +1,30 @@
 //! `(1+ε)`-approximate `(S, h, σ)`-estimation (Theorem 3.3 / Corollary 3.5).
+//!
+//! # The rung merge is a commutative fold
+//!
+//! Corollary 3.5 combines the ladder by a per-pair *minimum over rungs*:
+//! a list entry keeps the smallest estimate, a route entry the smallest
+//! `(estimate, level)` — ties on the estimate go to the lower rung. A
+//! minimum under a total order does not care in which order its operands
+//! arrive, so every worker folds its rung into the shared merge tables
+//! the moment it is solved and drops it; the result is byte-identical
+//! for every thread count and completion order. Only the per-rung
+//! simulator [`Metrics`] are set aside and absorbed in ladder order
+//! afterwards, because appending round histories
+//! (`RoundWindow::absorb`) is order-sensitive.
+//!
+//! Live build memory is therefore
+//! `merge tables (≤ 25 B·n·|S|) + threads × rung state (12 B·n·|S|)`,
+//! not `O(ladder)` materialised rungs.
 
-use crate::ladder::{run_rung, BuildMode, LadderSpec};
+use crate::ladder::{run_rung, BuildMode, LadderSpec, SolvedRung};
 use crate::pipeline::BuildError;
 use crate::rounding::{horizon, level_ladder};
 use congest::aggregate::global_max;
 use congest::bfs::build_bfs;
 use congest::{FxHashMap, Metrics, NodeId, Port, Topology};
 use graphs::WGraph;
-use sourcedetect::{DetectionOutput, SourceSpace};
+use sourcedetect::SourceSpace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -28,8 +45,8 @@ pub struct PdeParams {
     /// Number of worker threads for the ladder rungs (the per-level
     /// detection instances are independent). `0` = use
     /// [`std::thread::available_parallelism`]; `1` = sequential. Results
-    /// are byte-identical for every thread count: rungs are merged in
-    /// ladder order regardless of completion order.
+    /// are byte-identical for every thread count: the rung merge is a
+    /// commutative fold, so completion order is unobservable.
     pub threads: usize,
     /// Execution engine (see [`BuildMode`]): `Simulated` charges
     /// paper-faithful rounds through the CONGEST runtime, `Native` runs
@@ -202,15 +219,17 @@ impl PdeOutput {
     }
 }
 
-/// [`run_pde`] with typed input validation: a disconnected graph or an
-/// out-of-range ε comes back as a [`BuildError`] instead of a panic, so
-/// builders can surface the condition through `try_build` and callers
-/// don't need `catch_unwind` shims around degenerate knobs.
+/// [`run_pde`] with typed input validation: a disconnected graph, an
+/// out-of-range ε or weights whose path sums overflow come back as a
+/// [`BuildError`] instead of a panic, so builders can surface the
+/// condition through `try_build` and callers don't need `catch_unwind`
+/// shims around degenerate knobs.
 ///
 /// # Errors
 ///
 /// [`BuildError::Disconnected`] for disconnected inputs,
-/// [`BuildError::InvalidParam`] for ε outside `(0, 8]`.
+/// [`BuildError::InvalidParam`] for ε outside `(0, 8]` or weights too
+/// large (see [`validate_pde_input`]).
 ///
 /// # Panics
 ///
@@ -225,8 +244,26 @@ pub fn try_run_pde(
     Ok(run_pde(g, sources, tags, params))
 }
 
-/// The shared input checks behind every `try_` build entry point.
-pub(crate) fn validate_pde_input(g: &WGraph, eps: f64) -> Result<(), BuildError> {
+/// `true` if every estimate a PDE run on `n` nodes with largest weight
+/// `w_max` can produce fits `u64`. An estimate is `dist · b` for a rung
+/// `b ≤ w_max` and a delay distance `dist` over a walk of at most `n`
+/// arcs (a shortest path plus the announcing arc), each arc rounded up to
+/// `⌈w/b⌉·b < w + b ≤ 2·w_max` — so everything stays below `2·w_max·n`.
+fn estimates_fit_u64(w_max: u64, n: usize) -> bool {
+    w_max
+        .checked_mul(2)
+        .and_then(|w| w.checked_mul(n as u64))
+        .is_some()
+}
+
+/// The shared input checks behind every `try_` build entry point that
+/// runs PDE: ε in `(0, 8]`, a connected graph, and weights small enough
+/// that no rounded path weight overflows `u64`.
+///
+/// # Errors
+///
+/// [`BuildError::InvalidParam`] or [`BuildError::Disconnected`].
+pub fn validate_pde_input(g: &WGraph, eps: f64) -> Result<(), BuildError> {
     if !(eps > 0.0 && eps <= 8.0) {
         return Err(BuildError::InvalidParam {
             what: "eps must be in (0, 8]",
@@ -234,6 +271,11 @@ pub(crate) fn validate_pde_input(g: &WGraph, eps: f64) -> Result<(), BuildError>
     }
     if !g.is_connected() {
         return Err(BuildError::Disconnected { nodes: g.len() });
+    }
+    if !estimates_fit_u64(g.max_weight(), g.len()) {
+        return Err(BuildError::InvalidParam {
+            what: "weights too large: path weight overflows u64",
+        });
     }
     Ok(())
 }
@@ -250,24 +292,29 @@ pub(crate) fn validate_pde_input(g: &WGraph, eps: f64) -> Result<(), BuildError>
 /// ladder rung (`O((h+σ)/ε)` rounds each, `O(log_{1+ε} w_max)` rungs),
 /// executed by the engine `params.mode` selects (see [`crate::ladder`]).
 /// The rungs are independent instances, so they execute on
-/// [`PdeParams::threads`] worker threads; their outputs are merged in rung
-/// order, which makes the result byte-identical to the sequential
-/// execution of Theorem 3.3 — and byte-identical across build modes (the
+/// [`PdeParams::threads`] worker threads, each folding its rung into the
+/// shared merge tables as soon as it is solved (see the module docs: the
+/// fold is commutative, so the result is byte-identical to the sequential
+/// execution of Theorem 3.3 — and byte-identical across build modes; the
 /// round *accounting* still charges the sum over rungs in `Simulated`
 /// mode, as the theorem does).
 ///
 /// # Panics
 ///
-/// Panics if the graph is disconnected, flag slices are mis-sized, or ε is
-/// out of range. Callers that would rather get a typed error for bad
-/// *inputs* (disconnected graph, out-of-range ε) should use
-/// [`try_run_pde`]; mis-sized flag slices stay panics in both (a caller
-/// bug, not an input condition).
+/// Panics if the graph is disconnected, flag slices are mis-sized, ε is
+/// out of range or the weights are so large that path weights overflow
+/// `u64`. Callers that would rather get a typed error for bad *inputs*
+/// should use [`try_run_pde`]; mis-sized flag slices stay panics in both
+/// (a caller bug, not an input condition).
 pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) -> PdeOutput {
     assert_eq!(sources.len(), g.len(), "one source flag per node");
     assert_eq!(tags.len(), g.len(), "one tag flag per node");
     let topo = g.to_topology();
     assert!(topo.is_connected(), "PDE requires a connected graph");
+    assert!(
+        estimates_fit_u64(topo.max_weight(), g.len()),
+        "weights too large: path weight overflows u64"
+    );
 
     // Coordination: learn w_max. Simulated mode pays the O(D) BFS +
     // aggregate; native mode reads the same value off the graph (the
@@ -299,48 +346,34 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
     let levels = spec.levels.clone();
     let h_prime = spec.horizon;
     let detect_params = spec.detect_params();
-    let run_rung = |b: u64| run_rung(&topo, b, sources, tags, &detect_params, params.mode);
 
-    // Execute the rungs — independent detection instances — on a worker
-    // pool. Completion order is irrelevant: results land in per-rung slots
-    // and are merged in ladder order below.
+    // One worker loop for every thread count: claim the next rung, solve
+    // it, fold it into the shared tables, drop it. At most `threads`
+    // rungs are alive at any time.
     let threads = crate::pipeline::resolve_threads(params.threads, levels.len());
     let space = SourceSpace::new(sources, tags);
-    let mut merger = RungMerger::new(space, g.len(), levels.len());
-    if threads == 1 {
-        // Stream: run each rung, fold it into the merge tables, drop it —
-        // peak memory is one rung's output, as in the sequential algorithm.
-        for (li, &b) in levels.iter().enumerate() {
-            merger.absorb(li, b, run_rung(b), &mut total);
+    let dense = g.len().saturating_mul(space.len()) <= DENSE_MERGE_LIMIT;
+    let merger = Mutex::new(RungMerger::new(&space, g.len(), levels.len(), dense));
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let li = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&b) = levels.get(li) else { break };
+        let rung = run_rung(&topo, b, sources, tags, &detect_params, params.mode);
+        merger
+            .lock()
+            .expect("a worker panicked while folding its rung")
+            .fold(li, b, &rung);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
         }
-    } else {
-        // Completion order is irrelevant: results land in per-rung slots
-        // and are folded in ladder order afterwards, so the merge is
-        // byte-identical to the streamed sequential path.
-        let slots: Vec<Mutex<Option<DetectionOutput>>> =
-            levels.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let li = next.fetch_add(1, Ordering::Relaxed);
-                    if li >= levels.len() {
-                        break;
-                    }
-                    let out = run_rung(levels[li]);
-                    *slots[li].lock().expect("rung slot poisoned") = Some(out);
-                });
-            }
-        });
-        for (li, slot) in slots.into_iter().enumerate() {
-            let out = slot
-                .into_inner()
-                .expect("rung slot poisoned")
-                .expect("every rung produced an output");
-            merger.absorb(li, levels[li], out, &mut total);
-        }
-    }
-    let (lists, routes, stats) = merger.finish(params.sigma);
+        worker();
+    });
+    let merger = merger
+        .into_inner()
+        .expect("a worker panicked while folding its rung");
+    let (lists, routes, stats) = merger.finish(params.sigma, &mut total);
 
     PdeOutput {
         lists,
@@ -358,31 +391,33 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
 }
 
 /// Per-rung merge statistics carried out of [`RungMerger::finish`].
+#[derive(Debug, PartialEq, Eq)]
 struct MergeStats {
     per_level_rounds: Vec<u64>,
     max_single: u64,
     max_total: u64,
 }
 
-/// Cap on `n · |S|` for the flat dense merge tables (~16M entries,
-/// a few hundred MB). Above it — e.g. `S = V` at large `n`, where the hop
-/// horizon makes most `(node, source)` pairs unreachable anyway — the
-/// merge falls back to per-node hash tables so memory tracks *reached*
-/// pairs, not the full product.
+/// Cap on `n · |S|` for the flat dense merge tables (~16M entries; at
+/// 9 B per list cell plus 16 B per route cell that is ~400 MiB). Above
+/// it — e.g. `S = V` at large `n`, where the hop horizon makes most
+/// `(node, source)` pairs unreachable anyway — the merge falls back to
+/// per-node hash tables so memory tracks *reached* pairs, not the full
+/// product.
 const DENSE_MERGE_LIMIT: usize = 1 << 24;
 
-/// Best-entry tables for one merge key: estimate + payload per
-/// `(node, source)` pair, either flat (dense) or per-node maps (sparse).
-/// Both keep the same tie-break: merged in ladder order, strictly smaller
-/// estimates win, so the lowest level wins ties — identical outputs.
-enum MergeTables<T: Copy> {
+/// Best-entry tables for one merge key: per `(node, source)` pair the
+/// lexicographically smallest `(estimate, payload)` seen, either flat
+/// (dense) or per-node maps (sparse). A minimum under a total order, so
+/// updates commute and both variants give identical outputs.
+enum MergeTables<T> {
     Dense { est: Vec<u64>, val: Vec<T> },
     Sparse(Vec<FxHashMap<u32, (u64, T)>>),
 }
 
-impl<T: Copy + Default> MergeTables<T> {
-    fn new(n: usize, s: usize) -> Self {
-        if n.saturating_mul(s) <= DENSE_MERGE_LIMIT {
+impl<T: Copy + Default + Ord> MergeTables<T> {
+    fn new(n: usize, s: usize, dense: bool) -> Self {
+        if dense {
             MergeTables::Dense {
                 est: vec![u64::MAX; n * s],
                 val: vec![T::default(); n * s],
@@ -397,14 +432,14 @@ impl<T: Copy + Default> MergeTables<T> {
         match self {
             MergeTables::Dense { est: e, val } => {
                 let idx = v * s + si as usize;
-                if est < e[idx] {
+                if (est, value) < (e[idx], val[idx]) {
                     e[idx] = est;
                     val[idx] = value;
                 }
             }
             MergeTables::Sparse(maps) => {
                 let entry = maps[v].entry(si).or_insert((u64::MAX, value));
-                if est < entry.0 {
+                if (est, value) < *entry {
                     *entry = (est, value);
                 }
             }
@@ -431,70 +466,69 @@ impl<T: Copy + Default> MergeTables<T> {
     }
 }
 
-/// Folds rung outputs (in ladder order) into combined lists and routes.
-struct RungMerger {
-    space: SourceSpace,
+/// Folds solved rungs, in any order, into combined lists and routes.
+struct RungMerger<'a> {
+    space: &'a SourceSpace,
     n: usize,
-    /// Lists key: payload = tag.
+    /// Lists key: payload = tag (a function of the source, so the key is
+    /// effectively the estimate alone).
     best: MergeTables<bool>,
-    /// Routes key: payload = (port, level).
-    route: MergeTables<(Port, u32)>,
-    per_level_rounds: Vec<u64>,
+    /// Routes key: payload = (level, port). A pair meets each level at
+    /// most once, so the key is effectively `(estimate, level)`: the
+    /// lowest rung wins estimate ties, as in a ladder-order merge.
+    route: MergeTables<(u32, Port)>,
+    /// Per-rung metrics, parked until [`RungMerger::finish`] absorbs them
+    /// in ladder order.
+    rung_metrics: Vec<Option<Metrics>>,
     max_single: u64,
     totals_per_node: Vec<u64>,
 }
 
-impl RungMerger {
-    fn new(space: SourceSpace, n: usize, num_levels: usize) -> Self {
+impl<'a> RungMerger<'a> {
+    fn new(space: &'a SourceSpace, n: usize, num_levels: usize, dense: bool) -> Self {
         let s = space.len();
         RungMerger {
             space,
             n,
-            best: MergeTables::new(n, s),
-            route: MergeTables::new(n, s),
-            per_level_rounds: Vec::with_capacity(num_levels),
+            best: MergeTables::new(n, s, dense),
+            route: MergeTables::new(n, s, dense),
+            rung_metrics: vec![None; num_levels],
             max_single: 0,
             totals_per_node: vec![0; n],
         }
     }
 
-    /// Folds level `li` (rung value `b`) into the tables; absorbs its
-    /// metrics into `total`. Must be called in ladder order.
-    fn absorb(&mut self, li: usize, b: u64, out: DetectionOutput, total: &mut Metrics) {
-        debug_assert_eq!(li, self.per_level_rounds.len(), "rungs merge in order");
-        self.per_level_rounds.push(out.metrics.rounds);
+    /// Folds level `li` (rung value `b`) into the tables. Order-free: any
+    /// permutation of the ladder gives the same result.
+    fn fold(&mut self, li: usize, b: u64, rung: &SolvedRung) {
         self.max_single = self
             .max_single
-            .max(out.msgs_per_node.iter().copied().max().unwrap_or(0));
-        for (t, m) in self.totals_per_node.iter_mut().zip(&out.msgs_per_node) {
+            .max(rung.msgs_per_node.iter().copied().max().unwrap_or(0));
+        for (t, m) in self.totals_per_node.iter_mut().zip(&rung.msgs_per_node) {
             *t += m;
         }
-        let s = self.space.len();
-        for v in 0..self.n {
-            for e in &out.lists[v] {
-                let si = self
-                    .space
-                    .index_of(e.src)
-                    .expect("list entries originate at sources");
-                let est = e
-                    .dist
-                    .checked_mul(b)
-                    .expect("estimate overflow: weights too large");
-                self.best.update(v, s, si, est, e.tag);
+        let (space, s) = (self.space, self.space.len());
+        let (best, route) = (&mut self.best, &mut self.route);
+        // `dist · b` cannot overflow: `run_pde` checked the weights.
+        rung.for_each_row(|v, list, archive| {
+            for &(dist, si) in list {
+                best.update(v, s, si, u64::from(dist) * b, space.tag(si));
             }
-            for &(src, d, port) in &out.routes[v] {
-                let si = self
-                    .space
-                    .index_of(src)
-                    .expect("route entries originate at sources");
-                let est = d.checked_mul(b).expect("estimate overflow");
-                self.route.update(v, s, si, est, (port, li as u32));
+            for &(si, dist, port) in archive {
+                route.update(v, s, si, u64::from(dist) * b, (li as u32, port));
             }
-        }
-        total.absorb(&out.metrics);
+        });
+        debug_assert!(self.rung_metrics[li].is_none(), "each rung folds once");
+        self.rung_metrics[li] = Some(rung.metrics.clone());
     }
 
-    fn finish(mut self, sigma: usize) -> (Vec<Vec<PdeEntry>>, Vec<RouteTable>, MergeStats) {
+    /// Builds the outputs and absorbs the parked rung metrics into
+    /// `total`, in ladder order.
+    fn finish(
+        mut self,
+        sigma: usize,
+        total: &mut Metrics,
+    ) -> (Vec<Vec<PdeEntry>>, Vec<RouteTable>, MergeStats) {
         let s = self.space.len();
         let mut scratch: Vec<(u32, u64, bool)> = Vec::new();
         let mut lists = Vec::with_capacity(self.n);
@@ -512,21 +546,30 @@ impl RungMerger {
             list.truncate(sigma);
             lists.push(list);
         }
+        // The list tables are spent; release them before the route maps
+        // (the largest output) are built.
+        drop(self.best);
 
-        let mut scratch: Vec<(u32, u64, (Port, u32))> = Vec::new();
+        let mut scratch: Vec<(u32, u64, (u32, Port))> = Vec::new();
         let mut routes = Vec::with_capacity(self.n);
         for v in 0..self.n {
             self.route.take_node(v, s, &mut scratch);
             let mut table = RouteTable::default();
             table.reserve(scratch.len());
-            for &(si, est, (port, level)) in scratch.iter() {
+            for &(si, est, (level, port)) in scratch.iter() {
                 table.insert(self.space.id(si), RouteInfo { est, port, level });
             }
             routes.push(table);
         }
 
+        let mut per_level_rounds = Vec::with_capacity(self.rung_metrics.len());
+        for m in &self.rung_metrics {
+            let m = m.as_ref().expect("every rung was folded");
+            per_level_rounds.push(m.rounds);
+            total.absorb(m);
+        }
         let stats = MergeStats {
-            per_level_rounds: self.per_level_rounds,
+            per_level_rounds,
             max_single: self.max_single,
             max_total: self.totals_per_node.iter().copied().max().unwrap_or(0),
         };
@@ -675,16 +718,14 @@ mod tests {
         // beyond test sizes — so check the two table variants directly
         // against each other under the same update stream.
         let (n, s) = (7usize, 5usize);
-        let mut dense: MergeTables<(Port, u32)> = MergeTables::Dense {
-            est: vec![u64::MAX; n * s],
-            val: vec![Default::default(); n * s],
-        };
-        let mut sparse: MergeTables<(Port, u32)> =
-            MergeTables::Sparse(std::iter::repeat_with(Default::default).take(n).collect());
+        let mut dense: MergeTables<(u32, Port)> = MergeTables::new(n, s, true);
+        let mut sparse: MergeTables<(u32, Port)> = MergeTables::new(n, s, false);
         let updates = [
             (3usize, 2u32, 40u64, (1u32, 0u32)),
             (3, 2, 30, (2, 1)), // improves
             (3, 2, 35, (3, 2)), // worse: ignored
+            (3, 2, 30, (1, 7)), // ties the estimate at a lower level: wins
+            (3, 2, 30, (4, 0)), // ties at a higher level: ignored
             (3, 4, 30, (4, 2)), // different source, same node
             (0, 0, 7, (5, 3)),
             (6, 2, 1, (6, 0)),
@@ -699,7 +740,159 @@ mod tests {
             dense.take_node(v, s, &mut a);
             sparse.take_node(v, s, &mut b);
             assert_eq!(a, b, "node {v}");
+            if v == 3 {
+                assert_eq!(a, vec![(2, 30, (1, 7)), (4, 30, (4, 2))]);
+            }
         }
+    }
+
+    #[test]
+    fn rung_merge_is_order_independent_ties_included() {
+        use rand::seq::SliceRandom;
+        // Node 0 reaches source 2 directly (weight 6, port 1) and through
+        // node 1 (3 + 3, port 0). Rung b=1 sees both at distance 6 and
+        // archives the smaller port 0; rung b=2 rounds the detour up to 8
+        // and archives the direct port 1 — at the same estimate 6. Which
+        // of the two the merged route keeps is decided by the key alone.
+        let g = WGraph::from_edges(
+            6,
+            &[
+                (0, 1, 3),
+                (0, 2, 6),
+                (1, 2, 3),
+                (2, 3, 17),
+                (3, 4, 9),
+                (4, 5, 24),
+                (5, 0, 11),
+            ],
+        )
+        .unwrap();
+        let topo = g.to_topology();
+        let sources = [false, true, true, false, true, true];
+        let tags = [false, false, true, false, false, true];
+        let space = SourceSpace::new(&sources, &tags);
+        let spec = LadderSpec {
+            levels: level_ladder(0.5, topo.max_weight()),
+            horizon: horizon(6, 0.5),
+            sigma: 3,
+            msg_cap: None,
+            exact_rounds: false,
+        };
+        assert_eq!(spec.levels[..2], [1, 2]);
+        let rungs: Vec<SolvedRung> = spec
+            .levels
+            .iter()
+            .map(|&b| {
+                run_rung(
+                    &topo,
+                    b,
+                    &sources,
+                    &tags,
+                    &spec.detect_params(),
+                    BuildMode::Simulated,
+                )
+            })
+            .collect();
+
+        // The fixture really contains the tie.
+        let archived = |li: usize, v: usize, src: u32| {
+            let si = space.index_of(NodeId(src)).unwrap();
+            let mut hit = None;
+            rungs[li].for_each_row(|node, _, archive| {
+                if node == v {
+                    hit = archive.iter().find(|e| e.0 == si).copied();
+                }
+            });
+            let (_, dist, port) = hit.expect("archived");
+            (u64::from(dist) * spec.levels[li], port)
+        };
+        assert_eq!(archived(0, 0, 2), (6, 0));
+        assert_eq!(archived(1, 0, 2), (6, 1));
+
+        let merge = |order: &[usize], dense: bool| {
+            let mut merger = RungMerger::new(&space, g.len(), rungs.len(), dense);
+            for &li in order {
+                merger.fold(li, spec.levels[li], &rungs[li]);
+            }
+            let mut total = Metrics::new(g.len());
+            let (lists, routes, stats) = merger.finish(spec.sigma, &mut total);
+            let total = (
+                total.rounds,
+                total.messages,
+                total.per_node_sent,
+                total.per_round_sent.to_vec(),
+                total.total_bits,
+            );
+            (lists, routes, stats, total)
+        };
+        let ladder_order: Vec<usize> = (0..rungs.len()).collect();
+        let mut orders = vec![
+            ladder_order.clone(),
+            ladder_order.iter().rev().copied().collect(),
+        ];
+        for seed in 0..20 {
+            let mut order = ladder_order.clone();
+            order.shuffle(&mut SmallRng::seed_from_u64(seed));
+            orders.push(order);
+        }
+        let expected = merge(&ladder_order, true);
+        let tie = expected.1[0][&NodeId(2)];
+        assert_eq!((tie.est, tie.level, tie.port), (6, 0, 0), "lower rung wins");
+        assert!(expected.3 .0 > 0, "simulated rungs charge rounds");
+        for order in &orders {
+            for dense in [true, false] {
+                assert_eq!(merge(order, dense), expected, "{order:?} dense={dense}");
+            }
+        }
+    }
+
+    #[test]
+    fn at_most_threads_rungs_are_alive() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let g = gen::gnp_connected(40, 0.12, Weights::Uniform { lo: 1, hi: 32 }, &mut rng);
+        let sources: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+        for mode in [BuildMode::Native, BuildMode::Simulated] {
+            for threads in [1usize, 2, 4] {
+                let params = PdeParams::new(8, 4, 0.25)
+                    .with_threads(threads)
+                    .with_mode(mode);
+                let mut rungs = 0;
+                let peak = crate::ladder::residency::peak_during(&sources, || {
+                    rungs = run_pde(&g, &sources, &[false; 40], &params).levels.len();
+                });
+                assert!(rungs >= 14, "ladder too short to tell: {rungs} rungs");
+                assert!(
+                    (1..=threads).contains(&peak),
+                    "{mode:?}, {threads} threads: {peak} rungs alive at once"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_weights_are_a_typed_error() {
+        let w = u64::MAX / 3;
+        let g = WGraph::from_edges(3, &[(0, 1, w), (1, 2, w)]).unwrap();
+        for mode in [BuildMode::Simulated, BuildMode::Native] {
+            let params = PdeParams::new(3, 3, 0.5).with_mode(mode);
+            let err = try_run_pde(&g, &[true; 3], &[false; 3], &params).unwrap_err();
+            assert_eq!(
+                err,
+                BuildError::InvalidParam {
+                    what: "weights too large: path weight overflows u64"
+                }
+            );
+        }
+        // The largest weights the check lets through do not overflow,
+        // including the two-arc walk a source hears itself over.
+        let w = u64::MAX / 4;
+        let g = WGraph::from_edges(2, &[(0, 1, w)]).unwrap();
+        let params = PdeParams::new(2, 2, 1.0).with_mode(BuildMode::Native);
+        let out = try_run_pde(&g, &[true; 2], &[false; 2], &params).unwrap();
+        let est = out
+            .estimate(NodeId(0), NodeId(1))
+            .expect("neighbours hear each other");
+        assert!(w <= est && est <= 2 * w, "{est}");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use compact::{
 use compact::{TruncatedScheme, UpperMode};
 use congest::{NodeId, Topology};
 use graphs::{WGraph, INF};
+use pde_core::pde::validate_pde_input;
 use pde_core::schedule::group_end;
 use pde_core::{try_approx_apsp_opts, try_run_pde};
 use pde_core::{FlatTables, PdeParams};
@@ -589,11 +590,8 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
     if matches!(
         b.backend(),
         Backend::Pde | Backend::ApproxApsp | Backend::Rtc | Backend::Compact | Backend::Truncated
-    ) && !(b.knob_eps() > 0.0 && b.knob_eps() <= 8.0)
-    {
-        return Err(BuildError::InvalidParam {
-            what: "eps must be in (0, 8]",
-        });
+    ) {
+        validate_pde_input(g, b.knob_eps())?;
     }
     let inner = match b.backend() {
         Backend::Pde => {

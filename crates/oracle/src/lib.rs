@@ -560,9 +560,10 @@ impl OracleBuilder {
     /// [`Seed::derive`]d resample; if the retry also fails, the
     /// [`BuildError`] is returned here instead of panicking, so callers
     /// can re-seed or raise `c` programmatically. Invalid *inputs* — a
-    /// disconnected graph ([`BuildError::Disconnected`]) or an
-    /// out-of-range ε ([`BuildError::InvalidParam`]) — are rejected up
-    /// front without a resample, for every backend uniformly.
+    /// disconnected graph ([`BuildError::Disconnected`]), an
+    /// out-of-range ε or weights whose path sums overflow `u64`
+    /// ([`BuildError::InvalidParam`]; the latter two for the PDE-based
+    /// backends) — are rejected up front without a resample.
     ///
     /// # Errors
     ///

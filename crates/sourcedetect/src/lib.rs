@@ -48,7 +48,7 @@ mod program;
 mod reference;
 mod runner;
 
-pub use native::native_detection;
+pub use native::{native_detection, native_solve, NativeSolution};
 pub use program::{SdEntry, SdMsg, SdProgram, SourceSpace};
 pub use reference::delayed_detection_reference;
 pub use runner::{run_detection, DetectParams, DetectionOutput, RouteEntry};

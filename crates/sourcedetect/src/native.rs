@@ -41,8 +41,21 @@
 //! are small integers), and per-`(node, source)` state in a dense matrix
 //! when `n·|S|` is small enough, else per-node hash rows. `O(Σ arrivals ·
 //! log)`-free: bucket draining plus one sort per bucket.
+//!
+//! # Solve, then visit
+//!
+//! The kernel is split in two. [`native_solve`] runs the Dijkstra and
+//! returns a [`NativeSolution`]: the final state tables (12 B per
+//! `(node, source)` cell when dense) plus the announcement counts.
+//! [`NativeSolution::for_each_row`] is the one assembly loop over those
+//! tables: per node it hands the top-σ `(dist, source index)` list and
+//! the `(source index, dist, port)` archive row to a visitor, through
+//! two scratch rows reused across nodes. A consumer that folds rows as
+//! they come (the PDE rung merge) therefore never holds a materialised
+//! rung; [`native_detection`] is the thin wrapper that collects the same
+//! rows into a [`DetectionOutput`] for callers that want one.
 
-use crate::program::{SdEntry, SourceSpace};
+use crate::program::SourceSpace;
 use crate::runner::{DetectParams, DetectionOutput};
 use congest::{FxHashMap, Metrics, NodeId, Port, Topology};
 
@@ -132,13 +145,78 @@ fn unpack(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
 }
 
+/// The solved state of one canonical detection instance: what
+/// [`native_solve`] returns and [`NativeSolution::for_each_row`] reads.
+pub struct NativeSolution {
+    state: StateTables,
+    /// `|S|` — the row stride of the dense tables.
+    s: usize,
+    sigma: usize,
+    /// Announcements made per node.
+    announced: Vec<u64>,
+}
+
+impl NativeSolution {
+    /// Per-node announcement counts (the idealized-schedule analogue of
+    /// the simulated broadcast counts).
+    pub fn msgs_per_node(&self) -> &[u64] {
+        &self.announced
+    }
+
+    /// Visits every node in increasing id order with its two output rows,
+    /// in terms of the [`SourceSpace`] indices the solve ran over:
+    /// `list` holds the top-σ `(dist, source index)` pairs, sorted
+    /// lexicographically (index order is id order, so this is the
+    /// paper's `(dist, source id)` order); `archive` holds the best
+    /// received `(source index, dist, port)` per source, sorted by index.
+    /// Both slices are scratch rows, valid only during the call.
+    pub fn for_each_row(&self, mut visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)])) {
+        let mut list: Vec<(u32, u32)> = Vec::new();
+        let mut archive: Vec<(u32, u32, Port)> = Vec::new();
+        let mut by_si: Vec<(u32, NState)> = Vec::new();
+        let push = |list: &mut Vec<_>, archive: &mut Vec<_>, si: u32, st: &NState| {
+            if st.dist != NONE32 {
+                list.push((st.dist, si));
+            }
+            if st.route_dist != NONE32 {
+                archive.push((si, st.route_dist, st.route_port));
+            }
+        };
+        for v in 0..self.announced.len() {
+            list.clear();
+            archive.clear();
+            match &self.state {
+                StateTables::Dense(t) => {
+                    let row = &t[v * self.s..(v + 1) * self.s];
+                    for (si, st) in row.iter().enumerate() {
+                        push(&mut list, &mut archive, si as u32, st);
+                    }
+                }
+                StateTables::Sparse(rows) => {
+                    by_si.clear();
+                    by_si.extend(rows[v].iter().map(|(&si, &st)| (si, st)));
+                    by_si.sort_unstable_by_key(|&(si, _)| si);
+                    for (si, st) in &by_si {
+                        push(&mut list, &mut archive, *si, st);
+                    }
+                }
+            }
+            list.sort_unstable();
+            list.truncate(self.sigma);
+            visit(v, &list, &archive);
+        }
+    }
+}
+
 /// Runs canonical `(S, h, σ)`-detection on `topo` (whose arc *delays*
 /// define the hop metric, exactly as in [`crate::run_detection`]).
 ///
 /// Output shape matches [`crate::run_detection`]: per-node top-σ lists,
 /// per-node routing archives sorted by source id, per-node announcement
 /// counts (the idealized-schedule analogue of the broadcast counts), and
-/// zeroed simulator metrics (a native run charges no rounds).
+/// zeroed simulator metrics (a native run charges no rounds). This is
+/// [`native_solve`] plus a collecting [`NativeSolution::for_each_row`]
+/// visitor.
 ///
 /// # Panics
 ///
@@ -150,24 +228,61 @@ pub fn native_detection(
     tags: &[bool],
     params: &DetectParams,
 ) -> DetectionOutput {
-    let n = topo.len();
-    let s = sources.iter().filter(|&&f| f).count();
-    let dense = choose_dense(n, s, topo.num_edges(), params.sigma);
-    native_detection_impl(topo, sources, tags, params, dense)
+    assert_eq!(sources.len(), topo.len(), "one source flag per node");
+    assert_eq!(tags.len(), topo.len(), "one tag flag per node");
+    let space = SourceSpace::new(sources, tags);
+    collect(&space, native_solve(topo, &space, params))
 }
 
-/// [`native_detection`] with the state representation pinned (the choice
-/// is output-invisible; tests pin that directly).
-fn native_detection_impl(
+/// Collects a solution's rows into the runner's output shapes.
+fn collect(space: &SourceSpace, solution: NativeSolution) -> DetectionOutput {
+    let n = solution.announced.len();
+    let mut lists = Vec::with_capacity(n);
+    let mut routes = Vec::with_capacity(n);
+    solution.for_each_row(|_, list, archive| {
+        lists.push(
+            list.iter()
+                .map(|&(dist, si)| space.entry(dist, si))
+                .collect(),
+        );
+        routes.push(
+            archive
+                .iter()
+                .map(|&(si, dist, port)| (space.id(si), u64::from(dist), port))
+                .collect(),
+        );
+    });
+    DetectionOutput {
+        lists,
+        routes,
+        msgs_per_node: solution.announced,
+        metrics: Metrics::new(n),
+    }
+}
+
+/// Solves canonical `(S, h, σ)`-detection on `topo` for the sources of
+/// `space` and returns the final state, to be read through
+/// [`NativeSolution::for_each_row`]. Tags play no part in the solve.
+///
+/// # Panics
+///
+/// Panics if `space` was not built over `topo`'s nodes or
+/// `h ≥ u32::MAX` (as the program does).
+pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams) -> NativeSolution {
+    let dense = choose_dense(topo.len(), space.len(), topo.num_edges(), params.sigma);
+    solve(topo, space, params, dense)
+}
+
+/// [`native_solve`] with the state representation pinned (the choice is
+/// output-invisible; tests pin that directly).
+fn solve(
     topo: &Topology,
-    sources: &[bool],
-    tags: &[bool],
+    space: &SourceSpace,
     params: &DetectParams,
     dense: bool,
-) -> DetectionOutput {
+) -> NativeSolution {
     let n = topo.len();
-    assert_eq!(sources.len(), n, "one source flag per node");
-    assert_eq!(tags.len(), n, "one tag flag per node");
+    assert_eq!(space.num_nodes(), n, "one source flag per node");
     assert!(
         params.h < u64::from(u32::MAX),
         "horizon {} too large for the packed distance representation",
@@ -177,7 +292,6 @@ fn native_detection_impl(
     let sigma = params.sigma;
     let cap = params.msg_cap.unwrap_or(u64::MAX);
 
-    let space = SourceSpace::new(sources, tags);
     let s = space.len();
     let mut state = StateTables::new(n, s, dense);
     // Finalized-pair count per node (the rank of the next finalized pair)
@@ -195,12 +309,10 @@ fn native_detection_impl(
         .saturating_mul(n.saturating_sub(1) as u64)
         .min(h);
     let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); reach_cap as usize + 1];
-    for v in topo.nodes() {
-        if sources[v.index()] {
-            let si = space.index_of(v).expect("source is in the source space");
-            state.get_mut(s, v.index(), si).dist = 0;
-            buckets[0].push(pack(si, v.0));
-        }
+    for si in 0..s as u32 {
+        let v = space.id(si);
+        state.get_mut(s, v.index(), si).dist = 0;
+        buckets[0].push(pack(si, v.0));
     }
 
     let mut bucket = Vec::new();
@@ -253,64 +365,18 @@ fn native_detection_impl(
         bucket.clear();
     }
 
-    // Assemble outputs in the runner's shapes.
-    let mut lists = Vec::with_capacity(n);
-    let mut routes = Vec::with_capacity(n);
-    let mut known: Vec<(u32, u32)> = Vec::new();
-    for v in 0..n {
-        known.clear();
-        let mut row: Vec<(NodeId, u64, Port)> = Vec::new();
-        match &state {
-            StateTables::Dense(t) => {
-                for (si, st) in t[v * s..(v + 1) * s].iter().enumerate() {
-                    if st.dist != NONE32 {
-                        known.push((st.dist, si as u32));
-                    }
-                    if st.route_dist != NONE32 {
-                        row.push((space.id(si as u32), u64::from(st.route_dist), st.route_port));
-                    }
-                }
-            }
-            StateTables::Sparse(rows) => {
-                let mut by_si: Vec<(u32, NState)> =
-                    rows[v].iter().map(|(&si, &st)| (si, st)).collect();
-                by_si.sort_unstable_by_key(|&(si, _)| si);
-                for (si, st) in by_si {
-                    if st.dist != NONE32 {
-                        known.push((st.dist, si));
-                    }
-                    if st.route_dist != NONE32 {
-                        row.push((space.id(si), u64::from(st.route_dist), st.route_port));
-                    }
-                }
-            }
-        }
-        known.sort_unstable();
-        known.truncate(sigma);
-        lists.push(
-            known
-                .iter()
-                .map(|&(dist, si)| SdEntry {
-                    dist: u64::from(dist),
-                    src: space.id(si),
-                    tag: space.tag(si),
-                })
-                .collect(),
-        );
-        routes.push(row);
-    }
-
-    DetectionOutput {
-        lists,
-        routes,
-        msgs_per_node: announced,
-        metrics: Metrics::new(n),
+    NativeSolution {
+        state,
+        s,
+        sigma,
+        announced,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::SdEntry;
     use crate::reference::delayed_detection_reference;
     use crate::runner::run_detection;
 
@@ -321,6 +387,60 @@ mod tests {
             msg_cap: None,
             exact_rounds: false,
         }
+    }
+
+    type Lists = Vec<Vec<SdEntry>>;
+    type Routes = Vec<Vec<(NodeId, u64, Port)>>;
+
+    /// Lists and archives read straight off the row visitor (not through
+    /// `collect`), with the state representation pinned. Also checks the
+    /// visitor's own contract: nodes in order, rows sorted, lists ≤ σ.
+    fn rows_via_visitor(
+        topo: &Topology,
+        sources: &[bool],
+        tags: &[bool],
+        p: &DetectParams,
+        dense: bool,
+    ) -> (Lists, Routes, Vec<u64>) {
+        let space = SourceSpace::new(sources, tags);
+        let solution = solve(topo, &space, p, dense);
+        let (mut lists, mut routes): (Lists, Routes) = Default::default();
+        solution.for_each_row(|v, list, archive| {
+            assert_eq!(v, lists.len(), "nodes visited in id order");
+            assert!(list.len() <= p.sigma);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "list unsorted at {v}");
+            assert!(
+                archive.windows(2).all(|w| w[0].0 < w[1].0),
+                "archive unsorted at {v}"
+            );
+            lists.push(
+                list.iter()
+                    .map(|&(dist, si)| space.entry(dist, si))
+                    .collect(),
+            );
+            let triple =
+                |&(si, dist, port): &(u32, u32, Port)| (space.id(si), u64::from(dist), port);
+            routes.push(archive.iter().map(triple).collect());
+        });
+        (lists, routes, solution.msgs_per_node().to_vec())
+    }
+
+    fn delayed_grid() -> (Topology, [bool; 9]) {
+        let mut edges = Vec::new();
+        let id = |r: u32, c: u32| r * 3 + c;
+        for r in 0..3u32 {
+            for c in 0..3u32 {
+                if c + 1 < 3 {
+                    edges.push((id(r, c), id(r, c + 1), 1 + u64::from(r)));
+                }
+                if r + 1 < 3 {
+                    edges.push((id(r, c), id(r + 1, c), 2));
+                }
+            }
+        }
+        let topo = Topology::from_edges(9, &edges).unwrap().with_delays(|w| w);
+        let sources = [true, false, false, false, true, false, false, false, true];
+        (topo, sources)
     }
 
     /// Canonical lists equal the exact reference and the simulated lists.
@@ -357,23 +477,29 @@ mod tests {
 
     #[test]
     fn lists_match_reference_on_delayed_grid() {
-        let mut edges = Vec::new();
-        let id = |r: u32, c: u32| r * 3 + c;
-        for r in 0..3u32 {
-            for c in 0..3u32 {
-                if c + 1 < 3 {
-                    edges.push((id(r, c), id(r, c + 1), 1 + u64::from(r)));
-                }
-                if r + 1 < 3 {
-                    edges.push((id(r, c), id(r + 1, c), 2));
-                }
-            }
-        }
-        let topo = Topology::from_edges(9, &edges).unwrap().with_delays(|w| w);
-        let sources = [true, false, false, false, true, false, false, false, true];
+        let (topo, sources) = delayed_grid();
         for h in [2, 4, 8] {
             for sigma in [1, 2, 3] {
                 check_lists(&topo, &sources, h, sigma);
+            }
+        }
+    }
+
+    #[test]
+    fn visitor_rows_match_native_detection_on_delayed_grid() {
+        let (topo, sources) = delayed_grid();
+        let tags = [false, false, false, false, true, false, false, false, false];
+        for h in [2, 4, 8] {
+            for sigma in [1, 2, 3] {
+                let out = native_detection(&topo, &sources, &tags, &params(h, sigma));
+                for dense in [true, false] {
+                    let (lists, routes, msgs) =
+                        rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
+                    let what = format!("h={h} sigma={sigma} dense={dense}");
+                    assert_eq!(lists, out.lists, "{what}");
+                    assert_eq!(routes, out.routes, "{what}");
+                    assert_eq!(msgs, out.msgs_per_node, "{what}");
+                }
             }
         }
     }
@@ -395,29 +521,39 @@ mod tests {
         )
         .unwrap();
         let sources = [true, true, true, true, false, false, false, false];
-        let out = native_detection(&topo, &sources, &[false; 8], &params(5, 2));
-        for v in topo.nodes() {
-            // Archives sorted by source id.
-            let r = &out.routes[v.index()];
-            assert!(r.windows(2).all(|w| w[0].0 < w[1].0), "unsorted at {v}");
-            for e in &out.lists[v.index()] {
-                if e.src == v {
-                    continue;
-                }
-                // Every non-self list entry is archived at the same dist,
-                // and its port leads strictly closer to the source.
-                let &(_, d, port) = r
-                    .iter()
-                    .find(|&&(s, _, _)| s == e.src)
-                    .unwrap_or_else(|| panic!("list entry {} missing from archive at {v}", e.src));
-                assert_eq!(d, e.dist, "archive dist mismatch at {v} for {}", e.src);
-                let u = topo.neighbor(v, port);
-                if u != e.src {
-                    let ru = &out.routes[u.index()];
-                    let &(_, du, _) = ru.iter().find(|&&(s, _, _)| s == e.src).expect("chained");
-                    assert!(du < d, "no strict progress {v}->{u} for {}", e.src);
+        let check = |lists: &Lists, routes: &Routes| {
+            for v in topo.nodes() {
+                // Archives sorted by source id.
+                let r = &routes[v.index()];
+                assert!(r.windows(2).all(|w| w[0].0 < w[1].0), "unsorted at {v}");
+                for e in &lists[v.index()] {
+                    if e.src == v {
+                        continue;
+                    }
+                    // Every non-self list entry is archived at the same
+                    // dist, and its port leads strictly closer to the
+                    // source.
+                    let &(_, d, port) =
+                        r.iter().find(|&&(s, _, _)| s == e.src).unwrap_or_else(|| {
+                            panic!("list entry {} missing from archive at {v}", e.src)
+                        });
+                    assert_eq!(d, e.dist, "archive dist mismatch at {v} for {}", e.src);
+                    let u = topo.neighbor(v, port);
+                    if u != e.src {
+                        let ru = &routes[u.index()];
+                        let &(_, du, _) =
+                            ru.iter().find(|&&(s, _, _)| s == e.src).expect("chained");
+                        assert!(du < d, "no strict progress {v}->{u} for {}", e.src);
+                    }
                 }
             }
+        };
+        let out = native_detection(&topo, &sources, &[false; 8], &params(5, 2));
+        check(&out.lists, &out.routes);
+        for dense in [true, false] {
+            let (lists, routes, _) =
+                rows_via_visitor(&topo, &sources, &[false; 8], &params(5, 2), dense);
+            check(&lists, &routes);
         }
     }
 
@@ -465,11 +601,23 @@ mod tests {
         let sources: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
         let tags: Vec<bool> = (0..10).map(|i| i % 4 == 0).collect();
         for (h, sigma) in [(4, 2), (9, 3), (20, 10)] {
-            let d = native_detection_impl(&topo, &sources, &tags, &params(h, sigma), true);
-            let sp = native_detection_impl(&topo, &sources, &tags, &params(h, sigma), false);
+            // Through the collecting wrapper's loop and straight off the
+            // visitor: the same rows either way, in both representations.
+            let detect = |dense| {
+                let space = SourceSpace::new(&sources, &tags);
+                collect(&space, solve(&topo, &space, &params(h, sigma), dense))
+            };
+            let (d, sp) = (detect(true), detect(false));
             assert_eq!(d.lists, sp.lists, "h={h} sigma={sigma}");
             assert_eq!(d.routes, sp.routes, "h={h} sigma={sigma}");
             assert_eq!(d.msgs_per_node, sp.msgs_per_node, "h={h} sigma={sigma}");
+            for dense in [true, false] {
+                let (lists, routes, msgs) =
+                    rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
+                assert_eq!(lists, d.lists, "h={h} sigma={sigma} dense={dense}");
+                assert_eq!(routes, d.routes, "h={h} sigma={sigma} dense={dense}");
+                assert_eq!(msgs, d.msgs_per_node, "h={h} sigma={sigma} dense={dense}");
+            }
         }
     }
 

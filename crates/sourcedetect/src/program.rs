@@ -99,6 +99,12 @@ impl SourceSpace {
         self.ids.is_empty()
     }
 
+    /// Number of nodes the space was built over (sources or not).
+    #[inline]
+    pub fn num_nodes(&self) -> usize {
+        self.index_of.len()
+    }
+
     /// The source index of node `v`, if `v` is a source.
     #[inline]
     pub fn index_of(&self, v: NodeId) -> Option<u32> {
@@ -118,6 +124,16 @@ impl SourceSpace {
     #[inline]
     pub fn tag(&self, si: u32) -> bool {
         self.tags[si as usize]
+    }
+
+    /// The list entry for source index `si` at distance `dist`.
+    #[inline]
+    pub fn entry(&self, dist: u32, si: u32) -> SdEntry {
+        SdEntry {
+            dist: u64::from(dist),
+            src: self.id(si),
+            tag: self.tag(si),
+        }
     }
 }
 
@@ -239,11 +255,7 @@ impl SdProgram {
             .take(self.sigma)
             .map(|&key| {
                 let (dist, si) = unpack(key);
-                SdEntry {
-                    dist: u64::from(dist),
-                    src: self.space.id(si),
-                    tag: self.space.tag(si),
-                }
+                self.space.entry(dist, si)
             })
             .collect()
     }

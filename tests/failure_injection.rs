@@ -11,7 +11,7 @@ use pde_repro::graphs::WGraph;
 use pde_repro::oracle::{
     Backend, BuildError, DistanceOracle, FailoverOutcome, GraphDelta, OracleBuilder, TracedRoute,
 };
-use pde_repro::pde_core::{run_pde, try_run_pde, PdeParams};
+use pde_repro::pde_core::{run_pde, try_run_pde, BuildMode, PdeParams};
 use pde_repro::serve::{DynamicOracle, OracleServer};
 use pde_repro::sourcedetect::{run_detection, DetectParams};
 use rand::rngs::SmallRng;
@@ -161,6 +161,35 @@ fn zero_eps_is_rejected_with_typed_error() {
         .try_build(&g)
         .unwrap_err();
     assert!(matches!(err, BuildError::InvalidParam { .. }), "{err}");
+}
+
+#[test]
+fn oversized_weights_are_rejected_with_typed_error() {
+    // Path weights near u64::MAX would overflow `dist · b` inside a rung
+    // worker; the builders must refuse the input up front instead.
+    let w = u64::MAX / 3;
+    let g = WGraph::from_edges(3, &[(0, 1, w), (1, 2, w)]).unwrap();
+    for backend in [
+        Backend::Pde,
+        Backend::Rtc,
+        Backend::Compact,
+        Backend::Truncated,
+    ] {
+        for mode in [BuildMode::Simulated, BuildMode::Native] {
+            let err = OracleBuilder::new(backend)
+                .seed(1)
+                .build_mode(mode)
+                .try_build(&g)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BuildError::InvalidParam {
+                    what: "weights too large: path weight overflows u64"
+                },
+                "{backend} {mode:?}"
+            );
+        }
+    }
 }
 
 // ------------------------------------------- dynamic-graph scenarios --

@@ -1,16 +1,23 @@
 //! Determinism of the parallel ladder: `run_pde` must produce *identical*
 //! `lists`, `routes` and message/round metrics for every thread count, and
-//! across repeated runs — the rungs are independent simulations merged in
-//! ladder order, so scheduling must be unobservable.
+//! across repeated runs — the rungs are independent instances folded into
+//! the merge tables by a commutative minimum as they finish, so scheduling
+//! must be unobservable.
 
 use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::WGraph;
-use pde_repro::pde_core::{run_pde, PdeOutput, PdeParams};
+use pde_repro::pde_core::{run_pde, BuildMode, PdeOutput, PdeParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn run(g: &WGraph, sources: &[bool], threads: usize) -> PdeOutput {
-    let params = PdeParams::new(8, 4, 0.25).with_threads(threads);
+    run_in(g, sources, threads, BuildMode::Simulated)
+}
+
+fn run_in(g: &WGraph, sources: &[bool], threads: usize, mode: BuildMode) -> PdeOutput {
+    let params = PdeParams::new(8, 4, 0.25)
+        .with_threads(threads)
+        .with_mode(mode);
     run_pde(g, sources, &vec![false; g.len()], &params)
 }
 
@@ -67,6 +74,24 @@ fn threads_do_not_change_outputs_on_random_graphs() {
         for threads in [2, 4, 9] {
             let par = run(&g, &sources, threads);
             assert_identical(&seq, &par, &format!("seed {seed}, {threads} threads"));
+        }
+    }
+}
+
+#[test]
+fn streamed_fold_is_thread_count_invariant_in_both_modes() {
+    // A 14-rung ladder (w ≤ 32, ε = 0.25) on worker counts that divide
+    // it, don't divide it, and exceed what the machine has: rungs finish
+    // and fold in a different order every time, the output must not move.
+    let mut rng = SmallRng::seed_from_u64(29);
+    let g = gen::gnp_connected(80, 0.09, Weights::Uniform { lo: 1, hi: 32 }, &mut rng);
+    let sources: Vec<bool> = (0..g.len()).map(|i| i % 3 != 2).collect();
+    for mode in [BuildMode::Simulated, BuildMode::Native] {
+        let seq = run_in(&g, &sources, 1, mode);
+        assert!(seq.levels.len() >= 14, "{} rungs", seq.levels.len());
+        for threads in [2, 3, 8] {
+            let par = run_in(&g, &sources, threads, mode);
+            assert_identical(&seq, &par, &format!("{mode:?}, {threads} threads"));
         }
     }
 }
