@@ -1,24 +1,16 @@
-//! Experiment harness: one function per experiment of `EXPERIMENTS.md`.
+//! Paper-reproduction tables: one function per experiment.
 //!
 //! The paper is a theory paper — its "evaluation" is its theorems plus the
 //! Figure 1 lower-bound construction. Each `eN_*` function here runs the
 //! corresponding empirical validation and returns a printable [`Table`];
-//! the `experiments` binary prints them all (that output is what
-//! `EXPERIMENTS.md` records), and each `benches/eN_*.rs` Criterion bench
-//! wraps the same code path at a reduced size for wall-clock tracking.
+//! the `experiments` binary prints them all. Performance numbers live in
+//! the standalone `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 
 pub mod table;
 pub mod workloads;
 
-mod e10_simulator;
-mod e11_queries;
-mod e12_builds;
-mod e13_serve;
-mod e14_dynamic;
-mod e15_net;
-mod e16_chaos;
 mod e1_apsp;
 mod e2_figure1;
 mod e3_pde;
@@ -30,16 +22,6 @@ mod e8_spanner;
 mod e9_comparison;
 mod oracles;
 
-pub use e10_simulator::{e10_run, e10_simulator, SimRun, E10_SEED};
-pub use e11_queries::{
-    e11_build, e11_graph, e11_measure, e11_pairs, e11_queries, e11_run, e11_smoke, QueryRun,
-    E11_BATCH, E11_SEED,
-};
-pub use e12_builds::{e12_builds, e12_run, e12_smoke, BuildRun, E12_RUNS, E12_SEED};
-pub use e13_serve::{e13_measure, e13_run, e13_serve, e13_smoke, ServeRun, E13_LOADS};
-pub use e14_dynamic::{e14_delta, e14_dynamic, e14_run, e14_smoke, DynRun, E14_RUNS, E14_SEED};
-pub use e15_net::{e15_net, e15_run, e15_smoke, NetRun, E15_SHARD};
-pub use e16_chaos::{e16_chaos, e16_run, e16_smoke, ChaosRun, E16_SEED};
 pub use e1_apsp::e1_apsp;
 pub use e2_figure1::e2_figure1;
 pub use e3_pde::e3_pde;
@@ -49,5 +31,5 @@ pub use e6_truncated::e6_truncated;
 pub use e7_trees::e7_trees;
 pub use e8_spanner::e8_spanner;
 pub use e9_comparison::e9_comparison;
-pub use oracles::{oracles, oracles_roundtrip_check, BUILD_RUNS};
+pub use oracles::oracles;
 pub use table::Table;

@@ -89,33 +89,3 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
     }
 }
-
-/// Incremental FNV-1a over `u64` words — the digest both tracked
-/// benchmark files (`BENCH_simulator.json`, `BENCH_oracle.json`) use for
-/// output-identity checks, kept in one place so they stay comparable.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// Starts a digest at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf29ce484222325)
-    }
-
-    /// Mixes one word.
-    pub fn mix(&mut self, x: u64) {
-        self.0 ^= x;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-
-    /// The digest so far.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}

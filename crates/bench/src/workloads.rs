@@ -15,53 +15,12 @@ pub fn gnp(n: usize, seed: u64) -> WGraph {
     gen::gnp_connected(n, p, W, &mut rng)
 }
 
-/// Connected *unit-weight* G(n, p) with average degree ≈ 6 — the E11
-/// query-throughput workload (one PDE ladder rung, so the distributed
-/// builds stay tractable at n = 4096 while the query-side structures are
-/// the same shape as the weighted case).
-pub fn gnp_unit(n: usize, seed: u64) -> WGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = (6.0 / n as f64).min(0.9);
-    gen::gnp_connected(n, p, Weights::Unit, &mut rng)
-}
-
 /// Dumbbell with long path (large hop diameter).
 pub fn dumbbell(n: usize, seed: u64) -> WGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let clique = (n / 4).max(2);
     let path = n - 2 * clique;
     gen::dumbbell(clique, path, W, &mut rng)
-}
-
-/// Weighted grid (moderate diameter, planar-ish).
-pub fn grid(n: usize, seed: u64) -> WGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let side = (n as f64).sqrt().round() as usize;
-    gen::grid(side.max(2), side.max(2), W, &mut rng)
-}
-
-/// Barabási–Albert scale-free graph with 2 attachments per node and the
-/// default weights (internet-like hubs; stresses skew in the detection
-/// load).
-pub fn power_law(n: usize, seed: u64) -> WGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    gen::power_law(n.max(4), 2, W, &mut rng)
-}
-
-/// Ring of `⌈n/8⌉` cliques of 8 nodes (clustered, long cycle of
-/// bottlenecks).
-pub fn ring_of_cliques(n: usize, seed: u64) -> WGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let cliques = n.div_ceil(8).max(3);
-    gen::ring_of_cliques(cliques, 8, W, &mut rng)
-}
-
-/// The hypercube of dimension `⌈log₂ n⌉` with the default weights
-/// (low diameter, vertex-transitive).
-pub fn hypercube(n: usize, seed: u64) -> WGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let dim = (usize::BITS - n.max(2).next_power_of_two().leading_zeros() - 1).max(1);
-    gen::hypercube(dim, W, &mut rng)
 }
 
 #[cfg(test)]
@@ -73,19 +32,5 @@ mod tests {
         assert!(gnp(40, 1).is_connected());
         assert_eq!(gnp(40, 1).len(), 40);
         assert!(dumbbell(40, 1).is_connected());
-        assert!(grid(36, 1).is_connected());
-        assert_eq!(grid(36, 1).len(), 36);
-    }
-
-    #[test]
-    fn family_workloads_are_connected_and_sized() {
-        assert!(power_law(100, 1).is_connected());
-        assert_eq!(power_law(100, 1).len(), 100);
-        assert!(ring_of_cliques(64, 1).is_connected());
-        assert_eq!(ring_of_cliques(64, 1).len(), 64);
-        assert!(hypercube(64, 1).is_connected());
-        assert_eq!(hypercube(64, 1).len(), 64);
-        // Non-power-of-two sizes round up to the next hypercube.
-        assert_eq!(hypercube(48, 1).len(), 64);
     }
 }

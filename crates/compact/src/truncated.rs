@@ -873,8 +873,8 @@ mod tests {
             "failures (k={k}, l0={l0}, {mode:?}): {:?}",
             &report.failures[..report.failures.len().min(5)]
         );
-        // ε-adjusted ceiling with the waypoint-descent constant
-        // (documented in EXPERIMENTS.md).
+        // Theorem 4.13's 4k−3, ε-adjusted, times 2 for the
+        // waypoint-descent detour.
         let ceil = (4.0 * f64::from(k) - 3.0) * (1.0 + params.eps).powi(6) * 2.0;
         assert!(
             report.max_stretch <= ceil,

@@ -49,9 +49,9 @@
 //!   so multi-million-round simulations do not grow memory linearly in
 //!   simulated time.
 //!
-//! See the repository README's "Performance" section for measured
-//! throughput and `BENCH_simulator.json` for the recorded before/after
-//! comparison.
+//! The stack benchmark's `congest.sim.*` per-layer metrics
+//! (`benchmark/README.md`) report the simulator's rounds, messages and
+//! message throughput.
 //!
 //! # Example
 //!

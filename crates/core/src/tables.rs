@@ -699,7 +699,7 @@ impl FlatTables {
 /// the whole row fits in a couple of cache lines, and one branchless
 /// [`FlatTables::scan_keys`] sweep is cheaper than the bucket probe's
 /// chain of dependent loads (bucket offsets → shift → bucket pair →
-/// entries). Measured on the E11 compact@1024 workload, whose tiny rows
+/// entries). Measured on a compact n = 1024 workload, whose tiny rows
 /// made the bucket index *overhead* dominate PR 4's gains.
 const SMALL_ROW_SCAN: usize = 16;
 

@@ -26,8 +26,7 @@
 //! [`serve::OracleServer::query`] / [`serve::Batcher::submit`] calls a
 //! local caller would make, so `estimate_many` digests match across
 //! process boundaries for every backend, before and after hot swaps.
-//! The `net` smoke (`experiments -- net --smoke`) pins this digest
-//! equality for all eight backends.
+//! `tests/serving_matrix.rs` pins this equality for all eight backends.
 //!
 //! # Robustness
 //!
@@ -49,10 +48,9 @@
 //!   the connection (and every lock) survives it.
 //! * **Chaos harness** — [`ChaosProxy`] injects deterministic,
 //!   replayable transport faults (cut or stalled reply streams on a
-//!   seeded per-connection schedule) between a client and server; the
-//!   `chaos` smoke (`experiments -- chaos --smoke`) drives every
-//!   backend through it asserting digest-identical answers and zero
-//!   panics.
+//!   seeded per-connection schedule) between a client and server;
+//!   `tests/chaos_recovery.rs` drives every backend through it
+//!   asserting identical answers and zero panics.
 //!
 //! # Quickstart
 //!

@@ -27,7 +27,8 @@
 //! Retried answers are byte-identical to a fault-free run: the server
 //! recomputes them against the same deterministic artifact, so a query
 //! that survives three reconnects returns exactly the bytes it would
-//! have returned on a clean connection (pinned by `e16_chaos`).
+//! have returned on a clean connection (pinned by
+//! `tests/chaos_recovery.rs`).
 
 use crate::client::Client;
 use crate::wire::{InstallSummary, RepairSummary, RouteOutcome, ServerStats, WireError};

@@ -12,11 +12,11 @@
 //!
 //! - answers come from [`serve::OracleServer::query`] /
 //!   [`serve::ServedOracle::query`] — byte-identical to in-process
-//!   `estimate_many` (the determinism contract pinned by the `net`
-//!   smoke). An `EstimateMany` frame big enough to cross the grouping
-//!   gate runs the oracle's source-grouped schedule kernel; the smoke
-//!   additionally sends one batch shuffled and sorted and pins the
-//!   answers pair-for-pair;
+//!   `estimate_many` (the determinism contract pinned by
+//!   `tests/serving_matrix.rs`). An `EstimateMany` frame big enough to
+//!   cross the grouping gate runs the oracle's source-grouped schedule
+//!   kernel; the same test sends one such batch shuffled and sorted and
+//!   pins the answers pair-for-pair;
 //! - batched submissions go through the shared admission
 //!   [`serve::Batcher`], merging with concurrent submissions from every
 //!   connection;

@@ -22,9 +22,9 @@
 //!   [`crate::Backend::BellmanFord`] is estimate-only).
 //!
 //! The stretch of a detour is bounded: a simple path has at most
-//! `n − 1` hops, so its weight is at most `(n − 1) · w_max`; the
-//! *measured* detour stretch against true masked-graph distances is
-//! what `e14_dynamic` reports per backend. When nothing relevant is
+//! `n − 1` hops, so its weight is at most `(n − 1) · w_max`
+//! (`tests/dynamic_repair.rs` checks every detour against the true
+//! masked-graph distance and that ceiling). When nothing relevant is
 //! masked the router follows the primary hops exactly and reports
 //! [`FailoverOutcome::Primary`] — the guarantee degrades only where
 //! failures force it to.

@@ -106,10 +106,6 @@ impl TracedRoute {
     }
 }
 
-/// Resolves a `threads` knob exactly like `pde_core::run_pde` does
-/// (`0` = [`std::thread::available_parallelism`], otherwise the given
-/// count), additionally capped by the number of work items — one shared
-/// implementation for every threaded surface in the workspace.
 use pde_core::pipeline::resolve_threads;
 use pde_core::BatchSchedule;
 
@@ -170,11 +166,11 @@ pub struct OracleBuildMetrics {
 /// group is split across workers), one scoped worker fills each
 /// contiguous schedule region, and one scatter pass restores submission
 /// order — so the output is also **byte-identical for every thread
-/// count** (pinned by `tests/parallel_determinism.rs`,
-/// `tests/batch_schedule.rs` and the `queries --smoke` CI step). Small
-/// batches, where building a schedule would cost more than it saves,
-/// keep the direct contiguous sharding; the answers are identical either
-/// way. No worker mutates shared state; scheduling is unobservable.
+/// count** (pinned by `tests/parallel_determinism.rs` and
+/// `tests/batch_schedule.rs`). Small batches, where building a schedule
+/// would cost more than it saves, keep the direct contiguous sharding;
+/// the answers are identical either way. No worker mutates shared state;
+/// scheduling is unobservable.
 pub trait DistanceOracle: Sync {
     /// Number of nodes covered.
     fn len(&self) -> usize;
@@ -465,7 +461,7 @@ impl OracleBuilder {
     /// protocols and reports their rounds/messages in
     /// [`OracleBuildMetrics`]). Scheme artifacts, snapshots and query
     /// answers are **byte-identical** across modes — pinned by
-    /// `tests/build_parity.rs` and the `builds --smoke` CI step.
+    /// `tests/build_parity.rs`.
     #[must_use]
     pub fn build_mode(mut self, mode: BuildMode) -> Self {
         self.mode = mode;
@@ -653,30 +649,20 @@ impl Oracle {
         snapshot::save_v3(self, sink)
     }
 
-    /// Writes the versioned binary snapshot to a file, **atomically**:
-    /// the stream goes to a uniquely named temp file in the target
+    /// Writes the **v3** arena snapshot to a file, **atomically**: the
+    /// stream goes to a uniquely named temp file in the target
     /// directory, is flushed and fsynced, then renamed over `path` (and
     /// the directory entry fsynced, best effort). A crash mid-write
     /// leaves either the previous file or the complete new one — never
-    /// a torn snapshot for [`Oracle::load_path`] to choke on. This is
-    /// the counterpart of [`Oracle::load_path`] and the only way the
-    /// serving stack writes snapshots to disk.
+    /// a torn snapshot for [`Oracle::load_path`] (and so a `net`
+    /// `Install`, which cold-loads the file it is pointed at) to choke
+    /// on.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; the temp file is removed on failure.
-    pub fn save_path(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save_path_atomic(path, |sink| snapshot::save(self, sink))
-    }
-
-    /// Writes the **version-3** arena snapshot to a file with the same
-    /// atomic temp + fsync + rename discipline as [`Oracle::save_path`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Oracle::save_path`].
     pub fn save_path_v3(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save_path_atomic(path, |sink| snapshot::save_v3(self, sink))
+        snapshot::save_path_v3(self, path)
     }
 
     /// Loads an oracle from a snapshot written by [`Oracle::save`] or
@@ -742,7 +728,7 @@ impl Oracle {
     /// wall-clock) written as zero. This is the build-identity witness:
     /// for the same graph, seed and knobs, simulated and native builds —
     /// at any thread count — produce identical canonical bytes (asserted
-    /// by `tests/build_parity.rs` and `experiments -- builds --smoke`).
+    /// by `tests/build_parity.rs`).
     /// The returned stream is itself a loadable snapshot.
     pub fn artifact_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();

@@ -5,9 +5,8 @@
 //! built oracle, and one delta, and produces an oracle for the mutated
 //! graph whose [`crate::Oracle::artifact_bytes`] are **byte-identical**
 //! to a from-scratch build — for every backend (pinned by
-//! `tests/dynamic_repair.rs` and the `dynamic --smoke` CI step). How
-//! much work that takes depends on how the backend's artifact couples to
-//! the graph:
+//! `tests/dynamic_repair.rs`). How much work that takes depends on how
+//! the backend's artifact couples to the graph:
 //!
 //! * **Matrix backends** ([`Backend::Flooding`],
 //!   [`Backend::BellmanFord`]) store one exact row per source, and a row

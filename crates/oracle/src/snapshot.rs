@@ -123,17 +123,14 @@ pub(crate) fn save(oracle: &Oracle, sink: &mut dyn Write) -> io::Result<()> {
     save_opts(oracle, sink, false)
 }
 
-/// Writes a snapshot file atomically: the stream goes to a uniquely
+/// Writes the v3 snapshot file atomically: the stream goes to a uniquely
 /// named temp file in the target directory, is flushed and fsynced,
 /// and only then renamed over `path`. A crash at any point leaves
 /// either the old file or the new one — never a torn snapshot that
 /// [`load`] would reject. The directory entry is fsynced after the
 /// rename (best effort: not every filesystem supports opening
 /// directories) so the rename itself survives a power cut.
-pub(crate) fn save_path_atomic(
-    path: &std::path::Path,
-    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
+pub(crate) fn save_path_v3(oracle: &Oracle, path: &std::path::Path) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let file_name = path.file_name().ok_or_else(|| {
@@ -151,7 +148,7 @@ pub(crate) fn save_path_atomic(
     ));
     let result = (|| {
         let mut sink = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        write(&mut sink)?;
+        save_v3(oracle, &mut sink)?;
         let file = sink.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         drop(file);

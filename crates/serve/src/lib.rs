@@ -18,7 +18,8 @@
 //!   install it, and answer one probe query, reporting the measured
 //!   bytes-to-first-answer time. A v3 snapshot is served as zero-copy
 //!   views into the handed-over buffer. This is the number the v3 arena
-//!   layout exists to shrink (see `BENCH_oracle.json`).
+//!   layout exists to shrink (the stack benchmark's `cold_load_ms`,
+//!   see `benchmark/README.md`).
 //!   [`OracleServer::install_from_bytes`] is the borrowed-slice variant
 //!   (one defensive copy).
 //! * [`Batcher`] — admission batching for one served name: concurrent

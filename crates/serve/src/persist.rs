@@ -10,7 +10,8 @@
 //! visible. Recovery is checkpoint + replay: re-running
 //! [`oracle::OracleBuilder::repair`] for each logged delta reproduces
 //! the live artifact **byte-identically** (repairs are deterministic
-//! and rebuild-equivalent), which is the property `e16_chaos` pins.
+//! and rebuild-equivalent), which is the property
+//! `tests/chaos_recovery.rs` pins.
 //!
 //! Two corruptions a crash can leave behind are handled explicitly:
 //!

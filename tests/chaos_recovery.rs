@@ -4,12 +4,25 @@
 //! recovery edge cases the format was designed around: a torn WAL tail
 //! (crash mid-append) and a stale WAL left by a crash between
 //! checkpoint write and WAL reset.
+//!
+//! The second half is recovery on the transport side: a
+//! `net::RetryClient` over a `net::ReplicaSet` must return the fault-free
+//! answers through a seeded `net::ChaosProxy`, past a saturated replica,
+//! and across a connection kill — and must *not* replay a request the
+//! server answered with a typed refusal.
 
 use congest::NodeId;
 use graphs::{GraphDelta, WGraph};
-use oracle::{Backend, OracleBuilder};
+use net::{
+    ChaosPlan, ChaosProxy, Client, NetServer, ReplicaSet, RetryClient, RetryPolicy, ServerConfig,
+    WireError,
+};
+use oracle::{Backend, DistanceOracle, OracleBuilder};
 use serve::{DeltaWal, DynamicOracle, OracleServer};
+use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A ring (weight 2) with three chords (weight 5). Failing a chord
 /// never disconnects the graph, so every chord is a survivable
@@ -192,4 +205,169 @@ fn stale_wal_from_an_interrupted_checkpoint_is_discarded() {
     assert_eq!(report.deltas_replayed, 0, "stale deltas must not replay");
     assert_eq!(live_artifact(&cold, "stale"), live_bytes);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `backend` built on the 24-node ring and installed as `"o"`, every
+/// ordered pair of distinct nodes, and the in-process answers to them.
+fn served_ring(backend: Backend) -> (Arc<OracleServer>, Vec<(NodeId, NodeId)>, Vec<u64>) {
+    let oracle = OracleBuilder::new(backend).build(&chorded_ring(24));
+    let pairs: Vec<(NodeId, NodeId)> = (0..24u32)
+        .flat_map(|u| (0..24u32).map(move |v| (NodeId(u), NodeId(v))))
+        .filter(|(u, v)| u != v)
+        .collect();
+    let mut want = Vec::new();
+    oracle.estimate_many(&pairs, &mut want);
+    let registry = Arc::new(OracleServer::new());
+    registry.install("o", oracle);
+    (registry, pairs, want)
+}
+
+fn bind(registry: &Arc<OracleServer>, cfg: ServerConfig) -> NetServer {
+    NetServer::bind("127.0.0.1:0", Arc::clone(registry), cfg).unwrap()
+}
+
+fn retry_client(replicas: &[SocketAddr]) -> RetryClient {
+    let replicas = ReplicaSet::new(replicas)
+        .unwrap()
+        .with_reprobe(Duration::from_millis(20));
+    let policy = RetryPolicy {
+        max_attempts: 8,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(20),
+        jitter_seed: 0xC4A0_5EED,
+    };
+    let mut client = RetryClient::connect(replicas, policy).unwrap();
+    client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    client
+}
+
+#[test]
+fn retry_client_answers_identically_through_the_chaos_proxy_for_every_backend() {
+    for backend in Backend::ALL {
+        let (registry, pairs, want) = served_ring(backend);
+        let server = bind(&registry, ServerConfig::default());
+        // Replies are cut or stalled 32–512 bytes in, so single estimates
+        // and the 4 KiB batch reply both get torn.
+        let plan = ChaosPlan {
+            seed: 0xC4A0_5EED ^ backend as u64,
+            min_prefix: 32,
+            max_prefix: 512,
+            ..ChaosPlan::default()
+        };
+        let proxy = ChaosProxy::spawn(server.local_addr(), plan).unwrap();
+        let mut client = retry_client(&[proxy.local_addr()]);
+        for (&(u, v), &est) in pairs.iter().zip(&want).take(64) {
+            assert_eq!(
+                client.estimate("o", u, v).unwrap(),
+                est,
+                "{backend}: {u} → {v} diverged under chaos"
+            );
+        }
+        let (ests, _) = client.estimate_many("o", &pairs, false).unwrap();
+        assert_eq!(ests, want, "{backend}: batch diverged under chaos");
+        assert!(
+            proxy.faults_injected() > 0,
+            "{backend}: the proxy injected nothing"
+        );
+        assert!(client.retries() > 0, "{backend}: nothing needed a retry");
+        proxy.shutdown();
+        server.shutdown();
+    }
+}
+
+#[test]
+fn saturated_replica_refuses_typed_and_the_retry_client_fails_over() {
+    let (registry, pairs, want) = served_ring(Backend::Flooding);
+    let capped = bind(
+        &registry,
+        ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let healthy = bind(&registry, ServerConfig::default());
+    let (u, v) = pairs[0];
+    // One connection holds the capped replica's only slot...
+    let mut holder = Client::connect(capped.local_addr()).unwrap();
+    assert_eq!(holder.estimate("o", u, v).unwrap(), want[0]);
+    // ...so a plain client is refused at the door with the typed error,
+    let mut refused = Client::connect(capped.local_addr()).unwrap();
+    let err = refused.estimate("o", u, v).unwrap_err();
+    assert!(
+        matches!(err, WireError::Overloaded { .. }),
+        "door refusal was {err:?}"
+    );
+    // and a retry client that knows a second replica moves over to it.
+    let mut client = retry_client(&[capped.local_addr(), healthy.local_addr()]);
+    let (ests, _) = client.estimate_many("o", &pairs, false).unwrap();
+    assert_eq!(ests, want, "failover answers diverged");
+    assert_eq!(client.current_replica(), Some(healthy.local_addr()));
+    assert!(
+        capped.metrics().connections_refused >= 2,
+        "refusals counted"
+    );
+    assert_eq!(
+        holder.estimate("o", u, v).unwrap(),
+        want[0],
+        "holder survived"
+    );
+    capped.shutdown();
+    healthy.shutdown();
+}
+
+#[test]
+fn shed_batch_surfaces_through_the_retry_client_and_is_not_replayed() {
+    let (registry, pairs, want) = served_ring(Backend::Flooding);
+    let server = bind(
+        &registry,
+        ServerConfig {
+            max_batch_pairs: 8,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = retry_client(&[server.local_addr()]);
+    let err = client.estimate_many("o", &pairs, false).unwrap_err();
+    assert!(
+        matches!(err, WireError::Overloaded { cap: 8, .. }),
+        "oversized batch got {err:?}"
+    );
+    assert_eq!(
+        (client.retries(), client.reconnects()),
+        (0, 0),
+        "the server answered: nothing to retry, connection kept"
+    );
+    let (small, _) = client.estimate_many("o", &pairs[..4], false).unwrap();
+    assert_eq!(small, want[..4], "post-shed answers diverged");
+    assert_eq!(server.metrics().requests_shed, 1);
+    server.shutdown();
+}
+
+#[test]
+fn connections_killed_mid_traffic_fail_over_to_the_second_replica() {
+    let (registry, pairs, want) = served_ring(Backend::Flooding);
+    let first = bind(&registry, ServerConfig::default());
+    let second = bind(&registry, ServerConfig::default());
+    // Every proxied connection is clean: the kill is the only fault.
+    let plan = ChaosPlan {
+        clean_every: 1,
+        ..ChaosPlan::default()
+    };
+    let proxy = ChaosProxy::spawn(first.local_addr(), plan).unwrap();
+    let mut client = retry_client(&[proxy.local_addr(), second.local_addr()]);
+    for (&(u, v), &est) in pairs.iter().zip(&want).take(8) {
+        assert_eq!(
+            client.estimate("o", u, v).unwrap(),
+            est,
+            "pre-kill {u} → {v}"
+        );
+    }
+    assert_eq!(client.reconnects(), 0, "no fault before the kill");
+    proxy.kill_live_connections();
+    proxy.shutdown(); // the first replica is gone for good
+    let (ests, _) = client.estimate_many("o", &pairs, false).unwrap();
+    assert_eq!(ests, want, "post-kill answers diverged");
+    assert!(client.reconnects() >= 1, "the kill must force a reconnect");
+    assert_eq!(client.current_replica(), Some(second.local_addr()));
+    first.shutdown();
+    second.shutdown();
 }
