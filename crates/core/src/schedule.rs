@@ -1,13 +1,13 @@
 //! Source-grouped batch query schedules.
 //!
 //! A shuffled `estimate_many` batch thrashes per-row metadata: every
-//! query re-resolves its source row's CSR offsets, bucket-index base and
-//! shift, and the row's entries fall out of cache between visits. A
+//! query re-resolves its source row's CSR offsets and fit, and the row's
+//! entries fall out of cache between visits. A
 //! [`BatchSchedule`] fixes the *shape* of the batch without touching its
 //! answers: it is an order-preserving permutation of the query indices,
 //! sorted by `(source row, dest key)`, so a kernel can resolve row state
-//! once per group of equal-source queries and walk each row's bucket
-//! table monotonically — then scatter the answers back through the
+//! once per group of equal-source queries and walk each row's records
+//! monotonically — then scatter the answers back through the
 //! permutation, leaving the output byte-identical to the unscheduled
 //! batch for every batch order and thread count.
 //!

@@ -9,11 +9,12 @@
 //! query side now uses:
 //!
 //! * [`FlatTables`] — per-node route rows in one CSR arena, each row
-//!   sorted by source id. Point lookups are a bucket probe over the
-//!   near-uniform node-id keys (see [`FlatTables::get`]); "iterate
-//!   everything `v` knows" is a contiguous walk. The arrays live behind
-//!   zero-copy [`congest::arena`] views, so a v3 snapshot load *is* the
-//!   in-memory form: no decode pass, no copy.
+//!   sorted by source id. Point lookups interpolate over the
+//!   near-uniform node-id keys: one multiply predicts where in the row a
+//!   source sits, and a short sweep around the prediction finds it (see
+//!   [`RowCursor`]); "iterate everything `v` knows" is a contiguous
+//!   walk. The arrays live behind zero-copy [`congest::arena`] views, so
+//!   a v3 snapshot load *is* the in-memory form: no decode pass, no copy.
 //! * [`PairTable`] — a `k × k` partial map in either dense
 //!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
 //!   form; [`PairTable::auto`] picks dense unless the table is large and
@@ -24,14 +25,24 @@
 //!
 //! The paper's table entries are `O(log n)` bits (weights are poly(n)),
 //! and the batch kernel is memory-bound, so a [`FlatTables`] entry costs
-//! 11 bytes plus its share of the bucket index, split by temperature:
+//! 11 bytes, split by temperature, and a row one more word:
 //!
-//! | section | bytes/entry | read by |
+//! | section | bytes | read by |
 //! |---|---|---|
-//! | hot record `src u32 \| est u32` (one LE `u64` word) | 8 | every probe |
-//! | `port u16`, arena-aligned | 2 | `next_hop` / `route_into` |
-//! | `level u8`, arena-aligned | 1 | the v2 codec, [`unflatten`] |
-//! | bucket index `u32` slots, one per two records | ≈ 2 | rows above 16 entries |
+//! | hot record `src u32 \| est u32` (one LE `u64` word) | 8 / entry | every probe |
+//! | `port u16`, arena-aligned | 2 / entry | `next_hop` / `route_into` |
+//! | `level u8`, arena-aligned | 1 / entry | the v2 codec, [`unflatten`] |
+//! | fit `mul u32 \| lo i16 \| win u16` (one LE `u64` word) | 8 / row | [`FlatTables::cursor`], rows above 16 entries |
+//!
+//! **No stored index.** Where a source sits in its sorted row is a
+//! function of the source id that one multiply computes: entry `i` of a
+//! row holding source `k` satisfies `p + lo ≤ i < p + lo + win` with
+//! `p = (k · mul) >> 31`. `mul` is the row's density in Q1.31
+//! (`len / (max_src + 1)`; exactly 2³¹ for a dense row) and `[lo, lo +
+//! win)` is the *measured* range of `i − p` over the row's own entries,
+//! so the window is exact by construction — integer-only, the same
+//! formula at encode and at probe time — and [`FlatTables::validate`]
+//! re-proves it for every entry of a loaded arena.
 //!
 //! **One escape, always on:** a value that does not fit its field
 //! (`est ≥ u32::MAX`, `port ≥ u16::MAX`, `level ≥ u8::MAX`) stores the
@@ -81,22 +92,85 @@ const PORT_ESCAPE: u16 = u16::MAX;
 /// Marker of an escaped ladder level.
 const LEVEL_ESCAPE: u8 = u8::MAX;
 
-/// Expected records per bucket of the per-row index: a row of `len`
-/// entries gets `next_power_of_two(len / BUCKET_RECORDS)` buckets. Two
-/// 8-byte records cost a probe the bytes one 16-byte record used to, and
-/// halve the index; measured against 1 and 4 on
-/// `oracle.grouped_ns.pde` / `oracle.scalar_ns.pde` (see CHANGES.md).
-const BUCKET_RECORDS: usize = 2;
-
 /// One hot record as its `u64` word (`src` low, `est` high).
 #[inline]
 fn rec_word(rec: &[u8]) -> u64 {
     u64::from_le_bytes(rec.try_into().expect("8 bytes"))
 }
 
-/// Bucket count of a row of `len` entries.
-fn bucket_count(len: usize) -> usize {
-    len.div_ceil(BUCKET_RECORDS).next_power_of_two()
+/// One row's interpolation fit (see the module docs): the stored word is
+/// `mul | lo << 32 | win << 48`. `win == 0` says the row has no usable
+/// fit (its residuals do not fit `i16`/`u16`, or it is empty) and stands
+/// for "anywhere in the row".
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Fit {
+    mul: u32,
+    lo: i16,
+    win: u16,
+}
+
+impl Fit {
+    /// Measures the fit of a row sorted by (distinct) source.
+    fn of_row(row: &ScratchRow) -> Fit {
+        let Some((last, _)) = row.last() else {
+            return Fit::default();
+        };
+        let mul = ((row.len() as u64) << 31) / (u64::from(last.src) + 1);
+        let mut fit = Fit {
+            mul: u32::try_from(mul).expect("distinct sources: len ≤ max_src + 1"),
+            ..Fit::default()
+        };
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for (i, (e, _)) in row.iter().enumerate() {
+            let residual = i as i64 - fit.predict(e.src);
+            lo = lo.min(residual);
+            hi = hi.max(residual);
+        }
+        if let (Ok(lo), Ok(win)) = (i16::try_from(lo), u16::try_from(hi - lo + 1)) {
+            fit.lo = lo;
+            fit.win = win;
+        }
+        fit
+    }
+
+    fn from_word(word: u64) -> Fit {
+        Fit {
+            mul: word as u32,
+            lo: (word >> 32) as u16 as i16,
+            win: (word >> 48) as u16,
+        }
+    }
+
+    fn word(self) -> u64 {
+        u64::from(self.mul) | u64::from(self.lo as u16) << 32 | u64::from(self.win) << 48
+    }
+
+    /// Predicted row index of `key`, before the `lo` correction (below
+    /// 2³³ for any `mul`, so the arithmetic cannot overflow).
+    #[inline]
+    fn predict(self, key: u32) -> i64 {
+        ((u64::from(key) * u64::from(self.mul)) >> 31) as i64
+    }
+
+    /// The row-relative indices `key` can occupy in a row of `row_len`
+    /// entries, clamped to the row whatever the fit says.
+    #[inline]
+    fn window(self, key: u32, row_len: usize) -> Range<usize> {
+        if self.win == 0 {
+            return 0..row_len;
+        }
+        let from = self.predict(key) + i64::from(self.lo);
+        let clamp = |i: i64| i.clamp(0, row_len as i64) as usize;
+        clamp(from)..clamp(from + i64::from(self.win))
+    }
+
+    /// Whether [`Fit::window`] of `key` holds the row-relative index
+    /// `at` of an entry in the row (so no clamp is needed).
+    #[inline]
+    fn admits(self, key: u32, at: usize) -> bool {
+        let off = at as i64 - self.predict(key) - i64::from(self.lo);
+        self.win == 0 || (0..i64::from(self.win)).contains(&off)
+    }
 }
 
 /// The one escape of the narrow layouts: the true values of the entries
@@ -198,16 +272,8 @@ pub struct FlatTables {
     ports: SharedBytes,
     /// Ladder level of each entry (`u8`), arena-aligned.
     levels: SharedBytes,
-    /// Concatenated per-row bucket offset tables: row `v` owns
-    /// `bucket_starts[v]..bucket_starts[v+1]` slots, one per high-bits
-    /// bucket plus a terminator, each holding the row-relative index of
-    /// the bucket's first entry.
-    buckets: U32View,
-    /// `bucket_starts[v]..bucket_starts[v+1]` delimits `v`'s slice of
-    /// `buckets` (`n + 1` offsets).
-    bucket_starts: U32View,
-    /// Per-row right-shift mapping a source id to its bucket.
-    shifts: SharedBytes,
+    /// One [`Fit`] word per row.
+    fits: U64View,
     /// True `(est, port | level << 32)` of the entries carrying a marker.
     wide: Escapes,
 }
@@ -258,10 +324,10 @@ impl FlatTables {
     /// Encodes the narrow sections row by row from validated offsets:
     /// `fill(v, len, row)` appends row `v`'s `len` entries, sorted by
     /// source, to the (cleared) scratch row, and the records, side
-    /// arrays, bucket index and escapes are written straight from it —
-    /// the only transient state is one row. `reserve` maps an element
-    /// count to the capacity to pre-allocate (exact for trusted counts,
-    /// clamped for counts read from a stream).
+    /// arrays, fit and escapes are written straight from it — the only
+    /// transient state is one row. `reserve` maps an element count to
+    /// the capacity to pre-allocate (exact for trusted counts, clamped
+    /// for counts read from a stream).
     fn encode<E>(
         starts: Vec<u32>,
         reserve: impl Fn(usize) -> usize,
@@ -269,19 +335,12 @@ impl FlatTables {
     ) -> Result<Self, E> {
         let n = starts.len() - 1;
         let total = starts[n] as usize;
-        let slots: usize = starts
-            .windows(2)
-            .map(|w| bucket_count((w[1] - w[0]) as usize) + 1)
-            .sum();
         let mut recs: Vec<u8> = Vec::with_capacity(reserve(total) * REC_BYTES);
         let mut ports: Vec<u8> = Vec::with_capacity(reserve(total) * 2);
         let mut levels: Vec<u8> = Vec::with_capacity(reserve(total));
-        let mut buckets: Vec<u8> = Vec::with_capacity(reserve(slots) * 4);
-        let mut bucket_starts = Vec::with_capacity(reserve(n + 1));
-        let mut shifts = Vec::with_capacity(reserve(n));
+        let mut fits = Vec::with_capacity(reserve(n));
         let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
         let mut row = ScratchRow::new();
-        bucket_starts.push(0u32);
         for v in 0..n {
             let len = (starts[v + 1] - starts[v]) as usize;
             row.clear();
@@ -301,38 +360,14 @@ impl FlatTables {
                 ports.extend_from_slice(&port.to_le_bytes());
                 levels.push(lvl);
             }
-            // With near-uniform node-id keys the expected occupancy of a
-            // bucket is ≤ BUCKET_RECORDS. Rows are sorted, so the last
-            // key is the largest.
-            let count = bucket_count(len);
-            let max_src = row.last().map_or(0, |(e, _)| e.src);
-            let key_bits = 32 - max_src.leading_zeros();
-            let shift = key_bits.saturating_sub(count.trailing_zeros());
-            shifts.push(shift as u8);
-            let mut cur = 0usize;
-            for (i, (e, _)) in row.iter().enumerate() {
-                let b = e.src.checked_shr(shift).unwrap_or(0) as usize;
-                while cur <= b {
-                    buckets.extend_from_slice(&(i as u32).to_le_bytes());
-                    cur += 1;
-                }
-            }
-            while cur <= count {
-                buckets.extend_from_slice(&(len as u32).to_le_bytes());
-                cur += 1;
-            }
-            bucket_starts
-                .push(u32::try_from(buckets.len() / 4).expect("bucket index fits u32 offsets"));
+            fits.push(Fit::of_row(&row).word());
         }
         Ok(FlatTables {
             starts: U32View::from_vals(&starts),
             recs: SharedBytes::from_vec(recs),
             ports: SharedBytes::from_vec(ports),
             levels: SharedBytes::from_vec(levels),
-            buckets: U32View::new(SharedBytes::from_vec(buckets))
-                .expect("whole u32 words were pushed"),
-            bucket_starts: U32View::from_vals(&bucket_starts),
-            shifts: SharedBytes::from_vec(shifts),
+            fits: U64View::from_vals(&fits),
             wide: Escapes::from_vals(&wide_idx, &wide_vals),
         })
     }
@@ -385,23 +420,19 @@ impl FlatTables {
         self.cursor(v).est(s)
     }
 
-    /// Resolves node `v`'s row metadata (CSR start, bucket index base,
-    /// shift) once, returning a cursor for repeated key probes against
-    /// that row. This is the schedule-aware half of the batch kernel:
-    /// a source-grouped batch resolves one cursor per group instead of
-    /// re-deriving the metadata per query.
+    /// Resolves node `v`'s row metadata (CSR start, length, fit) once,
+    /// returning a cursor for repeated key probes against that row. This
+    /// is the schedule-aware half of the batch kernel: a source-grouped
+    /// batch resolves one cursor per group instead of re-deriving the
+    /// metadata per query.
     #[inline]
     pub fn cursor(&self, v: NodeId) -> RowCursor<'_> {
         let range = self.row_range(v);
-        let base = self.bucket_starts.get(v.index()) as usize;
-        let slots = (self.bucket_starts.get(v.index() + 1) as usize).saturating_sub(base);
         RowCursor {
             tab: self,
             row_start: range.start,
             row_len: range.end.saturating_sub(range.start),
-            bucket_base: base,
-            slots,
-            shift: u32::from(self.shifts.as_slice()[v.index()]),
+            fit: Fit::from_word(self.fits.get(v.index())),
         }
     }
 
@@ -425,6 +456,24 @@ impl FlatTables {
             hit_word = if eq { word } else { hit_word };
         }
         (hit != usize::MAX).then(|| (start + hit, hit_word))
+    }
+
+    /// Binary search for `key` over the hot records `[start, start +
+    /// len)` — what a probe falls back to when its window is too wide to
+    /// sweep, so clustered ids cost `O(log)` instead of a long scan.
+    #[cold]
+    fn search_keys(&self, start: usize, len: usize, key: u32) -> Option<(usize, u64)> {
+        let (mut lo, mut hi) = (start, start + len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let word = self.word(mid);
+            match (word as u32).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some((mid, word)),
+            }
+        }
+        None
     }
 
     /// The index range of node `v`'s row within the entry arena (for
@@ -538,7 +587,7 @@ impl FlatTables {
 
     /// Deserializes what [`FlatTables::write_into`] wrote, validating the
     /// CSR shape and per-row sort order (strictly increasing sources —
-    /// anything else would corrupt the bucket index and canonical
+    /// anything else would break the fit, the key scan and canonical
     /// re-save).
     ///
     /// # Errors
@@ -573,27 +622,25 @@ impl FlatTables {
     }
 
     /// Emits the table into a v3 arena: one section per array,
-    /// **including the derived bucket index** — a v3 load rebuilds
-    /// nothing. The sections are the views' backing bytes verbatim, so
-    /// load → re-save is a passthrough.
+    /// **including the derived fits** — a v3 load rebuilds nothing. The
+    /// sections are the views' backing bytes verbatim, so load → re-save
+    /// is a passthrough.
     pub fn write_arena(&self, a: &mut ArenaWriter) {
         a.section(self.starts.as_bytes());
         a.section(self.recs.as_slice());
         a.section(self.ports.as_slice());
         a.section(self.levels.as_slice());
-        a.section(self.buckets.as_bytes());
-        a.section(self.bucket_starts.as_bytes());
-        a.section(self.shifts.as_slice());
+        a.section(self.fits.as_bytes());
         self.wide.write_arena(a);
     }
 
     /// Reads what [`FlatTables::write_arena`] wrote: zero-copy views over
-    /// the container plus shape checks on the offset arrays (CSR offsets
-    /// and bucket offsets monotone and bounded), the side-section
-    /// lengths and the escape indices. Per-entry sweeps are *not* run
-    /// here: [`FlatTables::validate`] owns them, the arena checksum owns
-    /// integrity, and [`RowCursor`] re-checks its probe bounds so even a
-    /// hostile bucket index answers with a miss rather than a panic.
+    /// the container plus shape checks on the CSR offsets (monotone and
+    /// bounded), the side-section and fit-section lengths and the escape
+    /// indices. Per-entry sweeps are *not* run here:
+    /// [`FlatTables::validate`] owns them, the arena checksum owns
+    /// integrity, and [`RowCursor`] clamps its window to the row so even
+    /// a hostile fit answers with a miss rather than a panic.
     ///
     /// # Errors
     ///
@@ -604,9 +651,7 @@ impl FlatTables {
         let recs = c.shared()?;
         let ports = c.shared()?;
         let levels = c.shared()?;
-        let buckets = c.u32v()?;
-        let bucket_starts = c.u32v()?;
-        let shifts = c.shared()?;
+        let fits = c.u64v()?;
         if !recs.len().is_multiple_of(REC_BYTES) {
             return Err(invalid_data("record section length not a multiple of 8"));
         }
@@ -625,68 +670,87 @@ impl FlatTables {
         {
             return Err(invalid_data("flat table offsets inconsistent"));
         }
-        if bucket_starts.len() != n + 1 || shifts.len() != n {
-            return Err(invalid_data("flat table bucket sections misshapen"));
-        }
-        if bucket_starts.get(0) != 0
-            || (0..n).any(|v| bucket_starts.get(v) > bucket_starts.get(v + 1))
-            || bucket_starts.get(n) as usize != buckets.len()
-        {
-            return Err(invalid_data("flat table bucket offsets inconsistent"));
+        if fits.len() != n {
+            return Err(invalid_data("flat table fit section misshapen"));
         }
         Ok(FlatTables {
             starts,
             recs,
             ports,
             levels,
-            buckets,
-            bucket_starts,
-            shifts,
+            fits,
             wide,
         })
     }
 
     /// Validates rows against the topology they will be queried on: one
-    /// row per node, sources in range, ports within each node's degree
-    /// ([`Topology::neighbor`] only debug-asserts its port, so a corrupted
-    /// port would silently resolve to a wrong neighbor in release builds),
-    /// and markers and escape records in one-to-one correspondence.
+    /// row per node, sources in range and strictly increasing within each
+    /// row (the key scan, the binary search and canonical re-save assume
+    /// it), every entry inside the window its row's fit predicts for its
+    /// source (so a probe can never miss a stored entry), ports within
+    /// each node's degree ([`Topology::neighbor`] only debug-asserts its
+    /// port, so a corrupted port would silently resolve to a wrong
+    /// neighbor in release builds), and markers and escape records in
+    /// one-to-one correspondence.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on any out-of-range source or port, a marker
+    /// Returns `InvalidData` on any out-of-range source or port, an
+    /// unsorted row, an entry outside its predicted window, a marker
     /// without an escape record, or an escape record without a marker.
     pub fn validate(&self, topo: &Topology) -> io::Result<()> {
         if self.len_nodes() != topo.len() {
             return Err(invalid_data("flat table row count mismatch"));
         }
-        let levels = self.levels.as_slice();
+        let (recs, ports, levels) = (
+            self.recs.as_slice(),
+            self.ports.as_slice(),
+            self.levels.as_slice(),
+        );
         let mut marked = 0usize;
         for v in topo.nodes() {
             let deg = topo.degree(v) as u32;
-            for i in self.row_range(v) {
-                let word = self.word(i);
-                let (src, est, stored) = (word as u32, (word >> 32) as u32, self.port16(i));
-                if src as usize >= topo.len() {
-                    return Err(invalid_data(format!(
-                        "flat route source {src} out of range"
-                    )));
-                }
-                let port =
-                    if est == EST_ESCAPE || stored == PORT_ESCAPE || levels[i] == LEVEL_ESCAPE {
-                        marked += 1;
-                        self.wide(i)
-                            .ok_or_else(|| invalid_data(format!("flat route {i} lost its escape")))?
-                            .1
-                    } else {
-                        Port::from(stored)
-                    };
-                if port >= deg {
-                    return Err(invalid_data(format!(
-                        "flat route port {port} out of range at {v} (degree {deg})"
-                    )));
-                }
+            let row = self.row_range(v);
+            let fit = Fit::from_word(self.fits.get(v.index()));
+            // One sweep with the row's slices hoisted and the verdicts
+            // accumulated, so the common entry costs no branch. Sorted
+            // rows put the largest source last: one range check after the
+            // sweep covers the row.
+            let (mut prev, mut sorted, mut placed, mut ports_ok) = (-1, true, true, true);
+            let entries = recs[row.start * REC_BYTES..row.end * REC_BYTES]
+                .chunks_exact(REC_BYTES)
+                .zip(ports[2 * row.start..2 * row.end].chunks_exact(2))
+                .zip(&levels[row.clone()]);
+            for (at, ((rec, port), &level)) in entries.enumerate() {
+                let word = rec_word(rec);
+                let (src, est) = (word as u32, (word >> 32) as u32);
+                let stored = u16::from_le_bytes(port.try_into().expect("2 bytes"));
+                sorted &= prev < i64::from(src);
+                prev = i64::from(src);
+                placed &= fit.admits(src, at);
+                let port = if est == EST_ESCAPE || stored == PORT_ESCAPE || level == LEVEL_ESCAPE {
+                    marked += 1;
+                    let i = row.start + at;
+                    self.wide(i)
+                        .ok_or_else(|| invalid_data(format!("flat route {i} lost its escape")))?
+                        .1
+                } else {
+                    Port::from(stored)
+                };
+                ports_ok &= port < deg;
             }
+            let fault = if !sorted {
+                "is not sorted by source"
+            } else if !placed {
+                "has an entry outside the window its fit predicts"
+            } else if prev >= topo.len() as i64 {
+                "has a source out of range"
+            } else if !ports_ok {
+                "has a port at or above the node's degree"
+            } else {
+                continue;
+            };
+            return Err(invalid_data(format!("flat route row of {v} {fault}")));
         }
         if marked != self.wide.len() {
             return Err(invalid_data("flat table escape record without a marker"));
@@ -695,26 +759,28 @@ impl FlatTables {
     }
 }
 
-/// Rows at or below this many entries skip the bucket index entirely:
-/// the whole row fits in a couple of cache lines, and one branchless
-/// [`FlatTables::scan_keys`] sweep is cheaper than the bucket probe's
-/// chain of dependent loads (bucket offsets → shift → bucket pair →
-/// entries). Measured on a compact n = 1024 workload, whose tiny rows
-/// made the bucket index *overhead* dominate PR 4's gains.
+/// Rows at or below this many entries skip the fit: the whole row sits
+/// in a couple of cache lines, and one branchless
+/// [`FlatTables::scan_keys`] sweep of it is cheaper than predicting and
+/// clamping a window first.
 const SMALL_ROW_SCAN: usize = 16;
 
+/// Windows above this many records are binary-searched instead of swept
+/// (see [`FlatTables::search_keys`]): uniform node-id rows need windows
+/// of 1 to a few dozen records; only clustered ids or a row without a
+/// usable fit get here.
+const WIDE_WINDOW: usize = 64;
+
 /// Resolved per-row lookup state for [`FlatTables`]: the CSR start, row
-/// length, bucket index base and shift of one node's row, captured once
-/// by [`FlatTables::cursor`] so a source-grouped batch re-reads none of
-/// it per query.
+/// length and fit of one node's row, captured once by
+/// [`FlatTables::cursor`] so a source-grouped batch re-reads none of it
+/// per query.
 #[derive(Clone, Copy, Debug)]
 pub struct RowCursor<'a> {
     tab: &'a FlatTables,
     row_start: usize,
     row_len: usize,
-    bucket_base: usize,
-    slots: usize,
-    shift: u32,
+    fit: Fit,
 }
 
 impl RowCursor<'_> {
@@ -727,11 +793,11 @@ impl RowCursor<'_> {
     /// Locates source `s` in the cursor's row: `(arena index, hot word)`.
     ///
     /// Small rows take one branchless sweep of the whole row; larger
-    /// rows take the bucket probe — one bucket-offset pair load plus a
-    /// branchless sweep of the (expected ≤ [`BUCKET_RECORDS`]-entry)
-    /// bucket slice. Probe bounds are re-checked: the arena checksum owns
-    /// integrity, and a bucket that still points outside its row answers
-    /// with a miss, never a panic.
+    /// rows take one multiply and the same sweep over the window the
+    /// fit predicts — no load depends on another until the records
+    /// themselves. The window is clamped to the row: the arena checksum
+    /// owns integrity and [`FlatTables::validate`] the fit, and a fit
+    /// that is wrong anyway answers with a miss, never a panic.
     #[inline]
     fn find(&self, s: NodeId) -> Option<(usize, u64)> {
         let key = s.0;
@@ -741,16 +807,14 @@ impl RowCursor<'_> {
             }
             return self.tab.scan_keys(self.row_start, self.row_len, key);
         }
-        let b = key.checked_shr(self.shift).unwrap_or(0) as usize;
-        if b + 1 >= self.slots {
-            return None; // key above every bucket
+        let window = self.fit.window(key, self.row_len);
+        if window.len() > WIDE_WINDOW {
+            return self
+                .tab
+                .search_keys(self.row_start + window.start, window.len(), key);
         }
-        let lo = self.tab.buckets.get(self.bucket_base + b) as usize;
-        let hi = self.tab.buckets.get(self.bucket_base + b + 1) as usize;
-        if lo > hi || hi > self.row_len {
-            return None;
-        }
-        self.tab.scan_keys(self.row_start + lo, hi - lo, key)
+        self.tab
+            .scan_keys(self.row_start + window.start, window.len(), key)
     }
 
     /// Point lookup within the cursor's row (same answers as
@@ -1265,6 +1329,126 @@ mod tests {
         a.swap_with_slice(b);
         assert!(FlatTables::read_from(&mut &bad[..]).is_err());
         assert!(FlatTables::read_from(&mut &buf[..]).is_ok());
+    }
+
+    /// One table per probe class: a small-row sweep, a one-record
+    /// window (dense), a few-record window (quadratic ids), a wide
+    /// window (two distant clusters) and no usable fit (residuals past
+    /// `i16`/`u16`) — the last two binary-searched.
+    fn shaped_tables() -> Vec<RouteTable> {
+        let row = |srcs: &mut dyn Iterator<Item = u32>| {
+            let mut t = RouteTable::default();
+            for s in srcs {
+                let r = RouteInfo {
+                    est: u64::from(s) + 1,
+                    port: s % 3,
+                    level: s % 2,
+                };
+                t.insert(NodeId(s), r);
+            }
+            t
+        };
+        vec![
+            row(&mut (0..10).map(|i| 7 * i)),
+            row(&mut (0..40)),
+            row(&mut (0..100).map(|i| i * i / 8 + i)),
+            row(&mut (0..50).chain((1 << 30)..(1 << 30) + 50)),
+            row(&mut (0..70_000).chain([u32::MAX - 1])),
+        ]
+    }
+
+    fn fit_of(ft: &FlatTables, v: usize) -> Fit {
+        Fit::from_word(ft.fits.get(v))
+    }
+
+    #[test]
+    fn fits_are_measured_per_row() {
+        let ft = FlatTables::from_tables(&shaped_tables());
+        let dense = Fit {
+            mul: 1 << 31,
+            lo: 0,
+            win: 1,
+        };
+        assert_eq!(fit_of(&ft, 1), dense);
+        assert!((2..=WIDE_WINDOW as u16).contains(&fit_of(&ft, 2).win));
+        assert!(fit_of(&ft, 3).win as usize > WIDE_WINDOW);
+        assert_eq!(fit_of(&ft, 4).win, 0, "residuals past u16 leave no fit");
+        assert_eq!(Fit::from_word(u64::MAX).word(), u64::MAX);
+        let negative = Fit {
+            mul: 3,
+            lo: -2,
+            win: 5,
+        };
+        assert_eq!(Fit::from_word(negative.word()), negative);
+        assert_eq!(
+            FlatTables::from_tables(&[RouteTable::default()])
+                .fits
+                .get(0),
+            0
+        );
+    }
+
+    #[test]
+    fn hostile_fits_answer_with_a_miss_or_the_entry_never_a_panic() {
+        // Every row's fit replaced by a hostile word, loaded through
+        // `read_arena` alone (no `validate`): the window is clamped to
+        // the row, so a probe finds the true entry or nothing.
+        let model = shaped_tables();
+        let ft = FlatTables::from_tables(&model);
+        let mut aw = ArenaWriter::new();
+        ft.write_arena(&mut aw);
+        let mut buf = Vec::new();
+        aw.finish(&mut buf).unwrap();
+        let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf)).unwrap();
+        // Sections: starts, recs, ports, levels, fits, escape pair.
+        let sections: Vec<Vec<u8>> = (0..r.sections())
+            .map(|i| r.section(i).unwrap().to_vec())
+            .collect();
+        let fit = |mul, lo, win| Fit { mul, lo, win }.word();
+        let hostile = [
+            0,
+            u64::MAX,
+            fit(0, 0, 1),
+            fit(u32::MAX, 0, 1),
+            fit(u32::MAX, i16::MIN, u16::MAX),
+            fit(1 << 31, i16::MAX, 1),
+            fit(1 << 31, i16::MIN, 1),
+            fit(1 << 31, -1, 1),
+            fit(1 << 31, 0, u16::MAX),
+            fit(1 << 20, 3, 70),
+        ];
+        for (case, word) in hostile.into_iter().enumerate() {
+            let mut aw = ArenaWriter::new();
+            for (i, section) in sections.iter().enumerate() {
+                if i == 4 {
+                    aw.u64s(&vec![word; model.len()]);
+                } else {
+                    aw.section(section);
+                }
+            }
+            let mut buf = Vec::new();
+            aw.finish(&mut buf).unwrap();
+            let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf)).unwrap();
+            let loaded = FlatTables::read_arena(&mut r.cursor()).unwrap();
+            let mut hits = 0usize;
+            for (v, table) in model.iter().enumerate() {
+                let v = NodeId::from_index(v);
+                let keys = table.keys().map(|s| s.0);
+                for s in keys.chain([41, 1 << 29, u32::MAX]).map(NodeId) {
+                    let want = table.get(&s).map(|r| (r.est, r.port));
+                    let got = loaded.get(v, s).map(|e| (e.est, e.port));
+                    assert!(got.is_none() || got == want, "case {case}: ({v}, {s})");
+                    assert_eq!(
+                        loaded.est(v, s),
+                        got.map(|g| g.0),
+                        "case {case}: ({v}, {s})"
+                    );
+                    hits += usize::from(got.is_some());
+                }
+            }
+            // The small row never consults its fit.
+            assert!(hits >= model[0].len(), "case {case}");
+        }
     }
 
     #[test]

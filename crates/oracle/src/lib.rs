@@ -153,8 +153,8 @@ pub struct OracleBuildMetrics {
 /// ([`pde_core::schedule::BatchSchedule`]): an order-preserving
 /// permutation of the query indices, sorted by `(source row, dest key)`,
 /// is executed by [`DistanceOracle::estimate_grouped`] — flat-table
-/// backends resolve per-row metadata (CSR start, bucket index base,
-/// shift) once per equal-source group instead of per query — and the
+/// backends resolve per-row metadata (CSR start, length, fit word) once
+/// per equal-source group instead of per query — and the
 /// answers are scattered back through the permutation. Because each
 /// answer is a pure function of its pair and lands at the index the pair
 /// occupies, the output is **byte-identical for every batch order**
@@ -634,10 +634,10 @@ impl Oracle {
         snapshot::save(self, sink)
     }
 
-    /// Writes the **v3** arena snapshot (on-disk tag 4): one
+    /// Writes the **v3** arena snapshot (on-disk tag 5): one
     /// 8-byte-aligned section directory plus typed sections and a
-    /// trailing checksum, with narrow routing tables and derived query
-    /// state (bucket indexes, RTC long-range tables)
+    /// trailing checksum, with narrow index-free routing tables and
+    /// derived query state (row fits, RTC long-range tables)
     /// stored instead of rebuilt on load. Loading a v3 snapshot is an
     /// order of magnitude faster than v2 (see `oracle::snapshot` module
     /// docs); [`Oracle::load`] accepts both versions.

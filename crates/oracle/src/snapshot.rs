@@ -7,10 +7,12 @@
 //! | 1 | PR-3 hash-table streams | — | rejected (rebuild) |
 //! | 2 | flat-table wire streams ("v2") | [`Oracle::save`] | copying decode |
 //! | 3 | arena container, 16-byte table records | — | rejected (rebuild) |
-//! | 4 | arena container, narrow tables ("v3") | [`Oracle::save_v3`] | zero-copy views, derived state stored |
+//! | 4 | arena container, narrow tables with a stored per-row index | — | rejected (rebuild) |
+//! | 5 | arena container, narrow index-free tables ("v3") | [`Oracle::save_v3`] | zero-copy views, derived state stored |
 //!
 //! The API keeps calling the arena format "v3"; its on-disk tag moved
-//! 3 → 4 when the tables went narrow. A rejected tag surfaces as
+//! 3 → 4 when the tables went narrow and 4 → 5 when their per-row index
+//! became a one-word fit. A rejected tag surfaces as
 //! `InvalidData` wrapping [`congest::wire::SnapshotError::Rebuild`]
 //! (test with [`congest::wire::snapshot_cause`]): snapshots are caches of
 //! a deterministic build, so there is no migration — rebuild and re-save.
@@ -19,7 +21,7 @@
 //!
 //! ```text
 //! magic  "PDOR"            4 bytes
-//! version u16              2 or 4
+//! version u16              2 or 5
 //! backend u8               Backend::tag
 //! pad     u8               arena only (zero) — aligns the arena to 8 bytes
 //! n       u64
@@ -31,13 +33,13 @@
 //!
 //! A **v2** payload is a sequence of length-prefixed wire streams decoded
 //! element by element through `dyn Read`; derived query state (flat-table
-//! bucket indexes, RTC long-range tables) is rebuilt after decoding. A
+//! row fits, RTC long-range tables) is rebuilt after decoding. A
 //! **v3** payload is one [`congest::arena`] container: a section
 //! directory, 8-byte-aligned typed sections, and a trailing checksum.
 //! Loading a v3 snapshot validates the directory and checksum in a single
 //! pass, then hands out *zero-copy views* ([`congest::arena::SharedBytes`]
-//! slices) over the large typed sections — derived state (bucket indexes,
-//! RTC long-range tables) is stored in those sections rather than
+//! slices) over the large typed sections — derived state (row fits, RTC
+//! long-range tables) is stored in those sections rather than
 //! re-derived, which together is where the order of magnitude in
 //! cold-start time comes from (see `README.md`, "Serving").
 //! [`Oracle::load`] auto-detects the version; [`Oracle::load_shared`] is
@@ -46,9 +48,10 @@
 //! The routing tables inside a v3 payload are
 //! [`pde_core::FlatTables`] / [`pde_core::snapshot::FlatLists`] sections
 //! in their narrow form: per table entry an 8-byte hot record
-//! (`src u32 | est u32`), a `u16` port and a `u8` ladder level in cold
-//! side sections, and a bucket-index slot per two records (≈ 13 bytes);
-//! 9 bytes per list entry. A value too wide for its field stores the
+//! (`src u32 | est u32`) and a `u16` port and a `u8` ladder level in
+//! cold side sections (≈ 11 bytes), with no stored index — one fit word
+//! per *row* lets a multiply predict where a source sits in it; 9 bytes
+//! per list entry. A value too wide for its field stores the
 //! all-ones marker and its true value in the table's one escape section
 //! pair. The record format itself is private to `pde_core`'s
 //! `tables.rs` / `snapshot.rs`; a v2 stream decodes to the same tables,
@@ -87,10 +90,11 @@ const MAGIC: &[u8; 4] = b"PDOR";
 /// pointer to rebuild — snapshots are caches of a deterministic build,
 /// not primary data, so there is no in-place migration.
 const VERSION: u16 = 2;
-/// The arena container's version tag (see the module docs): 4 since the
-/// tables went narrow. Tag-3 files carried 16-byte records and are
-/// rejected like tag-1 ones — rebuild and re-save.
-const VERSION_ARENA: u16 = 4;
+/// The arena container's version tag (see the module docs): 5 since the
+/// narrow tables went index-free. Tag-3 files carried 16-byte records
+/// and tag-4 files a stored per-row index; both are rejected like tag-1
+/// ones — rebuild and re-save.
+const VERSION_ARENA: u16 = 5;
 /// Fixed header size: magic + version + backend + 4 × u64 metrics. The
 /// v3 header adds one pad byte after the backend tag, so the arena that
 /// follows starts on an 8-byte boundary.

@@ -43,38 +43,228 @@ fn pair_entries() -> impl Strategy<Value = PairCase> {
 /// One generated route: `(src, est, port, level)`.
 type RouteRow = (u32, u64, u32, u32);
 
+/// How a drawn row's small ids become source keys: the shapes the
+/// per-row interpolation fit has to hold on, from its best case (dense)
+/// to rows no straight line describes (clusters, an outlier).
+#[derive(Clone, Copy, Debug)]
+enum KeyShape {
+    /// The drawn ids themselves: uniform over a small range.
+    Uniform,
+    /// `0..len`.
+    Dense,
+    /// `16·id`.
+    Strided,
+    /// Even ids near 0, odd ids near 2³⁰.
+    Clusters,
+    /// The drawn ids, with the row's first entry moved to `u32::MAX − 1`.
+    Outlier,
+}
+
+impl KeyShape {
+    /// The key of drawn `id` at position `rank` of its row (injective in
+    /// `id` for every shape but `Dense`, which is injective in `rank`).
+    fn key(self, id: u32, rank: usize) -> u32 {
+        match self {
+            KeyShape::Uniform => id,
+            KeyShape::Dense => rank as u32,
+            KeyShape::Strided => 16 * id,
+            KeyShape::Clusters => ((id % 2) << 30) | (id / 2),
+            KeyShape::Outlier if rank == 0 => u32::MAX - 1,
+            KeyShape::Outlier => id,
+        }
+    }
+}
+
 /// Per-node rows of routes. The narrow class is what
 /// the builders produce in the paper's regime (short rows, small
 /// values). The wide class mixes in every way a value can leave its
 /// stored field — `est ≥ 2³²`, `port ≥ 2¹⁶`, `level ≥ 2⁸`, and the
 /// all-ones markers with their predecessors — over rows long enough to
-/// take the bucket probe as well as the small-row scan.
+/// leave the small-row scan, and, in the clustered shapes, the swept
+/// window for the binary search. Every class comes in every key shape.
 fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
-    if !wide {
+    let shape = prop_oneof![
+        Just(KeyShape::Uniform),
+        Just(KeyShape::Dense),
+        Just(KeyShape::Strided),
+        Just(KeyShape::Clusters),
+        Just(KeyShape::Outlier),
+    ];
+    let rows = if !wide {
         let row = proptest::collection::vec(((0u32..30), 0u64..1_000, (0u32..4), (0u32..3)), 0..12);
-        return proptest::collection::vec(row, 1..8).boxed();
+        proptest::collection::vec(row, 1..8).boxed()
+    } else {
+        let est = prop_oneof![
+            0u64..1_000,
+            Just(u64::from(u32::MAX) - 1),
+            Just(u64::from(u32::MAX)),
+            (1u64 << 32)..(1u64 << 41),
+            Just(u64::MAX),
+        ];
+        let port = prop_oneof![
+            0u32..4,
+            Just(u32::from(u16::MAX) - 1),
+            Just(u32::from(u16::MAX)),
+            (1u32 << 16)..(1u32 << 20),
+        ];
+        let level = prop_oneof![
+            0u32..3,
+            Just(u32::from(u8::MAX) - 1),
+            Just(u32::from(u8::MAX)),
+            256u32..100_000,
+        ];
+        let row = proptest::collection::vec(((0u32..400), est, port, level), 0..160);
+        proptest::collection::vec(row, 1..8).boxed()
+    };
+    (rows, shape)
+        .prop_map(|(mut rows, shape)| {
+            for row in &mut rows {
+                for (rank, route) in row.iter_mut().enumerate() {
+                    route.0 = shape.key(route.0, rank);
+                }
+            }
+            rows
+        })
+        .boxed()
+}
+
+/// Flattens `tables` and checks every read path — `get`, `est`,
+/// `cursor`, `row_vec`, `ests_in`, `unflatten` — on the built table and
+/// on its arena reload against the per-node `HashMap` model, probing
+/// every stored key, both its neighbours and `probes`; then that the v2
+/// stream round-trips and the arena reload re-saves byte-identically.
+fn check_against_model(
+    tables: &[Vec<RouteRow>],
+    probes: &[(u32, u32)],
+) -> Result<(), TestCaseError> {
+    let model: Vec<RouteTable> = tables
+        .iter()
+        .map(|rows| {
+            let mut t = RouteTable::default();
+            for &(src, est, port, level) in rows {
+                t.insert(NodeId(src), RouteInfo { est, port, level });
+            }
+            t
+        })
+        .collect();
+    let flat = FlatTables::from_tables(&model);
+    prop_assert_eq!(flat.len_nodes(), model.len());
+
+    // The arena codec hands back the same table, and re-saving the
+    // loaded views is a byte passthrough.
+    let saved = arena_bytes(&flat);
+    let reader = ArenaReader::parse(SharedBytes::from_vec(saved.clone())).unwrap();
+    let mut cursor = reader.cursor();
+    let loaded = FlatTables::read_arena(&mut cursor).unwrap();
+    cursor.expect_end().unwrap();
+    prop_assert_eq!(&flat, &loaded);
+    prop_assert_eq!(&saved, &arena_bytes(&loaded));
+
+    for t in [&flat, &loaded] {
+        let stored = model.iter().enumerate().flat_map(|(v, table)| {
+            table
+                .keys()
+                .flat_map(move |s| [(v as u32, s.0.wrapping_sub(1)), (v as u32, s.0)])
+                .chain(table.keys().map(move |s| (v as u32, s.0.wrapping_add(1))))
+        });
+        for (v, s) in stored.chain(probes.iter().copied()) {
+            let v = NodeId(v % model.len() as u32);
+            let want = model[v.index()].get(&NodeId(s));
+            let got = t.get(v, NodeId(s));
+            prop_assert_eq!(
+                want.map(|r| (r.est, r.port)),
+                got.map(|e| (e.est, e.port)),
+                "({}, {})",
+                v,
+                s
+            );
+            prop_assert_eq!(
+                want.map(|r| r.est),
+                t.est(v, NodeId(s)),
+                "est ({}, {})",
+                v,
+                s
+            );
+            let row = t.cursor(v);
+            prop_assert_eq!(row.get(NodeId(s)), got, "cursor ({}, {})", v, s);
+            prop_assert_eq!(row.est(NodeId(s)), want.map(|r| r.est));
+        }
+        // The cold level array round-trips through unflatten.
+        prop_assert_eq!(&pde_repro::pde_core::tables::unflatten(t), &model);
+        // Rows enumerate exactly the model's entries, sorted by source.
+        for (v, table) in model.iter().enumerate() {
+            let v = NodeId(v as u32);
+            let row = t.row_vec(v);
+            prop_assert_eq!(row.len(), table.len());
+            prop_assert_eq!(t.cursor(v).row_len(), table.len());
+            prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
+            for e in &row {
+                let want = &table[&NodeId(e.src)];
+                prop_assert_eq!((e.est, e.port), (want.est, want.port));
+            }
+            let ests: Vec<u64> = t.ests_in(t.row_range(v)).collect();
+            prop_assert_eq!(ests, row.iter().map(|e| e.est).collect::<Vec<_>>());
+        }
     }
-    let est = prop_oneof![
-        0u64..1_000,
-        Just(u64::from(u32::MAX) - 1),
-        Just(u64::from(u32::MAX)),
-        (1u64 << 32)..(1u64 << 41),
-        Just(u64::MAX),
+    // Byte-identical codec round-trip.
+    let mut buf = Vec::new();
+    flat.write_into(&mut buf).unwrap();
+    let back = FlatTables::read_from(&mut &buf[..]).unwrap();
+    prop_assert_eq!(&flat, &back);
+    let mut buf2 = Vec::new();
+    back.write_into(&mut buf2).unwrap();
+    prop_assert_eq!(buf, buf2);
+    Ok(())
+}
+
+/// `t` as a finished arena container.
+fn arena_bytes(t: &FlatTables) -> Vec<u8> {
+    let mut a = ArenaWriter::new();
+    t.write_arena(&mut a);
+    let mut buf = Vec::new();
+    a.finish(&mut buf).unwrap();
+    buf
+}
+
+/// A row no fit describes: 70 000 consecutive ids and one at the far end
+/// of the key space put the residuals past `u16`, so the row stores
+/// `win = 0` (pinned by `pde_core::tables`' `fits_are_measured_per_row`)
+/// and every probe of it is a whole-row binary search. Escaped values
+/// ride along.
+#[test]
+fn row_without_a_usable_fit_agrees_with_model() {
+    let wide = [
+        (7, 1 << 40, 3, 2),
+        (69_999, 12, 1 << 16, 0),
+        (500, 3, 1, 256),
     ];
-    let port = prop_oneof![
-        0u32..4,
-        Just(u32::from(u16::MAX) - 1),
-        Just(u32::from(u16::MAX)),
-        (1u32 << 16)..(1u32 << 20),
-    ];
-    let level = prop_oneof![
-        0u32..3,
-        Just(u32::from(u8::MAX) - 1),
-        Just(u32::from(u8::MAX)),
-        256u32..100_000,
-    ];
-    let row = proptest::collection::vec(((0u32..120), est, port, level), 0..48);
-    proptest::collection::vec(row, 1..8).boxed()
+    let row: Vec<RouteRow> = (0..70_000)
+        .chain([u32::MAX - 1])
+        .map(|s| (s, u64::from(s % 977), s % 4, s % 3))
+        .chain(wide)
+        .collect();
+    let tables = [row, (0..20).map(|s| (3 * s, 5, 0, 0)).collect()];
+    let probes = [(0, 70_000), (0, 1 << 31), (0, u32::MAX), (1, 70_000)];
+    check_against_model(&tables, &probes).unwrap();
+}
+
+/// The index-free layout's size contract: 8 + 2 + 1 bytes per entry plus
+/// per-row words — an index creeping back in would show here first.
+#[test]
+fn dense_table_costs_at_most_11_1_bytes_per_entry() {
+    let row: RouteTable = (0..1024)
+        .map(|s| {
+            let r = RouteInfo {
+                est: u64::from(s),
+                port: 0,
+                level: 0,
+            };
+            (NodeId(s), r)
+        })
+        .collect();
+    let flat = FlatTables::from_tables(&vec![row; 1024]);
+    let per_entry = arena_bytes(&flat).len() as f64 / flat.len_entries() as f64;
+    assert!(per_entry <= 11.1, "{per_entry} bytes per entry");
 }
 
 proptest! {
@@ -129,74 +319,13 @@ proptest! {
     }
 
     /// Flat per-node route rows agree with the hash tables they were
-    /// flattened from, across hits and misses, narrow and escaped values.
+    /// flattened from, across hits and misses, narrow and escaped values,
+    /// and every key shape.
     #[test]
     fn flat_tables_agree_with_route_table_model(
         tables in prop_oneof![route_rows(false), route_rows(true)],
-        probes in proptest::collection::vec(((0u32..10), (0u32..130)), 60),
+        probes in proptest::collection::vec(((0u32..10), (0u32..6_500)), 60),
     ) {
-        let model: Vec<RouteTable> = tables
-            .iter()
-            .map(|rows| {
-                let mut t = RouteTable::default();
-                for &(src, est, port, level) in rows {
-                    t.insert(NodeId(src), RouteInfo { est, port, level });
-                }
-                t
-            })
-            .collect();
-        let flat = FlatTables::from_tables(&model);
-        prop_assert_eq!(flat.len_nodes(), model.len());
-
-        // The arena codec hands back the same table, and re-saving the
-        // loaded views is a byte passthrough.
-        let arena_bytes = |t: &FlatTables| {
-            let mut a = ArenaWriter::new();
-            t.write_arena(&mut a);
-            let mut buf = Vec::new();
-            a.finish(&mut buf).unwrap();
-            buf
-        };
-        let saved = arena_bytes(&flat);
-        let reader = ArenaReader::parse(SharedBytes::from_vec(saved.clone())).unwrap();
-        let mut cursor = reader.cursor();
-        let loaded = FlatTables::read_arena(&mut cursor).unwrap();
-        cursor.expect_end().unwrap();
-        prop_assert_eq!(&flat, &loaded);
-        prop_assert_eq!(&saved, &arena_bytes(&loaded));
-
-        for t in [&flat, &loaded] {
-            for &(v, s) in &probes {
-                let v = NodeId(v % model.len() as u32);
-                let want = model[v.index()].get(&NodeId(s));
-                let got = t.get(v, NodeId(s));
-                prop_assert_eq!(want.map(|r| (r.est, r.port)),
-                    got.map(|e| (e.est, e.port)), "({}, {})", v, s);
-                prop_assert_eq!(want.map(|r| r.est), t.est(v, NodeId(s)), "est ({}, {})", v, s);
-            }
-            // The cold level array round-trips through unflatten.
-            prop_assert_eq!(pde_repro::pde_core::tables::unflatten(t), model.clone());
-            // Rows enumerate exactly the model's entries, sorted by source.
-            for (v, table) in model.iter().enumerate() {
-                let v = NodeId(v as u32);
-                let row = t.row_vec(v);
-                prop_assert_eq!(row.len(), table.len());
-                prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
-                for e in &row {
-                    let want = &table[&NodeId(e.src)];
-                    prop_assert_eq!((e.est, e.port), (want.est, want.port));
-                }
-                let ests: Vec<u64> = t.ests_in(t.row_range(v)).collect();
-                prop_assert_eq!(ests, row.iter().map(|e| e.est).collect::<Vec<_>>());
-            }
-        }
-        // Byte-identical codec round-trip.
-        let mut buf = Vec::new();
-        flat.write_into(&mut buf).unwrap();
-        let back = FlatTables::read_from(&mut &buf[..]).unwrap();
-        prop_assert_eq!(&flat, &back);
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        prop_assert_eq!(buf, buf2);
+        check_against_model(&tables, &probes)?;
     }
 }

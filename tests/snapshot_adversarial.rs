@@ -3,15 +3,18 @@
 //! [`SnapshotError::Truncated`](pde_repro::congest::wire::SnapshotError)
 //! for short streams — and never panic or request absurd allocations.
 //! Arenas whose checksum was recomputed *after* the damage get no help
-//! from it: each hostile table section must still be a typed error or a
-//! bounds-checked miss. Files in a retired layout are typed
+//! from it: each hostile table section — a row fit that does not cover
+//! its row included — must still be a typed error (the probe-side clamp
+//! behind it, a miss and never a panic for a table that skipped
+//! `validate`, is pinned by `pde_core::tables`' unit tests). Files in a
+//! retired layout are typed
 //! [`SnapshotError::Rebuild`](pde_repro::congest::wire::SnapshotError).
 
 use pde_repro::congest::arena::ArenaWriter;
 use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
-use pde_repro::graphs::{NodeId, Seed, WGraph, INF};
-use pde_repro::oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
+use pde_repro::graphs::{Seed, WGraph};
+use pde_repro::oracle::{Backend, Oracle, OracleBuilder};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
 
 fn graph(seed: u64) -> WGraph {
@@ -157,11 +160,10 @@ fn reassemble(v3: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
 
 // A PDE arena ends with its one `FlatTables`: these are the table's
 // sections, counted back from the end of the directory.
-const STARTS: usize = 9;
-const RECS: usize = 8;
-const PORTS: usize = 7;
-const LEVELS: usize = 6;
-const BUCKETS: usize = 5;
+const STARTS: usize = 7;
+const RECS: usize = 6;
+const PORTS: usize = 5;
+const LEVELS: usize = 4;
 const ESC_IDX: usize = 2;
 const ESC_VALS: usize = 1;
 
@@ -175,19 +177,19 @@ fn get_u32(section: &[u8], i: usize) -> u32 {
 
 #[test]
 fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
-    // 40-entry rows take the bucket probe; the heavy twin (weights ≈ 2⁴⁰)
-    // puts every entry in the escape sections.
+    // 40-entry rows probe through their fit; the heavy twin (weights ≈
+    // 2⁴⁰) puts every entry in the escape sections.
     let pde_v3 = |weights: Weights| {
         let mut rng = Seed(31).rng();
         let g = gen::gnp_connected(40, 0.15, weights, &mut rng);
         let oracle = OracleBuilder::new(Backend::Pde).seed(5).build(&g);
         let mut v3 = Vec::new();
         oracle.save_v3(&mut v3).unwrap();
-        (oracle, v3)
+        v3
     };
-    let (oracle, light) = pde_v3(Weights::Uniform { lo: 1, hi: 9 });
+    let light = pde_v3(Weights::Uniform { lo: 1, hi: 9 });
     let lo = 1u64 << 40;
-    let (_, heavy) = pde_v3(Weights::Uniform { lo, hi: lo + 9 });
+    let heavy = pde_v3(Weights::Uniform { lo, hi: lo + 9 });
     assert_eq!(reassemble(&light, &arena_sections(&light)), light);
     let hostile = |base: &[u8], mutate: &dyn Fn(&mut [Vec<u8>], usize)| {
         let mut sections = arena_sections(base);
@@ -211,33 +213,14 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         "heavy weights did not take the escape"
     );
 
-    // Bucket offsets past their rows (one slot, then every slot): the
-    // index is not swept at load, so the probe itself must stay in its
-    // row — the original answer or a miss, nothing else.
-    for every in [false, true] {
-        let loaded = hostile(&light, &|s, end| {
-            let buckets = &mut s[end - BUCKETS];
-            let slots = if every { buckets.len() / 4 } else { 1 };
-            for slot in 0..slots {
-                put_u32(buckets, slot, u32::MAX - (slots - slot) as u32);
-            }
-        })
-        .expect("bucket slots are bounds-checked per probe, not at load");
-        let mut misses = 0;
-        for u in (0..40).map(NodeId) {
-            for v in (0..40).map(NodeId) {
-                let (want, got) = (oracle.estimate(u, v), loaded.estimate(u, v));
-                assert!(got == want || got == INF, "({u},{v}): {got} is out of row");
-                let hop = loaded.next_hop(u, v);
-                assert!(hop == oracle.next_hop(u, v) || hop.is_none(), "({u},{v})");
-                misses += usize::from(got != want);
-            }
-        }
-        assert!(misses > 0, "the hostile slots were never probed");
-    }
-
     rejected("row offset past the arena", &light, &|s, end| {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
+    });
+    rejected("row out of source order", &light, &|s, end| {
+        let recs = &mut s[end - RECS];
+        let (a, b) = (get_u32(recs, 0), get_u32(recs, 2));
+        put_u32(recs, 0, b);
+        put_u32(recs, 2, a);
     });
     rejected(
         "estimate marker without an escape record",
@@ -300,13 +283,90 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     }
 }
 
+/// Directory positions of the fit section of every `FlatTables` in the
+/// arena of an `n`-node oracle, found by shape: `n + 1` row offsets
+/// ending at the entry count `e`, then `8e`, `2e` and `e` bytes of
+/// records, ports and levels, then `n` fit words.
+fn fit_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
+    (4..sections.len())
+        .filter(|&at| {
+            let len = |back: usize| sections[at - back].len();
+            len(4) == 4 * (n + 1) && len(0) == 8 * n && {
+                let e = get_u32(&sections[at - 4], n) as usize;
+                e > 0 && len(3) == 8 * e && len(2) == 2 * e && len(1) == e
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn well_checksummed_hostile_fits_are_typed_errors() {
+    // A fit that does not cover its row would turn stored entries into
+    // silent misses, so `validate` re-proves every entry's window on
+    // every load — for every backend that embeds a `FlatTables`.
+    let n = 40;
+    let mut rng = Seed(31).rng();
+    let g = gen::gnp_connected(n, 0.15, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
+    let mut shrunk = 0;
+    for backend in [
+        Backend::Pde,
+        Backend::ApproxApsp,
+        Backend::Rtc,
+        Backend::Compact,
+        Backend::Truncated,
+    ] {
+        let oracle = OracleBuilder::new(backend).seed(5).k(2).build(&g);
+        let mut v3 = Vec::new();
+        oracle.save_v3(&mut v3).unwrap();
+        let sections = arena_sections(&v3);
+        let tables = fit_sections(&sections, n);
+        assert!(!tables.is_empty(), "{backend}: no flat table found");
+        for at in tables {
+            let fit = |v: usize| {
+                let word = sections[at][8 * v..8 * v + 8].try_into().unwrap();
+                u64::from_le_bytes(word)
+            };
+            // The row with the widest window (`mul u32 | lo i16 | win
+            // u16`). Full-coverage rows are dense: their window is one
+            // record already, and there is nothing to shrink.
+            let row = (0..n).max_by_key(|&v| fit(v) >> 48).unwrap();
+            let (mul, lo, win) = (fit(row) as u32, (fit(row) >> 32) as u16, fit(row) >> 48);
+            let mut cases = vec![
+                ("lo shifted", mul, lo.wrapping_add(1), win),
+                ("mul zeroed", 0, lo, win),
+                ("mul all ones", u32::MAX, lo, win),
+            ];
+            if win > 1 {
+                cases.push(("win shrunk to 1", mul, lo, 1));
+                shrunk += 1;
+            }
+            for (what, mul, lo, win) in cases {
+                let word = u64::from(mul) | u64::from(lo) << 32 | win << 48;
+                let mut hostile = sections.clone();
+                hostile[at][8 * row..8 * row + 8].copy_from_slice(&word.to_le_bytes());
+                let err = match Oracle::load_bytes(&reassemble(&v3, &hostile)) {
+                    Err(e) => e,
+                    Ok(_) => panic!("{backend}, fits at {at}, row {row}: {what}: accepted"),
+                };
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{backend}: {what}: {err}"
+                );
+            }
+        }
+    }
+    assert!(shrunk > 0, "no table had a window to shrink");
+}
+
 #[test]
 fn retired_layouts_are_typed_rebuild_errors() {
-    // Tag 1 (hash-table streams) and tag 3 (the arena with 16-byte
-    // records) name layouts this binary does not read; both must say
-    // "rebuild", typed, whatever follows the header.
+    // Tag 1 (hash-table streams), tag 3 (the arena with 16-byte records)
+    // and tag 4 (narrow tables with a stored per-row index) name layouts
+    // this binary does not read; all must say "rebuild", typed, whatever
+    // follows the header.
     let (_, v3) = snapshots(Backend::Pde);
-    for tag in [1u16, 3] {
+    for tag in [1u16, 3, 4] {
         let mut old = v3.clone();
         old[4..6].copy_from_slice(&tag.to_le_bytes());
         for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
@@ -322,7 +382,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-3 snapshots:
+    // A checkpoint left behind by a binary that wrote tag-4 snapshots:
     // recovery surfaces the same typed error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -335,8 +395,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let mut bytes = std::fs::read(&ckpt).unwrap();
     let at = bytes.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(bytes[at + 4..at + 6], 4u16.to_le_bytes());
-    bytes[at + 4..at + 6].copy_from_slice(&3u16.to_le_bytes());
+    assert_eq!(bytes[at + 4..at + 6], 5u16.to_le_bytes());
+    bytes[at + 4..at + 6].copy_from_slice(&4u16.to_le_bytes());
     std::fs::write(&ckpt, bytes).unwrap();
     let err = match DynamicOracle::recover(&OracleServer::new(), "old", builder, &dir) {
         Err(PersistError::Io(e)) => e,
@@ -345,7 +405,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     assert_eq!(
         snapshot_cause(&err),
-        Some(SnapshotError::Rebuild { version: 3 })
+        Some(SnapshotError::Rebuild { version: 4 })
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
