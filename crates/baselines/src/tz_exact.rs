@@ -120,131 +120,9 @@ impl ExactTz {
         self.next[x.index() * self.n + t.index()]
     }
 
-    /// Serializes the hierarchy's full query state (snapshot wire format;
-    /// see `congest::wire`). Reloaded schemes answer queries
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
-        use congest::wire::WireWriter;
-        let mut w = WireWriter::new(sink);
-        w.usize(self.n)?;
-        w.u32(self.k)?;
-        self.exact.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.len(self.pivots.len())?;
-        for level in &self.pivots {
-            w.len(level.len())?;
-            for &(s, d) in level {
-                w.u32(s.0)?;
-                w.u64(d)?;
-            }
-        }
-        let mut w = WireWriter::new(sink);
-        w.len(self.trees.len())?;
-        for set in &self.trees {
-            set.write_into(sink)?;
-        }
-        let mut w = WireWriter::new(sink);
-        w.len(self.bunch_sizes.len())?;
-        for &b in &self.bunch_sizes {
-            w.usize(b)?;
-        }
-        for &nx in &self.next {
-            w.u32(nx.map_or(u32::MAX, |v| v.0))?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a hierarchy written by [`ExactTz::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn std::io::Read) -> std::io::Result<Self> {
-        use congest::wire::{clamped_capacity, invalid_data, WireReader, MAX_SNAPSHOT_NODES};
-        let mut r = WireReader::new(source);
-        let n = r.usize()?;
-        if n > MAX_SNAPSHOT_NODES {
-            return Err(invalid_data(format!("ExactTz snapshot claims {n} nodes")));
-        }
-        let k = r.u32()?;
-        if k == 0 {
-            return Err(invalid_data("ExactTz snapshot with k = 0"));
-        }
-        let exact = Apsp::read_from(source)?;
-        if exact.len() != n {
-            return Err(invalid_data("ExactTz APSP size mismatch"));
-        }
-        // Shape checks: queries index pivots[l-1][v] for l in 1..k and
-        // the n×n first-hop matrix, so every level must cover all n
-        // nodes — a short table must fail here, not at query time.
-        let mut r = WireReader::new(source);
-        let np = r.len(n)?;
-        if np != (k - 1) as usize {
-            return Err(invalid_data("ExactTz pivot level count mismatch"));
-        }
-        let mut pivots = Vec::with_capacity(clamped_capacity(np));
-        for _ in 0..np {
-            let len = r.len(n)?;
-            if len != n {
-                return Err(invalid_data("ExactTz pivot level shorter than n"));
-            }
-            let mut level = Vec::with_capacity(clamped_capacity(len));
-            for _ in 0..len {
-                let s = NodeId(r.u32()?);
-                let d = r.u64()?;
-                level.push((s, d));
-            }
-            pivots.push(level);
-        }
-        let nt = r.len(n)?;
-        if nt != np {
-            return Err(invalid_data("ExactTz tree set count mismatch"));
-        }
-        let mut trees = Vec::with_capacity(clamped_capacity(nt));
-        for _ in 0..nt {
-            trees.push(TreeSet::read_from(source)?);
-        }
-        let mut r = WireReader::new(source);
-        let nb = r.len(n)?;
-        if nb != n {
-            return Err(invalid_data("ExactTz bunch table shorter than n"));
-        }
-        let mut bunch_sizes = Vec::with_capacity(clamped_capacity(nb));
-        for _ in 0..nb {
-            bunch_sizes.push(r.usize()?);
-        }
-        let cells = n
-            .checked_mul(n)
-            .ok_or_else(|| invalid_data("ExactTz size overflow"))?;
-        let mut next = Vec::with_capacity(clamped_capacity(cells));
-        for _ in 0..cells {
-            let raw = r.u32()?;
-            next.push(if raw == u32::MAX {
-                None
-            } else if (raw as usize) < n {
-                Some(NodeId(raw))
-            } else {
-                return Err(invalid_data(format!("first hop {raw} out of range")));
-            });
-        }
-        Ok(ExactTz {
-            n,
-            k,
-            exact,
-            pivots,
-            trees,
-            bunch_sizes,
-            next,
-        })
-    }
-
-    /// Emits the hierarchy into a v3 arena: `[n, k]` meta, the APSP
+    /// Emits the hierarchy into an arena: `[n, k]` meta, the APSP
     /// matrices and the first-hop matrix as typed sections, pivots as
-    /// flat per-level arrays, trees as an embedded v2 stream.
+    /// flat per-level arrays, trees as an embedded wire stream.
     ///
     /// # Errors
     ///
@@ -283,8 +161,10 @@ impl ExactTz {
         Ok(())
     }
 
-    /// Reads what [`ExactTz::write_arena`] wrote, with the same shape
-    /// and range checks as [`ExactTz::read_from`].
+    /// Reads what [`ExactTz::write_arena`] wrote. Queries index
+    /// `pivots[l-1][v]` for `l` in `1..k` and the `n × n` first-hop
+    /// matrix, so every level must cover all `n` nodes — a short table
+    /// fails here, not at query time.
     ///
     /// # Errors
     ///
@@ -486,9 +366,17 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = gen::gnp_connected(22, 0.2, Weights::Uniform { lo: 1, hi: 25 }, &mut rng);
         let scheme = ExactTz::new(&g, 3, 8);
-        let mut buf = Vec::new();
-        scheme.write_into(&mut buf).unwrap();
-        let back = ExactTz::read_from(&mut &buf[..]).unwrap();
+        let save = |scheme: &ExactTz| {
+            let mut a = congest::arena::ArenaWriter::new();
+            scheme.write_arena(&mut a).unwrap();
+            let mut buf = Vec::new();
+            a.finish(&mut buf).unwrap();
+            buf
+        };
+        let buf = save(&scheme);
+        let bytes = congest::arena::SharedBytes::from_vec(buf.clone());
+        let reader = congest::arena::ArenaReader::parse(bytes).unwrap();
+        let back = ExactTz::read_arena(&mut reader.cursor()).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(scheme.estimate(u, v), back.estimate(u, v), "({u},{v})");
@@ -497,9 +385,7 @@ mod tests {
             assert_eq!(scheme.label_bits(u), back.label_bits(u));
             assert_eq!(scheme.table_entries(u), back.table_entries(u));
         }
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
+        assert_eq!(buf, save(&back));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::Instant;
 const BUILD_RUNS: usize = 3;
 
 /// Builds every backend on G(n, p) and reports the unified-API metrics:
-/// wall-clock build time (median of [`BUILD_RUNS`] builds, so warmup
+/// wall-clock build time (median of `BUILD_RUNS` builds, so warmup
 /// noise stays out of the recorded numbers), CONGEST rounds charged,
 /// `save` artifact size, estimate-stretch percentiles from the
 /// oracle-generic evaluator, routed coverage, and measured

@@ -1,47 +1,23 @@
 //! Binary snapshot codecs for the compact hierarchies (Theorems 4.8 and
-//! 4.13), using the handwritten little-endian framing of
-//! [`congest::wire`].
+//! 4.13): [`congest::arena`] sections, with the handwritten little-endian
+//! framing of [`congest::wire`] for the small embedded streams.
 //!
-//! **Record version 2** (the flat-table layout): route archives are
-//! serialized as [`FlatTables`] CSR rows and the truncated upper-level
-//! maps as [`PairTable`]s — both written *as stored* (rows are sorted by
-//! construction), so reload → re-save is byte-identical and reloaded
-//! schemes answer queries bit-identically to the originals. Version-1
-//! streams (PR 3's hash-table layout, which carried no version tag) are
-//! rejected with `InvalidData`; rebuild the scheme and re-save. Build
-//! metrics are persisted in summary form (round/message totals and
-//! per-stage breakdowns); bounded per-round histories are not.
+//! Route archives are serialized as [`FlatTables`] CSR rows and the
+//! truncated upper-level maps as [`PairTable`]s — both written *as
+//! stored* (rows are sorted by construction), so reload → re-save is
+//! byte-identical and reloaded schemes answer queries bit-identically to
+//! the originals. Build metrics are persisted in summary form
+//! (round/message totals and per-stage breakdowns); bounded per-round
+//! histories are not.
 
 use crate::hierarchy::{CompactBuildMetrics, CompactLabel, CompactScheme};
 use crate::truncated::{TruncLabel, TruncatedMetrics, TruncatedScheme, UpperPivot};
-use congest::wire::{check_record_version, clamped_capacity, invalid_data, WireReader, WireWriter};
+use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
 use congest::{Metrics, NodeId, Topology};
 use graphs::{DenseIndex, WGraph};
 use pde_core::{FlatTables, PairTable};
 use std::io::{self, Read, Write};
 use treeroute::TreeSet;
-
-/// Version of the scheme records this codec writes (see module docs).
-pub const COMPACT_RECORD_VERSION: u16 = 2;
-
-fn write_flat_runs(sink: &mut dyn Write, runs: &[FlatTables]) -> io::Result<()> {
-    WireWriter::new(sink).len(runs.len())?;
-    for run in runs {
-        run.write_into(sink)?;
-    }
-    Ok(())
-}
-
-fn read_flat_runs(source: &mut dyn Read, topo: &Topology) -> io::Result<Vec<FlatTables>> {
-    let count = WireReader::new(source).len64(congest::wire::MAX_SEQ_LEN)?;
-    let mut runs = Vec::with_capacity(clamped_capacity(count));
-    for _ in 0..count {
-        let run = FlatTables::read_from(source)?;
-        run.validate(topo)?;
-        runs.push(run);
-    }
-    Ok(runs)
-}
 
 fn write_tree_sets(sink: &mut dyn Write, sets: &[TreeSet]) -> io::Result<()> {
     WireWriter::new(sink).len(sets.len())?;
@@ -78,181 +54,17 @@ fn read_u64_seq(r: &mut WireReader<'_>) -> io::Result<Vec<u64>> {
 }
 
 impl CompactScheme {
-    /// Serializes the hierarchy's full query state (record version 2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, false)
-    }
-
-    /// [`CompactScheme::write_into`] with the volatile measurement fields
-    /// (round/message totals) written as zeros — the canonical artifact
-    /// form shared by simulated and native builds (deterministic fields
-    /// such as level sizes, horizons, σ and sampling attempts are kept;
-    /// they are identical across modes). Stays loadable by
-    /// [`CompactScheme::read_from`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_canonical_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, true)
-    }
-
-    fn write_into_opts(&self, sink: &mut dyn Write, canonical: bool) -> io::Result<()> {
-        WireWriter::new(sink).u16(COMPACT_RECORD_VERSION)?;
-        self.topo.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.u32(self.k)?;
-        w.len(self.levels.len())?;
-        for &l in &self.levels {
-            w.u32(l)?;
-        }
-        w.len(self.bunch_sizes.len())?;
-        for &b in &self.bunch_sizes {
-            w.usize(b)?;
-        }
-        w.len(self.labels.len())?;
-        for label in &self.labels {
-            w.u32(label.id.0)?;
-            w.len(label.pivots.len())?;
-            for &(s, d, f) in &label.pivots {
-                w.u32(s.0)?;
-                w.u64(d)?;
-                w.u64(f)?;
-            }
-        }
-        write_flat_runs(sink, &self.routes)?;
-        write_tree_sets(sink, &self.trees)?;
-        let mut w = WireWriter::new(sink);
-        let mt = &self.metrics;
-        let zero = |x: u64| if canonical { 0 } else { x };
-        w.u64(zero(mt.total_rounds))?;
-        if canonical {
-            write_u64_seq(&mut w, &vec![0u64; mt.per_level_rounds.len()])?;
-        } else {
-            write_u64_seq(&mut w, &mt.per_level_rounds)?;
-        }
-        w.u64(zero(mt.tree_label_rounds))?;
-        w.u64(zero(mt.total.rounds))?;
-        w.u64(zero(mt.total.messages))?;
-        w.len(mt.level_sizes.len())?;
-        for &s in &mt.level_sizes {
-            w.usize(s)?;
-        }
-        w.u32(mt.sample_attempts)?;
-        write_u64_seq(&mut w, &mt.horizons)?;
-        w.usize(mt.sigma)?;
-        Ok(())
-    }
-
-    /// Deserializes a hierarchy written by [`CompactScheme::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes or an unsupported record
-    /// version.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        check_record_version(source, COMPACT_RECORD_VERSION, "compact scheme")?;
-        let topo = Topology::read_from(source)?;
-        let n = topo.len();
-        let mut r = WireReader::new(source);
-        let k = r.u32()?;
-        if k == 0 {
-            return Err(invalid_data("compact snapshot with k = 0"));
-        }
-        // Shape checks: queries index levels[v], routes[l] row v,
-        // labels[v].pivots[l-1] and trees[l-1], so all per-node tables
-        // must cover every node and all per-level tables every level —
-        // a short table must fail here, not at query time.
-        let num_levels = r.len(n)?;
-        if num_levels != n {
-            return Err(invalid_data("compact level table shorter than n"));
-        }
-        let mut levels = Vec::with_capacity(clamped_capacity(num_levels));
-        for _ in 0..num_levels {
-            levels.push(r.u32()?);
-        }
-        let nb = r.len(n)?;
-        if nb != n {
-            return Err(invalid_data("compact bunch table shorter than n"));
-        }
-        let mut bunch_sizes = Vec::with_capacity(clamped_capacity(nb));
-        for _ in 0..nb {
-            bunch_sizes.push(r.usize()?);
-        }
-        let nl = r.len(n)?;
-        if nl != n {
-            return Err(invalid_data("compact label table shorter than n"));
-        }
-        let mut labels = Vec::with_capacity(clamped_capacity(nl));
-        for _ in 0..nl {
-            let id = NodeId(r.u32()?);
-            let np = r.len(n)?;
-            if np != (k - 1) as usize {
-                return Err(invalid_data("compact label pivot count mismatch"));
-            }
-            let mut pivots = Vec::with_capacity(clamped_capacity(np));
-            for _ in 0..np {
-                let s = NodeId(r.u32()?);
-                let d = r.u64()?;
-                let f = r.u64()?;
-                pivots.push((s, d, f));
-            }
-            labels.push(CompactLabel { id, pivots });
-        }
-        let routes = read_flat_runs(source, &topo)?;
-        if routes.len() != k as usize {
-            return Err(invalid_data("compact route run shape mismatch"));
-        }
-        let trees = read_tree_sets(source)?;
-        if trees.len() != (k - 1) as usize {
-            return Err(invalid_data("compact tree set count mismatch"));
-        }
-        let mut r = WireReader::new(source);
-        let total_rounds = r.u64()?;
-        let per_level_rounds = read_u64_seq(&mut r)?;
-        let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
-        let ns = r.len(n)?;
-        let mut level_sizes = Vec::with_capacity(clamped_capacity(ns));
-        for _ in 0..ns {
-            level_sizes.push(r.usize()?);
-        }
-        let sample_attempts = r.u32()?;
-        let horizons = read_u64_seq(&mut r)?;
-        let sigma = r.usize()?;
-        Ok(CompactScheme {
-            topo,
-            k,
-            levels,
-            routes,
-            bunch_sizes,
-            trees,
-            labels,
-            metrics: CompactBuildMetrics {
-                total_rounds,
-                per_level_rounds,
-                tree_label_rounds,
-                total,
-                level_sizes,
-                sample_attempts,
-                horizons,
-                sigma,
-                stages: Default::default(),
-            },
-        })
-    }
-}
-
-impl CompactScheme {
-    /// Emits the hierarchy into a v3 arena: per-level route archives and
+    /// Emits the hierarchy into an arena: per-level route archives and
     /// per-node arrays as typed sections, detection trees and metrics as
-    /// embedded v2 streams.
+    /// embedded wire streams. With `canonical` set, the volatile
+    /// measurement fields (round/message totals) are written as zeros —
+    /// the artifact form shared by simulated and native builds
+    /// (deterministic fields such as level sizes, horizons, σ and
+    /// sampling attempts are kept; they are identical across modes).
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from the embedded stream writers.
     pub fn write_arena(
         &self,
         a: &mut congest::arena::ArenaWriter,
@@ -310,8 +122,11 @@ impl CompactScheme {
         })
     }
 
-    /// Reads what [`CompactScheme::write_arena`] wrote, with the same
-    /// shape checks as the v2 reader.
+    /// Reads what [`CompactScheme::write_arena`] wrote. Queries index
+    /// `levels[v]`, `routes[l]` row `v`, `labels[v].pivots[l-1]` and
+    /// `trees[l-1]`, so all per-node tables must cover every node and all
+    /// per-level tables every level — a short table fails here, not at
+    /// query time.
     ///
     /// # Errors
     ///
@@ -406,264 +221,16 @@ impl CompactScheme {
 }
 
 impl TruncatedScheme {
-    /// Serializes the truncated scheme's full query state (record
-    /// version 2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, false)
-    }
-
-    /// [`TruncatedScheme::write_into`] with the volatile measurement
-    /// fields (round/message totals) written as zeros — the canonical
-    /// artifact form shared by simulated and native builds. Stays
-    /// loadable by [`TruncatedScheme::read_from`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_canonical_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, true)
-    }
-
-    fn write_into_opts(&self, sink: &mut dyn Write, canonical: bool) -> io::Result<()> {
-        WireWriter::new(sink).u16(COMPACT_RECORD_VERSION)?;
-        self.topo.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.u32(self.l0)?;
-        w.len(self.skel_ids.len())?;
-        for &s in &self.skel_ids {
-            w.u32(s.0)?;
-        }
-        write_flat_runs(sink, &self.lower_routes)?;
-        self.base_routes.write_into(sink)?;
-        self.gt_graph.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.len(self.upper_est.len())?;
-        for table in &self.upper_est {
-            table.write_into(sink)?;
-        }
-        let mut w = WireWriter::new(sink);
-        w.len(self.upper_next.len())?;
-        for table in &self.upper_next {
-            table.write_into(sink)?;
-        }
-        write_tree_sets(sink, &self.lower_trees)?;
-        self.base_trees.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.len(self.labels.len())?;
-        for label in &self.labels {
-            w.u32(label.id.0)?;
-            w.len(label.lower.len())?;
-            for &(s, d, f) in &label.lower {
-                w.u32(s.0)?;
-                w.u64(d)?;
-                w.u64(f)?;
-            }
-            w.len(label.upper.len())?;
-            for up in &label.upper {
-                w.u32(up.pivot.0)?;
-                w.u64(up.est)?;
-                w.u32(up.t_star.0)?;
-                w.u64(up.est_base)?;
-                w.u64(up.base_dfs)?;
-            }
-        }
-        w.len(self.bunch_sizes.len())?;
-        for &b in &self.bunch_sizes {
-            w.usize(b)?;
-        }
-        let mt = &self.metrics;
-        let zero = |x: u64| if canonical { 0 } else { x };
-        w.u64(zero(mt.total_rounds))?;
-        w.u64(zero(mt.lower_rounds))?;
-        w.u64(zero(mt.base_rounds))?;
-        w.u64(zero(mt.upper_rounds))?;
-        w.u64(zero(mt.tree_label_rounds))?;
-        w.u64(zero(mt.total.rounds))?;
-        w.u64(zero(mt.total.messages))?;
-        w.usize(mt.skeleton_size)?;
-        w.usize(mt.gt_edges)?;
-        Ok(())
-    }
-
-    /// Deserializes a scheme written by [`TruncatedScheme::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes or an unsupported record
-    /// version.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        check_record_version(source, COMPACT_RECORD_VERSION, "truncated scheme")?;
-        let topo = Topology::read_from(source)?;
-        let n = topo.len();
-        let mut r = WireReader::new(source);
-        let l0 = r.u32()?;
-        if l0 == 0 {
-            return Err(invalid_data("truncated snapshot with l0 = 0"));
-        }
-        let m = r.len(n)?;
-        let mut skel_ids = Vec::with_capacity(clamped_capacity(m));
-        let mut seen = vec![false; n];
-        for _ in 0..m {
-            let id = NodeId(r.u32()?);
-            if id.index() >= n {
-                return Err(invalid_data("skeleton id out of range"));
-            }
-            // Duplicates would panic in DenseIndex::new below; corrupted
-            // bytes must come back as InvalidData, never an abort.
-            if std::mem::replace(&mut seen[id.index()], true) {
-                return Err(invalid_data("duplicate skeleton id"));
-            }
-            skel_ids.push(id);
-        }
-        let skel_index = DenseIndex::new(n, &skel_ids);
-        // Shape checks mirror the query paths: lower_routes[l] for
-        // l < l0, base_routes rows, labels[v] with l0−1 lower and
-        // |upper_est| upper records — short tables fail here, not at
-        // query time.
-        let lower_routes = read_flat_runs(source, &topo)?;
-        if lower_routes.len() != l0 as usize {
-            return Err(invalid_data("truncated lower route shape mismatch"));
-        }
-        let base_routes = FlatTables::read_from(source)?;
-        base_routes.validate(&topo)?;
-        let gt_graph = WGraph::read_from(source)?;
-        if gt_graph.len() != m.max(1) {
-            return Err(invalid_data("truncated skeleton graph size mismatch"));
-        }
-        let read_pair_tables =
-            |source: &mut dyn Read, check_next: bool| -> io::Result<Vec<PairTable>> {
-                let count = WireReader::new(source).len64(congest::wire::MAX_SEQ_LEN)?;
-                let mut tables = Vec::with_capacity(clamped_capacity(count));
-                for _ in 0..count {
-                    let t = PairTable::read_from(source)?;
-                    if t.k() != m.max(1) {
-                        return Err(invalid_data("pair table side length mismatch"));
-                    }
-                    if check_next {
-                        // Next-hop values are skeleton indices; an out-of-range
-                        // one would panic at query time, not load time.
-                        for (_, _, v) in t.iter() {
-                            if v >= m.max(1) as u64 {
-                                return Err(invalid_data("upper_next index out of range"));
-                            }
-                        }
-                    }
-                    tables.push(t);
-                }
-                Ok(tables)
-            };
-        let upper_est = read_pair_tables(source, false)?;
-        let upper_next = read_pair_tables(source, true)?;
-        if upper_next.len() != upper_est.len() {
-            return Err(invalid_data("truncated upper map count mismatch"));
-        }
-        let ne = upper_est.len();
-        let lower_trees = read_tree_sets(source)?;
-        if lower_trees.len() != (l0 - 1) as usize {
-            return Err(invalid_data("truncated lower tree count mismatch"));
-        }
-        let base_trees = TreeSet::read_from(source)?;
-        let mut r = WireReader::new(source);
-        let nl = r.len(n)?;
-        if nl != n {
-            return Err(invalid_data("truncated label table shorter than n"));
-        }
-        let mut labels = Vec::with_capacity(clamped_capacity(nl));
-        for _ in 0..nl {
-            let id = NodeId(r.u32()?);
-            let lo = r.len(n)?;
-            if lo != (l0 - 1) as usize {
-                return Err(invalid_data("truncated label lower count mismatch"));
-            }
-            let mut lower = Vec::with_capacity(clamped_capacity(lo));
-            for _ in 0..lo {
-                let s = NodeId(r.u32()?);
-                let d = r.u64()?;
-                let f = r.u64()?;
-                lower.push((s, d, f));
-            }
-            let hi = r.len(n)?;
-            if hi != ne {
-                return Err(invalid_data("truncated label upper count mismatch"));
-            }
-            let mut upper = Vec::with_capacity(clamped_capacity(hi));
-            for _ in 0..hi {
-                let up = UpperPivot {
-                    pivot: NodeId(r.u32()?),
-                    est: r.u64()?,
-                    t_star: NodeId(r.u32()?),
-                    est_base: r.u64()?,
-                    base_dfs: r.u64()?,
-                };
-                // Queries resolve both through skel_index and expect
-                // membership; a non-skeleton pivot must fail here, not
-                // panic at query time.
-                if up.pivot.index() >= n
-                    || up.t_star.index() >= n
-                    || !skel_index.contains(up.pivot)
-                    || !skel_index.contains(up.t_star)
-                {
-                    return Err(invalid_data("label upper pivot not in skeleton"));
-                }
-                upper.push(up);
-            }
-            labels.push(TruncLabel { id, lower, upper });
-        }
-        let nb = r.len(n)?;
-        if nb != n {
-            return Err(invalid_data("truncated bunch table shorter than n"));
-        }
-        let mut bunch_sizes = Vec::with_capacity(clamped_capacity(nb));
-        for _ in 0..nb {
-            bunch_sizes.push(r.usize()?);
-        }
-        let total_rounds = r.u64()?;
-        let lower_rounds = r.u64()?;
-        let base_rounds = r.u64()?;
-        let upper_rounds = r.u64()?;
-        let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
-        let skeleton_size = r.usize()?;
-        let gt_edges = r.usize()?;
-        let base_row_idx = pde_core::resolve_entry_indices(&base_routes, &skel_index);
-        Ok(TruncatedScheme {
-            topo,
-            l0,
-            lower_routes,
-            base_routes,
-            base_row_idx,
-            skel_ids,
-            skel_index,
-            gt_graph,
-            upper_est,
-            upper_next,
-            lower_trees,
-            base_trees,
-            labels,
-            bunch_sizes,
-            metrics: TruncatedMetrics {
-                total_rounds,
-                lower_rounds,
-                base_rounds,
-                upper_rounds,
-                tree_label_rounds,
-                total,
-                skeleton_size,
-                gt_edges,
-                stages: Default::default(),
-            },
-        })
-    }
-
-    /// Emits the truncated scheme into a v3 arena: route archives, pair
+    /// Emits the truncated scheme into an arena: route archives, pair
     /// tables, the skeleton graph and the per-node label arrays as typed
-    /// sections; detection trees and metrics as embedded v2 streams.
+    /// sections; detection trees and metrics as embedded wire streams.
+    /// With `canonical` set, the volatile measurement fields
+    /// (round/message totals) are written as zeros — the artifact form
+    /// shared by simulated and native builds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from the embedded stream writers.
     pub fn write_arena(
         &self,
         a: &mut congest::arena::ArenaWriter,
@@ -754,8 +321,11 @@ impl TruncatedScheme {
         })
     }
 
-    /// Reads what [`TruncatedScheme::write_arena`] wrote, with the same
-    /// shape and skeleton-membership checks as the v2 reader.
+    /// Reads what [`TruncatedScheme::write_arena`] wrote. Shape checks
+    /// mirror the query paths — `lower_routes[l]` for `l < l0`,
+    /// `base_routes` rows, `labels[v]` with `l0 − 1` lower and
+    /// `|upper_est|` upper records whose pivots are skeleton members — so
+    /// short or foreign tables fail here, not at query time.
     ///
     /// # Errors
     ///
@@ -787,6 +357,8 @@ impl TruncatedScheme {
             if id.index() >= n {
                 return Err(invalid_data("skeleton id out of range"));
             }
+            // Duplicates would panic in DenseIndex::new below; corrupted
+            // bytes must come back as InvalidData, never an abort.
             if std::mem::replace(&mut seen[id.index()], true) {
                 return Err(invalid_data("duplicate skeleton id"));
             }
@@ -958,36 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_snapshot_round_trips() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
-        let scheme = build_hierarchy(&g, &CompactParams::new(3));
-        let mut buf = Vec::new();
-        scheme.write_into(&mut buf).unwrap();
-        let back = CompactScheme::read_from(&mut &buf[..]).unwrap();
-        assert_query_identical(&g, &scheme, &back);
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn truncated_snapshot_round_trips() {
-        let mut rng = SmallRng::seed_from_u64(45);
-        let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
-        for mode in [UpperMode::Local, UpperMode::Simulated] {
-            let scheme = build_truncated(&g, &CompactParams::new(2), 1, mode);
-            let mut buf = Vec::new();
-            scheme.write_into(&mut buf).unwrap();
-            let back = TruncatedScheme::read_from(&mut &buf[..]).unwrap();
-            assert_query_identical(&g, &scheme, &back);
-            let mut buf2 = Vec::new();
-            back.write_into(&mut buf2).unwrap();
-            assert_eq!(buf, buf2, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn arena_round_trips_are_query_and_byte_identical() {
         let mut rng = SmallRng::seed_from_u64(47);
         let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
@@ -1031,19 +573,5 @@ mod tests {
             a2.finish(&mut bytes2).unwrap();
             assert_eq!(bytes, bytes2, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn record_version_gate_rejects_other_versions() {
-        let mut rng = SmallRng::seed_from_u64(46);
-        let g = gen::gnp_connected(16, 0.25, Weights::Unit, &mut rng);
-        let scheme = build_hierarchy(&g, &CompactParams::new(2));
-        let mut buf = Vec::new();
-        scheme.write_into(&mut buf).unwrap();
-        assert_eq!(u16::from_le_bytes([buf[0], buf[1]]), COMPACT_RECORD_VERSION);
-        buf[0] = 1;
-        buf[1] = 0;
-        let err = CompactScheme::read_from(&mut &buf[..]).unwrap_err();
-        assert!(err.to_string().contains("record version"), "{err}");
     }
 }

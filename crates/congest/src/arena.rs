@@ -1,12 +1,7 @@
-//! Aligned, checksummed section containers for v3 zero-copy snapshots.
+//! Aligned, checksummed section containers: the body of every oracle
+//! snapshot.
 //!
-//! The v2 snapshot streams of [`crate::wire`] are *self-describing
-//! sequences*: every table is a length prefix followed by per-element
-//! little-endian fields, read back one element at a time through a
-//! `&mut dyn Read`. That shape is robust but slow to load — a 335 MB
-//! routing table costs tens of millions of virtual `read_exact` calls.
-//!
-//! An **arena** instead lays the same tables out as a flat *directory of
+//! An **arena** lays a scheme's tables out as a flat *directory of
 //! sections*:
 //!
 //! ```text
@@ -35,7 +30,8 @@
 //! allocation. Bulk tables stay in place behind the typed accessors
 //! [`U64View`] / [`U32View`] — `get(i)` decodes one little-endian word on
 //! demand — so loading an arena costs one checksum pass plus O(sections)
-//! directory work, not a copy of the payload.
+//! directory work, not a copy of the payload and not one `read_exact`
+//! per table element.
 //!
 //! Readers consume sections *in writer order* through an [`ArenaCursor`];
 //! zero-copy views come from [`ArenaCursor::u64v`] /
@@ -47,7 +43,7 @@
 //!
 //! Truncated containers (buffer shorter than the directory promises) are
 //! reported as the typed [`crate::wire::SnapshotError::Truncated`] wrapped
-//! in `InvalidData`, exactly like a premature EOF in a v2 stream.
+//! in `InvalidData`, exactly like a premature EOF in a wire stream.
 
 use crate::wire::{invalid_data, truncated};
 use std::io::{self, Write};
@@ -380,11 +376,17 @@ impl U32View {
 }
 
 /// Builds an arena: append sections, then [`ArenaWriter::finish`] into
-/// any sink.
+/// any sink. A [`ArenaWriter::counting`] writer runs the same calls but
+/// keeps only the lengths, so the serialized size of an artifact is
+/// known without materializing it.
 #[derive(Debug, Default)]
 pub struct ArenaWriter {
     dir: Vec<(u64, u64)>,
+    /// The sections so far, each 8-aligned; stays empty when counting.
     body: Vec<u8>,
+    /// Body length so far (`body.len()` unless counting).
+    len: usize,
+    counting: bool,
 }
 
 impl ArenaWriter {
@@ -393,31 +395,51 @@ impl ArenaWriter {
         Self::default()
     }
 
-    /// Appends `bytes` as the next section (8-aligned in the body).
-    pub fn section(&mut self, bytes: &[u8]) {
-        while !self.body.len().is_multiple_of(8) {
-            self.body.push(0);
+    /// A length-only arena: sections are measured, not buffered, and
+    /// only [`ArenaWriter::finished_len`] is meaningful afterwards.
+    pub fn counting() -> Self {
+        ArenaWriter {
+            counting: true,
+            ..Self::default()
         }
-        self.dir.push((self.body.len() as u64, bytes.len() as u64));
-        self.body.extend_from_slice(bytes);
+    }
+
+    /// Opens the next section (8-aligned in the body) of `len` bytes;
+    /// `true` when the caller must now append exactly those bytes.
+    fn open(&mut self, len: usize) -> bool {
+        let at = self.len.next_multiple_of(8);
+        self.dir.push((at as u64, len as u64));
+        self.len = at + len;
+        if !self.counting {
+            self.body.resize(at, 0);
+            self.body.reserve(len);
+        }
+        !self.counting
+    }
+
+    /// Appends `bytes` as the next section.
+    pub fn section(&mut self, bytes: &[u8]) {
+        if self.open(bytes.len()) {
+            self.body.extend_from_slice(bytes);
+        }
     }
 
     /// Appends a section of little-endian `u64`s.
     pub fn u64s(&mut self, xs: &[u64]) {
-        let mut buf = Vec::with_capacity(xs.len() * 8);
-        for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
+        if self.open(xs.len() * 8) {
+            for x in xs {
+                self.body.extend_from_slice(&x.to_le_bytes());
+            }
         }
-        self.section(&buf);
     }
 
     /// Appends a section of little-endian `u32`s.
     pub fn u32s(&mut self, xs: &[u32]) {
-        let mut buf = Vec::with_capacity(xs.len() * 4);
-        for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
+        if self.open(xs.len() * 4) {
+            for x in xs {
+                self.body.extend_from_slice(&x.to_le_bytes());
+            }
         }
-        self.section(&buf);
     }
 
     /// Appends a section of raw bytes (alias of [`ArenaWriter::section`]
@@ -443,8 +465,7 @@ impl ArenaWriter {
 
     /// Serialized size of the finished container in bytes.
     pub fn finished_len(&self) -> usize {
-        let body = self.body.len().div_ceil(8) * 8;
-        8 + 16 * self.dir.len() + body + 8
+        8 + 16 * self.dir.len() + self.len.next_multiple_of(8) + 8
     }
 
     /// Writes the container: count, directory, padded body, checksum.
@@ -452,7 +473,13 @@ impl ArenaWriter {
     /// # Errors
     ///
     /// Propagates I/O errors from the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`ArenaWriter::counting`] writer, which has no body
+    /// to write.
     pub fn finish(&self, sink: &mut dyn Write) -> io::Result<()> {
+        assert!(!self.counting, "a counting arena has no body to write");
         let mut head = Vec::with_capacity(8 + 16 * self.dir.len());
         head.extend_from_slice(&(self.dir.len() as u64).to_le_bytes());
         for &(off, len) in &self.dir {
@@ -733,20 +760,27 @@ mod tests {
     use super::*;
     use crate::wire::is_truncated;
 
-    fn build() -> Vec<u8> {
-        let mut a = ArenaWriter::new();
+    fn fill(a: &mut ArenaWriter) {
         a.u64s(&[1, u64::MAX, 42]);
         a.u32s(&[7, 8, 9, 10, 11]);
         a.u8s(&[1, 0, 1]);
         a.stream(|sink| {
             let mut w = crate::wire::WireWriter::new(sink);
             w.u16(99)?;
-            w.f64(0.5)
+            w.u64(5)
         })
         .unwrap();
+    }
+
+    fn build() -> Vec<u8> {
+        let (mut a, mut counted) = (ArenaWriter::new(), ArenaWriter::counting());
+        fill(&mut a);
+        fill(&mut counted);
         let mut buf = Vec::new();
         a.finish(&mut buf).unwrap();
         assert_eq!(buf.len(), a.finished_len());
+        assert_eq!(buf.len(), counted.finished_len());
+        assert!(counted.body.is_empty(), "a counting arena buffers nothing");
         buf
     }
 
@@ -765,7 +799,7 @@ mod tests {
         let mut s = c.bytes().unwrap();
         let mut w = crate::wire::WireReader::new(&mut s);
         assert_eq!(w.u16().unwrap(), 99);
-        assert_eq!(w.f64().unwrap(), 0.5);
+        assert_eq!(w.u64().unwrap(), 5);
         c.expect_end().unwrap();
     }
 

@@ -240,54 +240,7 @@ impl Topology {
         (0..self.n as u32).map(NodeId)
     }
 
-    /// Serializes the topology (node count + canonical undirected edge
-    /// list) with the snapshot wire format of [`crate::wire`]. This is
-    /// *the* topology codec — every scheme snapshot delegates here so the
-    /// framing cannot diverge between crates. Delays are not persisted;
-    /// they are a per-simulation derivation of the weights.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut w = crate::wire::WireWriter::new(sink);
-        w.usize(self.len())?;
-        let edges = self.undirected_edges();
-        w.len(edges.len())?;
-        for (a, b, wt) in edges {
-            w.u32(a)?;
-            w.u32(b)?;
-            w.u64(wt)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a topology written by [`Topology::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes or an invalid edge list.
-    pub fn read_from(source: &mut dyn std::io::Read) -> std::io::Result<Topology> {
-        let mut r = crate::wire::WireReader::new(source);
-        let n = r.usize()?;
-        if n > crate::wire::MAX_SNAPSHOT_NODES {
-            return Err(crate::wire::invalid_data(format!(
-                "topology snapshot claims {n} nodes"
-            )));
-        }
-        let m = r.len(n.saturating_mul(n))?;
-        let mut edges = Vec::with_capacity(crate::wire::clamped_capacity(m));
-        for _ in 0..m {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let wt = r.u64()?;
-            edges.push((a, b, wt));
-        }
-        Topology::from_edges(n, &edges)
-            .map_err(|e| crate::wire::invalid_data(format!("bad topology: {e}")))
-    }
-
-    /// Emits the topology into a v3 arena: a `[n]` meta section plus the
+    /// Emits the topology into an arena: a `[n]` meta section plus the
     /// canonical undirected edge list split SoA (endpoints, weights).
     pub fn write_arena(&self, a: &mut crate::arena::ArenaWriter) {
         a.u64s(&[self.len() as u64]);

@@ -3,32 +3,16 @@
 //! The `oracle` crate persists built distance oracles ("build once, serve
 //! from disk"); every scheme crate encodes its own state with these
 //! helpers so the framing is uniform and handwritten — fixed-width
-//! little-endian integers, `u64` length prefixes for sequences, `f64` as
-//! IEEE-754 bits — with no derive machinery or external dependencies.
+//! little-endian integers, `u64` length prefixes for sequences — with no
+//! derive machinery or external dependencies.
 //!
 //! Corruption is reported as [`std::io::ErrorKind::InvalidData`] via
 //! [`invalid_data`], so callers only deal with `io::Result`.
 
+use std::fs::File;
 use std::io::{self, Read, Write};
-
-/// Reads and checks a scheme-record version tag (little-endian `u16` at
-/// the head of a scheme snapshot stream).
-///
-/// # Errors
-///
-/// Returns `InvalidData` when the tag differs from `expected` — notably
-/// for version-1 hash-table-layout streams, which predate the tag and
-/// must be rebuilt rather than migrated.
-pub fn check_record_version(source: &mut dyn Read, expected: u16, what: &str) -> io::Result<()> {
-    let got = WireReader::new(source).u16()?;
-    if got != expected {
-        return Err(invalid_data(format!(
-            "{what} record version {got} unsupported (expected {expected}; \
-             version-1 hash-table snapshots must be rebuilt)"
-        )));
-    }
-    Ok(())
-}
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Builds the `InvalidData` error used for malformed snapshot bytes.
 pub fn invalid_data(msg: impl Into<String>) -> io::Error {
@@ -159,7 +143,7 @@ pub fn clamped_capacity(len: usize) -> usize {
 // ----------------------------------------------------------- framing --
 
 /// Default upper bound on one length-prefixed frame (256 MiB) — large
-/// enough to carry a v3 snapshot in an admin frame, small enough that a
+/// enough to carry a snapshot in an admin frame, small enough that a
 /// corrupted length prefix cannot request an absurd buffer.
 pub const MAX_FRAME_LEN: usize = 1 << 28;
 
@@ -220,6 +204,55 @@ pub fn read_frame(source: &mut dyn Read, max: usize) -> io::Result<Option<Vec<u8
     Ok(Some(payload))
 }
 
+/// Writes the file at `path` **atomically**: `write` fills a uniquely
+/// named temp file in the target directory (process id plus a per-call
+/// sequence number, so concurrent writers never share one), which is
+/// flushed and fsynced and only then renamed over `path`. A crash at any
+/// point leaves either the old file or the complete new one, never a
+/// torn hybrid. The directory entry is fsynced after the rename (best
+/// effort: not every filesystem supports opening directories) so the
+/// rename itself survives a power cut.
+///
+/// # Errors
+///
+/// `InvalidData` when `path` has no file name; otherwise the i/o failure
+/// or whatever `write` returned. The temp file is removed on failure.
+pub fn write_file_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| invalid_data(format!("path {} has no file name", path.display())))?;
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    let tmp = dir.join(format!(
+        ".{}.tmp.{}.{}",
+        file_name.to_string_lossy(),
+        std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result = (|| {
+        let mut sink = io::BufWriter::new(File::create(&tmp)?);
+        write(&mut sink)?;
+        let file = sink.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 /// Thin writer over any [`Write`] emitting little-endian primitives.
 pub struct WireWriter<'a> {
     sink: &'a mut dyn Write,
@@ -259,11 +292,6 @@ impl<'a> WireWriter<'a> {
     /// Writes a `usize` as `u64`.
     pub fn usize(&mut self, x: usize) -> io::Result<()> {
         self.u64(x as u64)
-    }
-
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, x: f64) -> io::Result<()> {
-        self.u64(x.to_bits())
     }
 
     /// Writes a `bool` as one byte (0/1).
@@ -331,20 +359,6 @@ impl<'a> WireReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| invalid_data("length exceeds usize"))
     }
 
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool` (rejecting bytes other than 0/1).
-    pub fn bool(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(invalid_data(format!("invalid bool byte {b}"))),
-        }
-    }
-
     /// Reads a sequence length prefix, rejecting lengths above `max`
     /// (a corrupted prefix must not trigger a huge allocation).
     pub fn len(&mut self, max: usize) -> io::Result<usize> {
@@ -368,36 +382,6 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// A [`Write`] sink that discards bytes but counts them — used to compute
-/// the serialized size of an artifact without materializing it.
-#[derive(Debug, Default)]
-pub struct CountingWriter {
-    bytes: u64,
-}
-
-impl CountingWriter {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes written so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.bytes += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +396,6 @@ mod tests {
             w.u32(70_000).unwrap();
             w.u64(u64::MAX - 1).unwrap();
             w.usize(42).unwrap();
-            w.f64(0.25).unwrap();
             w.bool(true).unwrap();
             w.bool(false).unwrap();
             w.len(3).unwrap();
@@ -425,9 +408,7 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.usize().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), 0.25);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
+        assert_eq!([r.u8().unwrap(), r.u8().unwrap()], [1, 0]);
         assert_eq!(r.len(10).unwrap(), 3);
         assert_eq!(r.bytes(3).unwrap(), b"abc");
         assert!(cursor.is_empty(), "all bytes consumed");
@@ -437,8 +418,6 @@ mod tests {
     fn truncated_input_and_bad_values_error() {
         let mut short = &[1u8, 2][..];
         assert!(WireReader::new(&mut short).u32().is_err());
-        let mut bad_bool = &[9u8][..];
-        assert!(WireReader::new(&mut bad_bool).bool().is_err());
         let mut big_len = Vec::new();
         WireWriter::new(&mut big_len).u64(1 << 40).unwrap();
         let mut cursor = &big_len[..];
@@ -515,16 +494,5 @@ mod tests {
         let err = read_frame(&mut cursor, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(!is_truncated(&err));
-    }
-
-    #[test]
-    fn counting_writer_counts() {
-        let mut c = CountingWriter::new();
-        {
-            let mut w = WireWriter::new(&mut c);
-            w.u64(1).unwrap();
-            w.u8(2).unwrap();
-        }
-        assert_eq!(c.bytes(), 9);
     }
 }

@@ -1,138 +1,12 @@
-//! Wire codecs for PDE state shared by every scheme snapshot.
-//!
-//! Route tables are serialized sorted by source id and re-inserted in that
-//! order on load; together with the deterministic [`congest::FxHasher`]
-//! this makes reload → re-save byte-identical.
+//! PDE state shared by every scheme snapshot: the flattened per-node
+//! lists and their arena codec.
 
-use crate::pde::{PdeEntry, RouteInfo, RouteTable};
+use crate::pde::PdeEntry;
 use crate::tables::{Escapes, EST_ESCAPE};
 use congest::arena::{SharedBytes, U32View, U64View};
-use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
-use congest::{NodeId, Topology};
-use std::io::{self, Read, Write};
-
-/// Serializes a per-node vector of route tables.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the sink.
-pub fn write_route_tables(sink: &mut dyn Write, tables: &[RouteTable]) -> io::Result<()> {
-    let mut w = WireWriter::new(sink);
-    w.len(tables.len())?;
-    for table in tables {
-        let mut entries: Vec<(NodeId, RouteInfo)> =
-            table.iter().map(|(&s, &info)| (s, info)).collect();
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        w.len(entries.len())?;
-        for (src, info) in entries {
-            w.u32(src.0)?;
-            w.u64(info.est)?;
-            w.u32(info.port)?;
-            w.u32(info.level)?;
-        }
-    }
-    Ok(())
-}
-
-/// Deserializes what [`write_route_tables`] wrote.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on malformed bytes.
-pub fn read_route_tables(source: &mut dyn Read) -> io::Result<Vec<RouteTable>> {
-    let mut r = WireReader::new(source);
-    let n = r.len64(congest::wire::MAX_SEQ_LEN)?;
-    let mut tables = Vec::with_capacity(clamped_capacity(n));
-    for _ in 0..n {
-        let entries = r.len64(congest::wire::MAX_SEQ_LEN)?;
-        let mut table = RouteTable::default();
-        table.reserve(clamped_capacity(entries));
-        for _ in 0..entries {
-            let src = NodeId(r.u32()?);
-            let est = r.u64()?;
-            let port = r.u32()?;
-            let level = r.u32()?;
-            table.insert(src, RouteInfo { est, port, level });
-        }
-        tables.push(table);
-    }
-    Ok(tables)
-}
-
-/// Validates deserialized route tables against the topology they will be
-/// queried on: one table per node, every source id in range, every port
-/// within its node's degree.
-///
-/// [`congest::Topology::neighbor`] only debug-asserts its port argument,
-/// so an out-of-range port from a corrupted snapshot would silently
-/// resolve to a *wrong neighbor* in release builds — this check turns
-/// that into `InvalidData` at load time.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on any out-of-range source or port.
-pub fn validate_route_tables(tables: &[RouteTable], topo: &Topology) -> io::Result<()> {
-    if tables.len() != topo.len() {
-        return Err(invalid_data("route table count mismatch"));
-    }
-    for (v, table) in tables.iter().enumerate() {
-        let deg = topo.degree(NodeId::from_index(v)) as u32;
-        for (&src, info) in table {
-            if src.index() >= topo.len() {
-                return Err(invalid_data(format!("route source {src} out of range")));
-            }
-            if info.port >= deg {
-                return Err(invalid_data(format!(
-                    "route port {} out of range at node {v} (degree {deg})",
-                    info.port
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serializes per-node combined lists (`PdeOutput::lists`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the sink.
-pub fn write_lists(sink: &mut dyn Write, lists: &[Vec<PdeEntry>]) -> io::Result<()> {
-    let mut w = WireWriter::new(sink);
-    w.len(lists.len())?;
-    for list in lists {
-        w.len(list.len())?;
-        for e in list {
-            w.u64(e.est)?;
-            w.u32(e.src.0)?;
-            w.bool(e.tag)?;
-        }
-    }
-    Ok(())
-}
-
-/// Deserializes what [`write_lists`] wrote.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on malformed bytes.
-pub fn read_lists(source: &mut dyn Read) -> io::Result<Vec<Vec<PdeEntry>>> {
-    let mut r = WireReader::new(source);
-    let n = r.len64(congest::wire::MAX_SEQ_LEN)?;
-    let mut lists = Vec::with_capacity(clamped_capacity(n));
-    for _ in 0..n {
-        let len = r.len64(congest::wire::MAX_SEQ_LEN)?;
-        let mut list = Vec::with_capacity(clamped_capacity(len));
-        for _ in 0..len {
-            let est = r.u64()?;
-            let src = NodeId(r.u32()?);
-            let tag = r.bool()?;
-            list.push(PdeEntry { est, src, tag });
-        }
-        lists.push(list);
-    }
-    Ok(lists)
-}
+use congest::wire::invalid_data;
+use congest::NodeId;
+use std::io;
 
 /// Per-node combined lists (`PdeOutput::lists`) flattened behind
 /// zero-copy views — the query-side replacement for `Vec<Vec<PdeEntry>>`
@@ -140,7 +14,7 @@ pub fn read_lists(source: &mut dyn Read) -> io::Result<Vec<Vec<PdeEntry>>> {
 /// Nine bytes per entry, split SoA (`est u32`, `src u32`, `tag u8`) under
 /// `u64` row offsets; an estimate `≥ u32::MAX` stores the all-ones marker
 /// and its true value in an escape section pair (the same escape as
-/// [`crate::FlatTables`]). A v3 load is views plus an offsets check and
+/// [`crate::FlatTables`]). A load is views plus an offsets check and
 /// one scan of the tag and estimate sections, and load → re-save is a
 /// byte passthrough.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -243,37 +117,7 @@ impl FlatLists {
             .collect()
     }
 
-    /// Serializes with the exact [`write_lists`] v2 framing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let mut w = WireWriter::new(sink);
-        w.len(self.len())?;
-        for v in 0..self.len() {
-            let v = NodeId::from_index(v);
-            w.len(self.row_len(v))?;
-            for e in self.iter_row(v) {
-                w.u64(e.est)?;
-                w.u32(e.src.0)?;
-                w.bool(e.tag)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserializes what [`FlatLists::write_into`] (or [`write_lists`])
-    /// wrote.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        Ok(FlatLists::from_lists(&read_lists(source)?))
-    }
-
-    /// Emits the lists into a v3 arena, the views' backing bytes
+    /// Emits the lists into an arena, the views' backing bytes
     /// verbatim: row offsets, estimates, sources, tags, escapes.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.section(self.starts.as_bytes());
@@ -335,63 +179,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn route_tables_round_trip_byte_identically() {
-        let mut t0 = RouteTable::default();
-        t0.insert(
-            NodeId(3),
-            RouteInfo {
-                est: 10,
-                port: 1,
-                level: 0,
-            },
-        );
-        t0.insert(
-            NodeId(1),
-            RouteInfo {
-                est: 7,
-                port: 0,
-                level: 2,
-            },
-        );
-        let tables = vec![t0, RouteTable::default()];
-        let mut buf = Vec::new();
-        write_route_tables(&mut buf, &tables).unwrap();
-        let back = read_route_tables(&mut &buf[..]).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].len(), 2);
-        assert_eq!(back[0][&NodeId(1)].est, 7);
-        assert_eq!(back[0][&NodeId(3)].port, 1);
-        assert!(back[1].is_empty());
-        let mut buf2 = Vec::new();
-        write_route_tables(&mut buf2, &back).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn lists_round_trip() {
-        let lists = vec![
-            vec![
-                PdeEntry {
-                    est: 4,
-                    src: NodeId(2),
-                    tag: true,
-                },
-                PdeEntry {
-                    est: 9,
-                    src: NodeId(5),
-                    tag: false,
-                },
-            ],
-            vec![],
-        ];
-        let mut buf = Vec::new();
-        write_lists(&mut buf, &lists).unwrap();
-        let back = read_lists(&mut &buf[..]).unwrap();
-        assert_eq!(back, lists);
-    }
-
-    #[test]
-    fn flat_lists_round_trip_both_codecs() {
+    fn flat_lists_round_trip_through_the_arena() {
         let lists = vec![
             vec![
                 PdeEntry {
@@ -427,15 +215,7 @@ mod tests {
         assert_eq!(fl.row_len(NodeId(1)), 0);
         assert_eq!(fl.to_lists(), lists);
 
-        // v2 framing is byte-identical with the free functions.
-        let mut a = Vec::new();
-        write_lists(&mut a, &lists).unwrap();
-        let mut b = Vec::new();
-        fl.write_into(&mut b).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(FlatLists::read_from(&mut &b[..]).unwrap(), fl);
-
-        // v3 arena round trip is a byte passthrough.
+        // The arena round trip is a byte passthrough.
         let mut aw = congest::arena::ArenaWriter::new();
         fl.write_arena(&mut aw);
         let mut buf = Vec::new();

@@ -14,7 +14,7 @@
 //!   source sits, and a short sweep around the prediction finds it (see
 //!   [`RowCursor`]); "iterate everything `v` knows" is a contiguous
 //!   walk. The arrays live behind zero-copy [`congest::arena`] views, so
-//!   a v3 snapshot load *is* the in-memory form: no decode pass, no copy.
+//!   a snapshot load *is* the in-memory form: no decode pass, no copy.
 //! * [`PairTable`] — a `k × k` partial map in either dense
 //!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
 //!   form; [`PairTable::auto`] picks dense unless the table is large and
@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | hot record `src u32 \| est u32` (one LE `u64` word) | 8 / entry | every probe |
 //! | `port u16`, arena-aligned | 2 / entry | `next_hop` / `route_into` |
-//! | `level u8`, arena-aligned | 1 / entry | the v2 codec, [`unflatten`] |
+//! | `level u8`, arena-aligned | 1 / entry | [`unflatten`] |
 //! | fit `mul u32 \| lo i16 \| win u16` (one LE `u64` word) | 8 / row | [`FlatTables::cursor`], rows above 16 entries |
 //!
 //! **No stored index.** Where a source sits in its sorted row is a
@@ -59,10 +59,10 @@
 
 use crate::pde::{RouteInfo, RouteTable};
 use congest::arena::{ArenaCursor, ArenaWriter, SharedBytes, U32View, U64View};
-use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
+use congest::wire::invalid_data;
 use congest::{NodeId, Port, Topology};
 use graphs::INF;
-use std::io::{self, Read, Write};
+use std::io;
 use std::ops::Range;
 
 /// Sentinel for "no entry" in dense [`PairTable`] storage (never a valid
@@ -260,7 +260,7 @@ impl Escapes {
 /// Per-node routing tables flattened into one source-sorted entry arena
 /// with CSR row offsets — the cache-friendly replacement for
 /// `Vec<RouteTable>` on every query path. Every array is a zero-copy
-/// view: a table decoded from a v3 snapshot keeps pointing into the
+/// view: a table decoded from a snapshot keeps pointing into the
 /// snapshot buffer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatTables {
@@ -299,52 +299,37 @@ impl FlatTables {
             total += table.len();
             starts.push(u32::try_from(total).expect("flat table fits u32 offsets"));
         }
-        let built = Self::encode(
-            starts,
-            |exact| exact,
-            |v, _, row| {
-                row.extend(tables[v].iter().map(|(&s, r)| {
-                    let e = FlatEntry {
-                        src: s.0,
-                        port: r.port,
-                        est: r.est,
-                    };
-                    (e, r.level)
-                }));
-                row.sort_unstable_by_key(|(e, _)| e.src);
-                Ok::<(), std::convert::Infallible>(())
-            },
-        );
-        match built {
-            Ok(t) => t,
-            Err(never) => match never {},
-        }
+        Self::encode(starts, |v, row| {
+            row.extend(tables[v].iter().map(|(&s, r)| {
+                let e = FlatEntry {
+                    src: s.0,
+                    port: r.port,
+                    est: r.est,
+                };
+                (e, r.level)
+            }));
+            row.sort_unstable_by_key(|(e, _)| e.src);
+        })
     }
 
-    /// Encodes the narrow sections row by row from validated offsets:
-    /// `fill(v, len, row)` appends row `v`'s `len` entries, sorted by
-    /// source, to the (cleared) scratch row, and the records, side
-    /// arrays, fit and escapes are written straight from it — the only
-    /// transient state is one row. `reserve` maps an element count to
-    /// the capacity to pre-allocate (exact for trusted counts, clamped
-    /// for counts read from a stream).
-    fn encode<E>(
-        starts: Vec<u32>,
-        reserve: impl Fn(usize) -> usize,
-        mut fill: impl FnMut(usize, usize, &mut ScratchRow) -> Result<(), E>,
-    ) -> Result<Self, E> {
+    /// Encodes the narrow sections row by row from the rows' offsets:
+    /// `fill(v, row)` appends row `v`'s entries, sorted by source, to the
+    /// (cleared) scratch row, and the records, side arrays, fit and
+    /// escapes are written straight from it — the only transient state
+    /// is one row.
+    fn encode(starts: Vec<u32>, mut fill: impl FnMut(usize, &mut ScratchRow)) -> Self {
         let n = starts.len() - 1;
         let total = starts[n] as usize;
-        let mut recs: Vec<u8> = Vec::with_capacity(reserve(total) * REC_BYTES);
-        let mut ports: Vec<u8> = Vec::with_capacity(reserve(total) * 2);
-        let mut levels: Vec<u8> = Vec::with_capacity(reserve(total));
-        let mut fits = Vec::with_capacity(reserve(n));
+        let mut recs: Vec<u8> = Vec::with_capacity(total * REC_BYTES);
+        let mut ports: Vec<u8> = Vec::with_capacity(total * 2);
+        let mut levels: Vec<u8> = Vec::with_capacity(total);
+        let mut fits = Vec::with_capacity(n);
         let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
         let mut row = ScratchRow::new();
         for v in 0..n {
             let len = (starts[v + 1] - starts[v]) as usize;
             row.clear();
-            fill(v, len, &mut row)?;
+            fill(v, &mut row);
             assert_eq!(row.len(), len, "row {v} does not match its offsets");
             for &(e, level) in &row {
                 let est = u32::try_from(e.est).unwrap_or(EST_ESCAPE);
@@ -362,14 +347,14 @@ impl FlatTables {
             }
             fits.push(Fit::of_row(&row).word());
         }
-        Ok(FlatTables {
+        FlatTables {
             starts: U32View::from_vals(&starts),
             recs: SharedBytes::from_vec(recs),
             ports: SharedBytes::from_vec(ports),
             levels: SharedBytes::from_vec(levels),
             fits: U64View::from_vals(&fits),
             wide: Escapes::from_vals(&wide_idx, &wide_vals),
-        })
+        }
     }
 
     /// Number of nodes covered (rows).
@@ -534,7 +519,7 @@ impl FlatTables {
         })
     }
 
-    /// Decodes entry `i` with its ladder level (the codec's view).
+    /// Decodes entry `i` with its ladder level ([`unflatten`]'s view).
     fn entry_with_level(&self, i: usize) -> Option<(FlatEntry, u32)> {
         let e = self.entry_of(i, self.word(i))?;
         let level = match self.levels.as_slice()[i] {
@@ -565,64 +550,8 @@ impl FlatTables {
             .map(|(rec, i)| self.est_of(i, rec_word(rec)).unwrap_or(INF))
     }
 
-    /// Serializes rows + offsets (already canonical: rows are sorted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let mut w = WireWriter::new(sink);
-        w.len(self.len_nodes())?;
-        for v in 0..self.len_nodes() {
-            w.len((self.starts.get(v + 1) - self.starts.get(v)) as usize)?;
-        }
-        for (e, level) in (0..self.len_entries()).filter_map(|i| self.entry_with_level(i)) {
-            w.u32(e.src)?;
-            w.u64(e.est)?;
-            w.u32(e.port)?;
-            w.u32(level)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes what [`FlatTables::write_into`] wrote, validating the
-    /// CSR shape and per-row sort order (strictly increasing sources —
-    /// anything else would break the fit, the key scan and canonical
-    /// re-save).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        let mut r = WireReader::new(source);
-        let n = r.len64(congest::wire::MAX_SEQ_LEN)?;
-        let mut starts = Vec::with_capacity(clamped_capacity(n + 1));
-        starts.push(0u32);
-        for _ in 0..n {
-            let row_len = r.len64(congest::wire::MAX_SEQ_LEN)? as u64;
-            let prev = u64::from(*starts.last().expect("starts is never empty"));
-            let next = prev + row_len;
-            starts.push(
-                u32::try_from(next).map_err(|_| invalid_data("flat table offsets overflow"))?,
-            );
-        }
-        Self::encode(starts, clamped_capacity, |_, len, row| {
-            for _ in 0..len {
-                let src = r.u32()?;
-                let est = r.u64()?;
-                let port = r.u32()?;
-                let level = r.u32()?;
-                row.push((FlatEntry { src, port, est }, level));
-            }
-            if row.windows(2).any(|p| p[0].0.src >= p[1].0.src) {
-                return Err(invalid_data("flat table row not sorted by source"));
-            }
-            Ok(())
-        })
-    }
-
-    /// Emits the table into a v3 arena: one section per array,
-    /// **including the derived fits** — a v3 load rebuilds nothing. The
+    /// Emits the table into an arena: one section per array,
+    /// **including the derived fits** — a load rebuilds nothing. The
     /// sections are the views' backing bytes verbatim, so load → re-save
     /// is a passthrough.
     pub fn write_arena(&self, a: &mut ArenaWriter) {
@@ -1077,109 +1006,7 @@ impl PairTable {
         }
     }
 
-    /// Serializes the table, representation tag included.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let mut w = WireWriter::new(sink);
-        match self {
-            PairTable::Dense { k, values } => {
-                w.u8(0)?;
-                w.usize(*k)?;
-                for &v in values {
-                    w.u64(v)?;
-                }
-            }
-            PairTable::Csr {
-                k,
-                starts,
-                cols,
-                vals,
-            } => {
-                w.u8(1)?;
-                w.usize(*k)?;
-                w.len(cols.len())?;
-                for &s in &starts[1..] {
-                    w.u32(s)?;
-                }
-                for (&c, &v) in cols.iter().zip(vals) {
-                    w.u32(c)?;
-                    w.u64(v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserializes what [`PairTable::write_into`] wrote, validating
-    /// shape (offsets monotone and bounded, columns sorted and in range).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        let mut r = WireReader::new(source);
-        let tag = r.u8()?;
-        let k = r.usize()?;
-        if k > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(invalid_data(format!("pair table claims k = {k}")));
-        }
-        match tag {
-            0 => {
-                let cells = k
-                    .checked_mul(k)
-                    .ok_or_else(|| invalid_data("pair table size overflow"))?;
-                let mut values = Vec::with_capacity(clamped_capacity(cells));
-                for _ in 0..cells {
-                    values.push(r.u64()?);
-                }
-                Ok(PairTable::Dense { k, values })
-            }
-            1 => {
-                let m = r.len(k.saturating_mul(k))?;
-                let mut starts = Vec::with_capacity(clamped_capacity(k + 1));
-                starts.push(0u32);
-                for _ in 0..k {
-                    let s = r.u32()?;
-                    if (s as usize) > m || s < *starts.last().expect("nonempty") {
-                        return Err(invalid_data("pair table offsets inconsistent"));
-                    }
-                    starts.push(s);
-                }
-                if *starts.last().expect("nonempty") as usize != m {
-                    return Err(invalid_data("pair table offsets inconsistent"));
-                }
-                let mut cols = Vec::with_capacity(clamped_capacity(m));
-                let mut vals = Vec::with_capacity(clamped_capacity(m));
-                for _ in 0..m {
-                    let c = r.u32()?;
-                    if c as usize >= k {
-                        return Err(invalid_data("pair table column out of range"));
-                    }
-                    cols.push(c);
-                    vals.push(r.u64()?);
-                }
-                for row in 0..k {
-                    let lo = starts[row] as usize;
-                    let hi = starts[row + 1] as usize;
-                    if cols[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(invalid_data("pair table row not sorted"));
-                    }
-                }
-                Ok(PairTable::Csr {
-                    k,
-                    starts,
-                    cols,
-                    vals,
-                })
-            }
-            t => Err(invalid_data(format!("unknown pair table tag {t}"))),
-        }
-    }
-
-    /// Emits the table into a v3 arena: a `[tag, k]` meta section, then
+    /// Emits the table into an arena: a `[tag, k]` meta section, then
     /// the representation's arrays as typed sections.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         match self {
@@ -1201,8 +1028,8 @@ impl PairTable {
         }
     }
 
-    /// Reads what [`PairTable::write_arena`] wrote, running the same
-    /// shape validation as [`PairTable::read_from`].
+    /// Reads what [`PairTable::write_arena`] wrote, validating shape
+    /// (offsets monotone and bounded, columns sorted and in range).
     ///
     /// # Errors
     ///
@@ -1301,34 +1128,6 @@ mod tests {
             [7, 10]
         );
         assert_eq!(ft.row_len(NodeId(1)), 0);
-    }
-
-    #[test]
-    fn flat_tables_round_trip_byte_identically() {
-        let ft = FlatTables::from_tables(&sample_tables());
-        let mut buf = Vec::new();
-        ft.write_into(&mut buf).unwrap();
-        let back = FlatTables::read_from(&mut &buf[..]).unwrap();
-        assert_eq!(ft, back);
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-        assert_eq!(unflatten(&back), sample_tables());
-    }
-
-    #[test]
-    fn flat_tables_reject_unsorted_rows() {
-        let ft = FlatTables::from_tables(&sample_tables());
-        let mut buf = Vec::new();
-        ft.write_into(&mut buf).unwrap();
-        // The stream ends with the two 20-byte entries of row 0; swapping
-        // them leaves a well-formed stream whose row is out of order.
-        let mut bad = buf.clone();
-        let at = bad.len() - 40;
-        let (a, b) = bad[at..].split_at_mut(20);
-        a.swap_with_slice(b);
-        assert!(FlatTables::read_from(&mut &bad[..]).is_err());
-        assert!(FlatTables::read_from(&mut &buf[..]).is_ok());
     }
 
     /// One table per probe class: a small-row sweep, a one-record
@@ -1464,20 +1263,6 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert_eq!(c.len(), 4);
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn pair_table_round_trips_both_reps() {
-        let entries = &[(0u32, 2u32, 5u64), (1, 0, 9), (1, 3, 2), (3, 3, 7)];
-        for t in [PairTable::dense(4, entries), PairTable::csr(4, entries)] {
-            let mut buf = Vec::new();
-            t.write_into(&mut buf).unwrap();
-            let back = PairTable::read_from(&mut &buf[..]).unwrap();
-            assert_eq!(t, back);
-            let mut buf2 = Vec::new();
-            back.write_into(&mut buf2).unwrap();
-            assert_eq!(buf, buf2);
-        }
     }
 
     #[test]

@@ -57,51 +57,7 @@ impl Apsp {
             .unwrap_or(0)
     }
 
-    /// Serializes the distance and hop matrices (snapshot wire format).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut w = congest::wire::WireWriter::new(sink);
-        w.usize(self.n)?;
-        for &d in &self.dist {
-            w.u64(d)?;
-        }
-        for &h in &self.hops {
-            w.u32(h)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a matrix pair written by [`Apsp::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn std::io::Read) -> std::io::Result<Self> {
-        let mut r = congest::wire::WireReader::new(source);
-        let n = r.usize()?;
-        if n > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(congest::wire::invalid_data(format!(
-                "APSP snapshot claims {n} nodes"
-            )));
-        }
-        let cells = n
-            .checked_mul(n)
-            .ok_or_else(|| congest::wire::invalid_data("APSP size overflow"))?;
-        let mut dist = Vec::with_capacity(congest::wire::clamped_capacity(cells));
-        for _ in 0..cells {
-            dist.push(r.u64()?);
-        }
-        let mut hops = Vec::with_capacity(congest::wire::clamped_capacity(cells));
-        for _ in 0..cells {
-            hops.push(r.u32()?);
-        }
-        Ok(Apsp { dist, hops, n })
-    }
-
-    /// Emits the matrices into a v3 arena: `[n]` meta, distances, hops.
+    /// Emits the matrices into an arena: `[n]` meta, distances, hops.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.u64s(&[self.n as u64]);
         a.u64s(&self.dist);

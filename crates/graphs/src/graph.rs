@@ -239,7 +239,7 @@ impl WGraph {
             .map_err(|e| congest::wire::invalid_data(format!("bad graph snapshot: {e}")))
     }
 
-    /// Emits the graph into a v3 arena: a `[n]` meta section plus the
+    /// Emits the graph into an arena: a `[n]` meta section plus the
     /// canonical edge list split SoA (endpoints, weights).
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.u64s(&[self.n as u64]);

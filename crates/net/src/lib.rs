@@ -191,9 +191,9 @@ mod tests {
         let (server, registry, g) = serve_ring(8);
         let mut client = Client::connect(server.local_addr()).unwrap();
         let oracle = OracleBuilder::new(Backend::Rtc).build(&g);
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).unwrap();
-        let summary = client.swap("ring", &v2).unwrap();
+        let mut snap = Vec::new();
+        oracle.save(&mut snap).unwrap();
+        let summary = client.swap("ring", &snap).unwrap();
         assert_eq!(summary.backend, Backend::Rtc);
         assert_eq!(summary.n, 8);
         assert!(summary.replaced.is_some(), "the flooding snapshot retired");

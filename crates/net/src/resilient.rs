@@ -187,7 +187,8 @@ impl ReplicaSet {
 /// A [`Client`] wrapper that retries idempotent requests across
 /// reconnects and replica failover, per a [`RetryPolicy`].
 ///
-/// See the [module docs](self) for the semantics. Pipelined submission
+/// The module docs at the top of `net/src/resilient.rs` have the
+/// semantics. Pipelined submission
 /// ([`Client::queue_estimate_many`]) is deliberately not wrapped: a
 /// reconnect mid-window cannot know which queued requests the server
 /// executed, so the resilient surface is strict request/response only.

@@ -152,7 +152,7 @@ pub enum Request {
     Swap {
         /// Name to serve under.
         name: String,
-        /// A complete v2 or v3 snapshot stream.
+        /// A complete snapshot stream.
         snapshot: Vec<u8>,
     },
     /// Mask edge `{u, v}` as failed (dynamic names only).

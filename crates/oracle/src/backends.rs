@@ -142,10 +142,6 @@ impl DistanceOracle for PdeOracle {
         1.0 + self.eps
     }
 
-    fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
-    }
-
     fn build_metrics(&self) -> &OracleBuildMetrics {
         &self.metrics
     }
@@ -231,10 +227,6 @@ impl DistanceOracle for ApsOracle {
         1.0 + self.eps
     }
 
-    fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
-    }
-
     fn build_metrics(&self) -> &OracleBuildMetrics {
         &self.metrics
     }
@@ -292,10 +284,6 @@ macro_rules! scheme_oracle {
             fn stretch_bound(&self) -> f64 {
                 #[allow(clippy::redundant_closure_call)]
                 ($bound)(self.k, self.eps)
-            }
-
-            fn size_bits(&self) -> u64 {
-                crate::snapshot::size_bits_of(self)
             }
 
             fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -367,10 +355,6 @@ impl DistanceOracle for TzOracle {
         f64::from(4 * self.k - 3).max(1.0)
     }
 
-    fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
-    }
-
     fn build_metrics(&self) -> &OracleBuildMetrics {
         &self.metrics
     }
@@ -433,10 +417,6 @@ impl DistanceOracle for BfOracle {
 
     fn stretch_bound(&self) -> f64 {
         1.0
-    }
-
-    fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -502,10 +482,6 @@ impl DistanceOracle for FloodOracle {
 
     fn stretch_bound(&self) -> f64 {
         1.0
-    }
-
-    fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {

@@ -308,9 +308,14 @@ pub trait DistanceOracle: Sync {
     /// routes (at the finite-ε ceilings validated by the test suite).
     fn stretch_bound(&self) -> f64;
 
-    /// Size of the serialized artifact in bits (what [`Oracle::save`]
-    /// writes) — the "compact" in compact routing, measured end to end.
-    fn size_bits(&self) -> u64;
+    /// Size of the serialized artifact in bits: for an [`Oracle`],
+    /// exactly 8 × the bytes [`Oracle::save`] writes — the "compact" in
+    /// compact routing, measured end to end. The snapshot (header and
+    /// arena) belongs to the [`Oracle`], so a bare backend kernel, which
+    /// has no serialized form of its own, keeps the default of 0.
+    fn size_bits(&self) -> u64 {
+        0
+    }
 
     /// Build metrics.
     fn build_metrics(&self) -> &OracleBuildMetrics;
@@ -625,50 +630,40 @@ impl Oracle {
         self.build_metrics().backend
     }
 
-    /// Writes the versioned binary snapshot of this oracle.
+    /// Writes the binary snapshot of this oracle (on-disk tag 5): a
+    /// 40-byte header, then one [`congest::arena`] container — an
+    /// 8-byte-aligned section directory, typed sections and a trailing
+    /// checksum, with narrow index-free routing tables and derived query
+    /// state (row fits, RTC long-range tables) stored instead of rebuilt
+    /// on load. This is the only format; `oracle::snapshot`'s module docs
+    /// have the layout.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the sink.
     pub fn save<W: Write>(&self, sink: &mut W) -> io::Result<()> {
-        snapshot::save(self, sink)
+        snapshot::save(self, sink, false)
     }
 
-    /// Writes the **v3** arena snapshot (on-disk tag 5): one
-    /// 8-byte-aligned section directory plus typed sections and a
-    /// trailing checksum, with narrow index-free routing tables and
-    /// derived query state (row fits, RTC long-range tables)
-    /// stored instead of rebuilt on load. Loading a v3 snapshot is an
-    /// order of magnitude faster than v2 (see `oracle::snapshot` module
-    /// docs); [`Oracle::load`] accepts both versions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn save_v3<W: Write>(&self, sink: &mut W) -> io::Result<()> {
-        snapshot::save_v3(self, sink)
-    }
-
-    /// Writes the **v3** arena snapshot to a file, **atomically**: the
-    /// stream goes to a uniquely named temp file in the target
-    /// directory, is flushed and fsynced, then renamed over `path` (and
-    /// the directory entry fsynced, best effort). A crash mid-write
-    /// leaves either the previous file or the complete new one — never
-    /// a torn snapshot for [`Oracle::load_path`] (and so a `net`
-    /// `Install`, which cold-loads the file it is pointed at) to choke
-    /// on.
+    /// Writes the [`Oracle::save`] snapshot to a file, **atomically**
+    /// ([`congest::wire::write_file_atomic`]: temp file, fsync, rename,
+    /// directory fsync). A crash mid-write leaves either the previous
+    /// file or the complete new one — never a torn snapshot for
+    /// [`Oracle::load_path`] (and so a `net` `Install`, which cold-loads
+    /// the file it is pointed at) to choke on. (The name dates from when
+    /// this format was the third of several.)
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; the temp file is removed on failure.
     pub fn save_path_v3(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save_path_v3(self, path)
+        congest::wire::write_file_atomic(path, |sink| snapshot::save(self, sink, false))
     }
 
-    /// Loads an oracle from a snapshot written by [`Oracle::save`] or
-    /// [`Oracle::save_v3`] (the version is auto-detected; files in a
-    /// retired layout — tags 1 and 3 — are rejected with a pointer to
-    /// rebuild).
+    /// Loads an oracle from a snapshot written by [`Oracle::save`],
+    /// reading the stream to its end into one owned buffer the oracle's
+    /// tables then view. Files in a retired layout — tags 1 to 4 — are
+    /// rejected with a pointer to rebuild.
     ///
     /// # Errors
     ///
@@ -682,24 +677,23 @@ impl Oracle {
         snapshot::load(source)
     }
 
-    /// Loads an oracle from an in-memory snapshot buffer (any supported
-    /// version). The bytes are copied once into an owned buffer so a v3
-    /// oracle can keep views into them; callers already holding the
-    /// snapshot as a [`congest::arena::SharedBytes`] should prefer
+    /// Loads an oracle from a borrowed in-memory snapshot buffer. The
+    /// bytes are copied once into an owned buffer so the oracle can keep
+    /// views into them; callers already holding the snapshot as a
+    /// [`congest::arena::SharedBytes`] should prefer
     /// [`Oracle::load_shared`], which skips that copy.
     ///
     /// # Errors
     ///
     /// As [`Oracle::load`].
     pub fn load_bytes(buf: &[u8]) -> io::Result<Oracle> {
-        snapshot::load_bytes(buf)
+        Oracle::load_shared(congest::arena::SharedBytes::from_vec(buf.to_vec()))
     }
 
-    /// Loads an oracle from a shared in-memory snapshot buffer (any
-    /// supported version). For v3 buffers this is the **zero-copy** fast
-    /// path: after one checksum pass, the oracle's large tables are views
-    /// into `bytes` — cloning the handle and loading again shares the
-    /// same underlying allocation.
+    /// Loads an oracle from a shared in-memory snapshot buffer — the
+    /// **zero-copy** path: after one checksum pass, the oracle's large
+    /// tables are views into `bytes`, and cloning the handle and loading
+    /// again shares the same underlying allocation.
     ///
     /// # Errors
     ///
@@ -710,7 +704,7 @@ impl Oracle {
 
     /// Loads an oracle from a snapshot file: the file is read **once**
     /// into a [`congest::arena::SharedBytes`] buffer and decoded through
-    /// [`Oracle::load_shared`], so a v3 snapshot is served as zero-copy
+    /// [`Oracle::load_shared`], so the snapshot is served as zero-copy
     /// views into that single read — the cold-start path from disk pays
     /// no second copy (unlike `fs::read` + [`Oracle::load_bytes`], which
     /// would copy the payload again). `serve::OracleServer::install_path`
@@ -725,14 +719,15 @@ impl Oracle {
 
     /// The **canonical artifact bytes**: the [`Oracle::save`] stream with
     /// every volatile measurement field (CONGEST rounds, messages, build
-    /// wall-clock) written as zero. This is the build-identity witness:
+    /// wall-clock — in the header and in the schemes' embedded metrics
+    /// sections) written as zero. This is the build-identity witness:
     /// for the same graph, seed and knobs, simulated and native builds —
     /// at any thread count — produce identical canonical bytes (asserted
     /// by `tests/build_parity.rs`).
     /// The returned stream is itself a loadable snapshot.
     pub fn artifact_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
-        snapshot::save_canonical(self, &mut bytes).expect("writing to a Vec cannot fail");
+        snapshot::save(self, &mut bytes, true).expect("writing to a Vec cannot fail");
         bytes
     }
 
@@ -782,7 +777,7 @@ impl DistanceOracle for Oracle {
         self.as_dyn().stretch_bound()
     }
     fn size_bits(&self) -> u64 {
-        self.as_dyn().size_bits()
+        snapshot::size_bits(self)
     }
     fn build_metrics(&self) -> &OracleBuildMetrics {
         self.as_dyn().build_metrics()

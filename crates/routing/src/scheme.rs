@@ -186,7 +186,7 @@ pub struct RtcScheme {
     /// `min_t (wd'_S(x, t) + d_spanner(t, s_j))` — everything of the
     /// skeleton option except the destination's `dist_home`, which is a
     /// per-destination constant and therefore cannot change the argmin.
-    /// Stored in v3 snapshots, recomputed on v2 loads; [`graphs::INF`]
+    /// Stored in snapshots, never recomputed on load; [`graphs::INF`]
     /// when no entry point reaches `s_j`.
     pub(crate) long_dist: U64View,
     /// `long_hop[x·|S|+j]`: the next-hop node realizing `long_dist`,
@@ -202,7 +202,7 @@ pub struct RtcScheme {
 /// next spanner waypoint. Ties break on the smaller hop id, exactly as
 /// the former per-query loop did, so queries answered from these tables
 /// are bit-identical to recomputing the reduction per query.
-pub(crate) fn build_long_range(
+fn build_long_range(
     topo: &Topology,
     skel_routes: &FlatTables,
     skel_index: &DenseIndex,

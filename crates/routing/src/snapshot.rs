@@ -1,239 +1,41 @@
 //! Binary snapshot codec for the Theorem 4.5 scheme.
 //!
 //! A built [`RtcScheme`] is a pure query artifact: everything
-//! [`crate::eval::RoutingScheme`] needs is serialized here with the
-//! handwritten little-endian framing of [`congest::wire`], so an oracle
-//! can be constructed once (the expensive distributed build) and then
-//! served from disk. Query answers of a reloaded scheme are bit-identical
-//! to the original, and reload → re-save reproduces the byte stream: the
-//! flat tables are serialized *as stored* (their rows are sorted by
-//! construction), so no canonicalization pass is needed on either side.
-//!
-//! **Record version 2** (the flat-table layout): routing archives are
-//! written as [`FlatTables`] CSR rows instead of per-node hash maps.
-//! Version 1 streams (PR 3's hash-table layout, which carried no version
-//! tag) are rejected with `InvalidData` — rebuild the scheme and re-save;
-//! there is no in-place migration path, by design (snapshots are caches
-//! of a deterministic build, not primary data).
+//! [`crate::eval::RoutingScheme`] needs is laid out here as
+//! [`congest::arena`] sections, so an oracle can be constructed once (the
+//! expensive distributed build) and then served from disk. Query answers
+//! of a reloaded scheme are bit-identical to the original, and reload →
+//! re-save reproduces the bytes: the flat tables are serialized *as
+//! stored* (their rows are sorted by construction), so no
+//! canonicalization pass is needed on either side.
 //!
 //! Build *metrics* are persisted in summary form (round/message totals and
 //! the per-stage breakdown); the bounded per-round histories are not.
 
 use crate::scheme::{RtcBuildMetrics, RtcLabel, RtcScheme};
-use congest::arena::{U32View, U64View};
-use congest::wire::{check_record_version, clamped_capacity, invalid_data, WireReader, WireWriter};
+use congest::wire::{invalid_data, WireReader, WireWriter};
 use congest::{Metrics, NodeId, Topology};
 use graphs::DenseIndex;
 use pde_core::snapshot::FlatLists;
 use pde_core::FlatTables;
-use std::io::{self, Read, Write};
+use std::io;
 use treeroute::TreeSet;
 
-/// Version of the scheme record this codec writes (see module docs).
-pub const RTC_RECORD_VERSION: u16 = 2;
-
 impl RtcScheme {
-    /// Serializes the scheme's full query state (record version 2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, false)
-    }
-
-    /// [`RtcScheme::write_into`] with the volatile *measurement* fields
-    /// (round and message totals) written as zeros. This is the
-    /// **canonical artifact form**: simulated and native builds of the
-    /// same graph and seed serialize to identical bytes through it (the
-    /// query state is identical by the determinism contract; only the
-    /// measured rounds differ, and those are metadata, not artifact).
-    /// The stream stays loadable by [`RtcScheme::read_from`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_canonical_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        self.write_into_opts(sink, true)
-    }
-
-    fn write_into_opts(&self, sink: &mut dyn Write, canonical: bool) -> io::Result<()> {
-        WireWriter::new(sink).u16(RTC_RECORD_VERSION)?;
-        self.topo.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        for l in &self.labels {
-            w.u32(l.id.0)?;
-            w.u32(l.home.0)?;
-            w.u64(l.dist_home)?;
-            w.u64(l.tree_dfs)?;
-        }
-        for &f in &self.skeleton {
-            w.bool(f)?;
-        }
-        self.short.write_into(sink)?;
-        self.short_lists.write_into(sink)?;
-        self.skel_routes.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        w.len(self.spanner_edges.len())?;
-        for &(a, b, wt) in &self.spanner_edges {
-            w.u32(a)?;
-            w.u32(b)?;
-            w.u64(wt)?;
-        }
-        let m = self.skel_ids.len();
-        w.usize(m)?;
-        for d in self.span_dist.iter() {
-            w.u64(d)?;
-        }
-        // span_next is stored sentinel-encoded (u64::MAX = none) already.
-        for nx in self.span_next.iter() {
-            w.u64(nx)?;
-        }
-        self.trees.write_into(sink)?;
-        let mut w = WireWriter::new(sink);
-        let mt = &self.metrics;
-        let zero = |x: u64| if canonical { 0 } else { x };
-        w.u64(zero(mt.total_rounds))?;
-        w.u64(zero(mt.pde_a_rounds))?;
-        w.u64(zero(mt.pde_s_rounds))?;
-        w.u64(zero(mt.spanner_broadcast_rounds))?;
-        w.u64(zero(mt.tree_label_rounds))?;
-        w.u64(zero(mt.total.rounds))?;
-        w.u64(zero(mt.total.messages))?;
-        w.u32(mt.sample_attempts)?;
-        w.u64(mt.h)?;
-        Ok(())
-    }
-
-    /// Deserializes a scheme written by [`RtcScheme::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes or an unsupported record
-    /// version.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        check_record_version(source, RTC_RECORD_VERSION, "rtc scheme")?;
-        let topo = Topology::read_from(source)?;
-        let n = topo.len();
-        let mut r = WireReader::new(source);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(RtcLabel {
-                id: NodeId(r.u32()?),
-                home: NodeId(r.u32()?),
-                dist_home: r.u64()?,
-                tree_dfs: r.u64()?,
-            });
-        }
-        let mut skeleton = Vec::with_capacity(n);
-        for _ in 0..n {
-            skeleton.push(r.bool()?);
-        }
-        let short = FlatTables::read_from(source)?;
-        let short_lists = FlatLists::read_from(source)?;
-        let skel_routes = FlatTables::read_from(source)?;
-        if short_lists.len() != n {
-            return Err(invalid_data("table count mismatch"));
-        }
-        short.validate(&topo)?;
-        skel_routes.validate(&topo)?;
-        let mut r = WireReader::new(source);
-        let num_sedges = r.len(n.saturating_mul(n))?;
-        let mut spanner_edges = Vec::with_capacity(clamped_capacity(num_sedges));
-        for _ in 0..num_sedges {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let wt = r.u64()?;
-            spanner_edges.push((a, b, wt));
-        }
-        let m = r.usize()?;
-        let skel_ids: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|v| skeleton[v.index()])
-            .collect();
-        if skel_ids.len() != m {
-            return Err(invalid_data("skeleton size mismatch"));
-        }
-        let cells = congest::wire::seq_product(m, m, "spanner matrix")?;
-        let mut span_dist = Vec::with_capacity(clamped_capacity(cells));
-        for _ in 0..cells {
-            span_dist.push(r.u64()?);
-        }
-        // Kept sentinel-encoded (u64::MAX = none), validated up front.
-        let mut span_next = Vec::with_capacity(clamped_capacity(cells));
-        for _ in 0..cells {
-            let x = r.u64()?;
-            if x != u64::MAX && x >= m as u64 {
-                return Err(invalid_data("span_next index out of range"));
-            }
-            span_next.push(x);
-        }
-        let trees = TreeSet::read_from(source)?;
-        let mut r = WireReader::new(source);
-        let total_rounds = r.u64()?;
-        let pde_a_rounds = r.u64()?;
-        let pde_s_rounds = r.u64()?;
-        let spanner_broadcast_rounds = r.u64()?;
-        let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
-        let sample_attempts = r.u32()?;
-        let h = r.u64()?;
-
-        let skel_index = DenseIndex::new(n, &skel_ids);
-        let span_dist = U64View::from_vals(&span_dist);
-        let span_next = U64View::from_vals(&span_next);
-        let (long_dist, long_hop) = crate::scheme::build_long_range(
-            &topo,
-            &skel_routes,
-            &skel_index,
-            &skel_ids,
-            &span_dist,
-            &span_next,
-        );
-        let (long_dist, long_hop) = (
-            U64View::from_vals(&long_dist),
-            U32View::from_vals(&long_hop),
-        );
-        let metrics = RtcBuildMetrics {
-            total_rounds,
-            pde_a_rounds,
-            pde_s_rounds,
-            spanner_broadcast_rounds,
-            tree_label_rounds,
-            total,
-            skeleton_size: m,
-            spanner_edge_count: spanner_edges.len(),
-            sample_attempts,
-            h,
-            stages: Default::default(),
-        };
-        Ok(RtcScheme {
-            topo,
-            labels,
-            short,
-            short_lists,
-            skel_routes,
-            skeleton,
-            skel_ids,
-            spanner_edges,
-            trees,
-            metrics,
-            skel_index,
-            span_dist,
-            span_next,
-            long_dist,
-            long_hop,
-        })
-    }
-
-    /// Emits the scheme into a v3 arena. Every table queries touch is a
+    /// Emits the scheme into an arena. Every table queries touch is a
     /// typed section — **including the derived long-range reduction**
-    /// (`long_dist`/`long_hop`), which the v2 path recomputes with
-    /// [`crate::scheme::build_long_range`] on every load; a v3 load only
-    /// bulk-decodes and shape-checks. The detection trees and the small
-    /// metrics block ride along as embedded v2 streams.
+    /// (`long_dist`/`long_hop`), so a load only bulk-decodes and
+    /// shape-checks. The detection trees and the small metrics block ride
+    /// along as embedded wire streams. With `canonical` set, the volatile
+    /// *measurement* fields (round and message totals) are written as
+    /// zeros: simulated and native builds of the same graph and seed then
+    /// serialize to identical bytes (the query state is identical by the
+    /// determinism contract; only the measured rounds differ, and those
+    /// are metadata, not artifact).
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from the embedded stream writers.
     pub fn write_arena(
         &self,
         a: &mut congest::arena::ArenaWriter,
@@ -418,28 +220,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn snapshot_round_trip_is_query_identical() {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
-        let scheme = build_rtc(&g, &RtcParams::new(2));
-        let mut buf = Vec::new();
-        scheme.write_into(&mut buf).unwrap();
-        let back = super::RtcScheme::read_from(&mut &buf[..]).unwrap();
-        for u in g.nodes() {
-            for v in g.nodes() {
-                assert_eq!(scheme.estimate(u, v), back.estimate(u, v), "({u},{v})");
-                assert_eq!(scheme.next_hop(u, v), back.next_hop(u, v), "({u},{v})");
-            }
-            assert_eq!(scheme.label_bits(u), back.label_bits(u));
-            assert_eq!(scheme.table_entries(u), back.table_entries(u));
-        }
-        // Re-serialization is byte-identical (rows stored sorted).
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
     fn arena_round_trip_is_query_and_byte_identical() {
         let mut rng = SmallRng::seed_from_u64(35);
         let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
@@ -459,6 +239,8 @@ mod tests {
                 assert_eq!(scheme.estimate(u, v), back.estimate(u, v), "({u},{v})");
                 assert_eq!(scheme.next_hop(u, v), back.next_hop(u, v), "({u},{v})");
             }
+            assert_eq!(scheme.label_bits(u), back.label_bits(u));
+            assert_eq!(scheme.table_entries(u), back.table_entries(u));
         }
         // Re-emitting the arena is byte-identical (all sections stored).
         let mut a2 = congest::arena::ArenaWriter::new();
@@ -466,22 +248,5 @@ mod tests {
         let mut buf2 = Vec::new();
         a2.finish(&mut buf2).unwrap();
         assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn record_version_gate_rejects_other_versions() {
-        let mut rng = SmallRng::seed_from_u64(34);
-        let g = gen::gnp_connected(16, 0.25, Weights::Unit, &mut rng);
-        let scheme = build_rtc(&g, &RtcParams::new(2));
-        let mut buf = Vec::new();
-        scheme.write_into(&mut buf).unwrap();
-        assert_eq!(
-            u16::from_le_bytes([buf[0], buf[1]]),
-            super::RTC_RECORD_VERSION
-        );
-        buf[0] = 1; // masquerade as the v1 hash-table layout
-        buf[1] = 0;
-        let err = super::RtcScheme::read_from(&mut &buf[..]).unwrap_err();
-        assert!(err.to_string().contains("record version"), "{err}");
     }
 }

@@ -14,12 +14,11 @@
 //!   hot swap never interrupts a query — readers drain off the old
 //!   generation at their own pace (pinned by the `hot_swap_*` tests).
 //! * [`OracleServer::install_shared`] — the cold-start path: decode a
-//!   snapshot (v2 or v3, auto-detected via [`oracle::Oracle::load_shared`]),
-//!   install it, and answer one probe query, reporting the measured
-//!   bytes-to-first-answer time. A v3 snapshot is served as zero-copy
-//!   views into the handed-over buffer. This is the number the v3 arena
-//!   layout exists to shrink (the stack benchmark's `cold_load_ms`,
-//!   see `benchmark/README.md`).
+//!   snapshot ([`oracle::Oracle::load_shared`]), install it, and answer
+//!   one probe query, reporting the measured bytes-to-first-answer time.
+//!   The snapshot is served as zero-copy views into the handed-over
+//!   buffer. This is the number the arena layout exists to shrink (the
+//!   stack benchmark's `cold_load_ms`, see `benchmark/README.md`).
 //!   [`OracleServer::install_from_bytes`] is the borrowed-slice variant
 //!   (one defensive copy).
 //! * [`Batcher`] — admission batching for one served name: concurrent
@@ -264,7 +263,7 @@ impl OracleServer {
         (generation, replaced)
     }
 
-    /// Decodes a snapshot buffer (v2 or v3, auto-detected), installs it
+    /// Decodes a snapshot buffer, installs it
     /// under `name`, answers one probe query, and reports the measured
     /// cold-start-to-first-answer time.
     ///
@@ -278,7 +277,7 @@ impl OracleServer {
 
     /// [`OracleServer::install_from_bytes`] without the defensive copy:
     /// the caller hands over a [`congest::arena::SharedBytes`] handle, and
-    /// a v3 snapshot is served as views straight into that buffer — the
+    /// the snapshot is served as views straight into that buffer — the
     /// zero-copy cold-start path the serving benchmark measures.
     ///
     /// # Errors
@@ -1183,27 +1182,23 @@ mod tests {
     }
 
     #[test]
-    fn install_from_bytes_reports_cold_start_for_both_versions() {
+    fn install_from_bytes_reports_cold_start() {
         let oracle = build(&ring(10, 3));
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).unwrap();
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).unwrap();
+        let mut snap = Vec::new();
+        oracle.save(&mut snap).unwrap();
         let server = OracleServer::new();
-        for (name, bytes) in [("v2", &v2), ("v3", &v3)] {
-            let report = server.install_from_bytes(name, bytes).unwrap();
-            assert_eq!(report.backend, Backend::Flooding);
-            assert_eq!(report.n, 10);
-            assert!(report.cold_start_nanos > 0);
-            assert!(report.replaced.is_none());
-            let mut out = Vec::new();
-            server
-                .query(name, &[(NodeId(0), NodeId(5))], &mut out, 1)
-                .unwrap();
-            assert_eq!(out, vec![15]);
-        }
+        let report = server.install_from_bytes("g", &snap).unwrap();
+        assert_eq!(report.backend, Backend::Flooding);
+        assert_eq!(report.n, 10);
+        assert!(report.cold_start_nanos > 0);
+        assert!(report.replaced.is_none());
+        let mut out = Vec::new();
+        server
+            .query("g", &[(NodeId(0), NodeId(5))], &mut out, 1)
+            .unwrap();
+        assert_eq!(out, vec![15]);
         let err = server
-            .install_from_bytes("bad", &v3[..v3.len() - 3])
+            .install_from_bytes("bad", &snap[..snap.len() - 3])
             .unwrap_err();
         assert!(congest::wire::is_truncated(&err), "{err}");
         assert!(server.lease("bad").is_none());

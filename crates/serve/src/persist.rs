@@ -33,6 +33,7 @@
 //! still down", not "trust a possibly stale mask".
 
 use crate::ServeError;
+use congest::arena::SharedBytes;
 use congest::wire::{self, invalid_data, WireReader, WireWriter};
 use graphs::{GraphDelta, NodeId, WGraph};
 use oracle::{BuildError, Oracle, RepairError};
@@ -410,7 +411,7 @@ pub struct Checkpoint {
     pub oracle: Oracle,
 }
 
-/// Atomically writes a checkpoint (temp file + fsync + rename): a
+/// Atomically writes a checkpoint ([`wire::write_file_atomic`]): a
 /// crash mid-write leaves the previous checkpoint intact.
 ///
 /// # Errors
@@ -423,42 +424,14 @@ pub fn write_checkpoint(
     oracle: &Oracle,
 ) -> io::Result<()> {
     let mut snap = Vec::new();
-    oracle.save_v3(&mut snap)?;
-    let file_name = path.file_name().ok_or_else(|| {
-        invalid_data(format!(
-            "checkpoint path {} has no file name",
-            path.display()
-        ))
-    })?;
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let tmp = dir.join(format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    let result = (|| {
-        let mut sink = io::BufWriter::new(File::create(&tmp)?);
-        write_header(&mut sink, CKPT_MAGIC, epoch)?;
-        graph.write_into(&mut sink)?;
-        let mut w = WireWriter::new(&mut sink);
+    oracle.save(&mut snap)?;
+    wire::write_file_atomic(path, |sink| {
+        write_header(sink, CKPT_MAGIC, epoch)?;
+        graph.write_into(sink)?;
+        let mut w = WireWriter::new(sink);
         w.u64(snap.len() as u64)?;
-        w.bytes(&snap)?;
-        let file = sink.into_inner().map_err(|e| e.into_error())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        if let Ok(d) = File::open(&dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+        w.bytes(&snap)
+    })
 }
 
 /// Reads a checkpoint back.
@@ -481,7 +454,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
         )));
     }
     let snap = r.bytes(snap_len)?;
-    let oracle = Oracle::load_bytes(&snap)?;
+    let oracle = Oracle::load_shared(SharedBytes::from_vec(snap))?;
     Ok(Checkpoint {
         epoch,
         graph,

@@ -184,7 +184,7 @@ const EMPTY_STATE: SourceState = SourceState {
 /// with the message-pruning modification of Lemma 3.4 of the PODC 2015
 /// paper.
 ///
-/// All per-source state lives in one dense [`SourceState`] vector indexed
+/// All per-source state lives in one dense `SourceState` vector indexed
 /// by [`SourceSpace`] source index. Distances are stored as `u32` (the
 /// horizon bounds them far below `u32::MAX`).
 #[derive(Debug)]

@@ -77,8 +77,10 @@ pub fn demo() -> Result<(), Box<dyn std::error::Error>> {
         route.hops()
     );
 
-    // 4. Build once, serve from disk: the snapshot round-trips with
-    //    bit-identical answers.
+    // 4. Build once, serve from disk: `save` writes the one snapshot
+    //    format (header + checksummed arena; `size_bits()` above is 8 ×
+    //    its length), and the reload answers bit-identically from
+    //    zero-copy views into the bytes it read.
     let mut bytes = Vec::new();
     apsp.save(&mut bytes)?;
     let served = Oracle::load(&mut &bytes[..])?;

@@ -121,6 +121,7 @@ fn canonical_artifact_bytes_are_loadable() {
         let bytes = oracle.artifact_bytes();
         let loaded = Oracle::load(&mut &bytes[..]).expect("canonical bytes load");
         assert_eq!(loaded.build_metrics().rounds, 0, "{backend}");
+        assert_eq!(loaded.artifact_bytes(), bytes, "{backend}");
         let (mut a, mut b) = (Vec::new(), Vec::new());
         oracle.estimate_many(&pairs, &mut a);
         loaded.estimate_many(&pairs, &mut b);

@@ -4,7 +4,7 @@
 //! probes — including misses and out-of-range keys — and [`FlatTables`]
 //! lookups with a per-node `HashMap` model — including values that take
 //! the narrow layout's escape and the marker values themselves — with
-//! byte-identical round-trips through the wire and arena codecs.
+//! byte-identical round-trips through the arena codec.
 
 use pde_repro::congest::arena::{ArenaReader, ArenaWriter, SharedBytes};
 use pde_repro::graphs::NodeId;
@@ -131,8 +131,8 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
 /// Flattens `tables` and checks every read path — `get`, `est`,
 /// `cursor`, `row_vec`, `ests_in`, `unflatten` — on the built table and
 /// on its arena reload against the per-node `HashMap` model, probing
-/// every stored key, both its neighbours and `probes`; then that the v2
-/// stream round-trips and the arena reload re-saves byte-identically.
+/// every stored key, both its neighbours and `probes`; and that the
+/// arena reload re-saves byte-identically.
 fn check_against_model(
     tables: &[Vec<RouteRow>],
     probes: &[(u32, u32)],
@@ -152,13 +152,13 @@ fn check_against_model(
 
     // The arena codec hands back the same table, and re-saving the
     // loaded views is a byte passthrough.
-    let saved = arena_bytes(&flat);
+    let saved = arena_bytes(|a| flat.write_arena(a));
     let reader = ArenaReader::parse(SharedBytes::from_vec(saved.clone())).unwrap();
     let mut cursor = reader.cursor();
     let loaded = FlatTables::read_arena(&mut cursor).unwrap();
     cursor.expect_end().unwrap();
     prop_assert_eq!(&flat, &loaded);
-    prop_assert_eq!(&saved, &arena_bytes(&loaded));
+    prop_assert_eq!(&saved, &arena_bytes(|a| loaded.write_arena(a)));
 
     for t in [&flat, &loaded] {
         let stored = model.iter().enumerate().flat_map(|(v, table)| {
@@ -206,21 +206,13 @@ fn check_against_model(
             prop_assert_eq!(ests, row.iter().map(|e| e.est).collect::<Vec<_>>());
         }
     }
-    // Byte-identical codec round-trip.
-    let mut buf = Vec::new();
-    flat.write_into(&mut buf).unwrap();
-    let back = FlatTables::read_from(&mut &buf[..]).unwrap();
-    prop_assert_eq!(&flat, &back);
-    let mut buf2 = Vec::new();
-    back.write_into(&mut buf2).unwrap();
-    prop_assert_eq!(buf, buf2);
     Ok(())
 }
 
-/// `t` as a finished arena container.
-fn arena_bytes(t: &FlatTables) -> Vec<u8> {
+/// What `write` emits, as a finished arena container.
+fn arena_bytes(write: impl FnOnce(&mut ArenaWriter)) -> Vec<u8> {
     let mut a = ArenaWriter::new();
-    t.write_arena(&mut a);
+    write(&mut a);
     let mut buf = Vec::new();
     a.finish(&mut buf).unwrap();
     buf
@@ -263,7 +255,7 @@ fn dense_table_costs_at_most_11_1_bytes_per_entry() {
         })
         .collect();
     let flat = FlatTables::from_tables(&vec![row; 1024]);
-    let per_entry = arena_bytes(&flat).len() as f64 / flat.len_entries() as f64;
+    let per_entry = arena_bytes(|a| flat.write_arena(a)).len() as f64 / flat.len_entries() as f64;
     assert!(per_entry <= 11.1, "{per_entry} bytes per entry");
 }
 
@@ -299,19 +291,17 @@ proptest! {
         }
     }
 
-    /// Both representations round-trip through the wire codec
+    /// Both representations round-trip through the arena codec
     /// byte-identically, preserving the representation tag.
     #[test]
     fn pair_table_round_trips_byte_identically(case in pair_entries()) {
         let (k, entries, _probes) = case;
         for table in [PairTable::dense(k, &entries), PairTable::csr(k, &entries)] {
-            let mut buf = Vec::new();
-            table.write_into(&mut buf).unwrap();
-            let back = PairTable::read_from(&mut &buf[..]).unwrap();
+            let buf = arena_bytes(|a| table.write_arena(a));
+            let reader = ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
+            let back = PairTable::read_arena(&mut reader.cursor()).unwrap();
             prop_assert_eq!(&table, &back);
-            let mut buf2 = Vec::new();
-            back.write_into(&mut buf2).unwrap();
-            prop_assert_eq!(buf, buf2);
+            prop_assert_eq!(buf, arena_bytes(|a| back.write_arena(a)));
             // Iteration agrees with construction.
             let got: Vec<(u32, u32, u64)> = table.iter().collect();
             prop_assert_eq!(got, entries.clone());

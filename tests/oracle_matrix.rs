@@ -126,20 +126,53 @@ fn route_into_reuses_buffers_and_matches_route() {
     }
 }
 
-#[test]
-fn save_load_round_trips_bit_identically_on_1k_random_queries() {
-    let g = graph(4);
+/// 1k seeded random pairs over `g`.
+fn random_queries(g: &WGraph) -> Vec<(NodeId, NodeId)> {
     use rand::Rng;
     let mut rng = Seed(0xDEC0DE).rng();
     let n = g.len() as u32;
-    let queries: Vec<(NodeId, NodeId)> = (0..1000)
+    (0..1000)
         .map(|_| {
             (
                 NodeId(rng.random_range(0..n)),
                 NodeId(rng.random_range(0..n)),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// `loaded` is `oracle` again: identity, bit-identical point, batch and
+/// routing answers, and the metrics and bounds that ride in a snapshot.
+fn assert_reloaded(oracle: &Oracle, loaded: &Oracle, queries: &[(NodeId, NodeId)], how: &str) {
+    let backend = oracle.backend();
+    assert_eq!(loaded.backend(), backend);
+    assert_eq!(loaded.len(), oracle.len());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    oracle.estimate_many(queries, &mut a);
+    loaded.estimate_many(queries, &mut b);
+    assert_eq!(a, b, "{backend}: {how} batch answers diverge");
+    for &(u, v) in queries {
+        let at = format!("{backend} {how} ({u},{v})");
+        assert_eq!(oracle.estimate(u, v), loaded.estimate(u, v), "{at}");
+        assert_eq!(oracle.next_hop(u, v), loaded.next_hop(u, v), "{at}");
+        assert_eq!(oracle.route(u, v), loaded.route(u, v), "{at}");
+    }
+    assert_eq!(
+        oracle.build_metrics().rounds,
+        loaded.build_metrics().rounds,
+        "{backend} {how}"
+    );
+    assert_eq!(
+        oracle.stretch_bound(),
+        loaded.stretch_bound(),
+        "{backend} {how}"
+    );
+}
+
+#[test]
+fn save_load_round_trips_bit_identically_on_1k_random_queries() {
+    let g = graph(4);
+    let queries = random_queries(&g);
     for backend in Backend::ALL {
         let oracle = build(backend, &g, 13);
         let mut bytes = Vec::new();
@@ -150,40 +183,7 @@ fn save_load_round_trips_bit_identically_on_1k_random_queries() {
             "{backend}: size_bits must equal the serialized artifact size"
         );
         let loaded = Oracle::load(&mut &bytes[..]).expect("load succeeds");
-        assert_eq!(loaded.backend(), backend);
-        assert_eq!(loaded.len(), oracle.len());
-
-        // Bit-identical point, batch and routing answers.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        oracle.estimate_many(&queries, &mut a);
-        loaded.estimate_many(&queries, &mut b);
-        assert_eq!(a, b, "{backend}: batch answers diverge after reload");
-        for &(u, v) in &queries {
-            assert_eq!(
-                oracle.estimate(u, v),
-                loaded.estimate(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                oracle.next_hop(u, v),
-                loaded.next_hop(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                oracle.route(u, v),
-                loaded.route(u, v),
-                "{backend} ({u},{v})"
-            );
-        }
-
-        // Metrics and bounds survive the round trip.
-        assert_eq!(
-            oracle.build_metrics().rounds,
-            loaded.build_metrics().rounds,
-            "{backend}"
-        );
-        assert_eq!(oracle.stretch_bound(), loaded.stretch_bound(), "{backend}");
+        assert_reloaded(&oracle, &loaded, &queries, "load");
 
         // Re-saving the loaded oracle reproduces the byte stream.
         let mut bytes2 = Vec::new();
@@ -194,82 +194,49 @@ fn save_load_round_trips_bit_identically_on_1k_random_queries() {
 
 #[test]
 fn v3_snapshots_round_trip_and_answer_identically_to_v2() {
-    // The v2 ↔ v3 cross-version matrix: for every backend, the arena
-    // snapshot must (a) load back, (b) re-save byte-identically, and
-    // (c) answer point, batch and routing queries bit-identically to the
-    // oracle loaded from the v2 stream of the same build.
+    // One format, three ways in (the name dates from when there were two
+    // formats): for every backend the stream `load`, the in-memory
+    // `load_bytes` and the file `load_path` must each hand back the
+    // built oracle, and re-save the bytes they were loaded from.
     let g = graph(4);
-    use rand::Rng;
-    let mut rng = Seed(0xDEC0DE).rng();
-    let n = g.len() as u32;
-    let queries: Vec<(NodeId, NodeId)> = (0..1000)
-        .map(|_| {
-            (
-                NodeId(rng.random_range(0..n)),
-                NodeId(rng.random_range(0..n)),
-            )
-        })
-        .collect();
+    let queries = random_queries(&g);
     for backend in Backend::ALL {
         let oracle = build(backend, &g, 13);
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).expect("v2 save succeeds");
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).expect("v3 save succeeds");
-        assert_ne!(v2, v3, "{backend}: versions share a byte stream?");
-
-        let from_v2 = Oracle::load(&mut &v2[..]).expect("v2 load succeeds");
-        let from_v3 = Oracle::load(&mut &v3[..]).expect("v3 load succeeds");
-        assert_eq!(from_v3.backend(), backend);
-        assert_eq!(from_v3.len(), oracle.len());
-
-        // Re-saving the v3-loaded oracle reproduces the arena stream.
-        let mut v3_again = Vec::new();
-        from_v3.save_v3(&mut v3_again).expect("re-save succeeds");
-        assert_eq!(v3, v3_again, "{backend}: v3 snapshot is not canonical");
-        // And it can still emit a v2 stream identical to the original.
-        let mut v2_again = Vec::new();
-        from_v3.save(&mut v2_again).expect("v2 re-save succeeds");
-        assert_eq!(v2, v2_again, "{backend}: v3 load lost v2 state");
-
-        // The in-memory fast path agrees with the streaming path.
-        let from_buf = Oracle::load_bytes(&v3).expect("load_bytes succeeds");
-
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        from_v2.estimate_many(&queries, &mut a);
-        from_v3.estimate_many(&queries, &mut b);
-        assert_eq!(a, b, "{backend}: v3 batch answers diverge from v2");
-        from_buf.estimate_many(&queries, &mut b);
-        assert_eq!(a, b, "{backend}: load_bytes answers diverge");
-        for &(u, v) in &queries {
-            assert_eq!(
-                from_v2.estimate(u, v),
-                from_v3.estimate(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                from_v2.next_hop(u, v),
-                from_v3.next_hop(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                from_v2.route(u, v),
-                from_v3.route(u, v),
-                "{backend} ({u},{v})"
-            );
+        let (snap, loaded) = every_load(&oracle, "v3");
+        for (how, loaded) in &loaded {
+            assert_reloaded(&oracle, loaded, &queries, how);
+            let mut again = Vec::new();
+            loaded.save(&mut again).expect("re-save succeeds");
+            assert_eq!(snap, again, "{backend}: {how} re-save is not canonical");
         }
-        assert_eq!(
-            from_v2.build_metrics().rounds,
-            from_v3.build_metrics().rounds,
-            "{backend}"
-        );
-        assert_eq!(
-            from_v2.stretch_bound(),
-            from_v3.stretch_bound(),
-            "{backend}"
-        );
     }
+}
+
+/// `oracle`'s snapshot, and the oracle loaded back from it through each
+/// entry point: `load`, `load_bytes`, `load_path`.
+fn every_load(oracle: &Oracle, tag: &str) -> (Vec<u8>, [(&'static str, Oracle); 3]) {
+    let mut snap = Vec::new();
+    oracle.save(&mut snap).expect("save succeeds");
+    let path = std::env::temp_dir().join(format!(
+        "pde-oracle-matrix-{}-{tag}-{}.snap",
+        std::process::id(),
+        oracle.backend().name()
+    ));
+    oracle.save_path_v3(&path).expect("save_path_v3 succeeds");
+    assert_eq!(std::fs::read(&path).unwrap(), snap, "file ≠ stream");
+    let loaded = [
+        ("load", Oracle::load(&mut &snap[..]).expect("load succeeds")),
+        (
+            "load_bytes",
+            Oracle::load_bytes(&snap).expect("load_bytes succeeds"),
+        ),
+        (
+            "load_path",
+            Oracle::load_path(&path).expect("load_path succeeds"),
+        ),
+    ];
+    std::fs::remove_file(&path).ok();
+    (snap, loaded)
 }
 
 #[test]
@@ -278,7 +245,8 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
     // field (each entry takes the escape) and every edge above
     // DIAL_WEIGHT_LIMIT (heap Dijkstra, hash-row fallbacks). Exact
     // answers must not depend on which form serves them: the built
-    // oracle, its v2 reload and its arena reload agree on everything.
+    // oracle and its `load`, `load_bytes` and `load_path` reloads agree
+    // on everything.
     use pde_repro::graphs::algo::DIAL_WEIGHT_LIMIT;
     let lo = 1u64 << 40;
     assert!(lo > DIAL_WEIGHT_LIMIT);
@@ -296,15 +264,7 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
         .collect();
     for backend in Backend::ALL {
         let built = build(backend, &g, 23);
-        let (mut v2, mut v3) = (Vec::new(), Vec::new());
-        built.save(&mut v2).expect("v2 save succeeds");
-        built.save_v3(&mut v3).expect("v3 save succeeds");
-        let from_v2 = Oracle::load(&mut &v2[..]).expect("v2 load succeeds");
-        let from_v3 = Oracle::load_bytes(&v3).expect("v3 load succeeds");
-        let mut v3_again = Vec::new();
-        from_v3.save_v3(&mut v3_again).expect("re-save succeeds");
-        assert_eq!(v3, v3_again, "{backend}: v3 snapshot is not canonical");
-
+        let (snap, loaded) = every_load(&built, "heavy");
         let artifact = built.artifact_bytes();
         let mut want = Vec::new();
         built.estimate_many(&batch, &mut want);
@@ -316,32 +276,35 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
             "{backend}: an estimate below the lightest edge"
         );
         let (mut route, mut other) = Default::default();
-        for loaded in [&from_v2, &from_v3] {
-            assert_eq!(loaded.artifact_bytes(), artifact, "{backend}");
+        for (how, loaded) in &loaded {
+            let mut again = Vec::new();
+            loaded.save(&mut again).expect("re-save succeeds");
+            assert_eq!(snap, again, "{backend}: {how} re-save is not canonical");
+            assert_eq!(loaded.artifact_bytes(), artifact, "{backend} {how}");
             for threads in [1usize, 4] {
                 let mut got = Vec::new();
                 loaded.estimate_many_with(&batch, &mut got, threads);
-                assert_eq!(want, got, "{backend}: threads={threads}");
+                assert_eq!(want, got, "{backend} {how}: threads={threads}");
             }
             for &(u, v) in &square {
                 assert_eq!(
                     built.estimate(u, v),
                     loaded.estimate(u, v),
-                    "{backend} ({u},{v})"
+                    "{backend} {how} ({u},{v})"
                 );
                 assert_eq!(
                     built.next_hop(u, v),
                     loaded.next_hop(u, v),
-                    "{backend} ({u},{v})"
+                    "{backend} {how} ({u},{v})"
                 );
                 let ok = built.route_into(u, v, &mut route);
                 assert_eq!(
                     ok,
                     loaded.route_into(u, v, &mut other),
-                    "{backend} ({u},{v})"
+                    "{backend} {how} ({u},{v})"
                 );
                 if ok {
-                    assert_eq!(route, other, "{backend} ({u},{v})");
+                    assert_eq!(route, other, "{backend} {how} ({u},{v})");
                 }
             }
         }
@@ -377,14 +340,13 @@ fn corrupted_snapshots_are_rejected() {
     // Truncated payload.
     let half = &bytes[..bytes.len() / 2];
     assert!(Oracle::load(&mut &half[..]).is_err());
-    // Tampered node count: a snapshot claiming an absurd n must come back
-    // as InvalidData, not abort on a huge allocation. The BellmanFord
-    // payload starts with its u64 node count right after the 39-byte
-    // header.
+    // Tampered section count: an arena claiming an absurd directory must
+    // come back as InvalidData, not abort on a huge allocation. The count
+    // is the u64 right after the 40-byte header.
     let bf = build(Backend::BellmanFord, &g, 1);
     let mut bytes = Vec::new();
     bf.save(&mut bytes).unwrap();
-    bytes[39..47].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(Oracle::load(&mut &bytes[..]).is_err());
 }
 

@@ -1,7 +1,7 @@
 //! Serving identity, per backend: the answers an oracle gives in process
-//! are the answers it gives from a `serve::OracleServer` (v2 install,
-//! v3 hot swap, admission `Batcher`) and over a `net::NetServer`
-//! loopback socket (inline v2 swap, v3 file install, direct and batched
+//! are the answers it gives from a `serve::OracleServer` (install,
+//! hot swap, admission `Batcher`) and over a `net::NetServer`
+//! loopback socket (inline swap, file install, direct and batched
 //! frames, a grouped-kernel-sized frame in two orders, `next_hop` and
 //! `route`). Each backend is built once and walked through all three.
 
@@ -53,47 +53,46 @@ fn every_backend_answers_identically_in_process_served_and_over_loopback() {
         let oracle = OracleBuilder::new(backend).seed(SEED).k(2).build(&g);
         let mut want = Vec::new();
         oracle.estimate_many(&pairs, &mut want);
-        let (mut v2, mut v3) = (Vec::new(), Vec::new());
-        oracle.save(&mut v2).unwrap();
-        oracle.save_v3(&mut v3).unwrap();
+        let mut snap = Vec::new();
+        oracle.save(&mut snap).unwrap();
 
-        // In-process serving: v2 install → query → v3 hot swap → query
-        // → admission batcher.
+        // In-process serving: install → query → hot swap → query →
+        // admission batcher.
         let name = format!("served-{}", backend.name());
-        let r2 = registry.install_from_bytes(&name, &v2).unwrap();
+        let first = registry.install_from_bytes(&name, &snap).unwrap();
         assert_eq!(
-            (r2.backend, r2.n),
+            (first.backend, first.n),
             (backend, N as usize),
-            "{backend}: v2 install identity"
+            "{backend}: install identity"
         );
         let mut got = Vec::new();
         registry.query(&name, &pairs, &mut got, 1).unwrap();
-        assert_eq!(got, want, "{backend}: served v2 answers ≠ in-process");
-        let r3 = registry.install_from_bytes(&name, &v3).unwrap();
+        assert_eq!(got, want, "{backend}: served answers ≠ in-process");
+        let second = registry.install_from_bytes(&name, &snap).unwrap();
         assert_eq!(
-            r3.replaced.map(|old| old.generation),
-            Some(r2.generation),
+            second.replaced.map(|old| old.generation),
+            Some(first.generation),
             "{backend}: hot swap retired the wrong snapshot"
         );
         let generation = registry.query(&name, &pairs, &mut got, 1).unwrap();
-        assert_eq!(generation, r3.generation, "{backend}: stale lease");
-        assert_eq!(got, want, "{backend}: v3 hot swap changed answers");
+        assert_eq!(generation, second.generation, "{backend}: stale lease");
+        assert_eq!(got, want, "{backend}: hot swap changed answers");
         let batcher = Batcher::new(&name, Duration::from_millis(1), 1);
         let (batched, _) = batcher.submit(&registry, pairs.clone()).unwrap();
         assert_eq!(batched, want, "{backend}: batcher changed answers");
 
-        // Loopback socket: inline v2 swap, then a v3 file installed from
-        // the server's disk as a hot swap.
+        // Loopback socket: inline swap, then the file installed from the
+        // server's disk as a hot swap.
         let name = format!("wire-{}", backend.name());
-        let swapped = client.swap(&name, &v2).unwrap();
+        let swapped = client.swap(&name, &snap).unwrap();
         assert_eq!(
             (swapped.backend, swapped.n),
             (backend, u64::from(N)),
             "{backend}: wire swap identity"
         );
         let (ests, generation) = client.estimate_many(&name, &pairs, false).unwrap();
-        assert_eq!(generation, swapped.generation, "{backend}: stale wire v2");
-        assert_eq!(ests, want, "{backend}: v2 over the wire ≠ in-process");
+        assert_eq!(generation, swapped.generation, "{backend}: stale wire swap");
+        assert_eq!(ests, want, "{backend}: swap over the wire ≠ in-process");
         let path = std::env::temp_dir().join(format!(
             "pde-serving-matrix-{}-{name}.snap",
             std::process::id()
@@ -104,11 +103,11 @@ fn every_backend_answers_identically_in_process_served_and_over_loopback() {
         assert_eq!(
             installed.replaced.map(|(generation, _)| generation),
             Some(swapped.generation),
-            "{backend}: wire install must retire the v2 snapshot"
+            "{backend}: wire install must retire the swapped snapshot"
         );
         let (ests, generation) = client.estimate_many(&name, &pairs, false).unwrap();
-        assert_eq!(generation, installed.generation, "{backend}: stale wire v3");
-        assert_eq!(ests, want, "{backend}: v3 over the wire ≠ in-process");
+        assert_eq!(generation, installed.generation, "{backend}: stale install");
+        assert_eq!(ests, want, "{backend}: install over the wire ≠ in-process");
         let (batched, _) = client.estimate_many(&name, &pairs, true).unwrap();
         assert_eq!(batched, want, "{backend}: batched over the wire diverged");
 

@@ -13,84 +13,76 @@
 use pde_repro::congest::arena::ArenaWriter;
 use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
-use pde_repro::graphs::{Seed, WGraph};
+use pde_repro::graphs::{NodeId, Seed, WGraph};
+use pde_repro::net::{Client, NetServer, ServerConfig, WireError};
 use pde_repro::oracle::{Backend, Oracle, OracleBuilder};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
+use std::sync::Arc;
 
 fn graph(seed: u64) -> WGraph {
     let mut rng = Seed(seed).rng();
     gen::gnp_connected(18, 0.22, Weights::Uniform { lo: 1, hi: 9 }, &mut rng)
 }
 
-fn snapshots(backend: Backend) -> (Vec<u8>, Vec<u8>) {
+fn snapshot(backend: Backend) -> Vec<u8> {
     let oracle = OracleBuilder::new(backend).seed(23).k(2).build(&graph(21));
-    let mut v2 = Vec::new();
-    oracle.save(&mut v2).unwrap();
-    let mut v3 = Vec::new();
-    oracle.save_v3(&mut v3).unwrap();
-    (v2, v3)
+    let mut snap = Vec::new();
+    oracle.save(&mut snap).unwrap();
+    snap
 }
 
 #[test]
 fn every_one_byte_truncation_is_typed_truncated() {
     // Cut one byte at a time off the tail of a small PDOR file, through
-    // every record boundary down to the empty stream: each prefix must
-    // load as an error, and each error must be the *typed* truncation
-    // (not a raw UnexpectedEof, not a misdiagnosed corruption). The v2
-    // stream of one scheme backend and one matrix backend covers every
-    // record shape (graphs, CSR tables, trees, labels, matrices); the
-    // v3 arena path is swept for the same property.
+    // the header, the directory and every section boundary down to the
+    // empty stream: each prefix must load as an error, and each error
+    // must be the *typed* truncation (not a raw UnexpectedEof, not a
+    // misdiagnosed corruption). One scheme backend and one matrix backend
+    // cover every section shape (graphs, CSR tables, embedded tree and
+    // metrics streams, labels, matrices).
     for backend in [Backend::Compact, Backend::ApproxApsp] {
-        let (v2, v3) = snapshots(backend);
-        for bytes in [&v2, &v3] {
-            for keep in 0..bytes.len() {
-                let err = match Oracle::load(&mut &bytes[..keep]) {
-                    Err(e) => e,
-                    Ok(_) => panic!("{backend}: truncation to {keep} bytes accepted"),
-                };
-                assert_eq!(
-                    err.kind(),
-                    std::io::ErrorKind::InvalidData,
-                    "{backend} at {keep}: {err}"
-                );
-                assert!(
-                    is_truncated(&err),
-                    "{backend} at {keep}: untyped truncation: {err}"
-                );
-                assert!(
-                    Oracle::load_bytes(&bytes[..keep]).is_err(),
-                    "{backend} at {keep}: load_bytes accepted a truncation"
-                );
-            }
+        let bytes = snapshot(backend);
+        for keep in 0..bytes.len() {
+            let err = match Oracle::load(&mut &bytes[..keep]) {
+                Err(e) => e,
+                Ok(_) => panic!("{backend}: truncation to {keep} bytes accepted"),
+            };
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{backend} at {keep}: {err}"
+            );
+            assert!(
+                is_truncated(&err),
+                "{backend} at {keep}: untyped truncation: {err}"
+            );
+            assert!(
+                Oracle::load_bytes(&bytes[..keep]).is_err(),
+                "{backend} at {keep}: load_bytes accepted a truncation"
+            );
         }
     }
 }
 
 #[test]
 fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
-    // Flip each byte of a full snapshot to 0xFF ^ original: loads may
-    // succeed (bytes in unvalidated metric fields) but must never panic,
-    // wrap a length into a huge allocation, or loop. The v3 arena is
-    // stricter: its checksum means any body/directory damage must fail.
+    // Flip each byte of a full snapshot to 0xFF ^ original: the load must
+    // never panic, wrap a length into a huge allocation, or loop. Header
+    // metric bytes (n/rounds/msgs/nanos, offsets 8..40) are carried, not
+    // validated; past them the arena's checksum means any directory or
+    // body damage must fail.
     for backend in [Backend::Rtc, Backend::Flooding] {
-        let (v2, v3) = snapshots(backend);
-        for at in 0..v2.len() {
-            let mut bad = v2.clone();
+        let snap = snapshot(backend);
+        for at in 0..snap.len() {
+            let mut bad = snap.clone();
             bad[at] ^= 0xFF;
-            let _ = Oracle::load(&mut &bad[..]);
-        }
-        // v2 header metric bytes (rounds/msgs/nanos, offsets 15..39) are
-        // carried, not validated — everything else must be rejected.
-        let v3_header = 4 + 2 + 1 + 1; // magic + version + backend + pad
-        let metrics_end = v3_header + 4 * 8;
-        for at in 0..v3.len() {
-            let mut bad = v3.clone();
-            bad[at] ^= 0xFF;
+            let streamed = Oracle::load(&mut &bad[..]);
             let loaded = Oracle::load_bytes(&bad);
-            if at >= metrics_end {
+            assert_eq!(streamed.is_err(), loaded.is_err(), "{backend} at {at}");
+            if at >= HEADER {
                 assert!(
                     loaded.is_err(),
-                    "{backend}: v3 corruption at {at} survived the checksum"
+                    "{backend}: corruption at {at} survived the checksum"
                 );
             }
         }
@@ -99,42 +91,35 @@ fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
 
 #[test]
 fn adversarial_length_fields_are_invalid_data_not_aborts() {
-    // Plant maximal length/count fields at the front of each payload:
-    // the readers must reject them by bound-check (InvalidData) before
-    // any allocation sized by the field. The BellmanFord payload leads
-    // with its node count, ApproxApsp with ε then the graph's node
-    // count — both right after the 39-byte v2 header.
-    let (bf_v2, _) = snapshots(Backend::BellmanFord);
-    let mut bad = bf_v2.clone();
-    bad[39..47].copy_from_slice(&u64::MAX.to_le_bytes());
-    let err = Oracle::load(&mut &bad[..]).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(!is_truncated(&err), "bound check misreported as truncation");
+    // Plant maximal length/count fields where the readers size things
+    // from them, under a recomputed checksum: each must be rejected by
+    // bound-check (InvalidData) before any allocation sized by the
+    // field. The BellmanFord arena leads with its `[n]` meta section,
+    // ApproxApsp's second section is the graph's `[n]`.
+    let planted = |backend: Backend, section: usize, value: u64| {
+        let snap = snapshot(backend);
+        let mut sections = arena_sections(&snap);
+        sections[section][..8].copy_from_slice(&value.to_le_bytes());
+        let err = Oracle::load(&mut &reassemble(&snap, &sections)[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(!is_truncated(&err), "bound check misreported as truncation");
+    };
+    planted(Backend::BellmanFord, 0, u64::MAX);
+    planted(Backend::ApproxApsp, 1, u64::MAX / 2);
 
-    // Huge dense-matrix length prefix inside the payload: the length is
-    // validated against the expected cell count.
-    let (aps_v2, _) = snapshots(Backend::ApproxApsp);
-    // Header (39) + eps (8) precede the graph; corrupt the graph's node
-    // count field.
-    let mut bad = aps_v2.clone();
-    bad[47..55].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-    let err = Oracle::load(&mut &bad[..]).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-
-    // An adversarial v3 section directory: huge section count.
-    let (_, mut v3) = snapshots(Backend::BellmanFord);
-    let body_at = 4 + 2 + 1 + 1 + 4 * 8;
-    v3[body_at..body_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let err = Oracle::load_bytes(&v3).unwrap_err();
+    // An adversarial section directory: huge section count.
+    let mut snap = snapshot(Backend::BellmanFord);
+    snap[HEADER..HEADER + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let err = Oracle::load_bytes(&snap).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
-/// Fixed v3 header: magic, version, backend, pad, n, three metrics.
-const V3_HEADER: usize = 4 + 2 + 1 + 1 + 4 * 8;
+/// Fixed header: magic, version, backend, pad, n, three metrics.
+const HEADER: usize = 4 + 2 + 1 + 1 + 4 * 8;
 
-/// The sections of a v3 snapshot's arena, copied out in directory order.
-fn arena_sections(v3: &[u8]) -> Vec<Vec<u8>> {
-    let arena = &v3[V3_HEADER..];
+/// The sections of a snapshot's arena, copied out in directory order.
+fn arena_sections(snap: &[u8]) -> Vec<Vec<u8>> {
+    let arena = &snap[HEADER..];
     let word = |at: usize| u64::from_le_bytes(arena[at..at + 8].try_into().unwrap()) as usize;
     let count = word(0);
     let body = 8 + 16 * count;
@@ -146,14 +131,14 @@ fn arena_sections(v3: &[u8]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// A snapshot carrying `sections` under `v3`'s header, with a fresh
+/// A snapshot carrying `sections` under `snap`'s header, with a fresh
 /// directory and a matching checksum trailer.
-fn reassemble(v3: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
+fn reassemble(snap: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
     let mut arena = ArenaWriter::new();
     for section in sections {
         arena.section(section);
     }
-    let mut out = v3[..V3_HEADER].to_vec();
+    let mut out = snap[..HEADER].to_vec();
     arena.finish(&mut out).unwrap();
     out
 }
@@ -179,17 +164,17 @@ fn get_u32(section: &[u8], i: usize) -> u32 {
 fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     // 40-entry rows probe through their fit; the heavy twin (weights ≈
     // 2⁴⁰) puts every entry in the escape sections.
-    let pde_v3 = |weights: Weights| {
+    let pde = |weights: Weights| {
         let mut rng = Seed(31).rng();
         let g = gen::gnp_connected(40, 0.15, weights, &mut rng);
         let oracle = OracleBuilder::new(Backend::Pde).seed(5).build(&g);
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).unwrap();
-        v3
+        let mut snap = Vec::new();
+        oracle.save(&mut snap).unwrap();
+        snap
     };
-    let light = pde_v3(Weights::Uniform { lo: 1, hi: 9 });
+    let light = pde(Weights::Uniform { lo: 1, hi: 9 });
     let lo = 1u64 << 40;
-    let heavy = pde_v3(Weights::Uniform { lo, hi: lo + 9 });
+    let heavy = pde(Weights::Uniform { lo, hi: lo + 9 });
     assert_eq!(reassemble(&light, &arena_sections(&light)), light);
     let hostile = |base: &[u8], mutate: &dyn Fn(&mut [Vec<u8>], usize)| {
         let mut sections = arena_sections(base);
@@ -316,9 +301,9 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
         Backend::Truncated,
     ] {
         let oracle = OracleBuilder::new(backend).seed(5).k(2).build(&g);
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).unwrap();
-        let sections = arena_sections(&v3);
+        let mut snap = Vec::new();
+        oracle.save(&mut snap).unwrap();
+        let sections = arena_sections(&snap);
         let tables = fit_sections(&sections, n);
         assert!(!tables.is_empty(), "{backend}: no flat table found");
         for at in tables {
@@ -344,7 +329,7 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
                 let word = u64::from(mul) | u64::from(lo) << 32 | win << 48;
                 let mut hostile = sections.clone();
                 hostile[at][8 * row..8 * row + 8].copy_from_slice(&word.to_le_bytes());
-                let err = match Oracle::load_bytes(&reassemble(&v3, &hostile)) {
+                let err = match Oracle::load_bytes(&reassemble(&snap, &hostile)) {
                     Err(e) => e,
                     Ok(_) => panic!("{backend}, fits at {at}, row {row}: {what}: accepted"),
                 };
@@ -361,14 +346,25 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
 
 #[test]
 fn retired_layouts_are_typed_rebuild_errors() {
-    // Tag 1 (hash-table streams), tag 3 (the arena with 16-byte records)
-    // and tag 4 (narrow tables with a stored per-row index) name layouts
-    // this binary does not read; all must say "rebuild", typed, whatever
-    // follows the header.
-    let (_, v3) = snapshots(Backend::Pde);
-    for tag in [1u16, 3, 4] {
-        let mut old = v3.clone();
+    // Tag 1 (hash-table streams), tag 2 (element-by-element wire
+    // streams), tag 3 (the arena with 16-byte records) and tag 4 (narrow
+    // tables with a stored per-row index) name layouts this binary does
+    // not read; all must say "rebuild", typed, whatever follows the
+    // header — a re-tagged arena, or for tag 2 its own 39-byte header
+    // (no pad byte) with a payload behind it.
+    let snap = snapshot(Backend::Pde);
+    let retagged = |tag: u16| {
+        let mut old = snap.clone();
         old[4..6].copy_from_slice(&tag.to_le_bytes());
+        (tag, old)
+    };
+    let (_, mut v2) = retagged(2);
+    v2.remove(7);
+    for (tag, old) in [1u16, 2, 3, 4]
+        .map(retagged)
+        .into_iter()
+        .chain([(2, v2.clone())])
+    {
         for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
             let Err(err) = loaded else {
                 panic!("a tag-{tag} file was loaded");
@@ -382,11 +378,11 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-4 snapshots:
+    // A checkpoint left behind by a binary that wrote tag-2 snapshots:
     // recovery surfaces the same typed error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let server = OracleServer::new();
+    let server = Arc::new(OracleServer::new());
     let builder = OracleBuilder::new(Backend::Pde);
     drop(
         DynamicOracle::install_persistent(&server, "old", builder.clone(), &graph(21), &dir)
@@ -396,7 +392,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let mut bytes = std::fs::read(&ckpt).unwrap();
     let at = bytes.windows(4).position(|w| w == b"PDOR").unwrap();
     assert_eq!(bytes[at + 4..at + 6], 5u16.to_le_bytes());
-    bytes[at + 4..at + 6].copy_from_slice(&4u16.to_le_bytes());
+    bytes[at + 4..at + 6].copy_from_slice(&2u16.to_le_bytes());
     std::fs::write(&ckpt, bytes).unwrap();
     let err = match DynamicOracle::recover(&OracleServer::new(), "old", builder, &dir) {
         Err(PersistError::Io(e)) => e,
@@ -405,7 +401,20 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     assert_eq!(
         snapshot_cause(&err),
-        Some(SnapshotError::Rebuild { version: 4 })
+        Some(SnapshotError::Rebuild { version: 2 })
     );
     let _ = std::fs::remove_dir_all(&dir);
+
+    // An inline wire swap of a tag-2 stream: the client gets the error
+    // back, and the server keeps answering from what it served before.
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(net.local_addr()).unwrap();
+    let (u, v) = (NodeId(0), NodeId(5));
+    let before = client.estimate("old", u, v).unwrap();
+    match client.swap("old", &v2) {
+        Err(WireError::Remote(msg)) => assert!(msg.contains("version 2"), "{msg}"),
+        other => panic!("a tag-2 swap answered {other:?}"),
+    }
+    assert_eq!(client.estimate("old", u, v).unwrap(), before);
+    net.shutdown();
 }
