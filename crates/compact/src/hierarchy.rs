@@ -8,7 +8,7 @@
 
 use congest::{label_record_bits, Metrics, NodeId, Topology};
 use graphs::{Seed, WGraph};
-use pde_core::pipeline::{self, with_resample, BuildError, StageLog};
+use pde_core::pipeline::{self, trace_chain, with_resample, BuildError, StageLog};
 use pde_core::{run_pde, BuildMode, FlatTables, PdeParams};
 use treeroute::TreeSet;
 
@@ -134,8 +134,7 @@ pub struct CompactScheme {
     /// Per-node sampled level.
     pub levels: Vec<u32>,
     /// `routes[l]`: the level-`l` PDE routing archive (sources `S_l`),
-    /// flattened into source-sorted per-node rows — queries binary-search
-    /// a contiguous row instead of probing a hash map.
+    /// source-sorted per-node rows.
     pub routes: Vec<FlatTables>,
     /// `bunch_sizes[v]`: Σ_l |S'_l(v)| — the paper-sized table entries.
     pub bunch_sizes: Vec<usize>,
@@ -155,10 +154,6 @@ impl CompactScheme {
         &self.topo
     }
 }
-
-// Next-hop chain tracing is shared pipeline machinery now; keep the
-// crate-local name the query/tree code uses.
-pub(crate) use pde_core::pipeline::trace_chain;
 
 /// Builds the Lemma 4.7 / Theorem 4.8 hierarchy on `g`, panicking on
 /// unrecoverable sampling failures (see [`try_build_hierarchy`]).
@@ -349,7 +344,7 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         topo,
         k,
         levels,
-        routes: pde_core::tables::flatten_runs(&routes),
+        routes,
         bunch_sizes,
         trees,
         labels,

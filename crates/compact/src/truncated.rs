@@ -15,23 +15,25 @@
 //!   exactly on `G̃(l0)` (`Õ(n^{l0/k} + |S_{l0}|² + D)` rounds).
 //!
 //! Routing combines three stateless phases, all folded into one monotone
-//! potential (see DESIGN.md): lower-level options, an upper-level phase
-//! that walks base chains and skeleton waypoint paths towards the
-//! destination's connector `t*`, and a final base-tree descent.
+//! potential (every hop takes the option with the smallest upper bound on
+//! the remaining distance, which strictly decreases along the walk):
+//! lower-level options, an upper-level phase that walks base chains and
+//! skeleton waypoint paths towards the destination's connector `t*`, and a
+//! final base-tree descent.
 
 use congest::bfs::build_bfs;
 use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, WGraph, INF};
 use pde_core::pipeline::{
-    self, mutual_edges, parallel_map, virtual_graph, with_resample, BuildError, StageLog,
+    self, mutual_edges, parallel_map, trace_chain, virtual_graph, with_resample, BuildError,
+    StageLog,
 };
 use pde_core::{resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
 use routing::RoutingScheme;
-use std::collections::HashMap;
 use treeroute::TreeSet;
 
-use crate::hierarchy::{trace_chain, CompactParams};
+use crate::hierarchy::CompactParams;
 use crate::levels::{level_flags, sample_levels};
 
 /// How the upper (≥ `l0`) levels are computed on `G̃(l0)`.
@@ -139,9 +141,9 @@ pub struct TruncatedMetrics {
 pub struct TruncatedScheme {
     pub(crate) topo: Topology,
     pub(crate) l0: u32,
-    /// Lower-level PDE route archives, `runs[l]` for `l < l0`, flattened.
+    /// Lower-level PDE route archives, `runs[l]` for `l < l0`.
     pub(crate) lower_routes: Vec<FlatTables>,
-    /// `(S_{l0}, h_{l0}, |S_{l0}|)` route archive, flattened.
+    /// `(S_{l0}, h_{l0}, |S_{l0}|)` route archive.
     pub(crate) base_routes: FlatTables,
     /// Pre-resolved skeleton index of each `base_routes` arena entry's
     /// source (derived, not serialized): the upper-level query loops walk
@@ -285,10 +287,9 @@ fn build_attempt(
     stages.push("virtual-graph", 0);
 
     // ---- Upper levels on G̃. ----
-    // The per-level maps are merged through hash tables (the natural shape
-    // while estimates trickle in) and flattened into `PairTable`s for the
-    // query side as each level finishes. The BFS tree only carries
-    // simulated pipelining/broadcast costs, so native builds skip it.
+    // Each level's `(i, j, value)` entries go to `PairTable::auto` for the
+    // query side. The BFS tree only carries simulated pipelining/broadcast
+    // costs, so native builds skip it.
     let (bfs, d_hat) = match build_mode {
         BuildMode::Simulated => {
             let (bfs, bfs_metrics) = build_bfs(&topo, NodeId(0));
@@ -302,14 +303,6 @@ fn build_attempt(
     let mut upper_next: Vec<PairTable> = Vec::new();
     let mut upper_rounds = 0u64;
     let gt_topo = gt_graph.to_topology();
-    let flatten_pairs = |map: &HashMap<(usize, usize), u64>| -> PairTable {
-        let mut entries: Vec<(u32, u32, u64)> = map
-            .iter()
-            .map(|(&(a, b), &v)| (a as u32, b as u32, v))
-            .collect();
-        entries.sort_unstable();
-        PairTable::auto(m.max(1), &entries)
-    };
 
     match mode {
         UpperMode::Simulated => {
@@ -342,21 +335,22 @@ fn build_attempt(
                 upper_rounds += cost;
                 total.charge_rounds(cost);
 
-                let mut est_map = HashMap::new();
-                let mut next_map: HashMap<(usize, usize), u64> = HashMap::new();
-                #[allow(clippy::needless_range_loop)] // i indexes flags and maps
-                for i in 0..m {
-                    if src_flags[i] {
-                        est_map.insert((i, i), 0u64);
+                let mut ests: Vec<(u32, u32, u64)> = Vec::new();
+                let mut nexts: Vec<(u32, u32, u64)> = Vec::new();
+                for (i, &is_src) in src_flags.iter().enumerate() {
+                    let (v, i) = (NodeId(i as u32), i as u32);
+                    // A source is at distance 0 from itself, unless its
+                    // row holds an echo through a neighbour (which wins).
+                    if is_src && run.routes.get(v, v).is_none() {
+                        ests.push((i, i, 0));
                     }
-                    for (&src, r) in &run.routes[i] {
-                        est_map.insert((i, src.index()), r.est);
-                        let nb = gt_topo.neighbor(NodeId(i as u32), r.port);
-                        next_map.insert((i, src.index()), nb.index() as u64);
+                    for e in run.routes.row_iter(v) {
+                        ests.push((i, e.src, e.est));
+                        nexts.push((i, e.src, u64::from(gt_topo.neighbor(v, e.port).0)));
                     }
                 }
-                upper_est.push(flatten_pairs(&est_map));
-                upper_next.push(flatten_pairs(&next_map));
+                upper_est.push(PairTable::auto(m.max(1), &ests));
+                upper_next.push(PairTable::auto(m.max(1), &nexts));
             }
         }
         UpperMode::Local => {
@@ -379,15 +373,11 @@ fn build_attempt(
             for l in l0..k {
                 let src_flags: Vec<bool> =
                     skel_ids.iter().map(|&s| levels[s.index()] >= l).collect();
-                let mut est_map = HashMap::new();
-                let mut next_map: HashMap<(usize, usize), u64> = HashMap::new();
+                let mut ests: Vec<(u32, u32, u64)> = Vec::new();
+                let mut nexts: Vec<(u32, u32, u64)> = Vec::new();
                 for (i, spi) in sp_rows.iter().enumerate() {
-                    #[allow(clippy::needless_range_loop)] // j indexes flags and dists
-                    for j in 0..m {
-                        if !src_flags[j] || spi.dist[j] == INF {
-                            continue;
-                        }
-                        est_map.insert((i, j), spi.dist[j]);
+                    for j in (0..m).filter(|&j| src_flags[j] && spi.dist[j] != INF) {
+                        ests.push((i as u32, j as u32, spi.dist[j]));
                         if i != j {
                             let mut cur = NodeId(j as u32);
                             while let Some(p) = spi.parent[cur.index()] {
@@ -396,12 +386,12 @@ fn build_attempt(
                                 }
                                 cur = p;
                             }
-                            next_map.insert((i, j), cur.index() as u64);
+                            nexts.push((i as u32, j as u32, u64::from(cur.0)));
                         }
                     }
                 }
-                upper_est.push(flatten_pairs(&est_map));
-                upper_next.push(flatten_pairs(&next_map));
+                upper_est.push(PairTable::auto(m.max(1), &ests));
+                upper_next.push(PairTable::auto(m.max(1), &nexts));
             }
         }
     }
@@ -411,9 +401,10 @@ fn build_attempt(
     let conn: Vec<Vec<(usize, u64)>> = g
         .nodes()
         .map(|v| {
-            let mut c: Vec<(usize, u64)> = base.routes[v.index()]
-                .iter()
-                .filter_map(|(&t, r)| skel_index.get(t).map(|i| (i, r.est)))
+            let mut c: Vec<(usize, u64)> = base
+                .routes
+                .row_iter(v)
+                .filter_map(|e| skel_index.get(NodeId(e.src)).map(|i| (i, e.est)))
                 .collect();
             if let Some(i) = skel_index.get(v) {
                 c.push((i, 0));
@@ -546,13 +537,12 @@ fn build_attempt(
         stages,
     };
 
-    let base_flat = FlatTables::from_tables(&base.routes);
-    let base_row_idx = resolve_entry_indices(&base_flat, &skel_index);
+    let base_row_idx = resolve_entry_indices(&base.routes, &skel_index);
     Ok(TruncatedScheme {
         topo,
         l0,
-        lower_routes: pde_core::tables::flatten_runs(&lower_routes),
-        base_routes: base_flat,
+        lower_routes,
+        base_routes: base.routes,
         base_row_idx,
         skel_ids,
         skel_index,

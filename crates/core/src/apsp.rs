@@ -27,6 +27,11 @@ impl ApspApprox {
         self.dist[u.index() * self.n + v.index()]
     }
 
+    /// The row-major `n × n` estimate matrix and the PDE output, by value.
+    pub fn into_parts(self) -> (Vec<u64>, PdeOutput) {
+        (self.dist, self.pde)
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {

@@ -15,12 +15,32 @@
 //!   in `O(n/ε² · log n)` rounds, by instantiating PDE with `S = V`,
 //!   `h = σ = n`.
 //!
-//! # Deviations from the paper (documented in DESIGN.md)
+//! # Deviations from the paper
 //!
 //! * The real-valued rung `b(i) = (1+ε)^i` is replaced by an *integer*
 //!   ladder (see [`rounding::level_ladder`]) so the estimate invariant
 //!   `wd'(v,s) ≥ wd(v,s)` holds exactly in integer arithmetic. The horizon
 //!   `h' ∈ O(h/ε)` absorbs the ladder's worst-case rung ratio.
+//! * The subdivided graphs `G_i` are never built: an arc of weight `w`
+//!   delays a rung-`b` announcement by `⌈w/b⌉` rounds, which real nodes
+//!   cannot tell from `⌈w/b⌉` unit hops through relay nodes (pinned by
+//!   `tests/simulator_fidelity.rs`).
+//! * **Routing archive.** Besides its σ-list, every node keeps the best
+//!   `(estimate, port, level)` it *ever received* per source
+//!   ([`PdeOutput::routes`]), so routes ⊇ lists. A list is truncated to σ
+//!   entries, so the neighbour that announced a listed source may have
+//!   dropped it since, and greedy forwarding over lists alone would get
+//!   stuck there. The archive makes the walk total: an entry at `v` was
+//!   announced by a neighbour whose own entry for that source is smaller
+//!   by at least the edge weight ([`pipeline::trace_route`] checks it).
+//!   Archive-only entries are sound upper bounds without a `(1+ε)` promise.
+//! * **Mutual-estimate edges.** The virtual skeleton graphs (Theorem
+//!   4.5's, Definition 4.9's `G̃(l0)`) get an edge `{s, t}` only when
+//!   *both* endpoints hold an estimate of each other, weighted by the
+//!   `max` of the two: each is the weight of a real route, so the larger
+//!   bounds a route in either direction ([`pipeline::mutual_edges`]).
+//! * ε defaults to 0.25–0.5 where the paper sets `ε = 1/log n`: rounds
+//!   scale with `1/ε²` (`tests/ablations.rs` measures the trade-off).
 //!
 //! # Example
 //!
@@ -57,9 +77,7 @@ pub mod tables;
 
 pub use apsp::{approx_apsp, approx_apsp_opts, approx_apsp_with, try_approx_apsp_opts, ApspApprox};
 pub use ladder::{BuildMode, LadderSpec};
-pub use pde::{
-    run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo, RouteTable,
-};
+pub use pde::{run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo};
 pub use pipeline::{BuildError, StageLog, StageReport};
 pub use schedule::BatchSchedule;
 pub use tables::{resolve_entry_indices, FlatEntry, FlatTables, PairTable, RowCursor};

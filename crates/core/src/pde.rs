@@ -18,8 +18,9 @@
 //! not `O(ladder)` materialised rungs.
 
 use crate::ladder::{run_rung, BuildMode, LadderSpec, SolvedRung};
-use crate::pipeline::BuildError;
+use crate::pipeline::{self, BuildError};
 use crate::rounding::{horizon, level_ladder};
+use crate::tables::FlatTables;
 use congest::aggregate::global_max;
 use congest::bfs::build_bfs;
 use congest::{FxHashMap, Metrics, NodeId, Port, Topology};
@@ -108,13 +109,6 @@ pub struct RouteInfo {
     pub level: u32,
 }
 
-/// A node's routing table: source → best [`RouteInfo`].
-///
-/// Keyed with the deterministic [`congest::FxHasher`] — iteration order is
-/// reproducible across runs and inserts are ~10× cheaper than SipHash,
-/// which matters when merging millions of archive entries.
-pub type RouteTable = FxHashMap<NodeId, RouteInfo>;
-
 /// Metrics of a PDE run, broken down the way the paper's bounds are.
 #[derive(Clone, Debug)]
 pub struct PdeMetrics {
@@ -137,10 +131,11 @@ pub struct PdeMetrics {
 pub struct PdeOutput {
     /// Per-node combined lists: the up-to-σ smallest `(wd', src)` pairs.
     pub lists: Vec<Vec<PdeEntry>>,
-    /// Per-node routing tables/archives: best `(est, port, level)` per
-    /// source ever received. A superset of the list entries (needed to make
-    /// greedy forwarding total; see DESIGN.md).
-    pub routes: Vec<RouteTable>,
+    /// Per-node routing archives, as the source-sorted rows the schemes
+    /// serve: best `(est, port, level)` per source ever received. A
+    /// superset of the list entries (what makes greedy forwarding total;
+    /// see "Deviations from the paper" in the crate docs).
+    pub routes: FlatTables,
     /// The integer rung ladder used.
     pub levels: Vec<u64>,
     /// The per-level hop horizon `h'`.
@@ -158,7 +153,7 @@ impl PdeOutput {
         if v == s {
             return Some(0);
         }
-        self.routes[v.index()].get(&s).map(|r| r.est)
+        self.routes.est(v, s)
     }
 
     /// The next hop from `v` towards `s`, if known.
@@ -168,54 +163,27 @@ impl PdeOutput {
     /// total weight `≤ estimate(v, s)` (greedy-forwarding invariant,
     /// validated by tests).
     pub fn next_hop(&self, v: NodeId, s: NodeId) -> Option<Port> {
-        self.routes[v.index()].get(&s).map(|r| r.port)
+        self.routes.get(v, s).map(|e| e.port)
     }
 
     /// Traces the route `v → s` by greedy forwarding; returns the visited
-    /// nodes and the total weight.
+    /// nodes and the total weight ([`pipeline::trace_route`] over
+    /// [`PdeOutput::routes`]).
     ///
     /// Takes the prebuilt `topo` (e.g. `g.to_topology()`, built once and
     /// reused across queries) so a trace costs O(path length), not O(m).
     ///
     /// # Errors
     ///
-    /// Returns `Err` with a description if forwarding gets stuck or fails
-    /// to make strict progress (which would falsify the invariant — tests
-    /// treat this as a hard failure).
+    /// As [`pipeline::trace_route`]: forwarding got stuck or failed to make
+    /// strict progress (tests treat this as a hard failure).
     pub fn trace_route(
         &self,
         topo: &Topology,
         v: NodeId,
         s: NodeId,
     ) -> Result<(Vec<NodeId>, u64), String> {
-        let mut cur = v;
-        let mut path = vec![v];
-        let mut weight = 0u64;
-        let mut est = match self.estimate(v, s) {
-            Some(e) => e,
-            None => return Err(format!("no estimate for {s} at {v}")),
-        };
-        while cur != s {
-            let r = self.routes[cur.index()]
-                .get(&s)
-                .ok_or_else(|| format!("routing stuck: {cur} has no entry for {s}"))?;
-            let next = topo.neighbor(cur, r.port);
-            let w = topo.weight(cur, r.port);
-            weight += w;
-            if cur != v && r.est > est.saturating_sub(1) {
-                return Err(format!(
-                    "no strict progress at {cur}: est {} after {est}",
-                    r.est
-                ));
-            }
-            est = r.est;
-            cur = next;
-            path.push(cur);
-            if path.len() > topo.len() * 4 {
-                return Err("route exceeded hop cap".into());
-            }
-        }
-        Ok((path, weight))
+        pipeline::trace_route(&self.routes, topo, v, s)
     }
 }
 
@@ -353,7 +321,7 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
     let threads = crate::pipeline::resolve_threads(params.threads, levels.len());
     let space = SourceSpace::new(sources, tags);
     let dense = g.len().saturating_mul(space.len()) <= DENSE_MERGE_LIMIT;
-    let merger = Mutex::new(RungMerger::new(&space, g.len(), levels.len(), dense));
+    let merger = Mutex::new(RungMerger::new(&space, levels.len(), dense));
     let next = AtomicUsize::new(0);
     let worker = || loop {
         let li = next.fetch_add(1, Ordering::Relaxed);
@@ -469,7 +437,6 @@ impl<T: Copy + Default + Ord> MergeTables<T> {
 /// Folds solved rungs, in any order, into combined lists and routes.
 struct RungMerger<'a> {
     space: &'a SourceSpace,
-    n: usize,
     /// Lists key: payload = tag (a function of the source, so the key is
     /// effectively the estimate alone).
     best: MergeTables<bool>,
@@ -485,11 +452,10 @@ struct RungMerger<'a> {
 }
 
 impl<'a> RungMerger<'a> {
-    fn new(space: &'a SourceSpace, n: usize, num_levels: usize, dense: bool) -> Self {
-        let s = space.len();
+    fn new(space: &'a SourceSpace, num_levels: usize, dense: bool) -> Self {
+        let (n, s) = (space.num_nodes(), space.len());
         RungMerger {
             space,
-            n,
             best: MergeTables::new(n, s, dense),
             route: MergeTables::new(n, s, dense),
             rung_metrics: vec![None; num_levels],
@@ -528,11 +494,11 @@ impl<'a> RungMerger<'a> {
         mut self,
         sigma: usize,
         total: &mut Metrics,
-    ) -> (Vec<Vec<PdeEntry>>, Vec<RouteTable>, MergeStats) {
-        let s = self.space.len();
+    ) -> (Vec<Vec<PdeEntry>>, FlatTables, MergeStats) {
+        let (n, s) = (self.space.num_nodes(), self.space.len());
         let mut scratch: Vec<(u32, u64, bool)> = Vec::new();
-        let mut lists = Vec::with_capacity(self.n);
-        for v in 0..self.n {
+        let mut lists = Vec::with_capacity(n);
+        for v in 0..n {
             self.best.take_node(v, s, &mut scratch);
             let mut list: Vec<PdeEntry> = scratch
                 .iter()
@@ -546,21 +512,25 @@ impl<'a> RungMerger<'a> {
             list.truncate(sigma);
             lists.push(list);
         }
-        // The list tables are spent; release them before the route maps
-        // (the largest output) are built.
+        // The list tables are spent; release them before the route rows
+        // (the largest output) are written.
         drop(self.best);
 
+        // `take_node` yields entries by increasing source index and
+        // `SourceSpace::id` is increasing: rows arrive sorted by source id.
         let mut scratch: Vec<(u32, u64, (u32, Port))> = Vec::new();
-        let mut routes = Vec::with_capacity(self.n);
-        for v in 0..self.n {
-            self.route.take_node(v, s, &mut scratch);
-            let mut table = RouteTable::default();
-            table.reserve(scratch.len());
-            for &(si, est, (level, port)) in scratch.iter() {
-                table.insert(self.space.id(si), RouteInfo { est, port, level });
-            }
-            routes.push(table);
-        }
+        let entries = match &self.route {
+            MergeTables::Dense { est, .. } => est.iter().filter(|&&e| e != u64::MAX).count(),
+            MergeTables::Sparse(maps) => maps.iter().map(|m| m.len()).sum(),
+        };
+        let (space, route) = (self.space, &mut self.route);
+        let routes =
+            FlatTables::from_rows(n, entries, |v, row| {
+                route.take_node(v, s, &mut scratch);
+                row.extend(scratch.iter().map(|&(si, est, (level, port))| {
+                    (space.id(si), RouteInfo { est, port, level })
+                }));
+            });
 
         let mut per_level_rounds = Vec::with_capacity(self.rung_metrics.len());
         for m in &self.rung_metrics {
@@ -582,8 +552,9 @@ mod tests {
     use super::*;
     use graphs::algo;
     use graphs::gen::{self, Weights};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// PDE guarantees of Definition 2.2, checked against exact APSP.
     fn check_guarantees(g: &WGraph, sources: &[bool], params: &PdeParams) {
@@ -600,8 +571,8 @@ mod tests {
                     exact.dist(v, e.src)
                 );
             }
-            for (&s, r) in &out.routes[v.index()] {
-                assert!(r.est >= exact.dist(v, s), "route underestimate");
+            for e in out.routes.row_iter(v) {
+                assert!(e.est >= exact.dist(v, NodeId(e.src)), "route underestimate");
             }
             // Completeness + accuracy: sources within h hops are either
             // listed with a (1+ε)-accurate value, or crowded out by σ
@@ -712,37 +683,89 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dense_and_sparse_merge_tables_agree() {
-        // The sparse fallback only triggers past DENSE_MERGE_LIMIT, far
-        // beyond test sizes — so check the two table variants directly
-        // against each other under the same update stream.
-        let (n, s) = (7usize, 5usize);
-        let mut dense: MergeTables<(u32, Port)> = MergeTables::new(n, s, true);
-        let mut sparse: MergeTables<(u32, Port)> = MergeTables::new(n, s, false);
-        let updates = [
-            (3usize, 2u32, 40u64, (1u32, 0u32)),
-            (3, 2, 30, (2, 1)), // improves
-            (3, 2, 35, (3, 2)), // worse: ignored
-            (3, 2, 30, (1, 7)), // ties the estimate at a lower level: wins
-            (3, 2, 30, (4, 0)), // ties at a higher level: ignored
-            (3, 4, 30, (4, 2)), // different source, same node
-            (0, 0, 7, (5, 3)),
-            (6, 2, 1, (6, 0)),
-        ];
-        for &(v, si, est, val) in &updates {
-            dense.update(v, s, si, est, val);
-            sparse.update(v, s, si, est, val);
+    /// Every rung of `spec`, solved in ladder order.
+    fn solve_rungs(
+        topo: &Topology,
+        spec: &LadderSpec,
+        sources: &[bool],
+        tags: &[bool],
+        mode: BuildMode,
+    ) -> Vec<SolvedRung> {
+        let solve = |&b| run_rung(topo, b, sources, tags, &spec.detect_params(), mode);
+        spec.levels.iter().map(solve).collect()
+    }
+
+    /// Lists, served routes, stats and the absorbed totals of one merge.
+    type Merged = (
+        Vec<Vec<PdeEntry>>,
+        FlatTables,
+        MergeStats,
+        (u64, u64, Vec<u64>, Vec<u64>, u64),
+    );
+
+    /// Folds `rungs` in `order` and finishes the merge.
+    fn merge(
+        space: &SourceSpace,
+        spec: &LadderSpec,
+        rungs: &[SolvedRung],
+        order: &[usize],
+        dense: bool,
+    ) -> Merged {
+        let mut merger = RungMerger::new(space, rungs.len(), dense);
+        for &li in order {
+            merger.fold(li, spec.levels[li], &rungs[li]);
         }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for v in 0..n {
-            dense.take_node(v, s, &mut a);
-            sparse.take_node(v, s, &mut b);
-            assert_eq!(a, b, "node {v}");
-            if v == 3 {
-                assert_eq!(a, vec![(2, 30, (1, 7)), (4, 30, (4, 2))]);
-            }
+        let mut total = Metrics::new(space.num_nodes());
+        let (lists, routes, stats) = merger.finish(spec.sigma, &mut total);
+        let total = (
+            total.rounds,
+            total.messages,
+            total.per_node_sent,
+            total.per_round_sent.to_vec(),
+            total.total_bits,
+        );
+        (lists, routes, stats, total)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `MergeTables::Sparse` only runs past `DENSE_MERGE_LIMIT`, far
+        /// beyond test sizes, and its `take_node` feeds the served rows
+        /// directly — so run the whole merge both ways on random graphs.
+        #[test]
+        fn dense_and_sparse_merge_tables_agree(
+            n in 4usize..=40,
+            seed in 0u64..1 << 32,
+            sigma in 1usize..=8,
+            h in 1u64..=12,
+            eps in prop_oneof![Just(0.25), Just(0.5)],
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = gen::gnp_connected(n, 0.15, Weights::Uniform { lo: 1, hi: 40 }, &mut rng);
+            // A random source subset, never empty.
+            let sources: Vec<bool> = (0..n).map(|v| v == 0 || rng.random_bool(0.4)).collect();
+            let tags: Vec<bool> = (0..n).map(|v| v % 3 == 0).collect();
+            let spec = LadderSpec {
+                levels: level_ladder(eps, g.max_weight()),
+                horizon: horizon(h, eps),
+                sigma,
+                msg_cap: None,
+                exact_rounds: false,
+            };
+            let rungs = solve_rungs(&g.to_topology(), &spec, &sources, &tags, BuildMode::Native);
+            let order: Vec<usize> = (0..rungs.len()).collect();
+            let space = SourceSpace::new(&sources, &tags);
+            let [dense, sparse] = [true, false].map(|d| merge(&space, &spec, &rungs, &order, d));
+            prop_assert_eq!(&dense.0, &sparse.0, "lists");
+            let bytes = |routes: &FlatTables| {
+                let mut arena = congest::arena::ArenaWriter::new();
+                routes.write_arena(&mut arena);
+                let mut bytes = Vec::new();
+                arena.finish(&mut bytes).unwrap();
+                bytes
+            };
+            prop_assert!(bytes(&dense.1) == bytes(&sparse.1), "served route bytes");
         }
     }
 
@@ -779,20 +802,7 @@ mod tests {
             exact_rounds: false,
         };
         assert_eq!(spec.levels[..2], [1, 2]);
-        let rungs: Vec<SolvedRung> = spec
-            .levels
-            .iter()
-            .map(|&b| {
-                run_rung(
-                    &topo,
-                    b,
-                    &sources,
-                    &tags,
-                    &spec.detect_params(),
-                    BuildMode::Simulated,
-                )
-            })
-            .collect();
+        let rungs = solve_rungs(&topo, &spec, &sources, &tags, BuildMode::Simulated);
 
         // The fixture really contains the tie.
         let archived = |li: usize, v: usize, src: u32| {
@@ -809,22 +819,7 @@ mod tests {
         assert_eq!(archived(0, 0, 2), (6, 0));
         assert_eq!(archived(1, 0, 2), (6, 1));
 
-        let merge = |order: &[usize], dense: bool| {
-            let mut merger = RungMerger::new(&space, g.len(), rungs.len(), dense);
-            for &li in order {
-                merger.fold(li, spec.levels[li], &rungs[li]);
-            }
-            let mut total = Metrics::new(g.len());
-            let (lists, routes, stats) = merger.finish(spec.sigma, &mut total);
-            let total = (
-                total.rounds,
-                total.messages,
-                total.per_node_sent,
-                total.per_round_sent.to_vec(),
-                total.total_bits,
-            );
-            (lists, routes, stats, total)
-        };
+        let merge = |order: &[usize], dense| merge(&space, &spec, &rungs, order, dense);
         let ladder_order: Vec<usize> = (0..rungs.len()).collect();
         let mut orders = vec![
             ladder_order.clone(),
@@ -836,7 +831,8 @@ mod tests {
             orders.push(order);
         }
         let expected = merge(&ladder_order, true);
-        let tie = expected.1[0][&NodeId(2)];
+        let tie = expected.1.row_routes(NodeId(0)).find(|r| r.0 == NodeId(2));
+        let tie = tie.expect("node 0 archives source 2").1;
         assert_eq!((tie.est, tie.level, tie.port), (6, 0, 0), "lower rung wins");
         assert!(expected.3 .0 > 0, "simulated rungs charge rounds");
         for order in &orders {

@@ -29,7 +29,7 @@
 //! thread counts (pinned by `tests/build_parity.rs`).
 
 use crate::ladder::BuildMode;
-use crate::pde::RouteTable;
+use crate::tables::FlatTables;
 use congest::{NodeId, Topology};
 use graphs::{DenseIndex, Seed, WGraph};
 use rand::Rng;
@@ -240,21 +240,20 @@ pub fn level_flags(levels: &[u32], l: u32) -> Vec<bool> {
 /// The virtual skeleton graph's edge list, in skeleton-index space:
 /// `{i, j}` iff both endpoints hold an estimate of each other, with
 /// weight `max` of the two (both are routable upper bounds). Returned
-/// sorted, so the list — and everything serialized from the graph built
-/// on it — is canonical regardless of route-table iteration order.
+/// sorted (rows are source-sorted, so the final sort only moves anything
+/// when `skel_ids` is not increasing).
 pub fn mutual_edges(
-    routes: &[RouteTable],
+    routes: &FlatTables,
     skel_ids: &[NodeId],
     index: &DenseIndex,
 ) -> Vec<(u32, u32, u64)> {
     let mut edges: Vec<(u32, u32, u64)> = Vec::new();
     for (i, &s) in skel_ids.iter().enumerate() {
-        for (&t, r) in &routes[s.index()] {
-            if let Some(j) = index.get(t) {
-                if j > i {
-                    if let Some(back) = routes[t.index()].get(&s) {
-                        edges.push((i as u32, j as u32, r.est.max(back.est)));
-                    }
+        for e in routes.row_iter(s) {
+            let t = NodeId(e.src);
+            if let Some(j) = index.get(t).filter(|&j| j > i) {
+                if let Some(back) = routes.est(t, s) {
+                    edges.push((i as u32, j as u32, e.est.max(back)));
                 }
             }
         }
@@ -289,55 +288,68 @@ pub fn virtual_graph(
 
 // ------------------------------------------------------------- pivots --
 
-/// The closest tagged source in a routing archive: `min (est, source)`
+/// The closest tagged source in `v`'s routing archive: `min (est, source)`
 /// over entries whose source is flagged in `tagged` — the RTC home
-/// (`s'_v`) selection. Order-independent (keyed min), so identical for
-/// hash and flat table layouts.
-pub fn closest_tagged(routes: &RouteTable, tagged: &[bool]) -> Option<(NodeId, u64)> {
+/// (`s'_v`) selection.
+pub fn closest_tagged(routes: &FlatTables, v: NodeId, tagged: &[bool]) -> Option<(NodeId, u64)> {
     routes
-        .iter()
-        .filter(|(s, _)| tagged[s.index()])
-        .map(|(&s, r)| (r.est, s))
+        .row_iter(v)
+        .filter(|e| tagged[e.src as usize])
+        .map(|e| (e.est, NodeId(e.src)))
         .min()
         .map(|(e, s)| (s, e))
 }
 
 // ----------------------------------------------------- chains and trees --
 
-/// Traces the next-hop chain `from → … → to` through per-node route maps
-/// (the Lemma 4.4-style greedy descent all schemes use to grow their
-/// detection trees).
+/// Walks the next-hop chain `from → … → to` through the route rows (the
+/// Lemma 4.4-style greedy descent): the visited nodes and the total
+/// weight of the hops taken. [`trace_chain`] and
+/// `PdeOutput::trace_route` are thin callers.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the chain is broken or fails to make strict progress — that
-/// would falsify the greedy-forwarding invariant of the canonical
-/// archive, and tests treat it as a hard failure.
-pub fn trace_chain(
-    routes: &[RouteTable],
+/// Returns a description if a node on the way has no entry for `to`, the
+/// estimate fails to decrease strictly hop over hop, or the walk exceeds
+/// `4·n` hops — each would falsify the archive's greedy-forwarding invariant.
+pub fn trace_route(
+    routes: &FlatTables,
     topo: &Topology,
     from: NodeId,
     to: NodeId,
-) -> Vec<NodeId> {
+) -> Result<(Vec<NodeId>, u64), String> {
     let mut path = vec![from];
+    let mut weight = 0u64;
     let mut cur = from;
     let mut est = u64::MAX;
     while cur != to {
-        let r = routes[cur.index()]
-            .get(&to)
-            .unwrap_or_else(|| panic!("broken chain: {cur} has no entry for {to}"));
-        assert!(
-            r.est < est,
-            "chain stalled at {cur} (est {} -> {})",
-            est,
-            r.est
-        );
-        est = r.est;
-        cur = topo.neighbor(cur, r.port);
+        let e = routes
+            .get(cur, to)
+            .ok_or_else(|| format!("broken chain: {cur} has no entry for {to}"))?;
+        if e.est >= est {
+            return Err(format!("chain stalled at {cur} (est {est} -> {})", e.est));
+        }
+        est = e.est;
+        weight += topo.weight(cur, e.port);
+        cur = topo.neighbor(cur, e.port);
         path.push(cur);
-        assert!(path.len() <= topo.len() * 4, "chain exceeded hop cap");
+        if path.len() > topo.len() * 4 {
+            return Err("chain exceeded hop cap".into());
+        }
     }
-    path
+    Ok((path, weight))
+}
+
+/// The nodes of the next-hop chain `from → … → to` (what the schemes
+/// grow their detection trees from).
+///
+/// # Panics
+///
+/// Panics with [`trace_route`]'s description if the chain is broken or
+/// stalls — builders and tests treat that as a hard failure.
+pub fn trace_chain(routes: &FlatTables, topo: &Topology, from: NodeId, to: NodeId) -> Vec<NodeId> {
+    let walk = trace_route(routes, topo, from, to);
+    walk.unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// Labels a built [`TreeSet`] in the given mode and returns the rounds
@@ -479,22 +491,14 @@ mod tests {
     #[test]
     fn mutual_edges_are_sorted_and_symmetric() {
         use crate::pde::RouteInfo;
-        let mk = |pairs: &[(u32, u64)]| {
-            let mut t = RouteTable::default();
-            for &(s, est) in pairs {
-                t.insert(
-                    NodeId(s),
-                    RouteInfo {
-                        est,
-                        port: 0,
-                        level: 0,
-                    },
-                );
-            }
-            t
-        };
         // Skeleton {0, 2, 3}; 0↔2 mutual (weight max(4,6)=6), 0→3 one-way.
-        let routes = vec![mk(&[(2, 4), (3, 9)]), mk(&[]), mk(&[(0, 6)]), mk(&[])];
+        let rows: [&[(u32, u64)]; 4] = [&[(2, 4), (3, 9)], &[], &[(0, 6)], &[]];
+        let routes = FlatTables::from_rows(4, 3, |v, row| {
+            row.extend(rows[v].iter().map(|&(s, est)| {
+                let (port, level) = (0, 0);
+                (NodeId(s), RouteInfo { est, port, level })
+            }));
+        });
         let skel_ids = vec![NodeId(0), NodeId(2), NodeId(3)];
         let index = DenseIndex::new(4, &skel_ids);
         let edges = mutual_edges(&routes, &skel_ids, &index);

@@ -1,12 +1,11 @@
 //! Flat structure-of-arrays query tables.
 //!
-//! The PDE builders produce hash-keyed state ([`RouteTable`] per node,
-//! `(row, col)`-keyed pair maps for skeleton-graph levels) because hashing
-//! is the right shape *during* a merge. Serving millions of queries is a
-//! different regime: every probe should be a short, predictable chain of
-//! loads from dense, contiguous memory — no hashing, no per-query
-//! allocation. This module holds the two shared layouts every scheme's
-//! query side now uses:
+//! Serving millions of queries wants every probe to be a short,
+//! predictable chain of loads from dense, contiguous memory — no hashing,
+//! no per-query allocation — and the builders read the same rows (pivot
+//! selection, mutual-estimate edges, next-hop chains), so the rung merge
+//! writes this form directly ([`FlatTables::from_rows`]) and nothing
+//! converts it afterwards. The two layouts every scheme shares:
 //!
 //! * [`FlatTables`] — per-node route rows in one CSR arena, each row
 //!   sorted by source id. Point lookups interpolate over the
@@ -18,8 +17,8 @@
 //! * [`PairTable`] — a `k × k` partial map in either dense
 //!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
 //!   form; [`PairTable::auto`] picks dense unless the table is large and
-//!   sparse. Lookups agree exactly with the `HashMap` model they replace
-//!   (pinned by proptests in `tests/flat_tables.rs`).
+//!   sparse. Lookups agree exactly with a `HashMap` model (pinned by
+//!   proptests in `tests/flat_tables.rs`).
 //!
 //! # The narrow record format
 //!
@@ -31,7 +30,7 @@
 //! |---|---|---|
 //! | hot record `src u32 \| est u32` (one LE `u64` word) | 8 / entry | every probe |
 //! | `port u16`, arena-aligned | 2 / entry | `next_hop` / `route_into` |
-//! | `level u8`, arena-aligned | 1 / entry | [`unflatten`] |
+//! | `level u8`, arena-aligned | 1 / entry | [`FlatTables::row_routes`] |
 //! | fit `mul u32 \| lo i16 \| win u16` (one LE `u64` word) | 8 / row | [`FlatTables::cursor`], rows above 16 entries |
 //!
 //! **No stored index.** Where a source sits in its sorted row is a
@@ -57,7 +56,7 @@
 //! in-memory layout, already canonical because rows are sorted), so
 //! reload → re-save stays byte-identical without any sort-on-write step.
 
-use crate::pde::{RouteInfo, RouteTable};
+use crate::pde::RouteInfo;
 use congest::arena::{ArenaCursor, ArenaWriter, SharedBytes, U32View, U64View};
 use congest::wire::invalid_data;
 use congest::{NodeId, Port, Topology};
@@ -111,18 +110,18 @@ struct Fit {
 
 impl Fit {
     /// Measures the fit of a row sorted by (distinct) source.
-    fn of_row(row: &ScratchRow) -> Fit {
+    fn of_row(row: &[(NodeId, RouteInfo)]) -> Fit {
         let Some((last, _)) = row.last() else {
             return Fit::default();
         };
-        let mul = ((row.len() as u64) << 31) / (u64::from(last.src) + 1);
+        let mul = ((row.len() as u64) << 31) / (u64::from(last.0) + 1);
         let mut fit = Fit {
             mul: u32::try_from(mul).expect("distinct sources: len ≤ max_src + 1"),
             ..Fit::default()
         };
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for (i, (e, _)) in row.iter().enumerate() {
-            let residual = i as i64 - fit.predict(e.src);
+        for (i, (src, _)) in row.iter().enumerate() {
+            let residual = i as i64 - fit.predict(src.0);
             lo = lo.min(residual);
             hi = hi.max(residual);
         }
@@ -257,11 +256,10 @@ impl Escapes {
     }
 }
 
-/// Per-node routing tables flattened into one source-sorted entry arena
-/// with CSR row offsets — the cache-friendly replacement for
-/// `Vec<RouteTable>` on every query path. Every array is a zero-copy
-/// view: a table decoded from a snapshot keeps pointing into the
-/// snapshot buffer.
+/// Per-node routing tables in one source-sorted entry arena with CSR
+/// row offsets: the form the rung merge writes, the builders read and
+/// the query paths serve. Every array is a zero-copy view: a table
+/// decoded from a snapshot keeps pointing into the snapshot buffer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatTables {
     /// `starts[v]..starts[v + 1]` delimits node `v`'s row (`n + 1` offsets).
@@ -281,72 +279,56 @@ pub struct FlatTables {
 /// Value words per [`FlatTables`] escape record.
 const WIDE_WORDS: usize = 2;
 
-/// A row under construction: decoded entries with their ladder levels.
-type ScratchRow = Vec<(FlatEntry, u32)>;
-
 impl FlatTables {
-    /// Flattens per-node hash tables into sorted CSR rows.
+    /// Builds the table from `n` rows of `entries` entries in total,
+    /// handed over in node order (the one constructor): `fill(v, row)`
+    /// appends node `v`'s `(source, route)` entries, strictly sorted by
+    /// source, to the (cleared) scratch row; the records, side arrays, fit
+    /// and escapes are written straight from it into sections allocated
+    /// once at their final size, so the only transient state is one row.
     ///
     /// # Panics
     ///
-    /// Panics if the total entry count exceeds `u32::MAX` (no realistic
-    /// scheme gets close; offsets stay 4 bytes on purpose).
-    pub fn from_tables(tables: &[RouteTable]) -> Self {
-        let mut starts = Vec::with_capacity(tables.len() + 1);
+    /// Panics if a row is not strictly sorted by source (the fit and every
+    /// probe assume it), if the rows do not add up to `entries`, or if
+    /// that exceeds `u32::MAX` (offsets stay 4 bytes on purpose).
+    pub fn from_rows(
+        n: usize,
+        entries: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
+    ) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
         starts.push(0u32);
-        let mut total = 0usize;
-        for table in tables {
-            total += table.len();
-            starts.push(u32::try_from(total).expect("flat table fits u32 offsets"));
-        }
-        Self::encode(starts, |v, row| {
-            row.extend(tables[v].iter().map(|(&s, r)| {
-                let e = FlatEntry {
-                    src: s.0,
-                    port: r.port,
-                    est: r.est,
-                };
-                (e, r.level)
-            }));
-            row.sort_unstable_by_key(|(e, _)| e.src);
-        })
-    }
-
-    /// Encodes the narrow sections row by row from the rows' offsets:
-    /// `fill(v, row)` appends row `v`'s entries, sorted by source, to the
-    /// (cleared) scratch row, and the records, side arrays, fit and
-    /// escapes are written straight from it — the only transient state
-    /// is one row.
-    fn encode(starts: Vec<u32>, mut fill: impl FnMut(usize, &mut ScratchRow)) -> Self {
-        let n = starts.len() - 1;
-        let total = starts[n] as usize;
-        let mut recs: Vec<u8> = Vec::with_capacity(total * REC_BYTES);
-        let mut ports: Vec<u8> = Vec::with_capacity(total * 2);
-        let mut levels: Vec<u8> = Vec::with_capacity(total);
+        let mut recs: Vec<u8> = Vec::with_capacity(entries * REC_BYTES);
+        let mut ports: Vec<u8> = Vec::with_capacity(entries * 2);
+        let mut levels: Vec<u8> = Vec::with_capacity(entries);
         let mut fits = Vec::with_capacity(n);
         let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
-        let mut row = ScratchRow::new();
+        let mut row = Vec::new();
         for v in 0..n {
-            let len = (starts[v + 1] - starts[v]) as usize;
             row.clear();
             fill(v, &mut row);
-            assert_eq!(row.len(), len, "row {v} does not match its offsets");
-            for &(e, level) in &row {
-                let est = u32::try_from(e.est).unwrap_or(EST_ESCAPE);
-                let port = u16::try_from(e.port).unwrap_or(PORT_ESCAPE);
-                let lvl = u8::try_from(level).unwrap_or(LEVEL_ESCAPE);
+            let mut prev = None;
+            for &(src, r) in &row {
+                assert!(prev < Some(src), "row {v} is not strictly sorted by source");
+                prev = Some(src);
+                let est = u32::try_from(r.est).unwrap_or(EST_ESCAPE);
+                let port = u16::try_from(r.port).unwrap_or(PORT_ESCAPE);
+                let lvl = u8::try_from(r.level).unwrap_or(LEVEL_ESCAPE);
                 if est == EST_ESCAPE || port == PORT_ESCAPE || lvl == LEVEL_ESCAPE {
                     wide_idx.push((recs.len() / REC_BYTES) as u32);
-                    wide_vals.push(e.est);
-                    wide_vals.push(u64::from(e.port) | u64::from(level) << 32);
+                    wide_vals.push(r.est);
+                    wide_vals.push(u64::from(r.port) | u64::from(r.level) << 32);
                 }
-                let word = u64::from(e.src) | u64::from(est) << 32;
+                let word = u64::from(src.0) | u64::from(est) << 32;
                 recs.extend_from_slice(&word.to_le_bytes());
                 ports.extend_from_slice(&port.to_le_bytes());
                 levels.push(lvl);
             }
+            starts.push(u32::try_from(levels.len()).expect("flat table fits u32 offsets"));
             fits.push(Fit::of_row(&row).word());
         }
+        assert_eq!(levels.len(), entries, "rows do not add up to `entries`");
         FlatTables {
             starts: U32View::from_vals(&starts),
             recs: SharedBytes::from_vec(recs),
@@ -380,11 +362,6 @@ impl FlatTables {
     #[inline]
     pub fn row_iter(&self, v: NodeId) -> impl Iterator<Item = FlatEntry> + '_ {
         self.entries_in(self.row_range(v))
-    }
-
-    /// Node `v`'s row decoded into a `Vec` (tests and cold paths).
-    pub fn row_vec(&self, v: NodeId) -> Vec<FlatEntry> {
-        self.row_iter(v).collect()
     }
 
     /// Point lookup: `v`'s entry for source `s`, if present.
@@ -519,14 +496,18 @@ impl FlatTables {
         })
     }
 
-    /// Decodes entry `i` with its ladder level ([`unflatten`]'s view).
-    fn entry_with_level(&self, i: usize) -> Option<(FlatEntry, u32)> {
-        let e = self.entry_of(i, self.word(i))?;
-        let level = match self.levels.as_slice()[i] {
-            LEVEL_ESCAPE => self.wide(i)?.2,
-            lvl => u32::from(lvl),
-        };
-        Some((e, level))
+    /// Node `v`'s row as the `(source, route)` entries
+    /// [`FlatTables::from_rows`] was given — the one reader of the cold
+    /// level section.
+    pub fn row_routes(&self, v: NodeId) -> impl Iterator<Item = (NodeId, RouteInfo)> + '_ {
+        self.row_range(v).filter_map(|i| {
+            let FlatEntry { src, port, est } = self.entry_of(i, self.word(i))?;
+            let level = match self.levels.as_slice()[i] {
+                LEVEL_ESCAPE => self.wide(i)?.2,
+                lvl => u32::from(lvl),
+            };
+            Some((NodeId(src), RouteInfo { est, port, level }))
+        })
     }
 
     /// Iterates the arena entries of `range` (see
@@ -765,13 +746,6 @@ impl RowCursor<'_> {
     }
 }
 
-/// Convenience: flatten each run of a multi-level route archive.
-pub fn flatten_runs(runs: &[Vec<RouteTable>]) -> Vec<FlatTables> {
-    runs.iter()
-        .map(|run| FlatTables::from_tables(run))
-        .collect()
-}
-
 /// Pre-resolves each arena entry's source through a
 /// [`graphs::DenseIndex`] (sentinel [`graphs::DenseIndex::NONE`] for
 /// non-members) so query loops read an arena-aligned side table instead
@@ -786,33 +760,8 @@ pub fn resolve_entry_indices(tables: &FlatTables, index: &graphs::DenseIndex) ->
         .collect()
 }
 
-/// Rebuilds the hash-table form of one flat row set (used by builders
-/// that still merge through [`RouteTable`], and by tests).
-pub fn unflatten(ft: &FlatTables) -> Vec<RouteTable> {
-    (0..ft.len_nodes())
-        .map(|v| {
-            let mut t = RouteTable::default();
-            for (e, level) in ft
-                .row_range(NodeId::from_index(v))
-                .filter_map(|i| ft.entry_with_level(i))
-            {
-                t.insert(
-                    NodeId(e.src),
-                    RouteInfo {
-                        est: e.est,
-                        port: e.port,
-                        level,
-                    },
-                );
-            }
-            t
-        })
-        .collect()
-}
-
-/// A partial `k × k` map keyed by `(row, col)` pairs — the flat
-/// replacement for `HashMap<(usize, usize), u64>` in the truncated
-/// hierarchy's upper levels.
+/// A partial `k × k` map keyed by `(row, col)` pairs — the truncated
+/// hierarchy's upper-level `(node, source)` tables.
 ///
 /// Dense form is one `k²` value array with [`ABSENT`] sentinels (a lookup
 /// is a single indexed load); CSR form stores row-sorted `(col, value)`
@@ -1090,35 +1039,23 @@ impl PairTable {
 mod tests {
     use super::*;
 
-    fn sample_tables() -> Vec<RouteTable> {
-        let mut t0 = RouteTable::default();
-        t0.insert(
-            NodeId(3),
-            RouteInfo {
-                est: 10,
-                port: 1,
-                level: 0,
-            },
-        );
-        t0.insert(
-            NodeId(1),
-            RouteInfo {
-                est: 7,
-                port: 0,
-                level: 2,
-            },
-        );
-        vec![t0, RouteTable::default()]
+    type Rows = Vec<Vec<(NodeId, RouteInfo)>>;
+
+    fn flat(rows: &Rows) -> FlatTables {
+        let entries = rows.iter().map(Vec::len).sum();
+        FlatTables::from_rows(rows.len(), entries, |v, row| {
+            row.extend_from_slice(&rows[v])
+        })
     }
 
     #[test]
-    fn flat_tables_sort_rows_and_look_up() {
-        let ft = FlatTables::from_tables(&sample_tables());
+    fn flat_tables_look_up_sorted_rows() {
+        let route = |src, est, port, level| (NodeId(src), RouteInfo { est, port, level });
+        let ft = flat(&vec![vec![route(1, 7, 0, 2), route(3, 10, 1, 0)], vec![]]);
         assert_eq!(ft.len_nodes(), 2);
         assert_eq!(ft.len_entries(), 2);
-        let row = ft.row_vec(NodeId(0));
-        assert_eq!(row[0].src, 1);
-        assert_eq!(row[1].src, 3);
+        let srcs: Vec<u32> = ft.row_iter(NodeId(0)).map(|e| e.src).collect();
+        assert_eq!(srcs, [1, 3]);
         assert_eq!(ft.get(NodeId(0), NodeId(3)).unwrap().est, 10);
         assert!(ft.get(NodeId(0), NodeId(2)).is_none());
         assert_eq!(ft.est(NodeId(0), NodeId(1)), Some(7));
@@ -1134,18 +1071,17 @@ mod tests {
     /// window (dense), a few-record window (quadratic ids), a wide
     /// window (two distant clusters) and no usable fit (residuals past
     /// `i16`/`u16`) — the last two binary-searched.
-    fn shaped_tables() -> Vec<RouteTable> {
+    fn shaped_tables() -> Rows {
         let row = |srcs: &mut dyn Iterator<Item = u32>| {
-            let mut t = RouteTable::default();
-            for s in srcs {
+            srcs.map(|s| {
                 let r = RouteInfo {
                     est: u64::from(s) + 1,
                     port: s % 3,
                     level: s % 2,
                 };
-                t.insert(NodeId(s), r);
-            }
-            t
+                (NodeId(s), r)
+            })
+            .collect()
         };
         vec![
             row(&mut (0..10).map(|i| 7 * i)),
@@ -1162,7 +1098,7 @@ mod tests {
 
     #[test]
     fn fits_are_measured_per_row() {
-        let ft = FlatTables::from_tables(&shaped_tables());
+        let ft = flat(&shaped_tables());
         let dense = Fit {
             mul: 1 << 31,
             lo: 0,
@@ -1179,12 +1115,7 @@ mod tests {
             win: 5,
         };
         assert_eq!(Fit::from_word(negative.word()), negative);
-        assert_eq!(
-            FlatTables::from_tables(&[RouteTable::default()])
-                .fits
-                .get(0),
-            0
-        );
+        assert_eq!(flat(&vec![vec![]]).fits.get(0), 0);
     }
 
     #[test]
@@ -1193,7 +1124,7 @@ mod tests {
         // `read_arena` alone (no `validate`): the window is clamped to
         // the row, so a probe finds the true entry or nothing.
         let model = shaped_tables();
-        let ft = FlatTables::from_tables(&model);
+        let ft = flat(&model);
         let mut aw = ArenaWriter::new();
         ft.write_arena(&mut aw);
         let mut buf = Vec::new();
@@ -1232,9 +1163,13 @@ mod tests {
             let mut hits = 0usize;
             for (v, table) in model.iter().enumerate() {
                 let v = NodeId::from_index(v);
-                let keys = table.keys().map(|s| s.0);
+                let keys = table.iter().map(|(s, _)| s.0);
                 for s in keys.chain([41, 1 << 29, u32::MAX]).map(NodeId) {
-                    let want = table.get(&s).map(|r| (r.est, r.port));
+                    // Rows are sorted, so the model answers by binary search.
+                    let want = table
+                        .binary_search_by_key(&s, |&(src, _)| src)
+                        .ok()
+                        .map(|i| (table[i].1.est, table[i].1.port));
                     let got = loaded.get(v, s).map(|e| (e.est, e.port));
                     assert!(got.is_none() || got == want, "case {case}: ({v}, {s})");
                     assert_eq!(

@@ -19,6 +19,11 @@ impl Apsp {
         self.dist[u.index() * self.n + v.index()]
     }
 
+    /// The row-major `n × n` distance matrix, by value.
+    pub fn into_dist(self) -> Vec<u64> {
+        self.dist
+    }
+
     /// `h_{u,v}`: minimum hops among shortest weighted `u`–`v` paths.
     #[inline]
     pub fn hops(&self, u: NodeId, v: NodeId) -> u32 {

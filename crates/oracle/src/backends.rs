@@ -3,10 +3,11 @@
 //! Each wrapper can trace routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
 //! not copied), and the flat/centralized backends keep the graph
-//! themselves. The PDE-family wrappers flatten their routing archives
-//! into per-node source-sorted rows ([`pde_core::FlatTables`]): point
-//! queries are a binary search and batch queries stream through dense
-//! memory with no per-query hashing or allocation.
+//! themselves. The PDE-family wrappers serve the routing archives as
+//! `run_pde` wrote them, per-node source-sorted rows
+//! ([`pde_core::FlatTables`]): point queries are one short probe and
+//! batch queries stream through dense memory with no per-query hashing
+//! or allocation.
 
 use crate::{
     Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder, TracedRoute,
@@ -593,7 +594,7 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             Inner::Pde(PdeOracle {
                 g: g.clone(),
                 topo: g.to_topology(),
-                routes: FlatTables::from_tables(&out.routes),
+                routes: out.routes,
                 eps: b.knob_eps(),
                 h,
                 sigma,
@@ -602,23 +603,18 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
         }
         Backend::ApproxApsp => {
             let a = try_approx_apsp_opts(g, b.knob_eps(), b.knob_threads(), b.knob_mode())?;
-            let mut dist = vec![0u64; n * n];
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    dist[u.index() * n + v.index()] = a.dist(u, v);
-                }
-            }
+            let (dist, pde) = a.into_parts();
             let m = metrics(
                 Backend::ApproxApsp,
                 n,
-                a.pde.metrics.total.rounds,
-                a.pde.metrics.total.messages,
+                pde.metrics.total.rounds,
+                pde.metrics.total.messages,
             );
             Inner::Aps(ApsOracle {
                 g: g.clone(),
                 topo: g.to_topology(),
                 dist,
-                routes: FlatTables::from_tables(&a.pde.routes),
+                routes: pde.routes,
                 eps: b.knob_eps(),
                 metrics: m,
             })
@@ -721,32 +717,18 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             let (dist, m) = match b.knob_mode() {
                 BuildMode::Simulated => {
                     let bf = bellman_ford_apsp(g);
-                    let mut dist = vec![0u64; n * n];
-                    for u in g.nodes() {
-                        for v in g.nodes() {
-                            dist[u.index() * n + v.index()] = bf.dist(u, v);
-                        }
-                    }
-                    (
-                        dist,
-                        metrics(
-                            Backend::BellmanFord,
-                            n,
-                            bf.metrics.rounds,
-                            bf.metrics.messages,
-                        ),
-                    )
+                    let m = metrics(
+                        Backend::BellmanFord,
+                        n,
+                        bf.metrics.rounds,
+                        bf.metrics.messages,
+                    );
+                    (bf.into_dist(), m)
                 }
-                BuildMode::Native => {
-                    let exact = graphs::algo::apsp(g);
-                    let mut dist = vec![0u64; n * n];
-                    for u in g.nodes() {
-                        for v in g.nodes() {
-                            dist[u.index() * n + v.index()] = exact.dist(u, v);
-                        }
-                    }
-                    (dist, metrics(Backend::BellmanFord, n, 0, 0))
-                }
+                BuildMode::Native => (
+                    graphs::algo::apsp(g).into_dist(),
+                    metrics(Backend::BellmanFord, n, 0, 0),
+                ),
             };
             Inner::Bf(BfOracle {
                 n,
@@ -775,16 +757,10 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                     )
                 }
             };
-            let mut dist = vec![0u64; n * n];
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    dist[u.index() * n + v.index()] = apsp.dist(u, v);
-                }
-            }
             Inner::Flood(FloodOracle {
                 g: g.clone(),
                 topo: g.to_topology(),
-                dist,
+                dist: apsp.into_dist(),
                 next: first_hops,
                 lsdb_edges,
                 metrics: m,

@@ -16,8 +16,8 @@ use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, Seed, WGraph, INF};
 use pde_core::pipeline::{
-    self, closest_tagged, mutual_edges, parallel_map, virtual_graph, with_resample, BuildError,
-    StageLog,
+    self, closest_tagged, mutual_edges, parallel_map, trace_chain, virtual_graph, with_resample,
+    BuildError, StageLog,
 };
 use pde_core::snapshot::FlatLists;
 use pde_core::{run_pde, BuildMode, FlatTables, PdeParams};
@@ -32,7 +32,8 @@ pub struct RtcParams {
     /// The trade-off parameter `k` (stretch `6k−1+o(1)`).
     pub k: u32,
     /// PDE approximation parameter ε (the paper uses `1/log n`; moderate
-    /// values are the practical default, see DESIGN.md).
+    /// values are the practical default, see "Deviations from the paper"
+    /// in the `pde_core` crate docs).
     pub eps: f64,
     /// Constant `c` in the horizon/list size `h = σ = c·ln n / p`.
     pub c: f64,
@@ -159,8 +160,7 @@ pub struct RtcScheme {
     pub(crate) topo: Topology,
     /// Per-node labels.
     pub labels: Vec<RtcLabel>,
-    /// Short-range routing state from the `(V, h, σ)` pass (archive),
-    /// flattened into source-sorted rows.
+    /// Short-range routing state from the `(V, h, σ)` pass (archive).
     pub short: FlatTables,
     /// Paper-sized short-range tables (the top-σ lists), for size metrics.
     pub short_lists: FlatLists,
@@ -269,10 +269,6 @@ impl RtcScheme {
     }
 }
 
-// Next-hop chain tracing is shared pipeline machinery now; keep the
-// crate-local name the query/tree code uses.
-pub(crate) use pde_core::pipeline::trace_chain;
-
 /// Builds the Theorem 4.5 scheme on `g`, panicking on unrecoverable
 /// sampling failures (see [`try_build_rtc`] for the fallible form).
 ///
@@ -346,7 +342,7 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
             labels_home.push((v, 0));
             continue;
         }
-        match closest_tagged(&pde_a.routes[v.index()], &skeleton) {
+        match closest_tagged(&pde_a.routes, v, &skeleton) {
             Some(home) => labels_home.push(home),
             None => return Err(BuildError::NoSkeletonSeen { node: v, h }),
         }
@@ -368,7 +364,7 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
 
     // Virtual skeleton graph: edge {s,t} iff both endpoints estimated each
     // other; weight = max of the two estimates (both are routable upper
-    // bounds; see DESIGN.md).
+    // bounds; see `pipeline::mutual_edges`).
     let skel_index = DenseIndex::new(n, &skel_ids);
     let sedges = mutual_edges(&pde_s.routes, &skel_ids, &skel_index);
     let skel_graph = virtual_graph(skel_ids.len(), &sedges, "skeleton graph")?;
@@ -484,7 +480,7 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         stages,
     };
 
-    let skel_routes = FlatTables::from_tables(&pde_s.routes);
+    let skel_routes = pde_s.routes;
     let span_dist = U64View::from_vals(&span_dist);
     let span_next = U64View::from_vals(
         &span_next
@@ -507,7 +503,7 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     Ok(RtcScheme {
         topo,
         labels,
-        short: FlatTables::from_tables(&pde_a.routes),
+        short: pde_a.routes,
         short_lists: FlatLists::from_lists(&pde_a.lists),
         skel_routes,
         skeleton,

@@ -28,7 +28,8 @@ pub struct DetectionOutput {
     pub lists: Vec<Vec<SdEntry>>,
     /// Per-node routing archive: best `(dist, port)` per source ever
     /// received, as `(source, dist, port)` triples sorted by source id
-    /// (see DESIGN.md on archives).
+    /// (a superset of the list's sources, so next-hop chains are total;
+    /// see "Deviations from the paper" in the `pde_core` crate docs).
     pub routes: Vec<Vec<(NodeId, u64, Port)>>,
     /// Per-node broadcast counts (for the Lemma 3.4 experiment).
     pub msgs_per_node: Vec<u64>,

@@ -1,6 +1,7 @@
-//! Ablations for the design choices DESIGN.md calls out: the ε / round
-//! trade-off of the weight ladder, quiescence versus the theoretical round
-//! budget, and the level structure of a PDE run.
+//! Ablations for the design choices `pde_core`'s crate docs call out
+//! ("Deviations from the paper"): the ε / round trade-off of the weight
+//! ladder, quiescence versus the theoretical round budget, and the level
+//! structure of a PDE run.
 
 use pde_repro::graphs::algo::apsp;
 use pde_repro::graphs::gen::{self, Weights};

@@ -19,16 +19,16 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf29ce484222325u64, |d, b| {
+        (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
 /// FNV-1a over a batch of query answers.
 fn digest(values: &[u64]) -> u64 {
-    let mut d = 0xcbf29ce484222325u64;
-    for &x in values {
-        for b in x.to_le_bytes() {
-            d ^= u64::from(b);
-            d = d.wrapping_mul(0x100000001b3);
-        }
-    }
-    d
+    fnv(values.iter().flat_map(|x| x.to_le_bytes()))
 }
 
 /// A generated parity case: graph family index, size, weight choice and
@@ -145,4 +145,42 @@ fn native_builds_route_identically() {
     }
     assert!(sim.build_metrics().rounds > 0, "simulated charges rounds");
     assert_eq!(nat.build_metrics().rounds, 0, "native charges none");
+}
+
+/// Absolute pins: every other identity test here is relative (Simulated
+/// ≡ Native, threads 1 ≡ 4), so a change that moves both sides the same
+/// way passes them all. A change that claims byte identity must pass
+/// these unedited; a deliberate format change re-records them and says so.
+#[test]
+fn artifact_bytes_match_pinned_digests() {
+    let g = build_graph(0, 40, 1, 0x5eed);
+    let builder = |backend| {
+        OracleBuilder::new(backend)
+            .seed(0x5eed)
+            .k(2)
+            .build_mode(BuildMode::Native)
+            .threads(1)
+    };
+    let pins: [u64; 8] = [
+        0xd0d5d78aaad6bdcb, // pde
+        0x5bf3f2e4a8ba79ed, // approx_apsp
+        0x38214e0d269ccfd7, // rtc
+        0xfd7db62ba7a89ffb, // compact
+        0x488b8a4dcfcf0077, // truncated
+        0xb336b71d16b11951, // exact_tz
+        0x8f76e21581e89209, // bellman_ford
+        0x911cb4e32e343865, // flooding
+    ];
+    for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
+        let got = fnv(builder(backend).build(&g).artifact_bytes().into_iter());
+        assert_eq!(got, pin, "{backend}: got {got:#018x}");
+    }
+    // A partial row set: σ ≪ n, h ≪ n, sources ⊂ V.
+    let partial = builder(Backend::Pde)
+        .sigma(3)
+        .horizon(4)
+        .sources((0..g.len()).map(|v| v % 3 == 0).collect())
+        .build(&g);
+    let got = fnv(partial.artifact_bytes().into_iter());
+    assert_eq!(got, 0x02f712bf8901c129, "pde_partial: got {got:#018x}");
 }

@@ -1,17 +1,17 @@
-//! Property-based tests for the flat SoA query tables that replaced the
-//! hash maps on every oracle hot path (`pde_core::tables`): dense and CSR
-//! [`PairTable`] lookups must agree with a `HashMap` model across random
-//! probes — including misses and out-of-range keys — and [`FlatTables`]
-//! lookups with a per-node `HashMap` model — including values that take
-//! the narrow layout's escape and the marker values themselves — with
-//! byte-identical round-trips through the arena codec.
+//! Property-based tests for the flat SoA tables every scheme builds and
+//! serves (`pde_core::tables`): dense and CSR [`PairTable`] lookups must
+//! agree with a `HashMap` model across random probes — including misses
+//! and out-of-range keys — and [`FlatTables`] lookups with a per-node
+//! `BTreeMap` model — including values that take the narrow layout's
+//! escape and the marker values themselves — with byte-identical
+//! round-trips through the arena codec.
 
 use pde_repro::congest::arena::{ArenaReader, ArenaWriter, SharedBytes};
 use pde_repro::graphs::NodeId;
 use pde_repro::pde_core::tables::{FlatTables, PairTable};
-use pde_repro::pde_core::{RouteInfo, RouteTable};
+use pde_repro::pde_core::RouteInfo;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A generated case: side length `k`, unique in-range pair entries, and
 /// probe keys (deliberately allowed to fall outside `k`, which must
@@ -128,26 +128,33 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
         .boxed()
 }
 
+/// The model's rows, in order, through the one constructor.
+fn flatten(model: &[BTreeMap<u32, RouteInfo>]) -> FlatTables {
+    let entries = model.iter().map(BTreeMap::len).sum();
+    FlatTables::from_rows(model.len(), entries, |v, row| {
+        row.extend(model[v].iter().map(|(&s, &r)| (NodeId(s), r)));
+    })
+}
+
 /// Flattens `tables` and checks every read path — `get`, `est`,
-/// `cursor`, `row_vec`, `ests_in`, `unflatten` — on the built table and
-/// on its arena reload against the per-node `HashMap` model, probing
-/// every stored key, both its neighbours and `probes`; and that the
-/// arena reload re-saves byte-identically.
+/// `cursor`, `row_iter`, `ests_in`, `row_routes` — on the built table and
+/// on its arena reload against the per-node `BTreeMap` model (a later
+/// duplicate source overrides an earlier one), probing every stored key,
+/// both its neighbours and `probes`; and that the arena reload re-saves
+/// byte-identically.
 fn check_against_model(
     tables: &[Vec<RouteRow>],
     probes: &[(u32, u32)],
 ) -> Result<(), TestCaseError> {
-    let model: Vec<RouteTable> = tables
+    let model: Vec<BTreeMap<u32, RouteInfo>> = tables
         .iter()
         .map(|rows| {
-            let mut t = RouteTable::default();
-            for &(src, est, port, level) in rows {
-                t.insert(NodeId(src), RouteInfo { est, port, level });
-            }
-            t
+            rows.iter()
+                .map(|&(src, est, port, level)| (src, RouteInfo { est, port, level }))
+                .collect()
         })
         .collect();
-    let flat = FlatTables::from_tables(&model);
+    let flat = flatten(&model);
     prop_assert_eq!(flat.len_nodes(), model.len());
 
     // The arena codec hands back the same table, and re-saving the
@@ -164,12 +171,12 @@ fn check_against_model(
         let stored = model.iter().enumerate().flat_map(|(v, table)| {
             table
                 .keys()
-                .flat_map(move |s| [(v as u32, s.0.wrapping_sub(1)), (v as u32, s.0)])
-                .chain(table.keys().map(move |s| (v as u32, s.0.wrapping_add(1))))
+                .flat_map(move |s| [(v as u32, s.wrapping_sub(1)), (v as u32, *s)])
+                .chain(table.keys().map(move |s| (v as u32, s.wrapping_add(1))))
         });
         for (v, s) in stored.chain(probes.iter().copied()) {
             let v = NodeId(v % model.len() as u32);
-            let want = model[v.index()].get(&NodeId(s));
+            let want = model[v.index()].get(&s);
             let got = t.get(v, NodeId(s));
             prop_assert_eq!(
                 want.map(|r| (r.est, r.port)),
@@ -189,17 +196,19 @@ fn check_against_model(
             prop_assert_eq!(row.get(NodeId(s)), got, "cursor ({}, {})", v, s);
             prop_assert_eq!(row.est(NodeId(s)), want.map(|r| r.est));
         }
-        // The cold level array round-trips through unflatten.
-        prop_assert_eq!(&pde_repro::pde_core::tables::unflatten(t), &model);
         // Rows enumerate exactly the model's entries, sorted by source.
         for (v, table) in model.iter().enumerate() {
             let v = NodeId(v as u32);
-            let row = t.row_vec(v);
+            // The cold level array comes back with the rest of the row.
+            let routes: Vec<(u32, RouteInfo)> = t.row_routes(v).map(|(s, r)| (s.0, r)).collect();
+            let want: Vec<(u32, RouteInfo)> = table.iter().map(|(&s, &r)| (s, r)).collect();
+            prop_assert_eq!(routes, want);
+            let row: Vec<_> = t.row_iter(v).collect();
             prop_assert_eq!(row.len(), table.len());
             prop_assert_eq!(t.cursor(v).row_len(), table.len());
             prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
             for e in &row {
-                let want = &table[&NodeId(e.src)];
+                let want = &table[&e.src];
                 prop_assert_eq!((e.est, e.port), (want.est, want.port));
             }
             let ests: Vec<u64> = t.ests_in(t.row_range(v)).collect();
@@ -244,19 +253,33 @@ fn row_without_a_usable_fit_agrees_with_model() {
 /// per-row words — an index creeping back in would show here first.
 #[test]
 fn dense_table_costs_at_most_11_1_bytes_per_entry() {
-    let row: RouteTable = (0..1024)
+    let row: BTreeMap<u32, RouteInfo> = (0..1024)
         .map(|s| {
             let r = RouteInfo {
                 est: u64::from(s),
                 port: 0,
                 level: 0,
             };
-            (NodeId(s), r)
+            (s, r)
         })
         .collect();
-    let flat = FlatTables::from_tables(&vec![row; 1024]);
+    let flat = flatten(&vec![row; 1024]);
     let per_entry = arena_bytes(|a| flat.write_arena(a)).len() as f64 / flat.len_entries() as f64;
     assert!(per_entry <= 11.1, "{per_entry} bytes per entry");
+}
+
+/// The constructor's one precondition is checked in release builds too:
+/// the fit and every probe assume strictly increasing sources.
+#[test]
+fn unsorted_or_duplicate_source_rows_panic_in_the_constructor() {
+    let (est, port, level) = (1, 0, 0);
+    let route = RouteInfo { est, port, level };
+    for srcs in [[5u32, 3], [4, 4]] {
+        let built = std::panic::catch_unwind(|| {
+            FlatTables::from_rows(1, 2, |_, row| row.extend(srcs.map(|s| (NodeId(s), route))))
+        });
+        assert!(built.is_err(), "{srcs:?} was accepted");
+    }
 }
 
 proptest! {
@@ -308,9 +331,9 @@ proptest! {
         }
     }
 
-    /// Flat per-node route rows agree with the hash tables they were
-    /// flattened from, across hits and misses, narrow and escaped values,
-    /// and every key shape.
+    /// Flat per-node route rows agree with the map model they were built
+    /// from, across hits and misses, narrow and escaped values, and every
+    /// key shape.
     #[test]
     fn flat_tables_agree_with_route_table_model(
         tables in prop_oneof![route_rows(false), route_rows(true)],

@@ -49,8 +49,8 @@ proptest! {
                 prop_assert!(e.est >= exact.dist(v, e.src),
                     "underestimate at {v} for {}: {} < {}", e.src, e.est, exact.dist(v, e.src));
             }
-            for (&s, r) in &out.routes[v.index()] {
-                prop_assert!(r.est >= exact.dist(v, s));
+            for e in out.routes.row_iter(v) {
+                prop_assert!(e.est >= exact.dist(v, NodeId(e.src)));
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Fidelity of the central simulation trick: running detection on a
 //! delay-annotated topology must be *indistinguishable* (at real nodes)
 //! from running it on the explicitly subdivided graph `G_i` with virtual
-//! relay nodes — the equivalence DESIGN.md claims.
+//! relay nodes — the equivalence `pde_core`'s crate docs ("Deviations
+//! from the paper") rely on.
 
 use pde_repro::congest::{NodeId, Topology};
 use pde_repro::graphs::WGraph;
