@@ -16,7 +16,7 @@ const BUILD_RUNS: usize = 3;
 /// noise stays out of the recorded numbers), CONGEST rounds charged,
 /// `save` artifact size, estimate-stretch percentiles from the
 /// oracle-generic evaluator, routed coverage, and measured
-/// `estimate_many` throughput.
+/// `estimate_many_with` throughput.
 pub fn oracles(n: usize, seed: u64) -> Table {
     let g = workloads::gnp(n, seed);
     let exact = apsp(&g);

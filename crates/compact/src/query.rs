@@ -18,6 +18,8 @@
 use crate::hierarchy::CompactScheme;
 use congest::NodeId;
 use graphs::INF;
+use pde_core::schedule::RowEstimate;
+use pde_core::RowCursor;
 use routing::RoutingScheme;
 
 impl CompactScheme {
@@ -43,40 +45,50 @@ impl CompactScheme {
             .map(|e| (e.est.saturating_add(d_w), self.topo.neighbor(x, e.port)))
     }
 
-    /// The source-grouped batch kernel behind
-    /// `oracle::DistanceOracle::estimate_grouped`: answers
-    /// `pairs[order[i]]` into `out[i]`, resolving the queried node's row
-    /// cursor in each of the `k` level tables once per equal-source
-    /// group. Computes exactly [`RoutingScheme::estimate`] per pair.
-    pub fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let mut rows: Vec<pde_core::RowCursor<'_>> = Vec::with_capacity(self.routes.len());
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = pde_core::schedule::group_end(pairs, order, start);
-            let x = pairs[order[start] as usize].0;
-            rows.clear();
-            rows.extend(self.routes.iter().map(|t| t.cursor(x)));
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                let dest = pairs[i as usize].1;
-                if x == dest {
-                    *slot = 0;
-                    continue;
-                }
-                let mut best = rows[0].est(dest).unwrap_or(INF);
-                for l in 1..self.k {
-                    let (pivot, d_w, _) = self.labels[dest.index()].pivots[(l - 1) as usize];
-                    let here = if x == pivot {
-                        0
-                    } else {
-                        rows[l as usize].est(pivot).unwrap_or(INF)
-                    };
-                    best = best.min(here.saturating_add(d_w));
-                }
-                *slot = best;
-            }
-            start = end;
+    /// Lemma 4.6's estimate, written once: the minimum over the level
+    /// options of [`CompactScheme::option`], without resolving next hops
+    /// (the minimum is independent of the hop tie-break, so no per-level
+    /// `Topology` loads). `probe(l, s)` reads `x`'s level-`l` estimate
+    /// towards `s`.
+    #[inline]
+    fn estimate_by(
+        &self,
+        x: NodeId,
+        dest: NodeId,
+        probe: impl Fn(usize, NodeId) -> Option<u64>,
+    ) -> u64 {
+        if x == dest {
+            return 0;
         }
+        let mut best = probe(0, dest).unwrap_or(INF);
+        for (i, &(pivot, d_w, _)) in self.labels[dest.index()].pivots.iter().enumerate() {
+            // If x *is* the level's pivot of dest, the estimate is the
+            // label distance itself.
+            let here = if x == pivot {
+                0
+            } else {
+                probe(i + 1, pivot).unwrap_or(INF)
+            };
+            best = best.min(here.saturating_add(d_w));
+        }
+        best
+    }
+}
+
+/// A row is the queried node and its row cursor in each level's table.
+impl RowEstimate for CompactScheme {
+    type Row<'a> = (NodeId, Vec<RowCursor<'a>>);
+
+    #[inline]
+    fn open<'a>(&'a self, x: NodeId, (at, levels): &mut Self::Row<'a>) {
+        *at = x;
+        levels.clear();
+        levels.extend(self.routes.iter().map(|t| t.cursor(x)));
+    }
+
+    #[inline]
+    fn est(&self, (x, levels): &Self::Row<'_>, dest: NodeId) -> u64 {
+        self.estimate_by(*x, dest, |l, s| levels[l].est(s))
     }
 }
 
@@ -120,25 +132,7 @@ impl RoutingScheme for CompactScheme {
     }
 
     fn estimate(&self, x: NodeId, dest: NodeId) -> u64 {
-        if x == dest {
-            return 0;
-        }
-        // Estimate-only reduction: same level options as `option`, but
-        // without resolving next hops — the minimum is independent of the
-        // hop tie-break, so no per-level `Topology` loads.
-        let mut best = self.routes[0].est(x, dest).unwrap_or(INF);
-        for l in 1..self.k {
-            let (pivot, d_w, _) = self.labels[dest.index()].pivots[(l - 1) as usize];
-            // If x *is* the level-l pivot of dest, the estimate is the
-            // label distance itself.
-            let here = if x == pivot {
-                0
-            } else {
-                self.routes[l as usize].est(x, pivot).unwrap_or(INF)
-            };
-            best = best.min(here.saturating_add(d_w));
-        }
-        best
+        self.estimate_by(x, dest, |l, s| self.routes[l].est(x, s))
     }
 
     fn label_bits(&self, v: NodeId) -> usize {

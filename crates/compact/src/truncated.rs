@@ -29,8 +29,12 @@ use pde_core::pipeline::{
     self, mutual_edges, parallel_map, trace_chain, virtual_graph, with_resample, BuildError,
     StageLog,
 };
-use pde_core::{resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
+use pde_core::schedule::RowEstimate;
+use pde_core::{
+    resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams, RowCursor,
+};
 use routing::RoutingScheme;
+use std::ops::Range;
 use treeroute::TreeSet;
 
 use crate::hierarchy::CompactParams;
@@ -636,9 +640,8 @@ impl TruncatedScheme {
             let budget_a = suffix[0].saturating_add(descent_budget);
             // Phase A: reach the pivot via any connector — one contiguous
             // row with its pre-resolved skeleton indices alongside.
-            let range = self.base_routes.row_range(x);
-            let idx = &self.base_row_idx[range.clone()];
-            for (e, &ti) in self.base_routes.entries_in(range).zip(idx) {
+            let base = self.base_row(x);
+            for (e, &ti) in self.base_routes.entries_in(base.range).zip(base.idx) {
                 if ti == DenseIndex::NONE {
                     continue;
                 }
@@ -650,7 +653,7 @@ impl TruncatedScheme {
                     );
                 }
             }
-            if let Some(xi) = self.skel_index.get(x) {
+            if let Some(xi) = base.xi {
                 if xi != s_idx {
                     if let Some(eg) = self.upper_est[j].get(xi, s_idx) {
                         if let Some(z) = self.upper_next[j].get(xi, s_idx) {
@@ -684,68 +687,87 @@ impl TruncatedScheme {
         best
     }
 
-    /// The source-grouped batch kernel behind
-    /// `oracle::DistanceOracle::estimate_grouped`: answers
-    /// `pairs[order[i]]` into `out[i]`, resolving the queried node's
-    /// lower-level row cursors, base-routes row range (with its
-    /// pre-resolved skeleton indices) and own skeleton index once per
-    /// equal-source group. Computes exactly
-    /// [`RoutingScheme::estimate`] per pair.
-    pub fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let mut lower_rows: Vec<pde_core::RowCursor<'_>> =
-            Vec::with_capacity(self.lower_routes.len());
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = pde_core::schedule::group_end(pairs, order, start);
-            let x = pairs[order[start] as usize].0;
-            lower_rows.clear();
-            lower_rows.extend(self.lower_routes.iter().map(|t| t.cursor(x)));
-            let base_range = self.base_routes.row_range(x);
-            let base_idx = &self.base_row_idx[base_range.clone()];
-            let xi = self.skel_index.get(x);
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                let dest = pairs[i as usize].1;
-                if x == dest {
-                    *slot = 0;
+    /// What the upper-level terms read of node `x`.
+    fn base_row(&self, x: NodeId) -> BaseRow<'_> {
+        let range = self.base_routes.row_range(x);
+        BaseRow {
+            idx: &self.base_row_idx[range.clone()],
+            range,
+            xi: self.skel_index.get(x),
+        }
+    }
+
+    /// Theorem 4.13's estimate, written once: the minimum over the lower
+    /// levels' options and, per upper level, the cheapest way to the
+    /// level's pivot (via any connector in `x`'s base row, or directly
+    /// when `x` is itself a skeleton node) plus the label's remainder.
+    /// `probe(l, s)` reads `x`'s lower level-`l` estimate towards `s`.
+    #[inline]
+    fn estimate_by(
+        &self,
+        x: NodeId,
+        dest: NodeId,
+        base: &BaseRow<'_>,
+        probe: impl Fn(usize, NodeId) -> Option<u64>,
+    ) -> u64 {
+        if x == dest {
+            return 0;
+        }
+        let label = &self.labels[dest.index()];
+        let mut best = probe(0, dest).unwrap_or(INF);
+        for (i, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
+            let here = if x == pivot {
+                0
+            } else {
+                probe(i + 1, pivot).unwrap_or(INF)
+            };
+            best = best.min(here.saturating_add(d_w));
+        }
+        for (j, up) in label.upper.iter().enumerate() {
+            let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
+            let mut to_pivot = INF;
+            for (est, &ti) in self.base_routes.ests_in(base.range.clone()).zip(base.idx) {
+                if ti == DenseIndex::NONE {
                     continue;
                 }
-                let label = &self.labels[dest.index()];
-                let mut best = INF;
-                if let Some(est) = lower_rows[0].est(dest) {
-                    best = best.min(est);
+                if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
+                    to_pivot = to_pivot.min(est.saturating_add(eg));
                 }
-                for (li, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
-                    let l = li + 1;
-                    let here = if x == pivot {
-                        0
-                    } else {
-                        lower_rows[l].est(pivot).unwrap_or(INF)
-                    };
-                    best = best.min(here.saturating_add(d_w));
-                }
-                for (j, up) in label.upper.iter().enumerate() {
-                    let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
-                    let mut to_pivot = INF;
-                    for (est, &ti) in self.base_routes.ests_in(base_range.clone()).zip(base_idx) {
-                        if ti == DenseIndex::NONE {
-                            continue;
-                        }
-                        if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
-                            to_pivot = to_pivot.min(est.saturating_add(eg));
-                        }
-                    }
-                    if let Some(xi) = xi {
-                        if let Some(eg) = self.upper_est[j].get(xi, s_idx) {
-                            to_pivot = to_pivot.min(eg);
-                        }
-                    }
-                    best = best.min(to_pivot.saturating_add(up.est));
-                }
-                *slot = best;
             }
-            start = end;
+            if let Some(eg) = base.xi.and_then(|xi| self.upper_est[j].get(xi, s_idx)) {
+                to_pivot = to_pivot.min(eg);
+            }
+            best = best.min(to_pivot.saturating_add(up.est));
         }
+        best
+    }
+}
+
+/// Node `x`'s `base_routes` row range with its pre-resolved skeleton
+/// indices alongside, and `x`'s own skeleton index.
+#[derive(Default)]
+pub struct BaseRow<'a> {
+    range: Range<usize>,
+    idx: &'a [u32],
+    xi: Option<usize>,
+}
+
+/// A row is the queried node, its row cursor in each lower level's table
+/// and its base row.
+impl RowEstimate for TruncatedScheme {
+    type Row<'a> = (NodeId, Vec<RowCursor<'a>>, BaseRow<'a>);
+
+    #[inline]
+    fn open<'a>(&'a self, x: NodeId, (at, lower, base): &mut Self::Row<'a>) {
+        *at = x;
+        lower.clear();
+        lower.extend(self.lower_routes.iter().map(|t| t.cursor(x)));
+        *base = self.base_row(x);
+    }
+
+    #[inline]
+    fn est(&self, (x, lower, base): &Self::Row<'_>, dest: NodeId) -> u64 {
+        self.estimate_by(*x, dest, base, |l, s| lower[l].est(s))
     }
 }
 
@@ -781,44 +803,9 @@ impl RoutingScheme for TruncatedScheme {
     }
 
     fn estimate(&self, x: NodeId, dest: NodeId) -> u64 {
-        if x == dest {
-            return 0;
-        }
-        let label = &self.labels[dest.index()];
-        let mut best = INF;
-        if let Some(est) = self.lower_routes[0].est(x, dest) {
-            best = best.min(est);
-        }
-        for (i, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
-            let l = i + 1;
-            let here = if x == pivot {
-                0
-            } else {
-                self.lower_routes[l].est(x, pivot).unwrap_or(INF)
-            };
-            best = best.min(here.saturating_add(d_w));
-        }
-        for (j, up) in label.upper.iter().enumerate() {
-            let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
-            let mut to_pivot = INF;
-            let range = self.base_routes.row_range(x);
-            let idx = &self.base_row_idx[range.clone()];
-            for (est, &ti) in self.base_routes.ests_in(range).zip(idx) {
-                if ti == DenseIndex::NONE {
-                    continue;
-                }
-                if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
-                    to_pivot = to_pivot.min(est.saturating_add(eg));
-                }
-            }
-            if let Some(xi) = self.skel_index.get(x) {
-                if let Some(eg) = self.upper_est[j].get(xi, s_idx) {
-                    to_pivot = to_pivot.min(eg);
-                }
-            }
-            best = best.min(to_pivot.saturating_add(up.est));
-        }
-        best
+        self.estimate_by(x, dest, &self.base_row(x), |l, s| {
+            self.lower_routes[l].est(x, s)
+        })
     }
 
     fn label_bits(&self, v: NodeId) -> usize {

@@ -1,15 +1,15 @@
 //! Source-grouped batch query schedules.
 //!
-//! A shuffled `estimate_many` batch thrashes per-row metadata: every
-//! query re-resolves its source row's CSR offsets and fit, and the row's
-//! entries fall out of cache between visits. A
-//! [`BatchSchedule`] fixes the *shape* of the batch without touching its
-//! answers: it is an order-preserving permutation of the query indices,
-//! sorted by `(source row, dest key)`, so a kernel can resolve row state
-//! once per group of equal-source queries and walk each row's records
-//! monotonically — then scatter the answers back through the
-//! permutation, leaving the output byte-identical to the unscheduled
-//! batch for every batch order and thread count.
+//! A shuffled batch thrashes per-row metadata: every query re-resolves
+//! its source row's CSR offsets and fit, and the row's entries fall out
+//! of cache between visits. A [`BatchSchedule`] fixes the *shape* of the
+//! batch without touching its answers: it is an order-preserving
+//! permutation of the query indices, sorted by `(source row, dest key)`,
+//! so the one kernel, [`estimate_grouped`], opens a backend's row state
+//! ([`RowEstimate`]) once per group of equal-source queries and walks
+//! each row's records monotonically — then the answers are scattered
+//! back through the permutation, leaving the output byte-identical to
+//! the unscheduled batch for every batch order and thread count.
 //!
 //! The permutation is built with a two-pass stable counting sort (radix
 //! by dest, then by source) when node ids are dense relative to the
@@ -171,12 +171,61 @@ fn radix_order(pairs: &[(NodeId, NodeId)], keyspace: usize, q: u32) -> Vec<u32> 
     order
 }
 
+/// A backend seen as rows: what a query resolves from the queried node
+/// `u` alone is a *row*, opened once per equal-source group by
+/// [`estimate_grouped`]; each destination `v` is one read of it.
+///
+/// `open` may capture anything that depends only on `u` and immutable
+/// scheme state (CSR cursors, `u`'s own index); it overwrites `row` in
+/// place, so buffers inside it are reused across groups. `est` must be a
+/// pure function of `(u, v)` — the backend's scalar estimate — which is
+/// what keeps grouped answers byte-identical for every batch order.
+pub trait RowEstimate {
+    /// Per-group state; `Default` is the not-yet-opened row.
+    type Row<'a>: Default
+    where
+        Self: 'a;
+
+    /// Re-opens `row` at node `u`.
+    fn open<'a>(&'a self, u: NodeId, row: &mut Self::Row<'a>);
+
+    /// The estimate from the opened row's node to `v`.
+    fn est(&self, row: &Self::Row<'_>, v: NodeId) -> u64;
+}
+
+/// The one source-grouped kernel: writes the estimate for
+/// `pairs[order[i]]` into `out[i]`, opening one row per run of equal
+/// sources in `order` (a [`BatchSchedule`] permutation, a slice of one,
+/// or — at one open per maximal run — any unsorted order).
+///
+/// # Panics
+///
+/// Panics when `out.len() != order.len()` or an index in `order` is out
+/// of bounds for `pairs`.
+pub fn estimate_grouped<R: RowEstimate>(
+    r: &R,
+    pairs: &[(NodeId, NodeId)],
+    order: &[u32],
+    out: &mut [u64],
+) {
+    assert_eq!(order.len(), out.len(), "one answer slot per query");
+    let mut row = R::Row::default();
+    let mut start = 0usize;
+    while start < order.len() {
+        let end = group_end(pairs, order, start);
+        r.open(pairs[order[start] as usize].0, &mut row);
+        for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
+            *slot = r.est(&row, pairs[i as usize].1);
+        }
+        start = end;
+    }
+}
+
 /// The end of the equal-source group starting at `order[start]`: the
-/// first position whose source differs (or `order.len()`). Grouped
-/// kernels use this to walk a shard group by group without needing the
-/// schedule's boundary table (shards are slices of the order).
+/// first position whose source differs (or `order.len()`) — found by
+/// walking, so shards (slices of the order) need no boundary table.
 #[inline]
-pub fn group_end(pairs: &[(NodeId, NodeId)], order: &[u32], start: usize) -> usize {
+fn group_end(pairs: &[(NodeId, NodeId)], order: &[u32], start: usize) -> usize {
     let u = pairs[order[start] as usize].0;
     let mut end = start + 1;
     while end < order.len() && pairs[order[end] as usize].0 == u {
@@ -254,13 +303,51 @@ mod tests {
         assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
+    /// A row view that only counts its `open` calls.
+    #[derive(Default)]
+    struct CountingRows(std::cell::Cell<usize>);
+
+    impl RowEstimate for CountingRows {
+        type Row<'a> = ();
+
+        fn open(&self, _: NodeId, _: &mut ()) {
+            self.0.set(self.0.get() + 1);
+        }
+
+        fn est(&self, _: &(), _: NodeId) -> u64 {
+            0
+        }
+    }
+
+    /// Rows the kernel opens over `order` cut into `lens`-long slices.
+    fn opens(pairs: &[(NodeId, NodeId)], mut order: &[u32], lens: &[usize]) -> usize {
+        let rows = CountingRows::default();
+        for &len in lens {
+            let (part, rest) = order.split_at(len);
+            estimate_grouped(&rows, pairs, part, &mut vec![0; len]);
+            order = rest;
+        }
+        rows.0.get()
+    }
+
     #[test]
-    fn group_end_walks_runs() {
-        let pairs = pairs_of(&[(5, 1), (5, 2), (2, 0), (5, 3)]);
-        let s = BatchSchedule::build(&pairs, 6);
-        let order = s.order();
-        assert_eq!(group_end(&pairs, order, 0), 1); // the (2, 0) group
-        assert_eq!(group_end(&pairs, order, 1), 4); // the three (5, _) queries
+    fn grouped_kernel_opens_one_row_per_run() {
+        let raw: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 37 % 11, i % 13)).collect();
+        let pairs = pairs_of(&raw);
+        let s = BatchSchedule::build(&pairs, 16);
+        let q = pairs.len();
+        assert_eq!(opens(&pairs, s.order(), &[q]), s.groups());
+        // Shards cut at group boundaries only, so sharding re-opens nothing;
+        // a cut inside a group costs exactly the one extra open.
+        for workers in [2usize, 3, 5] {
+            let lens = s.shard_lens(workers, 1);
+            assert_eq!(opens(&pairs, s.order(), &lens), s.groups());
+        }
+        assert_eq!(opens(&pairs, s.order(), &[1, q - 1]), s.groups() + 1);
+        // An unsorted order: one open per maximal run of equal sources.
+        let identity: Vec<u32> = (0..q as u32).collect();
+        let runs = 1 + raw.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert_eq!(opens(&pairs, &identity, &[q]), runs);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! A socket-served answer is **byte-identical** to the in-process one:
 //! the server dispatches [`Op::EstimateMany`] to the very same
 //! [`serve::OracleServer::query`] / [`serve::Batcher::submit`] calls a
-//! local caller would make, so `estimate_many` digests match across
+//! local caller would make, so batch answer digests match across
 //! process boundaries for every backend, before and after hot swaps.
 //! `tests/serving_matrix.rs` pins this equality for all eight backends.
 //!

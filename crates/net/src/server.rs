@@ -12,7 +12,7 @@
 //!
 //! - answers come from [`serve::OracleServer::query`] /
 //!   [`serve::ServedOracle::query`] — byte-identical to in-process
-//!   `estimate_many` (the determinism contract pinned by
+//!   `estimate_many_with` (the determinism contract pinned by
 //!   `tests/serving_matrix.rs`). An `EstimateMany` frame big enough to
 //!   cross the grouping gate runs the oracle's source-grouped schedule
 //!   kernel; the same test sends one such batch shuffled and sorted and
@@ -64,7 +64,7 @@ pub struct ServerConfig {
     /// Admission window for batched `EstimateMany` submissions (how long
     /// a group leader waits for concurrent submitters to join).
     pub batch_window: Duration,
-    /// Worker threads per `estimate_many` call (0 = sequential), passed
+    /// Worker threads per `estimate_many_with` call (0 = auto), passed
     /// straight through to the oracle's batch kernel.
     pub threads: usize,
     /// Per-request deadline. Applied as the socket read/write timeout
@@ -496,7 +496,7 @@ fn dispatch(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Re
                 .lease(&name)
                 .ok_or(ServeError::UnknownOracle(name))?;
             let mut out = Vec::with_capacity(1);
-            lease.query(&[(u, v)], &mut out, 1);
+            lease.query(&[(u, v)], &mut out, 1)?;
             Ok(Response::Estimate {
                 generation: lease.generation(),
                 est: out[0],
@@ -532,6 +532,7 @@ fn dispatch(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Re
             let lease = registry
                 .lease(&name)
                 .ok_or(ServeError::UnknownOracle(name))?;
+            lease.check_ids(&[(u, v)])?;
             Ok(Response::NextHop {
                 hop: lease.oracle().next_hop(u, v),
             })
@@ -557,6 +558,7 @@ fn dispatch(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Re
                 let lease = registry
                     .lease(&name)
                     .ok_or(ServeError::UnknownOracle(name))?;
+                lease.check_ids(&[(u, v)])?;
                 if lease.oracle().route_into(u, v, &mut route) {
                     Ok(Response::Route {
                         outcome: RouteOutcome::Primary,

@@ -895,6 +895,12 @@ fn encode_wire_error(err: &WireError, out: &mut Vec<u8>) {
                 ServeError::UnknownOracle(n) => (0u8, n.as_str()),
                 ServeError::Deadline(n) => (1, n.as_str()),
                 ServeError::Retired(n) => (2, n.as_str()),
+                ServeError::NodeOutOfRange { id, n } => {
+                    w(out).u8(4).expect("vec write");
+                    w(out).u32(id.0).expect("vec write");
+                    w(out).u64(*n as u64).expect("vec write");
+                    return;
+                }
                 // `ServeError` is non_exhaustive: future variants relay
                 // as text until the codec learns them.
                 other => {
@@ -970,6 +976,11 @@ fn decode_wire_error(c: &mut Cursor<'_>) -> Result<WireError, WireError> {
             let sub = c.u8()?;
             if sub == 3 {
                 WireError::Remote(c.str(MAX_PATH_LEN, "serve error")?)
+            } else if sub == 4 {
+                WireError::Serve(ServeError::NodeOutOfRange {
+                    id: NodeId(c.u32()?),
+                    n: c.u64()? as usize,
+                })
             } else {
                 let name = c.str(MAX_NAME_LEN, "oracle name")?;
                 WireError::Serve(match sub {
@@ -1366,6 +1377,10 @@ mod tests {
             WireError::Serve(ServeError::UnknownOracle("pde".into())),
             WireError::Serve(ServeError::Deadline("rtc".into())),
             WireError::Serve(ServeError::Retired("compact".into())),
+            WireError::Serve(ServeError::NodeOutOfRange {
+                id: NodeId(21),
+                n: 16,
+            }),
             WireError::Delta(DeltaError::UnknownEdge {
                 u: NodeId(3),
                 v: NodeId(4),

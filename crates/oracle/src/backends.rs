@@ -9,9 +9,7 @@
 //! batch queries stream through dense memory with no per-query hashing
 //! or allocation.
 
-use crate::{
-    Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder, TracedRoute,
-};
+use crate::{Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder};
 use baselines::{bellman_ford_apsp, flooding_apsp, ExactTz};
 use compact::{
     try_build_hierarchy, try_build_truncated, CompactParams, CompactScheme, HorizonMode,
@@ -20,50 +18,10 @@ use compact::{TruncatedScheme, UpperMode};
 use congest::{NodeId, Topology};
 use graphs::{WGraph, INF};
 use pde_core::pde::validate_pde_input;
-use pde_core::schedule::group_end;
+use pde_core::schedule::{self, RowEstimate};
 use pde_core::{try_approx_apsp_opts, try_run_pde};
-use pde_core::{FlatTables, PdeParams};
+use pde_core::{FlatTables, PdeParams, RowCursor};
 use routing::{try_build_rtc, RoutingScheme, RtcParams, RtcScheme};
-
-/// Traces a route by repeatedly applying `next` into the caller's buffer,
-/// validating that every hop is a real edge; `false` (with `out` cleared)
-/// on a stuck walk or when the hop cap is hit. The buffer's allocations
-/// are reused across calls.
-pub(crate) fn trace_next_hops_into<F>(
-    topo: &Topology,
-    u: NodeId,
-    v: NodeId,
-    next: F,
-    out: &mut TracedRoute,
-) -> bool
-where
-    F: Fn(NodeId, NodeId) -> Option<NodeId>,
-{
-    out.nodes.clear();
-    out.ports.clear();
-    out.weight = 0;
-    out.nodes.push(u);
-    let mut cur = u;
-    let cap = 20 * topo.len() + 50;
-    while cur != v {
-        let hop = if out.ports.len() >= cap {
-            None
-        } else {
-            next(cur, v).and_then(|hop| topo.port_to(cur, hop).map(|port| (hop, port)))
-        };
-        let Some((hop, port)) = hop else {
-            out.nodes.clear();
-            out.ports.clear();
-            out.weight = 0;
-            return false;
-        };
-        out.weight += topo.weight(cur, port);
-        out.ports.push(port);
-        out.nodes.push(hop);
-        cur = hop;
-    }
-    true
-}
 
 /// The finite-ε stretch ceiling of the Theorem 4.5 scheme
 /// (`(6k−1)·(1+ε)^4`, as validated end to end by the routing tests).
@@ -98,31 +56,40 @@ pub struct PdeOracle {
     pub(crate) metrics: OracleBuildMetrics,
 }
 
+/// A row is the queried node and its row cursor: both fit on the stack,
+/// so the scalar estimate opens a row too.
+impl RowEstimate for PdeOracle {
+    type Row<'a> = (NodeId, Option<RowCursor<'a>>);
+
+    #[inline]
+    fn open<'a>(&'a self, u: NodeId, row: &mut Self::Row<'a>) {
+        *row = (u, Some(self.routes.cursor(u)));
+    }
+
+    /// Corollary 3.5's `wd'(u, v)`: `u`'s entry for source `v`, [`INF`]
+    /// for a pair outside the coverage.
+    #[inline]
+    fn est(&self, &(u, cursor): &Self::Row<'_>, v: NodeId) -> u64 {
+        if u == v {
+            return 0;
+        }
+        cursor.and_then(|row| row.est(v)).unwrap_or(INF)
+    }
+}
+
 impl DistanceOracle for PdeOracle {
     fn len(&self) -> usize {
         self.g.len()
     }
 
     fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
-        if u == v {
-            return 0;
-        }
-        self.routes.est(u, v).unwrap_or(INF)
+        let mut row = Default::default();
+        self.open(u, &mut row);
+        self.est(&row, v)
     }
 
     fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = group_end(pairs, order, start);
-            let u = pairs[order[start] as usize].0;
-            let row = self.routes.cursor(u);
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                let v = pairs[i as usize].1;
-                *slot = if u == v { 0 } else { row.est(v).unwrap_or(INF) };
-            }
-            start = end;
-        }
+        schedule::estimate_grouped(self, pairs, order, out);
     }
 
     fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
@@ -130,13 +97,6 @@ impl DistanceOracle for PdeOracle {
             return None;
         }
         self.routes.get(u, v).map(|e| self.topo.neighbor(u, e.port))
-    }
-
-    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
-        // Greedy forwarding: estimates strictly decrease along the chain,
-        // so the cap in the generic tracer is never the limiting factor
-        // for intact tables.
-        trace_next_hops_into(&self.topo, u, v, |x, dest| self.next_hop(x, dest), out)
     }
 
     fn stretch_bound(&self) -> f64 {
@@ -165,13 +125,6 @@ pub struct ApsOracle {
     pub(crate) metrics: OracleBuildMetrics,
 }
 
-impl ApsOracle {
-    #[inline]
-    fn mat(&self, u: NodeId, v: NodeId) -> u64 {
-        self.dist[u.index() * self.g.len() + v.index()]
-    }
-}
-
 impl DistanceOracle for ApsOracle {
     fn len(&self) -> usize {
         self.g.len()
@@ -181,35 +134,7 @@ impl DistanceOracle for ApsOracle {
         if u == v {
             0
         } else {
-            self.mat(u, v)
-        }
-    }
-
-    fn estimate_into(&self, pairs: &[(NodeId, NodeId)], out: &mut [u64]) {
-        crate::check_batch_shape(pairs, out);
-        let n = self.g.len();
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = if u == v {
-                0
-            } else {
-                self.dist[u.index() * n + v.index()]
-            };
-        }
-    }
-
-    fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let n = self.g.len();
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = group_end(pairs, order, start);
-            let u = pairs[order[start] as usize].0;
-            let row = &self.dist[u.index() * n..u.index() * n + n];
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                let v = pairs[i as usize].1;
-                *slot = if u == v { 0 } else { row[v.index()] };
-            }
-            start = end;
+            self.dist[u.index() * self.g.len() + v.index()]
         }
     }
 
@@ -218,10 +143,6 @@ impl DistanceOracle for ApsOracle {
             return None;
         }
         self.routes.get(u, v).map(|e| self.topo.neighbor(u, e.port))
-    }
-
-    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
-        trace_next_hops_into(&self.topo, u, v, |x, dest| self.next_hop(x, dest), out)
     }
 
     fn stretch_bound(&self) -> f64 {
@@ -262,24 +183,11 @@ macro_rules! scheme_oracle {
             }
 
             fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-                // Each scheme crate owns its grouped kernel (the flat
-                // tables it caches per group are crate-private); every
-                // kernel computes exactly `RoutingScheme::estimate`.
-                self.scheme.estimate_grouped(pairs, order, out);
+                schedule::estimate_grouped(&self.scheme, pairs, order, out);
             }
 
             fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
                 RoutingScheme::next_hop(&self.scheme, u, v)
-            }
-
-            fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
-                trace_next_hops_into(
-                    self.scheme.topology(),
-                    u,
-                    v,
-                    |x, dest| RoutingScheme::next_hop(&self.scheme, x, dest),
-                    out,
-                )
             }
 
             fn stretch_bound(&self) -> f64 {
@@ -342,16 +250,6 @@ impl DistanceOracle for TzOracle {
         RoutingScheme::next_hop(&self.scheme, u, v)
     }
 
-    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
-        trace_next_hops_into(
-            &self.topo,
-            u,
-            v,
-            |x, dest| RoutingScheme::next_hop(&self.scheme, x, dest),
-            out,
-        )
-    }
-
     fn stretch_bound(&self) -> f64 {
         f64::from(4 * self.k - 3).max(1.0)
     }
@@ -384,36 +282,8 @@ impl DistanceOracle for BfOracle {
         self.dist[u.index() * self.n + v.index()]
     }
 
-    fn estimate_into(&self, pairs: &[(NodeId, NodeId)], out: &mut [u64]) {
-        crate::check_batch_shape(pairs, out);
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = self.dist[u.index() * self.n + v.index()];
-        }
-    }
-
-    fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = group_end(pairs, order, start);
-            let u = pairs[order[start] as usize].0;
-            let row = &self.dist[u.index() * self.n..u.index() * self.n + self.n];
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                *slot = row[pairs[i as usize].1.index()];
-            }
-            start = end;
-        }
-    }
-
     fn next_hop(&self, _u: NodeId, _v: NodeId) -> Option<NodeId> {
         None
-    }
-
-    fn route_into(&self, _u: NodeId, _v: NodeId, out: &mut TracedRoute) -> bool {
-        out.nodes.clear();
-        out.ports.clear();
-        out.weight = 0;
-        false
     }
 
     fn stretch_bound(&self) -> f64 {
@@ -449,36 +319,9 @@ impl DistanceOracle for FloodOracle {
         self.dist[u.index() * self.g.len() + v.index()]
     }
 
-    fn estimate_into(&self, pairs: &[(NodeId, NodeId)], out: &mut [u64]) {
-        crate::check_batch_shape(pairs, out);
-        let n = self.g.len();
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = self.dist[u.index() * n + v.index()];
-        }
-    }
-
-    fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let n = self.g.len();
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = group_end(pairs, order, start);
-            let u = pairs[order[start] as usize].0;
-            let row = &self.dist[u.index() * n..u.index() * n + n];
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                *slot = row[pairs[i as usize].1.index()];
-            }
-            start = end;
-        }
-    }
-
     fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
         let raw = self.next[u.index() * self.g.len() + v.index()];
         (raw != u32::MAX).then_some(NodeId(raw))
-    }
-
-    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
-        trace_next_hops_into(&self.topo, u, v, |x, dest| self.next_hop(x, dest), out)
     }
 
     fn stretch_bound(&self) -> f64 {

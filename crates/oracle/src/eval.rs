@@ -5,14 +5,11 @@
 //! scheme-level evaluator used inside the scheme crates): it works on the
 //! unified trait object, so one report format covers every backend, and
 //! it additionally measures the batch query path
-//! ([`DistanceOracle::estimate_many`]) in queries per second.
+//! ([`DistanceOracle::estimate_many_with`]) in queries per second.
 
 use crate::{DistanceOracle, PairSelection, TracedRoute};
-use congest::NodeId;
 use graphs::algo::Apsp;
 use graphs::{WGraph, INF};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Evaluation report for one oracle on one graph.
@@ -37,7 +34,7 @@ pub struct EvalReport {
     pub max_route_hops: usize,
     /// Serialized artifact size in bits.
     pub size_bits: u64,
-    /// Measured batch throughput of `estimate_many` on the pair list in
+    /// Measured batch throughput of `estimate_many_with` on the pair list in
     /// its submitted (shuffled/sampled) order, in queries/second.
     pub queries_per_sec: f64,
     /// Measured batch throughput on a `(u, v)`-sorted copy of the same
@@ -49,29 +46,6 @@ pub struct EvalReport {
     /// Failures (missing estimates, underestimates, broken routes).
     /// Tests assert this is empty.
     pub failures: Vec<String>,
-}
-
-/// Materializes the pair list for a selection.
-pub(crate) fn pair_list(n: usize, pairs: PairSelection) -> Vec<(NodeId, NodeId)> {
-    match pairs {
-        PairSelection::All => (0..n as u32)
-            .flat_map(|u| (0..n as u32).map(move |v| (NodeId(u), NodeId(v))))
-            .filter(|(u, v)| u != v)
-            .collect(),
-        PairSelection::Sample { count, seed } => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..count)
-                .map(|_| {
-                    let u = rng.random_range(0..n as u32);
-                    let mut v = rng.random_range(0..n as u32);
-                    while v == u {
-                        v = rng.random_range(0..n as u32);
-                    }
-                    (NodeId(u), NodeId(v))
-                })
-                .collect()
-        }
-    }
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -110,7 +84,7 @@ pub fn evaluate_with(
     pairs: PairSelection,
     threads: usize,
 ) -> EvalReport {
-    let list = pair_list(g.len(), pairs);
+    let list = pairs.pairs(g.len());
     let mut failures = Vec::new();
 
     // --- Batch estimates (also the throughput measurement). ---

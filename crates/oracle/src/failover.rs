@@ -197,18 +197,14 @@ pub fn route_with_failover(
     let n = oracle.len();
     assert_eq!(mask.len(), n, "liveness mask covers a different graph");
     let unroutable = |out: &mut TracedRoute| {
-        out.nodes.clear();
-        out.ports.clear();
-        out.weight = 0;
+        out.clear();
         FailoverOutcome::Unroutable
     };
     if !mask.node_alive(u) || !mask.node_alive(v) {
         return unroutable(out);
     }
     if u == v {
-        out.nodes.clear();
-        out.ports.clear();
-        out.weight = 0;
+        out.clear();
         out.nodes.push(u);
         return FailoverOutcome::Primary;
     }
@@ -263,9 +259,7 @@ pub fn route_with_failover(
         }
         if nbr == v {
             // Materialize the path from the live stack frames.
-            out.nodes.clear();
-            out.ports.clear();
-            out.weight = 0;
+            out.clear();
             let mut detours = 0;
             for f in stack.iter() {
                 out.nodes.push(f.node);

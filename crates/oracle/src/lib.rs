@@ -8,11 +8,11 @@
 //! answer queries" contract a production system wants. This crate makes
 //! that contract first-class:
 //!
-//! * [`DistanceOracle`] — the unified query surface: `estimate`, batch
-//!   [`DistanceOracle::estimate_many`] and its threaded sibling
-//!   [`DistanceOracle::estimate_many_with`] (`threads` knob: `0` = auto,
-//!   `1` = sequential; answers are byte-identical for every thread count
-//!   — see the trait docs for the determinism contract), `next_hop`,
+//! * [`DistanceOracle`] — the unified query surface: `estimate`, the
+//!   scheduled batch entry [`DistanceOracle::estimate_many_with`]
+//!   (`threads` knob: `0` = auto, `1` = sequential; answers are
+//!   byte-identical for every thread count — see the trait docs for the
+//!   determinism contract), `next_hop`,
 //!   full [`DistanceOracle::route`] tracing (no manual `Topology`
 //!   plumbing) with an allocation-free [`DistanceOracle::route_into`]
 //!   variant, the advertised [`DistanceOracle::stretch_bound`], the
@@ -104,6 +104,13 @@ impl TracedRoute {
     pub fn hops(&self) -> usize {
         self.ports.len()
     }
+
+    /// Empties the route, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.ports.clear();
+        self.weight = 0;
+    }
 }
 
 use pde_core::pipeline::resolve_threads;
@@ -136,30 +143,41 @@ pub struct OracleBuildMetrics {
 ///
 /// # Batch queries, threads, and determinism
 ///
-/// [`DistanceOracle::estimate_into`] is the scalar kernel: it fills an
-/// output slice pair by pair, reading only immutable scheme state (the
-/// `Sync` supertrait makes that shareable). The batch entry points layer
-/// on top:
+/// Three methods answer estimates, each layered on the one before:
+/// [`DistanceOracle::estimate`] (one pair, reading only immutable scheme
+/// state — the `Sync` supertrait makes that shareable),
+/// [`DistanceOracle::estimate_grouped`] (the kernel: a source-grouped
+/// order of a batch, answered in that order) and
+/// [`DistanceOracle::estimate_many_with`] (the scheduled entry point:
+/// answers in submission order, with a `threads` knob mirroring
+/// `pde_core::run_pde`'s — `0` = auto via
+/// [`std::thread::available_parallelism`], `1` = sequential).
 ///
-/// * [`DistanceOracle::estimate_many`] — sequential batch (threads = 1);
-/// * [`DistanceOracle::estimate_many_with`] — takes a `threads` knob
-///   mirroring `pde_core::run_pde`'s (`0` = auto via
-///   [`std::thread::available_parallelism`], `1` = sequential, else the
-///   given worker count).
+/// ## The row-view contract
+///
+/// Every query is "resolve what depends only on the queried node `u`,
+/// then read one destination `v`". A table-backed backend says so by
+/// implementing [`pde_core::schedule::RowEstimate`]: `open` may capture
+/// anything that depends on `u` and immutable scheme state alone, and
+/// `est` must be a pure function of `(u, v)`. Each scheme writes its
+/// formula once, with `estimate` and `est` as adapters onto it, so
+/// grouped answers equal scalar ones by construction; the one loop over
+/// equal-source groups is [`pde_core::schedule::estimate_grouped`].
+/// Dense-matrix backends keep the provided `estimate_grouped`: their row
+/// is one multiply, and the monomorphised loop over `estimate` is as fast.
 ///
 /// ## The scheduling / determinism contract
 ///
 /// Large batches run through a **source-grouped schedule**
 /// ([`pde_core::schedule::BatchSchedule`]): an order-preserving
 /// permutation of the query indices, sorted by `(source row, dest key)`,
-/// is executed by [`DistanceOracle::estimate_grouped`] — flat-table
-/// backends resolve per-row metadata (CSR start, length, fit word) once
-/// per equal-source group instead of per query — and the
-/// answers are scattered back through the permutation. Because each
-/// answer is a pure function of its pair and lands at the index the pair
-/// occupies, the output is **byte-identical for every batch order**
-/// (shuffled, sorted, reversed, duplicated) and equal to the scalar
-/// [`DistanceOracle::estimate_into`] path.
+/// is executed by [`DistanceOracle::estimate_grouped`] — one row opened
+/// per equal-source group instead of per query — and the answers are
+/// scattered back through the permutation. Because each answer is a pure
+/// function of its pair and lands at the index the pair occupies, the
+/// output is **byte-identical for every batch order** (shuffled, sorted,
+/// reversed, duplicated) and equal to calling
+/// [`DistanceOracle::estimate`] pair by pair.
 ///
 /// The parallel path shards the *schedule*, not the raw pair slice: a
 /// group-aware splitter cuts only at group boundaries (no source row's
@@ -168,9 +186,9 @@ pub struct OracleBuildMetrics {
 /// order — so the output is also **byte-identical for every thread
 /// count** (pinned by `tests/parallel_determinism.rs` and
 /// `tests/batch_schedule.rs`). Small batches, where building a schedule
-/// would cost more than it saves, keep the direct contiguous sharding;
-/// the answers are identical either way. No worker mutates shared state;
-/// scheduling is unobservable.
+/// would cost more than it saves, are one sequential loop over
+/// `estimate`; the answers are identical either way. No worker mutates
+/// shared state; scheduling is unobservable.
 pub trait DistanceOracle: Sync {
     /// Number of nodes covered.
     fn len(&self) -> usize;
@@ -182,32 +200,11 @@ pub trait DistanceOracle: Sync {
 
     /// Distance estimate `wd'(u, v)` (`0` on the diagonal, [`INF`] when
     /// the pair is outside the oracle's coverage).
+    ///
+    /// Precondition: `u, v < len()`. Past that a backend may panic or
+    /// answer from a neighbouring row; `serve` refuses such ids from
+    /// outside the process before they get here.
     fn estimate(&self, u: NodeId, v: NodeId) -> u64;
-
-    /// The scalar batch kernel: writes `estimate(u, v)` for each pair into
-    /// the parallel `out` slice.
-    ///
-    /// The default loops over [`DistanceOracle::estimate`]; flat-table
-    /// backends override it to stream straight out of dense arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != pairs.len()` — a shape mismatch is a
-    /// caller bug, and silently zipping to the shorter length would leave
-    /// stale answers in the tail (use [`check_batch_shape`] in overrides).
-    fn estimate_into(&self, pairs: &[(NodeId, NodeId)], out: &mut [u64]) {
-        check_batch_shape(pairs, out);
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = self.estimate(u, v);
-        }
-    }
-
-    /// Batch estimates: fills `out` with one answer per pair, in order
-    /// (sequential; see [`DistanceOracle::estimate_many_with`] for the
-    /// threaded variant).
-    fn estimate_many(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<u64>) {
-        self.estimate_many_with(pairs, out, 1);
-    }
 
     /// The schedule-order batch kernel: writes `estimate(u, v)` for
     /// `pairs[order[i]]` into `out[i]` — answers land in *schedule*
@@ -215,16 +212,14 @@ pub trait DistanceOracle: Sync {
     /// [`BatchSchedule::scatter`].
     ///
     /// `order` is a slice of a [`BatchSchedule`] permutation, so equal
-    /// sources are contiguous. The default loops over
-    /// [`DistanceOracle::estimate`]; flat-table backends override it to
-    /// resolve row metadata once per equal-source group. Every override
-    /// must compute exactly `estimate(u, v)` per pair — that is what
-    /// keeps grouped answers byte-identical to the scalar path.
+    /// sources are contiguous. The provided method loops over
+    /// [`DistanceOracle::estimate`]; table-backed backends delegate to
+    /// [`pde_core::schedule::estimate_grouped`] (see the trait docs).
     ///
     /// # Panics
     ///
-    /// Panics when `out.len() != order.len()`, or (in the default) when
-    /// an index in `order` is out of bounds for `pairs`.
+    /// Panics when `out.len() != order.len()`, or when an index in
+    /// `order` is out of bounds for `pairs`.
     fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
         assert_eq!(order.len(), out.len(), "one answer slot per query");
         for (slot, &i) in out.iter_mut().zip(order) {
@@ -234,35 +229,27 @@ pub trait DistanceOracle: Sync {
     }
 
     /// Batch estimates with a `threads` knob (`0` = auto, `1` =
-    /// sequential); output is identical for every value — see the trait
-    /// docs for the determinism contract. The worker count is additionally
-    /// capped at one per ~1k pairs, so tiny batches run sequentially
-    /// instead of paying thread-spawn overhead that dwarfs the queries.
+    /// sequential): fills `out` with one answer per pair, in order;
+    /// output is identical for every value — see the trait docs for the
+    /// determinism contract. The worker count is additionally capped at
+    /// one per ~1k pairs.
     ///
     /// Batches of at least ~4k pairs run through a source-grouped
     /// [`BatchSchedule`] and [`DistanceOracle::estimate_grouped`];
-    /// smaller ones go straight to [`DistanceOracle::estimate_into`].
+    /// smaller ones are one sequential loop over
+    /// [`DistanceOracle::estimate`].
     fn estimate_many_with(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<u64>, threads: usize) {
         /// Minimum shard size worth a scoped worker.
         const MIN_PAIRS_PER_WORKER: usize = 1024;
         /// Below this, building the schedule costs more than it saves.
         const MIN_PAIRS_FOR_GROUPING: usize = 4096;
         out.clear();
-        out.resize(pairs.len(), 0);
-        let workers = resolve_threads(threads, pairs.len() / MIN_PAIRS_PER_WORKER);
         if pairs.len() < MIN_PAIRS_FOR_GROUPING {
-            if workers <= 1 {
-                self.estimate_into(pairs, out);
-                return;
-            }
-            let chunk = pairs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ps, os) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || self.estimate_into(ps, os));
-                }
-            });
+            out.extend(pairs.iter().map(|&(u, v)| self.estimate(u, v)));
             return;
         }
+        out.resize(pairs.len(), 0);
+        let workers = resolve_threads(threads, pairs.len() / MIN_PAIRS_PER_WORKER);
         let sched = BatchSchedule::build(pairs, self.len());
         let mut grouped = vec![0u64; pairs.len()];
         if workers <= 1 {
@@ -292,7 +279,38 @@ pub trait DistanceOracle: Sync {
     /// Traces the route `u → v` into a caller-provided buffer, reusing
     /// its allocations; returns `false` (with `out` cleared) when the
     /// backend cannot route the pair.
-    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool;
+    ///
+    /// Follows [`DistanceOracle::next_hop`] over
+    /// [`DistanceOracle::topology`] (none: nothing routes), validating
+    /// that every hop is a real edge; a stuck walk or the hop cap — which
+    /// intact tables never reach, greedy forwarding strictly decreases
+    /// the estimate — fails the route.
+    fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
+        out.clear();
+        let Some(topo) = self.topology() else {
+            return false;
+        };
+        out.nodes.push(u);
+        let mut cur = u;
+        let cap = 20 * topo.len() + 50;
+        while cur != v {
+            let hop = if out.ports.len() >= cap {
+                None
+            } else {
+                self.next_hop(cur, v)
+                    .and_then(|hop| topo.port_to(cur, hop).map(|port| (hop, port)))
+            };
+            let Some((hop, port)) = hop else {
+                out.clear();
+                return false;
+            };
+            out.weight += topo.weight(cur, port);
+            out.ports.push(port);
+            out.nodes.push(hop);
+            cur = hop;
+        }
+        true
+    }
 
     /// Traces the full route `u → v` — no caller-side `Topology` needed.
     ///
@@ -752,14 +770,8 @@ impl DistanceOracle for Oracle {
     fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
         self.as_dyn().estimate(u, v)
     }
-    fn estimate_into(&self, pairs: &[(NodeId, NodeId)], out: &mut [u64]) {
-        self.as_dyn().estimate_into(pairs, out);
-    }
     fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
         self.as_dyn().estimate_grouped(pairs, order, out);
-    }
-    fn estimate_many(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<u64>) {
-        self.as_dyn().estimate_many(pairs, out);
     }
     fn estimate_many_with(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<u64>, threads: usize) {
         self.as_dyn().estimate_many_with(pairs, out, threads);
@@ -769,9 +781,6 @@ impl DistanceOracle for Oracle {
     }
     fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
         self.as_dyn().route_into(u, v, out)
-    }
-    fn route(&self, u: NodeId, v: NodeId) -> Option<TracedRoute> {
-        self.as_dyn().route(u, v)
     }
     fn stretch_bound(&self) -> f64 {
         self.as_dyn().stretch_bound()
@@ -790,23 +799,4 @@ impl DistanceOracle for Oracle {
 /// Convenience: an estimate is "covered" when it is not [`INF`].
 pub fn is_covered(est: u64) -> bool {
     est != INF
-}
-
-/// Asserts the [`DistanceOracle::estimate_into`] shape contract
-/// (`out.len() == pairs.len()`) with a diagnostic message. Every
-/// `estimate_into` implementation — the trait default and each backend
-/// override — calls this first, in release builds too: a mismatched batch
-/// is a caller bug, and zipping to the shorter slice would silently leave
-/// stale answers in the tail.
-///
-/// # Panics
-///
-/// Panics when the lengths differ.
-#[inline]
-pub fn check_batch_shape(pairs: &[(NodeId, NodeId)], out: &[u64]) {
-    assert_eq!(
-        pairs.len(),
-        out.len(),
-        "estimate_into: out slice must have one slot per pair",
-    );
 }

@@ -43,6 +43,31 @@ pub enum PairSelection {
     },
 }
 
+impl PairSelection {
+    /// Materializes the selected ordered pairs (`u ≠ v`) over `n` nodes.
+    pub fn pairs(self, n: usize) -> Vec<(NodeId, NodeId)> {
+        match self {
+            PairSelection::All => (0..n as u32)
+                .flat_map(|u| (0..n as u32).map(move |v| (NodeId(u), NodeId(v))))
+                .filter(|(u, v)| u != v)
+                .collect(),
+            PairSelection::Sample { count, seed } => {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                (0..count)
+                    .map(|_| {
+                        let u = rng.random_range(0..n as u32);
+                        let mut v = rng.random_range(0..n as u32);
+                        while v == u {
+                            v = rng.random_range(0..n as u32);
+                        }
+                        (NodeId(u), NodeId(v))
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 /// Evaluation report for one scheme on one graph.
 #[derive(Clone, Debug)]
 pub struct EvalReport {
@@ -84,28 +109,8 @@ pub fn evaluate<S: RoutingScheme>(
     let mut max_hops = 0usize;
     let mut count = 0usize;
 
-    let pair_list: Vec<(NodeId, NodeId)> = match pairs {
-        PairSelection::All => (0..n as u32)
-            .flat_map(|u| (0..n as u32).map(move |v| (NodeId(u), NodeId(v))))
-            .filter(|(u, v)| u != v)
-            .collect(),
-        PairSelection::Sample { count, seed } => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..count)
-                .map(|_| {
-                    let u = rng.random_range(0..n as u32);
-                    let mut v = rng.random_range(0..n as u32);
-                    while v == u {
-                        v = rng.random_range(0..n as u32);
-                    }
-                    (NodeId(u), NodeId(v))
-                })
-                .collect()
-        }
-    };
-
     let hop_cap = 20 * n + 50;
-    for (u, v) in pair_list {
+    for (u, v) in pairs.pairs(n) {
         let wd = exact.dist(u, v);
         debug_assert_ne!(wd, INF, "evaluation requires a connected graph");
         // Distance estimate.

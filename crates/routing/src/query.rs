@@ -20,6 +20,8 @@ use crate::eval::RoutingScheme;
 use crate::scheme::{RtcLabel, RtcScheme};
 use congest::NodeId;
 use graphs::INF;
+use pde_core::schedule::RowEstimate;
+use pde_core::RowCursor;
 
 impl RtcScheme {
     /// The label of `v` (what the paper publishes as `λ(v)`).
@@ -27,61 +29,49 @@ impl RtcScheme {
         &self.labels[v.index()]
     }
 
-    /// The long-range option at `x` for destination label `label`:
-    /// `(total_estimate, next_hop)` via the best skeleton entry point.
+    /// The long-range term at `x` for destination label `label`: the
+    /// total estimate via the best skeleton entry point, and the cell of
+    /// the precomputed `n × |S|` reduction it was loaded from (see
+    /// `scheme::build_long_range`).
     ///
-    /// One load from the precomputed `n × |S|` reduction (see
-    /// `scheme::build_long_range`) plus the label's `dist_home` — the
-    /// per-entry loop ran at build time, with ties broken on the smaller
-    /// next-hop id, so answers are bit-identical to recomputing it here
-    /// (and independent of routing-table iteration order, which keeps
-    /// queries bit-identical across snapshot save/load).
-    fn skeleton_option(&self, x: NodeId, label: &RtcLabel) -> Option<(u64, NodeId)> {
-        let m = self.skel_ids.len();
-        let home = self.skel_index.get(label.home)?;
-        let d = self.long_dist.get(x.index() * m + home);
-        if d == INF {
-            return None;
-        }
-        let hop = NodeId(self.long_hop.get(x.index() * m + home));
-        Some((d.saturating_add(label.dist_home), hop))
+    /// The per-entry loop ran at build time, with ties broken on the
+    /// smaller next-hop id, so answers are bit-identical to recomputing
+    /// it here (and independent of routing-table iteration order, which
+    /// keeps queries bit-identical across snapshot save/load).
+    fn long_range(&self, x: NodeId, label: &RtcLabel) -> Option<(u64, usize)> {
+        let cell = x.index() * self.skel_ids.len() + self.skel_index.get(label.home)?;
+        let d = self.long_dist.get(cell);
+        (d != INF).then(|| (d.saturating_add(label.dist_home), cell))
     }
 
-    /// The source-grouped batch kernel behind
-    /// `oracle::DistanceOracle::estimate_grouped`: answers
-    /// `pairs[order[i]]` into `out[i]`, resolving the queried node's
-    /// short-range row cursor and long-range matrix row once per
-    /// equal-source group. Computes exactly
-    /// [`RoutingScheme::estimate`] per pair.
-    pub fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        let m = self.skel_ids.len();
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = pde_core::schedule::group_end(pairs, order, start);
-            let x = pairs[order[start] as usize].0;
-            let short_row = self.short.cursor(x);
-            let long_row = x.index() * m;
-            for (slot, &i) in out[start..end].iter_mut().zip(&order[start..end]) {
-                let dest = pairs[i as usize].1;
-                if x == dest {
-                    *slot = 0;
-                    continue;
-                }
-                let label = &self.labels[dest.index()];
-                let direct = short_row.est(dest).unwrap_or(INF);
-                let long = self.skel_index.get(label.home).map_or(INF, |home| {
-                    let d = self.long_dist.get(long_row + home);
-                    if d == INF {
-                        INF
-                    } else {
-                        d.saturating_add(label.dist_home)
-                    }
-                });
-                *slot = direct.min(long);
-            }
-            start = end;
+    /// The long-range option at `x` for destination label `label`:
+    /// `(total_estimate, next_hop)`.
+    fn skeleton_option(&self, x: NodeId, label: &RtcLabel) -> Option<(u64, NodeId)> {
+        let (est, cell) = self.long_range(x, label)?;
+        Some((est, NodeId(self.long_hop.get(cell))))
+    }
+}
+
+/// A row is the queried node and its short-range row cursor: both fit on
+/// the stack, so the scalar estimate opens a row too.
+impl RowEstimate for RtcScheme {
+    type Row<'a> = (NodeId, Option<RowCursor<'a>>);
+
+    #[inline]
+    fn open<'a>(&'a self, x: NodeId, row: &mut Self::Row<'a>) {
+        *row = (x, Some(self.short.cursor(x)));
+    }
+
+    /// Theorem 4.5's estimate: the short-range entry or the long-range
+    /// term, whichever is smaller.
+    #[inline]
+    fn est(&self, &(x, short): &Self::Row<'_>, dest: NodeId) -> u64 {
+        if x == dest {
+            return 0;
         }
+        let direct = short.and_then(|row| row.est(dest)).unwrap_or(INF);
+        let long = self.long_range(x, &self.labels[dest.index()]);
+        direct.min(long.map_or(INF, |(est, _)| est))
     }
 }
 
@@ -116,13 +106,9 @@ impl RoutingScheme for RtcScheme {
     }
 
     fn estimate(&self, x: NodeId, dest: NodeId) -> u64 {
-        if x == dest {
-            return 0;
-        }
-        let label = &self.labels[dest.index()];
-        let direct = self.short.est(x, dest).unwrap_or(INF);
-        let long = self.skeleton_option(x, label).map_or(INF, |(e, _)| e);
-        direct.min(long)
+        let mut row = Default::default();
+        self.open(x, &mut row);
+        self.est(&row, dest)
     }
 
     fn label_bits(&self, v: NodeId) -> usize {

@@ -110,6 +110,14 @@ pub enum ServeError {
     /// The batcher was shut down while (or before) the submission was
     /// queued.
     Retired(String),
+    /// A query named a node the served oracle does not cover; nothing was
+    /// executed.
+    NodeOutOfRange {
+        /// The largest offending node id of the request.
+        id: NodeId,
+        /// Number of nodes the oracle covers (valid ids are `0..n`).
+        n: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -126,6 +134,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::Retired(name) => {
                 write!(f, "the batcher for {name:?} has been retired")
+            }
+            ServeError::NodeOutOfRange { id, n } => {
+                write!(f, "node id {} is outside the oracle's {n} nodes", id.0)
             }
         }
     }
@@ -166,12 +177,39 @@ impl ServedOracle {
         self.batches.load(Ordering::Relaxed)
     }
 
+    /// The one range check on node ids from outside the process:
+    /// [`DistanceOracle::estimate`] requires `u, v < len()`, and past
+    /// that a backend panics or reads a neighbouring row.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::NodeOutOfRange`] when any id is at or above `len()`.
+    pub fn check_ids(&self, pairs: &[(NodeId, NodeId)]) -> Result<(), ServeError> {
+        let n = self.oracle.len();
+        match pairs.iter().map(|&(u, v)| u.max(v)).max() {
+            Some(id) if id.index() >= n => Err(ServeError::NodeOutOfRange { id, n }),
+            _ => Ok(()),
+        }
+    }
+
     /// Answers one batch on this snapshot, updating its counters.
-    pub fn query(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<u64>, threads: usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::NodeOutOfRange`] (see [`ServedOracle::check_ids`]);
+    /// nothing is executed or counted.
+    pub fn query(
+        &self,
+        pairs: &[(NodeId, NodeId)],
+        out: &mut Vec<u64>,
+        threads: usize,
+    ) -> Result<(), ServeError> {
+        self.check_ids(pairs)?;
         self.oracle.estimate_many_with(pairs, out, threads);
         self.queries
             .fetch_add(pairs.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -416,7 +454,9 @@ impl OracleServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownOracle`] when `name` is not being served.
+    /// [`ServeError::UnknownOracle`] when `name` is not being served;
+    /// [`ServeError::NodeOutOfRange`] when a pair names a node the
+    /// snapshot does not cover.
     pub fn query(
         &self,
         name: &str,
@@ -427,7 +467,7 @@ impl OracleServer {
         let lease = self
             .lease(name)
             .ok_or_else(|| ServeError::UnknownOracle(name.to_string()))?;
-        lease.query(pairs, out, threads);
+        lease.query(pairs, out, threads)?;
         Ok(lease.generation)
     }
 }
@@ -569,6 +609,9 @@ impl Batcher {
     ///
     /// [`ServeError::UnknownOracle`] when the batcher's name is not being
     /// served at execution time (the whole group gets the error);
+    /// [`ServeError::NodeOutOfRange`] when a pair names a node outside
+    /// the current snapshot (refused before it is queued, so the
+    /// submitters it would have merged with are unaffected);
     /// [`ServeError::Retired`] when the batcher has been shut down;
     /// [`ServeError::Deadline`] when a deadline is configured and the
     /// group's answer did not arrive in time.
@@ -581,6 +624,9 @@ impl Batcher {
         server: &OracleServer,
         pairs: Vec<(NodeId, NodeId)>,
     ) -> Result<(Vec<u64>, u64), ServeError> {
+        if let Some(lease) = server.lease(&self.name) {
+            lease.check_ids(&pairs)?;
+        }
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
             ready: Condvar::new(),
@@ -664,9 +710,10 @@ impl Batcher {
                     group.iter().flat_map(|p| p.pairs.iter().copied()).collect();
                 self.grouped_pairs
                     .fetch_add(slab.len() as u64, Ordering::Relaxed);
+                // Submissions were range-checked when queued: this fails
+                // only if a smaller snapshot was swapped in since.
                 let mut out = Vec::new();
-                lease.query(&slab, &mut out, self.threads);
-                Ok(out)
+                lease.query(&slab, &mut out, self.threads).map(|()| out)
             }
             None => Err(ServeError::UnknownOracle(self.name.clone())),
         };
@@ -1023,7 +1070,9 @@ impl DynamicOracle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownOracle`] when the name is no longer served.
+    /// [`ServeError::UnknownOracle`] when the name is no longer served;
+    /// [`ServeError::NodeOutOfRange`] when `u` or `v` is not a node of
+    /// the snapshot.
     pub fn route(
         &self,
         server: &OracleServer,
@@ -1035,6 +1084,7 @@ impl DynamicOracle {
         let lease = server
             .lease(&self.name)
             .ok_or_else(|| ServeError::UnknownOracle(self.name.clone()))?;
+        lease.check_ids(&[(u, v)])?;
         Ok(route_with_failover(lease.oracle(), &state.mask, u, v, out))
     }
 

@@ -55,7 +55,7 @@ pub fn demo() -> Result<(), Box<dyn std::error::Error>> {
         (NodeId(1), NodeId(4)),
     ];
     let mut answers = Vec::new();
-    apsp.estimate_many(&pairs, &mut answers);
+    apsp.estimate_many_with(&pairs, &mut answers, 1);
     println!("\nbatch answers: {answers:?}");
 
     // 3. Route tracing lives on the trait — no Topology plumbing. A PDE

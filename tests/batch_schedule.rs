@@ -77,6 +77,14 @@ proptest! {
         pairs.push(d);
         pairs.push((d.0, d.0));
         let sched = BatchSchedule::build(&pairs, N);
+        // Two more orders a kernel must answer: a shard that starts inside
+        // a source's group (the forced duplicates guarantee one), and the
+        // unsorted identity order.
+        let order = sched.order();
+        let mid = (1..order.len())
+            .find(|&i| pairs[order[i] as usize].0 == pairs[order[i - 1] as usize].0)
+            .expect("the duplicated pair and its diagonal share a source");
+        let identity: Vec<u32> = (0..pairs.len() as u32).collect();
         for (backend, o) in oracles() {
             let want = scalar(o, &pairs);
             let mut grouped = vec![0u64; pairs.len()];
@@ -84,6 +92,12 @@ proptest! {
             let mut got = vec![0u64; pairs.len()];
             sched.scatter(&grouped, &mut got);
             prop_assert_eq!(&got, &want, "{}: grouped kernel diverged", backend);
+            for part in [&order[mid..], &identity[..]] {
+                let mut grouped = vec![0u64; part.len()];
+                o.estimate_grouped(&pairs, part, &mut grouped);
+                let want_part: Vec<u64> = part.iter().map(|&i| want[i as usize]).collect();
+                prop_assert_eq!(&grouped, &want_part, "{}: partial order diverged", backend);
+            }
         }
     }
 }
@@ -119,6 +133,24 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The kernel's shape contract is checked in release builds too: a short
+/// output slice must panic, not silently skip the tail.
+#[test]
+fn estimate_grouped_rejects_mismatched_slot_counts() {
+    let pairs = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
+    for (backend, o) in oracles() {
+        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            o.estimate_grouped(&pairs, &[0, 1], &mut [0u64; 1]);
+        }));
+        let msg = short.expect_err("a short output slice must panic");
+        let msg = msg.downcast_ref::<String>().expect("formatted assert");
+        assert!(
+            msg.contains("one answer slot per query"),
+            "{backend}: {msg}"
+        );
     }
 }
 

@@ -84,7 +84,7 @@ proptest! {
             let reference = build(backend, &g, seed, BuildMode::Simulated, 1);
             let ref_bytes = reference.artifact_bytes();
             let mut out = Vec::new();
-            reference.estimate_many(&pairs, &mut out);
+            reference.estimate_many_with(&pairs, &mut out, 1);
             let ref_digest = digest(&out);
             for (mode, threads) in [
                 (BuildMode::Simulated, 4),
@@ -98,7 +98,7 @@ proptest! {
                     "{} artifact bytes diverged ({:?}, threads={}, family={}, n={}, w={}, seed={})",
                     backend, mode, threads, family, n, weights, seed
                 );
-                other.estimate_many(&pairs, &mut out);
+                other.estimate_many_with(&pairs, &mut out, 1);
                 prop_assert_eq!(
                     digest(&out),
                     ref_digest,
@@ -123,8 +123,8 @@ fn canonical_artifact_bytes_are_loadable() {
         assert_eq!(loaded.build_metrics().rounds, 0, "{backend}");
         assert_eq!(loaded.artifact_bytes(), bytes, "{backend}");
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        oracle.estimate_many(&pairs, &mut a);
-        loaded.estimate_many(&pairs, &mut b);
+        oracle.estimate_many_with(&pairs, &mut a, 1);
+        loaded.estimate_many_with(&pairs, &mut b, 1);
         assert_eq!(a, b, "{backend}: canonical reload changed answers");
     }
 }

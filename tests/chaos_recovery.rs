@@ -216,7 +216,7 @@ fn served_ring(backend: Backend) -> (Arc<OracleServer>, Vec<(NodeId, NodeId)>, V
         .filter(|(u, v)| u != v)
         .collect();
     let mut want = Vec::new();
-    oracle.estimate_many(&pairs, &mut want);
+    oracle.estimate_many_with(&pairs, &mut want, 1);
     let registry = Arc::new(OracleServer::new());
     registry.install("o", oracle);
     (registry, pairs, want)

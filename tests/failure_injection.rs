@@ -388,11 +388,11 @@ fn socket_clients_survive_live_repair_and_swap() {
     let mut pre = Vec::new();
     OracleBuilder::new(Backend::Flooding)
         .build(&g)
-        .estimate_many(&pairs, &mut pre);
+        .estimate_many_with(&pairs, &mut pre, 1);
     let mut post = Vec::new();
     OracleBuilder::new(Backend::Flooding)
         .build(&g.apply_delta(&delta).unwrap())
-        .estimate_many(&pairs, &mut post);
+        .estimate_many_with(&pairs, &mut post, 1);
     assert_ne!(pre, post, "the delta must be visible in the answers");
 
     let registry = std::sync::Arc::new(OracleServer::new());

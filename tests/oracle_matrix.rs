@@ -1,5 +1,5 @@
 //! Backend matrix: every [`Backend`] built through [`OracleBuilder`] on
-//! seeded random graphs (a) answers `estimate`/`estimate_many` through the
+//! seeded random graphs (a) answers `estimate`/`estimate_many_with` through the
 //! `DistanceOracle` trait, (b) satisfies its advertised `stretch_bound()`
 //! against `graphs::algo::apsp` ground truth, and (c) round-trips through
 //! `save`/`load` with bit-identical answers on 1k random queries.
@@ -54,6 +54,51 @@ fn every_backend_meets_its_advertised_stretch_bound() {
     }
 }
 
+/// Absolute answer pins: scalar and grouped queries share one formula per
+/// scheme, so "grouped ≡ scalar" cannot catch a wrong formula, and
+/// `tests/build_parity.rs` pins artifacts, not answers. A change that
+/// claims the answers did not move must pass these unedited.
+#[test]
+fn answers_match_pinned_digests() {
+    // Small `c` and `l0 = 1` keep the short-range lists and bunches well
+    // below `n`, so the long-range, pivot-level and upper-level terms
+    // decide about a third of the pairs on each hierarchy backend.
+    let mut rng = Seed(0x5eed).rng();
+    let g = gen::gnp_connected(64, 0.06, Weights::Uniform { lo: 1, hi: 30 }, &mut rng);
+    let builder = |backend| OracleBuilder::new(backend).seed(0x5eed).k(3).c(0.5).l0(1);
+    let digest = |oracle: &Oracle| {
+        g.nodes()
+            .flat_map(|u| g.nodes().map(move |v| (u, v)))
+            .flat_map(|(u, v)| oracle.estimate(u, v).to_le_bytes())
+            .fold(0xcbf29ce484222325u64, |d, b| {
+                (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
+            })
+    };
+    let exact = 0x74c0dffac37cd885; // every pair's true distance
+    let pins: [u64; 8] = [
+        exact,              // pde
+        exact,              // approx_apsp
+        0x97d88f34d94bc1bc, // rtc
+        0xb5e2c1e126a693fc, // compact
+        0x409c4e1b2b9ad159, // truncated
+        exact,              // exact_tz
+        exact,              // bellman_ford
+        exact,              // flooding
+    ];
+    for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
+        let got = digest(&builder(backend).build(&g));
+        assert_eq!(got, pin, "{backend}: got {got:#018x}");
+    }
+    // A partial row set: σ ≪ n, h ≪ n, sources ⊂ V.
+    let partial = builder(Backend::Pde)
+        .sigma(3)
+        .horizon(4)
+        .sources((0..g.len()).map(|v| v % 3 == 0).collect())
+        .build(&g);
+    let got = digest(&partial);
+    assert_eq!(got, 0x020d8e4c3157448b, "pde_partial: got {got:#018x}");
+}
+
 #[test]
 fn batch_queries_agree_with_point_queries() {
     let g = graph(3);
@@ -63,7 +108,7 @@ fn batch_queries_agree_with_point_queries() {
     for backend in Backend::ALL {
         let oracle = build(backend, &g, 11);
         let mut batch = Vec::new();
-        oracle.estimate_many(&pairs, &mut batch);
+        oracle.estimate_many_with(&pairs, &mut batch, 1);
         assert_eq!(batch.len(), pairs.len(), "{backend}");
         for (&(u, v), &b) in pairs.iter().zip(&batch) {
             assert_eq!(b, oracle.estimate(u, v), "{backend} ({u},{v})");
@@ -79,7 +124,7 @@ fn batch_answers_are_identical_for_every_thread_count() {
     // The estimate_many_with determinism contract: the pair slice is
     // sharded into contiguous chunks with order-preserving writes, so
     // threads ∈ {1, 4, auto} must produce byte-identical outputs for
-    // every backend (and agree with the sequential estimate_many).
+    // every backend (and agree with the sequential call).
     let g = graph(7);
     let square: Vec<(NodeId, NodeId)> = (0..g.len() as u32)
         .flat_map(|u| (0..g.len() as u32).map(move |v| (NodeId(u), NodeId(v))))
@@ -95,7 +140,7 @@ fn batch_answers_are_identical_for_every_thread_count() {
     for backend in Backend::ALL {
         let oracle = build(backend, &g, 17);
         let mut seq = Vec::new();
-        oracle.estimate_many(&pairs, &mut seq);
+        oracle.estimate_many_with(&pairs, &mut seq, 1);
         for threads in [1usize, 4, 0] {
             let mut par = Vec::new();
             oracle.estimate_many_with(&pairs, &mut par, threads);
@@ -148,8 +193,8 @@ fn assert_reloaded(oracle: &Oracle, loaded: &Oracle, queries: &[(NodeId, NodeId)
     assert_eq!(loaded.backend(), backend);
     assert_eq!(loaded.len(), oracle.len());
     let (mut a, mut b) = (Vec::new(), Vec::new());
-    oracle.estimate_many(queries, &mut a);
-    loaded.estimate_many(queries, &mut b);
+    oracle.estimate_many_with(queries, &mut a, 1);
+    loaded.estimate_many_with(queries, &mut b, 1);
     assert_eq!(a, b, "{backend}: {how} batch answers diverge");
     for &(u, v) in queries {
         let at = format!("{backend} {how} ({u},{v})");
@@ -267,7 +312,7 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
         let (snap, loaded) = every_load(&built, "heavy");
         let artifact = built.artifact_bytes();
         let mut want = Vec::new();
-        built.estimate_many(&batch, &mut want);
+        built.estimate_many_with(&batch, &mut want, 1);
         assert!(
             square
                 .iter()
@@ -309,18 +354,6 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
             }
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "one slot per pair")]
-fn estimate_into_rejects_mismatched_batch_shapes() {
-    // The batch kernel's shape contract is checked in release builds too:
-    // a short output slice must panic, not silently skip the tail.
-    let g = graph(3);
-    let oracle = build(Backend::Flooding, &g, 11);
-    let pairs = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
-    let mut out = [0u64; 1];
-    oracle.estimate_into(&pairs, &mut out);
 }
 
 #[test]

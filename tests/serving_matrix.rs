@@ -52,7 +52,7 @@ fn every_backend_answers_identically_in_process_served_and_over_loopback() {
     for backend in Backend::ALL {
         let oracle = OracleBuilder::new(backend).seed(SEED).k(2).build(&g);
         let mut want = Vec::new();
-        oracle.estimate_many(&pairs, &mut want);
+        oracle.estimate_many_with(&pairs, &mut want, 1);
         let mut snap = Vec::new();
         oracle.save(&mut snap).unwrap();
 

@@ -13,7 +13,7 @@ use congest::NodeId;
 use graphs::WGraph;
 use net::{Client, NetServer, ServerConfig, WireError};
 use oracle::{Backend, OracleBuilder};
-use serve::OracleServer;
+use serve::{OracleServer, ServeError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -188,25 +188,73 @@ fn slow_loris_drip_is_shed_by_the_frame_deadline() {
 
 #[test]
 fn out_of_range_node_id_costs_one_request_not_the_connection() {
-    let server = serve_ring(ServerConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    // A node id far outside the 8-node oracle: whether the backend
-    // answers or its handler panics into the unwind guard, the reply
-    // must be a normal (possibly error) frame on this connection.
-    match client.estimate("ring", NodeId(999_999), NodeId(0)) {
-        Ok(_) => {}
-        Err(WireError::Remote(msg)) => {
-            assert!(
-                msg.contains("panicked"),
-                "remote error without the panic marker: {msg}"
-            );
-        }
-        Err(e) => panic!("hostile node id got {e:?}, wanted Ok or Remote"),
+    // Every backend on one 16-node graph; the admission window is long
+    // enough for the hostile batch to arrive while an honest submitter is
+    // still waiting in it.
+    let g = ring_with_chord(16);
+    let n = g.len();
+    let registry = Arc::new(OracleServer::new());
+    for backend in Backend::ALL {
+        registry.install(backend.name(), OracleBuilder::new(backend).build(&g));
     }
-    // Same connection, same server: still serving.
-    assert_eq!(client.estimate("ring", NodeId(0), NodeId(2)).unwrap(), 4);
-    let metrics = server.metrics();
-    assert!(metrics.requests >= 2);
+    let cfg = ServerConfig {
+        batch_window: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", registry, cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let honest = [(NodeId(0), NodeId(2)), (NodeId(3), NodeId(1))];
+    let bad = NodeId(n as u32 + 5);
+    let hostile = [honest[0], (NodeId(1), bad)];
+    // A typed refusal naming the id and `n`: not an answer read from a
+    // neighbouring row, and not a handler panic relayed as text.
+    let refused = |reply: WireError, what: &str| match reply {
+        WireError::Serve(ServeError::NodeOutOfRange { id, n: got }) => {
+            assert_eq!((id, got), (bad, n), "{what}");
+        }
+        other => panic!("{what}: hostile node id got {other:?}, wanted NodeOutOfRange"),
+    };
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let (want, _) = client.estimate_many(name, &honest, false).unwrap();
+        refused(client.estimate(name, NodeId(0), bad).unwrap_err(), name);
+        refused(client.estimate(name, bad, NodeId(0)).unwrap_err(), name);
+        refused(client.next_hop(name, NodeId(0), bad).unwrap_err(), name);
+        refused(client.route(name, bad, NodeId(0)).unwrap_err(), name);
+        refused(
+            client.estimate_many(name, &hostile, false).unwrap_err(),
+            name,
+        );
+
+        // An honest batched submission opens an admission group; once the
+        // server reports it queued, the hostile batch is refused without
+        // joining it and the honest submitter is still answered.
+        let addr = server.local_addr();
+        let submitter = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.estimate_many(name, &honest, true).unwrap().0
+        });
+        let queued = |client: &mut Client| {
+            let stats = client.stats().unwrap();
+            let batch = stats.oracles.iter().find(|o| o.name == name);
+            batch.is_some_and(|o| o.batch.submissions >= 1)
+        };
+        while !queued(&mut client) {
+            std::thread::yield_now();
+        }
+        refused(
+            client.estimate_many(name, &hostile, true).unwrap_err(),
+            name,
+        );
+        assert_eq!(submitter.join().unwrap(), want, "{name}: honest submitter");
+
+        // Same connection, same server: still serving.
+        assert_eq!(client.estimate_many(name, &honest, true).unwrap().0, want);
+        assert_eq!(
+            client.estimate(name, NodeId(0), NodeId(2)).unwrap(),
+            want[0]
+        );
+    }
     server.shutdown();
 }
 
