@@ -28,6 +28,20 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
+
+    /// The rows whose theorem check failed: an `ok` / `u_lists_ok` cell
+    /// that is not `true`, or a `fails` cell that is not `0`.
+    pub fn failed_rows(&self) -> impl Iterator<Item = &[String]> {
+        let checks: Vec<(usize, &str)> = (self.header.iter().enumerate())
+            .filter_map(|(i, h)| match h.as_str() {
+                "ok" | "u_lists_ok" => Some((i, "true")),
+                "fails" => Some((i, "0")),
+                _ => None,
+            })
+            .collect();
+        let failed = move |row: &&Vec<String>| checks.iter().any(|&(i, want)| row[i] != want);
+        self.rows.iter().filter(failed).map(Vec::as_slice)
+    }
 }
 
 /// Formats a float compactly for table cells.
@@ -80,6 +94,18 @@ mod tests {
         assert!(s.contains("## demo"));
         assert!(s.contains("| 1 |"), "got: {s}");
         assert_eq!(s.lines().count(), 4);
+    }
+
+    #[test]
+    fn failed_rows_are_the_broken_theorem_checks() {
+        let mut t = Table::new("demo", &["n", "ok", "u_lists_ok", "fails"]);
+        t.row(["1", "true", "true", "0"].map(String::from).to_vec());
+        assert_eq!(t.failed_rows().count(), 0, "a passing table");
+        t.row(["2", "false", "true", "0"].map(String::from).to_vec());
+        t.row(["3", "true", "false", "0"].map(String::from).to_vec());
+        t.row(["4", "true", "true", "2"].map(String::from).to_vec());
+        let failed: Vec<&str> = t.failed_rows().map(|row| row[0].as_str()).collect();
+        assert_eq!(failed, ["2", "3", "4"]);
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Deterministic `(1+ε)`-approximate APSP (Theorem 4.1).
+//! Deterministic `(1+ε)`-approximate APSP (Theorem 4.1): PDE with `S = V`
+//! and `h = σ = n`, answered from its rows. [`try_approx_apsp`] is the one
+//! definition of that configuration (`oracle`'s `Backend::ApproxApsp`).
 
-use crate::pde::{run_pde, validate_pde_input, PdeOutput, PdeParams};
+use crate::pde::{try_run_pde, PdeOutput, PdeParams};
 use crate::pipeline::BuildError;
+use crate::BuildMode;
 use congest::NodeId;
 use graphs::algo::Apsp;
 use graphs::{WGraph, INF};
 
 /// Result of the `(1+ε)`-approximate APSP computation.
 ///
-/// Produced by instantiating partial distance estimation with `S = V` and
-/// `h = σ = n`: since `h_{v,w} < n` for every pair, every node's combined
-/// list covers all `n` nodes with `(1+ε)`-approximate distances
-/// (Theorem 4.1), deterministically, in `O(n/ε² · log n)` rounds.
+/// Since `h_{v,w} < n` for every pair, every node's row covers all `n`
+/// nodes with `(1+ε)`-approximate distances (Theorem 4.1),
+/// deterministically, in `O(n/ε² · log n)` rounds.
 #[derive(Debug)]
 pub struct ApspApprox {
-    n: usize,
-    dist: Vec<u64>,
-    /// The underlying PDE output (routing tables, metrics, ladder).
+    /// The underlying PDE output (routing rows, metrics, ladder).
     pub pde: PdeOutput,
 }
 
@@ -24,24 +24,7 @@ impl ApspApprox {
     /// The distance estimate `wd'(u, v)` (0 on the diagonal).
     #[inline]
     pub fn dist(&self, u: NodeId, v: NodeId) -> u64 {
-        self.dist[u.index() * self.n + v.index()]
-    }
-
-    /// The row-major `n × n` estimate matrix and the PDE output, by value.
-    pub fn into_parts(self) -> (Vec<u64>, PdeOutput) {
-        (self.dist, self.pde)
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if empty (never for valid runs).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.pde.estimate(u, v).unwrap_or(INF)
     }
 
     /// Total rounds consumed (levels + `O(D)` coordination).
@@ -57,9 +40,10 @@ impl ApspApprox {
     /// Panics if any estimate is missing or underestimates — both would
     /// falsify Theorem 4.1.
     pub fn max_stretch(&self, exact: &Apsp) -> f64 {
+        let n = self.pde.routes.len_nodes() as u32;
         let mut worst = 1.0f64;
-        for u in 0..self.n as u32 {
-            for v in 0..self.n as u32 {
+        for u in 0..n {
+            for v in 0..n {
                 let (u, v) = (NodeId(u), NodeId(v));
                 if u == v {
                     continue;
@@ -75,86 +59,38 @@ impl ApspApprox {
     }
 }
 
-/// Runs deterministic `(1+ε)`-approximate APSP (Theorem 4.1).
+/// [`try_approx_apsp`] in simulated mode with automatic threads.
 ///
 /// # Panics
 ///
-/// Panics if the graph is disconnected or some pair ends up without an
-/// estimate (impossible for connected inputs; treated as a hard failure).
+/// As [`try_approx_apsp`], and on the inputs it rejects.
 pub fn approx_apsp(g: &WGraph, eps: f64) -> ApspApprox {
-    approx_apsp_with(g, eps, 0)
+    try_approx_apsp(g, eps, 0, BuildMode::Simulated).expect("approximate APSP build failed")
 }
 
-/// [`approx_apsp`] with an explicit worker-thread count for the ladder
-/// rungs (see [`PdeParams::threads`]); outputs are identical for every
-/// thread count.
-///
-/// # Panics
-///
-/// As [`approx_apsp`].
-pub fn approx_apsp_with(g: &WGraph, eps: f64, threads: usize) -> ApspApprox {
-    approx_apsp_opts(g, eps, threads, crate::BuildMode::Simulated)
-}
-
-/// [`approx_apsp_with`] with an explicit build engine (see
-/// [`crate::BuildMode`]); distances and routing tables are identical
-/// across modes, only the charged rounds differ.
-///
-/// # Panics
-///
-/// As [`approx_apsp`].
-pub fn approx_apsp_opts(
-    g: &WGraph,
-    eps: f64,
-    threads: usize,
-    mode: crate::BuildMode,
-) -> ApspApprox {
-    try_approx_apsp_opts(g, eps, threads, mode).expect("approximate APSP build failed")
-}
-
-/// [`approx_apsp_opts`] with typed input validation: a disconnected
-/// graph or an out-of-range ε comes back as a [`BuildError`] instead of
-/// a panic.
+/// Runs Theorem 4.1 with [`PdeParams::threads`] workers in `mode`; rows
+/// are identical for every thread count and mode, only rounds differ.
 ///
 /// # Errors
 ///
-/// [`BuildError::Disconnected`] / [`BuildError::InvalidParam`], as
-/// [`crate::try_run_pde`].
-pub fn try_approx_apsp_opts(
+/// As [`try_run_pde`].
+///
+/// # Panics
+///
+/// Panics if a pair ends up without an estimate (would falsify Thm 4.1).
+pub fn try_approx_apsp(
     g: &WGraph,
     eps: f64,
     threads: usize,
-    mode: crate::BuildMode,
+    mode: BuildMode,
 ) -> Result<ApspApprox, BuildError> {
-    validate_pde_input(g, eps)?;
     let n = g.len();
     let params = PdeParams::new(n as u64, n, eps)
         .with_threads(threads)
         .with_mode(mode);
-    let sources = vec![true; n];
-    let tags = vec![false; n];
-    let pde = run_pde(g, &sources, &tags, &params);
-
-    let mut dist = vec![INF; n * n];
-    for v in g.nodes() {
-        dist[v.index() * n + v.index()] = 0;
-        for e in &pde.lists[v.index()] {
-            dist[v.index() * n + e.src.index()] = e.est;
-        }
-    }
-    // Symmetrize conservatively: both directions are (1+ε)-approximations
-    // of the same wd, keep the smaller (still an overestimate of wd).
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let a = dist[u * n + v];
-            let b = dist[v * n + u];
-            let m = a.min(b);
-            assert_ne!(m, INF, "node pair ({u}, {v}) missing from APSP lists");
-            dist[u * n + v] = m;
-            dist[v * n + u] = m;
-        }
-    }
-    Ok(ApspApprox { n, dist, pde })
+    let pde = try_run_pde(g, &vec![true; n], &vec![false; n], &params)?;
+    assert_eq!(pde.routes.len_entries(), n * n, "APSP rows incomplete");
+    Ok(ApspApprox { pde })
 }
 
 #[cfg(test)]

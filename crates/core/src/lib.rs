@@ -13,7 +13,7 @@
 //!   `O(σ²/ε · log n)` messages.
 //! * **Section 4.1, Theorem 4.1** — deterministic `(1+ε)`-approximate APSP
 //!   in `O(n/ε² · log n)` rounds, by instantiating PDE with `S = V`,
-//!   `h = σ = n`.
+//!   `h = σ = n` ([`try_approx_apsp`]); its answers are the PDE rows.
 //!
 //! # Deviations from the paper
 //!
@@ -75,7 +75,7 @@ pub mod schedule;
 pub mod snapshot;
 pub mod tables;
 
-pub use apsp::{approx_apsp, approx_apsp_opts, approx_apsp_with, try_approx_apsp_opts, ApspApprox};
+pub use apsp::{approx_apsp, try_approx_apsp, ApspApprox};
 pub use ladder::{BuildMode, LadderSpec};
 pub use pde::{run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo};
 pub use pipeline::{BuildError, StageLog, StageReport};

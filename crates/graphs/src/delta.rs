@@ -130,6 +130,32 @@ impl std::error::Error for DeltaError {
 }
 
 impl WGraph {
+    /// The id half of [`WGraph::apply_delta`]'s checks, all that masking a
+    /// failure needs: nodes in `0..n`, and an edge delta names an edge.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::UnknownNode`] or [`DeltaError::UnknownEdge`].
+    pub fn check_delta_ids(&self, delta: &GraphDelta) -> Result<(), DeltaError> {
+        let n = self.len();
+        let node = |v: NodeId| {
+            if v.index() < n {
+                Ok(())
+            } else {
+                Err(DeltaError::UnknownNode { v, n })
+            }
+        };
+        match *delta {
+            GraphDelta::SetWeight { u, v, .. } | GraphDelta::FailEdge { u, v } => {
+                node(u)?;
+                node(v)?;
+                let edge = self.edge_weight(u, v).map(|_| ());
+                edge.ok_or(DeltaError::UnknownEdge { u, v })
+            }
+            GraphDelta::FailNode { v } => node(v),
+        }
+    }
+
     /// Applies one [`GraphDelta`], returning the mutated graph.
     ///
     /// The receiver is untouched; the result goes through the same
@@ -142,23 +168,12 @@ impl WGraph {
     /// Returns a typed [`DeltaError`] when the delta names an unknown
     /// edge or node, sets a zero weight, or would disconnect the graph.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<WGraph, DeltaError> {
+        self.check_delta_ids(delta)?;
         let n = self.len();
-        let check_node = |x: NodeId| {
-            if x.index() >= n {
-                Err(DeltaError::UnknownNode { v: x, n })
-            } else {
-                Ok(())
-            }
-        };
         match *delta {
             GraphDelta::SetWeight { u, v, w } => {
-                check_node(u)?;
-                check_node(v)?;
                 if w == 0 {
                     return Err(DeltaError::ZeroWeight);
-                }
-                if self.edge_weight(u, v).is_none() {
-                    return Err(DeltaError::UnknownEdge { u, v });
                 }
                 let (a, b) = (u.0.min(v.0), u.0.max(v.0));
                 let edges: Vec<(u32, u32, u64)> = self
@@ -175,11 +190,6 @@ impl WGraph {
                 WGraph::from_edges(n, &edges).map_err(DeltaError::Invalid)
             }
             GraphDelta::FailEdge { u, v } => {
-                check_node(u)?;
-                check_node(v)?;
-                if self.edge_weight(u, v).is_none() {
-                    return Err(DeltaError::UnknownEdge { u, v });
-                }
                 let (a, b) = (u.0.min(v.0), u.0.max(v.0));
                 let edges: Vec<(u32, u32, u64)> = self
                     .edges()
@@ -194,7 +204,6 @@ impl WGraph {
                 Ok(g)
             }
             GraphDelta::FailNode { v } => {
-                check_node(v)?;
                 if n <= 1 {
                     return Err(DeltaError::Disconnects);
                 }

@@ -362,7 +362,8 @@ impl Client {
     /// # Errors
     ///
     /// [`WireError::Serve`] with [`serve::ServeError::UnknownOracle`]
-    /// when the name is not served dynamically.
+    /// when the name is not served dynamically; [`WireError::Delta`] when
+    /// `{u, v}` is no edge of the served graph (nothing is masked).
     pub fn fail_edge(&mut self, name: &str, u: NodeId, v: NodeId) -> Result<(), WireError> {
         match self.roundtrip(&Request::FailEdge {
             name: name.to_string(),

@@ -581,11 +581,11 @@ fn dispatch(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Re
             .map(|report| Response::Installed(install_summary(report)))
             .map_err(install_error),
         Request::FailEdge { name, u, v } => {
-            dynamic_for(state, &name)?.fail_edge(u, v);
+            dynamic_for(state, &name)?.fail_edge(u, v)?;
             Ok(Response::Failed)
         }
         Request::FailNode { name, v } => {
-            dynamic_for(state, &name)?.fail_node(v);
+            dynamic_for(state, &name)?.fail_node(v)?;
             Ok(Response::Failed)
         }
         Request::RepairAndSwap { name, delta } => {

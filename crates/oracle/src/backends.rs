@@ -1,4 +1,6 @@
-//! The eight backend wrappers behind [`crate::DistanceOracle`].
+//! The backend wrappers behind [`crate::DistanceOracle`]: seven structs
+//! for the eight [`Backend`]s, since [`Backend::ApproxApsp`] is a
+//! [`PdeOracle`] at Theorem 4.1's configuration.
 //!
 //! Each wrapper can trace routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
@@ -19,7 +21,7 @@ use congest::{NodeId, Topology};
 use graphs::{WGraph, INF};
 use pde_core::pde::validate_pde_input;
 use pde_core::schedule::{self, RowEstimate};
-use pde_core::{try_approx_apsp_opts, try_run_pde};
+use pde_core::{try_approx_apsp, try_run_pde};
 use pde_core::{FlatTables, PdeParams, RowCursor};
 use routing::{try_build_rtc, RoutingScheme, RtcParams, RtcScheme};
 
@@ -45,7 +47,9 @@ fn truncated_ceiling(k: u32, eps: f64) -> f64 {
 
 // ---------------------------------------------------------------- PDE --
 
-/// [`Backend::Pde`]: flat per-node tables from one PDE run.
+/// [`Backend::Pde`]: flat per-node tables from one PDE run — and
+/// [`Backend::ApproxApsp`], which is that run at `S = V`, `h = σ = n`
+/// ([`pde_core::try_approx_apsp`]).
 pub struct PdeOracle {
     pub(crate) g: WGraph,
     pub(crate) topo: Topology,
@@ -90,52 +94,6 @@ impl DistanceOracle for PdeOracle {
 
     fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
         schedule::estimate_grouped(self, pairs, order, out);
-    }
-
-    fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        if u == v {
-            return None;
-        }
-        self.routes.get(u, v).map(|e| self.topo.neighbor(u, e.port))
-    }
-
-    fn stretch_bound(&self) -> f64 {
-        1.0 + self.eps
-    }
-
-    fn build_metrics(&self) -> &OracleBuildMetrics {
-        &self.metrics
-    }
-
-    fn topology(&self) -> Option<&Topology> {
-        Some(&self.topo)
-    }
-}
-
-// --------------------------------------------------------- ApproxApsp --
-
-/// [`Backend::ApproxApsp`]: dense `(1+ε)`-approximate distance matrix
-/// plus PDE next hops.
-pub struct ApsOracle {
-    pub(crate) g: WGraph,
-    pub(crate) topo: Topology,
-    pub(crate) dist: Vec<u64>,
-    pub(crate) routes: FlatTables,
-    pub(crate) eps: f64,
-    pub(crate) metrics: OracleBuildMetrics,
-}
-
-impl DistanceOracle for ApsOracle {
-    fn len(&self) -> usize {
-        self.g.len()
-    }
-
-    fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
-        if u == v {
-            0
-        } else {
-            self.dist[u.index() * self.g.len() + v.index()]
-        }
     }
 
     fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
@@ -346,7 +304,6 @@ impl DistanceOracle for FloodOracle {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Inner {
     Pde(PdeOracle),
-    Aps(ApsOracle),
     Rtc(RtcOracle),
     Compact(CompactOracle),
     Truncated(TruncatedOracle),
@@ -359,7 +316,6 @@ impl Inner {
     pub(crate) fn as_dyn(&self) -> &dyn DistanceOracle {
         match self {
             Inner::Pde(o) => o,
-            Inner::Aps(o) => o,
             Inner::Rtc(o) => o,
             Inner::Compact(o) => o,
             Inner::Truncated(o) => o,
@@ -388,7 +344,6 @@ pub(crate) fn metrics(
 pub(crate) fn set_build_nanos(inner: &mut Inner, nanos: u64) {
     let m = match inner {
         Inner::Pde(o) => &mut o.metrics,
-        Inner::Aps(o) => &mut o.metrics,
         Inner::Rtc(o) => &mut o.metrics,
         Inner::Compact(o) => &mut o.metrics,
         Inner::Truncated(o) => &mut o.metrics,
@@ -408,28 +363,34 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
         return Err(BuildError::Disconnected { nodes: n });
     }
     if matches!(
-        b.backend(),
+        b.backend,
         Backend::Pde | Backend::ApproxApsp | Backend::Rtc | Backend::Compact | Backend::Truncated
     ) {
-        validate_pde_input(g, b.knob_eps())?;
+        validate_pde_input(g, b.eps)?;
     }
-    let inner = match b.backend() {
-        Backend::Pde => {
-            let sources = match b.knob_sources() {
-                Some(s) => {
-                    assert_eq!(s.len(), n, "one source flag per node");
-                    s.to_vec()
-                }
-                None => vec![true; n],
+    let inner = match b.backend {
+        Backend::Pde | Backend::ApproxApsp => {
+            let (out, h, sigma) = if b.backend == Backend::ApproxApsp {
+                let out = try_approx_apsp(g, b.eps, b.threads, b.mode)?.pde;
+                (out, n as u64, n)
+            } else {
+                let sources = match &b.sources {
+                    Some(s) => {
+                        assert_eq!(s.len(), n, "one source flag per node");
+                        s.clone()
+                    }
+                    None => vec![true; n],
+                };
+                let h = b.horizon.unwrap_or(n as u64);
+                let sigma = b.sigma.unwrap_or(n);
+                let params = PdeParams::new(h, sigma, b.eps)
+                    .with_threads(b.threads)
+                    .with_mode(b.mode);
+                let out = try_run_pde(g, &sources, &vec![false; n], &params)?;
+                (out, h, sigma)
             };
-            let h = b.knob_horizon().unwrap_or(n as u64);
-            let sigma = b.knob_sigma().unwrap_or(n);
-            let params = PdeParams::new(h, sigma, b.knob_eps())
-                .with_threads(b.knob_threads())
-                .with_mode(b.knob_mode());
-            let out = try_run_pde(g, &sources, &vec![false; n], &params)?;
             let m = metrics(
-                Backend::Pde,
+                b.backend,
                 n,
                 out.metrics.total.rounds,
                 out.metrics.total.messages,
@@ -438,38 +399,20 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                 g: g.clone(),
                 topo: g.to_topology(),
                 routes: out.routes,
-                eps: b.knob_eps(),
+                eps: b.eps,
                 h,
                 sigma,
                 metrics: m,
             })
         }
-        Backend::ApproxApsp => {
-            let a = try_approx_apsp_opts(g, b.knob_eps(), b.knob_threads(), b.knob_mode())?;
-            let (dist, pde) = a.into_parts();
-            let m = metrics(
-                Backend::ApproxApsp,
-                n,
-                pde.metrics.total.rounds,
-                pde.metrics.total.messages,
-            );
-            Inner::Aps(ApsOracle {
-                g: g.clone(),
-                topo: g.to_topology(),
-                dist,
-                routes: pde.routes,
-                eps: b.knob_eps(),
-                metrics: m,
-            })
-        }
         Backend::Rtc => {
             let params = RtcParams {
-                k: b.knob_k(),
-                eps: b.knob_eps(),
-                c: b.knob_c(),
-                seed: b.knob_seed(),
-                mode: b.knob_mode(),
-                threads: b.knob_threads(),
+                k: b.k,
+                eps: b.eps,
+                c: b.c,
+                seed: b.seed,
+                mode: b.mode,
+                threads: b.threads,
             };
             let scheme = try_build_rtc(g, &params)?;
             let m = metrics(
@@ -480,22 +423,20 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             );
             Inner::Rtc(RtcOracle {
                 scheme,
-                k: b.knob_k(),
-                eps: b.knob_eps(),
+                k: b.k,
+                eps: b.eps,
                 metrics: m,
             })
         }
         Backend::Compact => {
             let params = CompactParams {
-                k: b.knob_k(),
-                eps: b.knob_eps(),
-                c: b.knob_c(),
-                seed: b.knob_seed(),
-                horizon: b
-                    .knob_horizon()
-                    .map_or(HorizonMode::Lemma47, HorizonMode::Spd),
-                mode: b.knob_mode(),
-                threads: b.knob_threads(),
+                k: b.k,
+                eps: b.eps,
+                c: b.c,
+                seed: b.seed,
+                horizon: b.horizon.map_or(HorizonMode::Lemma47, HorizonMode::Spd),
+                mode: b.mode,
+                threads: b.threads,
             };
             let scheme = try_build_hierarchy(g, &params)?;
             let m = metrics(
@@ -506,27 +447,27 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             );
             Inner::Compact(CompactOracle {
                 scheme,
-                k: b.knob_k(),
-                eps: b.knob_eps(),
+                k: b.k,
+                eps: b.eps,
                 metrics: m,
             })
         }
         Backend::Truncated => {
-            let k = b.knob_k();
+            let k = b.k;
             assert!(k >= 2, "Backend::Truncated needs k >= 2");
-            let l0 = b.knob_l0().unwrap_or(k - 1);
+            let l0 = b.l0.unwrap_or(k - 1);
             assert!(
                 (1..k).contains(&l0),
                 "Backend::Truncated needs l0 in 1..k (got l0={l0}, k={k})"
             );
             let params = CompactParams {
                 k,
-                eps: b.knob_eps(),
-                c: b.knob_c(),
-                seed: b.knob_seed(),
+                eps: b.eps,
+                c: b.c,
+                seed: b.seed,
                 horizon: HorizonMode::Lemma47,
-                mode: b.knob_mode(),
-                threads: b.knob_threads(),
+                mode: b.mode,
+                threads: b.threads,
             };
             let scheme = try_build_truncated(g, &params, l0, UpperMode::Local)?;
             let m = metrics(
@@ -538,18 +479,18 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             Inner::Truncated(TruncatedOracle {
                 scheme,
                 k,
-                eps: b.knob_eps(),
+                eps: b.eps,
                 metrics: m,
             })
         }
         Backend::ExactTz => {
-            let scheme = ExactTz::new(g, b.knob_k(), b.knob_seed());
+            let scheme = ExactTz::new(g, b.k, b.seed);
             let m = metrics(Backend::ExactTz, n, 0, 0);
             Inner::Tz(TzOracle {
                 g: g.clone(),
                 topo: g.to_topology(),
                 scheme,
-                k: b.knob_k(),
+                k: b.k,
                 metrics: m,
             })
         }
@@ -557,7 +498,7 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             // Both engines produce the exact distance matrix; the
             // simulation only adds the Θ(n²)-round measurement, so the
             // native build computes the identical artifact centrally.
-            let (dist, m) = match b.knob_mode() {
+            let (dist, m) = match b.mode {
                 BuildMode::Simulated => {
                     let bf = bellman_ford_apsp(g);
                     let m = metrics(
@@ -584,7 +525,7 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             // size) is already computed centrally after the flood; the
             // native build skips the flood and keeps the identical
             // artifact.
-            let (apsp, first_hops, lsdb_edges, m) = match b.knob_mode() {
+            let (apsp, first_hops, lsdb_edges, m) = match b.mode {
                 BuildMode::Simulated => {
                     let fl = flooding_apsp(g);
                     let m = metrics(Backend::Flooding, n, fl.metrics.rounds, fl.metrics.messages);

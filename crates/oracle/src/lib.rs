@@ -67,8 +67,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 pub use backends::{
-    ApsOracle, BfOracle, CompactOracle, FloodOracle, PdeOracle, RtcOracle, TruncatedOracle,
-    TzOracle,
+    BfOracle, CompactOracle, FloodOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
 };
 pub use eval::{evaluate, evaluate_with, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
@@ -354,8 +353,8 @@ pub enum Backend {
     /// Partial distance estimation towards a source set (Corollary 3.5):
     /// flat per-node tables, coverage limited by `horizon`/`sigma`.
     Pde,
-    /// Deterministic `(1+ε)`-approximate APSP (Theorem 4.1): dense
-    /// distance matrix plus PDE next hops.
+    /// Deterministic `(1+ε)`-approximate APSP (Theorem 4.1): PDE at
+    /// `S = V`, `h = σ = n`.
     ApproxApsp,
     /// Routing tables with relabeling (Theorem 4.5), stretch `6k−1+o(1)`.
     Rtc,
@@ -404,16 +403,6 @@ impl Backend {
     /// existing values never change, new backends take the next free
     /// tag, so artifacts and peers from different builds agree.
     pub fn wire_tag(self) -> u8 {
-        self.tag()
-    }
-
-    /// The backend for a [`Backend::wire_tag`] byte (`None` for
-    /// unassigned tags — a corrupt or future snapshot/frame).
-    pub fn from_wire_tag(tag: u8) -> Option<Backend> {
-        Backend::from_tag(tag)
-    }
-
-    pub(crate) fn tag(self) -> u8 {
         match self {
             Backend::Pde => 0,
             Backend::ApproxApsp => 1,
@@ -426,8 +415,10 @@ impl Backend {
         }
     }
 
-    pub(crate) fn from_tag(tag: u8) -> Option<Backend> {
-        Backend::ALL.into_iter().find(|b| b.tag() == tag)
+    /// The backend for a [`Backend::wire_tag`] byte (`None` for
+    /// unassigned tags — a corrupt or future snapshot/frame).
+    pub fn from_wire_tag(tag: u8) -> Option<Backend> {
+        Backend::ALL.into_iter().find(|b| b.wire_tag() == tag)
     }
 }
 
@@ -443,17 +434,17 @@ impl fmt::Display for Backend {
 /// backend are ignored (e.g. `k` for [`Backend::BellmanFord`]).
 #[derive(Clone, Debug)]
 pub struct OracleBuilder {
-    backend: Backend,
-    seed: Seed,
-    threads: usize,
-    mode: BuildMode,
-    eps: f64,
-    k: u32,
-    c: f64,
-    horizon: Option<u64>,
-    sigma: Option<usize>,
-    l0: Option<u32>,
-    sources: Option<Vec<bool>>,
+    pub(crate) backend: Backend,
+    pub(crate) seed: Seed,
+    pub(crate) threads: usize,
+    pub(crate) mode: BuildMode,
+    pub(crate) eps: f64,
+    pub(crate) k: u32,
+    pub(crate) c: f64,
+    pub(crate) horizon: Option<u64>,
+    pub(crate) sigma: Option<usize>,
+    pub(crate) l0: Option<u32>,
+    pub(crate) sources: Option<Vec<bool>>,
 }
 
 impl OracleBuilder {
@@ -599,40 +590,6 @@ impl OracleBuilder {
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         backends::set_build_nanos(&mut inner, nanos);
         Ok(Oracle { inner })
-    }
-
-    pub(crate) fn backend(&self) -> Backend {
-        self.backend
-    }
-    pub(crate) fn knob_seed(&self) -> Seed {
-        self.seed
-    }
-    pub(crate) fn knob_threads(&self) -> usize {
-        self.threads
-    }
-    pub(crate) fn knob_mode(&self) -> BuildMode {
-        self.mode
-    }
-    pub(crate) fn knob_eps(&self) -> f64 {
-        self.eps
-    }
-    pub(crate) fn knob_k(&self) -> u32 {
-        self.k
-    }
-    pub(crate) fn knob_c(&self) -> f64 {
-        self.c
-    }
-    pub(crate) fn knob_horizon(&self) -> Option<u64> {
-        self.horizon
-    }
-    pub(crate) fn knob_sigma(&self) -> Option<usize> {
-        self.sigma
-    }
-    pub(crate) fn knob_l0(&self) -> Option<u32> {
-        self.l0
-    }
-    pub(crate) fn knob_sources(&self) -> Option<&[bool]> {
-        self.sources.as_deref()
     }
 }
 

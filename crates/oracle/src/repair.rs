@@ -456,9 +456,9 @@ impl OracleBuilder {
         prev: &Oracle,
         delta: &GraphDelta,
     ) -> Result<Repaired, RepairError> {
-        if prev.backend() != self.backend() {
+        if prev.backend() != self.backend {
             return Err(RepairError::BackendMismatch {
-                expected: self.backend(),
+                expected: self.backend,
                 got: prev.backend(),
             });
         }
@@ -512,7 +512,7 @@ impl OracleBuilder {
             oracle: Oracle { inner },
             graph: g_new,
             report: RepairReport {
-                backend: self.backend(),
+                backend: self.backend,
                 delta: *delta,
                 kind,
                 repair_nanos,

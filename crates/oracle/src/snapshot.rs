@@ -13,6 +13,10 @@
 //! | 4 | arena container, narrow tables with a stored per-row index | — | rejected (rebuild) |
 //! | 5 | arena container, narrow index-free tables | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
+//! `approx_apsp` shares the PDE layout under its own header tag. A tag-5
+//! `approx_apsp` file from before that fold carries a dense matrix section
+//! and fails as `InvalidData` — rebuild it.
+//!
 //! A rejected tag surfaces as `InvalidData` wrapping
 //! [`congest::wire::SnapshotError::Rebuild`] (test with
 //! [`congest::wire::snapshot_cause`]): snapshots are caches of a
@@ -23,7 +27,7 @@
 //! ```text
 //! magic  "PDOR"            4 bytes
 //! version u16              5
-//! backend u8               Backend::tag
+//! backend u8               Backend::wire_tag
 //! pad     u8               zero — aligns the arena to 8 bytes
 //! n       u64
 //! rounds  u64              build metrics (summary)
@@ -63,8 +67,7 @@
 //! `UnexpectedEof`.
 
 use crate::backends::{
-    ApsOracle, BfOracle, CompactOracle, FloodOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle,
-    TzOracle,
+    BfOracle, CompactOracle, FloodOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
 };
 use crate::{Backend, Oracle, OracleBuildMetrics};
 use baselines::ExactTz;
@@ -94,7 +97,7 @@ pub(crate) fn save(oracle: &Oracle, sink: &mut dyn Write, canonical: bool) -> io
     let mut w = WireWriter::new(sink);
     w.bytes(MAGIC)?;
     w.u16(VERSION)?;
-    w.u8(m.backend.tag())?;
+    w.u8(m.backend.wire_tag())?;
     w.u8(0)?; // pad: the arena starts 8-aligned
     w.usize(m.n)?;
     w.u64(zero(m.rounds))?;
@@ -119,13 +122,6 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter, canonical: bool) -> i
         Inner::Pde(o) => {
             a.u64s(&[o.eps.to_bits(), o.h, o.sigma as u64]);
             o.g.write_arena(a);
-            o.routes.write_arena(a);
-            Ok(())
-        }
-        Inner::Aps(o) => {
-            a.u64s(&[o.eps.to_bits()]);
-            o.g.write_arena(a);
-            a.u64s(&o.dist);
             o.routes.write_arena(a);
             Ok(())
         }
@@ -167,7 +163,7 @@ fn read_arena_payload(
     c: &mut ArenaCursor<'_>,
 ) -> io::Result<Inner> {
     Ok(match backend {
-        Backend::Pde => {
+        Backend::Pde | Backend::ApproxApsp => {
             let meta = c.u64s()?;
             let [eps, h, sigma] = meta[..] else {
                 return Err(invalid_data("PDE meta section misshapen"));
@@ -185,30 +181,6 @@ fn read_arena_payload(
                 eps,
                 h,
                 sigma,
-                metrics,
-            })
-        }
-        Backend::ApproxApsp => {
-            let meta = c.u64s()?;
-            let [eps] = meta[..] else {
-                return Err(invalid_data("APSP meta section misshapen"));
-            };
-            let eps = f64::from_bits(eps);
-            let g = WGraph::read_arena(c)?;
-            let cells = congest::wire::seq_product(g.len(), g.len(), "distance matrix")?;
-            let dist = c.u64s()?;
-            if dist.len() != cells {
-                return Err(invalid_data("dense matrix size mismatch"));
-            }
-            let routes = FlatTables::read_arena(c)?;
-            let topo = g.to_topology();
-            routes.validate(&topo)?;
-            Inner::Aps(ApsOracle {
-                g,
-                topo,
-                dist,
-                routes,
-                eps,
                 metrics,
             })
         }
@@ -350,8 +322,8 @@ fn read_header(source: &mut dyn Read) -> io::Result<OracleBuildMetrics> {
         return Err(congest::wire::rebuild(version));
     }
     let tag = r.u8()?;
-    let backend =
-        Backend::from_tag(tag).ok_or_else(|| invalid_data(format!("unknown backend tag {tag}")))?;
+    let backend = Backend::from_wire_tag(tag)
+        .ok_or_else(|| invalid_data(format!("unknown backend tag {tag}")))?;
     if r.u8()? != 0 {
         return Err(invalid_data("nonzero pad byte in snapshot header"));
     }

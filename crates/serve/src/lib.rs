@@ -75,8 +75,8 @@ pub use persist::{Checkpoint, DeltaWal, PersistError, RecoverReport, WalReplay};
 
 use graphs::{NodeId, WGraph};
 use oracle::{
-    route_with_failover, Backend, BuildError, DistanceOracle, FailoverOutcome, GraphDelta,
-    LivenessMask, Oracle, OracleBuilder, RepairError, RepairReport, TracedRoute,
+    route_with_failover, Backend, BuildError, DeltaError, DistanceOracle, FailoverOutcome,
+    GraphDelta, LivenessMask, Oracle, OracleBuilder, RepairError, RepairReport, TracedRoute,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -816,6 +816,21 @@ struct DynState {
     wal: Option<DeltaWal>,
 }
 
+impl DynState {
+    /// Masks a failure delta from `at` on once its ids check out against the
+    /// served graph: an entry no repair can lift would never close the window.
+    fn mask_failure(&mut self, delta: &GraphDelta, at: Instant) -> Result<(), DeltaError> {
+        self.graph.check_delta_ids(delta)?;
+        match *delta {
+            GraphDelta::FailEdge { u, v } => self.mask.fail_edge(u, v),
+            GraphDelta::FailNode { v } => self.mask.fail_node(v),
+            GraphDelta::SetWeight { .. } => return Ok(()),
+        }
+        self.masked_at.get_or_insert(at);
+        Ok(())
+    }
+}
+
 /// The failure-aware lifecycle over one served name.
 ///
 /// A [`DynamicOracle`] owns the graph its snapshot was built on and a
@@ -1048,18 +1063,22 @@ impl DynamicOracle {
     /// [`DynamicOracle::route`]. Opens the stale-answer window if it is
     /// not already open. Call [`DynamicOracle::repair_and_swap`] with
     /// [`GraphDelta::FailEdge`] to fold the failure into the artifact.
-    pub fn fail_edge(&self, u: NodeId, v: NodeId) {
-        let mut state = lock_recover(&self.state);
-        state.mask.fail_edge(u, v);
-        state.masked_at.get_or_insert_with(Instant::now);
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError`] when `{u, v}` is no edge of the served graph.
+    pub fn fail_edge(&self, u: NodeId, v: NodeId) -> Result<(), DeltaError> {
+        lock_recover(&self.state).mask_failure(&GraphDelta::FailEdge { u, v }, Instant::now())
     }
 
     /// Masks node `v` as failed (and with it every incident edge),
     /// effective immediately for [`DynamicOracle::route`].
-    pub fn fail_node(&self, v: NodeId) {
-        let mut state = lock_recover(&self.state);
-        state.mask.fail_node(v);
-        state.masked_at.get_or_insert_with(Instant::now);
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError`] when `v` is no node of the served graph.
+    pub fn fail_node(&self, v: NodeId) -> Result<(), DeltaError> {
+        lock_recover(&self.state).mask_failure(&GraphDelta::FailNode { v }, Instant::now())
     }
 
     /// Routes `u → v` on the current snapshot, detouring around masked
@@ -1103,8 +1122,8 @@ impl DynamicOracle {
     /// # Errors
     ///
     /// [`RepairSwapError::Serve`] when the name is not served;
-    /// [`RepairSwapError::Repair`] when the delta does not apply (the
-    /// mask keeps the failure: a delta that would disconnect the graph
+    /// [`RepairSwapError::Repair`] when the delta does not apply (unknown
+    /// ids are refused unmasked; a delta that would disconnect the graph
     /// stays masked, routed around, and unrepaired).
     pub fn repair_and_swap(
         &self,
@@ -1113,17 +1132,7 @@ impl DynamicOracle {
     ) -> Result<RepairSwapReport, RepairSwapError> {
         let t0 = Instant::now();
         let mut state = lock_recover(&self.state);
-        match *delta {
-            GraphDelta::FailEdge { u, v } => {
-                state.mask.fail_edge(u, v);
-                state.masked_at.get_or_insert(t0);
-            }
-            GraphDelta::FailNode { v } => {
-                state.mask.fail_node(v);
-                state.masked_at.get_or_insert(t0);
-            }
-            GraphDelta::SetWeight { .. } => {}
-        }
+        state.mask_failure(delta, t0).map_err(RepairError::from)?;
         let lease = server
             .lease(&self.name)
             .ok_or_else(|| ServeError::UnknownOracle(self.name.clone()))?;
@@ -1383,7 +1392,7 @@ mod tests {
 
         // Failure reported: routes detour immediately, estimates are
         // still the pre-failure artifact's (the stale window is open).
-        dyn_oracle.fail_edge(NodeId(1), NodeId(2));
+        dyn_oracle.fail_edge(NodeId(1), NodeId(2)).unwrap();
         let outcome = dyn_oracle
             .route(&server, NodeId(0), NodeId(2), &mut route)
             .unwrap();
@@ -1433,6 +1442,28 @@ mod tests {
     }
 
     #[test]
+    fn hostile_failure_ids_are_refused_before_the_mask() {
+        let server = OracleServer::new();
+        let builder = OracleBuilder::new(Backend::Flooding);
+        let dyn_oracle = DynamicOracle::install(&server, "g", builder, &ring(8, 1)).unwrap();
+        let swap = |delta| dyn_oracle.repair_and_swap(&server, &delta).unwrap_err();
+        let refused = |e| RepairSwapError::Repair(RepairError::Delta(e));
+        // n, and one past the mask's last word; then the non-edge 0–4.
+        let u = NodeId(0);
+        for v in [NodeId(8), NodeId(65)] {
+            let e = DeltaError::UnknownNode { v, n: 8 };
+            assert_eq!(dyn_oracle.fail_node(v), Err(e.clone()));
+            assert_eq!(dyn_oracle.fail_edge(u, v), Err(e.clone()));
+            assert_eq!(swap(GraphDelta::FailNode { v }), refused(e.clone()));
+            assert_eq!(swap(GraphDelta::FailEdge { u, v }), refused(e));
+        }
+        let (v, e) = (NodeId(4), DeltaError::UnknownEdge { u, v: NodeId(4) });
+        assert_eq!(dyn_oracle.fail_edge(u, v), Err(e.clone()));
+        assert_eq!(swap(GraphDelta::FailEdge { u, v }), refused(e));
+        assert!(dyn_oracle.mask().is_clear(), "the mask was dirtied");
+    }
+
+    #[test]
     fn dynamic_node_failure_rebuilds_and_resets_the_mask() {
         let server = OracleServer::new();
         let dyn_oracle = DynamicOracle::install(
@@ -1442,7 +1473,7 @@ mod tests {
             &ring(6, 2),
         )
         .unwrap();
-        dyn_oracle.fail_node(NodeId(3));
+        dyn_oracle.fail_node(NodeId(3)).unwrap();
         let mut route = TracedRoute::default();
         let outcome = dyn_oracle
             .route(&server, NodeId(2), NodeId(4), &mut route)

@@ -163,7 +163,9 @@ fn artifact_bytes_match_pinned_digests() {
     };
     let pins: [u64; 8] = [
         0xd0d5d78aaad6bdcb, // pde
-        0x5bf3f2e4a8ba79ed, // approx_apsp
+        // Re-recorded when approx_apsp became PDE at S = V, h = σ = n and
+        // lost its dense matrix section (was 0x5bf3f2e4a8ba79ed).
+        0x088e66a1799f1fde, // approx_apsp
         0x38214e0d269ccfd7, // rtc
         0xfd7db62ba7a89ffb, // compact
         0x488b8a4dcfcf0077, // truncated
@@ -175,6 +177,12 @@ fn artifact_bytes_match_pinned_digests() {
         let got = fnv(builder(backend).build(&g).artifact_bytes().into_iter());
         assert_eq!(got, pin, "{backend}: got {got:#018x}");
     }
+    // approx_apsp is the PDE artifact under its own header tag (byte 6).
+    let mut aps = builder(Backend::ApproxApsp).build(&g).artifact_bytes();
+    let pde = builder(Backend::Pde).build(&g).artifact_bytes();
+    assert_eq!((aps[6], pde[6]), (1, 0), "backend tags");
+    aps[6] = pde[6];
+    assert!(aps == pde, "approx_apsp's artifact is not pde's");
     // A partial row set: σ ≪ n, h ≪ n, sources ⊂ V.
     let partial = builder(Backend::Pde)
         .sigma(3)

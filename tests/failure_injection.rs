@@ -247,7 +247,7 @@ fn edge_failure_mid_serving_across_all_backends() {
 
         // Failure lands mid-serving: routes must stop using the edge
         // *now*, even though the artifact still contains it.
-        dyn_oracle.fail_edge(a, b);
+        dyn_oracle.fail_edge(a, b).unwrap();
         let mut route = TracedRoute::default();
         let outcome = dyn_oracle.route(&server, a, b, &mut route).unwrap();
         if backend == Backend::BellmanFord {
@@ -296,7 +296,7 @@ fn node_failure_mid_serving_across_all_backends() {
         let server = OracleServer::new();
         let dyn_oracle =
             DynamicOracle::install(&server, "live", small_builder(backend), &g).unwrap();
-        dyn_oracle.fail_node(dead);
+        dyn_oracle.fail_node(dead).unwrap();
         // Routes around the dead node (6 → 8 must not pass through 7).
         let mut route = TracedRoute::default();
         let outcome = dyn_oracle

@@ -99,6 +99,67 @@ fn answers_match_pinned_digests() {
     assert_eq!(got, 0x020d8e4c3157448b, "pde_partial: got {got:#018x}");
 }
 
+/// Theorem 4.1 is PDE at `S = V`, `h = σ = n` — `Backend::Pde`'s
+/// defaults — so `ApproxApsp` must answer, route and charge exactly as
+/// default `Pde` does, on weighted graphs where rounding is in play.
+#[test]
+fn approx_apsp_is_pde_at_its_defaults() {
+    use pde_repro::oracle::BuildMode;
+    let mut rng = Seed(7).rng();
+    let graphs = [
+        gen::gnp_connected(40, 0.1, Weights::Uniform { lo: 1, hi: 1000 }, &mut rng),
+        gen::gnp_connected(36, 0.12, Weights::PowerOfTwo { max_exp: 12 }, &mut rng),
+        gen::grid(5, 7, Weights::Uniform { lo: 1, hi: 64 }, &mut rng),
+    ];
+    let (mut pairs_seen, mut inexact) = (0usize, 0usize);
+    for g in &graphs {
+        let exact = apsp(g);
+        let square: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|u| g.nodes().map(move |v| (u, v)))
+            .collect();
+        // Tiled past the grouping gate, so the batch runs the schedule.
+        let batch: Vec<(NodeId, NodeId)> = square
+            .iter()
+            .cycle()
+            .take(4 * square.len())
+            .copied()
+            .collect();
+        for eps in [0.125, 0.5] {
+            for mode in [BuildMode::Simulated, BuildMode::Native] {
+                let build = |b| OracleBuilder::new(b).eps(eps).build_mode(mode).build(g);
+                let (aps, pde) = (build(Backend::ApproxApsp), build(Backend::Pde));
+                let at = format!("n={} eps={eps} {mode:?}", g.len());
+                let (mut ra, mut rp) = Default::default();
+                for &(u, v) in &square {
+                    let est = aps.estimate(u, v);
+                    assert_eq!(est, pde.estimate(u, v), "{at} estimate ({u},{v})");
+                    assert_eq!(aps.next_hop(u, v), pde.next_hop(u, v), "{at} ({u},{v})");
+                    let ok = aps.route_into(u, v, &mut ra);
+                    assert_eq!(ok, pde.route_into(u, v, &mut rp), "{at} ({u},{v})");
+                    assert_eq!(ra, rp, "{at} route ({u},{v})");
+                    pairs_seen += 1;
+                    inexact += usize::from(est != exact.dist(u, v));
+                }
+                for threads in [1usize, 0] {
+                    let (mut a, mut p) = (Vec::new(), Vec::new());
+                    aps.estimate_many_with(&batch, &mut a, threads);
+                    pde.estimate_many_with(&batch, &mut p, threads);
+                    assert_eq!(a, p, "{at} threads={threads}");
+                }
+                let (ma, mp) = (aps.build_metrics(), pde.build_metrics());
+                assert_eq!((ma.rounds, ma.messages), (mp.rounds, mp.messages), "{at}");
+            }
+        }
+    }
+    // At h = n the grid and the power-of-two graph are almost exact; the
+    // Uniform{1..1000} graph carries the rounding (≈ 22 % overall).
+    assert!(
+        5 * inexact >= pairs_seen,
+        "only {inexact} of {pairs_seen} pairs inexact: rounding barely exercised"
+    );
+}
+
 #[test]
 fn batch_queries_agree_with_point_queries() {
     let g = graph(3);

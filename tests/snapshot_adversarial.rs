@@ -15,7 +15,7 @@ use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::{NodeId, Seed, WGraph};
 use pde_repro::net::{Client, NetServer, ServerConfig, WireError};
-use pde_repro::oracle::{Backend, Oracle, OracleBuilder};
+use pde_repro::oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
 use std::sync::Arc;
 
@@ -39,8 +39,9 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // must be the *typed* truncation (not a raw UnexpectedEof, not a
     // misdiagnosed corruption). One scheme backend and one matrix backend
     // cover every section shape (graphs, CSR tables, embedded tree and
-    // metrics streams, labels, matrices).
-    for backend in [Backend::Compact, Backend::ApproxApsp] {
+    // metrics streams, labels, and flooding's dense `u64` distance and
+    // `u32` first-hop matrices).
+    for backend in [Backend::Compact, Backend::Flooding] {
         let bytes = snapshot(backend);
         for keep in 0..bytes.len() {
             let err = match Oracle::load(&mut &bytes[..keep]) {
@@ -94,8 +95,8 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
     // Plant maximal length/count fields where the readers size things
     // from them, under a recomputed checksum: each must be rejected by
     // bound-check (InvalidData) before any allocation sized by the
-    // field. The BellmanFord arena leads with its `[n]` meta section,
-    // ApproxApsp's second section is the graph's `[n]`.
+    // field. The BellmanFord arena leads with its `[n]` meta section;
+    // ApproxApsp's (the PDE layout's) second section is the graph's `[n]`.
     let planted = |backend: Backend, section: usize, value: u64| {
         let snap = snapshot(backend);
         let mut sections = arena_sections(&snap);
@@ -112,6 +113,33 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
     snap[HEADER..HEADER + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Oracle::load_bytes(&snap).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+#[test]
+fn pre_fold_approx_apsp_arenas_are_invalid_data() {
+    // Before approx_apsp shared the PDE layout, its tag-5 arena was an
+    // `[eps]` meta section, the graph's three sections, an n × n `u64`
+    // distance matrix, then the routing table. Such a file must be a
+    // typed InvalidData — not a truncation, not a mis-load, not a panic.
+    let snap = snapshot(Backend::ApproxApsp);
+    let oracle = Oracle::load_bytes(&snap).unwrap();
+    let n = graph(21).len() as u32;
+    let matrix: Vec<u8> = (0..n)
+        .flat_map(|u| (0..n).map(move |v| (NodeId(u), NodeId(v))))
+        .flat_map(|(u, v)| oracle.estimate(u, v).to_le_bytes())
+        .collect();
+    let mut sections = arena_sections(&snap);
+    sections[0].truncate(8);
+    sections.insert(4, matrix);
+    let old = reassemble(&snap, &sections);
+    for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
+        let Err(err) = loaded else {
+            panic!("a pre-fold approx_apsp arena was loaded");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(!is_truncated(&err), "misreported as truncation: {err}");
+        assert_eq!(snapshot_cause(&err), None, "{err}");
+    }
 }
 
 /// Fixed header: magic, version, backend, pad, n, three metrics.

@@ -10,10 +10,10 @@
 //! pre-decode failure.
 
 use congest::NodeId;
-use graphs::WGraph;
+use graphs::{DeltaError, GraphDelta, WGraph};
 use net::{Client, NetServer, ServerConfig, WireError};
 use oracle::{Backend, OracleBuilder};
-use serve::{OracleServer, ServeError};
+use serve::{DynamicOracle, OracleServer, ServeError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -254,6 +254,58 @@ fn out_of_range_node_id_costs_one_request_not_the_connection() {
             client.estimate(name, NodeId(0), NodeId(2)).unwrap(),
             want[0]
         );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn hostile_failure_ids_cost_one_request_not_the_connection_or_the_mask() {
+    // `FailNode`/`FailEdge` ids go straight into the liveness mask: one
+    // past its last word used to panic under the state lock, and one in
+    // `[n, 64·⌈n/64⌉)` or a non-edge was recorded and never lifted.
+    let g = ring_with_chord(8);
+    let n = g.len();
+    let registry = Arc::new(OracleServer::new());
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let dynamic =
+        DynamicOracle::install(&registry, "dyn", OracleBuilder::new(Backend::Flooding), &g);
+    let dynamic = server.register_dynamic(dynamic.unwrap());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let want = client.estimate("dyn", NodeId(0), NodeId(2)).unwrap();
+    let (at_n, past) = (NodeId(n as u32), NodeId(64 * n.div_ceil(64) as u32 + 1));
+    let unknown = |v| DeltaError::UnknownNode { v, n };
+    // The ring's chord is 0–4; 0–3 is no edge.
+    let (u, v) = (NodeId(0), NodeId(3));
+    let cases = [
+        (GraphDelta::FailNode { v: at_n }, unknown(at_n)),
+        (GraphDelta::FailNode { v: past }, unknown(past)),
+        (GraphDelta::FailEdge { u, v: past }, unknown(past)),
+        (
+            GraphDelta::FailEdge { u, v },
+            DeltaError::UnknownEdge { u, v },
+        ),
+    ];
+    for (delta, refusal) in cases {
+        let masked = match delta {
+            GraphDelta::FailNode { v } => client.fail_node("dyn", v),
+            GraphDelta::FailEdge { u, v } => client.fail_edge("dyn", u, v),
+            GraphDelta::SetWeight { .. } => unreachable!(),
+        };
+        let repaired = client.repair_and_swap("dyn", &delta).map(drop);
+        for (op, reply) in [("mask", masked), ("repair", repaired)] {
+            match reply {
+                Err(WireError::Delta(got)) => assert_eq!(got, refusal, "{delta} {op}"),
+                other => panic!("{delta} {op}: got {other:?}, wanted {refusal:?}"),
+            }
+        }
+        assert!(dynamic.mask().is_clear(), "{delta}: the mask was dirtied");
+        let got = client.estimate("dyn", NodeId(0), NodeId(2)).unwrap();
+        assert_eq!(got, want, "{delta}: the connection stopped serving");
     }
     server.shutdown();
 }
