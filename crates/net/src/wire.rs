@@ -1189,218 +1189,174 @@ pub fn _doc_anchor(_: &GraphError) {}
 mod tests {
     use super::*;
 
-    fn roundtrip_request(req: Request) {
-        let mut buf = Vec::new();
-        req.encode_into(42, &mut buf);
-        let (req_id, back) = Request::decode(&buf).unwrap();
-        assert_eq!(req_id, 42);
-        assert_eq!(back, req);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn unhex(s: &str) -> Vec<u8> {
+        let s = s.replace(' ', "");
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The wire bytes, pinned: one request frame per op (and per delta
+    /// kind), one reply per response shape, and one error frame per error
+    /// code and per `Serve`/`Delta` sub-code. Every frame decodes back to
+    /// the value it was encoded from, except the text relays, which
+    /// decode as `Remote`. Spaces separate the header and the fields.
     #[test]
-    fn requests_round_trip() {
-        let name = "pde".to_string();
-        roundtrip_request(Request::Estimate {
-            name: name.clone(),
-            u: NodeId(3),
-            v: NodeId(9),
-        });
-        roundtrip_request(Request::EstimateMany {
-            name: name.clone(),
-            batched: true,
-            pairs: vec![(NodeId(0), NodeId(1)), (NodeId(7), NodeId(2))],
-        });
-        roundtrip_request(Request::NextHop {
-            name: name.clone(),
-            u: NodeId(1),
-            v: NodeId(2),
-        });
-        roundtrip_request(Request::Route {
-            name: name.clone(),
-            u: NodeId(1),
-            v: NodeId(2),
-        });
-        roundtrip_request(Request::Install {
-            name: name.clone(),
-            path: "/tmp/x.snap".into(),
-        });
-        roundtrip_request(Request::Swap {
-            name: name.clone(),
-            snapshot: vec![1, 2, 3, 4, 5],
-        });
-        roundtrip_request(Request::FailEdge {
-            name: name.clone(),
-            u: NodeId(1),
-            v: NodeId(2),
-        });
-        roundtrip_request(Request::FailNode {
-            name: name.clone(),
-            v: NodeId(5),
-        });
-        for delta in [
-            GraphDelta::SetWeight {
-                u: NodeId(0),
-                v: NodeId(1),
-                w: 7,
-            },
-            GraphDelta::FailEdge {
-                u: NodeId(2),
-                v: NodeId(3),
-            },
-            GraphDelta::FailNode { v: NodeId(4) },
-        ] {
-            roundtrip_request(Request::RepairAndSwap {
-                name: name.clone(),
-                delta,
-            });
-        }
-        roundtrip_request(Request::Stats);
-    }
-
-    fn roundtrip_response(op: Op, resp: Response) {
-        let mut buf = Vec::new();
-        encode_response(7, op, &resp, &mut buf);
-        let (req_id, back_op, body) = decode_response(&buf).unwrap();
-        assert_eq!((req_id, back_op), (7, op));
-        assert_eq!(body.unwrap(), resp);
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        roundtrip_response(
-            Op::Estimate,
-            Response::Estimate {
-                generation: 3,
-                est: 99,
-            },
-        );
-        roundtrip_response(
-            Op::EstimateMany,
-            Response::EstimateMany {
-                generation: 2,
-                ests: vec![1, u64::MAX, 0],
-            },
-        );
-        roundtrip_response(Op::NextHop, Response::NextHop { hop: None });
-        roundtrip_response(
-            Op::NextHop,
-            Response::NextHop {
-                hop: Some(NodeId(12)),
-            },
-        );
-        roundtrip_response(
-            Op::Route,
-            Response::Route {
-                outcome: RouteOutcome::Detoured { detours: 2 },
-                route: Some(TracedRoute {
-                    nodes: vec![NodeId(0), NodeId(3), NodeId(1)],
-                    ports: vec![2, 0],
-                    weight: 11,
-                }),
-            },
-        );
-        roundtrip_response(
-            Op::Route,
-            Response::Route {
-                outcome: RouteOutcome::Unroutable,
-                route: None,
-            },
-        );
-        roundtrip_response(
-            Op::Install,
-            Response::Installed(InstallSummary {
-                backend: Backend::Rtc,
-                n: 4096,
-                generation: 5,
-                cold_start_nanos: 123_456,
-                replaced: Some((4, 2)),
-            }),
-        );
-        roundtrip_response(Op::FailEdge, Response::Failed);
-        roundtrip_response(
-            Op::RepairAndSwap,
-            Response::Repaired(RepairSummary {
-                generation: 6,
-                incremental: true,
-                rows_recomputed: 4,
-                rows_total: 16,
-                reason: String::new(),
-                repair_nanos: 1000,
-                stale_window_nanos: 2000,
-            }),
-        );
-        roundtrip_response(
-            Op::Stats,
-            Response::Stats(ServerStats {
-                requests: 10,
-                bytes_in: 100,
-                bytes_out: 200,
-                connections_active: 1,
-                connections_total: 3,
-                p50_service_ns: 5_000,
-                p99_service_ns: 50_000,
-                conn_requests: 4,
-                conn_bytes_in: 40,
-                conn_bytes_out: 80,
-                oracles: vec![OracleStats {
-                    name: "pde".into(),
-                    backend: Backend::Pde,
-                    generation: 2,
-                    queries_served: 1000,
-                    batches_served: 10,
-                    leases_in_flight: 1,
-                    batch: BatcherStats {
-                        submissions: 8,
-                        groups: 2,
-                        grouped_pairs: 64,
-                        largest_group: 5,
-                    },
-                }],
-            }),
-        );
-    }
-
-    /// The satellite contract: `ServeError` and `DeltaError` variants
-    /// cross the wire intact (every reachable variant pinned), and the
-    /// protocol-level `WireError` variants do too.
-    #[test]
-    fn errors_survive_the_wire_round_trip_variant_intact() {
-        let cases = vec![
-            WireError::BadVersion { got: 9 },
-            WireError::UnknownOp { op: 200 },
-            WireError::Oversized {
-                len: 1 << 40,
-                max: 1 << 28,
-            },
-            WireError::Truncated,
-            WireError::Malformed("trailing bytes".into()),
-            WireError::Serve(ServeError::UnknownOracle("pde".into())),
-            WireError::Serve(ServeError::Deadline("rtc".into())),
-            WireError::Serve(ServeError::Retired("compact".into())),
-            WireError::Serve(ServeError::NodeOutOfRange {
-                id: NodeId(21),
-                n: 16,
-            }),
-            WireError::Delta(DeltaError::UnknownEdge {
-                u: NodeId(3),
-                v: NodeId(4),
-            }),
-            WireError::Delta(DeltaError::UnknownNode { v: NodeId(9), n: 8 }),
-            WireError::Delta(DeltaError::ZeroWeight),
-            WireError::Delta(DeltaError::Disconnects),
-            WireError::Remote("install failed: no such file".into()),
-            WireError::Overloaded {
-                active: 256,
-                cap: 255,
-            },
+    #[rustfmt::skip] // one row per frame
+    fn golden_frames_are_pinned() {
+        let (id, pde) = (NodeId, || "pde".to_string());
+        let (u, v) = (id(1), id(2));
+        let repair = |delta| Request::RepairAndSwap { name: pde(), delta };
+        let requests = [
+            (Request::Estimate { name: pde(), u: id(3), v: id(9) },
+             "01 01 2a00000000000000 0300 706465 03000000 09000000"),
+            (Request::EstimateMany { name: pde(), batched: true, pairs: vec![(id(0), u), (id(7), v)] },
+             "01 02 2a00000000000000 0300 706465 01 02000000 00000000 01000000 07000000 02000000"),
+            (Request::NextHop { name: pde(), u, v },
+             "01 03 2a00000000000000 0300 706465 01000000 02000000"),
+            (Request::Route { name: pde(), u, v },
+             "01 04 2a00000000000000 0300 706465 01000000 02000000"),
+            (Request::Install { name: pde(), path: "/tmp/x.snap".into() },
+             "01 05 2a00000000000000 0300 706465 0b00 2f746d702f782e736e6170"),
+            (Request::Swap { name: pde(), snapshot: vec![1, 2, 3, 4, 5] },
+             "01 06 2a00000000000000 0300 706465 0500000000000000 0102030405"),
+            (Request::FailEdge { name: pde(), u, v },
+             "01 07 2a00000000000000 0300 706465 01000000 02000000"),
+            (Request::FailNode { name: pde(), v: id(5) },
+             "01 08 2a00000000000000 0300 706465 05000000"),
+            (repair(GraphDelta::SetWeight { u: id(0), v: id(1), w: 7 }),
+             "01 09 2a00000000000000 0300 706465 00 00000000 01000000 0700000000000000"),
+            (repair(GraphDelta::FailEdge { u: id(2), v: id(3) }),
+             "01 09 2a00000000000000 0300 706465 01 02000000 03000000"),
+            (repair(GraphDelta::FailNode { v: id(4) }),
+             "01 09 2a00000000000000 0300 706465 02 04000000"),
+            (Request::Stats, "01 0a 2a00000000000000"),
         ];
-        for err in cases {
+        for (req, want) in requests {
             let mut buf = Vec::new();
-            encode_error(77, Op::Estimate as u8, &err, &mut buf);
-            let (req_id, op, body) = decode_response(&buf).unwrap();
-            assert_eq!((req_id, op), (77, Op::Estimate));
-            assert_eq!(body.unwrap_err(), err, "variant must survive the wire");
+            req.encode_into(42, &mut buf);
+            assert_eq!(hex(&buf), want.replace(' ', ""), "{req:?}");
+            assert_eq!(Request::decode(&buf).unwrap(), (42, req));
         }
+
+        let route = TracedRoute { nodes: vec![id(0), id(3), u], ports: vec![2, 0], weight: 11 };
+        let installed = |backend, n, generation, cold_start_nanos, replaced| {
+            Response::Installed(InstallSummary { backend, n, generation, cold_start_nanos, replaced })
+        };
+        let repaired = |generation, incremental, rows_recomputed, rows_total, reason: &str| {
+            Response::Repaired(RepairSummary {
+                generation, incremental, rows_recomputed, rows_total, reason: reason.into(),
+                repair_nanos: 1000, stale_window_nanos: 2000,
+            })
+        };
+        let batch = BatcherStats { submissions: 8, groups: 2, grouped_pairs: 64, largest_group: 5 };
+        let oracles = vec![OracleStats {
+            name: pde(), backend: Backend::Pde, generation: 2, queries_served: 1000,
+            batches_served: 10, leases_in_flight: 1, batch,
+        }];
+        let stats = ServerStats {
+            requests: 10, bytes_in: 100, bytes_out: 200, connections_active: 1,
+            connections_total: 3, p50_service_ns: 5_000, p99_service_ns: 50_000,
+            conn_requests: 4, conn_bytes_in: 40, conn_bytes_out: 80, oracles,
+        };
+        let responses = [
+            (Op::Estimate, Response::Estimate { generation: 3, est: 99 },
+             "01 00 01 0700000000000000 0300000000000000 6300000000000000"),
+            (Op::EstimateMany, Response::EstimateMany { generation: 2, ests: vec![1, u64::MAX, 0] },
+             "01 00 02 0700000000000000 0200000000000000 03000000 \
+              0100000000000000 ffffffffffffffff 0000000000000000"),
+            (Op::NextHop, Response::NextHop { hop: None }, "01 00 03 0700000000000000 00"),
+            (Op::NextHop, Response::NextHop { hop: Some(id(12)) },
+             "01 00 03 0700000000000000 01 0c000000"),
+            (Op::Route, Response::Route { outcome: RouteOutcome::Primary, route: Some(route.clone()) },
+             "01 00 04 0700000000000000 00 01 0b00000000000000 \
+              03000000 00000000 03000000 01000000 02000000 02000000 00000000"),
+            (Op::Route,
+             Response::Route { outcome: RouteOutcome::Detoured { detours: 2 }, route: Some(route) },
+             "01 00 04 0700000000000000 01 0200000000000000 01 0b00000000000000 \
+              03000000 00000000 03000000 01000000 02000000 02000000 00000000"),
+            (Op::Route, Response::Route { outcome: RouteOutcome::Unroutable, route: None },
+             "01 00 04 0700000000000000 02 00"),
+            (Op::Install, installed(Backend::Rtc, 4096, 5, 123_456, Some((4, 2))),
+             "01 00 05 0700000000000000 02 0010000000000000 0500000000000000 \
+              40e2010000000000 01 0400000000000000 0200000000000000"),
+            (Op::Swap, installed(Backend::Flooding, 8, 1, 1000, None),
+             "01 00 06 0700000000000000 07 0800000000000000 0100000000000000 \
+              e803000000000000 00"),
+            (Op::FailEdge, Response::Failed, "01 00 07 0700000000000000"),
+            (Op::FailNode, Response::Failed, "01 00 08 0700000000000000"),
+            (Op::RepairAndSwap, repaired(6, true, 4, 16, ""),
+             "01 00 09 0700000000000000 0600000000000000 01 0400000000000000 \
+              1000000000000000 0000 e803000000000000 d007000000000000"),
+            (Op::RepairAndSwap, repaired(7, false, 0, 0, "ids renumber"),
+             "01 00 09 0700000000000000 0700000000000000 00 0000000000000000 \
+              0000000000000000 0c00 6964732072656e756d626572 e803000000000000 \
+              d007000000000000"),
+            (Op::Stats, Response::Stats(stats),
+             "01 00 0a 0700000000000000 0a00000000000000 6400000000000000 \
+              c800000000000000 0100000000000000 0300000000000000 8813000000000000 \
+              50c3000000000000 0400000000000000 2800000000000000 5000000000000000 \
+              0100 0300 706465 00 0200000000000000 e803000000000000 0a00000000000000 \
+              0100000000000000 0800000000000000 0200000000000000 4000000000000000 \
+              0500000000000000"),
+        ];
+        for (op, resp, want) in responses {
+            let mut buf = Vec::new();
+            encode_response(7, op, &resp, &mut buf);
+            assert_eq!(hex(&buf), want.replace(' ', ""), "{resp:?}");
+            assert_eq!(decode_response(&buf).unwrap(), (7, op, Ok(resp)));
+        }
+
+        // (sent, frame, received): the text relays arrive as `Remote`.
+        let remote = |msg: &str| WireError::Remote(msg.into());
+        let same = |e: WireError, frame| (e.clone(), frame, e);
+        let errors = [
+            same(WireError::BadVersion { got: 9 }, "00 09"),
+            same(WireError::UnknownOp { op: 200 }, "01 c8"),
+            same(WireError::Oversized { len: 1 << 40, max: 1 << 28 },
+                 "02 0000000000010000 0000001000000000"),
+            same(WireError::Truncated, "03"),
+            same(WireError::Malformed("trailing bytes".into()),
+                 "04 0e00 747261696c696e67206279746573"),
+            same(WireError::Serve(ServeError::UnknownOracle(pde())), "05 00 0300 706465"),
+            same(WireError::Serve(ServeError::Deadline("rtc".into())), "05 01 0300 727463"),
+            same(WireError::Serve(ServeError::Retired("compact".into())),
+                 "05 02 0700 636f6d70616374"),
+            same(WireError::Serve(ServeError::NodeOutOfRange { id: id(21), n: 16 }),
+                 "05 04 15000000 1000000000000000"),
+            same(WireError::Delta(DeltaError::UnknownEdge { u: id(3), v: id(4) }),
+                 "06 00 03000000 04000000"),
+            same(WireError::Delta(DeltaError::UnknownNode { v: id(9), n: 8 }),
+                 "06 01 09000000 0800000000000000"),
+            same(WireError::Delta(DeltaError::ZeroWeight), "06 02"),
+            same(WireError::Delta(DeltaError::Disconnects), "06 03"),
+            (WireError::Delta(DeltaError::Invalid(GraphError::Disconnected)),
+             "06 04 1600 6772617068206973206e6f7420636f6e6e6563746564",
+             remote("delta produced an invalid graph: graph is not connected")),
+            same(remote("install failed: no such file"),
+                 "07 1c00 696e7374616c6c206661696c65643a206e6f20737563682066696c65"),
+            (WireError::Io(io::ErrorKind::ConnectionReset, "reset".into()),
+             "07 1600 436f6e6e656374696f6e52657365743a207265736574",
+             remote("ConnectionReset: reset")),
+            same(WireError::Overloaded { active: 256, cap: 255 },
+                 "08 0001000000000000 ff00000000000000"),
+        ];
+        for (sent, want, got) in errors {
+            let mut buf = Vec::new();
+            encode_error(77, Op::Estimate as u8, &sent, &mut buf);
+            let want = format!("01 ee 01 4d00000000000000 {want}");
+            assert_eq!(hex(&buf), want.replace(' ', ""), "{sent:?}");
+            assert_eq!(decode_response(&buf).unwrap(), (77, Op::Estimate, Err(got)));
+        }
+        // Serve sub-code 3 (a variant with no structural encoding) is
+        // never sent by this build but still decodes, as text.
+        let frame = unhex("01 ee 01 4d00000000000000 05 03 0500 6c61746572");
+        assert_eq!(decode_response(&frame).unwrap(), (77, Op::Estimate, Err(remote("later"))));
     }
 
     #[test]
