@@ -1,12 +1,12 @@
 //! The blocking client: one TCP connection, reused across requests,
 //! with explicit pipelining for batch submission.
 //!
-//! Every typed method is a strict request/response round trip. For
-//! throughput, [`Client::queue_estimate_many`] writes requests without
-//! waiting; [`Client::drain_estimate_many`] flushes once and collects
-//! the replies in order (the server answers a connection's requests in
-//! request order, so correlation is positional — `req_id` is checked,
-//! not searched).
+//! [`Client::call`] and every typed method is a strict
+//! request/response round trip. For throughput,
+//! [`Client::queue_estimate_many`] writes requests without waiting;
+//! [`Client::recv_estimate_many`] flushes and collects the replies in
+//! order (the server answers a connection's requests in request order,
+//! so correlation is positional — `req_id` is checked, not searched).
 //!
 //! Errors are typed end to end: a serve-layer rejection arrives as the
 //! same [`WireError::Serve`] / [`WireError::Delta`] variant the server
@@ -15,18 +15,36 @@
 //! is poisoned (framing may be desynchronized) and every subsequent call
 //! fails fast — reconnect to recover.
 
-use crate::wire::{
-    decode_response, InstallSummary, Op, RepairSummary, Request, Response, RouteOutcome,
-    ServerStats, WireError,
-};
+use crate::wire::{self, decode_response, Op, RequestFrame, WireError};
 use congest::wire::{read_frame, write_frame, MAX_FRAME_LEN};
 use congest::NodeId;
 use graphs::GraphDelta;
-use oracle::TracedRoute;
+use oracle::{FailoverOutcome as RouteOutcome, TracedRoute};
+use serve::{InstallSummary, RepairSummary, Request, Response, ServerStats};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Typed round trips over [`Client::call`]: each method sends one
+/// request and unpacks the reply its op gets.
+macro_rules! calls {
+    ($($(#[$doc:meta])* $method:ident($($arg:ident: $ty:ty),*) -> $ret:ty {
+        $req:expr => $reply:pat => $out:expr
+    })*) => {$(
+        $(#[$doc])*
+        ///
+        /// # Errors
+        ///
+        /// As [`Client::call`].
+        pub fn $method(&mut self, $($arg: $ty),*) -> Result<$ret, WireError> {
+            match self.call(&$req)? {
+                $reply => Ok($out),
+                other => Err(self.unexpected(other)),
+            }
+        }
+    )*};
+}
 
 /// A blocking `net` client over one reused TCP connection.
 pub struct Client {
@@ -34,7 +52,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     next_req: u64,
     inflight: VecDeque<(u64, Op)>,
-    max_frame: usize,
     poisoned: bool,
     /// Reused encode buffer — large pipelined batches must not pay an
     /// allocation per frame.
@@ -56,7 +73,6 @@ impl Client {
             writer: BufWriter::new(stream),
             next_req: 0,
             inflight: VecDeque::new(),
-            max_frame: MAX_FRAME_LEN,
             poisoned: false,
             scratch: Vec::new(),
         })
@@ -96,7 +112,7 @@ impl Client {
         &mut self,
         op: Op,
         encode: impl FnOnce(u64, &mut Vec<u8>),
-    ) -> Result<u64, WireError> {
+    ) -> Result<(), WireError> {
         self.check_usable()?;
         self.next_req += 1;
         let req_id = self.next_req;
@@ -107,12 +123,7 @@ impl Client {
         self.scratch = payload;
         written.map_err(|e| self.poison(e.into()))?;
         self.inflight.push_back((req_id, op));
-        Ok(req_id)
-    }
-
-    /// Writes `req` into the send buffer without flushing.
-    fn queue(&mut self, req: &Request) -> Result<u64, WireError> {
-        self.queue_with(req.op(), |req_id, out| req.encode_into(req_id, out))
+        Ok(())
     }
 
     fn poison(&mut self, e: WireError) -> WireError {
@@ -132,7 +143,7 @@ impl Client {
             .inflight
             .pop_front()
             .expect("recv called with no request outstanding");
-        let payload = match read_frame(&mut self.reader, self.max_frame) {
+        let payload = match read_frame(&mut self.reader, MAX_FRAME_LEN) {
             Ok(Some(p)) => p,
             Ok(None) => return Err(self.poison(WireError::Truncated)),
             Err(e) => return Err(self.poison(e.into())),
@@ -142,54 +153,92 @@ impl Client {
             Err(e) => return Err(self.poison(e)),
         };
         match body {
-            Err(e) => {
-                if req_id == 0 {
-                    // A pre-decode failure on the server: it reported
-                    // and closed; nothing later will be answered.
-                    return Err(self.poison(e));
-                }
-                if req_id != want_id {
-                    return Err(self.poison(WireError::Malformed(format!(
-                        "response for request {req_id} while awaiting {want_id}"
-                    ))));
-                }
-                Err(e)
+            // A pre-decode failure on the server: it reported and closed;
+            // nothing later will be answered.
+            Err(e) if req_id == 0 => Err(self.poison(e)),
+            // An error frame's op byte is advisory; a reply's is not.
+            _ if req_id != want_id || (body.is_ok() && op != want_op) => {
+                Err(self.poison(WireError::Malformed(format!(
+                    "response {req_id}/{op:?} while awaiting {want_id}/{want_op:?}"
+                ))))
             }
-            Ok(resp) => {
-                if req_id != want_id || op != want_op {
-                    return Err(self.poison(WireError::Malformed(format!(
-                        "response {req_id}/{op:?} while awaiting {want_id}/{want_op:?}"
-                    ))));
-                }
-                Ok(resp)
-            }
+            body => body,
         }
     }
 
-    /// One strict round trip; rejects interleaving with queued requests.
-    fn roundtrip(&mut self, req: &Request) -> Result<Response, WireError> {
-        if !self.inflight.is_empty() {
-            return Err(WireError::Malformed(
-                "pipelined requests pending; drain them before a direct call".into(),
-            ));
-        }
-        self.queue(req)?;
-        self.recv()
-    }
-
-    /// One distance estimate from the named oracle.
+    /// One strict round trip: `req` is answered exactly as
+    /// [`serve::OracleServer::handle`] answers it in process, with the
+    /// server's error relayed as a [`WireError`]. The typed methods are
+    /// this call with the reply unpacked.
     ///
     /// # Errors
     ///
-    /// Server-relayed ([`WireError::Serve`]) or local wire errors.
-    pub fn estimate(&mut self, name: &str, u: NodeId, v: NodeId) -> Result<u64, WireError> {
-        match self.roundtrip(&Request::Estimate {
-            name: name.to_string(),
-            u,
-            v,
-        })? {
-            Response::Estimate { est, .. } => Ok(est),
-            other => Err(self.unexpected(other)),
+    /// Server-relayed or local wire errors, and [`WireError::Malformed`]
+    /// while pipelined requests are pending.
+    pub fn call(&mut self, req: &Request) -> Result<Response, WireError> {
+        self.check_idle()?;
+        self.queue_with(req.op(), |req_id, out| req.encode_into(req_id, out))?;
+        self.recv()
+    }
+
+    fn check_idle(&self) -> Result<(), WireError> {
+        match self.inflight.len() {
+            0 => Ok(()),
+            _ => Err(WireError::Malformed(
+                "pipelined requests pending; receive them before a direct call".into(),
+            )),
+        }
+    }
+
+    calls! {
+        /// One distance estimate from the named oracle.
+        estimate(name: &str, u: NodeId, v: NodeId) -> u64 {
+            Request::Estimate { name: name.into(), u, v } => Response::Estimate { est, .. } => est
+        }
+        /// The first hop of the route `u → v`, when the backend routes it.
+        next_hop(name: &str, u: NodeId, v: NodeId) -> Option<NodeId> {
+            Request::NextHop { name: name.into(), u, v } => Response::NextHop { hop } => hop
+        }
+        /// The full traced route `u → v` (failover-aware when the name is
+        /// served dynamically).
+        route(name: &str, u: NodeId, v: NodeId) -> (RouteOutcome, Option<TracedRoute>) {
+            Request::Route { name: name.into(), u, v }
+                => Response::Route { outcome, route } => (outcome, route)
+        }
+        /// Admin: install (or hot-swap) a snapshot from a file on the
+        /// **server's** filesystem — the single-copy
+        /// [`oracle::Oracle::load_path`] cold-start path. I/O failures
+        /// arrive as [`WireError::Remote`], torn snapshots as
+        /// [`WireError::Truncated`].
+        install(name: &str, path: &str) -> InstallSummary {
+            Request::Install { name: name.into(), path: path.into() } => Response::Installed(s) => s
+        }
+        /// Admin: install (or hot-swap) the snapshot bytes carried in the
+        /// request frame.
+        swap(name: &str, snapshot: &[u8]) -> InstallSummary {
+            Request::Swap { name: name.into(), snapshot: snapshot.to_vec() }
+                => Response::Installed(s) => s
+        }
+        /// Admin: mask edge `{u, v}` as failed on a dynamic name. A name
+        /// not served dynamically is [`serve::ServeError::UnknownOracle`];
+        /// a non-edge is a [`WireError::Delta`] and masks nothing.
+        fail_edge(name: &str, u: NodeId, v: NodeId) -> () {
+            Request::FailEdge { name: name.into(), u, v } => Response::Failed => ()
+        }
+        /// Admin: mask node `v` as failed on a dynamic name (errors as
+        /// [`Client::fail_edge`]).
+        fail_node(name: &str, v: NodeId) -> () {
+            Request::FailNode { name: name.into(), v } => Response::Failed => ()
+        }
+        /// Admin: repair the served artifact for `delta` and hot-swap the
+        /// result in. A rejected delta arrives as [`WireError::Delta`]
+        /// with its variant intact.
+        repair_and_swap(name: &str, delta: &GraphDelta) -> RepairSummary {
+            Request::RepairAndSwap { name: name.into(), delta: *delta } => Response::Repaired(s) => s
+        }
+        /// Server-wide, per-connection, and per-oracle statistics.
+        stats() -> ServerStats {
+            Request::Stats => Response::Stats(stats) => stats
         }
     }
 
@@ -199,24 +248,20 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Server-relayed ([`WireError::Serve`]) or local wire errors.
+    /// As [`Client::call`].
     pub fn estimate_many(
         &mut self,
         name: &str,
         pairs: &[(NodeId, NodeId)],
         batched: bool,
     ) -> Result<(Vec<u64>, u64), WireError> {
-        if !self.inflight.is_empty() {
-            return Err(WireError::Malformed(
-                "pipelined requests pending; drain them before a direct call".into(),
-            ));
-        }
+        self.check_idle()?;
         self.queue_estimate_many(name, pairs, batched)?;
         self.recv_estimate_many()
     }
 
     /// Queues an `EstimateMany` without waiting for its answer. Collect
-    /// with [`Client::drain_estimate_many`].
+    /// with [`Client::recv_estimate_many`].
     ///
     /// # Errors
     ///
@@ -231,9 +276,8 @@ impl Client {
         // into a `Request` would cost an allocation and a copy per
         // frame on the hottest path the client has.
         self.queue_with(Op::EstimateMany, |req_id, out| {
-            crate::wire::encode_estimate_many(req_id, name, batched, pairs, out)
-        })?;
-        Ok(())
+            wire::put::estimate_many(req_id, out, name, &batched, pairs)
+        })
     }
 
     /// Queued requests whose replies have not been received yet.
@@ -259,166 +303,6 @@ impl Client {
         }
         match self.recv()? {
             Response::EstimateMany { ests, generation } => Ok((ests, generation)),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Flushes and collects every queued `EstimateMany` reply, in
-    /// submission order.
-    ///
-    /// # Errors
-    ///
-    /// The first error (server-relayed or local) aborts the drain.
-    pub fn drain_estimate_many(&mut self) -> Result<Vec<(Vec<u64>, u64)>, WireError> {
-        let mut results = Vec::with_capacity(self.inflight.len());
-        while !self.inflight.is_empty() {
-            match self.recv()? {
-                Response::EstimateMany { ests, generation } => results.push((ests, generation)),
-                other => return Err(self.unexpected(other)),
-            }
-        }
-        Ok(results)
-    }
-
-    /// The first hop of the route `u → v`, when the backend routes it.
-    ///
-    /// # Errors
-    ///
-    /// Server-relayed ([`WireError::Serve`]) or local wire errors.
-    pub fn next_hop(
-        &mut self,
-        name: &str,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<Option<NodeId>, WireError> {
-        match self.roundtrip(&Request::NextHop {
-            name: name.to_string(),
-            u,
-            v,
-        })? {
-            Response::NextHop { hop } => Ok(hop),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// The full traced route `u → v` (failover-aware when the name is
-    /// served dynamically).
-    ///
-    /// # Errors
-    ///
-    /// Server-relayed ([`WireError::Serve`]) or local wire errors.
-    pub fn route(
-        &mut self,
-        name: &str,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<(RouteOutcome, Option<TracedRoute>), WireError> {
-        match self.roundtrip(&Request::Route {
-            name: name.to_string(),
-            u,
-            v,
-        })? {
-            Response::Route { outcome, route } => Ok((outcome, route)),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Admin: install (or hot-swap) a snapshot from a file on the
-    /// **server's** filesystem — the single-copy
-    /// [`oracle::Oracle::load_path`] cold-start path.
-    ///
-    /// # Errors
-    ///
-    /// Server-relayed (I/O as [`WireError::Remote`], torn snapshots as
-    /// [`WireError::Truncated`]) or local wire errors.
-    pub fn install(&mut self, name: &str, path: &str) -> Result<InstallSummary, WireError> {
-        match self.roundtrip(&Request::Install {
-            name: name.to_string(),
-            path: path.to_string(),
-        })? {
-            Response::Installed(summary) => Ok(summary),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Admin: install (or hot-swap) the snapshot bytes carried in the
-    /// request frame.
-    ///
-    /// # Errors
-    ///
-    /// Server-relayed or local wire errors.
-    pub fn swap(&mut self, name: &str, snapshot: &[u8]) -> Result<InstallSummary, WireError> {
-        match self.roundtrip(&Request::Swap {
-            name: name.to_string(),
-            snapshot: snapshot.to_vec(),
-        })? {
-            Response::Installed(summary) => Ok(summary),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Admin: mask edge `{u, v}` as failed on a dynamic name.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Serve`] with [`serve::ServeError::UnknownOracle`]
-    /// when the name is not served dynamically; [`WireError::Delta`] when
-    /// `{u, v}` is no edge of the served graph (nothing is masked).
-    pub fn fail_edge(&mut self, name: &str, u: NodeId, v: NodeId) -> Result<(), WireError> {
-        match self.roundtrip(&Request::FailEdge {
-            name: name.to_string(),
-            u,
-            v,
-        })? {
-            Response::Failed => Ok(()),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Admin: mask node `v` as failed on a dynamic name.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::fail_edge`].
-    pub fn fail_node(&mut self, name: &str, v: NodeId) -> Result<(), WireError> {
-        match self.roundtrip(&Request::FailNode {
-            name: name.to_string(),
-            v,
-        })? {
-            Response::Failed => Ok(()),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Admin: repair the served artifact for `delta` and hot-swap the
-    /// result in.
-    ///
-    /// # Errors
-    ///
-    /// Rejected deltas arrive as [`WireError::Delta`] with the variant
-    /// intact; serve-layer failures as [`WireError::Serve`].
-    pub fn repair_and_swap(
-        &mut self,
-        name: &str,
-        delta: &GraphDelta,
-    ) -> Result<RepairSummary, WireError> {
-        match self.roundtrip(&Request::RepairAndSwap {
-            name: name.to_string(),
-            delta: *delta,
-        })? {
-            Response::Repaired(summary) => Ok(summary),
-            other => Err(self.unexpected(other)),
-        }
-    }
-
-    /// Server-wide, per-connection, and per-oracle statistics.
-    ///
-    /// # Errors
-    ///
-    /// Local wire errors.
-    pub fn stats(&mut self) -> Result<ServerStats, WireError> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
             other => Err(self.unexpected(other)),
         }
     }

@@ -22,11 +22,12 @@
 //! # Determinism contract
 //!
 //! A socket-served answer is **byte-identical** to the in-process one:
-//! the server dispatches [`Op::EstimateMany`] to the very same
-//! [`serve::OracleServer::query`] / [`serve::Batcher::submit`] calls a
-//! local caller would make, so batch answer digests match across
-//! process boundaries for every backend, before and after hot swaps.
-//! `tests/serving_matrix.rs` pins this equality for all eight backends.
+//! the server decodes each frame into the same [`serve::Request`] an
+//! in-process caller builds and answers it with the same
+//! [`serve::OracleServer::handle`] call ([`Client::call`] is its socket
+//! twin), so batch answer digests match across process boundaries for
+//! every backend, before and after hot swaps. `tests/serving_matrix.rs`
+//! pins this equality for all eight backends.
 //!
 //! # Robustness
 //!
@@ -86,12 +87,11 @@ mod wire;
 pub use chaos::{ChaosPlan, ChaosProxy};
 pub use client::Client;
 pub use metrics::{LatencyHistogram, NetMetrics};
+pub use oracle::FailoverOutcome as RouteOutcome;
 pub use resilient::{ReplicaSet, RetryClient, RetryPolicy};
+pub use serve::{InstallSummary, OracleStats, RepairSummary, Request, Response, ServerStats};
 pub use server::{NetServer, ServerConfig};
-pub use wire::{
-    InstallSummary, Op, OracleStats, RepairSummary, RouteOutcome, ServerStats, WireError,
-    MAX_NAME_LEN, MAX_PATH_LEN, NET_VERSION,
-};
+pub use wire::{Op, WireError, MAX_NAME_LEN, MAX_PATH_LEN, NET_VERSION};
 
 #[cfg(test)]
 mod tests {
@@ -158,13 +158,13 @@ mod tests {
         for shard in &shards {
             client.queue_estimate_many("ring", shard, false).unwrap();
         }
-        let results = client.drain_estimate_many().unwrap();
-        assert_eq!(results.len(), shards.len());
-        for (shard, (ests, _)) in shards.iter().zip(&results) {
+        for shard in &shards {
+            let (ests, _) = client.recv_estimate_many().unwrap();
             let mut expected = Vec::new();
             registry.query("ring", shard, &mut expected, 0).unwrap();
-            assert_eq!(*ests, expected);
+            assert_eq!(ests, expected);
         }
+        assert_eq!(client.pending(), 0);
         // The connection is still healthy for direct calls.
         assert_eq!(client.estimate("ring", NodeId(0), NodeId(0)).unwrap(), 0);
         server.shutdown();
@@ -320,6 +320,15 @@ mod tests {
         assert!(stats.p50_service_ns > 0);
         let metrics = server.metrics();
         assert_eq!(metrics.requests, stats.requests + 1); // + the Stats call
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_stats_report_no_leases_in_flight() {
+        let (server, _registry, _g) = serve_ring(8);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.oracles[0].leases_in_flight, 0, "nothing is running");
         server.shutdown();
     }
 

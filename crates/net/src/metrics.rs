@@ -60,14 +60,6 @@ impl LatencyHistogram {
         }
         u64::MAX
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.samples += other.samples;
-    }
 }
 
 /// A point-in-time snapshot of the server's aggregate counters, as
@@ -116,18 +108,6 @@ mod tests {
         assert_eq!(h.quantile(0.99), p50);
         // p100 reaches the outlier bucket.
         assert_eq!(h.quantile(1.0), (1 << 20) + (1 << 19));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(100);
-        b.record(100);
-        b.record(1 << 30);
-        a.merge(&b);
-        assert_eq!(a.samples(), 3);
-        assert!(a.quantile(1.0) > 1 << 30);
     }
 
     #[test]

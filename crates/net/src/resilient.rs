@@ -14,15 +14,13 @@
 //!   seed, same delays — chaos runs stay reproducible);
 //! - a [`ReplicaSet`] holds the server addresses with per-replica
 //!   health: a replica that refuses connections (or keeps poisoning
-//!   them) is marked unhealthy and skipped until its re-probe interval
-//!   expires, so every attempt goes to the most plausible address
-//!   first, and a dead primary costs one failed attempt — not one per
-//!   request;
+//!   them) is skipped until its re-probe interval expires, so a dead
+//!   primary costs one failed attempt — not one per request;
 //! - only **idempotent** requests are replayed (estimates, routes,
 //!   stats, snapshot installs — re-running any of them cannot change
-//!   served answers). [`RetryClient::repair_and_swap`] is the
-//!   exception: a repair observed-failed may still have been applied,
-//!   so it is never replayed blindly (see its docs).
+//!   served answers). `RepairAndSwap` is the exception: a repair
+//!   observed-failed may still have been applied, so
+//!   [`RetryClient::call`] never replays it blindly (see its docs).
 //!
 //! Retried answers are byte-identical to a fault-free run: the server
 //! recomputes them against the same deterministic artifact, so a query
@@ -31,10 +29,9 @@
 //! `tests/chaos_recovery.rs`).
 
 use crate::client::Client;
-use crate::wire::{InstallSummary, RepairSummary, RouteOutcome, ServerStats, WireError};
+use crate::wire::WireError;
 use congest::NodeId;
-use graphs::GraphDelta;
-use oracle::TracedRoute;
+use serve::{Request, Response};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -147,11 +144,6 @@ impl ReplicaSet {
     pub fn with_reprobe(mut self, reprobe: Duration) -> ReplicaSet {
         self.reprobe = reprobe;
         self
-    }
-
-    /// The member addresses, in construction order.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.replicas.iter().map(|r| r.addr).collect()
     }
 
     /// Replica indices in attempt order: healthy (or re-probe-due) ones
@@ -361,104 +353,27 @@ impl RetryClient {
         self.run(|c| c.estimate_many(name, pairs, batched))
     }
 
-    /// The first hop of the route `u → v`, retried across faults.
+    /// Any [`Request`], retried across faults, except `RepairAndSwap`,
+    /// which is **not replayed**: it is the one op that is not
+    /// idempotent (its delta names edges of the pre-delta graph; applying
+    /// it twice fails, and a fault after the send leaves "applied or
+    /// not?" unknowable from this side). It is attempted once on a live
+    /// connection — reconnection happens only *before* anything is sent
+    /// — and on a transport fault the caller decides, typically by
+    /// reading the mask or stats first.
     ///
     /// # Errors
     ///
-    /// As [`RetryClient::estimate`].
-    pub fn next_hop(
-        &mut self,
-        name: &str,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<Option<NodeId>, WireError> {
-        self.run(|c| c.next_hop(name, u, v))
-    }
-
-    /// The full traced route `u → v`, retried across faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn route(
-        &mut self,
-        name: &str,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<(RouteOutcome, Option<TracedRoute>), WireError> {
-        self.run(|c| c.route(name, u, v))
-    }
-
-    /// Admin: install a snapshot from a file on the server's
-    /// filesystem, retried across faults (re-installing the same
-    /// snapshot is idempotent in effect: it can only advance the
-    /// generation onto identical bytes).
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn install(&mut self, name: &str, path: &str) -> Result<InstallSummary, WireError> {
-        self.run(|c| c.install(name, path))
-    }
-
-    /// Admin: install the snapshot bytes carried in the request,
-    /// retried across faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn swap(&mut self, name: &str, snapshot: &[u8]) -> Result<InstallSummary, WireError> {
-        self.run(|c| c.swap(name, snapshot))
-    }
-
-    /// Admin: mask edge `{u, v}` as failed (idempotent), retried.
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn fail_edge(&mut self, name: &str, u: NodeId, v: NodeId) -> Result<(), WireError> {
-        self.run(|c| c.fail_edge(name, u, v))
-    }
-
-    /// Admin: mask node `v` as failed (idempotent), retried.
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn fail_node(&mut self, name: &str, v: NodeId) -> Result<(), WireError> {
-        self.run(|c| c.fail_node(name, v))
-    }
-
-    /// Server statistics, retried across faults.
-    ///
-    /// # Errors
-    ///
-    /// As [`RetryClient::estimate`].
-    pub fn stats(&mut self) -> Result<ServerStats, WireError> {
-        self.run(|c| c.stats())
-    }
-
-    /// Admin: repair-and-swap — **not replayed**. A repair is the one
-    /// op here that is not idempotent (its delta names edges of the
-    /// pre-delta graph; applying it twice fails, and a fault after the
-    /// send leaves "applied or not?" unknowable from this side). The
-    /// request is attempted once on a live connection; reconnection
-    /// happens only *before* anything is sent. On a transport fault the
-    /// caller decides — typically by reading the mask or stats first.
-    ///
-    /// # Errors
-    ///
-    /// The server's typed error, or the transport error of the single
-    /// attempt.
-    pub fn repair_and_swap(
-        &mut self,
-        name: &str,
-        delta: &GraphDelta,
-    ) -> Result<RepairSummary, WireError> {
+    /// As [`RetryClient::estimate`]; for `RepairAndSwap`, the transport
+    /// error of its single attempt.
+    pub fn call(&mut self, req: &Request) -> Result<Response, WireError> {
+        if !matches!(req, Request::RepairAndSwap { .. }) {
+            return self.run(|c| c.call(req));
+        }
         self.ensure_connected()?;
         let (idx, client) = self.conn.as_mut().expect("just connected");
         let idx = *idx;
-        let result = client.repair_and_swap(name, delta);
+        let result = client.call(req);
         if result.is_err() && client.is_poisoned() {
             self.replicas.mark_unhealthy(idx, Instant::now());
             self.conn = None;

@@ -2,58 +2,42 @@
 //!
 //! One accept thread, one handler thread per connection (`std::net` +
 //! `std::thread`; the workspace is std-only by design). Each handler
-//! reads length-framed requests off a `BufReader`, dispatches against
-//! the shared registry, and writes the reply through a `BufWriter` —
-//! flushing only when no further request is already buffered, which is
-//! what makes client-side pipelining effective without ever blocking a
-//! lone request behind an unflushed response.
+//! reads length-framed requests off a `BufReader`, decodes each into a
+//! [`serve::Request`], answers it through [`serve::OracleServer::handle`],
+//! and writes the reply through a `BufWriter` — flushing only when no
+//! further request is already buffered, which is what makes client-side
+//! pipelining effective without ever blocking a lone request behind an
+//! unflushed response.
 //!
-//! Serving semantics are inherited, not reimplemented:
-//!
-//! - answers come from [`serve::OracleServer::query`] /
-//!   [`serve::ServedOracle::query`] — byte-identical to in-process
-//!   `estimate_many_with` (the determinism contract pinned by
-//!   `tests/serving_matrix.rs`). An `EstimateMany` frame big enough to
-//!   cross the grouping gate runs the oracle's source-grouped schedule
-//!   kernel; the same test sends one such batch shuffled and sorted and
-//!   pins the answers pair-for-pair;
-//! - batched submissions go through the shared admission
-//!   [`serve::Batcher`], merging with concurrent submissions from every
-//!   connection;
-//! - hot swap retires generations, never interrupts them;
-//! - [`NetServer::shutdown`] drains in-flight work: stop accepting,
-//!   close the read side of every connection (responses already being
-//!   written still complete), join the handlers, then retire the
-//!   batchers so late submissions fail with [`ServeError::Retired`]
-//!   instead of wedging.
+//! Serving semantics are inherited, not reimplemented: this layer owns
+//! framing, connections, the `max_batch_pairs` shed and its counters;
+//! every answer comes from [`serve::OracleServer::handle`], the call an
+//! in-process caller makes. So answers are byte-identical to in-process
+//! ones (pinned by `tests/serving_matrix.rs`, grouped-kernel-sized
+//! frames included), batched submissions merge in the name's one
+//! [`serve::Batcher`] across connections, and hot swaps retire
+//! generations without interrupting them. [`NetServer::shutdown`] drains
+//! in-flight work: stop accepting, close the read side of every
+//! connection (responses being written still complete), then join the
+//! handlers.
 
 use crate::metrics::{LatencyHistogram, NetMetrics};
-use crate::wire::{
-    self, InstallSummary, OracleStats, RepairSummary, Request, Response, RouteOutcome, ServerStats,
-    WireError,
-};
+use crate::wire::{self, RequestFrame, WireError};
 use congest::wire::{read_frame, write_frame, MAX_FRAME_LEN};
-use oracle::{DistanceOracle, FailoverOutcome, RepairError, TracedRoute};
-use serve::{Batcher, BatcherStats, DynamicOracle, OracleServer, RepairSwapError, ServeError};
+use serve::{DynamicOracle, OracleServer, Request, Response, ServerStats};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Locks a mutex, recovering from poison instead of propagating it.
-///
-/// A connection handler that panics while holding one of the server's
-/// locks must degrade to *one* failed request — not cascade panics into
-/// every thread that later touches the same lock (which is what
-/// `.lock().expect("poisoned")` did). Every structure behind these
-/// locks stays internally valid across a panic (plain map
-/// inserts/removes, counter bumps, histogram increments), so the
-/// recovered guard is safe to keep using.
+/// Locks a mutex, recovering from poison instead of propagating it: a
+/// handler that panics holding a lock costs *one* failed request, and
+/// every structure behind these locks (map inserts/removes, counter
+/// bumps, histogram increments) stays valid across a panic.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -62,11 +46,9 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Admission window for batched `EstimateMany` submissions (how long
-    /// a group leader waits for concurrent submitters to join).
+    /// a group leader waits for concurrent submitters to join); set on
+    /// the registry with [`OracleServer::set_admission`].
     pub batch_window: Duration,
-    /// Worker threads per `estimate_many_with` call (0 = auto), passed
-    /// straight through to the oracle's batch kernel.
-    pub threads: usize,
     /// Per-request deadline. Applied as the socket read/write timeout
     /// (an idle or wedged connection is closed once it expires) and as
     /// the admission batcher's deadline (`ServeError::Deadline` on the
@@ -90,7 +72,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             batch_window: Duration::from_micros(250),
-            threads: 0,
             deadline: Some(Duration::from_secs(30)),
             max_frame: MAX_FRAME_LEN,
             max_connections: 1024,
@@ -101,8 +82,6 @@ impl Default for ServerConfig {
 
 struct ServerState {
     registry: Arc<OracleServer>,
-    dynamics: Mutex<HashMap<String, Arc<DynamicOracle>>>,
-    batchers: Mutex<HashMap<String, Arc<Batcher>>>,
     cfg: ServerConfig,
     stopping: AtomicBool,
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
@@ -139,7 +118,8 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port — see
     /// [`NetServer::local_addr`]) and starts the accept loop over
-    /// `registry`.
+    /// `registry`, whose admission window and deadline it sets from
+    /// `cfg`.
     ///
     /// # Errors
     ///
@@ -151,10 +131,9 @@ impl NetServer {
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        registry.set_admission(cfg.batch_window, cfg.deadline);
         let state = Arc::new(ServerState {
             registry,
-            dynamics: Mutex::new(HashMap::new()),
-            batchers: Mutex::new(HashMap::new()),
             cfg,
             stopping: AtomicBool::new(false),
             conn_streams: Mutex::new(HashMap::new()),
@@ -185,14 +164,13 @@ impl NetServer {
         self.addr
     }
 
-    /// Registers a [`DynamicOracle`] lifecycle under its served name,
-    /// enabling the `FailEdge` / `FailNode` / `RepairAndSwap` admin ops
-    /// and failover-aware `Route` for that name. Returns the shared
-    /// handle so the host can keep driving the lifecycle in-process too.
+    /// Registers a [`DynamicOracle`] lifecycle on the registry
+    /// ([`OracleServer::register_dynamic`]), enabling the `FailEdge` /
+    /// `FailNode` / `RepairAndSwap` admin ops and failover-aware `Route`
+    /// for its name. Returns the shared handle so the host can keep
+    /// driving the lifecycle in-process too.
     pub fn register_dynamic(&self, dynamic: DynamicOracle) -> Arc<DynamicOracle> {
-        let dynamic = Arc::new(dynamic);
-        lock_recover(&self.state.dynamics).insert(dynamic.name().to_string(), Arc::clone(&dynamic));
-        dynamic
+        self.state.registry.register_dynamic(dynamic)
     }
 
     /// A point-in-time snapshot of the aggregate serving counters.
@@ -213,9 +191,8 @@ impl NetServer {
 
     /// Gracefully stops the server (idempotent): stop accepting, close
     /// the read side of every connection so handlers finish their
-    /// in-flight responses and exit, join them, then retire the
-    /// admission batchers ([`ServeError::Retired`] for anything still
-    /// queued — the PR 7 retirement semantics, not an abort).
+    /// in-flight responses and exit, then join them. The registry and
+    /// its batchers stay up for other servers and in-process callers.
     pub fn shutdown(&self) {
         if self.state.stopping.swap(true, Ordering::SeqCst) {
             return;
@@ -234,10 +211,6 @@ impl NetServer {
         let handles = std::mem::take(&mut *lock_recover(&self.state.conn_handles));
         for handle in handles {
             let _ = handle.join();
-        }
-        let batchers = std::mem::take(&mut *lock_recover(&self.state.batchers));
-        for batcher in batchers.values() {
-            batcher.shutdown();
         }
     }
 }
@@ -279,7 +252,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
         let handle = std::thread::Builder::new()
             .name(format!("net-conn-{conn_id}"))
             .spawn(move || {
-                let _ = handle_connection(&conn_state, stream, conn_id);
+                let _ = handle_connection(&conn_state, stream);
                 lock_recover(&conn_state.conn_streams).remove(&conn_id);
                 conn_state
                     .connections_active
@@ -312,7 +285,7 @@ fn refuse_overloaded(stream: TcpStream, active: u64, cap: u64) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn handle_connection(state: &ServerState, stream: TcpStream, _conn_id: u64) -> io::Result<()> {
+fn handle_connection(state: &ServerState, stream: TcpStream) -> io::Result<()> {
     // The per-request deadline doubles as the socket timeout: a
     // connection idle (or wedged mid-frame) past it is closed rather
     // than parked forever.
@@ -350,7 +323,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, _conn_id: u64) -> i
                         len: 0,
                         max: state.cfg.max_frame as u64,
                     };
-                    let _ = send_error(&mut writer, &mut conn, state, 0, 0, &err);
+                    let _ = send_error(&mut writer, &mut conn, state, &err);
                 }
                 break;
             }
@@ -363,7 +336,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, _conn_id: u64) -> i
             Err(e) => {
                 // Protocol-level corruption is fatal for the connection:
                 // framing may be desynchronized. Report, then close.
-                let _ = send_error(&mut writer, &mut conn, state, 0, 0, &e);
+                let _ = send_error(&mut writer, &mut conn, state, &e);
                 break;
             }
             Ok((req_id, req)) => {
@@ -376,7 +349,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, _conn_id: u64) -> i
                 // behind poison-recovering locks whose contents stay
                 // valid across a panic, which is what makes the unwind
                 // boundary sound here.
-                let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(state, &conn, req)))
+                let outcome = catch_unwind(AssertUnwindSafe(|| answer(state, &conn, req)))
                     .unwrap_or_else(|_| {
                         Err(WireError::Remote(
                             "request handler panicked; the request was dropped".into(),
@@ -432,16 +405,16 @@ impl<R: Read> Read for FrameDeadlineReader<'_, R> {
     }
 }
 
+/// Reports a failure that happened before a request id was known, then
+/// flushes: the connection closes next.
 fn send_error(
     writer: &mut BufWriter<TcpStream>,
     conn: &mut ConnCounters,
     state: &ServerState,
-    req_id: u64,
-    op: u8,
     err: &WireError,
 ) -> io::Result<()> {
     let mut reply = Vec::new();
-    wire::encode_error(req_id, op, err, &mut reply);
+    wire::encode_error(0, 0, err, &mut reply);
     write_frame(writer, &reply)?;
     let frame_bytes = (4 + reply.len()) as u64;
     conn.bytes_out += frame_bytes;
@@ -449,212 +422,38 @@ fn send_error(
     writer.flush()
 }
 
-fn install_summary(report: serve::InstallReport) -> InstallSummary {
-    InstallSummary {
-        backend: report.backend,
-        n: report.n as u64,
-        generation: report.generation,
-        cold_start_nanos: report.cold_start_nanos,
-        replaced: report
-            .replaced
-            .map(|r| (r.generation, r.leases_in_flight as u64)),
-    }
-}
-
-fn install_error(e: io::Error) -> WireError {
-    if congest::wire::is_truncated(&e) || e.kind() == io::ErrorKind::UnexpectedEof {
-        WireError::Truncated
-    } else {
-        WireError::Remote(format!("install failed: {e}"))
-    }
-}
-
-fn dynamic_for(state: &ServerState, name: &str) -> Result<Arc<DynamicOracle>, WireError> {
-    lock_recover(&state.dynamics)
-        .get(name)
-        .cloned()
-        .ok_or_else(|| WireError::Serve(ServeError::UnknownOracle(name.to_string())))
-}
-
-fn batcher_for(state: &ServerState, name: &str) -> Arc<Batcher> {
-    let mut cache = lock_recover(&state.batchers);
-    Arc::clone(cache.entry(name.to_string()).or_insert_with(|| {
-        state.registry.batcher(
-            name,
-            state.cfg.batch_window,
-            state.cfg.threads,
-            state.cfg.deadline,
-        )
-    }))
-}
-
-fn dispatch(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Response, WireError> {
-    let registry = &state.registry;
-    match req {
-        Request::Estimate { name, u, v } => {
-            let lease = registry
-                .lease(&name)
-                .ok_or(ServeError::UnknownOracle(name))?;
-            let mut out = Vec::with_capacity(1);
-            lease.query(&[(u, v)], &mut out, 1)?;
-            Ok(Response::Estimate {
-                generation: lease.generation(),
-                est: out[0],
-            })
-        }
-        Request::EstimateMany {
-            name,
-            batched,
-            pairs,
-        } => {
-            // Budget check before any work: an oversized batch is shed
-            // with a typed refusal instead of monopolizing the batcher
-            // (the connection survives — the request was well-formed,
-            // just too greedy).
-            if pairs.len() > state.cfg.max_batch_pairs {
-                state.requests_shed.fetch_add(1, Ordering::Relaxed);
-                return Err(WireError::Overloaded {
-                    active: pairs.len() as u64,
-                    cap: state.cfg.max_batch_pairs as u64,
-                });
-            }
-            if batched {
-                let batcher = batcher_for(state, &name);
-                let (ests, generation) = batcher.submit(registry, pairs)?;
-                Ok(Response::EstimateMany { generation, ests })
-            } else {
-                let mut ests = Vec::with_capacity(pairs.len());
-                let generation = registry.query(&name, &pairs, &mut ests, state.cfg.threads)?;
-                Ok(Response::EstimateMany { generation, ests })
-            }
-        }
-        Request::NextHop { name, u, v } => {
-            let lease = registry
-                .lease(&name)
-                .ok_or(ServeError::UnknownOracle(name))?;
-            lease.check_ids(&[(u, v)])?;
-            Ok(Response::NextHop {
-                hop: lease.oracle().next_hop(u, v),
-            })
-        }
-        Request::Route { name, u, v } => {
-            let dynamic = lock_recover(&state.dynamics).get(&name).cloned();
-            let mut route = TracedRoute::default();
-            if let Some(dynamic) = dynamic {
-                // Failover-aware: detours around the live failure mask.
-                let outcome = dynamic.route(registry, u, v, &mut route)?;
-                let (outcome, route) = match outcome {
-                    FailoverOutcome::Primary => (RouteOutcome::Primary, Some(route)),
-                    FailoverOutcome::Detoured { detours } => (
-                        RouteOutcome::Detoured {
-                            detours: detours as u64,
-                        },
-                        Some(route),
-                    ),
-                    FailoverOutcome::Unroutable => (RouteOutcome::Unroutable, None),
-                };
-                Ok(Response::Route { outcome, route })
-            } else {
-                let lease = registry
-                    .lease(&name)
-                    .ok_or(ServeError::UnknownOracle(name))?;
-                lease.check_ids(&[(u, v)])?;
-                if lease.oracle().route_into(u, v, &mut route) {
-                    Ok(Response::Route {
-                        outcome: RouteOutcome::Primary,
-                        route: Some(route),
-                    })
-                } else {
-                    Ok(Response::Route {
-                        outcome: RouteOutcome::Unroutable,
-                        route: None,
-                    })
-                }
-            }
-        }
-        Request::Install { name, path } => registry
-            .install_path(&name, Path::new(&path))
-            .map(|report| Response::Installed(install_summary(report)))
-            .map_err(install_error),
-        Request::Swap { name, snapshot } => registry
-            .install_shared(&name, congest::arena::SharedBytes::from_vec(snapshot))
-            .map(|report| Response::Installed(install_summary(report)))
-            .map_err(install_error),
-        Request::FailEdge { name, u, v } => {
-            dynamic_for(state, &name)?.fail_edge(u, v)?;
-            Ok(Response::Failed)
-        }
-        Request::FailNode { name, v } => {
-            dynamic_for(state, &name)?.fail_node(v)?;
-            Ok(Response::Failed)
-        }
-        Request::RepairAndSwap { name, delta } => {
-            let report = dynamic_for(state, &name)?
-                .repair_and_swap(registry, &delta)
-                .map_err(|e| match e {
-                    RepairSwapError::Serve(e) => WireError::Serve(e),
-                    RepairSwapError::Repair(RepairError::Delta(d)) => WireError::Delta(d),
-                    RepairSwapError::Repair(other) => {
-                        WireError::Remote(format!("repair failed: {other}"))
-                    }
-                    RepairSwapError::Persist(msg) => {
-                        WireError::Remote(format!("repair not installed, wal append failed: {msg}"))
-                    }
-                })?;
-            let (incremental, rows_recomputed, rows_total, reason) = match report.repair.kind {
-                oracle::RepairKind::Incremental {
-                    rows_recomputed,
-                    rows_total,
-                } => (true, rows_recomputed as u64, rows_total as u64, ""),
-                oracle::RepairKind::Rebuilt { reason } => (false, 0, 0, reason),
-            };
-            Ok(Response::Repaired(RepairSummary {
-                generation: report.generation,
-                incremental,
-                rows_recomputed,
-                rows_total,
-                reason: reason.to_string(),
-                repair_nanos: report.repair.repair_nanos,
-                stale_window_nanos: report.stale_window_nanos,
-            }))
-        }
-        Request::Stats => {
-            let batcher_stats: HashMap<String, BatcherStats> = lock_recover(&state.batchers)
-                .iter()
-                .map(|(name, b)| (name.clone(), b.stats()))
-                .collect();
-            let mut oracles = Vec::new();
-            for name in registry.names() {
-                let Some(lease) = registry.lease(&name) else {
-                    continue;
-                };
-                let Some(stats) = registry.lease_stats(&name) else {
-                    continue;
-                };
-                oracles.push(OracleStats {
-                    backend: lease.oracle().backend(),
-                    generation: stats.generation,
-                    queries_served: stats.queries_served,
-                    batches_served: stats.batches_served,
-                    leases_in_flight: stats.leases_in_flight as u64,
-                    batch: batcher_stats.get(&name).copied().unwrap_or_default(),
-                    name,
-                });
-            }
-            let service = lock_recover(&state.service);
-            Ok(Response::Stats(ServerStats {
-                requests: state.requests.load(Ordering::Relaxed),
-                bytes_in: state.bytes_in.load(Ordering::Relaxed),
-                bytes_out: state.bytes_out.load(Ordering::Relaxed),
-                connections_active: state.connections_active.load(Ordering::Relaxed),
-                connections_total: state.connections_total.load(Ordering::Relaxed),
-                p50_service_ns: service.quantile(0.50),
-                p99_service_ns: service.quantile(0.99),
-                conn_requests: conn.requests,
-                conn_bytes_in: conn.bytes_in,
-                conn_bytes_out: conn.bytes_out,
-                oracles,
-            }))
+/// Answers one decoded request: the batch budget and the server's own
+/// counters are this layer's, everything else is
+/// [`OracleServer::handle`]'s.
+fn answer(state: &ServerState, conn: &ConnCounters, req: Request) -> Result<Response, WireError> {
+    // Budget check before any work: an oversized batch is shed with a
+    // typed refusal instead of monopolizing the batcher (the connection
+    // survives — the request was well-formed, just too greedy).
+    if let Request::EstimateMany { pairs, .. } = &req {
+        if pairs.len() > state.cfg.max_batch_pairs {
+            state.requests_shed.fetch_add(1, Ordering::Relaxed);
+            return Err(WireError::Overloaded {
+                active: pairs.len() as u64,
+                cap: state.cfg.max_batch_pairs as u64,
+            });
         }
     }
+    let mut resp = state.registry.handle(req)?;
+    if let Response::Stats(stats) = &mut resp {
+        let service = lock_recover(&state.service);
+        *stats = ServerStats {
+            requests: state.requests.load(Ordering::Relaxed),
+            bytes_in: state.bytes_in.load(Ordering::Relaxed),
+            bytes_out: state.bytes_out.load(Ordering::Relaxed),
+            connections_active: state.connections_active.load(Ordering::Relaxed),
+            connections_total: state.connections_total.load(Ordering::Relaxed),
+            p50_service_ns: service.quantile(0.50),
+            p99_service_ns: service.quantile(0.99),
+            conn_requests: conn.requests,
+            conn_bytes_in: conn.bytes_in,
+            conn_bytes_out: conn.bytes_out,
+            oracles: std::mem::take(&mut stats.oracles),
+        };
+    }
+    Ok(resp)
 }

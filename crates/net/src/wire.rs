@@ -6,8 +6,8 @@
 //! the frame:
 //!
 //! ```text
-//! request  := ver u8 | op u8     | req_id u64 | body
-//! response := ver u8 | status u8 | op u8 | req_id u64 | body
+//! request  := ver u8 | op u8     | req_id u64 | fields
+//! response := ver u8 | status u8 | op u8 | req_id u64 | fields
 //! ```
 //!
 //! `req_id` is an opaque correlation id echoed verbatim; responses on one
@@ -16,8 +16,10 @@
 //! [`STATUS_OK`] or [`STATUS_ERR`]; an error frame's body is an encoded
 //! [`WireError`] — [`serve::ServeError`] and [`graphs::DeltaError`]
 //! variants are carried structurally (tag + fields), not as strings, so
-//! the client-side error is the same variant the server raised (pinned
-//! by the round-trip tests below).
+//! the client-side error is the same variant the server raised. Each
+//! request, reply and error variant lists its fields once, in wire
+//! order, in one table that drives both directions; the golden frames
+//! below pin the bytes.
 //!
 //! Decoding takes the same adversarial posture as the snapshot readers:
 //! every length is bounded before allocation (names by [`MAX_NAME_LEN`],
@@ -25,11 +27,13 @@
 //! remaining in the frame), trailing bytes are rejected, and corruption
 //! yields a typed [`WireError`] — never a panic.
 
-use congest::wire::WireWriter;
-use congest::{NodeId, Port};
-use graphs::{DeltaError, GraphDelta, GraphError};
-use oracle::{Backend, TracedRoute};
-use serve::{BatcherStats, ServeError};
+use congest::NodeId;
+use graphs::{DeltaError, GraphDelta};
+use oracle::{Backend, FailoverOutcome as RouteOutcome, TracedRoute};
+use serve::{
+    BatcherStats, InstallSummary, OracleStats, RepairSummary, Request, Response, ServeError,
+    ServerStats,
+};
 use std::fmt;
 use std::io;
 
@@ -50,298 +54,6 @@ pub const MAX_NAME_LEN: usize = 256;
 /// Longest accepted server-side snapshot path in an `Install` frame.
 pub const MAX_PATH_LEN: usize = 4096;
 
-/// Request opcodes. Stable numeric ids, append-only like
-/// [`Backend::wire_tag`]: existing values never change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Op {
-    /// Single distance estimate.
-    Estimate = 1,
-    /// Batch estimates, optionally through the admission batcher.
-    EstimateMany = 2,
-    /// First hop of the route towards a destination.
-    NextHop = 3,
-    /// Full traced route (failover-aware for dynamic names).
-    Route = 4,
-    /// Admin: install a snapshot from a file on the **server's** disk
-    /// (the single-copy [`oracle::Oracle::load_path`] cold start).
-    Install = 5,
-    /// Admin: hot-swap a snapshot carried inline in the frame.
-    Swap = 6,
-    /// Admin: mask an edge as failed on a dynamic oracle.
-    FailEdge = 7,
-    /// Admin: mask a node as failed on a dynamic oracle.
-    FailNode = 8,
-    /// Admin: repair the artifact for a delta and hot-swap the result.
-    RepairAndSwap = 9,
-    /// Server and per-oracle serving statistics.
-    Stats = 10,
-}
-
-impl Op {
-    /// The opcode for a wire byte (`None` for unassigned bytes).
-    pub fn from_wire(op: u8) -> Option<Op> {
-        use Op::*;
-        [
-            Estimate,
-            EstimateMany,
-            NextHop,
-            Route,
-            Install,
-            Swap,
-            FailEdge,
-            FailNode,
-            RepairAndSwap,
-            Stats,
-        ]
-        .into_iter()
-        .find(|o| *o as u8 == op)
-    }
-}
-
-/// A decoded request frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// One `estimate(u, v)` on the named oracle.
-    Estimate {
-        /// Served name.
-        name: String,
-        /// Source.
-        u: NodeId,
-        /// Destination.
-        v: NodeId,
-    },
-    /// One `estimate_many` batch on the named oracle.
-    EstimateMany {
-        /// Served name.
-        name: String,
-        /// Route the batch through the shared admission
-        /// [`serve::Batcher`] (merging with concurrent submissions)
-        /// instead of executing it alone.
-        batched: bool,
-        /// The query pairs.
-        pairs: Vec<(NodeId, NodeId)>,
-    },
-    /// `next_hop(u, v)` on the named oracle.
-    NextHop {
-        /// Served name.
-        name: String,
-        /// Source.
-        u: NodeId,
-        /// Destination.
-        v: NodeId,
-    },
-    /// Full route `u → v`; detours around masked failures when the name
-    /// is served dynamically.
-    Route {
-        /// Served name.
-        name: String,
-        /// Source.
-        u: NodeId,
-        /// Destination.
-        v: NodeId,
-    },
-    /// Install (or hot-swap) a snapshot file from the server's disk.
-    Install {
-        /// Name to serve under.
-        name: String,
-        /// Path on the server's filesystem.
-        path: String,
-    },
-    /// Install (or hot-swap) the snapshot bytes carried in this frame.
-    Swap {
-        /// Name to serve under.
-        name: String,
-        /// A complete snapshot stream.
-        snapshot: Vec<u8>,
-    },
-    /// Mask edge `{u, v}` as failed (dynamic names only).
-    FailEdge {
-        /// Served name.
-        name: String,
-        /// One endpoint.
-        u: NodeId,
-        /// The other endpoint.
-        v: NodeId,
-    },
-    /// Mask node `v` as failed (dynamic names only).
-    FailNode {
-        /// Served name.
-        name: String,
-        /// The failed node.
-        v: NodeId,
-    },
-    /// Repair the served artifact for `delta` and hot-swap it in
-    /// (dynamic names only).
-    RepairAndSwap {
-        /// Served name.
-        name: String,
-        /// The graph mutation to fold into the artifact.
-        delta: GraphDelta,
-    },
-    /// Server-wide and per-oracle statistics.
-    Stats,
-}
-
-impl Request {
-    /// This request's opcode.
-    pub fn op(&self) -> Op {
-        match self {
-            Request::Estimate { .. } => Op::Estimate,
-            Request::EstimateMany { .. } => Op::EstimateMany,
-            Request::NextHop { .. } => Op::NextHop,
-            Request::Route { .. } => Op::Route,
-            Request::Install { .. } => Op::Install,
-            Request::Swap { .. } => Op::Swap,
-            Request::FailEdge { .. } => Op::FailEdge,
-            Request::FailNode { .. } => Op::FailNode,
-            Request::RepairAndSwap { .. } => Op::RepairAndSwap,
-            Request::Stats => Op::Stats,
-        }
-    }
-}
-
-/// How a `Route` reply was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// The artifact's own primary route (no failure in the way).
-    Primary,
-    /// The route detoured around masked failures at this many nodes.
-    Detoured {
-        /// Nodes where the path deviates from the primary next hop.
-        detours: u64,
-    },
-    /// No route: unknown pair, estimate-only backend, or the masked
-    /// failures partition the endpoints.
-    Unroutable,
-}
-
-/// What an `Install`/`Swap` did (the wire form of
-/// [`serve::InstallReport`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InstallSummary {
-    /// Backend of the installed snapshot.
-    pub backend: Backend,
-    /// Nodes covered.
-    pub n: u64,
-    /// Install generation.
-    pub generation: u64,
-    /// Measured decode + install + first-probe time.
-    pub cold_start_nanos: u64,
-    /// Replaced snapshot, if the name was live: `(generation,
-    /// leases_in_flight)` at swap time.
-    pub replaced: Option<(u64, u64)>,
-}
-
-/// What a `RepairAndSwap` did (the wire form of
-/// [`serve::RepairSwapReport`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RepairSummary {
-    /// Generation of the repaired snapshot now being served.
-    pub generation: u64,
-    /// `true` when only affected rows were recomputed.
-    pub incremental: bool,
-    /// Rows recomputed (incremental repairs; 0 otherwise).
-    pub rows_recomputed: u64,
-    /// Total artifact rows (incremental repairs; 0 otherwise).
-    pub rows_total: u64,
-    /// Why the backend rebuilt instead (empty for incremental).
-    pub reason: String,
-    /// Wall-clock repair time.
-    pub repair_nanos: u64,
-    /// Failure-masked → repaired-snapshot-installed window.
-    pub stale_window_nanos: u64,
-}
-
-/// Per-oracle serving statistics in a `Stats` reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Served name.
-    pub name: String,
-    /// Backend answering this name.
-    pub backend: Backend,
-    /// Current snapshot generation.
-    pub generation: u64,
-    /// Queries answered through the current snapshot.
-    pub queries_served: u64,
-    /// Batches answered through the current snapshot.
-    pub batches_served: u64,
-    /// Outstanding leases on the current snapshot.
-    pub leases_in_flight: u64,
-    /// Admission-batcher occupancy for this name (zeros when no batched
-    /// submission has been routed yet).
-    pub batch: BatcherStats,
-}
-
-/// A `Stats` reply: aggregate server counters, the requesting
-/// connection's own counters, and one [`OracleStats`] per served name.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Requests answered across all connections (including this one).
-    pub requests: u64,
-    /// Frame bytes read across all connections.
-    pub bytes_in: u64,
-    /// Frame bytes written across all connections.
-    pub bytes_out: u64,
-    /// Connections currently open.
-    pub connections_active: u64,
-    /// Connections accepted since the server started.
-    pub connections_total: u64,
-    /// Median request service time (decode → response encoded), ns.
-    pub p50_service_ns: u64,
-    /// 99th-percentile request service time, ns.
-    pub p99_service_ns: u64,
-    /// Requests answered on the connection that asked.
-    pub conn_requests: u64,
-    /// Frame bytes read on the connection that asked.
-    pub conn_bytes_in: u64,
-    /// Frame bytes written on the connection that asked.
-    pub conn_bytes_out: u64,
-    /// Per-name serving counters, sorted by name.
-    pub oracles: Vec<OracleStats>,
-}
-
-/// A decoded success response body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// Reply to [`Op::Estimate`].
-    Estimate {
-        /// Generation that answered.
-        generation: u64,
-        /// The estimate ([`graphs::INF`] outside coverage).
-        est: u64,
-    },
-    /// Reply to [`Op::EstimateMany`].
-    EstimateMany {
-        /// Generation that answered (one generation for the whole
-        /// batch — a hot swap lands between batches, never inside one).
-        generation: u64,
-        /// One answer per pair, in request order.
-        ests: Vec<u64>,
-    },
-    /// Reply to [`Op::NextHop`].
-    NextHop {
-        /// The first hop, when the backend routes the pair.
-        hop: Option<NodeId>,
-    },
-    /// Reply to [`Op::Route`].
-    Route {
-        /// How the route was produced.
-        outcome: RouteOutcome,
-        /// The traced route (absent when unroutable).
-        route: Option<TracedRoute>,
-    },
-    /// Reply to [`Op::Install`] and [`Op::Swap`].
-    Installed(InstallSummary),
-    /// Reply to [`Op::FailEdge`] and [`Op::FailNode`]: the mask is in
-    /// effect.
-    Failed,
-    /// Reply to [`Op::RepairAndSwap`].
-    Repaired(RepairSummary),
-    /// Reply to [`Op::Stats`].
-    Stats(ServerStats),
-}
-
 // ------------------------------------------------------------ errors --
 
 /// Everything that can go wrong on the `net` layer, local or remote.
@@ -350,9 +62,9 @@ pub enum Response {
 /// side can raise them; a server relays them in an error frame before
 /// closing the connection). [`WireError::Serve`] and
 /// [`WireError::Delta`] carry the server's typed errors across the wire
-/// **with their variant intact** — the round-trip tests pin every
-/// variant. [`WireError::Remote`] is the catch-all for server-side
-/// errors with no structural encoding (build failures, install I/O);
+/// **with their variant intact** — the golden frames pin every variant.
+/// [`WireError::Remote`] is the catch-all for server-side errors with no
+/// structural encoding (repair and install failures);
 /// [`WireError::Io`] is a local socket failure and never travels.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -400,12 +112,10 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported net protocol version {got} (speaking {NET_VERSION})"
-                )
-            }
+            WireError::BadVersion { got } => write!(
+                f,
+                "unsupported net protocol version {got} (speaking {NET_VERSION})"
+            ),
             WireError::UnknownOp { op } => write!(f, "unknown net opcode {op}"),
             WireError::Oversized { len, max } => {
                 write!(f, "wire length {len} exceeds the configured bound {max}")
@@ -434,14 +144,19 @@ impl std::error::Error for WireError {
 }
 
 impl From<ServeError> for WireError {
+    /// A refused delta travels as `Delta`, a torn snapshot as `Truncated`,
+    /// and repair, persistence and snapshot I/O failures as `Remote` text.
     fn from(e: ServeError) -> Self {
-        WireError::Serve(e)
-    }
-}
-
-impl From<DeltaError> for WireError {
-    fn from(e: DeltaError) -> Self {
-        WireError::Delta(e)
+        match e {
+            ServeError::Delta(d) => WireError::Delta(d),
+            ServeError::Snapshot {
+                truncated: true, ..
+            } => WireError::Truncated,
+            e @ (ServeError::Repair(_) | ServeError::Persist(_) | ServeError::Snapshot { .. }) => {
+                WireError::Remote(e.to_string())
+            }
+            e => WireError::Serve(e),
+        }
     }
 }
 
@@ -455,22 +170,18 @@ impl From<io::Error> for WireError {
     }
 }
 
-// ------------------------------------------------------ byte cursors --
+// ------------------------------------------------------------ shapes --
 
-/// Bounded little-endian reads over one frame's payload. Every length is
-/// validated against what actually remains in the frame before any
-/// allocation, and [`Cursor::finish`] rejects trailing bytes.
+/// Bounded reads over one frame's payload. Every length is validated
+/// against what actually remains in the frame before any allocation, and
+/// [`Cursor::finish`] rejects trailing bytes.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Cursor { buf }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -482,541 +193,579 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("invalid bool byte {b}"))),
-        }
-    }
-
-    /// A `u16`-length-prefixed UTF-8 string bounded by `max`.
-    pub(crate) fn str(&mut self, max: usize, what: &str) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        if len > max {
-            return Err(WireError::Oversized {
-                len: len as u64,
-                max: max as u64,
-            });
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| WireError::Malformed(format!("{what} is not UTF-8")))
-    }
-
     /// A `u32` element count validated against the bytes remaining
-    /// (`elem_bytes` per element), so a lying count cannot request an
-    /// absurd allocation.
-    pub(crate) fn count(&mut self, elem_bytes: usize, what: &str) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        let have = self.remaining() / elem_bytes.max(1);
+    /// (`width` per element), so a lying count cannot request an absurd
+    /// allocation.
+    fn count(&mut self, width: usize) -> Result<usize, WireError> {
+        let count = u32::get(self)? as usize;
+        let have = self.buf.len() / width;
         if count > have {
             return Err(WireError::Malformed(format!(
-                "{what} count {count} exceeds the {have} that fit in the frame"
+                "count {count} exceeds the {have} elements that fit in the frame"
             )));
         }
         Ok(count)
     }
 
-    /// A `u64`-length-prefixed raw byte payload (the rest of the frame
-    /// bounds it).
-    pub(crate) fn blob(&mut self, what: &str) -> Result<Vec<u8>, WireError> {
-        let len = self.u64()?;
-        if len > self.remaining() as u64 {
+    fn finish(self) -> Result<(), WireError> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(WireError::Malformed(format!(
+                "{n} trailing bytes after the message"
+            ))),
+        }
+    }
+}
+
+/// One wire shape: how a value is written and read back. The tables
+/// below name a shape per field; encoding borrows a `Ref`, decoding
+/// yields an `Owned`.
+pub(crate) trait Field {
+    type Ref: ?Sized;
+    type Owned;
+    fn put(v: &Self::Ref, out: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self::Owned, WireError>;
+}
+
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            type Ref = $t;
+            type Owned = $t;
+            fn put(v: &$t, out: &mut Vec<u8>) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<$t, WireError> {
+                let le = c.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(le.try_into().expect("sized")))
+            }
+        }
+    )*};
+}
+
+le!(u8, u16, u32, u64);
+
+impl Field for bool {
+    type Ref = bool;
+    type Owned = bool;
+    fn put(v: &bool, out: &mut Vec<u8>) {
+        out.push(u8::from(*v));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<bool, WireError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed(format!("invalid bool byte {b}"))),
+        }
+    }
+}
+
+/// Counts travel as `u64`.
+impl Field for usize {
+    type Ref = usize;
+    type Owned = usize;
+    fn put(v: &usize, out: &mut Vec<u8>) {
+        u64::put(&(*v as u64), out);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<usize, WireError> {
+        Ok(u64::get(c)? as usize)
+    }
+}
+
+impl Field for NodeId {
+    type Ref = NodeId;
+    type Owned = NodeId;
+    fn put(v: &NodeId, out: &mut Vec<u8>) {
+        u32::put(&v.0, out);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<NodeId, WireError> {
+        Ok(NodeId(u32::get(c)?))
+    }
+}
+
+impl Field for Backend {
+    type Ref = Backend;
+    type Owned = Backend;
+    fn put(v: &Backend, out: &mut Vec<u8>) {
+        out.push(v.wire_tag());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Backend, WireError> {
+        let tag = u8::get(c)?;
+        Backend::from_wire_tag(tag)
+            .ok_or_else(|| WireError::Malformed(format!("unknown backend tag {tag}")))
+    }
+}
+
+/// A `u16`-length-prefixed UTF-8 string of at most `MAX` bytes. With
+/// `CUT`, a longer one is cut at a char boundary to fit.
+pub(crate) struct Str<const MAX: usize, const CUT: bool = false>;
+
+/// An oracle name.
+type Name = Str<MAX_NAME_LEN>;
+
+/// A snapshot path or a rebuild reason.
+type Text = Str<MAX_PATH_LEN>;
+
+/// A relayed error message.
+type Msg = Str<MAX_PATH_LEN, true>;
+
+impl<const MAX: usize, const CUT: bool> Field for Str<MAX, CUT> {
+    type Ref = str;
+    type Owned = String;
+    fn put(s: &str, out: &mut Vec<u8>) {
+        let s = if CUT {
+            &s[..s.floor_char_boundary(MAX)]
+        } else {
+            s
+        };
+        debug_assert!(s.len() <= MAX);
+        u16::put(&(s.len() as u16), out);
+        out.extend_from_slice(s.as_bytes());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<String, WireError> {
+        let len = usize::from(u16::get(c)?);
+        if len > MAX {
+            let (len, max) = (len as u64, MAX as u64);
+            return Err(WireError::Oversized { len, max });
+        }
+        String::from_utf8(c.take(len)?.to_vec())
+            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
+    }
+}
+
+/// A `u64`-length-prefixed byte payload (a snapshot), bounded by the
+/// frame.
+pub(crate) struct Blob;
+
+impl Field for Blob {
+    type Ref = [u8];
+    type Owned = Vec<u8>;
+    fn put(v: &[u8], out: &mut Vec<u8>) {
+        u64::put(&(v.len() as u64), out);
+        out.extend_from_slice(v);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<u8>, WireError> {
+        let len = u64::get(c)?;
+        if len > c.buf.len() as u64 {
+            let have = c.buf.len();
             return Err(WireError::Malformed(format!(
-                "{what} length {len} exceeds the {} bytes remaining",
-                self.remaining()
+                "payload length {len} exceeds the {have} bytes remaining"
             )));
         }
-        Ok(self.take(len as usize)?.to_vec())
+        Ok(c.take(len as usize)?.to_vec())
     }
+}
 
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes after the message",
-                self.buf.len()
-            )))
+/// `EstimateMany` pairs: a `u32` count, then `u | v` per pair. These bulk
+/// loops carry the pipelined q/s.
+pub(crate) struct Pairs;
+
+impl Field for Pairs {
+    type Ref = [(NodeId, NodeId)];
+    type Owned = Vec<(NodeId, NodeId)>;
+    fn put(pairs: &[(NodeId, NodeId)], out: &mut Vec<u8>) {
+        u32::put(&(pairs.len() as u32), out);
+        out.reserve(pairs.len() * 8);
+        for &(u, v) in pairs {
+            let mut le = [0u8; 8];
+            le[..4].copy_from_slice(&u.0.to_le_bytes());
+            le[4..].copy_from_slice(&v.0.to_le_bytes());
+            out.extend_from_slice(&le);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<(NodeId, NodeId)>, WireError> {
+        // The count is validated against the frame, so take the whole
+        // array and cut it locally.
+        let count = c.count(8)?;
+        let raw = c.take(count * 8)?;
+        let mut pairs = Vec::with_capacity(count);
+        for le in raw.chunks_exact(8) {
+            pairs.push((
+                NodeId(u32::from_le_bytes(le[..4].try_into().expect("len 4"))),
+                NodeId(u32::from_le_bytes(le[4..].try_into().expect("len 4"))),
+            ));
+        }
+        Ok(pairs)
+    }
+}
+
+/// `EstimateMany` answers: a `u32` count, then one `u64` each (the bulk
+/// mirror of [`Pairs`]).
+struct Ests;
+
+impl Field for Ests {
+    type Ref = [u64];
+    type Owned = Vec<u64>;
+    fn put(ests: &[u64], out: &mut Vec<u8>) {
+        u32::put(&(ests.len() as u32), out);
+        out.reserve(ests.len() * 8);
+        for &e in ests {
+            out.extend_from_slice(&e.to_le_bytes());
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
+        let count = c.count(8)?;
+        let raw = c.take(count * 8)?;
+        let mut ests = Vec::with_capacity(count);
+        for le in raw.chunks_exact(8) {
+            ests.push(u64::from_le_bytes(le.try_into().expect("len 8")));
+        }
+        Ok(ests)
+    }
+}
+
+/// A presence flag (`0`/`1`), then the value.
+impl<T, S: Field<Ref = T, Owned = T>> Field for Option<S> {
+    type Ref = Option<T>;
+    type Owned = Option<T>;
+    fn put(v: &Option<T>, out: &mut Vec<u8>) {
+        out.push(u8::from(v.is_some()));
+        if let Some(x) = v {
+            S::put(x, out);
+        }
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Option<T>, WireError> {
+        match u8::get(c)? {
+            0 => Ok(None),
+            1 => S::get(c).map(Some),
+            b => Err(WireError::Malformed(format!("invalid presence flag {b}"))),
         }
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str, max: usize) {
-    debug_assert!(s.len() <= max && s.len() <= u16::MAX as usize);
-    let mut w = WireWriter::new(out);
-    w.u16(s.len() as u16).expect("vec write");
-    w.bytes(s.as_bytes()).expect("vec write");
-}
-
-fn w(out: &mut Vec<u8>) -> WireWriter<'_> {
-    WireWriter::new(out)
-}
-
-// --------------------------------------------------- request codecs --
-
-/// Encodes an `EstimateMany` request payload straight from a borrowed
-/// pair slice — the pipelined hot path, which must not clone the batch
-/// into a [`Request`] first.
-pub(crate) fn encode_estimate_many(
-    req_id: u64,
-    name: &str,
-    batched: bool,
-    pairs: &[(NodeId, NodeId)],
-    out: &mut Vec<u8>,
-) {
-    w(out).u8(NET_VERSION).expect("vec write");
-    w(out).u8(Op::EstimateMany as u8).expect("vec write");
-    w(out).u64(req_id).expect("vec write");
-    put_str(out, name, MAX_NAME_LEN);
-    w(out).bool(batched).expect("vec write");
-    w(out).u32(pairs.len() as u32).expect("vec write");
-    // Hot path: one 8-byte append per pair, not two checked writer
-    // calls — this loop carries the pipelined q/s.
-    out.reserve(pairs.len() * 8);
-    for &(u, v) in pairs {
-        let mut le = [0u8; 8];
-        le[..4].copy_from_slice(&u.0.to_le_bytes());
-        le[4..].copy_from_slice(&v.0.to_le_bytes());
-        out.extend_from_slice(&le);
+/// A `u32` count, then the elements. A lying count costs no allocation:
+/// the elements are collected as they decode, up to the first one the
+/// frame cannot hold.
+impl<T, S: Field<Ref = T, Owned = T>> Field for Vec<S> {
+    type Ref = [T];
+    type Owned = Vec<T>;
+    fn put(v: &[T], out: &mut Vec<u8>) {
+        u32::put(&(v.len() as u32), out);
+        v.iter().for_each(|x| S::put(x, out));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<T>, WireError> {
+        (0..u32::get(c)?).map(|_| S::get(c)).collect()
     }
 }
 
-impl Request {
-    /// Encodes the full request payload (header + body) into `out`.
-    pub(crate) fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
-        if let Request::EstimateMany {
-            name,
-            batched,
-            pairs,
-        } = self
-        {
-            return encode_estimate_many(req_id, name, *batched, pairs, out);
+impl<A: Field<Ref = A, Owned = A>, B: Field<Ref = B, Owned = B>> Field for (A, B) {
+    type Ref = (A, B);
+    type Owned = (A, B);
+    fn put(v: &(A, B), out: &mut Vec<u8>) {
+        A::put(&v.0, out);
+        B::put(&v.1, out);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<(A, B), WireError> {
+        Ok((A::get(c)?, B::get(c)?))
+    }
+}
+
+/// The `Stats` reply's per-oracle list: the one list with a `u16` count.
+struct OracleList;
+
+impl Field for OracleList {
+    type Ref = [OracleStats];
+    type Owned = Vec<OracleStats>;
+    fn put(v: &[OracleStats], out: &mut Vec<u8>) {
+        u16::put(&(v.len() as u16), out);
+        v.iter().for_each(|o| OracleStats::put(o, out));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Vec<OracleStats>, WireError> {
+        (0..u16::get(c)?).map(|_| OracleStats::get(c)).collect()
+    }
+}
+
+// ------------------------------------------------------------ tables --
+
+/// [`Field`] for structs written as their fields, in order.
+macro_rules! record {
+    ($($T:ident { $($f:ident: $S:ty),* $(,)? })*) => {$(
+        impl Field for $T {
+            type Ref = $T;
+            type Owned = $T;
+            fn put(v: &$T, out: &mut Vec<u8>) {
+                $(<$S as Field>::put(&v.$f, out);)*
+            }
+            fn get(c: &mut Cursor<'_>) -> Result<$T, WireError> {
+                Ok($T { $($f: <$S as Field>::get(c)?),* })
+            }
         }
-        w(out).u8(NET_VERSION).expect("vec write");
-        w(out).u8(self.op() as u8).expect("vec write");
-        w(out).u64(req_id).expect("vec write");
-        match self {
-            Request::Estimate { name, u, v }
-            | Request::NextHop { name, u, v }
-            | Request::Route { name, u, v }
-            | Request::FailEdge { name, u, v } => {
-                put_str(out, name, MAX_NAME_LEN);
-                w(out).u32(u.0).expect("vec write");
-                w(out).u32(v.0).expect("vec write");
+    )*};
+}
+
+record! {
+    InstallSummary {
+        backend: Backend, n: u64, generation: u64, cold_start_nanos: u64,
+        replaced: Option<(u64, u64)>,
+    }
+    RepairSummary {
+        generation: u64, incremental: bool, rows_recomputed: u64, rows_total: u64, reason: Text,
+        repair_nanos: u64, stale_window_nanos: u64,
+    }
+    TracedRoute { weight: u64, nodes: Vec<NodeId>, ports: Vec<u32> }
+    BatcherStats { submissions: u64, groups: u64, grouped_pairs: u64, largest_group: u64 }
+    OracleStats {
+        name: Name, backend: Backend, generation: u64, queries_served: u64, batches_served: u64,
+        leases_in_flight: u64, batch: BatcherStats,
+    }
+    ServerStats {
+        requests: u64, bytes_in: u64, bytes_out: u64, connections_active: u64,
+        connections_total: u64, p50_service_ns: u64, p99_service_ns: u64, conn_requests: u64,
+        conn_bytes_in: u64, conn_bytes_out: u64, oracles: OracleList,
+    }
+}
+
+/// [`Field`] for an enum written as a `u8` tag, then the variant's
+/// fields in order (tuple fields are named `0`). The optional `put` and
+/// `get` arms, which name the value, the output and the cursor, handle
+/// what a row cannot describe; `get` arms are tried first.
+macro_rules! tagged {
+    ($T:ident { $($rows:tt)* }) => {
+        tagged!($T(v, out, c) { $($rows)* } put {} get {});
+    };
+    ($T:ident($v:ident, $out:ident, $c:ident) {
+        $($tag:literal => $V:ident { $($f:tt: $S:ty),* }),* $(,)?
+    } put { $($put:tt)* } get { $($get:tt)* }) => {
+        impl Field for $T {
+            type Ref = $T;
+            type Owned = $T;
+            fn put($v: &$T, $out: &mut Vec<u8>) {
+                match $v {
+                    $($T::$V { .. } => {
+                        $out.push($tag);
+                        $(if let $T::$V { $f: x, .. } = $v {
+                            <$S as Field>::put(x, $out);
+                        })*
+                    })*
+                    $($put)*
+                }
             }
-            Request::EstimateMany { .. } => unreachable!("delegated above"),
-            Request::Install { name, path } => {
-                put_str(out, name, MAX_NAME_LEN);
-                put_str(out, path, MAX_PATH_LEN);
+            fn get($c: &mut Cursor<'_>) -> Result<$T, WireError> {
+                Ok(match u8::get($c)? {
+                    $($get)*
+                    $($tag => $T::$V { $($f: <$S as Field>::get($c)?),* },)*
+                    tag => return Err(WireError::Malformed(format!("unknown {} tag {tag}", stringify!($T)))),
+                })
             }
-            Request::Swap { name, snapshot } => {
-                put_str(out, name, MAX_NAME_LEN);
-                w(out).u64(snapshot.len() as u64).expect("vec write");
-                w(out).bytes(snapshot).expect("vec write");
-            }
-            Request::FailNode { name, v } => {
-                put_str(out, name, MAX_NAME_LEN);
-                w(out).u32(v.0).expect("vec write");
-            }
-            Request::RepairAndSwap { name, delta } => {
-                put_str(out, name, MAX_NAME_LEN);
-                encode_delta(delta, out);
-            }
-            Request::Stats => {}
+        }
+    };
+}
+
+tagged! {
+    GraphDelta {
+        0 => SetWeight { u: NodeId, v: NodeId, w: u64 },
+        1 => FailEdge { u: NodeId, v: NodeId },
+        2 => FailNode { v: NodeId },
+    }
+}
+
+tagged! {
+    RouteOutcome { 0 => Primary {}, 1 => Detoured { detours: usize }, 2 => Unroutable {} }
+}
+
+tagged! {
+    ServeError(e, out, c) {
+        0 => UnknownOracle { 0: Name },
+        1 => Deadline { 0: Name },
+        2 => Retired { 0: Name },
+        4 => NodeOutOfRange { id: NodeId, n: usize },
+    }
+    // A variant with no structural encoding relays its text under
+    // sub-code 3 and arrives as `WireError::Remote`.
+    put { other => { out.push(3); Msg::put(&other.to_string(), out) } }
+    get {}
+}
+
+tagged! {
+    DeltaError(e, out, c) {
+        0 => UnknownEdge { u: NodeId, v: NodeId },
+        1 => UnknownNode { v: NodeId, n: usize },
+        2 => ZeroWeight {},
+        3 => Disconnects {},
+    }
+    // `Invalid` nests a `GraphError` with no stable wire form (and is
+    // unreachable for deltas built through the graphs API): its text
+    // relays under sub-code 4 and arrives as `WireError::Remote`.
+    put { DeltaError::Invalid(ge) => { out.push(4); Msg::put(&ge.to_string(), out) } }
+    get {}
+}
+
+tagged! {
+    WireError(err, out, c) {
+        0 => BadVersion { got: u8 },
+        1 => UnknownOp { op: u8 },
+        2 => Oversized { len: u64, max: u64 },
+        3 => Truncated {},
+        4 => Malformed { 0: Msg },
+        5 => Serve { 0: ServeError },
+        6 => Delta { 0: DeltaError },
+        7 => Remote { 0: Msg },
+        8 => Overloaded { active: u64, cap: u64 },
+    }
+    // A local socket failure never crosses as such: it degrades to text.
+    put {
+        WireError::Io(kind, msg) => {
+            WireError::put(&WireError::Remote(format!("{kind:?}: {msg}")), out);
         }
     }
+    // The text relays of `Serve` (sub-code 3) and `Delta` (sub-code 4).
+    get {
+        5 if c.buf.first() == Some(&3) => {
+            c.take(1)?;
+            WireError::Remote(Msg::get(c)?)
+        }
+        6 if c.buf.first() == Some(&4) => {
+            c.take(1)?;
+            let msg = Msg::get(c)?;
+            WireError::Remote(format!("delta produced an invalid graph: {msg}"))
+        }
+    }
+}
 
+/// Request frames: `ver u8 | op u8 | req_id u64 | fields`.
+pub(crate) trait RequestFrame: Sized {
+    /// This request's opcode.
+    fn op(&self) -> Op;
+    /// Encodes the full request payload (header + fields) into `out`.
+    fn encode_into(&self, req_id: u64, out: &mut Vec<u8>);
     /// Decodes a request payload into `(req_id, request)`.
-    pub(crate) fn decode(payload: &[u8]) -> Result<(u64, Request), WireError> {
-        let mut c = Cursor::new(payload);
-        let ver = c.u8()?;
-        if ver != NET_VERSION {
-            return Err(WireError::BadVersion { got: ver });
+    fn decode(payload: &[u8]) -> Result<(u64, Self), WireError>;
+}
+
+/// The request table: per op its code, the name of its encoder over
+/// borrowed fields (in [`put`]), and its fields' shapes in wire order.
+macro_rules! requests {
+    ($($(#[$doc:meta])* $V:ident = $code:literal, $put:ident { $($f:ident: $S:ty),* }),* $(,)?) => {
+        /// Request opcodes. Stable numeric ids, append-only like
+        /// [`Backend::wire_tag`]: existing values never change.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum Op {
+            $($(#[$doc])* $V = $code,)*
         }
-        let op_byte = c.u8()?;
-        let op = Op::from_wire(op_byte).ok_or(WireError::UnknownOp { op: op_byte })?;
-        let req_id = c.u64()?;
-        let req = match op {
-            Op::Estimate | Op::NextHop | Op::Route | Op::FailEdge => {
-                let name = c.str(MAX_NAME_LEN, "oracle name")?;
-                let (u, v) = (NodeId(c.u32()?), NodeId(c.u32()?));
-                match op {
-                    Op::Estimate => Request::Estimate { name, u, v },
-                    Op::NextHop => Request::NextHop { name, u, v },
-                    Op::Route => Request::Route { name, u, v },
-                    _ => Request::FailEdge { name, u, v },
+
+        impl Op {
+            /// The opcode for a wire byte (`None` for unassigned bytes).
+            pub fn from_wire(op: u8) -> Option<Op> {
+                [$(Op::$V),*].into_iter().find(|o| *o as u8 == op)
+            }
+        }
+
+        /// One request encoder per op over borrowed fields, so the
+        /// client's pipelined path never copies a batch into a
+        /// [`Request`].
+        pub(crate) mod put {
+            use super::*;
+            $(pub(crate) fn $put(req_id: u64, out: &mut Vec<u8>, $($f: &<$S as Field>::Ref),*) {
+                out.extend_from_slice(&[NET_VERSION, Op::$V as u8]);
+                u64::put(&req_id, out);
+                $(<$S as Field>::put($f, out);)*
+            })*
+        }
+
+        impl RequestFrame for Request {
+            fn op(&self) -> Op {
+                match self {
+                    $(Request::$V { .. } => Op::$V,)*
                 }
             }
-            Op::EstimateMany => {
-                let name = c.str(MAX_NAME_LEN, "oracle name")?;
-                let batched = c.bool()?;
-                let count = c.count(8, "pair")?;
-                // Hot path: the count is already validated against the
-                // frame, so take the whole array and cut it locally.
-                let raw = c.take(count * 8)?;
-                let mut pairs = Vec::with_capacity(count);
-                for le in raw.chunks_exact(8) {
-                    pairs.push((
-                        NodeId(u32::from_le_bytes(le[..4].try_into().expect("len 4"))),
-                        NodeId(u32::from_le_bytes(le[4..].try_into().expect("len 4"))),
-                    ));
-                }
-                Request::EstimateMany {
-                    name,
-                    batched,
-                    pairs,
+
+            fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
+                match self {
+                    $(Request::$V { $($f),* } => put::$put(req_id, out, $($f),*),)*
                 }
             }
-            Op::Install => Request::Install {
-                name: c.str(MAX_NAME_LEN, "oracle name")?,
-                path: c.str(MAX_PATH_LEN, "snapshot path")?,
-            },
-            Op::Swap => Request::Swap {
-                name: c.str(MAX_NAME_LEN, "oracle name")?,
-                snapshot: c.blob("snapshot")?,
-            },
-            Op::FailNode => Request::FailNode {
-                name: c.str(MAX_NAME_LEN, "oracle name")?,
-                v: NodeId(c.u32()?),
-            },
-            Op::RepairAndSwap => Request::RepairAndSwap {
-                name: c.str(MAX_NAME_LEN, "oracle name")?,
-                delta: decode_delta(&mut c)?,
-            },
-            Op::Stats => Request::Stats,
-        };
-        c.finish()?;
-        Ok((req_id, req))
-    }
+
+            fn decode(payload: &[u8]) -> Result<(u64, Request), WireError> {
+                let mut c = Cursor::new(payload);
+                let ver = u8::get(&mut c)?;
+                if ver != NET_VERSION {
+                    return Err(WireError::BadVersion { got: ver });
+                }
+                let op = u8::get(&mut c)?;
+                let op = Op::from_wire(op).ok_or(WireError::UnknownOp { op })?;
+                let req_id = u64::get(&mut c)?;
+                let req = match op {
+                    $(Op::$V => Request::$V { $($f: <$S as Field>::get(&mut c)?),* },)*
+                };
+                c.finish()?;
+                Ok((req_id, req))
+            }
+        }
+    };
 }
 
-fn encode_delta(delta: &GraphDelta, out: &mut Vec<u8>) {
-    match *delta {
-        GraphDelta::SetWeight { u, v, w: weight } => {
-            w(out).u8(0).expect("vec write");
-            w(out).u32(u.0).expect("vec write");
-            w(out).u32(v.0).expect("vec write");
-            w(out).u64(weight).expect("vec write");
-        }
-        GraphDelta::FailEdge { u, v } => {
-            w(out).u8(1).expect("vec write");
-            w(out).u32(u.0).expect("vec write");
-            w(out).u32(v.0).expect("vec write");
-        }
-        GraphDelta::FailNode { v } => {
-            w(out).u8(2).expect("vec write");
-            w(out).u32(v.0).expect("vec write");
-        }
-    }
+requests! {
+    /// Single distance estimate.
+    Estimate = 1, estimate { name: Name, u: NodeId, v: NodeId },
+    /// Batch estimates, optionally through the admission batcher.
+    EstimateMany = 2, estimate_many { name: Name, batched: bool, pairs: Pairs },
+    /// First hop of the route towards a destination.
+    NextHop = 3, next_hop { name: Name, u: NodeId, v: NodeId },
+    /// Full traced route (failover-aware for dynamic names).
+    Route = 4, route { name: Name, u: NodeId, v: NodeId },
+    /// Admin: install a snapshot from a file on the **server's** disk
+    /// (the single-copy [`oracle::Oracle::load_path`] cold start).
+    Install = 5, install { name: Name, path: Text },
+    /// Admin: hot-swap a snapshot carried inline in the frame.
+    Swap = 6, swap { name: Name, snapshot: Blob },
+    /// Admin: mask an edge as failed on a dynamic oracle.
+    FailEdge = 7, fail_edge { name: Name, u: NodeId, v: NodeId },
+    /// Admin: mask a node as failed on a dynamic oracle.
+    FailNode = 8, fail_node { name: Name, v: NodeId },
+    /// Admin: repair the artifact for a delta and hot-swap the result.
+    RepairAndSwap = 9, repair_and_swap { name: Name, delta: GraphDelta },
+    /// Server and per-oracle serving statistics.
+    Stats = 10, stats {},
 }
 
-fn decode_delta(c: &mut Cursor<'_>) -> Result<GraphDelta, WireError> {
-    match c.u8()? {
-        0 => Ok(GraphDelta::SetWeight {
-            u: NodeId(c.u32()?),
-            v: NodeId(c.u32()?),
-            w: c.u64()?,
-        }),
-        1 => Ok(GraphDelta::FailEdge {
-            u: NodeId(c.u32()?),
-            v: NodeId(c.u32()?),
-        }),
-        2 => Ok(GraphDelta::FailNode {
-            v: NodeId(c.u32()?),
-        }),
-        k => Err(WireError::Malformed(format!("unknown delta kind {k}"))),
-    }
+/// The reply table: each [`Response`] variant's fields and the ops it
+/// answers. The op travels in the header, so a reply body has no tag.
+macro_rules! responses {
+    ($($V:ident { $($f:tt: $S:ty),* } <= $($op:ident)|+),* $(,)?) => {
+        fn put_reply(resp: &Response, out: &mut Vec<u8>) {
+            match resp {
+                $(Response::$V { .. } => {
+                    $(if let Response::$V { $f: x, .. } = resp {
+                        <$S as Field>::put(x, out);
+                    })*
+                })*
+            }
+        }
+
+        fn get_reply(op: Op, c: &mut Cursor<'_>) -> Result<Response, WireError> {
+            Ok(match op {
+                $($(Op::$op)|+ => Response::$V { $($f: <$S as Field>::get(c)?),* },)*
+            })
+        }
+    };
 }
 
-// -------------------------------------------------- response codecs --
+responses! {
+    Estimate { generation: u64, est: u64 } <= Estimate,
+    EstimateMany { generation: u64, ests: Ests } <= EstimateMany,
+    NextHop { hop: Option<NodeId> } <= NextHop,
+    Route { outcome: RouteOutcome, route: Option<TracedRoute> } <= Route,
+    Installed { 0: InstallSummary } <= Install | Swap,
+    Failed {} <= FailEdge | FailNode,
+    Repaired { 0: RepairSummary } <= RepairAndSwap,
+    Stats { 0: ServerStats } <= Stats,
+}
+
+// ------------------------------------------------------------ frames --
 
 /// Encodes a success response payload (header + body) into `out`.
 pub(crate) fn encode_response(req_id: u64, op: Op, resp: &Response, out: &mut Vec<u8>) {
-    w(out).u8(NET_VERSION).expect("vec write");
-    w(out).u8(STATUS_OK).expect("vec write");
-    w(out).u8(op as u8).expect("vec write");
-    w(out).u64(req_id).expect("vec write");
-    match resp {
-        Response::Estimate { generation, est } => {
-            w(out).u64(*generation).expect("vec write");
-            w(out).u64(*est).expect("vec write");
-        }
-        Response::EstimateMany { generation, ests } => {
-            w(out).u64(*generation).expect("vec write");
-            w(out).u32(ests.len() as u32).expect("vec write");
-            // Hot path: bulk little-endian append, mirroring the pair
-            // codec on the request side.
-            out.reserve(ests.len() * 8);
-            for &e in ests {
-                out.extend_from_slice(&e.to_le_bytes());
-            }
-        }
-        Response::NextHop { hop } => match hop {
-            Some(h) => {
-                w(out).u8(1).expect("vec write");
-                w(out).u32(h.0).expect("vec write");
-            }
-            None => w(out).u8(0).expect("vec write"),
-        },
-        Response::Route { outcome, route } => {
-            match outcome {
-                RouteOutcome::Primary => w(out).u8(0).expect("vec write"),
-                RouteOutcome::Detoured { detours } => {
-                    w(out).u8(1).expect("vec write");
-                    w(out).u64(*detours).expect("vec write");
-                }
-                RouteOutcome::Unroutable => w(out).u8(2).expect("vec write"),
-            }
-            match route {
-                Some(r) => {
-                    w(out).u8(1).expect("vec write");
-                    w(out).u64(r.weight).expect("vec write");
-                    w(out).u32(r.nodes.len() as u32).expect("vec write");
-                    for &x in &r.nodes {
-                        w(out).u32(x.0).expect("vec write");
-                    }
-                    w(out).u32(r.ports.len() as u32).expect("vec write");
-                    for &p in &r.ports {
-                        w(out).u32(p).expect("vec write");
-                    }
-                }
-                None => w(out).u8(0).expect("vec write"),
-            }
-        }
-        Response::Installed(s) => {
-            w(out).u8(s.backend.wire_tag()).expect("vec write");
-            w(out).u64(s.n).expect("vec write");
-            w(out).u64(s.generation).expect("vec write");
-            w(out).u64(s.cold_start_nanos).expect("vec write");
-            match s.replaced {
-                Some((generation, leases)) => {
-                    w(out).u8(1).expect("vec write");
-                    w(out).u64(generation).expect("vec write");
-                    w(out).u64(leases).expect("vec write");
-                }
-                None => w(out).u8(0).expect("vec write"),
-            }
-        }
-        Response::Failed => {}
-        Response::Repaired(s) => {
-            w(out).u64(s.generation).expect("vec write");
-            w(out).bool(s.incremental).expect("vec write");
-            w(out).u64(s.rows_recomputed).expect("vec write");
-            w(out).u64(s.rows_total).expect("vec write");
-            put_str(out, &s.reason, MAX_PATH_LEN);
-            w(out).u64(s.repair_nanos).expect("vec write");
-            w(out).u64(s.stale_window_nanos).expect("vec write");
-        }
-        Response::Stats(s) => {
-            for x in [
-                s.requests,
-                s.bytes_in,
-                s.bytes_out,
-                s.connections_active,
-                s.connections_total,
-                s.p50_service_ns,
-                s.p99_service_ns,
-                s.conn_requests,
-                s.conn_bytes_in,
-                s.conn_bytes_out,
-            ] {
-                w(out).u64(x).expect("vec write");
-            }
-            w(out).u16(s.oracles.len() as u16).expect("vec write");
-            for o in &s.oracles {
-                put_str(out, &o.name, MAX_NAME_LEN);
-                w(out).u8(o.backend.wire_tag()).expect("vec write");
-                for x in [
-                    o.generation,
-                    o.queries_served,
-                    o.batches_served,
-                    o.leases_in_flight,
-                    o.batch.submissions,
-                    o.batch.groups,
-                    o.batch.grouped_pairs,
-                    o.batch.largest_group,
-                ] {
-                    w(out).u64(x).expect("vec write");
-                }
-            }
-        }
-    }
+    out.extend_from_slice(&[NET_VERSION, STATUS_OK, op as u8]);
+    u64::put(&req_id, out);
+    put_reply(resp, out);
 }
 
 /// Encodes an error response payload (header + encoded error) into `out`.
 pub(crate) fn encode_error(req_id: u64, op: u8, err: &WireError, out: &mut Vec<u8>) {
-    w(out).u8(NET_VERSION).expect("vec write");
-    w(out).u8(STATUS_ERR).expect("vec write");
-    w(out).u8(op).expect("vec write");
-    w(out).u64(req_id).expect("vec write");
-    encode_wire_error(err, out);
-}
-
-fn encode_wire_error(err: &WireError, out: &mut Vec<u8>) {
-    match err {
-        WireError::BadVersion { got } => {
-            w(out).u8(0).expect("vec write");
-            w(out).u8(*got).expect("vec write");
-        }
-        WireError::UnknownOp { op } => {
-            w(out).u8(1).expect("vec write");
-            w(out).u8(*op).expect("vec write");
-        }
-        WireError::Oversized { len, max } => {
-            w(out).u8(2).expect("vec write");
-            w(out).u64(*len).expect("vec write");
-            w(out).u64(*max).expect("vec write");
-        }
-        WireError::Truncated => w(out).u8(3).expect("vec write"),
-        WireError::Malformed(msg) => {
-            w(out).u8(4).expect("vec write");
-            put_str(out, truncate_msg(msg), MAX_PATH_LEN);
-        }
-        WireError::Serve(e) => {
-            w(out).u8(5).expect("vec write");
-            let (sub, name) = match e {
-                ServeError::UnknownOracle(n) => (0u8, n.as_str()),
-                ServeError::Deadline(n) => (1, n.as_str()),
-                ServeError::Retired(n) => (2, n.as_str()),
-                ServeError::NodeOutOfRange { id, n } => {
-                    w(out).u8(4).expect("vec write");
-                    w(out).u32(id.0).expect("vec write");
-                    w(out).u64(*n as u64).expect("vec write");
-                    return;
-                }
-                // `ServeError` is non_exhaustive: future variants relay
-                // as text until the codec learns them.
-                other => {
-                    w(out).u8(3).expect("vec write");
-                    put_str(out, truncate_msg(&other.to_string()), MAX_PATH_LEN);
-                    return;
-                }
-            };
-            w(out).u8(sub).expect("vec write");
-            put_str(out, truncate_msg(name), MAX_NAME_LEN);
-        }
-        WireError::Delta(e) => {
-            w(out).u8(6).expect("vec write");
-            match e {
-                DeltaError::UnknownEdge { u, v } => {
-                    w(out).u8(0).expect("vec write");
-                    w(out).u32(u.0).expect("vec write");
-                    w(out).u32(v.0).expect("vec write");
-                }
-                DeltaError::UnknownNode { v, n } => {
-                    w(out).u8(1).expect("vec write");
-                    w(out).u32(v.0).expect("vec write");
-                    w(out).u64(*n as u64).expect("vec write");
-                }
-                DeltaError::ZeroWeight => w(out).u8(2).expect("vec write"),
-                DeltaError::Disconnects => w(out).u8(3).expect("vec write"),
-                // `Invalid` nests a `GraphError` with no stable wire
-                // form (and is unreachable for deltas built through the
-                // graphs API) — relay its message instead.
-                DeltaError::Invalid(ge) => {
-                    w(out).u8(4).expect("vec write");
-                    put_str(out, truncate_msg(&ge.to_string()), MAX_PATH_LEN);
-                }
-            }
-        }
-        WireError::Overloaded { active, cap } => {
-            w(out).u8(8).expect("vec write");
-            w(out).u64(*active).expect("vec write");
-            w(out).u64(*cap).expect("vec write");
-        }
-        WireError::Remote(msg) => {
-            w(out).u8(7).expect("vec write");
-            put_str(out, truncate_msg(msg), MAX_PATH_LEN);
-        }
-        // Local-only: if one is ever asked to cross, degrade to text.
-        WireError::Io(kind, msg) => {
-            w(out).u8(7).expect("vec write");
-            put_str(out, truncate_msg(&format!("{kind:?}: {msg}")), MAX_PATH_LEN);
-        }
-    }
-}
-
-/// Clamps relayed error messages to what [`MAX_PATH_LEN`] permits.
-fn truncate_msg(msg: &str) -> &str {
-    let mut end = msg.len().min(MAX_PATH_LEN);
-    while !msg.is_char_boundary(end) {
-        end -= 1;
-    }
-    &msg[..end]
-}
-
-fn decode_wire_error(c: &mut Cursor<'_>) -> Result<WireError, WireError> {
-    Ok(match c.u8()? {
-        0 => WireError::BadVersion { got: c.u8()? },
-        1 => WireError::UnknownOp { op: c.u8()? },
-        2 => WireError::Oversized {
-            len: c.u64()?,
-            max: c.u64()?,
-        },
-        3 => WireError::Truncated,
-        4 => WireError::Malformed(c.str(MAX_PATH_LEN, "error message")?),
-        5 => {
-            let sub = c.u8()?;
-            if sub == 3 {
-                WireError::Remote(c.str(MAX_PATH_LEN, "serve error")?)
-            } else if sub == 4 {
-                WireError::Serve(ServeError::NodeOutOfRange {
-                    id: NodeId(c.u32()?),
-                    n: c.u64()? as usize,
-                })
-            } else {
-                let name = c.str(MAX_NAME_LEN, "oracle name")?;
-                WireError::Serve(match sub {
-                    0 => ServeError::UnknownOracle(name),
-                    1 => ServeError::Deadline(name),
-                    2 => ServeError::Retired(name),
-                    k => return Err(WireError::Malformed(format!("unknown serve sub-code {k}"))),
-                })
-            }
-        }
-        6 => WireError::Delta(match c.u8()? {
-            0 => DeltaError::UnknownEdge {
-                u: NodeId(c.u32()?),
-                v: NodeId(c.u32()?),
-            },
-            1 => DeltaError::UnknownNode {
-                v: NodeId(c.u32()?),
-                n: c.u64()? as usize,
-            },
-            2 => DeltaError::ZeroWeight,
-            3 => DeltaError::Disconnects,
-            4 => {
-                let msg = c.str(MAX_PATH_LEN, "graph error")?;
-                return Ok(WireError::Remote(format!(
-                    "delta produced an invalid graph: {msg}"
-                )));
-            }
-            k => return Err(WireError::Malformed(format!("unknown delta sub-code {k}"))),
-        }),
-        7 => WireError::Remote(c.str(MAX_PATH_LEN, "error message")?),
-        8 => WireError::Overloaded {
-            active: c.u64()?,
-            cap: c.u64()?,
-        },
-        k => return Err(WireError::Malformed(format!("unknown error code {k}"))),
-    })
+    out.extend_from_slice(&[NET_VERSION, STATUS_ERR, op]);
+    u64::put(&req_id, out);
+    WireError::put(err, out);
 }
 
 /// Decodes a response payload into `(req_id, op, body-or-relayed-error)`.
@@ -1029,165 +778,36 @@ pub(crate) fn decode_response(
     payload: &[u8],
 ) -> Result<(u64, Op, Result<Response, WireError>), WireError> {
     let mut c = Cursor::new(payload);
-    let ver = c.u8()?;
+    let ver = u8::get(&mut c)?;
     if ver != NET_VERSION {
         return Err(WireError::BadVersion { got: ver });
     }
-    let status = c.u8()?;
-    let op_byte = c.u8()?;
-    let req_id = c.u64()?;
-    if status == STATUS_ERR {
+    let status = u8::get(&mut c)?;
+    let op = u8::get(&mut c)?;
+    let req_id = u64::get(&mut c)?;
+    let body = match status {
         // The op byte is advisory on error frames: a server reporting a
         // pre-decode failure (bad version, torn header) has no valid
         // opcode to echo.
-        let err = decode_wire_error(&mut c)?;
-        c.finish()?;
-        let op = Op::from_wire(op_byte).unwrap_or(Op::Stats);
-        return Ok((req_id, op, Err(err)));
-    }
-    if status != STATUS_OK {
-        return Err(WireError::Malformed(format!(
-            "unknown status byte {status}"
-        )));
-    }
-    let op = Op::from_wire(op_byte).ok_or(WireError::UnknownOp { op: op_byte })?;
-    let resp = match op {
-        Op::Estimate => Response::Estimate {
-            generation: c.u64()?,
-            est: c.u64()?,
-        },
-        Op::EstimateMany => {
-            let generation = c.u64()?;
-            let count = c.count(8, "estimate")?;
-            let raw = c.take(count * 8)?;
-            let mut ests = Vec::with_capacity(count);
-            for le in raw.chunks_exact(8) {
-                ests.push(u64::from_le_bytes(le.try_into().expect("len 8")));
-            }
-            Response::EstimateMany { generation, ests }
+        STATUS_ERR => Err(WireError::get(&mut c)?),
+        STATUS_OK => {
+            let op = Op::from_wire(op).ok_or(WireError::UnknownOp { op })?;
+            Ok(get_reply(op, &mut c)?)
         }
-        Op::NextHop => Response::NextHop {
-            hop: match c.u8()? {
-                0 => None,
-                1 => Some(NodeId(c.u32()?)),
-                b => return Err(WireError::Malformed(format!("invalid hop flag {b}"))),
-            },
-        },
-        Op::Route => {
-            let outcome = match c.u8()? {
-                0 => RouteOutcome::Primary,
-                1 => RouteOutcome::Detoured { detours: c.u64()? },
-                2 => RouteOutcome::Unroutable,
-                b => return Err(WireError::Malformed(format!("invalid outcome byte {b}"))),
-            };
-            let route = match c.u8()? {
-                0 => None,
-                1 => {
-                    let weight = c.u64()?;
-                    let count = c.count(4, "route node")?;
-                    let mut nodes = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        nodes.push(NodeId(c.u32()?));
-                    }
-                    let count = c.count(4, "route port")?;
-                    let mut ports: Vec<Port> = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        ports.push(c.u32()?);
-                    }
-                    Some(TracedRoute {
-                        nodes,
-                        ports,
-                        weight,
-                    })
-                }
-                b => return Err(WireError::Malformed(format!("invalid route flag {b}"))),
-            };
-            Response::Route { outcome, route }
-        }
-        Op::Install | Op::Swap => {
-            let tag = c.u8()?;
-            let backend = Backend::from_wire_tag(tag)
-                .ok_or_else(|| WireError::Malformed(format!("unknown backend tag {tag}")))?;
-            Response::Installed(InstallSummary {
-                backend,
-                n: c.u64()?,
-                generation: c.u64()?,
-                cold_start_nanos: c.u64()?,
-                replaced: match c.u8()? {
-                    0 => None,
-                    1 => Some((c.u64()?, c.u64()?)),
-                    b => return Err(WireError::Malformed(format!("invalid replaced flag {b}"))),
-                },
-            })
-        }
-        Op::FailEdge | Op::FailNode => Response::Failed,
-        Op::RepairAndSwap => Response::Repaired(RepairSummary {
-            generation: c.u64()?,
-            incremental: c.bool()?,
-            rows_recomputed: c.u64()?,
-            rows_total: c.u64()?,
-            reason: c.str(MAX_PATH_LEN, "rebuild reason")?,
-            repair_nanos: c.u64()?,
-            stale_window_nanos: c.u64()?,
-        }),
-        Op::Stats => {
-            let mut head = [0u64; 10];
-            for slot in &mut head {
-                *slot = c.u64()?;
-            }
-            let count = c.u16()? as usize;
-            let mut oracles = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let name = c.str(MAX_NAME_LEN, "oracle name")?;
-                let tag = c.u8()?;
-                let backend = Backend::from_wire_tag(tag)
-                    .ok_or_else(|| WireError::Malformed(format!("unknown backend tag {tag}")))?;
-                let mut xs = [0u64; 8];
-                for slot in &mut xs {
-                    *slot = c.u64()?;
-                }
-                oracles.push(OracleStats {
-                    name,
-                    backend,
-                    generation: xs[0],
-                    queries_served: xs[1],
-                    batches_served: xs[2],
-                    leases_in_flight: xs[3],
-                    batch: BatcherStats {
-                        submissions: xs[4],
-                        groups: xs[5],
-                        grouped_pairs: xs[6],
-                        largest_group: xs[7],
-                    },
-                });
-            }
-            Response::Stats(ServerStats {
-                requests: head[0],
-                bytes_in: head[1],
-                bytes_out: head[2],
-                connections_active: head[3],
-                connections_total: head[4],
-                p50_service_ns: head[5],
-                p99_service_ns: head[6],
-                conn_requests: head[7],
-                conn_bytes_in: head[8],
-                conn_bytes_out: head[9],
-                oracles,
-            })
+        _ => {
+            return Err(WireError::Malformed(format!(
+                "unknown status byte {status}"
+            )))
         }
     };
     c.finish()?;
-    Ok((req_id, op, Ok(resp)))
+    Ok((req_id, Op::from_wire(op).unwrap_or(Op::Stats), body))
 }
-
-/// The error emitted when a graph delta round-trips through
-/// [`GraphError`] — kept here so the doc link compiles.
-#[doc(hidden)]
-pub fn _doc_anchor(_: &GraphError) {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphs::GraphError;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -40,7 +40,7 @@ use oracle::{BuildError, Oracle, RepairError};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const WAL_MAGIC: &[u8; 4] = b"PDWL";
 const CKPT_MAGIC: &[u8; 4] = b"PDCK";
@@ -220,7 +220,6 @@ fn read_header(source: &mut dyn Read, magic: &[u8; 4], what: &str) -> io::Result
 #[derive(Debug)]
 pub struct DeltaWal {
     file: File,
-    path: PathBuf,
     epoch: u64,
     next_seq: u64,
     records: u64,
@@ -249,7 +248,6 @@ impl DeltaWal {
         file.sync_all()?;
         Ok(DeltaWal {
             file,
-            path: path.to_path_buf(),
             epoch,
             next_seq: 1,
             records: 0,
@@ -304,7 +302,6 @@ impl DeltaWal {
         Ok((
             DeltaWal {
                 file,
-                path: path.to_path_buf(),
                 epoch,
                 next_seq,
                 records,
@@ -367,11 +364,6 @@ impl DeltaWal {
     /// The log's current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -465,6 +457,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
