@@ -5,8 +5,13 @@
 //! from the paper") rely on.
 
 use pde_repro::congest::{NodeId, Topology};
+use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::WGraph;
+use pde_repro::oracle::{Backend, DistanceOracle, OracleBuilder};
+use pde_repro::pde_core::{run_pde, BuildMode, PdeParams};
 use pde_repro::sourcedetect::{run_detection, DetectParams};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Builds the explicit subdivision: each edge of `g` with subdivision
 /// length `L = ceil(w/b)` becomes a path of `L` unit edges through fresh
@@ -109,5 +114,42 @@ fn delayed_run_uses_no_more_rounds() {
     // The delayed run sends at most as many messages per *real* node.
     for v in 0..4 {
         assert!(a.msgs_per_node[v] <= b_out.msgs_per_node[v] + params.sigma as u64);
+    }
+}
+
+#[test]
+fn simulated_meter_readings_are_pinned() {
+    // The readings the paper's theorems bound, on a weighted graph in the
+    // partial regime (σ ≪ |S|, h ≪ n). Exact functions of the seed: a
+    // change to what the simulator records must leave every one of them
+    // where it is.
+    let mut rng = SmallRng::seed_from_u64(27);
+    let g = gen::gnp_connected(96, 0.06, Weights::Uniform { lo: 1, hi: 32 }, &mut rng);
+    let sources: Vec<bool> = (0..g.len()).map(|i| i % 2 == 0).collect();
+    let out = run_pde(
+        &g,
+        &sources,
+        &vec![false; g.len()],
+        &PdeParams::new(6, 4, 0.5),
+    );
+    let m = &out.metrics;
+    let readings = (
+        m.total.rounds,
+        m.total.messages,
+        m.max_broadcasts_single_level,
+    );
+    assert_eq!(readings, (191, 27_545, 5));
+    assert_eq!(m.per_level_rounds, [56, 30, 22, 18, 13, 11, 9, 8, 8]);
+
+    for (backend, pinned) in [
+        (Backend::Rtc, (1892, 1_046_756)),
+        (Backend::Truncated, (2018, 1_109_103)),
+    ] {
+        let oracle = OracleBuilder::new(backend)
+            .seed(5u64)
+            .build_mode(BuildMode::Simulated)
+            .build(&g);
+        let bm = oracle.build_metrics();
+        assert_eq!((bm.rounds, bm.messages), pinned, "{backend}");
     }
 }
