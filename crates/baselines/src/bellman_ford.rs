@@ -6,11 +6,11 @@ use std::collections::{BTreeSet, HashMap};
 
 /// A distance-vector announcement.
 #[derive(Clone, Debug)]
-pub struct BfMsg {
+pub(crate) struct BfMsg {
     /// The source this distance refers to.
-    pub src: NodeId,
+    src: NodeId,
     /// The announcing node's current distance to `src`.
-    pub dist: u64,
+    dist: u64,
 }
 
 impl Message for BfMsg {

@@ -7,7 +7,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 /// A link-state advertisement: one edge.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Lsa(pub u32, pub u32, pub u64);
+pub(crate) struct Lsa(u32, u32, u64);
 
 impl Message for Lsa {
     fn bit_size(&self) -> usize {

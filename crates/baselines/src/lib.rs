@@ -13,6 +13,7 @@
 //!   distributed approximate construction loses versus exact distances).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod bellman_ford;

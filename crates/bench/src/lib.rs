@@ -7,6 +7,7 @@
 //! the standalone `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod table;
 pub mod workloads;

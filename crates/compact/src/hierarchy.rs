@@ -201,7 +201,7 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
     let k = params.k;
     let mode = params.mode;
     let topo = g.to_topology();
-    let mut total = Metrics::new(n);
+    let mut total = Metrics::default();
     let mut stages = StageLog::default();
 
     let (levels, sample_attempts) = sample_levels(n, k, params.seed);

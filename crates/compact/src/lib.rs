@@ -23,6 +23,7 @@
 //! stretch/table/label trade-offs (experiments E5, E6).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod driver;

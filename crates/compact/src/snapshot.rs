@@ -186,9 +186,11 @@ impl CompactScheme {
         let total_rounds = r.u64()?;
         let per_level_rounds = read_u64_seq(&mut r)?;
         let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
+        let total = Metrics {
+            rounds: r.u64()?,
+            messages: r.u64()?,
+            ..Metrics::default()
+        };
         let ns = r.len(n)?;
         let mut level_sizes = Vec::with_capacity(clamped_capacity(ns));
         for _ in 0..ns {
@@ -472,9 +474,11 @@ impl TruncatedScheme {
         let base_rounds = r.u64()?;
         let upper_rounds = r.u64()?;
         let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
+        let total = Metrics {
+            rounds: r.u64()?,
+            messages: r.u64()?,
+            ..Metrics::default()
+        };
         let skeleton_size = r.usize()?;
         let gt_edges = r.usize()?;
         let base_row_idx = pde_core::resolve_entry_indices(&base_routes, &skel_index);

@@ -232,7 +232,7 @@ fn build_attempt(
     let k = params.k;
     let build_mode = params.mode;
     let topo = g.to_topology();
-    let mut total = Metrics::new(n);
+    let mut total = Metrics::default();
     let mut stages = StageLog::default();
 
     let (levels, _) = sample_levels(n, k, params.seed);

@@ -144,11 +144,6 @@ pub fn global_max(topo: &Topology, tree: &BfsTree, values: &[u64]) -> (u64, Metr
     global_aggregate(topo, tree, values, Op::Max)
 }
 
-/// Convenience: the global sum of `values`, known to all nodes.
-pub fn global_sum(topo: &Topology, tree: &BfsTree, values: &[u64]) -> (u64, Metrics) {
-    global_aggregate(topo, tree, values, Op::Sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_of_values() {
-        let (topo, tree) = setup();
-        let (v, _) = global_sum(&topo, &tree, &[1, 1, 1, 1, 1, 1]);
-        assert_eq!(v, 6);
-    }
-
-    #[test]
     fn min_of_values() {
         let (topo, tree) = setup();
         let (v, _) = global_aggregate(&topo, &tree, &[3, 7, 4, 2, 5, 9], Op::Min);
@@ -189,7 +177,7 @@ mod tests {
     #[test]
     fn sum_saturates() {
         let (topo, tree) = setup();
-        let (v, _) = global_sum(&topo, &tree, &[u64::MAX, 1, 0, 0, 0, 0]);
+        let (v, _) = global_aggregate(&topo, &tree, &[u64::MAX, 1, 0, 0, 0, 0], Op::Sum);
         assert_eq!(v, u64::MAX);
     }
 

@@ -276,17 +276,6 @@ impl U64View {
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
     }
 
-    /// Iterates the words of `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds, exactly like slice indexing.
-    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = u64> + '_ {
-        self.0.as_slice()[range.start * 8..range.end * 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
-    }
-
     /// Decodes the whole table into a `Vec`.
     pub fn to_vec(&self) -> Vec<u64> {
         self.iter().collect()
@@ -349,17 +338,6 @@ impl U32View {
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.0
             .as_slice()
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte word")))
-    }
-
-    /// Iterates the words of `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds, exactly like slice indexing.
-    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = u32> + '_ {
-        self.0.as_slice()[range.start * 4..range.end * 4]
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte word")))
     }
@@ -811,11 +789,9 @@ mod tests {
         assert_eq!(v64.len(), 3);
         assert_eq!(v64.get(1), u64::MAX);
         assert_eq!(v64.to_vec(), vec![1, u64::MAX, 42]);
-        assert_eq!(v64.iter_range(1..3).collect::<Vec<_>>(), vec![u64::MAX, 42]);
         let v32 = c.u32v().unwrap();
         assert_eq!(v32.len(), 5);
         assert_eq!(v32.get(4), 11);
-        assert_eq!(v32.iter_range(1..3).collect::<Vec<_>>(), vec![8, 9]);
         // Views of the same container share its allocation.
         assert_eq!(c.shared().unwrap().as_slice(), &[1, 0, 1]);
         // A view rebuilt from decoded values compares equal by content.

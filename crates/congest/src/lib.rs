@@ -16,8 +16,8 @@
 //!   of `L` unit edges is exactly a rate-1/round FIFO pipeline, which is
 //!   what a delay-`L` arc implements.
 //! * [`Program`] / [`Runtime`] — the node-program trait and the round
-//!   scheduler, with quiescence detection and full [`Metrics`] accounting
-//!   (rounds, per-node/per-round message counts, message sizes).
+//!   scheduler, with quiescence detection and [`Metrics`] accounting
+//!   (rounds, messages, largest message, bandwidth violations).
 //! * [`bfs`] — distributed BFS-tree construction (used for `O(D)`-round
 //!   global coordination, as the paper assumes).
 //! * [`aggregate`] — convergecast/broadcast over a BFS tree (global max for
@@ -44,9 +44,8 @@
 //!   instead of allocating its own, and [`Ctx::inbox`] returns a slice
 //!   that outlives the `Ctx` borrow so programs can relay arrivals without
 //!   cloning them.
-//! * Per-round message history is a bounded [`metrics::RoundWindow`]
-//!   (exact totals forever, per-round detail for the most recent rounds),
-//!   so multi-million-round simulations do not grow memory linearly in
+//! * [`Metrics`] are four `Copy` counters with no per-round or per-node
+//!   history, so multi-million-round simulations do not grow memory with
 //!   simulated time.
 //!
 //! The stack benchmark's `congest.sim.*` per-layer metrics
@@ -91,6 +90,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod aggregate;
@@ -106,7 +106,7 @@ pub mod topology;
 pub mod wire;
 
 pub use fxhash::{FxBuild, FxHashMap, FxHasher};
-pub use metrics::{Metrics, RoundWindow};
+pub use metrics::Metrics;
 pub use model::{bits_for, label_record_bits, Message, NodeId, Port};
 pub use program::{Arrival, Ctx, Program};
 pub use runtime::{Config, RunReport, Runtime};

@@ -1,198 +1,32 @@
 //! Execution metrics: the quantities the paper's theorems bound.
 
-use std::collections::VecDeque;
-
-/// Default number of recent rounds retained by a [`RoundWindow`].
-pub const DEFAULT_ROUND_WINDOW: usize = 1 << 16;
-
-/// Per-round message counts with bounded memory.
-///
-/// Long simulations execute millions of rounds; storing one counter per
-/// round forever would grow memory linearly in simulated time. A
-/// `RoundWindow` keeps exact *totals* (rounds recorded, messages summed)
-/// for the whole run plus the per-round detail of the most recent
-/// [`DEFAULT_ROUND_WINDOW`] rounds, which is what the `Σ_i O(M_i + D)`
-/// charging arguments (Lemma 4.12) and the tests actually consume.
-#[derive(Clone, Debug)]
-pub struct RoundWindow {
-    cap: usize,
-    window: VecDeque<u64>,
-    rounds: u64,
-    sum: u64,
-}
-
-impl Default for RoundWindow {
-    fn default() -> Self {
-        RoundWindow::with_capacity(DEFAULT_ROUND_WINDOW)
-    }
-}
-
-impl RoundWindow {
-    /// An empty history retaining per-round detail for up to `cap` rounds.
-    pub fn with_capacity(cap: usize) -> Self {
-        RoundWindow {
-            cap: cap.max(1),
-            window: VecDeque::new(),
-            rounds: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records the message count of the next round.
-    pub fn push(&mut self, sent: u64) {
-        self.push_retained(sent);
-        self.rounds += 1;
-        self.sum += sent;
-    }
-
-    /// Records `k` consecutive rounds that sent nothing (an explicitly
-    /// charged synchronization barrier), in O(min(k, capacity)).
-    pub fn push_zeros(&mut self, k: u64) {
-        if k as u128 >= self.cap as u128 {
-            self.window.clear();
-            self.window.extend(std::iter::repeat_n(0, self.cap));
-        } else {
-            for _ in 0..k {
-                self.push_retained(0);
-            }
-        }
-        self.rounds += k;
-    }
-
-    fn push_retained(&mut self, sent: u64) {
-        if self.window.len() == self.cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(sent);
-    }
-
-    /// Total number of rounds recorded (including evicted ones).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// `true` if no round was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rounds == 0
-    }
-
-    /// Sum of the message counts over *all* recorded rounds (exact, even
-    /// for evicted rounds).
-    pub fn total_sent(&self) -> u64 {
-        self.sum
-    }
-
-    /// Index of the first round whose per-round detail is still retained.
-    pub fn first_retained(&self) -> u64 {
-        self.rounds - self.window.len() as u64
-    }
-
-    /// The message count of round `round`, or `None` if the round was not
-    /// recorded or its detail has been evicted.
-    pub fn get(&self, round: u64) -> Option<u64> {
-        let first = self.first_retained();
-        if round < first || round >= self.rounds {
-            return None;
-        }
-        Some(self.window[(round - first) as usize])
-    }
-
-    /// Iterates over the retained `(round, sent)` pairs, oldest first.
-    pub fn retained(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let first = self.first_retained();
-        self.window
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (first + i as u64, v))
-    }
-
-    /// The retained per-round counts as a `Vec` (for tests and tables).
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.window.iter().copied().collect()
-    }
-
-    /// Appends another history after this one. Totals stay exact; if
-    /// `other` already evicted detail, the retained window restarts at
-    /// `other`'s retained tail (the most recent contiguous run).
-    pub fn absorb(&mut self, other: &RoundWindow) {
-        if other.first_retained() > 0 {
-            // A gap: our tail and other's tail are not contiguous.
-            self.window.clear();
-        }
-        for &v in &other.window {
-            self.push_retained(v);
-        }
-        self.rounds += other.rounds;
-        self.sum += other.sum;
-    }
-}
-
-impl From<Vec<u64>> for RoundWindow {
-    fn from(values: Vec<u64>) -> Self {
-        let mut w = RoundWindow::default();
-        for v in values {
-            w.push(v);
-        }
-        w
-    }
-}
-
 /// Metrics recorded by a [`crate::Runtime`] run.
 ///
 /// The paper's results are statements about *rounds* (time complexity in
-/// the CONGEST model), *messages* (Lemma 3.4 bounds per-node broadcasts,
-/// which drives the skeleton-graph simulation cost in Section 4.3) and
-/// *message size* (the `B ∈ Θ(log n)` bandwidth bound). All three are
-/// recorded here.
-#[derive(Clone, Debug, Default)]
+/// the CONGEST model), *messages* (the `Σ_i O(M_i + D)` charge of
+/// simulating skeleton-graph rounds, Lemma 4.12) and *message size* (the
+/// `B ∈ Θ(log n)` bandwidth bound). Those totals are what is recorded
+/// here; per-node broadcast counts belong to the program that sends them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of rounds executed (including the final quiet round, if any).
     pub rounds: u64,
     /// Total number of messages sent.
     pub messages: u64,
-    /// Messages sent per node (indexed by node id).
-    pub per_node_sent: Vec<u64>,
-    /// Messages sent per round: exact totals plus a bounded window of
-    /// recent per-round detail (used to charge the `Σ_i O(M_i + D)` cost
-    /// of simulating skeleton-graph rounds over a BFS tree, Lemma 4.12).
-    pub per_round_sent: RoundWindow,
     /// Largest single message, in bits.
     pub max_message_bits: usize,
-    /// Sum of all message sizes, in bits.
-    pub total_bits: u64,
     /// Number of messages exceeding the configured bandwidth `B`.
     pub bandwidth_violations: u64,
 }
 
 impl Metrics {
-    /// Creates empty metrics for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Metrics {
-            per_node_sent: vec![0; n],
-            ..Default::default()
-        }
-    }
-
-    /// Largest number of messages sent by any single node.
-    pub fn max_per_node(&self) -> u64 {
-        self.per_node_sent.iter().copied().max().unwrap_or(0)
-    }
-
     /// Adds another run's metrics (for multi-phase algorithms that execute
-    /// several runtime invocations back to back: rounds add up, message
-    /// counts add up element-wise).
+    /// several runtime invocations back to back). Sums and a maximum, so
+    /// the order in which runs are absorbed is unobservable.
     pub fn absorb(&mut self, other: &Metrics) {
         self.rounds += other.rounds;
         self.messages += other.messages;
-        if self.per_node_sent.len() < other.per_node_sent.len() {
-            self.per_node_sent.resize(other.per_node_sent.len(), 0);
-        }
-        for (a, b) in self.per_node_sent.iter_mut().zip(&other.per_node_sent) {
-            *a += b;
-        }
-        self.per_round_sent.absorb(&other.per_round_sent);
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.total_bits += other.total_bits;
         self.bandwidth_violations += other.bandwidth_violations;
     }
 
@@ -200,7 +34,6 @@ impl Metrics {
     /// synchronization barrier that sends no messages).
     pub fn charge_rounds(&mut self, rounds: u64) {
         self.rounds += rounds;
-        self.per_round_sent.push_zeros(rounds);
     }
 }
 
@@ -209,86 +42,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_accumulates() {
-        let mut a = Metrics::new(2);
-        a.rounds = 3;
-        a.messages = 5;
-        a.per_node_sent = vec![2, 3];
-        a.per_round_sent = vec![1, 2, 2].into();
-        a.max_message_bits = 10;
-        a.total_bits = 50;
-
-        let mut b = Metrics::new(2);
-        b.rounds = 2;
-        b.messages = 4;
-        b.per_node_sent = vec![4, 0];
-        b.per_round_sent = vec![4, 0].into();
-        b.max_message_bits = 12;
-        b.total_bits = 48;
-
-        a.absorb(&b);
-        assert_eq!(a.rounds, 5);
-        assert_eq!(a.messages, 9);
-        assert_eq!(a.per_node_sent, vec![6, 3]);
-        assert_eq!(a.per_round_sent.to_vec(), vec![1, 2, 2, 4, 0]);
-        assert_eq!(a.per_round_sent.rounds(), 5);
-        assert_eq!(a.per_round_sent.total_sent(), 9);
-        assert_eq!(a.max_message_bits, 12);
-        assert_eq!(a.total_bits, 98);
-        assert_eq!(a.max_per_node(), 6);
-    }
-
-    #[test]
-    fn charge_rounds_extends_history() {
-        let mut m = Metrics::new(1);
-        m.rounds = 2;
-        m.per_round_sent = vec![1, 1].into();
-        m.charge_rounds(3);
-        assert_eq!(m.rounds, 5);
-        assert_eq!(m.per_round_sent.to_vec(), vec![1, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn window_bounds_memory_but_keeps_totals() {
-        let mut w = RoundWindow::with_capacity(4);
-        for i in 0..10u64 {
-            w.push(i);
-        }
-        assert_eq!(w.rounds(), 10);
-        assert_eq!(w.total_sent(), 45);
-        assert_eq!(w.to_vec(), vec![6, 7, 8, 9]);
-        assert_eq!(w.first_retained(), 6);
-        assert_eq!(w.get(5), None); // evicted
-        assert_eq!(w.get(7), Some(7));
-        assert_eq!(w.get(10), None); // never recorded
-        let pairs: Vec<(u64, u64)> = w.retained().collect();
-        assert_eq!(pairs, vec![(6, 6), (7, 7), (8, 8), (9, 9)]);
-    }
-
-    #[test]
-    fn multi_million_round_charge_is_bounded() {
-        let mut w = RoundWindow::with_capacity(8);
-        w.push(3);
-        w.push_zeros(5_000_000);
-        assert_eq!(w.rounds(), 5_000_001);
-        assert_eq!(w.total_sent(), 3);
-        assert_eq!(w.to_vec(), vec![0; 8]);
-    }
-
-    #[test]
-    fn absorb_with_evicted_prefix_restarts_window() {
-        let mut a = RoundWindow::with_capacity(8);
-        a.push(1);
-        let mut b = RoundWindow::with_capacity(2);
-        for v in [10, 20, 30] {
-            b.push(v);
-        }
-        a.absorb(&b);
-        assert_eq!(a.rounds(), 4);
-        assert_eq!(a.total_sent(), 61);
-        // b evicted round 0, so only its contiguous tail is retained.
-        assert_eq!(a.to_vec(), vec![20, 30]);
-        assert_eq!(a.first_retained(), 2);
-        assert_eq!(a.get(3), Some(30));
+    fn absorb_is_commutative() {
+        let a = Metrics {
+            rounds: 3,
+            messages: 5,
+            max_message_bits: 10,
+            bandwidth_violations: 1,
+        };
+        let b = Metrics {
+            rounds: 2,
+            messages: 4,
+            max_message_bits: 12,
+            bandwidth_violations: 0,
+        };
+        let (mut ab, mut ba) = (a, b);
+        ab.absorb(&b);
+        ba.absorb(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(
+            ab,
+            Metrics {
+                rounds: 5,
+                messages: 9,
+                max_message_bits: 12,
+                bandwidth_violations: 1,
+            }
+        );
+        ab.charge_rounds(3);
+        assert_eq!((ab.rounds, ab.messages), (8, 9));
     }
 }

@@ -194,12 +194,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         }
         self.send(deg - 1, msg);
     }
-
-    /// `true` if no message has been sent on `port` yet this round.
-    #[inline]
-    pub fn port_free(&self, port: Port) -> bool {
-        !self.port_used[port as usize]
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +248,6 @@ mod tests {
         let mut s = Scratch::new(&topo, NodeId(0));
         let mut ctx = Ctx::<u32>::new(NodeId(0), 0, &topo, &inbox, &mut s.sends, &mut s.port_used);
         ctx.broadcast(9);
-        assert!(!ctx.port_free(0) && !ctx.port_free(1) && !ctx.port_free(2));
         assert_eq!(s.sends, vec![(0, 9), (1, 9), (2, 9)]);
     }
 

@@ -143,7 +143,7 @@ impl<'t, P: Program> Runtime<'t, P> {
             topo,
             programs,
             cfg,
-            metrics: Metrics::new(topo.len()),
+            metrics: Metrics::default(),
             buckets,
             in_flight: 0,
             round: 0,
@@ -216,14 +216,12 @@ impl<'t, P: Program> Runtime<'t, P> {
                 );
                 self.programs[v].round(&mut ctx);
                 sent_this_round += self.sends.len() as u64;
-                self.metrics.per_node_sent[v] += self.sends.len() as u64;
                 for (port, msg) in self.sends.drain(..) {
                     // Every send marked exactly one flag; clearing here
                     // keeps the reset O(sends) instead of O(degree).
                     self.port_used[port as usize] = false;
                     let bits = msg.bit_size();
                     self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                    self.metrics.total_bits += bits as u64;
                     if bits > self.cfg.bandwidth_bits {
                         self.metrics.bandwidth_violations += 1;
                         assert!(
@@ -251,7 +249,6 @@ impl<'t, P: Program> Runtime<'t, P> {
                 }
             }
             self.metrics.messages += sent_this_round;
-            self.metrics.per_round_sent.push(sent_this_round);
             self.round += 1;
 
             if self.cfg.stop_when_quiet
@@ -336,7 +333,6 @@ mod tests {
         assert_eq!(programs[1].log, vec![(1, 0), (3, 2), (5, 4)]);
         assert_eq!(programs[0].log, vec![(2, 1), (4, 3)]);
         assert_eq!(metrics.messages, 5); // values 0..=4
-        assert_eq!(metrics.per_node_sent, vec![3, 2]);
     }
 
     #[test]
@@ -402,7 +398,6 @@ mod tests {
         let mut rt = Runtime::new(&topo, programs, Config::default());
         rt.run();
         assert_eq!(rt.metrics().max_message_bits, 64);
-        assert_eq!(rt.metrics().total_bits, 64);
         assert_eq!(rt.metrics().bandwidth_violations, 0);
     }
 

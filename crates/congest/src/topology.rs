@@ -328,11 +328,6 @@ impl Topology {
         t
     }
 
-    /// Returns a copy with all delays reset to 1 (plain CONGEST).
-    pub fn with_unit_delays(&self) -> Topology {
-        self.with_delays(|_| 1)
-    }
-
     /// `true` if the topology is connected (checked by BFS; `O(n + m)`).
     pub fn is_connected(&self) -> bool {
         let mut seen = vec![false; self.n];
@@ -424,8 +419,6 @@ mod tests {
         assert_eq!(t.delay(NodeId(0), 0), 2); // ceil(5/4)
         assert_eq!(t.delay(NodeId(1), 1), 2); // ceil(7/4)
         assert_eq!(t.delay(NodeId(0), 1), 3); // ceil(9/4)
-        let u = t.with_unit_delays();
-        assert_eq!(u.max_delay(), 1);
     }
 
     #[test]

@@ -136,16 +136,15 @@ pub fn run_rung(
         BuildMode::Native => {
             let solution = native_solve(&level_topo, &space, detect);
             let msgs = solution.msgs_per_node().to_vec();
-            (solution, msgs, Metrics::new(topo.len()))
+            (solution, msgs, Metrics::default())
         }
         BuildMode::Simulated => {
-            // Only the measurements are kept; the simulated archives are
-            // dropped here, before the kernel allocates its tables.
+            // The simulated run is the measurement; its lists only feed the
+            // debug cross-check below.
             let DetectionOutput {
                 lists: sim_lists,
                 msgs_per_node,
                 metrics,
-                ..
             } = run_detection(&level_topo, sources, tags, detect);
             let solution = native_solve(&level_topo, &space, detect);
             if cfg!(debug_assertions) {

@@ -8,10 +8,9 @@
 //! minimum under a total order does not care in which order its operands
 //! arrive, so every worker folds its rung into the shared merge tables
 //! the moment it is solved and drops it; the result is byte-identical
-//! for every thread count and completion order. Only the per-rung
-//! simulator [`Metrics`] are set aside and absorbed in ladder order
-//! afterwards, because appending round histories
-//! (`RoundWindow::absorb`) is order-sensitive.
+//! for every thread count and completion order. Each rung's simulator
+//! [`Metrics`] are absorbed in the same step: sums and a maximum, so
+//! they commute too, and `per_level_rounds` is written by rung index.
 //!
 //! Live build memory is therefore
 //! `merge tables (≤ 25 B·n·|S|) + threads × rung state (12 B·n·|S|)`,
@@ -110,20 +109,16 @@ pub struct RouteInfo {
 }
 
 /// Metrics of a PDE run, broken down the way the paper's bounds are.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PdeMetrics {
-    /// Aggregate simulator metrics over all phases.
+    /// Aggregate simulator metrics over all phases, the `O(D)`
+    /// coordination (BFS tree + `w_max` aggregate) included.
     pub total: Metrics,
     /// Rounds used by each ladder level's detection instance.
     pub per_level_rounds: Vec<u64>,
-    /// Rounds used for global coordination (BFS tree + `w_max` aggregate):
-    /// the `O(D)` term.
-    pub coordination_rounds: u64,
     /// Largest per-node broadcast count in any single level (Lemma 3.4:
-    /// `O(σ²)`), and summed over levels (Corollary 3.5: `O(σ²/ε · log n)`).
+    /// `O(σ²)`).
     pub max_broadcasts_single_level: u64,
-    /// Largest total broadcast count of any node across all levels.
-    pub max_broadcasts_total: u64,
 }
 
 /// Output of a PDE run.
@@ -188,16 +183,17 @@ impl PdeOutput {
 }
 
 /// [`run_pde`] with typed input validation: a disconnected graph, an
-/// out-of-range ε or weights whose path sums overflow come back as a
-/// [`BuildError`] instead of a panic, so builders can surface the
-/// condition through `try_build` and callers don't need `catch_unwind`
-/// shims around degenerate knobs.
+/// out-of-range ε, weights whose path sums overflow, σ = 0, h = 0 or a
+/// rung horizon `h′` that does not fit the detection state's `u32`
+/// distances come back as a [`BuildError`] instead of a panic, so
+/// builders can surface the condition through `try_build` and callers
+/// don't need `catch_unwind` shims around degenerate knobs.
 ///
 /// # Errors
 ///
 /// [`BuildError::Disconnected`] for disconnected inputs,
-/// [`BuildError::InvalidParam`] for ε outside `(0, 8]` or weights too
-/// large (see [`validate_pde_input`]).
+/// [`BuildError::InvalidParam`] for ε outside `(0, 8]`, weights too
+/// large (see [`validate_pde_input`]) or a degenerate σ or h.
 ///
 /// # Panics
 ///
@@ -209,7 +205,16 @@ pub fn try_run_pde(
     params: &PdeParams,
 ) -> Result<PdeOutput, BuildError> {
     validate_pde_input(g, params.eps)?;
-    Ok(run_pde(g, sources, tags, params))
+    let what = if params.sigma == 0 {
+        "sigma must be at least 1"
+    } else if params.h == 0 {
+        "h must be at least 1"
+    } else if horizon(params.h, params.eps) >= u64::from(u32::MAX) {
+        "h too large: the rung horizon h' overflows u32"
+    } else {
+        return Ok(run_pde(g, sources, tags, params));
+    };
+    Err(BuildError::InvalidParam { what })
 }
 
 /// `true` if every estimate a PDE run on `n` nodes with largest weight
@@ -287,7 +292,7 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
     // Coordination: learn w_max. Simulated mode pays the O(D) BFS +
     // aggregate; native mode reads the same value off the graph (the
     // aggregate of per-node maxima is exactly the global maximum).
-    let mut total = Metrics::new(g.len());
+    let mut coordination = Metrics::default();
     let w_max = match params.mode {
         BuildMode::Simulated => {
             let (tree, bfs_metrics) = build_bfs(&topo, NodeId(0));
@@ -296,13 +301,12 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
                 .map(|v| topo.arcs(v).map(|(_, _, w, _)| w).max().unwrap_or(1))
                 .collect();
             let (w_max, agg_metrics) = global_max(&topo, &tree, &local_max);
-            total.absorb(&bfs_metrics);
-            total.absorb(&agg_metrics);
+            coordination.absorb(&bfs_metrics);
+            coordination.absorb(&agg_metrics);
             w_max
         }
         BuildMode::Native => topo.max_weight().max(1),
     };
-    let coordination_rounds = total.rounds;
 
     let spec = LadderSpec {
         levels: level_ladder(params.eps, w_max),
@@ -341,29 +345,16 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
     let merger = merger
         .into_inner()
         .expect("a worker panicked while folding its rung");
-    let (lists, routes, stats) = merger.finish(params.sigma, &mut total);
+    let (lists, routes, mut metrics) = merger.finish(params.sigma);
+    metrics.total.absorb(&coordination);
 
     PdeOutput {
         lists,
         routes,
         levels,
         horizon: h_prime,
-        metrics: PdeMetrics {
-            total,
-            per_level_rounds: stats.per_level_rounds,
-            coordination_rounds,
-            max_broadcasts_single_level: stats.max_single,
-            max_broadcasts_total: stats.max_total,
-        },
+        metrics,
     }
-}
-
-/// Per-rung merge statistics carried out of [`RungMerger::finish`].
-#[derive(Debug, PartialEq, Eq)]
-struct MergeStats {
-    per_level_rounds: Vec<u64>,
-    max_single: u64,
-    max_total: u64,
 }
 
 /// Cap on `n · |S|` for the flat dense merge tables (~16M entries; at
@@ -444,11 +435,8 @@ struct RungMerger<'a> {
     /// most once, so the key is effectively `(estimate, level)`: the
     /// lowest rung wins estimate ties, as in a ladder-order merge.
     route: MergeTables<(u32, Port)>,
-    /// Per-rung metrics, parked until [`RungMerger::finish`] absorbs them
-    /// in ladder order.
-    rung_metrics: Vec<Option<Metrics>>,
-    max_single: u64,
-    totals_per_node: Vec<u64>,
+    /// The rungs' metrics, folded as the rungs are.
+    metrics: PdeMetrics,
 }
 
 impl<'a> RungMerger<'a> {
@@ -458,21 +446,21 @@ impl<'a> RungMerger<'a> {
             space,
             best: MergeTables::new(n, s, dense),
             route: MergeTables::new(n, s, dense),
-            rung_metrics: vec![None; num_levels],
-            max_single: 0,
-            totals_per_node: vec![0; n],
+            metrics: PdeMetrics {
+                per_level_rounds: vec![0; num_levels],
+                ..PdeMetrics::default()
+            },
         }
     }
 
     /// Folds level `li` (rung value `b`) into the tables. Order-free: any
     /// permutation of the ladder gives the same result.
     fn fold(&mut self, li: usize, b: u64, rung: &SolvedRung) {
-        self.max_single = self
-            .max_single
-            .max(rung.msgs_per_node.iter().copied().max().unwrap_or(0));
-        for (t, m) in self.totals_per_node.iter_mut().zip(&rung.msgs_per_node) {
-            *t += m;
-        }
+        let m = &mut self.metrics;
+        let max_single = rung.msgs_per_node.iter().copied().max().unwrap_or(0);
+        m.max_broadcasts_single_level = m.max_broadcasts_single_level.max(max_single);
+        m.per_level_rounds[li] = rung.metrics.rounds;
+        m.total.absorb(&rung.metrics);
         let (space, s) = (self.space, self.space.len());
         let (best, route) = (&mut self.best, &mut self.route);
         // `dist · b` cannot overflow: `run_pde` checked the weights.
@@ -484,17 +472,10 @@ impl<'a> RungMerger<'a> {
                 route.update(v, s, si, u64::from(dist) * b, (li as u32, port));
             }
         });
-        debug_assert!(self.rung_metrics[li].is_none(), "each rung folds once");
-        self.rung_metrics[li] = Some(rung.metrics.clone());
     }
 
-    /// Builds the outputs and absorbs the parked rung metrics into
-    /// `total`, in ladder order.
-    fn finish(
-        mut self,
-        sigma: usize,
-        total: &mut Metrics,
-    ) -> (Vec<Vec<PdeEntry>>, FlatTables, MergeStats) {
+    /// Builds the outputs and hands back the folded rung metrics.
+    fn finish(mut self, sigma: usize) -> (Vec<Vec<PdeEntry>>, FlatTables, PdeMetrics) {
         let (n, s) = (self.space.num_nodes(), self.space.len());
         let mut scratch: Vec<(u32, u64, bool)> = Vec::new();
         let mut lists = Vec::with_capacity(n);
@@ -531,19 +512,7 @@ impl<'a> RungMerger<'a> {
                     (space.id(si), RouteInfo { est, port, level })
                 }));
             });
-
-        let mut per_level_rounds = Vec::with_capacity(self.rung_metrics.len());
-        for m in &self.rung_metrics {
-            let m = m.as_ref().expect("every rung was folded");
-            per_level_rounds.push(m.rounds);
-            total.absorb(m);
-        }
-        let stats = MergeStats {
-            per_level_rounds,
-            max_single: self.max_single,
-            max_total: self.totals_per_node.iter().copied().max().unwrap_or(0),
-        };
-        (lists, routes, stats)
+        (lists, routes, self.metrics)
     }
 }
 
@@ -672,15 +641,12 @@ mod tests {
     }
 
     #[test]
-    fn coordination_rounds_are_charged() {
+    fn coordination_is_charged() {
         let mut rng = SmallRng::seed_from_u64(1);
         let g = gen::path(10, Weights::Uniform { lo: 1, hi: 5 }, &mut rng);
         let out = run_pde(&g, &[true; 10], &[false; 10], &PdeParams::new(10, 2, 0.5));
-        assert!(out.metrics.coordination_rounds > 0);
-        assert_eq!(
-            out.metrics.total.rounds,
-            out.metrics.coordination_rounds + out.metrics.per_level_rounds.iter().sum::<u64>()
-        );
+        let rungs: u64 = out.metrics.per_level_rounds.iter().sum();
+        assert!(out.metrics.total.rounds > rungs, "no coordination charged");
     }
 
     /// Every rung of `spec`, solved in ladder order.
@@ -695,13 +661,8 @@ mod tests {
         spec.levels.iter().map(solve).collect()
     }
 
-    /// Lists, served routes, stats and the absorbed totals of one merge.
-    type Merged = (
-        Vec<Vec<PdeEntry>>,
-        FlatTables,
-        MergeStats,
-        (u64, u64, Vec<u64>, Vec<u64>, u64),
-    );
+    /// Lists, served routes and folded metrics of one merge.
+    type Merged = (Vec<Vec<PdeEntry>>, FlatTables, PdeMetrics);
 
     /// Folds `rungs` in `order` and finishes the merge.
     fn merge(
@@ -715,16 +676,7 @@ mod tests {
         for &li in order {
             merger.fold(li, spec.levels[li], &rungs[li]);
         }
-        let mut total = Metrics::new(space.num_nodes());
-        let (lists, routes, stats) = merger.finish(spec.sigma, &mut total);
-        let total = (
-            total.rounds,
-            total.messages,
-            total.per_node_sent,
-            total.per_round_sent.to_vec(),
-            total.total_bits,
-        );
-        (lists, routes, stats, total)
+        merger.finish(spec.sigma)
     }
 
     proptest! {
@@ -834,7 +786,7 @@ mod tests {
         let tie = expected.1.row_routes(NodeId(0)).find(|r| r.0 == NodeId(2));
         let tie = tie.expect("node 0 archives source 2").1;
         assert_eq!((tie.est, tie.level, tie.port), (6, 0, 0), "lower rung wins");
-        assert!(expected.3 .0 > 0, "simulated rungs charge rounds");
+        assert!(expected.2.total.rounds > 0, "simulated rungs charge rounds");
         for order in &orders {
             for dense in [true, false] {
                 assert_eq!(merge(order, dense), expected, "{order:?} dense={dense}");
@@ -912,7 +864,6 @@ mod tests {
             assert_eq!(sim.horizon, nat.horizon, "seed {seed}");
             assert!(sim.metrics.total.rounds > 0);
             assert_eq!(nat.metrics.total.rounds, 0, "native charges no rounds");
-            assert_eq!(nat.metrics.coordination_rounds, 0);
             // Native rung parallelism keeps the same outputs.
             let nat4 = run_pde(
                 &g,

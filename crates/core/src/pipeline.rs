@@ -361,7 +361,7 @@ pub fn trace_chain(routes: &FlatTables, topo: &Topology, from: NodeId, to: NodeI
 pub fn label_trees(topo: &Topology, set: &TreeSet, mode: BuildMode) -> congest::Metrics {
     match mode {
         BuildMode::Simulated => label_forest(topo, set).metrics,
-        BuildMode::Native => congest::Metrics::new(topo.len()),
+        BuildMode::Native => congest::Metrics::default(),
     }
 }
 

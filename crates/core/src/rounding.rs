@@ -61,7 +61,7 @@ pub fn level_ladder(eps: f64, w_max: u64) -> Vec<u64> {
 pub fn horizon(h: u64, eps: f64) -> u64 {
     assert!(eps > 0.0 && eps <= 8.0, "eps must be in (0, 8]");
     assert!(h >= 1, "horizon needs h >= 1");
-    (3.0 * (1.0 + eps) * h as f64 / eps).ceil() as u64 + 1
+    ((3.0 * (1.0 + eps) * h as f64 / eps).ceil() as u64).saturating_add(1)
 }
 
 /// Rounds a weight up to the next multiple of rung `b`, expressed in units

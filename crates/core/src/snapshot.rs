@@ -110,13 +110,6 @@ impl FlatLists {
         })
     }
 
-    /// Decodes back into owned per-node lists (tests and cold paths).
-    pub fn to_lists(&self) -> Vec<Vec<PdeEntry>> {
-        (0..self.len())
-            .map(|v| self.iter_row(NodeId::from_index(v)).collect())
-            .collect()
-    }
-
     /// Emits the lists into an arena, the views' backing bytes
     /// verbatim: row offsets, estimates, sources, tags, escapes.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
@@ -209,11 +202,15 @@ mod tests {
                 },
             ],
         ];
+        let to_lists = |fl: &FlatLists| -> Vec<Vec<PdeEntry>> {
+            let rows = (0..fl.len()).map(NodeId::from_index);
+            rows.map(|v| fl.iter_row(v).collect()).collect()
+        };
         let fl = FlatLists::from_lists(&lists);
         assert_eq!(fl.len(), 3);
         assert_eq!(fl.row_len(NodeId(0)), 2);
         assert_eq!(fl.row_len(NodeId(1)), 0);
-        assert_eq!(fl.to_lists(), lists);
+        assert_eq!(to_lists(&fl), lists);
 
         // The arena round trip is a byte passthrough.
         let mut aw = congest::arena::ArenaWriter::new();
@@ -223,7 +220,7 @@ mod tests {
         let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
         let back = FlatLists::read_arena(&mut r.cursor()).unwrap();
         assert_eq!(back, fl);
-        assert_eq!(back.to_lists(), lists);
+        assert_eq!(to_lists(&back), lists);
         let mut aw2 = congest::arena::ArenaWriter::new();
         back.write_arena(&mut aw2);
         let mut buf2 = Vec::new();

@@ -42,16 +42,6 @@ impl Apsp {
         self.n == 0
     }
 
-    /// Maximum finite distance (the weighted diameter `WD`).
-    pub fn weighted_diameter(&self) -> u64 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != INF)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Maximum finite hop count (the shortest path diameter `SPD`).
     pub fn shortest_path_diameter(&self) -> u32 {
         self.hops
@@ -364,7 +354,6 @@ mod tests {
         // Path 0-1-2 with weights 1, 10.
         let g = WGraph::from_edges(3, &[(0, 1, 1), (1, 2, 10)]).unwrap();
         let a = apsp(&g);
-        assert_eq!(a.weighted_diameter(), 11);
         assert_eq!(a.shortest_path_diameter(), 2);
     }
 }

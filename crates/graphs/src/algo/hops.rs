@@ -5,7 +5,7 @@ use congest::NodeId;
 use std::collections::VecDeque;
 
 /// Unweighted BFS: `hd(source, v)` for every `v` (`u32::MAX` if unreachable).
-pub fn bfs_hops(g: &WGraph, source: NodeId) -> Vec<u32> {
+pub(crate) fn bfs_hops(g: &WGraph, source: NodeId) -> Vec<u32> {
     let mut d = vec![u32::MAX; g.len()];
     let mut q = VecDeque::new();
     d[source.index()] = 0;

@@ -9,5 +9,5 @@ mod props;
 pub use apsp::{apsp, apsp_with_first_hops, first_hops_from_dist, sssp_with_first_hops, Apsp};
 pub use detection::{detection_reference, DetectionList};
 pub use dijkstra::{dijkstra, Sssp, DIAL_WEIGHT_LIMIT};
-pub use hops::{bfs_hops, hop_limited_distances};
-pub use props::{hop_diameter, shortest_path_diameter, weighted_diameter};
+pub use hops::hop_limited_distances;
+pub use props::{hop_diameter, shortest_path_diameter};

@@ -23,25 +23,6 @@ pub fn hop_diameter(g: &WGraph) -> u32 {
     d
 }
 
-/// The weighted diameter `WD`: `max_{v,w} wd(v, w)`.
-///
-/// # Panics
-///
-/// Panics if the graph is disconnected.
-pub fn weighted_diameter(g: &WGraph) -> u64 {
-    let a = apsp(g);
-    for v in g.nodes() {
-        for w in g.nodes() {
-            assert_ne!(
-                a.dist(v, w),
-                crate::graph::INF,
-                "weighted diameter of a disconnected graph"
-            );
-        }
-    }
-    a.weighted_diameter()
-}
-
 /// The shortest path diameter `SPD`: `max_{v,w} h_{v,w}` — the maximum,
 /// over pairs, of the minimum hop count among shortest weighted paths.
 ///
@@ -74,7 +55,6 @@ mod tests {
     fn path_graph_parameters() {
         let g = WGraph::from_edges(4, &[(0, 1, 5), (1, 2, 5), (2, 3, 5)]).unwrap();
         assert_eq!(hop_diameter(&g), 3);
-        assert_eq!(weighted_diameter(&g), 15);
         assert_eq!(shortest_path_diameter(&g), 3);
     }
 
@@ -84,7 +64,6 @@ mod tests {
         let g = WGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 10)]).unwrap();
         assert_eq!(hop_diameter(&g), 1);
         assert_eq!(shortest_path_diameter(&g), 2);
-        assert_eq!(weighted_diameter(&g), 2);
     }
 
     #[test]

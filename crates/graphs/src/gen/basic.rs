@@ -27,13 +27,6 @@ pub fn cycle<R: Rng + ?Sized>(n: usize, w: Weights, rng: &mut R) -> WGraph {
     build(n, edges)
 }
 
-/// Star on `n ≥ 2` nodes with center 0.
-pub fn star<R: Rng + ?Sized>(n: usize, w: Weights, rng: &mut R) -> WGraph {
-    assert!(n >= 2, "star needs at least 2 nodes");
-    let edges = (1..n as u32).map(|i| (0, i, w.sample(rng))).collect();
-    build(n, edges)
-}
-
 /// Complete graph on `n ≥ 2` nodes.
 pub fn complete<R: Rng + ?Sized>(n: usize, w: Weights, rng: &mut R) -> WGraph {
     assert!(n >= 2, "complete graph needs at least 2 nodes");
@@ -64,54 +57,10 @@ pub fn grid<R: Rng + ?Sized>(rows: usize, cols: usize, w: Weights, rng: &mut R) 
     build(rows * cols, edges)
 }
 
-/// `rows × cols` torus (grid with wrap-around edges); needs `rows, cols ≥ 3`.
-pub fn torus<R: Rng + ?Sized>(rows: usize, cols: usize, w: Weights, rng: &mut R) -> WGraph {
-    assert!(rows >= 3 && cols >= 3, "torus needs both sides ≥ 3");
-    let id = |r: usize, c: usize| (r * cols + c) as u32;
-    let mut edges = Vec::new();
-    for r in 0..rows {
-        for c in 0..cols {
-            edges.push((id(r, c), id(r, (c + 1) % cols), w.sample(rng)));
-            edges.push((id(r, c), id((r + 1) % rows, c), w.sample(rng)));
-        }
-    }
-    build(rows * cols, edges)
-}
-
-/// Complete `arity`-ary tree of the given `depth` (depth 0 = single root
-/// plus one child to keep the graph non-trivial is *not* done: depth ≥ 1).
-pub fn balanced_tree<R: Rng + ?Sized>(
-    arity: usize,
-    depth: usize,
-    w: Weights,
-    rng: &mut R,
-) -> WGraph {
-    assert!(
-        arity >= 1 && depth >= 1,
-        "tree needs arity ≥ 1 and depth ≥ 1"
-    );
-    let mut edges = Vec::new();
-    let mut next = 1u32;
-    let mut frontier = vec![0u32];
-    for _ in 0..depth {
-        let mut new_frontier = Vec::new();
-        for &p in &frontier {
-            for _ in 0..arity {
-                edges.push((p, next, w.sample(rng)));
-                new_frontier.push(next);
-                next += 1;
-            }
-        }
-        frontier = new_frontier;
-    }
-    build(next as usize, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algo;
-    use congest::NodeId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -136,13 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn star_shape() {
-        let g = star(7, Weights::Unit, &mut rng());
-        assert_eq!(g.degree(NodeId(0)), 6);
-        assert_eq!(algo::hop_diameter(&g), 2);
-    }
-
-    #[test]
     fn complete_shape() {
         let g = complete(6, Weights::Uniform { lo: 1, hi: 9 }, &mut rng());
         assert_eq!(g.num_edges(), 15);
@@ -155,21 +97,5 @@ mod tests {
         assert_eq!(g.len(), 12);
         assert_eq!(g.num_edges(), 3 * 3 + 2 * 4); // vertical + horizontal
         assert_eq!(algo::hop_diameter(&g), 2 + 3);
-    }
-
-    #[test]
-    fn torus_shape() {
-        let g = torus(3, 3, Weights::Unit, &mut rng());
-        assert_eq!(g.len(), 9);
-        assert_eq!(g.num_edges(), 18);
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-    }
-
-    #[test]
-    fn balanced_tree_shape() {
-        let g = balanced_tree(2, 3, Weights::Unit, &mut rng());
-        assert_eq!(g.len(), 1 + 2 + 4 + 8);
-        assert_eq!(g.num_edges(), g.len() - 1);
-        assert_eq!(algo::hop_diameter(&g), 6);
     }
 }

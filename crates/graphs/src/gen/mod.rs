@@ -10,9 +10,9 @@ mod random;
 mod special;
 mod weights;
 
-pub use basic::{balanced_tree, complete, cycle, grid, path, star, torus};
+pub use basic::{complete, cycle, grid, path};
 pub use families::{hypercube, power_law, ring_of_cliques};
 pub use figure1::{figure1, Figure1};
-pub use random::{gnp_connected, random_tree, watts_strogatz};
-pub use special::{dumbbell, lollipop, weighted_clique_multihop};
+pub use random::{gnp_connected, random_tree};
+pub use special::{dumbbell, weighted_clique_multihop};
 pub use weights::Weights;

@@ -54,52 +54,6 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, w: Weights, rng: &mut R) -> WGraph
     WGraph::connected_from_edges(n, &edges).expect("random_tree produced an invalid graph")
 }
 
-/// Watts–Strogatz small-world graph: ring lattice where each node connects
-/// to its `k/2` nearest neighbors on each side, with each edge's far
-/// endpoint rewired with probability `beta`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    w: Weights,
-    rng: &mut R,
-) -> WGraph {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and ≥ 2");
-    assert!(n > k, "n must exceed k");
-    assert!((0.0..=1.0).contains(&beta), "beta must be a probability");
-    let mut pairs: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for i in 0..n as u32 {
-        for d in 1..=(k / 2) as u32 {
-            let j = (i + d) % n as u32;
-            pairs.insert((i.min(j), i.max(j)));
-        }
-    }
-    let lattice: Vec<(u32, u32)> = pairs.iter().copied().collect();
-    for (i, j) in lattice {
-        if rng.random_bool(beta) {
-            // Rewire the far endpoint to a uniform non-neighbor.
-            for _ in 0..16 {
-                let t = rng.random_range(0..n as u32);
-                let cand = (i.min(t), i.max(t));
-                if t != i && !pairs.contains(&cand) {
-                    pairs.remove(&(i.min(j), i.max(j)));
-                    pairs.insert(cand);
-                    break;
-                }
-            }
-        }
-    }
-    // Keep connectivity with a backbone chain.
-    for (a, b) in backbone(n, rng) {
-        pairs.insert((a.min(b), a.max(b)));
-    }
-    let edges: Vec<(u32, u32, u64)> = pairs
-        .into_iter()
-        .map(|(a, b)| (a, b, w.sample(rng)))
-        .collect();
-    WGraph::connected_from_edges(n, &edges).expect("watts_strogatz produced an invalid graph")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,15 +84,6 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let g = random_tree(40, Weights::Unit, &mut rng);
             assert_eq!(g.num_edges(), 39);
-            assert!(g.is_connected());
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_is_connected() {
-        for seed in 0..5 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let g = watts_strogatz(50, 4, 0.2, Weights::Unit, &mut rng);
             assert!(g.is_connected());
         }
     }

@@ -39,31 +39,6 @@ pub fn dumbbell<R: Rng + ?Sized>(
     WGraph::connected_from_edges(n, &edges).expect("dumbbell produced an invalid graph")
 }
 
-/// Lollipop: a clique of `clique` nodes with a path of `path_len` nodes
-/// hanging off node 0.
-pub fn lollipop<R: Rng + ?Sized>(
-    clique: usize,
-    path_len: usize,
-    w: Weights,
-    rng: &mut R,
-) -> WGraph {
-    assert!(clique >= 2 && path_len >= 1, "need clique ≥ 2 and path ≥ 1");
-    let n = clique + path_len;
-    let mut edges = Vec::new();
-    for i in 0..clique as u32 {
-        for j in i + 1..clique as u32 {
-            edges.push((i, j, w.sample(rng)));
-        }
-    }
-    let mut prev = 0u32;
-    for p in 0..path_len as u32 {
-        let node = clique as u32 + p;
-        edges.push((prev, node, w.sample(rng)));
-        prev = node;
-    }
-    WGraph::connected_from_edges(n, &edges).expect("lollipop produced an invalid graph")
-}
-
 /// The "Congested Clique" extreme example from the paper's technical
 /// discussion: a complete graph whose hop diameter is 1 but whose shortest
 /// path diameter is `Θ(n)`.
@@ -98,15 +73,6 @@ mod tests {
         let g = dumbbell(5, 6, Weights::Unit, &mut rng);
         assert_eq!(g.len(), 16);
         assert_eq!(algo::hop_diameter(&g), 6 + 3);
-    }
-
-    #[test]
-    fn lollipop_shape() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let g = lollipop(4, 3, Weights::Unit, &mut rng);
-        assert_eq!(g.len(), 7);
-        assert_eq!(g.num_edges(), 6 + 3);
-        assert!(g.is_connected());
     }
 
     #[test]

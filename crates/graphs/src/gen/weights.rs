@@ -44,15 +44,6 @@ impl Weights {
             }
         }
     }
-
-    /// The largest weight this distribution can produce.
-    pub fn max_value(&self) -> u64 {
-        match *self {
-            Weights::Unit => 1,
-            Weights::Uniform { hi, .. } => hi,
-            Weights::PowerOfTwo { max_exp } => 1u64 << max_exp,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -71,12 +62,5 @@ mod tests {
             let p = Weights::PowerOfTwo { max_exp: 5 }.sample(&mut rng);
             assert!(p.is_power_of_two() && p <= 32);
         }
-    }
-
-    #[test]
-    fn max_value_matches_distribution() {
-        assert_eq!(Weights::Unit.max_value(), 1);
-        assert_eq!(Weights::Uniform { lo: 1, hi: 7 }.max_value(), 7);
-        assert_eq!(Weights::PowerOfTwo { max_exp: 10 }.max_value(), 1024);
     }
 }

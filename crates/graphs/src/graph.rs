@@ -191,11 +191,6 @@ impl WGraph {
         Topology::from_edges(self.n, &self.edges).expect("validated graph converts to topology")
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
-    }
-
     /// Serializes the graph (node count + canonical edge list) with the
     /// snapshot wire format of [`congest::wire`].
     ///
@@ -301,7 +296,6 @@ mod tests {
         assert_eq!(g.edge_weight(NodeId(3), NodeId(0)), Some(7));
         assert_eq!(g.edge_weight(NodeId(3), NodeId(1)), None);
         assert_eq!(g.max_weight(), 7);
-        assert_eq!(g.total_weight(), 15);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Dijkstra with minimum-hop tie-breaking (which computes the paper's
 //! "shortest path distance" `h_{v,w}`), exact APSP, `h`-hop-limited
 //! distances `wd_h`, the exact `(S, h, σ)`-detection reference, and the
-//! graph parameters `D` (hop diameter), `WD` (weighted diameter) and `SPD`
-//! (shortest path diameter) from Section 2.2 of the paper.
+//! graph parameters `D` (hop diameter) and `SPD` (shortest path diameter)
+//! from Section 2.2 of the paper.
 //!
 //! # Example
 //!
@@ -20,12 +20,13 @@
 //! let sssp = algo::dijkstra(&g, graphs::NodeId(0));
 //! assert_eq!(sssp.dist[3], 5);     // 0→1→2→3
 //! assert_eq!(sssp.hops[3], 3);     // over three hops
-//! assert_eq!(algo::weighted_diameter(&g), 5);
+//! assert_eq!(algo::hop_diameter(&g), 2);
 //! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod algo;

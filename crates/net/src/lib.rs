@@ -75,6 +75,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod chaos;
@@ -91,7 +92,7 @@ pub use oracle::FailoverOutcome as RouteOutcome;
 pub use resilient::{ReplicaSet, RetryClient, RetryPolicy};
 pub use serve::{InstallSummary, OracleStats, RepairSummary, Request, Response, ServerStats};
 pub use server::{NetServer, ServerConfig};
-pub use wire::{Op, WireError, MAX_NAME_LEN, MAX_PATH_LEN, NET_VERSION};
+pub use wire::{Op, WireError, NET_VERSION};
 
 #[cfg(test)]
 mod tests {

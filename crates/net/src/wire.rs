@@ -43,16 +43,16 @@ pub const NET_VERSION: u8 = 1;
 
 /// Response status byte: the request succeeded, the body is the typed
 /// reply for its op.
-pub const STATUS_OK: u8 = 0;
+pub(crate) const STATUS_OK: u8 = 0;
 
 /// Response status byte: the body is an encoded [`WireError`].
-pub const STATUS_ERR: u8 = 0xEE;
+pub(crate) const STATUS_ERR: u8 = 0xEE;
 
 /// Longest accepted oracle name on the wire.
-pub const MAX_NAME_LEN: usize = 256;
+pub(crate) const MAX_NAME_LEN: usize = 256;
 
 /// Longest accepted server-side snapshot path in an `Install` frame.
-pub const MAX_PATH_LEN: usize = 4096;
+pub(crate) const MAX_PATH_LEN: usize = 4096;
 
 // ------------------------------------------------------------ errors --
 

@@ -56,44 +56,30 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Evaluates `oracle` on the selected pairs against exact ground truth,
-/// sequentially (`threads = 1`); see [`evaluate_with`].
-pub fn evaluate(
-    oracle: &dyn DistanceOracle,
-    g: &WGraph,
-    exact: &Apsp,
-    pairs: PairSelection,
-) -> EvalReport {
-    evaluate_with(oracle, g, exact, pairs, 1)
-}
-
 /// Evaluates `oracle` on the selected pairs against exact ground truth.
 ///
 /// Estimates are validated for soundness (never below `wd`) and coverage;
 /// routes — when the backend routes at all — are traced through
 /// [`DistanceOracle::route_into`] (one reused buffer, no per-pair
 /// allocation) and validated for termination and weight soundness. Batch
-/// throughput is measured by timing repeated
-/// [`DistanceOracle::estimate_many_with`] sweeps over the pair list with
-/// the given `threads` knob (`0` = auto, `1` = sequential); answers are
-/// identical for every knob value, only the measured q/s changes.
-pub fn evaluate_with(
+/// throughput is measured by timing repeated sequential
+/// [`DistanceOracle::estimate_many_with`] sweeps over the pair list.
+pub fn evaluate(
     oracle: &dyn DistanceOracle,
     g: &WGraph,
     exact: &Apsp,
     pairs: PairSelection,
-    threads: usize,
 ) -> EvalReport {
     let list = pairs.pairs(g.len());
     let mut failures = Vec::new();
 
     // --- Batch estimates (also the throughput measurement). ---
     let mut out = Vec::new();
-    oracle.estimate_many_with(&list, &mut out, threads);
+    oracle.estimate_many_with(&list, &mut out, 1);
     let reps = (100_000 / list.len().max(1)).clamp(1, 200);
     let t0 = Instant::now();
     for _ in 0..reps {
-        oracle.estimate_many_with(&list, &mut out, threads);
+        oracle.estimate_many_with(&list, &mut out, 1);
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     let queries_per_sec = (reps * list.len()) as f64 / secs;
@@ -104,10 +90,10 @@ pub fn evaluate_with(
     let mut sorted_list = list.clone();
     sorted_list.sort_unstable_by_key(|&(u, v)| (u.0, v.0));
     let mut sorted_out = Vec::new();
-    oracle.estimate_many_with(&sorted_list, &mut sorted_out, threads);
+    oracle.estimate_many_with(&sorted_list, &mut sorted_out, 1);
     let t0 = Instant::now();
     for _ in 0..reps {
-        oracle.estimate_many_with(&sorted_list, &mut sorted_out, threads);
+        oracle.estimate_many_with(&sorted_list, &mut sorted_out, 1);
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     let queries_per_sec_sorted = (reps * sorted_list.len()) as f64 / secs;

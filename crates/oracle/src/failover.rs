@@ -50,7 +50,6 @@ fn edge_key(u: NodeId, v: NodeId) -> u64 {
 pub struct LivenessMask {
     n: usize,
     dead_nodes: Vec<u64>,
-    dead_node_count: usize,
     dead_edges: Vec<u64>,
 }
 
@@ -60,7 +59,6 @@ impl LivenessMask {
         LivenessMask {
             n,
             dead_nodes: vec![0; n.div_ceil(64)],
-            dead_node_count: 0,
             dead_edges: Vec::new(),
         }
     }
@@ -77,36 +75,12 @@ impl LivenessMask {
 
     /// `true` when nothing is masked dead.
     pub fn is_clear(&self) -> bool {
-        self.dead_node_count == 0 && self.dead_edges.is_empty()
-    }
-
-    /// Number of failed nodes.
-    pub fn failed_nodes(&self) -> usize {
-        self.dead_node_count
-    }
-
-    /// Number of individually failed edges (edges incident to failed
-    /// nodes are masked through the node, not counted here).
-    pub fn failed_edges(&self) -> usize {
-        self.dead_edges.len()
+        self.dead_nodes.iter().all(|&w| w == 0) && self.dead_edges.is_empty()
     }
 
     /// Marks node `v` dead (idempotent).
     pub fn fail_node(&mut self, v: NodeId) {
-        let (w, b) = (v.index() / 64, v.index() % 64);
-        if self.dead_nodes[w] & (1 << b) == 0 {
-            self.dead_nodes[w] |= 1 << b;
-            self.dead_node_count += 1;
-        }
-    }
-
-    /// Marks node `v` alive again (idempotent).
-    pub fn revive_node(&mut self, v: NodeId) {
-        let (w, b) = (v.index() / 64, v.index() % 64);
-        if self.dead_nodes[w] & (1 << b) != 0 {
-            self.dead_nodes[w] &= !(1 << b);
-            self.dead_node_count -= 1;
-        }
+        self.dead_nodes[v.index() / 64] |= 1 << (v.index() % 64);
     }
 
     /// Marks edge `{u, v}` dead (idempotent).
@@ -127,7 +101,6 @@ impl LivenessMask {
     /// Clears every failure.
     pub fn clear(&mut self) {
         self.dead_nodes.fill(0);
-        self.dead_node_count = 0;
         self.dead_edges.clear();
     }
 
@@ -330,9 +303,9 @@ mod tests {
             !m.edge_alive(NodeId(0), NodeId(65)),
             "dead endpoint kills edges"
         );
-        assert_eq!((m.failed_nodes(), m.failed_edges()), (1, 1));
-        m.revive_node(NodeId(65));
         m.revive_edge(NodeId(1), NodeId(2));
+        assert!(m.edge_alive(NodeId(1), NodeId(2)));
+        m.clear();
         assert!(m.is_clear());
     }
 

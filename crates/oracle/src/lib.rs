@@ -52,6 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod backends;
@@ -69,7 +70,7 @@ use std::time::Instant;
 pub use backends::{
     BfOracle, CompactOracle, FloodOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
 };
-pub use eval::{evaluate, evaluate_with, EvalReport};
+pub use eval::{evaluate, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
 pub use graphs::{DeltaError, GraphDelta};
 /// The shared staged build pipeline (stage logs, sampling, virtual-graph

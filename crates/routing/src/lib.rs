@@ -28,6 +28,7 @@
 //! stretch/size report used by experiments E4, E5 and E9.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod eval;

@@ -309,7 +309,7 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     let n = g.len();
     let mode = params.mode;
     let topo = g.to_topology();
-    let mut total = Metrics::new(n);
+    let mut total = Metrics::default();
     let mut stages = StageLog::default();
 
     // Stage 1: skeleton sampling (node-local coins; no rounds). The

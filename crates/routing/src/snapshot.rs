@@ -172,9 +172,11 @@ impl RtcScheme {
         let pde_s_rounds = r.u64()?;
         let spanner_broadcast_rounds = r.u64()?;
         let tree_label_rounds = r.u64()?;
-        let mut total = Metrics::new(n);
-        total.rounds = r.u64()?;
-        total.messages = r.u64()?;
+        let total = Metrics {
+            rounds: r.u64()?,
+            messages: r.u64()?,
+            ..Metrics::default()
+        };
         let sample_attempts = r.u32()?;
         let h = r.u64()?;
         let skel_index = DenseIndex::new(n, &skel_ids);

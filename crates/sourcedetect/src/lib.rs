@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod native;
@@ -51,4 +52,4 @@ mod runner;
 pub use native::{native_detection, native_solve, NativeSolution};
 pub use program::{SdEntry, SdMsg, SdProgram, SourceSpace};
 pub use reference::delayed_detection_reference;
-pub use runner::{run_detection, DetectParams, DetectionOutput, RouteEntry};
+pub use runner::{run_detection, DetectParams, DetectionOutput};

@@ -21,13 +21,13 @@
 //!   shortest-path predecessor, whose own copy ranks within the top σ
 //!   with `dist < h` — the standard prefix argument).
 //! * **Routes** (the archive of best *received* `(dist, port)` per
-//!   source) are the canonical ones: best over announcements of the
-//!   idealized schedule, ties broken towards the smaller arrival port.
-//!   The round-by-round execution additionally receives announcements of
-//!   transient entries (pairs announced before better ones crowded them
-//!   out of the top σ) whose exact set depends on queueing order, so the
-//!   schemes assemble their artifacts from the canonical archive in both
-//!   build modes and the CONGEST run remains the round/message
+//!   source) exist only here: best over announcements of the idealized
+//!   schedule, ties broken towards the smaller arrival port. The
+//!   round-by-round execution also receives announcements of transient
+//!   entries (pairs announced before better ones crowded them out of the
+//!   top σ) whose exact set depends on queueing order, so it keeps no
+//!   archive at all: the schemes assemble their artifacts from this one
+//!   in both build modes, and the CONGEST run is the round/message
 //!   *measurement*.
 //!
 //! The canonical archive keeps the invariants the schemes rely on: it
@@ -52,8 +52,9 @@
 //! the `(source index, dist, port)` archive row to a visitor, through
 //! two scratch rows reused across nodes. A consumer that folds rows as
 //! they come (the PDE rung merge) therefore never holds a materialised
-//! rung; [`native_detection`] is the thin wrapper that collects the same
-//! rows into a [`DetectionOutput`] for callers that want one.
+//! rung, and the visitor is the only reader of the archive;
+//! [`native_detection`] is the thin wrapper that collects the lists and
+//! counts into a [`DetectionOutput`] for callers that want one.
 
 use crate::program::SourceSpace;
 use crate::runner::{DetectParams, DetectionOutput};
@@ -88,14 +89,14 @@ fn choose_dense(n: usize, s: usize, m_edges: usize, sigma: usize) -> bool {
 #[derive(Clone, Copy, Debug)]
 struct NState {
     dist: u32,
-    route_dist: u32,
-    route_port: Port,
+    recv_dist: u32,
+    recv_port: Port,
 }
 
 const EMPTY: NState = NState {
     dist: NONE32,
-    route_dist: NONE32,
-    route_port: 0,
+    recv_dist: NONE32,
+    recv_port: 0,
 };
 
 /// Dense or sparse `(node, source) → NState` storage.
@@ -178,8 +179,8 @@ impl NativeSolution {
             if st.dist != NONE32 {
                 list.push((st.dist, si));
             }
-            if st.route_dist != NONE32 {
-                archive.push((si, st.route_dist, st.route_port));
+            if st.recv_dist != NONE32 {
+                archive.push((si, st.recv_dist, st.recv_port));
             }
         };
         for v in 0..self.announced.len() {
@@ -212,11 +213,10 @@ impl NativeSolution {
 /// define the hop metric, exactly as in [`crate::run_detection`]).
 ///
 /// Output shape matches [`crate::run_detection`]: per-node top-σ lists,
-/// per-node routing archives sorted by source id, per-node announcement
-/// counts (the idealized-schedule analogue of the broadcast counts), and
-/// zeroed simulator metrics (a native run charges no rounds). This is
-/// [`native_solve`] plus a collecting [`NativeSolution::for_each_row`]
-/// visitor.
+/// per-node announcement counts (the idealized-schedule analogue of the
+/// broadcast counts), and zeroed simulator metrics (a native run charges
+/// no rounds). This is [`native_solve`] plus a
+/// [`NativeSolution::for_each_row`] visitor that collects the lists.
 ///
 /// # Panics
 ///
@@ -234,29 +234,20 @@ pub fn native_detection(
     collect(&space, native_solve(topo, &space, params))
 }
 
-/// Collects a solution's rows into the runner's output shapes.
+/// Collects a solution's lists and counts into the runner's output shape.
 fn collect(space: &SourceSpace, solution: NativeSolution) -> DetectionOutput {
-    let n = solution.announced.len();
-    let mut lists = Vec::with_capacity(n);
-    let mut routes = Vec::with_capacity(n);
-    solution.for_each_row(|_, list, archive| {
+    let mut lists = Vec::with_capacity(solution.announced.len());
+    solution.for_each_row(|_, list, _| {
         lists.push(
             list.iter()
                 .map(|&(dist, si)| space.entry(dist, si))
                 .collect(),
         );
-        routes.push(
-            archive
-                .iter()
-                .map(|&(si, dist, port)| (space.id(si), u64::from(dist), port))
-                .collect(),
-        );
     });
     DetectionOutput {
         lists,
-        routes,
         msgs_per_node: solution.announced,
-        metrics: Metrics::new(n),
+        metrics: Metrics::default(),
     }
 }
 
@@ -349,9 +340,9 @@ fn solve(
                 let st = state.get_mut(s, u.index(), si);
                 // Archive: best received (dist, port), smaller port wins
                 // distance ties (arrival-order-free).
-                if (nd32, ap) < (st.route_dist, st.route_port) {
-                    st.route_dist = nd32;
-                    st.route_port = ap;
+                if (nd32, ap) < (st.recv_dist, st.recv_port) {
+                    st.recv_dist = nd32;
+                    st.recv_port = ap;
                 }
                 if nd32 < st.dist {
                     st.dist = nd32;
@@ -492,14 +483,12 @@ mod tests {
         for h in [2, 4, 8] {
             for sigma in [1, 2, 3] {
                 let out = native_detection(&topo, &sources, &tags, &params(h, sigma));
-                for dense in [true, false] {
-                    let (lists, routes, msgs) =
-                        rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
-                    let what = format!("h={h} sigma={sigma} dense={dense}");
-                    assert_eq!(lists, out.lists, "{what}");
-                    assert_eq!(routes, out.routes, "{what}");
-                    assert_eq!(msgs, out.msgs_per_node, "{what}");
-                }
+                let [dense, sparse] = [true, false].map(|dense| {
+                    rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense)
+                });
+                assert_eq!(dense, sparse, "h={h} sigma={sigma}");
+                assert_eq!(dense.0, out.lists, "h={h} sigma={sigma}");
+                assert_eq!(dense.2, out.msgs_per_node, "h={h} sigma={sigma}");
             }
         }
     }
@@ -523,9 +512,7 @@ mod tests {
         let sources = [true, true, true, true, false, false, false, false];
         let check = |lists: &Lists, routes: &Routes| {
             for v in topo.nodes() {
-                // Archives sorted by source id.
                 let r = &routes[v.index()];
-                assert!(r.windows(2).all(|w| w[0].0 < w[1].0), "unsorted at {v}");
                 for e in &lists[v.index()] {
                     if e.src == v {
                         continue;
@@ -548,8 +535,6 @@ mod tests {
                 }
             }
         };
-        let out = native_detection(&topo, &sources, &[false; 8], &params(5, 2));
-        check(&out.lists, &out.routes);
         for dense in [true, false] {
             let (lists, routes, _) =
                 rows_via_visitor(&topo, &sources, &[false; 8], &params(5, 2), dense);
@@ -564,10 +549,11 @@ mod tests {
         // only ever hears of source 2 (plus nothing beyond its top-1).
         let topo = Topology::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
         let sources = [true, true, true, false];
-        let out = native_detection(&topo, &sources, &[false; 4], &params(3, 1));
-        assert_eq!(out.lists[3].len(), 1);
-        assert_eq!(out.lists[3][0].src, NodeId(2));
-        assert_eq!(out.routes[3].len(), 1, "truncated sources must not leak");
+        let (lists, routes, _) =
+            rows_via_visitor(&topo, &sources, &[false; 4], &params(3, 1), true);
+        assert_eq!(lists[3].len(), 1);
+        assert_eq!(lists[3][0].src, NodeId(2));
+        assert_eq!(routes[3].len(), 1, "truncated sources must not leak");
     }
 
     #[test]
@@ -607,16 +593,13 @@ mod tests {
                 let space = SourceSpace::new(&sources, &tags);
                 collect(&space, solve(&topo, &space, &params(h, sigma), dense))
             };
-            let (d, sp) = (detect(true), detect(false));
-            assert_eq!(d.lists, sp.lists, "h={h} sigma={sigma}");
-            assert_eq!(d.routes, sp.routes, "h={h} sigma={sigma}");
-            assert_eq!(d.msgs_per_node, sp.msgs_per_node, "h={h} sigma={sigma}");
+            let rows = |dense| rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
+            let (lists, _, msgs) = rows(true);
+            assert_eq!(rows(false), rows(true), "h={h} sigma={sigma}");
             for dense in [true, false] {
-                let (lists, routes, msgs) =
-                    rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
-                assert_eq!(lists, d.lists, "h={h} sigma={sigma} dense={dense}");
-                assert_eq!(routes, d.routes, "h={h} sigma={sigma} dense={dense}");
-                assert_eq!(msgs, d.msgs_per_node, "h={h} sigma={sigma} dense={dense}");
+                let out = detect(dense);
+                assert_eq!(out.lists, lists, "h={h} sigma={sigma} dense={dense}");
+                assert_eq!(out.msgs_per_node, msgs, "h={h} sigma={sigma} dense={dense}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The per-node source-detection program.
 
-use congest::{bits_for, Ctx, Message, NodeId, Port, Program};
+use congest::{bits_for, Ctx, Message, NodeId, Program};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -152,27 +152,20 @@ fn unpack(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
 }
 
-/// Per-source node state, packed into one 16-byte record so the arrival
-/// hot path (best-distance check, routing archive, announce bookkeeping)
-/// touches a single cache line per source instead of three tables.
+/// Per-source node state, packed into one 8-byte record so the arrival
+/// hot path (best-distance check, announce bookkeeping) touches a single
+/// cache line per source instead of two tables.
 #[derive(Clone, Copy, Debug)]
 struct SourceState {
     /// Best known distance ([`NONE32`] = unknown).
     best: u32,
     /// Smallest announced distance ([`NONE32`] = never announced).
     sent: u32,
-    /// Best *received* distance, for the routing archive
-    /// ([`NONE32`] = none).
-    route_dist: u32,
-    /// Arrival port of `route_dist`.
-    route_port: Port,
 }
 
 const EMPTY_STATE: SourceState = SourceState {
     best: NONE32,
     sent: NONE32,
-    route_dist: NONE32,
-    route_port: 0,
 };
 
 /// Node state of the pipelined detection algorithm.
@@ -201,7 +194,7 @@ pub struct SdProgram {
     /// Entries not yet announced (kept pruned to the current top-σ, with
     /// `dist < h`), same packing as `known`.
     pending: BTreeSet<u64>,
-    /// Dense per-source state (best/sent/route), indexed by source index.
+    /// Dense per-source state (best/sent), indexed by source index.
     state: Vec<SourceState>,
     /// Cached packed key of the σ-th smallest `known` entry
     /// (`u64::MAX` while `known.len() ≤ σ`). Monotonically non-increasing
@@ -256,23 +249,6 @@ impl SdProgram {
             .map(|&key| {
                 let (dist, si) = unpack(key);
                 self.space.entry(dist, si)
-            })
-            .collect()
-    }
-
-    /// The routing archive: best received `(dist, arrival port)` per
-    /// source, as `(source, dist, port)` triples sorted by source id.
-    pub fn routes(&self) -> Vec<(NodeId, u64, Port)> {
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.route_dist != NONE32)
-            .map(|(si, st)| {
-                (
-                    self.space.id(si as u32),
-                    u64::from(st.route_dist),
-                    st.route_port,
-                )
             })
             .collect()
     }
@@ -343,11 +319,6 @@ impl Program for SdProgram {
                 .space
                 .index_of(a.msg.src)
                 .expect("announcements originate at sources");
-            let st = &mut self.state[si as usize];
-            if d < st.route_dist {
-                st.route_dist = d;
-                st.route_port = a.port;
-            }
             self.insert(d, si);
         }
         // Announce the smallest pending entry; `pending ⊆ {e ≤ cut}` is an

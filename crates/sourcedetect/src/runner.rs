@@ -1,7 +1,7 @@
 //! Driver for a detection run.
 
 use crate::program::{SdEntry, SdProgram, SourceSpace};
-use congest::{Config, Metrics, NodeId, Port, Runtime, Topology};
+use congest::{Config, Metrics, Runtime, Topology};
 use std::sync::Arc;
 
 /// Parameters of an `(S, h, σ)`-detection run.
@@ -18,35 +18,15 @@ pub struct DetectParams {
     pub exact_rounds: bool,
 }
 
-/// A next-hop record: the best received distance and the arrival port.
-pub type RouteEntry = (u64, Port);
-
 /// Result of a detection run.
 #[derive(Debug)]
 pub struct DetectionOutput {
     /// Per-node top-σ lists, sorted lexicographically.
     pub lists: Vec<Vec<SdEntry>>,
-    /// Per-node routing archive: best `(dist, port)` per source ever
-    /// received, as `(source, dist, port)` triples sorted by source id
-    /// (a superset of the list's sources, so next-hop chains are total;
-    /// see "Deviations from the paper" in the `pde_core` crate docs).
-    pub routes: Vec<Vec<(NodeId, u64, Port)>>,
     /// Per-node broadcast counts (for the Lemma 3.4 experiment).
     pub msgs_per_node: Vec<u64>,
     /// Simulator metrics.
     pub metrics: Metrics,
-}
-
-impl DetectionOutput {
-    /// The routing archive entry of node `v` for source `src`, if any
-    /// (binary search over the sorted per-node triples).
-    pub fn route(&self, v: NodeId, src: NodeId) -> Option<RouteEntry> {
-        let entries = &self.routes[v.index()];
-        entries
-            .binary_search_by_key(&src, |&(s, _, _)| s)
-            .ok()
-            .map(|i| (entries[i].1, entries[i].2))
-    }
 }
 
 /// Runs `(S, h, σ)`-detection on `topo`.
@@ -95,18 +75,9 @@ pub fn run_detection(
     rt.run();
     let (programs, metrics) = rt.into_parts();
 
-    let mut lists = Vec::with_capacity(topo.len());
-    let mut routes = Vec::with_capacity(topo.len());
-    let mut msgs_per_node = Vec::with_capacity(topo.len());
-    for p in programs {
-        lists.push(p.list());
-        msgs_per_node.push(p.msgs_sent());
-        routes.push(p.routes());
-    }
     DetectionOutput {
-        lists,
-        routes,
-        msgs_per_node,
+        lists: programs.iter().map(SdProgram::list).collect(),
+        msgs_per_node: programs.iter().map(SdProgram::msgs_sent).collect(),
         metrics,
     }
 }
@@ -115,6 +86,7 @@ pub fn run_detection(
 mod tests {
     use super::*;
     use crate::reference::delayed_detection_reference;
+    use congest::NodeId;
 
     fn params(h: u64, sigma: usize) -> DetectParams {
         DetectParams {
@@ -235,30 +207,6 @@ mod tests {
         let tag_of = |src: u32| l1.iter().find(|e| e.src == NodeId(src)).unwrap().tag;
         assert!(tag_of(0));
         assert!(!tag_of(2));
-    }
-
-    #[test]
-    fn routes_point_backwards_along_paths() {
-        let topo = Topology::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
-        let out = run_detection(
-            &topo,
-            &[true, false, false, false],
-            &[false; 4],
-            &params(4, 2),
-        );
-        // Node 3's route for source 0 must point at node 2.
-        let (d, port) = out.route(NodeId(3), NodeId(0)).unwrap();
-        assert_eq!(d, 3);
-        assert_eq!(topo.neighbor(NodeId(3), port), NodeId(2));
-        // And node 2's route for source 0 must have distance 2: strictly
-        // decreasing along the chain (the greedy-forwarding invariant).
-        let (d2, _) = out.route(NodeId(2), NodeId(0)).unwrap();
-        assert_eq!(d2, 2);
-        // Archives are sorted by source id (binary-searchable).
-        for v in topo.nodes() {
-            let r = &out.routes[v.index()];
-            assert!(r.windows(2).all(|w| w[0].0 < w[1].0));
-        }
     }
 
     #[test]

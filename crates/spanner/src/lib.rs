@@ -31,10 +31,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod baswana;
 mod verify;
 
 pub use baswana::{baswana_sen, SpannerResult};
-pub use verify::{spanner_graph, verify_stretch};
+pub use verify::verify_stretch;

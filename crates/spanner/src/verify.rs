@@ -8,7 +8,7 @@ use graphs::{WGraph, INF};
 /// # Panics
 ///
 /// Panics if the edge list is invalid for `g.len()` nodes.
-pub fn spanner_graph(g: &WGraph, edges: &[(u32, u32, u64)]) -> WGraph {
+pub(crate) fn spanner_graph(g: &WGraph, edges: &[(u32, u32, u64)]) -> WGraph {
     WGraph::from_edges(g.len(), edges).expect("spanner edge list must be valid")
 }
 

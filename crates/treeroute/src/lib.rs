@@ -22,6 +22,7 @@
 //!   this costs `Õ(depth)` rounds — Experiment E7 validates it).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod forest;

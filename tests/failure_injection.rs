@@ -164,6 +164,29 @@ fn zero_eps_is_rejected_with_typed_error() {
 }
 
 #[test]
+fn degenerate_sigma_and_horizon_are_typed_errors_in_both_modes() {
+    // σ = 0, h = 0 and an h whose rung horizon h′ overflows the u32
+    // detection state are refused before any rung runs, by both engines.
+    let g = WGraph::from_edges(3, &[(0, 1, 2), (1, 2, 3)]).unwrap();
+    let knobs: [fn(OracleBuilder) -> OracleBuilder; 4] = [
+        |b| b.sigma(0),
+        |b| b.horizon(0),
+        |b| b.horizon(1 << 40),
+        |b| b.horizon(u64::MAX),
+    ];
+    for mode in [BuildMode::Simulated, BuildMode::Native] {
+        for knob in knobs {
+            let builder = knob(OracleBuilder::new(Backend::Pde).build_mode(mode));
+            let err = builder.try_build(&g).unwrap_err();
+            assert!(
+                matches!(err, BuildError::InvalidParam { .. }),
+                "{mode:?}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn oversized_weights_are_rejected_with_typed_error() {
     // Path weights near u64::MAX would overflow `dist · b` inside a rung
     // worker; the builders must refuse the input up front instead.
