@@ -149,9 +149,10 @@ pub struct TruncatedScheme {
     pub(crate) lower_routes: Vec<FlatTables>,
     /// `(S_{l0}, h_{l0}, |S_{l0}|)` route archive.
     pub(crate) base_routes: FlatTables,
-    /// Pre-resolved skeleton index of each `base_routes` arena entry's
-    /// source (derived, not serialized): the upper-level query loops walk
-    /// this side table instead of doing a per-entry `skel_index` load.
+    /// Pre-resolved skeleton index of each `base_routes` slot's source
+    /// (derived, not serialized; `NONE` for an absent slot): the estimate
+    /// loop zips it with `ests_in` instead of doing a per-entry
+    /// `skel_index` load.
     pub(crate) base_row_idx: Vec<u32>,
     pub(crate) skel_ids: Vec<NodeId>,
     pub(crate) skel_index: DenseIndex,
@@ -638,14 +639,12 @@ impl TruncatedScheme {
             };
             let descent_budget = up.est_base;
             let budget_a = suffix[0].saturating_add(descent_budget);
-            // Phase A: reach the pivot via any connector — one contiguous
-            // row with its pre-resolved skeleton indices alongside.
-            let base = self.base_row(x);
-            for (e, &ti) in self.base_routes.entries_in(base.range).zip(base.idx) {
-                if ti == DenseIndex::NONE {
+            // Phase A: reach the pivot via any connector in the base row.
+            for e in self.base_routes.row_iter(x) {
+                let Some(ti) = self.skel_index.get(NodeId(e.src)) else {
                     continue;
-                }
-                if let Some(eg) = self.upper_est[j].get(ti as usize, s_idx) {
+                };
+                if let Some(eg) = self.upper_est[j].get(ti, s_idx) {
                     consider(
                         e.est.saturating_add(eg).saturating_add(budget_a),
                         self.topo.neighbor(x, e.port),
@@ -653,7 +652,7 @@ impl TruncatedScheme {
                     );
                 }
             }
-            if let Some(xi) = base.xi {
+            if let Some(xi) = self.skel_index.get(x) {
                 if xi != s_idx {
                     if let Some(eg) = self.upper_est[j].get(xi, s_idx) {
                         if let Some(z) = self.upper_next[j].get(xi, s_idx) {

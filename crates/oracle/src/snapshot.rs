@@ -11,11 +11,10 @@
 //! | 2 | flat-table wire streams, one element at a time | — | rejected (rebuild) |
 //! | 3 | arena container, 16-byte table records | — | rejected (rebuild) |
 //! | 4 | arena container, narrow tables with a stored per-row index | — | rejected (rebuild) |
-//! | 5 | arena container, narrow index-free tables | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 5 | arena container, narrow index-free tables, every row keyed | — | rejected (rebuild) |
+//! | 6 | arena container, narrow tables with direct-indexed dense rows | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
-//! `approx_apsp` shares the PDE layout under its own header tag. A tag-5
-//! `approx_apsp` file from before that fold carries a dense matrix section
-//! and fails as `InvalidData` — rebuild it.
+//! `approx_apsp` shares the PDE layout under its own header tag.
 //!
 //! A rejected tag surfaces as `InvalidData` wrapping
 //! [`congest::wire::SnapshotError::Rebuild`] (test with
@@ -26,7 +25,7 @@
 //!
 //! ```text
 //! magic  "PDOR"            4 bytes
-//! version u16              5
+//! version u16              6
 //! backend u8               Backend::wire_tag
 //! pad     u8               zero — aligns the arena to 8 bytes
 //! n       u64
@@ -40,17 +39,21 @@
 //! trailing checksum. Loading validates the directory and checksum in a
 //! single pass, then hands out *zero-copy views*
 //! ([`congest::arena::SharedBytes`] slices) over the large typed
-//! sections — derived state (row fits, RTC long-range tables) is stored
+//! sections — derived state (row words, RTC long-range tables) is stored
 //! in those sections rather than re-derived (see `README.md`,
 //! "Serving"). [`Oracle::load_shared`] is the copy-free in-memory entry
 //! point the `serve` crate uses.
 //!
 //! The routing tables inside a payload are [`pde_core::FlatTables`] /
-//! [`pde_core::snapshot::FlatLists`] sections in their narrow form: per
-//! table entry an 8-byte hot record (`src u32 | est u32`) and a `u16`
-//! port and a `u8` ladder level in cold side sections (≈ 11 bytes), with
-//! no stored index — one fit word per *row* lets a multiply predict
-//! where a source sits in it; 9 bytes per list entry. A value too wide
+//! [`pde_core::snapshot::FlatLists`] sections in their narrow form, with
+//! no stored index. A dense route row (`span · 7 ≤ len · 11`) is
+//! *direct*: a 4-byte estimate per source offset plus a `u16` port and a
+//! `u8` ladder level in cold side sections (7 bytes per slot, an absent
+//! slot all markers), so a probe is one load. Any other row is *keyed*:
+//! an 8-byte hot record (`src u32 | est u32`) per entry and the same side
+//! sections (11 bytes), where one fit word per row lets a multiply predict
+//! where a source sits. One 8-byte word per row records which form it
+//! is; 9 bytes per list entry. A value too wide
 //! for its field stores the all-ones marker and its true value in the
 //! table's one escape section pair. The record format itself is private
 //! to `pde_core`'s `tables.rs` / `snapshot.rs`.
@@ -82,7 +85,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;

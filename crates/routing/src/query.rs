@@ -124,7 +124,7 @@ impl RoutingScheme for RtcScheme {
             .values()
             .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
             .sum();
-        self.short_lists.row_len(v) + self.skel_routes.row_len(v) + tree_rows
+        self.short_lists.row_len(v) + self.skel_routes.row_range(v).len() + tree_rows
     }
 }
 

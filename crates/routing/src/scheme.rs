@@ -212,12 +212,17 @@ fn build_long_range(
 ) -> (Vec<u64>, Vec<u32>) {
     let n = topo.len();
     let m = skel_ids.len();
-    let row_idx = pde_core::resolve_entry_indices(skel_routes, skel_index);
     let mut long_dist = vec![INF; n * m];
     let mut long_hop = vec![u32::MAX; n * m];
+    // `x`'s row entries towards skeleton sources, with their indices.
+    let mut row = Vec::new();
     for x in topo.nodes() {
-        let range = skel_routes.row_range(x);
-        let idx = &row_idx[range.clone()];
+        row.clear();
+        row.extend(
+            skel_routes
+                .row_iter(x)
+                .filter_map(|e| Some((skel_index.get(NodeId(e.src))?, e))),
+        );
         let own = skel_index.get(x);
         for j in 0..m {
             let mut best: Option<(u64, NodeId)> = None;
@@ -226,11 +231,8 @@ fn build_long_range(
                     best = Some((total, hop));
                 }
             };
-            for (e, &i) in skel_routes.entries_in(range.clone()).zip(idx) {
-                if i == DenseIndex::NONE {
-                    continue;
-                }
-                let sd = span_dist.get(i as usize * m + j);
+            for &(i, e) in &row {
+                let sd = span_dist.get(i * m + j);
                 if sd == INF {
                     continue;
                 }

@@ -161,17 +161,22 @@ fn artifact_bytes_match_pinned_digests() {
             .build_mode(BuildMode::Native)
             .threads(1)
     };
+    // Re-recorded for arena tag 6 (direct-indexed dense rows). Tag 5
+    // values: pde 0xd0d5d78aaad6bdcb, approx_apsp 0x088e66a1799f1fde, rtc
+    // 0x38214e0d269ccfd7, compact 0xfd7db62ba7a89ffb, truncated
+    // 0x488b8a4dcfcf0077, exact_tz 0xb336b71d16b11951, bellman_ford
+    // 0x8f76e21581e89209, flooding 0x911cb4e32e343865, pde_partial
+    // 0x02f712bf8901c129. The last four differ from tag 6 only in the
+    // header's version bytes: their rows are keyed, or they have none.
     let pins: [u64; 8] = [
-        0xd0d5d78aaad6bdcb, // pde
-        // Re-recorded when approx_apsp became PDE at S = V, h = σ = n and
-        // lost its dense matrix section (was 0x5bf3f2e4a8ba79ed).
-        0x088e66a1799f1fde, // approx_apsp
-        0x38214e0d269ccfd7, // rtc
-        0xfd7db62ba7a89ffb, // compact
-        0x488b8a4dcfcf0077, // truncated
-        0xb336b71d16b11951, // exact_tz
-        0x8f76e21581e89209, // bellman_ford
-        0x911cb4e32e343865, // flooding
+        0xb067133b8bbe2844, // pde
+        0x0cdddf30f87f26f5, // approx_apsp
+        0x46a9987c28c864ab, // rtc
+        0x56196bfcf830a465, // compact
+        0x1eb6c9ff000fcf81, // truncated
+        0xcafdf8a73e942a32, // exact_tz
+        0xd97813b64bcecbe2, // bellman_ford
+        0x053bef8741741fae, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
         let got = fnv(builder(backend).build(&g).artifact_bytes().into_iter());
@@ -190,5 +195,5 @@ fn artifact_bytes_match_pinned_digests() {
         .sources((0..g.len()).map(|v| v % 3 == 0).collect())
         .build(&g);
     let got = fnv(partial.artifact_bytes().into_iter());
-    assert_eq!(got, 0x02f712bf8901c129, "pde_partial: got {got:#018x}");
+    assert_eq!(got, 0x214a27e35c817d46, "pde_partial: got {got:#018x}");
 }

@@ -3,11 +3,11 @@
 //! agree with a `HashMap` model across random probes — including misses
 //! and out-of-range keys — and [`FlatTables`] lookups with a per-node
 //! `BTreeMap` model — including values that take the narrow layout's
-//! escape and the marker values themselves — with byte-identical
-//! round-trips through the arena codec.
+//! escape and the marker values themselves, in keyed and direct rows —
+//! with byte-identical round-trips through the arena codec.
 
 use pde_repro::congest::arena::{ArenaReader, ArenaWriter, SharedBytes};
-use pde_repro::graphs::NodeId;
+use pde_repro::graphs::{NodeId, INF};
 use pde_repro::pde_core::tables::{FlatTables, PairTable};
 use pde_repro::pde_core::RouteInfo;
 use proptest::prelude::*;
@@ -43,15 +43,18 @@ fn pair_entries() -> impl Strategy<Value = PairCase> {
 /// One generated route: `(src, est, port, level)`.
 type RouteRow = (u32, u64, u32, u32);
 
-/// How a drawn row's small ids become source keys: the shapes the
-/// per-row interpolation fit has to hold on, from its best case (dense)
-/// to rows no straight line describes (clusters, an outlier).
+/// How a drawn row's small ids become source keys: the shapes the row
+/// forms have to hold on, from direct rows (dense, dense with holes)
+/// through the keyed fit's best case to rows no straight line describes
+/// (clusters, an outlier).
 #[derive(Clone, Copy, Debug)]
 enum KeyShape {
     /// The drawn ids themselves: uniform over a small range.
     Uniform,
     /// `0..len`.
     Dense,
+    /// `0..len` with every fifth id left out.
+    DenseWithHoles,
     /// `16·id`.
     Strided,
     /// Even ids near 0, odd ids near 2³⁰.
@@ -67,6 +70,7 @@ impl KeyShape {
         match self {
             KeyShape::Uniform => id,
             KeyShape::Dense => rank as u32,
+            KeyShape::DenseWithHoles => (rank + rank / 4) as u32,
             KeyShape::Strided => 16 * id,
             KeyShape::Clusters => ((id % 2) << 30) | (id / 2),
             KeyShape::Outlier if rank == 0 => u32::MAX - 1,
@@ -86,6 +90,7 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
     let shape = prop_oneof![
         Just(KeyShape::Uniform),
         Just(KeyShape::Dense),
+        Just(KeyShape::DenseWithHoles),
         Just(KeyShape::Strided),
         Just(KeyShape::Clusters),
         Just(KeyShape::Outlier),
@@ -130,18 +135,18 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
 
 /// The model's rows, in order, through the one constructor.
 fn flatten(model: &[BTreeMap<u32, RouteInfo>]) -> FlatTables {
-    let entries = model.iter().map(BTreeMap::len).sum();
-    FlatTables::from_rows(model.len(), entries, |v, row| {
+    FlatTables::from_rows(model.len(), row_count(model), |v, row| {
         row.extend(model[v].iter().map(|(&s, &r)| (NodeId(s), r)));
     })
 }
 
 /// Flattens `tables` and checks every read path — `get`, `est`,
-/// `cursor`, `row_iter`, `ests_in`, `row_routes` — on the built table and
-/// on its arena reload against the per-node `BTreeMap` model (a later
-/// duplicate source overrides an earlier one), probing every stored key,
-/// both its neighbours and `probes`; and that the arena reload re-saves
-/// byte-identically.
+/// `cursor`, `row_iter`, `entries_in`, `ests_in`, `row_routes` — on the
+/// built table and on its arena reload against the per-node `BTreeMap`
+/// model (a later duplicate source overrides an earlier one), probing
+/// every stored key, both its neighbours and `probes`; that the rows
+/// `row_routes` hands back rebuild the same table; and that the arena
+/// reload re-saves byte-identically.
 fn check_against_model(
     tables: &[Vec<RouteRow>],
     probes: &[(u32, u32)],
@@ -205,17 +210,39 @@ fn check_against_model(
             prop_assert_eq!(routes, want);
             let row: Vec<_> = t.row_iter(v).collect();
             prop_assert_eq!(row.len(), table.len());
-            prop_assert_eq!(t.cursor(v).row_len(), table.len());
             prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
             for e in &row {
                 let want = &table[&e.src];
                 prop_assert_eq!((e.est, e.port), (want.est, want.port));
             }
-            let ests: Vec<u64> = t.ests_in(t.row_range(v)).collect();
-            prop_assert_eq!(ests, row.iter().map(|e| e.est).collect::<Vec<_>>());
+            // One slot per keyed entry or per source offset of a direct
+            // row: `ests_in` reads every slot (`INF` in a hole),
+            // `entries_in` only the stored ones.
+            let range = t.row_range(v);
+            prop_assert_eq!(t.entries_in(range.clone()).collect::<Vec<_>>(), row.clone());
+            let slots: Vec<u64> = if range.len() == table.len() {
+                row.iter().map(|e| e.est).collect()
+            } else {
+                let lo = *table.keys().next().unwrap();
+                (lo..)
+                    .take(range.len())
+                    .map(|s| table.get(&s).map_or(INF, |r| r.est))
+                    .collect()
+            };
+            prop_assert_eq!(t.ests_in(range).collect::<Vec<_>>(), slots);
         }
+        // Unflattened, the rows rebuild the table they came from.
+        let again = FlatTables::from_rows(t.len_nodes(), row_count(&model), |v, row| {
+            row.extend(t.row_routes(NodeId(v as u32)))
+        });
+        prop_assert_eq!(&again, &flat);
     }
     Ok(())
+}
+
+/// Entries across all rows of the model.
+fn row_count(model: &[BTreeMap<u32, RouteInfo>]) -> usize {
+    model.iter().map(BTreeMap::len).sum()
 }
 
 /// What `write` emits, as a finished arena container.
@@ -249,23 +276,94 @@ fn row_without_a_usable_fit_agrees_with_model() {
     check_against_model(&tables, &probes).unwrap();
 }
 
-/// The index-free layout's size contract: 8 + 2 + 1 bytes per entry plus
-/// per-row words — an index creeping back in would show here first.
+/// Rows of `(source, est)` routes on port 0, level 0.
+fn model_of(rows: &[Vec<u32>]) -> Vec<BTreeMap<u32, RouteInfo>> {
+    let route = |s: u32| {
+        let r = RouteInfo {
+            est: u64::from(s),
+            port: 0,
+            level: 0,
+        };
+        (s, r)
+    };
+    rows.iter()
+        .map(|row| row.iter().map(|&s| route(s)).collect())
+        .collect()
+}
+
+/// The sections of `flat`'s arena, in write order.
+fn sections(flat: &FlatTables) -> Vec<Vec<u8>> {
+    let reader = ArenaReader::parse(SharedBytes::from_vec(arena_bytes(|a| flat.write_arena(a))));
+    let reader = reader.unwrap();
+    (0..reader.sections())
+        .map(|i| reader.section(i).unwrap().to_vec())
+        .collect()
+}
+
+/// The direct layout's size contract: a 4-byte estimate, a 2-byte port
+/// and a 1-byte level per slot plus one word per row — a key or an index
+/// creeping back in would show here first.
 #[test]
-fn dense_table_costs_at_most_11_1_bytes_per_entry() {
-    let row: BTreeMap<u32, RouteInfo> = (0..1024)
-        .map(|s| {
-            let r = RouteInfo {
-                est: u64::from(s),
-                port: 0,
-                level: 0,
-            };
-            (s, r)
+fn dense_table_costs_at_most_7_1_bytes_per_entry() {
+    let flat = flatten(&model_of(&vec![(0..1024).collect(); 1024]));
+    let per_entry = arena_bytes(|a| flat.write_arena(a)).len() as f64 / flat.len_entries() as f64;
+    assert!(per_entry <= 7.1, "{per_entry} bytes per entry");
+}
+
+/// Rows over every 16th id, ≈ 220 entries each as in the partial regime,
+/// stay keyed: 8 + 2 + 1 bytes per entry, and every section exactly what
+/// the keyed encoding writes — `src | est` records, ports, levels and
+/// one fit word per row (`mul | lo << 32 | win << 48`, see
+/// `pde_core::tables`), no escapes.
+#[test]
+fn strided_rows_stay_keyed() {
+    let rows: Vec<Vec<u32>> = (0..64u32)
+        .map(|v| {
+            (0..256)
+                .filter(|i| (i + v) % 7 != 0)
+                .map(|i| 16 * i)
+                .collect()
         })
         .collect();
-    let flat = flatten(&vec![row; 1024]);
-    let per_entry = arena_bytes(|a| flat.write_arena(a)).len() as f64 / flat.len_entries() as f64;
-    assert!(per_entry <= 11.1, "{per_entry} bytes per entry");
+    let model = model_of(&rows);
+    let flat = flatten(&model);
+    let bytes = arena_bytes(|a| flat.write_arena(a)).len() as f64;
+    assert!(bytes / flat.len_entries() as f64 <= 11.1, "{bytes} bytes");
+
+    // Starts, records, ports, levels, fits, and an empty escape pair.
+    let mut want: [Vec<u8>; 7] = Default::default();
+    want[0].extend(0u32.to_le_bytes());
+    for row in &model {
+        let mul = ((row.len() as u64) << 31) / (u64::from(*row.keys().last().unwrap()) + 1);
+        let residual = |(i, s): (usize, &u32)| i as i64 - ((u64::from(*s) * mul) >> 31) as i64;
+        let lo = row.keys().enumerate().map(residual).min().unwrap();
+        let hi = row.keys().enumerate().map(residual).max().unwrap();
+        let fit = mul | u64::from(lo as i16 as u16) << 32 | ((hi - lo + 1) as u64) << 48;
+        want[4].extend(fit.to_le_bytes());
+        for (&s, r) in row {
+            want[1].extend((u64::from(s) | r.est << 32).to_le_bytes());
+            want[2].extend([0, 0]);
+            want[3].push(0);
+        }
+        let end = want[3].len() as u32;
+        want[0].extend(end.to_le_bytes());
+    }
+    assert_eq!(sections(&flat), want);
+}
+
+/// At the byte rule's boundary a row takes the smaller form: 7 entries
+/// cost 77 bytes keyed and `7 · span` direct, so spans 10 and 11 are
+/// direct (one slot per id) and 12 is keyed.
+#[test]
+fn rows_at_the_boundary_take_the_smaller_form() {
+    for span in [10u32, 11, 12] {
+        let flat = flatten(&model_of(&[(0..6).chain([span - 1]).collect()]));
+        let direct = span * 7 <= 7 * 11;
+        assert_eq!(flat.len_entries(), if direct { span } else { 7 } as usize);
+        let sections = sections(&flat);
+        let slot_bytes = sections[1].len() + sections[2].len() + sections[3].len();
+        assert_eq!(slot_bytes as u32, (7 * span).min(7 * 11), "span {span}");
+    }
 }
 
 /// The constructor's one precondition is checked in release builds too:

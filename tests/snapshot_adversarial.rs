@@ -4,7 +4,8 @@
 //! for short streams — and never panic or request absurd allocations.
 //! Arenas whose checksum was recomputed *after* the damage get no help
 //! from it: each hostile table section — a row fit that does not cover
-//! its row included — must still be a typed error (the probe-side clamp
+//! its row, a direct row's word that misplaces it and a half-absent
+//! direct slot included — must still be a typed error (the probe-side clamp
 //! behind it, a miss and never a panic for a table that skipped
 //! `validate`, is pinned by `pde_core::tables`' unit tests). Files in a
 //! retired layout are typed
@@ -15,7 +16,7 @@ use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::{NodeId, Seed, WGraph};
 use pde_repro::net::{Client, NetServer, ServerConfig, WireError};
-use pde_repro::oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
+use pde_repro::oracle::{is_covered, Backend, DistanceOracle, Oracle, OracleBuilder};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
 use std::sync::Arc;
 
@@ -177,6 +178,7 @@ const STARTS: usize = 7;
 const RECS: usize = 6;
 const PORTS: usize = 5;
 const LEVELS: usize = 4;
+const WORDS: usize = 3;
 const ESC_IDX: usize = 2;
 const ESC_VALS: usize = 1;
 
@@ -188,21 +190,43 @@ fn get_u32(section: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(section[4 * i..4 * i + 4].try_into().unwrap())
 }
 
+fn get_u64(section: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(section[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+fn put_u64(section: &mut [u8], i: usize, x: u64) {
+    section[8 * i..8 * i + 8].copy_from_slice(&x.to_le_bytes());
+}
+
+/// Whether a row word is a keyed row's fit (its low half, `mul`, is at
+/// most 2³¹); any other word is a direct row's or an offset word.
+fn is_fit(word: u64) -> bool {
+    word as u32 <= 1 << 31
+}
+
 #[test]
 fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
-    // 40-entry rows probe through their fit; the heavy twin (weights ≈
-    // 2⁴⁰) puts every entry in the escape sections.
-    let pde = |weights: Weights| {
+    // 40-slot rows over every source are direct; the heavy twin
+    // (weights ≈ 2⁴⁰) puts every entry in the escape sections; the
+    // partial build's rows over every third id stay keyed.
+    let pde = |weights: Weights, partial: bool| {
         let mut rng = Seed(31).rng();
         let g = gen::gnp_connected(40, 0.15, weights, &mut rng);
-        let oracle = OracleBuilder::new(Backend::Pde).seed(5).build(&g);
+        let builder = OracleBuilder::new(Backend::Pde).seed(5);
+        let builder = if partial {
+            let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
+            builder.sigma(3).horizon(4).sources(sources)
+        } else {
+            builder
+        };
         let mut snap = Vec::new();
-        oracle.save(&mut snap).unwrap();
+        builder.build(&g).save(&mut snap).unwrap();
         snap
     };
-    let light = pde(Weights::Uniform { lo: 1, hi: 9 });
+    let light = pde(Weights::Uniform { lo: 1, hi: 9 }, false);
     let lo = 1u64 << 40;
-    let heavy = pde(Weights::Uniform { lo, hi: lo + 9 });
+    let heavy = pde(Weights::Uniform { lo, hi: lo + 9 }, false);
+    let keyed = pde(Weights::Uniform { lo: 1, hi: 9 }, true);
     assert_eq!(reassemble(&light, &arena_sections(&light)), light);
     let hostile = |base: &[u8], mutate: &dyn Fn(&mut [Vec<u8>], usize)| {
         let mut sections = arena_sections(base);
@@ -218,8 +242,16 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
     };
     let (light_sections, heavy_sections) = (arena_sections(&light), arena_sections(&heavy));
-    let entries = light_sections[light_sections.len() - RECS].len() / 8;
+    let entries = light_sections[light_sections.len() - LEVELS].len();
+    assert_eq!(
+        light_sections[light_sections.len() - RECS].len(),
+        4 * entries
+    );
     assert!(light_sections[light_sections.len() - ESC_IDX].is_empty());
+    let keyed_sections = arena_sections(&keyed);
+    let keyed_words = &keyed_sections[keyed_sections.len() - WORDS];
+    let keyed_starts = &keyed_sections[keyed_sections.len() - STARTS];
+    assert!(is_fit(get_u64(keyed_words, 0)) && get_u32(keyed_starts, 1) >= 2);
     let escaped = heavy_sections[heavy_sections.len() - ESC_IDX].len() / 4;
     assert!(
         escaped > entries / 2,
@@ -229,7 +261,7 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     rejected("row offset past the arena", &light, &|s, end| {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
     });
-    rejected("row out of source order", &light, &|s, end| {
+    rejected("row out of source order", &keyed, &|s, end| {
         let recs = &mut s[end - RECS];
         let (a, b) = (get_u32(recs, 0), get_u32(recs, 2));
         put_u32(recs, 0, b);
@@ -281,6 +313,36 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         s[end - ESC_IDX].extend_from_slice(&0u32.to_le_bytes());
         s[end - ESC_VALS].extend_from_slice(&[0; 16]);
     });
+
+    // Direct rows. Slot 1 of node 0's row made absent — all three
+    // markers, no escape record — is a well-formed hole that reads as a
+    // miss; every half-absent slot is not.
+    let absent = |s: &mut [Vec<u8>], end: usize| {
+        s[end - RECS][4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        s[end - PORTS][2..4].copy_from_slice(&u16::MAX.to_le_bytes());
+        s[end - LEVELS][1] = u8::MAX;
+    };
+    let holed = hostile(&light, &absent).unwrap();
+    assert!(!is_covered(holed.estimate(NodeId(0), NodeId(1))));
+    rejected("absent slot with a non-marker port", &light, &|s, end| {
+        absent(s, end);
+        s[end - PORTS][2..4].copy_from_slice(&0u16.to_le_bytes());
+    });
+    rejected("absent slot with a non-marker level", &light, &|s, end| {
+        absent(s, end);
+        s[end - LEVELS][1] = 0;
+    });
+    rejected("direct row's lo_src past n", &light, &|s, end| {
+        let word = get_u64(&s[end - WORDS], 0);
+        put_u64(&mut s[end - WORDS], 0, word + 1);
+    });
+    rejected("direct slots before a row miscounted", &light, &|s, end| {
+        let word = get_u64(&s[end - WORDS], 1);
+        put_u64(&mut s[end - WORDS], 1, word + (1 << 32));
+    });
+    rejected("direct row read as keyed", &light, &|s, end| {
+        put_u64(&mut s[end - WORDS], 0, 1 << 31);
+    });
     for (section, name) in [
         (PORTS, "port"),
         (LEVELS, "level"),
@@ -296,17 +358,17 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     }
 }
 
-/// Directory positions of the fit section of every `FlatTables` in the
-/// arena of an `n`-node oracle, found by shape: `n + 1` row offsets
-/// ending at the entry count `e`, then `8e`, `2e` and `e` bytes of
-/// records, ports and levels, then `n` fit words.
-fn fit_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
+/// Directory positions of the row-word section of every `FlatTables` in
+/// the arena of an `n`-node oracle, found by shape: `n + 1` row offsets
+/// ending at the slot count `e`, then the hot records (4 to 8 bytes a
+/// slot), `2e` and `e` bytes of ports and levels, then `n` row words.
+fn word_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
     (4..sections.len())
         .filter(|&at| {
             let len = |back: usize| sections[at - back].len();
             len(4) == 4 * (n + 1) && len(0) == 8 * n && {
                 let e = get_u32(&sections[at - 4], n) as usize;
-                e > 0 && len(3) == 8 * e && len(2) == 2 * e && len(1) == e
+                e > 0 && (4 * e..=8 * e).contains(&len(3)) && len(2) == 2 * e && len(1) == e
             }
         })
         .collect()
@@ -314,13 +376,14 @@ fn fit_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
 
 #[test]
 fn well_checksummed_hostile_fits_are_typed_errors() {
-    // A fit that does not cover its row would turn stored entries into
-    // silent misses, so `validate` re-proves every entry's window on
+    // A fit that does not cover its row, or a direct row's word that
+    // misplaces it, would turn stored entries into silent misses or wrong
+    // answers, so `read_arena` and `validate` re-prove every row word on
     // every load — for every backend that embeds a `FlatTables`.
     let n = 40;
     let mut rng = Seed(31).rng();
     let g = gen::gnp_connected(n, 0.15, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
-    let mut shrunk = 0;
+    let (mut shrunk, mut direct) = (0, 0);
     for backend in [
         Backend::Pde,
         Backend::ApproxApsp,
@@ -332,34 +395,49 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
         let mut snap = Vec::new();
         oracle.save(&mut snap).unwrap();
         let sections = arena_sections(&snap);
-        let tables = fit_sections(&sections, n);
+        let tables = word_sections(&sections, n);
         assert!(!tables.is_empty(), "{backend}: no flat table found");
         for at in tables {
-            let fit = |v: usize| {
-                let word = sections[at][8 * v..8 * v + 8].try_into().unwrap();
-                u64::from_le_bytes(word)
+            let word = |v: usize| get_u64(&sections[at], v);
+            let span = |v: usize| {
+                let starts = &sections[at - 4];
+                (get_u32(starts, v + 1) - get_u32(starts, v)) as u64
             };
-            // The row with the widest window (`mul u32 | lo i16 | win
-            // u16`). Full-coverage rows are dense: their window is one
-            // record already, and there is nothing to shrink.
-            let row = (0..n).max_by_key(|&v| fit(v) >> 48).unwrap();
-            let (mul, lo, win) = (fit(row) as u32, (fit(row) >> 32) as u16, fit(row) >> 48);
-            let mut cases = vec![
-                ("lo shifted", mul, lo.wrapping_add(1), win),
-                ("mul zeroed", 0, lo, win),
-                ("mul all ones", u32::MAX, lo, win),
-            ];
-            if win > 1 {
-                cases.push(("win shrunk to 1", mul, lo, 1));
-                shrunk += 1;
+            let mut cases = Vec::new();
+            // The keyed row with the widest window (`mul u32 | lo i16 |
+            // win u16`), if the table has one.
+            if let Some(row) = (0..n)
+                .filter(|&v| is_fit(word(v)))
+                .max_by_key(|&v| word(v) >> 48)
+            {
+                let (mul, lo, win) = (word(row) as u32, (word(row) >> 32) as u16, word(row) >> 48);
+                let fit =
+                    |mul: u32, lo: u16, win: u64| u64::from(mul) | u64::from(lo) << 32 | win << 48;
+                cases.push(("lo shifted", row, fit(mul, lo.wrapping_add(1), win)));
+                cases.push(("mul zeroed", row, fit(0, lo, win)));
+                cases.push(("mul all ones", row, fit(u32::MAX, lo, win)));
+                if win > 1 {
+                    cases.push(("win shrunk to 1", row, fit(mul, lo, 1)));
+                    shrunk += 1;
+                }
             }
-            for (what, mul, lo, win) in cases {
-                let word = u64::from(mul) | u64::from(lo) << 32 | win << 48;
+            // The widest direct row (`0xC000_0000 | lo_src`, and the direct
+            // slots before it in the high half), if the table has one.
+            let is_direct = |v: usize| word(v) as u32 & 0xC000_0000 == 0xC000_0000;
+            if let Some(row) = (0..n).filter(|&v| is_direct(v)).max_by_key(|&v| span(v)) {
+                let w = word(row);
+                let past_n = (w & !0x0FFF_FFFF) | (n as u64 + 1 - span(row));
+                cases.push(("lo_src past n", row, past_n));
+                cases.push(("direct slots before it miscounted", row, w + (1 << 32)));
+                cases.push(("read as keyed", row, w & !(1 << 30)));
+                direct += 1;
+            }
+            for (what, row, word) in cases {
                 let mut hostile = sections.clone();
-                hostile[at][8 * row..8 * row + 8].copy_from_slice(&word.to_le_bytes());
+                put_u64(&mut hostile[at], row, word);
                 let err = match Oracle::load_bytes(&reassemble(&snap, &hostile)) {
                     Err(e) => e,
-                    Ok(_) => panic!("{backend}, fits at {at}, row {row}: {what}: accepted"),
+                    Ok(_) => panic!("{backend}, words at {at}, row {row}: {what}: accepted"),
                 };
                 assert_eq!(
                     err.kind(),
@@ -370,14 +448,15 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
         }
     }
     assert!(shrunk > 0, "no table had a window to shrink");
+    assert!(direct > 0, "no table had a direct row");
 }
 
 #[test]
 fn retired_layouts_are_typed_rebuild_errors() {
     // Tag 1 (hash-table streams), tag 2 (element-by-element wire
-    // streams), tag 3 (the arena with 16-byte records) and tag 4 (narrow
-    // tables with a stored per-row index) name layouts this binary does
-    // not read; all must say "rebuild", typed, whatever follows the
+    // streams), tag 3 (the arena with 16-byte records), tag 4 (narrow
+    // tables with a stored per-row index) and tag 5 (every route row
+    // keyed) name layouts this binary does not read; all must say "rebuild", typed, whatever follows the
     // header — a re-tagged arena, or for tag 2 its own 39-byte header
     // (no pad byte) with a payload behind it.
     let snap = snapshot(Backend::Pde);
@@ -388,7 +467,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4]
+    for (tag, old) in [1u16, 2, 3, 4, 5]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -406,8 +485,9 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-2 snapshots:
-    // recovery surfaces the same typed error instead of panicking.
+    // A checkpoint left behind by a binary that wrote tag-2 or tag-5
+    // snapshots: recovery surfaces the same typed error instead of
+    // panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let server = Arc::new(OracleServer::new());
@@ -417,20 +497,24 @@ fn retired_layouts_are_typed_rebuild_errors() {
             .unwrap(),
     );
     let ckpt = dir.join("old.ckpt");
-    let mut bytes = std::fs::read(&ckpt).unwrap();
-    let at = bytes.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(bytes[at + 4..at + 6], 5u16.to_le_bytes());
-    bytes[at + 4..at + 6].copy_from_slice(&2u16.to_le_bytes());
-    std::fs::write(&ckpt, bytes).unwrap();
-    let err = match DynamicOracle::recover(&OracleServer::new(), "old", builder, &dir) {
-        Err(PersistError::Io(e)) => e,
-        Err(other) => panic!("untyped recovery failure: {other}"),
-        Ok(_) => panic!("an old-layout checkpoint was recovered"),
-    };
-    assert_eq!(
-        snapshot_cause(&err),
-        Some(SnapshotError::Rebuild { version: 2 })
-    );
+    let current = std::fs::read(&ckpt).unwrap();
+    let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
+    assert_eq!(current[at + 4..at + 6], 6u16.to_le_bytes());
+    for tag in [2u16, 5] {
+        let mut bytes = current.clone();
+        bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
+        std::fs::write(&ckpt, bytes).unwrap();
+        let recovered = DynamicOracle::recover(&OracleServer::new(), "old", builder.clone(), &dir);
+        let err = match recovered {
+            Err(PersistError::Io(e)) => e,
+            Err(other) => panic!("untyped recovery failure: {other}"),
+            Ok(_) => panic!("a tag-{tag} checkpoint was recovered"),
+        };
+        assert_eq!(
+            snapshot_cause(&err),
+            Some(SnapshotError::Rebuild { version: tag })
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 
     // An inline wire swap of a tag-2 stream: the client gets the error
