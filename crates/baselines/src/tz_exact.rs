@@ -8,7 +8,7 @@
 //! an exact oracle; its *table sizes* are still the TZ bunches, which is
 //! the quantity compared.)
 
-use compact::levels::{level_flags, sample_levels};
+use compact::{level_flags, sample_levels};
 use congest::{bits_for, NodeId};
 use graphs::algo::{apsp_with_first_hops, Apsp};
 use graphs::{Seed, WGraph};

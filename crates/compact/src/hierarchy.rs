@@ -3,16 +3,16 @@
 //! [`build_hierarchy`] is a declarative stage list over the shared build
 //! pipeline: level sampling → one PDE ladder per level → pivots → trees.
 //! Both [`BuildMode`]s produce byte-identical schemes; the simulated
-//! build charges the Lemma 4.7 rounds (recorded per stage in
-//! [`CompactBuildMetrics::stages`]).
+//! build charges the Lemma 4.7 rounds (per level in
+//! [`CompactBuildMetrics`]).
 
 use congest::{label_record_bits, Metrics, NodeId, Topology};
 use graphs::{Seed, WGraph};
-use pde_core::pipeline::{self, trace_chain, with_resample, BuildError, StageLog};
+use pde_core::pipeline::{
+    self, level_flags, sample_levels, trace_chain, with_resample, BuildError,
+};
 use pde_core::{run_pde, BuildMode, FlatTables, PdeParams};
 use treeroute::TreeSet;
-
-use crate::levels::{level_flags, sample_levels};
 
 /// How per-level detection horizons are chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,8 +101,9 @@ impl CompactLabel {
     }
 }
 
-/// Build metrics for the hierarchy.
-#[derive(Clone, Debug)]
+/// Build metrics for the hierarchy. Measurement metadata, not artifact:
+/// snapshots do not carry them, so a reloaded scheme holds the default.
+#[derive(Clone, Debug, Default)]
 pub struct CompactBuildMetrics {
     /// Total rounds over all stages.
     pub total_rounds: u64,
@@ -120,9 +121,6 @@ pub struct CompactBuildMetrics {
     pub horizons: Vec<u64>,
     /// The list size σ used.
     pub sigma: usize,
-    /// The declarative stage list this build executed (measurement
-    /// metadata; not serialized).
-    pub stages: StageLog,
 }
 
 /// The constructed compact scheme.
@@ -202,10 +200,8 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
     let mode = params.mode;
     let topo = g.to_topology();
     let mut total = Metrics::default();
-    let mut stages = StageLog::default();
 
     let (levels, sample_attempts) = sample_levels(n, k, params.seed);
-    stages.push("level-sample", 0);
     let level_sizes: Vec<usize> = (0..k)
         .map(|l| levels.iter().filter(|&&lv| lv >= l).count())
         .collect();
@@ -252,9 +248,6 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         routes.push(pde.routes);
         lists.push(pde.lists);
     }
-    for &r in &per_level_rounds {
-        stages.push("pde-level", r);
-    }
 
     // Pivots s'_l(v) for l in 1..=k-1: the first entry of v's level-l list
     // (all sources of run l are S_l, so the first entry is the closest).
@@ -270,7 +263,6 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         }
         pivots.push(pv);
     }
-    stages.push("pivot-selection", 0);
 
     // Bunches: entries of the level-l list strictly below the level-(l+1)
     // pivot (by (est, src) order); the full list at the top level.
@@ -310,7 +302,6 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         total.absorb(&labeling);
         trees.push(set);
     }
-    stages.push("tree-labels", tree_label_rounds);
 
     let labels: Vec<CompactLabel> = g
         .nodes()
@@ -337,7 +328,6 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         sample_attempts,
         horizons,
         sigma: sigma_base,
-        stages,
     };
 
     Ok(CompactScheme {

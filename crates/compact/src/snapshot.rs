@@ -6,14 +6,14 @@
 //! truncated upper-level maps as [`PairTable`]s — both written *as
 //! stored* (rows are sorted by construction), so reload → re-save is
 //! byte-identical and reloaded schemes answer queries bit-identically to
-//! the originals. Build metrics are persisted in summary form
-//! (round/message totals and per-stage breakdowns); bounded per-round
-//! histories are not.
+//! the originals. Build metrics are not persisted (the oracle header
+//! carries the round, message and wall-clock totals); a reloaded scheme's
+//! `metrics` is the default.
 
-use crate::hierarchy::{CompactBuildMetrics, CompactLabel, CompactScheme};
-use crate::truncated::{TruncLabel, TruncatedMetrics, TruncatedScheme, UpperPivot};
+use crate::hierarchy::{CompactLabel, CompactScheme};
+use crate::truncated::{TruncLabel, TruncatedScheme, UpperPivot};
 use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
-use congest::{Metrics, NodeId, Topology};
+use congest::{NodeId, Topology};
 use graphs::{DenseIndex, WGraph};
 use pde_core::{FlatTables, PairTable};
 use std::io::{self, Read, Write};
@@ -36,40 +36,15 @@ fn read_tree_sets(source: &mut dyn Read) -> io::Result<Vec<TreeSet>> {
     Ok(sets)
 }
 
-fn write_u64_seq(w: &mut WireWriter<'_>, xs: &[u64]) -> io::Result<()> {
-    w.len(xs.len())?;
-    for &x in xs {
-        w.u64(x)?;
-    }
-    Ok(())
-}
-
-fn read_u64_seq(r: &mut WireReader<'_>) -> io::Result<Vec<u64>> {
-    let n = r.len64(congest::wire::MAX_SEQ_LEN)?;
-    let mut xs = Vec::with_capacity(clamped_capacity(n));
-    for _ in 0..n {
-        xs.push(r.u64()?);
-    }
-    Ok(xs)
-}
-
 impl CompactScheme {
     /// Emits the hierarchy into an arena: per-level route archives and
-    /// per-node arrays as typed sections, detection trees and metrics as
-    /// embedded wire streams. With `canonical` set, the volatile
-    /// measurement fields (round/message totals) are written as zeros —
-    /// the artifact form shared by simulated and native builds
-    /// (deterministic fields such as level sizes, horizons, σ and
-    /// sampling attempts are kept; they are identical across modes).
+    /// per-node arrays as typed sections, detection trees as an embedded
+    /// wire stream.
     ///
     /// # Errors
     ///
-    /// Propagates errors from the embedded stream writers.
-    pub fn write_arena(
-        &self,
-        a: &mut congest::arena::ArenaWriter,
-        canonical: bool,
-    ) -> io::Result<()> {
+    /// Propagates errors from the embedded stream writer.
+    pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> io::Result<()> {
         self.topo.write_arena(a);
         a.u64s(&[u64::from(self.k)]);
         a.u32s(&self.levels);
@@ -98,28 +73,7 @@ impl CompactScheme {
         for run in &self.routes {
             run.write_arena(a);
         }
-        a.stream(|sink| write_tree_sets(sink, &self.trees))?;
-        a.stream(|sink| {
-            let mut w = WireWriter::new(sink);
-            let mt = &self.metrics;
-            let zero = |x: u64| if canonical { 0 } else { x };
-            w.u64(zero(mt.total_rounds))?;
-            if canonical {
-                write_u64_seq(&mut w, &vec![0u64; mt.per_level_rounds.len()])?;
-            } else {
-                write_u64_seq(&mut w, &mt.per_level_rounds)?;
-            }
-            w.u64(zero(mt.tree_label_rounds))?;
-            w.u64(zero(mt.total.rounds))?;
-            w.u64(zero(mt.total.messages))?;
-            w.len(mt.level_sizes.len())?;
-            for &s in &mt.level_sizes {
-                w.usize(s)?;
-            }
-            w.u32(mt.sample_attempts)?;
-            write_u64_seq(&mut w, &mt.horizons)?;
-            w.usize(mt.sigma)
-        })
+        a.stream(|sink| write_tree_sets(sink, &self.trees))
     }
 
     /// Reads what [`CompactScheme::write_arena`] wrote. Queries index
@@ -181,24 +135,6 @@ impl CompactScheme {
         if trees.len() != (k - 1) as usize {
             return Err(invalid_data("compact tree set count mismatch"));
         }
-        let mut meta = c.bytes()?;
-        let mut r = WireReader::new(&mut meta);
-        let total_rounds = r.u64()?;
-        let per_level_rounds = read_u64_seq(&mut r)?;
-        let tree_label_rounds = r.u64()?;
-        let total = Metrics {
-            rounds: r.u64()?,
-            messages: r.u64()?,
-            ..Metrics::default()
-        };
-        let ns = r.len(n)?;
-        let mut level_sizes = Vec::with_capacity(clamped_capacity(ns));
-        for _ in 0..ns {
-            level_sizes.push(r.usize()?);
-        }
-        let sample_attempts = r.u32()?;
-        let horizons = read_u64_seq(&mut r)?;
-        let sigma = r.usize()?;
         Ok(CompactScheme {
             topo,
             k,
@@ -207,17 +143,7 @@ impl CompactScheme {
             bunch_sizes,
             trees,
             labels,
-            metrics: CompactBuildMetrics {
-                total_rounds,
-                per_level_rounds,
-                tree_label_rounds,
-                total,
-                level_sizes,
-                sample_attempts,
-                horizons,
-                sigma,
-                stages: Default::default(),
-            },
+            metrics: Default::default(),
         })
     }
 }
@@ -225,19 +151,12 @@ impl CompactScheme {
 impl TruncatedScheme {
     /// Emits the truncated scheme into an arena: route archives, pair
     /// tables, the skeleton graph and the per-node label arrays as typed
-    /// sections; detection trees and metrics as embedded wire streams.
-    /// With `canonical` set, the volatile measurement fields
-    /// (round/message totals) are written as zeros — the artifact form
-    /// shared by simulated and native builds.
+    /// sections; detection trees as embedded wire streams.
     ///
     /// # Errors
     ///
     /// Propagates errors from the embedded stream writers.
-    pub fn write_arena(
-        &self,
-        a: &mut congest::arena::ArenaWriter,
-        canonical: bool,
-    ) -> io::Result<()> {
+    pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> io::Result<()> {
         self.topo.write_arena(a);
         a.u64s(&[u64::from(self.l0), self.upper_est.len() as u64]);
         let skel: Vec<u32> = self.skel_ids.iter().map(|s| s.0).collect();
@@ -307,20 +226,7 @@ impl TruncatedScheme {
         a.u64s(&up_base_dfs);
         let bunches: Vec<u64> = self.bunch_sizes.iter().map(|&b| b as u64).collect();
         a.u64s(&bunches);
-        a.stream(|sink| {
-            let mut w = WireWriter::new(sink);
-            let mt = &self.metrics;
-            let zero = |x: u64| if canonical { 0 } else { x };
-            w.u64(zero(mt.total_rounds))?;
-            w.u64(zero(mt.lower_rounds))?;
-            w.u64(zero(mt.base_rounds))?;
-            w.u64(zero(mt.upper_rounds))?;
-            w.u64(zero(mt.tree_label_rounds))?;
-            w.u64(zero(mt.total.rounds))?;
-            w.u64(zero(mt.total.messages))?;
-            w.usize(mt.skeleton_size)?;
-            w.usize(mt.gt_edges)
-        })
+        Ok(())
     }
 
     /// Reads what [`TruncatedScheme::write_arena`] wrote. Shape checks
@@ -467,20 +373,6 @@ impl TruncatedScheme {
         if bunch_sizes.len() != n {
             return Err(invalid_data("truncated bunch table shorter than n"));
         }
-        let mut meta = c.bytes()?;
-        let mut r = WireReader::new(&mut meta);
-        let total_rounds = r.u64()?;
-        let lower_rounds = r.u64()?;
-        let base_rounds = r.u64()?;
-        let upper_rounds = r.u64()?;
-        let tree_label_rounds = r.u64()?;
-        let total = Metrics {
-            rounds: r.u64()?,
-            messages: r.u64()?,
-            ..Metrics::default()
-        };
-        let skeleton_size = r.usize()?;
-        let gt_edges = r.usize()?;
         let base_row_idx = pde_core::resolve_entry_indices(&base_routes, &skel_index);
         Ok(TruncatedScheme {
             topo,
@@ -497,17 +389,7 @@ impl TruncatedScheme {
             base_trees,
             labels,
             bunch_sizes,
-            metrics: TruncatedMetrics {
-                total_rounds,
-                lower_rounds,
-                base_rounds,
-                upper_rounds,
-                tree_label_rounds,
-                total,
-                skeleton_size,
-                gt_edges,
-                stages: Default::default(),
-            },
+            metrics: Default::default(),
         })
     }
 }
@@ -540,7 +422,7 @@ mod tests {
 
         let scheme = build_hierarchy(&g, &CompactParams::new(3));
         let mut a = congest::arena::ArenaWriter::new();
-        scheme.write_arena(&mut a, false).unwrap();
+        scheme.write_arena(&mut a).unwrap();
         let mut bytes = Vec::new();
         a.finish(&mut bytes).unwrap();
         let reader = congest::arena::ArenaReader::parse(congest::arena::SharedBytes::from_vec(
@@ -552,7 +434,7 @@ mod tests {
         c.expect_end().unwrap();
         assert_query_identical(&g, &scheme, &back);
         let mut a2 = congest::arena::ArenaWriter::new();
-        back.write_arena(&mut a2, false).unwrap();
+        back.write_arena(&mut a2).unwrap();
         let mut bytes2 = Vec::new();
         a2.finish(&mut bytes2).unwrap();
         assert_eq!(bytes, bytes2);
@@ -560,7 +442,7 @@ mod tests {
         for mode in [UpperMode::Local, UpperMode::Simulated] {
             let scheme = build_truncated(&g, &CompactParams::new(2), 1, mode);
             let mut a = congest::arena::ArenaWriter::new();
-            scheme.write_arena(&mut a, false).unwrap();
+            scheme.write_arena(&mut a).unwrap();
             let mut bytes = Vec::new();
             a.finish(&mut bytes).unwrap();
             let reader = congest::arena::ArenaReader::parse(congest::arena::SharedBytes::from_vec(
@@ -572,7 +454,7 @@ mod tests {
             c.expect_end().unwrap();
             assert_query_identical(&g, &scheme, &back);
             let mut a2 = congest::arena::ArenaWriter::new();
-            back.write_arena(&mut a2, false).unwrap();
+            back.write_arena(&mut a2).unwrap();
             let mut bytes2 = Vec::new();
             a2.finish(&mut bytes2).unwrap();
             assert_eq!(bytes, bytes2, "{mode:?}");

@@ -26,8 +26,8 @@ use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, WGraph, INF};
 use pde_core::pipeline::{
-    self, mutual_edges, parallel_map, trace_chain, virtual_graph, with_resample, BuildError,
-    StageLog,
+    self, level_flags, mutual_edges, parallel_map, sample_levels, trace_chain, virtual_graph,
+    with_resample, BuildError,
 };
 use pde_core::schedule::RowEstimate;
 use pde_core::{
@@ -38,7 +38,6 @@ use std::ops::Range;
 use treeroute::TreeSet;
 
 use crate::hierarchy::CompactParams;
-use crate::levels::{level_flags, sample_levels};
 
 /// How the upper (≥ `l0`) levels are computed on `G̃(l0)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,8 +109,10 @@ impl TruncLabel {
     }
 }
 
-/// Build metrics of the truncated scheme.
-#[derive(Clone, Debug)]
+/// Build metrics of the truncated scheme. Measurement metadata, not
+/// artifact: snapshots do not carry them, so a reloaded scheme holds the
+/// default.
+#[derive(Clone, Debug, Default)]
 pub struct TruncatedMetrics {
     /// Total rounds, including the charged skeleton-simulation cost.
     pub total_rounds: u64,
@@ -130,9 +131,6 @@ pub struct TruncatedMetrics {
     pub skeleton_size: usize,
     /// Edges of `G̃(l0)`.
     pub gt_edges: usize,
-    /// The declarative stage list this build executed (measurement
-    /// metadata; not serialized).
-    pub stages: StageLog,
 }
 
 /// The truncated compact scheme (Theorem 4.13 / Corollary 4.14).
@@ -234,10 +232,8 @@ fn build_attempt(
     let build_mode = params.mode;
     let topo = g.to_topology();
     let mut total = Metrics::default();
-    let mut stages = StageLog::default();
 
     let (levels, _) = sample_levels(n, k, params.seed);
-    stages.push("level-sample", 0);
     let ln_n = (n as f64).ln().max(1.0);
     let sigma =
         ((params.c * (n as f64).powf(1.0 / f64::from(k)) * ln_n).ceil() as usize).clamp(1, n);
@@ -265,7 +261,6 @@ fn build_attempt(
         lower_routes.push(pde.routes);
         lower_lists.push(pde.lists);
     }
-    stages.push("pde-lower-levels", lower_rounds);
 
     // ---- Base estimation: (S_{l0}, h_{l0}, |S_{l0}|). ----
     let skel_flags = level_flags(&levels, l0);
@@ -283,13 +278,11 @@ fn build_attempt(
     );
     let base_rounds = base.metrics.total.rounds;
     total.absorb(&base.metrics.total);
-    stages.push("pde-base", base_rounds);
 
     // ---- G̃(l0): mutual estimates, weight = max of the two. ----
     let m = skel_ids.len();
     let gt_edges = mutual_edges(&base.routes, &skel_ids, &skel_index);
     let gt_graph = virtual_graph(m, &gt_edges, "G̃(l0)")?;
-    stages.push("virtual-graph", 0);
 
     // ---- Upper levels on G̃. ----
     // Each level's `(i, j, value)` entries go to `PairTable::auto` for the
@@ -400,7 +393,6 @@ fn build_attempt(
             }
         }
     }
-    stages.push("upper-levels", upper_rounds);
 
     // ---- Connectors: per node, its known (skeleton index, est) pairs. ----
     let conn: Vec<Vec<(usize, u64)>> = g
@@ -529,7 +521,6 @@ fn build_attempt(
         bunch_sizes[v.index()] += conn[v.index()].len().min(sigma);
     }
 
-    stages.push("tree-labels", tree_label_rounds);
     let metrics = TruncatedMetrics {
         total_rounds: total.rounds,
         lower_rounds,
@@ -539,7 +530,6 @@ fn build_attempt(
         total,
         skeleton_size: m,
         gt_edges: gt_graph.num_edges(),
-        stages,
     };
 
     let base_row_idx = resolve_entry_indices(&base.routes, &skel_index);

@@ -73,12 +73,11 @@ pub mod pde;
 pub mod pipeline;
 pub mod rounding;
 pub mod schedule;
-pub mod snapshot;
 pub mod tables;
 
 pub use apsp::{approx_apsp, try_approx_apsp, ApspApprox};
 pub use ladder::{BuildMode, LadderSpec};
 pub use pde::{run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo};
-pub use pipeline::{BuildError, StageLog, StageReport};
+pub use pipeline::BuildError;
 pub use schedule::BatchSchedule;
 pub use tables::{resolve_entry_indices, FlatEntry, FlatTables, PairTable, RowCursor};

@@ -7,11 +7,11 @@
 //! assemble a virtual skeleton graph from mutual estimates, trace
 //! next-hop chains into detection trees, and label them. Those stages now
 //! live here, so a builder is a *declarative list of stage calls* over
-//! the ladder kernel (`crate::ladder`), recorded in a [`StageLog`] and
-//! executable in either [`BuildMode`]:
+//! the ladder kernel (`crate::ladder`), executable in either
+//! [`BuildMode`]:
 //!
-//! * `Simulated` — distributed phases run on `congest::Runtime` and the
-//!   stage log carries their measured rounds (the paper-faithful path);
+//! * `Simulated` — distributed phases run on `congest::Runtime` and
+//!   charge their measured rounds (the paper-faithful path);
 //! * `Native` — the same stages computed centrally (ladders via the
 //!   native kernel, labeling via the already-central DFS of
 //!   [`treeroute::TreeSet::build`], broadcasts skipped), charging zero
@@ -101,37 +101,6 @@ impl fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
-
-/// One executed stage of a build pipeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageReport {
-    /// Stage name (stable, lowercase, dash-separated).
-    pub name: &'static str,
-    /// CONGEST rounds charged by the stage (0 for node-local stages and
-    /// for every stage of a [`BuildMode::Native`] build).
-    pub rounds: u64,
-}
-
-/// The ordered list of stages a build executed — the declarative record
-/// of the pipeline. Not serialized (it is measurement metadata, like
-/// rounds); reloaded schemes carry an empty log.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StageLog {
-    /// Stage reports in execution order.
-    pub stages: Vec<StageReport>,
-}
-
-impl StageLog {
-    /// Records a stage.
-    pub fn push(&mut self, name: &'static str, rounds: u64) {
-        self.stages.push(StageReport { name, rounds });
-    }
-
-    /// Sum of recorded per-stage rounds.
-    pub fn total_rounds(&self) -> u64 {
-        self.stages.iter().map(|s| s.rounds).sum()
-    }
-}
 
 /// The derivation stream used for the one retry of [`with_resample`]
 /// (an arbitrary fixed constant; see [`Seed::derive`]).
@@ -517,13 +486,26 @@ mod tests {
     }
 
     #[test]
-    fn stage_log_totals() {
-        let mut log = StageLog::default();
-        log.push("sample", 0);
-        log.push("pde-short", 12);
-        log.push("trees", 5);
-        assert_eq!(log.total_rounds(), 17);
-        assert_eq!(log.stages.len(), 3);
-        assert_eq!(log.stages[1].name, "pde-short");
+    fn top_level_nonempty() {
+        for s in 0..20u64 {
+            let (levels, _) = sample_levels(50, 3, Seed(4).derive(s));
+            assert!(!level_set(&levels, 2).is_empty());
+        }
+    }
+
+    #[test]
+    fn set_sizes_shrink_geometrically() {
+        let (levels, _) = sample_levels(10_000, 2, Seed(5));
+        let s1 = level_set(&levels, 1).len();
+        // E[|S_1|] = 10000^{1/2} = 100.
+        assert!((40..=220).contains(&s1), "|S_1| = {s1} far from 100");
+    }
+
+    #[test]
+    fn k1_is_trivial() {
+        let (levels, attempts) = sample_levels(10, 1, Seed(6));
+        assert!(levels.iter().all(|&l| l == 0));
+        assert_eq!(attempts, 1);
+        assert_eq!(level_flags(&levels, 0), vec![true; 10]);
     }
 }

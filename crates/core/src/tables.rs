@@ -67,8 +67,8 @@
 //! goes to the table's one escape section pair, keyed by slot index
 //! and binary-searched only when a marker is read. Heavy-weight graphs
 //! stay exactly correct and merely slower; poly(n) weights never take the
-//! escape. The format is private to this module and
-//! [`crate::snapshot`]; everything else sees [`FlatEntry`] values.
+//! escape. The format is private to this module; everything else sees
+//! [`FlatEntry`] values.
 //!
 //! Both layouts serialize *directly* (their snapshot bytes are the
 //! in-memory layout, already canonical because rows are sorted), so
@@ -109,8 +109,8 @@ const EST_BYTES: usize = 4;
 const DIRECT_WORD: u32 = 0xC000_0000;
 const KEYED_WORD: u32 = 0xA000_0000;
 const LO_SRC_BITS: u32 = congest::wire::MAX_SNAPSHOT_NODES as u32 - 1;
-/// Marker of an escaped estimate (shared with [`crate::snapshot::FlatLists`]).
-pub(crate) const EST_ESCAPE: u32 = u32::MAX;
+/// Marker of an escaped estimate.
+const EST_ESCAPE: u32 = u32::MAX;
 /// Marker of an escaped port.
 const PORT_ESCAPE: u16 = u16::MAX;
 /// Marker of an escaped ladder level.
@@ -224,12 +224,12 @@ impl Form {
     }
 }
 
-/// The one escape of the narrow layouts: the true values of the entries
+/// The one escape of the narrow layout: the true values of the entries
 /// whose stored field is an all-ones marker, as a section pair — strictly
 /// increasing arena indices, and a fixed number of `u64` value words per
 /// index. Only a marker read searches it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Escapes {
+struct Escapes {
     idx: U32View,
     vals: U64View,
 }
@@ -237,7 +237,7 @@ pub(crate) struct Escapes {
 impl Escapes {
     /// Wraps build-side vectors (`vals` holds a fixed number of words per
     /// index, in index order).
-    pub(crate) fn from_vals(idx: &[u32], vals: &[u64]) -> Self {
+    fn from_vals(idx: &[u32], vals: &[u64]) -> Self {
         Escapes {
             idx: U32View::from_vals(idx),
             vals: U64View::from_vals(vals),
@@ -245,13 +245,13 @@ impl Escapes {
     }
 
     /// Number of escaped entries.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.idx.len()
     }
 
     /// Position of arena entry `i`'s record, if it has one.
     #[cold]
-    pub(crate) fn find(&self, i: usize) -> Option<usize> {
+    fn find(&self, i: usize) -> Option<usize> {
         let (mut lo, mut hi) = (0, self.idx.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -265,17 +265,12 @@ impl Escapes {
     }
 
     /// Value word `at` (records are back to back).
-    pub(crate) fn word(&self, at: usize) -> u64 {
+    fn word(&self, at: usize) -> u64 {
         self.vals.get(at)
     }
 
-    /// The escaped arena indices, increasing.
-    pub(crate) fn indices(&self) -> impl Iterator<Item = u32> + '_ {
-        self.idx.iter()
-    }
-
     /// Emits the section pair.
-    pub(crate) fn write_arena(&self, a: &mut ArenaWriter) {
+    fn write_arena(&self, a: &mut ArenaWriter) {
         a.section(self.idx.as_bytes());
         a.section(self.vals.as_bytes());
     }
@@ -287,11 +282,7 @@ impl Escapes {
     ///
     /// `InvalidData` unless the indices are strictly increasing, below
     /// `entries`, and matched by exactly `words` values each.
-    pub(crate) fn read_arena(
-        c: &mut ArenaCursor<'_>,
-        entries: usize,
-        words: usize,
-    ) -> io::Result<Self> {
+    fn read_arena(c: &mut ArenaCursor<'_>, entries: usize, words: usize) -> io::Result<Self> {
         let idx = c.u32v()?;
         let vals = c.u64v()?;
         if idx.len().checked_mul(words) != Some(vals.len()) {

@@ -73,7 +73,7 @@ pub use backends::{
 pub use eval::{evaluate, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
 pub use graphs::{DeltaError, GraphDelta};
-/// The shared staged build pipeline (stage logs, sampling, virtual-graph
+/// The shared staged build pipeline (sampling, virtual-graph
 /// assembly, recoverable [`BuildError`]s) — re-exported from `pde_core`
 /// so `oracle::pipeline` is the one documented entry point.
 pub use pde_core::pipeline;
@@ -606,13 +606,13 @@ impl Oracle {
         self.build_metrics().backend
     }
 
-    /// Writes the binary snapshot of this oracle (on-disk tag 6): a
+    /// Writes the binary snapshot of this oracle (on-disk tag 7): a
     /// 40-byte header, then one [`congest::arena`] container — an
     /// 8-byte-aligned section directory, typed sections and a trailing
     /// checksum, with narrow index-free routing tables and derived query
-    /// state (row fits, RTC long-range tables) stored instead of rebuilt
-    /// on load. This is the only format; `oracle::snapshot`'s module docs
-    /// have the layout.
+    /// state (row fits, RTC long-range tables and table counts) stored
+    /// instead of rebuilt on load. This is the only format;
+    /// `oracle::snapshot`'s module docs have the layout.
     ///
     /// # Errors
     ///
@@ -694,9 +694,8 @@ impl Oracle {
     }
 
     /// The **canonical artifact bytes**: the [`Oracle::save`] stream with
-    /// every volatile measurement field (CONGEST rounds, messages, build
-    /// wall-clock — in the header and in the schemes' embedded metrics
-    /// sections) written as zero. This is the build-identity witness:
+    /// the header's volatile measurement fields (CONGEST rounds, messages,
+    /// build wall-clock) written as zero; the arena carries none. This is the build-identity witness:
     /// for the same graph, seed and knobs, simulated and native builds —
     /// at any thread count — produce identical canonical bytes (asserted
     /// by `tests/build_parity.rs`).

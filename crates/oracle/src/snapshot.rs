@@ -12,7 +12,8 @@
 //! | 3 | arena container, 16-byte table records | — | rejected (rebuild) |
 //! | 4 | arena container, narrow tables with a stored per-row index | — | rejected (rebuild) |
 //! | 5 | arena container, narrow index-free tables, every row keyed | — | rejected (rebuild) |
-//! | 6 | arena container, narrow tables with direct-indexed dense rows | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 6 | arena container, narrow tables with direct-indexed dense rows; schemes embed σ-lists, spanner and metrics | — | rejected (rebuild) |
+//! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` shares the PDE layout under its own header tag.
 //!
@@ -39,24 +40,24 @@
 //! trailing checksum. Loading validates the directory and checksum in a
 //! single pass, then hands out *zero-copy views*
 //! ([`congest::arena::SharedBytes`] slices) over the large typed
-//! sections — derived state (row words, RTC long-range tables) is stored
+//! sections — derived state (row words, RTC long-range tables and
+//! per-node table counts) is stored
 //! in those sections rather than re-derived (see `README.md`,
 //! "Serving"). [`Oracle::load_shared`] is the copy-free in-memory entry
 //! point the `serve` crate uses.
 //!
-//! The routing tables inside a payload are [`pde_core::FlatTables`] /
-//! [`pde_core::snapshot::FlatLists`] sections in their narrow form, with
-//! no stored index. A dense route row (`span · 7 ≤ len · 11`) is
+//! The routing tables inside a payload are [`pde_core::FlatTables`]
+//! sections in their narrow form, with no stored index. A dense route row (`span · 7 ≤ len · 11`) is
 //! *direct*: a 4-byte estimate per source offset plus a `u16` port and a
 //! `u8` ladder level in cold side sections (7 bytes per slot, an absent
 //! slot all markers), so a probe is one load. Any other row is *keyed*:
 //! an 8-byte hot record (`src u32 | est u32`) per entry and the same side
 //! sections (11 bytes), where one fit word per row lets a multiply predict
 //! where a source sits. One 8-byte word per row records which form it
-//! is; 9 bytes per list entry. A value too wide
+//! is. A value too wide
 //! for its field stores the all-ones marker and its true value in the
 //! table's one escape section pair. The record format itself is private
-//! to `pde_core`'s `tables.rs` / `snapshot.rs`.
+//! to `pde_core`'s `tables.rs`.
 //!
 //! Every map written anywhere in a payload is in sorted key order, and a
 //! loaded oracle re-emits its sections' backing bytes verbatim, so
@@ -85,15 +86,15 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 6;
+const VERSION: u16 = 7;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;
 
 /// Writes the snapshot: header, then the backend's arena. With
-/// `canonical` set, the volatile measurement fields — header
-/// rounds/messages/nanos and every scheme-embedded round total — are
-/// written as zeros (see [`crate::Oracle::artifact_bytes`]).
+/// `canonical` set, the header's volatile measurement fields
+/// (rounds/messages/nanos, the only ones a snapshot carries) are written
+/// as zeros (see [`crate::Oracle::artifact_bytes`]).
 pub(crate) fn save(oracle: &Oracle, sink: &mut dyn Write, canonical: bool) -> io::Result<()> {
     let m = *oracle.inner.as_dyn().build_metrics();
     let zero = |x: u64| if canonical { 0 } else { x };
@@ -107,7 +108,7 @@ pub(crate) fn save(oracle: &Oracle, sink: &mut dyn Write, canonical: bool) -> io
     w.u64(zero(m.messages))?;
     w.u64(zero(m.build_nanos))?;
     let mut a = ArenaWriter::new();
-    write_arena_payload(&oracle.inner, &mut a, canonical)?;
+    write_arena_payload(&oracle.inner, &mut a)?;
     a.finish(sink)
 }
 
@@ -116,11 +117,11 @@ pub(crate) fn save(oracle: &Oracle, sink: &mut dyn Write, canonical: bool) -> io
 /// artifact is allocated.
 pub(crate) fn size_bits(oracle: &Oracle) -> u64 {
     let mut a = ArenaWriter::counting();
-    write_arena_payload(&oracle.inner, &mut a, false).expect("writing to a Vec cannot fail");
+    write_arena_payload(&oracle.inner, &mut a).expect("writing to a Vec cannot fail");
     8 * (HEADER_BYTES + a.finished_len()) as u64
 }
 
-fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter, canonical: bool) -> io::Result<()> {
+fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
     match inner {
         Inner::Pde(o) => {
             a.u64s(&[o.eps.to_bits(), o.h, o.sigma as u64]);
@@ -130,15 +131,15 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter, canonical: bool) -> i
         }
         Inner::Rtc(o) => {
             a.u64s(&[u64::from(o.k), o.eps.to_bits()]);
-            o.scheme.write_arena(a, canonical)
+            o.scheme.write_arena(a)
         }
         Inner::Compact(o) => {
             a.u64s(&[u64::from(o.k), o.eps.to_bits()]);
-            o.scheme.write_arena(a, canonical)
+            o.scheme.write_arena(a)
         }
         Inner::Truncated(o) => {
             a.u64s(&[u64::from(o.k), o.eps.to_bits()]);
-            o.scheme.write_arena(a, canonical)
+            o.scheme.write_arena(a)
         }
         Inner::Tz(o) => {
             a.u64s(&[u64::from(o.k)]);

@@ -34,7 +34,6 @@
 pub mod eval;
 pub mod query;
 pub mod scheme;
-pub mod skeleton;
 pub mod snapshot;
 
 pub use eval::{evaluate, EvalReport, PairSelection, RoutingScheme};

@@ -116,15 +116,7 @@ impl RoutingScheme for RtcScheme {
     }
 
     fn table_entries(&self, v: NodeId) -> usize {
-        // Paper-sized tables: the top-σ short-range list, the skeleton
-        // table, the (globally known) spanner, and per-tree interval rows.
-        let tree_rows: usize = self
-            .trees
-            .trees
-            .values()
-            .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
-            .sum();
-        self.short_lists.row_len(v) + self.skel_routes.row_range(v).len() + tree_rows
+        self.table_sizes[v.index()] as usize
     }
 }
 

@@ -7,8 +7,11 @@
 //! Every stage is a pure function of the canonical ladder artifacts and
 //! the seed, so [`BuildMode::Simulated`] and [`BuildMode::Native`] builds
 //! produce byte-identical schemes; the simulated build additionally
-//! charges the paper's rounds (recorded per stage in
-//! [`RtcBuildMetrics::stages`]).
+//! charges the paper's rounds (per phase in [`RtcBuildMetrics`]).
+//!
+//! A built scheme keeps only what queries read: the σ-lists, the skeleton
+//! routing rows and the spanner are folded into the long-range tables and
+//! the per-node table counts at build time, then dropped.
 
 use congest::arena::{U32View, U64View};
 use congest::bfs::build_bfs;
@@ -16,15 +19,18 @@ use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, Seed, WGraph, INF};
 use pde_core::pipeline::{
-    self, closest_tagged, mutual_edges, parallel_map, trace_chain, virtual_graph, with_resample,
-    BuildError, StageLog,
+    self, closest_tagged, mutual_edges, parallel_map, sample_skeleton, trace_chain, virtual_graph,
+    with_resample, BuildError,
 };
-use pde_core::snapshot::FlatLists;
 use pde_core::{run_pde, BuildMode, FlatTables, PdeParams};
 use spanner::baswana_sen;
 use treeroute::TreeSet;
 
-use crate::skeleton::{sample_skeleton, theorem45_probability};
+/// The sampling probability of Theorem 4.5: `p = n^{−1/2−1/(4k)}`.
+pub fn theorem45_probability(n: usize, k: u32) -> f64 {
+    assert!(k >= 1, "k must be ≥ 1");
+    (n as f64).powf(-0.5 - 1.0 / (4.0 * f64::from(k)))
+}
 
 /// Parameters for [`build_rtc`].
 #[derive(Clone, Debug)]
@@ -98,8 +104,10 @@ impl RtcLabel {
     }
 }
 
-/// Build-time metrics, broken down by pipeline stage.
-#[derive(Clone, Debug)]
+/// Build-time metrics, broken down by pipeline stage. Measurement
+/// metadata, not artifact: snapshots do not carry them, so a reloaded
+/// scheme holds the default (all zero).
+#[derive(Clone, Debug, Default)]
 pub struct RtcBuildMetrics {
     /// Total rounds across all stages (the quantity Theorem 4.5 bounds by
     /// `Õ(n^{1/2+1/(4k)} + D)`; 0 for native builds).
@@ -122,10 +130,6 @@ pub struct RtcBuildMetrics {
     pub sample_attempts: u32,
     /// The horizon/list size `h = σ` used.
     pub h: u64,
-    /// The declarative stage list this build executed, with per-stage
-    /// rounds (measurement metadata; not serialized — reloaded schemes
-    /// carry an empty log).
-    pub stages: StageLog,
 }
 
 /// Item shipped through the pipelined broadcast: a spanner edge or a
@@ -149,12 +153,12 @@ impl Message for BsItem {
     }
 }
 
-/// The constructed scheme: everything queries and experiments need.
+/// The constructed scheme: what queries read, and nothing else.
 ///
-/// All query-side state is flat structure-of-arrays: routing archives are
-/// source-sorted CSR rows ([`FlatTables`]), the skeleton index is a dense
-/// per-node array ([`DenseIndex`]), and spanner distances/next-hops are
-/// `|S| × |S|` matrices — a query never hashes.
+/// All query-side state is flat structure-of-arrays: the short-range
+/// archive is source-sorted CSR rows ([`FlatTables`]), the skeleton index
+/// is a dense per-node array ([`DenseIndex`]), and the long-range
+/// reduction is an `n × |S|` matrix — a query never hashes.
 #[derive(Debug)]
 pub struct RtcScheme {
     pub(crate) topo: Topology,
@@ -162,26 +166,19 @@ pub struct RtcScheme {
     pub labels: Vec<RtcLabel>,
     /// Short-range routing state from the `(V, h, σ)` pass (archive).
     pub short: FlatTables,
-    /// Paper-sized short-range tables (the top-σ lists), for size metrics.
-    pub short_lists: FlatLists,
-    /// Skeleton-distance routing state from the `(S, h, |S|)` pass.
-    pub skel_routes: FlatTables,
     /// Skeleton membership.
     pub skeleton: Vec<bool>,
     /// Sorted skeleton node ids.
     pub skel_ids: Vec<NodeId>,
-    /// Spanner edges in original node ids (globally known).
-    pub spanner_edges: Vec<(u32, u32, u64)>,
     /// Detection trees `T_s` with DFS labels.
     pub trees: TreeSet,
     /// Build metrics.
     pub metrics: RtcBuildMetrics,
+    /// `table_sizes[v]`: the paper-sized table entries of `v` (its top-σ
+    /// list, its skeleton routing row and one interval row per tree
+    /// membership), counted at build time.
+    pub(crate) table_sizes: Vec<u32>,
     pub(crate) skel_index: DenseIndex,
-    /// `|S| × |S|` spanner distance matrix.
-    pub(crate) span_dist: U64View,
-    /// `span_next[i·|S|+j]`: skeleton index of the first hop from `i`
-    /// towards `j` in the spanner (`u64::MAX` when there is none).
-    pub(crate) span_next: U64View,
     /// `long_dist[x·|S|+j]`: the precomputed long-range reduction
     /// `min_t (wd'_S(x, t) + d_spanner(t, s_j))` — everything of the
     /// skeleton option except the destination's `dist_home`, which is a
@@ -199,16 +196,17 @@ pub struct RtcScheme {
 /// index `j`, the minimum of `wd'_S(x, t_i) + span_dist[i][j]` over `x`'s
 /// skeleton routing row — plus, when `x` is itself a skeleton node, the
 /// direct `span_dist[x][j]` option whose hop is the first hop towards the
-/// next spanner waypoint. Ties break on the smaller hop id, exactly as
-/// the former per-query loop did, so queries answered from these tables
-/// are bit-identical to recomputing the reduction per query.
+/// next spanner waypoint (`span_next[i][j]`, a skeleton index, `usize::MAX`
+/// when there is none). Ties break on the smaller hop id, exactly as the
+/// former per-query loop did, so queries answered from these tables are
+/// bit-identical to recomputing the reduction per query.
 fn build_long_range(
     topo: &Topology,
     skel_routes: &FlatTables,
     skel_index: &DenseIndex,
     skel_ids: &[NodeId],
-    span_dist: &U64View,
-    span_next: &U64View,
+    span_dist: &[u64],
+    span_next: &[usize],
 ) -> (Vec<u64>, Vec<u32>) {
     let n = topo.len();
     let m = skel_ids.len();
@@ -232,22 +230,18 @@ fn build_long_range(
                 }
             };
             for &(i, e) in &row {
-                let sd = span_dist.get(i * m + j);
+                let sd = span_dist[i * m + j];
                 if sd == INF {
                     continue;
                 }
                 consider(e.est.saturating_add(sd), topo.neighbor(x, e.port));
             }
             if let Some(i) = own {
-                let sd = span_dist.get(i * m + j);
+                let sd = span_dist[i * m + j];
                 if sd != INF && i != j {
-                    // Valid schemes always have a waypoint here and its
-                    // endpoints always route to each other; tolerate a
-                    // missing waypoint (the span_next sentinel) or route
-                    // entry so corrupted-but-shape-valid snapshots degrade
-                    // instead of panicking at load time.
-                    let z_idx = usize::try_from(span_next.get(i * m + j)).unwrap_or(usize::MAX);
-                    if let Some(&z) = skel_ids.get(z_idx) {
+                    // A reachable `j` always has a waypoint, and spanner
+                    // edges are mutual estimates, so `x` routes to it.
+                    if let Some(&z) = skel_ids.get(span_next[i * m + j]) {
                         if let Some(e) = skel_routes.get(x, z) {
                             consider(sd, topo.neighbor(x, e.port));
                         }
@@ -312,7 +306,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     let mode = params.mode;
     let topo = g.to_topology();
     let mut total = Metrics::default();
-    let mut stages = StageLog::default();
 
     // Stage 1: skeleton sampling (node-local coins; no rounds). The
     // sample uses the seed's primary stream; the spanner below gets an
@@ -320,7 +313,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     let p = theorem45_probability(n, params.k);
     let (skeleton, sample_attempts) = sample_skeleton(n, p, params.seed);
     let skel_ids: Vec<NodeId> = g.nodes().filter(|v| skeleton[v.index()]).collect();
-    stages.push("skeleton-sample", 0);
 
     // Stage 2: (V, h, σ)-estimation with skeleton tags.
     let h = ((params.c * (n as f64).ln() / p).ceil() as u64).clamp(1, 4 * n as u64);
@@ -335,7 +327,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     );
     let pde_a_rounds = pde_a.metrics.total.rounds;
     total.absorb(&pde_a.metrics.total);
-    stages.push("pde-short-range", pde_a_rounds);
 
     // Pivots s'_v: closest tagged source (v itself if sampled).
     let mut labels_home = Vec::with_capacity(n);
@@ -349,7 +340,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
             None => return Err(BuildError::NoSkeletonSeen { node: v, h }),
         }
     }
-    stages.push("home-selection", 0);
 
     // Stage 3: (S, h, |S|)-estimation.
     let pde_s = run_pde(
@@ -362,7 +352,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     );
     let pde_s_rounds = pde_s.metrics.total.rounds;
     total.absorb(&pde_s.metrics.total);
-    stages.push("pde-skeleton", pde_s_rounds);
 
     // Virtual skeleton graph: edge {s,t} iff both endpoints estimated each
     // other; weight = max of the two estimates (both are routable upper
@@ -370,7 +359,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     let skel_index = DenseIndex::new(n, &skel_ids);
     let sedges = mutual_edges(&pde_s.routes, &skel_ids, &skel_index);
     let skel_graph = virtual_graph(skel_ids.len(), &sedges, "skeleton graph")?;
-    stages.push("virtual-graph", 0);
 
     // Stage 4: Baswana–Sen spanner; in simulated builds its edges and
     // cluster memberships are disseminated over a BFS tree (the measured
@@ -397,7 +385,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         }
         BuildMode::Native => 0,
     };
-    stages.push("spanner-broadcast", spanner_broadcast_rounds);
 
     // Spanner APSP + next-hop matrix (computable locally by every node
     // since the spanner is globally known — no rounds in either mode).
@@ -429,7 +416,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         span_dist.extend(dist_row);
         span_next.extend(next_row);
     }
-    stages.push("spanner-apsp", 0);
 
     // Stage 5: detection trees T_s from pivot chains; labels are the
     // central DFS labels of the TreeSet, validated by (and charged as)
@@ -444,7 +430,6 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     let label_metrics = pipeline::label_trees(&topo, &trees, mode);
     let tree_label_rounds = label_metrics.rounds;
     total.absorb(&label_metrics);
-    stages.push("tree-labels", tree_label_rounds);
 
     let labels: Vec<RtcLabel> = g
         .nodes()
@@ -462,10 +447,21 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         })
         .collect();
 
-    let spanner_edges: Vec<(u32, u32, u64)> = sp
-        .edges
-        .iter()
-        .map(|&(a, b, w)| (skel_ids[a as usize].0, skel_ids[b as usize].0, w))
+    // Paper-sized table entries per node: the top-σ short-range list, the
+    // skeleton routing row, and the node plus its children in every
+    // detection tree it belongs to.
+    let mut table_sizes: Vec<usize> = g
+        .nodes()
+        .map(|v| pde_a.lists[v.index()].len() + pde_s.routes.row_range(v).len())
+        .collect();
+    for tree in trees.trees.values() {
+        for (v, children) in &tree.children {
+            table_sizes[v.index()] += 1 + children.len();
+        }
+    }
+    let table_sizes = table_sizes
+        .into_iter()
+        .map(|t| u32::try_from(t).expect("table entries fit u32"))
         .collect();
 
     let metrics = RtcBuildMetrics {
@@ -476,23 +472,14 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         tree_label_rounds,
         total,
         skeleton_size: skel_ids.len(),
-        spanner_edge_count: spanner_edges.len(),
+        spanner_edge_count: sp.edges.len(),
         sample_attempts,
         h,
-        stages,
     };
 
-    let skel_routes = pde_s.routes;
-    let span_dist = U64View::from_vals(&span_dist);
-    let span_next = U64View::from_vals(
-        &span_next
-            .iter()
-            .map(|&x| if x == usize::MAX { u64::MAX } else { x as u64 })
-            .collect::<Vec<u64>>(),
-    );
     let (long_dist, long_hop) = build_long_range(
         &topo,
-        &skel_routes,
+        &pde_s.routes,
         &skel_index,
         &skel_ids,
         &span_dist,
@@ -506,16 +493,12 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         topo,
         labels,
         short: pde_a.routes,
-        short_lists: FlatLists::from_lists(&pde_a.lists),
-        skel_routes,
         skeleton,
         skel_ids,
-        spanner_edges,
         trees,
         metrics,
+        table_sizes,
         skel_index,
-        span_dist,
-        span_next,
         long_dist,
         long_hop,
     })
@@ -523,4 +506,17 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
 
 fn skel_graph_from(skel_ids: &[NodeId], edges: &[(u32, u32, u64)]) -> WGraph {
     WGraph::from_edges(skel_ids.len().max(1), edges).expect("valid spanner edges")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn probability_shrinks_with_k_and_n() {
+        assert!(theorem45_probability(100, 1) < theorem45_probability(100, 3));
+        assert!(theorem45_probability(1000, 2) < theorem45_probability(100, 2));
+        let p = theorem45_probability(64, 2);
+        assert!((p - 64f64.powf(-0.625)).abs() < 1e-12);
+    }
 }

@@ -9,14 +9,14 @@
 //! stored* (their rows are sorted by construction), so no
 //! canonicalization pass is needed on either side.
 //!
-//! Build *metrics* are persisted in summary form (round/message totals and
-//! the per-stage breakdown); the bounded per-round histories are not.
+//! Build metrics are not persisted (the oracle header carries the round,
+//! message and wall-clock totals); a reloaded scheme's
+//! [`RtcScheme::metrics`] is the default.
 
-use crate::scheme::{RtcBuildMetrics, RtcLabel, RtcScheme};
-use congest::wire::{invalid_data, WireReader, WireWriter};
-use congest::{Metrics, NodeId, Topology};
+use crate::scheme::{RtcLabel, RtcScheme};
+use congest::wire::invalid_data;
+use congest::{NodeId, Topology};
 use graphs::DenseIndex;
-use pde_core::snapshot::FlatLists;
 use pde_core::FlatTables;
 use std::io;
 use treeroute::TreeSet;
@@ -24,23 +24,14 @@ use treeroute::TreeSet;
 impl RtcScheme {
     /// Emits the scheme into an arena. Every table queries touch is a
     /// typed section — **including the derived long-range reduction**
-    /// (`long_dist`/`long_hop`), so a load only bulk-decodes and
-    /// shape-checks. The detection trees and the small metrics block ride
-    /// along as embedded wire streams. With `canonical` set, the volatile
-    /// *measurement* fields (round and message totals) are written as
-    /// zeros: simulated and native builds of the same graph and seed then
-    /// serialize to identical bytes (the query state is identical by the
-    /// determinism contract; only the measured rounds differ, and those
-    /// are metadata, not artifact).
+    /// (`long_dist`/`long_hop`) and the per-node table counts, so a load
+    /// only bulk-decodes and shape-checks. The detection trees ride along
+    /// as an embedded wire stream.
     ///
     /// # Errors
     ///
-    /// Propagates errors from the embedded stream writers.
-    pub fn write_arena(
-        &self,
-        a: &mut congest::arena::ArenaWriter,
-        canonical: bool,
-    ) -> io::Result<()> {
+    /// Propagates errors from the embedded stream writer.
+    pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> io::Result<()> {
         self.topo.write_arena(a);
         let ids: Vec<u32> = self.labels.iter().map(|l| l.id.0).collect();
         let homes: Vec<u32> = self.labels.iter().map(|l| l.home.0).collect();
@@ -53,37 +44,10 @@ impl RtcScheme {
         let skeleton: Vec<u8> = self.skeleton.iter().map(|&f| u8::from(f)).collect();
         a.u8s(&skeleton);
         self.short.write_arena(a);
-        self.short_lists.write_arena(a);
-        self.skel_routes.write_arena(a);
-        let endpoints: Vec<u32> = self
-            .spanner_edges
-            .iter()
-            .flat_map(|&(x, y, _)| [x, y])
-            .collect();
-        let weights: Vec<u64> = self.spanner_edges.iter().map(|&(_, _, w)| w).collect();
-        a.u32s(&endpoints);
-        a.u64s(&weights);
-        // The matrices are stored in their in-memory wire form (span_next
-        // sentinel-encoded as u64::MAX), so emitting them is a passthrough.
-        a.section(self.span_dist.as_bytes());
-        a.section(self.span_next.as_bytes());
+        a.u32s(&self.table_sizes);
         a.section(self.long_dist.as_bytes());
         a.section(self.long_hop.as_bytes());
-        a.stream(|sink| self.trees.write_into(sink))?;
-        a.stream(|sink| {
-            let mut w = WireWriter::new(sink);
-            let mt = &self.metrics;
-            let zero = |x: u64| if canonical { 0 } else { x };
-            w.u64(zero(mt.total_rounds))?;
-            w.u64(zero(mt.pde_a_rounds))?;
-            w.u64(zero(mt.pde_s_rounds))?;
-            w.u64(zero(mt.spanner_broadcast_rounds))?;
-            w.u64(zero(mt.tree_label_rounds))?;
-            w.u64(zero(mt.total.rounds))?;
-            w.u64(zero(mt.total.messages))?;
-            w.u32(mt.sample_attempts)?;
-            w.u64(mt.h)
-        })
+        a.stream(|sink| self.trees.write_into(sink))
     }
 
     /// Reads what [`RtcScheme::write_arena`] wrote: bulk section decodes
@@ -103,6 +67,10 @@ impl RtcScheme {
         if ids.len() != n || homes.len() != n || dist_homes.len() != n || tree_dfs.len() != n {
             return Err(invalid_data("rtc label sections disagree on length"));
         }
+        // Queries index the skeleton table by a destination's home.
+        if homes.iter().any(|&h| h as usize >= n) {
+            return Err(invalid_data("rtc home out of range"));
+        }
         let labels: Vec<RtcLabel> = (0..n)
             .map(|i| RtcLabel {
                 id: NodeId(ids[i]),
@@ -111,49 +79,21 @@ impl RtcScheme {
                 tree_dfs: tree_dfs[i],
             })
             .collect();
-        let skeleton = {
-            let raw = c.bools()?;
-            if raw.len() != n {
-                return Err(invalid_data("rtc skeleton section misshapen"));
-            }
-            raw
-        };
+        let skeleton = c.bools()?;
+        if skeleton.len() != n {
+            return Err(invalid_data("rtc skeleton section misshapen"));
+        }
         let short = FlatTables::read_arena(c)?;
-        let short_lists = FlatLists::read_arena(c)?;
-        let skel_routes = FlatTables::read_arena(c)?;
-        if short_lists.len() != n {
-            return Err(invalid_data("table count mismatch"));
-        }
         short.validate(&topo)?;
-        skel_routes.validate(&topo)?;
-        let endpoints = c.u32s()?;
-        let weights = c.u64s()?;
-        if endpoints.len() != weights.len() * 2 {
-            return Err(invalid_data("spanner SoA sections disagree on length"));
+        let table_sizes = c.u32s()?;
+        if table_sizes.len() != n {
+            return Err(invalid_data("rtc table-size section misshapen"));
         }
-        let spanner_edges: Vec<(u32, u32, u64)> = endpoints
-            .chunks_exact(2)
-            .zip(&weights)
-            .map(|(xy, &w)| (xy[0], xy[1], w))
-            .collect();
         let skel_ids: Vec<NodeId> = (0..n as u32)
             .map(NodeId)
             .filter(|v| skeleton[v.index()])
             .collect();
-        let m = skel_ids.len();
-        let span_cells = congest::wire::seq_product(m, m, "spanner matrix")?;
-        let span_dist = c.u64v()?;
-        if span_dist.len() != span_cells {
-            return Err(invalid_data("span_dist cell count mismatch"));
-        }
-        let span_next = c.u64v()?;
-        if span_next.len() != span_cells {
-            return Err(invalid_data("span_next cell count mismatch"));
-        }
-        if span_next.iter().any(|x| x != u64::MAX && x >= m as u64) {
-            return Err(invalid_data("span_next index out of range"));
-        }
-        let long_cells = congest::wire::seq_product(n, m, "long-range matrix")?;
+        let long_cells = congest::wire::seq_product(n, skel_ids.len(), "long-range matrix")?;
         let long_dist = c.u64v()?;
         let long_hop = c.u32v()?;
         if long_dist.len() != long_cells || long_hop.len() != long_cells {
@@ -165,48 +105,17 @@ impl RtcScheme {
             return Err(invalid_data("long-range hop out of range"));
         }
         let trees = TreeSet::read_from(&mut c.bytes()?)?;
-        let mut meta = c.bytes()?;
-        let mut r = WireReader::new(&mut meta);
-        let total_rounds = r.u64()?;
-        let pde_a_rounds = r.u64()?;
-        let pde_s_rounds = r.u64()?;
-        let spanner_broadcast_rounds = r.u64()?;
-        let tree_label_rounds = r.u64()?;
-        let total = Metrics {
-            rounds: r.u64()?,
-            messages: r.u64()?,
-            ..Metrics::default()
-        };
-        let sample_attempts = r.u32()?;
-        let h = r.u64()?;
         let skel_index = DenseIndex::new(n, &skel_ids);
-        let metrics = RtcBuildMetrics {
-            total_rounds,
-            pde_a_rounds,
-            pde_s_rounds,
-            spanner_broadcast_rounds,
-            tree_label_rounds,
-            total,
-            skeleton_size: m,
-            spanner_edge_count: spanner_edges.len(),
-            sample_attempts,
-            h,
-            stages: Default::default(),
-        };
         Ok(RtcScheme {
             topo,
             labels,
             short,
-            short_lists,
-            skel_routes,
             skeleton,
             skel_ids,
-            spanner_edges,
             trees,
-            metrics,
+            metrics: Default::default(),
+            table_sizes,
             skel_index,
-            span_dist,
-            span_next,
             long_dist,
             long_hop,
         })
@@ -217,6 +126,8 @@ impl RtcScheme {
 mod tests {
     use crate::eval::RoutingScheme;
     use crate::scheme::{build_rtc, RtcParams};
+    use crate::BuildMode;
+    use congest::arena::ArenaWriter;
     use graphs::gen::{self, Weights};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -227,7 +138,7 @@ mod tests {
         let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
         let scheme = build_rtc(&g, &RtcParams::new(2));
         let mut a = congest::arena::ArenaWriter::new();
-        scheme.write_arena(&mut a, false).unwrap();
+        scheme.write_arena(&mut a).unwrap();
         let mut buf = Vec::new();
         a.finish(&mut buf).unwrap();
         let r =
@@ -246,9 +157,33 @@ mod tests {
         }
         // Re-emitting the arena is byte-identical (all sections stored).
         let mut a2 = congest::arena::ArenaWriter::new();
-        back.write_arena(&mut a2, false).unwrap();
+        back.write_arena(&mut a2).unwrap();
         let mut buf2 = Vec::new();
         a2.finish(&mut buf2).unwrap();
         assert_eq!(buf, buf2);
+    }
+
+    #[test]
+    fn arena_stores_no_sigma_lists() {
+        // At n = 256 and k = 2 the horizon h = ⌈c·ln n / p⌉ exceeds n, so
+        // σ = n, and stored top-σ lists (9 bytes an entry) would cost
+        // 9·n·σ. Everything but the short-range archive stays below that.
+        let n = 256;
+        let mut rng = SmallRng::seed_from_u64(41);
+        let g = gen::gnp_connected(n, 0.03, Weights::Uniform { lo: 1, hi: 20 }, &mut rng);
+        let scheme = build_rtc(&g, &RtcParams::new(2).with_mode(BuildMode::Native));
+        let sigma = (scheme.metrics.h as usize).min(n);
+        assert_eq!(sigma, n);
+        let arena_len = |write: &dyn Fn(&mut ArenaWriter)| {
+            let mut a = ArenaWriter::counting();
+            write(&mut a);
+            a.finished_len()
+        };
+        let all = arena_len(&|a| scheme.write_arena(a).unwrap());
+        let short = arena_len(&|a| scheme.short.write_arena(a));
+        assert!(
+            all - short < 9 * n * sigma,
+            "{all} - {short} bytes beside the short-range archive"
+        );
     }
 }

@@ -5,6 +5,7 @@
 use graphs::algo::apsp;
 use graphs::gen::{self, Weights};
 use graphs::Seed;
+use pde_core::{run_pde, PdeParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use routing::{build_rtc, evaluate, PairSelection, RoutingScheme, RtcParams};
@@ -86,15 +87,25 @@ fn dumbbell_large_diameter() {
 
 #[test]
 fn short_range_pairs_are_near_exact() {
-    // Pairs whose destination sits in the source's short-range table must
-    // route with stretch ≤ (1+ε)·(1 + slack): they never take the detour
+    // Pairs whose destination sits in the source's short-range table (the
+    // top-σ list of the scheme's own `(V, h, σ)`-estimation) must route
+    // with stretch ≤ (1+ε)·(1 + slack): they never take the detour
     // through the skeleton.
     let mut rng = SmallRng::seed_from_u64(17);
     let g = gen::gnp_connected(28, 0.2, Weights::Uniform { lo: 1, hi: 15 }, &mut rng);
-    let scheme = build_rtc(&g, &RtcParams::new(2));
+    let params = RtcParams::new(2);
+    let scheme = build_rtc(&g, &params);
+    let h = scheme.metrics.h;
+    let sigma = (h as usize).min(g.len());
+    let short = run_pde(
+        &g,
+        &vec![true; g.len()],
+        &scheme.skeleton,
+        &PdeParams::new(h, sigma, params.eps),
+    );
     let exact = apsp(&g);
     for v in g.nodes() {
-        for e in scheme.short_lists.iter_row(v) {
+        for e in &short.lists[v.index()] {
             if e.src == v {
                 continue;
             }

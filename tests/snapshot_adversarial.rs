@@ -39,8 +39,8 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // empty stream: each prefix must load as an error, and each error
     // must be the *typed* truncation (not a raw UnexpectedEof, not a
     // misdiagnosed corruption). One scheme backend and one matrix backend
-    // cover every section shape (graphs, CSR tables, embedded tree and
-    // metrics streams, labels, and flooding's dense `u64` distance and
+    // cover every section shape (graphs, CSR tables, embedded tree
+    // streams, labels, and flooding's dense `u64` distance and
     // `u32` first-hop matrices).
     for backend in [Backend::Compact, Backend::Flooding] {
         let bytes = snapshot(backend);
@@ -452,13 +452,44 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
 }
 
 #[test]
+fn well_checksummed_rtc_home_out_of_range_is_invalid_data() {
+    // An RTC arena is the `[k, eps]` meta section, the topology's three
+    // sections, then the label arrays: ids (0..n), homes, …. A home past
+    // `n` under a recomputed checksum must fail the load, not the first
+    // query that indexes the skeleton table with it.
+    const IDS: usize = 4;
+    let snap = snapshot(Backend::Rtc);
+    let n = graph(21).len();
+    let mut sections = arena_sections(&snap);
+    let ids: Vec<u32> = (0..n).map(|v| get_u32(&sections[IDS], v)).collect();
+    assert_eq!(ids, (0..n as u32).collect::<Vec<_>>(), "ids section moved");
+    put_u32(&mut sections[IDS + 1], 3, n as u32 + 7);
+    let hostile = reassemble(&snap, &sections);
+    for loaded in [
+        Oracle::load(&mut &hostile[..]),
+        Oracle::load_bytes(&hostile),
+    ] {
+        match loaded {
+            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
+            Ok(oracle) => {
+                for u in 0..n as u32 {
+                    oracle.estimate(NodeId(u), NodeId(3));
+                }
+                panic!("a home past n was loaded");
+            }
+        }
+    }
+}
+
+#[test]
 fn retired_layouts_are_typed_rebuild_errors() {
     // Tag 1 (hash-table streams), tag 2 (element-by-element wire
     // streams), tag 3 (the arena with 16-byte records), tag 4 (narrow
-    // tables with a stored per-row index) and tag 5 (every route row
-    // keyed) name layouts this binary does not read; all must say "rebuild", typed, whatever follows the
-    // header — a re-tagged arena, or for tag 2 its own 39-byte header
-    // (no pad byte) with a payload behind it.
+    // tables with a stored per-row index), tag 5 (every route row keyed)
+    // and tag 6 (schemes embedding σ-lists, spanner and metrics) name
+    // layouts this binary does not read; all must say "rebuild", typed,
+    // whatever follows the header — a re-tagged arena, or for tag 2 its
+    // own 39-byte header (no pad byte) with a payload behind it.
     let snap = snapshot(Backend::Pde);
     let retagged = |tag: u16| {
         let mut old = snap.clone();
@@ -467,7 +498,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -485,8 +516,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-2 or tag-5
-    // snapshots: recovery surfaces the same typed error instead of
+    // A checkpoint left behind by a binary that wrote tag-2, tag-5 or
+    // tag-6 snapshots: recovery surfaces the same typed error instead of
     // panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -499,8 +530,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 6u16.to_le_bytes());
-    for tag in [2u16, 5] {
+    assert_eq!(current[at + 4..at + 6], 7u16.to_le_bytes());
+    for tag in [2u16, 5, 6] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
