@@ -10,7 +10,7 @@
 
 use compact::{level_flags, sample_levels};
 use congest::{bits_for, NodeId};
-use graphs::algo::{apsp_with_first_hops, Apsp};
+use graphs::algo::apsp_with_first_hops;
 use graphs::{Seed, WGraph};
 use routing::RoutingScheme;
 use treeroute::TreeSet;
@@ -20,13 +20,14 @@ use treeroute::TreeSet;
 pub struct ExactTz {
     n: usize,
     k: u32,
-    exact: Apsp,
+    /// Row-major `n × n` exact distances.
+    dist: Vec<u64>,
     /// `pivots[l−1][v] = (s'_l(v), wd(v, s'_l(v)))` for `l ∈ 1..k`.
     pivots: Vec<Vec<(NodeId, u64)>>,
     /// Shortest-path trees towards each pivot, per level.
     trees: Vec<TreeSet>,
     /// Σ_l |S'_l(v)| (bunch sizes).
-    bunch_sizes: Vec<usize>,
+    bunch_sizes: Vec<u32>,
     /// First-hop matrix from exact shortest paths.
     next: Vec<Option<NodeId>>,
 }
@@ -68,7 +69,7 @@ impl ExactTz {
         }
 
         // Bunches: |{s ∈ S_l : wd(v,s) < wd(v, S_{l+1})}| summed over l.
-        let mut bunch_sizes = vec![0usize; n];
+        let mut bunch_sizes = vec![0u32; n];
         for l in 0..k {
             let flags = level_flags(&levels, l);
             for v in g.nodes() {
@@ -82,7 +83,7 @@ impl ExactTz {
                     .nodes()
                     .filter(|s| flags[s.index()])
                     .filter(|&s| (exact.dist(v, s), s) < cut)
-                    .count();
+                    .count() as u32;
             }
         }
 
@@ -108,7 +109,7 @@ impl ExactTz {
         ExactTz {
             n,
             k,
-            exact,
+            dist: exact.into_dist(),
             pivots,
             trees,
             bunch_sizes,
@@ -120,16 +121,21 @@ impl ExactTz {
         self.next[x.index() * self.n + t.index()]
     }
 
-    /// Emits the hierarchy into an arena: `[n, k]` meta, the APSP
-    /// matrices and the first-hop matrix as typed sections, pivots as
-    /// flat per-level arrays, trees as an embedded wire stream.
+    fn dist(&self, x: NodeId, t: NodeId) -> u64 {
+        self.dist[x.index() * self.n + t.index()]
+    }
+
+    /// Emits the hierarchy into an arena: `[n, k]` meta, the distance
+    /// matrix, the table counts and the first-hop matrix as typed
+    /// sections, pivots as flat per-level arrays, trees as an embedded
+    /// wire stream.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the tree stream.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> std::io::Result<()> {
         a.u64s(&[self.n as u64, u64::from(self.k)]);
-        self.exact.write_arena(a);
+        a.u64s(&self.dist);
         let piv_s: Vec<u32> = self
             .pivots
             .iter()
@@ -150,8 +156,7 @@ impl ExactTz {
             }
             Ok(())
         })?;
-        let bunches: Vec<u64> = self.bunch_sizes.iter().map(|&b| b as u64).collect();
-        a.u64s(&bunches);
+        a.u32s(&self.bunch_sizes);
         let next: Vec<u32> = self
             .next
             .iter()
@@ -162,9 +167,10 @@ impl ExactTz {
     }
 
     /// Reads what [`ExactTz::write_arena`] wrote. Queries index
-    /// `pivots[l-1][v]` for `l` in `1..k` and the `n × n` first-hop
-    /// matrix, so every level must cover all `n` nodes — a short table
-    /// fails here, not at query time.
+    /// `pivots[l-1][v]` for `l` in `1..k`, the `n × n` matrices at a
+    /// pivot's row and the pivot's tree, so every level must cover all `n`
+    /// nodes with pivots that root a tree of that level — a short table or
+    /// a foreign pivot fails here, not at query time.
     ///
     /// # Errors
     ///
@@ -183,9 +189,10 @@ impl ExactTz {
         if k == 0 {
             return Err(invalid_data("ExactTz snapshot with k = 0"));
         }
-        let exact = Apsp::read_arena(c)?;
-        if exact.len() != n {
-            return Err(invalid_data("ExactTz APSP size mismatch"));
+        let cells = congest::wire::seq_product(n, n, "ExactTz")?;
+        let dist = c.u64s()?;
+        if dist.len() != cells {
+            return Err(invalid_data("ExactTz distance cell count mismatch"));
         }
         let piv_s = c.u32s()?;
         let piv_d = c.u64s()?;
@@ -210,15 +217,18 @@ impl ExactTz {
         for _ in 0..nt {
             trees.push(TreeSet::read_from(&mut tree_bytes)?);
         }
-        let bunch_sizes: Vec<usize> = c
-            .u64s()?
-            .into_iter()
-            .map(|b| usize::try_from(b).map_err(|_| invalid_data("bunch size overflow")))
-            .collect::<std::io::Result<_>>()?;
+        for (level, set) in pivots.iter().zip(&trees) {
+            if level
+                .iter()
+                .any(|(s, _)| s.index() >= n || !set.trees.contains_key(s))
+            {
+                return Err(invalid_data("ExactTz pivot is no tree root of its level"));
+            }
+        }
+        let bunch_sizes = c.u32s()?;
         if bunch_sizes.len() != n {
             return Err(invalid_data("ExactTz bunch table shorter than n"));
         }
-        let cells = congest::wire::seq_product(n, n, "ExactTz")?;
         let raw_next = c.u32s()?;
         if raw_next.len() != cells {
             return Err(invalid_data("ExactTz first-hop cell count mismatch"));
@@ -238,7 +248,7 @@ impl ExactTz {
         Ok(ExactTz {
             n,
             k,
-            exact,
+            dist,
             pivots,
             trees,
             bunch_sizes,
@@ -257,29 +267,25 @@ impl RoutingScheme for ExactTz {
             return None;
         }
         // Tree mode first (as in the distributed scheme).
-        for l in 1..self.k {
-            let (pivot, _) = self.pivots[(l - 1) as usize][dest.index()];
-            let tree = &self.trees[(l - 1) as usize].trees[&pivot];
-            if let Some(dfs) = tree.label(dest) {
-                if tree.in_subtree(x, dfs) {
-                    if let Some(child) = tree.next_hop_down(x, dfs) {
-                        return Some(child);
-                    }
-                }
+        for (level, set) in self.pivots.iter().zip(&self.trees) {
+            let (pivot, _) = level[dest.index()];
+            let dfs = set.trees.get(&pivot).and_then(|t| t.label(dest));
+            if let Some(child) = dfs.and_then(|dfs| set.descend(pivot, x, dfs)) {
+                return Some(child);
             }
         }
         // Exact potential: min over levels of d(x, p_l) + d(p_l, dest),
         // level 0 meaning the direct exact distance.
         let mut best: Option<(u64, NodeId)> = None;
         if let Some(h) = self.first_hop(x, dest) {
-            best = Some((self.exact.dist(x, dest), h));
+            best = Some((self.dist(x, dest), h));
         }
         for l in 1..self.k {
             let (pivot, d_w) = self.pivots[(l - 1) as usize][dest.index()];
             if x == pivot {
                 continue;
             }
-            let est = self.exact.dist(x, pivot).saturating_add(d_w);
+            let est = self.dist(x, pivot).saturating_add(d_w);
             if best.is_none_or(|(b, _)| est < b) {
                 if let Some(h) = self.first_hop(x, pivot) {
                     best = Some((est, h));
@@ -297,10 +303,10 @@ impl RoutingScheme for ExactTz {
         // d(x, p_l(dest)) + d(p_l(dest), dest), and d(x,dest) itself when
         // dest is in x's bunch (approximated here by the exact value,
         // which only makes the baseline stronger).
-        let mut best = self.exact.dist(x, dest);
+        let mut best = self.dist(x, dest);
         for l in 1..self.k {
             let (pivot, d_w) = self.pivots[(l - 1) as usize][dest.index()];
-            best = best.min(self.exact.dist(x, pivot).saturating_add(d_w));
+            best = best.min(self.dist(x, pivot).saturating_add(d_w));
         }
         best
     }
@@ -316,13 +322,8 @@ impl RoutingScheme for ExactTz {
     }
 
     fn table_entries(&self, v: NodeId) -> usize {
-        let tree_rows: usize = self
-            .trees
-            .iter()
-            .flat_map(|set| set.trees.values())
-            .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
-            .sum();
-        self.bunch_sizes[v.index()] + tree_rows
+        let tree_rows: usize = self.trees.iter().map(|set| set.rows_at(v)).sum();
+        self.bunch_sizes[v.index()] as usize + tree_rows
     }
 }
 

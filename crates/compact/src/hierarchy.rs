@@ -123,21 +123,18 @@ pub struct CompactBuildMetrics {
     pub sigma: usize,
 }
 
-/// The constructed compact scheme.
+/// The constructed compact scheme: all `k` levels of Lemma 4.7, or the
+/// first `l0` inside a [`crate::TruncatedScheme`].
 #[derive(Debug)]
 pub struct CompactScheme {
     pub(crate) topo: Topology,
-    /// `k`.
-    pub k: u32,
-    /// Per-node sampled level.
-    pub levels: Vec<u32>,
     /// `routes[l]`: the level-`l` PDE routing archive (sources `S_l`),
-    /// source-sorted per-node rows.
+    /// source-sorted per-node rows; one per level built.
     pub routes: Vec<FlatTables>,
     /// `bunch_sizes[v]`: Σ_l |S'_l(v)| — the paper-sized table entries.
-    pub bunch_sizes: Vec<usize>,
-    /// Detection-tree sets, one per pivot level `l ∈ {1, …, k−1}`
-    /// (index `l−1`).
+    pub bunch_sizes: Vec<u32>,
+    /// Detection-tree sets, one per pivot level `l ≥ 1` built (index
+    /// `l−1`).
     pub trees: Vec<TreeSet>,
     /// Per-node labels.
     pub labels: Vec<CompactLabel>,
@@ -185,23 +182,30 @@ pub fn try_build_hierarchy(
     assert!(g.len() >= 2, "need at least two nodes");
     assert!(params.k >= 1, "k must be ≥ 1");
     with_resample(params.seed, |seed, _attempt| {
-        let p = CompactParams {
-            seed,
-            ..params.clone()
-        };
-        build_attempt(g, &p)
+        let (levels, sample_attempts) = sample_levels(g.len(), params.k, seed);
+        let mut scheme = build_levels(g, params, &levels, params.k)?;
+        scheme.metrics.sample_attempts = sample_attempts;
+        Ok(scheme)
     })
 }
 
-/// One build attempt at a fixed seed: the declarative stage list.
-fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, BuildError> {
+/// Lemma 4.7's stage over the level sample `levels`: levels `0..depth` of
+/// the `params.k`-level hierarchy — one PDE ladder per level, pivots,
+/// bunches, detection trees and labels. [`try_build_hierarchy`] builds
+/// all `k` levels; [`crate::try_build_truncated`] the `l0` below its
+/// skeleton.
+pub(crate) fn build_levels(
+    g: &WGraph,
+    params: &CompactParams,
+    levels: &[u32],
+    depth: u32,
+) -> Result<CompactScheme, BuildError> {
     let n = g.len();
     let k = params.k;
     let mode = params.mode;
     let topo = g.to_topology();
     let mut total = Metrics::default();
 
-    let (levels, sample_attempts) = sample_levels(n, k, params.seed);
     let level_sizes: Vec<usize> = (0..k)
         .map(|l| levels.iter().filter(|&&lv| lv >= l).count())
         .collect();
@@ -211,14 +215,14 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         ((params.c * (n as f64).powf(1.0 / f64::from(k)) * ln_n).ceil() as usize).clamp(1, n);
 
     // One PDE run per level l, sources S_l, tags = membership in S_{l+1}.
-    let mut routes = Vec::with_capacity(k as usize);
-    let mut lists = Vec::with_capacity(k as usize);
-    let mut per_level_rounds = Vec::with_capacity(k as usize);
-    let mut horizons = Vec::with_capacity(k as usize);
-    for l in 0..k {
-        let sources = level_flags(&levels, l);
+    let mut routes = Vec::with_capacity(depth as usize);
+    let mut lists = Vec::with_capacity(depth as usize);
+    let mut per_level_rounds = Vec::with_capacity(depth as usize);
+    let mut horizons = Vec::with_capacity(depth as usize);
+    for l in 0..depth {
+        let sources = level_flags(levels, l);
         let tags = if l + 1 < k {
-            level_flags(&levels, l + 1)
+            level_flags(levels, l + 1)
         } else {
             vec![false; n]
         };
@@ -249,67 +253,57 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         lists.push(pde.lists);
     }
 
-    // Pivots s'_l(v) for l in 1..=k-1: the first entry of v's level-l list
-    // (all sources of run l are S_l, so the first entry is the closest).
-    let mut pivots: Vec<Vec<(NodeId, u64)>> = Vec::with_capacity(k as usize - 1);
-    for l in 1..k {
-        let run = &lists[l as usize];
-        let mut pv: Vec<(NodeId, u64)> = Vec::with_capacity(n);
-        for v in g.nodes() {
-            match run[v.index()].first() {
-                Some(e) => pv.push((e.src, e.est)),
-                None => return Err(BuildError::NoPivot { node: v, level: l }),
-            }
-        }
-        pivots.push(pv);
-    }
-
     // Bunches: entries of the level-l list strictly below the level-(l+1)
-    // pivot (by (est, src) order); the full list at the top level.
-    let mut bunch_sizes = vec![0usize; n];
-    for l in 0..k {
-        let run = &lists[l as usize];
+    // pivot (by (est, src) order); the full list at the top level, whose
+    // run tags nothing.
+    let mut bunch_sizes = vec![0u32; n];
+    for run in &lists {
         for v in g.nodes() {
             let list = &run[v.index()];
-            let cnt = if l + 1 < k {
-                let cut = list.iter().find(|e| e.tag).map(|e| (e.est, e.src));
-                match cut {
-                    Some(c) => list.iter().take_while(|e| (e.est, e.src) < c).count(),
-                    None => list.len(),
-                }
-            } else {
-                list.len()
-            };
-            bunch_sizes[v.index()] += cnt;
+            let cut = list.iter().find(|e| e.tag).map(|e| (e.est, e.src));
+            bunch_sizes[v.index()] += match cut {
+                Some(c) => list.iter().take_while(|e| (e.est, e.src) < c).count(),
+                None => list.len(),
+            } as u32;
         }
     }
 
-    // Detection trees per pivot level; labels are the central DFS labels
-    // of each TreeSet, validated by (and charged as) the distributed
-    // labeling protocol in simulated builds.
-    let mut trees = Vec::with_capacity(k as usize - 1);
+    // Pivots s'_l(v) for l in 1..depth: the first entry of v's level-l
+    // list (all sources of run l are S_l, so the first entry is the
+    // closest). Detection trees per pivot level; labels are the central
+    // DFS labels of each TreeSet, validated by (and charged as) the
+    // distributed labeling protocol in simulated builds.
+    let mut pivots: Vec<Vec<(NodeId, u64)>> = Vec::with_capacity(depth as usize);
+    let mut trees = Vec::with_capacity(depth as usize);
     let mut tree_label_rounds = 0u64;
-    for l in 1..k {
+    for l in 1..depth {
+        let run = &lists[l as usize];
+        let mut pv: Vec<(NodeId, u64)> = Vec::with_capacity(n);
         let mut set = TreeSet::new();
         for v in g.nodes() {
-            let (s, _) = pivots[(l - 1) as usize][v.index()];
-            let chain = trace_chain(&routes[l as usize], &topo, v, s);
-            set.add_chain(&chain);
+            let Some(e) = run[v.index()].first() else {
+                return Err(BuildError::NoPivot { node: v, level: l });
+            };
+            pv.push((e.src, e.est));
+            set.add_chain(&trace_chain(&routes[l as usize], &topo, v, e.src));
         }
         set.build();
         let labeling = pipeline::label_trees(&topo, &set, mode);
         tree_label_rounds += labeling.rounds;
         total.absorb(&labeling);
         trees.push(set);
+        pivots.push(pv);
     }
 
     let labels: Vec<CompactLabel> = g
         .nodes()
         .map(|v| {
-            let per: Vec<(NodeId, u64, u64)> = (1..k)
-                .map(|l| {
-                    let (s, d) = pivots[(l - 1) as usize][v.index()];
-                    let dfs = trees[(l - 1) as usize].trees[&s]
+            let per: Vec<(NodeId, u64, u64)> = pivots
+                .iter()
+                .zip(&trees)
+                .map(|(pv, set)| {
+                    let (s, d) = pv[v.index()];
+                    let dfs = set.trees[&s]
                         .label(v)
                         .expect("node labeled in its pivot tree");
                     (s, d, dfs)
@@ -325,15 +319,13 @@ fn build_attempt(g: &WGraph, params: &CompactParams) -> Result<CompactScheme, Bu
         tree_label_rounds,
         total,
         level_sizes,
-        sample_attempts,
         horizons,
         sigma: sigma_base,
+        ..Default::default()
     };
 
     Ok(CompactScheme {
         topo,
-        k,
-        levels,
         routes,
         bunch_sizes,
         trees,

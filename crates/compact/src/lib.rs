@@ -18,7 +18,9 @@
 //!   back to "broadcast `G̃(l0)` and solve locally" when that is cheaper,
 //!   for `Õ(min{(Dn)^{1/2}·n^{1/k}, n^{2/3+2/(3k)}} + D)` rounds.
 //!
-//! All three produce a [`CompactScheme`] implementing
+//! [`build_hierarchy`] produces a [`CompactScheme`]; the other two a
+//! [`TruncatedScheme`], which holds its levels below `l0` as a nested
+//! `CompactScheme` built by the same Lemma 4.7 stage. Both implement
 //! [`routing::RoutingScheme`], so the shared evaluator measures their
 //! stretch/table/label trade-offs (experiments E5, E6).
 

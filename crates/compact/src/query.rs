@@ -30,7 +30,7 @@ impl CompactScheme {
 
     /// The level-`l` potential option at `x` for destination `dest`:
     /// `(estimate, next hop)`.
-    fn option(&self, x: NodeId, dest: NodeId, l: u32) -> Option<(u64, NodeId)> {
+    pub(crate) fn option(&self, x: NodeId, dest: NodeId, l: u32) -> Option<(u64, NodeId)> {
         if l == 0 {
             return self.routes[0]
                 .get(x, dest)
@@ -105,14 +105,10 @@ impl RoutingScheme for CompactScheme {
         // Tree mode: if x sits in some pivot tree of dest with dest in its
         // subtree, descend the cheapest such tree.
         let mut tree_best: Option<(u64, NodeId)> = None;
-        for (i, &(pivot, d_w, dfs)) in label.pivots.iter().enumerate() {
-            if let Some(tree) = self.trees[i].trees.get(&pivot) {
-                if tree.in_subtree(x, dfs) {
-                    if let Some(child) = tree.next_hop_down(x, dfs) {
-                        if tree_best.is_none_or(|(b, _)| d_w < b) {
-                            tree_best = Some((d_w, child));
-                        }
-                    }
+        for (&(pivot, d_w, dfs), set) in label.pivots.iter().zip(&self.trees) {
+            if let Some(child) = set.descend(pivot, x, dfs) {
+                if tree_best.is_none_or(|(b, _)| d_w < b) {
+                    tree_best = Some((d_w, child));
                 }
             }
         }
@@ -121,7 +117,7 @@ impl RoutingScheme for CompactScheme {
         }
         // Φ mode: the minimum over level options.
         let mut best: Option<(u64, NodeId)> = None;
-        for l in 0..self.k {
+        for l in 0..self.routes.len() as u32 {
             if let Some((est, hop)) = self.option(x, dest, l) {
                 if best.is_none_or(|(b, _)| est < b) {
                     best = Some((est, hop));
@@ -141,13 +137,8 @@ impl RoutingScheme for CompactScheme {
 
     fn table_entries(&self, v: NodeId) -> usize {
         // Paper-sized tables: bunches plus per-tree interval rows.
-        let tree_rows: usize = self
-            .trees
-            .iter()
-            .flat_map(|set| set.trees.values())
-            .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
-            .sum();
-        self.bunch_sizes[v.index()] + tree_rows
+        let tree_rows: usize = self.trees.iter().map(|set| set.rows_at(v)).sum();
+        self.bunch_sizes[v.index()] as usize + tree_rows
     }
 }
 

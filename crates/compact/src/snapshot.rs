@@ -1,6 +1,8 @@
 //! Binary snapshot codecs for the compact hierarchies (Theorems 4.8 and
 //! 4.13): [`congest::arena`] sections, with the handwritten little-endian
-//! framing of [`congest::wire`] for the small embedded streams.
+//! framing of [`congest::wire`] for the small embedded streams. A
+//! truncated arena is its nested hierarchy's arena followed by the upper
+//! sections, so the level, label, tree and bunch codecs exist once.
 //!
 //! Route archives are serialized as [`FlatTables`] CSR rows and the
 //! truncated upper-level maps as [`PairTable`]s — both written *as
@@ -12,74 +14,43 @@
 
 use crate::hierarchy::{CompactLabel, CompactScheme};
 use crate::truncated::{TruncLabel, TruncatedScheme, UpperPivot};
-use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
+use congest::wire::{invalid_data, WireReader, WireWriter};
 use congest::{NodeId, Topology};
 use graphs::{DenseIndex, WGraph};
 use pde_core::{FlatTables, PairTable};
-use std::io::{self, Read, Write};
+use std::io;
 use treeroute::TreeSet;
 
-fn write_tree_sets(sink: &mut dyn Write, sets: &[TreeSet]) -> io::Result<()> {
-    WireWriter::new(sink).len(sets.len())?;
-    for set in sets {
-        set.write_into(sink)?;
-    }
-    Ok(())
-}
-
-fn read_tree_sets(source: &mut dyn Read) -> io::Result<Vec<TreeSet>> {
-    let count = WireReader::new(source).len64(congest::wire::MAX_SEQ_LEN)?;
-    let mut sets = Vec::with_capacity(clamped_capacity(count));
-    for _ in 0..count {
-        sets.push(TreeSet::read_from(source)?);
-    }
-    Ok(sets)
-}
-
 impl CompactScheme {
-    /// Emits the hierarchy into an arena: per-level route archives and
-    /// per-node arrays as typed sections, detection trees as an embedded
-    /// wire stream.
+    /// Emits the hierarchy into an arena: the level count, per-level route
+    /// archives and per-node arrays as typed sections, detection trees as
+    /// an embedded wire stream.
     ///
     /// # Errors
     ///
     /// Propagates errors from the embedded stream writer.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> io::Result<()> {
         self.topo.write_arena(a);
-        a.u64s(&[u64::from(self.k)]);
-        a.u32s(&self.levels);
-        let bunches: Vec<u64> = self.bunch_sizes.iter().map(|&b| b as u64).collect();
-        a.u64s(&bunches);
-        let ids: Vec<u32> = self.labels.iter().map(|l| l.id.0).collect();
-        let piv_s: Vec<u32> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.pivots.iter().map(|&(s, _, _)| s.0))
-            .collect();
-        let piv_d: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.pivots.iter().map(|&(_, d, _)| d))
-            .collect();
-        let piv_f: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.pivots.iter().map(|&(_, _, f)| f))
-            .collect();
-        a.u32s(&ids);
-        a.u32s(&piv_s);
-        a.u64s(&piv_d);
-        a.u64s(&piv_f);
+        a.u64s(&[self.routes.len() as u64]);
+        a.u32s(&self.bunch_sizes);
+        let pivots = || self.labels.iter().flat_map(|l| &l.pivots);
+        a.u32s(&self.labels.iter().map(|l| l.id.0).collect::<Vec<_>>());
+        a.u32s(&pivots().map(|&(s, _, _)| s.0).collect::<Vec<_>>());
+        a.u64s(&pivots().map(|&(_, d, _)| d).collect::<Vec<_>>());
+        a.u64s(&pivots().map(|&(_, _, f)| f).collect::<Vec<_>>());
         for run in &self.routes {
             run.write_arena(a);
         }
-        a.stream(|sink| write_tree_sets(sink, &self.trees))
+        a.stream(|sink| {
+            WireWriter::new(sink).len(self.trees.len())?;
+            self.trees.iter().try_for_each(|set| set.write_into(sink))
+        })
     }
 
     /// Reads what [`CompactScheme::write_arena`] wrote. Queries index
-    /// `levels[v]`, `routes[l]` row `v`, `labels[v].pivots[l-1]` and
-    /// `trees[l-1]`, so all per-node tables must cover every node and all
-    /// per-level tables every level — a short table fails here, not at
+    /// `routes[l]` row `v`, `labels[v].pivots[l-1]`, `trees[l-1]` and
+    /// `bunch_sizes[v]`, so all per-node tables must cover every node and
+    /// all per-level tables every level — a short table fails here, not at
     /// query time.
     ///
     /// # Errors
@@ -96,15 +67,7 @@ impl CompactScheme {
         if k == 0 {
             return Err(invalid_data("compact snapshot with k = 0"));
         }
-        let levels = c.u32s()?;
-        if levels.len() != n {
-            return Err(invalid_data("compact level table shorter than n"));
-        }
-        let bunch_sizes: Vec<usize> = c
-            .u64s()?
-            .into_iter()
-            .map(|b| usize::try_from(b).map_err(|_| invalid_data("bunch size overflow")))
-            .collect::<io::Result<_>>()?;
+        let bunch_sizes = c.u32s()?;
         if bunch_sizes.len() != n {
             return Err(invalid_data("compact bunch table shorter than n"));
         }
@@ -131,14 +94,16 @@ impl CompactScheme {
             run.validate(&topo)?;
             routes.push(run);
         }
-        let trees = read_tree_sets(&mut c.bytes()?)?;
+        let mut stream = c.bytes()?;
+        let count = WireReader::new(&mut stream).len64(congest::wire::MAX_SEQ_LEN)?;
+        let trees = (0..count)
+            .map(|_| TreeSet::read_from(&mut stream))
+            .collect::<io::Result<Vec<_>>>()?;
         if trees.len() != (k - 1) as usize {
             return Err(invalid_data("compact tree set count mismatch"));
         }
         Ok(CompactScheme {
             topo,
-            k,
-            levels,
             routes,
             bunch_sizes,
             trees,
@@ -149,106 +114,53 @@ impl CompactScheme {
 }
 
 impl TruncatedScheme {
-    /// Emits the truncated scheme into an arena: route archives, pair
-    /// tables, the skeleton graph and the per-node label arrays as typed
-    /// sections; detection trees as embedded wire streams.
+    /// Emits the truncated scheme into an arena: the nested hierarchy's
+    /// sections, then the upper-level count, the skeleton, the base route
+    /// archive, `G̃`, the pair tables and the per-node upper label and
+    /// connector arrays as typed sections, base trees as an embedded wire
+    /// stream.
     ///
     /// # Errors
     ///
     /// Propagates errors from the embedded stream writers.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) -> io::Result<()> {
-        self.topo.write_arena(a);
-        a.u64s(&[u64::from(self.l0), self.upper_est.len() as u64]);
+        self.lower.write_arena(a)?;
+        a.u64s(&[self.upper_est.len() as u64]);
         let skel: Vec<u32> = self.skel_ids.iter().map(|s| s.0).collect();
         a.u32s(&skel);
-        for run in &self.lower_routes {
-            run.write_arena(a);
-        }
         self.base_routes.write_arena(a);
         self.gt_graph.write_arena(a);
-        for table in &self.upper_est {
+        for table in self.upper_est.iter().chain(&self.upper_next) {
             table.write_arena(a);
         }
-        for table in &self.upper_next {
-            table.write_arena(a);
-        }
-        a.stream(|sink| write_tree_sets(sink, &self.lower_trees))?;
         a.stream(|sink| self.base_trees.write_into(sink))?;
-        let ids: Vec<u32> = self.labels.iter().map(|l| l.id.0).collect();
-        let lo_s: Vec<u32> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.lower.iter().map(|&(s, _, _)| s.0))
-            .collect();
-        let lo_d: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.lower.iter().map(|&(_, d, _)| d))
-            .collect();
-        let lo_f: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.lower.iter().map(|&(_, _, f)| f))
-            .collect();
-        let up_pivot: Vec<u32> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.upper.iter().map(|u| u.pivot.0))
-            .collect();
-        let up_est: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.upper.iter().map(|u| u.est))
-            .collect();
-        let up_t_star: Vec<u32> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.upper.iter().map(|u| u.t_star.0))
-            .collect();
-        let up_est_base: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.upper.iter().map(|u| u.est_base))
-            .collect();
-        let up_base_dfs: Vec<u64> = self
-            .labels
-            .iter()
-            .flat_map(|l| l.upper.iter().map(|u| u.base_dfs))
-            .collect();
-        a.u32s(&ids);
-        a.u32s(&lo_s);
-        a.u64s(&lo_d);
-        a.u64s(&lo_f);
-        a.u32s(&up_pivot);
-        a.u64s(&up_est);
-        a.u32s(&up_t_star);
-        a.u64s(&up_est_base);
-        a.u64s(&up_base_dfs);
-        let bunches: Vec<u64> = self.bunch_sizes.iter().map(|&b| b as u64).collect();
-        a.u64s(&bunches);
+        let ups = || self.labels.iter().flat_map(|l| &l.upper);
+        a.u32s(&ups().map(|u| u.pivot.0).collect::<Vec<_>>());
+        a.u64s(&ups().map(|u| u.est).collect::<Vec<_>>());
+        a.u32s(&ups().map(|u| u.t_star.0).collect::<Vec<_>>());
+        a.u64s(&ups().map(|u| u.est_base).collect::<Vec<_>>());
+        a.u64s(&ups().map(|u| u.base_dfs).collect::<Vec<_>>());
+        a.u32s(&self.connectors);
         Ok(())
     }
 
     /// Reads what [`TruncatedScheme::write_arena`] wrote. Shape checks
-    /// mirror the query paths — `lower_routes[l]` for `l < l0`,
-    /// `base_routes` rows, `labels[v]` with `l0 − 1` lower and
-    /// `|upper_est|` upper records whose pivots are skeleton members — so
-    /// short or foreign tables fail here, not at query time.
+    /// mirror the query paths — the nested hierarchy's own, `base_routes`
+    /// rows, `labels[v]` with `|upper_est|` upper records whose pivots are
+    /// skeleton members, `connectors[v]` — so short or foreign tables fail
+    /// here, not at query time.
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on malformed sections.
     pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> io::Result<Self> {
-        let topo = Topology::read_arena(c)?;
+        let lower = CompactScheme::read_arena(c)?;
+        let topo = &lower.topo;
         let n = topo.len();
         let meta = c.u64s()?;
-        let [l0, ne] = meta[..] else {
+        let [ne] = meta[..] else {
             return Err(invalid_data("truncated meta section misshapen"));
         };
-        let l0 = u32::try_from(l0).map_err(|_| invalid_data("truncated l0 overflow"))?;
-        if l0 == 0 {
-            return Err(invalid_data("truncated snapshot with l0 = 0"));
-        }
         let ne = usize::try_from(ne).map_err(|_| invalid_data("upper map count overflow"))?;
         if ne > n {
             return Err(invalid_data("upper map count exceeds n"));
@@ -273,14 +185,8 @@ impl TruncatedScheme {
             skel_ids.push(id);
         }
         let skel_index = DenseIndex::new(n, &skel_ids);
-        let mut lower_routes = Vec::with_capacity(l0 as usize);
-        for _ in 0..l0 {
-            let run = FlatTables::read_arena(c)?;
-            run.validate(&topo)?;
-            lower_routes.push(run);
-        }
         let base_routes = FlatTables::read_arena(c)?;
-        base_routes.validate(&topo)?;
+        base_routes.validate(topo)?;
         let gt_graph = WGraph::read_arena(c)?;
         if gt_graph.len() != m.max(1) {
             return Err(invalid_data("truncated skeleton graph size mismatch"));
@@ -307,28 +213,14 @@ impl TruncatedScheme {
         };
         let upper_est = read_pair_tables(c, false)?;
         let upper_next = read_pair_tables(c, true)?;
-        let lower_trees = read_tree_sets(&mut c.bytes()?)?;
-        if lower_trees.len() != (l0 - 1) as usize {
-            return Err(invalid_data("truncated lower tree count mismatch"));
-        }
         let base_trees = TreeSet::read_from(&mut c.bytes()?)?;
-        let ids = c.u32s()?;
-        let lo_s = c.u32s()?;
-        let lo_d = c.u64s()?;
-        let lo_f = c.u64s()?;
         let up_pivot = c.u32s()?;
         let up_est = c.u64s()?;
         let up_t_star = c.u32s()?;
         let up_est_base = c.u64s()?;
         let up_base_dfs = c.u64s()?;
-        let lo_stride = (l0 - 1) as usize;
-        let lo_total = congest::wire::seq_product(n, lo_stride, "truncated lower labels")?;
         let up_total = congest::wire::seq_product(n, ne, "truncated upper labels")?;
-        if ids.len() != n
-            || lo_s.len() != lo_total
-            || lo_d.len() != lo_total
-            || lo_f.len() != lo_total
-            || up_pivot.len() != up_total
+        if up_pivot.len() != up_total
             || up_est.len() != up_total
             || up_t_star.len() != up_total
             || up_est_base.len() != up_total
@@ -337,10 +229,7 @@ impl TruncatedScheme {
             return Err(invalid_data("truncated label sections disagree on length"));
         }
         let mut labels = Vec::with_capacity(n);
-        for (v, &id) in ids.iter().enumerate() {
-            let lower: Vec<(NodeId, u64, u64)> = (v * lo_stride..(v + 1) * lo_stride)
-                .map(|i| (NodeId(lo_s[i]), lo_d[i], lo_f[i]))
-                .collect();
+        for v in 0..n {
             let mut upper = Vec::with_capacity(ne);
             for i in v * ne..(v + 1) * ne {
                 let up = UpperPivot {
@@ -359,25 +248,15 @@ impl TruncatedScheme {
                 }
                 upper.push(up);
             }
-            labels.push(TruncLabel {
-                id: NodeId(id),
-                lower,
-                upper,
-            });
+            labels.push(TruncLabel { upper });
         }
-        let bunch_sizes: Vec<usize> = c
-            .u64s()?
-            .into_iter()
-            .map(|b| usize::try_from(b).map_err(|_| invalid_data("bunch size overflow")))
-            .collect::<io::Result<_>>()?;
-        if bunch_sizes.len() != n {
-            return Err(invalid_data("truncated bunch table shorter than n"));
+        let connectors = c.u32s()?;
+        if connectors.len() != n {
+            return Err(invalid_data("truncated connector table shorter than n"));
         }
         let base_row_idx = pde_core::resolve_entry_indices(&base_routes, &skel_index);
         Ok(TruncatedScheme {
-            topo,
-            l0,
-            lower_routes,
+            lower,
             base_routes,
             base_row_idx,
             skel_ids,
@@ -385,10 +264,9 @@ impl TruncatedScheme {
             gt_graph,
             upper_est,
             upper_next,
-            lower_trees,
             base_trees,
             labels,
-            bunch_sizes,
+            connectors,
             metrics: Default::default(),
         })
     }

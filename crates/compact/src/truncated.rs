@@ -1,10 +1,13 @@
 //! Theorem 4.13: the truncated hierarchy over the level-`l0` skeleton
 //! graph `G̃(l0)` (Definition 4.9, Lemmas 4.10–4.12).
 //!
-//! Levels `< l0` are built exactly as in Lemma 4.7. Levels `≥ l0` run on
-//! the *virtual* skeleton graph `G̃(l0)` whose vertices are `S_{l0}` and
-//! whose edges are the mutual PDE estimates between nearby skeleton
-//! nodes. Two upper-level modes are provided:
+//! Levels `< l0` are Lemma 4.7's: the stage that builds
+//! [`crate::build_hierarchy`] builds them, and the scheme holds them as a
+//! nested [`CompactScheme`], so their estimate, options, table rows and
+//! snapshot sections are the hierarchy's own. Levels `≥ l0` run on the
+//! *virtual* skeleton graph `G̃(l0)` whose vertices are `S_{l0}` and whose
+//! edges are the mutual PDE estimates between nearby skeleton nodes. Two
+//! upper-level modes are provided:
 //!
 //! * [`UpperMode::Simulated`] — PDE is executed on `G̃(l0)` and every
 //!   simulated round's messages are pipelined over a BFS tree of `G`; the
@@ -30,14 +33,12 @@ use pde_core::pipeline::{
     with_resample, BuildError,
 };
 use pde_core::schedule::RowEstimate;
-use pde_core::{
-    resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams, RowCursor,
-};
+use pde_core::{resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
 use routing::RoutingScheme;
 use std::ops::Range;
 use treeroute::TreeSet;
 
-use crate::hierarchy::CompactParams;
+use crate::hierarchy::{build_levels, CompactParams, CompactScheme, HorizonMode};
 
 /// How the upper (≥ `l0`) levels are computed on `G̃(l0)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,37 +76,25 @@ pub struct UpperPivot {
     pub base_dfs: u64,
 }
 
-/// Label of the truncated scheme: lower pivots as in
-/// [`crate::CompactLabel`] plus per-upper-level connector records. Still
+/// Label records the truncated scheme adds to the nested
+/// [`crate::CompactLabel`] (which holds the node id and the pivots of
+/// levels `1..l0`): one connector record per upper level. Together still
 /// `O(k log n)` bits (the paper's two-part tree labels of Lemma 4.12).
 #[derive(Clone, Debug)]
 pub struct TruncLabel {
-    /// The node's own id.
-    pub id: NodeId,
-    /// Pivot records for levels `1..l0`: `(pivot, dist, tree_dfs)`.
-    pub lower: Vec<(NodeId, u64, u64)>,
     /// Pivot records for levels `l0..k`.
     pub upper: Vec<UpperPivot>,
 }
 
 impl TruncLabel {
-    /// Semantic size in bits: own id, one `(pivot, dist, dfs)` record per
-    /// lower level and one `(pivot, connector, est, est_base, dfs)` record
-    /// per upper level — all via the shared
-    /// [`congest::label_record_bits`] formula.
+    /// Semantic size in bits of the upper records: one `(pivot,
+    /// connector, est, est_base, dfs)` record per upper level, via the
+    /// shared [`congest::label_record_bits`] formula.
     pub fn bits(&self, n: usize) -> usize {
-        let n = n as u64;
-        label_record_bits(n, 1, &[])
-            + self
-                .lower
-                .iter()
-                .map(|&(_, d, f)| label_record_bits(n, 1, &[d, f]))
-                .sum::<usize>()
-            + self
-                .upper
-                .iter()
-                .map(|u| label_record_bits(n, 2, &[u.est, u.est_base, u.base_dfs]))
-                .sum::<usize>()
+        self.upper
+            .iter()
+            .map(|u| label_record_bits(n as u64, 2, &[u.est, u.est_base, u.base_dfs]))
+            .sum()
     }
 }
 
@@ -133,7 +122,8 @@ pub struct TruncatedMetrics {
     pub gt_edges: usize,
 }
 
-/// The truncated compact scheme (Theorem 4.13 / Corollary 4.14).
+/// The truncated compact scheme (Theorem 4.13 / Corollary 4.14): Lemma
+/// 4.7's hierarchy below `l0`, plus what the skeleton graph adds.
 ///
 /// Query-side state is flat: route archives are source-sorted CSR rows
 /// ([`FlatTables`]), the skeleton index is a dense per-node array, and the
@@ -141,10 +131,8 @@ pub struct TruncatedMetrics {
 /// row-sorted CSR) — no query ever probes a hash map.
 #[derive(Debug)]
 pub struct TruncatedScheme {
-    pub(crate) topo: Topology,
-    pub(crate) l0: u32,
-    /// Lower-level PDE route archives, `runs[l]` for `l < l0`.
-    pub(crate) lower_routes: Vec<FlatTables>,
+    /// Levels `< l0`, built exactly as in Lemma 4.7.
+    pub(crate) lower: CompactScheme,
     /// `(S_{l0}, h_{l0}, |S_{l0}|)` route archive.
     pub(crate) base_routes: FlatTables,
     /// Pre-resolved skeleton index of each `base_routes` slot's source
@@ -160,13 +148,12 @@ pub struct TruncatedScheme {
     pub(crate) upper_est: Vec<PairTable>,
     /// Per upper level: `(from index, source index) → next index` chains.
     pub(crate) upper_next: Vec<PairTable>,
-    /// Lower pivot trees (levels `1..l0`).
-    pub(crate) lower_trees: Vec<TreeSet>,
     /// Base trees `T^base_t` (descent of the last segment).
     pub(crate) base_trees: TreeSet,
-    /// Per-node labels.
+    /// Per-node upper label records.
     pub labels: Vec<TruncLabel>,
-    pub(crate) bunch_sizes: Vec<usize>,
+    /// `connectors[v]`: the connector table entries of `v`, at most `σ`.
+    pub(crate) connectors: Vec<u32>,
     /// Build metrics.
     pub metrics: TruncatedMetrics,
 }
@@ -230,37 +217,18 @@ fn build_attempt(
     let n = g.len();
     let k = params.k;
     let build_mode = params.mode;
-    let topo = g.to_topology();
-    let mut total = Metrics::default();
-
     let (levels, _) = sample_levels(n, k, params.seed);
     let ln_n = (n as f64).ln().max(1.0);
-    let sigma =
-        ((params.c * (n as f64).powf(1.0 / f64::from(k)) * ln_n).ceil() as usize).clamp(1, n);
 
     // ---- Lower levels (< l0), exactly as Lemma 4.7. ----
-    let mut lower_routes = Vec::new();
-    let mut lower_lists = Vec::new();
-    let mut lower_rounds = 0u64;
-    for l in 0..l0 {
-        let sources = level_flags(&levels, l);
-        let tags = level_flags(&levels, l + 1);
-        let h = ((params.c * (n as f64).powf(f64::from(l + 1) / f64::from(k)) * ln_n).ceil()
-            as u64)
-            .clamp(1, 2 * n as u64);
-        let pde = run_pde(
-            g,
-            &sources,
-            &tags,
-            &PdeParams::new(h, sigma, params.eps)
-                .with_threads(params.threads)
-                .with_mode(build_mode),
-        );
-        lower_rounds += pde.metrics.total.rounds;
-        total.absorb(&pde.metrics.total);
-        lower_routes.push(pde.routes);
-        lower_lists.push(pde.lists);
-    }
+    let lower_params = CompactParams {
+        horizon: HorizonMode::Lemma47,
+        ..params.clone()
+    };
+    let lower = build_levels(g, &lower_params, &levels, l0)?;
+    let topo = &lower.topo;
+    let sigma = lower.metrics.sigma;
+    let mut total = lower.metrics.total;
 
     // ---- Base estimation: (S_{l0}, h_{l0}, |S_{l0}|). ----
     let skel_flags = level_flags(&levels, l0);
@@ -290,7 +258,7 @@ fn build_attempt(
     // costs, so native builds skip it.
     let (bfs, d_hat) = match build_mode {
         BuildMode::Simulated => {
-            let (bfs, bfs_metrics) = build_bfs(&topo, NodeId(0));
+            let (bfs, bfs_metrics) = build_bfs(topo, NodeId(0));
             total.absorb(&bfs_metrics);
             let d_hat = 2 * bfs.height + 1;
             (Some(bfs), d_hat)
@@ -361,7 +329,7 @@ fn build_attempt(
                 for &(a, b, w) in gt_graph.edges() {
                     items[skel_ids[a as usize].index()].push(GtEdge(a, b, w));
                 }
-                let (_, bc) = broadcast_all(&topo, bfs, items);
+                let (_, bc) = broadcast_all(topo, bfs, items);
                 upper_rounds = bc.rounds;
                 total.absorb(&bc);
             }
@@ -411,32 +379,6 @@ fn build_attempt(
         })
         .collect();
 
-    // ---- Lower pivot trees. ----
-    let mut lower_trees = Vec::new();
-    let mut tree_label_rounds = 0u64;
-    let mut lower_pivots: Vec<Vec<(NodeId, u64)>> = Vec::new();
-    for l in 1..l0 {
-        let run = &lower_lists[l as usize];
-        let mut pv: Vec<(NodeId, u64)> = Vec::with_capacity(n);
-        for v in g.nodes() {
-            match run[v.index()].first() {
-                Some(e) => pv.push((e.src, e.est)),
-                None => return Err(BuildError::NoPivot { node: v, level: l }),
-            }
-        }
-        let mut set = TreeSet::new();
-        for v in g.nodes() {
-            let chain = trace_chain(&lower_routes[l as usize], &topo, v, pv[v.index()].0);
-            set.add_chain(&chain);
-        }
-        set.build();
-        let lab = pipeline::label_trees(&topo, &set, build_mode);
-        tree_label_rounds += lab.rounds;
-        total.absorb(&lab);
-        lower_trees.push(set);
-        lower_pivots.push(pv);
-    }
-
     // ---- Upper pivots + connectors, base trees from connector chains. ----
     // per node, per upper level: (s_idx, t_idx, est, est_base)
     let mut upper_info: Vec<Vec<(usize, usize, u64, u64)>> = vec![Vec::new(); n];
@@ -462,28 +404,18 @@ fn build_attempt(
                 return Err(BuildError::NoPivot { node: v, level: l });
             };
             upper_info[v.index()].push((s_idx, t_idx, est, eb));
-            let chain = trace_chain(&base.routes, &topo, v, skel_ids[t_idx]);
+            let chain = trace_chain(&base.routes, topo, v, skel_ids[t_idx]);
             base_trees.add_chain(&chain);
         }
     }
     base_trees.build();
-    let lab = pipeline::label_trees(&topo, &base_trees, build_mode);
-    tree_label_rounds += lab.rounds;
+    let lab = pipeline::label_trees(topo, &base_trees, build_mode);
     total.absorb(&lab);
 
     // ---- Labels. ----
     let labels: Vec<TruncLabel> = g
         .nodes()
         .map(|v| {
-            let lower: Vec<(NodeId, u64, u64)> = (1..l0)
-                .map(|l| {
-                    let (s, d) = lower_pivots[(l - 1) as usize][v.index()];
-                    let dfs = lower_trees[(l - 1) as usize].trees[&s]
-                        .label(v)
-                        .expect("labeled in lower pivot tree");
-                    (s, d, dfs)
-                })
-                .collect();
             let upper: Vec<UpperPivot> = upper_info[v.index()]
                 .iter()
                 .map(|&(s_idx, t_idx, est, eb)| UpperPivot {
@@ -496,37 +428,18 @@ fn build_attempt(
                         .expect("labeled in base tree"),
                 })
                 .collect();
-            TruncLabel {
-                id: v,
-                lower,
-                upper,
-            }
+            TruncLabel { upper }
         })
         .collect();
-
-    // ---- Table sizes (bunch analogue). ----
-    let mut bunch_sizes = vec![0usize; n];
-    for l in 0..l0 {
-        let run = &lower_lists[l as usize];
-        for v in g.nodes() {
-            let list = &run[v.index()];
-            let cut = list.iter().find(|e| e.tag).map(|e| (e.est, e.src));
-            bunch_sizes[v.index()] += match cut {
-                Some(c) => list.iter().take_while(|e| (e.est, e.src) < c).count(),
-                None => list.len(),
-            };
-        }
-    }
-    for v in g.nodes() {
-        bunch_sizes[v.index()] += conn[v.index()].len().min(sigma);
-    }
+    // Table sizes: the connectors a node keeps beside its lower bunches.
+    let connectors = conn.iter().map(|c| c.len().min(sigma) as u32).collect();
 
     let metrics = TruncatedMetrics {
         total_rounds: total.rounds,
-        lower_rounds,
+        lower_rounds: lower.metrics.per_level_rounds.iter().sum(),
         base_rounds,
         upper_rounds,
-        tree_label_rounds,
+        tree_label_rounds: lower.metrics.tree_label_rounds + lab.rounds,
         total,
         skeleton_size: m,
         gt_edges: gt_graph.num_edges(),
@@ -534,9 +447,7 @@ fn build_attempt(
 
     let base_row_idx = resolve_entry_indices(&base.routes, &skel_index);
     Ok(TruncatedScheme {
-        topo,
-        l0,
-        lower_routes,
+        lower,
         base_routes: base.routes,
         base_row_idx,
         skel_ids,
@@ -544,10 +455,9 @@ fn build_attempt(
         gt_graph,
         upper_est,
         upper_next,
-        lower_trees,
         base_trees,
         labels,
-        bunch_sizes,
+        connectors,
         metrics,
     })
 }
@@ -555,13 +465,13 @@ fn build_attempt(
 impl TruncatedScheme {
     /// The `l0` truncation level.
     pub fn l0(&self) -> u32 {
-        self.l0
+        self.lower.routes.len() as u32
     }
 
     /// The topology the scheme was built on (shared with route tracing
     /// and snapshot serialization, so callers need no separate copy).
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.lower.topo
     }
 
     /// The waypoint path (skeleton indices, from the pivot `s` down to
@@ -592,6 +502,7 @@ impl TruncatedScheme {
     /// The minimum potential option at `x` for `dest`: `(estimate, hop)`.
     fn best_option(&self, x: NodeId, dest: NodeId) -> Option<(u64, NodeId)> {
         let label = &self.labels[dest.index()];
+        let topo = self.topology();
         let mut best: Option<(u64, NodeId)> = None;
         // Ties broken by the smaller next-hop id, so the choice does not
         // depend on routing-table iteration order (keeps answers
@@ -602,20 +513,9 @@ impl TruncatedScheme {
             }
         };
 
-        if let Some(e) = self.lower_routes[0].get(x, dest) {
-            consider(e.est, self.topo.neighbor(x, e.port), &mut best);
-        }
-        for (i, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
-            let l = i + 1;
-            if x == pivot {
-                continue;
-            }
-            if let Some(e) = self.lower_routes[l].get(x, pivot) {
-                consider(
-                    e.est.saturating_add(d_w),
-                    self.topo.neighbor(x, e.port),
-                    &mut best,
-                );
+        for l in 0..self.l0() {
+            if let Some((est, hop)) = self.lower.option(x, dest, l) {
+                consider(est, hop, &mut best);
             }
         }
         for (j, up) in label.upper.iter().enumerate() {
@@ -637,7 +537,7 @@ impl TruncatedScheme {
                 if let Some(eg) = self.upper_est[j].get(ti, s_idx) {
                     consider(
                         e.est.saturating_add(eg).saturating_add(budget_a),
-                        self.topo.neighbor(x, e.port),
+                        topo.neighbor(x, e.port),
                         &mut best,
                     );
                 }
@@ -649,7 +549,7 @@ impl TruncatedScheme {
                             if let Some(e) = self.base_routes.get(x, self.skel_ids[z as usize]) {
                                 consider(
                                     eg.saturating_add(budget_a),
-                                    self.topo.neighbor(x, e.port),
+                                    topo.neighbor(x, e.port),
                                     &mut best,
                                 );
                             }
@@ -667,7 +567,7 @@ impl TruncatedScheme {
                 if let Some(e) = self.base_routes.get(x, y_next) {
                     consider(
                         e.est.saturating_add(rem),
-                        self.topo.neighbor(x, e.port),
+                        topo.neighbor(x, e.port),
                         &mut best,
                     );
                 }
@@ -686,33 +586,14 @@ impl TruncatedScheme {
         }
     }
 
-    /// Theorem 4.13's estimate, written once: the minimum over the lower
-    /// levels' options and, per upper level, the cheapest way to the
-    /// level's pivot (via any connector in `x`'s base row, or directly
-    /// when `x` is itself a skeleton node) plus the label's remainder.
-    /// `probe(l, s)` reads `x`'s lower level-`l` estimate towards `s`.
+    /// What Theorem 4.13 adds to the lower levels' estimate, written
+    /// once: per upper level, the cheapest way to the level's pivot (via
+    /// any connector in `x`'s base row, or directly when `x` is itself a
+    /// skeleton node) plus the label's remainder.
     #[inline]
-    fn estimate_by(
-        &self,
-        x: NodeId,
-        dest: NodeId,
-        base: &BaseRow<'_>,
-        probe: impl Fn(usize, NodeId) -> Option<u64>,
-    ) -> u64 {
-        if x == dest {
-            return 0;
-        }
-        let label = &self.labels[dest.index()];
-        let mut best = probe(0, dest).unwrap_or(INF);
-        for (i, &(pivot, d_w, _)) in label.lower.iter().enumerate() {
-            let here = if x == pivot {
-                0
-            } else {
-                probe(i + 1, pivot).unwrap_or(INF)
-            };
-            best = best.min(here.saturating_add(d_w));
-        }
-        for (j, up) in label.upper.iter().enumerate() {
+    fn upper_estimate(&self, dest: NodeId, base: &BaseRow<'_>) -> u64 {
+        let mut best = INF;
+        for (j, up) in self.labels[dest.index()].upper.iter().enumerate() {
             let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
             let mut to_pivot = INF;
             for (est, &ti) in self.base_routes.ests_in(base.range.clone()).zip(base.idx) {
@@ -741,22 +622,21 @@ pub struct BaseRow<'a> {
     xi: Option<usize>,
 }
 
-/// A row is the queried node, its row cursor in each lower level's table
-/// and its base row.
+/// A row is the nested hierarchy's row and the base row.
 impl RowEstimate for TruncatedScheme {
-    type Row<'a> = (NodeId, Vec<RowCursor<'a>>, BaseRow<'a>);
+    type Row<'a> = (<CompactScheme as RowEstimate>::Row<'a>, BaseRow<'a>);
 
     #[inline]
-    fn open<'a>(&'a self, x: NodeId, (at, lower, base): &mut Self::Row<'a>) {
-        *at = x;
-        lower.clear();
-        lower.extend(self.lower_routes.iter().map(|t| t.cursor(x)));
+    fn open<'a>(&'a self, x: NodeId, (lower, base): &mut Self::Row<'a>) {
+        self.lower.open(x, lower);
         *base = self.base_row(x);
     }
 
     #[inline]
-    fn est(&self, (x, lower, base): &Self::Row<'_>, dest: NodeId) -> u64 {
-        self.estimate_by(*x, dest, base, |l, s| lower[l].est(s))
+    fn est(&self, (lower, base): &Self::Row<'_>, dest: NodeId) -> u64 {
+        self.lower
+            .est(lower, dest)
+            .min(self.upper_estimate(dest, base))
     }
 }
 
@@ -765,56 +645,40 @@ impl RoutingScheme for TruncatedScheme {
         self.labels.len()
     }
 
+    /// Tree mode first — the first lower pivot tree, then the first base
+    /// tree, that holds `dest` below `x` — else the cheapest option by
+    /// `(estimate, hop)`.
     fn next_hop(&self, x: NodeId, dest: NodeId) -> Option<NodeId> {
         if x == dest {
             return None;
         }
-        let label = &self.labels[dest.index()];
-        for (i, &(pivot, _, dfs)) in label.lower.iter().enumerate() {
-            if let Some(tree) = self.lower_trees[i].trees.get(&pivot) {
-                if tree.in_subtree(x, dfs) {
-                    if let Some(child) = tree.next_hop_down(x, dfs) {
-                        return Some(child);
-                    }
-                }
-            }
-        }
-        for up in &label.upper {
-            if let Some(tree) = self.base_trees.trees.get(&up.t_star) {
-                if tree.in_subtree(x, up.base_dfs) {
-                    if let Some(child) = tree.next_hop_down(x, up.base_dfs) {
-                        return Some(child);
-                    }
-                }
-            }
-        }
-        self.best_option(x, dest).map(|(_, hop)| hop)
+        let lower = &self.lower.labels[dest.index()].pivots;
+        let upper = &self.labels[dest.index()].upper;
+        lower
+            .iter()
+            .zip(&self.lower.trees)
+            .find_map(|(&(pivot, _, dfs), set)| set.descend(pivot, x, dfs))
+            .or_else(|| {
+                upper
+                    .iter()
+                    .find_map(|up| self.base_trees.descend(up.t_star, x, up.base_dfs))
+            })
+            .or_else(|| self.best_option(x, dest).map(|(_, hop)| hop))
     }
 
     fn estimate(&self, x: NodeId, dest: NodeId) -> u64 {
-        self.estimate_by(x, dest, &self.base_row(x), |l, s| {
-            self.lower_routes[l].est(x, s)
-        })
+        let lower = RoutingScheme::estimate(&self.lower, x, dest);
+        lower.min(self.upper_estimate(dest, &self.base_row(x)))
     }
 
     fn label_bits(&self, v: NodeId) -> usize {
-        self.labels[v.index()].bits(self.labels.len())
+        self.lower.label_bits(v) + self.labels[v.index()].bits(self.labels.len())
     }
 
     fn table_entries(&self, v: NodeId) -> usize {
-        let mut tree_rows: usize = self
-            .lower_trees
-            .iter()
-            .flat_map(|set| set.trees.values())
-            .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
-            .sum();
-        tree_rows += self
-            .base_trees
-            .trees
-            .values()
-            .filter_map(|t| t.children.get(&v).map(|ch| 1 + ch.len()))
-            .sum::<usize>();
-        self.bunch_sizes[v.index()] + tree_rows
+        self.lower.table_entries(v)
+            + self.connectors[v.index()] as usize
+            + self.base_trees.rows_at(v)
     }
 }
 

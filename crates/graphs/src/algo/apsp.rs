@@ -51,38 +51,6 @@ impl Apsp {
             .max()
             .unwrap_or(0)
     }
-
-    /// Emits the matrices into an arena: `[n]` meta, distances, hops.
-    pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
-        a.u64s(&[self.n as u64]);
-        a.u64s(&self.dist);
-        a.u32s(&self.hops);
-    }
-
-    /// Reads what [`Apsp::write_arena`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed sections.
-    pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> std::io::Result<Self> {
-        let meta = c.u64s()?;
-        let [n] = meta[..] else {
-            return Err(congest::wire::invalid_data("APSP meta section misshapen"));
-        };
-        let n = usize::try_from(n).map_err(|_| congest::wire::invalid_data("APSP n overflow"))?;
-        if n > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(congest::wire::invalid_data(format!(
-                "APSP snapshot claims {n} nodes"
-            )));
-        }
-        let cells = congest::wire::seq_product(n, n, "APSP")?;
-        let dist = c.u64s()?;
-        let hops = c.u32s()?;
-        if dist.len() != cells || hops.len() != cells {
-            return Err(congest::wire::invalid_data("APSP cell count mismatch"));
-        }
-        Ok(Apsp { dist, hops, n })
-    }
 }
 
 /// Computes exact APSP by `n` Dijkstra runs (`O(n · m log n)`).

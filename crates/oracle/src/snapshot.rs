@@ -13,7 +13,8 @@
 //! | 4 | arena container, narrow tables with a stored per-row index | — | rejected (rebuild) |
 //! | 5 | arena container, narrow index-free tables, every row keyed | — | rejected (rebuild) |
 //! | 6 | arena container, narrow tables with direct-indexed dense rows; schemes embed σ-lists, spanner and metrics | — | rejected (rebuild) |
-//! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | — | rejected (rebuild) |
+//! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` shares the PDE layout under its own header tag.
 //!
@@ -86,7 +87,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 7;
+const VERSION: u16 = 8;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;

@@ -86,10 +86,8 @@ impl RoutingScheme for RtcScheme {
             return None;
         }
         // Tree mode: inside T_{s'_w} with w in our subtree → descend.
-        if let Some(tree) = self.trees.trees.get(&label.home) {
-            if tree.in_subtree(x, label.tree_dfs) {
-                return tree.next_hop_down(x, label.tree_dfs);
-            }
+        if let Some(child) = self.trees.descend(label.home, x, label.tree_dfs) {
+            return Some(child);
         }
         // Short range beats long range when available; pick min potential.
         let direct = self

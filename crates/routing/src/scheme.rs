@@ -450,18 +450,13 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     // Paper-sized table entries per node: the top-σ short-range list, the
     // skeleton routing row, and the node plus its children in every
     // detection tree it belongs to.
-    let mut table_sizes: Vec<usize> = g
+    let table_sizes = g
         .nodes()
-        .map(|v| pde_a.lists[v.index()].len() + pde_s.routes.row_range(v).len())
-        .collect();
-    for tree in trees.trees.values() {
-        for (v, children) in &tree.children {
-            table_sizes[v.index()] += 1 + children.len();
-        }
-    }
-    let table_sizes = table_sizes
-        .into_iter()
-        .map(|t| u32::try_from(t).expect("table entries fit u32"))
+        .map(|v| {
+            let rows =
+                pde_a.lists[v.index()].len() + pde_s.routes.row_range(v).len() + trees.rows_at(v);
+            u32::try_from(rows).expect("table entries fit u32")
+        })
         .collect();
 
     let metrics = RtcBuildMetrics {

@@ -226,6 +226,23 @@ impl TreeSet {
         Ok(set)
     }
 
+    /// One step of DFS-interval descent in the tree rooted at `root`: the
+    /// child of `x` whose subtree holds the node labeled `dfs`. `None` when
+    /// there is no such tree, `x` is not above that node, or `x` is it.
+    pub fn descend(&self, root: NodeId, x: NodeId, dfs: u64) -> Option<NodeId> {
+        self.trees.get(&root)?.next_hop_down(x, dfs)
+    }
+
+    /// The table rows `v` keeps for this set: per tree it belongs to, one
+    /// for itself and one per child.
+    pub fn rows_at(&self, v: NodeId) -> usize {
+        self.trees
+            .values()
+            .filter_map(|t| t.children.get(&v))
+            .map(|ch| 1 + ch.len())
+            .sum()
+    }
+
     /// Trees containing `v`, as `(root, depth_of_v)` pairs.
     pub fn memberships(&self, v: NodeId) -> Vec<(NodeId, u32)> {
         self.trees

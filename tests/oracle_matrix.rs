@@ -97,6 +97,10 @@ fn answers_match_pinned_digests() {
         .build(&g);
     let got = digest(&partial);
     assert_eq!(got, 0x020d8e4c3157448b, "pde_partial: got {got:#018x}");
+    // Truncated with a lower pivot level (l0 = 2), which l0 = 1 never
+    // reaches: level 1's pivots, trees and options below the skeleton.
+    let got = digest(&builder(Backend::Truncated).l0(2).build(&g));
+    assert_eq!(got, 0xb5e2c1e126a693fc, "truncated l0 = 2: got {got:#018x}");
 }
 
 /// Theorem 4.1 is PDE at `S = V`, `h = σ = n` — `Backend::Pde`'s

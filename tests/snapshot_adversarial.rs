@@ -482,11 +482,52 @@ fn well_checksummed_rtc_home_out_of_range_is_invalid_data() {
 }
 
 #[test]
+fn well_checksummed_exact_tz_foreign_pivots_are_invalid_data() {
+    // An ExactTz arena stores its pivots as a `u32` id section followed
+    // by a `u64` distance section of the same length, one entry per node
+    // at k = 2 (no other section pair has that shape). A pivot past `n`,
+    // or an in-range node that roots no tree of its level, under a
+    // recomputed checksum must fail the load, not the first query that
+    // reads its distance row or descends its tree.
+    let snap = snapshot(Backend::ExactTz);
+    let n = graph(21).len();
+    let sections = arena_sections(&snap);
+    let at = (0..sections.len() - 1)
+        .find(|&i| sections[i].len() == 4 * n && sections[i + 1].len() == 8 * n)
+        .expect("no pivot section");
+    let pivots: Vec<u32> = (0..n).map(|v| get_u32(&sections[at], v)).collect();
+    let foreign = (0..n as u32)
+        .find(|v| !pivots.contains(v))
+        .expect("every node is a pivot");
+    for planted in [n as u32 + 7, foreign] {
+        let mut hostile = sections.clone();
+        put_u32(&mut hostile[at], 3, planted);
+        let hostile = reassemble(&snap, &hostile);
+        for loaded in [
+            Oracle::load(&mut &hostile[..]),
+            Oracle::load_bytes(&hostile),
+        ] {
+            match loaded {
+                Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
+                Ok(oracle) => {
+                    for u in 0..n as u32 {
+                        oracle.estimate(NodeId(u), NodeId(3));
+                        oracle.next_hop(NodeId(u), NodeId(3));
+                    }
+                    panic!("pivot {planted} was loaded");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn retired_layouts_are_typed_rebuild_errors() {
     // Tag 1 (hash-table streams), tag 2 (element-by-element wire
     // streams), tag 3 (the arena with 16-byte records), tag 4 (narrow
-    // tables with a stored per-row index), tag 5 (every route row keyed)
-    // and tag 6 (schemes embedding σ-lists, spanner and metrics) name
+    // tables with a stored per-row index), tag 5 (every route row keyed),
+    // tag 6 (schemes embedding σ-lists, spanner and metrics) and tag 7
+    // (truncated keeping its own lower levels, `u64` table counts) name
     // layouts this binary does not read; all must say "rebuild", typed,
     // whatever follows the header — a re-tagged arena, or for tag 2 its
     // own 39-byte header (no pad byte) with a payload behind it.
@@ -498,7 +539,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -516,8 +557,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-2, tag-5 or
-    // tag-6 snapshots: recovery surfaces the same typed error instead of
+    // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6
+    // or tag-7 snapshots: recovery surfaces the same typed error instead of
     // panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -530,8 +571,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 7u16.to_le_bytes());
-    for tag in [2u16, 5, 6] {
+    assert_eq!(current[at + 4..at + 6], 8u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
