@@ -254,11 +254,11 @@ impl TruncatedScheme {
         if connectors.len() != n {
             return Err(invalid_data("truncated connector table shorter than n"));
         }
-        let base_row_idx = pde_core::resolve_entry_indices(&base_routes, &skel_index);
+        let base_slots = pde_core::resolve_entries(&base_routes, &skel_index);
         Ok(TruncatedScheme {
             lower,
             base_routes,
-            base_row_idx,
+            base_slots,
             skel_ids,
             skel_index,
             gt_graph,

@@ -33,9 +33,8 @@ use pde_core::pipeline::{
     with_resample, BuildError,
 };
 use pde_core::schedule::RowEstimate;
-use pde_core::{resolve_entry_indices, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
+use pde_core::{resolve_entries, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
 use routing::RoutingScheme;
-use std::ops::Range;
 use treeroute::TreeSet;
 
 use crate::hierarchy::{build_levels, CompactParams, CompactScheme, HorizonMode};
@@ -135,11 +134,11 @@ pub struct TruncatedScheme {
     pub(crate) lower: CompactScheme,
     /// `(S_{l0}, h_{l0}, |S_{l0}|)` route archive.
     pub(crate) base_routes: FlatTables,
-    /// Pre-resolved skeleton index of each `base_routes` slot's source
-    /// (derived, not serialized; `NONE` for an absent slot): the estimate
-    /// loop zips it with `ests_in` instead of doing a per-entry
-    /// `skel_index` load.
-    pub(crate) base_row_idx: Vec<u32>,
+    /// Each `base_routes` slot's pre-resolved skeleton index and decoded
+    /// estimate (derived, not serialized; `(NONE, INF)` for an absent
+    /// slot): the estimate loop reads it instead of doing a per-entry
+    /// `skel_index` load and code decode.
+    pub(crate) base_slots: Vec<(u32, u64)>,
     pub(crate) skel_ids: Vec<NodeId>,
     pub(crate) skel_index: DenseIndex,
     /// `G̃(l0)` in skeleton-index space.
@@ -445,11 +444,11 @@ fn build_attempt(
         gt_edges: gt_graph.num_edges(),
     };
 
-    let base_row_idx = resolve_entry_indices(&base.routes, &skel_index);
+    let base_slots = resolve_entries(&base.routes, &skel_index);
     Ok(TruncatedScheme {
         lower,
         base_routes: base.routes,
-        base_row_idx,
+        base_slots,
         skel_ids,
         skel_index,
         gt_graph,
@@ -578,10 +577,8 @@ impl TruncatedScheme {
 
     /// What the upper-level terms read of node `x`.
     fn base_row(&self, x: NodeId) -> BaseRow<'_> {
-        let range = self.base_routes.row_range(x);
         BaseRow {
-            idx: &self.base_row_idx[range.clone()],
-            range,
+            slots: &self.base_slots[self.base_routes.row_range(x)],
             xi: self.skel_index.get(x),
         }
     }
@@ -596,7 +593,7 @@ impl TruncatedScheme {
         for (j, up) in self.labels[dest.index()].upper.iter().enumerate() {
             let s_idx = self.skel_index.get(up.pivot).expect("pivot in skeleton");
             let mut to_pivot = INF;
-            for (est, &ti) in self.base_routes.ests_in(base.range.clone()).zip(base.idx) {
+            for &(ti, est) in base.slots {
                 if ti == DenseIndex::NONE {
                     continue;
                 }
@@ -613,12 +610,11 @@ impl TruncatedScheme {
     }
 }
 
-/// Node `x`'s `base_routes` row range with its pre-resolved skeleton
-/// indices alongside, and `x`'s own skeleton index.
+/// Node `x`'s pre-resolved `base_routes` slots, and `x`'s own skeleton
+/// index.
 #[derive(Default)]
 pub struct BaseRow<'a> {
-    range: Range<usize>,
-    idx: &'a [u32],
+    slots: &'a [(u32, u64)],
     xi: Option<usize>,
 }
 

@@ -161,6 +161,7 @@ impl SharedBytes {
     }
 
     /// The viewed bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[self.off..self.off + self.len]
     }

@@ -80,4 +80,4 @@ pub use ladder::{BuildMode, LadderSpec};
 pub use pde::{run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo};
 pub use pipeline::BuildError;
 pub use schedule::BatchSchedule;
-pub use tables::{resolve_entry_indices, FlatEntry, FlatTables, PairTable, RowCursor};
+pub use tables::{resolve_entries, FlatEntry, FlatTables, PairTable, RowCursor};

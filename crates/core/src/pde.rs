@@ -345,7 +345,7 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
     let merger = merger
         .into_inner()
         .expect("a worker panicked while folding its rung");
-    let (lists, routes, mut metrics) = merger.finish(params.sigma);
+    let (lists, routes, mut metrics) = merger.finish(&spec);
     metrics.total.absorb(&coordination);
 
     PdeOutput {
@@ -475,7 +475,7 @@ impl<'a> RungMerger<'a> {
     }
 
     /// Builds the outputs and hands back the folded rung metrics.
-    fn finish(mut self, sigma: usize) -> (Vec<Vec<PdeEntry>>, FlatTables, PdeMetrics) {
+    fn finish(mut self, spec: &LadderSpec) -> (Vec<Vec<PdeEntry>>, FlatTables, PdeMetrics) {
         let (n, s) = (self.space.num_nodes(), self.space.len());
         let mut scratch: Vec<(u32, u64, bool)> = Vec::new();
         let mut lists = Vec::with_capacity(n);
@@ -490,7 +490,7 @@ impl<'a> RungMerger<'a> {
                 })
                 .collect();
             list.sort_unstable();
-            list.truncate(sigma);
+            list.truncate(spec.sigma);
             lists.push(list);
         }
         // The list tables are spent; release them before the route rows
@@ -505,8 +505,9 @@ impl<'a> RungMerger<'a> {
             MergeTables::Sparse(maps) => maps.iter().map(|m| m.len()).sum(),
         };
         let (space, route) = (self.space, &mut self.route);
+        let ladder = (spec.horizon, &spec.levels[..]);
         let routes =
-            FlatTables::from_rows(n, entries, |v, row| {
+            FlatTables::from_rows(n, entries, ladder, |v, row| {
                 route.take_node(v, s, &mut scratch);
                 row.extend(scratch.iter().map(|&(si, est, (level, port))| {
                     (space.id(si), RouteInfo { est, port, level })
@@ -676,7 +677,7 @@ mod tests {
         for &li in order {
             merger.fold(li, spec.levels[li], &rungs[li]);
         }
-        merger.finish(spec.sigma)
+        merger.finish(spec)
     }
 
     proptest! {

@@ -465,7 +465,7 @@ mod tests {
         use crate::pde::RouteInfo;
         // Skeleton {0, 2, 3}; 0↔2 mutual (weight max(4,6)=6), 0→3 one-way.
         let rows: [&[(u32, u64)]; 4] = [&[(2, 4), (3, 9)], &[], &[(0, 6)], &[]];
-        let routes = FlatTables::from_rows(4, 3, |v, row| {
+        let routes = FlatTables::from_rows(4, 3, (9, &[1]), |v, row| {
             row.extend(rows[v].iter().map(|&(s, est)| {
                 let (port, level) = (0, 0);
                 (NodeId(s), RouteInfo { est, port, level })

@@ -20,29 +20,32 @@
 //!   sparse. Lookups agree exactly with a `HashMap` model (pinned by
 //!   proptests in `tests/flat_tables.rs`).
 //!
-//! # The narrow record format
+//! # The ladder record format
 //!
-//! The paper's table entries are `O(log n)` bits (weights are poly(n)),
-//! and the batch kernel is memory-bound, so a [`FlatTables`] entry is
-//! split by temperature, and each row takes the smaller of two forms:
-//! *keyed* (11 bytes per entry) or *direct* (7 bytes per source id in
-//! `[lo_src, hi_src]`), direct whenever `span · 7 ≤ len · 11`. Every
-//! Theorem 4.1 row over all of `V` is direct.
+//! Every estimate the rung merge produces is `hops · b_level`, whole
+//! subdivided hops `hops ≤ h′` on one rung of the ladder
+//! ([`crate::rounding`]): the paper's `O(log(h/ε))`-bit entries. A slot
+//! stores that pair as one *code* `hops << lb | level` (`lb` the bits
+//! `rungs.len() − 1` needs) beside its port, and a read multiplies: `est
+//! = (code >> lb) · rungs[code & mask]`. The code is a `u16` when every
+//! hop count stays below its field's all-ones value, else a `u32` —
+//! derived from the rows, never configured. A row is *direct* (one slot
+//! per source id in `[lo_src, hi_src]`) when `span · direct ≤ len ·
+//! keyed` in record bytes (`span ≤ 2 · len` at `u16`), else *keyed*.
 //!
 //! | section | bytes | read by |
 //! |---|---|---|
-//! | hot record: keyed `src u32 \| est u32` (one LE `u64`), direct `est u32` | 8 / entry, 4 / slot | every probe |
-//! | `port u16`, slot-aligned | 2 / slot | `next_hop` / `route_into` |
-//! | `level u8`, slot-aligned | 1 / slot | [`FlatTables::row_routes`] |
+//! | records: keyed `src u32 \| code \| port u16` (one LE `u64` at `u16`), direct `code \| port u16` | 8 / 4 a slot, 10 / 6 at `u32` | every probe |
 //! | row word (one LE `u64`) | 8 / row | [`FlatTables::cursor`] |
+//! | ladder `[h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
 //!
 //! A *slot* is a keyed entry or one source offset of a direct row; the
-//! CSR offsets, side sections, escape indices and every arena index a
-//! caller sees count slots. **Direct rows: no keys, no fit.** Source `k`
-//! sits in slot `k − lo_src`, so a probe is one bounds check and one
-//! load. An absent slot stores all three markers (below) and no escape
-//! record: a miss, `INF` in [`FlatTables::ests_in`], `NONE` in
-//! [`resolve_entry_indices`], skipped by [`FlatTables::entries_in`].
+//! CSR offsets, escape indices and every arena index a caller sees count
+//! slots. **Direct rows: no keys, no fit.** Source `k` sits in slot `k −
+//! lo_src`, so a probe is one bounds check and one load. An absent slot
+//! stores the all-ones code and port and no escape record: a miss,
+//! `(NONE, INF)` in [`resolve_entries`], skipped by
+//! [`FlatTables::row_iter`].
 //!
 //! **Keyed rows: no stored index.** Where a source sits in its sorted
 //! row is a function of the source id that one multiply computes: entry
@@ -61,14 +64,14 @@
 //! direct row, or `0xA000_0000` for a keyed row after one (which gives up
 //! its fit). [`FlatTables::read_arena`] proves every word exact.
 //!
-//! **One escape, always on:** a value that does not fit its field
-//! (`est ≥ u32::MAX`, `port ≥ u16::MAX`, `level ≥ u8::MAX`) stores the
-//! field's all-ones marker, and the entry's true `(est, port, level)`
-//! goes to the table's one escape section pair, keyed by slot index
-//! and binary-searched only when a marker is read. Heavy-weight graphs
-//! stay exactly correct and merely slower; poly(n) weights never take the
-//! escape. The format is private to this module; everything else sees
-//! [`FlatEntry`] values.
+//! **One escape, always on:** a port `≥ u16::MAX`, or a hop count that
+//! fills a `u32` code's hops field, stores the field's all-ones marker
+//! (the code keeps its level) and the slot's true `hops | port << 32` in
+//! the table's one escape section pair, binary-searched only when a
+//! marker is read. Loading checks the ladder (`h′ ≤ u32::MAX`, at most
+//! 2¹⁶ rungs rising strictly from 1); [`FlatTables::validate`] proves
+//! every code on it (`level < rungs.len()`, `hops ≤ h′`). The format is
+//! private to this module; everything else sees [`FlatEntry`] values.
 //!
 //! Both layouts serialize *directly* (their snapshot bytes are the
 //! in-memory layout, already canonical because rows are sorted), so
@@ -100,26 +103,68 @@ pub struct FlatEntry {
     pub est: u64,
 }
 
-/// Bytes per keyed hot record (`src u32 | est u32`).
-const REC_BYTES: usize = 8;
-/// Bytes per direct hot record (`est u32`).
-const EST_BYTES: usize = 4;
+/// Bytes of a keyed record's source key.
+const KEY_BYTES: usize = 4;
 /// Low halves of the offset words (see the module docs): a direct row's,
 /// or'd with its `lo_src` (the low bits), and a keyed row's.
 const DIRECT_WORD: u32 = 0xC000_0000;
 const KEYED_WORD: u32 = 0xA000_0000;
 const LO_SRC_BITS: u32 = congest::wire::MAX_SNAPSHOT_NODES as u32 - 1;
-/// Marker of an escaped estimate.
-const EST_ESCAPE: u32 = u32::MAX;
 /// Marker of an escaped port.
 const PORT_ESCAPE: u16 = u16::MAX;
-/// Marker of an escaped ladder level.
-const LEVEL_ESCAPE: u8 = u8::MAX;
 
-/// One hot record as its `u64` word (`src` low, `est` high).
-#[inline]
-fn rec_word(rec: &[u8]) -> u64 {
-    u64::from_le_bytes(rec.try_into().expect("8 bytes"))
+/// The little-endian `u32` at the start of `b`.
+#[inline(always)]
+fn le32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
+}
+
+/// Whether `[h′, rungs…]` is a ladder a table decodes over (see the
+/// module docs; at most 2¹⁶ rungs, so a level fits 16 code bits).
+fn ladder_ok(ladder: &[u64]) -> bool {
+    matches!(ladder, [h, rungs @ ..] if *h <= u64::from(u32::MAX)
+        && rungs.first() == Some(&1)
+        && rungs.len() <= 1 << 16
+        && rungs.windows(2).all(|w| w[0] < w[1]))
+}
+
+/// A table's code layout, derived from its ladder and record bytes (see
+/// the module docs): `bytes` per code, the low `bits` hold the level, and
+/// `all` is the width's all-ones code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Code {
+    bytes: usize,
+    bits: u32,
+    all: u32,
+}
+
+impl Code {
+    fn new(bytes: usize, rungs: usize) -> Code {
+        Code {
+            bytes,
+            bits: usize::BITS - rungs.saturating_sub(1).leading_zeros(),
+            all: u32::MAX >> (32 - 8 * bytes),
+        }
+    }
+
+    /// The all-ones hops field: an escaped hop count's marker.
+    #[inline(always)]
+    fn marker(self) -> u32 {
+        self.all >> self.bits
+    }
+
+    /// `(hops, level)` of a stored code.
+    #[inline(always)]
+    fn split(self, code: u32) -> (u32, usize) {
+        let level = code & !(u32::MAX << self.bits);
+        (code >> self.bits, level as usize)
+    }
+
+    /// Bytes of a keyed record (`keyed`) or a direct slot.
+    #[inline(always)]
+    fn width(self, keyed: bool) -> usize {
+        self.bytes + 2 + KEY_BYTES * usize::from(keyed)
+    }
 }
 
 /// One row's interpolation fit (see the module docs): the stored word is
@@ -224,135 +269,88 @@ impl Form {
     }
 }
 
-/// The one escape of the narrow layout: the true values of the entries
-/// whose stored field is an all-ones marker, as a section pair — strictly
-/// increasing arena indices, and a fixed number of `u64` value words per
-/// index. Only a marker read searches it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Escapes {
-    idx: U32View,
-    vals: U64View,
-}
-
-impl Escapes {
-    /// Wraps build-side vectors (`vals` holds a fixed number of words per
-    /// index, in index order).
-    fn from_vals(idx: &[u32], vals: &[u64]) -> Self {
-        Escapes {
-            idx: U32View::from_vals(idx),
-            vals: U64View::from_vals(vals),
-        }
-    }
-
-    /// Number of escaped entries.
-    fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Position of arena entry `i`'s record, if it has one.
-    #[cold]
-    fn find(&self, i: usize) -> Option<usize> {
-        let (mut lo, mut hi) = (0, self.idx.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match (self.idx.get(mid) as usize).cmp(&i) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-
-    /// Value word `at` (records are back to back).
-    fn word(&self, at: usize) -> u64 {
-        self.vals.get(at)
-    }
-
-    /// Emits the section pair.
-    fn write_arena(&self, a: &mut ArenaWriter) {
-        a.section(self.idx.as_bytes());
-        a.section(self.vals.as_bytes());
-    }
-
-    /// Reads the section pair for a table of `entries` entries with
-    /// `words` value words per record.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` unless the indices are strictly increasing, below
-    /// `entries`, and matched by exactly `words` values each.
-    fn read_arena(c: &mut ArenaCursor<'_>, entries: usize, words: usize) -> io::Result<Self> {
-        let idx = c.u32v()?;
-        let vals = c.u64v()?;
-        if idx.len().checked_mul(words) != Some(vals.len()) {
-            return Err(invalid_data("escape sections disagree on length"));
-        }
-        let mut prev = None;
-        for i in idx.iter() {
-            if prev.is_some_and(|p| p >= i) || i as usize >= entries {
-                return Err(invalid_data("escape indices unsorted or out of range"));
-            }
-            prev = Some(i);
-        }
-        Ok(Escapes { idx, vals })
-    }
-}
-
 /// Per-node routing tables in one source-sorted entry arena with CSR
 /// row offsets: the form the rung merge writes, the builders read and
-/// the query paths serve. Every array is a zero-copy view: a table
+/// the query paths serve. Every large array is a zero-copy view: a table
 /// decoded from a snapshot keeps pointing into the snapshot buffer.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlatTables {
     /// `starts[v]..starts[v + 1]` delimits node `v`'s row (`n + 1` offsets).
     starts: U32View,
-    /// All rows back to back as hot records: keyed rows' sorted by `src`,
+    /// All rows back to back as records: keyed rows' sorted by `src`,
     /// direct rows' by source offset.
     recs: SharedBytes,
-    /// Out-port of each slot (`u16` LE).
-    ports: SharedBytes,
-    /// Ladder level of each slot (`u8`).
-    levels: SharedBytes,
     /// One row word per row: a [`Fit`] or an offset word (see [`Form`]).
     words: U64View,
-    /// True `(est, port | level << 32)` of the entries carrying a marker.
-    wide: Escapes,
+    /// `[h′, rungs…]`: what every code decodes over.
+    ladder: Vec<u64>,
+    /// The one escape (see the module docs): strictly increasing indices
+    /// of the slots carrying a marker, and their true `hops | port << 32`.
+    wide_idx: U32View,
+    wide_vals: U64View,
+    /// The code layout, derived from `ladder` and `recs`.
+    code: Code,
 }
 
-/// Value words per [`FlatTables`] escape record.
-const WIDE_WORDS: usize = 2;
+/// One slot as stored, markers included (a direct row's `src` is implied).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    src: u32,
+    code: u32,
+    port: u16,
+}
 
 impl FlatTables {
     /// Builds the table from `n` rows of `entries` entries in total,
     /// handed over in node order (the one constructor): `fill(v, row)`
     /// appends node `v`'s `(source, route)` entries, strictly sorted by
-    /// source, to the (cleared) scratch row. Each row takes the smaller
-    /// form (see the module docs) and is written straight from it, so the
-    /// only transient state is one row.
+    /// source and each whole hops `≤ h′` on its rung of `ladder = (h′,
+    /// rungs)`, to the (cleared) scratch row. Each row takes the smaller
+    /// form and is written straight from it, so the only transient state
+    /// is one row — unless a hop count does not fit a `u16` code: then
+    /// the finished table is re-encoded once with `u32` codes.
     ///
     /// # Panics
     ///
-    /// Panics if a row is not strictly sorted by source (the fit and every
-    /// probe assume it), if the rows do not add up to `entries`, or if
-    /// that exceeds `u32::MAX` (offsets stay 4 bytes on purpose; a row
-    /// whose direct slots would pass it stays keyed).
+    /// Panics if the ladder is malformed (see the module docs) or a
+    /// route's estimate is not `hops · rungs[level]` with `hops ≤ h′`, if
+    /// a row is not strictly sorted by source (the fit and every probe
+    /// assume it), if the rows do not add up to `entries`, or if that
+    /// exceeds `u32::MAX` (offsets stay 4 bytes on purpose; a row whose
+    /// direct slots would pass it stays keyed).
     pub fn from_rows(
         n: usize,
         entries: usize,
-        mut fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
+        (horizon, rungs): (u64, &[u64]),
+        fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
     ) -> Self {
-        // Sections are reserved once at their form-independent bounds (a
-        // direct row spans at most 11/7 of its entries); untouched
-        // capacity costs no resident memory.
-        let max_slots = entries + entries * 4 / 7;
+        let ladder = [&[horizon], rungs].concat();
+        assert!(ladder_ok(&ladder), "malformed ladder (h′ {horizon})");
+        let (narrow, fits) = Self::encode(n, entries, ladder.clone(), 2, fill);
+        if fits {
+            return narrow;
+        }
+        let rows = |v, row: &mut Vec<_>| row.extend(narrow.row_routes(NodeId::from_index(v)));
+        Self::encode(n, entries, ladder, 4, rows).0
+    }
+
+    /// [`FlatTables::from_rows`] with `bytes`-byte codes, and whether every
+    /// hop count fit its field.
+    fn encode(
+        n: usize,
+        entries: usize,
+        ladder: Vec<u64>,
+        bytes: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
+    ) -> (Self, bool) {
+        let code = Code::new(bytes, ladder.len() - 1);
+        // Reserved at the form-independent bound (a direct row never
+        // outweighs its keyed form); untouched capacity costs no memory.
+        let mut recs: Vec<u8> = Vec::with_capacity(entries * code.width(true));
         let mut starts = Vec::with_capacity(n + 1);
         starts.push(0u32);
-        let mut recs: Vec<u8> = Vec::with_capacity(entries * REC_BYTES);
-        let mut ports: Vec<u8> = Vec::with_capacity(2 * max_slots);
-        let mut levels: Vec<u8> = Vec::with_capacity(max_slots);
         let (mut words, mut wide_idx, mut wide_vals) = (Vec::with_capacity(n), vec![], vec![]);
-        let (mut row, mut seen) = (Vec::new(), 0);
+        let (mut row, mut seen, mut len, mut before, mut fits) = (Vec::new(), 0, 0, 0, true);
         for v in 0..n {
             row.clear();
             fill(v, &mut row);
@@ -361,16 +359,16 @@ impl FlatTables {
                 "row {v} is not strictly sorted by source"
             );
             seen += row.len();
-            // Records are 8 bytes a keyed slot and 4 a direct one.
-            let before = ((REC_BYTES * levels.len() - recs.len()) / EST_BYTES) as u32;
             let ends = row
                 .first()
                 .zip(row.last())
                 .map(|(lo, hi)| (lo.0 .0, hi.0 .0));
             let direct = ends.filter(|&(lo, hi)| {
                 let span = (hi - lo) as usize + 1;
-                let room = levels.len() + span + entries.saturating_sub(seen) <= u32::MAX as usize;
-                span * 7 <= row.len() * 11 && lo <= LO_SRC_BITS && room
+                let room = len + span + entries.saturating_sub(seen) <= u32::MAX as usize;
+                span * code.width(false) <= row.len() * code.width(true)
+                    && lo <= LO_SRC_BITS
+                    && room
             });
             let form = match direct {
                 Some((lo, _)) => Form::Direct(lo),
@@ -388,39 +386,46 @@ impl FlatTables {
                 None => Box::new(row.iter().map(|&(s, r)| (s.0, Some(r)))),
             };
             for (key, r) in slots {
-                // An absent slot stores all three markers; a value too wide
-                // for its field stores the marker and takes the escape.
-                let (est, port, level) = r.map_or((EST_ESCAPE, PORT_ESCAPE, LEVEL_ESCAPE), |r| {
-                    let narrow = (
-                        u32::try_from(r.est).unwrap_or(EST_ESCAPE),
-                        u16::try_from(r.port).unwrap_or(PORT_ESCAPE),
-                        u8::try_from(r.level).unwrap_or(LEVEL_ESCAPE),
-                    );
-                    if narrow.0 == EST_ESCAPE || narrow.1 == PORT_ESCAPE || narrow.2 == LEVEL_ESCAPE
-                    {
-                        wide_idx.push(levels.len() as u32);
-                        wide_vals.extend([r.est, u64::from(r.port) | u64::from(r.level) << 32]);
+                // An absent slot stores the all-ones code and port; a hop
+                // count or port too wide for its field stores the field's
+                // marker and takes the escape.
+                let (stored, port) = r.map_or((code.all, PORT_ESCAPE), |r| {
+                    let rung = ladder.get(1 + r.level as usize).copied();
+                    let on = rung.filter(|&b| r.est % b == 0 && r.est / b <= ladder[0]);
+                    let hops = r.est / on.unwrap_or_else(|| panic!("{r:?} is off the ladder"));
+                    let (hops, port) = (hops as u32, u16::try_from(r.port).unwrap_or(PORT_ESCAPE));
+                    let field = hops.min(code.marker());
+                    if field == code.marker() || port == PORT_ESCAPE {
+                        fits &= field < code.marker();
+                        wide_idx.push(len as u32);
+                        wide_vals.push(u64::from(hops) | u64::from(r.port) << 32);
                     }
-                    narrow
+                    (field << code.bits | r.level, port)
                 });
                 if direct.is_none() {
                     recs.extend(key.to_le_bytes());
                 }
-                recs.extend(est.to_le_bytes());
-                ports.extend(port.to_le_bytes());
-                levels.push(level);
+                recs.extend(&stored.to_le_bytes()[..bytes]);
+                recs.extend(port.to_le_bytes());
+                len += 1;
             }
-            starts.push(u32::try_from(levels.len()).expect("flat table fits u32 offsets"));
+            let end = u32::try_from(len).expect("flat table fits u32 offsets");
+            if direct.is_some() {
+                before += end - starts[v];
+            }
+            starts.push(end);
         }
         assert_eq!(seen, entries, "rows do not add up to `entries`");
-        FlatTables {
+        let table = FlatTables {
             starts: U32View::from_vals(&starts),
             recs: SharedBytes::from_vec(recs),
-            ports: SharedBytes::from_vec(ports),
-            levels: SharedBytes::from_vec(levels),
             words: U64View::from_vals(&words),
-            wide: Escapes::from_vals(&wide_idx, &wide_vals),
-        }
+            ladder,
+            wide_idx: U32View::from_vals(&wide_idx),
+            wide_vals: U64View::from_vals(&wide_vals),
+            code,
+        };
+        (table, fits)
     }
 
     /// Number of nodes covered (rows).
@@ -431,17 +436,19 @@ impl FlatTables {
 
     /// Total slots across all rows — every keyed entry and every source
     /// offset of a direct row, present or absent: the arena index space
-    /// of [`FlatTables::row_range`] and [`resolve_entry_indices`].
+    /// of [`FlatTables::row_range`] and [`resolve_entries`].
     #[inline]
     pub fn len_entries(&self) -> usize {
-        self.levels.len()
+        self.starts.get(self.len_nodes()) as usize
     }
 
     /// Iterates node `v`'s row: every `(src, est, port)` it knows, sorted
     /// by source id.
     #[inline]
     pub fn row_iter(&self, v: NodeId) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.entries_in(self.row_range(v))
+        self.cursor(v)
+            .slots()
+            .filter_map(|(i, slot)| self.entry_of(i, slot))
     }
 
     /// Point lookup: `v`'s entry for source `s`, if present.
@@ -456,8 +463,8 @@ impl FlatTables {
     }
 
     /// Estimate-only point lookup: `v`'s estimate for source `s`, if
-    /// present, from the hot record alone (see [`RowCursor::est`]).
-    #[inline]
+    /// present (see [`RowCursor::est`]).
+    #[inline(always)]
     pub fn est(&self, v: NodeId, s: NodeId) -> Option<u64> {
         self.cursor(v).est(s)
     }
@@ -471,134 +478,68 @@ impl FlatTables {
     pub fn cursor(&self, v: NodeId) -> RowCursor<'_> {
         let range = self.row_range(v);
         let (form, before) = Form::of_word(self.words.get(v.index()));
+        let (row_len, keyed) = (range.len(), matches!(form, Form::Keyed(_)));
+        // A direct slot is a keyed record without its key; `read_arena`
+        // proved every row's records lie inside the section.
+        let hot = (range.start * self.code.width(true)).saturating_sub(before as usize * KEY_BYTES);
         RowCursor {
             tab: self,
             row_start: range.start,
-            row_len: range.end.saturating_sub(range.start),
-            hot: (range.start * REC_BYTES).saturating_sub(before as usize * EST_BYTES),
+            row_len,
+            recs: &self.recs.as_slice()[hot..hot + row_len * self.code.width(keyed)],
             form,
         }
     }
 
     /// The slot range of node `v`'s row within the arena (for callers
     /// that keep per-slot side tables aligned with the arena, e.g.
-    /// pre-resolved skeleton indices; see [`resolve_entry_indices`]).
+    /// pre-resolved skeleton indices; see [`resolve_entries`]).
     #[inline]
     pub fn row_range(&self, v: NodeId) -> Range<usize> {
         self.starts.get(v.index()) as usize..self.starts.get(v.index() + 1) as usize
     }
 
-    /// `(arena index, hot word)` of every slot of `range`, absent ones
-    /// included (see [`RowCursor::words`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` leaves the row holding its first slot, unless
-    /// every row is keyed (records 8 bytes a slot): then the table reads
-    /// as one row.
-    #[inline]
-    fn slot_words(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let mut row = RowCursor {
-            tab: self,
-            row_start: 0,
-            row_len: self.len_entries(),
-            hot: 0,
-            form: Form::Keyed(Fit::default()),
-        };
-        if self.recs.len() != REC_BYTES * row.row_len && !range.is_empty() {
-            // The first row ending past `range.start`.
-            let (mut v, mut hi) = (0, self.len_nodes());
-            while v < hi {
-                let mid = (v + hi) / 2;
-                match self.starts.get(mid + 1) as usize <= range.start {
-                    true => v = mid + 1,
-                    false => hi = mid,
-                }
+    /// Slot `i`'s true `(hops, port)`, if it has an escape record.
+    #[cold]
+    fn wide(&self, i: usize) -> Option<(u32, Port)> {
+        let (mut lo, mut hi) = (0, self.wide_idx.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match (self.wide_idx.get(mid) as usize) < i {
+                true => lo = mid + 1,
+                false => hi = mid,
             }
-            row = self.cursor(NodeId::from_index(v));
         }
-        let js = range.start.saturating_sub(row.row_start)..range.end.saturating_sub(row.row_start);
-        assert!(
-            range.is_empty() || js.end <= row.row_len,
-            "slots {range:?} span rows"
-        );
-        row.words(if range.is_empty() { 0..0 } else { js })
+        let word = (lo < self.wide_idx.len() && self.wide_idx.get(lo) as usize == i)
+            .then(|| self.wide_vals.get(lo))?;
+        Some((word as u32, (word >> 32) as Port))
     }
 
-    /// Stored (possibly marker) port of entry `i`.
-    #[inline]
-    fn port16(&self, i: usize) -> u16 {
-        let b = &self.ports.as_slice()[2 * i..2 * i + 2];
-        u16::from_le_bytes(b.try_into().expect("2 bytes"))
-    }
-
-    /// The escape record of entry `i`: its true `(est, port, level)`.
-    fn wide(&self, i: usize) -> Option<(u64, u32, u32)> {
-        let at = self.wide.find(i)? * WIDE_WORDS;
-        let side = self.wide.word(at + 1);
-        Some((self.wide.word(at), side as u32, (side >> 32) as u32))
-    }
-
-    /// The estimate of entry `i`, given its hot word. A marker whose
-    /// escape record is missing (a hostile arena that skipped
-    /// [`FlatTables::validate`]) reads as an absent entry.
+    /// Slot `i` as a [`FlatEntry`]: `est = hops · rungs[level]` and the
+    /// port, each from the code or, where it holds its marker, the escape
+    /// record. An absent slot — or, in a hostile table that skipped
+    /// [`FlatTables::validate`], a marker without its record, a level off
+    /// the ladder or a product past `u64` — reads as a miss.
     #[inline(always)]
-    fn est_of(&self, i: usize, word: u64) -> Option<u64> {
-        match (word >> 32) as u32 {
-            EST_ESCAPE => self.wide(i).map(|w| w.0),
-            est => Some(u64::from(est)),
-        }
-    }
-
-    /// Decodes entry `i`, given its hot word (absent as in
-    /// [`FlatTables::est_of`]).
-    #[inline]
-    fn entry_of(&self, i: usize, word: u64) -> Option<FlatEntry> {
-        let (est, port) = ((word >> 32) as u32, self.port16(i));
-        let (est, port) = if est == EST_ESCAPE || port == PORT_ESCAPE {
-            let w = self.wide(i)?;
-            (w.0, w.1)
-        } else {
-            (u64::from(est), Port::from(port))
+    fn entry_of(&self, i: usize, slot: Slot) -> Option<FlatEntry> {
+        let (hops, level) = self.code.split(slot.code);
+        let (hops, port) = match hops == self.code.marker() || slot.port == PORT_ESCAPE {
+            true => self.wide(i)?,
+            false => (hops, Port::from(slot.port)),
         };
-        Some(FlatEntry {
-            src: word as u32,
-            port,
-            est,
-        })
+        let est = u64::from(hops).checked_mul(*self.ladder.get(1 + level)?)?;
+        let src = slot.src;
+        Some(FlatEntry { src, port, est })
     }
 
     /// Node `v`'s row as the `(source, route)` entries
-    /// [`FlatTables::from_rows`] was given — the one reader of the cold
-    /// level section.
+    /// [`FlatTables::from_rows`] was given.
     pub fn row_routes(&self, v: NodeId) -> impl Iterator<Item = (NodeId, RouteInfo)> + '_ {
-        self.slot_words(self.row_range(v)).filter_map(|(i, word)| {
-            let FlatEntry { src, port, est } = self.entry_of(i, word)?;
-            let level = match self.levels.as_slice()[i] {
-                LEVEL_ESCAPE => self.wide(i)?.2,
-                lvl => u32::from(lvl),
-            };
+        self.cursor(v).slots().filter_map(|(i, slot)| {
+            let FlatEntry { src, port, est } = self.entry_of(i, slot)?;
+            let level = self.code.split(slot.code).1 as u32;
             Some((NodeId(src), RouteInfo { est, port, level }))
         })
-    }
-
-    /// Iterates the entries stored in the slots of `range` — a row's
-    /// [`FlatTables::row_range`] or part of it — skipping absent slots.
-    /// (A table whose rows are all keyed reads any range.)
-    #[inline]
-    pub fn entries_in(&self, range: Range<usize>) -> impl Iterator<Item = FlatEntry> + '_ {
-        self.slot_words(range)
-            .filter_map(|(i, word)| self.entry_of(i, word))
-    }
-
-    /// Iterates the estimates of the slots of `range` (as in
-    /// [`FlatTables::entries_in`]), one per slot — `INF` for an absent
-    /// one, in lockstep with [`resolve_entry_indices`] — reading hot
-    /// records only: the row-sweep counterpart of [`RowCursor::est`].
-    #[inline]
-    pub fn ests_in(&self, range: Range<usize>) -> impl Iterator<Item = u64> + '_ {
-        self.slot_words(range)
-            .map(|(i, word)| self.est_of(i, word).unwrap_or(INF))
     }
 
     /// Emits the table into an arena: one section per array,
@@ -608,20 +549,21 @@ impl FlatTables {
     pub fn write_arena(&self, a: &mut ArenaWriter) {
         a.section(self.starts.as_bytes());
         a.section(self.recs.as_slice());
-        a.section(self.ports.as_slice());
-        a.section(self.levels.as_slice());
         a.section(self.words.as_bytes());
-        self.wide.write_arena(a);
+        a.u64s(&self.ladder);
+        a.section(self.wide_idx.as_bytes());
+        a.section(self.wide_vals.as_bytes());
     }
 
     /// Reads what [`FlatTables::write_arena`] wrote: zero-copy views over
     /// the container plus shape checks on the CSR offsets (monotone and
-    /// bounded), the section lengths, the escape indices and the row
-    /// words (canonical, and counting the direct slots before each row
-    /// exactly, so every row's records lie where its word puts them).
-    /// Per-slot sweeps are *not* run here: [`FlatTables::validate`] owns
-    /// them, the arena checksum owns integrity, and [`RowCursor`] bounds
-    /// every probe by its row, so even a hostile fit or `lo_src` answers
+    /// bounded), the ladder, the record section's length (which fixes the
+    /// code width), the escape indices and the row words (canonical, and
+    /// counting the direct slots before each row exactly, so every row's
+    /// records lie where its word puts them). Per-slot sweeps are *not*
+    /// run here: [`FlatTables::validate`] owns them, the arena checksum
+    /// owns integrity, and [`RowCursor`] bounds every probe by its row
+    /// and the ladder, so even a hostile fit, `lo_src` or code answers
     /// with a miss rather than a panic.
     ///
     /// # Errors
@@ -631,23 +573,27 @@ impl FlatTables {
     pub fn read_arena(c: &mut ArenaCursor<'_>) -> io::Result<Self> {
         let starts = c.u32v()?;
         let recs = c.shared()?;
-        let ports = c.shared()?;
-        let levels = c.shared()?;
         let words = c.u64v()?;
-        let slots = levels.len();
-        if ports.len() != 2 * slots {
-            return Err(invalid_data("flat table sections disagree on length"));
-        }
-        let wide = Escapes::read_arena(c, slots, WIDE_WORDS)?;
+        let ladder = c.u64s()?;
+        let (wide_idx, wide_vals) = (c.u32v()?, c.u64v()?);
         let n = starts
             .len()
             .checked_sub(1)
             .ok_or_else(|| invalid_data("flat table starts section empty"))?;
-        if starts.get(0) != 0
-            || (0..n).any(|v| starts.get(v) > starts.get(v + 1))
-            || starts.get(n) as usize != slots
-        {
+        if starts.get(0) != 0 || (0..n).any(|v| starts.get(v) > starts.get(v + 1)) {
             return Err(invalid_data("flat table offsets inconsistent"));
+        }
+        let slots = starts.get(n) as usize;
+        // Escape indices strictly increase below `slots`, one value each.
+        let mut prev = None;
+        let increasing = wide_idx
+            .iter()
+            .all(|i| (prev.replace(i).is_none_or(|p| p < i)) && (i as usize) < slots);
+        if !increasing || wide_idx.len() != wide_vals.len() {
+            return Err(invalid_data("flat table escape sections malformed"));
+        }
+        if !ladder_ok(&ladder) {
+            return Err(invalid_data("flat table ladder malformed"));
         }
         if words.len() != n {
             return Err(invalid_data("flat table row-word section misshapen"));
@@ -662,16 +608,20 @@ impl FlatTables {
                 direct += (starts.get(v + 1) - starts.get(v)) as usize;
             }
         }
-        if recs.len() != REC_BYTES * slots - (REC_BYTES - EST_BYTES) * direct {
-            return Err(invalid_data("flat table record section misshapen"));
-        }
+        // Records are `KEY_BYTES` a keyed slot plus `bytes + 2` a slot.
+        let bytes = match recs.len().checked_sub(KEY_BYTES * (slots - direct)) {
+            Some(rest) if rest == 4 * slots => 2,
+            Some(rest) if rest == 6 * slots => 4,
+            _ => return Err(invalid_data("flat table record section misshapen")),
+        };
         Ok(FlatTables {
             starts,
             recs,
-            ports,
-            levels,
             words,
-            wide,
+            code: Code::new(bytes, ladder.len() - 1),
+            ladder,
+            wide_idx,
+            wide_vals,
         })
     }
 
@@ -682,57 +632,55 @@ impl FlatTables {
     /// for its source (so a probe can never miss a stored entry), ports
     /// within each node's degree ([`Topology::neighbor`] only
     /// debug-asserts its port, so a corrupted port would silently resolve
-    /// to a wrong neighbor in release builds), and escape records matching
-    /// the marked slots one to one (an absent direct slot: all three
-    /// markers, no record).
+    /// to a wrong neighbor in release builds), every code on the ladder
+    /// (`level < rungs.len()`, `hops ≤ h′`), and escape records matching
+    /// the marked slots one to one (an absent direct slot: all-ones code
+    /// and port, no record).
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on any out-of-range source or port, an
-    /// unsorted row, an entry outside its predicted window, a marker
-    /// without an escape record (outside an absent slot), or an escape
-    /// record without a marker.
+    /// unsorted row, an entry outside its predicted window, a code off
+    /// the ladder, a marker without an escape record (outside an absent
+    /// slot), or an escape record without a marker.
     pub fn validate(&self, topo: &Topology) -> io::Result<()> {
         if self.len_nodes() != topo.len() {
             return Err(invalid_data("flat table row count mismatch"));
         }
-        let (ports, levels) = (self.ports.as_slice(), self.levels.as_slice());
+        let (code, horizon, rungs) = (self.code, self.ladder[0], &self.ladder[1..]);
         let mut marked = 0usize;
         for v in topo.nodes() {
             let deg = topo.degree(v) as u32;
             let row = self.cursor(v);
-            // One sweep with the row's slices hoisted and the verdicts
-            // accumulated, so the common slot costs no branch. Sorted rows
-            // put the largest source last: one range check after the
-            // sweep covers the row.
-            let (mut prev, mut sorted, mut placed, mut ports_ok) = (-1, true, true, true);
-            let slots = row.row_start..row.row_start + row.row_len;
-            let sides = ports[2 * slots.start..2 * slots.end]
-                .chunks_exact(2)
-                .zip(&levels[slots]);
-            for ((i, word), (port, &level)) in row.words(0..row.row_len).zip(sides) {
-                let (src, est) = (word as u32, (word >> 32) as u32);
-                let stored = u16::from_le_bytes(port.try_into().expect("2 bytes"));
-                sorted &= prev < i64::from(src);
-                prev = i64::from(src);
+            // One sweep with the verdicts accumulated, so the common slot
+            // costs no branch. Sorted rows put the largest source last:
+            // one range check after the sweep covers the row.
+            let (mut prev, mut sorted, mut placed) = (-1, true, true);
+            let (mut ports_ok, mut on_ladder) = (true, true);
+            for (i, slot) in row.slots() {
+                sorted &= prev < i64::from(slot.src);
+                prev = i64::from(slot.src);
                 if let Form::Keyed(fit) = row.form {
-                    placed &= fit.window(src, row.row_len).contains(&(i - row.row_start));
+                    placed &= fit
+                        .window(slot.src, row.row_len)
+                        .contains(&(i - row.row_start));
                 }
-                let port = if est == EST_ESCAPE || stored == PORT_ESCAPE || level == LEVEL_ESCAPE {
-                    let Some((_, wide_port, _)) = self.wide(i) else {
-                        let absent =
-                            (est, stored, level) == (EST_ESCAPE, PORT_ESCAPE, LEVEL_ESCAPE);
-                        if absent && matches!(row.form, Form::Direct(_)) {
-                            continue;
+                let ((mut hops, level), mut port) = (code.split(slot.code), Port::from(slot.port));
+                if hops == code.marker() || slot.port == PORT_ESCAPE {
+                    let absent = (slot.code, slot.port) == (code.all, PORT_ESCAPE);
+                    match self.wide(i) {
+                        Some(wide) => (hops, port) = wide,
+                        None if absent && matches!(row.form, Form::Direct(_)) => continue,
+                        None => {
+                            return Err(invalid_data(format!("flat route {i} lost its escape")))
                         }
-                        return Err(invalid_data(format!("flat route {i} lost its escape")));
-                    };
+                    }
                     marked += 1;
-                    wide_port
-                } else {
-                    Port::from(stored)
-                };
+                }
+                // Rungs are positive, so `0` stands for a level off the ladder.
+                let (hops, rung) = (u64::from(hops), rungs.get(level).copied().unwrap_or(0));
                 ports_ok &= port < deg;
+                on_ladder &= rung > 0 && hops <= horizon && hops.checked_mul(rung).is_some();
             }
             let fault = if !sorted {
                 "is not sorted by source"
@@ -742,12 +690,14 @@ impl FlatTables {
                 "has a source out of range"
             } else if !ports_ok {
                 "has a port at or above the node's degree"
+            } else if !on_ladder {
+                "has a code off the ladder (level past the rungs or hops past h′)"
             } else {
                 continue;
             };
             return Err(invalid_data(format!("flat route row of {v} {fault}")));
         }
-        if marked != self.wide.len() {
+        if marked != self.wide_idx.len() {
             return Err(invalid_data("flat table escape record without a marker"));
         }
         Ok(())
@@ -765,20 +715,17 @@ const SMALL_ROW_SCAN: usize = 16;
 /// here.
 const WIDE_WINDOW: usize = 64;
 
-/// Branchless key scan over keyed hot records: compares the low-`u32`
-/// source key of each 8-byte word and keeps the last hit as `(record
-/// index, word)` — row keys are unique (strictly sorted), so "last" and
-/// "first" coincide on valid data, and the word that matched already
-/// carries the estimate. The loop has no early exit and no
-/// data-dependent branch, so LLVM unrolls and vectorizes it (the
-/// workspace forbids `unsafe`, so this shape — not intrinsics — is the
-/// whole trick).
+/// Branchless key scan over keyed records of `R` bytes: compares each
+/// record's leading `u32` source key and keeps the last hit's index — row
+/// keys are unique (strictly sorted), so "last" and "first" coincide on
+/// valid data. The loop has no early exit and no data-dependent branch,
+/// so LLVM unrolls and vectorizes it (the workspace forbids `unsafe`, so
+/// this shape — not intrinsics — is the whole trick).
 #[inline]
-fn scan_keys(recs: &[u8], key: u32) -> Option<(usize, u64)> {
-    let mut hit = usize::MAX;
-    let mut hit_word = 0u64;
-    for (i, rec) in recs.chunks_exact(REC_BYTES).enumerate() {
-        let word = rec_word(rec);
+fn scan_keys<const R: usize>(recs: &[u8], key: u32) -> Option<(usize, u64)> {
+    let (mut hit, mut hit_word) = (usize::MAX, 0);
+    for (i, rec) in recs.chunks_exact(R).enumerate() {
+        let word = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
         let eq = word as u32 == key;
         hit = if eq { i } else { hit };
         hit_word = if eq { word } else { hit_word };
@@ -786,15 +733,15 @@ fn scan_keys(recs: &[u8], key: u32) -> Option<(usize, u64)> {
     (hit != usize::MAX).then_some((hit, hit_word))
 }
 
-/// Binary search for `key` over keyed hot records — what a probe falls
-/// back to when its window is too wide to sweep, so clustered ids cost
-/// `O(log)` instead of a long scan.
+/// Binary search for `key` over keyed records of `width` bytes — what a
+/// probe falls back to when its window is too wide to sweep, so clustered
+/// ids cost `O(log)` instead of a long scan.
 #[cold]
-fn search_keys(recs: &[u8], key: u32) -> Option<(usize, u64)> {
-    let (mut lo, mut hi) = (0, recs.len() / REC_BYTES);
+fn search_keys(recs: &[u8], width: usize, key: u32) -> Option<(usize, u64)> {
+    let (mut lo, mut hi) = (0, recs.len() / width);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let word = rec_word(&recs[mid * REC_BYTES..][..REC_BYTES]);
+        let word = u64::from_le_bytes(recs[mid * width..][..8].try_into().expect("8 bytes"));
         match (word as u32).cmp(&key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
@@ -805,7 +752,7 @@ fn search_keys(recs: &[u8], key: u32) -> Option<(usize, u64)> {
 }
 
 /// Resolved per-row lookup state for [`FlatTables`]: the CSR start, slot
-/// count, hot-record offset and form of one node's row, captured once by
+/// count, records and form of one node's row, captured once by
 /// [`FlatTables::cursor`] so a source-grouped batch re-reads none of it
 /// per query.
 #[derive(Clone, Copy, Debug)]
@@ -813,36 +760,53 @@ pub struct RowCursor<'a> {
     tab: &'a FlatTables,
     row_start: usize,
     row_len: usize,
-    /// Byte offset of the row's first hot record.
-    hot: usize,
+    /// The row's records.
+    recs: &'a [u8],
     form: Form,
 }
 
 impl<'a> RowCursor<'a> {
-    /// `(arena index, hot word)` of the row's slots `js`, in one sweep of
-    /// their records; a hot word reads as a keyed record `src | est << 32`
-    /// (a direct row's source is `lo_src + j`).
-    #[inline]
-    fn words(self, js: Range<usize>) -> impl Iterator<Item = (usize, u64)> + 'a {
-        let width = match self.form {
-            Form::Keyed(_) => REC_BYTES,
-            Form::Direct(_) => EST_BYTES,
-        };
-        let recs =
-            &self.tab.recs.as_slice()[self.hot + js.start * width..self.hot + js.end * width];
-        recs.chunks_exact(width).zip(js).map(move |(rec, j)| {
-            let word = match self.form {
-                Form::Keyed(_) => rec_word(rec),
-                Form::Direct(lo) => {
-                    let est = u32::from_le_bytes(rec.try_into().expect("4 bytes"));
-                    u64::from(lo.wrapping_add(j as u32)) | u64::from(est) << 32
-                }
-            };
-            (self.row_start + j, word)
-        })
+    /// `(arena index, slot)` of the row's slot `j`, read straight off its
+    /// record: at `u16` codes a keyed record is one LE `u64` (`src | code
+    /// << 32 | port << 48`) and a direct one a `u32` (`code | port << 16`;
+    /// its source is `lo_src + j`); a `u32` code moves the port past them.
+    #[inline(always)]
+    fn slot(self, j: usize) -> (usize, Slot) {
+        match self.tab.code.bytes {
+            2 => self.slot_at::<2>(j),
+            _ => self.slot_at::<4>(j),
+        }
     }
 
-    /// Locates source `s` in the cursor's row: `(arena index, hot word)`.
+    /// [`RowCursor::slot`] with `B`-byte codes.
+    #[inline(always)]
+    fn slot_at<const B: usize>(self, j: usize) -> (usize, Slot) {
+        let (src, word, rest) = match self.form {
+            Form::Keyed(_) => {
+                let rec = &self.recs[j * (KEY_BYTES + B + 2)..];
+                let w = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
+                (w as u32, (w >> 32) as u32, &rec[8..])
+            }
+            Form::Direct(lo) => {
+                let rec = &self.recs[j * (B + 2)..];
+                (lo.wrapping_add(j as u32), le32(rec), &rec[4..])
+            }
+        };
+        let (code, port) = match B {
+            2 => (word & 0xFFFF, (word >> 16) as u16),
+            _ => (word, u16::from_le_bytes([rest[0], rest[1]])),
+        };
+        (self.row_start + j, Slot { src, code, port })
+    }
+
+    /// [`RowCursor::slot`] of each of the row's slots, absent ones
+    /// included.
+    #[inline]
+    fn slots(self) -> impl Iterator<Item = (usize, Slot)> + 'a {
+        (0..self.row_len).map(move |j| self.slot(j))
+    }
+
+    /// Locates source `s` in the cursor's row: `(arena index, slot)`.
     ///
     /// A direct row takes one bounds check and one load. Small keyed rows
     /// take one branchless sweep of the whole row; larger ones take one
@@ -852,64 +816,73 @@ impl<'a> RowCursor<'a> {
     /// [`FlatTables::validate`] the fit, and a fit that is wrong anyway
     /// answers with a miss, never a panic.
     #[inline(always)]
-    fn find(&self, s: NodeId) -> Option<(usize, u64)> {
+    fn find(&self, s: NodeId) -> Option<(usize, Slot)> {
         let key = s.0;
-        let (j, word) = match self.form {
+        let fit = match self.form {
             Form::Direct(lo) => {
                 let j = key.wrapping_sub(lo) as usize;
-                return (j < self.row_len).then(|| self.words(j..j + 1).next())?;
+                return (j < self.row_len).then(|| self.slot(j));
             }
-            Form::Keyed(fit) => {
-                let window = if self.row_len <= SMALL_ROW_SCAN {
-                    0..self.row_len
-                } else {
-                    fit.window(key, self.row_len)
-                };
-                let recs = &self.tab.recs.as_slice()
-                    [self.hot + window.start * REC_BYTES..self.hot + window.end * REC_BYTES];
-                let (j, word) = if window.len() > WIDE_WINDOW {
-                    search_keys(recs, key)
-                } else {
-                    scan_keys(recs, key)
-                }?;
-                (window.start + j, word)
-            }
+            Form::Keyed(fit) => fit,
         };
-        Some((self.row_start + j, word))
+        let window = if self.row_len <= SMALL_ROW_SCAN {
+            0..self.row_len
+        } else {
+            fit.window(key, self.row_len)
+        };
+        let width = self.tab.code.width(true);
+        let recs = &self.recs[window.start * width..window.end * width];
+        let (j, word) = if window.len() > WIDE_WINDOW {
+            search_keys(recs, width, key)
+        } else if width == 8 {
+            scan_keys::<8>(recs, key)
+        } else {
+            scan_keys::<10>(recs, key)
+        }?;
+        let j = window.start + j;
+        // At `u16` codes the matching word is the whole record.
+        let (src, code, port) = (key, (word >> 32) as u32 & 0xFFFF, (word >> 48) as u16);
+        match width {
+            8 => Some((self.row_start + j, Slot { src, code, port })),
+            _ => Some(self.slot(j)),
+        }
     }
 
     /// Point lookup within the cursor's row (same answers as
-    /// [`FlatTables::get`] on the same row, by construction). Reads the
-    /// port side array; estimate-only callers use [`RowCursor::est`].
+    /// [`FlatTables::get`] on the same row, by construction).
     #[inline]
     pub fn get(&self, s: NodeId) -> Option<FlatEntry> {
-        let (i, word) = self.find(s)?;
-        self.tab.entry_of(i, word)
+        let (i, slot) = self.find(s)?;
+        self.tab.entry_of(i, slot)
     }
 
-    /// The estimate for source `s`, if present: the key scan's matching
-    /// word already holds it, so the probe touches no side array (and the
-    /// escape section only on a marker).
+    /// The estimate for source `s`, if present: the matching record's
+    /// hops times its rung, read without its port (the escape section
+    /// only on a hops marker).
     #[inline(always)]
     pub fn est(&self, s: NodeId) -> Option<u64> {
-        let (i, word) = self.find(s)?;
-        self.tab.est_of(i, word)
+        let ((i, slot), code) = (self.find(s)?, self.tab.code);
+        let (hops, level) = code.split(slot.code);
+        let hops = match hops == code.marker() {
+            true => self.tab.wide(i)?.0,
+            false => hops,
+        };
+        u64::from(hops).checked_mul(*self.tab.ladder.get(1 + level)?)
     }
 }
 
-/// Pre-resolves each slot's source through a [`graphs::DenseIndex`]
-/// (sentinel [`graphs::DenseIndex::NONE`] for non-members and absent
-/// slots) so query loops read an arena-aligned side table, zipped with
-/// [`FlatTables::ests_in`] slot by slot, instead of probing the index per
-/// entry.
-pub fn resolve_entry_indices(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<u32> {
+/// Pre-resolves each slot's source through a [`graphs::DenseIndex`] and
+/// decodes its estimate, so query loops read one arena-aligned side
+/// table instead of probing the index and decoding a code per entry:
+/// `(index, est)` per slot, with [`graphs::DenseIndex::NONE`] for a
+/// non-member and `(NONE, INF)` for an absent slot.
+pub fn resolve_entries(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<(u32, u64)> {
+    let none = graphs::DenseIndex::NONE;
     (0..tables.len_nodes())
-        .flat_map(|v| tables.slot_words(tables.row_range(NodeId::from_index(v))))
-        .map(|(i, word)| {
-            tables
-                .est_of(i, word)
-                .and_then(|_| index.get(NodeId(word as u32)))
-                .map_or(graphs::DenseIndex::NONE, |i| i as u32)
+        .flat_map(|v| tables.cursor(NodeId::from_index(v)).slots())
+        .map(|(i, slot)| match tables.entry_of(i, slot) {
+            Some(e) => (index.get(NodeId(e.src)).map_or(none, |i| i as u32), e.est),
+            None => (none, INF),
         })
         .collect()
 }
@@ -1195,31 +1168,74 @@ mod tests {
 
     type Rows = Vec<Vec<(NodeId, RouteInfo)>>;
 
+    /// The test ladder: three rungs (two level bits, so level 3 is off
+    /// it) under the widest horizon a table takes.
+    const RUNGS: [u64; 3] = [1, 2, 3];
+    const HORIZON: u64 = u32::MAX as u64;
+
+    /// `hops` hops on rung `level`, through `port`, from `src`.
+    fn route(src: u32, hops: u64, port: Port, level: u32) -> (NodeId, RouteInfo) {
+        let est = hops * RUNGS[level as usize];
+        (NodeId(src), RouteInfo { est, port, level })
+    }
+
     fn flat(rows: &Rows) -> FlatTables {
         let entries = rows.iter().map(Vec::len).sum();
-        FlatTables::from_rows(rows.len(), entries, |v, row| {
+        FlatTables::from_rows(rows.len(), entries, (HORIZON, &RUNGS), |v, row| {
             row.extend_from_slice(&rows[v])
         })
     }
 
     #[test]
     fn flat_tables_look_up_sorted_rows() {
-        let route = |src, est, port, level| (NodeId(src), RouteInfo { est, port, level });
-        // Two entries over a span of four stay keyed.
-        let ft = flat(&vec![vec![route(1, 7, 0, 2), route(4, 10, 1, 0)], vec![]]);
+        // Two entries over a span of five stay keyed.
+        let ft = flat(&vec![vec![route(1, 7, 0, 2), route(5, 10, 1, 0)], vec![]]);
         assert_eq!(ft.len_nodes(), 2);
         assert_eq!(ft.len_entries(), 2);
+        assert_eq!((ft.code.bytes, ft.code.bits), (2, 2));
         let srcs: Vec<u32> = ft.row_iter(NodeId(0)).map(|e| e.src).collect();
-        assert_eq!(srcs, [1, 4]);
-        assert_eq!(ft.get(NodeId(0), NodeId(4)).unwrap().est, 10);
+        assert_eq!(srcs, [1, 5]);
+        assert_eq!(ft.get(NodeId(0), NodeId(5)).unwrap().est, 10);
         assert!(ft.get(NodeId(0), NodeId(2)).is_none());
-        assert_eq!(ft.est(NodeId(0), NodeId(1)), Some(7));
+        assert_eq!(ft.est(NodeId(0), NodeId(1)), Some(21));
         assert_eq!(ft.est(NodeId(0), NodeId(2)), None);
-        assert_eq!(
-            ft.ests_in(ft.row_range(NodeId(0))).collect::<Vec<_>>(),
-            [7, 10]
-        );
+        let ests: Vec<u64> = ft.row_iter(NodeId(0)).map(|e| e.est).collect();
+        assert_eq!(ests, [21, 10]);
         assert_eq!(ft.row_range(NodeId(1)).len(), 0);
+    }
+
+    #[test]
+    fn codes_widen_only_when_a_hop_count_needs_it() {
+        // Two level bits leave 14 hop bits in a `u16` code, all ones the
+        // marker: 2¹⁴ − 2 hops fit it, one more makes every code a `u32`
+        // (no escape), and a `u32` code's marker takes the escape.
+        let u32_marker = (1 << 30) - 1;
+        for (hops, bytes, escaped) in [
+            ((1 << 14) - 2, 2, 0),
+            ((1 << 14) - 1, 4, 0),
+            (u32_marker, 4, 1),
+        ] {
+            let ft = flat(&vec![vec![route(0, 5, 0, 1), route(9, hops, 2, 2)]]);
+            assert_eq!(
+                (ft.code.bytes, ft.wide_idx.len()),
+                (bytes, escaped),
+                "{hops}"
+            );
+            assert_eq!(ft.est(NodeId(0), NodeId(9)), Some(hops * 3));
+            let ports = ft.row_iter(NodeId(0)).map(|e| e.port);
+            assert_eq!(ports.collect::<Vec<_>>(), [0, 2]);
+        }
+        // A port past `u16` takes the escape at either width.
+        let ft = flat(&vec![vec![route(0, 5, 1 << 16, 1)]]);
+        assert_eq!((ft.code.bytes, ft.wide_idx.len()), (2, 1));
+        assert_eq!(ft.get(NodeId(0), NodeId(0)).map(|e| e.port), Some(1 << 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "off the ladder")]
+    fn routes_off_the_ladder_panic_in_the_constructor() {
+        let (est, port, level) = (7, 0, 1);
+        flat(&vec![vec![(NodeId(0), RouteInfo { est, port, level })]]);
     }
 
     /// One row per probe class, keyed rows first so they keep their
@@ -1229,15 +1245,8 @@ mod tests {
     /// row, stored direct.
     fn shaped_tables() -> Rows {
         let row = |srcs: &mut dyn Iterator<Item = u32>| {
-            srcs.map(|s| {
-                let r = RouteInfo {
-                    est: u64::from(s) + 1,
-                    port: s % 3,
-                    level: s % 2,
-                };
-                (NodeId(s), r)
-            })
-            .collect()
+            srcs.map(|s| route(s, u64::from(s % 1000) + 1, s % 3, s % 3))
+                .collect()
         };
         vec![
             row(&mut (0..10).map(|i| 7 * i)),
@@ -1291,7 +1300,7 @@ mod tests {
     }
 
     /// The sections [`FlatTables::write_arena`] emits: starts, records,
-    /// ports, levels, row words, escape indices and values.
+    /// row words, ladder, escape indices and values.
     fn sections_of(ft: &FlatTables) -> Vec<Vec<u8>> {
         let mut aw = ArenaWriter::new();
         ft.write_arena(&mut aw);
@@ -1339,7 +1348,7 @@ mod tests {
         ];
         for (case, word) in hostile.into_iter().enumerate() {
             let mut hostile = sections.clone();
-            for row in hostile[4].chunks_exact_mut(8).take(model.len() - 1) {
+            for row in hostile[2].chunks_exact_mut(8).take(model.len() - 1) {
                 row.copy_from_slice(&word.to_le_bytes());
             }
             let loaded = match reload(&hostile) {
@@ -1372,23 +1381,22 @@ mod tests {
         }
     }
 
+    /// Hops of the escaped entry in [`holed_rows`]: its `u32` code's
+    /// hops field (30 bits under two level bits) is all ones.
+    const ESCAPED: u64 = (1 << 30) - 1;
+
     /// Three rows over 8 nodes: a direct row with a hole at source 3 and
-    /// an escaped estimate at source 5, a keyed row after it, and a full
-    /// direct row.
+    /// an escaped hop count at source 5, a keyed row after it, and a full
+    /// direct row — `u32` codes, so a direct slot is 6 bytes (`code u32 |
+    /// port u16`).
     fn holed_rows() -> Rows {
-        let route = |s: u32, est| {
-            let r = RouteInfo {
-                est,
-                port: s % 3,
-                level: 0,
-            };
-            (NodeId(s), r)
-        };
-        let est = |s: u32| if s == 5 { 1 << 40 } else { u64::from(s) + 1 };
+        let hops = |s: u32| if s == 5 { ESCAPED } else { u64::from(s) + 1 };
         let mut rows: Rows = vec![Vec::new(); 8];
-        rows[0] = [1, 2, 4, 5, 6].map(|s| route(s, est(s))).to_vec();
-        rows[1] = [0, 7].map(|s| route(s, est(s))).to_vec();
-        rows[2] = (0..8).map(|s| route(s, est(s))).collect();
+        rows[0] = [1, 2, 4, 5, 6]
+            .map(|s| route(s, hops(s), s % 3, 0))
+            .to_vec();
+        rows[1] = [0, 7].map(|s| route(s, hops(s), s % 3, 0)).to_vec();
+        rows[2] = (0..8).map(|s| route(s, hops(s), s % 3, 0)).collect();
         rows
     }
 
@@ -1408,33 +1416,31 @@ mod tests {
         assert_eq!(form_of(&ft, 1), (Form::Keyed(Fit::default()), 6));
         assert_eq!(form_of(&ft, 2), (Form::Direct(0), 6));
         assert_eq!(ft.len_entries(), 6 + 2 + 8);
+        assert_eq!((ft.code.bytes, ft.wide_idx.len()), (4, 2));
         ft.validate(&k8()).unwrap();
 
-        // One slot per source offset: the hole reads as a miss and `INF`,
-        // the escaped value comes back whole, `entries_in` skips the hole.
+        // One slot per source offset: the hole reads as a miss, the
+        // escaped value comes back whole, `row_iter` skips the hole.
         let (v, row) = (NodeId(0), ft.row_range(NodeId(0)));
         assert_eq!(row, 0..6);
-        let ests: Vec<u64> = ft.ests_in(row.clone()).collect();
-        assert_eq!(ests, [2, 3, INF, 5, 1 << 40, 7]);
-        let srcs: Vec<u32> = ft.entries_in(row).map(|e| e.src).collect();
+        let srcs: Vec<u32> = ft.row_iter(v).map(|e| e.src).collect();
         assert_eq!(srcs, [1, 2, 4, 5, 6]);
         assert_eq!(ft.get(v, NodeId(3)), None);
         assert_eq!(ft.est(v, NodeId(3)), None);
-        assert_eq!(ft.est(v, NodeId(5)), Some(1 << 40));
+        assert_eq!(ft.est(v, NodeId(5)), Some(ESCAPED));
         assert_eq!(ft.get(v, NodeId(7)), None);
-        // A part of a row reads as that part.
-        let part: Vec<u64> = ft.ests_in(4..6).collect();
-        assert_eq!(part, [1 << 40, 7]);
 
-        // The index table is per slot too, `NONE` at the hole, so it zips
-        // with `ests_in` in lockstep.
+        // The resolved side table is per slot too, `(NONE, INF)` at the
+        // hole, so it lines up with the arena.
         let members = [NodeId(2), NodeId(5), NodeId(7)];
-        let idx = resolve_entry_indices(&ft, &graphs::DenseIndex::new(8, &members));
+        let resolved = resolve_entries(&ft, &graphs::DenseIndex::new(8, &members));
         let none = graphs::DenseIndex::NONE;
-        assert_eq!(idx[..8], [none, 0, none, none, 1, none, none, 2]);
+        let ests: Vec<u64> = resolved[row].iter().map(|r| r.1).collect();
+        assert_eq!(ests, [2, 3, INF, 5, ESCAPED, 7]);
+        let idx: Vec<u32> = resolved[..8].iter().map(|r| r.0).collect();
+        assert_eq!(idx, [none, 0, none, none, 1, none, none, 2]);
         for v in (0..3).map(NodeId) {
-            let row = ft.row_range(v);
-            for (est, &i) in ft.ests_in(row.clone()).zip(&idx[row]) {
+            for &(i, est) in &resolved[ft.row_range(v)] {
                 if i != none {
                     assert_eq!(Some(est), ft.est(v, members[i as usize]), "{v}");
                 }
@@ -1450,18 +1456,27 @@ mod tests {
 
     #[test]
     fn hostile_direct_rows_answer_with_a_miss_or_the_entry_never_a_panic() {
-        // Sections: starts, recs, ports, levels, words, escape pair.
+        // Sections: starts, records, words, ladder, escape pair.
         let rows = holed_rows();
         let sections = sections_of(&flat(&rows));
         fn set_word(s: &mut [Vec<u8>], v: usize, word: u64) {
-            s[4][8 * v..8 * v + 8].copy_from_slice(&word.to_le_bytes());
+            s[2][8 * v..8 * v + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        fn set_ladder(s: &mut [Vec<u8>], ladder: &[u64]) {
+            s[3] = ladder.iter().flat_map(|w| w.to_le_bytes()).collect();
+        }
+        // Row 0's slot `j` is record bytes `6j..6j + 6`: a `u32` code
+        // (hops << 2 | level), then the port.
+        fn set_code(s: &mut [Vec<u8>], j: usize, code: u32) {
+            s[1][6 * j..6 * j + 4].copy_from_slice(&code.to_le_bytes());
         }
         // The hole of row 0 is slot 2; its escaped entry is slot 4. Each
         // case is refused by `read_arena` (`None`), or loads and then
         // fails `validate` (`Some(false)`) or passes it (`Some(true)`: a
-        // record on an absent slot is a well-formed escaped entry).
+        // record on an absent slot is a well-formed escaped entry, at
+        // level 3 — on the ladder once it has four rungs).
         type Mutate = dyn Fn(&mut [Vec<u8>]);
-        let cases: [(&str, Option<bool>, &Mutate); 8] = [
+        let cases: [(&str, Option<bool>, &Mutate); 16] = [
             ("lo_src + span past n", Some(false), &|s| {
                 set_word(s, 0, Form::Direct(5).word(0));
             }),
@@ -1476,14 +1491,40 @@ mod tests {
             }),
             ("direct row read as keyed", None, &|s| set_word(s, 0, 0)),
             ("absent slot with a non-marker port", Some(false), &|s| {
-                s[2][4..6].copy_from_slice(&0u16.to_le_bytes());
+                s[1][16..18].copy_from_slice(&0u16.to_le_bytes());
             }),
-            ("absent slot with a non-marker level", Some(false), &|s| {
-                s[3][2] = 0
+            ("absent slot with a non-marker code", Some(false), &|s| {
+                set_code(s, 2, u32::MAX - 3);
             }),
             ("escape record on an absent slot", Some(true), &|s| {
-                s[5].splice(0..0, 2u32.to_le_bytes());
-                s[6].splice(0..0, [3u64, 0].iter().flat_map(|w| w.to_le_bytes()));
+                set_ladder(s, &[HORIZON, 1, 2, 3, 4]);
+                s[4].splice(0..0, 2u32.to_le_bytes());
+                s[5].splice(0..0, 3u64.to_le_bytes());
+            }),
+            (
+                "escape record on an absent slot, level off",
+                Some(false),
+                &|s| {
+                    s[4].splice(0..0, 2u32.to_le_bytes());
+                    s[5].splice(0..0, 3u64.to_le_bytes());
+                },
+            ),
+            ("level past the rungs", Some(false), &|s| {
+                set_code(s, 0, 2 << 2 | 3)
+            }),
+            ("hops past h′", Some(false), &|s| {
+                set_ladder(s, &[6, 1, 2, 3])
+            }),
+            ("empty ladder", None, &|s| set_ladder(s, &[HORIZON])),
+            ("no ladder at all", None, &|s| set_ladder(s, &[])),
+            ("ladder not from 1", None, &|s| {
+                set_ladder(s, &[HORIZON, 2, 3, 4])
+            }),
+            ("ladder not increasing", None, &|s| {
+                set_ladder(s, &[HORIZON, 1, 3, 3])
+            }),
+            ("h′ past u32", None, &|s| {
+                set_ladder(s, &[HORIZON + 1, 1, 2, 3])
             }),
         ];
         let topo = k8();
@@ -1501,7 +1542,7 @@ mod tests {
             for (v, row) in rows.iter().enumerate() {
                 let v = NodeId::from_index(v);
                 // What the row stores, and the record a case planted.
-                let stored: Vec<u64> = row.iter().map(|r| r.1.est).chain([3]).collect();
+                let stored: Vec<u64> = row.iter().map(|r| r.1.est).chain([12]).collect();
                 for s in (0..16).chain([u32::MAX]).map(NodeId) {
                     let got = loaded.get(v, s);
                     assert_eq!(loaded.est(v, s), got.map(|e| e.est), "{what}: ({v}, {s})");
@@ -1510,9 +1551,7 @@ mod tests {
                         "{what}: ({v}, {s}) answered {got:?}"
                     );
                 }
-                let range = loaded.row_range(v);
-                assert_eq!(loaded.ests_in(range.clone()).count(), range.len());
-                let _ = loaded.entries_in(range).count() + loaded.row_routes(v).count();
+                let _ = loaded.row_iter(v).count() + loaded.row_routes(v).count();
             }
         }
     }

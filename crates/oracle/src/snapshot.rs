@@ -14,7 +14,8 @@
 //! | 5 | arena container, narrow index-free tables, every row keyed | — | rejected (rebuild) |
 //! | 6 | arena container, narrow tables with direct-indexed dense rows; schemes embed σ-lists, spanner and metrics | — | rejected (rebuild) |
 //! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | — | rejected (rebuild) |
-//! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | — | rejected (rebuild) |
+//! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` shares the PDE layout under its own header tag.
 //!
@@ -48,17 +49,10 @@
 //! point the `serve` crate uses.
 //!
 //! The routing tables inside a payload are [`pde_core::FlatTables`]
-//! sections in their narrow form, with no stored index. A dense route row (`span · 7 ≤ len · 11`) is
-//! *direct*: a 4-byte estimate per source offset plus a `u16` port and a
-//! `u8` ladder level in cold side sections (7 bytes per slot, an absent
-//! slot all markers), so a probe is one load. Any other row is *keyed*:
-//! an 8-byte hot record (`src u32 | est u32`) per entry and the same side
-//! sections (11 bytes), where one fit word per row lets a multiply predict
-//! where a source sits. One 8-byte word per row records which form it
-//! is. A value too wide
-//! for its field stores the all-ones marker and its true value in the
-//! table's one escape section pair. The record format itself is private
-//! to `pde_core`'s `tables.rs`.
+//! sections: one record per slot holding its ladder code `(hops, rung)`
+//! and port (4 bytes a direct slot, 8 a keyed entry at `u16` codes), one
+//! word per row and the table's `[h′, rungs…]`. The record format is
+//! private to `pde_core`'s `tables.rs`.
 //!
 //! Every map written anywhere in a payload is in sorted key order, and a
 //! loaded oracle re-emits its sections' backing bytes verbatim, so
@@ -87,7 +81,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 8;
+const VERSION: u16 = 9;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;

@@ -2,13 +2,17 @@
 //! serves (`pde_core::tables`): dense and CSR [`PairTable`] lookups must
 //! agree with a `HashMap` model across random probes — including misses
 //! and out-of-range keys — and [`FlatTables`] lookups with a per-node
-//! `BTreeMap` model — including values that take the narrow layout's
-//! escape and the marker values themselves, in keyed and direct rows —
-//! with byte-identical round-trips through the arena codec.
+//! `BTreeMap` model over a random rung ladder — including hop counts and
+//! ports that take the escape and the marker values themselves, in keyed
+//! and direct rows, at `u16` and `u32` code widths — with byte-identical
+//! round-trips through the arena codec; a real build whose hop counts
+//! need `u32` codes answers within Definition 2.2 of exact APSP.
 
 use pde_repro::congest::arena::{ArenaReader, ArenaWriter, SharedBytes};
-use pde_repro::graphs::{NodeId, INF};
-use pde_repro::pde_core::tables::{FlatTables, PairTable};
+use pde_repro::graphs::gen::{self, Weights};
+use pde_repro::graphs::{algo, DenseIndex, NodeId, Seed, INF};
+use pde_repro::oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
+use pde_repro::pde_core::tables::{resolve_entries, FlatTables, PairTable};
 use pde_repro::pde_core::RouteInfo;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -40,8 +44,23 @@ fn pair_entries() -> impl Strategy<Value = PairCase> {
     })
 }
 
-/// One generated route: `(src, est, port, level)`.
+/// One generated route: `(src, hops, port, level)`; the level is taken
+/// modulo the ladder's length.
 type RouteRow = (u32, u64, u32, u32);
+
+/// A rung ladder `1 = b₀ < b₁ < …` of 1 to 40 rungs (up to six level
+/// bits), and the horizon every drawn hop count stays within.
+type Ladder = (u64, Vec<u64>);
+
+fn ladders() -> impl Strategy<Value = Ladder> {
+    proptest::collection::vec(1u64..40, 0..40).prop_map(|steps| {
+        let rungs = steps.iter().fold(vec![1], |mut rungs, step| {
+            rungs.push(rungs.last().unwrap() + step);
+            rungs
+        });
+        (u64::from(u32::MAX), rungs)
+    })
+}
 
 /// How a drawn row's small ids become source keys: the shapes the row
 /// forms have to hold on, from direct rows (dense, dense with holes)
@@ -79,13 +98,14 @@ impl KeyShape {
     }
 }
 
-/// Per-node rows of routes. The narrow class is what
-/// the builders produce in the paper's regime (short rows, small
-/// values). The wide class mixes in every way a value can leave its
-/// stored field — `est ≥ 2³²`, `port ≥ 2¹⁶`, `level ≥ 2⁸`, and the
-/// all-ones markers with their predecessors — over rows long enough to
-/// leave the small-row scan, and, in the clustered shapes, the swept
-/// window for the binary search. Every class comes in every key shape.
+/// Per-node rows of routes. The narrow class is what the builders
+/// produce in the paper's regime (short rows, few hops). The wide class
+/// mixes in every way a value can leave its stored field — hop counts at
+/// and around a `u16` or `u32` code's all-ones hops field for every
+/// level width, `port ≥ 2¹⁶` and the port marker with its predecessor —
+/// over rows long enough to leave the small-row scan, and, in the
+/// clustered shapes, the swept window for the binary search. Every class
+/// comes in every key shape.
 fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
     let shape = prop_oneof![
         Just(KeyShape::Uniform),
@@ -96,15 +116,16 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
         Just(KeyShape::Outlier),
     ];
     let rows = if !wide {
-        let row = proptest::collection::vec(((0u32..30), 0u64..1_000, (0u32..4), (0u32..3)), 0..12);
+        let row = proptest::collection::vec(((0u32..30), 0u64..200, (0u32..4), 0u32..64), 0..12);
         proptest::collection::vec(row, 1..8).boxed()
     } else {
-        let est = prop_oneof![
+        // `all >> bits` is a code's marker at `bits` level bits.
+        let near = |all: u64| (0u32..7, 0u64..3).prop_map(move |(bits, d)| (all >> bits) - d);
+        let hops = prop_oneof![
             0u64..1_000,
-            Just(u64::from(u32::MAX) - 1),
-            Just(u64::from(u32::MAX)),
-            (1u64 << 32)..(1u64 << 41),
-            Just(u64::MAX),
+            near(0xFFFF),
+            near(u64::from(u32::MAX)),
+            (1u64 << 16)..(1u64 << 24),
         ];
         let port = prop_oneof![
             0u32..4,
@@ -112,13 +133,7 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
             Just(u32::from(u16::MAX)),
             (1u32 << 16)..(1u32 << 20),
         ];
-        let level = prop_oneof![
-            0u32..3,
-            Just(u32::from(u8::MAX) - 1),
-            Just(u32::from(u8::MAX)),
-            256u32..100_000,
-        ];
-        let row = proptest::collection::vec(((0u32..400), est, port, level), 0..160);
+        let row = proptest::collection::vec(((0u32..400), hops, port, 0u32..64), 0..160);
         proptest::collection::vec(row, 1..8).boxed()
     };
     (rows, shape)
@@ -134,32 +149,40 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
 }
 
 /// The model's rows, in order, through the one constructor.
-fn flatten(model: &[BTreeMap<u32, RouteInfo>]) -> FlatTables {
-    FlatTables::from_rows(model.len(), row_count(model), |v, row| {
+fn flatten(model: &[BTreeMap<u32, RouteInfo>], (h, rungs): &Ladder) -> FlatTables {
+    FlatTables::from_rows(model.len(), row_count(model), (*h, rungs), |v, row| {
         row.extend(model[v].iter().map(|(&s, &r)| (NodeId(s), r)));
     })
 }
 
-/// Flattens `tables` and checks every read path — `get`, `est`,
-/// `cursor`, `row_iter`, `entries_in`, `ests_in`, `row_routes` — on the
-/// built table and on its arena reload against the per-node `BTreeMap`
-/// model (a later duplicate source overrides an earlier one), probing
-/// every stored key, both its neighbours and `probes`; that the rows
-/// `row_routes` hands back rebuild the same table; and that the arena
-/// reload re-saves byte-identically.
+/// Flattens `tables` over `ladder` and checks every read path — `get`,
+/// `est`, `cursor`, `row_iter`, `row_routes`, `resolve_entries` —
+/// on the built table and on its arena reload against the per-node
+/// `BTreeMap` model (a later duplicate source overrides an earlier one),
+/// probing every stored key, both its neighbours and `probes`; that the
+/// rows `row_routes` hands back rebuild the same table; that the arena
+/// reload re-saves byte-identically; and that the table is no larger than
+/// the 11 bytes a keyed entry and 7 a direct slot took before ladder
+/// codes, plus its fixed sections.
 fn check_against_model(
     tables: &[Vec<RouteRow>],
+    ladder: &Ladder,
     probes: &[(u32, u32)],
 ) -> Result<(), TestCaseError> {
+    let rungs = &ladder.1;
     let model: Vec<BTreeMap<u32, RouteInfo>> = tables
         .iter()
         .map(|rows| {
             rows.iter()
-                .map(|&(src, est, port, level)| (src, RouteInfo { est, port, level }))
+                .map(|&(src, hops, port, level)| {
+                    let level = level % rungs.len() as u32;
+                    let est = hops * rungs[level as usize];
+                    (src, RouteInfo { est, port, level })
+                })
                 .collect()
         })
         .collect();
-    let flat = flatten(&model);
+    let flat = flatten(&model, ladder);
     prop_assert_eq!(flat.len_nodes(), model.len());
 
     // The arena codec hands back the same table, and re-saving the
@@ -172,7 +195,31 @@ fn check_against_model(
     prop_assert_eq!(&flat, &loaded);
     prop_assert_eq!(&saved, &arena_bytes(|a| loaded.write_arena(a)));
 
+    // Starts, records, row words, ladder, escape indices and values.
+    let sections = sections(&flat);
+    let direct: usize = (0..model.len())
+        .filter(|&v| get_u64(&sections[2], v) as u32 & 0xC000_0000 == 0xC000_0000)
+        .map(|v| flat.row_range(NodeId(v as u32)).len())
+        .sum();
+    let keyed = flat.len_entries() - direct;
+    let fixed = 12 * (model.len() + 1) + 8 * (rungs.len() + 1) + sections[4].len() * 3;
+    let framing = 8 + 16 * sections.len() + 8 * sections.len() + 8;
+    prop_assert!(
+        saved.len() <= 11 * keyed + 7 * direct + fixed + framing,
+        "{} bytes for {} keyed and {} direct slots",
+        saved.len(),
+        keyed,
+        direct
+    );
+
+    // Every source fits a small dense index unless a key shape spreads
+    // them over the id space.
+    let max_src = model.iter().flat_map(BTreeMap::keys).max().copied();
+    let small = max_src
+        .filter(|&m| m < 1 << 16)
+        .map(|m| DenseIndex::new(m as usize + 1, &[]));
     for t in [&flat, &loaded] {
+        let resolved = small.as_ref().map(|index| resolve_entries(t, index));
         let stored = model.iter().enumerate().flat_map(|(v, table)| {
             table
                 .keys()
@@ -204,7 +251,7 @@ fn check_against_model(
         // Rows enumerate exactly the model's entries, sorted by source.
         for (v, table) in model.iter().enumerate() {
             let v = NodeId(v as u32);
-            // The cold level array comes back with the rest of the row.
+            // The level comes back out of the code with the rest of the row.
             let routes: Vec<(u32, RouteInfo)> = t.row_routes(v).map(|(s, r)| (s.0, r)).collect();
             let want: Vec<(u32, RouteInfo)> = table.iter().map(|(&s, &r)| (s, r)).collect();
             prop_assert_eq!(routes, want);
@@ -216,10 +263,9 @@ fn check_against_model(
                 prop_assert_eq!((e.est, e.port), (want.est, want.port));
             }
             // One slot per keyed entry or per source offset of a direct
-            // row: `ests_in` reads every slot (`INF` in a hole),
-            // `entries_in` only the stored ones.
+            // row: `resolve_entries` reads every slot (`INF` in a hole),
+            // `row_iter` only the stored ones.
             let range = t.row_range(v);
-            prop_assert_eq!(t.entries_in(range.clone()).collect::<Vec<_>>(), row.clone());
             let slots: Vec<u64> = if range.len() == table.len() {
                 row.iter().map(|e| e.est).collect()
             } else {
@@ -229,12 +275,18 @@ fn check_against_model(
                     .map(|s| table.get(&s).map_or(INF, |r| r.est))
                     .collect()
             };
-            prop_assert_eq!(t.ests_in(range).collect::<Vec<_>>(), slots);
+            if let Some(resolved) = &resolved {
+                let ests: Vec<u64> = resolved[range].iter().map(|r| r.1).collect();
+                prop_assert_eq!(ests, slots);
+            }
         }
         // Unflattened, the rows rebuild the table they came from.
-        let again = FlatTables::from_rows(t.len_nodes(), row_count(&model), |v, row| {
-            row.extend(t.row_routes(NodeId(v as u32)))
-        });
+        let again = FlatTables::from_rows(
+            t.len_nodes(),
+            row_count(&model),
+            (ladder.0, rungs),
+            |v, row| row.extend(t.row_routes(NodeId(v as u32))),
+        );
         prop_assert_eq!(&again, &flat);
     }
     Ok(())
@@ -254,17 +306,29 @@ fn arena_bytes(write: impl FnOnce(&mut ArenaWriter)) -> Vec<u8> {
     buf
 }
 
+fn get_u64(section: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(section[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+/// The rung ladder of ε = 0.25 over weights up to 32: 14 rungs.
+fn ladder_32() -> Ladder {
+    let rungs = vec![1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 22, 27];
+    (241, rungs)
+}
+
 /// A row no fit describes: 70 000 consecutive ids and one at the far end
 /// of the key space put the residuals past `u16`, so the row stores
 /// `win = 0` (pinned by `pde_core::tables`' `fits_are_measured_per_row`)
-/// and every probe of it is a whole-row binary search. Escaped values
-/// ride along.
+/// and every probe of it is a whole-row binary search. A port past `u16`
+/// and a hop count at a `u32` code's marker ride along and take the
+/// escape.
 #[test]
 fn row_without_a_usable_fit_agrees_with_model() {
+    let ladder = (u64::from(u32::MAX), vec![1, 2, 3]);
     let wide = [
-        (7, 1 << 40, 3, 2),
-        (69_999, 12, 1 << 16, 0),
-        (500, 3, 1, 256),
+        (7, 3, 1 << 16, 2),
+        (69_999, (1 << 30) - 1, 0, 0),
+        (500, 3, 1, 1),
     ];
     let row: Vec<RouteRow> = (0..70_000)
         .chain([u32::MAX - 1])
@@ -273,16 +337,28 @@ fn row_without_a_usable_fit_agrees_with_model() {
         .collect();
     let tables = [row, (0..20).map(|s| (3 * s, 5, 0, 0)).collect()];
     let probes = [(0, 70_000), (0, 1 << 31), (0, u32::MAX), (1, 70_000)];
-    check_against_model(&tables, &probes).unwrap();
+    check_against_model(&tables, &ladder, &probes).unwrap();
+    let model: Vec<BTreeMap<u32, RouteInfo>> = tables
+        .iter()
+        .map(|rows| {
+            let route = |&(s, hops, port, level): &RouteRow| {
+                let est = hops * ladder.1[level as usize];
+                (s, RouteInfo { est, port, level })
+            };
+            rows.iter().map(route).collect()
+        })
+        .collect();
+    let escapes = sections(&flatten(&model, &ladder))[4].len() / 4;
+    assert_eq!(escapes, 2, "the wide port and the marker hop count");
 }
 
-/// Rows of `(source, est)` routes on port 0, level 0.
+/// Rows of `(source, hops = source % 16)` routes on port 0, level 1.
 fn model_of(rows: &[Vec<u32>]) -> Vec<BTreeMap<u32, RouteInfo>> {
     let route = |s: u32| {
         let r = RouteInfo {
-            est: u64::from(s),
+            est: u64::from(s % 16) * 2,
             port: 0,
-            level: 0,
+            level: 1,
         };
         (s, r)
     };
@@ -300,21 +376,21 @@ fn sections(flat: &FlatTables) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The direct layout's size contract: a 4-byte estimate, a 2-byte port
-/// and a 1-byte level per slot plus one word per row — a key or an index
+/// The direct layout's size contract: a `u16` code and a `u16` port per
+/// slot plus one word per row — a key, an index or a side section
 /// creeping back in would show here first.
 #[test]
-fn dense_table_costs_at_most_7_1_bytes_per_entry() {
-    let flat = flatten(&model_of(&vec![(0..1024).collect(); 1024]));
+fn dense_table_costs_at_most_4_1_bytes_per_entry() {
+    let flat = flatten(&model_of(&vec![(0..1024).collect(); 1024]), &ladder_32());
     let per_entry = arena_bytes(|a| flat.write_arena(a)).len() as f64 / flat.len_entries() as f64;
-    assert!(per_entry <= 7.1, "{per_entry} bytes per entry");
+    assert!(per_entry <= 4.1, "{per_entry} bytes per entry");
 }
 
 /// Rows over every 16th id, ≈ 220 entries each as in the partial regime,
-/// stay keyed: 8 + 2 + 1 bytes per entry, and every section exactly what
-/// the keyed encoding writes — `src | est` records, ports, levels and
-/// one fit word per row (`mul | lo << 32 | win << 48`, see
-/// `pde_core::tables`), no escapes.
+/// stay keyed: 8 bytes per entry, and every section exactly what the
+/// keyed encoding writes — `src u32 | code u16 | port u16` records, one
+/// fit word per row (`mul | lo << 32 | win << 48`, see
+/// `pde_core::tables`), the ladder, no escapes.
 #[test]
 fn strided_rows_stay_keyed() {
     let rows: Vec<Vec<u32>> = (0..64u32)
@@ -326,12 +402,14 @@ fn strided_rows_stay_keyed() {
         })
         .collect();
     let model = model_of(&rows);
-    let flat = flatten(&model);
+    let ladder = ladder_32();
+    let flat = flatten(&model, &ladder);
     let bytes = arena_bytes(|a| flat.write_arena(a)).len() as f64;
-    assert!(bytes / flat.len_entries() as f64 <= 11.1, "{bytes} bytes");
+    assert!(bytes / flat.len_entries() as f64 <= 8.1, "{bytes} bytes");
 
-    // Starts, records, ports, levels, fits, and an empty escape pair.
-    let mut want: [Vec<u8>; 7] = Default::default();
+    // Starts, records, fits, the ladder, and an empty escape pair. Four
+    // level bits: a code is `hops << 4 | level`.
+    let mut want: [Vec<u8>; 6] = Default::default();
     want[0].extend(0u32.to_le_bytes());
     for row in &model {
         let mul = ((row.len() as u64) << 31) / (u64::from(*row.keys().last().unwrap()) + 1);
@@ -339,44 +417,112 @@ fn strided_rows_stay_keyed() {
         let lo = row.keys().enumerate().map(residual).min().unwrap();
         let hi = row.keys().enumerate().map(residual).max().unwrap();
         let fit = mul | u64::from(lo as i16 as u16) << 32 | ((hi - lo + 1) as u64) << 48;
-        want[4].extend(fit.to_le_bytes());
+        want[2].extend(fit.to_le_bytes());
         for (&s, r) in row {
-            want[1].extend((u64::from(s) | r.est << 32).to_le_bytes());
-            want[2].extend([0, 0]);
-            want[3].push(0);
+            let code = (r.est / 2) << 4 | u64::from(r.level);
+            want[1].extend((u64::from(s) | code << 32).to_le_bytes());
         }
-        let end = want[3].len() as u32;
+        let end = (want[1].len() / 8) as u32;
         want[0].extend(end.to_le_bytes());
     }
+    want[3] = [ladder.0]
+        .iter()
+        .chain(&ladder.1)
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
     assert_eq!(sections(&flat), want);
 }
 
 /// At the byte rule's boundary a row takes the smaller form: 7 entries
-/// cost 77 bytes keyed and `7 · span` direct, so spans 10 and 11 are
-/// direct (one slot per id) and 12 is keyed.
+/// cost 56 bytes keyed and `4 · span` direct, so spans 13 and 14 are
+/// direct (one slot per id) and 15 is keyed.
 #[test]
 fn rows_at_the_boundary_take_the_smaller_form() {
-    for span in [10u32, 11, 12] {
-        let flat = flatten(&model_of(&[(0..6).chain([span - 1]).collect()]));
-        let direct = span * 7 <= 7 * 11;
+    for span in [13u32, 14, 15] {
+        let flat = flatten(
+            &model_of(&[(0..6).chain([span - 1]).collect()]),
+            &ladder_32(),
+        );
+        let direct = span * 4 <= 7 * 8;
         assert_eq!(flat.len_entries(), if direct { span } else { 7 } as usize);
-        let sections = sections(&flat);
-        let slot_bytes = sections[1].len() + sections[2].len() + sections[3].len();
-        assert_eq!(slot_bytes as u32, (7 * span).min(7 * 11), "span {span}");
+        let records = sections(&flat)[1].len();
+        assert_eq!(records as u32, (4 * span).min(7 * 8), "span {span}");
     }
 }
 
-/// The constructor's one precondition is checked in release builds too:
-/// the fit and every probe assume strictly increasing sources.
+/// A real build whose hop counts need `u32` codes: at ε = 0.1 over
+/// weights up to 5000 the ladder has 7 level bits, which leave a `u16`
+/// code 9 hop bits, and full coverage of 64 nodes puts `h′` at 2113. The
+/// table must answer within Definition 2.2 of exact APSP on every pair,
+/// and reload and re-save byte-identically.
+#[test]
+fn wide_codes_from_a_real_build_answer_exactly_and_resave() {
+    let mut rng = Seed(3).rng();
+    let g = gen::gnp_connected(64, 0.08, Weights::Uniform { lo: 1, hi: 5000 }, &mut rng);
+    let oracle = OracleBuilder::new(Backend::Pde).eps(0.1).build(&g);
+    let bytes = oracle.artifact_bytes();
+    // A PDE arena ends with its table: starts, records, row words, ladder
+    // and the escape pair, after the 40-byte snapshot header.
+    let reader = ArenaReader::parse(SharedBytes::from_vec(bytes[40..].to_vec())).unwrap();
+    let section = |back: usize| reader.section(reader.sections() - back).unwrap();
+    let (starts, records, words) = (section(6), section(5), section(4));
+    let slots = u32::from_le_bytes(starts[starts.len() - 4..].try_into().unwrap()) as usize;
+    let keyed: usize = (0..g.len())
+        .filter(|&v| get_u64(words, v) as u32 & 0xC000_0000 != 0xC000_0000)
+        .map(|v| {
+            let start = |v: usize| u32::from_le_bytes(starts[4 * v..4 * v + 4].try_into().unwrap());
+            (start(v + 1) - start(v)) as usize
+        })
+        .sum();
+    assert_eq!(
+        records.len(),
+        6 * slots + 4 * keyed,
+        "codes are not 4 bytes"
+    );
+    assert!(section(2).is_empty(), "a real build took the escape");
+
+    let exact = algo::apsp(&g);
+    let loaded = Oracle::load_bytes(&bytes).unwrap();
+    assert_eq!(loaded.artifact_bytes(), bytes);
+    for u in g.nodes() {
+        for v in g.nodes() {
+            let (wd, est) = (exact.dist(u, v), oracle.estimate(u, v));
+            assert!(
+                wd <= est && est as f64 <= 1.1 * wd as f64,
+                "({u}, {v}): {est} vs {wd}"
+            );
+            assert_eq!(loaded.estimate(u, v), est);
+            assert_eq!(loaded.next_hop(u, v), oracle.next_hop(u, v));
+        }
+    }
+}
+
+/// The constructor's preconditions are checked in release builds too:
+/// the fit and every probe assume strictly increasing sources, and every
+/// estimate must be whole hops on its rung.
 #[test]
 fn unsorted_or_duplicate_source_rows_panic_in_the_constructor() {
-    let (est, port, level) = (1, 0, 0);
+    let (est, port, level) = (2, 0, 1);
     let route = RouteInfo { est, port, level };
+    let ladder = ladder_32();
     for srcs in [[5u32, 3], [4, 4]] {
         let built = std::panic::catch_unwind(|| {
-            FlatTables::from_rows(1, 2, |_, row| row.extend(srcs.map(|s| (NodeId(s), route))))
+            FlatTables::from_rows(1, 2, (ladder.0, &ladder.1), |_, row| {
+                row.extend(srcs.map(|s| (NodeId(s), route)))
+            })
         });
         assert!(built.is_err(), "{srcs:?} was accepted");
+    }
+    for off in [
+        RouteInfo { est: 3, ..route },
+        RouteInfo { level: 14, ..route },
+    ] {
+        let built = std::panic::catch_unwind(|| {
+            FlatTables::from_rows(1, 1, (ladder.0, &ladder.1), |_, row| {
+                row.push((NodeId(0), off))
+            })
+        });
+        assert!(built.is_err(), "{off:?} was accepted");
     }
 }
 
@@ -435,8 +581,9 @@ proptest! {
     #[test]
     fn flat_tables_agree_with_route_table_model(
         tables in prop_oneof![route_rows(false), route_rows(true)],
+        ladder in ladders(),
         probes in proptest::collection::vec(((0u32..10), (0u32..6_500)), 60),
     ) {
-        check_against_model(&tables, &probes)?;
+        check_against_model(&tables, &ladder, &probes)?;
     }
 }

@@ -134,6 +134,35 @@ fn random_tree_long_hop_paths_meet_guarantee() {
     }
 }
 
+/// Every stored route is a whole number of hops on its own rung, within
+/// the rung horizon: `est = hops · levels[level]` with `hops ≤ h′`, in
+/// the partial regime (σ ≪ n, h ≪ n, S ⊂ V) and at full coverage.
+#[test]
+fn every_route_is_whole_hops_on_its_rung_within_the_horizon() {
+    let mut rng = SmallRng::seed_from_u64(41);
+    let g = gen::gnp_connected(96, 0.06, Weights::Uniform { lo: 1, hi: 32 }, &mut rng);
+    let n = g.len();
+    let partial = (
+        PdeParams::new(3, 4, 0.25),
+        (0..n).map(|v| v % 8 == 0).collect(),
+    );
+    let full = (PdeParams::new(n as u64, n, 0.25), vec![true; n]);
+    for (params, sources) in [partial, full] {
+        let out = run_pde(&g, &sources, &vec![false; n], &params);
+        assert!(out.levels.len() > 4, "one rung proves nothing");
+        let mut routes = 0;
+        for v in g.nodes() {
+            for (s, r) in out.routes.row_routes(v) {
+                let b = out.levels[r.level as usize];
+                assert_eq!(r.est % b, 0, "({v}, {s}): {} is off rung {b}", r.est);
+                assert!(r.est / b <= out.horizon, "({v}, {s}): past h′");
+                routes += 1;
+            }
+        }
+        assert!(routes > n, "h = {}: only {routes} routes", params.h);
+    }
+}
+
 #[test]
 fn singleton_source_meets_guarantee() {
     let mut rng = SmallRng::seed_from_u64(21);

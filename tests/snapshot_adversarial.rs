@@ -4,8 +4,9 @@
 //! for short streams — and never panic or request absurd allocations.
 //! Arenas whose checksum was recomputed *after* the damage get no help
 //! from it: each hostile table section — a row fit that does not cover
-//! its row, a direct row's word that misplaces it and a half-absent
-//! direct slot included — must still be a typed error (the probe-side clamp
+//! its row, a direct row's word that misplaces it, a half-absent direct
+//! slot, a code off the table's rung ladder and a malformed ladder
+//! included — must still be a typed error (the probe-side clamp
 //! behind it, a miss and never a panic for a table that skipped
 //! `validate`, is pinned by `pde_core::tables`' unit tests). Files in a
 //! retired layout are typed
@@ -174,11 +175,10 @@ fn reassemble(snap: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
 
 // A PDE arena ends with its one `FlatTables`: these are the table's
 // sections, counted back from the end of the directory.
-const STARTS: usize = 7;
-const RECS: usize = 6;
-const PORTS: usize = 5;
-const LEVELS: usize = 4;
-const WORDS: usize = 3;
+const STARTS: usize = 6;
+const RECS: usize = 5;
+const WORDS: usize = 4;
+const LADDER: usize = 3;
 const ESC_IDX: usize = 2;
 const ESC_VALS: usize = 1;
 
@@ -198,6 +198,14 @@ fn put_u64(section: &mut [u8], i: usize, x: u64) {
     section[8 * i..8 * i + 8].copy_from_slice(&x.to_le_bytes());
 }
 
+fn get_u16(section: &[u8], i: usize) -> u16 {
+    u16::from_le_bytes(section[2 * i..2 * i + 2].try_into().unwrap())
+}
+
+fn put_u16(section: &mut [u8], i: usize, x: u16) {
+    section[2 * i..2 * i + 2].copy_from_slice(&x.to_le_bytes());
+}
+
 /// Whether a row word is a keyed row's fit (its low half, `mul`, is at
 /// most 2³¹); any other word is a direct row's or an offset word.
 fn is_fit(word: u64) -> bool {
@@ -206,12 +214,13 @@ fn is_fit(word: u64) -> bool {
 
 #[test]
 fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
-    // 40-slot rows over every source are direct; the heavy twin
-    // (weights ≈ 2⁴⁰) puts every entry in the escape sections; the
-    // partial build's rows over every third id stay keyed.
-    let pde = |weights: Weights, partial: bool| {
+    // 40-slot rows over every source are direct, with `u16` codes: a
+    // slot is `code u16 | port u16`, a code `hops << bits | level`, and
+    // weights up to 12 make a 10-rung ladder, so the all-ones level is
+    // off it. The partial build's rows over every third id stay keyed.
+    let pde = |partial: bool| {
         let mut rng = Seed(31).rng();
-        let g = gen::gnp_connected(40, 0.15, weights, &mut rng);
+        let g = gen::gnp_connected(40, 0.15, Weights::Uniform { lo: 1, hi: 12 }, &mut rng);
         let builder = OracleBuilder::new(Backend::Pde).seed(5);
         let builder = if partial {
             let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
@@ -223,10 +232,7 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         builder.build(&g).save(&mut snap).unwrap();
         snap
     };
-    let light = pde(Weights::Uniform { lo: 1, hi: 9 }, false);
-    let lo = 1u64 << 40;
-    let heavy = pde(Weights::Uniform { lo, hi: lo + 9 }, false);
-    let keyed = pde(Weights::Uniform { lo: 1, hi: 9 }, true);
+    let (light, keyed) = (pde(false), pde(true));
     assert_eq!(reassemble(&light, &arena_sections(&light)), light);
     let hostile = |base: &[u8], mutate: &dyn Fn(&mut [Vec<u8>], usize)| {
         let mut sections = arena_sections(base);
@@ -241,22 +247,63 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
     };
-    let (light_sections, heavy_sections) = (arena_sections(&light), arena_sections(&heavy));
-    let entries = light_sections[light_sections.len() - LEVELS].len();
-    assert_eq!(
-        light_sections[light_sections.len() - RECS].len(),
-        4 * entries
+    let light_sections = arena_sections(&light);
+    let table = |back: usize| &light_sections[light_sections.len() - back];
+    let entries = get_u32(table(STARTS), 40) as usize;
+    assert_eq!(table(RECS).len(), 4 * entries);
+    assert!(table(ESC_IDX).is_empty());
+    let ladder: Vec<u64> = (0..table(LADDER).len() / 8)
+        .map(|i| get_u64(table(LADDER), i))
+        .collect();
+    let (h_prime, rungs) = (ladder[0], ladder.len() - 1);
+    let bits = u32::BITS - (rungs as u32 - 1).leading_zeros();
+    assert!(
+        rungs > 1 && rungs < 1 << bits,
+        "level {} must be off the ladder",
+        (1 << bits) - 1
     );
-    assert!(light_sections[light_sections.len() - ESC_IDX].is_empty());
     let keyed_sections = arena_sections(&keyed);
     let keyed_words = &keyed_sections[keyed_sections.len() - WORDS];
     let keyed_starts = &keyed_sections[keyed_sections.len() - STARTS];
     assert!(is_fit(get_u64(keyed_words, 0)) && get_u32(keyed_starts, 1) >= 2);
-    let escaped = heavy_sections[heavy_sections.len() - ESC_IDX].len() / 4;
-    assert!(
-        escaped > entries / 2,
-        "heavy weights did not take the escape"
+
+    // The escaped twin: the first eight present slots store the port
+    // marker and their true `hops | port << 32` in the escape sections —
+    // a well-formed table that answers exactly as the light one does.
+    let present: Vec<usize> = (0..entries)
+        .filter(|&i| get_u16(table(RECS), 2 * i + 1) != u16::MAX)
+        .collect();
+    let escaped = 8;
+    let escape = |s: &mut [Vec<u8>], end: usize| {
+        for (k, &i) in present[..escaped].iter().enumerate() {
+            let (code, port) = (
+                get_u16(&s[end - RECS], 2 * i),
+                get_u16(&s[end - RECS], 2 * i + 1),
+            );
+            put_u16(&mut s[end - RECS], 2 * i + 1, u16::MAX);
+            s[end - ESC_IDX].extend((i as u32).to_le_bytes());
+            let word = u64::from(code >> bits) | u64::from(port) << 32;
+            s[end - ESC_VALS].extend(word.to_le_bytes());
+            assert_eq!(s[end - ESC_IDX].len(), 4 * (k + 1));
+        }
+    };
+    let heavy = reassemble(&light, &{
+        let mut s = light_sections.clone();
+        let end = s.len();
+        escape(&mut s, end);
+        s
+    });
+    let (plain, twin) = (
+        Oracle::load_bytes(&light).unwrap(),
+        Oracle::load_bytes(&heavy).unwrap(),
     );
+    for u in (0..40).map(NodeId) {
+        for v in (0..40).map(NodeId) {
+            assert_eq!(twin.estimate(u, v), plain.estimate(u, v), "({u}, {v})");
+            assert_eq!(twin.next_hop(u, v), plain.next_hop(u, v), "({u}, {v})");
+        }
+    }
+    let first = present[0];
 
     rejected("row offset past the arena", &light, &|s, end| {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
@@ -268,31 +315,52 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         put_u32(recs, 2, a);
     });
     rejected(
-        "estimate marker without an escape record",
+        "hop-count marker without an escape record",
         &light,
         &|s, end| {
-            s[end - RECS][4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+            put_u16(&mut s[end - RECS], 2 * first, u16::MAX >> bits << bits);
         },
     );
     rejected("port marker without an escape record", &light, &|s, end| {
-        s[end - PORTS][..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        put_u16(&mut s[end - RECS], 2 * first + 1, u16::MAX);
     });
-    rejected(
-        "level marker without an escape record",
-        &light,
-        &|s, end| {
-            s[end - LEVELS][0] = u8::MAX;
-        },
-    );
     rejected("port at its node's degree", &light, &|s, end| {
-        s[end - PORTS][..2].copy_from_slice(&40u16.to_le_bytes());
+        put_u16(&mut s[end - RECS], 2 * first + 1, 40);
+    });
+    rejected("code level past the rungs", &light, &|s, end| {
+        let code = get_u16(&s[end - RECS], 2 * first);
+        put_u16(&mut s[end - RECS], 2 * first, code | ((1 << bits) - 1));
+    });
+    rejected("code hops past h′", &light, &|s, end| {
+        put_u16(
+            &mut s[end - RECS],
+            2 * first,
+            ((h_prime as u16) + 1) << bits,
+        );
+    });
+    rejected("escaped hops past h′", &heavy, &|s, end| {
+        put_u64(&mut s[end - ESC_VALS], 0, h_prime + 1);
+    });
+    rejected("empty ladder", &light, &|s, end| {
+        s[end - LADDER].truncate(8)
+    });
+    rejected("no ladder", &light, &|s, end| s[end - LADDER].clear());
+    rejected("ladder not from 1", &light, &|s, end| {
+        put_u64(&mut s[end - LADDER], 1, 2);
+        put_u64(&mut s[end - LADDER], 2, 3);
+    });
+    rejected("ladder not strictly increasing", &light, &|s, end| {
+        put_u64(&mut s[end - LADDER], 2, 1);
+    });
+    rejected("h′ past u32", &light, &|s, end| {
+        put_u64(&mut s[end - LADDER], 0, 1 << 32);
     });
     rejected(
         "escape record dropped from under its marker",
         &heavy,
         &|s, end| {
             s[end - ESC_IDX].truncate(4 * (escaped - 1));
-            s[end - ESC_VALS].truncate(16 * (escaped - 1));
+            s[end - ESC_VALS].truncate(8 * (escaped - 1));
         },
     );
     rejected("escape indices unsorted", &heavy, &|s, end| {
@@ -310,27 +378,25 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         put_u32(&mut s[end - ESC_IDX], escaped - 1, entries as u32);
     });
     rejected("escape record without a marker", &light, &|s, end| {
-        s[end - ESC_IDX].extend_from_slice(&0u32.to_le_bytes());
-        s[end - ESC_VALS].extend_from_slice(&[0; 16]);
+        s[end - ESC_IDX].extend_from_slice(&(first as u32).to_le_bytes());
+        s[end - ESC_VALS].extend_from_slice(&[0; 8]);
     });
 
-    // Direct rows. Slot 1 of node 0's row made absent — all three
-    // markers, no escape record — is a well-formed hole that reads as a
+    // Direct rows. Slot 1 of node 0's row made absent — all-ones code
+    // and port, no escape record — is a well-formed hole that reads as a
     // miss; every half-absent slot is not.
     let absent = |s: &mut [Vec<u8>], end: usize| {
         s[end - RECS][4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        s[end - PORTS][2..4].copy_from_slice(&u16::MAX.to_le_bytes());
-        s[end - LEVELS][1] = u8::MAX;
     };
     let holed = hostile(&light, &absent).unwrap();
     assert!(!is_covered(holed.estimate(NodeId(0), NodeId(1))));
     rejected("absent slot with a non-marker port", &light, &|s, end| {
         absent(s, end);
-        s[end - PORTS][2..4].copy_from_slice(&0u16.to_le_bytes());
+        put_u16(&mut s[end - RECS], 3, 0);
     });
-    rejected("absent slot with a non-marker level", &light, &|s, end| {
+    rejected("absent slot with a non-marker code", &light, &|s, end| {
         absent(s, end);
-        s[end - LEVELS][1] = 0;
+        put_u16(&mut s[end - RECS], 2, u16::MAX - 1);
     });
     rejected("direct row's lo_src past n", &light, &|s, end| {
         let word = get_u64(&s[end - WORDS], 0);
@@ -344,8 +410,8 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         put_u64(&mut s[end - WORDS], 0, 1 << 31);
     });
     for (section, name) in [
-        (PORTS, "port"),
-        (LEVELS, "level"),
+        (RECS, "record"),
+        (LADDER, "ladder"),
         (ESC_VALS, "escape value"),
     ] {
         rejected(&format!("{name} section one short"), &heavy, &|s, end| {
@@ -360,15 +426,15 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
 
 /// Directory positions of the row-word section of every `FlatTables` in
 /// the arena of an `n`-node oracle, found by shape: `n + 1` row offsets
-/// ending at the slot count `e`, then the hot records (4 to 8 bytes a
-/// slot), `2e` and `e` bytes of ports and levels, then `n` row words.
+/// ending at the slot count `e`, then the records (4 to 10 bytes a
+/// slot), then `n` row words.
 fn word_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
-    (4..sections.len())
+    (2..sections.len())
         .filter(|&at| {
             let len = |back: usize| sections[at - back].len();
-            len(4) == 4 * (n + 1) && len(0) == 8 * n && {
-                let e = get_u32(&sections[at - 4], n) as usize;
-                e > 0 && (4 * e..=8 * e).contains(&len(3)) && len(2) == 2 * e && len(1) == e
+            len(2) == 4 * (n + 1) && len(0) == 8 * n && {
+                let e = get_u32(&sections[at - 2], n) as usize;
+                e > 0 && (4 * e..=10 * e).contains(&len(1))
             }
         })
         .collect()
@@ -400,7 +466,7 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
         for at in tables {
             let word = |v: usize| get_u64(&sections[at], v);
             let span = |v: usize| {
-                let starts = &sections[at - 4];
+                let starts = &sections[at - 2];
                 (get_u32(starts, v + 1) - get_u32(starts, v)) as u64
             };
             let mut cases = Vec::new();
@@ -526,11 +592,13 @@ fn retired_layouts_are_typed_rebuild_errors() {
     // Tag 1 (hash-table streams), tag 2 (element-by-element wire
     // streams), tag 3 (the arena with 16-byte records), tag 4 (narrow
     // tables with a stored per-row index), tag 5 (every route row keyed),
-    // tag 6 (schemes embedding σ-lists, spanner and metrics) and tag 7
-    // (truncated keeping its own lower levels, `u64` table counts) name
-    // layouts this binary does not read; all must say "rebuild", typed,
-    // whatever follows the header — a re-tagged arena, or for tag 2 its
-    // own 39-byte header (no pad byte) with a payload behind it.
+    // tag 6 (schemes embedding σ-lists, spanner and metrics), tag 7
+    // (truncated keeping its own lower levels, `u64` table counts) and
+    // tag 8 (a full `u32` estimate per slot beside port and level side
+    // sections) name layouts this binary does not read; all must say
+    // "rebuild", typed, whatever follows the header — a re-tagged arena,
+    // or for tag 2 its own 39-byte header (no pad byte) with a payload
+    // behind it.
     let snap = snapshot(Backend::Pde);
     let retagged = |tag: u16| {
         let mut old = snap.clone();
@@ -539,7 +607,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -557,9 +625,9 @@ fn retired_layouts_are_typed_rebuild_errors() {
         }
     }
 
-    // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6
-    // or tag-7 snapshots: recovery surfaces the same typed error instead of
-    // panicking.
+    // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6,
+    // tag-7 or tag-8 snapshots: recovery surfaces the same typed error
+    // instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let server = Arc::new(OracleServer::new());
@@ -571,8 +639,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 8u16.to_le_bytes());
-    for tag in [2u16, 5, 6, 7] {
+    assert_eq!(current[at + 4..at + 6], 9u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7, 8] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
