@@ -103,6 +103,59 @@ fn answers_match_pinned_digests() {
     assert_eq!(got, 0xb5e2c1e126a693fc, "truncated l0 = 2: got {got:#018x}");
 }
 
+/// The routes beside the answers: on the graph and builders of
+/// [`answers_match_pinned_digests`], the FNV digest of every ordered
+/// pair's `route_into` node sequence (a `u32::MAX` word for a pair that
+/// does not route). `estimate` never reads a stored port, so this is what
+/// pins them.
+#[test]
+fn routes_match_pinned_digests() {
+    let mut rng = Seed(0x5eed).rng();
+    let g = gen::gnp_connected(64, 0.06, Weights::Uniform { lo: 1, hi: 30 }, &mut rng);
+    let builder = |backend| OracleBuilder::new(backend).seed(0x5eed).k(3).c(0.5).l0(1);
+    let digest = |oracle: &Oracle| {
+        let mut route = pde_repro::oracle::TracedRoute::default();
+        let mut words = Vec::new();
+        for u in g.nodes() {
+            for v in g.nodes() {
+                match oracle.route_into(u, v, &mut route) {
+                    true => words.extend(route.nodes.iter().map(|x| x.0)),
+                    false => words.push(u32::MAX),
+                }
+            }
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf29ce484222325u64, |d, b| {
+                (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
+            })
+    };
+    let pins: [u64; 8] = [
+        0xf3a45158fa286530, // pde
+        0xf3a45158fa286530, // approx_apsp
+        0xa98979b3deb2f1cd, // rtc
+        0x39bc7dc16ab0a259, // compact
+        0x5e98df62b43a7c19, // truncated
+        0x4c25f26be05db70a, // exact_tz
+        0x0d65b7532d396325, // bellman_ford
+        0x4c25f26be05db70a, // flooding
+    ];
+    for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
+        let got = digest(&builder(backend).build(&g));
+        assert_eq!(got, pin, "{backend}: got {got:#018x}");
+    }
+    let partial = builder(Backend::Pde)
+        .sigma(3)
+        .horizon(4)
+        .sources((0..g.len()).map(|v| v % 3 == 0).collect())
+        .build(&g);
+    let got = digest(&partial);
+    assert_eq!(got, 0x2eaa607b1262bb0e, "pde_partial: got {got:#018x}");
+    let got = digest(&builder(Backend::Truncated).l0(2).build(&g));
+    assert_eq!(got, 0x9f57e5f9dd311c45, "truncated l0 = 2: got {got:#018x}");
+}
+
 /// Theorem 4.1 is PDE at `S = V`, `h = σ = n` — `Backend::Pde`'s
 /// defaults — so `ApproxApsp` must answer, route and charge exactly as
 /// default `Pde` does, on weighted graphs where rounding is in play.
