@@ -25,26 +25,30 @@
 //! Every estimate the rung merge produces is `hops · b_level`, whole
 //! subdivided hops `hops ≤ h′` on one rung of the ladder
 //! ([`crate::rounding`]): the paper's `O(log(h/ε))`-bit entries. A slot
-//! stores that pair as one *code* `hops << lb | level` (`lb` the bits
-//! `rungs.len() − 1` needs) beside its port, and a read multiplies: `est
-//! = (code >> lb) · rungs[code & mask]`. The code is a `u16` when every
-//! hop count stays below its field's all-ones value, else a `u32` —
-//! derived from the rows, never configured. A row is *direct* (one slot
-//! per source id in `[lo_src, hi_src]`) when `span · direct ≤ len ·
-//! keyed` in record bytes (`span ≤ 2 · len` at `u16`), else *keyed*.
+//! stores that pair and its next-hop port as one packed *word* `port <<
+//! (lb + hb) | hops << lb | level`, and a read multiplies: `est = hops ·
+//! rungs[level]`. Every field width is derived from the table's own
+//! rows, never configured: `lb = bits(rungs.len() − 1)`, `hb = bits(max
+//! hops + 1)` and `pb = bits(max port + 1)`, so the all-ones value of the
+//! hops and port fields is never a real one. A word takes
+//! `w = ⌈(pb + hb + lb) / 8⌉` bytes (1 to 4). A row is *direct* (one
+//! slot per source id in `[lo_src, hi_src]`) when `span · w ≤ len · (4 +
+//! w)` (`span ≤ 3 · len` at `w = 2`), else *keyed*.
 //!
 //! | section | bytes | read by |
 //! |---|---|---|
-//! | records: keyed `src u32 \| code \| port u16` (one LE `u64` at `u16`), direct `code \| port u16` | 8 / 4 a slot, 10 / 6 at `u32` | every probe |
+//! | records: keyed `src u32 \| word`, direct `word`, then `8 − w` zero bytes | `4 + w` / `w` a slot | every probe |
 //! | row word (one LE `u64`) | 8 / row | [`FlatTables::cursor`] |
-//! | ladder `[h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
+//! | ladder `[pb \| hb << 8 \| lb << 16, h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
+//! | escape indices (`u32`) and values (`hops \| port << 32`) | 12 / escaped slot | a marker read |
 //!
-//! A *slot* is a keyed entry or one source offset of a direct row; the
-//! CSR offsets, escape indices and every arena index a caller sees count
-//! slots. **Direct rows: no keys, no fit.** Source `k` sits in slot `k −
-//! lo_src`, so a probe is one bounds check and one load. An absent slot
-//! stores the all-ones code and port and no escape record: a miss,
-//! `(NONE, INF)` in [`resolve_entries`], skipped by
+//! The tail padding lets a probe read any record with one little-endian
+//! `u64` load and a mask. A *slot* is a keyed entry or one source offset
+//! of a direct row; the CSR offsets, escape indices and every arena index
+//! a caller sees count slots. **Direct rows: no keys, no fit.** Source `k`
+//! sits in slot `k − lo_src`, so a probe is one bounds check and one
+//! load. An absent slot stores the all-ones word and no escape record: a
+//! miss, `(NONE, INF)` in [`resolve_entries`], skipped by
 //! [`FlatTables::row_iter`].
 //!
 //! **Keyed rows: no stored index.** Where a source sits in its sorted
@@ -64,14 +68,29 @@
 //! direct row, or `0xA000_0000` for a keyed row after one (which gives up
 //! its fit). [`FlatTables::read_arena`] proves every word exact.
 //!
-//! **One escape, always on:** a port `≥ u16::MAX`, or a hop count that
-//! fills a `u32` code's hops field, stores the field's all-ones marker
-//! (the code keeps its level) and the slot's true `hops | port << 32` in
-//! the table's one escape section pair, binary-searched only when a
-//! marker is read. Loading checks the ladder (`h′ ≤ u32::MAX`, at most
-//! 2¹⁶ rungs rising strictly from 1); [`FlatTables::validate`] proves
-//! every code on it (`level < rungs.len()`, `hops ≤ h′`). The format is
-//! private to this module; everything else sees [`FlatEntry`] values.
+//! **One escape, always on:** a word holds at most 32 bits. When the
+//! widest hop count and the widest port do not fit one together (a hub's
+//! port beside a long hop count, say), the narrower field keeps its width
+//! and the wider gets the bits left. A hop count or port too wide for its
+//! field stores the field's all-ones marker (the word keeps its other
+//! fields) and the slot's true `hops | port << 32` goes to the table's
+//! one escape section pair, binary-searched only when a marker is read.
+//! Loading checks the ladder (`h′ ≤ u32::MAX`, at most 2¹⁶ rungs rising
+//! strictly from 1) and the widths (`lb` exactly `bits(rungs.len() − 1)`,
+//! `hb, pb ≥ 1`, at most 32 bits together); [`FlatTables::validate`]
+//! proves every word on the ladder (`level < rungs.len()`, `hops ≤ h′`)
+//! and inside its fields. The format is private to this module;
+//! everything else sees [`FlatEntry`] values.
+//!
+//! **Encode once, pack in place.** The widths are known only after the
+//! last row, and `fill` drains the merge, so it runs once:
+//! [`FlatTables::from_rows`] first writes every entry as an 8-byte
+//! record `src u32 | word u32`, the `32 − lb` bits split evenly (what
+//! overflows escapes), then copies each row forward in the same buffer
+//! at the derived width, in the smaller form. No row grows (`len · (4 +
+//! w)` and `span · w` direct are both at most `8 · len`), so the write
+//! position never passes the read position and the pack needs no second
+//! buffer.
 //!
 //! Both layouts serialize *directly* (their snapshot bytes are the
 //! in-memory layout, already canonical because rows are sorted), so
@@ -110,8 +129,6 @@ const KEY_BYTES: usize = 4;
 const DIRECT_WORD: u32 = 0xC000_0000;
 const KEYED_WORD: u32 = 0xA000_0000;
 const LO_SRC_BITS: u32 = congest::wire::MAX_SNAPSHOT_NODES as u32 - 1;
-/// Marker of an escaped port.
-const PORT_ESCAPE: u16 = u16::MAX;
 
 /// The little-endian `u32` at the start of `b`.
 #[inline(always)]
@@ -119,8 +136,19 @@ fn le32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
 }
 
+/// The little-endian `u64` at the start of `b`.
+#[inline(always)]
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// Bits `x` needs (none for 0).
+fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
 /// Whether `[h′, rungs…]` is a ladder a table decodes over (see the
-/// module docs; at most 2¹⁶ rungs, so a level fits 16 code bits).
+/// module docs; at most 2¹⁶ rungs, so a level fits 16 bits).
 fn ladder_ok(ladder: &[u64]) -> bool {
     matches!(ladder, [h, rungs @ ..] if *h <= u64::from(u32::MAX)
         && rungs.first() == Some(&1)
@@ -128,42 +156,119 @@ fn ladder_ok(ladder: &[u64]) -> bool {
         && rungs.windows(2).all(|w| w[0] < w[1]))
 }
 
-/// A table's code layout, derived from its ladder and record bytes (see
-/// the module docs): `bytes` per code, the low `bits` hold the level, and
-/// `all` is the width's all-ones code.
+/// A slot's fields: whole `hops` on rung `level`, through `port`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Code {
-    bytes: usize,
-    bits: u32,
-    all: u32,
+struct Fields {
+    hops: u32,
+    level: u32,
+    port: Port,
 }
 
-impl Code {
-    fn new(bytes: usize, rungs: usize) -> Code {
-        Code {
-            bytes,
-            bits: usize::BITS - rungs.saturating_sub(1).leading_zeros(),
-            all: u32::MAX >> (32 - 8 * bytes),
-        }
+/// A table's word layout (see the module docs): the low `lb` bits of a
+/// word hold the level, the next `hb` the hops and the top `pb` the port.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Layout {
+    lb: u32,
+    hb: u32,
+    pb: u32,
+}
+
+impl Layout {
+    /// The widths of a table with `lb` level bits whose widest port and
+    /// hop count are `port` and `hops`: each field as wide as its widest
+    /// value needs when the two fit one 32-bit word with the level, else
+    /// the narrower whole and the wider in the bits left, so only the
+    /// values that stretched it take the escape.
+    fn fit(lb: u32, port: u32, hops: u32) -> Layout {
+        let (pb, hb, room) = (
+            bits(u64::from(port) + 1),
+            bits(u64::from(hops) + 1),
+            32 - lb,
+        );
+        let pb = match (pb + hb <= room, pb <= hb) {
+            (true, _) => pb,
+            (false, true) => pb.min(room - 1),
+            (false, false) => room - hb.min(room - 1),
+        };
+        let hb = hb.min(room - pb);
+        Layout { lb, hb, pb }
     }
 
-    /// The all-ones hops field: an escaped hop count's marker.
-    #[inline(always)]
-    fn marker(self) -> u32 {
-        self.all >> self.bits
+    /// The layout a section word spells, if it is one a table over
+    /// `rungs` rungs can have (see the module docs).
+    fn of_word(word: u64, rungs: usize) -> Option<Layout> {
+        let [pb, hb, lb] = [0, 8, 16].map(|at| (word >> at) as u32 & 0xFF);
+        let l = Layout { lb, hb, pb };
+        let fits = lb == bits(rungs as u64 - 1) && hb * pb > 0 && l.bits() <= 32;
+        (fits && l.word() == word).then_some(l)
     }
 
-    /// `(hops, level)` of a stored code.
+    /// The ladder section's first word.
+    fn word(self) -> u64 {
+        u64::from(self.pb) | u64::from(self.hb) << 8 | u64::from(self.lb) << 16
+    }
+
+    /// Bits of a word.
     #[inline(always)]
-    fn split(self, code: u32) -> (u32, usize) {
-        let level = code & !(u32::MAX << self.bits);
-        (code >> self.bits, level as usize)
+    fn bits(self) -> u32 {
+        self.lb + self.hb + self.pb
+    }
+
+    /// Bytes of a word: `w`.
+    #[inline(always)]
+    fn bytes(self) -> usize {
+        self.bits().div_ceil(8) as usize
     }
 
     /// Bytes of a keyed record (`keyed`) or a direct slot.
     #[inline(always)]
     fn width(self, keyed: bool) -> usize {
-        self.bytes + 2 + KEY_BYTES * usize::from(keyed)
+        self.bytes() + KEY_BYTES * usize::from(keyed)
+    }
+
+    /// Zero bytes after the records: a `u64` load at any record fits.
+    fn pad(self) -> usize {
+        8 - self.bytes()
+    }
+
+    /// The all-ones word: an absent slot.
+    fn all(self) -> u32 {
+        (u64::MAX >> (64 - self.bits())) as u32
+    }
+
+    /// The hops and port fields' all-ones markers.
+    #[inline(always)]
+    fn markers(self) -> (u32, u32) {
+        ((1 << self.hb) - 1, (1 << self.pb) - 1)
+    }
+
+    /// Whether `f` (as stored) holds a marker.
+    #[inline(always)]
+    fn marked(self, f: Fields) -> bool {
+        let (hops, port) = self.markers();
+        f.hops == hops || f.port == port
+    }
+
+    /// The fields of a stored word, markers as they are.
+    #[inline(always)]
+    fn split(self, word: u32) -> Fields {
+        let (hops, port) = self.markers();
+        Fields {
+            hops: word >> self.lb & hops,
+            level: word & ((1 << self.lb) - 1),
+            port: word >> (self.lb + self.hb) & port,
+        }
+    }
+
+    /// `f` packed into a word. A hop count or port too wide for its field
+    /// stores the field's marker, and `escape` gets the true `hops | port
+    /// << 32`.
+    fn pack(self, f: Fields, escape: impl FnOnce(u64)) -> u32 {
+        let (hops, port) = self.markers();
+        if f.hops >= hops || f.port >= port {
+            escape(u64::from(f.hops) | u64::from(f.port) << 32);
+        }
+        f.port.min(port) << (self.lb + self.hb) | f.hops.min(hops) << self.lb | f.level
     }
 }
 
@@ -180,18 +285,18 @@ struct Fit {
 
 impl Fit {
     /// Measures the fit of a row sorted by (distinct) source.
-    fn of_row(row: &[(NodeId, RouteInfo)]) -> Fit {
+    fn of_row<T>(row: &[(u32, T)]) -> Fit {
         let Some((last, _)) = row.last() else {
             return Fit::default();
         };
-        let mul = ((row.len() as u64) << 31) / (u64::from(last.0) + 1);
+        let mul = ((row.len() as u64) << 31) / (u64::from(*last) + 1);
         let mut fit = Fit {
             mul: u32::try_from(mul).expect("distinct sources: len ≤ max_src + 1"),
             ..Fit::default()
         };
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
         for (i, (src, _)) in row.iter().enumerate() {
-            let residual = i as i64 - fit.predict(src.0);
+            let residual = i as i64 - fit.predict(*src);
             lo = lo.min(residual);
             hi = hi.max(residual);
         }
@@ -267,6 +372,22 @@ impl Form {
             (Form::Keyed(Fit::default()), before)
         }
     }
+
+    /// `(src, word)` of slot `j` of a row stored as `self` whose records
+    /// start `recs`: one LE `u64` load (the section's padding keeps it in
+    /// bounds) and a mask, the source implied in a direct row.
+    #[inline(always)]
+    fn slot(self, recs: &[u8], layout: Layout, j: usize) -> Slot {
+        let (src, word) = match self {
+            Form::Keyed(_) => {
+                let rec = le64(&recs[j * layout.width(true)..]);
+                (rec as u32, rec >> 32)
+            }
+            Form::Direct(lo) => (lo.wrapping_add(j as u32), le64(&recs[j * layout.bytes()..])),
+        };
+        let word = word as u32 & u32::MAX >> (32 - 8 * layout.bytes() as u32);
+        Slot { src, word }
+    }
 }
 
 /// Per-node routing tables in one source-sorted entry arena with CSR
@@ -277,27 +398,101 @@ impl Form {
 pub struct FlatTables {
     /// `starts[v]..starts[v + 1]` delimits node `v`'s row (`n + 1` offsets).
     starts: U32View,
-    /// All rows back to back as records: keyed rows' sorted by `src`,
-    /// direct rows' by source offset.
+    /// All rows back to back as records (keyed rows' sorted by `src`,
+    /// direct rows' by source offset), then the tail padding.
     recs: SharedBytes,
     /// One row word per row: a [`Fit`] or an offset word (see [`Form`]).
     words: U64View,
-    /// `[h′, rungs…]`: what every code decodes over.
+    /// `[h′, rungs…]`: what every word decodes over.
     ladder: Vec<u64>,
     /// The one escape (see the module docs): strictly increasing indices
     /// of the slots carrying a marker, and their true `hops | port << 32`.
     wide_idx: U32View,
     wide_vals: U64View,
-    /// The code layout, derived from `ladder` and `recs`.
-    code: Code,
+    /// The field widths, derived from the rows.
+    layout: Layout,
 }
 
 /// One slot as stored, markers included (a direct row's `src` is implied).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     src: u32,
-    code: u32,
-    port: u16,
+    word: u32,
+}
+
+/// The arrays of a table [`FlatTables::from_rows`] is writing, one row
+/// at a time, under one layout.
+#[derive(Default)]
+struct Encoder {
+    layout: Layout,
+    starts: Vec<u32>,
+    words: Vec<u64>,
+    wide_idx: Vec<u32>,
+    wide_vals: Vec<u64>,
+    /// Direct slots written so far.
+    before: u32,
+}
+
+impl Encoder {
+    /// Appends `row` (strictly sorted by source) to `recs` in the smaller
+    /// form, with `rest` entries of later rows still to come.
+    fn push(&mut self, row: &[(u32, Fields)], rest: usize, recs: &mut Vec<u8>) {
+        let (l, len) = (self.layout, self.starts[self.starts.len() - 1] as usize);
+        let direct = row.first().zip(row.last()).and_then(|(lo, hi)| {
+            let span = (hi.0 - lo.0) as usize + 1;
+            let room = len + span + rest <= u32::MAX as usize;
+            let smaller = span * l.width(false) <= row.len() * l.width(true);
+            (smaller && lo.0 <= LO_SRC_BITS && room).then_some((lo.0, hi.0))
+        });
+        let form = match direct {
+            Some((lo, _)) => Form::Direct(lo),
+            None if self.before == 0 => Form::Keyed(Fit::of_row(row)),
+            None => Form::Keyed(Fit::default()),
+        };
+        self.words.push(form.word(self.before));
+        // Each slot's key and fields: a keyed row's entries, or every id
+        // of a direct row's span (`None` in a hole, the all-ones word).
+        let mut present = row.iter().peekable();
+        let slots: Box<dyn Iterator<Item = (u32, Option<Fields>)>> = match direct {
+            Some((lo, hi)) => {
+                Box::new((lo..=hi).map(move |k| (k, present.next_if(|e| e.0 == k).map(|e| e.1))))
+            }
+            None => Box::new(row.iter().map(|&(k, f)| (k, Some(f)))),
+        };
+        let mut end = len;
+        for (key, f) in slots {
+            let word = f.map_or(l.all(), |f| {
+                l.pack(f, |wide| {
+                    self.wide_idx.push(end as u32);
+                    self.wide_vals.push(wide);
+                })
+            });
+            if direct.is_none() {
+                recs.extend(key.to_le_bytes());
+            }
+            recs.extend(&word.to_le_bytes()[..l.bytes()]);
+            end += 1;
+        }
+        let end = u32::try_from(end).expect("flat table fits u32 offsets");
+        if direct.is_some() {
+            self.before += end - len as u32;
+        }
+        self.starts.push(end);
+    }
+
+    fn finish(self, mut recs: Vec<u8>, ladder: Vec<u64>) -> FlatTables {
+        recs.resize(recs.len() + self.layout.pad(), 0);
+        recs.shrink_to_fit();
+        FlatTables {
+            starts: U32View::from_vals(&self.starts),
+            recs: SharedBytes::from_vec(recs),
+            words: U64View::from_vals(&self.words),
+            ladder,
+            wide_idx: U32View::from_vals(&self.wide_idx),
+            wide_vals: U64View::from_vals(&self.wide_vals),
+            layout: self.layout,
+        }
+    }
 }
 
 impl FlatTables {
@@ -305,10 +500,10 @@ impl FlatTables {
     /// handed over in node order (the one constructor): `fill(v, row)`
     /// appends node `v`'s `(source, route)` entries, strictly sorted by
     /// source and each whole hops `≤ h′` on its rung of `ladder = (h′,
-    /// rungs)`, to the (cleared) scratch row. Each row takes the smaller
-    /// form and is written straight from it, so the only transient state
-    /// is one row — unless a hop count does not fit a `u16` code: then
-    /// the finished table is re-encoded once with `u32` codes.
+    /// rungs)`, to the (cleared) scratch row. Entries are written as
+    /// 8-byte records as they come, then packed in place at the widths
+    /// they need (see the module docs), so the only transient state is
+    /// one row.
     ///
     /// # Panics
     ///
@@ -322,110 +517,68 @@ impl FlatTables {
         n: usize,
         entries: usize,
         (horizon, rungs): (u64, &[u64]),
-        fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
+        mut fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
     ) -> Self {
         let ladder = [&[horizon], rungs].concat();
         assert!(ladder_ok(&ladder), "malformed ladder (h′ {horizon})");
-        let (narrow, fits) = Self::encode(n, entries, ladder.clone(), 2, fill);
-        if fits {
-            return narrow;
-        }
-        let rows = |v, row: &mut Vec<_>| row.extend(narrow.row_routes(NodeId::from_index(v)));
-        Self::encode(n, entries, ladder, 4, rows).0
-    }
-
-    /// [`FlatTables::from_rows`] with `bytes`-byte codes, and whether every
-    /// hop count fit its field.
-    fn encode(
-        n: usize,
-        entries: usize,
-        ladder: Vec<u64>,
-        bytes: usize,
-        mut fill: impl FnMut(usize, &mut Vec<(NodeId, RouteInfo)>),
-    ) -> (Self, bool) {
-        let code = Code::new(bytes, ladder.len() - 1);
-        // Reserved at the form-independent bound (a direct row never
-        // outweighs its keyed form); untouched capacity costs no memory.
-        let mut recs: Vec<u8> = Vec::with_capacity(entries * code.width(true));
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0u32);
-        let (mut words, mut wide_idx, mut wide_vals) = (Vec::with_capacity(n), vec![], vec![]);
-        let (mut row, mut seen, mut len, mut before, mut fits) = (Vec::new(), 0, 0, 0, true);
+        // The first pass: one `src u32 | word u32` record per entry, the
+        // `32 − lb` bits shared evenly (what overflows escapes), and the
+        // widths each entry needs counted.
+        let lb = bits(rungs.len() as u64 - 1);
+        let (pb, hb) = ((32 - lb) / 2, (33 - lb) / 2);
+        let first = Layout { lb, hb, pb };
+        let mut recs = Vec::with_capacity(8 * entries + 8);
+        let (mut ends, mut wide, mut routes) = (Vec::with_capacity(n), Vec::new(), Vec::new());
+        let (mut widest_port, mut widest_hops) = (0, 0);
         for v in 0..n {
-            row.clear();
-            fill(v, &mut row);
+            routes.clear();
+            fill(v, &mut routes);
             assert!(
-                row.windows(2).all(|w| w[0].0 < w[1].0),
+                routes.windows(2).all(|w| w[0].0 < w[1].0),
                 "row {v} is not strictly sorted by source"
             );
-            seen += row.len();
-            let ends = row
-                .first()
-                .zip(row.last())
-                .map(|(lo, hi)| (lo.0 .0, hi.0 .0));
-            let direct = ends.filter(|&(lo, hi)| {
-                let span = (hi - lo) as usize + 1;
-                let room = len + span + entries.saturating_sub(seen) <= u32::MAX as usize;
-                span * code.width(false) <= row.len() * code.width(true)
-                    && lo <= LO_SRC_BITS
-                    && room
-            });
-            let form = match direct {
-                Some((lo, _)) => Form::Direct(lo),
-                None if before == 0 => Form::Keyed(Fit::of_row(&row)),
-                None => Form::Keyed(Fit::default()),
-            };
-            words.push(form.word(before));
-            // Each slot's key and route: a keyed row's entries, or every
-            // id of a direct row's span (`None` in a hole).
-            let mut present = row.iter().peekable();
-            let slots: Box<dyn Iterator<Item = (u32, Option<RouteInfo>)>> = match direct {
-                Some((lo, hi)) => Box::new(
-                    (lo..=hi).map(move |k| (k, present.next_if(|e| e.0 .0 == k).map(|e| e.1))),
-                ),
-                None => Box::new(row.iter().map(|&(s, r)| (s.0, Some(r)))),
-            };
-            for (key, r) in slots {
-                // An absent slot stores the all-ones code and port; a hop
-                // count or port too wide for its field stores the field's
-                // marker and takes the escape.
-                let (stored, port) = r.map_or((code.all, PORT_ESCAPE), |r| {
-                    let rung = ladder.get(1 + r.level as usize).copied();
-                    let on = rung.filter(|&b| r.est % b == 0 && r.est / b <= ladder[0]);
-                    let hops = r.est / on.unwrap_or_else(|| panic!("{r:?} is off the ladder"));
-                    let (hops, port) = (hops as u32, u16::try_from(r.port).unwrap_or(PORT_ESCAPE));
-                    let field = hops.min(code.marker());
-                    if field == code.marker() || port == PORT_ESCAPE {
-                        fits &= field < code.marker();
-                        wide_idx.push(len as u32);
-                        wide_vals.push(u64::from(hops) | u64::from(r.port) << 32);
-                    }
-                    (field << code.bits | r.level, port)
-                });
-                if direct.is_none() {
-                    recs.extend(key.to_le_bytes());
-                }
-                recs.extend(&stored.to_le_bytes()[..bytes]);
-                recs.extend(port.to_le_bytes());
-                len += 1;
+            for &(s, r) in &routes {
+                let rung = ladder.get(1 + r.level as usize).copied();
+                let on = rung.filter(|&b| r.est % b == 0 && r.est / b <= horizon);
+                let hops = r.est / on.unwrap_or_else(|| panic!("{r:?} is off the ladder"));
+                let (hops, level, port) = (hops as u32, r.level, r.port);
+                (widest_port, widest_hops) = (widest_port.max(port), widest_hops.max(hops));
+                let word = first.pack(Fields { hops, level, port }, |w| wide.push(w));
+                recs.extend((u64::from(s.0) | u64::from(word) << 32).to_le_bytes());
             }
-            let end = u32::try_from(len).expect("flat table fits u32 offsets");
-            if direct.is_some() {
-                before += end - starts[v];
-            }
-            starts.push(end);
+            ends.push(recs.len() / 8);
         }
-        assert_eq!(seen, entries, "rows do not add up to `entries`");
-        let table = FlatTables {
-            starts: U32View::from_vals(&starts),
-            recs: SharedBytes::from_vec(recs),
-            words: U64View::from_vals(&words),
-            ladder,
-            wide_idx: U32View::from_vals(&wide_idx),
-            wide_vals: U64View::from_vals(&wide_vals),
-            code,
+        assert_eq!(recs.len() / 8, entries, "rows do not add up to `entries`");
+
+        // The pack: each row decoded, written at the derived widths in
+        // its smaller form and copied back at or before where it was read.
+        let layout = Layout::fit(lb, widest_port, widest_hops);
+        let mut packed = Encoder {
+            layout,
+            starts: vec![0],
+            ..Encoder::default()
         };
-        (table, fits)
+        let (mut wide, mut row, mut out) = (wide.into_iter(), Vec::new(), Vec::new());
+        let (mut start, mut write) = (0, 0);
+        for end in ends {
+            row.clear();
+            row.extend(recs[8 * start..8 * end].chunks_exact(8).map(|rec| {
+                let rec = le64(rec);
+                let mut f = first.split((rec >> 32) as u32);
+                if first.marked(f) {
+                    let wide = wide.next().expect("an escape per marker");
+                    (f.hops, f.port) = (wide as u32, (wide >> 32) as Port);
+                }
+                (rec as u32, f)
+            }));
+            out.clear();
+            packed.push(&row, entries - end, &mut out);
+            assert!(write + out.len() <= 8 * end, "a packed row grew");
+            recs[write..write + out.len()].copy_from_slice(&out);
+            (start, write) = (end, write + out.len());
+        }
+        recs.truncate(write);
+        packed.finish(recs, ladder)
     }
 
     /// Number of nodes covered (rows).
@@ -478,15 +631,15 @@ impl FlatTables {
     pub fn cursor(&self, v: NodeId) -> RowCursor<'_> {
         let range = self.row_range(v);
         let (form, before) = Form::of_word(self.words.get(v.index()));
-        let (row_len, keyed) = (range.len(), matches!(form, Form::Keyed(_)));
         // A direct slot is a keyed record without its key; `read_arena`
         // proved every row's records lie inside the section.
-        let hot = (range.start * self.code.width(true)).saturating_sub(before as usize * KEY_BYTES);
+        let width = self.layout.width(true);
+        let hot = (range.start * width).saturating_sub(before as usize * KEY_BYTES);
         RowCursor {
             tab: self,
             row_start: range.start,
-            row_len,
-            recs: &self.recs.as_slice()[hot..hot + row_len * self.code.width(keyed)],
+            row_len: range.len(),
+            recs: &self.recs.as_slice()[hot..],
             form,
         }
     }
@@ -515,19 +668,25 @@ impl FlatTables {
         Some((word as u32, (word >> 32) as Port))
     }
 
+    /// Slot `i`'s fields, a marked hop count and port from its escape
+    /// record (`None` for a marker without one: a hole, or damage).
+    #[inline(always)]
+    fn fields(&self, i: usize, slot: Slot) -> Option<Fields> {
+        let mut f = self.layout.split(slot.word);
+        if self.layout.marked(f) {
+            (f.hops, f.port) = self.wide(i)?;
+        }
+        Some(f)
+    }
+
     /// Slot `i` as a [`FlatEntry`]: `est = hops · rungs[level]` and the
-    /// port, each from the code or, where it holds its marker, the escape
-    /// record. An absent slot — or, in a hostile table that skipped
+    /// port. An absent slot — or, in a hostile table that skipped
     /// [`FlatTables::validate`], a marker without its record, a level off
     /// the ladder or a product past `u64` — reads as a miss.
     #[inline(always)]
     fn entry_of(&self, i: usize, slot: Slot) -> Option<FlatEntry> {
-        let (hops, level) = self.code.split(slot.code);
-        let (hops, port) = match hops == self.code.marker() || slot.port == PORT_ESCAPE {
-            true => self.wide(i)?,
-            false => (hops, Port::from(slot.port)),
-        };
-        let est = u64::from(hops).checked_mul(*self.ladder.get(1 + level)?)?;
+        let Fields { hops, level, port } = self.fields(i, slot)?;
+        let est = u64::from(hops).checked_mul(*self.ladder.get(1 + level as usize)?)?;
         let src = slot.src;
         Some(FlatEntry { src, port, est })
     }
@@ -537,7 +696,7 @@ impl FlatTables {
     pub fn row_routes(&self, v: NodeId) -> impl Iterator<Item = (NodeId, RouteInfo)> + '_ {
         self.cursor(v).slots().filter_map(|(i, slot)| {
             let FlatEntry { src, port, est } = self.entry_of(i, slot)?;
-            let level = self.code.split(slot.code).1 as u32;
+            let level = self.layout.split(slot.word).level;
             Some((NodeId(src), RouteInfo { est, port, level }))
         })
     }
@@ -550,20 +709,21 @@ impl FlatTables {
         a.section(self.starts.as_bytes());
         a.section(self.recs.as_slice());
         a.section(self.words.as_bytes());
-        a.u64s(&self.ladder);
+        a.u64s(&[&[self.layout.word()], &self.ladder[..]].concat());
         a.section(self.wide_idx.as_bytes());
         a.section(self.wide_vals.as_bytes());
     }
 
     /// Reads what [`FlatTables::write_arena`] wrote: zero-copy views over
     /// the container plus shape checks on the CSR offsets (monotone and
-    /// bounded), the ladder, the record section's length (which fixes the
-    /// code width), the escape indices and the row words (canonical, and
+    /// bounded), the ladder and the field widths, the record section's
+    /// length (which the widths and row words fix, tail padding
+    /// included), the escape indices and the row words (canonical, and
     /// counting the direct slots before each row exactly, so every row's
     /// records lie where its word puts them). Per-slot sweeps are *not*
     /// run here: [`FlatTables::validate`] owns them, the arena checksum
     /// owns integrity, and [`RowCursor`] bounds every probe by its row
-    /// and the ladder, so even a hostile fit, `lo_src` or code answers
+    /// and the ladder, so even a hostile fit, `lo_src` or word answers
     /// with a miss rather than a panic.
     ///
     /// # Errors
@@ -592,9 +752,11 @@ impl FlatTables {
         if !increasing || wide_idx.len() != wide_vals.len() {
             return Err(invalid_data("flat table escape sections malformed"));
         }
-        if !ladder_ok(&ladder) {
+        let Some((&layout, ladder)) = ladder.split_first().filter(|(_, l)| ladder_ok(l)) else {
             return Err(invalid_data("flat table ladder malformed"));
-        }
+        };
+        let layout = Layout::of_word(layout, ladder.len() - 1)
+            .ok_or_else(|| invalid_data("flat table field widths malformed"))?;
         if words.len() != n {
             return Err(invalid_data("flat table row-word section misshapen"));
         }
@@ -608,20 +770,19 @@ impl FlatTables {
                 direct += (starts.get(v + 1) - starts.get(v)) as usize;
             }
         }
-        // Records are `KEY_BYTES` a keyed slot plus `bytes + 2` a slot.
-        let bytes = match recs.len().checked_sub(KEY_BYTES * (slots - direct)) {
-            Some(rest) if rest == 4 * slots => 2,
-            Some(rest) if rest == 6 * slots => 4,
-            _ => return Err(invalid_data("flat table record section misshapen")),
-        };
+        let body = layout.width(false) * direct + layout.width(true) * (slots - direct);
+        let padded = recs.len() == body + layout.pad();
+        if !padded || recs.as_slice()[body..].iter().any(|&b| b != 0) {
+            return Err(invalid_data("flat table record section misshapen"));
+        }
         Ok(FlatTables {
             starts,
             recs,
             words,
-            code: Code::new(bytes, ladder.len() - 1),
-            ladder,
+            ladder: ladder.to_vec(),
             wide_idx,
             wide_vals,
+            layout,
         })
     }
 
@@ -632,22 +793,24 @@ impl FlatTables {
     /// for its source (so a probe can never miss a stored entry), ports
     /// within each node's degree ([`Topology::neighbor`] only
     /// debug-asserts its port, so a corrupted port would silently resolve
-    /// to a wrong neighbor in release builds), every code on the ladder
-    /// (`level < rungs.len()`, `hops ≤ h′`), and escape records matching
-    /// the marked slots one to one (an absent direct slot: all-ones code
-    /// and port, no record).
+    /// to a wrong neighbor in release builds), every word inside its
+    /// fields and on the ladder (`level < rungs.len()`, `hops ≤ h′`), and
+    /// escape records matching the marked slots one to one (an absent
+    /// direct slot: the all-ones word, no record).
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on any out-of-range source or port, an
-    /// unsorted row, an entry outside its predicted window, a code off
-    /// the ladder, a marker without an escape record (outside an absent
-    /// slot), or an escape record without a marker.
+    /// unsorted row, an entry outside its predicted window, a word with
+    /// bits past its fields or off the ladder, a marker without an escape
+    /// record (outside an absent slot), or an escape record without a
+    /// marker.
     pub fn validate(&self, topo: &Topology) -> io::Result<()> {
         if self.len_nodes() != topo.len() {
             return Err(invalid_data("flat table row count mismatch"));
         }
-        let (code, horizon, rungs) = (self.code, self.ladder[0], &self.ladder[1..]);
+        let (l, horizon, rungs) = (self.layout, self.ladder[0], &self.ladder[1..]);
+        let all = l.all();
         let mut marked = 0usize;
         for v in topo.nodes() {
             let deg = topo.degree(v) as u32;
@@ -665,12 +828,11 @@ impl FlatTables {
                         .window(slot.src, row.row_len)
                         .contains(&(i - row.row_start));
                 }
-                let ((mut hops, level), mut port) = (code.split(slot.code), Port::from(slot.port));
-                if hops == code.marker() || slot.port == PORT_ESCAPE {
-                    let absent = (slot.code, slot.port) == (code.all, PORT_ESCAPE);
+                let mut f = l.split(slot.word);
+                if l.marked(f) {
                     match self.wide(i) {
-                        Some(wide) => (hops, port) = wide,
-                        None if absent && matches!(row.form, Form::Direct(_)) => continue,
+                        Some(wide) => (f.hops, f.port) = wide,
+                        None if slot.word == all && matches!(row.form, Form::Direct(_)) => continue,
                         None => {
                             return Err(invalid_data(format!("flat route {i} lost its escape")))
                         }
@@ -678,9 +840,11 @@ impl FlatTables {
                     marked += 1;
                 }
                 // Rungs are positive, so `0` stands for a level off the ladder.
-                let (hops, rung) = (u64::from(hops), rungs.get(level).copied().unwrap_or(0));
-                ports_ok &= port < deg;
+                let (hops, rung) = (u64::from(f.hops), rungs.get(f.level as usize).copied());
+                let rung = rung.unwrap_or(0);
+                ports_ok &= f.port < deg;
                 on_ladder &= rung > 0 && hops <= horizon && hops.checked_mul(rung).is_some();
+                on_ladder &= slot.word <= all;
             }
             let fault = if !sorted {
                 "is not sorted by source"
@@ -691,7 +855,7 @@ impl FlatTables {
             } else if !ports_ok {
                 "has a port at or above the node's degree"
             } else if !on_ladder {
-                "has a code off the ladder (level past the rungs or hops past h′)"
+                "has a word off the ladder (bits past its fields, level past the rungs or hops past h′)"
             } else {
                 continue;
             };
@@ -722,30 +886,27 @@ const WIDE_WINDOW: usize = 64;
 /// so LLVM unrolls and vectorizes it (the workspace forbids `unsafe`, so
 /// this shape — not intrinsics — is the whole trick).
 #[inline]
-fn scan_keys<const R: usize>(recs: &[u8], key: u32) -> Option<(usize, u64)> {
-    let (mut hit, mut hit_word) = (usize::MAX, 0);
+fn scan_keys<const R: usize>(recs: &[u8], key: u32) -> Option<usize> {
+    let mut hit = usize::MAX;
     for (i, rec) in recs.chunks_exact(R).enumerate() {
-        let word = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let eq = word as u32 == key;
-        hit = if eq { i } else { hit };
-        hit_word = if eq { word } else { hit_word };
+        hit = if le32(rec) == key { i } else { hit };
     }
-    (hit != usize::MAX).then_some((hit, hit_word))
+    (hit != usize::MAX).then_some(hit)
 }
 
 /// Binary search for `key` over keyed records of `width` bytes — what a
-/// probe falls back to when its window is too wide to sweep, so clustered
-/// ids cost `O(log)` instead of a long scan.
+/// probe falls back to when its window is too wide to sweep (so
+/// clustered ids cost `O(log)` instead of a long scan), or its records
+/// have no swept width (1- and 3-byte words).
 #[cold]
-fn search_keys(recs: &[u8], width: usize, key: u32) -> Option<(usize, u64)> {
+fn search_keys(recs: &[u8], width: usize, key: u32) -> Option<usize> {
     let (mut lo, mut hi) = (0, recs.len() / width);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let word = u64::from_le_bytes(recs[mid * width..][..8].try_into().expect("8 bytes"));
-        match (word as u32).cmp(&key) {
+        match le32(&recs[mid * width..]).cmp(&key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some((mid, word)),
+            std::cmp::Ordering::Equal => return Some(mid),
         }
     }
     None
@@ -760,43 +921,18 @@ pub struct RowCursor<'a> {
     tab: &'a FlatTables,
     row_start: usize,
     row_len: usize,
-    /// The row's records.
+    /// The record section from the row's first record on.
     recs: &'a [u8],
     form: Form,
 }
 
 impl<'a> RowCursor<'a> {
     /// `(arena index, slot)` of the row's slot `j`, read straight off its
-    /// record: at `u16` codes a keyed record is one LE `u64` (`src | code
-    /// << 32 | port << 48`) and a direct one a `u32` (`code | port << 16`;
-    /// its source is `lo_src + j`); a `u32` code moves the port past them.
+    /// record (see [`Form::slot`]).
     #[inline(always)]
     fn slot(self, j: usize) -> (usize, Slot) {
-        match self.tab.code.bytes {
-            2 => self.slot_at::<2>(j),
-            _ => self.slot_at::<4>(j),
-        }
-    }
-
-    /// [`RowCursor::slot`] with `B`-byte codes.
-    #[inline(always)]
-    fn slot_at<const B: usize>(self, j: usize) -> (usize, Slot) {
-        let (src, word, rest) = match self.form {
-            Form::Keyed(_) => {
-                let rec = &self.recs[j * (KEY_BYTES + B + 2)..];
-                let w = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-                (w as u32, (w >> 32) as u32, &rec[8..])
-            }
-            Form::Direct(lo) => {
-                let rec = &self.recs[j * (B + 2)..];
-                (lo.wrapping_add(j as u32), le32(rec), &rec[4..])
-            }
-        };
-        let (code, port) = match B {
-            2 => (word & 0xFFFF, (word >> 16) as u16),
-            _ => (word, u16::from_le_bytes([rest[0], rest[1]])),
-        };
-        (self.row_start + j, Slot { src, code, port })
+        let slot = self.form.slot(self.recs, self.tab.layout, j);
+        (self.row_start + j, slot)
     }
 
     /// [`RowCursor::slot`] of each of the row's slots, absent ones
@@ -830,22 +966,15 @@ impl<'a> RowCursor<'a> {
         } else {
             fit.window(key, self.row_len)
         };
-        let width = self.tab.code.width(true);
+        let width = self.tab.layout.width(true);
         let recs = &self.recs[window.start * width..window.end * width];
-        let (j, word) = if window.len() > WIDE_WINDOW {
-            search_keys(recs, width, key)
-        } else if width == 8 {
-            scan_keys::<8>(recs, key)
-        } else {
-            scan_keys::<10>(recs, key)
+        let j = match width {
+            _ if window.len() > WIDE_WINDOW => search_keys(recs, width, key),
+            6 => scan_keys::<6>(recs, key),
+            8 => scan_keys::<8>(recs, key),
+            _ => search_keys(recs, width, key),
         }?;
-        let j = window.start + j;
-        // At `u16` codes the matching word is the whole record.
-        let (src, code, port) = (key, (word >> 32) as u32 & 0xFFFF, (word >> 48) as u16);
-        match width {
-            8 => Some((self.row_start + j, Slot { src, code, port })),
-            _ => Some(self.slot(j)),
-        }
+        Some(self.slot(window.start + j))
     }
 
     /// Point lookup within the cursor's row (same answers as
@@ -856,24 +985,24 @@ impl<'a> RowCursor<'a> {
         self.tab.entry_of(i, slot)
     }
 
-    /// The estimate for source `s`, if present: the matching record's
-    /// hops times its rung, read without its port (the escape section
-    /// only on a hops marker).
+    /// The estimate for source `s`, if present: the matching word's hops
+    /// times its rung, its port left packed (the escape section only on a
+    /// hops marker).
     #[inline(always)]
     pub fn est(&self, s: NodeId) -> Option<u64> {
-        let ((i, slot), code) = (self.find(s)?, self.tab.code);
-        let (hops, level) = code.split(slot.code);
-        let hops = match hops == code.marker() {
+        let ((i, slot), l) = (self.find(s)?, self.tab.layout);
+        let f = l.split(slot.word);
+        let hops = match f.hops == l.markers().0 {
             true => self.tab.wide(i)?.0,
-            false => hops,
+            false => f.hops,
         };
-        u64::from(hops).checked_mul(*self.tab.ladder.get(1 + level)?)
+        u64::from(hops).checked_mul(*self.tab.ladder.get(1 + f.level as usize)?)
     }
 }
 
 /// Pre-resolves each slot's source through a [`graphs::DenseIndex`] and
 /// decodes its estimate, so query loops read one arena-aligned side
-/// table instead of probing the index and decoding a code per entry:
+/// table instead of probing the index and decoding a word per entry:
 /// `(index, est)` per slot, with [`graphs::DenseIndex::NONE`] for a
 /// non-member and `(NONE, INF)` for an absent slot.
 pub fn resolve_entries(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<(u32, u64)> {
@@ -1188,14 +1317,24 @@ mod tests {
 
     #[test]
     fn flat_tables_look_up_sorted_rows() {
-        // Two entries over a span of five stay keyed.
-        let ft = flat(&vec![vec![route(1, 7, 0, 2), route(5, 10, 1, 0)], vec![]]);
+        // Ports below 2, hops below 11 and three rungs: 2 + 4 + 2 bits,
+        // a 1-byte word, so two entries over a span of fifteen stay keyed
+        // (15 direct bytes against 2 · 5 keyed).
+        let ft = flat(&vec![vec![route(1, 7, 0, 2), route(15, 10, 1, 0)], vec![]]);
         assert_eq!(ft.len_nodes(), 2);
         assert_eq!(ft.len_entries(), 2);
-        assert_eq!((ft.code.bytes, ft.code.bits), (2, 2));
+        assert_eq!(
+            ft.layout,
+            Layout {
+                lb: 2,
+                hb: 4,
+                pb: 2
+            }
+        );
+        assert_eq!(sections_of(&ft)[1].len(), 2 * 5 + 7);
         let srcs: Vec<u32> = ft.row_iter(NodeId(0)).map(|e| e.src).collect();
-        assert_eq!(srcs, [1, 5]);
-        assert_eq!(ft.get(NodeId(0), NodeId(5)).unwrap().est, 10);
+        assert_eq!(srcs, [1, 15]);
+        assert_eq!(ft.get(NodeId(0), NodeId(15)).unwrap().est, 10);
         assert!(ft.get(NodeId(0), NodeId(2)).is_none());
         assert_eq!(ft.est(NodeId(0), NodeId(1)), Some(21));
         assert_eq!(ft.est(NodeId(0), NodeId(2)), None);
@@ -1205,30 +1344,34 @@ mod tests {
     }
 
     #[test]
-    fn codes_widen_only_when_a_hop_count_needs_it() {
-        // Two level bits leave 14 hop bits in a `u16` code, all ones the
-        // marker: 2¹⁴ − 2 hops fit it, one more makes every code a `u32`
-        // (no escape), and a `u32` code's marker takes the escape.
-        let u32_marker = (1 << 30) - 1;
-        for (hops, bytes, escaped) in [
-            ((1 << 14) - 2, 2, 0),
-            ((1 << 14) - 1, 4, 0),
-            (u32_marker, 4, 1),
+    fn widths_follow_the_widest_hop_count_and_port() {
+        // Two level bits; `(hops, port)` of the second entry beside
+        // `(5, 0)`, and the word bytes and escapes that follow. The widest
+        // fields fit 32 bits together up to 2²⁸ − 2 hops beside a 2-bit
+        // port; past that the narrower field keeps its width and the
+        // wider one's widest value escapes — both entries when both
+        // fields need 33 bits, the port keeping 29 and the hops 1.
+        for (hops, port, bytes, escaped) in [
+            (5, 2, 1, 0),
+            (63, 2, 2, 0),
+            (1 << 20, 2, 4, 0),
+            ((1 << 28) - 2, 2, 4, 0),
+            ((1 << 28) - 1, 2, 4, 1),
+            (5, 1 << 16, 3, 0),
+            (5, u32::MAX, 4, 1),
+            (u64::from(u32::MAX), u32::MAX, 4, 2),
         ] {
-            let ft = flat(&vec![vec![route(0, 5, 0, 1), route(9, hops, 2, 2)]]);
+            let ft = flat(&vec![vec![route(0, 5, 0, 1), route(9, hops, port, 2)]]);
+            let at = format!("{hops} hops, port {port}");
             assert_eq!(
-                (ft.code.bytes, ft.wide_idx.len()),
+                (ft.layout.bytes(), ft.wide_idx.len()),
                 (bytes, escaped),
-                "{hops}"
+                "{at}"
             );
-            assert_eq!(ft.est(NodeId(0), NodeId(9)), Some(hops * 3));
+            assert_eq!(ft.est(NodeId(0), NodeId(9)), Some(hops * 3), "{at}");
             let ports = ft.row_iter(NodeId(0)).map(|e| e.port);
-            assert_eq!(ports.collect::<Vec<_>>(), [0, 2]);
+            assert_eq!(ports.collect::<Vec<_>>(), [0, port], "{at}");
         }
-        // A port past `u16` takes the escape at either width.
-        let ft = flat(&vec![vec![route(0, 5, 1 << 16, 1)]]);
-        assert_eq!((ft.code.bytes, ft.wide_idx.len()), (2, 1));
-        assert_eq!(ft.get(NodeId(0), NodeId(0)).map(|e| e.port), Some(1 << 16));
     }
 
     #[test]
@@ -1381,14 +1524,15 @@ mod tests {
         }
     }
 
-    /// Hops of the escaped entry in [`holed_rows`]: its `u32` code's
-    /// hops field (30 bits under two level bits) is all ones.
+    /// Hops of the escaped entries in [`holed_rows`]: 30 bits, which do
+    /// not fit one word beside two level bits and the rows' 2-bit ports,
+    /// so the hops field gets the 28 bits left and these take the escape.
     const ESCAPED: u64 = (1 << 30) - 1;
 
     /// Three rows over 8 nodes: a direct row with a hole at source 3 and
     /// an escaped hop count at source 5, a keyed row after it, and a full
-    /// direct row — `u32` codes, so a direct slot is 6 bytes (`code u32 |
-    /// port u16`).
+    /// direct row — 4-byte words `port << 30 | hops << 2 | level`, so a
+    /// direct slot is 4 bytes.
     fn holed_rows() -> Rows {
         let hops = |s: u32| if s == 5 { ESCAPED } else { u64::from(s) + 1 };
         let mut rows: Rows = vec![Vec::new(); 8];
@@ -1416,7 +1560,15 @@ mod tests {
         assert_eq!(form_of(&ft, 1), (Form::Keyed(Fit::default()), 6));
         assert_eq!(form_of(&ft, 2), (Form::Direct(0), 6));
         assert_eq!(ft.len_entries(), 6 + 2 + 8);
-        assert_eq!((ft.code.bytes, ft.wide_idx.len()), (4, 2));
+        assert_eq!(
+            ft.layout,
+            Layout {
+                lb: 2,
+                hb: 28,
+                pb: 2
+            }
+        );
+        assert_eq!(ft.wide_idx.len(), 2);
         ft.validate(&k8()).unwrap();
 
         // One slot per source offset: the hole reads as a miss, the
@@ -1462,13 +1614,18 @@ mod tests {
         fn set_word(s: &mut [Vec<u8>], v: usize, word: u64) {
             s[2][8 * v..8 * v + 8].copy_from_slice(&word.to_le_bytes());
         }
+        // The ladder section after its widths word.
         fn set_ladder(s: &mut [Vec<u8>], ladder: &[u64]) {
-            s[3] = ladder.iter().flat_map(|w| w.to_le_bytes()).collect();
+            s[3].truncate(8);
+            s[3].extend(ladder.iter().flat_map(|w| w.to_le_bytes()));
         }
-        // Row 0's slot `j` is record bytes `6j..6j + 6`: a `u32` code
-        // (hops << 2 | level), then the port.
-        fn set_code(s: &mut [Vec<u8>], j: usize, code: u32) {
-            s[1][6 * j..6 * j + 4].copy_from_slice(&code.to_le_bytes());
+        fn set_widths(s: &mut [Vec<u8>], (lb, hb, pb): (u64, u64, u64)) {
+            s[3][..8].copy_from_slice(&(pb | hb << 8 | lb << 16).to_le_bytes());
+        }
+        // Row 0's slot `j` is record bytes `4j..4j + 4`: the word
+        // `port << 30 | hops << 2 | level`.
+        fn set_code(s: &mut [Vec<u8>], j: usize, word: u32) {
+            s[1][4 * j..4 * j + 4].copy_from_slice(&word.to_le_bytes());
         }
         // The hole of row 0 is slot 2; its escaped entry is slot 4. Each
         // case is refused by `read_arena` (`None`), or loads and then
@@ -1476,7 +1633,7 @@ mod tests {
         // record on an absent slot is a well-formed escaped entry, at
         // level 3 — on the ladder once it has four rungs).
         type Mutate = dyn Fn(&mut [Vec<u8>]);
-        let cases: [(&str, Option<bool>, &Mutate); 16] = [
+        let cases: [(&str, Option<bool>, &Mutate); 23] = [
             ("lo_src + span past n", Some(false), &|s| {
                 set_word(s, 0, Form::Direct(5).word(0));
             }),
@@ -1491,11 +1648,15 @@ mod tests {
             }),
             ("direct row read as keyed", None, &|s| set_word(s, 0, 0)),
             ("absent slot with a non-marker port", Some(false), &|s| {
-                s[1][16..18].copy_from_slice(&0u16.to_le_bytes());
+                set_code(s, 2, u32::MAX >> 2);
             }),
-            ("absent slot with a non-marker code", Some(false), &|s| {
-                set_code(s, 2, u32::MAX - 3);
-            }),
+            (
+                "absent slot with a non-marker hop count",
+                Some(false),
+                &|s| {
+                    set_code(s, 2, u32::MAX - 4);
+                },
+            ),
             ("escape record on an absent slot", Some(true), &|s| {
                 set_ladder(s, &[HORIZON, 1, 2, 3, 4]);
                 s[4].splice(0..0, 2u32.to_le_bytes());
@@ -1517,6 +1678,21 @@ mod tests {
             }),
             ("empty ladder", None, &|s| set_ladder(s, &[HORIZON])),
             ("no ladder at all", None, &|s| set_ladder(s, &[])),
+            ("no widths either", None, &|s| s[3].clear()),
+            ("widths past 32 bits", None, &|s| set_widths(s, (2, 29, 2))),
+            ("level field narrower than the rungs need", None, &|s| {
+                set_widths(s, (1, 28, 2))
+            }),
+            ("widths of a 3-byte word over 4-byte records", None, &|s| {
+                set_widths(s, (2, 20, 2))
+            }),
+            ("hops field of no bits", None, &|s| set_widths(s, (2, 0, 2))),
+            ("tail padding missing", None, &|s| {
+                s[1].truncate(s[1].len() - 4)
+            }),
+            ("tail padding not zero", None, &|s| {
+                *s[1].last_mut().unwrap() = 1
+            }),
             ("ladder not from 1", None, &|s| {
                 set_ladder(s, &[HORIZON, 2, 3, 4])
             }),

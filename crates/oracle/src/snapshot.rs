@@ -15,7 +15,8 @@
 //! | 6 | arena container, narrow tables with direct-indexed dense rows; schemes embed σ-lists, spanner and metrics | — | rejected (rebuild) |
 //! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | — | rejected (rebuild) |
 //! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | — | rejected (rebuild) |
-//! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | — | rejected (rebuild) |
+//! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` shares the PDE layout under its own header tag.
 //!
@@ -49,10 +50,11 @@
 //! point the `serve` crate uses.
 //!
 //! The routing tables inside a payload are [`pde_core::FlatTables`]
-//! sections: one record per slot holding its ladder code `(hops, rung)`
-//! and port (4 bytes a direct slot, 8 a keyed entry at `u16` codes), one
-//! word per row and the table's `[h′, rungs…]`. The record format is
-//! private to `pde_core`'s `tables.rs`.
+//! sections: one record per slot holding one packed word `port | hops |
+//! level` (2 bytes a direct slot and 6 a keyed entry on every benchmark
+//! table; the widths come from the table's rows), one word per row and
+//! the table's `[widths, h′, rungs…]`. The record format is private to
+//! `pde_core`'s `tables.rs`.
 //!
 //! Every map written anywhere in a payload is in sorted key order, and a
 //! loaded oracle re-emits its sections' backing bytes verbatim, so
@@ -81,7 +83,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 9;
+const VERSION: u16 = 10;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;

@@ -448,13 +448,14 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
         .collect();
 
     // Paper-sized table entries per node: the top-σ short-range list, the
-    // skeleton routing row, and the node plus its children in every
+    // skeleton routing row's entries (not its slots: a direct row's holes
+    // are storage, not entries), and the node plus its children in every
     // detection tree it belongs to.
     let table_sizes = g
         .nodes()
         .map(|v| {
-            let rows =
-                pde_a.lists[v.index()].len() + pde_s.routes.row_range(v).len() + trees.rows_at(v);
+            let skeleton_row = pde_s.routes.row_iter(v).count();
+            let rows = pde_a.lists[v.index()].len() + skeleton_row + trees.rows_at(v);
             u32::try_from(rows).expect("table entries fit u32")
         })
         .collect();

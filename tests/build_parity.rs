@@ -161,25 +161,25 @@ fn artifact_bytes_match_pinned_digests() {
             .build_mode(BuildMode::Native)
             .threads(1)
     };
-    // Re-recorded for arena tag 9 (route tables store each slot as its
-    // ladder code `(hops, rung)` beside its port; no port or level side
-    // sections). Tag 8 values: pde 0x19e8c652889ad0be, approx_apsp
-    // 0xf75485056e42343f, rtc 0x77999b9830fad8b9, compact
-    // 0xd6eef086a976c275, truncated 0xee4105f09f4c6b75, exact_tz
-    // 0x2f8653f73941ad67, bellman_ford 0x7b8fc392f33b1ec4, flooding
-    // 0xd45dcdd61921dd50, pde_partial 0xfb7c0f8d56f4e9ac. exact_tz,
-    // bellman_ford and flooding differ from tag 8 only in the header's
+    // Re-recorded for arena tag 10 (each route slot is one packed word
+    // `port | hops | level`, its widths derived from the table's rows).
+    // Tag 9 values: pde 0xa2ffeac3e290d130, approx_apsp
+    // 0xc56fab87be65690d, rtc 0x169c20a6728721d1, compact
+    // 0x92ac0091bb2acc7f, truncated 0xd1ff626eacca4610, exact_tz
+    // 0xebabc6339d3357c6, bellman_ford 0xacb05911791cd4b5, flooding
+    // 0x8aadc0624fccd771, pde_partial 0xbc769e954aa619dd. exact_tz,
+    // bellman_ford and flooding differ from tag 9 only in the header's
     // version bytes; every backend that embeds a route table (pde,
     // approx_apsp, rtc, compact, truncated, pde_partial) changes layout.
     let pins: [u64; 8] = [
-        0xa2ffeac3e290d130, // pde
-        0xc56fab87be65690d, // approx_apsp
-        0x169c20a6728721d1, // rtc
-        0x92ac0091bb2acc7f, // compact
-        0xd1ff626eacca4610, // truncated
-        0xebabc6339d3357c6, // exact_tz
-        0xacb05911791cd4b5, // bellman_ford
-        0x8aadc0624fccd771, // flooding
+        0x9fe2ea257fee833a, // pde
+        0x115117fd73a4919f, // approx_apsp
+        0x8fad9ebd29293ab2, // rtc
+        0x6b79385114dbaf4c, // compact
+        0xb4375f72969a4eb5, // truncated
+        0x5a426a080c449601, // exact_tz
+        0x7de6777fb37a271e, // bellman_ford
+        0x65014cf9568993ba, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
         let got = fnv(builder(backend).build(&g).artifact_bytes().into_iter());
@@ -198,5 +198,5 @@ fn artifact_bytes_match_pinned_digests() {
         .sources((0..g.len()).map(|v| v % 3 == 0).collect())
         .build(&g);
     let got = fnv(partial.artifact_bytes().into_iter());
-    assert_eq!(got, 0xbc769e954aa619dd, "pde_partial: got {got:#018x}");
+    assert_eq!(got, 0x84b9158fd7e40b2b, "pde_partial: got {got:#018x}");
 }

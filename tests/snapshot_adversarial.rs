@@ -5,8 +5,10 @@
 //! Arenas whose checksum was recomputed *after* the damage get no help
 //! from it: each hostile table section — a row fit that does not cover
 //! its row, a direct row's word that misplaces it, a half-absent direct
-//! slot, a code off the table's rung ladder and a malformed ladder
-//! included — must still be a typed error (the probe-side clamp
+//! slot, a marker without its escape record, a word off the table's rung
+//! ladder, field widths that do not fit the word or the ladder, a record
+//! section of the wrong length or without its tail padding and a
+//! malformed ladder included — must still be a typed error (the probe-side clamp
 //! behind it, a miss and never a panic for a table that skipped
 //! `validate`, is pinned by `pde_core::tables`' unit tests). Files in a
 //! retired layout are typed
@@ -198,12 +200,65 @@ fn put_u64(section: &mut [u8], i: usize, x: u64) {
     section[8 * i..8 * i + 8].copy_from_slice(&x.to_le_bytes());
 }
 
-fn get_u16(section: &[u8], i: usize) -> u16 {
-    u16::from_le_bytes(section[2 * i..2 * i + 2].try_into().unwrap())
+/// A table's field widths, from the first word of its ladder section:
+/// the level in the low `lb` bits of a slot's word, the hops in the next
+/// `hb`, the port in the top `pb`, the word `w` bytes.
+#[derive(Clone, Copy, Debug)]
+struct Widths {
+    lb: u32,
+    hb: u32,
+    pb: u32,
 }
 
-fn put_u16(section: &mut [u8], i: usize, x: u16) {
-    section[2 * i..2 * i + 2].copy_from_slice(&x.to_le_bytes());
+impl Widths {
+    fn of(ladder: &[u8]) -> Widths {
+        let word = get_u64(ladder, 0);
+        let field = |at: u32| (word >> at) as u32 & 0xFF;
+        let (pb, hb, lb) = (field(0), field(8), field(16));
+        Widths { lb, hb, pb }
+    }
+
+    fn set(self, ladder: &mut [u8]) {
+        let Widths { lb, hb, pb } = self;
+        put_u64(ladder, 0, u64::from(pb | hb << 8 | lb << 16));
+    }
+
+    fn bits(self) -> u32 {
+        self.lb + self.hb + self.pb
+    }
+
+    fn w(self) -> usize {
+        self.bits().div_ceil(8) as usize
+    }
+
+    /// The word of `(hops, level, port)`.
+    fn word(self, hops: u32, level: u32, port: u32) -> u32 {
+        port << (self.lb + self.hb) | hops << self.lb | level
+    }
+
+    /// `(hops, level, port)` of a word.
+    fn split(self, word: u32) -> (u32, u32, u32) {
+        let mask = |bits: u32| (1u32 << bits) - 1;
+        let hops = word >> self.lb & mask(self.hb);
+        (hops, word & mask(self.lb), word >> (self.lb + self.hb))
+    }
+
+    /// The hops and port fields' markers, and the all-ones word.
+    fn markers(self) -> (u32, u32, u32) {
+        let all = (u64::MAX >> (64 - self.bits())) as u32;
+        ((1 << self.hb) - 1, (1 << self.pb) - 1, all)
+    }
+
+    /// The word of direct slot `j`.
+    fn get(self, recs: &[u8], j: usize) -> u32 {
+        let mut word = [0; 4];
+        word[..self.w()].copy_from_slice(&recs[j * self.w()..][..self.w()]);
+        u32::from_le_bytes(word)
+    }
+
+    fn put(self, recs: &mut [u8], j: usize, word: u32) {
+        recs[j * self.w()..][..self.w()].copy_from_slice(&word.to_le_bytes()[..self.w()]);
+    }
 }
 
 /// Whether a row word is a keyed row's fit (its low half, `mul`, is at
@@ -214,10 +269,10 @@ fn is_fit(word: u64) -> bool {
 
 #[test]
 fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
-    // 40-slot rows over every source are direct, with `u16` codes: a
-    // slot is `code u16 | port u16`, a code `hops << bits | level`, and
-    // weights up to 12 make a 10-rung ladder, so the all-ones level is
-    // off it. The partial build's rows over every third id stay keyed.
+    // 40-slot rows over every source are direct, with 2-byte words: a
+    // slot is `port << (lb + hb) | hops << lb | level`, and weights up to
+    // 12 make a 10-rung ladder, so the all-ones level is off it. The
+    // partial build's rows over every third id stay keyed.
     let pde = |partial: bool| {
         let mut rng = Seed(31).rng();
         let g = gen::gnp_connected(40, 0.15, Weights::Uniform { lo: 1, hi: 12 }, &mut rng);
@@ -250,40 +305,41 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     let light_sections = arena_sections(&light);
     let table = |back: usize| &light_sections[light_sections.len() - back];
     let entries = get_u32(table(STARTS), 40) as usize;
-    assert_eq!(table(RECS).len(), 4 * entries);
+    let widths = Widths::of(table(LADDER));
+    let (w, (hops_marker, port_marker, all)) = (widths.w(), widths.markers());
+    assert_eq!(w, 2, "{widths:?}");
+    assert_eq!(table(RECS).len(), w * entries + 8 - w);
     assert!(table(ESC_IDX).is_empty());
-    let ladder: Vec<u64> = (0..table(LADDER).len() / 8)
+    let ladder: Vec<u64> = (1..table(LADDER).len() / 8)
         .map(|i| get_u64(table(LADDER), i))
         .collect();
     let (h_prime, rungs) = (ladder[0], ladder.len() - 1);
-    let bits = u32::BITS - (rungs as u32 - 1).leading_zeros();
     assert!(
-        rungs > 1 && rungs < 1 << bits,
+        rungs > 1 && rungs < 1 << widths.lb,
         "level {} must be off the ladder",
-        (1 << bits) - 1
+        (1 << widths.lb) - 1
     );
     let keyed_sections = arena_sections(&keyed);
     let keyed_words = &keyed_sections[keyed_sections.len() - WORDS];
     let keyed_starts = &keyed_sections[keyed_sections.len() - STARTS];
+    let keyed_width = 4 + Widths::of(&keyed_sections[keyed_sections.len() - LADDER]).w();
     assert!(is_fit(get_u64(keyed_words, 0)) && get_u32(keyed_starts, 1) >= 2);
 
     // The escaped twin: the first eight present slots store the port
     // marker and their true `hops | port << 32` in the escape sections —
     // a well-formed table that answers exactly as the light one does.
     let present: Vec<usize> = (0..entries)
-        .filter(|&i| get_u16(table(RECS), 2 * i + 1) != u16::MAX)
+        .filter(|&j| widths.get(table(RECS), j) != all)
         .collect();
     let escaped = 8;
     let escape = |s: &mut [Vec<u8>], end: usize| {
-        for (k, &i) in present[..escaped].iter().enumerate() {
-            let (code, port) = (
-                get_u16(&s[end - RECS], 2 * i),
-                get_u16(&s[end - RECS], 2 * i + 1),
-            );
-            put_u16(&mut s[end - RECS], 2 * i + 1, u16::MAX);
-            s[end - ESC_IDX].extend((i as u32).to_le_bytes());
-            let word = u64::from(code >> bits) | u64::from(port) << 32;
-            s[end - ESC_VALS].extend(word.to_le_bytes());
+        for (k, &j) in present[..escaped].iter().enumerate() {
+            let (hops, level, port) = widths.split(widths.get(&s[end - RECS], j));
+            let word = widths.word(hops, level, port_marker);
+            widths.put(&mut s[end - RECS], j, word);
+            s[end - ESC_IDX].extend((j as u32).to_le_bytes());
+            let wide = u64::from(hops) | u64::from(port) << 32;
+            s[end - ESC_VALS].extend(wide.to_le_bytes());
             assert_eq!(s[end - ESC_IDX].len(), 4 * (k + 1));
         }
     };
@@ -304,56 +360,89 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         }
     }
     let first = present[0];
+    let (hops, level, port) = widths.split(widths.get(table(RECS), first));
+    let set_first = |s: &mut [Vec<u8>], end: usize, word: u32| {
+        widths.put(&mut s[end - RECS], first, word);
+    };
 
     rejected("row offset past the arena", &light, &|s, end| {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
     });
     rejected("row out of source order", &keyed, &|s, end| {
         let recs = &mut s[end - RECS];
-        let (a, b) = (get_u32(recs, 0), get_u32(recs, 2));
+        let (a, b) = (get_u32(recs, 0), get_u32(&recs[keyed_width..], 0));
         put_u32(recs, 0, b);
-        put_u32(recs, 2, a);
+        put_u32(&mut recs[keyed_width..], 0, a);
     });
-    rejected(
-        "hop-count marker without an escape record",
-        &light,
-        &|s, end| {
-            put_u16(&mut s[end - RECS], 2 * first, u16::MAX >> bits << bits);
-        },
-    );
+    rejected("hops marker without an escape record", &light, &|s, end| {
+        set_first(s, end, widths.word(hops_marker, level, port));
+    });
     rejected("port marker without an escape record", &light, &|s, end| {
-        put_u16(&mut s[end - RECS], 2 * first + 1, u16::MAX);
+        set_first(s, end, widths.word(hops, level, port_marker));
     });
-    rejected("port at its node's degree", &light, &|s, end| {
-        put_u16(&mut s[end - RECS], 2 * first + 1, 40);
+    rejected("escaped port at its node's degree", &heavy, &|s, end| {
+        put_u64(&mut s[end - ESC_VALS], 0, u64::from(hops) | 40 << 32);
     });
-    rejected("code level past the rungs", &light, &|s, end| {
-        let code = get_u16(&s[end - RECS], 2 * first);
-        put_u16(&mut s[end - RECS], 2 * first, code | ((1 << bits) - 1));
+    rejected("word level past the rungs", &light, &|s, end| {
+        set_first(s, end, widths.word(hops, (1 << widths.lb) - 1, port));
     });
-    rejected("code hops past h′", &light, &|s, end| {
-        put_u16(
-            &mut s[end - RECS],
-            2 * first,
-            ((h_prime as u16) + 1) << bits,
-        );
+    rejected("word hops past h′", &light, &|s, end| {
+        put_u64(&mut s[end - LADDER], 1, u64::from(hops) - 1);
     });
     rejected("escaped hops past h′", &heavy, &|s, end| {
         put_u64(&mut s[end - ESC_VALS], 0, h_prime + 1);
     });
+    if widths.bits() < 8 * w as u32 {
+        rejected("word bits past its fields", &light, &|s, end| {
+            set_first(s, end, widths.word(hops, level, port) | 1 << widths.bits());
+        });
+    }
     rejected("empty ladder", &light, &|s, end| {
-        s[end - LADDER].truncate(8)
+        s[end - LADDER].truncate(16)
     });
-    rejected("no ladder", &light, &|s, end| s[end - LADDER].clear());
+    rejected("no ladder", &light, &|s, end| s[end - LADDER].truncate(8));
+    rejected("no widths either", &light, &|s, end| {
+        s[end - LADDER].clear()
+    });
     rejected("ladder not from 1", &light, &|s, end| {
-        put_u64(&mut s[end - LADDER], 1, 2);
-        put_u64(&mut s[end - LADDER], 2, 3);
+        put_u64(&mut s[end - LADDER], 2, 2);
+        put_u64(&mut s[end - LADDER], 3, 3);
     });
     rejected("ladder not strictly increasing", &light, &|s, end| {
-        put_u64(&mut s[end - LADDER], 2, 1);
+        put_u64(&mut s[end - LADDER], 3, 1);
     });
     rejected("h′ past u32", &light, &|s, end| {
-        put_u64(&mut s[end - LADDER], 0, 1 << 32);
+        put_u64(&mut s[end - LADDER], 1, 1 << 32);
+    });
+    let widen = |hb: u32| Widths { hb, ..widths };
+    rejected("field widths past 32 bits", &light, &|s, end| {
+        widen(33 - widths.lb - widths.pb).set(&mut s[end - LADDER]);
+    });
+    rejected("field widths past the word's bytes", &light, &|s, end| {
+        widen(widths.hb + 8 * w as u32 + 1 - widths.bits()).set(&mut s[end - LADDER]);
+    });
+    rejected(
+        "level field narrower than the rungs need",
+        &light,
+        &|s, end| {
+            let lb = widths.lb - 1;
+            let hb = widths.hb + 1;
+            Widths { lb, hb, ..widths }.set(&mut s[end - LADDER]);
+        },
+    );
+    rejected("hops field of no bits", &light, &|s, end| {
+        widen(0).set(&mut s[end - LADDER]);
+    });
+    rejected(
+        "record section without its tail padding",
+        &light,
+        &|s, end| {
+            let len = s[end - RECS].len();
+            s[end - RECS].truncate(len - (8 - w));
+        },
+    );
+    rejected("tail padding not zero", &light, &|s, end| {
+        *s[end - RECS].last_mut().unwrap() = 1;
     });
     rejected(
         "escape record dropped from under its marker",
@@ -382,22 +471,24 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         s[end - ESC_VALS].extend_from_slice(&[0; 8]);
     });
 
-    // Direct rows. Slot 1 of node 0's row made absent — all-ones code
-    // and port, no escape record — is a well-formed hole that reads as a
+    // Direct rows. Slot 1 of node 0's row made absent — the all-ones
+    // word, no escape record — is a well-formed hole that reads as a
     // miss; every half-absent slot is not.
-    let absent = |s: &mut [Vec<u8>], end: usize| {
-        s[end - RECS][4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    };
+    let absent = |s: &mut [Vec<u8>], end: usize| widths.put(&mut s[end - RECS], 1, all);
     let holed = hostile(&light, &absent).unwrap();
     assert!(!is_covered(holed.estimate(NodeId(0), NodeId(1))));
     rejected("absent slot with a non-marker port", &light, &|s, end| {
-        absent(s, end);
-        put_u16(&mut s[end - RECS], 3, 0);
+        let (hops, level, _) = widths.split(all);
+        widths.put(&mut s[end - RECS], 1, widths.word(hops, level, 0));
     });
-    rejected("absent slot with a non-marker code", &light, &|s, end| {
-        absent(s, end);
-        put_u16(&mut s[end - RECS], 2, u16::MAX - 1);
-    });
+    rejected(
+        "absent slot with a non-marker hop count",
+        &light,
+        &|s, end| {
+            let (_, level, port) = widths.split(all);
+            widths.put(&mut s[end - RECS], 1, widths.word(0, level, port));
+        },
+    );
     rejected("direct row's lo_src past n", &light, &|s, end| {
         let word = get_u64(&s[end - WORDS], 0);
         put_u64(&mut s[end - WORDS], 0, word + 1);
@@ -426,15 +517,15 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
 
 /// Directory positions of the row-word section of every `FlatTables` in
 /// the arena of an `n`-node oracle, found by shape: `n + 1` row offsets
-/// ending at the slot count `e`, then the records (4 to 10 bytes a
-/// slot), then `n` row words.
+/// ending at the slot count `e`, then the records (1 to 8 bytes a slot,
+/// and up to 7 bytes of tail padding), then `n` row words.
 fn word_sections(sections: &[Vec<u8>], n: usize) -> Vec<usize> {
     (2..sections.len())
         .filter(|&at| {
             let len = |back: usize| sections[at - back].len();
             len(2) == 4 * (n + 1) && len(0) == 8 * n && {
                 let e = get_u32(&sections[at - 2], n) as usize;
-                e > 0 && (4 * e..=10 * e).contains(&len(1))
+                e > 0 && (e..=8 * e + 7).contains(&len(1))
             }
         })
         .collect()
@@ -593,9 +684,10 @@ fn retired_layouts_are_typed_rebuild_errors() {
     // streams), tag 3 (the arena with 16-byte records), tag 4 (narrow
     // tables with a stored per-row index), tag 5 (every route row keyed),
     // tag 6 (schemes embedding σ-lists, spanner and metrics), tag 7
-    // (truncated keeping its own lower levels, `u64` table counts) and
-    // tag 8 (a full `u32` estimate per slot beside port and level side
-    // sections) name layouts this binary does not read; all must say
+    // (truncated keeping its own lower levels, `u64` table counts), tag 8
+    // (a full `u32` estimate per slot beside port and level side
+    // sections) and tag 9 (a ladder code per slot beside a `u16` port)
+    // name layouts this binary does not read; all must say
     // "rebuild", typed, whatever follows the header — a re-tagged arena,
     // or for tag 2 its own 39-byte header (no pad byte) with a payload
     // behind it.
@@ -607,7 +699,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -626,8 +718,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     }
 
     // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6,
-    // tag-7 or tag-8 snapshots: recovery surfaces the same typed error
-    // instead of panicking.
+    // tag-7, tag-8 or tag-9 snapshots: recovery surfaces the same typed
+    // error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let server = Arc::new(OracleServer::new());
@@ -639,8 +731,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 9u16.to_le_bytes());
-    for tag in [2u16, 5, 6, 7, 8] {
+    assert_eq!(current[at + 4..at + 6], 10u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7, 8, 9] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
