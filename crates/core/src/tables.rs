@@ -69,28 +69,25 @@
 //! its fit). [`FlatTables::read_arena`] proves every word exact.
 //!
 //! **One escape, always on:** a word holds at most 32 bits. When the
-//! widest hop count and the widest port do not fit one together (a hub's
-//! port beside a long hop count, say), the narrower field keeps its width
-//! and the wider gets the bits left. A hop count or port too wide for its
-//! field stores the field's all-ones marker (the word keeps its other
-//! fields) and the slot's true `hops | port << 32` goes to the table's
-//! one escape section pair, binary-searched only when a marker is read.
-//! Loading checks the ladder (`h′ ≤ u32::MAX`, at most 2¹⁶ rungs rising
-//! strictly from 1) and the widths (`lb` exactly `bits(rungs.len() − 1)`,
-//! `hb, pb ≥ 1`, at most 32 bits together); [`FlatTables::validate`]
-//! proves every word on the ladder (`level < rungs.len()`, `hops ≤ h′`)
-//! and inside its fields. The format is private to this module;
-//! everything else sees [`FlatEntry`] values.
+//! widest hop count and port do not fit one beside the level (a hub's
+//! port and a long hop count, say), the two split the `32 − lb` bits
+//! evenly. A value too wide for its field stores the field's all-ones
+//! marker and the slot's true `hops | port << 32` goes to the one escape
+//! section pair, binary-searched only when a marker is read. Loading
+//! checks the ladder (`h′ ≤ u32::MAX`, at most 2¹⁶ rungs rising strictly
+//! from 1) and the widths (`lb = bits(rungs.len() − 1)`, `hb, pb ≥ 1`, at
+//! most 32 bits together); [`FlatTables::validate`] proves every word on
+//! the ladder (`level < rungs.len()`, `hops ≤ h′`) and inside its
+//! fields. The format is private to this module; everything else sees
+//! [`FlatEntry`] values.
 //!
-//! **Encode once, pack in place.** The widths are known only after the
-//! last row, and `fill` drains the merge, so it runs once:
-//! [`FlatTables::from_rows`] first writes every entry as an 8-byte
-//! record `src u32 | word u32`, the `32 − lb` bits split evenly (what
-//! overflows escapes), then copies each row forward in the same buffer
-//! at the derived width, in the smaller form. No row grows (`len · (4 +
-//! w)` and `span · w` direct are both at most `8 · len`), so the write
-//! position never passes the read position and the pack needs no second
-//! buffer.
+//! **Encode once, pack in place.** `fill` drains the merge, so it runs
+//! once, before the widths are known: [`FlatTables::from_rows`] writes
+//! every entry as an 8-byte `src u32 | word u32` record at the even split
+//! (escaping what overflows), then decodes each row and rewrites it at
+//! the derived widths, in its smaller form, earlier in the same buffer.
+//! No row grows (`len · (4 + w)` and `span · w` direct are both at most
+//! `8 · len`), so no second buffer is needed.
 //!
 //! Both layouts serialize *directly* (their snapshot bytes are the
 //! in-memory layout, already canonical because rows are sorted), so
@@ -166,7 +163,7 @@ struct Fields {
 
 /// A table's word layout (see the module docs): the low `lb` bits of a
 /// word hold the level, the next `hb` the hops and the top `pb` the port.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Layout {
     lb: u32,
     hb: u32,
@@ -174,26 +171,6 @@ struct Layout {
 }
 
 impl Layout {
-    /// The widths of a table with `lb` level bits whose widest port and
-    /// hop count are `port` and `hops`: each field as wide as its widest
-    /// value needs when the two fit one 32-bit word with the level, else
-    /// the narrower whole and the wider in the bits left, so only the
-    /// values that stretched it take the escape.
-    fn fit(lb: u32, port: u32, hops: u32) -> Layout {
-        let (pb, hb, room) = (
-            bits(u64::from(port) + 1),
-            bits(u64::from(hops) + 1),
-            32 - lb,
-        );
-        let pb = match (pb + hb <= room, pb <= hb) {
-            (true, _) => pb,
-            (false, true) => pb.min(room - 1),
-            (false, false) => room - hb.min(room - 1),
-        };
-        let hb = hb.min(room - pb);
-        Layout { lb, hb, pb }
-    }
-
     /// The layout a section word spells, if it is one a table over
     /// `rungs` rungs can have (see the module docs).
     fn of_word(word: u64, rungs: usize) -> Option<Layout> {
@@ -224,11 +201,6 @@ impl Layout {
     #[inline(always)]
     fn width(self, keyed: bool) -> usize {
         self.bytes() + KEY_BYTES * usize::from(keyed)
-    }
-
-    /// Zero bytes after the records: a `u64` load at any record fits.
-    fn pad(self) -> usize {
-        8 - self.bytes()
     }
 
     /// The all-ones word: an absent slot.
@@ -420,81 +392,6 @@ struct Slot {
     word: u32,
 }
 
-/// The arrays of a table [`FlatTables::from_rows`] is writing, one row
-/// at a time, under one layout.
-#[derive(Default)]
-struct Encoder {
-    layout: Layout,
-    starts: Vec<u32>,
-    words: Vec<u64>,
-    wide_idx: Vec<u32>,
-    wide_vals: Vec<u64>,
-    /// Direct slots written so far.
-    before: u32,
-}
-
-impl Encoder {
-    /// Appends `row` (strictly sorted by source) to `recs` in the smaller
-    /// form, with `rest` entries of later rows still to come.
-    fn push(&mut self, row: &[(u32, Fields)], rest: usize, recs: &mut Vec<u8>) {
-        let (l, len) = (self.layout, self.starts[self.starts.len() - 1] as usize);
-        let direct = row.first().zip(row.last()).and_then(|(lo, hi)| {
-            let span = (hi.0 - lo.0) as usize + 1;
-            let room = len + span + rest <= u32::MAX as usize;
-            let smaller = span * l.width(false) <= row.len() * l.width(true);
-            (smaller && lo.0 <= LO_SRC_BITS && room).then_some((lo.0, hi.0))
-        });
-        let form = match direct {
-            Some((lo, _)) => Form::Direct(lo),
-            None if self.before == 0 => Form::Keyed(Fit::of_row(row)),
-            None => Form::Keyed(Fit::default()),
-        };
-        self.words.push(form.word(self.before));
-        // Each slot's key and fields: a keyed row's entries, or every id
-        // of a direct row's span (`None` in a hole, the all-ones word).
-        let mut present = row.iter().peekable();
-        let slots: Box<dyn Iterator<Item = (u32, Option<Fields>)>> = match direct {
-            Some((lo, hi)) => {
-                Box::new((lo..=hi).map(move |k| (k, present.next_if(|e| e.0 == k).map(|e| e.1))))
-            }
-            None => Box::new(row.iter().map(|&(k, f)| (k, Some(f)))),
-        };
-        let mut end = len;
-        for (key, f) in slots {
-            let word = f.map_or(l.all(), |f| {
-                l.pack(f, |wide| {
-                    self.wide_idx.push(end as u32);
-                    self.wide_vals.push(wide);
-                })
-            });
-            if direct.is_none() {
-                recs.extend(key.to_le_bytes());
-            }
-            recs.extend(&word.to_le_bytes()[..l.bytes()]);
-            end += 1;
-        }
-        let end = u32::try_from(end).expect("flat table fits u32 offsets");
-        if direct.is_some() {
-            self.before += end - len as u32;
-        }
-        self.starts.push(end);
-    }
-
-    fn finish(self, mut recs: Vec<u8>, ladder: Vec<u64>) -> FlatTables {
-        recs.resize(recs.len() + self.layout.pad(), 0);
-        recs.shrink_to_fit();
-        FlatTables {
-            starts: U32View::from_vals(&self.starts),
-            recs: SharedBytes::from_vec(recs),
-            words: U64View::from_vals(&self.words),
-            ladder,
-            wide_idx: U32View::from_vals(&self.wide_idx),
-            wide_vals: U64View::from_vals(&self.wide_vals),
-            layout: self.layout,
-        }
-    }
-}
-
 impl FlatTables {
     /// Builds the table from `n` rows of `entries` entries in total,
     /// handed over in node order (the one constructor): `fill(v, row)`
@@ -528,6 +425,7 @@ impl FlatTables {
         let (pb, hb) = ((32 - lb) / 2, (33 - lb) / 2);
         let first = Layout { lb, hb, pb };
         let mut recs = Vec::with_capacity(8 * entries + 8);
+        let rec = |key: u32, word: u32| (u64::from(key) | u64::from(word) << 32).to_le_bytes();
         let (mut ends, mut wide, mut routes) = (Vec::with_capacity(n), Vec::new(), Vec::new());
         let (mut widest_port, mut widest_hops) = (0, 0);
         for v in 0..n {
@@ -544,22 +442,25 @@ impl FlatTables {
                 let (hops, level, port) = (hops as u32, r.level, r.port);
                 (widest_port, widest_hops) = (widest_port.max(port), widest_hops.max(hops));
                 let word = first.pack(Fields { hops, level, port }, |w| wide.push(w));
-                recs.extend((u64::from(s.0) | u64::from(word) << 32).to_le_bytes());
+                recs.extend(rec(s.0, word));
             }
             ends.push(recs.len() / 8);
         }
         assert_eq!(recs.len() / 8, entries, "rows do not add up to `entries`");
 
-        // The pack: each row decoded, written at the derived widths in
-        // its smaller form and copied back at or before where it was read.
-        let layout = Layout::fit(lb, widest_port, widest_hops);
-        let mut packed = Encoder {
-            layout,
-            starts: vec![0],
-            ..Encoder::default()
+        // The pack: the widths the rows need if they fit 32 bits, else
+        // the first pass's; each row decoded, then written at or before
+        // where it was read, in its smaller form.
+        let exact = Layout {
+            lb,
+            hb: bits(u64::from(widest_hops) + 1),
+            pb: bits(u64::from(widest_port) + 1),
         };
-        let (mut wide, mut row, mut out) = (wide.into_iter(), Vec::new(), Vec::new());
-        let (mut start, mut write) = (0, 0);
+        let l = if exact.bits() <= 32 { exact } else { first };
+        let (mut starts, mut words) = (vec![0u32], Vec::with_capacity(n));
+        let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
+        let (mut wide, mut row) = (wide.into_iter(), Vec::new());
+        let (mut start, mut write, mut before) = (0, 0, 0);
         for end in ends {
             row.clear();
             row.extend(recs[8 * start..8 * end].chunks_exact(8).map(|rec| {
@@ -571,14 +472,52 @@ impl FlatTables {
                 }
                 (rec as u32, f)
             }));
-            out.clear();
-            packed.push(&row, entries - end, &mut out);
-            assert!(write + out.len() <= 8 * end, "a packed row grew");
-            recs[write..write + out.len()].copy_from_slice(&out);
-            (start, write) = (end, write + out.len());
+            let len = starts[starts.len() - 1] as usize;
+            let direct = row.first().zip(row.last()).and_then(|(lo, hi)| {
+                let span = (hi.0 - lo.0) as usize + 1;
+                let room = len + span + entries - end <= u32::MAX as usize;
+                let smaller = span * l.width(false) <= row.len() * l.width(true);
+                (smaller && lo.0 <= LO_SRC_BITS && room).then_some((lo.0, span))
+            });
+            let form = match direct {
+                Some((lo, _)) => Form::Direct(lo),
+                None if before == 0 => Form::Keyed(Fit::of_row(&row)),
+                None => Form::Keyed(Fit::default()),
+            };
+            words.push(form.word(before));
+            // A direct slot is a keyed record without its key; a direct
+            // row's holes keep the all-ones word.
+            let (slots, width) = (direct.map_or(row.len(), |d| d.1), l.width(direct.is_none()));
+            let skip = KEY_BYTES + l.bytes() - width;
+            assert!(write + slots * width <= 8 * end, "a packed row grew");
+            let out = &mut recs[write..write + slots * width];
+            for hole in out.chunks_exact_mut(width) {
+                hole.copy_from_slice(&rec(0, l.all())[skip..][..width]);
+            }
+            for (i, &(key, f)) in row.iter().enumerate() {
+                let j = direct.map_or(i, |(lo, _)| (key - lo) as usize);
+                let word = l.pack(f, |x| {
+                    wide_idx.push((len + j) as u32);
+                    wide_vals.push(x);
+                });
+                out[j * width..][..width].copy_from_slice(&rec(key, word)[skip..][..width]);
+            }
+            starts.push(u32::try_from(len + slots).expect("flat table fits u32 offsets"));
+            before += direct.map_or(0, |d| d.1 as u32);
+            (start, write) = (end, write + slots * width);
         }
         recs.truncate(write);
-        packed.finish(recs, ladder)
+        recs.resize(write + 8 - l.bytes(), 0);
+        recs.shrink_to_fit();
+        FlatTables {
+            starts: U32View::from_vals(&starts),
+            recs: SharedBytes::from_vec(recs),
+            words: U64View::from_vals(&words),
+            ladder,
+            wide_idx: U32View::from_vals(&wide_idx),
+            wide_vals: U64View::from_vals(&wide_vals),
+            layout: l,
+        }
     }
 
     /// Number of nodes covered (rows).
@@ -771,7 +710,7 @@ impl FlatTables {
             }
         }
         let body = layout.width(false) * direct + layout.width(true) * (slots - direct);
-        let padded = recs.len() == body + layout.pad();
+        let padded = recs.len() == body + 8 - layout.bytes();
         if !padded || recs.as_slice()[body..].iter().any(|&b| b != 0) {
             return Err(invalid_data("flat table record section misshapen"));
         }
@@ -1348,9 +1287,8 @@ mod tests {
         // Two level bits; `(hops, port)` of the second entry beside
         // `(5, 0)`, and the word bytes and escapes that follow. The widest
         // fields fit 32 bits together up to 2²⁸ − 2 hops beside a 2-bit
-        // port; past that the narrower field keeps its width and the
-        // wider one's widest value escapes — both entries when both
-        // fields need 33 bits, the port keeping 29 and the hops 1.
+        // port; past that each takes 15 of the 30 bits left by the level
+        // and the values too wide for them escape.
         for (hops, port, bytes, escaped) in [
             (5, 2, 1, 0),
             (63, 2, 2, 0),
@@ -1359,7 +1297,7 @@ mod tests {
             ((1 << 28) - 1, 2, 4, 1),
             (5, 1 << 16, 3, 0),
             (5, u32::MAX, 4, 1),
-            (u64::from(u32::MAX), u32::MAX, 4, 2),
+            (u64::from(u32::MAX), u32::MAX, 4, 1),
         ] {
             let ft = flat(&vec![vec![route(0, 5, 0, 1), route(9, hops, port, 2)]]);
             let at = format!("{hops} hops, port {port}");
@@ -1526,12 +1464,13 @@ mod tests {
 
     /// Hops of the escaped entries in [`holed_rows`]: 30 bits, which do
     /// not fit one word beside two level bits and the rows' 2-bit ports,
-    /// so the hops field gets the 28 bits left and these take the escape.
+    /// so hops and port get 15 of the 30 bits left each and these take
+    /// the escape.
     const ESCAPED: u64 = (1 << 30) - 1;
 
     /// Three rows over 8 nodes: a direct row with a hole at source 3 and
     /// an escaped hop count at source 5, a keyed row after it, and a full
-    /// direct row — 4-byte words `port << 30 | hops << 2 | level`, so a
+    /// direct row — 4-byte words `port << 17 | hops << 2 | level`, so a
     /// direct slot is 4 bytes.
     fn holed_rows() -> Rows {
         let hops = |s: u32| if s == 5 { ESCAPED } else { u64::from(s) + 1 };
@@ -1564,8 +1503,8 @@ mod tests {
             ft.layout,
             Layout {
                 lb: 2,
-                hb: 28,
-                pb: 2
+                hb: 15,
+                pb: 15
             }
         );
         assert_eq!(ft.wide_idx.len(), 2);

@@ -157,7 +157,8 @@ fn flatten(model: &[BTreeMap<u32, RouteInfo>], (h, rungs): &Ladder) -> FlatTable
 /// rows `row_routes` hands back rebuild the same table; that the arena
 /// reload re-saves byte-identically; that the field widths are the ones
 /// the rows need (the widest port and hop count, unless those two pass 32
-/// bits with the level, and only then an escape); and that the records
+/// bits with the level: then an even split of the bits the level leaves,
+/// and only then an escape); and that the records
 /// take exactly `w` bytes a direct slot and `4 + w` a keyed one, so the
 /// table is no larger than that plus its fixed sections. Returns the word
 /// bytes `w` and the escaped slots.
@@ -211,7 +212,8 @@ fn check_against_model(
     if lb + widest_port + widest_hops <= 32 {
         prop_assert_eq!((pb, hb, escaped), (widest_port, widest_hops, 0));
     } else {
-        prop_assert!(pb + hb + lb == 32 && pb <= widest_port && hb <= widest_hops && escaped > 0);
+        prop_assert_eq!((pb, hb), ((32 - lb) / 2, (33 - lb) / 2));
+        prop_assert!(escaped > 0);
     }
     let w = (pb + hb + lb).div_ceil(8) as usize;
     prop_assert_eq!(sections[1].len(), w * direct + (4 + w) * keyed + 8 - w);
@@ -335,8 +337,8 @@ fn ladder_32() -> Ladder {
 /// `win = 0` (pinned by `pde_core::tables`' `fits_are_measured_per_row`)
 /// and every probe of it is a whole-row binary search. A 17-bit port and
 /// a 30-bit hop count ride along: together with the level they pass 32
-/// bits, so the split keeps the port field whole and the hop count alone
-/// takes the escape.
+/// bits, so each field gets 15 of the 30 bits the level leaves and both
+/// values take the escape.
 #[test]
 fn row_without_a_usable_fit_agrees_with_model() {
     let ladder = (u64::from(u32::MAX), vec![1, 2, 3]);
@@ -353,7 +355,11 @@ fn row_without_a_usable_fit_agrees_with_model() {
     let tables = [row, (0..20).map(|s| (3 * s, 5, 0, 0)).collect()];
     let probes = [(0, 70_000), (0, 1 << 31), (0, u32::MAX), (1, 70_000)];
     let (w, escapes) = check_against_model(&tables, &ladder, &probes).unwrap();
-    assert_eq!((w, escapes), (4, 1), "the 30-bit hop count alone escapes");
+    assert_eq!(
+        (w, escapes),
+        (4, 2),
+        "the 17-bit port and the 30-bit hop count escape"
+    );
 }
 
 /// Every word width and the escape, each from rows of one shape: ports

@@ -273,9 +273,13 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     // slot is `port << (lb + hb) | hops << lb | level`, and weights up to
     // 12 make a 10-rung ladder, so the all-ones level is off it. The
     // partial build's rows over every third id stay keyed.
+    let g = gen::gnp_connected(
+        40,
+        0.15,
+        Weights::Uniform { lo: 1, hi: 12 },
+        &mut Seed(31).rng(),
+    );
     let pde = |partial: bool| {
-        let mut rng = Seed(31).rng();
-        let g = gen::gnp_connected(40, 0.15, Weights::Uniform { lo: 1, hi: 12 }, &mut rng);
         let builder = OracleBuilder::new(Backend::Pde).seed(5);
         let builder = if partial {
             let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
@@ -364,6 +368,12 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     let set_first = |s: &mut [Vec<u8>], end: usize, word: u32| {
         widths.put(&mut s[end - RECS], first, word);
     };
+    // The degree of the node whose row holds the first present slot: the
+    // smallest port `validate` must refuse there, and one the word's port
+    // field can still hold.
+    let owner = (0..40u32).find(|&v| get_u32(table(STARTS), v as usize + 1) as usize > first);
+    let deg = g.degree(NodeId(owner.unwrap())) as u32;
+    assert!(deg < port_marker, "degree {deg} must fit the port field");
 
     rejected("row offset past the arena", &light, &|s, end| {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
@@ -379,6 +389,9 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     });
     rejected("port marker without an escape record", &light, &|s, end| {
         set_first(s, end, widths.word(hops, level, port_marker));
+    });
+    rejected("port at its node's degree", &light, &|s, end| {
+        set_first(s, end, widths.word(hops, level, deg));
     });
     rejected("escaped port at its node's degree", &heavy, &|s, end| {
         put_u64(&mut s[end - ESC_VALS], 0, u64::from(hops) | 40 << 32);
