@@ -71,13 +71,15 @@ pub struct FloodResult {
     pub lsdb_edges: usize,
 }
 
-/// Runs topology flooding to completion, then local Dijkstra (exact APSP).
+/// Runs topology flooding to completion, then local Dijkstra (exact APSP),
+/// its source rows sharded over `threads` workers (`0` = one per core;
+/// every count gives the same bytes).
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected or some node missed an edge (a
 /// protocol bug).
-pub fn flooding_apsp(g: &WGraph) -> FloodResult {
+pub fn flooding_apsp(g: &WGraph, threads: usize) -> FloodResult {
     let topo = g.to_topology();
     assert!(topo.is_connected(), "flooding requires connectivity");
     let n = g.len();
@@ -99,7 +101,7 @@ pub fn flooding_apsp(g: &WGraph) -> FloodResult {
             "node {i} missed link-state advertisements"
         );
     }
-    let (apsp, first_hops) = apsp_with_first_hops(g);
+    let (apsp, first_hops) = apsp_with_first_hops(g, threads);
     FloodResult {
         apsp,
         first_hops,
@@ -120,7 +122,7 @@ mod tests {
     fn collects_whole_topology() {
         let mut rng = SmallRng::seed_from_u64(1);
         let g = gen::gnp_connected(20, 0.2, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
-        let r = flooding_apsp(&g);
+        let r = flooding_apsp(&g, 1);
         assert_eq!(r.lsdb_edges, g.num_edges());
         // Exactness comes from local Dijkstra on the full topology.
         let exact = apsp(&g);
@@ -136,8 +138,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let sparse = gen::path(30, Weights::Unit, &mut rng);
         let dense = gen::complete(30, Weights::Unit, &mut rng);
-        let rs = flooding_apsp(&sparse).metrics.rounds;
-        let rd = flooding_apsp(&dense).metrics.rounds;
+        let rs = flooding_apsp(&sparse, 1).metrics.rounds;
+        let rd = flooding_apsp(&dense, 1).metrics.rounds;
         assert!(rd > rs, "dense graph should flood longer: {rd} vs {rs}");
         // Θ(m + D): the dense graph has 435 edges but D=1.
         assert!(rd as usize >= dense.num_edges() / 30);

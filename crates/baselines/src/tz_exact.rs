@@ -34,17 +34,19 @@ pub struct ExactTz {
 
 impl ExactTz {
     /// Builds the exact hierarchy with `k` levels and the given seed
-    /// (any `u64` converts into a [`graphs::Seed`]).
+    /// (any `u64` converts into a [`graphs::Seed`]); the exact distance
+    /// sweep runs on `threads` workers (`0` = one per core; every count
+    /// gives the same scheme).
     ///
     /// # Panics
     ///
     /// Panics on disconnected inputs.
-    pub fn new(g: &WGraph, k: u32, seed: impl Into<Seed>) -> Self {
+    pub fn new(g: &WGraph, k: u32, seed: impl Into<Seed>, threads: usize) -> Self {
         assert!(g.is_connected(), "exact TZ requires connectivity");
         let n = g.len();
         let (levels, _) = sample_levels(n, k, seed.into());
         // Distances and exact first hops from one Dijkstra sweep.
-        let (exact, first_hops) = apsp_with_first_hops(g);
+        let (exact, first_hops) = apsp_with_first_hops(g, threads);
         let next: Vec<Option<NodeId>> = first_hops
             .into_iter()
             .map(|raw| (raw != u32::MAX).then_some(NodeId(raw)))
@@ -349,7 +351,7 @@ mod tests {
                 },
                 &mut rng,
             );
-            let scheme = ExactTz::new(&g, k, seed);
+            let scheme = ExactTz::new(&g, k, seed, 1);
             let exact = apsp(&g);
             let report = evaluate(&g, &scheme, &exact, PairSelection::All);
             assert!(report.failures.is_empty(), "{:?}", report.failures);
@@ -366,7 +368,7 @@ mod tests {
     fn snapshot_round_trip_is_query_identical() {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = gen::gnp_connected(22, 0.2, Weights::Uniform { lo: 1, hi: 25 }, &mut rng);
-        let scheme = ExactTz::new(&g, 3, 8);
+        let scheme = ExactTz::new(&g, 3, 8, 1);
         let save = |scheme: &ExactTz| {
             let mut a = congest::arena::ArenaWriter::new();
             scheme.write_arena(&mut a).unwrap();
@@ -393,7 +395,7 @@ mod tests {
     fn k1_is_exact() {
         let mut rng = SmallRng::seed_from_u64(5);
         let g = gen::grid(4, 5, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
-        let scheme = ExactTz::new(&g, 1, 5);
+        let scheme = ExactTz::new(&g, 1, 5, 1);
         let exact = apsp(&g);
         let report = evaluate(&g, &scheme, &exact, PairSelection::All);
         assert!(report.failures.is_empty());

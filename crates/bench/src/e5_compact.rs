@@ -46,7 +46,7 @@ pub fn e5_compact(n: usize, ks: &[u32], seed: u64) -> Table {
         params.c = 1.5;
         let scheme = build_hierarchy(&g, &params);
         let report = evaluate(&g, &scheme, &exact, pairs);
-        let tz = ExactTz::new(&g, k, seed ^ u64::from(k));
+        let tz = ExactTz::new(&g, k, seed ^ u64::from(k), 0);
         let tz_report = evaluate(&g, &tz, &exact, pairs);
         let table_bound = (n as f64).powf(1.0 / f64::from(k)) * (n as f64).ln();
         let label_bound = f64::from(k) * (n as f64).log2();

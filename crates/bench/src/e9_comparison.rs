@@ -74,7 +74,7 @@ pub fn e9_comparison(sizes: &[usize], seed: u64) -> Table {
             format!("{n} dists"),
         );
 
-        let fl = flooding_apsp(g);
+        let fl = flooding_apsp(g, 0);
         push(
             "flooding (OSPF)",
             fl.metrics.rounds,

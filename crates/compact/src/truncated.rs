@@ -29,8 +29,8 @@ use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, WGraph, INF};
 use pde_core::pipeline::{
-    self, level_flags, mutual_edges, parallel_map, sample_levels, trace_chain, virtual_graph,
-    with_resample, BuildError,
+    self, level_flags, mutual_edges, sample_levels, trace_chain, virtual_graph, with_resample,
+    BuildError,
 };
 use pde_core::schedule::RowEstimate;
 use pde_core::{resolve_entries, run_pde, BuildMode, FlatTables, PairTable, PdeParams};
@@ -332,26 +332,21 @@ fn build_attempt(
                 upper_rounds = bc.rounds;
                 total.absorb(&bc);
             }
-            let sp_rows = parallel_map(params.threads, m, |i| {
-                graphs::algo::dijkstra(&gt_graph, NodeId(i as u32))
-            });
+            let (sp, sp_next) = graphs::algo::apsp_with_first_hops(&gt_graph, params.threads);
             for l in l0..k {
                 let src_flags: Vec<bool> =
                     skel_ids.iter().map(|&s| levels[s.index()] >= l).collect();
                 let mut ests: Vec<(u32, u32, u64)> = Vec::new();
                 let mut nexts: Vec<(u32, u32, u64)> = Vec::new();
-                for (i, spi) in sp_rows.iter().enumerate() {
-                    for j in (0..m).filter(|&j| src_flags[j] && spi.dist[j] != INF) {
-                        ests.push((i as u32, j as u32, spi.dist[j]));
-                        if i != j {
-                            let mut cur = NodeId(j as u32);
-                            while let Some(p) = spi.parent[cur.index()] {
-                                if p == NodeId(i as u32) {
-                                    break;
-                                }
-                                cur = p;
-                            }
-                            nexts.push((i as u32, j as u32, u64::from(cur.0)));
+                for i in 0..m {
+                    let (u, row) = (NodeId(i as u32), &sp_next[i * m..(i + 1) * m]);
+                    for j in (0..m).filter(|&j| src_flags[j]) {
+                        let d = sp.dist(u, NodeId(j as u32));
+                        if d != INF {
+                            ests.push((i as u32, j as u32, d));
+                        }
+                        if row[j] != u32::MAX {
+                            nexts.push((i as u32, j as u32, u64::from(row[j])));
                         }
                     }
                 }

@@ -25,6 +25,8 @@
 //! * [`pipeline`] — pipelined all-to-all broadcast over a BFS tree in
 //!   `O(#items + D)` rounds (used to disseminate spanner edges and to
 //!   simulate skeleton-graph rounds in the paper's Section 4.3).
+//! * [`parallel`] — the scoped-thread sharding every crate fans work out
+//!   with (the caller computes the first shard).
 //!
 //! # Performance model
 //!
@@ -99,6 +101,7 @@ pub mod bfs;
 pub mod fxhash;
 pub mod metrics;
 pub mod model;
+pub mod parallel;
 pub mod pipeline;
 pub mod program;
 pub mod runtime;

@@ -336,12 +336,7 @@ pub fn run_pde(g: &WGraph, sources: &[bool], tags: &[bool], params: &PdeParams) 
             .expect("a worker panicked while folding its rung")
             .fold(li, b, &rung);
     };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(worker);
-        }
-        worker();
-    });
+    congest::parallel::run_shards(0..threads, |_| worker());
     let merger = merger
         .into_inner()
         .expect("a worker panicked while folding its rung");

@@ -36,6 +36,10 @@ use rand::Rng;
 use std::fmt;
 use treeroute::{label_forest, TreeSet};
 
+/// The worker-count rule the builders share with the exact reference
+/// kernels (defined in [`congest::parallel`]).
+pub use congest::parallel::resolve_threads;
+
 /// A recoverable build failure: a with-high-probability event that did
 /// not hold for this sample at this scale. Retrying on a fresh sample
 /// (see [`with_resample`]) usually succeeds; persistently failing builds
@@ -334,58 +338,6 @@ pub fn label_trees(topo: &Topology, set: &TreeSet, mode: BuildMode) -> congest::
     }
 }
 
-// --------------------------------------------------------- parallelism --
-
-/// Resolves a `threads` knob (`0` = [`std::thread::available_parallelism`],
-/// else the given count), capped by the number of work items.
-pub fn resolve_threads(threads: usize, items: usize) -> usize {
-    let t = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        t => t,
-    };
-    t.min(items.max(1)).max(1)
-}
-
-/// Computes `f(0), …, f(count − 1)` on `threads` workers over contiguous
-/// index shards and returns the results **in index order** — scheduling
-/// is unobservable, so outputs are byte-identical for every thread count
-/// (the same contract as `run_pde`'s rung parallelism). Used by the
-/// native engine for embarrassingly parallel stages (e.g. per-skeleton
-/// Dijkstra rows).
-pub fn parallel_map<T: Send>(
-    threads: usize,
-    count: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = resolve_threads(threads, count);
-    if workers <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let chunk = count.div_ceil(workers);
-    let mut out = Vec::with_capacity(count);
-    std::thread::scope(|scope| {
-        // The caller computes the first shard itself, as in `run_pde`.
-        // Were every shard spawned, two short workers would overlap or
-        // not by chance, and an overlap makes the allocator open one more
-        // per-thread arena, which later builds then grow beside the first
-        // one's freed pages (peak RSS +25 MiB on one run in five at
-        // n = 4096).
-        let handles: Vec<_> = (chunk..count)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(count);
-                let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        out.extend((0..chunk).map(&f));
-        for h in handles {
-            out.extend(h.join().expect("pipeline worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,16 +400,6 @@ mod tests {
             }
         });
         assert_eq!(ok, Ok(42));
-    }
-
-    #[test]
-    fn parallel_map_is_order_preserving_for_every_thread_count() {
-        let f = |i: usize| i * i + 1;
-        let want: Vec<usize> = (0..37).map(f).collect();
-        for threads in [0usize, 1, 2, 4, 9, 64] {
-            assert_eq!(parallel_map(threads, 37, f), want, "threads={threads}");
-        }
-        assert!(parallel_map::<usize>(4, 0, |_| unreachable!()).is_empty());
     }
 
     #[test]

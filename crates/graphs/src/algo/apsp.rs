@@ -1,7 +1,8 @@
 //! Exact all-pairs shortest paths (reference).
 
-use crate::algo::dijkstra::{dijkstra, Sssp};
+use crate::algo::dijkstra::{Search, Sssp};
 use crate::graph::{WGraph, INF};
+use congest::parallel::{resolve_threads, run_shards};
 use congest::NodeId;
 
 /// Exact APSP result: distance and minimum-hop matrices.
@@ -53,92 +54,96 @@ impl Apsp {
     }
 }
 
-/// Computes exact APSP by `n` Dijkstra runs (`O(n · m log n)`).
+/// Computes exact APSP by `n` single-source searches, sharded by source
+/// row over the available cores (`O(n · (m + WD))` on the bucket path,
+/// `WD` the weighted diameter; `O(n · m log n)` past
+/// [`DIAL_WEIGHT_LIMIT`](crate::algo::DIAL_WEIGHT_LIMIT)).
 pub fn apsp(g: &WGraph) -> Apsp {
-    let n = g.len();
-    let mut dist = Vec::with_capacity(n * n);
-    let mut hops = Vec::with_capacity(n * n);
-    for v in g.nodes() {
-        let s = dijkstra(g, v);
-        dist.extend_from_slice(&s.dist);
-        hops.extend_from_slice(&s.hops);
-    }
-    Apsp { dist, hops, n }
+    sweep(g, 0, false).0
 }
 
-/// Exact APSP plus the first-hop matrix, from the *same* `n` Dijkstra
-/// runs — `first_hops[u·n + v]` is the first hop on a shortest `u → v`
-/// path (`u32::MAX` on the diagonal and for unreachable pairs).
+/// Exact APSP plus the first-hop matrix, from the *same* `n` searches —
+/// `first_hops[u·n + v]` is the first hop on a shortest `u → v` path
+/// (`u32::MAX` on the diagonal and for unreachable pairs), the child of
+/// `u` on the path [`Sssp::parent`] walks back from `v`.
 ///
-/// Schemes that need both (exact baselines, flooding-style local
-/// routing) should call this instead of running a second sweep just to
-/// walk parents. First hops propagate down the shortest-path tree in
-/// distance order (`next(v) = next(parent(v))`), so the extra cost over
-/// plain [`apsp`] is one sort per source — not a parent walk per pair.
-pub fn apsp_with_first_hops(g: &WGraph) -> (Apsp, Vec<u32>) {
+/// Callers that need first hops use this instead of walking parents:
+/// they propagate down the shortest-path tree in settling order
+/// (`next(v) = next(parent(v))`), one pass per source. Source rows are
+/// sharded over `threads` workers (`0` = one per core); every thread
+/// count yields the same bytes.
+pub fn apsp_with_first_hops(g: &WGraph, threads: usize) -> (Apsp, Vec<u32>) {
+    sweep(g, threads, true)
+}
+
+/// The all-pairs sweep: each worker fills a disjoint range of rows of
+/// the preallocated matrices, reusing one [`Search`] across its sources.
+fn sweep(g: &WGraph, threads: usize, first_hops: bool) -> (Apsp, Vec<u32>) {
     let n = g.len();
-    let mut dist = Vec::with_capacity(n * n);
-    let mut hops = Vec::with_capacity(n * n);
-    let mut next = vec![u32::MAX; n * n];
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    for u in g.nodes() {
-        let s = dijkstra(g, u);
-        first_hop_row(
-            &s,
-            u,
-            &mut order,
-            &mut next[u.index() * n..(u.index() + 1) * n],
-        );
-        dist.extend_from_slice(&s.dist);
-        hops.extend_from_slice(&s.hops);
-    }
+    // Automatic sizing gives each worker at least 64 rows: below that
+    // the scoped worker costs more than the rows it saves.
+    let workers = resolve_threads(threads, if threads == 0 { n / 64 } else { n });
+    let mut dist = vec![0u64; n * n];
+    let mut hops = vec![0u32; n * n];
+    let mut next = vec![0u32; if first_hops { n * n } else { 0 }];
+    let rows = n.div_ceil(workers).max(1);
+    let len = rows * n.max(1);
+    let mut next_shards = next.chunks_mut(len);
+    let shards = dist
+        .chunks_mut(len)
+        .zip(hops.chunks_mut(len))
+        .enumerate()
+        .map(|(i, (d, h))| (i * rows, d, h, next_shards.next()));
+    run_shards(shards, |(lo, dist, hops, mut next)| {
+        let mut search = Search::new(g);
+        let mut parent = vec![None; n];
+        for (k, (dist, hops)) in dist.chunks_mut(n).zip(hops.chunks_mut(n)).enumerate() {
+            let u = NodeId((lo + k) as u32);
+            search.run(g, u, dist, hops, next.is_some().then_some(&mut parent[..]));
+            if let Some(next) = next.as_deref_mut() {
+                first_hop_row(u, &search.order, &parent, &mut next[k * n..(k + 1) * n]);
+            }
+        }
+    });
     (Apsp { dist, hops, n }, next)
 }
 
-/// Fills one first-hop row from a finished Dijkstra run. `order` is
-/// scratch (any permutation of `0..n`; left sorted by distance), `row`
-/// must hold `n` slots and is fully overwritten.
-fn first_hop_row(s: &Sssp, u: NodeId, order: &mut [u32], row: &mut [u32]) {
-    // Parents have strictly smaller distance (weights ≥ 1), so
-    // processing in distance order sees next(parent) before next(v).
-    // Ties never depend on each other, so any distance order yields the
-    // same row.
-    order.sort_unstable_by_key(|&v| s.dist[v as usize]);
+/// Fills one first-hop row from a finished search: `order` is its
+/// settling order (each node after its parent), `row` is fully
+/// overwritten.
+fn first_hop_row(u: NodeId, order: &[u32], parent: &[Option<NodeId>], row: &mut [u32]) {
     row.fill(u32::MAX);
-    for &v in order.iter() {
-        let Some(p) = s.parent[v as usize] else {
-            continue; // the source itself, or unreachable
-        };
-        row[v as usize] = if p == u { v } else { row[p.index()] };
+    for &v in order {
+        if let Some(p) = parent[v as usize] {
+            row[v as usize] = if p == u { v } else { row[p.index()] };
+        }
     }
 }
 
-/// One source row of [`apsp_with_first_hops`]: the Dijkstra run for `u`
-/// plus the derived first-hop row. The output is bit-identical to the
+/// One source row of [`apsp_with_first_hops`]: the search for `u` plus
+/// the derived first-hop row. The output is bit-identical to the
 /// corresponding row of a full sweep — this is the kernel the
 /// delta-repair path uses to recompute only affected rows.
 pub fn sssp_with_first_hops(g: &WGraph, u: NodeId) -> (Sssp, Vec<u32>) {
-    let s = dijkstra(g, u);
-    let mut order: Vec<u32> = (0..g.len() as u32).collect();
-    let mut row = vec![u32::MAX; g.len()];
-    first_hop_row(&s, u, &mut order, &mut row);
+    let mut search = Search::new(g);
+    let s = search.sssp(g, u);
+    let mut row = vec![0; g.len()];
+    first_hop_row(u, &search.order, &s.parent, &mut row);
     (s, row)
 }
 
 /// Re-derives the first-hop row for source `u` from an already-known
 /// exact distance row, without rerunning Dijkstra.
 ///
-/// Under the search's lexicographic `(dist, hops, id)` settling order,
 /// `hops` and `parent` are pure functions of the graph and the distance
 /// row:
 ///
 /// * `hops[v] = 1 + min{ hops[p] : p ∼ v, dist[p] + w(p, v) = dist[v] }`
-///   — tight predecessors settle strictly earlier (weights are ≥ 1), so
-///   the recursion is well-founded in distance order;
-/// * `parent[v]` is the tight predecessor whose relaxation *first*
-///   offered the final `(dist[v], hops[v])`: among the minimum-hop tight
-///   predecessors, the earliest-settled one, i.e. the one minimizing
-///   `(dist[p], p.id)`.
+///   — tight predecessors are strictly closer (weights are ≥ 1), so the
+///   recursion is well-founded in distance order;
+/// * `parent[v]` is the one the parent rule on [`Sssp::parent`] names:
+///   the argmin of `(dist[p], p.id)` over the minimum-hop tight
+///   predecessors.
 ///
 /// Processing vertices in distance order therefore reproduces both
 /// bit-for-bit (pinned against [`sssp_with_first_hops`] by in-module
@@ -224,6 +229,10 @@ fn reachable_by_distance(dist: &[u64], n: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::dijkstra;
+    use crate::gen::{self, Weights};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn apsp_matches_dijkstra_rows() {
@@ -265,7 +274,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (a, next) = apsp_with_first_hops(&g);
+        let (a, next) = apsp_with_first_hops(&g, 1);
         let n = g.len();
         for u in g.nodes() {
             let s = dijkstra(&g, u);
@@ -294,9 +303,6 @@ mod tests {
     /// distances) decide every hop.
     #[test]
     fn first_hops_from_dist_matches_the_kernel() {
-        use crate::gen::{self, Weights};
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         for (seed, weights) in [
             (0u64, Weights::Unit),
             (1, Weights::Unit),
@@ -315,6 +321,48 @@ mod tests {
         let g = WGraph::from_edges(4, &[(0, 1, 2), (2, 3, 1)]).unwrap();
         let (s, row) = sssp_with_first_hops(&g, NodeId(0));
         assert_eq!(first_hops_from_dist(&g, NodeId(0), &s.dist), row);
+    }
+
+    /// Row sharding is unobservable: every thread count gives the same
+    /// matrices, and every row is the single-source kernel's row. Covers
+    /// `n` not divisible by the thread count, `n` below it, and `n = 1`.
+    #[test]
+    fn sharded_sweeps_are_byte_identical_for_every_thread_count() {
+        let mut graphs = vec![
+            WGraph::from_edges(1, &[]).unwrap(),
+            WGraph::from_edges(2, &[(0, 1, 3)]).unwrap(),
+            WGraph::from_edges(5, &[(0, 1, 4), (1, 2, 8), (3, 4, 1)]).unwrap(),
+        ];
+        for (seed, n, weights) in [
+            (0u64, 41, Weights::Unit),
+            (1, 50, Weights::Uniform { lo: 1, hi: 32 }),
+            (2, 23, Weights::Uniform { lo: 1, hi: 1000 }),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            graphs.push(gen::gnp_connected(n, 0.1, weights, &mut rng));
+        }
+        for g in &graphs {
+            let n = g.len();
+            let (want, want_next) = apsp_with_first_hops(g, 1);
+            for t in [2, 3, 7, 0] {
+                let (a, next) = apsp_with_first_hops(g, t);
+                assert_eq!(
+                    (&a.dist, &a.hops),
+                    (&want.dist, &want.hops),
+                    "n {n}, {t} threads"
+                );
+                assert_eq!(next, want_next, "n {n}, {t} threads");
+            }
+            let plain = apsp(g);
+            assert_eq!((&plain.dist, &plain.hops), (&want.dist, &want.hops));
+            for u in g.nodes() {
+                let (s, row) = sssp_with_first_hops(g, u);
+                let range = u.index() * n..(u.index() + 1) * n;
+                assert_eq!(s.dist, want.dist[range.clone()], "n {n}, row {u}");
+                assert_eq!(s.hops, want.hops[range.clone()], "n {n}, row {u}");
+                assert_eq!(row, want_next[range], "n {n}, row {u}");
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! Dijkstra with minimum-hop tie-breaking.
+//! Dijkstra with minimum-hop tie-breaking: one kernel that fills the
+//! caller's rows.
 //!
-//! Two interchangeable priority queues back the search:
-//!
-//! * a **bucket queue** (Dial's algorithm) specialized for the bounded
-//!   integer weights the generators produce — `w_max + 1` circular
-//!   buckets indexed by tentative distance, each drained in sorted
-//!   `(hops, id)` order, so settling order (and therefore every
-//!   `dist`/`hops`/`parent` entry) is *identical* to the binary-heap
-//!   search;
-//! * the classic [`BinaryHeap`] fallback, used when the largest edge
-//!   weight exceeds [`DIAL_WEIGHT_LIMIT`] (huge weights would make the
-//!   empty-bucket scan between occupied distances the dominant cost).
-//!
-//! The equivalence is pinned by in-module tests at weight bounds 1, 32
-//! and both sides of the threshold.
+//! Two priority queues back it: Dial's **bucket queue** — a power-of-two
+//! ring of more than `w_max` buckets indexed by tentative distance, each
+//! drained in the order it was filled — and the [`BinaryHeap`] search,
+//! the reference and the fallback above [`DIAL_WEIGHT_LIMIT`]. Their
+//! settling orders differ; their **outputs are identical**. `dist` and
+//! `hops` cannot depend on the order inside a bucket: weights are ≥ 1, so
+//! nothing settled at distance `d` offers anything at `d`, and every key
+//! at `d` is final before its bucket drains. `parent` follows the rule on
+//! [`Sssp::parent`]: the heap keeps the first offer of the final key (it
+//! settles in `(dist, hops, id)` order), and the buckets let an equal
+//! offer from `v`, settled at `d`, replace the parent `q` only when
+//! `dist[q] == d` and `v < q`. A property test pins the equivalence at
+//! every weight class.
 
 use crate::graph::{WGraph, INF};
 use congest::NodeId;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Largest edge weight for which [`dijkstra`] uses the bucket queue; any
@@ -43,7 +43,11 @@ pub struct Sssp {
     pub dist: Vec<u64>,
     /// `hops[v]` = minimum hops among shortest weighted paths (`h_{source,v}`).
     pub hops: Vec<u32>,
-    /// A predecessor on a minimum-hop shortest weighted path.
+    /// The predecessor on a minimum-hop shortest weighted path (`None` for
+    /// the source and unreachable nodes). **Parent rule:** among the
+    /// tight predecessors `p` of `v` (`dist[p] + w(p, v) = dist[v]`) with
+    /// the fewest hops, `parent[v]` is the one minimizing `(dist[p],
+    /// p.id)`.
     pub parent: Vec<Option<NodeId>>,
 }
 
@@ -53,127 +57,158 @@ pub struct Sssp {
 /// [`DIAL_WEIGHT_LIMIT`] and the binary heap otherwise; both produce
 /// bit-identical results.
 pub fn dijkstra(g: &WGraph, source: NodeId) -> Sssp {
-    let w_max = g.max_weight();
-    if w_max <= DIAL_WEIGHT_LIMIT {
-        dijkstra_buckets(g, source, w_max)
-    } else {
-        dijkstra_heap(g, source)
-    }
+    Search::new(g).sssp(g, source)
 }
 
-/// The binary-heap search (reference implementation and large-weight
-/// fallback).
-fn dijkstra_heap(g: &WGraph, source: NodeId) -> Sssp {
-    let n = g.len();
-    let mut dist = vec![INF; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut parent = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::new();
-
-    dist[source.index()] = 0;
-    hops[source.index()] = 0;
-    heap.push(Reverse((0, 0, source.0)));
-
-    while let Some(Reverse((d, h, v))) = heap.pop() {
-        let v = NodeId(v);
-        if done[v.index()] {
-            continue;
-        }
-        done[v.index()] = true;
-        debug_assert_eq!((d, h), (dist[v.index()], hops[v.index()]));
-        for (u, w) in g.neighbors(v) {
-            if done[u.index()] {
-                continue;
-            }
-            let nd = d.saturating_add(w);
-            let nh = h + 1;
-            if (nd, nh) < (dist[u.index()], hops[u.index()]) {
-                dist[u.index()] = nd;
-                hops[u.index()] = nh;
-                parent[u.index()] = Some(v);
-                heap.push(Reverse((nd, nh, u.0)));
-            }
-        }
-    }
-    Sssp {
-        source,
-        dist,
-        hops,
-        parent,
-    }
+/// The search state one worker reuses across sources: the bucket ring
+/// (or heap) keeps its storage, so a sweep allocates once per worker.
+pub(crate) struct Search {
+    /// Bucket `d & (len − 1)` holds the `(hops, id)` entries at tentative
+    /// distance `d`; empty when the search uses the heap.
+    buckets: Vec<Vec<(u32, u32)>>,
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// The nodes the last run reached, in settling order (nondecreasing
+    /// distance, so each after its parent).
+    pub(crate) order: Vec<u32>,
 }
 
-/// Dial's algorithm: `w_max + 1` circular buckets keyed by tentative
-/// distance. Weights are ≥ 1, so relaxing a node settled at distance `d`
-/// never feeds bucket `d` again, and every pending entry lies within
-/// `d..=d + w_max` — one bucket per distance, no collisions. Each bucket
-/// is drained in sorted `(hops, id)` order, reproducing the heap's global
-/// `(dist, hops, id)` settling order exactly.
-fn dijkstra_buckets(g: &WGraph, source: NodeId, w_max: u64) -> Sssp {
-    let n = g.len();
-    let mut dist = vec![INF; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut parent = vec![None; n];
-    let mut done = vec![false; n];
-    let num = w_max.max(1) as usize + 1;
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num];
-    let mut drain: Vec<(u32, u32)> = Vec::new();
+impl Search {
+    /// Dial's ring when `g`'s weights allow it, else the heap.
+    pub(crate) fn new(g: &WGraph) -> Search {
+        let w_max = g.max_weight();
+        Search::with_ring((w_max <= DIAL_WEIGHT_LIMIT).then_some(w_max))
+    }
 
-    dist[source.index()] = 0;
-    hops[source.index()] = 0;
-    buckets[0].push((0, source.0));
-    let mut pending = 1usize;
-    let mut d = 0u64;
-
-    while pending > 0 {
-        let slot = (d % num as u64) as usize;
-        if buckets[slot].is_empty() {
-            d += 1;
-            continue;
+    /// A ring for weights up to `w_max` (pending entries lie within
+    /// `d..=d + w_max`, so more than `w_max` buckets never collide), or
+    /// the heap for `None`.
+    fn with_ring(w_max: Option<u64>) -> Search {
+        let len = w_max.map_or(0, |w| (w as usize + 1).next_power_of_two());
+        Search {
+            buckets: vec![Vec::new(); len],
+            heap: BinaryHeap::new(),
+            order: Vec::new(),
         }
-        drain.clear();
-        drain.append(&mut buckets[slot]);
-        pending -= drain.len();
-        drain.sort_unstable();
-        for &(h, v) in &drain {
-            let v = NodeId(v);
-            if done[v.index()] {
+    }
+
+    /// A fresh [`Sssp`] from `source`.
+    pub(crate) fn sssp(&mut self, g: &WGraph, source: NodeId) -> Sssp {
+        let n = g.len();
+        let (mut dist, mut hops, mut parent) = (vec![0; n], vec![0; n], vec![None; n]);
+        self.run(g, source, &mut dist, &mut hops, Some(&mut parent));
+        Sssp {
+            source,
+            dist,
+            hops,
+            parent,
+        }
+    }
+
+    /// Overwrites `dist`, `hops` and, when given, `parent` (each `n`
+    /// long) with the search from `source`, and [`Search::order`] with
+    /// the nodes reached.
+    pub(crate) fn run(
+        &mut self,
+        g: &WGraph,
+        source: NodeId,
+        dist: &mut [u64],
+        hops: &mut [u32],
+        mut parent: Option<&mut [Option<NodeId>]>,
+    ) {
+        dist.fill(INF);
+        hops.fill(u32::MAX);
+        if let Some(p) = parent.as_deref_mut() {
+            p.fill(None);
+        }
+        self.order.clear();
+        dist[source.index()] = 0;
+        hops[source.index()] = 0;
+        if !self.buckets.is_empty() {
+            return self.run_buckets(g, source, dist, hops, parent);
+        }
+        // The heap search.
+        let heap = &mut self.heap;
+        heap.push(Reverse((0, 0, source.0)));
+        while let Some(Reverse((d, h, v))) = heap.pop() {
+            if (dist[v as usize], hops[v as usize]) != (d, h) {
                 continue; // superseded by a better entry (lazy deletion)
             }
-            done[v.index()] = true;
-            debug_assert_eq!((d, h), (dist[v.index()], hops[v.index()]));
-            for (u, w) in g.neighbors(v) {
-                if done[u.index()] {
-                    continue;
-                }
-                let nd = d + w;
-                let nh = h + 1;
-                if (nd, nh) < (dist[u.index()], hops[u.index()]) {
-                    dist[u.index()] = nd;
-                    hops[u.index()] = nh;
-                    parent[u.index()] = Some(v);
-                    buckets[(nd % num as u64) as usize].push((nh, u.0));
-                    pending += 1;
+            self.order.push(v);
+            for (u, w) in g.neighbors(NodeId(v)) {
+                let key = (d.saturating_add(w), h + 1);
+                if key < (dist[u.index()], hops[u.index()]) {
+                    (dist[u.index()], hops[u.index()]) = key;
+                    if let Some(p) = parent.as_deref_mut() {
+                        p[u.index()] = Some(NodeId(v));
+                    }
+                    heap.push(Reverse((key.0, key.1, u.0)));
                 }
             }
         }
-        d += 1;
     }
-    Sssp {
-        source,
-        dist,
-        hops,
-        parent,
+
+    fn run_buckets(
+        &mut self,
+        g: &WGraph,
+        source: NodeId,
+        dist: &mut [u64],
+        hops: &mut [u32],
+        mut parent: Option<&mut [Option<NodeId>]>,
+    ) {
+        let Search { buckets, order, .. } = self;
+        let mask = buckets.len() as u64 - 1;
+        buckets[0].push((0, source.0));
+        let mut pending = 1usize;
+        let mut d = 0u64;
+        while pending > 0 {
+            // Nothing drained at `d` feeds bucket `d`, so it is lent out.
+            let slot = (d & mask) as usize;
+            let mut drain = std::mem::take(&mut buckets[slot]);
+            pending -= drain.len();
+            for &(h, v) in &drain {
+                if (dist[v as usize], hops[v as usize]) != (d, h) {
+                    continue; // superseded by a better entry (lazy deletion)
+                }
+                order.push(v);
+                for (u, w) in g.neighbors(NodeId(v)) {
+                    let u = u.index();
+                    let key = (d + w, h + 1);
+                    match key.cmp(&(dist[u], hops[u])) {
+                        Ordering::Less => {
+                            (dist[u], hops[u]) = key;
+                            if let Some(p) = parent.as_deref_mut() {
+                                p[u] = Some(NodeId(v));
+                            }
+                            buckets[(key.0 & mask) as usize].push((key.1, u as u32));
+                            pending += 1;
+                        }
+                        // The parent rule: an equal offer from the same
+                        // distance and a smaller id wins.
+                        Ordering::Equal => {
+                            if let Some(p) = parent.as_deref_mut() {
+                                if p[u].is_some_and(|q| v < q.0 && dist[q.index()] == d) {
+                                    p[u] = Some(NodeId(v));
+                                }
+                            }
+                        }
+                        Ordering::Greater => {}
+                    }
+                }
+            }
+            drain.clear();
+            buckets[slot] = drain;
+            d += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{self, Weights};
+    use crate::gen::Weights;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn shortest_distances_on_small_graph() {
@@ -219,63 +254,67 @@ mod tests {
         assert_eq!(steps, s.hops[3]);
     }
 
-    /// The buckets and the heap must agree field-for-field — including
-    /// `parent`, whose value depends on the settling *order*, not just the
-    /// final distances.
-    fn assert_equivalent(g: &WGraph, what: &str) {
-        let w_max = g.max_weight();
-        for v in g.nodes() {
-            let a = dijkstra_heap(g, v);
-            let b = dijkstra_buckets(g, v, w_max);
-            assert_eq!(a.dist, b.dist, "{what}: dist from {v}");
-            assert_eq!(a.hops, b.hops, "{what}: hops from {v}");
-            assert_eq!(a.parent, b.parent, "{what}: parent from {v}");
-        }
-    }
-
-    #[test]
-    fn buckets_match_heap_at_weight_bound_one() {
-        for seed in 0..3u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let g = gen::gnp_connected(40, 0.12, Weights::Unit, &mut rng);
-            assert_equivalent(&g, &format!("unit weights, seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn buckets_match_heap_at_weight_bound_32() {
-        for seed in 0..3u64 {
-            let mut rng = SmallRng::seed_from_u64(10 + seed);
-            let g = gen::gnp_connected(40, 0.12, Weights::Uniform { lo: 1, hi: 32 }, &mut rng);
-            assert_equivalent(&g, &format!("weights 1..=32, seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn buckets_match_heap_at_the_threshold_boundary() {
-        // Exactly at the limit the dispatcher picks buckets; one past it,
-        // the heap. Both must agree with the reference at both bounds.
-        for hi in [DIAL_WEIGHT_LIMIT, DIAL_WEIGHT_LIMIT + 1] {
-            let mut rng = SmallRng::seed_from_u64(99);
-            let g = gen::gnp_connected(32, 0.15, Weights::Uniform { lo: 1, hi }, &mut rng);
-            assert_equivalent(&g, &format!("weights 1..={hi}"));
-            // And the public entry point agrees with the reference heap.
-            for v in g.nodes() {
-                let a = dijkstra(&g, v);
-                let b = dijkstra_heap(&g, v);
-                assert_eq!(a.dist, b.dist);
-                assert_eq!(a.hops, b.hops);
-                assert_eq!(a.parent, b.parent);
+    /// Random `G(n, p)` without a backbone, so some draws are
+    /// disconnected.
+    fn gnp(n: usize, p: f64, w: Weights, rng: &mut SmallRng) -> WGraph {
+        let mut edges = Vec::new();
+        for a in 0..n as u32 {
+            for b in a + 1..n as u32 {
+                if rng.random_bool(p) {
+                    edges.push((a, b, w.sample(rng)));
+                }
             }
         }
+        WGraph::from_edges(n, &edges).unwrap()
     }
 
-    #[test]
-    fn buckets_handle_disconnected_and_power_of_two_weights() {
-        let g = WGraph::from_edges(5, &[(0, 1, 4), (1, 2, 8)]).unwrap();
-        assert_equivalent(&g, "disconnected");
-        let mut rng = SmallRng::seed_from_u64(5);
-        let g = gen::gnp_connected(30, 0.15, Weights::PowerOfTwo { max_exp: 8 }, &mut rng);
-        assert_equivalent(&g, "power-of-two weights");
+    /// One search's `(dist, hops, parent)` rows.
+    fn rows(
+        search: &mut Search,
+        g: &WGraph,
+        v: NodeId,
+    ) -> (Vec<u64>, Vec<u32>, Vec<Option<NodeId>>) {
+        let s = search.sssp(g, v);
+        (s.dist, s.hops, s.parent)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The buckets and the heap agree field for field — including
+        /// `parent`, which the buckets get from the tie rule rather than
+        /// from their settling order — on every weight class, both sides
+        /// of the threshold, and disconnected draws.
+        #[test]
+        fn buckets_match_heap_on_random_graphs(
+            n in 2usize..=80,
+            seed in 0u64..1 << 32,
+            weights in prop_oneof![
+                Just(Weights::Unit),
+                Just(Weights::Uniform { lo: 1, hi: 7 }),
+                Just(Weights::Uniform { lo: 1, hi: 32 }),
+                Just(Weights::PowerOfTwo { max_exp: 8 }),
+                Just(Weights::Uniform { lo: 1, hi: DIAL_WEIGHT_LIMIT }),
+                Just(Weights::Uniform { lo: DIAL_WEIGHT_LIMIT - 2, hi: DIAL_WEIGHT_LIMIT + 1 }),
+            ],
+            p in prop_oneof![Just(0.02), Just(0.08), Just(0.25)],
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = gnp(n, p, weights, &mut rng);
+            // Dial's ring for the graph's own bound, even past the limit
+            // where `new` would pick the heap.
+            let (mut dial, mut heap) = (Search::with_ring(Some(g.max_weight())), Search::with_ring(None));
+            for v in g.nodes() {
+                let want = rows(&mut heap, &g, v);
+                prop_assert_eq!(&rows(&mut dial, &g, v), &want, "source {} of {:?}", v, weights);
+                let s = dijkstra(&g, v);
+                prop_assert_eq!((&s.dist, &s.hops, &s.parent), (&want.0, &want.1, &want.2));
+                // Settling order is nondecreasing in distance and covers
+                // exactly the reached nodes, starting at the source.
+                prop_assert_eq!(dial.order[0], v.0);
+                prop_assert!(dial.order.windows(2).all(|w| want.0[w[0] as usize] <= want.0[w[1] as usize]));
+                prop_assert_eq!(dial.order.len(), want.0.iter().filter(|&&d| d != INF).count());
+            }
+        }
     }
 }

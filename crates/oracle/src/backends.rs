@@ -484,7 +484,7 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             })
         }
         Backend::ExactTz => {
-            let scheme = ExactTz::new(g, b.k, b.seed);
+            let scheme = ExactTz::new(g, b.k, b.seed, b.threads);
             let m = metrics(Backend::ExactTz, n, 0, 0);
             Inner::Tz(TzOracle {
                 g: g.clone(),
@@ -527,12 +527,12 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             // artifact.
             let (apsp, first_hops, lsdb_edges, m) = match b.mode {
                 BuildMode::Simulated => {
-                    let fl = flooding_apsp(g);
+                    let fl = flooding_apsp(g, b.threads);
                     let m = metrics(Backend::Flooding, n, fl.metrics.rounds, fl.metrics.messages);
                     (fl.apsp, fl.first_hops, fl.lsdb_edges, m)
                 }
                 BuildMode::Native => {
-                    let (apsp, first_hops) = graphs::algo::apsp_with_first_hops(g);
+                    let (apsp, first_hops) = graphs::algo::apsp_with_first_hops(g, b.threads);
                     (
                         apsp,
                         first_hops,

@@ -113,6 +113,7 @@ impl TracedRoute {
     }
 }
 
+use congest::parallel::run_shards;
 use pde_core::pipeline::resolve_threads;
 use pde_core::BatchSchedule;
 
@@ -252,22 +253,18 @@ pub trait DistanceOracle: Sync {
         let workers = resolve_threads(threads, pairs.len() / MIN_PAIRS_PER_WORKER);
         let sched = BatchSchedule::build(pairs, self.len());
         let mut grouped = vec![0u64; pairs.len()];
-        if workers <= 1 {
-            self.estimate_grouped(pairs, sched.order(), &mut grouped);
-        } else {
-            let lens = sched.shard_lens(workers, MIN_PAIRS_PER_WORKER);
-            std::thread::scope(|scope| {
-                let mut order = sched.order();
-                let mut slots = grouped.as_mut_slice();
-                for &len in &lens {
-                    let (os, order_rest) = order.split_at(len);
-                    let (ss, slots_rest) = slots.split_at_mut(len);
-                    order = order_rest;
-                    slots = slots_rest;
-                    scope.spawn(move || self.estimate_grouped(pairs, os, ss));
-                }
+        let mut order = sched.order();
+        let mut slots = grouped.as_mut_slice();
+        let shards = sched
+            .shard_lens(workers, MIN_PAIRS_PER_WORKER)
+            .into_iter()
+            .map(|len| {
+                let (os, order_rest) = order.split_at(len);
+                let (ss, slots_rest) = std::mem::take(&mut slots).split_at_mut(len);
+                (order, slots) = (order_rest, slots_rest);
+                (os, ss)
             });
-        }
+        run_shards(shards, |(os, ss)| self.estimate_grouped(pairs, os, ss));
         sched.scatter(&grouped, out);
     }
 

@@ -19,8 +19,8 @@ use congest::pipeline::broadcast_all;
 use congest::{bits_for, label_record_bits, Message, Metrics, NodeId, Topology};
 use graphs::{DenseIndex, Seed, WGraph, INF};
 use pde_core::pipeline::{
-    self, closest_tagged, mutual_edges, parallel_map, sample_skeleton, trace_chain, virtual_graph,
-    with_resample, BuildError,
+    self, closest_tagged, mutual_edges, sample_skeleton, trace_chain, virtual_graph, with_resample,
+    BuildError,
 };
 use pde_core::{run_pde, BuildMode, FlatTables, PdeParams};
 use spanner::baswana_sen;
@@ -196,7 +196,7 @@ pub struct RtcScheme {
 /// index `j`, the minimum of `wd'_S(x, t_i) + span_dist[i][j]` over `x`'s
 /// skeleton routing row — plus, when `x` is itself a skeleton node, the
 /// direct `span_dist[x][j]` option whose hop is the first hop towards the
-/// next spanner waypoint (`span_next[i][j]`, a skeleton index, `usize::MAX`
+/// next spanner waypoint (`span_next[i][j]`, a skeleton index, `u32::MAX`
 /// when there is none). Ties break on the smaller hop id, exactly as the
 /// former per-query loop did, so queries answered from these tables are
 /// bit-identical to recomputing the reduction per query.
@@ -206,7 +206,7 @@ fn build_long_range(
     skel_index: &DenseIndex,
     skel_ids: &[NodeId],
     span_dist: &[u64],
-    span_next: &[usize],
+    span_next: &[u32],
 ) -> (Vec<u64>, Vec<u32>) {
     let n = topo.len();
     let m = skel_ids.len();
@@ -241,7 +241,7 @@ fn build_long_range(
                 if sd != INF && i != j {
                     // A reachable `j` always has a waypoint, and spanner
                     // edges are mutual estimates, so `x` routes to it.
-                    if let Some(&z) = skel_ids.get(span_next[i * m + j]) {
+                    if let Some(&z) = skel_ids.get(span_next[i * m + j] as usize) {
                         if let Some(e) = skel_routes.get(x, z) {
                             consider(sd, topo.neighbor(x, e.port));
                         }
@@ -387,35 +387,12 @@ fn build_attempt(g: &WGraph, params: &RtcParams) -> Result<RtcScheme, BuildError
     };
 
     // Spanner APSP + next-hop matrix (computable locally by every node
-    // since the spanner is globally known — no rounds in either mode).
-    // One Dijkstra per skeleton node, sharded over the worker threads;
-    // rows land in index order, so outputs are thread-count invariant.
+    // since the spanner is globally known — no rounds in either mode),
+    // sharded over the worker threads; every thread count gives the same
+    // matrices.
     let span_graph = skel_graph_from(&skel_ids, &sp.edges);
-    let m = skel_ids.len();
-    let rows = parallel_map(params.threads, m, |i| {
-        let sp_row = graphs::algo::dijkstra(&span_graph, NodeId(i as u32));
-        let mut next = vec![usize::MAX; m];
-        for (j, nx) in next.iter_mut().enumerate() {
-            if i != j && sp_row.dist[j] != INF {
-                // First hop from i towards j: walk parents back from j.
-                let mut cur = NodeId(j as u32);
-                while let Some(par) = sp_row.parent[cur.index()] {
-                    if par == NodeId(i as u32) {
-                        break;
-                    }
-                    cur = par;
-                }
-                *nx = cur.index();
-            }
-        }
-        (sp_row.dist, next)
-    });
-    let mut span_dist = Vec::with_capacity(m * m);
-    let mut span_next = Vec::with_capacity(m * m);
-    for (dist_row, next_row) in rows {
-        span_dist.extend(dist_row);
-        span_next.extend(next_row);
-    }
+    let (span, span_next) = graphs::algo::apsp_with_first_hops(&span_graph, params.threads);
+    let span_dist = span.into_dist();
 
     // Stage 5: detection trees T_s from pivot chains; labels are the
     // central DFS labels of the TreeSet, validated by (and charged as)

@@ -32,7 +32,7 @@ fn check_guarantee(g: &WGraph, sources: &[bool], h: u64, eps: f64, label: &str) 
 
     // Ground truth, twice over: OSPF-style flooding (local Dijkstra) and
     // RIP-style Bellman–Ford must agree exactly before we trust either.
-    let truth = flooding_apsp(g).apsp;
+    let truth = flooding_apsp(g, 0).apsp;
     let bf = bellman_ford_apsp(g);
     for u in g.nodes() {
         for v in g.nodes() {

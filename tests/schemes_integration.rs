@@ -22,7 +22,7 @@ fn exact_baselines_agree_with_reference() {
     let g = graph(1);
     let exact = apsp(&g);
     let bf = bellman_ford_apsp(&g);
-    let fl = flooding_apsp(&g);
+    let fl = flooding_apsp(&g, 0);
     for u in g.nodes() {
         for v in g.nodes() {
             assert_eq!(bf.dist(u, v), exact.dist(u, v));
@@ -55,7 +55,7 @@ fn every_scheme_routes_every_pair() {
     let rtc = build_rtc(&g, &RtcParams::new(2));
     let hier = build_hierarchy(&g, &CompactParams::new(2));
     let trunc = build_truncated(&g, &CompactParams::new(2), 1, UpperMode::Local);
-    let tz = ExactTz::new(&g, 2, 3);
+    let tz = ExactTz::new(&g, 2, 3, 0);
 
     let reports = [
         ("rtc", evaluate(&g, &rtc, &exact, PairSelection::All)),
@@ -96,7 +96,7 @@ fn compact_tables_beat_full_tables() {
     // The compact hierarchy's whole point: far smaller tables than the
     // flooding baseline's Θ(m) link-state database.
     let g = graph(5);
-    let fl = flooding_apsp(&g);
+    let fl = flooding_apsp(&g, 0);
     let mut params = CompactParams::new(3);
     params.c = 1.5;
     let hier = build_hierarchy(&g, &params);
@@ -153,7 +153,7 @@ fn rounds_ordering_matches_paper_narrative() {
     // schemes report nonzero, internally consistent round counts.
     let g = graph(6);
     let bf = bellman_ford_apsp(&g);
-    let fl = flooding_apsp(&g);
+    let fl = flooding_apsp(&g, 0);
     assert!(bf.metrics.rounds > 0 && fl.metrics.rounds > 0);
     assert!(fl.metrics.rounds as usize >= g.num_edges() / g.len());
     let rtc = build_rtc(&g, &RtcParams::new(2));
