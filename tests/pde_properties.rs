@@ -1,10 +1,15 @@
 //! Property-based tests of the core PDE guarantees (Definition 2.2),
 //! driven by randomly generated connected weighted graphs.
 
+use pde_repro::congest::Port;
 use pde_repro::graphs::{algo, NodeId, WGraph};
 use pde_repro::pde_core::{run_pde, PdeParams};
-use pde_repro::sourcedetect::{delayed_detection_reference, run_detection, DetectParams};
+use pde_repro::sourcedetect::{
+    delayed_detection_reference, native_detection, native_solve, run_detection, DetectParams,
+    SourceSpace,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a connected weighted graph on `n ∈ 5..=16` nodes — a random
 /// spanning tree plus extra random edges, weights in `1..=max_w`.
@@ -105,21 +110,67 @@ proptest! {
         }
     }
 
-    /// The distributed source-detection program agrees with the
-    /// centralized reference on the delayed topology, for arbitrary
-    /// delays (the unweighted algorithm of [10] is exact).
+    /// The distributed source-detection program and the native kernel
+    /// agree with the centralized reference on the delayed topology, for
+    /// arbitrary delays (the unweighted algorithm of [10] is exact), and
+    /// a native node announces exactly its list entries with `d < h`.
+    /// Every native archive row is the best `(d + delay, port)` over the
+    /// node's neighbours' announced list prefixes. σ sweeps both sides of
+    /// |S| over dense and sparse source sets; under a message cap only
+    /// the archive identity and the cap itself are checked.
     #[test]
-    fn detection_matches_reference(g in connected_graph(8), h in 2u64..12, sigma in 1usize..5) {
+    fn detection_matches_reference(
+        g in connected_graph(8),
+        h in 2u64..12,
+        sigma in 1usize..12,
+        every in 1usize..5,
+        cap in prop_oneof![Just(None), (0u64..5).prop_map(Some)],
+    ) {
         let topo = g.to_topology().with_delays(|w| w.div_ceil(3));
         let n = g.len();
-        let sources: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();
-        let out = run_detection(&topo, &sources, &vec![false; n],
-            &DetectParams { h, sigma, msg_cap: None, exact_rounds: false });
-        let reference = delayed_detection_reference(&topo, &sources, h, sigma);
+        let sources: Vec<bool> = (0..n).map(|i| i % every == every - 1).collect();
+        let tags = vec![false; n];
+        let params = DetectParams { h, sigma, msg_cap: cap, exact_rounds: false };
+        let native = native_detection(&topo, &sources, &tags, &params);
+        match cap {
+            None => {
+                let out = run_detection(&topo, &sources, &tags, &params);
+                let reference = delayed_detection_reference(&topo, &sources, h, sigma);
+                for v in topo.nodes() {
+                    let list = &native.lists[v.index()];
+                    let got: Vec<(u64, NodeId)> = list.iter().map(|e| (e.dist, e.src)).collect();
+                    prop_assert_eq!(&got, &reference[v.index()], "native at node {}", v);
+                    prop_assert_eq!(&out.lists[v.index()], list, "simulated at node {}", v);
+                    let below_h = list.iter().filter(|e| e.dist < h).count() as u64;
+                    prop_assert_eq!(native.msgs_per_node[v.index()], below_h, "msgs at {}", v);
+                }
+            }
+            Some(c) => prop_assert!(native.msgs_per_node.iter().all(|&m| m <= c)),
+        }
+        let space = SourceSpace::new(&sources, &tags);
+        let mut archives = Vec::new();
+        native_solve(&topo, &space, &params).for_each_row(|_, _, archive| {
+            let row: Vec<(NodeId, u64, Port)> = archive
+                .iter()
+                .map(|&(si, d, port)| (space.id(si), u64::from(d), port))
+                .collect();
+            archives.push(row);
+        });
         for v in topo.nodes() {
-            let got: Vec<(u64, NodeId)> =
-                out.lists[v.index()].iter().map(|e| (e.dist, e.src)).collect();
-            prop_assert_eq!(&got, &reference[v.index()], "node {}", v);
+            let mut best: BTreeMap<NodeId, (u64, Port)> = BTreeMap::new();
+            for (port, a, _, delay) in topo.arcs(v) {
+                let a = a.index();
+                for e in &native.lists[a][..native.msgs_per_node[a] as usize] {
+                    let d = e.dist + delay;
+                    if d <= h {
+                        let slot = best.entry(e.src).or_insert((d, port));
+                        *slot = (*slot).min((d, port));
+                    }
+                }
+            }
+            let want: Vec<(NodeId, u64, Port)> =
+                best.into_iter().map(|(src, (d, port))| (src, d, port)).collect();
+            prop_assert_eq!(&archives[v.index()], &want, "archive at node {}", v);
         }
     }
 }
