@@ -11,8 +11,8 @@
 //!   [`BuildMode::Simulated`] runs the Lenzen–Peleg CONGEST program on
 //!   the subdivided topology through `congest::Runtime` (the
 //!   paper-faithful round/message measurement);
-//!   [`BuildMode::Native`] runs the centralized bucketed multi-source
-//!   Dijkstra of [`sourcedetect::native_solve`] and charges no rounds.
+//!   [`BuildMode::Native`] runs the centralized σ-budgeted bucket search
+//!   of [`sourcedetect::native_solve`] and charges no rounds.
 //!
 //! # The determinism contract
 //!
@@ -27,14 +27,17 @@
 //! lists match the canonical ones on every rung (they provably do — both
 //! equal the exact top-σ lists).
 //!
-//! # A rung is never materialised
+//! # A rung is its lists plus one neighbour pass
 //!
-//! [`run_rung`] returns a [`SolvedRung`]: the kernel's final state tables
-//! (12 B per `(node, source)` cell) plus the engine's small per-node
-//! broadcast counts and metrics. Its lists and archive rows exist only as
-//! the two scratch rows [`SolvedRung::for_each_row`] hands to a visitor,
-//! so the rung merge of [`run_pde`](crate::run_pde) folds a rung and
-//! drops it without a `DetectionOutput` ever being built.
+//! [`run_rung`] returns a [`SolvedRung`]: the kernel's lists
+//! (`min(σ, |S|)` slots of 8 B per node) and announcement counts, plus
+//! the engine's per-node broadcast counts and metrics. A node's archive
+//! row is the best `(dist + delay, port)` per source over its
+//! neighbours' announced list prefixes, so [`SolvedRung::for_each_row`]
+//! computes it in one pass over the node's arcs and hands it, with the
+//! node's list, to a visitor. The rung merge of
+//! [`run_pde`](crate::run_pde) folds a rung and drops it without an
+//! archive or a `DetectionOutput` ever being built.
 
 use crate::rounding::subdivision_len;
 use congest::{Metrics, Port, Topology};
@@ -96,8 +99,9 @@ impl LadderSpec {
     }
 }
 
-/// One executed rung: the canonical kernel's solved state plus the
-/// engine's measurements.
+/// One executed rung: the canonical kernel's lists and announcement
+/// counts, from which [`SolvedRung::for_each_row`] derives the archive,
+/// plus the engine's measurements.
 pub struct SolvedRung {
     solution: NativeSolution,
     /// Per-node broadcast counts: simulated counts, or the
@@ -169,7 +173,7 @@ pub fn run_rung(
 }
 
 /// Test-only gauge of how many rungs are alive at once: [`run_rung`]
-/// enters it before the state tables are allocated and the returned
+/// enters it before the search state is allocated and the returned
 /// [`SolvedRung`] leaves it on drop. Only rungs over the probed `sources`
 /// slice are counted, so tests running concurrently in this process
 /// don't disturb a measurement.

@@ -13,8 +13,10 @@
 //! they commute too, and `per_level_rounds` is written by rung index.
 //!
 //! Live build memory is therefore
-//! `merge tables (≤ 25 B·n·|S|) + threads × rung state (12 B·n·|S|)`,
-//! not `O(ladder)` materialised rungs.
+//! `merge tables (≤ 25 B·n·|S|) + threads × rung lists (8 B·n·min(σ, |S|))`
+//! (plus one settled bit per `(node, source)` while a rung is solved),
+//! not `O(ladder)` materialised rungs: a rung's archive rows are derived
+//! from its lists as the merge reads them.
 
 use crate::ladder::{run_rung, BuildMode, LadderSpec, SolvedRung};
 use crate::pipeline::{self, BuildError};

@@ -35,125 +35,57 @@
 //! route entry's port strictly decreases the recorded distance by at
 //! least the arc's delay, so greedy forwarding is total and terminates.
 //!
-//! Algorithmically this is a bounded multi-source Dijkstra over the
-//! delayed arcs with a per-node announcement budget of σ, processed in
-//! globally increasing `(dist, source)` order via a bucket queue (delays
-//! are small integers), and per-`(node, source)` state in a dense matrix
-//! when `n·|S|` is small enough, else per-node hash rows. `O(Σ arrivals ·
-//! log)`-free: bucket draining plus one sort per bucket.
-//!
 //! # Solve, then visit
 //!
-//! The kernel is split in two. [`native_solve`] runs the Dijkstra and
-//! returns a [`NativeSolution`]: the final state tables (12 B per
-//! `(node, source)` cell when dense) plus the announcement counts.
-//! [`NativeSolution::for_each_row`] is the one assembly loop over those
-//! tables: per node it hands the top-σ `(dist, source index)` list and
-//! the `(source index, dist, port)` archive row to a visitor, through
-//! two scratch rows reused across nodes. A consumer that folds rows as
-//! they come (the PDE rung merge) therefore never holds a materialised
-//! rung, and the visitor is the only reader of the archive;
-//! [`native_detection`] is the thin wrapper that collects the lists and
-//! counts into a [`DetectionOutput`] for callers that want one.
+//! A node's announcements are a prefix of its final list: the first
+//! `announced` entries, since both `dist < h` and the message cap cut a
+//! sorted list at one point. So a rung is two parts.
+//!
+//! 1. **The lists.** [`native_solve`] is a bounded multi-source Dijkstra
+//!    over the delayed arcs with a per-node list budget of σ, run in
+//!    globally increasing `(dist, source)` order. Delays are small
+//!    integers, so pending offers sit on a Dial ring of
+//!    `min(max delay, h) + 1` slots, sorted per slot; an offer is pushed
+//!    whenever a neighbour announces and dropped when popped if its pair
+//!    is already settled. The only per-pair state is one settled bit per
+//!    `(node, source)`; per node there are `min(σ, |S|)` list slots,
+//!    filled in sorted order, and the announcement count. When no budget
+//!    binds (`σ ≥ |S|` and no message cap below `|S|`) sources do not
+//!    interact, so the same loop runs one source at a time, unsorted, and
+//!    each list is sorted once at the end: the pending set is then one
+//!    source's frontier, not every source's.
+//! 2. **The archive.** [`NativeSolution::for_each_row`] derives it per
+//!    node in one pass over the node's arcs: the best
+//!    `(dist + delay, port)` per source among the neighbours' announced
+//!    prefixes, within `h`. It hands the node's list and that archive row
+//!    to a visitor, through scratch reused across nodes. A consumer that
+//!    folds rows as they come (the PDE rung merge) therefore never holds
+//!    a materialised archive; [`native_detection`] is the thin wrapper
+//!    that collects the lists and counts into a [`DetectionOutput`] for
+//!    callers that want one.
 
 use crate::program::SourceSpace;
 use crate::runner::{DetectParams, DetectionOutput};
-use congest::{FxHashMap, Metrics, NodeId, Port, Topology};
+use congest::{Metrics, NodeId, Port, Topology};
 
 /// Sentinel for "no distance recorded" (mirrors the program's packing).
 const NONE32: u32 = u32::MAX;
 
-/// Cap on `n · |S|` for the dense per-(node, source) state matrix;
-/// above it the kernel falls back to per-node hash rows so memory tracks
-/// reached pairs. The switch is invisible in the output.
-const DENSE_STATE_LIMIT: usize = 1 << 24;
-
-/// Picks the state representation: dense only when the full matrix is
-/// both affordable *and* not grossly larger than the number of pairs the
-/// run can actually touch. Every node announces at most σ pairs per
-/// rung (the rank budget), so at most `2·m·σ + n` distinct
-/// `(node, source)` pairs are ever written; when the matrix dwarfs that
-/// (σ ≪ |S|, e.g. the σ = 4 simulator benchmarks), zeroing `n·|S|`
-/// entries per rung would dominate the whole run, and hash rows win.
-fn choose_dense(n: usize, s: usize, m_edges: usize, sigma: usize) -> bool {
-    let cells = n.saturating_mul(s);
-    let touched = m_edges
-        .saturating_mul(2)
-        .saturating_mul(sigma)
-        .saturating_add(n);
-    cells <= DENSE_STATE_LIMIT && cells <= touched.saturating_mul(8)
-}
-
-/// Per-`(node, source)` state: tentative/final best known distance plus
-/// the best *received* `(dist, port)` for the routing archive.
-#[derive(Clone, Copy, Debug)]
-struct NState {
-    dist: u32,
-    recv_dist: u32,
-    recv_port: Port,
-}
-
-const EMPTY: NState = NState {
-    dist: NONE32,
-    recv_dist: NONE32,
-    recv_port: 0,
-};
-
-/// Dense or sparse `(node, source) → NState` storage.
-enum StateTables {
-    Dense(Vec<NState>),
-    Sparse(Vec<FxHashMap<u32, NState>>),
-}
-
-impl StateTables {
-    fn new(n: usize, s: usize, dense: bool) -> Self {
-        if dense {
-            StateTables::Dense(vec![EMPTY; n * s])
-        } else {
-            StateTables::Sparse(std::iter::repeat_with(FxHashMap::default).take(n).collect())
-        }
-    }
-
-    #[inline]
-    fn get(&self, s: usize, v: usize, si: u32) -> NState {
-        match self {
-            StateTables::Dense(t) => t[v * s + si as usize],
-            StateTables::Sparse(rows) => rows[v].get(&si).copied().unwrap_or(EMPTY),
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, s: usize, v: usize, si: u32) -> &mut NState {
-        match self {
-            StateTables::Dense(t) => &mut t[v * s + si as usize],
-            StateTables::Sparse(rows) => rows[v].entry(si).or_insert(EMPTY),
-        }
-    }
-}
-
-/// Packs `(si, v)` into one sortable key: within a distance bucket, pairs
-/// are processed in `(source index, node)` order, which realizes the
-/// global `(dist, source)` processing order the canonical semantics needs
-/// (the node component is arbitrary but fixed — pairs of different nodes
-/// at the same `(dist, source)` never interact).
-#[inline]
-fn pack(si: u32, v: u32) -> u64 {
-    (u64::from(si) << 32) | u64::from(v)
-}
-
-#[inline]
-fn unpack(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
-}
-
-/// The solved state of one canonical detection instance: what
+/// The solved lists of one canonical detection instance: what
 /// [`native_solve`] returns and [`NativeSolution::for_each_row`] reads.
 pub struct NativeSolution {
-    state: StateTables,
-    /// `|S|` — the row stride of the dense tables.
+    /// The topology the solve ran on; its arcs drive the archive pass.
+    topo: Topology,
+    h: u64,
+    /// `|S|`.
     s: usize,
-    sigma: usize,
-    /// Announcements made per node.
+    /// List slots per node, `min(σ, |S|)`.
+    width: usize,
+    /// Node `v`'s list is `lists[v · width..][..len[v]]`, sorted
+    /// `(dist, source index)` pairs.
+    lists: Vec<(u32, u32)>,
+    len: Vec<u32>,
+    /// Announcements made per node: the length of its announced prefix.
     announced: Vec<u64>,
 }
 
@@ -164,47 +96,47 @@ impl NativeSolution {
         &self.announced
     }
 
+    fn list(&self, v: usize) -> &[(u32, u32)] {
+        &self.lists[v * self.width..][..self.len[v] as usize]
+    }
+
     /// Visits every node in increasing id order with its two output rows,
     /// in terms of the [`SourceSpace`] indices the solve ran over:
     /// `list` holds the top-σ `(dist, source index)` pairs, sorted
     /// lexicographically (index order is id order, so this is the
     /// paper's `(dist, source id)` order); `archive` holds the best
     /// received `(source index, dist, port)` per source, sorted by index.
-    /// Both slices are scratch rows, valid only during the call.
+    /// `archive` is a scratch row, valid only during the call.
     pub fn for_each_row(&self, mut visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)])) {
-        let mut list: Vec<(u32, u32)> = Vec::new();
+        // Best `(dist, port)` per source index, and the indices set.
+        let mut best: Vec<(u32, Port)> = vec![(NONE32, 0); self.s];
+        let mut touched: Vec<u32> = Vec::new();
         let mut archive: Vec<(u32, u32, Port)> = Vec::new();
-        let mut by_si: Vec<(u32, NState)> = Vec::new();
-        let push = |list: &mut Vec<_>, archive: &mut Vec<_>, si: u32, st: &NState| {
-            if st.dist != NONE32 {
-                list.push((st.dist, si));
+        for v in self.topo.nodes() {
+            for (port, a, _w, delay) in self.topo.arcs(v) {
+                let a = a.index();
+                for &(dist, si) in &self.list(a)[..self.announced[a] as usize] {
+                    let nd = u64::from(dist).saturating_add(delay);
+                    if nd > self.h {
+                        break; // the prefix is sorted by distance
+                    }
+                    let slot = &mut best[si as usize];
+                    if slot.0 == NONE32 {
+                        touched.push(si);
+                    }
+                    // Ports ascend, so a distance tie keeps the smaller.
+                    if nd < u64::from(slot.0) {
+                        *slot = (nd as u32, port);
+                    }
+                }
             }
-            if st.recv_dist != NONE32 {
-                archive.push((si, st.recv_dist, st.recv_port));
-            }
-        };
-        for v in 0..self.announced.len() {
-            list.clear();
+            touched.sort_unstable();
             archive.clear();
-            match &self.state {
-                StateTables::Dense(t) => {
-                    let row = &t[v * self.s..(v + 1) * self.s];
-                    for (si, st) in row.iter().enumerate() {
-                        push(&mut list, &mut archive, si as u32, st);
-                    }
-                }
-                StateTables::Sparse(rows) => {
-                    by_si.clear();
-                    by_si.extend(rows[v].iter().map(|(&si, &st)| (si, st)));
-                    by_si.sort_unstable_by_key(|&(si, _)| si);
-                    for (si, st) in &by_si {
-                        push(&mut list, &mut archive, *si, st);
-                    }
-                }
-            }
-            list.sort_unstable();
-            list.truncate(self.sigma);
-            visit(v, &list, &archive);
+            archive.extend(touched.drain(..).map(|si| {
+                let (dist, port) = std::mem::replace(&mut best[si as usize], (NONE32, 0));
+                (si, dist, port)
+            }));
+            visit(v.index(), self.list(v.index()), &archive);
         }
     }
 }
@@ -215,8 +147,7 @@ impl NativeSolution {
 /// Output shape matches [`crate::run_detection`]: per-node top-σ lists,
 /// per-node announcement counts (the idealized-schedule analogue of the
 /// broadcast counts), and zeroed simulator metrics (a native run charges
-/// no rounds). This is [`native_solve`] plus a
-/// [`NativeSolution::for_each_row`] visitor that collects the lists.
+/// no rounds). This is [`native_solve`] without the archive pass.
 ///
 /// # Panics
 ///
@@ -236,14 +167,15 @@ pub fn native_detection(
 
 /// Collects a solution's lists and counts into the runner's output shape.
 fn collect(space: &SourceSpace, solution: NativeSolution) -> DetectionOutput {
-    let mut lists = Vec::with_capacity(solution.announced.len());
-    solution.for_each_row(|_, list, _| {
-        lists.push(
-            list.iter()
+    let lists = (0..solution.len.len())
+        .map(|v| {
+            solution
+                .list(v)
+                .iter()
                 .map(|&(dist, si)| space.entry(dist, si))
-                .collect(),
-        );
-    });
+                .collect()
+        })
+        .collect();
     DetectionOutput {
         lists,
         msgs_per_node: solution.announced,
@@ -252,7 +184,7 @@ fn collect(space: &SourceSpace, solution: NativeSolution) -> DetectionOutput {
 }
 
 /// Solves canonical `(S, h, σ)`-detection on `topo` for the sources of
-/// `space` and returns the final state, to be read through
+/// `space` and returns the lists, to be read through
 /// [`NativeSolution::for_each_row`]. Tags play no part in the solve.
 ///
 /// # Panics
@@ -260,18 +192,6 @@ fn collect(space: &SourceSpace, solution: NativeSolution) -> DetectionOutput {
 /// Panics if `space` was not built over `topo`'s nodes or
 /// `h ≥ u32::MAX` (as the program does).
 pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams) -> NativeSolution {
-    let dense = choose_dense(topo.len(), space.len(), topo.num_edges(), params.sigma);
-    solve(topo, space, params, dense)
-}
-
-/// [`native_solve`] with the state representation pinned (the choice is
-/// output-invisible; tests pin that directly).
-fn solve(
-    topo: &Topology,
-    space: &SourceSpace,
-    params: &DetectParams,
-    dense: bool,
-) -> NativeSolution {
     let n = topo.len();
     assert_eq!(space.num_nodes(), n, "one source flag per node");
     assert!(
@@ -279,88 +199,133 @@ fn solve(
         "horizon {} too large for the packed distance representation",
         params.h
     );
-    let h = params.h;
-    let sigma = params.sigma;
-    let cap = params.msg_cap.unwrap_or(u64::MAX);
-
     let s = space.len();
-    let mut state = StateTables::new(n, s, dense);
-    // Finalized-pair count per node (the rank of the next finalized pair)
-    // and announcements made (for the optional message cap).
-    let mut rank = vec![0u32; n];
-    let mut announced = vec![0u64; n];
-
-    // Bucket queue over distances 0..=d_max. Relaxations always move to
-    // a strictly larger bucket (delays are ≥ 1), so each bucket is
-    // sorted and drained exactly once. The horizon may far exceed any
-    // realizable delay distance (h' is a worst-case bound), so the array
-    // is additionally capped by the longest possible simple delay path.
-    let reach_cap = topo
-        .max_delay()
-        .saturating_mul(n.saturating_sub(1) as u64)
-        .min(h);
-    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); reach_cap as usize + 1];
-    for si in 0..s as u32 {
-        let v = space.id(si);
-        state.get_mut(s, v.index(), si).dist = 0;
-        buckets[0].push(pack(si, v.0));
-    }
-
-    let mut bucket = Vec::new();
-    for d in 0..=reach_cap {
-        std::mem::swap(&mut bucket, &mut buckets[d as usize]);
-        if bucket.is_empty() {
-            continue;
+    let cap = params.msg_cap.unwrap_or(u64::MAX);
+    let width = params.sigma.min(s);
+    // An offer lands at most `min(max delay, h)` past the slot being
+    // drained, so a ring one longer never wraps onto a live slot.
+    let ring_len = topo.max_delay().min(params.h) + 1;
+    let mut search = Search {
+        topo,
+        n,
+        h: params.h,
+        cap,
+        width,
+        settled: vec![0; (n * s).div_ceil(64)],
+        ring: vec![Vec::new(); ring_len as usize],
+        pending: 0,
+        lists: vec![(0, 0); n * width],
+        len: vec![0; n],
+        announced: vec![0; n],
+    };
+    let seed = |si: u32| (u64::from(si) << 32) | u64::from(space.id(si).0);
+    if params.sigma >= s && cap >= s as u64 {
+        // No budget binds, so sources do not interact: one at a time, and
+        // each list sorted once at the end.
+        for si in 0..s as u32 {
+            search.run([seed(si)], false);
         }
-        bucket.sort_unstable();
-        for &key in &bucket {
-            let (si, v) = unpack(key);
-            let vi = v as usize;
-            if u64::from(state.get(s, vi, si).dist) != d {
-                continue; // stale entry, improved before finalization
-            }
-            let r = rank[vi];
-            rank[vi] = r + 1;
-            // Announce iff within the final top σ, below the horizon, and
-            // under the message cap — the canonical counterpart of the
-            // program's pending-queue rules.
-            if u64::from(r) >= sigma as u64 || d >= h || announced[vi] >= cap {
-                continue;
-            }
-            announced[vi] += 1;
-            let vn = NodeId(v);
-            for (port, u, _w, delay) in topo.arcs(vn) {
-                debug_assert!(delay >= 1, "detection needs delays >= 1");
-                let nd = d.saturating_add(delay);
-                if nd > h {
-                    continue;
-                }
-                let nd32 = nd as u32;
-                let ap = topo.reverse_port(vn, port);
-                let st = state.get_mut(s, u.index(), si);
-                // Archive: best received (dist, port), smaller port wins
-                // distance ties (arrival-order-free).
-                if (nd32, ap) < (st.recv_dist, st.recv_port) {
-                    st.recv_dist = nd32;
-                    st.recv_port = ap;
-                }
-                if nd32 < st.dist {
-                    st.dist = nd32;
-                    // Any improving candidate is realized by a simple
-                    // chain of announcers, so it stays within reach_cap.
-                    debug_assert!(nd <= reach_cap);
-                    buckets[nd as usize].push(pack(si, u.0));
-                }
-            }
+        for (v, &len) in search.len.iter().enumerate() {
+            search.lists[v * width..][..len as usize].sort_unstable();
         }
-        bucket.clear();
+    } else {
+        search.run((0..s as u32).map(seed), true);
     }
-
     NativeSolution {
-        state,
+        topo: topo.clone(),
+        h: params.h,
         s,
-        sigma,
-        announced,
+        width,
+        lists: search.lists,
+        len: search.len,
+        announced: search.announced,
+    }
+}
+
+/// The state of one σ-budgeted bucket search (see the module docs).
+struct Search<'t> {
+    topo: &'t Topology,
+    n: usize,
+    h: u64,
+    cap: u64,
+    width: usize,
+    /// One bit per `(source index, node)`, at `si · n + v`: the pair's
+    /// distance is final.
+    settled: Vec<u64>,
+    /// Dial ring of pending offers `si << 32 | node`; distance `d` sits
+    /// in slot `d mod ring.len()`.
+    ring: Vec<Vec<u64>>,
+    pending: usize,
+    lists: Vec<(u32, u32)>,
+    len: Vec<u32>,
+    announced: Vec<u64>,
+}
+
+impl Search<'_> {
+    /// Settles everything reachable from `seeds` (offers at distance 0),
+    /// one distance at a time. With `sorted`, a slot is drained in
+    /// `(source index, node)` order, which realizes the global
+    /// `(dist, source)` order the σ budget needs; pairs of different
+    /// nodes at the same `(dist, source)` never interact.
+    fn run(&mut self, seeds: impl IntoIterator<Item = u64>, sorted: bool) {
+        let ring_len = self.ring.len() as u64;
+        self.ring[0].extend(seeds);
+        self.pending += self.ring[0].len();
+        let mut d = 0;
+        while self.pending > 0 {
+            // Taking the slot releases its storage once drained.
+            let mut slot = std::mem::take(&mut self.ring[(d % ring_len) as usize]);
+            self.pending -= slot.len();
+            if sorted {
+                slot.sort_unstable();
+            }
+            for key in slot {
+                self.settle(d, (key >> 32) as u32, key as u32);
+            }
+            d += 1;
+        }
+    }
+
+    /// The word and mask of `(si, v)`'s settled bit.
+    fn bit(&self, si: u32, v: usize) -> (usize, u64) {
+        let bit = si as usize * self.n + v;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// Whether an offer of `si` at `v` can still take a list slot: the
+    /// pair is unsettled and `v`'s list is not full.
+    fn open(&self, si: u32, v: usize) -> bool {
+        let (word, mask) = self.bit(si, v);
+        self.settled[word] & mask == 0 && (self.len[v] as usize) < self.width
+    }
+
+    /// Takes an offer of source index `si` at node `v`, distance `d`:
+    /// unless the pair is closed, settles it into `v`'s list and, below
+    /// the horizon and under the message cap, announces it — the
+    /// canonical counterpart of the program's pending-queue rules.
+    /// Offers go only to neighbours the pair is still open at.
+    fn settle(&mut self, d: u64, si: u32, v: u32) {
+        let vi = v as usize;
+        if !self.open(si, vi) {
+            return;
+        }
+        let (word, mask) = self.bit(si, vi);
+        self.settled[word] |= mask;
+        self.lists[vi * self.width + self.len[vi] as usize] = (d as u32, si);
+        self.len[vi] += 1;
+        if d >= self.h || self.announced[vi] >= self.cap {
+            return;
+        }
+        self.announced[vi] += 1;
+        let ring_len = self.ring.len() as u64;
+        for (_, u, _w, delay) in self.topo.arcs(NodeId(v)) {
+            debug_assert!(delay >= 1, "detection needs delays >= 1");
+            let nd = d.saturating_add(delay);
+            if nd <= self.h && self.open(si, u.index()) {
+                self.ring[(nd % ring_len) as usize].push((u64::from(si) << 32) | u64::from(u.0));
+                self.pending += 1;
+            }
+        }
     }
 }
 
@@ -384,17 +349,16 @@ mod tests {
     type Routes = Vec<Vec<(NodeId, u64, Port)>>;
 
     /// Lists and archives read straight off the row visitor (not through
-    /// `collect`), with the state representation pinned. Also checks the
-    /// visitor's own contract: nodes in order, rows sorted, lists ≤ σ.
+    /// `collect`). Also checks the visitor's own contract: nodes in
+    /// order, rows sorted, lists ≤ σ.
     fn rows_via_visitor(
         topo: &Topology,
         sources: &[bool],
         tags: &[bool],
         p: &DetectParams,
-        dense: bool,
     ) -> (Lists, Routes, Vec<u64>) {
         let space = SourceSpace::new(sources, tags);
-        let solution = solve(topo, &space, p, dense);
+        let solution = native_solve(topo, &space, p);
         let (mut lists, mut routes): (Lists, Routes) = Default::default();
         solution.for_each_row(|v, list, archive| {
             assert_eq!(v, lists.len(), "nodes visited in id order");
@@ -483,12 +447,9 @@ mod tests {
         for h in [2, 4, 8] {
             for sigma in [1, 2, 3] {
                 let out = native_detection(&topo, &sources, &tags, &params(h, sigma));
-                let [dense, sparse] = [true, false].map(|dense| {
-                    rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense)
-                });
-                assert_eq!(dense, sparse, "h={h} sigma={sigma}");
-                assert_eq!(dense.0, out.lists, "h={h} sigma={sigma}");
-                assert_eq!(dense.2, out.msgs_per_node, "h={h} sigma={sigma}");
+                let (lists, _, msgs) = rows_via_visitor(&topo, &sources, &tags, &params(h, sigma));
+                assert_eq!(lists, out.lists, "h={h} sigma={sigma}");
+                assert_eq!(msgs, out.msgs_per_node, "h={h} sigma={sigma}");
             }
         }
     }
@@ -510,35 +471,28 @@ mod tests {
         )
         .unwrap();
         let sources = [true, true, true, true, false, false, false, false];
-        let check = |lists: &Lists, routes: &Routes| {
-            for v in topo.nodes() {
-                let r = &routes[v.index()];
-                for e in &lists[v.index()] {
-                    if e.src == v {
-                        continue;
-                    }
-                    // Every non-self list entry is archived at the same
-                    // dist, and its port leads strictly closer to the
-                    // source.
-                    let &(_, d, port) =
-                        r.iter().find(|&&(s, _, _)| s == e.src).unwrap_or_else(|| {
-                            panic!("list entry {} missing from archive at {v}", e.src)
-                        });
-                    assert_eq!(d, e.dist, "archive dist mismatch at {v} for {}", e.src);
-                    let u = topo.neighbor(v, port);
-                    if u != e.src {
-                        let ru = &routes[u.index()];
-                        let &(_, du, _) =
-                            ru.iter().find(|&&(s, _, _)| s == e.src).expect("chained");
-                        assert!(du < d, "no strict progress {v}->{u} for {}", e.src);
-                    }
+        let (lists, routes, _) = rows_via_visitor(&topo, &sources, &[false; 8], &params(5, 2));
+        for v in topo.nodes() {
+            let r = &routes[v.index()];
+            for e in &lists[v.index()] {
+                if e.src == v {
+                    continue;
+                }
+                // Every non-self list entry is archived at the same
+                // dist, and its port leads strictly closer to the
+                // source.
+                let &(_, d, port) = r
+                    .iter()
+                    .find(|&&(s, _, _)| s == e.src)
+                    .unwrap_or_else(|| panic!("list entry {} missing from archive at {v}", e.src));
+                assert_eq!(d, e.dist, "archive dist mismatch at {v} for {}", e.src);
+                let u = topo.neighbor(v, port);
+                if u != e.src {
+                    let ru = &routes[u.index()];
+                    let &(_, du, _) = ru.iter().find(|&&(s, _, _)| s == e.src).expect("chained");
+                    assert!(du < d, "no strict progress {v}->{u} for {}", e.src);
                 }
             }
-        };
-        for dense in [true, false] {
-            let (lists, routes, _) =
-                rows_via_visitor(&topo, &sources, &[false; 8], &params(5, 2), dense);
-            check(&lists, &routes);
         }
     }
 
@@ -549,35 +503,16 @@ mod tests {
         // only ever hears of source 2 (plus nothing beyond its top-1).
         let topo = Topology::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]).unwrap();
         let sources = [true, true, true, false];
-        let (lists, routes, _) =
-            rows_via_visitor(&topo, &sources, &[false; 4], &params(3, 1), true);
+        let (lists, routes, _) = rows_via_visitor(&topo, &sources, &[false; 4], &params(3, 1));
         assert_eq!(lists[3].len(), 1);
         assert_eq!(lists[3][0].src, NodeId(2));
         assert_eq!(routes[3].len(), 1, "truncated sources must not leak");
     }
 
     #[test]
-    fn message_cap_is_canonical_prefix() {
-        let topo = Topology::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]).unwrap();
-        let sources = [true; 5];
-        let capped = native_detection(
-            &topo,
-            &sources,
-            &[false; 5],
-            &DetectParams {
-                h: 5,
-                sigma: 5,
-                msg_cap: Some(2),
-                exact_rounds: false,
-            },
-        );
-        assert!(capped.msgs_per_node.iter().all(|&m| m <= 2));
-    }
-
-    #[test]
-    fn dense_and_sparse_state_agree() {
-        // The representation switch must be output-invisible: run the
-        // same instance through both and compare everything.
+    fn collected_and_visited_rows_agree() {
+        // `native_detection`'s collecting loop and the row visitor read
+        // the same lists and counts.
         let mut edges = Vec::new();
         for i in 0..9u32 {
             edges.push((i, (i + 1) % 10, 1 + u64::from(i % 3)));
@@ -587,20 +522,10 @@ mod tests {
         let sources: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
         let tags: Vec<bool> = (0..10).map(|i| i % 4 == 0).collect();
         for (h, sigma) in [(4, 2), (9, 3), (20, 10)] {
-            // Through the collecting wrapper's loop and straight off the
-            // visitor: the same rows either way, in both representations.
-            let detect = |dense| {
-                let space = SourceSpace::new(&sources, &tags);
-                collect(&space, solve(&topo, &space, &params(h, sigma), dense))
-            };
-            let rows = |dense| rows_via_visitor(&topo, &sources, &tags, &params(h, sigma), dense);
-            let (lists, _, msgs) = rows(true);
-            assert_eq!(rows(false), rows(true), "h={h} sigma={sigma}");
-            for dense in [true, false] {
-                let out = detect(dense);
-                assert_eq!(out.lists, lists, "h={h} sigma={sigma} dense={dense}");
-                assert_eq!(out.msgs_per_node, msgs, "h={h} sigma={sigma} dense={dense}");
-            }
+            let (lists, _, msgs) = rows_via_visitor(&topo, &sources, &tags, &params(h, sigma));
+            let out = native_detection(&topo, &sources, &tags, &params(h, sigma));
+            assert_eq!(out.lists, lists, "h={h} sigma={sigma}");
+            assert_eq!(out.msgs_per_node, msgs, "h={h} sigma={sigma}");
         }
     }
 
