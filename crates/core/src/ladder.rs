@@ -36,8 +36,8 @@
 //! neighbours' announced list prefixes, so [`SolvedRung::for_each_row`]
 //! computes it in one pass over the node's arcs and hands it, with the
 //! node's list, to a visitor. The rung merge of
-//! [`run_pde`](crate::run_pde) folds a rung and drops it without an
-//! archive or a `DetectionOutput` ever being built.
+//! [`run_pde`](crate::run_pde) folds a rung and drops it without a
+//! whole-rung archive or a `DetectionOutput` ever being built.
 
 use crate::rounding::subdivision_len;
 use congest::{Metrics, Port, Topology};

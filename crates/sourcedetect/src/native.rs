@@ -46,8 +46,9 @@
 //!    globally increasing `(dist, source)` order. Delays are small
 //!    integers, so pending offers sit on a Dial ring of
 //!    `min(max delay, h) + 1` slots, sorted per slot; an offer is pushed
-//!    whenever a neighbour announces and dropped when popped if its pair
-//!    is already settled. The only per-pair state is one settled bit per
+//!    when a neighbour announces a pair still open at the node, and
+//!    dropped when popped if the pair settled meanwhile. There are no
+//!    tentative distances: the only per-pair state is one settled bit per
 //!    `(node, source)`; per node there are `min(σ, |S|)` list slots,
 //!    filled in sorted order, and the announcement count. When no budget
 //!    binds (`σ ≥ |S|` and no message cap below `|S|`) sources do not
