@@ -99,10 +99,13 @@ impl LadderSpec {
     }
 }
 
-/// One executed rung: the canonical kernel's lists and announcement
-/// counts, from which [`SolvedRung::for_each_row`] derives the archive,
-/// plus the engine's measurements.
+/// One executed rung: its subdivided topology and the canonical
+/// kernel's lists and announcement counts, from which
+/// [`SolvedRung::for_each_row`] derives the archive, plus the engine's
+/// measurements.
 pub struct SolvedRung {
+    /// The subdivided topology the rung ran on.
+    topo: Topology,
     solution: NativeSolution,
     /// Per-node broadcast counts: simulated counts, or the
     /// idealized-schedule announcement counts in `Native` mode.
@@ -117,7 +120,7 @@ impl SolvedRung {
     /// Visits the rung's canonical artifact node by node; see
     /// [`NativeSolution::for_each_row`] for the row shapes.
     pub fn for_each_row(&self, visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)])) {
-        self.solution.for_each_row(visit);
+        self.solution.for_each_row(&self.topo, visit);
     }
 }
 
@@ -152,7 +155,7 @@ pub fn run_rung(
             } = run_detection(&level_topo, sources, tags, detect);
             let solution = native_solve(&level_topo, &space, detect);
             if cfg!(debug_assertions) {
-                solution.for_each_row(|v, list, _| {
+                solution.for_each_row(&level_topo, |v, list, _| {
                     let canonical = list.iter().map(|&(dist, si)| space.entry(dist, si));
                     assert!(
                         canonical.eq(sim_lists[v].iter().copied()),
@@ -164,6 +167,7 @@ pub fn run_rung(
         }
     };
     SolvedRung {
+        topo: level_topo,
         solution,
         msgs_per_node,
         metrics,

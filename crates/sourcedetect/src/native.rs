@@ -75,8 +75,6 @@ const NONE32: u32 = u32::MAX;
 /// The solved lists of one canonical detection instance: what
 /// [`native_solve`] returns and [`NativeSolution::for_each_row`] reads.
 pub struct NativeSolution {
-    /// The topology the solve ran on; its arcs drive the archive pass.
-    topo: Topology,
     h: u64,
     /// `|S|`.
     s: usize,
@@ -107,14 +105,19 @@ impl NativeSolution {
     /// lexicographically (index order is id order, so this is the
     /// paper's `(dist, source id)` order); `archive` holds the best
     /// received `(source index, dist, port)` per source, sorted by index.
-    /// `archive` is a scratch row, valid only during the call.
-    pub fn for_each_row(&self, mut visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)])) {
+    /// `archive` is a scratch row, valid only during the call. `topo` is
+    /// the topology the solve ran on; its arcs drive the archive pass.
+    pub fn for_each_row(
+        &self,
+        topo: &Topology,
+        mut visit: impl FnMut(usize, &[(u32, u32)], &[(u32, u32, Port)]),
+    ) {
         // Best `(dist, port)` per source index, and the indices set.
         let mut best: Vec<(u32, Port)> = vec![(NONE32, 0); self.s];
         let mut touched: Vec<u32> = Vec::new();
         let mut archive: Vec<(u32, u32, Port)> = Vec::new();
-        for v in self.topo.nodes() {
-            for (port, a, _w, delay) in self.topo.arcs(v) {
+        for v in topo.nodes() {
+            for (port, a, _w, delay) in topo.arcs(v) {
                 let a = a.index();
                 for &(dist, si) in &self.list(a)[..self.announced[a] as usize] {
                     let nd = u64::from(dist).saturating_add(delay);
@@ -233,7 +236,6 @@ pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams)
         search.run((0..s as u32).map(seed), true);
     }
     NativeSolution {
-        topo: topo.clone(),
         h: params.h,
         s,
         width,
@@ -361,7 +363,7 @@ mod tests {
         let space = SourceSpace::new(sources, tags);
         let solution = native_solve(topo, &space, p);
         let (mut lists, mut routes): (Lists, Routes) = Default::default();
-        solution.for_each_row(|v, list, archive| {
+        solution.for_each_row(topo, |v, list, archive| {
             assert_eq!(v, lists.len(), "nodes visited in id order");
             assert!(list.len() <= p.sigma);
             assert!(list.windows(2).all(|w| w[0] < w[1]), "list unsorted at {v}");

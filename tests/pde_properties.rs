@@ -131,16 +131,22 @@ proptest! {
         let sources: Vec<bool> = (0..n).map(|i| i % every == every - 1).collect();
         let tags = vec![false; n];
         let params = DetectParams { h, sigma, msg_cap: cap, exact_rounds: false };
+        // The simulated program is checked against the reference in every
+        // case, uncapped whatever `cap` was drawn.
+        let uncapped = DetectParams { msg_cap: None, ..params };
+        let out = run_detection(&topo, &sources, &tags, &uncapped);
+        let reference = delayed_detection_reference(&topo, &sources, h, sigma);
+        for v in topo.nodes() {
+            let got: Vec<(u64, NodeId)> =
+                out.lists[v.index()].iter().map(|e| (e.dist, e.src)).collect();
+            prop_assert_eq!(&got, &reference[v.index()], "simulated at node {}", v);
+        }
         let native = native_detection(&topo, &sources, &tags, &params);
         match cap {
             None => {
-                let out = run_detection(&topo, &sources, &tags, &params);
-                let reference = delayed_detection_reference(&topo, &sources, h, sigma);
                 for v in topo.nodes() {
                     let list = &native.lists[v.index()];
-                    let got: Vec<(u64, NodeId)> = list.iter().map(|e| (e.dist, e.src)).collect();
-                    prop_assert_eq!(&got, &reference[v.index()], "native at node {}", v);
-                    prop_assert_eq!(&out.lists[v.index()], list, "simulated at node {}", v);
+                    prop_assert_eq!(&out.lists[v.index()], list, "native at node {}", v);
                     let below_h = list.iter().filter(|e| e.dist < h).count() as u64;
                     prop_assert_eq!(native.msgs_per_node[v.index()], below_h, "msgs at {}", v);
                 }
@@ -149,7 +155,7 @@ proptest! {
         }
         let space = SourceSpace::new(&sources, &tags);
         let mut archives = Vec::new();
-        native_solve(&topo, &space, &params).for_each_row(|_, _, archive| {
+        native_solve(&topo, &space, &params).for_each_row(&topo, |_, _, archive| {
             let row: Vec<(NodeId, u64, Port)> = archive
                 .iter()
                 .map(|&(si, d, port)| (space.id(si), u64::from(d), port))
