@@ -225,7 +225,9 @@ pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams)
     let seed = |si: u32| (u64::from(si) << 32) | u64::from(space.id(si).0);
     if params.sigma >= s && cap >= s as u64 {
         // No budget binds, so sources do not interact: one at a time, and
-        // each list sorted once at the end.
+        // each list sorted once at the end. The pending set is then one
+        // source's frontier, not every source's (on S = V this is both
+        // faster and a fraction of the global loop's peak memory).
         for si in 0..s as u32 {
             search.run([seed(si)], false);
         }
