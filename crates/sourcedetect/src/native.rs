@@ -45,16 +45,19 @@
 //!    over the delayed arcs with a per-node list budget of σ, run in
 //!    globally increasing `(dist, source)` order. Delays are small
 //!    integers, so pending offers sit on a Dial ring of
-//!    `min(max delay, h) + 1` slots, sorted per slot; an offer is pushed
-//!    when a neighbour announces a pair still open at the node, and
-//!    dropped when popped if the pair settled meanwhile. There are no
+//!    `min(max delay, h) + 1` slots; an offer is pushed when a neighbour
+//!    announces a pair still open at the node, and dropped when popped if
+//!    the pair settled meanwhile. A slot fills in runs sorted by source,
+//!    one per distance that announced into it, and is drained by merging
+//!    them; its storage is fixed-size blocks recycled across slots, so a
+//!    search allocates about its peak pending set once. There are no
 //!    tentative distances: the only per-pair state is one settled bit per
 //!    `(node, source)`; per node there are `min(σ, |S|)` list slots,
 //!    filled in sorted order, and the announcement count. When no budget
 //!    binds (`σ ≥ |S|` and no message cap below `|S|`) sources do not
-//!    interact, so the same loop runs one source at a time, unsorted, and
-//!    each list is sorted once at the end: the pending set is then one
-//!    source's frontier, not every source's.
+//!    interact, so the same loop runs one source at a time (a slot is
+//!    then one run) and each list is sorted once at the end: the pending
+//!    set is then one source's frontier, not every source's.
 //! 2. **The archive.** [`NativeSolution::for_each_row`] derives it per
 //!    node in one pass over the node's arcs: the best
 //!    `(dist + delay, port)` per source among the neighbours' announced
@@ -68,9 +71,16 @@
 use crate::program::SourceSpace;
 use crate::runner::{DetectParams, DetectionOutput};
 use congest::{Metrics, NodeId, Port, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Sentinel for "no distance recorded" (mirrors the program's packing).
 const NONE32: u32 = u32::MAX;
+
+/// Offers per block of the search's Dial ring. The ring keeps its offers
+/// in blocks of one size, recycled as slots drain, so a search allocates
+/// about its peak pending set once instead of regrowing every slot.
+const BLOCK: usize = 1024;
 
 /// The solved lists of one canonical detection instance: what
 /// [`native_solve`] returns and [`NativeSolution::for_each_row`] reads.
@@ -216,7 +226,10 @@ pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams)
         cap,
         width,
         settled: vec![0; (n * s).div_ceil(64)],
-        ring: vec![Vec::new(); ring_len as usize],
+        ring: std::iter::repeat_with(Slot::default)
+            .take(ring_len as usize)
+            .collect(),
+        spare: Vec::new(),
         pending: 0,
         lists: vec![(0, 0); n * width],
         len: vec![0; n],
@@ -229,13 +242,13 @@ pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams)
         // source's frontier, not every source's (on S = V this is both
         // faster and a fraction of the global loop's peak memory).
         for si in 0..s as u32 {
-            search.run([seed(si)], false);
+            search.run([seed(si)]);
         }
         for (v, &len) in search.len.iter().enumerate() {
             search.lists[v * width..][..len as usize].sort_unstable();
         }
     } else {
-        search.run((0..s as u32).map(seed), true);
+        search.run((0..s as u32).map(seed));
     }
     NativeSolution {
         h: params.h,
@@ -244,6 +257,28 @@ pub fn native_solve(topo: &Topology, space: &SourceSpace, params: &DetectParams)
         lists: search.lists,
         len: search.len,
         announced: search.announced,
+    }
+}
+
+/// One distance's pending offers, in blocks of [`BLOCK`] (all full but
+/// the last). They arrive in runs, one per distance that announced into
+/// the slot, each in source-index order (the order a distance settles
+/// in); `runs` holds where each run starts.
+#[derive(Default)]
+struct Slot {
+    blocks: Vec<Vec<u64>>,
+    runs: Vec<usize>,
+}
+
+impl Slot {
+    fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |b| (self.blocks.len() - 1) * BLOCK + b.len())
+    }
+
+    fn get(&self, p: usize) -> u64 {
+        self.blocks[p / BLOCK][p % BLOCK]
     }
 }
 
@@ -259,7 +294,9 @@ struct Search<'t> {
     settled: Vec<u64>,
     /// Dial ring of pending offers `si << 32 | node`; distance `d` sits
     /// in slot `d mod ring.len()`.
-    ring: Vec<Vec<u64>>,
+    ring: Vec<Slot>,
+    /// Drained blocks, emptied, for the next pushes to reuse.
+    spare: Vec<Vec<u64>>,
     pending: usize,
     lists: Vec<(u32, u32)>,
     len: Vec<u32>,
@@ -268,27 +305,63 @@ struct Search<'t> {
 
 impl Search<'_> {
     /// Settles everything reachable from `seeds` (offers at distance 0),
-    /// one distance at a time. With `sorted`, a slot is drained in
-    /// `(source index, node)` order, which realizes the global
-    /// `(dist, source)` order the σ budget needs; pairs of different
-    /// nodes at the same `(dist, source)` never interact.
-    fn run(&mut self, seeds: impl IntoIterator<Item = u64>, sorted: bool) {
+    /// one distance at a time. A slot is drained in source-index order by
+    /// merging its runs, which realizes the global `(dist, source)` order
+    /// the σ budget needs; pairs of different nodes at the same
+    /// `(dist, source)` never interact, so their order is free.
+    fn run(&mut self, seeds: impl IntoIterator<Item = u64>) {
+        for key in seeds {
+            self.push(0, key);
+        }
         let ring_len = self.ring.len() as u64;
-        self.ring[0].extend(seeds);
-        self.pending += self.ring[0].len();
+        // Run heads `(source index, position, run end)`.
+        let mut heads = BinaryHeap::new();
         let mut d = 0;
         while self.pending > 0 {
-            // Taking the slot releases its storage once drained.
-            let mut slot = std::mem::take(&mut self.ring[(d % ring_len) as usize]);
-            self.pending -= slot.len();
-            if sorted {
-                slot.sort_unstable();
+            let i = (d % ring_len) as usize;
+            let mut slot = std::mem::take(&mut self.ring[i]);
+            let len = slot.len();
+            self.pending -= len;
+            let ends = slot.runs.iter().skip(1).copied().chain([len]);
+            for (&start, end) in slot.runs.iter().zip(ends) {
+                heads.push(Reverse((slot.get(start) >> 32, start, end)));
             }
-            for key in slot {
-                self.settle(d, (key >> 32) as u32, key as u32);
+            // Each pop settles one run's offers of the smallest source left.
+            while let Some(Reverse((si, mut p, end))) = heads.pop() {
+                while p < end && slot.get(p) >> 32 == si {
+                    self.settle(d, si as u32, slot.get(p) as u32);
+                    p += 1;
+                }
+                if p < end {
+                    heads.push(Reverse((slot.get(p) >> 32, p, end)));
+                }
             }
+            self.spare.extend(slot.blocks.drain(..).map(|mut b| {
+                b.clear();
+                b
+            }));
+            slot.runs.clear();
+            self.ring[i] = slot;
             d += 1;
         }
+    }
+
+    /// Queues offer `key` at distance `d`, starting a run when its source
+    /// index is below that of the slot's last offer.
+    fn push(&mut self, d: u64, key: u64) {
+        let i = d % self.ring.len() as u64;
+        let slot = &mut self.ring[i as usize];
+        let last = slot.blocks.last().and_then(|b| b.last());
+        if last.is_none_or(|&l| key >> 32 < l >> 32) {
+            slot.runs.push(slot.len());
+        }
+        if slot.blocks.last().is_none_or(|b| b.len() == BLOCK) {
+            let block = self.spare.pop();
+            slot.blocks
+                .push(block.unwrap_or_else(|| Vec::with_capacity(BLOCK)));
+        }
+        slot.blocks.last_mut().expect("a block with room").push(key);
+        self.pending += 1;
     }
 
     /// The word and mask of `(si, v)`'s settled bit.
@@ -322,13 +395,11 @@ impl Search<'_> {
             return;
         }
         self.announced[vi] += 1;
-        let ring_len = self.ring.len() as u64;
         for (_, u, _w, delay) in self.topo.arcs(NodeId(v)) {
             debug_assert!(delay >= 1, "detection needs delays >= 1");
             let nd = d.saturating_add(delay);
             if nd <= self.h && self.open(si, u.index()) {
-                self.ring[(nd % ring_len) as usize].push((u64::from(si) << 32) | u64::from(u.0));
-                self.pending += 1;
+                self.push(nd, (u64::from(si) << 32) | u64::from(u.0));
             }
         }
     }
