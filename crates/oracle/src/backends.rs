@@ -1,6 +1,7 @@
-//! The backend wrappers behind [`crate::DistanceOracle`]: seven structs
+//! The backend wrappers behind [`crate::DistanceOracle`]: six structs
 //! for the eight [`Backend`]s, since [`Backend::ApproxApsp`] is a
-//! [`PdeOracle`] at Theorem 4.1's configuration.
+//! [`PdeOracle`] at Theorem 4.1's configuration and
+//! [`Backend::Flooding`] one over exact rows.
 //!
 //! Each wrapper can trace routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
@@ -22,8 +23,9 @@ use graphs::{WGraph, INF};
 use pde_core::pde::validate_pde_input;
 use pde_core::schedule::{self, RowEstimate};
 use pde_core::{try_approx_apsp, try_run_pde};
-use pde_core::{FlatTables, PdeParams, RowCursor};
+use pde_core::{FlatTables, PdeParams, RouteInfo, RowCursor};
 use routing::{try_build_rtc, RoutingScheme, RtcParams, RtcScheme};
+use std::collections::BTreeSet;
 
 /// The finite-ε stretch ceiling of the Theorem 4.5 scheme
 /// (`(6k−1)·(1+ε)^4`, as validated end to end by the routing tests).
@@ -49,7 +51,8 @@ fn truncated_ceiling(k: u32, eps: f64) -> f64 {
 
 /// [`Backend::Pde`]: flat per-node tables from one PDE run — and
 /// [`Backend::ApproxApsp`], which is that run at `S = V`, `h = σ = n`
-/// ([`pde_core::try_approx_apsp`]).
+/// ([`pde_core::try_approx_apsp`]), and [`Backend::Flooding`], the same
+/// coverage with exact rows (ε = 0; see `exact_oracle`).
 pub struct PdeOracle {
     pub(crate) g: WGraph,
     pub(crate) topo: Topology,
@@ -253,48 +256,6 @@ impl DistanceOracle for BfOracle {
     }
 }
 
-// ----------------------------------------------------------- Flooding --
-
-/// [`Backend::Flooding`]: exact distances and first hops computed locally
-/// from the flooded topology (the OSPF baseline: `Θ(m)` state per node,
-/// stretch 1).
-pub struct FloodOracle {
-    pub(crate) g: WGraph,
-    pub(crate) topo: Topology,
-    pub(crate) dist: Vec<u64>,
-    /// First-hop matrix; `u32::MAX` on the diagonal.
-    pub(crate) next: Vec<u32>,
-    pub(crate) lsdb_edges: usize,
-    pub(crate) metrics: OracleBuildMetrics,
-}
-
-impl DistanceOracle for FloodOracle {
-    fn len(&self) -> usize {
-        self.g.len()
-    }
-
-    fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
-        self.dist[u.index() * self.g.len() + v.index()]
-    }
-
-    fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        let raw = self.next[u.index() * self.g.len() + v.index()];
-        (raw != u32::MAX).then_some(NodeId(raw))
-    }
-
-    fn stretch_bound(&self) -> f64 {
-        1.0
-    }
-
-    fn build_metrics(&self) -> &OracleBuildMetrics {
-        &self.metrics
-    }
-
-    fn topology(&self) -> Option<&Topology> {
-        Some(&self.topo)
-    }
-}
-
 // ------------------------------------------------------- construction --
 
 /// The concrete backend behind an [`crate::Oracle`].
@@ -309,7 +270,6 @@ pub(crate) enum Inner {
     Truncated(TruncatedOracle),
     Tz(TzOracle),
     Bf(BfOracle),
-    Flood(FloodOracle),
 }
 
 impl Inner {
@@ -321,7 +281,6 @@ impl Inner {
             Inner::Truncated(o) => o,
             Inner::Tz(o) => o,
             Inner::Bf(o) => o,
-            Inner::Flood(o) => o,
         }
     }
 }
@@ -349,7 +308,6 @@ pub(crate) fn set_build_nanos(inner: &mut Inner, nanos: u64) {
         Inner::Truncated(o) => &mut o.metrics,
         Inner::Tz(o) => &mut o.metrics,
         Inner::Bf(o) => &mut o.metrics,
-        Inner::Flood(o) => &mut o.metrics,
     };
     m.build_nanos = nanos;
 }
@@ -521,35 +479,125 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             })
         }
         Backend::Flooding => {
-            // The flooded artifact (exact distances + first hops + LSDB
-            // size) is already computed centrally after the flood; the
-            // native build skips the flood and keeps the identical
-            // artifact.
-            let (apsp, first_hops, lsdb_edges, m) = match b.mode {
+            // The flood only adds the Θ(m + D)-round measurement: both
+            // engines install the rows of the same local Dijkstra sweep.
+            let ((apsp, first_hops), m) = match b.mode {
                 BuildMode::Simulated => {
                     let fl = flooding_apsp(g, b.threads);
                     let m = metrics(Backend::Flooding, n, fl.metrics.rounds, fl.metrics.messages);
-                    (fl.apsp, fl.first_hops, fl.lsdb_edges, m)
+                    ((fl.apsp, fl.first_hops), m)
                 }
-                BuildMode::Native => {
-                    let (apsp, first_hops) = graphs::algo::apsp_with_first_hops(g, b.threads);
-                    (
-                        apsp,
-                        first_hops,
-                        g.num_edges(),
-                        metrics(Backend::Flooding, n, 0, 0),
-                    )
-                }
+                BuildMode::Native => (
+                    graphs::algo::apsp_with_first_hops(g, b.threads),
+                    metrics(Backend::Flooding, n, 0, 0),
+                ),
             };
-            Inner::Flood(FloodOracle {
-                g: g.clone(),
-                topo: g.to_topology(),
-                dist: apsp.into_dist(),
-                next: first_hops,
-                lsdb_edges,
-                metrics: m,
-            })
+            let dist = apsp.into_dist();
+            let mut ladder = ExactLadder::default();
+            ladder.add(dist.iter().copied());
+            exact_oracle(g, ladder, m, |topo, u, out| {
+                let row = u.index() * n..(u.index() + 1) * n;
+                push_exact_row(topo, u, &dist[row.clone()], &first_hops[row], out);
+            })?
         }
     };
     Ok(inner)
+}
+
+/// The ladder of a table of exact rows: one rung, `1`, on which a
+/// distance `d` is `d` whole hops — and, since the hop field is 32 bits,
+/// one more rung per distinct distance past `u32::MAX`, reached in one
+/// hop. Every distance the table will hold goes through
+/// [`ExactLadder::add`] first.
+#[derive(Default)]
+pub(crate) struct ExactLadder {
+    /// The largest distance within the hop field.
+    horizon: u64,
+    /// The distances past it.
+    wide: BTreeSet<u64>,
+}
+
+impl ExactLadder {
+    pub(crate) fn add(&mut self, dists: impl IntoIterator<Item = u64>) {
+        for d in dists {
+            if d > u64::from(u32::MAX) {
+                self.wide.insert(d);
+            } else {
+                self.horizon = self.horizon.max(d);
+            }
+        }
+    }
+}
+
+/// [`Backend::Flooding`]'s oracle over exact rows: `fill(topo, u, out)`
+/// appends `u`'s entries (see [`push_exact_row`]) to a route table on
+/// `ladder`, where slot `(u, v)` stores `wd(u, v)` and the port of `u`'s
+/// first hop. It is PDE at `S = V`, `h = σ = n` with ε = 0, so it
+/// answers exactly.
+///
+/// # Errors
+///
+/// [`BuildError::InvalidParam`] when the distances past the 32-bit hop
+/// field need more rungs than a table holds (2¹⁶ with rung `1`).
+pub(crate) fn exact_oracle(
+    g: &WGraph,
+    ladder: ExactLadder,
+    metrics: OracleBuildMetrics,
+    mut fill: impl FnMut(&Topology, NodeId, &mut Vec<(NodeId, RouteInfo)>),
+) -> Result<Inner, BuildError> {
+    if ladder.wide.len() >= 1 << 16 {
+        return Err(BuildError::InvalidParam {
+            what: "more distinct distances past the 32-bit hop field than a table has rungs",
+        });
+    }
+    let rungs: Vec<u64> = std::iter::once(1).chain(ladder.wide).collect();
+    let horizon = ladder.horizon.max(u64::from(rungs.len() > 1));
+    let n = g.len();
+    let topo = g.to_topology();
+    let entries = n * n.saturating_sub(1);
+    let routes = FlatTables::from_rows(n, entries, (horizon, &rungs), |u, out| {
+        fill(&topo, NodeId(u as u32), out);
+        for (_, r) in out.iter_mut() {
+            r.level = match r.est > u64::from(u32::MAX) {
+                true => rungs
+                    .binary_search(&r.est)
+                    .expect("a wide distance has a rung") as u32,
+                false => 0,
+            };
+        }
+    });
+    Ok(Inner::Pde(PdeOracle {
+        g: g.clone(),
+        topo,
+        routes,
+        eps: 0.0,
+        h: n as u64,
+        sigma: n,
+        metrics,
+    }))
+}
+
+/// Appends `u`'s exact row — its distance row and first-hop row, dense
+/// and indexed by node — to `out`: every `v ≠ u` at `wd(u, v)`, through
+/// the port of `u`'s first hop ([`exact_oracle`] sets the rungs).
+pub(crate) fn push_exact_row(
+    topo: &Topology,
+    u: NodeId,
+    dist: &[u64],
+    next: &[u32],
+    out: &mut Vec<(NodeId, RouteInfo)>,
+) {
+    out.extend(topo.nodes().filter(|&v| v != u).map(|v| {
+        let hop = NodeId(next[v.index()]);
+        let port = topo.port_to(u, hop).expect("a first hop is a neighbour");
+        let est = dist[v.index()];
+        (
+            v,
+            RouteInfo {
+                est,
+                port,
+                level: 0,
+            },
+        )
+    }));
 }

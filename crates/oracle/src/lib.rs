@@ -67,9 +67,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
-pub use backends::{
-    BfOracle, CompactOracle, FloodOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
-};
+pub use backends::{BfOracle, CompactOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
 pub use eval::{evaluate, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
 pub use graphs::{DeltaError, GraphDelta};
@@ -364,7 +362,11 @@ pub enum Backend {
     ExactTz,
     /// Pipelined distance-vector APSP (exact; estimate-only, no routes).
     BellmanFord,
-    /// Link-state flooding + local Dijkstra (exact, full tables).
+    /// Link-state flooding + local Dijkstra (exact, full tables), served
+    /// as a PDE route table over exact rows: each slot is `wd(u, v)` as
+    /// whole hops on a one-rung ladder beside the port of `u`'s first hop
+    /// (ε = 0, stretch 1; a distance past the 32-bit hop field takes a
+    /// rung of its own).
     Flooding,
 }
 
@@ -664,9 +666,11 @@ impl Oracle {
     }
 
     /// Loads an oracle from a shared in-memory snapshot buffer — the
-    /// **zero-copy** path: after one checksum pass, the oracle's large
-    /// tables are views into `bytes`, and cloning the handle and loading
-    /// again shares the same underlying allocation.
+    /// **zero-copy** path: after one checksum pass, the oracle's route
+    /// tables are views into `bytes` (only [`Backend::BellmanFord`] and
+    /// [`Backend::ExactTz`] copy n × n distance matrices out of it), and
+    /// cloning the handle and loading again shares the same underlying
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -677,10 +681,12 @@ impl Oracle {
 
     /// Loads an oracle from a snapshot file: the file is read **once**
     /// into a [`congest::arena::SharedBytes`] buffer and decoded through
-    /// [`Oracle::load_shared`], so the snapshot is served as zero-copy
-    /// views into that single read — the cold-start path from disk pays
-    /// no second copy (unlike `fs::read` + [`Oracle::load_bytes`], which
-    /// would copy the payload again). `serve::OracleServer::install_path`
+    /// [`Oracle::load_shared`], so every route table — all backends but
+    /// [`Backend::BellmanFord`] and [`Backend::ExactTz`], which copy their
+    /// n × n distance matrices out of the buffer — is served as zero-copy
+    /// views into that single read: the cold-start path from disk pays
+    /// no second copy of them (unlike `fs::read` + [`Oracle::load_bytes`],
+    /// which would copy the payload again). `serve::OracleServer::install_path`
     /// and the `net` protocol's `Install` op go through this.
     ///
     /// # Errors

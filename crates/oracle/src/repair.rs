@@ -8,11 +8,14 @@
 //! `tests/dynamic_repair.rs`). How much work that takes depends on how
 //! the backend's artifact couples to the graph:
 //!
-//! * **Matrix backends** ([`Backend::Flooding`],
-//!   [`Backend::BellmanFord`]) store one exact row per source, and a row
+//! * **Exact-row backends** ([`Backend::Flooding`], whose route table
+//!   holds one exact row per node, and [`Backend::BellmanFord`], a
+//!   dense distance matrix) store one exact row per source, and a row
 //!   is a pure function of the graph alone. A raised or removed edge
 //!   `{x, y}` is classified per source `s` from the **old** row in
-//!   `O(deg)` (see `classify_row`): non-tight rows are bit-identical
+//!   `O(deg)` (see `classify_row`; Flooding probes its table, and
+//!   decodes a row into dense scratch rows only when the row must
+//!   change): non-tight rows are bit-identical
 //!   and kept; a tight row whose far endpoint keeps an *alternative*
 //!   tight predecessor keeps all its distances (every shortest path
 //!   survives by prefix replacement) and at most re-derives its
@@ -236,14 +239,14 @@ struct EdgeTransition {
 /// re-enter a (small) Dijkstra, seeded from their unaffected neighbors.
 fn classify_row(
     g_old: &WGraph,
-    dist: &[u64],
-    next: Option<&[u32]>,
+    dist: impl Fn(NodeId) -> u64,
+    next: Option<&dyn Fn(NodeId) -> u32>,
     unit_weights: bool,
     s: u32,
     edge: EdgeTransition,
 ) -> RowFix {
     let EdgeTransition { a, b, w_old, w_new } = edge;
-    let (da, db) = (dist[a.index()], dist[b.index()]);
+    let (da, db) = (dist(a), dist(b));
     if w_new < w_old {
         return if da.saturating_add(w_new) <= db || db.saturating_add(w_new) <= da {
             RowFix::Recompute { y: None }
@@ -258,11 +261,11 @@ fn classify_row(
     } else {
         return RowFix::Keep;
     };
-    let dy = dist[y.index()];
+    let dy = dist(y);
     let mut min_tight_pred = u32::MAX;
     let mut has_alternative = false;
     for (v, w) in g_old.neighbors(y) {
-        if dist[v.index()].saturating_add(w) == dy {
+        if dist(v).saturating_add(w) == dy {
             min_tight_pred = min_tight_pred.min(v.0);
             has_alternative |= v != x;
         }
@@ -276,8 +279,8 @@ fn classify_row(
             let tree_entered_via_edge = if unit_weights {
                 min_tight_pred == x.0
             } else {
-                let expected = if x.0 == s { y.0 } else { next[x.index()] };
-                next[y.index()] == expected
+                let expected = if x.0 == s { y.0 } else { next(x) };
+                next(y) == expected
             };
             if tree_entered_via_edge {
                 RowFix::Rederive { y }
@@ -478,10 +481,10 @@ impl OracleBuilder {
                     reason: REASON_RENUMBER,
                 },
             ),
-            (Inner::Flood(prev), _) => {
-                let (repaired, rows) = repair_flood(prev, g_old, &g_new, delta);
+            (Inner::Pde(prev), _) if self.backend == Backend::Flooding => {
+                let (repaired, rows) = repair_flood(prev, g_old, &g_new, delta)?;
                 (
-                    Inner::Flood(repaired),
+                    repaired,
                     RepairKind::Incremental {
                         rows_recomputed: rows,
                         rows_total: g_new.len(),
@@ -555,78 +558,87 @@ fn edge_transition(g_old: &WGraph, delta: &GraphDelta) -> EdgeTransition {
     }
 }
 
+/// Flooding's route table, repaired row by row. Each row is classified
+/// from a few probes of the stored table; a row the delta touches is
+/// decoded into dense scratch rows, patched and re-emitted through
+/// [`backends::push_exact_row`], and every other row is copied as
+/// stored. Returns the oracle and the number of rows touched.
 fn repair_flood(
-    prev: &crate::FloodOracle,
+    prev: &crate::PdeOracle,
     g_old: &WGraph,
     g_new: &WGraph,
     delta: &GraphDelta,
-) -> (crate::FloodOracle, usize) {
+) -> Result<(Inner, usize), BuildError> {
     let n = g_new.len();
     let edge = edge_transition(g_old, delta);
     let unit_old = g_old.max_weight() == 1;
     let unit_new = g_new.max_weight() == 1;
     let w_max_old = g_old.max_weight();
-    let mut dist = prev.dist.clone();
-    let mut next = prev.next.clone();
-    let mut rows = 0;
+    let (old_topo, routes) = (&prev.topo, &prev.routes);
+    // The touched rows, in row order: source, distances, first hops.
+    let mut patched = Vec::new();
+    let mut ladder = backends::ExactLadder::default();
     for s in 0..n {
-        let row = s * n..(s + 1) * n;
-        let fix = classify_row(
-            g_old,
-            &dist[row.clone()],
-            Some(&next[row.clone()]),
-            unit_old,
-            s as u32,
-            edge,
-        );
-        match fix {
-            RowFix::Keep => {}
-            RowFix::Rederive { y } => {
-                rows += 1;
-                let dmin = dist[row.start + y.index()];
-                if unit_new {
-                    patch_next_row_unit(g_new, s as u32, &dist[row.clone()], &mut next[row], dmin);
-                } else {
-                    let hops = graphs::algo::first_hops_from_dist(
-                        g_new,
-                        NodeId(s as u32),
-                        &dist[row.clone()],
-                    );
-                    next[row].copy_from_slice(&hops);
-                }
-            }
-            RowFix::Recompute { y: Some(y) } => {
-                rows += 1;
-                let dmin = dist[row.start + y.index()];
-                patch_dist_row(g_new, g_old, &mut dist[row.clone()], y, w_max_old);
-                if unit_new {
-                    patch_next_row_unit(g_new, s as u32, &dist[row.clone()], &mut next[row], dmin);
-                } else {
-                    let hops = graphs::algo::first_hops_from_dist(
-                        g_new,
-                        NodeId(s as u32),
-                        &dist[row.clone()],
-                    );
-                    next[row].copy_from_slice(&hops);
-                }
+        let src = NodeId(s as u32);
+        let row = routes.cursor(src);
+        // Every pair is covered: the one slot a row lacks is its own.
+        let dist = |v| row.est(v).unwrap_or(0);
+        let next = |v| {
+            row.get(v)
+                .map_or(u32::MAX, |e| old_topo.neighbor(src, e.port).0)
+        };
+        let fix = classify_row(g_old, dist, Some(&next), unit_old, s as u32, edge);
+        let (dist, next) = match fix {
+            RowFix::Keep => {
+                ladder.add(routes.row_iter(src).map(|e| e.est));
+                continue;
             }
             RowFix::Recompute { y: None } => {
-                rows += 1;
-                let (sssp, hop_row) = graphs::algo::sssp_with_first_hops(g_new, NodeId(s as u32));
-                dist[row.clone()].copy_from_slice(&sssp.dist);
-                next[row].copy_from_slice(&hop_row);
+                let (sssp, next) = graphs::algo::sssp_with_first_hops(g_new, src);
+                (sssp.dist, next)
             }
-        }
+            RowFix::Rederive { y } | RowFix::Recompute { y: Some(y) } => {
+                let (mut dist, mut next) = (vec![0; n], vec![u32::MAX; n]);
+                for e in routes.row_iter(src) {
+                    dist[e.src as usize] = e.est;
+                    next[e.src as usize] = old_topo.neighbor(src, e.port).0;
+                }
+                let dmin = dist[y.index()];
+                if let RowFix::Recompute { .. } = fix {
+                    patch_dist_row(g_new, g_old, &mut dist, y, w_max_old);
+                }
+                if unit_new {
+                    patch_next_row_unit(g_new, s as u32, &dist, &mut next, dmin);
+                } else {
+                    next = graphs::algo::first_hops_from_dist(g_new, src, &dist);
+                }
+                (dist, next)
+            }
+        };
+        ladder.add(dist.iter().copied());
+        patched.push((src, dist, next));
     }
-    let repaired = crate::FloodOracle {
-        g: g_new.clone(),
-        topo: g_new.to_topology(),
-        dist,
-        next,
-        lsdb_edges: g_new.num_edges(),
-        metrics: backends::metrics(Backend::Flooding, n, 0, 0),
-    };
-    (repaired, rows)
+    let rows = patched.len();
+    let mut patched = patched.into_iter().peekable();
+    let m = backends::metrics(Backend::Flooding, n, 0, 0);
+    let repaired = backends::exact_oracle(g_new, ladder, m, |topo, u, out| {
+        if let Some((_, dist, next)) = patched.next_if(|p| p.0 == u) {
+            return backends::push_exact_row(topo, u, &dist, &next, out);
+        }
+        // A delta only reweights or removes edges, so a node's ports
+        // move only where it lost an edge; a kept row never routes over it.
+        let moved = old_topo.degree(u) != topo.degree(u);
+        out.extend(routes.row_routes(u).map(|(v, mut r)| {
+            if moved {
+                let hop = old_topo.neighbor(u, r.port);
+                r.port = topo
+                    .port_to(u, hop)
+                    .expect("a kept row keeps its first hops");
+            }
+            (v, r)
+        }));
+    })?;
+    Ok((repaired, rows))
 }
 
 fn repair_bf(
@@ -643,7 +655,8 @@ fn repair_bf(
     for s in 0..n {
         let row = s * n..(s + 1) * n;
         // Distance-only artifact: the `Rederive` tier cannot arise.
-        let fix = classify_row(g_old, &dist[row.clone()], None, false, s as u32, edge);
+        let row_dist = &dist[row.clone()];
+        let fix = classify_row(g_old, |v| row_dist[v.index()], None, false, s as u32, edge);
         match fix {
             RowFix::Recompute { y: Some(y) } => {
                 rows += 1;
@@ -692,38 +705,144 @@ mod tests {
     }
 
     fn assert_identity(backend: Backend, delta: GraphDelta) {
-        let g = test_graph();
+        assert_identity_on(&test_graph(), backend, delta);
+    }
+
+    fn assert_identity_on(g: &WGraph, backend: Backend, delta: GraphDelta) -> RepairKind {
         let builder = OracleBuilder::new(backend);
-        let prev = builder.build(&g);
-        let repaired = builder.repair(&g, &prev, &delta).expect("repair");
+        let prev = builder.build(g);
+        let repaired = builder.repair(g, &prev, &delta).expect("repair");
         let fresh = builder.build(&g.apply_delta(&delta).unwrap());
         assert_eq!(
             repaired.oracle.artifact_bytes(),
             fresh.artifact_bytes(),
             "{backend}: repair({delta}) diverged from a from-scratch build"
         );
+        repaired.report.kind
     }
 
     #[test]
-    fn flooding_set_weight_is_incremental_and_identical() {
+    fn flooding_edge_deltas_are_incremental_and_identical() {
+        let unit = gen::gnp_connected(24, 0.18, Weights::Unit, &mut SmallRng::seed_from_u64(11));
         let g = test_graph();
-        let &(u, v, w) = &g.edges()[0];
-        let delta = GraphDelta::SetWeight {
-            u: NodeId(u),
-            v: NodeId(v),
-            w: w + 3,
-        };
-        let builder = OracleBuilder::new(Backend::Flooding);
-        let prev = builder.build(&g);
-        let repaired = builder.repair(&g, &prev, &delta).unwrap();
-        match repaired.report.kind {
-            RepairKind::Incremental {
-                rows_recomputed,
-                rows_total,
-            } => assert!(rows_recomputed <= rows_total),
-            RepairKind::Rebuilt { .. } => panic!("flooding edge delta must be incremental"),
+        // `g` scaled past the hop field: every distance is a rung of its
+        // own. A cut off the 2³³ grid adds rungs below kept distances, so
+        // the levels of the kept rows move too.
+        let scaled: Vec<_> = g.edges().iter().map(|&(u, v, w)| (u, v, w << 33)).collect();
+        let heavy = WGraph::from_edges(g.len(), &scaled).unwrap();
+        // `(graph, edge, new weight or None for a failure, rows)`: the
+        // rows each delta recomputed when Flooding stored dense n × n
+        // matrices, before it served a route table. A repair that falls
+        // back to a rebuild, or re-derives rows it need not, fails here.
+        let cases = [
+            (&g, 0, Some(g.edges()[0].2 + 3), 8),
+            (&g, 0, None, 8),
+            (&g, 1, Some(g.edges()[1].2 / 2), 21),
+            // Not tight from anywhere: every row kept, both endpoints'
+            // ports renumbered around the failed edge.
+            (&g, 3, None, 0),
+            (&unit, 0, Some(4), 16),
+            (&unit, 1, None, 15),
+            (&heavy, 0, Some(heavy.edges()[0].2 - 12345), 9),
+            (&heavy, 1, Some((g.edges()[1].2 / 2) << 33), 21),
+            (&heavy, 3, None, 0),
+        ];
+        for (g, edge, w, rows) in cases {
+            let (u, v) = (NodeId(g.edges()[edge].0), NodeId(g.edges()[edge].1));
+            let delta = match w {
+                Some(w) => GraphDelta::SetWeight { u, v, w },
+                None => GraphDelta::FailEdge { u, v },
+            };
+            let kind = assert_identity_on(g, Backend::Flooding, delta);
+            let want = RepairKind::Incremental {
+                rows_recomputed: rows,
+                rows_total: g.len(),
+            };
+            assert_eq!(kind, want, "{delta}");
         }
-        assert_identity(Backend::Flooding, delta);
+    }
+
+    /// Answers of `o` against exact distances on every ordered pair.
+    fn assert_exact(o: &Oracle, g: &WGraph) {
+        let apsp = graphs::algo::apsp(g);
+        for u in g.nodes() {
+            for v in g.nodes() {
+                assert_eq!(o.estimate(u, v), apsp.dist(u, v), "({u},{v})");
+            }
+        }
+    }
+
+    #[test]
+    fn flooding_distances_past_the_hop_field_take_their_own_rungs() {
+        // The hop field is 32 bits: a distance of `u32::MAX` is that many
+        // hops on rung 1, one unit more is one hop on a rung of its own.
+        // Both build, reload and answer exactly.
+        let half = 1u64 << 31;
+        let builder = OracleBuilder::new(Backend::Flooding);
+        for last in [half - 1, half] {
+            let g = WGraph::from_edges(3, &[(0, 1, half), (1, 2, last)]).unwrap();
+            let oracle = builder.try_build(&g).expect("an exact table");
+            let loaded = Oracle::load_bytes(&oracle.artifact_bytes()).unwrap();
+            for o in [&oracle, &loaded] {
+                assert_exact(o, &g);
+                assert_eq!(o.next_hop(NodeId(0), NodeId(2)), Some(NodeId(1)));
+            }
+        }
+    }
+
+    /// A path of 471 nodes whose first `light` edges weigh 1 and the
+    /// rest `2³³` plus a random offset: the distances past the hop field
+    /// are those of the pairs not both among the first `light + 1` nodes,
+    /// and all distinct.
+    fn heavy_path(light: u32) -> WGraph {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let edges: Vec<_> = (0..470)
+            .map(|i| {
+                let heavy = (1 << 33) + rng.random_range(1..1u64 << 40);
+                (i, i + 1, if i < light { 1 } else { heavy })
+            })
+            .collect();
+        WGraph::from_edges(471, &edges).unwrap()
+    }
+
+    /// The distinct distances of `g` past the 32-bit hop field.
+    fn wide_distances(g: &WGraph) -> usize {
+        let apsp = graphs::algo::apsp(g);
+        let pairs = g.nodes().flat_map(|u| g.nodes().map(move |v| (u, v)));
+        let wide = pairs
+            .map(|(u, v)| apsp.dist(u, v))
+            .filter(|&d| d > u64::from(u32::MAX));
+        wide.collect::<std::collections::BTreeSet<_>>().len()
+    }
+
+    #[test]
+    fn flooding_rung_overflow_is_a_typed_error() {
+        // A table has at most 2¹⁶ rungs, rung 1 among them: 471 · 470 / 2
+        // − 301 · 300 / 2 = 2¹⁶ − 1 wide distances fit, and one more
+        // heavy edge (300 more) is a typed error on build and on repair.
+        let builder = OracleBuilder::new(Backend::Flooding);
+        let (fits, over) = (heavy_path(300), heavy_path(299));
+        assert_eq!(wide_distances(&fits), (1 << 16) - 1);
+        let oracle = builder.try_build(&fits).expect("2¹⁶ rungs fit");
+        assert_exact(
+            &Oracle::load_bytes(&oracle.artifact_bytes()).unwrap(),
+            &fits,
+        );
+
+        let too_many = BuildError::InvalidParam {
+            what: "more distinct distances past the 32-bit hop field than a table has rungs",
+        };
+        assert_eq!(wide_distances(&over), (1 << 16) - 1 + 300);
+        assert_eq!(builder.try_build(&over).unwrap_err(), too_many);
+        let delta = GraphDelta::SetWeight {
+            u: NodeId(299),
+            v: NodeId(300),
+            w: over.edges()[299].2,
+        };
+        assert_eq!(fits.apply_delta(&delta).unwrap().edges(), over.edges());
+        let err = builder.repair(&fits, &oracle, &delta).unwrap_err();
+        assert_eq!(err, RepairError::Build(too_many));
     }
 
     #[test]

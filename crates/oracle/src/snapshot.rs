@@ -18,7 +18,8 @@
 //! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | — | rejected (rebuild) |
 //! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
-//! `approx_apsp` shares the PDE layout under its own header tag.
+//! `approx_apsp` and `flooding` share the PDE layout under their own
+//! header tags (flooding's rows are exact: ε = 0, whole hops on rung 1).
 //!
 //! A rejected tag surfaces as `InvalidData` wrapping
 //! [`congest::wire::SnapshotError::Rebuild`] (test with
@@ -68,7 +69,7 @@
 //! `UnexpectedEof`.
 
 use crate::backends::{
-    BfOracle, CompactOracle, FloodOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
+    BfOracle, CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
 };
 use crate::{Backend, Oracle, OracleBuildMetrics};
 use baselines::ExactTz;
@@ -148,13 +149,6 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
             a.u64s(&o.dist);
             Ok(())
         }
-        Inner::Flood(o) => {
-            a.u64s(&[o.lsdb_edges as u64]);
-            o.g.write_arena(a);
-            a.u64s(&o.dist);
-            a.u32s(&o.next);
-            Ok(())
-        }
     }
 }
 
@@ -164,7 +158,7 @@ fn read_arena_payload(
     c: &mut ArenaCursor<'_>,
 ) -> io::Result<Inner> {
     Ok(match backend {
-        Backend::Pde | Backend::ApproxApsp => {
+        Backend::Pde | Backend::ApproxApsp | Backend::Flooding => {
             let meta = c.u64s()?;
             let [eps, h, sigma] = meta[..] else {
                 return Err(invalid_data("PDE meta section misshapen"));
@@ -247,35 +241,6 @@ fn read_arena_payload(
                 return Err(invalid_data("dense matrix size mismatch"));
             }
             Inner::Bf(BfOracle { n, dist, metrics })
-        }
-        Backend::Flooding => {
-            let meta = c.u64s()?;
-            let [lsdb] = meta[..] else {
-                return Err(invalid_data("flooding meta section misshapen"));
-            };
-            let lsdb_edges =
-                usize::try_from(lsdb).map_err(|_| invalid_data("LSDB size overflow"))?;
-            let g = WGraph::read_arena(c)?;
-            let cells = congest::wire::seq_product(g.len(), g.len(), "distance matrix")?;
-            let dist = c.u64s()?;
-            let next = c.u32s()?;
-            if dist.len() != cells || next.len() != cells {
-                return Err(invalid_data("dense matrix size mismatch"));
-            }
-            for &raw in &next {
-                if raw != u32::MAX && raw as usize >= g.len() {
-                    return Err(invalid_data(format!("first hop {raw} out of range")));
-                }
-            }
-            let topo = g.to_topology();
-            Inner::Flood(FloodOracle {
-                g,
-                topo,
-                dist,
-                next,
-                lsdb_edges,
-                metrics,
-            })
         }
     })
 }

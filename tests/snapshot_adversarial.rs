@@ -41,11 +41,11 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // the header, the directory and every section boundary down to the
     // empty stream: each prefix must load as an error, and each error
     // must be the *typed* truncation (not a raw UnexpectedEof, not a
-    // misdiagnosed corruption). One scheme backend and one matrix backend
-    // cover every section shape (graphs, CSR tables, embedded tree
-    // streams, labels, and flooding's dense `u64` distance and
-    // `u32` first-hop matrices).
-    for backend in [Backend::Compact, Backend::Flooding] {
+    // misdiagnosed corruption). A scheme backend, the exact route table
+    // and the one dense matrix cover every section shape (graphs, CSR
+    // tables, embedded tree streams, labels, flooding's one-rung table
+    // and bellman_ford's n × n `u64` distance matrix).
+    for backend in [Backend::Compact, Backend::Flooding, Backend::BellmanFord] {
         let bytes = snapshot(backend);
         for keep in 0..bytes.len() {
             let err = match Oracle::load(&mut &bytes[..keep]) {
@@ -75,8 +75,9 @@ fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
     // never panic, wrap a length into a huge allocation, or loop. Header
     // metric bytes (n/rounds/msgs/nanos, offsets 8..40) are carried, not
     // validated; past them the arena's checksum means any directory or
-    // body damage must fail.
-    for backend in [Backend::Rtc, Backend::Flooding] {
+    // body damage must fail. Flooding's arena is a route table,
+    // bellman_ford's a dense matrix.
+    for backend in [Backend::Rtc, Backend::Flooding, Backend::BellmanFord] {
         let snap = snapshot(backend);
         for at in 0..snap.len() {
             let mut bad = snap.clone();
@@ -139,6 +140,44 @@ fn pre_fold_approx_apsp_arenas_are_invalid_data() {
     for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
         let Err(err) = loaded else {
             panic!("a pre-fold approx_apsp arena was loaded");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(!is_truncated(&err), "misreported as truncation: {err}");
+        assert_eq!(snapshot_cause(&err), None, "{err}");
+    }
+}
+
+#[test]
+fn pre_fold_flooding_arenas_are_invalid_data() {
+    // Before flooding shared the PDE layout, its arena was an `[lsdb]`
+    // meta section, the graph's three sections, an n × n `u64` distance
+    // matrix and an n × n `u32` first-hop matrix (`u32::MAX` on the
+    // diagonal). Such a file, under a recomputed checksum, must be a
+    // typed InvalidData — not a truncation, not a mis-load, not a panic.
+    let g = graph(21);
+    let snap = snapshot(Backend::Flooding);
+    let oracle = Oracle::load_bytes(&snap).unwrap();
+    let n = g.len() as u32;
+    let pairs = || (0..n).flat_map(|u| (0..n).map(move |v| (NodeId(u), NodeId(v))));
+    let dist: Vec<u8> = pairs()
+        .flat_map(|(u, v)| oracle.estimate(u, v).to_le_bytes())
+        .collect();
+    let next: Vec<u8> = pairs()
+        .flat_map(|(u, v)| {
+            oracle
+                .next_hop(u, v)
+                .map_or(u32::MAX, |h| h.0)
+                .to_le_bytes()
+        })
+        .collect();
+    let mut sections = arena_sections(&snap);
+    sections.truncate(4);
+    sections[0] = (g.num_edges() as u64).to_le_bytes().to_vec();
+    sections.extend([dist, next]);
+    let old = reassemble(&snap, &sections);
+    for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
+        let Err(err) = loaded else {
+            panic!("a pre-fold flooding arena was loaded");
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(!is_truncated(&err), "misreported as truncation: {err}");
