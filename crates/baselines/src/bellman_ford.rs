@@ -83,11 +83,6 @@ impl BfResult {
     pub fn dist(&self, u: NodeId, v: NodeId) -> u64 {
         self.dist[u.index() * self.n + v.index()]
     }
-
-    /// The row-major `n × n` distance matrix, by value.
-    pub fn into_dist(self) -> Vec<u64> {
-        self.dist
-    }
 }
 
 /// Runs the pipelined distance-vector algorithm to completion (exact

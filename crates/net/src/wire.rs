@@ -1053,5 +1053,23 @@ mod tests {
             Request::decode(&buf).unwrap_err(),
             WireError::Malformed(_)
         ));
+        // Backend tag 6 is retired (it was the served distance-vector
+        // matrix): a summary carrying it is malformed, not a backend.
+        let summary = InstallSummary {
+            backend: Backend::Flooding,
+            n: 8,
+            generation: 1,
+            cold_start_nanos: 1000,
+            replaced: None,
+        };
+        let mut buf = Vec::new();
+        encode_response(7, Op::Swap, &Response::Installed(summary), &mut buf);
+        // `ver | ok | op | req_id u64`, then the backend byte.
+        assert_eq!(buf[11], Backend::Flooding.wire_tag());
+        buf[11] = 6;
+        assert!(matches!(
+            decode_response(&buf).unwrap_err(),
+            WireError::Malformed(_)
+        ));
     }
 }

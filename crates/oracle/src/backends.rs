@@ -1,9 +1,9 @@
-//! The backend wrappers behind [`crate::DistanceOracle`]: six structs
-//! for the eight [`Backend`]s, since [`Backend::ApproxApsp`] is a
+//! The backend wrappers behind [`crate::DistanceOracle`]: five structs
+//! for the seven [`Backend`]s, since [`Backend::ApproxApsp`] is a
 //! [`PdeOracle`] at Theorem 4.1's configuration and
 //! [`Backend::Flooding`] one over exact rows.
 //!
-//! Each wrapper can trace routes without caller-side plumbing: the
+//! Every wrapper traces routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
 //! not copied), and the flat/centralized backends keep the graph
 //! themselves. The PDE-family wrappers serve the routing archives as
@@ -13,7 +13,7 @@
 //! or allocation.
 
 use crate::{Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder};
-use baselines::{bellman_ford_apsp, flooding_apsp, ExactTz};
+use baselines::{flooding_apsp, ExactTz};
 use compact::{
     try_build_hierarchy, try_build_truncated, CompactParams, CompactScheme, HorizonMode,
 };
@@ -114,8 +114,8 @@ impl DistanceOracle for PdeOracle {
         &self.metrics
     }
 
-    fn topology(&self) -> Option<&Topology> {
-        Some(&self.topo)
+    fn topology(&self) -> &Topology {
+        &self.topo
     }
 }
 
@@ -160,8 +160,8 @@ macro_rules! scheme_oracle {
                 &self.metrics
             }
 
-            fn topology(&self) -> Option<&Topology> {
-                Some(self.scheme.topology())
+            fn topology(&self) -> &Topology {
+                self.scheme.topology()
             }
         }
     };
@@ -219,40 +219,8 @@ impl DistanceOracle for TzOracle {
         &self.metrics
     }
 
-    fn topology(&self) -> Option<&Topology> {
-        Some(&self.topo)
-    }
-}
-
-// -------------------------------------------------------- BellmanFord --
-
-/// [`Backend::BellmanFord`]: exact dense distances, estimate-only (the
-/// distance-vector baseline keeps no next-hop state in this repo).
-pub struct BfOracle {
-    pub(crate) n: usize,
-    pub(crate) dist: Vec<u64>,
-    pub(crate) metrics: OracleBuildMetrics,
-}
-
-impl DistanceOracle for BfOracle {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
-        self.dist[u.index() * self.n + v.index()]
-    }
-
-    fn next_hop(&self, _u: NodeId, _v: NodeId) -> Option<NodeId> {
-        None
-    }
-
-    fn stretch_bound(&self) -> f64 {
-        1.0
-    }
-
-    fn build_metrics(&self) -> &OracleBuildMetrics {
-        &self.metrics
+    fn topology(&self) -> &Topology {
+        &self.topo
     }
 }
 
@@ -269,7 +237,6 @@ pub(crate) enum Inner {
     Compact(CompactOracle),
     Truncated(TruncatedOracle),
     Tz(TzOracle),
-    Bf(BfOracle),
 }
 
 impl Inner {
@@ -280,7 +247,6 @@ impl Inner {
             Inner::Compact(o) => o,
             Inner::Truncated(o) => o,
             Inner::Tz(o) => o,
-            Inner::Bf(o) => o,
         }
     }
 }
@@ -307,7 +273,6 @@ pub(crate) fn set_build_nanos(inner: &mut Inner, nanos: u64) {
         Inner::Compact(o) => &mut o.metrics,
         Inner::Truncated(o) => &mut o.metrics,
         Inner::Tz(o) => &mut o.metrics,
-        Inner::Bf(o) => &mut o.metrics,
     };
     m.build_nanos = nanos;
 }
@@ -449,32 +414,6 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                 topo: g.to_topology(),
                 scheme,
                 k: b.k,
-                metrics: m,
-            })
-        }
-        Backend::BellmanFord => {
-            // Both engines produce the exact distance matrix; the
-            // simulation only adds the Θ(n²)-round measurement, so the
-            // native build computes the identical artifact centrally.
-            let (dist, m) = match b.mode {
-                BuildMode::Simulated => {
-                    let bf = bellman_ford_apsp(g);
-                    let m = metrics(
-                        Backend::BellmanFord,
-                        n,
-                        bf.metrics.rounds,
-                        bf.metrics.messages,
-                    );
-                    (bf.into_dist(), m)
-                }
-                BuildMode::Native => (
-                    graphs::algo::apsp(g).into_dist(),
-                    metrics(Backend::BellmanFord, n, 0, 0),
-                ),
-            };
-            Inner::Bf(BfOracle {
-                n,
-                dist,
                 metrics: m,
             })
         }

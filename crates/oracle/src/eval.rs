@@ -17,7 +17,7 @@ use std::time::Instant;
 pub struct EvalReport {
     /// Pairs evaluated.
     pub pairs: usize,
-    /// Pairs successfully routed (0 for estimate-only backends).
+    /// Pairs successfully routed.
     pub routed: usize,
     /// Median estimate stretch (estimate / wd).
     pub p50_stretch: f64,
@@ -59,7 +59,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Evaluates `oracle` on the selected pairs against exact ground truth.
 ///
 /// Estimates are validated for soundness (never below `wd`) and coverage;
-/// routes — when the backend routes at all — are traced through
+/// routes are traced through
 /// [`DistanceOracle::route_into`] (one reused buffer, no per-pair
 /// allocation) and validated for termination and weight soundness. Batch
 /// throughput is measured by timing repeated sequential
@@ -115,39 +115,36 @@ pub fn evaluate(
     est_stretch.sort_unstable_by(f64::total_cmp);
     let max_estimate_stretch = est_stretch.last().copied().unwrap_or(f64::NAN);
 
-    // --- Routes (skipped wholesale for estimate-only backends). ---
-    let supports_routing = list.iter().any(|&(u, v)| oracle.next_hop(u, v).is_some());
+    // --- Routes. ---
     let mut routed = 0usize;
     let mut max_route_stretch = 0.0f64;
     let mut sum_route_stretch = 0.0f64;
     let mut max_route_hops = 0usize;
-    if supports_routing {
-        // One buffer for the whole sweep: route-heavy evaluation loops
-        // must not allocate per query.
-        let mut route = TracedRoute::default();
-        for &(u, v) in &list {
-            let wd = exact.dist(u, v);
-            if !oracle.route_into(u, v, &mut route) {
-                failures.push(format!("route failed for ({u}, {v})"));
-                continue;
-            }
-            if route.nodes.last() != Some(&v) || route.ports.len() + 1 != route.nodes.len() {
-                failures.push(format!("malformed route for ({u}, {v})"));
-                continue;
-            }
-            if route.weight < wd {
-                failures.push(format!(
-                    "route weight {} below wd {wd} for ({u}, {v})",
-                    route.weight
-                ));
-                continue;
-            }
-            let s = route.weight as f64 / wd as f64;
-            max_route_stretch = max_route_stretch.max(s);
-            sum_route_stretch += s;
-            max_route_hops = max_route_hops.max(route.ports.len());
-            routed += 1;
+    // One buffer for the whole sweep: route-heavy evaluation loops must
+    // not allocate per query.
+    let mut route = TracedRoute::default();
+    for &(u, v) in &list {
+        let wd = exact.dist(u, v);
+        if !oracle.route_into(u, v, &mut route) {
+            failures.push(format!("route failed for ({u}, {v})"));
+            continue;
         }
+        if route.nodes.last() != Some(&v) || route.ports.len() + 1 != route.nodes.len() {
+            failures.push(format!("malformed route for ({u}, {v})"));
+            continue;
+        }
+        if route.weight < wd {
+            failures.push(format!(
+                "route weight {} below wd {wd} for ({u}, {v})",
+                route.weight
+            ));
+            continue;
+        }
+        let s = route.weight as f64 / wd as f64;
+        max_route_stretch = max_route_stretch.max(s);
+        sum_route_stretch += s;
+        max_route_hops = max_route_hops.max(route.ports.len());
+        routed += 1;
     }
 
     EvalReport {
@@ -186,21 +183,15 @@ mod tests {
         let mut rng = graphs::Seed(5).rng();
         let g = gen::gnp_connected(16, 0.25, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
         let exact = apsp(&g);
-        for backend in [Backend::Flooding, Backend::BellmanFord] {
-            let o = OracleBuilder::new(backend).build(&g);
-            let r = evaluate(&o, &g, &exact, PairSelection::All);
-            assert!(r.failures.is_empty(), "{backend}: {:?}", r.failures);
-            assert_eq!(r.pairs, 16 * 15);
-            assert!((r.max_estimate_stretch - 1.0).abs() < 1e-12, "{backend}");
-            assert!((r.p50_stretch - 1.0).abs() < 1e-12);
-            assert!(r.queries_per_sec > 0.0);
-            if backend == Backend::Flooding {
-                assert_eq!(r.routed, r.pairs, "flooding routes every pair");
-                assert!((r.max_route_stretch - 1.0).abs() < 1e-12);
-            } else {
-                assert_eq!(r.routed, 0, "bellman-ford is estimate-only");
-            }
-        }
+        let o = OracleBuilder::new(Backend::Flooding).build(&g);
+        let r = evaluate(&o, &g, &exact, PairSelection::All);
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        assert_eq!(r.pairs, 16 * 15);
+        assert!((r.max_estimate_stretch - 1.0).abs() < 1e-12);
+        assert!((r.p50_stretch - 1.0).abs() < 1e-12);
+        assert!(r.queries_per_sec > 0.0);
+        assert_eq!(r.routed, r.pairs, "flooding routes every pair");
+        assert!((r.max_route_stretch - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * **Completeness** — if the destination is reachable in the masked
 //!   graph at all, a route is found; [`FailoverOutcome::Unroutable`] is
 //!   returned only when the failures genuinely partition source from
-//!   destination (or the backend has no topology to walk —
-//!   [`crate::Backend::BellmanFord`] is estimate-only).
+//!   destination or kill an endpoint. Every backend keeps the topology
+//!   it was built on, so every backend can detour.
 //!
 //! The stretch of a detour is bounded: a simple path has at most
 //! `n − 1` hops, so its weight is at most `(n − 1) · w_max`
@@ -132,8 +132,8 @@ pub enum FailoverOutcome {
         /// artifact's primary next hop at that node.
         detours: usize,
     },
-    /// No live path exists (the failures partition the pair), an
-    /// endpoint is dead, or the backend exposes no topology to walk.
+    /// No live path exists (the failures partition the pair), or an
+    /// endpoint is dead.
     Unroutable,
 }
 
@@ -181,9 +181,7 @@ pub fn route_with_failover(
         out.nodes.push(u);
         return FailoverOutcome::Primary;
     }
-    let Some(topo) = oracle.topology() else {
-        return unroutable(out);
-    };
+    let topo = oracle.topology();
 
     // Candidate arcs of `x`, best first: the artifact's primary next hop,
     // then live neighbors by ascending oracle estimate to `v` (ties by
@@ -352,15 +350,5 @@ mod tests {
         let outcome = route_with_failover(&oracle, &mask, NodeId(0), NodeId(2), &mut out);
         assert_eq!(outcome, FailoverOutcome::Unroutable);
         assert!(out.nodes.is_empty());
-    }
-
-    #[test]
-    fn estimate_only_backend_degrades_to_unroutable() {
-        let g = ring_with_chord();
-        let oracle = OracleBuilder::new(Backend::BellmanFord).build(&g);
-        let mask = LivenessMask::new(g.len());
-        let mut out = TracedRoute::default();
-        let outcome = route_with_failover(&oracle, &mask, NodeId(0), NodeId(3), &mut out);
-        assert_eq!(outcome, FailoverOutcome::Unroutable);
     }
 }

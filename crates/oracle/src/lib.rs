@@ -67,7 +67,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
-pub use backends::{BfOracle, CompactOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
+pub use backends::{CompactOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
 pub use eval::{evaluate, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
 pub use graphs::{DeltaError, GraphDelta};
@@ -162,8 +162,9 @@ pub struct OracleBuildMetrics {
 /// formula once, with `estimate` and `est` as adapters onto it, so
 /// grouped answers equal scalar ones by construction; the one loop over
 /// equal-source groups is [`pde_core::schedule::estimate_grouped`].
-/// Dense-matrix backends keep the provided `estimate_grouped`: their row
-/// is one multiply, and the monomorphised loop over `estimate` is as fast.
+/// The one dense-matrix backend, [`Backend::ExactTz`], keeps the
+/// provided `estimate_grouped`: its row is one multiply, and the
+/// monomorphised loop over `estimate` is as fast.
 ///
 /// ## The scheduling / determinism contract
 ///
@@ -266,9 +267,8 @@ pub trait DistanceOracle: Sync {
         sched.scatter(&grouped, out);
     }
 
-    /// The next hop from `u` towards `v`, when the backend routes
-    /// (`None` for `u == v`, unknown destinations, or estimate-only
-    /// backends such as [`Backend::BellmanFord`]).
+    /// The next hop from `u` towards `v` (`None` for `u == v` and for
+    /// destinations the oracle does not cover).
     fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId>;
 
     /// Traces the route `u → v` into a caller-provided buffer, reusing
@@ -276,15 +276,13 @@ pub trait DistanceOracle: Sync {
     /// backend cannot route the pair.
     ///
     /// Follows [`DistanceOracle::next_hop`] over
-    /// [`DistanceOracle::topology`] (none: nothing routes), validating
-    /// that every hop is a real edge; a stuck walk or the hop cap — which
-    /// intact tables never reach, greedy forwarding strictly decreases
-    /// the estimate — fails the route.
+    /// [`DistanceOracle::topology`], validating that every hop is a real
+    /// edge; a stuck walk or the hop cap — which intact tables never
+    /// reach, greedy forwarding strictly decreases the estimate — fails
+    /// the route.
     fn route_into(&self, u: NodeId, v: NodeId, out: &mut TracedRoute) -> bool {
         out.clear();
-        let Some(topo) = self.topology() else {
-            return false;
-        };
+        let topo = self.topology();
         out.nodes.push(u);
         let mut cur = u;
         let cap = 20 * topo.len() + 50;
@@ -333,14 +331,10 @@ pub trait DistanceOracle: Sync {
     /// Build metrics.
     fn build_metrics(&self) -> &OracleBuildMetrics;
 
-    /// The topology the oracle was built on, when it keeps one — the
-    /// [failover router](crate::failover) uses it to enumerate live
-    /// neighbors when the primary next hop is dead. `None` for
-    /// estimate-only backends that hold no graph state
-    /// ([`Backend::BellmanFord`]), which therefore cannot detour.
-    fn topology(&self) -> Option<&congest::Topology> {
-        None
-    }
+    /// The topology the oracle was built on: route tracing walks it, and
+    /// the [failover router](crate::failover) enumerates live neighbors
+    /// on it when the primary next hop is dead.
+    fn topology(&self) -> &congest::Topology;
 }
 
 /// Which scheme answers the queries.
@@ -360,8 +354,6 @@ pub enum Backend {
     Truncated,
     /// Centralized exact-distance Thorup–Zwick baseline.
     ExactTz,
-    /// Pipelined distance-vector APSP (exact; estimate-only, no routes).
-    BellmanFord,
     /// Link-state flooding + local Dijkstra (exact, full tables), served
     /// as a PDE route table over exact rows: each slot is `wd(u, v)` as
     /// whole hops on a one-rung ladder beside the port of `u`'s first hop
@@ -372,14 +364,13 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in builder-matrix order.
-    pub const ALL: [Backend; 8] = [
+    pub const ALL: [Backend; 7] = [
         Backend::Pde,
         Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Compact,
         Backend::Truncated,
         Backend::ExactTz,
-        Backend::BellmanFord,
         Backend::Flooding,
     ];
 
@@ -392,7 +383,6 @@ impl Backend {
             Backend::Compact => "compact",
             Backend::Truncated => "truncated",
             Backend::ExactTz => "exact_tz",
-            Backend::BellmanFord => "bellman_ford",
             Backend::Flooding => "flooding",
         }
     }
@@ -401,7 +391,9 @@ impl Backend {
     /// byte written into `PDOR` snapshot headers and into the `net`
     /// protocol's install/stats frames. The assignment is append-only:
     /// existing values never change, new backends take the next free
-    /// tag, so artifacts and peers from different builds agree.
+    /// tag, so artifacts and peers from different builds agree. A
+    /// retired backend's tag is never reused: 6 was the served
+    /// distance-vector matrix, now unassigned.
     pub fn wire_tag(self) -> u8 {
         match self {
             Backend::Pde => 0,
@@ -410,7 +402,6 @@ impl Backend {
             Backend::Compact => 3,
             Backend::Truncated => 4,
             Backend::ExactTz => 5,
-            Backend::BellmanFord => 6,
             Backend::Flooding => 7,
         }
     }
@@ -431,7 +422,7 @@ impl fmt::Display for Backend {
 /// Builds any [`Backend`] with one set of consistently named knobs.
 ///
 /// Unset knobs take backend-appropriate defaults; knobs irrelevant to a
-/// backend are ignored (e.g. `k` for [`Backend::BellmanFord`]).
+/// backend are ignored (e.g. `k` for [`Backend::Flooding`]).
 #[derive(Clone, Debug)]
 pub struct OracleBuilder {
     pub(crate) backend: Backend,
@@ -667,10 +658,9 @@ impl Oracle {
 
     /// Loads an oracle from a shared in-memory snapshot buffer — the
     /// **zero-copy** path: after one checksum pass, the oracle's route
-    /// tables are views into `bytes` (only [`Backend::BellmanFord`] and
-    /// [`Backend::ExactTz`] copy n × n distance matrices out of it), and
-    /// cloning the handle and loading again shares the same underlying
-    /// allocation.
+    /// tables are views into `bytes` (only [`Backend::ExactTz`] copies
+    /// its n × n distance matrix out of it), and cloning the handle and
+    /// loading again shares the same underlying allocation.
     ///
     /// # Errors
     ///
@@ -682,9 +672,9 @@ impl Oracle {
     /// Loads an oracle from a snapshot file: the file is read **once**
     /// into a [`congest::arena::SharedBytes`] buffer and decoded through
     /// [`Oracle::load_shared`], so every route table — all backends but
-    /// [`Backend::BellmanFord`] and [`Backend::ExactTz`], which copy their
-    /// n × n distance matrices out of the buffer — is served as zero-copy
-    /// views into that single read: the cold-start path from disk pays
+    /// [`Backend::ExactTz`], which copies its n × n distance matrix out
+    /// of the buffer — is served as zero-copy views into that single
+    /// read: the cold-start path from disk pays
     /// no second copy of them (unlike `fs::read` + [`Oracle::load_bytes`],
     /// which would copy the payload again). `serve::OracleServer::install_path`
     /// and the `net` protocol's `Install` op go through this.
@@ -751,7 +741,7 @@ impl DistanceOracle for Oracle {
     fn build_metrics(&self) -> &OracleBuildMetrics {
         self.as_dyn().build_metrics()
     }
-    fn topology(&self) -> Option<&congest::Topology> {
+    fn topology(&self) -> &congest::Topology {
         self.as_dyn().topology()
     }
 }
@@ -759,4 +749,34 @@ impl DistanceOracle for Oracle {
 /// Convenience: an estimate is "covered" when it is not [`INF`].
 pub fn is_covered(est: u64) -> bool {
     est != INF
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Backend;
+
+    #[test]
+    fn wire_tags_are_pinned_and_tag_6_stays_retired() {
+        let tags: Vec<(&str, u8)> = Backend::ALL
+            .into_iter()
+            .map(|b| (b.name(), b.wire_tag()))
+            .collect();
+        let want = [
+            ("pde", 0),
+            ("approx_apsp", 1),
+            ("rtc", 2),
+            ("compact", 3),
+            ("truncated", 4),
+            ("exact_tz", 5),
+            ("flooding", 7),
+        ];
+        assert_eq!(tags, want);
+        for b in Backend::ALL {
+            assert_eq!(Backend::from_wire_tag(b.wire_tag()), Some(b));
+        }
+        // 6 was the served distance-vector matrix; a retired tag is
+        // never reused.
+        assert_eq!(Backend::from_wire_tag(6), None);
+        assert_eq!(Backend::from_wire_tag(8), None);
+    }
 }

@@ -8,16 +8,15 @@
 //! `tests/dynamic_repair.rs`). How much work that takes depends on how
 //! the backend's artifact couples to the graph:
 //!
-//! * **Exact-row backends** ([`Backend::Flooding`], whose route table
-//!   holds one exact row per node, and [`Backend::BellmanFord`], a
-//!   dense distance matrix) store one exact row per source, and a row
-//!   is a pure function of the graph alone. A raised or removed edge
-//!   `{x, y}` is classified per source `s` from the **old** row in
-//!   `O(deg)` (see `classify_row`; Flooding probes its table, and
-//!   decodes a row into dense scratch rows only when the row must
-//!   change): non-tight rows are bit-identical
-//!   and kept; a tight row whose far endpoint keeps an *alternative*
-//!   tight predecessor keeps all its distances (every shortest path
+//! * **The exact-row backend** ([`Backend::Flooding`]) stores one
+//!   exact row per source in its route table, distances beside first
+//!   hops, and a row is a pure function of the graph alone. A raised or
+//!   removed edge `{x, y}` is classified per source `s` from the **old**
+//!   row in `O(deg)` (see `classify_row`: a few probes of the table; a
+//!   row is decoded into dense scratch rows only when it must change):
+//!   non-tight rows are bit-identical and kept; a tight row whose far
+//!   endpoint keeps an *alternative* tight predecessor keeps all its
+//!   distances (every shortest path
 //!   survives by prefix replacement) and at most re-derives its
 //!   first hops from the kept distances
 //!   ([`graphs::algo::first_hops_from_dist`]) — and only when the
@@ -229,8 +228,7 @@ struct EdgeTransition {
 ///   back to the necessary condition `next[y] = next[x]` (or
 ///   `next[y] = y` when `x = s`), a sound over-approximation. Rows
 ///   failing the test are bit-identical; rows passing it re-derive the
-///   first hops from the kept distances. Backends that store no first
-///   hops skip this tier entirely.
+///   first hops from the kept distances.
 /// * Weight decreases fall back to the coarse tightness test on the new
 ///   weight (the benchmark and repair fast paths are raises/removals).
 ///
@@ -240,7 +238,7 @@ struct EdgeTransition {
 fn classify_row(
     g_old: &WGraph,
     dist: impl Fn(NodeId) -> u64,
-    next: Option<&dyn Fn(NodeId) -> u32>,
+    next: impl Fn(NodeId) -> u32,
     unit_weights: bool,
     s: u32,
     edge: EdgeTransition,
@@ -273,21 +271,16 @@ fn classify_row(
     if !has_alternative {
         return RowFix::Recompute { y: Some(y) };
     }
-    match next {
-        None => RowFix::Keep,
-        Some(next) => {
-            let tree_entered_via_edge = if unit_weights {
-                min_tight_pred == x.0
-            } else {
-                let expected = if x.0 == s { y.0 } else { next(x) };
-                next(y) == expected
-            };
-            if tree_entered_via_edge {
-                RowFix::Rederive { y }
-            } else {
-                RowFix::Keep
-            }
-        }
+    let tree_entered_via_edge = if unit_weights {
+        min_tight_pred == x.0
+    } else {
+        let expected = if x.0 == s { y.0 } else { next(x) };
+        next(y) == expected
+    };
+    if tree_entered_via_edge {
+        RowFix::Rederive { y }
+    } else {
+        RowFix::Keep
     }
 }
 
@@ -491,16 +484,6 @@ impl OracleBuilder {
                     },
                 )
             }
-            (Inner::Bf(prev), _) => {
-                let (repaired, rows) = repair_bf(prev, g_old, &g_new, delta);
-                (
-                    Inner::Bf(repaired),
-                    RepairKind::Incremental {
-                        rows_recomputed: rows,
-                        rows_total: g_new.len(),
-                    },
-                )
-            }
             _ => (
                 build_fresh(self, &g_new)?,
                 RepairKind::Rebuilt {
@@ -587,7 +570,7 @@ fn repair_flood(
             row.get(v)
                 .map_or(u32::MAX, |e| old_topo.neighbor(src, e.port).0)
         };
-        let fix = classify_row(g_old, dist, Some(&next), unit_old, s as u32, edge);
+        let fix = classify_row(g_old, dist, next, unit_old, s as u32, edge);
         let (dist, next) = match fix {
             RowFix::Keep => {
                 ladder.add(routes.row_iter(src).map(|e| e.est));
@@ -641,43 +624,6 @@ fn repair_flood(
     Ok((repaired, rows))
 }
 
-fn repair_bf(
-    prev: &crate::BfOracle,
-    g_old: &WGraph,
-    g_new: &WGraph,
-    delta: &GraphDelta,
-) -> (crate::BfOracle, usize) {
-    let n = g_new.len();
-    let edge = edge_transition(g_old, delta);
-    let w_max_old = g_old.max_weight();
-    let mut dist = prev.dist.clone();
-    let mut rows = 0;
-    for s in 0..n {
-        let row = s * n..(s + 1) * n;
-        // Distance-only artifact: the `Rederive` tier cannot arise.
-        let row_dist = &dist[row.clone()];
-        let fix = classify_row(g_old, |v| row_dist[v.index()], None, false, s as u32, edge);
-        match fix {
-            RowFix::Recompute { y: Some(y) } => {
-                rows += 1;
-                patch_dist_row(g_new, g_old, &mut dist[row], y, w_max_old);
-            }
-            RowFix::Recompute { y: None } => {
-                rows += 1;
-                let sssp = graphs::algo::dijkstra(g_new, NodeId(s as u32));
-                dist[row].copy_from_slice(&sssp.dist);
-            }
-            RowFix::Keep | RowFix::Rederive { .. } => {}
-        }
-    }
-    let repaired = crate::BfOracle {
-        n,
-        dist,
-        metrics: backends::metrics(Backend::BellmanFord, n, 0, 0),
-    };
-    (repaired, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,20 +634,6 @@ mod tests {
     fn test_graph() -> WGraph {
         let mut rng = SmallRng::seed_from_u64(11);
         gen::gnp_connected(24, 0.18, Weights::Uniform { lo: 1, hi: 9 }, &mut rng)
-    }
-
-    /// A non-bridge edge of `g` (one whose removal keeps connectivity).
-    fn removable_edge(g: &WGraph) -> (NodeId, NodeId) {
-        for &(u, v, _) in g.edges() {
-            let d = GraphDelta::FailEdge {
-                u: NodeId(u),
-                v: NodeId(v),
-            };
-            if g.apply_delta(&d).is_ok() {
-                return (NodeId(u), NodeId(v));
-            }
-        }
-        panic!("graph has only bridges");
     }
 
     fn assert_identity(backend: Backend, delta: GraphDelta) {
@@ -846,14 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn bellman_ford_fail_edge_is_incremental_and_identical() {
-        let g = test_graph();
-        let (u, v) = removable_edge(&g);
-        let delta = GraphDelta::FailEdge { u, v };
-        assert_identity(Backend::BellmanFord, delta);
-    }
-
-    #[test]
     fn node_failure_rebuilds_everywhere() {
         let g = test_graph();
         // Find a removable node.
@@ -874,7 +798,7 @@ mod tests {
     fn mismatches_are_typed() {
         let g = test_graph();
         let flood = OracleBuilder::new(Backend::Flooding).build(&g);
-        let err = OracleBuilder::new(Backend::BellmanFord)
+        let err = OracleBuilder::new(Backend::ApproxApsp)
             .repair(&g, &flood, &GraphDelta::FailNode { v: NodeId(0) })
             .unwrap_err();
         assert!(matches!(err, RepairError::BackendMismatch { .. }));

@@ -26,6 +26,11 @@
 //! [`congest::wire::snapshot_cause`]): snapshots are caches of a
 //! deterministic build, so there is no migration — rebuild and re-save.
 //!
+//! Backend tag 6 is retired: it was `bellman_ford`, an n × n distance
+//! matrix that answered what `flooding`'s exact rows answer, without
+//! routes. A file carrying it is plain `InvalidData` (an unknown backend
+//! tag), not `Rebuild`: no backend is left to rebuild it with.
+//!
 //! Header (all little-endian, via [`congest::wire`]), 40 bytes:
 //!
 //! ```text
@@ -68,14 +73,12 @@
 //! test with [`congest::wire::is_truncated`] — rather than a raw
 //! `UnexpectedEof`.
 
-use crate::backends::{
-    BfOracle, CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle,
-};
+use crate::backends::{CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
 use crate::{Backend, Oracle, OracleBuildMetrics};
 use baselines::ExactTz;
 use compact::{CompactScheme, TruncatedScheme};
 use congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
-use congest::wire::{invalid_data, WireReader, WireWriter, MAX_SNAPSHOT_NODES};
+use congest::wire::{invalid_data, WireReader, WireWriter};
 use graphs::WGraph;
 use pde_core::FlatTables;
 use routing::RtcScheme;
@@ -143,11 +146,6 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
             a.u64s(&[u64::from(o.k)]);
             o.g.write_arena(a);
             o.scheme.write_arena(a)
-        }
-        Inner::Bf(o) => {
-            a.u64s(&[o.n as u64]);
-            a.u64s(&o.dist);
-            Ok(())
         }
     }
 }
@@ -225,22 +223,6 @@ fn read_arena_payload(
                 k,
                 metrics,
             })
-        }
-        Backend::BellmanFord => {
-            let meta = c.u64s()?;
-            let [n] = meta[..] else {
-                return Err(invalid_data("BF meta section misshapen"));
-            };
-            let n = usize::try_from(n).map_err(|_| invalid_data("BF n overflow"))?;
-            if n > MAX_SNAPSHOT_NODES {
-                return Err(invalid_data(format!("snapshot claims {n} nodes")));
-            }
-            let cells = congest::wire::seq_product(n, n, "distance matrix")?;
-            let dist = c.u64s()?;
-            if dist.len() != cells {
-                return Err(invalid_data("dense matrix size mismatch"));
-            }
-            Inner::Bf(BfOracle { n, dist, metrics })
         }
     })
 }

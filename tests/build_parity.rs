@@ -72,7 +72,7 @@ fn build(backend: Backend, g: &WGraph, seed: u64, mode: BuildMode, threads: usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The headline contract: for all 8 backends, canonical artifact
+    /// The headline contract: for all 7 backends, canonical artifact
     /// bytes and full query digests agree between Simulated and Native
     /// builds at threads ∈ {1, 4}.
     #[test]
@@ -166,23 +166,22 @@ fn artifact_bytes_match_pinned_digests() {
     // Tag 9 values: pde 0xa2ffeac3e290d130, approx_apsp
     // 0xc56fab87be65690d, rtc 0x169c20a6728721d1, compact
     // 0x92ac0091bb2acc7f, truncated 0xd1ff626eacca4610, exact_tz
-    // 0xebabc6339d3357c6, bellman_ford 0xacb05911791cd4b5, flooding
-    // 0x8aadc0624fccd771, pde_partial 0xbc769e954aa619dd. exact_tz,
-    // bellman_ford and flooding differ from tag 9 only in the header's
-    // version bytes; every backend that embeds a route table (pde,
-    // approx_apsp, rtc, compact, truncated, pde_partial) changes layout.
+    // 0xebabc6339d3357c6, flooding 0x8aadc0624fccd771, pde_partial
+    // 0xbc769e954aa619dd. exact_tz and flooding differ from tag 9 only
+    // in the header's version bytes; every backend that embeds a route
+    // table (pde, approx_apsp, rtc, compact, truncated, pde_partial)
+    // changes layout.
     // flooding re-recorded once more, at the same tag, when it became the
     // PDE layout over exact rows (one-rung route table instead of dense
     // distance and first-hop matrices); its tag-10 matrix value was
     // 0x65014cf9568993ba.
-    let pins: [u64; 8] = [
+    let pins: [u64; 7] = [
         0x9fe2ea257fee833a, // pde
         0x115117fd73a4919f, // approx_apsp
         0x8fad9ebd29293ab2, // rtc
         0x6b79385114dbaf4c, // compact
         0xb4375f72969a4eb5, // truncated
         0x5a426a080c449601, // exact_tz
-        0x7de6777fb37a271e, // bellman_ford
         0x1711c1152e6cbec7, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {

@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline repair contract: `repair(delta)` ≡ from-scratch
-    /// rebuild on the mutated graph, byte for byte, for all 8 backends.
+    /// rebuild on the mutated graph, byte for byte, for all 7 backends.
     #[test]
     fn repair_is_byte_identical_to_rebuild(
         case in ((0u8..4), (12usize..=22), (0u8..3), (0u64..1 << 40), (0u8..3))
@@ -178,11 +178,6 @@ fn failover_routes_are_loop_free_complete_and_stretch_bounded() {
                     assert_eq!(outcome.routed(), mask.node_alive(u), "{backend}: {u}→{u}");
                     continue;
                 }
-                if backend == Backend::BellmanFord {
-                    // Estimate-only: no topology to detour over.
-                    assert!(!outcome.routed(), "{backend}: {u}→{v}");
-                    continue;
-                }
                 let reachable = truth[v.index()] != u64::MAX;
                 assert_eq!(
                     outcome.routed(),
@@ -218,11 +213,9 @@ fn failover_routes_are_loop_free_complete_and_stretch_bounded() {
                 max_stretch = max_stretch.max(route.weight as f64 / truth[v.index()].max(1) as f64);
             }
         }
-        if backend != Backend::BellmanFord {
-            assert!(
-                max_stretch >= 1.0 && max_stretch.is_finite(),
-                "{backend}: stretch {max_stretch}"
-            );
-        }
+        assert!(
+            max_stretch >= 1.0 && max_stretch.is_finite(),
+            "{backend}: stretch {max_stretch}"
+        );
     }
 }

@@ -273,29 +273,22 @@ fn edge_failure_mid_serving_across_all_backends() {
         dyn_oracle.fail_edge(a, b).unwrap();
         let mut route = TracedRoute::default();
         let outcome = dyn_oracle.route(&server, a, b, &mut route).unwrap();
-        if backend == Backend::BellmanFord {
-            // Estimate-only backend: no topology, honest refusal.
-            assert_eq!(outcome, FailoverOutcome::Unroutable, "{backend}");
-        } else {
+        assert!(
+            matches!(outcome, FailoverOutcome::Detoured { .. }),
+            "{backend}: {outcome:?}"
+        );
+        for hop in route.nodes.windows(2) {
             assert!(
-                matches!(outcome, FailoverOutcome::Detoured { .. }),
-                "{backend}: {outcome:?}"
+                (hop[0].min(hop[1]), hop[0].max(hop[1])) != (a, b),
+                "{backend}: detour crossed the failed edge"
             );
-            for hop in route.nodes.windows(2) {
-                assert!(
-                    (hop[0].min(hop[1]), hop[0].max(hop[1])) != (a, b),
-                    "{backend}: detour crossed the failed edge"
-                );
-            }
         }
 
         // Repair off the live snapshot and hot-swap.
         let report = dyn_oracle.repair_and_swap(&server, &delta).unwrap();
         assert!(report.stale_window_nanos > 0, "{backend}");
         assert!(dyn_oracle.mask().is_clear(), "{backend}");
-        if backend != Backend::BellmanFord {
-            assert_no_stale_next_hop(&server, "live", (a, b));
-        }
+        assert_no_stale_next_hop(&server, "live", (a, b));
 
         // The swapped artifact is byte-identical to a fresh build on the
         // mutated graph (queries now reflect the new topology).
@@ -325,13 +318,11 @@ fn node_failure_mid_serving_across_all_backends() {
         let outcome = dyn_oracle
             .route(&server, NodeId(6), NodeId(8), &mut route)
             .unwrap();
-        if backend != Backend::BellmanFord {
-            assert!(outcome.routed(), "{backend}: {outcome:?}");
-            assert!(
-                route.nodes.iter().all(|&x| x != dead),
-                "{backend}: routed through the failed node"
-            );
-        }
+        assert!(outcome.routed(), "{backend}: {outcome:?}");
+        assert!(
+            route.nodes.iter().all(|&x| x != dead),
+            "{backend}: routed through the failed node"
+        );
         // Node repair is a rebuild everywhere (ids renumber), and the
         // mask resets to the new id space.
         let report = dyn_oracle.repair_and_swap(&server, &delta).unwrap();

@@ -39,14 +39,12 @@ fn every_backend_meets_its_advertised_stretch_bound() {
                 "{backend}: estimate stretch {} exceeds advertised {bound}",
                 report.max_estimate_stretch
             );
-            if report.routed > 0 {
-                assert_eq!(report.routed, report.pairs, "{backend}: partial routing");
-                assert!(
-                    report.max_route_stretch <= bound + 1e-9,
-                    "{backend}: route stretch {} exceeds advertised {bound}",
-                    report.max_route_stretch
-                );
-            }
+            assert_eq!(report.routed, report.pairs, "{backend}: partial routing");
+            assert!(
+                report.max_route_stretch <= bound + 1e-9,
+                "{backend}: route stretch {} exceeds advertised {bound}",
+                report.max_route_stretch
+            );
             assert!(report.size_bits > 0, "{backend}: empty artifact");
             assert!(report.p50_stretch >= 1.0 - 1e-12 && report.p50_stretch <= bound + 1e-9);
             assert!(report.p99_stretch <= bound + 1e-9);
@@ -75,14 +73,13 @@ fn answers_match_pinned_digests() {
             })
     };
     let exact = 0x74c0dffac37cd885; // every pair's true distance
-    let pins: [u64; 8] = [
+    let pins: [u64; 7] = [
         exact,              // pde
         exact,              // approx_apsp
         0x97d88f34d94bc1bc, // rtc
         0xb5e2c1e126a693fc, // compact
         0x409c4e1b2b9ad159, // truncated
         exact,              // exact_tz
-        exact,              // bellman_ford
         exact,              // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
@@ -131,14 +128,13 @@ fn routes_match_pinned_digests() {
                 (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
             })
     };
-    let pins: [u64; 8] = [
+    let pins: [u64; 7] = [
         0xf3a45158fa286530, // pde
         0xf3a45158fa286530, // approx_apsp
         0xa98979b3deb2f1cd, // rtc
         0x39bc7dc16ab0a259, // compact
         0x5e98df62b43a7c19, // truncated
         0x4c25f26be05db70a, // exact_tz
-        0x0d65b7532d396325, // bellman_ford
         0x4c25f26be05db70a, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
@@ -493,10 +489,11 @@ fn corrupted_snapshots_are_rejected() {
     assert!(Oracle::load(&mut &half[..]).is_err());
     // Tampered section count: an arena claiming an absurd directory must
     // come back as InvalidData, not abort on a huge allocation. The count
-    // is the u64 right after the 40-byte header.
-    let bf = build(Backend::BellmanFord, &g, 1);
+    // is the u64 right after the 40-byte header. ExactTz's arena holds
+    // the one dense matrix.
+    let tz = build(Backend::ExactTz, &g, 1);
     let mut bytes = Vec::new();
-    bf.save(&mut bytes).unwrap();
+    tz.save(&mut bytes).unwrap();
     bytes[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(Oracle::load(&mut &bytes[..]).is_err());
 }

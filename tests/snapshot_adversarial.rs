@@ -44,8 +44,8 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // misdiagnosed corruption). A scheme backend, the exact route table
     // and the one dense matrix cover every section shape (graphs, CSR
     // tables, embedded tree streams, labels, flooding's one-rung table
-    // and bellman_ford's n × n `u64` distance matrix).
-    for backend in [Backend::Compact, Backend::Flooding, Backend::BellmanFord] {
+    // and exact_tz's n × n `u64` distances and `u32` first hops).
+    for backend in [Backend::Compact, Backend::Flooding, Backend::ExactTz] {
         let bytes = snapshot(backend);
         for keep in 0..bytes.len() {
             let err = match Oracle::load(&mut &bytes[..keep]) {
@@ -76,8 +76,8 @@ fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
     // metric bytes (n/rounds/msgs/nanos, offsets 8..40) are carried, not
     // validated; past them the arena's checksum means any directory or
     // body damage must fail. Flooding's arena is a route table,
-    // bellman_ford's a dense matrix.
-    for backend in [Backend::Rtc, Backend::Flooding, Backend::BellmanFord] {
+    // exact_tz's holds dense n × n matrices.
+    for backend in [Backend::Rtc, Backend::Flooding, Backend::ExactTz] {
         let snap = snapshot(backend);
         for at in 0..snap.len() {
             let mut bad = snap.clone();
@@ -100,7 +100,8 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
     // Plant maximal length/count fields where the readers size things
     // from them, under a recomputed checksum: each must be rejected by
     // bound-check (InvalidData) before any allocation sized by the
-    // field. The BellmanFord arena leads with its `[n]` meta section;
+    // field. ExactTz's fifth section is the `[n, k]` meta of its n × n
+    // matrices (after its `[k]` and the graph's three sections);
     // ApproxApsp's (the PDE layout's) second section is the graph's `[n]`.
     let planted = |backend: Backend, section: usize, value: u64| {
         let snap = snapshot(backend);
@@ -110,11 +111,11 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(!is_truncated(&err), "bound check misreported as truncation");
     };
-    planted(Backend::BellmanFord, 0, u64::MAX);
+    planted(Backend::ExactTz, 4, u64::MAX);
     planted(Backend::ApproxApsp, 1, u64::MAX / 2);
 
     // An adversarial section directory: huge section count.
-    let mut snap = snapshot(Backend::BellmanFord);
+    let mut snap = snapshot(Backend::ExactTz);
     snap[HEADER..HEADER + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Oracle::load_bytes(&snap).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -727,6 +728,25 @@ fn well_checksummed_exact_tz_foreign_pivots_are_invalid_data() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn retired_backend_tag_is_invalid_data_not_rebuild() {
+    // Backend tag 6 was bellman_ford, a served n × n distance matrix
+    // without routes (flooding's exact rows answer the same pairs). A
+    // current-version file carrying it, as an old bellman_ford file
+    // would, has no backend left to load or rebuild it: typed
+    // InvalidData through both entry points, and never a panic.
+    let mut snap = snapshot(Backend::Flooding);
+    assert_eq!(snap[4..7], [10, 0, Backend::Flooding.wire_tag()]);
+    snap[6] = 6;
+    for loaded in [Oracle::load(&mut &snap[..]), Oracle::load_bytes(&snap)] {
+        let Err(err) = loaded else {
+            panic!("a backend-tag-6 file was loaded");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(snapshot_cause(&err), None, "{err}");
     }
 }
 
