@@ -3,20 +3,27 @@
 //! # Hot-path design
 //!
 //! The round loop is allocation-free in steady state. Messages in flight
-//! live in a ring of per-round buckets; the bucket for the current round is
-//! swapped into a reusable scratch vector and scattered into a dense
-//! per-arc slot table (`(node, port)` pairs are exactly the global arc
-//! indices of the CSR topology, and per-arc delays plus the
-//! one-message-per-port CONGEST rule guarantee at most one delivery per arc
-//! per round). Each node's inbox is then gathered from its contiguous arc
-//! range — which yields port-sorted order for free — into a single reused
-//! buffer, and programs write sends into a reused outbox. No per-round
-//! `Vec<Vec<_>>` inboxes, no global `sort_by_key`, no per-node allocations.
+//! live in a ring of per-round buckets, each a list of fixed-size blocks
+//! of deliveries. The bucket for the current round is scattered into a
+//! dense per-arc slot table (`(node, port)` pairs are exactly the global
+//! arc indices of the CSR topology, and per-arc delays plus the
+//! one-message-per-port CONGEST rule guarantee at most one delivery per
+//! arc per round), and its drained blocks go to a spare list that later
+//! sends fill first: the ring holds what is in flight, rounded up to
+//! blocks, not every bucket's busiest round. Each node's inbox is then
+//! gathered from its contiguous arc range — which yields port-sorted
+//! order for free — into a single reused buffer, and programs write sends
+//! into a reused outbox. No per-round `Vec<Vec<_>>` inboxes, no global
+//! `sort_by_key`, no per-node allocations.
 
 use crate::metrics::Metrics;
 use crate::model::{Message, NodeId, Port};
 use crate::program::{Arrival, Ctx, Program};
 use crate::topology::Topology;
+
+/// Deliveries per block of the in-flight ring (24 KiB at 24-byte
+/// deliveries).
+const BLOCK: usize = 1024;
 
 /// Runtime configuration.
 #[derive(Clone, Debug)]
@@ -98,14 +105,14 @@ pub struct Runtime<'t, P: Program> {
     programs: Vec<P>,
     cfg: Config,
     metrics: Metrics,
-    /// Ring buffer of future deliveries, indexed by round modulo capacity.
-    buckets: Vec<Vec<Delivery<P::Msg>>>,
+    /// Ring buffer of future deliveries, indexed by round modulo capacity:
+    /// each round's in blocks of [`BLOCK`], all full but the last.
+    buckets: Vec<Vec<Vec<Delivery<P::Msg>>>>,
     in_flight: u64,
     round: u64,
     // ---- reused hot-path scratch ----
-    /// The current round's deliveries (swapped out of the ring bucket so
-    /// both vectors keep their capacity).
-    current: Vec<Delivery<P::Msg>>,
+    /// Drained blocks, emptied, for the next sends to fill.
+    spare: Vec<Vec<Delivery<P::Msg>>>,
     /// One slot per directed arc; `Some` iff a message arrives on that arc
     /// this round (drained back to `None` as inboxes are gathered).
     arc_slots: Vec<Option<P::Msg>>,
@@ -147,7 +154,7 @@ impl<'t, P: Program> Runtime<'t, P> {
             buckets,
             in_flight: 0,
             round: 0,
-            current: Vec::new(),
+            spare: Vec::new(),
             arc_slots,
             arrival_count: vec![0; topo.len()],
             inbox: Vec::new(),
@@ -167,14 +174,18 @@ impl<'t, P: Program> Runtime<'t, P> {
             // the slot table doubles as a counting sort keyed on
             // (node, port) with no comparison sort anywhere.
             let slot = (self.round as usize) % self.buckets.len();
-            std::mem::swap(&mut self.current, &mut self.buckets[slot]);
-            self.in_flight -= self.current.len() as u64;
-            for d in self.current.drain(..) {
-                let a = d.arc as usize;
-                debug_assert!(self.arc_slots[a].is_none(), "two deliveries on one arc");
-                self.arc_slots[a] = Some(d.msg);
-                self.arrival_count[d.node.index()] += 1;
+            let mut blocks = std::mem::take(&mut self.buckets[slot]);
+            for mut block in blocks.drain(..) {
+                self.in_flight -= block.len() as u64;
+                for d in block.drain(..) {
+                    let a = d.arc as usize;
+                    debug_assert!(self.arc_slots[a].is_none(), "two deliveries on one arc");
+                    self.arc_slots[a] = Some(d.msg);
+                    self.arrival_count[d.node.index()] += 1;
+                }
+                self.spare.push(block);
             }
+            self.buckets[slot] = blocks;
 
             // Execute programs and collect sends.
             let mut sent_this_round = 0u64;
@@ -239,11 +250,19 @@ impl<'t, P: Program> Runtime<'t, P> {
                         let target = self.topo.neighbor(node, port);
                         let rarc = self.topo.reverse_arc(node, port);
                         let slot = (arrival as usize) % self.buckets.len();
-                        self.buckets[slot].push(Delivery {
-                            node: target,
-                            arc: rarc,
-                            msg,
-                        });
+                        let bucket = &mut self.buckets[slot];
+                        if bucket.last().is_none_or(|b| b.len() == BLOCK) {
+                            let block = self.spare.pop();
+                            bucket.push(block.unwrap_or_else(|| Vec::with_capacity(BLOCK)));
+                        }
+                        bucket
+                            .last_mut()
+                            .expect("a block with room")
+                            .push(Delivery {
+                                node: target,
+                                arc: rarc,
+                                msg,
+                            });
                         self.in_flight += 1;
                     }
                 }

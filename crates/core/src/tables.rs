@@ -31,31 +31,49 @@
 //! rows, never configured: `lb = bits(rungs.len() − 1)`, `hb = bits(max
 //! hops + 1)` and `pb = bits(max port + 1)`, so the all-ones value of the
 //! hops and port fields is never a real one. A word takes
-//! `w = ⌈(pb + hb + lb) / 8⌉` bytes (1 to 4). A row is *direct* (one
-//! slot per source id in `[lo_src, hi_src]`) when `span · w ≤ len · (4 +
-//! w)` (`span ≤ 3 · len` at `w = 2`), else *keyed*.
+//! `w = ⌈(pb + hb + lb) / 8⌉` bytes (1 to 4).
+//!
+//! **Rows are keyed by source rank.** The table's *members* are the
+//! sources its rows name, and a row stores each source as its *key*: its
+//! rank among the members. A row is *direct* (one slot per key in
+//! `[lo_src, hi_src]`) when `span · w ≤ len · (4 + w)` (`span ≤ 3 · len`
+//! at `w = 2`), else *keyed*. A probe maps the node id to its key first
+//! (a non-member is a miss), and every read that hands out entries maps
+//! the key back, so callers only ever see node ids. The map is derived
+//! like the widths: when the members are exactly `0..n` — every
+//! full-coverage table — a key is the node id itself and both map
+//! sections are empty, so such a table pays nothing for it. A partial
+//! table (sources `S ⊂ V`, every 16th node say) gets ranks `0..|S|`, so a
+//! row of a few hundred entries spans about that many keys instead of
+//! the whole id space and goes direct. A table that names a source at or
+//! past its row count (only a synthetic one: [`FlatTables::validate`]
+//! refuses it against any topology) keeps node ids as keys too.
 //!
 //! | section | bytes | read by |
 //! |---|---|---|
-//! | records: keyed `src u32 \| word`, direct `word`, then `8 − w` zero bytes | `4 + w` / `w` a slot | every probe |
+//! | records: keyed `key u32 \| word`, direct `word`, then `8 − w` zero bytes | `4 + w` / `w` a slot | every probe |
 //! | row word (one LE `u64`) | 8 / row | [`FlatTables::cursor`] |
 //! | ladder `[pb \| hb << 8 \| lb << 16, h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
 //! | escape indices (`u32`) and values (`hops \| port << 32`) | 12 / escaped slot | a marker read |
+//! | members: the sources' node ids, increasing (`u32`) | 4 / member | rank → id |
+//! | ranks: each node's key, `u32::MAX` for a non-member | 4 / node | id → rank, every probe |
+//!
+//! Both map sections are empty when keys are node ids.
 //!
 //! The tail padding lets a probe read any record with one little-endian
 //! `u64` load and a mask. A *slot* is a keyed entry or one source offset
 //! of a direct row; the CSR offsets, escape indices and every arena index
-//! a caller sees count slots. **Direct rows: no keys, no fit.** Source `k`
+//! a caller sees count slots. **Direct rows: no keys, no fit.** Key `k`
 //! sits in slot `k − lo_src`, so a probe is one bounds check and one
 //! load. An absent slot stores the all-ones word and no escape record: a
 //! miss, `(NONE, INF)` in [`resolve_entries`], skipped by
 //! [`FlatTables::row_iter`].
 //!
-//! **Keyed rows: no stored index.** Where a source sits in its sorted
-//! row is a function of the source id that one multiply computes: entry
-//! `i` of a row holding source `k` satisfies `p + lo ≤ i < p + lo + win`
-//! with `p = (k · mul) >> 31`. `mul` is the row's density in Q1.31
-//! (`len / (max_src + 1)`, at most 2³¹) and `[lo, lo + win)` is the
+//! **Keyed rows: no stored index.** Where a key sits in its sorted row
+//! is a function of the key that one multiply computes: entry `i` of a
+//! row holding key `k` satisfies `p + lo ≤ i < p + lo + win` with
+//! `p = (k · mul) >> 31`. `mul` is the row's density in Q1.31
+//! (`len / (max_key + 1)`, at most 2³¹) and `[lo, lo + win)` is the
 //! *measured* range of `i − p` over the row's own entries, so the window
 //! is exact by construction — integer-only, the same formula at encode
 //! and at probe time — and [`FlatTables::validate`] re-proves it for
@@ -82,10 +100,11 @@
 //! [`FlatEntry`] values.
 //!
 //! **Encode once, pack in place.** `fill` drains the merge, so it runs
-//! once, before the widths are known: [`FlatTables::from_rows`] writes
-//! every entry as an 8-byte `src u32 | word u32` record at the even split
-//! (escaping what overflows), then decodes each row and rewrites it at
-//! the derived widths, in its smaller form, earlier in the same buffer.
+//! once, before the widths and the members are known:
+//! [`FlatTables::from_rows`] writes every entry as an 8-byte `src u32 |
+//! word u32` record at the even split (escaping what overflows), then
+//! decodes each row, rewrites each source as its key and the row at the
+//! derived widths, in its smaller form, earlier in the same buffer.
 //! No row grows (`len · (4 + w)` and `span · w` direct are both at most
 //! `8 · len`), so no second buffer is needed.
 //!
@@ -126,6 +145,8 @@ const KEY_BYTES: usize = 4;
 const DIRECT_WORD: u32 = 0xC000_0000;
 const KEYED_WORD: u32 = 0xA000_0000;
 const LO_SRC_BITS: u32 = congest::wire::MAX_SNAPSHOT_NODES as u32 - 1;
+/// A non-member's entry in the ranks section.
+const NO_RANK: u32 = u32::MAX;
 
 /// The little-endian `u32` at the start of `b`.
 #[inline(always)]
@@ -383,9 +404,15 @@ pub struct FlatTables {
     wide_vals: U64View,
     /// The field widths, derived from the rows.
     layout: Layout,
+    /// The source map (see the module docs): the members' node ids,
+    /// increasing, and each node's key ([`NO_RANK`] for a non-member);
+    /// both empty when keys are node ids.
+    members: U32View,
+    ranks: U32View,
 }
 
-/// One slot as stored, markers included (a direct row's `src` is implied).
+/// One slot as stored, markers included: its source's key (implied in a
+/// direct row) and its word.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     src: u32,
@@ -399,8 +426,8 @@ impl FlatTables {
     /// source and each whole hops `≤ h′` on its rung of `ladder = (h′,
     /// rungs)`, to the (cleared) scratch row. Entries are written as
     /// 8-byte records as they come, then packed in place at the widths
-    /// they need (see the module docs), so the only transient state is
-    /// one row.
+    /// they need and keyed by source rank (see the module docs), so the
+    /// only transient state is one row and the map.
     ///
     /// # Panics
     ///
@@ -428,6 +455,7 @@ impl FlatTables {
         let rec = |key: u32, word: u32| (u64::from(key) | u64::from(word) << 32).to_le_bytes();
         let (mut ends, mut wide, mut routes) = (Vec::with_capacity(n), Vec::new(), Vec::new());
         let (mut widest_port, mut widest_hops) = (0, 0);
+        let (mut named, mut past_n) = (vec![false; n], false);
         for v in 0..n {
             routes.clear();
             fill(v, &mut routes);
@@ -436,6 +464,10 @@ impl FlatTables {
                 "row {v} is not strictly sorted by source"
             );
             for &(s, r) in &routes {
+                match named.get_mut(s.index()) {
+                    Some(named) => *named = true,
+                    None => past_n = true,
+                }
                 let rung = ladder.get(1 + r.level as usize).copied();
                 let on = rung.filter(|&b| r.est % b == 0 && r.est / b <= horizon);
                 let hops = r.est / on.unwrap_or_else(|| panic!("{r:?} is off the ladder"));
@@ -447,6 +479,20 @@ impl FlatTables {
             ends.push(recs.len() / 8);
         }
         assert_eq!(recs.len() / 8, entries, "rows do not add up to `entries`");
+
+        // The map: ranks among the named sources, unless those are `0..n`
+        // (or pass it) and the keys stay node ids.
+        let mut members: Vec<u32> = (0..n as u32).filter(|&v| named[v as usize]).collect();
+        let mut ranks = Vec::new();
+        if past_n || members.len() == n {
+            members.clear();
+        } else {
+            ranks = vec![NO_RANK; n];
+            for (rank, &id) in members.iter().enumerate() {
+                ranks[id as usize] = rank as u32;
+            }
+        }
+        let key = |id: u32| ranks.get(id as usize).copied().unwrap_or(id);
 
         // The pack: the widths the rows need if they fit 32 bits, else
         // the first pass's; each row decoded, then written at or before
@@ -470,7 +516,7 @@ impl FlatTables {
                     let wide = wide.next().expect("an escape per marker");
                     (f.hops, f.port) = (wide as u32, (wide >> 32) as Port);
                 }
-                (rec as u32, f)
+                (key(rec as u32), f)
             }));
             let len = starts[starts.len() - 1] as usize;
             let direct = row.first().zip(row.last()).and_then(|(lo, hi)| {
@@ -517,6 +563,8 @@ impl FlatTables {
             wide_idx: U32View::from_vals(&wide_idx),
             wide_vals: U64View::from_vals(&wide_vals),
             layout: l,
+            members: U32View::from_vals(&members),
+            ranks: U32View::from_vals(&ranks),
         }
     }
 
@@ -540,7 +588,7 @@ impl FlatTables {
     pub fn row_iter(&self, v: NodeId) -> impl Iterator<Item = FlatEntry> + '_ {
         self.cursor(v)
             .slots()
-            .filter_map(|(i, slot)| self.entry_of(i, slot))
+            .filter_map(|(i, slot)| self.entry_of(i, slot, self.id_of(slot.src)?))
     }
 
     /// Point lookup: `v`'s entry for source `s`, if present.
@@ -591,6 +639,27 @@ impl FlatTables {
         self.starts.get(v.index()) as usize..self.starts.get(v.index() + 1) as usize
     }
 
+    /// Source `s`'s key (see the module docs), if it is a member.
+    #[inline(always)]
+    fn key_of(&self, s: NodeId) -> Option<u32> {
+        if self.ranks.is_empty() {
+            return Some(s.0);
+        }
+        let rank = (s.index() < self.ranks.len()).then(|| self.ranks.get(s.index()))?;
+        (rank != NO_RANK).then_some(rank)
+    }
+
+    /// The node id of the source stored as `key` (`None` past the
+    /// members, which only a hostile table that skipped
+    /// [`FlatTables::validate`] stores: its entry reads as a miss).
+    #[inline(always)]
+    fn id_of(&self, key: u32) -> Option<u32> {
+        if self.ranks.is_empty() {
+            return Some(key);
+        }
+        ((key as usize) < self.members.len()).then(|| self.members.get(key as usize))
+    }
+
     /// Slot `i`'s true `(hops, port)`, if it has an escape record.
     #[cold]
     fn wide(&self, i: usize) -> Option<(u32, Port)> {
@@ -618,15 +687,15 @@ impl FlatTables {
         Some(f)
     }
 
-    /// Slot `i` as a [`FlatEntry`]: `est = hops · rungs[level]` and the
-    /// port. An absent slot — or, in a hostile table that skipped
-    /// [`FlatTables::validate`], a marker without its record, a level off
-    /// the ladder or a product past `u64` — reads as a miss.
+    /// Slot `i`, of source id `src`, as a [`FlatEntry`]: `est = hops ·
+    /// rungs[level]` and the port. An absent slot — or, in a hostile
+    /// table that skipped [`FlatTables::validate`], a marker without its
+    /// record, a level off the ladder or a product past `u64` — reads as
+    /// a miss.
     #[inline(always)]
-    fn entry_of(&self, i: usize, slot: Slot) -> Option<FlatEntry> {
+    fn entry_of(&self, i: usize, slot: Slot, src: u32) -> Option<FlatEntry> {
         let Fields { hops, level, port } = self.fields(i, slot)?;
         let est = u64::from(hops).checked_mul(*self.ladder.get(1 + level as usize)?)?;
-        let src = slot.src;
         Some(FlatEntry { src, port, est })
     }
 
@@ -634,7 +703,7 @@ impl FlatTables {
     /// [`FlatTables::from_rows`] was given.
     pub fn row_routes(&self, v: NodeId) -> impl Iterator<Item = (NodeId, RouteInfo)> + '_ {
         self.cursor(v).slots().filter_map(|(i, slot)| {
-            let FlatEntry { src, port, est } = self.entry_of(i, slot)?;
+            let FlatEntry { src, port, est } = self.entry_of(i, slot, self.id_of(slot.src)?)?;
             let level = self.layout.split(slot.word).level;
             Some((NodeId(src), RouteInfo { est, port, level }))
         })
@@ -651,6 +720,8 @@ impl FlatTables {
         a.u64s(&[&[self.layout.word()], &self.ladder[..]].concat());
         a.section(self.wide_idx.as_bytes());
         a.section(self.wide_vals.as_bytes());
+        a.section(self.members.as_bytes());
+        a.section(self.ranks.as_bytes());
     }
 
     /// Reads what [`FlatTables::write_arena`] wrote: zero-copy views over
@@ -659,7 +730,9 @@ impl FlatTables {
     /// length (which the widths and row words fix, tail padding
     /// included), the escape indices and the row words (canonical, and
     /// counting the direct slots before each row exactly, so every row's
-    /// records lie where its word puts them). Per-slot sweeps are *not*
+    /// records lie where its word puts them) and the map's (both sections
+    /// empty, or one rank per node beside fewer members than nodes).
+    /// Per-slot sweeps are *not*
     /// run here: [`FlatTables::validate`] owns them, the arena checksum
     /// owns integrity, and [`RowCursor`] bounds every probe by its row
     /// and the ladder, so even a hostile fit, `lo_src` or word answers
@@ -675,6 +748,7 @@ impl FlatTables {
         let words = c.u64v()?;
         let ladder = c.u64s()?;
         let (wide_idx, wide_vals) = (c.u32v()?, c.u64v()?);
+        let (members, ranks) = (c.u32v()?, c.u32v()?);
         let n = starts
             .len()
             .checked_sub(1)
@@ -699,6 +773,10 @@ impl FlatTables {
         if words.len() != n {
             return Err(invalid_data("flat table row-word section misshapen"));
         }
+        let identity = ranks.is_empty() && members.is_empty();
+        if !identity && (ranks.len() != n || members.len() >= n) {
+            return Err(invalid_data("flat table source map misshapen"));
+        }
         let mut direct = 0;
         for v in 0..n {
             let (form, before) = Form::of_word(words.get(v));
@@ -722,32 +800,54 @@ impl FlatTables {
             wide_idx,
             wide_vals,
             layout,
+            members,
+            ranks,
         })
     }
 
     /// Validates rows against the topology they will be queried on: one
-    /// row per node, sources in range and strictly increasing within each
-    /// row (the key scan, the binary search and canonical re-save assume
-    /// it), every keyed entry inside the window its row's fit predicts
-    /// for its source (so a probe can never miss a stored entry), ports
-    /// within each node's degree ([`Topology::neighbor`] only
-    /// debug-asserts its port, so a corrupted port would silently resolve
-    /// to a wrong neighbor in release builds), every word inside its
-    /// fields and on the ladder (`level < rungs.len()`, `hops ≤ h′`), and
-    /// escape records matching the marked slots one to one (an absent
-    /// direct slot: the all-ones word, no record).
+    /// row per node; the source map, if any, a bijection between its
+    /// members (node ids, strictly increasing) and the ranks below their
+    /// count; keys in range (below the member count, or `n` without a
+    /// map) and strictly increasing within each row (the key scan, the
+    /// binary search and canonical re-save assume it), every keyed entry
+    /// inside the window its row's fit predicts for its key (so a probe
+    /// can never miss a stored entry), ports within each node's degree
+    /// ([`Topology::neighbor`] only debug-asserts its port, so a
+    /// corrupted port would silently resolve to a wrong neighbor in
+    /// release builds), every word inside its fields and on the ladder
+    /// (`level < rungs.len()`, `hops ≤ h′`), and escape records matching
+    /// the marked slots one to one (an absent direct slot: the all-ones
+    /// word, no record).
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on any out-of-range source or port, an
-    /// unsorted row, an entry outside its predicted window, a word with
-    /// bits past its fields or off the ladder, a marker without an escape
-    /// record (outside an absent slot), or an escape record without a
-    /// marker.
+    /// Returns `InvalidData` on a source map that is not such a
+    /// bijection, any out-of-range key or port, an unsorted row, an
+    /// entry outside its predicted window, a word with bits past its
+    /// fields or off the ladder, a marker without an escape record
+    /// (outside an absent slot), or an escape record without a marker.
     pub fn validate(&self, topo: &Topology) -> io::Result<()> {
         if self.len_nodes() != topo.len() {
             return Err(invalid_data("flat table row count mismatch"));
         }
+        // `read_arena` fixed the map's shape; here each member must be a
+        // node id past the one before, whose rank names it back, and no
+        // other node may have a rank.
+        let mut last = None;
+        for (rank, id) in self.members.iter().enumerate() {
+            let back = (id as usize) < topo.len() && self.ranks.get(id as usize) == rank as u32;
+            if !back || last.replace(id).is_some_and(|l| l >= id) {
+                return Err(invalid_data("flat table source map is not a bijection"));
+            }
+        }
+        if self.ranks.iter().filter(|&r| r != NO_RANK).count() != self.members.len() {
+            return Err(invalid_data("flat table ranks a node outside its members"));
+        }
+        let keys = match self.ranks.is_empty() {
+            true => topo.len(),
+            false => self.members.len(),
+        };
         let (l, horizon, rungs) = (self.layout, self.ladder[0], &self.ladder[1..]);
         let all = l.all();
         let mut marked = 0usize;
@@ -789,8 +889,8 @@ impl FlatTables {
                 "is not sorted by source"
             } else if !placed {
                 "has an entry outside the window its fit predicts"
-            } else if prev >= topo.len() as i64 {
-                "has a source out of range"
+            } else if prev >= keys as i64 {
+                "has a source key out of range"
             } else if !ports_ok {
                 "has a port at or above the node's degree"
             } else if !on_ladder {
@@ -883,7 +983,9 @@ impl<'a> RowCursor<'a> {
 
     /// Locates source `s` in the cursor's row: `(arena index, slot)`.
     ///
-    /// A direct row takes one bounds check and one load. Small keyed rows
+    /// The node id becomes its key first (a load from the ranks section
+    /// in a mapped table; a non-member is a miss). A direct row then
+    /// takes one bounds check and one load. Small keyed rows
     /// take one branchless sweep of the whole row; larger ones take one
     /// multiply and the same sweep over the window the fit predicts — no
     /// load depends on another until the records themselves. The window
@@ -892,7 +994,7 @@ impl<'a> RowCursor<'a> {
     /// answers with a miss, never a panic.
     #[inline(always)]
     fn find(&self, s: NodeId) -> Option<(usize, Slot)> {
-        let key = s.0;
+        let key = self.tab.key_of(s)?;
         let fit = match self.form {
             Form::Direct(lo) => {
                 let j = key.wrapping_sub(lo) as usize;
@@ -921,7 +1023,7 @@ impl<'a> RowCursor<'a> {
     #[inline]
     pub fn get(&self, s: NodeId) -> Option<FlatEntry> {
         let (i, slot) = self.find(s)?;
-        self.tab.entry_of(i, slot)
+        self.tab.entry_of(i, slot, s.0)
     }
 
     /// The estimate for source `s`, if present: the matching word's hops
@@ -948,9 +1050,12 @@ pub fn resolve_entries(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<(
     let none = graphs::DenseIndex::NONE;
     (0..tables.len_nodes())
         .flat_map(|v| tables.cursor(NodeId::from_index(v)).slots())
-        .map(|(i, slot)| match tables.entry_of(i, slot) {
-            Some(e) => (index.get(NodeId(e.src)).map_or(none, |i| i as u32), e.est),
-            None => (none, INF),
+        .map(|(i, slot)| {
+            let id = tables.id_of(slot.src);
+            match id.and_then(|src| tables.entry_of(i, slot, src)) {
+                Some(e) => (index.get(NodeId(e.src)).map_or(none, |i| i as u32), e.est),
+                None => (none, INF),
+            }
         })
         .collect()
 }
@@ -1665,6 +1770,112 @@ mod tests {
                         got.is_none_or(|e| stored.contains(&e.est)),
                         "{what}: ({v}, {s}) answered {got:?}"
                     );
+                }
+                let _ = loaded.row_iter(v).count() + loaded.row_routes(v).count();
+            }
+        }
+    }
+
+    /// Eight rows naming sources 1, 3, 4 and 6 of 8 nodes: a proper
+    /// subset, so the table keys rows by rank `0..4`. Row 0 holds every
+    /// member, row 1 members 1 and 6 (ranks 0 and 3), row 2 none.
+    fn mapped_rows() -> Rows {
+        let mut rows: Rows = vec![Vec::new(); 8];
+        rows[0] = [1, 3, 4, 6]
+            .map(|s| route(s, u64::from(s), s % 3, 0))
+            .to_vec();
+        rows[1] = [1, 6].map(|s| route(s, 2, 1, 1)).to_vec();
+        rows
+    }
+
+    #[test]
+    fn rows_naming_a_subset_are_keyed_by_rank() {
+        let rows = mapped_rows();
+        let ft = flat(&rows);
+        assert_eq!(ft.members.to_vec(), [1, 3, 4, 6]);
+        let none = NO_RANK;
+        assert_eq!(ft.ranks.to_vec(), [none, 0, none, 1, 2, none, 3, none]);
+        // Row 0 spans ranks 0..=3 and row 1 ranks 0..=3 with two holes:
+        // both direct, at one slot per rank.
+        assert_eq!(form_of(&ft, 0), (Form::Direct(0), 0));
+        assert_eq!(form_of(&ft, 1), (Form::Direct(0), 4));
+        assert_eq!(ft.len_entries(), 8);
+        ft.validate(&k8()).unwrap();
+        for (v, want) in rows.iter().enumerate() {
+            let v = NodeId::from_index(v);
+            let got: Vec<_> = ft.row_routes(v).collect();
+            assert_eq!(&got, want, "row {v}");
+            for s in (0..10).chain([u32::MAX]).map(NodeId) {
+                let want = want.iter().find(|r| r.0 == s).map(|r| r.1.est);
+                assert_eq!(ft.est(v, s), want, "({v}, {s})");
+                assert_eq!(ft.get(v, s).map(|e| (e.src, e.est)), want.map(|e| (s.0, e)));
+            }
+        }
+        let index = graphs::DenseIndex::new(8, &[NodeId(6), NodeId(3)]);
+        let resolved = resolve_entries(&ft, &index);
+        let idx: Vec<u32> = resolved[4..8].iter().map(|r| r.0).collect();
+        let none = graphs::DenseIndex::NONE;
+        assert_eq!(idx, [none, none, none, 0]);
+        // Rows naming every node keep node ids as keys: no map.
+        let full = flat(&holed_rows());
+        assert!(full.members.is_empty() && full.ranks.is_empty());
+    }
+
+    #[test]
+    fn hostile_maps_are_refused_or_answer_with_a_miss_never_a_panic() {
+        // Sections: starts, records, words, ladder, escape pair, then
+        // members and ranks. Each case is refused by `read_arena`
+        // (`None`), or loads and fails `validate` (`Some(false)`); either
+        // way no probe of a loaded table panics.
+        let rows = mapped_rows();
+        let sections = sections_of(&flat(&rows));
+        fn u32s(xs: &[u32]) -> Vec<u8> {
+            xs.iter().flat_map(|x| x.to_le_bytes()).collect()
+        }
+        type Mutate = dyn Fn(&mut [Vec<u8>]);
+        let cases: [(&str, Option<bool>, &Mutate); 9] = [
+            ("members out of order", Some(false), &|s| {
+                s[6] = u32s(&[1, 4, 3, 6]);
+                s[7] = u32s(&[!0, 0, !0, 2, 1, !0, 3, !0]);
+            }),
+            ("member past n", Some(false), &|s| {
+                s[6] = u32s(&[1, 3, 4, 8])
+            }),
+            ("rank past the members", Some(false), &|s| {
+                s[7] = u32s(&[!0, 0, !0, 1, 2, !0, 9, !0]);
+            }),
+            ("a non-member ranked", Some(false), &|s| {
+                s[7] = u32s(&[3, 0, !0, 1, 2, !0, 3, !0]);
+            }),
+            ("keys past the members", Some(false), &|s| s[6].truncate(8)),
+            ("no map under rank keys", Some(true), &|s| {
+                s[6].clear();
+                s[7].clear();
+            }),
+            ("ranks one node short", None, &|s| s[7].truncate(28)),
+            ("ranks without any member", Some(false), &|s| {
+                s[6].clear();
+            }),
+            ("as many members as nodes", None, &|s| {
+                s[6] = u32s(&[0, 1, 2, 3, 4, 5, 6, 7]);
+                s[7] = u32s(&[0, 1, 2, 3, 4, 5, 6, 7]);
+            }),
+        ];
+        for (what, valid, mutate) in cases {
+            let mut hostile = sections.clone();
+            mutate(&mut hostile);
+            let loaded = match reload(&hostile) {
+                Ok(loaded) => loaded,
+                Err(e) => {
+                    assert_eq!(valid, None, "{what}: {e}");
+                    continue;
+                }
+            };
+            assert_eq!(Some(loaded.validate(&k8()).is_ok()), valid, "{what}");
+            for v in (0..8).map(NodeId) {
+                for s in (0..10).chain([u32::MAX]).map(NodeId) {
+                    let got = loaded.get(v, s);
+                    assert_eq!(loaded.est(v, s), got.map(|e| e.est), "{what}: ({v}, {s})");
                 }
                 let _ = loaded.row_iter(v).count() + loaded.row_routes(v).count();
             }

@@ -418,6 +418,8 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
             })
         }
         Backend::Flooding => {
+            // Refused before the n² sweep, not after it.
+            exact_slots(n)?;
             // The flood only adds the Θ(m + D)-round measurement: both
             // engines install the rows of the same local Dijkstra sweep.
             let ((apsp, first_hops), m) = match b.mode {
@@ -468,6 +470,21 @@ impl ExactLadder {
     }
 }
 
+/// The entries of [`Backend::Flooding`]'s table over `n` nodes: `n·(n −
+/// 1)`, every ordered pair off the diagonal.
+///
+/// # Errors
+///
+/// [`BuildError::InvalidParam`] past `u32::MAX` (`n ≥ 65 537`): a route
+/// table's offsets are 4 bytes.
+pub(crate) fn exact_slots(n: usize) -> Result<usize, BuildError> {
+    n.checked_mul(n.saturating_sub(1))
+        .filter(|&e| e <= u32::MAX as usize)
+        .ok_or(BuildError::InvalidParam {
+            what: "more ordered pairs than a route table's u32 offsets hold (n ≥ 65 537)",
+        })
+}
+
 /// [`Backend::Flooding`]'s oracle over exact rows: `fill(topo, u, out)`
 /// appends `u`'s entries (see [`push_exact_row`]) to a route table on
 /// `ladder`, where slot `(u, v)` stores `wd(u, v)` and the port of `u`'s
@@ -477,7 +494,8 @@ impl ExactLadder {
 /// # Errors
 ///
 /// [`BuildError::InvalidParam`] when the distances past the 32-bit hop
-/// field need more rungs than a table holds (2¹⁶ with rung `1`).
+/// field need more rungs than a table holds (2¹⁶ with rung `1`), or the
+/// pairs more slots ([`exact_slots`]).
 pub(crate) fn exact_oracle(
     g: &WGraph,
     ladder: ExactLadder,
@@ -493,7 +511,7 @@ pub(crate) fn exact_oracle(
     let horizon = ladder.horizon.max(u64::from(rungs.len() > 1));
     let n = g.len();
     let topo = g.to_topology();
-    let entries = n * n.saturating_sub(1);
+    let entries = exact_slots(n)?;
     let routes = FlatTables::from_rows(n, entries, (horizon, &rungs), |u, out| {
         fill(&topo, NodeId(u as u32), out);
         for (_, r) in out.iter_mut() {
@@ -539,4 +557,23 @@ pub(crate) fn push_exact_row(
             },
         )
     }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Flooding's table holds `n·(n − 1)` entries behind `u32` offsets:
+    /// the largest graph it takes is 65 536 nodes, and one more is a
+    /// typed error, known before any row is computed.
+    #[test]
+    fn flooding_slot_limit_is_a_typed_error() {
+        assert_eq!(exact_slots(65_536), Ok(65_536 * 65_535));
+        assert!(matches!(
+            exact_slots(65_537),
+            Err(BuildError::InvalidParam { .. })
+        ));
+        assert_eq!(exact_slots(0), Ok(0));
+        assert_eq!(exact_slots(1), Ok(0));
+    }
 }

@@ -16,7 +16,8 @@
 //! | 7 | arena container, narrow tables with direct-indexed dense rows; schemes store query state only | — | rejected (rebuild) |
 //! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | — | rejected (rebuild) |
 //! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | — | rejected (rebuild) |
-//! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | — | rejected (rebuild) |
+//! | 11 | as 10, but route rows are keyed by source rank, with the table's source map (member ids, per-node ranks) beside it | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` and `flooding` share the PDE layout under their own
 //! header tags (flooding's rows are exact: ε = 0, whole hops on rung 1).
@@ -58,8 +59,10 @@
 //! The routing tables inside a payload are [`pde_core::FlatTables`]
 //! sections: one record per slot holding one packed word `port | hops |
 //! level` (2 bytes a direct slot and 6 a keyed entry on every benchmark
-//! table; the widths come from the table's rows), one word per row and
-//! the table's `[widths, h′, rungs…]`. The record format is private to
+//! table; the widths come from the table's rows), one word per row, the
+//! table's `[widths, h′, rungs…]` and its source map (empty unless the
+//! rows name a proper subset of the nodes, whose ranks are then the
+//! rows' keys). The record format is private to
 //! `pde_core`'s `tables.rs`.
 //!
 //! Every map written anywhere in a payload is in sorted key order, and a
@@ -81,13 +84,13 @@ use congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
 use congest::wire::{invalid_data, WireReader, WireWriter};
 use graphs::WGraph;
 use pde_core::FlatTables;
-use routing::RtcScheme;
+use routing::{RoutingScheme, RtcScheme};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 10;
+const VERSION: u16 = 11;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;
@@ -215,6 +218,11 @@ fn read_arena_payload(
             let k = u32::try_from(k).map_err(|_| invalid_data("TZ k overflow"))?;
             let g = WGraph::read_arena(c)?;
             let scheme = ExactTz::read_arena(c)?;
+            // A scheme spliced beside another graph would index its n × n
+            // matrices with the graph's ids.
+            if scheme.len() != g.len() {
+                return Err(invalid_data("ExactTz scheme and graph disagree on n"));
+            }
             let topo = g.to_topology();
             Inner::Tz(TzOracle {
                 g,

@@ -4,8 +4,10 @@
 //! and out-of-range keys — and [`FlatTables`] lookups with a per-node
 //! `BTreeMap` model over a random rung ladder — including hop counts and
 //! ports that take the escape, in keyed and direct rows, at every word
-//! width from 1 to 4 bytes — with byte-identical round-trips through the
-//! arena codec and records of exactly the derived width; real builds
+//! width from 1 to 4 bytes, with rows keyed by node id or, when they name
+//! a proper subset of the nodes, by rank through the table's source map
+//! — with byte-identical round-trips through the arena codec and records
+//! of exactly the derived width; real builds
 //! whose words need 3 bytes (long hop counts, a hub's ports) answer within
 //! Definition 2.2 of exact APSP.
 
@@ -16,7 +18,7 @@ use pde_repro::oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
 use pde_repro::pde_core::tables::{resolve_entries, FlatTables, PairTable};
 use pde_repro::pde_core::RouteInfo;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A generated case: side length `k`, unique in-range pair entries, and
 /// probe keys (deliberately allowed to fall outside `k`, which must
@@ -77,9 +79,9 @@ enum KeyShape {
     DenseWithHoles,
     /// `16·id`.
     Strided,
-    /// Even ids near 0, odd ids near 2³⁰.
+    /// Even ids near 0, odd ids near 2¹².
     Clusters,
-    /// The drawn ids, with the row's first entry moved to `u32::MAX − 1`.
+    /// The drawn ids, with the row's first entry moved to `2¹³ − 2`.
     Outlier,
 }
 
@@ -92,10 +94,27 @@ impl KeyShape {
             KeyShape::Dense => rank as u32,
             KeyShape::DenseWithHoles => (rank + rank / 4) as u32,
             KeyShape::Strided => 16 * id,
-            KeyShape::Clusters => ((id % 2) << 30) | (id / 2),
-            KeyShape::Outlier if rank == 0 => u32::MAX - 1,
+            KeyShape::Clusters => ((id % 2) << 12) | (id / 2),
+            KeyShape::Outlier if rank == 0 => (1 << 13) - 2,
             KeyShape::Outlier => id,
         }
+    }
+
+    /// The node count of a case of `rows` drawn rows whose largest key is
+    /// `max_key`. The uniform and dense keys come with as many nodes as
+    /// rows, so keys past them keep node ids as keys. The other shapes'
+    /// keys are node ids of a graph one node larger than their largest,
+    /// which no row names: their rows name a proper subset of the nodes,
+    /// so their tables key rows by rank, through a source map.
+    fn nodes(self, rows: usize, max_key: Option<u32>) -> usize {
+        match self {
+            KeyShape::Uniform | KeyShape::Dense => rows,
+            _ => rows.max(max_key.map_or(0, |k| k as usize + 2)),
+        }
+    }
+
+    fn mapped(self) -> bool {
+        !matches!(self, KeyShape::Uniform | KeyShape::Dense)
     }
 }
 
@@ -105,9 +124,9 @@ impl KeyShape {
 /// values up to them, the bounds themselves often — so the derived words
 /// take every width from 1 to 4 bytes, and past 32 bits together some
 /// values take the escape — over rows long enough to leave the small-row
-/// scan, and, in the clustered shapes, the swept window for the binary
-/// search. Every class comes in every key shape.
-fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
+/// scan. Every class comes in every key shape, with the shape's node
+/// count (see [`KeyShape::nodes`]) and whether it maps.
+fn route_rows(wide: bool) -> BoxedStrategy<(Vec<Vec<RouteRow>>, usize, bool)> {
     let shape = prop_oneof![
         Just(KeyShape::Uniform),
         Just(KeyShape::Dense),
@@ -137,7 +156,9 @@ fn route_rows(wide: bool) -> BoxedStrategy<Vec<Vec<RouteRow>>> {
                     route.0 = shape.key(route.0, rank);
                 }
             }
-            rows
+            let max_key = rows.iter().flatten().map(|r| r.0).max();
+            let nodes = shape.nodes(rows.len(), max_key);
+            (rows, nodes, shape.mapped())
         })
         .boxed()
 }
@@ -149,27 +170,35 @@ fn flatten(model: &[BTreeMap<u32, RouteInfo>], (h, rungs): &Ladder) -> FlatTable
     })
 }
 
-/// Flattens `tables` over `ladder` and checks every read path — `get`,
-/// `est`, `cursor`, `row_iter`, `row_routes`, `resolve_entries` —
-/// on the built table and on its arena reload against the per-node
-/// `BTreeMap` model (a later duplicate source overrides an earlier one),
-/// probing every stored key, both its neighbours and `probes`; that the
+/// Flattens `tables`, followed by empty rows up to `nodes`, over `ladder`
+/// and checks every read path — `get`, `est`, `cursor`, `row_iter`,
+/// `row_routes`, `resolve_entries` — on the built table and on its arena
+/// reload against the per-node `BTreeMap` model (a later duplicate source
+/// overrides an earlier one), probing every stored key, both its
+/// neighbours, ids at and past `nodes` and `probes`; that the table has
+/// a source map exactly when the rows name a proper subset of
+/// `0..nodes` (the members' ids, increasing, and each node's rank); that
+/// the
 /// rows `row_routes` hands back rebuild the same table; that the arena
 /// reload re-saves byte-identically; that the field widths are the ones
 /// the rows need (the widest port and hop count, unless those two pass 32
 /// bits with the level: then an even split of the bits the level leaves,
 /// and only then an escape); and that the records
 /// take exactly `w` bytes a direct slot and `4 + w` a keyed one, so the
-/// table is no larger than that plus its fixed sections. Returns the word
-/// bytes `w` and the escaped slots.
+/// table is no larger than that plus its fixed sections and its map.
+/// Returns the word bytes `w`, the escaped slots and whether the table
+/// maps.
 fn check_against_model(
     tables: &[Vec<RouteRow>],
+    nodes: usize,
     ladder: &Ladder,
     probes: &[(u32, u32)],
-) -> Result<(usize, usize), TestCaseError> {
+) -> Result<(usize, usize, bool), TestCaseError> {
     let rungs = &ladder.1;
+    let empty = vec![Vec::new(); nodes - tables.len()];
     let model: Vec<BTreeMap<u32, RouteInfo>> = tables
         .iter()
+        .chain(&empty)
         .map(|rows| {
             rows.iter()
                 .map(|&(src, hops, port, level)| {
@@ -193,8 +222,25 @@ fn check_against_model(
     prop_assert_eq!(&flat, &loaded);
     prop_assert_eq!(&saved, &arena_bytes(|a| loaded.write_arena(a)));
 
-    // Starts, records, row words, ladder, escape indices and values.
+    // Starts, records, row words, ladder, escape indices and values,
+    // members and ranks. The map is there exactly when the rows name a
+    // proper subset of the nodes: then a key is a rank among the members.
     let sections = sections(&flat);
+    let members: BTreeSet<u32> = model.iter().flat_map(BTreeMap::keys).copied().collect();
+    let mapped = members.len() < nodes && members.iter().all(|&s| (s as usize) < nodes);
+    let members: Vec<u32> = members.into_iter().collect();
+    let ranks: Vec<u32> = (0..nodes as u32)
+        .map(|v| members.binary_search(&v).map_or(u32::MAX, |r| r as u32))
+        .collect();
+    let u32s = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    match mapped {
+        true => prop_assert_eq!(&sections[6..], &[u32s(&members), u32s(&ranks)]),
+        false => prop_assert!(sections[6].is_empty() && sections[7].is_empty()),
+    }
+    let (key, id) = (
+        |s: u32| if mapped { ranks[s as usize] } else { s },
+        |k: u32| if mapped { members[k as usize] } else { k },
+    );
     let direct: usize = (0..model.len())
         .filter(|&v| get_u64(&sections[2], v) as u32 & 0xC000_0000 == 0xC000_0000)
         .map(|v| flat.row_range(NodeId(v as u32)).len())
@@ -217,7 +263,8 @@ fn check_against_model(
     }
     let w = (pb + hb + lb).div_ceil(8) as usize;
     prop_assert_eq!(sections[1].len(), w * direct + (4 + w) * keyed + 8 - w);
-    let fixed = 12 * (model.len() + 1) + 8 * (rungs.len() + 2) + 12 * escaped + 8 - w;
+    let map = 4 * (members.len() + nodes) * usize::from(mapped);
+    let fixed = 12 * (model.len() + 1) + 8 * (rungs.len() + 2) + 12 * escaped + 8 - w + map;
     let framing = 8 + 16 * sections.len() + 8 * sections.len() + 8;
     prop_assert!(
         saved.len() <= w * direct + (4 + w) * keyed + fixed + framing,
@@ -236,13 +283,17 @@ fn check_against_model(
         .map(|m| DenseIndex::new(m as usize + 1, &[]));
     for t in [&flat, &loaded] {
         let resolved = small.as_ref().map(|index| resolve_entries(t, index));
+        // Stored keys, their neighbours (non-members in a mapped table
+        // whose keys are not consecutive) and ids at and past `nodes`.
         let stored = model.iter().enumerate().flat_map(|(v, table)| {
             table
                 .keys()
                 .flat_map(move |s| [(v as u32, s.wrapping_sub(1)), (v as u32, *s)])
                 .chain(table.keys().map(move |s| (v as u32, s.wrapping_add(1))))
         });
-        for (v, s) in stored.chain(probes.iter().copied()) {
+        let past = (0..tables.len() as u32)
+            .flat_map(|v| [nodes as u32, nodes as u32 + 1, u32::MAX].map(|s| (v, s)));
+        for (v, s) in stored.chain(past).chain(probes.iter().copied()) {
             let v = NodeId(v % model.len() as u32);
             let want = model[v.index()].get(&s);
             let got = t.get(v, NodeId(s));
@@ -278,17 +329,17 @@ fn check_against_model(
                 let want = &table[&e.src];
                 prop_assert_eq!((e.est, e.port), (want.est, want.port));
             }
-            // One slot per keyed entry or per source offset of a direct
+            // One slot per keyed entry or per key offset of a direct
             // row: `resolve_entries` reads every slot (`INF` in a hole),
             // `row_iter` only the stored ones.
             let range = t.row_range(v);
             let slots: Vec<u64> = if range.len() == table.len() {
                 row.iter().map(|e| e.est).collect()
             } else {
-                let lo = *table.keys().next().unwrap();
+                let lo = key(*table.keys().next().unwrap());
                 (lo..)
                     .take(range.len())
-                    .map(|s| table.get(&s).map_or(INF, |r| r.est))
+                    .map(|k| table.get(&id(k)).map_or(INF, |r| r.est))
                     .collect()
             };
             if let Some(resolved) = &resolved {
@@ -305,7 +356,7 @@ fn check_against_model(
         );
         prop_assert_eq!(&again, &flat);
     }
-    Ok((w, escaped))
+    Ok((w, escaped, mapped))
 }
 
 /// Entries across all rows of the model.
@@ -354,7 +405,8 @@ fn row_without_a_usable_fit_agrees_with_model() {
         .collect();
     let tables = [row, (0..20).map(|s| (3 * s, 5, 0, 0)).collect()];
     let probes = [(0, 70_000), (0, 1 << 31), (0, u32::MAX), (1, 70_000)];
-    let (w, escapes) = check_against_model(&tables, &ladder, &probes).unwrap();
+    let (w, escapes, mapped) = check_against_model(&tables, 2, &ladder, &probes).unwrap();
+    assert!(!mapped, "sources past the node count keep node ids as keys");
     assert_eq!(
         (w, escapes),
         (4, 2),
@@ -392,7 +444,7 @@ fn every_word_width_and_the_escape_agree_with_model() {
         };
         let tables: Vec<Vec<RouteRow>> = (0..6).map(|v| row(v, 40 * v)).collect();
         let probes = [(1, 3), (4, 160), (5, 1 << 20)];
-        let got = check_against_model(&tables, &ladder, &probes).unwrap();
+        let got = check_against_model(&tables, tables.len(), &ladder, &probes).unwrap();
         assert_eq!(
             (got.0, got.1 > 0),
             (w, escaped),
@@ -436,53 +488,69 @@ fn dense_table_costs_at_most_2_1_bytes_per_entry() {
     assert!(per_entry <= 2.1, "{per_entry} bytes per entry");
 }
 
-/// Rows over every 16th id (offset by the row rank mod 16, so hops reach
-/// 15), ≈ 220 entries each as in the partial regime,
-/// stay keyed: 6 bytes per entry, and every section exactly what the
-/// keyed encoding writes — `src u32 | word u16` records and the tail
-/// padding, one fit word per row (`mul | lo << 32 | win << 48`, see
-/// `pde_core::tables`), the widths and the ladder, no escapes.
+/// Rows over every 16th id of 4 096 nodes (offset by the rank mod 16, so
+/// hops reach 15), ≈ 220 of the 256 sources each as in the partial
+/// regime, go direct over source ranks: every row spans at most 256
+/// ranks, so a slot is one 2-byte word and the table costs at most 2.1
+/// bytes a slot plus its source map — and every section is exactly what
+/// the direct encoding writes: offset words `0xC000_0000 | lo` beside the
+/// direct slots before each row, `word u16` slots with the all-ones word
+/// in each hole and the tail padding, the widths and the ladder, no
+/// escapes, the members' ids and each node's rank.
 #[test]
-fn strided_rows_stay_keyed() {
-    let rows: Vec<Vec<u32>> = (0..64u32)
-        .map(|v| {
-            (0..256)
-                .filter(|i| (i + v) % 7 != 0)
-                .map(|i| 16 * i + i % 16)
-                .collect()
-        })
+fn strided_rows_go_direct_over_source_ranks() {
+    let (n, sources) = (4096u32, 256u32);
+    let id = |i: u32| 16 * i + i % 16;
+    let ranks: Vec<Vec<u32>> = (0..n)
+        .map(|v| (0..sources).filter(|i| (i + v) % 7 != 0).collect())
+        .collect();
+    let rows: Vec<Vec<u32>> = ranks
+        .iter()
+        .map(|r| r.iter().map(|&i| id(i)).collect())
         .collect();
     let model = model_of(&rows);
     let ladder = ladder_32();
     let flat = flatten(&model, &ladder);
-    let bytes = arena_bytes(|a| flat.write_arena(a)).len() as f64;
-    assert!(bytes / flat.len_entries() as f64 <= 6.1, "{bytes} bytes");
+    let slots = flat.len_entries();
+    let bytes = arena_bytes(|a| flat.write_arena(a)).len();
+    let map = 4 * (sources + n) as usize + 2 * 16;
+    assert!(
+        bytes as f64 <= 2.1 * slots as f64 + map as f64,
+        "{bytes} bytes, {slots} slots"
+    );
 
-    // Starts, records, fits, the ladder, and an empty escape pair. Port 0
-    // (1 bit), hops below 16 (5 bits) and 14 rungs (4 bits): a 2-byte
-    // word `hops << 4 | level`.
-    let mut want: [Vec<u8>; 6] = Default::default();
+    // Port 0 (1 bit), hops below 16 (5 bits) and 14 rungs (4 bits): a
+    // 2-byte word `hops << 4 | level`, `0x3FF` all ones.
+    let mut want: [Vec<u8>; 8] = Default::default();
     want[0].extend(0u32.to_le_bytes());
-    for row in &model {
-        let mul = ((row.len() as u64) << 31) / (u64::from(*row.keys().last().unwrap()) + 1);
-        let residual = |(i, s): (usize, &u32)| i as i64 - ((u64::from(*s) * mul) >> 31) as i64;
-        let lo = row.keys().enumerate().map(residual).min().unwrap();
-        let hi = row.keys().enumerate().map(residual).max().unwrap();
-        let fit = mul | u64::from(lo as i16 as u16) << 32 | ((hi - lo + 1) as u64) << 48;
-        want[2].extend(fit.to_le_bytes());
-        for (&s, r) in row {
-            let word = (r.est / 2) << 4 | u64::from(r.level);
-            want[1].extend(&(u64::from(s) | word << 32).to_le_bytes()[..6]);
+    let mut before = 0u64;
+    for (row, keys) in model.iter().zip(&ranks) {
+        let (lo, hi) = (keys[0], keys[keys.len() - 1]);
+        want[2].extend((0xC000_0000 | u64::from(lo) | before << 32).to_le_bytes());
+        for rank in lo..=hi {
+            let word = row
+                .get(&id(rank))
+                .map_or(0x3FF, |r| (r.est / 2) << 4 | u64::from(r.level));
+            want[1].extend(&word.to_le_bytes()[..2]);
         }
-        let end = (want[1].len() / 6) as u32;
-        want[0].extend(end.to_le_bytes());
+        before += u64::from(hi - lo + 1);
+        want[0].extend((before as u32).to_le_bytes());
     }
+    assert_eq!(before as usize, slots);
+    assert!(slots <= 256 * n as usize);
     want[1].extend([0; 6]);
     let widths = 1 | 5 << 8 | 4 << 16;
     want[3] = [widths, ladder.0]
         .iter()
         .chain(&ladder.1)
         .flat_map(|w| w.to_le_bytes())
+        .collect();
+    want[6] = (0..sources).flat_map(|i| id(i).to_le_bytes()).collect();
+    want[7] = (0..n)
+        .flat_map(|v| match v % 16 == v / 16 % 16 {
+            true => (v / 16).to_le_bytes(),
+            false => u32::MAX.to_le_bytes(),
+        })
         .collect();
     assert_eq!(sections(&flat), want);
 }
@@ -515,12 +583,12 @@ fn real_build_word_bytes(g: &WGraph, eps: f64) -> usize {
     let oracle = OracleBuilder::new(Backend::Pde).eps(eps).build(g);
     let bytes = oracle.artifact_bytes();
     // A PDE arena ends with its table: starts, records, row words, ladder
-    // (after its widths word) and the escape pair, after the 40-byte
-    // snapshot header.
+    // (after its widths word), the escape pair and the source map, after
+    // the 40-byte snapshot header.
     let reader = ArenaReader::parse(SharedBytes::from_vec(bytes[40..].to_vec())).unwrap();
     let section = |back: usize| reader.section(reader.sections() - back).unwrap();
-    let (starts, records, words) = (section(6), section(5), section(4));
-    let widths = get_u64(section(3), 0);
+    let (starts, records, words) = (section(8), section(7), section(6));
+    let widths = get_u64(section(5), 0);
     let w = ((widths & 0xFF) + (widths >> 8 & 0xFF) + (widths >> 16)).div_ceil(8) as usize;
     let slots = u32::from_le_bytes(starts[starts.len() - 4..].try_into().unwrap()) as usize;
     let keyed: usize = (0..g.len())
@@ -535,7 +603,11 @@ fn real_build_word_bytes(g: &WGraph, eps: f64) -> usize {
         w * slots + 4 * keyed + 8 - w,
         "{w}-byte words"
     );
-    assert!(section(2).is_empty(), "a real build took the escape");
+    assert!(section(4).is_empty(), "a real build took the escape");
+    assert!(
+        section(2).is_empty() && section(1).is_empty(),
+        "full coverage keeps node ids as keys"
+    );
 
     let exact = algo::apsp(g);
     let loaded = Oracle::load_bytes(&bytes).unwrap();
@@ -667,10 +739,14 @@ proptest! {
     /// key shape.
     #[test]
     fn flat_tables_agree_with_route_table_model(
-        tables in prop_oneof![route_rows(false), route_rows(true)],
+        case in prop_oneof![route_rows(false), route_rows(true)],
         ladder in ladders(),
         probes in proptest::collection::vec(((0u32..10), (0u32..6_500)), 60),
     ) {
-        check_against_model(&tables, &ladder, &probes)?;
+        let (tables, nodes, mapped) = case;
+        let got = check_against_model(&tables, nodes, &ladder, &probes)?;
+        if mapped {
+            prop_assert!(got.2, "{} rows over {} nodes built no source map", tables.len(), nodes);
+        }
     }
 }

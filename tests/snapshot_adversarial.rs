@@ -29,7 +29,18 @@ fn graph(seed: u64) -> WGraph {
 }
 
 fn snapshot(backend: Backend) -> Vec<u8> {
-    let oracle = OracleBuilder::new(backend).seed(23).k(2).build(&graph(21));
+    save(&OracleBuilder::new(backend).seed(23).k(2).build(&graph(21)))
+}
+
+/// A partial PDE over every third node at σ = 1: its route table keys
+/// rows by rank among those 6 sources, so it carries a source map.
+fn partial_snapshot() -> Vec<u8> {
+    let sources = (0..18).map(|v| v % 3 == 0).collect();
+    let builder = OracleBuilder::new(Backend::Pde).seed(23).sigma(1);
+    save(&builder.sources(sources).build(&graph(21)))
+}
+
+fn save(oracle: &Oracle) -> Vec<u8> {
     let mut snap = Vec::new();
     oracle.save(&mut snap).unwrap();
     snap
@@ -41,12 +52,17 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // the header, the directory and every section boundary down to the
     // empty stream: each prefix must load as an error, and each error
     // must be the *typed* truncation (not a raw UnexpectedEof, not a
-    // misdiagnosed corruption). A scheme backend, the exact route table
-    // and the one dense matrix cover every section shape (graphs, CSR
-    // tables, embedded tree streams, labels, flooding's one-rung table
-    // and exact_tz's n × n `u64` distances and `u32` first hops).
-    for backend in [Backend::Compact, Backend::Flooding, Backend::ExactTz] {
-        let bytes = snapshot(backend);
+    // misdiagnosed corruption). A scheme backend, the exact route table,
+    // a partial route table and the one dense matrix cover every section
+    // shape (graphs, CSR tables, embedded tree streams, labels,
+    // flooding's one-rung table, the partial table's source map and
+    // exact_tz's n × n `u64` distances and `u32` first hops).
+    let snaps = [Backend::Compact, Backend::Flooding, Backend::ExactTz]
+        .map(|backend| (backend.to_string(), snapshot(backend)));
+    for (backend, bytes) in snaps
+        .into_iter()
+        .chain([("pde_partial".into(), partial_snapshot())])
+    {
         for keep in 0..bytes.len() {
             let err = match Oracle::load(&mut &bytes[..keep]) {
                 Err(e) => e,
@@ -75,10 +91,15 @@ fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
     // never panic, wrap a length into a huge allocation, or loop. Header
     // metric bytes (n/rounds/msgs/nanos, offsets 8..40) are carried, not
     // validated; past them the arena's checksum means any directory or
-    // body damage must fail. Flooding's arena is a route table,
-    // exact_tz's holds dense n × n matrices.
-    for backend in [Backend::Rtc, Backend::Flooding, Backend::ExactTz] {
-        let snap = snapshot(backend);
+    // body damage must fail. Flooding's arena is a route table, the
+    // partial build's one with a source map, exact_tz's holds dense n × n
+    // matrices.
+    let snaps = [Backend::Rtc, Backend::Flooding, Backend::ExactTz]
+        .map(|backend| (backend.to_string(), snapshot(backend)));
+    for (backend, snap) in snaps
+        .into_iter()
+        .chain([("pde_partial".into(), partial_snapshot())])
+    {
         for at in 0..snap.len() {
             let mut bad = snap.clone();
             bad[at] ^= 0xFF;
@@ -217,12 +238,14 @@ fn reassemble(snap: &[u8], sections: &[Vec<u8>]) -> Vec<u8> {
 
 // A PDE arena ends with its one `FlatTables`: these are the table's
 // sections, counted back from the end of the directory.
-const STARTS: usize = 6;
-const RECS: usize = 5;
-const WORDS: usize = 4;
-const LADDER: usize = 3;
-const ESC_IDX: usize = 2;
-const ESC_VALS: usize = 1;
+const STARTS: usize = 8;
+const RECS: usize = 7;
+const WORDS: usize = 6;
+const LADDER: usize = 5;
+const ESC_IDX: usize = 4;
+const ESC_VALS: usize = 3;
+const MEMBERS: usize = 2;
+const RANKS: usize = 1;
 
 fn put_u32(section: &mut [u8], i: usize, x: u32) {
     section[4 * i..4 * i + 4].copy_from_slice(&x.to_le_bytes());
@@ -312,7 +335,9 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     // 40-slot rows over every source are direct, with 2-byte words: a
     // slot is `port << (lb + hb) | hops << lb | level`, and weights up to
     // 12 make a 10-rung ladder, so the all-ones level is off it. The
-    // partial build's rows over every third id stay keyed.
+    // partial build keys its rows by rank among the 14 sources (every
+    // third id), through its source map; at σ = 1 its first row (4
+    // entries over a span of 12 ranks) stays keyed.
     let g = gen::gnp_connected(
         40,
         0.15,
@@ -323,7 +348,7 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         let builder = OracleBuilder::new(Backend::Pde).seed(5);
         let builder = if partial {
             let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
-            builder.sigma(3).horizon(4).sources(sources)
+            builder.sigma(1).horizon(4).sources(sources)
         } else {
             builder
         };
@@ -354,6 +379,7 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     assert_eq!(w, 2, "{widths:?}");
     assert_eq!(table(RECS).len(), w * entries + 8 - w);
     assert!(table(ESC_IDX).is_empty());
+    assert!(table(MEMBERS).is_empty() && table(RANKS).is_empty());
     let ladder: Vec<u64> = (1..table(LADDER).len() / 8)
         .map(|i| get_u64(table(LADDER), i))
         .collect();
@@ -368,6 +394,15 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     let keyed_starts = &keyed_sections[keyed_sections.len() - STARTS];
     let keyed_width = 4 + Widths::of(&keyed_sections[keyed_sections.len() - LADDER]).w();
     assert!(is_fit(get_u64(keyed_words, 0)) && get_u32(keyed_starts, 1) >= 2);
+    let members: Vec<u32> = (0..40).filter(|v| v % 3 == 0).collect();
+    let keyed_members = &keyed_sections[keyed_sections.len() - MEMBERS];
+    let keyed_ranks = &keyed_sections[keyed_sections.len() - RANKS];
+    assert_eq!(keyed_members.len(), 4 * members.len());
+    assert_eq!(keyed_ranks.len(), 4 * 40);
+    for (rank, &id) in members.iter().enumerate() {
+        assert_eq!(get_u32(keyed_members, rank), id);
+        assert_eq!(get_u32(keyed_ranks, id as usize), rank as u32);
+    }
 
     // The escaped twin: the first eight present slots store the port
     // marker and their true `hops | port << 32` in the escape sections —
@@ -423,6 +458,51 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         let (a, b) = (get_u32(recs, 0), get_u32(&recs[keyed_width..], 0));
         put_u32(recs, 0, b);
         put_u32(&mut recs[keyed_width..], 0, a);
+    });
+
+    // The source map: read_arena checks its shape, validate that it is
+    // a bijection between increasing node ids and the ranks below their
+    // count, and that every stored key is such a rank.
+    let m = members.len();
+    rejected("stored key past the members", &keyed, &|s, end| {
+        let row0 = get_u32(&s[end - STARTS], 1) as usize;
+        put_u32(&mut s[end - RECS][(row0 - 1) * keyed_width..], 0, m as u32);
+    });
+    rejected("member ids out of order", &keyed, &|s, end| {
+        let (a, b) = (get_u32(&s[end - MEMBERS], 1), get_u32(&s[end - MEMBERS], 2));
+        put_u32(&mut s[end - MEMBERS], 1, b);
+        put_u32(&mut s[end - MEMBERS], 2, a);
+        put_u32(&mut s[end - RANKS], a as usize, 2);
+        put_u32(&mut s[end - RANKS], b as usize, 1);
+    });
+    rejected("member id past n", &keyed, &|s, end| {
+        put_u32(&mut s[end - MEMBERS], m - 1, 40);
+    });
+    rejected("rank not naming its member back", &keyed, &|s, end| {
+        put_u32(&mut s[end - RANKS], members[0] as usize, 1);
+    });
+    rejected("a non-member ranked", &keyed, &|s, end| {
+        put_u32(&mut s[end - RANKS], 1, 0);
+    });
+    rejected("a member unranked", &keyed, &|s, end| {
+        put_u32(&mut s[end - RANKS], members[3] as usize, u32::MAX);
+    });
+    rejected("ranks section one node short", &keyed, &|s, end| {
+        s[end - RANKS].truncate(4 * 39);
+    });
+    rejected("every member dropped", &keyed, &|s, end| {
+        s[end - MEMBERS].clear();
+        s[end - RANKS] = [u32::MAX; 40]
+            .iter()
+            .flat_map(|r| r.to_le_bytes())
+            .collect();
+    });
+    rejected("as many members as nodes", &keyed, &|s, end| {
+        s[end - MEMBERS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
+        s[end - RANKS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
+    });
+    rejected("a map on a table keyed by node id", &light, &|s, end| {
+        s[end - RANKS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
     });
     rejected("hops marker without an escape record", &light, &|s, end| {
         set_first(s, end, widths.word(hops_marker, level, port));
@@ -589,19 +669,29 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
     // A fit that does not cover its row, or a direct row's word that
     // misplaces it, would turn stored entries into silent misses or wrong
     // answers, so `read_arena` and `validate` re-prove every row word on
-    // every load — for every backend that embeds a `FlatTables`.
+    // every load — for every backend that embeds a `FlatTables`. Their
+    // rows over all nodes, or over a level sample by rank, go direct; a
+    // partial PDE over every other node at σ = 1 keeps its first row
+    // keyed, with a window of more than one record.
     let n = 40;
     let mut rng = Seed(31).rng();
     let g = gen::gnp_connected(n, 0.15, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
     let (mut shrunk, mut direct) = (0, 0);
-    for backend in [
+    let partial = OracleBuilder::new(Backend::Pde)
+        .sigma(1)
+        .sources((0..n).map(|v| v % 2 == 0).collect());
+    for (backend, builder) in [
         Backend::Pde,
         Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Compact,
         Backend::Truncated,
-    ] {
-        let oracle = OracleBuilder::new(backend).seed(5).k(2).build(&g);
+    ]
+    .map(|backend| (backend, OracleBuilder::new(backend)))
+    .into_iter()
+    .chain([(Backend::Pde, partial)])
+    {
+        let oracle = builder.seed(5).k(2).build(&g);
         let mut snap = Vec::new();
         oracle.save(&mut snap).unwrap();
         let sections = arena_sections(&snap);
@@ -732,6 +822,47 @@ fn well_checksummed_exact_tz_foreign_pivots_are_invalid_data() {
 }
 
 #[test]
+fn well_checksummed_exact_tz_scheme_spliced_beside_another_graph_is_invalid_data() {
+    // An ExactTz arena is its `[k]` meta section, the graph's three
+    // sections, then the scheme's, whose `[n, k]` meta sizes its n × n
+    // matrices. A 12-node scheme behind an 18-node graph, under a
+    // recomputed checksum, must fail the load: loaded, it answered for
+    // 18 nodes and panicked on the first pair past the scheme's 12.
+    const SCHEME: usize = 4;
+    let big = snapshot(Backend::ExactTz);
+    let small_graph = gen::gnp_connected(
+        12,
+        0.3,
+        Weights::Uniform { lo: 1, hi: 9 },
+        &mut Seed(4).rng(),
+    );
+    let small = save(
+        &OracleBuilder::new(Backend::ExactTz)
+            .seed(23)
+            .k(2)
+            .build(&small_graph),
+    );
+    let (mut sections, small) = (arena_sections(&big), arena_sections(&small));
+    assert_eq!(get_u64(&sections[SCHEME], 0), 18, "scheme meta moved");
+    assert_eq!(get_u64(&small[SCHEME], 0), 12, "scheme meta moved");
+    sections.truncate(SCHEME);
+    sections.extend_from_slice(&small[SCHEME..]);
+    let spliced = reassemble(&big, &sections);
+    for loaded in [
+        Oracle::load(&mut &spliced[..]),
+        Oracle::load_bytes(&spliced),
+    ] {
+        match loaded {
+            Err(err) => {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+                assert!(!is_truncated(&err), "misreported as truncation: {err}");
+            }
+            Ok(oracle) => panic!("a spliced ExactTz arena loaded with len {}", oracle.len()),
+        }
+    }
+}
+
+#[test]
 fn retired_backend_tag_is_invalid_data_not_rebuild() {
     // Backend tag 6 was bellman_ford, a served n × n distance matrix
     // without routes (flooding's exact rows answer the same pairs). A
@@ -739,7 +870,7 @@ fn retired_backend_tag_is_invalid_data_not_rebuild() {
     // would, has no backend left to load or rebuild it: typed
     // InvalidData through both entry points, and never a panic.
     let mut snap = snapshot(Backend::Flooding);
-    assert_eq!(snap[4..7], [10, 0, Backend::Flooding.wire_tag()]);
+    assert_eq!(snap[4..7], [11, 0, Backend::Flooding.wire_tag()]);
     snap[6] = 6;
     for loaded in [Oracle::load(&mut &snap[..]), Oracle::load_bytes(&snap)] {
         let Err(err) = loaded else {
@@ -758,8 +889,9 @@ fn retired_layouts_are_typed_rebuild_errors() {
     // tag 6 (schemes embedding σ-lists, spanner and metrics), tag 7
     // (truncated keeping its own lower levels, `u64` table counts), tag 8
     // (a full `u32` estimate per slot beside port and level side
-    // sections) and tag 9 (a ladder code per slot beside a `u16` port)
-    // name layouts this binary does not read; all must say
+    // sections), tag 9 (a ladder code per slot beside a `u16` port) and
+    // tag 10 (route rows keyed by node id, no source map) name layouts
+    // this binary does not read; all must say
     // "rebuild", typed, whatever follows the header — a re-tagged arena,
     // or for tag 2 its own 39-byte header (no pad byte) with a payload
     // behind it.
@@ -771,7 +903,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -790,7 +922,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     }
 
     // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6,
-    // tag-7, tag-8 or tag-9 snapshots: recovery surfaces the same typed
+    // tag-7, tag-8, tag-9 or tag-10 snapshots: recovery surfaces the same typed
     // error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -803,8 +935,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 10u16.to_le_bytes());
-    for tag in [2u16, 5, 6, 7, 8, 9] {
+    assert_eq!(current[at + 4..at + 6], 11u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7, 8, 9, 10] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
