@@ -7,10 +7,6 @@
 //! * [`flooding_apsp`] — the OSPF-style link-state algorithm: collect the
 //!   complete topology at each node by flooding (`Θ(m + D)` rounds,
 //!   `Θ(m)` storage), then run Dijkstra locally. Exact.
-//! * [`ExactTz`] — a *centralized* exact-distance Thorup–Zwick hierarchy
-//!   with the same label/table model as the `compact` crate: the stretch
-//!   and table-size reference point for experiment E5 (what the
-//!   distributed approximate construction loses versus exact distances).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -18,8 +14,6 @@
 
 mod bellman_ford;
 mod flooding;
-mod tz_exact;
 
 pub use bellman_ford::{bellman_ford_apsp, BfResult};
 pub use flooding::{flooding_apsp, FloodResult};
-pub use tz_exact::ExactTz;

@@ -1,19 +1,16 @@
 //! E5 — Lemma 4.7 / Theorem 4.8: compact tables `Õ(n^{1/k})`, labels
-//! `O(k log n)`, stretch `4k−3+o(1)`; compared against exact Thorup–Zwick.
+//! `O(k log n)`, stretch `4k−3+o(1)`.
 
 use crate::table::{f, Table};
 use crate::workloads;
-use baselines::ExactTz;
 use compact::{build_hierarchy, CompactParams};
 use graphs::algo::apsp;
 use graphs::Seed;
 use routing::{evaluate, PairSelection};
 
 /// Sweeps `k` on a fixed G(n,p); reports table entries against
-/// `n^{1/k}·ln n`, label bits against `k·log₂ n`, the measured stretch of
-/// the distributed approximate hierarchy, and the exact-distance TZ
-/// baseline's stretch on the same level samples (the gap is the price of
-/// `(1+ε)`-approximation — expected small).
+/// `n^{1/k}·ln n`, label bits against `k·log₂ n`, and the measured
+/// stretch of the distributed approximate hierarchy against `4k−3`.
 pub fn e5_compact(n: usize, ks: &[u32], seed: u64) -> Table {
     let mut t = Table::new(
         "E5 (Thm 4.8): compact hierarchy — tables ~n^{1/k}, labels O(k log n), stretch <= ~(4k-3)",
@@ -26,7 +23,6 @@ pub fn e5_compact(n: usize, ks: &[u32], seed: u64) -> Table {
             "k*log2n",
             "stretch",
             "4k-3",
-            "tz_exact",
             "fails",
         ],
     );
@@ -46,8 +42,6 @@ pub fn e5_compact(n: usize, ks: &[u32], seed: u64) -> Table {
         params.c = 1.5;
         let scheme = build_hierarchy(&g, &params);
         let report = evaluate(&g, &scheme, &exact, pairs);
-        let tz = ExactTz::new(&g, k, seed ^ u64::from(k), 0);
-        let tz_report = evaluate(&g, &tz, &exact, pairs);
         let table_bound = (n as f64).powf(1.0 / f64::from(k)) * (n as f64).ln();
         let label_bound = f64::from(k) * (n as f64).log2();
         t.row(vec![
@@ -59,8 +53,7 @@ pub fn e5_compact(n: usize, ks: &[u32], seed: u64) -> Table {
             f(label_bound),
             f(report.max_stretch),
             (4 * k - 3).to_string(),
-            f(tz_report.max_stretch),
-            (report.failures.len() + tz_report.failures.len()).to_string(),
+            report.failures.len().to_string(),
         ]);
     }
     t

@@ -39,7 +39,7 @@ pub use hierarchy::{
     build_hierarchy, try_build_hierarchy, CompactBuildMetrics, CompactLabel, CompactParams,
     CompactScheme, HorizonMode,
 };
-pub use pde_core::pipeline::{level_flags, sample_levels, BuildError};
+pub use pde_core::pipeline::BuildError;
 pub use pde_core::BuildMode;
 pub use truncated::{
     build_truncated, try_build_truncated, TruncLabel, TruncatedMetrics, TruncatedScheme, UpperMode,

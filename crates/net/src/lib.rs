@@ -27,7 +27,7 @@
 //! [`serve::OracleServer::handle`] call ([`Client::call`] is its socket
 //! twin), so batch answer digests match across process boundaries for
 //! every backend, before and after hot swaps. `tests/serving_matrix.rs`
-//! pins this equality for all seven backends.
+//! pins this equality for all six backends.
 //!
 //! # Robustness
 //!

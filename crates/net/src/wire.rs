@@ -1053,8 +1053,9 @@ mod tests {
             Request::decode(&buf).unwrap_err(),
             WireError::Malformed(_)
         ));
-        // Backend tag 6 is retired (it was the served distance-vector
-        // matrix): a summary carrying it is malformed, not a backend.
+        // Backend tags 5 and 6 are retired (the exact Thorup–Zwick
+        // matrices and the served distance-vector matrix): a summary
+        // carrying either is malformed, not a backend.
         let summary = InstallSummary {
             backend: Backend::Flooding,
             n: 8,
@@ -1066,10 +1067,12 @@ mod tests {
         encode_response(7, Op::Swap, &Response::Installed(summary), &mut buf);
         // `ver | ok | op | req_id u64`, then the backend byte.
         assert_eq!(buf[11], Backend::Flooding.wire_tag());
-        buf[11] = 6;
-        assert!(matches!(
-            decode_response(&buf).unwrap_err(),
-            WireError::Malformed(_)
-        ));
+        for tag in [5, 6] {
+            buf[11] = tag;
+            assert!(matches!(
+                decode_response(&buf).unwrap_err(),
+                WireError::Malformed(_)
+            ));
+        }
     }
 }

@@ -1,19 +1,18 @@
-//! The backend wrappers behind [`crate::DistanceOracle`]: five structs
-//! for the seven [`Backend`]s, since [`Backend::ApproxApsp`] is a
+//! The backend wrappers behind [`crate::DistanceOracle`]: four structs
+//! for the six [`Backend`]s, since [`Backend::ApproxApsp`] is a
 //! [`PdeOracle`] at Theorem 4.1's configuration and
 //! [`Backend::Flooding`] one over exact rows.
 //!
 //! Every wrapper traces routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
-//! not copied), and the flat/centralized backends keep the graph
-//! themselves. The PDE-family wrappers serve the routing archives as
-//! `run_pde` wrote them, per-node source-sorted rows
-//! ([`pde_core::FlatTables`]): point queries are one short probe and
-//! batch queries stream through dense memory with no per-query hashing
-//! or allocation.
+//! not copied), and the PDE-family wrapper keeps the graph itself. It
+//! serves the routing archives as `run_pde` wrote them, per-node
+//! source-sorted rows ([`pde_core::FlatTables`]): point queries are one
+//! short probe and batch queries stream through dense memory with no
+//! per-query hashing or allocation.
 
 use crate::{Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder};
-use baselines::{flooding_apsp, ExactTz};
+use baselines::flooding_apsp;
 use compact::{
     try_build_hierarchy, try_build_truncated, CompactParams, CompactScheme, HorizonMode,
 };
@@ -186,44 +185,6 @@ scheme_oracle!(
     truncated_ceiling
 );
 
-/// [`Backend::ExactTz`]: the centralized exact baseline behind the trait
-/// (its `4k−3` bound needs no ε adjustment). Unlike the distributed
-/// schemes, `ExactTz` holds no topology of its own, so the wrapper keeps
-/// the graph for route tracing and snapshot serialization.
-pub struct TzOracle {
-    pub(crate) g: WGraph,
-    pub(crate) topo: Topology,
-    pub(crate) scheme: ExactTz,
-    pub(crate) k: u32,
-    pub(crate) metrics: OracleBuildMetrics,
-}
-
-impl DistanceOracle for TzOracle {
-    fn len(&self) -> usize {
-        self.g.len()
-    }
-
-    fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
-        RoutingScheme::estimate(&self.scheme, u, v)
-    }
-
-    fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        RoutingScheme::next_hop(&self.scheme, u, v)
-    }
-
-    fn stretch_bound(&self) -> f64 {
-        f64::from(4 * self.k - 3).max(1.0)
-    }
-
-    fn build_metrics(&self) -> &OracleBuildMetrics {
-        &self.metrics
-    }
-
-    fn topology(&self) -> &Topology {
-        &self.topo
-    }
-}
-
 // ------------------------------------------------------- construction --
 
 /// The concrete backend behind an [`crate::Oracle`].
@@ -236,7 +197,6 @@ pub(crate) enum Inner {
     Rtc(RtcOracle),
     Compact(CompactOracle),
     Truncated(TruncatedOracle),
-    Tz(TzOracle),
 }
 
 impl Inner {
@@ -246,7 +206,6 @@ impl Inner {
             Inner::Rtc(o) => o,
             Inner::Compact(o) => o,
             Inner::Truncated(o) => o,
-            Inner::Tz(o) => o,
         }
     }
 }
@@ -272,7 +231,6 @@ pub(crate) fn set_build_nanos(inner: &mut Inner, nanos: u64) {
         Inner::Rtc(o) => &mut o.metrics,
         Inner::Compact(o) => &mut o.metrics,
         Inner::Truncated(o) => &mut o.metrics,
-        Inner::Tz(o) => &mut o.metrics,
     };
     m.build_nanos = nanos;
 }
@@ -403,17 +361,6 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                 scheme,
                 k,
                 eps: b.eps,
-                metrics: m,
-            })
-        }
-        Backend::ExactTz => {
-            let scheme = ExactTz::new(g, b.k, b.seed, b.threads);
-            let m = metrics(Backend::ExactTz, n, 0, 0);
-            Inner::Tz(TzOracle {
-                g: g.clone(),
-                topo: g.to_topology(),
-                scheme,
-                k: b.k,
                 metrics: m,
             })
         }

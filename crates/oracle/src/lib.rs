@@ -67,7 +67,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
-pub use backends::{CompactOracle, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
+pub use backends::{CompactOracle, PdeOracle, RtcOracle, TruncatedOracle};
 pub use eval::{evaluate, EvalReport};
 pub use failover::{route_with_failover, FailoverOutcome, LivenessMask};
 pub use graphs::{DeltaError, GraphDelta};
@@ -162,9 +162,6 @@ pub struct OracleBuildMetrics {
 /// formula once, with `estimate` and `est` as adapters onto it, so
 /// grouped answers equal scalar ones by construction; the one loop over
 /// equal-source groups is [`pde_core::schedule::estimate_grouped`].
-/// The one dense-matrix backend, [`Backend::ExactTz`], keeps the
-/// provided `estimate_grouped`: its row is one multiply, and the
-/// monomorphised loop over `estimate` is as fast.
 ///
 /// ## The scheduling / determinism contract
 ///
@@ -212,21 +209,14 @@ pub trait DistanceOracle: Sync {
     /// [`BatchSchedule::scatter`].
     ///
     /// `order` is a slice of a [`BatchSchedule`] permutation, so equal
-    /// sources are contiguous. The provided method loops over
-    /// [`DistanceOracle::estimate`]; table-backed backends delegate to
+    /// sources are contiguous. Every backend delegates to
     /// [`pde_core::schedule::estimate_grouped`] (see the trait docs).
     ///
     /// # Panics
     ///
     /// Panics when `out.len() != order.len()`, or when an index in
     /// `order` is out of bounds for `pairs`.
-    fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]) {
-        assert_eq!(order.len(), out.len(), "one answer slot per query");
-        for (slot, &i) in out.iter_mut().zip(order) {
-            let (u, v) = pairs[i as usize];
-            *slot = self.estimate(u, v);
-        }
-    }
+    fn estimate_grouped(&self, pairs: &[(NodeId, NodeId)], order: &[u32], out: &mut [u64]);
 
     /// Batch estimates with a `threads` knob (`0` = auto, `1` =
     /// sequential): fills `out` with one answer per pair, in order;
@@ -352,8 +342,6 @@ pub enum Backend {
     Compact,
     /// Truncated hierarchy over the skeleton graph (Theorem 4.13).
     Truncated,
-    /// Centralized exact-distance Thorup–Zwick baseline.
-    ExactTz,
     /// Link-state flooding + local Dijkstra (exact, full tables), served
     /// as a PDE route table over exact rows: each slot is `wd(u, v)` as
     /// whole hops on a one-rung ladder beside the port of `u`'s first hop
@@ -364,13 +352,12 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in builder-matrix order.
-    pub const ALL: [Backend; 7] = [
+    pub const ALL: [Backend; 6] = [
         Backend::Pde,
         Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Compact,
         Backend::Truncated,
-        Backend::ExactTz,
         Backend::Flooding,
     ];
 
@@ -382,7 +369,6 @@ impl Backend {
             Backend::Rtc => "rtc",
             Backend::Compact => "compact",
             Backend::Truncated => "truncated",
-            Backend::ExactTz => "exact_tz",
             Backend::Flooding => "flooding",
         }
     }
@@ -392,8 +378,9 @@ impl Backend {
     /// protocol's install/stats frames. The assignment is append-only:
     /// existing values never change, new backends take the next free
     /// tag, so artifacts and peers from different builds agree. A
-    /// retired backend's tag is never reused: 6 was the served
-    /// distance-vector matrix, now unassigned.
+    /// retired backend's tag is never reused: 5 was the exact
+    /// Thorup–Zwick matrices and 6 the served distance-vector matrix,
+    /// both now unassigned.
     pub fn wire_tag(self) -> u8 {
         match self {
             Backend::Pde => 0,
@@ -401,7 +388,6 @@ impl Backend {
             Backend::Rtc => 2,
             Backend::Compact => 3,
             Backend::Truncated => 4,
-            Backend::ExactTz => 5,
             Backend::Flooding => 7,
         }
     }
@@ -658,9 +644,8 @@ impl Oracle {
 
     /// Loads an oracle from a shared in-memory snapshot buffer — the
     /// **zero-copy** path: after one checksum pass, the oracle's route
-    /// tables are views into `bytes` (only [`Backend::ExactTz`] copies
-    /// its n × n distance matrix out of it), and cloning the handle and
-    /// loading again shares the same underlying allocation.
+    /// tables are views into `bytes`, and cloning the handle and loading
+    /// again shares the same underlying allocation.
     ///
     /// # Errors
     ///
@@ -671,10 +656,9 @@ impl Oracle {
 
     /// Loads an oracle from a snapshot file: the file is read **once**
     /// into a [`congest::arena::SharedBytes`] buffer and decoded through
-    /// [`Oracle::load_shared`], so every route table — all backends but
-    /// [`Backend::ExactTz`], which copies its n × n distance matrix out
-    /// of the buffer — is served as zero-copy views into that single
-    /// read: the cold-start path from disk pays
+    /// [`Oracle::load_shared`], so every backend's route tables are
+    /// served as zero-copy views into that single read: the cold-start
+    /// path from disk pays
     /// no second copy of them (unlike `fs::read` + [`Oracle::load_bytes`],
     /// which would copy the payload again). `serve::OracleServer::install_path`
     /// and the `net` protocol's `Install` op go through this.
@@ -767,15 +751,15 @@ mod tests {
             ("rtc", 2),
             ("compact", 3),
             ("truncated", 4),
-            ("exact_tz", 5),
             ("flooding", 7),
         ];
         assert_eq!(tags, want);
         for b in Backend::ALL {
             assert_eq!(Backend::from_wire_tag(b.wire_tag()), Some(b));
         }
-        // 6 was the served distance-vector matrix; a retired tag is
-        // never reused.
+        // 5 was the exact Thorup–Zwick matrices and 6 the served
+        // distance-vector matrix; a retired tag is never reused.
+        assert_eq!(Backend::from_wire_tag(5), None);
         assert_eq!(Backend::from_wire_tag(6), None);
         assert_eq!(Backend::from_wire_tag(8), None);
     }

@@ -28,7 +28,7 @@
 //!   ~half a coarse tightness test would — [`RepairKind::Incremental`]
 //!   reports the ratio.
 //! * **Sampling-coupled schemes** (PDE, ApproxApsp, RTC, Compact,
-//!   Truncated, ExactTz) key their skeleton/level samples and ladder
+//!   Truncated) key their skeleton/level samples and ladder
 //!   stages on node ids and the global seed; a delta invalidates rungs
 //!   globally, and per-rung per-source state is exactly what the
 //!   compact artifact does *not* store. Repair for these is an honest

@@ -27,10 +27,13 @@
 //! [`congest::wire::snapshot_cause`]): snapshots are caches of a
 //! deterministic build, so there is no migration — rebuild and re-save.
 //!
-//! Backend tag 6 is retired: it was `bellman_ford`, an n × n distance
-//! matrix that answered what `flooding`'s exact rows answer, without
-//! routes. A file carrying it is plain `InvalidData` (an unknown backend
-//! tag), not `Rebuild`: no backend is left to rebuild it with.
+//! Backend tags 5 and 6 are retired: 5 was the exact TZ matrices
+//! (`exact_tz`, a centralized exact Thorup–Zwick hierarchy over n × n
+//! distance and first-hop matrices) and 6 was `bellman_ford`, an n × n
+//! distance matrix without routes; `flooding`'s exact rows answer what
+//! either answered. A file carrying one is plain `InvalidData` (an
+//! unknown backend tag), not `Rebuild`: no backend is left to rebuild it
+//! with.
 //!
 //! Header (all little-endian, via [`congest::wire`]), 40 bytes:
 //!
@@ -76,15 +79,14 @@
 //! test with [`congest::wire::is_truncated`] — rather than a raw
 //! `UnexpectedEof`.
 
-use crate::backends::{CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle, TzOracle};
+use crate::backends::{CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle};
 use crate::{Backend, Oracle, OracleBuildMetrics};
-use baselines::ExactTz;
 use compact::{CompactScheme, TruncatedScheme};
 use congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
 use congest::wire::{invalid_data, WireReader, WireWriter};
 use graphs::WGraph;
 use pde_core::FlatTables;
-use routing::{RoutingScheme, RtcScheme};
+use routing::RtcScheme;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"PDOR";
@@ -145,11 +147,6 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
             a.u64s(&[u64::from(o.k), o.eps.to_bits()]);
             o.scheme.write_arena(a)
         }
-        Inner::Tz(o) => {
-            a.u64s(&[u64::from(o.k)]);
-            o.g.write_arena(a);
-            o.scheme.write_arena(a)
-        }
     }
 }
 
@@ -207,28 +204,6 @@ fn read_arena_payload(
                 scheme,
                 k,
                 eps,
-                metrics,
-            })
-        }
-        Backend::ExactTz => {
-            let meta = c.u64s()?;
-            let [k] = meta[..] else {
-                return Err(invalid_data("TZ meta section misshapen"));
-            };
-            let k = u32::try_from(k).map_err(|_| invalid_data("TZ k overflow"))?;
-            let g = WGraph::read_arena(c)?;
-            let scheme = ExactTz::read_arena(c)?;
-            // A scheme spliced beside another graph would index its n × n
-            // matrices with the graph's ids.
-            if scheme.len() != g.len() {
-                return Err(invalid_data("ExactTz scheme and graph disagree on n"));
-            }
-            let topo = g.to_topology();
-            Inner::Tz(TzOracle {
-                g,
-                topo,
-                scheme,
-                k,
                 metrics,
             })
         }

@@ -72,7 +72,7 @@ fn build(backend: Backend, g: &WGraph, seed: u64, mode: BuildMode, threads: usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The headline contract: for all 7 backends, canonical artifact
+    /// The headline contract: for all 6 backends, canonical artifact
     /// bytes and full query digests agree between Simulated and Native
     /// builds at threads ∈ {1, 4}.
     #[test]
@@ -166,10 +166,9 @@ fn artifact_bytes_match_pinned_digests() {
     // ranks, both empty when the rows name every node). Tag 10 values:
     // pde 0x9fe2ea257fee833a, approx_apsp 0x115117fd73a4919f, rtc
     // 0x8fad9ebd29293ab2, compact 0x6b79385114dbaf4c, truncated
-    // 0xb4375f72969a4eb5, exact_tz 0x5a426a080c449601, flooding
-    // 0x1711c1152e6cbec7, pde_partial 0x84b9158fd7e40b2b. exact_tz
-    // differs from tag 10 only in the header's version bytes; pde,
-    // approx_apsp, rtc and flooding only in those and the two empty map
+    // 0xb4375f72969a4eb5, flooding 0x1711c1152e6cbec7, pde_partial
+    // 0x84b9158fd7e40b2b. pde, approx_apsp, rtc and flooding differ from
+    // tag 10 only in the header's version bytes and the two empty map
     // sections' directory entries (with both dropped and byte 4 set back
     // to 10 they hash to their tag-10 values); compact and truncated
     // (whose upper-level table covers a level sample) and pde_partial
@@ -178,17 +177,15 @@ fn artifact_bytes_match_pinned_digests() {
     // packed word `port | hops | level`. Tag 9 values: pde
     // 0xa2ffeac3e290d130, approx_apsp 0xc56fab87be65690d, rtc
     // 0x169c20a6728721d1, compact 0x92ac0091bb2acc7f, truncated
-    // 0xd1ff626eacca4610, exact_tz 0xebabc6339d3357c6, flooding
-    // 0x8aadc0624fccd771, pde_partial 0xbc769e954aa619dd; flooding's
-    // tag-10 matrix value (before it became the PDE layout over exact
-    // rows) was 0x65014cf9568993ba.
-    let pins: [u64; 7] = [
+    // 0xd1ff626eacca4610, flooding 0x8aadc0624fccd771, pde_partial
+    // 0xbc769e954aa619dd; flooding's tag-10 matrix value (before it
+    // became the PDE layout over exact rows) was 0x65014cf9568993ba.
+    let pins: [u64; 6] = [
         0x4ea351ed92f169d7, // pde
         0x8a1dd529248b97ca, // approx_apsp
         0x1ba2f7bc0fbd5c8e, // rtc
         0x3ee364e48ecd3f93, // compact
         0xaa5fc2a8ab909f45, // truncated
-        0x7254ddc7fea0bbc0, // exact_tz
         0x37316b1750164530, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {

@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline repair contract: `repair(delta)` ≡ from-scratch
-    /// rebuild on the mutated graph, byte for byte, for all 7 backends.
+    /// rebuild on the mutated graph, byte for byte, for all 6 backends.
     #[test]
     fn repair_is_byte_identical_to_rebuild(
         case in ((0u8..4), (12usize..=22), (0u8..3), (0u64..1 << 40), (0u8..3))

@@ -73,13 +73,12 @@ fn answers_match_pinned_digests() {
             })
     };
     let exact = 0x74c0dffac37cd885; // every pair's true distance
-    let pins: [u64; 7] = [
+    let pins: [u64; 6] = [
         exact,              // pde
         exact,              // approx_apsp
         0x97d88f34d94bc1bc, // rtc
         0xb5e2c1e126a693fc, // compact
         0x409c4e1b2b9ad159, // truncated
-        exact,              // exact_tz
         exact,              // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
@@ -128,13 +127,12 @@ fn routes_match_pinned_digests() {
                 (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
             })
     };
-    let pins: [u64; 7] = [
+    let pins: [u64; 6] = [
         0xf3a45158fa286530, // pde
         0xf3a45158fa286530, // approx_apsp
         0xa98979b3deb2f1cd, // rtc
         0x39bc7dc16ab0a259, // compact
         0x5e98df62b43a7c19, // truncated
-        0x4c25f26be05db70a, // exact_tz
         0x4c25f26be05db70a, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
@@ -489,11 +487,11 @@ fn corrupted_snapshots_are_rejected() {
     assert!(Oracle::load(&mut &half[..]).is_err());
     // Tampered section count: an arena claiming an absurd directory must
     // come back as InvalidData, not abort on a huge allocation. The count
-    // is the u64 right after the 40-byte header. ExactTz's arena holds
-    // the one dense matrix.
-    let tz = build(Backend::ExactTz, &g, 1);
+    // is the u64 right after the 40-byte header, here of flooding's
+    // exact route table.
+    let flooding = build(Backend::Flooding, &g, 1);
     let mut bytes = Vec::new();
-    tz.save(&mut bytes).unwrap();
+    flooding.save(&mut bytes).unwrap();
     bytes[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(Oracle::load(&mut &bytes[..]).is_err());
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: all schemes and baselines on shared graphs —
 //! agreement of exact baselines, stretch ordering, size trade-offs.
 
-use pde_repro::baselines::{bellman_ford_apsp, flooding_apsp, ExactTz};
+use pde_repro::baselines::{bellman_ford_apsp, flooding_apsp};
 use pde_repro::compact::{build_hierarchy, build_truncated, CompactParams, UpperMode};
 use pde_repro::graphs::algo::apsp;
 use pde_repro::graphs::gen::{self, Weights};
@@ -55,7 +55,6 @@ fn every_scheme_routes_every_pair() {
     let rtc = build_rtc(&g, &RtcParams::new(2));
     let hier = build_hierarchy(&g, &CompactParams::new(2));
     let trunc = build_truncated(&g, &CompactParams::new(2), 1, UpperMode::Local);
-    let tz = ExactTz::new(&g, 2, 3, 0);
 
     let reports = [
         ("rtc", evaluate(&g, &rtc, &exact, PairSelection::All)),
@@ -64,7 +63,6 @@ fn every_scheme_routes_every_pair() {
             "truncated",
             evaluate(&g, &trunc, &exact, PairSelection::All),
         ),
-        ("tz_exact", evaluate(&g, &tz, &exact, PairSelection::All)),
     ];
     for (name, r) in &reports {
         assert!(r.failures.is_empty(), "{name}: {:?}", r.failures);

@@ -19,7 +19,7 @@ use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::{NodeId, Seed, WGraph};
 use pde_repro::net::{Client, NetServer, ServerConfig, WireError};
-use pde_repro::oracle::{is_covered, Backend, DistanceOracle, Oracle, OracleBuilder};
+use pde_repro::oracle::{is_covered, Backend, DistanceOracle, Oracle, OracleBuilder, TracedRoute};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
 use std::sync::Arc;
 
@@ -53,11 +53,11 @@ fn every_one_byte_truncation_is_typed_truncated() {
     // empty stream: each prefix must load as an error, and each error
     // must be the *typed* truncation (not a raw UnexpectedEof, not a
     // misdiagnosed corruption). A scheme backend, the exact route table,
-    // a partial route table and the one dense matrix cover every section
-    // shape (graphs, CSR tables, embedded tree streams, labels,
-    // flooding's one-rung table, the partial table's source map and
-    // exact_tz's n × n `u64` distances and `u32` first hops).
-    let snaps = [Backend::Compact, Backend::Flooding, Backend::ExactTz]
+    // a partial route table and RTC's long-range matrices cover every
+    // section shape (graphs, CSR tables, embedded tree streams, labels,
+    // flooding's one-rung table, the partial table's source map and RTC's
+    // n × |skeleton| long-range sections).
+    let snaps = [Backend::Compact, Backend::Flooding, Backend::Rtc]
         .map(|backend| (backend.to_string(), snapshot(backend)));
     for (backend, bytes) in snaps
         .into_iter()
@@ -92,9 +92,10 @@ fn every_single_byte_corruption_errors_or_loads_but_never_panics() {
     // metric bytes (n/rounds/msgs/nanos, offsets 8..40) are carried, not
     // validated; past them the arena's checksum means any directory or
     // body damage must fail. Flooding's arena is a route table, the
-    // partial build's one with a source map, exact_tz's holds dense n × n
-    // matrices.
-    let snaps = [Backend::Rtc, Backend::Flooding, Backend::ExactTz]
+    // partial build's one with a source map, RTC's holds n × |skeleton|
+    // matrices and truncated's nests a compact arena below its upper
+    // sections.
+    let snaps = [Backend::Rtc, Backend::Flooding, Backend::Truncated]
         .map(|backend| (backend.to_string(), snapshot(backend)));
     for (backend, snap) in snaps
         .into_iter()
@@ -121,9 +122,10 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
     // Plant maximal length/count fields where the readers size things
     // from them, under a recomputed checksum: each must be rejected by
     // bound-check (InvalidData) before any allocation sized by the
-    // field. ExactTz's fifth section is the `[n, k]` meta of its n × n
-    // matrices (after its `[k]` and the graph's three sections);
-    // ApproxApsp's (the PDE layout's) second section is the graph's `[n]`.
+    // field. Compact's fifth section is the scheme's `[k]` meta, which
+    // sizes its n × (k−1) pivot sections (after the oracle's `[k, eps]`
+    // and the topology's three sections); ApproxApsp's (the PDE
+    // layout's) second section is the graph's `[n]`.
     let planted = |backend: Backend, section: usize, value: u64| {
         let snap = snapshot(backend);
         let mut sections = arena_sections(&snap);
@@ -132,11 +134,11 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(!is_truncated(&err), "bound check misreported as truncation");
     };
-    planted(Backend::ExactTz, 4, u64::MAX);
+    planted(Backend::Compact, 4, u64::MAX);
     planted(Backend::ApproxApsp, 1, u64::MAX / 2);
 
     // An adversarial section directory: huge section count.
-    let mut snap = snapshot(Backend::ExactTz);
+    let mut snap = snapshot(Backend::Flooding);
     snap[HEADER..HEADER + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Oracle::load_bytes(&snap).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -782,103 +784,151 @@ fn well_checksummed_rtc_home_out_of_range_is_invalid_data() {
 }
 
 #[test]
-fn well_checksummed_exact_tz_foreign_pivots_are_invalid_data() {
-    // An ExactTz arena stores its pivots as a `u32` id section followed
-    // by a `u64` distance section of the same length, one entry per node
-    // at k = 2 (no other section pair has that shape). A pivot past `n`,
-    // or an in-range node that roots no tree of its level, under a
-    // recomputed checksum must fail the load, not the first query that
-    // reads its distance row or descends its tree.
-    let snap = snapshot(Backend::ExactTz);
-    let n = graph(21).len();
-    let sections = arena_sections(&snap);
-    let at = (0..sections.len() - 1)
-        .find(|&i| sections[i].len() == 4 * n && sections[i + 1].len() == 8 * n)
-        .expect("no pivot section");
-    let pivots: Vec<u32> = (0..n).map(|v| get_u32(&sections[at], v)).collect();
-    let foreign = (0..n as u32)
-        .find(|v| !pivots.contains(v))
-        .expect("every node is a pivot");
-    for planted in [n as u32 + 7, foreign] {
-        let mut hostile = sections.clone();
-        put_u32(&mut hostile[at], 3, planted);
-        let hostile = reassemble(&snap, &hostile);
-        for loaded in [
-            Oracle::load(&mut &hostile[..]),
-            Oracle::load_bytes(&hostile),
-        ] {
-            match loaded {
-                Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
-                Ok(oracle) => {
-                    for u in 0..n as u32 {
-                        oracle.estimate(NodeId(u), NodeId(3));
-                        oracle.next_hop(NodeId(u), NodeId(3));
+fn well_checksummed_section_splices_across_graphs_are_typed_errors_or_serve() {
+    // Two builds of one backend on graphs of 12 and 18 nodes share a
+    // section directory shape at different sizes. Splicing one into the
+    // other under a recomputed checksum — each single section swapped,
+    // then each prefix of one file ahead of the other's suffix, both
+    // ways round — must either fail the load with a typed, non-truncation
+    // InvalidData, or load an oracle that answers every query over its
+    // own node range without a panic: every scalar estimate, next hop
+    // and route, and one scheduled batch.
+    let mut rng = Seed(4).rng();
+    let graphs = [
+        gen::gnp_connected(12, 0.3, Weights::Uniform { lo: 1, hi: 9 }, &mut rng),
+        graph(21),
+    ];
+    let partial = |g: &WGraph| {
+        let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
+        let builder = OracleBuilder::new(Backend::Pde).seed(23).sigma(1);
+        save(&builder.sources(sources).build(g))
+    };
+    let builds = Backend::ALL
+        .map(|backend| {
+            let builder = OracleBuilder::new(backend).seed(23).k(2);
+            (
+                backend.to_string(),
+                graphs.each_ref().map(|g| save(&builder.build(g))),
+            )
+        })
+        .into_iter()
+        .chain([("pde_partial".to_string(), graphs.each_ref().map(partial))]);
+    let mut loaded_splices = 0;
+    for (backend, [small, big]) in builds {
+        let (a, b) = (arena_sections(&small), arena_sections(&big));
+        let mut splices = Vec::new();
+        for (snap, mine, theirs) in [(&small, &a, &b), (&big, &b, &a)] {
+            let common = mine.len().min(theirs.len());
+            for at in 0..common {
+                let mut spliced = mine.clone();
+                spliced[at].clone_from(&theirs[at]);
+                splices.push((format!("section {at}"), reassemble(snap, &spliced)));
+            }
+            for cut in 1..common {
+                let spliced: Vec<_> = mine[..cut].iter().chain(&theirs[cut..]).cloned().collect();
+                splices.push((format!("suffix from {cut}"), reassemble(snap, &spliced)));
+            }
+        }
+        for (what, bytes) in splices {
+            let streamed = Oracle::load(&mut &bytes[..]);
+            let shared = Oracle::load_bytes(&bytes);
+            assert_eq!(
+                streamed.is_err(),
+                shared.is_err(),
+                "{backend}, {what}: the entry points disagree"
+            );
+            for loaded in [streamed, shared] {
+                match loaded {
+                    Err(err) => {
+                        let context = format!("{backend}, {what}: {err}");
+                        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{context}");
+                        assert!(!is_truncated(&err), "misreported as truncation: {context}");
                     }
-                    panic!("pivot {planted} was loaded");
+                    Ok(oracle) => {
+                        serve_every_query(&oracle);
+                        loaded_splices += 1;
+                    }
                 }
             }
         }
     }
+    // The sweep reaches the query paths, not only the loaders.
+    assert!(loaded_splices > 0, "every splice was refused");
 }
 
-#[test]
-fn well_checksummed_exact_tz_scheme_spliced_beside_another_graph_is_invalid_data() {
-    // An ExactTz arena is its `[k]` meta section, the graph's three
-    // sections, then the scheme's, whose `[n, k]` meta sizes its n × n
-    // matrices. A 12-node scheme behind an 18-node graph, under a
-    // recomputed checksum, must fail the load: loaded, it answered for
-    // 18 nodes and panicked on the first pair past the scheme's 12.
-    const SCHEME: usize = 4;
-    let big = snapshot(Backend::ExactTz);
-    let small_graph = gen::gnp_connected(
-        12,
-        0.3,
-        Weights::Uniform { lo: 1, hi: 9 },
-        &mut Seed(4).rng(),
-    );
-    let small = save(
-        &OracleBuilder::new(Backend::ExactTz)
-            .seed(23)
-            .k(2)
-            .build(&small_graph),
-    );
-    let (mut sections, small) = (arena_sections(&big), arena_sections(&small));
-    assert_eq!(get_u64(&sections[SCHEME], 0), 18, "scheme meta moved");
-    assert_eq!(get_u64(&small[SCHEME], 0), 12, "scheme meta moved");
-    sections.truncate(SCHEME);
-    sections.extend_from_slice(&small[SCHEME..]);
-    let spliced = reassemble(&big, &sections);
-    for loaded in [
-        Oracle::load(&mut &spliced[..]),
-        Oracle::load_bytes(&spliced),
-    ] {
-        match loaded {
-            Err(err) => {
-                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-                assert!(!is_truncated(&err), "misreported as truncation: {err}");
-            }
-            Ok(oracle) => panic!("a spliced ExactTz arena loaded with len {}", oracle.len()),
-        }
+/// Runs every scalar `estimate`, `next_hop` and `route_into` over
+/// `0..len()`, then one batch large enough to take the scheduled path.
+fn serve_every_query(oracle: &Oracle) {
+    let n = oracle.len() as u32;
+    let mut route = TracedRoute::default();
+    for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (NodeId(u), NodeId(v)))) {
+        oracle.estimate(u, v);
+        oracle.next_hop(u, v);
+        oracle.route_into(u, v, &mut route);
     }
+    if n == 0 {
+        return;
+    }
+    let pairs: Vec<_> = (0..4096)
+        .map(|i| (NodeId(i % n), NodeId(i / n % n)))
+        .collect();
+    let mut out = Vec::new();
+    oracle.estimate_many_with(&pairs, &mut out, 1);
+    assert_eq!(out.len(), pairs.len());
 }
 
 #[test]
 fn retired_backend_tag_is_invalid_data_not_rebuild() {
-    // Backend tag 6 was bellman_ford, a served n × n distance matrix
-    // without routes (flooding's exact rows answer the same pairs). A
-    // current-version file carrying it, as an old bellman_ford file
-    // would, has no backend left to load or rebuild it: typed
-    // InvalidData through both entry points, and never a panic.
-    let mut snap = snapshot(Backend::Flooding);
+    // Backend tag 5 was exact_tz, the centralized exact Thorup–Zwick
+    // hierarchy over n × n matrices, and tag 6 was bellman_ford, a served
+    // n × n distance matrix without routes; flooding's exact rows answer
+    // the same pairs as either. A current-version file carrying one, as
+    // an old file of that backend would, has no backend left to load or
+    // rebuild it: typed InvalidData through both entry points, and never
+    // a panic.
+    let snap = snapshot(Backend::Flooding);
     assert_eq!(snap[4..7], [11, 0, Backend::Flooding.wire_tag()]);
-    snap[6] = 6;
-    for loaded in [Oracle::load(&mut &snap[..]), Oracle::load_bytes(&snap)] {
-        let Err(err) = loaded else {
-            panic!("a backend-tag-6 file was loaded");
+    for tag in [5, 6] {
+        let mut old = snap.clone();
+        old[6] = tag;
+        for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
+            let Err(err) = loaded else {
+                panic!("a backend-tag-{tag} file was loaded");
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(!is_truncated(&err), "misreported as truncation: {err}");
+            assert_eq!(snapshot_cause(&err), None, "{err}");
+        }
+    }
+
+    // A checkpoint persisted under a retired backend: recovery surfaces
+    // the same typed InvalidData instead of panicking or rebuilding.
+    let dir = std::env::temp_dir().join(format!("pde-retired-tag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = OracleServer::new();
+    let builder = OracleBuilder::new(Backend::Flooding);
+    drop(
+        DynamicOracle::install_persistent(&server, "old", builder.clone(), &graph(21), &dir)
+            .unwrap(),
+    );
+    let ckpt = dir.join("old.ckpt");
+    let current = std::fs::read(&ckpt).unwrap();
+    let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
+    assert_eq!(current[at + 6], Backend::Flooding.wire_tag());
+    for tag in [5, 6] {
+        let mut bytes = current.clone();
+        bytes[at + 6] = tag;
+        std::fs::write(&ckpt, bytes).unwrap();
+        let recovered = DynamicOracle::recover(&OracleServer::new(), "old", builder.clone(), &dir);
+        let err = match recovered {
+            Err(PersistError::Io(e)) => e,
+            Err(other) => panic!("untyped recovery failure: {other}"),
+            Ok(_) => panic!("a backend-tag-{tag} checkpoint was recovered"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert_eq!(snapshot_cause(&err), None, "{err}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
