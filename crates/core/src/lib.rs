@@ -25,15 +25,20 @@
 //!   delays a rung-`b` announcement by `⌈w/b⌉` rounds, which real nodes
 //!   cannot tell from `⌈w/b⌉` unit hops through relay nodes (pinned by
 //!   `tests/simulator_fidelity.rs`).
-//! * **Routing archive.** Besides its σ-list, every node keeps the best
-//!   `(estimate, port, level)` it *ever received* per source
-//!   ([`PdeOutput::routes`]), so routes ⊇ lists. A list is truncated to σ
-//!   entries, so the neighbour that announced a listed source may have
-//!   dropped it since, and greedy forwarding over lists alone would get
-//!   stuck there. The archive makes the walk total: an entry at `v` was
-//!   announced by a neighbour whose own entry for that source is smaller
-//!   by at least the edge weight ([`pipeline::trace_route`] checks it).
-//!   Archive-only entries are sound upper bounds without a `(1+ε)` promise.
+//! * **Routing archive.** A node's σ-list (Definition 2.2) is what the
+//!   paper promises. Besides it, every node keeps the best `(estimate,
+//!   port, level)` it *ever received* per source ([`PdeOutput::routes`]),
+//!   so the archive ⊇ the list. A list is truncated to σ entries, so the
+//!   neighbour that announced a listed source may have dropped it since,
+//!   and greedy forwarding over lists alone would get stuck there. The
+//!   archive makes the walk total: an entry at `v` was announced by a
+//!   neighbour whose own entry for that source is smaller by at least the
+//!   edge weight ([`pipeline::trace_route`] checks it). Archive-only
+//!   entries are sound upper bounds without a `(1+ε)` promise; the
+//!   schemes built on PDE read them, but the served PDE oracle does not
+//!   answer from them. It keeps the lists, plus each archive entry a
+//!   listed route reads where a list dropped its source, as a transit
+//!   hop that only `next_hop` follows ([`PdeOutput::served`]).
 //! * **Mutual-estimate edges.** The virtual skeleton graphs (Theorem
 //!   4.5's, Definition 4.9's `G̃(l0)`) get an edge `{s, t}` only when
 //!   *both* endpoints hold an estimate of each other, weighted by the

@@ -128,10 +128,16 @@ pub struct PdeMetrics {
 pub struct PdeOutput {
     /// Per-node combined lists: the up-to-σ smallest `(wd', src)` pairs.
     pub lists: Vec<Vec<PdeEntry>>,
-    /// Per-node routing archives, as the source-sorted rows the schemes
-    /// serve: best `(est, port, level)` per source ever received. A
-    /// superset of the list entries (what makes greedy forwarding total;
-    /// see "Deviations from the paper" in the crate docs).
+    /// Per-node routing archives, as source-sorted rows: best `(est,
+    /// port, level)` per source ever received. A superset of the list
+    /// entries (what makes greedy forwarding total; see "Deviations from
+    /// the paper" in the crate docs). The schemes built on PDE read
+    /// archive-only entries: RTC's and truncated's skeleton edges
+    /// ([`pipeline::mutual_edges`]) and next-hop chains
+    /// ([`pipeline::trace_chain`]), RTC's home lookup
+    /// ([`pipeline::closest_tagged`]) and compact's per-level estimates,
+    /// which serve the archive rows as they are. The served PDE oracle
+    /// keeps only [`PdeOutput::served`].
     pub routes: FlatTables,
     /// The integer rung ladder used.
     pub levels: Vec<u64>,
@@ -181,6 +187,78 @@ impl PdeOutput {
         s: NodeId,
     ) -> Result<(Vec<NodeId>, u64), String> {
         pipeline::trace_route(&self.routes, topo, v, s)
+    }
+
+    /// What the served PDE oracle keeps of this run: Definition 2.2's
+    /// lists and the few archive entries their routes need.
+    ///
+    /// The table is [`PdeOutput::routes`] with each row filtered to the
+    /// sources its node lists other than itself (whose estimate is 0
+    /// without a probe), on the same ladder, so a listed pair answers as
+    /// the archive does and any other pair misses. Forwarding
+    /// over the lists alone can get stuck: a listed pair's greedy walk
+    /// may reach a node whose list has dropped the source. Every listed
+    /// pair's walk is therefore traced over the archive, and each entry
+    /// it reads at a node that does not list its source comes back as a
+    /// *transit* hop `(node, source, port)`, sorted by `(node, source)`.
+    ///
+    /// At σ ≥ |S| no list drops a source, so every archive entry is
+    /// listed: `routes` itself serves the lists without transit, and a
+    /// caller skips this pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed pair's walk leaves the archive, which
+    /// [`pipeline::trace_route`]'s invariant rules out.
+    pub fn served(&self, topo: &Topology) -> (FlatTables, Vec<(NodeId, NodeId, Port)>) {
+        let n = self.lists.len();
+        let node = |v: usize| NodeId::from_index(v);
+        let others = |v: usize| {
+            self.lists[v]
+                .iter()
+                .map(|e| e.src)
+                .filter(move |&s| s != node(v))
+        };
+        // Counted as the rows are emitted: by probing the archive.
+        let kept = (0..n)
+            .map(|v| {
+                let row = self.routes.cursor(node(v));
+                others(v).filter(|&s| row.get(s).is_some()).count()
+            })
+            .sum();
+        let mut listed = Vec::new();
+        let ladder = (self.horizon, &self.levels[..]);
+        let table = FlatTables::from_rows(n, kept, ladder, |v, row| {
+            listed.clear();
+            listed.extend(others(v));
+            listed.sort_unstable();
+            let archive = self.routes.cursor(node(v));
+            row.extend(listed.iter().filter_map(|&s| Some((s, archive.route(s)?))));
+        });
+        // A walk stops at a node that lists the source (its own walk goes
+        // on from there) or at a hop an earlier walk already took.
+        let mut transit = std::collections::BTreeMap::new();
+        for v in topo.nodes() {
+            for e in table.row_iter(v) {
+                let s = NodeId(e.src);
+                let mut x = topo.neighbor(v, e.port);
+                while x != s && table.get(x, s).is_none() {
+                    let hop = self
+                        .routes
+                        .get(x, s)
+                        .expect("a listed route stays in the archive");
+                    if transit.insert((x, s), hop.port).is_some() {
+                        break;
+                    }
+                    x = topo.neighbor(x, hop.port);
+                }
+            }
+        }
+        let transit = transit
+            .into_iter()
+            .map(|((x, s), port)| (x, s, port))
+            .collect();
+        (table, transit)
     }
 }
 

@@ -1026,6 +1026,16 @@ impl<'a> RowCursor<'a> {
         self.tab.entry_of(i, slot, s.0)
     }
 
+    /// [`RowCursor::get`] as the `(estimate, port, level)` that
+    /// [`FlatTables::from_rows`] was given.
+    #[inline]
+    pub fn route(&self, s: NodeId) -> Option<RouteInfo> {
+        let (i, slot) = self.find(s)?;
+        let FlatEntry { est, port, .. } = self.tab.entry_of(i, slot, s.0)?;
+        let level = self.tab.layout.split(slot.word).level;
+        Some(RouteInfo { est, port, level })
+    }
+
     /// The estimate for source `s`, if present: the matching word's hops
     /// times its rung, its port left packed (the escape section only on a
     /// hops marker).

@@ -6,10 +6,13 @@
 //! Every wrapper traces routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
 //! not copied), and the PDE-family wrapper keeps the graph itself. It
-//! serves the routing archives as `run_pde` wrote them, per-node
-//! source-sorted rows ([`pde_core::FlatTables`]): point queries are one
-//! short probe and batch queries stream through dense memory with no
-//! per-query hashing or allocation.
+//! serves what Definition 2.2 promises, [`pde_core::PdeOutput::served`]:
+//! each node's σ-list entries as per-node source-sorted rows
+//! ([`pde_core::FlatTables`]), so point queries are one short probe and
+//! batch queries stream through dense memory with no per-query hashing
+//! or allocation, plus the few transit hops its routes need where a list
+//! has dropped a source. The routing archive `run_pde` also writes stays
+//! behind with the build.
 
 use crate::{Backend, BuildError, BuildMode, DistanceOracle, OracleBuildMetrics, OracleBuilder};
 use baselines::flooding_apsp;
@@ -17,7 +20,9 @@ use compact::{
     try_build_hierarchy, try_build_truncated, CompactParams, CompactScheme, HorizonMode,
 };
 use compact::{TruncatedScheme, UpperMode};
-use congest::{NodeId, Topology};
+use congest::arena::{ArenaCursor, ArenaWriter};
+use congest::wire::invalid_data;
+use congest::{NodeId, Port, Topology};
 use graphs::{WGraph, INF};
 use pde_core::pde::validate_pde_input;
 use pde_core::schedule::{self, RowEstimate};
@@ -25,6 +30,7 @@ use pde_core::{try_approx_apsp, try_run_pde};
 use pde_core::{FlatTables, PdeParams, RouteInfo, RowCursor};
 use routing::{try_build_rtc, RoutingScheme, RtcParams, RtcScheme};
 use std::collections::BTreeSet;
+use std::io;
 
 /// The finite-ε stretch ceiling of the Theorem 4.5 scheme
 /// (`(6k−1)·(1+ε)^4`, as validated end to end by the routing tests).
@@ -48,14 +54,17 @@ fn truncated_ceiling(k: u32, eps: f64) -> f64 {
 
 // ---------------------------------------------------------------- PDE --
 
-/// [`Backend::Pde`]: flat per-node tables from one PDE run — and
-/// [`Backend::ApproxApsp`], which is that run at `S = V`, `h = σ = n`
-/// ([`pde_core::try_approx_apsp`]), and [`Backend::Flooding`], the same
-/// coverage with exact rows (ε = 0; see `exact_oracle`).
+/// [`Backend::Pde`]: flat per-node tables of one PDE run's σ-lists, and
+/// the transit hops their routes need ([`pde_core::PdeOutput::served`])
+/// — and [`Backend::ApproxApsp`], which is that run at `S = V`, `h = σ =
+/// n` ([`pde_core::try_approx_apsp`]), and [`Backend::Flooding`], the
+/// same coverage with exact rows (ε = 0; see `exact_oracle`). At σ ≥ |S|
+/// the lists are the whole archive and there is no transit.
 pub struct PdeOracle {
     pub(crate) g: WGraph,
     pub(crate) topo: Topology,
     pub(crate) routes: FlatTables,
+    pub(crate) transit: Transit,
     pub(crate) eps: f64,
     pub(crate) h: u64,
     pub(crate) sigma: usize,
@@ -98,13 +107,22 @@ impl DistanceOracle for PdeOracle {
         schedule::estimate_grouped(self, pairs, order, out);
     }
 
+    /// The listed entry's port, else the transit hop's.
     fn next_hop(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
         if u == v {
             return None;
         }
-        self.routes.get(u, v).map(|e| self.topo.neighbor(u, e.port))
+        let port = match self.routes.get(u, v) {
+            Some(e) => e.port,
+            None => self.transit.port(u, v)?,
+        };
+        Some(self.topo.neighbor(u, port))
     }
 
+    /// `1 + ε` against `wd_h(u, v)`, the lightest path of at most `h`
+    /// hops (Definition 2.2), for every covered answer and the weight of
+    /// its route. That is `wd(u, v)` whenever a shortest path has at
+    /// most `h` hops, so always at full coverage (`h = n`).
     fn stretch_bound(&self) -> f64 {
         1.0 + self.eps
     }
@@ -115,6 +133,83 @@ impl DistanceOracle for PdeOracle {
 
     fn topology(&self) -> &Topology {
         &self.topo
+    }
+}
+
+/// A partial PDE table's transit hops ([`pde_core::PdeOutput::served`]):
+/// archive entries `(node, source, port)` that some listed pair's route
+/// reads at a node whose list has dropped the source. Only `next_hop`
+/// reads them. Keys `node << 32 | source` strictly increase, beside one
+/// port each; both are empty on every table whose rows hold only listed
+/// sources.
+#[derive(Default)]
+pub(crate) struct Transit {
+    keys: Vec<u64>,
+    ports: Vec<Port>,
+}
+
+fn transit_key(u: NodeId, v: NodeId) -> u64 {
+    u64::from(u.0) << 32 | u64::from(v.0)
+}
+
+impl Transit {
+    pub(crate) fn new(hops: &[(NodeId, NodeId, Port)]) -> Self {
+        Transit {
+            keys: hops.iter().map(|&(u, v, _)| transit_key(u, v)).collect(),
+            ports: hops.iter().map(|h| h.2).collect(),
+        }
+    }
+
+    /// The port of `u`'s transit hop towards `v`, if it has one.
+    fn port(&self, u: NodeId, v: NodeId) -> Option<Port> {
+        let i = self.keys.binary_search(&transit_key(u, v)).ok()?;
+        Some(self.ports[i])
+    }
+
+    pub(crate) fn write_arena(&self, a: &mut ArenaWriter) {
+        a.u64s(&self.keys);
+        a.u32s(&self.ports);
+    }
+
+    /// Reads what [`Transit::write_arena`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on a malformed section or a key without its port.
+    pub(crate) fn read_arena(c: &mut ArenaCursor<'_>) -> io::Result<Self> {
+        let (keys, ports) = (c.u64s()?, c.u32s()?);
+        if keys.len() != ports.len() {
+            return Err(invalid_data("transit sections disagree in length"));
+        }
+        Ok(Transit { keys, ports })
+    }
+
+    /// Checks the hops against the table they serve beside: keys
+    /// strictly increasing, each hop between two distinct nodes, its port
+    /// below the node's degree, and no hop where the table has an entry.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on any of those faults.
+    pub(crate) fn validate(&self, topo: &Topology, routes: &FlatTables) -> io::Result<()> {
+        if !self.keys.windows(2).all(|w| w[0] < w[1]) {
+            return Err(invalid_data("transit keys are not strictly increasing"));
+        }
+        for (&key, &port) in self.keys.iter().zip(&self.ports) {
+            let (u, v) = ((key >> 32) as usize, key as u32 as usize);
+            let (node, src) = (NodeId::from_index(u), NodeId::from_index(v));
+            let fault = if u >= topo.len() || v >= topo.len() || u == v {
+                "names a node out of range or its own source"
+            } else if port >= topo.degree(node) as u32 {
+                "has a port at or above the node's degree"
+            } else if routes.get(node, src).is_some() {
+                "duplicates a table entry"
+            } else {
+                continue;
+            };
+            return Err(invalid_data(format!("transit hop ({u}, {v}) {fault}")));
+        }
+        Ok(())
     }
 }
 
@@ -251,9 +346,10 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
     }
     let inner = match b.backend {
         Backend::Pde | Backend::ApproxApsp => {
-            let (out, h, sigma) = if b.backend == Backend::ApproxApsp {
+            // At σ ≥ |S| no list drops a source: the archive is the lists.
+            let (out, h, sigma, all_listed) = if b.backend == Backend::ApproxApsp {
                 let out = try_approx_apsp(g, b.eps, b.threads, b.mode)?.pde;
-                (out, n as u64, n)
+                (out, n as u64, n, true)
             } else {
                 let sources = match &b.sources {
                     Some(s) => {
@@ -268,7 +364,8 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                     .with_threads(b.threads)
                     .with_mode(b.mode);
                 let out = try_run_pde(g, &sources, &vec![false; n], &params)?;
-                (out, h, sigma)
+                let all_listed = sigma >= sources.iter().filter(|&&s| s).count();
+                (out, h, sigma, all_listed)
             };
             let m = metrics(
                 b.backend,
@@ -276,10 +373,16 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                 out.metrics.total.rounds,
                 out.metrics.total.messages,
             );
+            let topo = g.to_topology();
+            let (routes, transit) = match all_listed {
+                true => (out.routes, Vec::new()),
+                false => out.served(&topo),
+            };
             Inner::Pde(PdeOracle {
                 g: g.clone(),
-                topo: g.to_topology(),
-                routes: out.routes,
+                topo,
+                routes,
+                transit: Transit::new(&transit),
                 eps: b.eps,
                 h,
                 sigma,
@@ -474,6 +577,7 @@ pub(crate) fn exact_oracle(
         g: g.clone(),
         topo,
         routes,
+        transit: Transit::default(),
         eps: 0.0,
         h: n as u64,
         sigma: n,

@@ -17,7 +17,8 @@
 //! | 8 | as 7, but truncated nests its lower levels as a compact arena, per-node table counts are `u32`, compact drops its level table and exact_tz its hop matrix | — | rejected (rebuild) |
 //! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | — | rejected (rebuild) |
 //! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | — | rejected (rebuild) |
-//! | 11 | as 10, but route rows are keyed by source rank, with the table's source map (member ids, per-node ranks) beside it | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 11 | as 10, but route rows are keyed by source rank, with the table's source map (member ids, per-node ranks) beside it | — | rejected (rebuild) |
+//! | 12 | as 11, but a PDE table holds only σ-list entries, with its transit hops (keys, ports) in two sections before it | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` and `flooding` share the PDE layout under their own
 //! header tags (flooding's rows are exact: ε = 0, whole hops on rung 1).
@@ -68,6 +69,11 @@
 //! rows' keys). The record format is private to
 //! `pde_core`'s `tables.rs`.
 //!
+//! A PDE-layout arena is the `[eps, h, σ]` meta section, the graph's
+//! sections, the transit hops (`node << 32 | source` keys, strictly
+//! increasing, then one `u32` port each; both empty unless some list
+//! dropped a source its routes pass through) and the route table last.
+//!
 //! Every map written anywhere in a payload is in sorted key order, and a
 //! loaded oracle re-emits its sections' backing bytes verbatim, so
 //! `load` → `save` reproduces the byte stream exactly and a reloaded
@@ -79,7 +85,7 @@
 //! test with [`congest::wire::is_truncated`] — rather than a raw
 //! `UnexpectedEof`.
 
-use crate::backends::{CompactOracle, Inner, PdeOracle, RtcOracle, TruncatedOracle};
+use crate::backends::{CompactOracle, Inner, PdeOracle, RtcOracle, Transit, TruncatedOracle};
 use crate::{Backend, Oracle, OracleBuildMetrics};
 use compact::{CompactScheme, TruncatedScheme};
 use congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
@@ -92,7 +98,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 11;
+const VERSION: u16 = 12;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;
@@ -132,6 +138,7 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
         Inner::Pde(o) => {
             a.u64s(&[o.eps.to_bits(), o.h, o.sigma as u64]);
             o.g.write_arena(a);
+            o.transit.write_arena(a);
             o.routes.write_arena(a);
             Ok(())
         }
@@ -164,13 +171,16 @@ fn read_arena_payload(
             let eps = f64::from_bits(eps);
             let sigma = usize::try_from(sigma).map_err(|_| invalid_data("PDE sigma overflow"))?;
             let g = WGraph::read_arena(c)?;
+            let transit = Transit::read_arena(c)?;
             let routes = FlatTables::read_arena(c)?;
             let topo = g.to_topology();
             routes.validate(&topo)?;
+            transit.validate(&topo, &routes)?;
             Inner::Pde(PdeOracle {
                 g,
                 topo,
                 routes,
+                transit,
                 eps,
                 h,
                 sigma,

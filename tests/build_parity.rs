@@ -161,9 +161,20 @@ fn artifact_bytes_match_pinned_digests() {
             .build_mode(BuildMode::Native)
             .threads(1)
     };
-    // Re-recorded for arena tag 11 (route rows keyed by source rank,
-    // each table followed by its source map: member ids and per-node
-    // ranks, both empty when the rows name every node). Tag 10 values:
+    // Re-recorded for arena tag 12 (a partial PDE table keeps only its
+    // σ-list entries, with its transit hops in two sections before it).
+    // Tag 11 values: pde 0x4ea351ed92f169d7, approx_apsp
+    // 0x8a1dd529248b97ca, rtc 0x1ba2f7bc0fbd5c8e, compact
+    // 0x3ee364e48ecd3f93, truncated 0xaa5fc2a8ab909f45, flooding
+    // 0x37316b1750164530, pde_partial 0x1e988101c723bac6. rtc, compact
+    // and truncated differ from tag 11 only in the header's version
+    // bytes, and pde, approx_apsp and flooding in those and the two empty
+    // transit sections' directory entries (with both dropped and byte 4
+    // set back to 11 they hash to their tag-11 values); pde_partial
+    // changes layout.
+    // Tag 11 was recorded for route rows keyed by source rank, each
+    // table followed by its source map: member ids and per-node ranks,
+    // both empty when the rows name every node. Tag 10 values:
     // pde 0x9fe2ea257fee833a, approx_apsp 0x115117fd73a4919f, rtc
     // 0x8fad9ebd29293ab2, compact 0x6b79385114dbaf4c, truncated
     // 0xb4375f72969a4eb5, flooding 0x1711c1152e6cbec7, pde_partial
@@ -181,12 +192,12 @@ fn artifact_bytes_match_pinned_digests() {
     // 0xbc769e954aa619dd; flooding's tag-10 matrix value (before it
     // became the PDE layout over exact rows) was 0x65014cf9568993ba.
     let pins: [u64; 6] = [
-        0x4ea351ed92f169d7, // pde
-        0x8a1dd529248b97ca, // approx_apsp
-        0x1ba2f7bc0fbd5c8e, // rtc
-        0x3ee364e48ecd3f93, // compact
-        0xaa5fc2a8ab909f45, // truncated
-        0x37316b1750164530, // flooding
+        0x3b7721752cdeedb5, // pde
+        0x2709a1caa98a6f80, // approx_apsp
+        0x270b592b6f0ad861, // rtc
+        0xc197c298abc5cc4c, // compact
+        0x1e5ce4000b93663e, // truncated
+        0xfd39e32384d6b286, // flooding
     ];
     for (backend, pin) in Backend::ALL.into_iter().zip(pins) {
         let got = fnv(builder(backend).build(&g).artifact_bytes().into_iter());
@@ -205,5 +216,5 @@ fn artifact_bytes_match_pinned_digests() {
         .sources((0..g.len()).map(|v| v % 3 == 0).collect())
         .build(&g);
     let got = fnv(partial.artifact_bytes().into_iter());
-    assert_eq!(got, 0x1e988101c723bac6, "pde_partial: got {got:#018x}");
+    assert_eq!(got, 0x790160907a201878, "pde_partial: got {got:#018x}");
 }

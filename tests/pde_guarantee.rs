@@ -15,10 +15,15 @@
 //!
 //! and *every* listed entry — covered by the horizon or not — must be
 //! sound (`est ≥ wd`, exactly, in integer arithmetic).
+//!
+//! At σ < |S| the served oracle is checked against Definition 2.2 in its
+//! exact form, with `wd_h` the lightest path of at most `h` hops.
 
 use pde_repro::baselines::{bellman_ford_apsp, flooding_apsp};
+use pde_repro::graphs::algo::{apsp, hop_limited_distances};
 use pde_repro::graphs::gen::{self, Weights};
-use pde_repro::graphs::WGraph;
+use pde_repro::graphs::{NodeId, Seed, WGraph};
+use pde_repro::oracle::{is_covered, Backend, DistanceOracle, OracleBuilder};
 use pde_repro::pde_core::{run_pde, PdeParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -173,5 +178,73 @@ fn singleton_source_meets_guarantee() {
     for h in [3u64, n as u64] {
         let label = format!("singleton h={h}");
         check_guarantee(&g, &sources, h, 0.25, &label);
+    }
+}
+
+/// Definition 2.2 in its exact form on the served oracle over `sources`
+/// at horizon `h`, list size σ and ε 0.25: every covered answer lies in
+/// `[wd, (1+ε)·wd_h]`, which is `stretch_bound()` against `wd_h`, and
+/// every uncovered source with a finite `wd_h(v, s)` is outranked at `v`
+/// by at least σ covered sources with estimates `≤ (1+ε)·wd_h(v, s)`.
+fn check_served_definition(g: &WGraph, sources: &[bool], h: u64, sigma: usize, label: &str) {
+    let eps = 0.25;
+    let src: Vec<NodeId> = g.nodes().filter(|s| sources[s.index()]).collect();
+    assert!(sigma < src.len(), "{label}: σ ≥ |S| lists every source");
+    let oracle = OracleBuilder::new(Backend::Pde)
+        .eps(eps)
+        .horizon(h)
+        .sigma(sigma)
+        .sources(sources.to_vec())
+        .build(g);
+    let bound = oracle.stretch_bound();
+    assert_eq!(bound, 1.0 + eps);
+    let exact = apsp(g);
+    let wd_h: Vec<Vec<u64>> = src
+        .iter()
+        .map(|&s| hop_limited_distances(g, s, h as u32))
+        .collect();
+    for v in g.nodes() {
+        let est: Vec<u64> = src.iter().map(|&s| oracle.estimate(v, s)).collect();
+        for (i, &s) in src.iter().enumerate() {
+            let (e, wd, wdh) = (est[i], exact.dist(v, s), wd_h[i][v.index()]);
+            if is_covered(e) {
+                assert!(e >= wd, "{label}: ({v}, {s}) answers {e} below wd {wd}");
+                assert!(
+                    e as f64 <= bound * wdh as f64 + 1e-9,
+                    "{label}: ({v}, {s}) answers {e} past (1+ε)·wd_h = {bound}·{wdh}"
+                );
+            } else if is_covered(wdh) {
+                let within = (1.0 + eps) * wdh as f64 + 1e-9;
+                let outranking = est
+                    .iter()
+                    .filter(|&&x| is_covered(x) && x as f64 <= within)
+                    .count();
+                assert!(
+                    outranking >= sigma,
+                    "{label}: uncovered ({v}, {s}) at wd_h {wdh} outranked by {outranking} < σ"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn served_lists_meet_definition_2_2_where_the_horizon_binds() {
+    let w = Weights::Uniform { lo: 1, hi: 32 };
+    let cases = [
+        ("grid", gen::grid(8, 8, w, &mut Seed(3).rng()), 3, 3),
+        ("tree", gen::random_tree(64, w, &mut Seed(4).rng()), 3, 2),
+        (
+            "ring of cliques",
+            gen::ring_of_cliques(8, 6, w, &mut Seed(5).rng()),
+            2,
+            4,
+        ),
+    ];
+    for (name, g, every, sigma) in cases {
+        let sources: Vec<bool> = (0..g.len()).map(|v| v % every == 0).collect();
+        for h in [2u64, 4] {
+            check_served_definition(&g, &sources, h, sigma, &format!("{name} h={h}"));
+        }
     }
 }

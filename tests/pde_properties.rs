@@ -1,15 +1,19 @@
 //! Property-based tests of the core PDE guarantees (Definition 2.2),
-//! driven by randomly generated connected weighted graphs.
+//! driven by randomly generated connected weighted graphs, and of the
+//! served PDE oracle: it answers exactly the σ-list pairs and routes
+//! each of them.
 
 use pde_repro::congest::Port;
-use pde_repro::graphs::{algo, NodeId, WGraph};
+use pde_repro::graphs::gen::{self, Weights};
+use pde_repro::graphs::{algo, NodeId, Seed, WGraph, INF};
+use pde_repro::oracle::{Backend, BuildMode, DistanceOracle, Oracle, OracleBuilder, TracedRoute};
 use pde_repro::pde_core::{run_pde, PdeParams};
 use pde_repro::sourcedetect::{
     delayed_detection_reference, native_detection, native_solve, run_detection, DetectParams,
     SourceSpace,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Strategy: a connected weighted graph on `n ∈ 5..=16` nodes — a random
 /// spanning tree plus extra random edges, weights in `1..=max_w`.
@@ -38,8 +42,120 @@ fn connected_graph(max_w: u64) -> impl Strategy<Value = WGraph> {
     })
 }
 
+/// Builds the partial PDE oracle over `sources` at horizon `h`, list
+/// size σ and ε 0.25, and checks it, as built and as re-loaded from its
+/// `save` bytes, against the `run_pde` output it serves:
+///
+/// * `estimate(v, s)` is the archive's estimate when `s` is in `v`'s
+///   σ-list, and [`INF`] otherwise;
+/// * every listed pair's `route_into` reaches its source with weight at
+///   most its estimate;
+/// * the unlisted pairs that still have a next hop (the transit hops)
+///   are exactly those some listed route passes through, each with the
+///   archive's next hop and no estimate.
+///
+/// Returns the number of transit hops.
+fn check_served(g: &WGraph, sources: &[bool], h: u64, sigma: usize) -> usize {
+    let n = g.len();
+    let eps = 0.25;
+    let params = PdeParams::new(h, sigma, eps).with_mode(BuildMode::Native);
+    let out = run_pde(g, sources, &vec![false; n], &params);
+    let topo = g.to_topology();
+    let listed: Vec<BTreeSet<NodeId>> = out
+        .lists
+        .iter()
+        .map(|list| list.iter().map(|e| e.src).collect())
+        .collect();
+    let built = OracleBuilder::new(Backend::Pde)
+        .eps(eps)
+        .horizon(h)
+        .sigma(sigma)
+        .sources(sources.to_vec())
+        .build_mode(BuildMode::Native)
+        .build(g);
+    let mut bytes = Vec::new();
+    built.save(&mut bytes).unwrap();
+    let reloaded = Oracle::load_bytes(&bytes).unwrap();
+    let mut transit = None;
+    for oracle in [&built, &reloaded] {
+        let mut read = BTreeSet::new();
+        let mut route = TracedRoute::default();
+        for v in g.nodes() {
+            for s in g.nodes() {
+                let est = oracle.estimate(v, s);
+                if v == s {
+                    assert_eq!(est, 0);
+                } else if !listed[v.index()].contains(&s) {
+                    assert_eq!(est, INF, "unlisted ({v}, {s}) answered");
+                    continue;
+                }
+                assert_eq!(Some(est), out.estimate(v, s), "listed ({v}, {s})");
+                assert!(
+                    oracle.route_into(v, s, &mut route),
+                    "({v}, {s}) does not route"
+                );
+                assert!(
+                    route.weight <= est,
+                    "({v}, {s}): route {route:?} past {est}"
+                );
+                for &x in &route.nodes[..route.nodes.len() - 1] {
+                    if !listed[x.index()].contains(&s) {
+                        read.insert((x, s));
+                    }
+                }
+            }
+        }
+        let hops: BTreeSet<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|x| g.nodes().map(move |s| (x, s)))
+            .filter(|&(x, s)| oracle.next_hop(x, s).is_some() && oracle.estimate(x, s) == INF)
+            .collect();
+        assert_eq!(
+            hops, read,
+            "transit hops are not the hops listed routes read"
+        );
+        for &(x, s) in &hops {
+            let port = out
+                .next_hop(x, s)
+                .expect("a transit hop is an archive entry");
+            assert_eq!(oracle.next_hop(x, s), Some(topo.neighbor(x, port)));
+        }
+        assert!(transit.replace(hops.len()).is_none_or(|t| t == hops.len()));
+    }
+    transit.unwrap()
+}
+
+/// The served oracle on a grid and a random tree, where lists drop
+/// sources their routes pass through: transit is non-empty there (1 hop
+/// on the grid, 6 on the tree).
+#[test]
+fn served_oracle_routes_lists_through_transit_hops() {
+    let w = Weights::Uniform { lo: 1, hi: 32 };
+    let grid = gen::grid(12, 12, w, &mut Seed(1).rng());
+    let tree = gen::random_tree(128, w, &mut Seed(2).rng());
+    for (name, g, every, sigma) in [("grid", grid, 4, 16), ("tree", tree, 8, 4)] {
+        let sources: Vec<bool> = (0..g.len()).map(|v| v % every == 0).collect();
+        let transit = check_served(&g, &sources, 8, sigma);
+        assert!(transit > 0, "{name}: no transit hop to check");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The served oracle on random weighted graphs: σ < 4 and h < 5 on
+    /// 5 to 16 nodes, so mostly σ < |S| and h < n, and now and then
+    /// σ ≥ |S|, where the oracle serves the archive as it is.
+    #[test]
+    fn served_oracle_answers_lists_and_routes_them(
+        g in connected_graph(40),
+        every in 1usize..4,
+        sigma in 1usize..4,
+        h in 1u64..5,
+    ) {
+        let sources: Vec<bool> = (0..g.len()).map(|v| v % every == 0).collect();
+        check_served(&g, &sources, h, sigma);
+    }
 
     /// Soundness: PDE estimates never underestimate true distances —
     /// exactly, in integer arithmetic (the reason for the integer ladder).

@@ -8,7 +8,8 @@
 //! slot, a marker without its escape record, a word off the table's rung
 //! ladder, field widths that do not fit the word or the ladder, a record
 //! section of the wrong length or without its tail padding and a
-//! malformed ladder included — must still be a typed error (the probe-side clamp
+//! malformed ladder included — and each hostile transit section must
+//! still be a typed error (the probe-side clamp
 //! behind it, a miss and never a panic for a table that skipped
 //! `validate`, is pinned by `pde_core::tables`' unit tests). Files in a
 //! retired layout are typed
@@ -17,7 +18,7 @@
 use pde_repro::congest::arena::ArenaWriter;
 use pde_repro::congest::wire::{is_truncated, snapshot_cause, SnapshotError};
 use pde_repro::graphs::gen::{self, Weights};
-use pde_repro::graphs::{NodeId, Seed, WGraph};
+use pde_repro::graphs::{GraphDelta, NodeId, Seed, WGraph};
 use pde_repro::net::{Client, NetServer, ServerConfig, WireError};
 use pde_repro::oracle::{is_covered, Backend, DistanceOracle, Oracle, OracleBuilder, TracedRoute};
 use pde_repro::serve::{DynamicOracle, OracleServer, PersistError};
@@ -338,8 +339,8 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     // slot is `port << (lb + hb) | hops << lb | level`, and weights up to
     // 12 make a 10-rung ladder, so the all-ones level is off it. The
     // partial build keys its rows by rank among the 14 sources (every
-    // third id), through its source map; at σ = 1 its first row (4
-    // entries over a span of 12 ranks) stays keyed.
+    // third id), through its source map, and keeps only σ-list entries;
+    // at σ = 4 its first row (ranks 4, 10 and 13) stays keyed.
     let g = gen::gnp_connected(
         40,
         0.15,
@@ -350,7 +351,7 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         let builder = OracleBuilder::new(Backend::Pde).seed(5);
         let builder = if partial {
             let sources = (0..g.len()).map(|v| v % 3 == 0).collect();
-            builder.sigma(1).horizon(4).sources(sources)
+            builder.sigma(4).horizon(4).sources(sources)
         } else {
             builder
         };
@@ -650,6 +651,128 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     }
 }
 
+// Before its table, a PDE arena holds its transit hops: `node << 32 |
+// source` keys, then one `u32` port each.
+const TRANSIT_KEYS: usize = 10;
+const TRANSIT_PORTS: usize = 9;
+
+#[test]
+fn well_checksummed_hostile_transit_sections_are_typed_errors() {
+    // A partial PDE on a 128-node random tree at σ = 4 over every 8th
+    // node: listed routes pass six (node, source) pairs whose node's list
+    // dropped the source, so the table carries six transit hops.
+    let g = gen::random_tree(128, Weights::Uniform { lo: 1, hi: 32 }, &mut Seed(2).rng());
+    let n = g.len() as u64;
+    let sources = (0..g.len()).map(|v| v % 8 == 0).collect();
+    let builder = OracleBuilder::new(Backend::Pde).horizon(8).sigma(4);
+    let oracle = builder.sources(sources).build(&g);
+    let snap = save(&oracle);
+    let sections = arena_sections(&snap);
+    let end = sections.len();
+    let (keys, ports) = (
+        &sections[end - TRANSIT_KEYS],
+        &sections[end - TRANSIT_PORTS],
+    );
+    let hops = keys.len() / 8;
+    assert_eq!((hops, ports.len()), (6, 4 * 6));
+    let key = |i: usize| get_u64(keys, i);
+    let node = |key: u64| NodeId((key >> 32) as u32);
+    for i in 0..hops {
+        let (u, v) = (node(key(i)), NodeId(key(i) as u32));
+        let hop = oracle.next_hop(u, v);
+        assert!(
+            !is_covered(oracle.estimate(u, v)) && hop.is_some(),
+            "({u}, {v})"
+        );
+    }
+    // One listed pair and its port: a hop that the table already holds.
+    let (u, v) = g
+        .nodes()
+        .flat_map(|u| g.nodes().map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && is_covered(oracle.estimate(u, v)))
+        .unwrap();
+    let port = g
+        .to_topology()
+        .port_to(u, oracle.next_hop(u, v).unwrap())
+        .unwrap();
+    let rejected = |what: &str, mutate: &dyn Fn(&mut [Vec<u8>])| {
+        let mut hostile = sections.clone();
+        mutate(&mut hostile);
+        let bytes = reassemble(&snap, &hostile);
+        for loaded in [Oracle::load(&mut &bytes[..]), Oracle::load_bytes(&bytes)] {
+            let Err(err) = loaded else {
+                panic!("{what}: accepted");
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(
+                !is_truncated(&err),
+                "{what}: misreported as truncation: {err}"
+            );
+        }
+    };
+    let last = hops - 1;
+    rejected("keys unsorted", &|s| {
+        let (a, b) = (key(0), key(1));
+        put_u64(&mut s[end - TRANSIT_KEYS], 0, b);
+        put_u64(&mut s[end - TRANSIT_KEYS], 1, a);
+    });
+    rejected("key duplicated", &|s| {
+        put_u64(&mut s[end - TRANSIT_KEYS], 1, key(0));
+    });
+    rejected("node past n", &|s| {
+        put_u64(&mut s[end - TRANSIT_KEYS], last, n << 32);
+    });
+    rejected("source past n", &|s| {
+        put_u64(
+            &mut s[end - TRANSIT_KEYS],
+            last,
+            key(last) & !0xFFFF_FFFF | n,
+        );
+    });
+    rejected("hop at its own source", &|s| {
+        let x = key(last) >> 32;
+        put_u64(&mut s[end - TRANSIT_KEYS], last, x << 32 | x);
+    });
+    rejected("port at the node's degree", &|s| {
+        put_u32(
+            &mut s[end - TRANSIT_PORTS],
+            0,
+            g.degree(node(key(0))) as u32,
+        );
+    });
+    rejected("hop duplicating a table entry", &|s| {
+        s[end - TRANSIT_KEYS] = (u64::from(u.0) << 32 | u64::from(v.0))
+            .to_le_bytes()
+            .to_vec();
+        s[end - TRANSIT_PORTS] = port.to_le_bytes().to_vec();
+    });
+    rejected("a key without its port", &|s| {
+        s[end - TRANSIT_PORTS].truncate(4 * last);
+    });
+    rejected("a port without its key", &|s| {
+        s[end - TRANSIT_KEYS].truncate(8 * last);
+    });
+    rejected("keys section not whole words", &|s| {
+        s[end - TRANSIT_KEYS].pop();
+    });
+
+    // Full-coverage tables carry none: Flooding's build and its repair.
+    let flooding = OracleBuilder::new(Backend::Flooding);
+    let g = graph(21);
+    let (a, b) = (NodeId(0), g.to_topology().neighbor(NodeId(0), 0));
+    let w = g.edge_weight(a, b).unwrap() + 5;
+    let delta = GraphDelta::SetWeight { u: a, v: b, w };
+    let built = flooding.build(&g);
+    let repaired = flooding.repair(&g, &built, &delta).unwrap().oracle;
+    for oracle in [built, repaired] {
+        let sections = arena_sections(&save(&oracle));
+        let end = sections.len();
+        assert!(
+            sections[end - TRANSIT_KEYS].is_empty() && sections[end - TRANSIT_PORTS].is_empty()
+        );
+    }
+}
+
 /// Directory positions of the row-word section of every `FlatTables` in
 /// the arena of an `n`-node oracle, found by shape: `n + 1` row offsets
 /// ending at the slot count `e`, then the records (1 to 8 bytes a slot,
@@ -673,14 +796,14 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
     // answers, so `read_arena` and `validate` re-prove every row word on
     // every load — for every backend that embeds a `FlatTables`. Their
     // rows over all nodes, or over a level sample by rank, go direct; a
-    // partial PDE over every other node at σ = 1 keeps its first row
-    // keyed, with a window of more than one record.
+    // partial PDE over every other node at σ = 4 keeps a row keyed, with
+    // a window of more than one record.
     let n = 40;
     let mut rng = Seed(31).rng();
     let g = gen::gnp_connected(n, 0.15, Weights::Uniform { lo: 1, hi: 9 }, &mut rng);
     let (mut shrunk, mut direct) = (0, 0);
     let partial = OracleBuilder::new(Backend::Pde)
-        .sigma(1)
+        .sigma(4)
         .sources((0..n).map(|v| v % 2 == 0).collect());
     for (backend, builder) in [
         Backend::Pde,
@@ -887,7 +1010,7 @@ fn retired_backend_tag_is_invalid_data_not_rebuild() {
     // rebuild it: typed InvalidData through both entry points, and never
     // a panic.
     let snap = snapshot(Backend::Flooding);
-    assert_eq!(snap[4..7], [11, 0, Backend::Flooding.wire_tag()]);
+    assert_eq!(snap[4..7], [12, 0, Backend::Flooding.wire_tag()]);
     for tag in [5, 6] {
         let mut old = snap.clone();
         old[6] = tag;
@@ -939,9 +1062,10 @@ fn retired_layouts_are_typed_rebuild_errors() {
     // tag 6 (schemes embedding σ-lists, spanner and metrics), tag 7
     // (truncated keeping its own lower levels, `u64` table counts), tag 8
     // (a full `u32` estimate per slot beside port and level side
-    // sections), tag 9 (a ladder code per slot beside a `u16` port) and
-    // tag 10 (route rows keyed by node id, no source map) name layouts
-    // this binary does not read; all must say
+    // sections), tag 9 (a ladder code per slot beside a `u16` port), tag
+    // 10 (route rows keyed by node id, no source map) and tag 11 (a
+    // partial PDE table serving its whole routing archive, no transit
+    // sections) name layouts this binary does not read; all must say
     // "rebuild", typed, whatever follows the header — a re-tagged arena,
     // or for tag 2 its own 39-byte header (no pad byte) with a payload
     // behind it.
@@ -953,7 +1077,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -972,8 +1096,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     }
 
     // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6,
-    // tag-7, tag-8, tag-9 or tag-10 snapshots: recovery surfaces the same typed
-    // error instead of panicking.
+    // tag-7, tag-8, tag-9, tag-10 or tag-11 snapshots: recovery surfaces
+    // the same typed error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let server = Arc::new(OracleServer::new());
@@ -985,8 +1109,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 11u16.to_le_bytes());
-    for tag in [2u16, 5, 6, 7, 8, 9, 10] {
+    assert_eq!(current[at + 4..at + 6], 12u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7, 8, 9, 10, 11] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
