@@ -35,7 +35,8 @@
 //!
 //! Readers consume sections *in writer order* through an [`ArenaCursor`];
 //! zero-copy views come from [`ArenaCursor::u64v`] /
-//! [`ArenaCursor::u32v`] / [`ArenaCursor::shared`], eager decodes from
+//! [`ArenaCursor::u32v`] / [`ArenaCursor::shared`] (and [`UintView`]
+//! over the latter for a narrow section), eager decodes from
 //! [`ArenaCursor::u64s`] / [`ArenaCursor::u32s`] (a `chunks_exact` loop
 //! the compiler turns into a straight copy), and small heterogeneous
 //! metadata rides along as an embedded [`crate::wire`] stream via
@@ -47,6 +48,7 @@
 
 use crate::wire::{invalid_data, truncated};
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -222,35 +224,67 @@ impl PartialEq for SharedBytes {
 
 impl Eq for SharedBytes {}
 
-/// Zero-copy view of a section of little-endian `u64`s.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct U64View(SharedBytes);
+/// A little-endian word a [`WordView`] decodes: `u32` or `u64`.
+pub trait Word: Copy {
+    /// Bytes of one word.
+    const BYTES: usize;
+    /// The word `b` holds (exactly [`Word::BYTES`] bytes).
+    fn from_le(b: &[u8]) -> Self;
+    /// Appends the word's bytes to `out`.
+    fn put_le(self, out: &mut Vec<u8>);
+}
 
-impl U64View {
-    /// Wraps `bytes` as a `u64` table.
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline(always)]
+            fn from_le(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("one whole word"))
+            }
+            fn put_le(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+word!(u32, u64);
+
+/// Zero-copy view of a section of little-endian words.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WordView<T>(SharedBytes, PhantomData<T>);
+
+/// Zero-copy view of a section of little-endian `u64`s.
+pub type U64View = WordView<u64>;
+/// Zero-copy view of a section of little-endian `u32`s.
+pub type U32View = WordView<u32>;
+
+impl<T: Word> WordView<T> {
+    /// Wraps `bytes` as a word table.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the byte length is not a multiple of 8.
+    /// `InvalidData` when the byte length is not a multiple of a word's.
     pub fn new(bytes: SharedBytes) -> io::Result<Self> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(invalid_data("u64 section length not a multiple of 8"));
+        if !bytes.len().is_multiple_of(T::BYTES) {
+            let (len, word) = (bytes.len(), T::BYTES);
+            return Err(invalid_data(format!("{len} bytes of {word}-byte words")));
         }
-        Ok(U64View(bytes))
+        Ok(WordView(bytes, PhantomData))
     }
 
     /// Encodes `xs` into a fresh owned view (the build-side constructor).
-    pub fn from_vals(xs: &[u64]) -> Self {
-        let mut buf = Vec::with_capacity(xs.len() * 8);
+    pub fn from_vals(xs: &[T]) -> Self {
+        let mut buf = Vec::with_capacity(xs.len() * T::BYTES);
         for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
+            x.put_le(&mut buf);
         }
-        U64View(SharedBytes::from_vec(buf))
+        WordView(SharedBytes::from_vec(buf), PhantomData)
     }
 
     /// Number of words.
     pub fn len(&self) -> usize {
-        self.0.len() / 8
+        self.0.len() / T::BYTES
     }
 
     /// Whether the view is empty.
@@ -264,21 +298,17 @@ impl U64View {
     ///
     /// Panics when `i` is out of bounds, exactly like slice indexing.
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        let b = &self.0.as_slice()[i * 8..i * 8 + 8];
-        u64::from_le_bytes(b.try_into().expect("8-byte word"))
+    pub fn get(&self, i: usize) -> T {
+        T::from_le(&self.0.as_slice()[i * T::BYTES..(i + 1) * T::BYTES])
     }
 
     /// Iterates all words in order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.0
-            .as_slice()
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.0.as_slice().chunks_exact(T::BYTES).map(T::from_le)
     }
 
     /// Decodes the whole table into a `Vec`.
-    pub fn to_vec(&self) -> Vec<u64> {
+    pub fn to_vec(&self) -> Vec<T> {
         self.iter().collect()
     }
 
@@ -288,70 +318,156 @@ impl U64View {
     }
 }
 
-/// Zero-copy view of a section of little-endian `u32`s.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct U32View(SharedBytes);
+/// Bytes of the narrowest of 1, 2, 4 and 8 that holds `max`: the width
+/// every narrow section derives from its own data.
+pub fn width_for(max: u64) -> usize {
+    match max {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
 
-impl U32View {
-    /// Wraps `bytes` as a `u32` table.
+/// The little-endian unsigned integer in `b` (at most 8 bytes).
+#[inline(always)]
+fn uint_le(b: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..b.len()].copy_from_slice(b);
+    u64::from_le_bytes(word)
+}
+
+/// Zero-copy view of a section of little-endian unsigned integers of one
+/// width (1, 2, 4 or 8 bytes; its writer derives it with [`width_for`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UintView {
+    bytes: SharedBytes,
+    width: usize,
+}
+
+impl UintView {
+    /// Wraps `bytes` as a table of `width`-byte integers.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the byte length is not a multiple of 4.
-    pub fn new(bytes: SharedBytes) -> io::Result<Self> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(invalid_data("u32 section length not a multiple of 4"));
+    /// `InvalidData` when `width` is not 1, 2, 4 or 8, or the byte length
+    /// is not a multiple of it.
+    pub fn new(bytes: SharedBytes, width: usize) -> io::Result<Self> {
+        if !matches!(width, 1 | 2 | 4 | 8) || !bytes.len().is_multiple_of(width) {
+            let len = bytes.len();
+            return Err(invalid_data(format!(
+                "{len} bytes of {width}-byte integers"
+            )));
         }
-        Ok(U32View(bytes))
+        Ok(UintView { bytes, width })
     }
 
-    /// Encodes `xs` into a fresh owned view (the build-side constructor).
-    pub fn from_vals(xs: &[u32]) -> Self {
-        let mut buf = Vec::with_capacity(xs.len() * 4);
-        for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
+    /// Encodes `xs` at `width` bytes each (the build-side constructor).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a value does not fit `width` bytes.
+    pub fn from_vals(xs: impl IntoIterator<Item = u64>, width: usize) -> Self {
+        let mut buf = Vec::new();
+        for x in xs {
+            assert!(width_for(x) <= width, "{x} does not fit {width} bytes");
+            buf.extend_from_slice(&x.to_le_bytes()[..width]);
         }
-        U32View(SharedBytes::from_vec(buf))
+        UintView::new(SharedBytes::from_vec(buf), width).expect("a valid width")
     }
 
-    /// Number of words.
+    /// Number of integers.
     pub fn len(&self) -> usize {
-        self.0.len() / 4
+        self.bytes.len() / self.width
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bytes.is_empty()
     }
 
-    /// Decodes word `i`.
+    /// The width's all-ones value (a table's natural sentinel).
+    pub fn ones(&self) -> u64 {
+        u64::MAX >> (64 - 8 * self.width)
+    }
+
+    /// Decodes integer `i`.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of bounds, exactly like slice indexing.
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        let b = &self.0.as_slice()[i * 4..i * 4 + 4];
-        u32::from_le_bytes(b.try_into().expect("4-byte word"))
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> u64 {
+        let b = self.bytes.as_slice();
+        match self.width {
+            1 => u64::from(b[i]),
+            2 => uint_le(&b[2 * i..][..2]),
+            4 => uint_le(&b[4 * i..][..4]),
+            _ => uint_le(&b[8 * i..][..8]),
+        }
     }
 
-    /// Iterates all words in order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0
-            .as_slice()
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte word")))
-    }
-
-    /// Decodes the whole table into a `Vec`.
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.iter().collect()
+    /// Iterates all integers in order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bytes.as_slice().chunks_exact(self.width).map(uint_le)
     }
 
     /// The backing bytes (for re-serialization).
     pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_slice()
+        self.bytes.as_slice()
     }
+}
+
+/// Writes an undirected edge list `(a, b, weight)` over `n` nodes, the
+/// one graph codec every artifact shares: a `[n]` section, then the
+/// endpoints at the width that holds `n − 1` and the weights at the width
+/// that holds the largest ([`width_for`] both).
+pub fn write_edges(a: &mut ArenaWriter, n: usize, edges: &[(u32, u32, u64)]) {
+    a.u64s(&[n as u64]);
+    let ends = edges.iter().flat_map(|&(a, b, _)| [a, b].map(u64::from));
+    let weights = edges.iter().map(|e| e.2);
+    let wb = width_for(weights.clone().max().unwrap_or(0));
+    a.section(UintView::from_vals(ends, width_for(n.saturating_sub(1) as u64)).as_bytes());
+    a.section(UintView::from_vals(weights, wb).as_bytes());
+}
+
+/// A node count and an undirected edge list `(a, b, weight)` over it.
+pub type EdgeList = (usize, Vec<(u32, u32, u64)>);
+
+/// Reads what [`write_edges`] wrote, for the caller to validate as a
+/// graph: `n` fixes the endpoint width, the endpoints the edge count, and
+/// the weights must sit at the width their largest needs.
+///
+/// # Errors
+///
+/// `InvalidData` on a misshapen meta section, `n` past
+/// [`crate::wire::MAX_SNAPSHOT_NODES`], section lengths that disagree
+/// with their widths, or weights wider than their largest needs.
+pub fn read_edges(c: &mut ArenaCursor<'_>) -> io::Result<EdgeList> {
+    let n = match c.u64s()?[..] {
+        [n] if n <= crate::wire::MAX_SNAPSHOT_NODES as u64 => n as usize,
+        _ => return Err(invalid_data("edge list meta section misshapen")),
+    };
+    let ends = UintView::new(c.shared()?, width_for(n.saturating_sub(1) as u64))?;
+    let (weights, m) = (c.shared()?, ends.len() / 2);
+    let wb = weights.len().checked_div(m).unwrap_or(1);
+    let weights = UintView::new(weights, wb).ok();
+    let weights = weights
+        .filter(|w| ends.len() == 2 * m && w.len() == m)
+        .ok_or_else(|| invalid_data("edge list sections disagree on length"))?;
+    if m > 0 && width_for(weights.iter().max().unwrap_or(0)) != wb {
+        return Err(invalid_data(format!(
+            "edge weights wider than their largest needs ({wb} bytes)"
+        )));
+    }
+    let ends: Vec<u64> = ends.iter().collect();
+    let edges = ends.chunks_exact(2).zip(weights.iter());
+    Ok((
+        n,
+        edges
+            .map(|(ab, w)| (ab[0] as u32, ab[1] as u32, w))
+            .collect(),
+    ))
 }
 
 /// Builds an arena: append sections, then [`ArenaWriter::finish`] into
@@ -419,12 +535,6 @@ impl ArenaWriter {
                 self.body.extend_from_slice(&x.to_le_bytes());
             }
         }
-    }
-
-    /// Appends a section of raw bytes (alias of [`ArenaWriter::section`]
-    /// for symmetry with the typed helpers).
-    pub fn u8s(&mut self, xs: &[u8]) {
-        self.section(xs);
     }
 
     /// Appends a section produced by a [`crate::wire`]-style writer
@@ -589,36 +699,6 @@ impl ArenaReader {
     }
 }
 
-/// Decodes a section of little-endian `u64`s.
-///
-/// # Errors
-///
-/// `InvalidData` when the byte length is not a multiple of 8.
-pub fn decode_u64s(bytes: &[u8]) -> io::Result<Vec<u64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(invalid_data("u64 section length not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect())
-}
-
-/// Decodes a section of little-endian `u32`s.
-///
-/// # Errors
-///
-/// `InvalidData` when the byte length is not a multiple of 4.
-pub fn decode_u32s(bytes: &[u8]) -> io::Result<Vec<u32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(invalid_data("u32 section length not a multiple of 4"));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect())
-}
-
 /// Sequential section consumer; every codec's `read_arena` pulls its
 /// sections from one shared cursor in the exact order `write_arena`
 /// pushed them.
@@ -675,7 +755,7 @@ impl<'r> ArenaCursor<'r> {
     ///
     /// `InvalidData` on exhaustion or a misaligned length.
     pub fn u64s(&mut self) -> io::Result<Vec<u64>> {
-        decode_u64s(self.bytes()?)
+        Ok(self.u64v()?.to_vec())
     }
 
     /// Takes the next section as `u32`s.
@@ -684,16 +764,7 @@ impl<'r> ArenaCursor<'r> {
     ///
     /// `InvalidData` on exhaustion or a misaligned length.
     pub fn u32s(&mut self) -> io::Result<Vec<u32>> {
-        decode_u32s(self.bytes()?)
-    }
-
-    /// Takes the next section as owned bytes.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on exhaustion.
-    pub fn u8s(&mut self) -> io::Result<Vec<u8>> {
-        Ok(self.bytes()?.to_vec())
+        Ok(self.u32v()?.to_vec())
     }
 
     /// Takes the next section as `bool`s (one byte each, 0/1).
@@ -742,7 +813,7 @@ mod tests {
     fn fill(a: &mut ArenaWriter) {
         a.u64s(&[1, u64::MAX, 42]);
         a.u32s(&[7, 8, 9, 10, 11]);
-        a.u8s(&[1, 0, 1]);
+        a.section(&[1, 0, 1]);
         a.stream(|sink| {
             let mut w = crate::wire::WireWriter::new(sink);
             w.u16(99)?;

@@ -240,15 +240,11 @@ impl Topology {
         (0..self.n as u32).map(NodeId)
     }
 
-    /// Emits the topology into an arena: a `[n]` meta section plus the
-    /// canonical undirected edge list split SoA (endpoints, weights).
+    /// Emits the topology into an arena: its canonical undirected edge
+    /// list through the shared narrow codec
+    /// ([`crate::arena::write_edges`]).
     pub fn write_arena(&self, a: &mut crate::arena::ArenaWriter) {
-        a.u64s(&[self.len() as u64]);
-        let edges = self.undirected_edges();
-        let endpoints: Vec<u32> = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
-        let weights: Vec<u64> = edges.iter().map(|&(_, _, w)| w).collect();
-        a.u32s(&endpoints);
-        a.u64s(&weights);
+        crate::arena::write_edges(a, self.len(), &self.undirected_edges());
     }
 
     /// Reads what [`Topology::write_arena`] wrote, re-validating through
@@ -261,28 +257,7 @@ impl Topology {
     /// Returns `InvalidData` on malformed sections or an invalid edge
     /// list.
     pub fn read_arena(c: &mut crate::arena::ArenaCursor<'_>) -> std::io::Result<Topology> {
-        let meta = c.u64s()?;
-        let [n] = meta[..] else {
-            return Err(crate::wire::invalid_data("topology meta section misshapen"));
-        };
-        let n = usize::try_from(n).map_err(|_| crate::wire::invalid_data("topology n overflow"))?;
-        if n > crate::wire::MAX_SNAPSHOT_NODES {
-            return Err(crate::wire::invalid_data(format!(
-                "topology snapshot claims {n} nodes"
-            )));
-        }
-        let endpoints = c.u32s()?;
-        let weights = c.u64s()?;
-        if endpoints.len() != weights.len() * 2 {
-            return Err(crate::wire::invalid_data(
-                "topology SoA sections disagree on length",
-            ));
-        }
-        let edges: Vec<(u32, u32, u64)> = endpoints
-            .chunks_exact(2)
-            .zip(&weights)
-            .map(|(ab, &w)| (ab[0], ab[1], w))
-            .collect();
+        let (n, edges) = crate::arena::read_edges(c)?;
         Topology::from_edges(n, &edges)
             .map_err(|e| crate::wire::invalid_data(format!("bad topology: {e}")))
     }

@@ -31,34 +31,43 @@
 //! rows, never configured: `lb = bits(rungs.len() − 1)`, `hb = bits(max
 //! hops + 1)` and `pb = bits(max port + 1)`, so the all-ones value of the
 //! hops and port fields is never a real one. A word takes
-//! `w = ⌈(pb + hb + lb) / 8⌉` bytes (1 to 4).
+//! `w = ⌈(pb + hb + lb) / 8⌉` bytes (1 to 4). A keyed record's key
+//! takes `kb` bytes, derived the same way from the table's *key count*
+//! (below): 1 up to 2⁸ keys, 2 up to 2¹⁶, else 4. `kb` rides in the
+//! widths word's fourth byte, beside `pb | hb | lb`.
 //!
-//! **Rows are keyed by source rank.** The table's *members* are the
-//! sources its rows name, and a row stores each source as its *key*: its
-//! rank among the members. A row is *direct* (one slot per key in
-//! `[lo_src, hi_src]`) when `span · w ≤ len · (4 + w)` (`span ≤ 3 · len`
-//! at `w = 2`), else *keyed*. A probe maps the node id to its key first
-//! (a non-member is a miss), and every read that hands out entries maps
-//! the key back, so callers only ever see node ids. The map is derived
-//! like the widths: when the members are exactly `0..n` — every
-//! full-coverage table — a key is the node id itself and both map
-//! sections are empty, so such a table pays nothing for it. A partial
-//! table (sources `S ⊂ V`, every 16th node say) gets ranks `0..|S|`, so a
-//! row of a few hundred entries spans about that many keys instead of
-//! the whole id space and goes direct. A table that names a source at or
-//! past its row count (only a synthetic one: [`FlatTables::validate`]
-//! refuses it against any topology) keeps node ids as keys too.
+//! **Rows are keyed by source rank.** The table's *members* are the sources
+//! its rows name, and a row stores each source as its *key*: its rank among
+//! the members. A row is *direct* (one slot per key in `[lo_src, hi_src]`)
+//! when `span · w ≤ len · (kb + w)` (`span ≤ 1.5 · len` at `w = 2` and
+//! 1-byte keys), else *keyed*. A probe maps the node id to its key first (a
+//! non-member is a miss), and every read that hands out entries maps the
+//! key back, so callers only ever see node ids. The map is derived like the
+//! widths: when the members are exactly `0..n` — every full-coverage table
+//! — a key is the node id itself and both map sections are empty, so such a
+//! table pays nothing for it. A partial table (sources `S ⊂ V`, every 16th
+//! node say) gets ranks `0..|S|`, so a row of a few hundred entries spans
+//! about that many keys instead of the whole id space and goes direct, and
+//! a sparse row's keys take one byte while `|S| ≤ 256`. The key count is
+//! the member count in a mapped table and `n` in an identity one. A table
+//! that names a source at or past its row count (only a synthetic one:
+//! [`FlatTables::validate`] refuses it against any topology) keeps node ids
+//! as keys too, at 4 bytes.
 //!
 //! | section | bytes | read by |
 //! |---|---|---|
-//! | records: keyed `key u32 \| word`, direct `word`, then `8 − w` zero bytes | `4 + w` / `w` a slot | every probe |
+//! | records: keyed `key \| word`, direct `word`, then `8 − w` zero bytes | `kb + w` / `w` a slot | every probe |
 //! | row word (one LE `u64`) | 8 / row | [`FlatTables::cursor`] |
-//! | ladder `[pb \| hb << 8 \| lb << 16, h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
+//! | ladder `[pb \| hb << 8 \| lb << 16 \| kb << 24, h′, rungs…]` (LE `u64`s) | 8 / rung | every estimate |
 //! | escape indices (`u32`) and values (`hops \| port << 32`) | 12 / escaped slot | a marker read |
 //! | members: the sources' node ids, increasing (`u32`) | 4 / member | rank → id |
-//! | ranks: each node's key, `u32::MAX` for a non-member | 4 / node | id → rank, every probe |
+//! | ranks: each node's key, all ones for a non-member | `rb` / node | id → rank, every probe |
 //!
-//! Both map sections are empty when keys are node ids.
+//! Both map sections are empty when keys are node ids. The ranks take
+//! `rb` bytes, the narrowest of 1, 2 or 4 whose all-ones sentinel sits
+//! above every rank: 2 at 256 members. [`FlatTables::read_arena`] takes
+//! no other `rb`, and [`FlatTables::validate`] no `kb` but the key
+//! count's, so every table has one encoding.
 //!
 //! The tail padding lets a probe read any record with one little-endian
 //! `u64` load and a mask. A *slot* is a keyed entry or one source offset
@@ -105,7 +114,7 @@
 //! word u32` record at the even split (escaping what overflows), then
 //! decodes each row, rewrites each source as its key and the row at the
 //! derived widths, in its smaller form, earlier in the same buffer.
-//! No row grows (`len · (4 + w)` and `span · w` direct are both at most
+//! No row grows (`len · (kb + w)` and `span · w` direct are both at most
 //! `8 · len`), so no second buffer is needed.
 //!
 //! Both layouts serialize *directly* (their snapshot bytes are the
@@ -113,7 +122,9 @@
 //! reload → re-save stays byte-identical without any sort-on-write step.
 
 use crate::pde::RouteInfo;
-use congest::arena::{ArenaCursor, ArenaWriter, SharedBytes, U32View, U64View};
+use congest::arena::{
+    width_for, ArenaCursor, ArenaWriter, SharedBytes, U32View, U64View, UintView,
+};
 use congest::wire::invalid_data;
 use congest::{NodeId, Port, Topology};
 use graphs::INF;
@@ -138,21 +149,11 @@ pub struct FlatEntry {
     pub est: u64,
 }
 
-/// Bytes of a keyed record's source key.
-const KEY_BYTES: usize = 4;
 /// Low halves of the offset words (see the module docs): a direct row's,
 /// or'd with its `lo_src` (the low bits), and a keyed row's.
 const DIRECT_WORD: u32 = 0xC000_0000;
 const KEYED_WORD: u32 = 0xA000_0000;
 const LO_SRC_BITS: u32 = congest::wire::MAX_SNAPSHOT_NODES as u32 - 1;
-/// A non-member's entry in the ranks section.
-const NO_RANK: u32 = u32::MAX;
-
-/// The little-endian `u32` at the start of `b`.
-#[inline(always)]
-fn le32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("4 bytes"))
-}
 
 /// The little-endian `u64` at the start of `b`.
 #[inline(always)]
@@ -163,6 +164,20 @@ fn le64(b: &[u8]) -> u64 {
 /// Bits `x` needs (none for 0).
 fn bits(x: u64) -> u32 {
     u64::BITS - x.leading_zeros()
+}
+
+/// Bytes of a key among `count` keys: 1 up to 2⁸ keys, 2 up to 2¹⁶,
+/// else 4.
+fn key_bytes(count: u64) -> u32 {
+    width_for(count.saturating_sub(1)) as u32
+}
+
+/// The source key at the start of a keyed record of `kb`-byte keys.
+#[inline(always)]
+fn key_at(rec: &[u8], kb: usize) -> u32 {
+    let mut key = [0; 4];
+    key[..kb].copy_from_slice(&rec[..kb]);
+    u32::from_le_bytes(key)
 }
 
 /// Whether `[h′, rungs…]` is a ladder a table decodes over (see the
@@ -182,28 +197,31 @@ struct Fields {
     port: Port,
 }
 
-/// A table's word layout (see the module docs): the low `lb` bits of a
-/// word hold the level, the next `hb` the hops and the top `pb` the port.
+/// A table's record layout (see the module docs): the low `lb` bits of
+/// a word hold the level, the next `hb` the hops and the top `pb` the
+/// port, and a keyed record's key takes `kb` bytes before its word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Layout {
     lb: u32,
     hb: u32,
     pb: u32,
+    kb: u32,
 }
 
 impl Layout {
     /// The layout a section word spells, if it is one a table over
     /// `rungs` rungs can have (see the module docs).
     fn of_word(word: u64, rungs: usize) -> Option<Layout> {
-        let [pb, hb, lb] = [0, 8, 16].map(|at| (word >> at) as u32 & 0xFF);
-        let l = Layout { lb, hb, pb };
+        let [pb, hb, lb, kb] = [0, 8, 16, 24].map(|at| (word >> at) as u32 & 0xFF);
+        let l = Layout { lb, hb, pb, kb };
         let fits = lb == bits(rungs as u64 - 1) && hb * pb > 0 && l.bits() <= 32;
-        (fits && l.word() == word).then_some(l)
+        (fits && matches!(kb, 1 | 2 | 4) && l.word() == word).then_some(l)
     }
 
     /// The ladder section's first word.
     fn word(self) -> u64 {
-        u64::from(self.pb) | u64::from(self.hb) << 8 | u64::from(self.lb) << 16
+        let [pb, hb, lb, kb] = [self.pb, self.hb, self.lb, self.kb].map(u64::from);
+        pb | hb << 8 | lb << 16 | kb << 24
     }
 
     /// Bits of a word.
@@ -221,7 +239,7 @@ impl Layout {
     /// Bytes of a keyed record (`keyed`) or a direct slot.
     #[inline(always)]
     fn width(self, keyed: bool) -> usize {
-        self.bytes() + KEY_BYTES * usize::from(keyed)
+        self.bytes() + self.kb as usize * usize::from(keyed)
     }
 
     /// The all-ones word: an absent slot.
@@ -373,8 +391,8 @@ impl Form {
     fn slot(self, recs: &[u8], layout: Layout, j: usize) -> Slot {
         let (src, word) = match self {
             Form::Keyed(_) => {
-                let rec = le64(&recs[j * layout.width(true)..]);
-                (rec as u32, rec >> 32)
+                let (rec, kbits) = (le64(&recs[j * layout.width(true)..]), 8 * layout.kb);
+                ((rec & ((1 << kbits) - 1)) as u32, rec >> kbits)
             }
             Form::Direct(lo) => (lo.wrapping_add(j as u32), le64(&recs[j * layout.bytes()..])),
         };
@@ -405,10 +423,10 @@ pub struct FlatTables {
     /// The field widths, derived from the rows.
     layout: Layout,
     /// The source map (see the module docs): the members' node ids,
-    /// increasing, and each node's key ([`NO_RANK`] for a non-member);
-    /// both empty when keys are node ids.
+    /// increasing, and each node's key (the all-ones value of the ranks'
+    /// width for a non-member); both empty when keys are node ids.
     members: U32View,
-    ranks: U32View,
+    ranks: UintView,
 }
 
 /// One slot as stored, markers included: its source's key (implied in a
@@ -450,7 +468,7 @@ impl FlatTables {
         // widths each entry needs counted.
         let lb = bits(rungs.len() as u64 - 1);
         let (pb, hb) = ((32 - lb) / 2, (33 - lb) / 2);
-        let first = Layout { lb, hb, pb };
+        let first = Layout { lb, hb, pb, kb: 4 };
         let mut recs = Vec::with_capacity(8 * entries + 8);
         let rec = |key: u32, word: u32| (u64::from(key) | u64::from(word) << 32).to_le_bytes();
         let (mut ends, mut wide, mut routes) = (Vec::with_capacity(n), Vec::new(), Vec::new());
@@ -481,18 +499,25 @@ impl FlatTables {
         assert_eq!(recs.len() / 8, entries, "rows do not add up to `entries`");
 
         // The map: ranks among the named sources, unless those are `0..n`
-        // (or pass it) and the keys stay node ids.
+        // (or pass it) and the keys stay node ids — any `u32` past `n`.
         let mut members: Vec<u32> = (0..n as u32).filter(|&v| named[v as usize]).collect();
-        let mut ranks = Vec::new();
-        if past_n || members.len() == n {
-            members.clear();
+        let keys = if past_n {
+            1 << 32
         } else {
-            ranks = vec![NO_RANK; n];
+            members.len() as u64
+        };
+        let identity = past_n || members.len() == n;
+        if identity {
+            members.clear();
+        }
+        let (rb, mut ranks) = (width_for(members.len() as u64), Vec::new());
+        if !identity {
+            ranks = vec![u64::MAX >> (64 - 8 * rb); n];
             for (rank, &id) in members.iter().enumerate() {
-                ranks[id as usize] = rank as u32;
+                ranks[id as usize] = rank as u64;
             }
         }
-        let key = |id: u32| ranks.get(id as usize).copied().unwrap_or(id);
+        let key = |id: u32| ranks.get(id as usize).map_or(id, |&rank| rank as u32);
 
         // The pack: the widths the rows need if they fit 32 bits, else
         // the first pass's; each row decoded, then written at or before
@@ -501,8 +526,15 @@ impl FlatTables {
             lb,
             hb: bits(u64::from(widest_hops) + 1),
             pb: bits(u64::from(widest_port) + 1),
+            kb: key_bytes(keys),
         };
-        let l = if exact.bits() <= 32 { exact } else { first };
+        let l = match exact.bits() <= 32 {
+            true => exact,
+            false => Layout {
+                kb: exact.kb,
+                ..first
+            },
+        };
         let (mut starts, mut words) = (vec![0u32], Vec::with_capacity(n));
         let (mut wide_idx, mut wide_vals) = (Vec::new(), Vec::new());
         let (mut wide, mut row) = (wide.into_iter(), Vec::new());
@@ -534,11 +566,14 @@ impl FlatTables {
             // A direct slot is a keyed record without its key; a direct
             // row's holes keep the all-ones word.
             let (slots, width) = (direct.map_or(row.len(), |d| d.1), l.width(direct.is_none()));
-            let skip = KEY_BYTES + l.bytes() - width;
+            let kbits = 8 * (width - l.bytes());
+            let stored = |key: u32, word: u32| {
+                (u64::from(key) & ((1 << kbits) - 1) | u64::from(word) << kbits).to_le_bytes()
+            };
             assert!(write + slots * width <= 8 * end, "a packed row grew");
             let out = &mut recs[write..write + slots * width];
             for hole in out.chunks_exact_mut(width) {
-                hole.copy_from_slice(&rec(0, l.all())[skip..][..width]);
+                hole.copy_from_slice(&stored(0, l.all())[..width]);
             }
             for (i, &(key, f)) in row.iter().enumerate() {
                 let j = direct.map_or(i, |(lo, _)| (key - lo) as usize);
@@ -546,7 +581,7 @@ impl FlatTables {
                     wide_idx.push((len + j) as u32);
                     wide_vals.push(x);
                 });
-                out[j * width..][..width].copy_from_slice(&rec(key, word)[skip..][..width]);
+                out[j * width..][..width].copy_from_slice(&stored(key, word)[..width]);
             }
             starts.push(u32::try_from(len + slots).expect("flat table fits u32 offsets"));
             before += direct.map_or(0, |d| d.1 as u32);
@@ -564,7 +599,7 @@ impl FlatTables {
             wide_vals: U64View::from_vals(&wide_vals),
             layout: l,
             members: U32View::from_vals(&members),
-            ranks: U32View::from_vals(&ranks),
+            ranks: UintView::from_vals(ranks, rb),
         }
     }
 
@@ -620,8 +655,8 @@ impl FlatTables {
         let (form, before) = Form::of_word(self.words.get(v.index()));
         // A direct slot is a keyed record without its key; `read_arena`
         // proved every row's records lie inside the section.
-        let width = self.layout.width(true);
-        let hot = (range.start * width).saturating_sub(before as usize * KEY_BYTES);
+        let (width, kb) = (self.layout.width(true), self.layout.kb as usize);
+        let hot = (range.start * width).saturating_sub(before as usize * kb);
         RowCursor {
             tab: self,
             row_start: range.start,
@@ -646,7 +681,7 @@ impl FlatTables {
             return Some(s.0);
         }
         let rank = (s.index() < self.ranks.len()).then(|| self.ranks.get(s.index()))?;
-        (rank != NO_RANK).then_some(rank)
+        (rank != self.ranks.ones()).then_some(rank as u32)
     }
 
     /// The node id of the source stored as `key` (`None` past the
@@ -731,7 +766,8 @@ impl FlatTables {
     /// included), the escape indices and the row words (canonical, and
     /// counting the direct slots before each row exactly, so every row's
     /// records lie where its word puts them) and the map's (both sections
-    /// empty, or one rank per node beside fewer members than nodes).
+    /// empty, or one rank per node at the width the member count needs
+    /// beside fewer members than nodes).
     /// Per-slot sweeps are *not*
     /// run here: [`FlatTables::validate`] owns them, the arena checksum
     /// owns integrity, and [`RowCursor`] bounds every probe by its row
@@ -748,7 +784,7 @@ impl FlatTables {
         let words = c.u64v()?;
         let ladder = c.u64s()?;
         let (wide_idx, wide_vals) = (c.u32v()?, c.u64v()?);
-        let (members, ranks) = (c.u32v()?, c.u32v()?);
+        let (members, ranks) = (c.u32v()?, c.shared()?);
         let n = starts
             .len()
             .checked_sub(1)
@@ -773,6 +809,10 @@ impl FlatTables {
         if words.len() != n {
             return Err(invalid_data("flat table row-word section misshapen"));
         }
+        // One rank per node at the width that holds the members' count,
+        // the non-members' all-ones sentinel above every rank.
+        let rb = width_for(members.len() as u64);
+        let ranks = UintView::new(ranks, rb)?;
         let identity = ranks.is_empty() && members.is_empty();
         if !identity && (ranks.len() != n || members.len() >= n) {
             return Err(invalid_data("flat table source map misshapen"));
@@ -805,25 +845,25 @@ impl FlatTables {
         })
     }
 
-    /// Validates rows against the topology they will be queried on: one
-    /// row per node; the source map, if any, a bijection between its
-    /// members (node ids, strictly increasing) and the ranks below their
-    /// count; keys in range (below the member count, or `n` without a
-    /// map) and strictly increasing within each row (the key scan, the
-    /// binary search and canonical re-save assume it), every keyed entry
-    /// inside the window its row's fit predicts for its key (so a probe
-    /// can never miss a stored entry), ports within each node's degree
-    /// ([`Topology::neighbor`] only debug-asserts its port, so a
-    /// corrupted port would silently resolve to a wrong neighbor in
-    /// release builds), every word inside its fields and on the ladder
-    /// (`level < rungs.len()`, `hops ≤ h′`), and escape records matching
-    /// the marked slots one to one (an absent direct slot: the all-ones
-    /// word, no record).
+    /// Validates rows against the topology they will be queried on: one row per
+    /// node; the source map, if any, a bijection between its members (node ids,
+    /// strictly increasing) and the ranks below their count; keys at the width
+    /// their count needs, in range (below the member count, or `n` without a
+    /// map) and strictly increasing within each row (the key scan, the binary
+    /// search and canonical re-save assume it), every keyed entry inside the
+    /// window its row's fit predicts for its key (so a probe can never miss a
+    /// stored entry), ports within each node's degree ([`Topology::neighbor`]
+    /// only debug-asserts its port, so a corrupted port would silently resolve
+    /// to a wrong neighbor in release builds), every word inside its fields and
+    /// on the ladder (`level < rungs.len()`, `hops ≤ h′`), and escape records
+    /// matching the marked slots one to one (an absent direct slot: the
+    /// all-ones word, no record).
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on a source map that is not such a
-    /// bijection, any out-of-range key or port, an unsorted row, an
+    /// bijection, a key width other than its count's, any out-of-range
+    /// key or port, an unsorted row, an
     /// entry outside its predicted window, a word with bits past its
     /// fields or off the ladder, a marker without an escape record
     /// (outside an absent slot), or an escape record without a marker.
@@ -836,18 +876,25 @@ impl FlatTables {
         // other node may have a rank.
         let mut last = None;
         for (rank, id) in self.members.iter().enumerate() {
-            let back = (id as usize) < topo.len() && self.ranks.get(id as usize) == rank as u32;
+            let back = (id as usize) < topo.len() && self.ranks.get(id as usize) == rank as u64;
             if !back || last.replace(id).is_some_and(|l| l >= id) {
                 return Err(invalid_data("flat table source map is not a bijection"));
             }
         }
-        if self.ranks.iter().filter(|&r| r != NO_RANK).count() != self.members.len() {
+        let no_rank = self.ranks.ones();
+        if self.ranks.iter().filter(|&r| r != no_rank).count() != self.members.len() {
             return Err(invalid_data("flat table ranks a node outside its members"));
         }
         let keys = match self.ranks.is_empty() {
             true => topo.len(),
             false => self.members.len(),
         };
+        if self.layout.kb != key_bytes(keys as u64) {
+            return Err(invalid_data(format!(
+                "flat table keys {keys} sources at {} bytes, not the width their count needs",
+                self.layout.kb
+            )));
+        }
         let (l, horizon, rungs) = (self.layout, self.ladder[0], &self.ladder[1..]);
         let all = l.all();
         let mut marked = 0usize;
@@ -919,30 +966,30 @@ const SMALL_ROW_SCAN: usize = 16;
 const WIDE_WINDOW: usize = 64;
 
 /// Branchless key scan over keyed records of `R` bytes: compares each
-/// record's leading `u32` source key and keeps the last hit's index — row
+/// record's leading `K`-byte source key and keeps the last hit's index — row
 /// keys are unique (strictly sorted), so "last" and "first" coincide on
 /// valid data. The loop has no early exit and no data-dependent branch,
 /// so LLVM unrolls and vectorizes it (the workspace forbids `unsafe`, so
 /// this shape — not intrinsics — is the whole trick).
 #[inline]
-fn scan_keys<const R: usize>(recs: &[u8], key: u32) -> Option<usize> {
+fn scan_keys<const R: usize, const K: usize>(recs: &[u8], key: u32) -> Option<usize> {
     let mut hit = usize::MAX;
     for (i, rec) in recs.chunks_exact(R).enumerate() {
-        hit = if le32(rec) == key { i } else { hit };
+        hit = if key_at(rec, K) == key { i } else { hit };
     }
     (hit != usize::MAX).then_some(hit)
 }
 
-/// Binary search for `key` over keyed records of `width` bytes — what a
-/// probe falls back to when its window is too wide to sweep (so
-/// clustered ids cost `O(log)` instead of a long scan), or its records
-/// have no swept width (1- and 3-byte words).
+/// Binary search for `key` over keyed records of `width` bytes with
+/// `kb`-byte keys — what a probe falls back to when its window is too
+/// wide to sweep (so clustered ids cost `O(log)` instead of a long scan),
+/// or its records have no swept width.
 #[cold]
-fn search_keys(recs: &[u8], width: usize, key: u32) -> Option<usize> {
+fn search_keys(recs: &[u8], (width, kb): (usize, usize), key: u32) -> Option<usize> {
     let (mut lo, mut hi) = (0, recs.len() / width);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match le32(&recs[mid * width..]).cmp(&key) {
+        match key_at(&recs[mid * width..], kb).cmp(&key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
             std::cmp::Ordering::Equal => return Some(mid),
@@ -1007,13 +1054,14 @@ impl<'a> RowCursor<'a> {
         } else {
             fit.window(key, self.row_len)
         };
-        let width = self.tab.layout.width(true);
-        let recs = &self.recs[window.start * width..window.end * width];
-        let j = match width {
-            _ if window.len() > WIDE_WINDOW => search_keys(recs, width, key),
-            6 => scan_keys::<6>(recs, key),
-            8 => scan_keys::<8>(recs, key),
-            _ => search_keys(recs, width, key),
+        let shape = (self.tab.layout.width(true), self.tab.layout.kb as usize);
+        let recs = &self.recs[window.start * shape.0..window.end * shape.0];
+        let j = match shape {
+            _ if window.len() > WIDE_WINDOW => search_keys(recs, shape, key),
+            (3, 1) => scan_keys::<3, 1>(recs, key),
+            (6, 4) => scan_keys::<6, 4>(recs, key),
+            (8, 4) => scan_keys::<8, 4>(recs, key),
+            _ => search_keys(recs, shape, key),
         }?;
         Some(self.slot(window.start + j))
     }
@@ -1382,7 +1430,8 @@ mod tests {
             Layout {
                 lb: 2,
                 hb: 4,
-                pb: 2
+                pb: 2,
+                kb: 4
             }
         );
         assert_eq!(sections_of(&ft)[1].len(), 2 * 5 + 7);
@@ -1619,7 +1668,8 @@ mod tests {
             Layout {
                 lb: 2,
                 hb: 15,
-                pb: 15
+                pb: 15,
+                kb: 1
             }
         );
         assert_eq!(ft.wide_idx.len(), 2);
@@ -1674,7 +1724,7 @@ mod tests {
             s[3].extend(ladder.iter().flat_map(|w| w.to_le_bytes()));
         }
         fn set_widths(s: &mut [Vec<u8>], (lb, hb, pb): (u64, u64, u64)) {
-            s[3][..8].copy_from_slice(&(pb | hb << 8 | lb << 16).to_le_bytes());
+            s[3][..8].copy_from_slice(&(pb | hb << 8 | lb << 16 | 1 << 24).to_le_bytes());
         }
         // Row 0's slot `j` is record bytes `4j..4j + 4`: the word
         // `port << 30 | hops << 2 | level`.
@@ -1803,8 +1853,9 @@ mod tests {
         let rows = mapped_rows();
         let ft = flat(&rows);
         assert_eq!(ft.members.to_vec(), [1, 3, 4, 6]);
-        let none = NO_RANK;
-        assert_eq!(ft.ranks.to_vec(), [none, 0, none, 1, 2, none, 3, none]);
+        let none = 0xFF;
+        let ranks: Vec<u64> = ft.ranks.iter().collect();
+        assert_eq!(ranks, [none, 0, none, 1, 2, none, 3, none]);
         // Row 0 spans ranks 0..=3 and row 1 ranks 0..=3 with two holes:
         // both direct, at one slot per rank.
         assert_eq!(form_of(&ft, 0), (Form::Direct(0), 0));
@@ -1834,7 +1885,8 @@ mod tests {
     #[test]
     fn hostile_maps_are_refused_or_answer_with_a_miss_never_a_panic() {
         // Sections: starts, records, words, ladder, escape pair, then
-        // members and ranks. Each case is refused by `read_arena`
+        // members and ranks (one byte each: four members and the 0xFF
+        // sentinel fit it). Each case is refused by `read_arena`
         // (`None`), or loads and fails `validate` (`Some(false)`); either
         // way no probe of a loaded table panics.
         let rows = mapped_rows();
@@ -1843,32 +1895,39 @@ mod tests {
             xs.iter().flat_map(|x| x.to_le_bytes()).collect()
         }
         type Mutate = dyn Fn(&mut [Vec<u8>]);
-        let cases: [(&str, Option<bool>, &Mutate); 9] = [
+        let cases: [(&str, Option<bool>, &Mutate); 12] = [
             ("members out of order", Some(false), &|s| {
                 s[6] = u32s(&[1, 4, 3, 6]);
-                s[7] = u32s(&[!0, 0, !0, 2, 1, !0, 3, !0]);
+                s[7] = vec![!0, 0, !0, 2, 1, !0, 3, !0];
             }),
             ("member past n", Some(false), &|s| {
                 s[6] = u32s(&[1, 3, 4, 8])
             }),
             ("rank past the members", Some(false), &|s| {
-                s[7] = u32s(&[!0, 0, !0, 1, 2, !0, 9, !0]);
+                s[7] = vec![!0, 0, !0, 1, 2, !0, 9, !0];
             }),
             ("a non-member ranked", Some(false), &|s| {
-                s[7] = u32s(&[3, 0, !0, 1, 2, !0, 3, !0]);
+                s[7] = vec![3, 0, !0, 1, 2, !0, 3, !0];
             }),
             ("keys past the members", Some(false), &|s| s[6].truncate(8)),
             ("no map under rank keys", Some(true), &|s| {
                 s[6].clear();
                 s[7].clear();
             }),
-            ("ranks one node short", None, &|s| s[7].truncate(28)),
+            ("ranks one node short", None, &|s| s[7].truncate(7)),
+            ("ranks wider than the members need", None, &|s| {
+                s[7] = s[7].iter().flat_map(|&r| [r, 0]).collect();
+            }),
+            ("2-byte keys for four members", Some(false), &|s| {
+                s[3][3] = 2
+            }),
+            ("keys of no width", None, &|s| s[3][3] = 0),
             ("ranks without any member", Some(false), &|s| {
                 s[6].clear();
             }),
             ("as many members as nodes", None, &|s| {
                 s[6] = u32s(&[0, 1, 2, 3, 4, 5, 6, 7]);
-                s[7] = u32s(&[0, 1, 2, 3, 4, 5, 6, 7]);
+                s[7] = vec![0, 1, 2, 3, 4, 5, 6, 7];
             }),
         ];
         for (what, valid, mutate) in cases {
@@ -1888,6 +1947,104 @@ mod tests {
                     assert_eq!(loaded.est(v, s), got.map(|e| e.est), "{what}: ({v}, {s})");
                 }
                 let _ = loaded.row_iter(v).count() + loaded.row_routes(v).count();
+            }
+        }
+    }
+
+    /// A path over `n` nodes: port 0 is valid at every node.
+    fn path(n: usize) -> Topology {
+        let edges: Vec<(u32, u32, u64)> = (1..n as u32).map(|v| (v - 1, v, 1)).collect();
+        graphs::WGraph::from_edges(n, &edges).unwrap().to_topology()
+    }
+
+    /// Round trips at the key widths' boundaries — 1, 255, 256, 257,
+    /// 65 535, 65 536 and 65 537 keys — as node ids (`count` nodes, each
+    /// named) and as ranks (members skipping every third id, so the last
+    /// node is never named), with and without an escaped hop count. Row 0
+    /// holds every key (direct), row 1 every seventh and the last (keyed
+    /// past seven keys), row 2 the last key with the escape case's hop
+    /// count and row 3 keys 0, 1, 2 and 4 (direct, with a hole).
+    #[test]
+    fn key_widths_round_trip_at_their_boundaries() {
+        let cases = [(false, false), (false, true), (true, false), (true, true)];
+        for count in [1usize, 255, 256, 257, 65_535, 65_536, 65_537] {
+            for (mapped, escape) in cases {
+                let at = format!("{count} keys, mapped {mapped}, escape {escape}");
+                let id = |k: usize| (if mapped { k + k / 2 } else { k }) as u32;
+                let n = if mapped {
+                    id(count - 1) as usize + 2
+                } else {
+                    count
+                };
+                let entry = |k: usize| route(id(k), (k % 13) as u64 + 1, 0, k as u32 % 3);
+                let mut rows: Rows = vec![Vec::new(); n];
+                rows[0] = (0..count).map(entry).collect();
+                if n > 1 {
+                    let sparse = (0..count).filter(|k| k % 7 == 0 || k + 1 == count);
+                    rows[1] = sparse.map(entry).collect();
+                }
+                if n > 2 {
+                    let hops = if escape { HORIZON } else { 5 };
+                    rows[2] = vec![route(id(count - 1), hops, 0, 0)];
+                }
+                if n > 3 && count > 4 {
+                    rows[3] = [0, 1, 2, 4].map(entry).to_vec();
+                }
+                let ft = flat(&rows);
+                let kb = match count {
+                    ..=256 => 1,
+                    257..=65_536 => 2,
+                    _ => 4,
+                };
+                assert_eq!(ft.layout.kb, kb, "{at}");
+                assert_eq!(ft.ranks.len(), if mapped { n } else { 0 }, "{at}");
+                if mapped {
+                    let rb = ft.ranks.as_bytes().len() / n;
+                    assert_eq!(rb, width_for(count as u64), "{at}");
+                }
+                assert_eq!(!ft.wide_idx.is_empty(), escape && n > 2, "{at}");
+                assert_eq!(form_of(&ft, 0).0, Form::Direct(0), "{at}");
+                if count > 7 {
+                    assert!(matches!(form_of(&ft, 1).0, Form::Keyed(_)), "{at}");
+                }
+                if n > 3 && count > 4 {
+                    assert_eq!(form_of(&ft, 3).0, Form::Direct(0), "{at}");
+                }
+
+                // write → read → validate → write is a byte passthrough. A
+                // 1-node graph has no port to route through, so the one
+                // table over it skips `validate`.
+                let sections = sections_of(&ft);
+                let loaded = reload(&sections).unwrap();
+                if n > 1 {
+                    loaded.validate(&path(n)).unwrap();
+                }
+                assert_eq!(sections_of(&loaded), sections, "{at}");
+                assert_eq!(loaded, ft, "{at}");
+                let misses = [n as u32, u32::MAX]
+                    .into_iter()
+                    .chain(mapped.then(|| n as u32 - 1));
+                let misses: Vec<NodeId> = misses.map(NodeId).collect();
+                for t in [&ft, &loaded] {
+                    let mut rest = (4..n).map(NodeId::from_index);
+                    assert!(rest.all(|v| t.row_range(v).is_empty()), "{at}");
+                    for (v, want) in rows.iter().enumerate().take(4) {
+                        let v = NodeId::from_index(v);
+                        assert!(t.row_routes(v).eq(want.iter().copied()), "{at}: row {v}");
+                        let srcs = want.iter().map(|r| r.0 .0);
+                        assert!(t.row_iter(v).map(|e| e.src).eq(srcs), "{at}: row {v}");
+                        // Every key of a short row, about 1 000 of a long one.
+                        let step = want.len() / 1024 + 1;
+                        for &(s, r) in want.iter().step_by(step).chain(want.last()) {
+                            let got = t.get(v, s).map(|e| (e.src, e.est, e.port));
+                            assert_eq!(got, Some((s.0, r.est, r.port)), "{at}: ({v}, {s})");
+                            assert_eq!(t.est(v, s), Some(r.est), "{at}: ({v}, {s})");
+                        }
+                        for &s in &misses {
+                            assert_eq!((t.get(v, s), t.est(v, s)), (None, None), "{at}: {s}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -234,14 +234,10 @@ impl WGraph {
             .map_err(|e| congest::wire::invalid_data(format!("bad graph snapshot: {e}")))
     }
 
-    /// Emits the graph into an arena: a `[n]` meta section plus the
-    /// canonical edge list split SoA (endpoints, weights).
+    /// Emits the graph into an arena: its canonical edge list through
+    /// the shared narrow codec ([`congest::arena::write_edges`]).
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
-        a.u64s(&[self.n as u64]);
-        let endpoints: Vec<u32> = self.edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
-        let weights: Vec<u64> = self.edges.iter().map(|&(_, _, w)| w).collect();
-        a.u32s(&endpoints);
-        a.u64s(&weights);
+        congest::arena::write_edges(a, self.n, &self.edges);
     }
 
     /// Reads what [`WGraph::write_arena`] wrote, re-validating through
@@ -254,28 +250,7 @@ impl WGraph {
     /// Returns `InvalidData` on malformed sections or an invalid edge
     /// list.
     pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> std::io::Result<Self> {
-        let meta = c.u64s()?;
-        let [n] = meta[..] else {
-            return Err(congest::wire::invalid_data("graph meta section misshapen"));
-        };
-        let n = usize::try_from(n).map_err(|_| congest::wire::invalid_data("graph n overflow"))?;
-        if n > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(congest::wire::invalid_data(format!(
-                "graph snapshot claims {n} nodes"
-            )));
-        }
-        let endpoints = c.u32s()?;
-        let weights = c.u64s()?;
-        if endpoints.len() != weights.len() * 2 {
-            return Err(congest::wire::invalid_data(
-                "graph SoA sections disagree on length",
-            ));
-        }
-        let edges: Vec<(u32, u32, u64)> = endpoints
-            .chunks_exact(2)
-            .zip(&weights)
-            .map(|(ab, &w)| (ab[0], ab[1], w))
-            .collect();
+        let (n, edges) = congest::arena::read_edges(c)?;
         WGraph::from_edges(n, &edges)
             .map_err(|e| congest::wire::invalid_data(format!("bad graph snapshot: {e}")))
     }

@@ -582,7 +582,7 @@ impl Oracle {
         self.build_metrics().backend
     }
 
-    /// Writes the binary snapshot of this oracle (on-disk tag 12): a
+    /// Writes the binary snapshot of this oracle (on-disk tag 13): a
     /// 40-byte header, then one [`congest::arena`] container — an
     /// 8-byte-aligned section directory, typed sections and a trailing
     /// checksum, with narrow index-free routing tables and derived query

@@ -18,7 +18,8 @@
 //! | 9 | as 8, but route tables store each slot as its ladder code `(hops, rung)` beside its port, with no port or level side sections | — | rejected (rebuild) |
 //! | 10 | as 9, but each slot is one packed word `port \| hops \| level` with field widths derived from the table's rows | — | rejected (rebuild) |
 //! | 11 | as 10, but route rows are keyed by source rank, with the table's source map (member ids, per-node ranks) beside it | — | rejected (rebuild) |
-//! | 12 | as 11, but a PDE table holds only σ-list entries, with its transit hops (keys, ports) in two sections before it | [`Oracle::save`] | zero-copy views, derived state stored |
+//! | 12 | as 11, but a PDE table holds only σ-list entries, with its transit hops (keys, ports) in two sections before it | — | rejected (rebuild) |
+//! | 13 | as 12, but a keyed record's key, the ranks and every edge list's endpoints and weights take the narrowest width their data needs | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
 //! `approx_apsp` and `flooding` share the PDE layout under their own
 //! header tags (flooding's rows are exact: ε = 0, whole hops on rung 1).
@@ -62,12 +63,18 @@
 //!
 //! The routing tables inside a payload are [`pde_core::FlatTables`]
 //! sections: one record per slot holding one packed word `port | hops |
-//! level` (2 bytes a direct slot and 6 a keyed entry on every benchmark
-//! table; the widths come from the table's rows), one word per row, the
-//! table's `[widths, h′, rungs…]` and its source map (empty unless the
-//! rows name a proper subset of the nodes, whose ranks are then the
-//! rows' keys). The record format is private to
+//! level` and, in a keyed row, its source key before it (2 bytes a
+//! direct slot and 3 or 4 a keyed entry on every benchmark table; the
+//! widths come from the table's rows and its key count), one word per
+//! row, the table's `[widths, h′, rungs…]` and its source map (empty
+//! unless the rows name a proper subset of the nodes, whose ranks are
+//! then the rows' keys). The record format is private to
 //! `pde_core`'s `tables.rs`.
+//!
+//! Every graph or topology in a payload is one edge list
+//! ([`congest::arena::write_edges`]): a `[n]` section, the endpoints at
+//! the width that holds `n − 1` and the weights at the width that holds
+//! the largest; a load refuses any other width.
 //!
 //! A PDE-layout arena is the `[eps, h, σ]` meta section, the graph's
 //! sections, the transit hops (`node << 32 | source` keys, strictly
@@ -98,7 +105,7 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"PDOR";
 /// The one version tag this binary reads and writes (see the module
 /// docs); every other tag is a retired layout — rebuild and re-save.
-const VERSION: u16 = 12;
+const VERSION: u16 = 13;
 /// Fixed header size: magic, version, backend, one pad byte (so the arena
 /// that follows starts on an 8-byte boundary) and 4 × u64 metrics.
 const HEADER_BYTES: usize = 4 + 2 + 1 + 1 + 4 * 8;

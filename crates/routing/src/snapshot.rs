@@ -42,7 +42,7 @@ impl RtcScheme {
         a.u64s(&dist_homes);
         a.u64s(&tree_dfs);
         let skeleton: Vec<u8> = self.skeleton.iter().map(|&f| u8::from(f)).collect();
-        a.u8s(&skeleton);
+        a.section(&skeleton);
         self.short.write_arena(a);
         a.u32s(&self.table_sizes);
         a.section(self.long_dist.as_bytes());

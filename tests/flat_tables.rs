@@ -183,9 +183,11 @@ fn flatten(model: &[BTreeMap<u32, RouteInfo>], (h, rungs): &Ladder) -> FlatTable
 /// reload re-saves byte-identically; that the field widths are the ones
 /// the rows need (the widest port and hop count, unless those two pass 32
 /// bits with the level: then an even split of the bits the level leaves,
-/// and only then an escape); and that the records
-/// take exactly `w` bytes a direct slot and `4 + w` a keyed one, so the
-/// table is no larger than that plus its fixed sections and its map.
+/// and only then an escape); that a key takes the bytes its count needs
+/// (the members', the nodes', or 4 for node ids past the node count); and
+/// that the records take exactly `w` bytes a direct slot and `kb + w` a
+/// keyed one, so the table is no larger than that plus its fixed
+/// sections and its map.
 /// Returns the word bytes `w`, the escaped slots and whether the table
 /// maps.
 fn check_against_model(
@@ -226,15 +228,27 @@ fn check_against_model(
     // members and ranks. The map is there exactly when the rows name a
     // proper subset of the nodes: then a key is a rank among the members.
     let sections = sections(&flat);
+    // Ranks take the bytes that hold the member count, which is their
+    // all-ones sentinel at most.
     let members: BTreeSet<u32> = model.iter().flat_map(BTreeMap::keys).copied().collect();
-    let mapped = members.len() < nodes && members.iter().all(|&s| (s as usize) < nodes);
+    let past = members.iter().any(|&s| s as usize >= nodes);
+    let mapped = members.len() < nodes && !past;
     let members: Vec<u32> = members.into_iter().collect();
+    let rb = [1, 2, 4]
+        .into_iter()
+        .find(|&b| members.len() < 1 << (8 * b))
+        .unwrap();
     let ranks: Vec<u32> = (0..nodes as u32)
         .map(|v| members.binary_search(&v).map_or(u32::MAX, |r| r as u32))
         .collect();
     let u32s = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let narrow = |xs: &[u32]| {
+        xs.iter()
+            .flat_map(|x| x.to_le_bytes()[..rb].to_vec())
+            .collect()
+    };
     match mapped {
-        true => prop_assert_eq!(&sections[6..], &[u32s(&members), u32s(&ranks)]),
+        true => prop_assert_eq!(&sections[6..], &[u32s(&members), narrow(&ranks)]),
         false => prop_assert!(sections[6].is_empty() && sections[7].is_empty()),
     }
     let (key, id) = (
@@ -247,7 +261,17 @@ fn check_against_model(
         .sum();
     let keyed = flat.len_entries() - direct;
     let widths = get_u64(&sections[3], 0);
-    let (pb, hb, lb) = (widths & 0xFF, widths >> 8 & 0xFF, widths >> 16);
+    let (pb, hb, lb) = (widths & 0xFF, widths >> 8 & 0xFF, widths >> 16 & 0xFF);
+    let keys = match (past, mapped) {
+        (true, _) => 1 << 32,
+        (false, true) => members.len(),
+        (false, false) => nodes,
+    };
+    let kb = [1, 2, 4]
+        .into_iter()
+        .find(|&b| keys <= 1 << (8 * b))
+        .unwrap_or(4);
+    prop_assert_eq!(widths >> 24, kb as u64);
     let bits = |x: u64| u64::from(u64::BITS - x.leading_zeros());
     let routes = || model.iter().flat_map(BTreeMap::values);
     let widest_port = bits(routes().map(|r| u64::from(r.port)).max().unwrap_or(0) + 1);
@@ -262,12 +286,12 @@ fn check_against_model(
         prop_assert!(escaped > 0);
     }
     let w = (pb + hb + lb).div_ceil(8) as usize;
-    prop_assert_eq!(sections[1].len(), w * direct + (4 + w) * keyed + 8 - w);
-    let map = 4 * (members.len() + nodes) * usize::from(mapped);
+    prop_assert_eq!(sections[1].len(), w * direct + (kb + w) * keyed + 8 - w);
+    let map = (4 * members.len() + rb * nodes) * usize::from(mapped);
     let fixed = 12 * (model.len() + 1) + 8 * (rungs.len() + 2) + 12 * escaped + 8 - w + map;
     let framing = 8 + 16 * sections.len() + 8 * sections.len() + 8;
     prop_assert!(
-        saved.len() <= w * direct + (4 + w) * keyed + fixed + framing,
+        saved.len() <= w * direct + (kb + w) * keyed + fixed + framing,
         "{} bytes for {} keyed and {} direct slots of {} bytes",
         saved.len(),
         keyed,
@@ -496,7 +520,9 @@ fn dense_table_costs_at_most_2_1_bytes_per_entry() {
 /// the direct encoding writes: offset words `0xC000_0000 | lo` beside the
 /// direct slots before each row, `word u16` slots with the all-ones word
 /// in each hole and the tail padding, the widths and the ladder, no
-/// escapes, the members' ids and each node's rank.
+/// escapes, the members' ids and each node's rank — at 2 bytes, since
+/// 256 ranks leave no room in one for the non-members' all-ones
+/// sentinel.
 #[test]
 fn strided_rows_go_direct_over_source_ranks() {
     let (n, sources) = (4096u32, 256u32);
@@ -513,7 +539,7 @@ fn strided_rows_go_direct_over_source_ranks() {
     let flat = flatten(&model, &ladder);
     let slots = flat.len_entries();
     let bytes = arena_bytes(|a| flat.write_arena(a)).len();
-    let map = 4 * (sources + n) as usize + 2 * 16;
+    let map = (4 * sources + 2 * n) as usize + 2 * 16;
     assert!(
         bytes as f64 <= 2.1 * slots as f64 + map as f64,
         "{bytes} bytes, {slots} slots"
@@ -539,7 +565,7 @@ fn strided_rows_go_direct_over_source_ranks() {
     assert_eq!(before as usize, slots);
     assert!(slots <= 256 * n as usize);
     want[1].extend([0; 6]);
-    let widths = 1 | 5 << 8 | 4 << 16;
+    let widths = 1 | 5 << 8 | 4 << 16 | 1 << 24;
     want[3] = [widths, ladder.0]
         .iter()
         .chain(&ladder.1)
@@ -548,8 +574,8 @@ fn strided_rows_go_direct_over_source_ranks() {
     want[6] = (0..sources).flat_map(|i| id(i).to_le_bytes()).collect();
     want[7] = (0..n)
         .flat_map(|v| match v % 16 == v / 16 % 16 {
-            true => (v / 16).to_le_bytes(),
-            false => u32::MAX.to_le_bytes(),
+            true => (v as u16 / 16).to_le_bytes(),
+            false => u16::MAX.to_le_bytes(),
         })
         .collect();
     assert_eq!(sections(&flat), want);
@@ -575,7 +601,7 @@ fn rows_at_the_boundary_take_the_smaller_form() {
 
 /// Builds a PDE oracle over `g` at `eps` and returns the word bytes `w`
 /// of its route table, after checking that the records take exactly `w`
-/// bytes a direct slot and `4 + w` a keyed one with no escape, that every
+/// bytes a direct slot and `kb + w` a keyed one with no escape, that every
 /// pair is answered within Definition 2.2 of exact APSP, and that the
 /// artifact reloads and re-saves byte-identically and answers and routes
 /// as built.
@@ -589,7 +615,8 @@ fn real_build_word_bytes(g: &WGraph, eps: f64) -> usize {
     let section = |back: usize| reader.section(reader.sections() - back).unwrap();
     let (starts, records, words) = (section(8), section(7), section(6));
     let widths = get_u64(section(5), 0);
-    let w = ((widths & 0xFF) + (widths >> 8 & 0xFF) + (widths >> 16)).div_ceil(8) as usize;
+    let w = ((widths & 0xFF) + (widths >> 8 & 0xFF) + (widths >> 16 & 0xFF)).div_ceil(8) as usize;
+    let kb = (widths >> 24) as usize;
     let slots = u32::from_le_bytes(starts[starts.len() - 4..].try_into().unwrap()) as usize;
     let keyed: usize = (0..g.len())
         .filter(|&v| get_u64(words, v) as u32 & 0xC000_0000 != 0xC000_0000)
@@ -600,7 +627,7 @@ fn real_build_word_bytes(g: &WGraph, eps: f64) -> usize {
         .sum();
     assert_eq!(
         records.len(),
-        w * slots + 4 * keyed + 8 - w,
+        w * slots + kb * keyed + 8 - w,
         "{w}-byte words"
     );
     assert!(section(4).is_empty(), "a real build took the escape");

@@ -268,25 +268,27 @@ fn put_u64(section: &mut [u8], i: usize, x: u64) {
 
 /// A table's field widths, from the first word of its ladder section:
 /// the level in the low `lb` bits of a slot's word, the hops in the next
-/// `hb`, the port in the top `pb`, the word `w` bytes.
+/// `hb`, the port in the top `pb`, the word `w` bytes, and a keyed
+/// record's key `kb` bytes before it.
 #[derive(Clone, Copy, Debug)]
 struct Widths {
     lb: u32,
     hb: u32,
     pb: u32,
+    kb: u32,
 }
 
 impl Widths {
     fn of(ladder: &[u8]) -> Widths {
         let word = get_u64(ladder, 0);
         let field = |at: u32| (word >> at) as u32 & 0xFF;
-        let (pb, hb, lb) = (field(0), field(8), field(16));
-        Widths { lb, hb, pb }
+        let (pb, hb, lb, kb) = (field(0), field(8), field(16), field(24));
+        Widths { lb, hb, pb, kb }
     }
 
     fn set(self, ladder: &mut [u8]) {
-        let Widths { lb, hb, pb } = self;
-        put_u64(ladder, 0, u64::from(pb | hb << 8 | lb << 16));
+        let Widths { lb, hb, pb, kb } = self;
+        put_u64(ladder, 0, u64::from(pb | hb << 8 | lb << 16 | kb << 24));
     }
 
     fn bits(self) -> u32 {
@@ -340,7 +342,9 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     // 12 make a 10-rung ladder, so the all-ones level is off it. The
     // partial build keys its rows by rank among the 14 sources (every
     // third id), through its source map, and keeps only σ-list entries;
-    // at σ = 4 its first row (ranks 4, 10 and 13) stays keyed.
+    // at σ = 4 its first row (ranks 4, 10 and 13) stays keyed. Both
+    // tables' keys take one byte (40 node ids, 14 ranks), and so do the
+    // partial table's ranks.
     let g = gen::gnp_connected(
         40,
         0.15,
@@ -395,16 +399,18 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
     let keyed_sections = arena_sections(&keyed);
     let keyed_words = &keyed_sections[keyed_sections.len() - WORDS];
     let keyed_starts = &keyed_sections[keyed_sections.len() - STARTS];
-    let keyed_width = 4 + Widths::of(&keyed_sections[keyed_sections.len() - LADDER]).w();
+    let keyed_widths = Widths::of(&keyed_sections[keyed_sections.len() - LADDER]);
+    let keyed_width = 1 + keyed_widths.w();
+    assert_eq!((widths.kb, keyed_widths.kb), (1, 1));
     assert!(is_fit(get_u64(keyed_words, 0)) && get_u32(keyed_starts, 1) >= 2);
     let members: Vec<u32> = (0..40).filter(|v| v % 3 == 0).collect();
     let keyed_members = &keyed_sections[keyed_sections.len() - MEMBERS];
     let keyed_ranks = &keyed_sections[keyed_sections.len() - RANKS];
     assert_eq!(keyed_members.len(), 4 * members.len());
-    assert_eq!(keyed_ranks.len(), 4 * 40);
+    assert_eq!(keyed_ranks.len(), 40);
     for (rank, &id) in members.iter().enumerate() {
         assert_eq!(get_u32(keyed_members, rank), id);
-        assert_eq!(get_u32(keyed_ranks, id as usize), rank as u32);
+        assert_eq!(keyed_ranks[id as usize], rank as u8);
     }
 
     // The escaped twin: the first eight present slots store the port
@@ -457,55 +463,85 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
         put_u32(&mut s[end - STARTS], 1, u32::MAX);
     });
     rejected("row out of source order", &keyed, &|s, end| {
-        let recs = &mut s[end - RECS];
-        let (a, b) = (get_u32(recs, 0), get_u32(&recs[keyed_width..], 0));
-        put_u32(recs, 0, b);
-        put_u32(&mut recs[keyed_width..], 0, a);
+        s[end - RECS].swap(0, keyed_width);
     });
 
     // The source map: read_arena checks its shape, validate that it is
     // a bijection between increasing node ids and the ranks below their
-    // count, and that every stored key is such a rank.
+    // count, and that every stored key is such a rank, at the width the
+    // count needs.
     let m = members.len();
-    rejected("stored key past the members", &keyed, &|s, end| {
+    let last_key = |s: &mut [Vec<u8>], end: usize, key: u8| {
         let row0 = get_u32(&s[end - STARTS], 1) as usize;
-        put_u32(&mut s[end - RECS][(row0 - 1) * keyed_width..], 0, m as u32);
+        s[end - RECS][(row0 - 1) * keyed_width] = key;
+    };
+    rejected("1-byte key at the member count", &keyed, &|s, end| {
+        last_key(s, end, m as u8);
+    });
+    rejected("1-byte key past the members", &keyed, &|s, end| {
+        last_key(s, end, u8::MAX);
+    });
+    for kb in [2, 4] {
+        let wide = Widths { kb, ..keyed_widths };
+        rejected(
+            &format!("{kb}-byte keys for {m} members"),
+            &keyed,
+            &|s, end| {
+                wide.set(&mut s[end - LADDER]);
+            },
+        );
+        let wide = Widths { kb, ..widths };
+        rejected(
+            &format!("{kb}-byte keys for 40 node ids"),
+            &light,
+            &|s, end| {
+                wide.set(&mut s[end - LADDER]);
+            },
+        );
+    }
+    rejected("3-byte keys", &keyed, &|s, end| {
+        Widths {
+            kb: 3,
+            ..keyed_widths
+        }
+        .set(&mut s[end - LADDER]);
     });
     rejected("member ids out of order", &keyed, &|s, end| {
         let (a, b) = (get_u32(&s[end - MEMBERS], 1), get_u32(&s[end - MEMBERS], 2));
         put_u32(&mut s[end - MEMBERS], 1, b);
         put_u32(&mut s[end - MEMBERS], 2, a);
-        put_u32(&mut s[end - RANKS], a as usize, 2);
-        put_u32(&mut s[end - RANKS], b as usize, 1);
+        s[end - RANKS][a as usize] = 2;
+        s[end - RANKS][b as usize] = 1;
     });
     rejected("member id past n", &keyed, &|s, end| {
         put_u32(&mut s[end - MEMBERS], m - 1, 40);
     });
     rejected("rank not naming its member back", &keyed, &|s, end| {
-        put_u32(&mut s[end - RANKS], members[0] as usize, 1);
+        s[end - RANKS][members[0] as usize] = 1;
     });
     rejected("a non-member ranked", &keyed, &|s, end| {
-        put_u32(&mut s[end - RANKS], 1, 0);
+        s[end - RANKS][1] = 0;
     });
     rejected("a member unranked", &keyed, &|s, end| {
-        put_u32(&mut s[end - RANKS], members[3] as usize, u32::MAX);
+        s[end - RANKS][members[3] as usize] = u8::MAX;
     });
     rejected("ranks section one node short", &keyed, &|s, end| {
-        s[end - RANKS].truncate(4 * 39);
+        s[end - RANKS].truncate(39);
+    });
+    rejected("ranks at 2 bytes for 14 members", &keyed, &|s, end| {
+        let ranks = &mut s[end - RANKS];
+        *ranks = ranks.iter().flat_map(|&r| [r, r / 0xFF]).collect();
     });
     rejected("every member dropped", &keyed, &|s, end| {
         s[end - MEMBERS].clear();
-        s[end - RANKS] = [u32::MAX; 40]
-            .iter()
-            .flat_map(|r| r.to_le_bytes())
-            .collect();
+        s[end - RANKS] = vec![u8::MAX; 40];
     });
     rejected("as many members as nodes", &keyed, &|s, end| {
         s[end - MEMBERS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
-        s[end - RANKS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
+        s[end - RANKS] = (0..40u8).collect();
     });
     rejected("a map on a table keyed by node id", &light, &|s, end| {
-        s[end - RANKS] = (0..40u32).flat_map(u32::to_le_bytes).collect();
+        s[end - RANKS] = (0..40u8).collect();
     });
     rejected("hops marker without an escape record", &light, &|s, end| {
         set_first(s, end, widths.word(hops_marker, level, port));
@@ -649,6 +685,142 @@ fn well_checksummed_hostile_table_sections_are_typed_errors_or_misses() {
             s[end - section].push(0);
         });
     }
+}
+
+/// The little-endian `u16` at index `i` of `section`, set to `x`.
+fn put_u16(section: &mut [u8], i: usize, x: u16) {
+    section[2 * i..2 * i + 2].copy_from_slice(&x.to_le_bytes());
+}
+
+/// `section`'s integers of `from` bytes each, re-encoded at `to` bytes
+/// (cut to their low bytes when `to` is narrower).
+fn rewidth(section: &[u8], from: usize, to: usize) -> Vec<u8> {
+    let value = |c: &[u8]| c.iter().rev().fold(0u64, |x, &b| x << 8 | u64::from(b));
+    section
+        .chunks_exact(from)
+        .flat_map(|c| value(c).to_le_bytes()[..to].to_vec())
+        .collect()
+}
+
+// A PDE arena's edge list follows its `[eps, h, σ]` meta section: the
+// `[n]` meta, the endpoints and the weights.
+const ENDS: usize = 2;
+const WEIGHTS: usize = 3;
+
+#[test]
+fn well_checksummed_hostile_narrow_sections_are_typed_errors() {
+    // 600 nodes, so endpoints take 2 bytes; every other node a source,
+    // 287 of them on some σ-list, so keys and ranks take 2 bytes too.
+    // Power-of-two weights up to 2⁹ put the largest past one byte.
+    let weights = Weights::PowerOfTwo { max_exp: 9 };
+    let g = gen::gnp_connected(600, 0.01, weights, &mut Seed(7).rng());
+    let sources = (0..600).map(|v| v % 2 == 0).collect();
+    let builder = OracleBuilder::new(Backend::Pde).seed(5).sigma(8).horizon(8);
+    let big = save(&builder.sources(sources).build(&g));
+    let m = g.num_edges();
+    assert!(g.max_weight() >= 256);
+    let sections = arena_sections(&big);
+    let end = sections.len();
+    assert_eq!(
+        (sections[ENDS].len(), sections[WEIGHTS].len()),
+        (4 * m, 2 * m)
+    );
+    let (widths, members) = (Widths::of(&sections[end - LADDER]), 287);
+    assert_eq!(sections[end - MEMBERS].len(), 4 * members);
+    assert_eq!((widths.kb, sections[end - RANKS].len()), (2, 2 * 600));
+    // Row 0 is keyed: its last record's key is where the key cases go.
+    let row0 = get_u32(&sections[end - STARTS], 1) as usize;
+    assert!(is_fit(get_u64(&sections[end - WORDS], 0)) && row0 > 0);
+    let last_key = (row0 - 1) * (2 + widths.w());
+    // The 18-node graph: 1-byte endpoints and weights.
+    let small = snapshot(Backend::Pde);
+    let small_m = graph(21).num_edges();
+    let small_sections = arena_sections(&small);
+    assert_eq!(small_sections[WEIGHTS].len(), small_m);
+    let rejected = |what: &str, base: &[u8], mutate: &dyn Fn(&mut Vec<Vec<u8>>)| {
+        let mut hostile = arena_sections(base);
+        mutate(&mut hostile);
+        let bytes = reassemble(base, &hostile);
+        for loaded in [Oracle::load(&mut &bytes[..]), Oracle::load_bytes(&bytes)] {
+            let Err(err) = loaded else {
+                panic!("{what}: accepted");
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(
+                !is_truncated(&err),
+                "{what}: misreported as truncation: {err}"
+            );
+        }
+    };
+    for (what, base) in [("2-byte", &big), ("1-byte", &small)] {
+        assert!(Oracle::load_bytes(base).is_ok(), "{what}");
+    }
+
+    // 2-byte keys at or past the member count, or at another width, and
+    // the ranks at another width.
+    rejected("2-byte key at the member count", &big, &|s| {
+        let end = s.len();
+        put_u16(&mut s[end - RECS][last_key..], 0, members as u16);
+    });
+    rejected("2-byte key past the members", &big, &|s| {
+        let end = s.len();
+        put_u16(&mut s[end - RECS][last_key..], 0, u16::MAX);
+    });
+    for kb in [1, 4] {
+        rejected(
+            &format!("{kb}-byte keys for {members} members"),
+            &big,
+            &|s| {
+                let end = s.len();
+                Widths { kb, ..widths }.set(&mut s[end - LADDER]);
+            },
+        );
+    }
+    for rb in [1, 4] {
+        rejected(
+            &format!("{rb}-byte ranks for {members} members"),
+            &big,
+            &|s| {
+                let end = s.len();
+                s[end - RANKS] = rewidth(&s[end - RANKS], 2, rb);
+            },
+        );
+    }
+
+    // The edge lists: an endpoint at or past n, and endpoints or weights
+    // at a width other than the one their data needs. Weights cut to one
+    // byte turn 2⁸ and 2⁹ into zero, which no graph carries (a narrower
+    // width that kept every weight positive would be another well-formed
+    // graph: only the arena checksum tells it from this one).
+    rejected("2-byte endpoint at n", &big, &|s| {
+        put_u16(&mut s[ENDS], 1, 600)
+    });
+    rejected("2-byte endpoint past n", &big, &|s| {
+        put_u16(&mut s[ENDS], 1, u16::MAX)
+    });
+    rejected("1-byte endpoint at n", &small, &|s| s[ENDS][1] = 18);
+    rejected("endpoints at 4 bytes for 600 nodes", &big, &|s| {
+        s[ENDS] = rewidth(&s[ENDS], 2, 4);
+    });
+    rejected("endpoints at 2 bytes for 18 nodes", &small, &|s| {
+        s[ENDS] = rewidth(&s[ENDS], 1, 2);
+    });
+    rejected("weights wider than their largest needs", &big, &|s| {
+        s[WEIGHTS] = rewidth(&s[WEIGHTS], 2, 4);
+    });
+    rejected("1-byte weights at 2 bytes", &small, &|s| {
+        s[WEIGHTS] = rewidth(&s[WEIGHTS], 1, 2);
+    });
+    rejected("weights narrower than their largest needs", &big, &|s| {
+        s[WEIGHTS] = rewidth(&s[WEIGHTS], 2, 1);
+    });
+    rejected("weights one byte short", &big, &|s| {
+        s[WEIGHTS].pop();
+    });
+    rejected("fewer weight bytes than edges", &small, &|s| {
+        s[WEIGHTS].pop();
+    });
+    rejected("weights without endpoints", &small, &|s| s[ENDS].clear());
 }
 
 // Before its table, a PDE arena holds its transit hops: `node << 32 |
@@ -1010,7 +1182,7 @@ fn retired_backend_tag_is_invalid_data_not_rebuild() {
     // rebuild it: typed InvalidData through both entry points, and never
     // a panic.
     let snap = snapshot(Backend::Flooding);
-    assert_eq!(snap[4..7], [12, 0, Backend::Flooding.wire_tag()]);
+    assert_eq!(snap[4..7], [13, 0, Backend::Flooding.wire_tag()]);
     for tag in [5, 6] {
         let mut old = snap.clone();
         old[6] = tag;
@@ -1063,9 +1235,11 @@ fn retired_layouts_are_typed_rebuild_errors() {
     // (truncated keeping its own lower levels, `u64` table counts), tag 8
     // (a full `u32` estimate per slot beside port and level side
     // sections), tag 9 (a ladder code per slot beside a `u16` port), tag
-    // 10 (route rows keyed by node id, no source map) and tag 11 (a
+    // 10 (route rows keyed by node id, no source map), tag 11 (a
     // partial PDE table serving its whole routing archive, no transit
-    // sections) name layouts this binary does not read; all must say
+    // sections) and tag 12 (4-byte keys, `u32` ranks and a `u32`/`u64`
+    // edge list whatever the data) name layouts this binary does not
+    // read; all must say
     // "rebuild", typed, whatever follows the header — a re-tagged arena,
     // or for tag 2 its own 39-byte header (no pad byte) with a payload
     // behind it.
@@ -1077,7 +1251,7 @@ fn retired_layouts_are_typed_rebuild_errors() {
     };
     let (_, mut v2) = retagged(2);
     v2.remove(7);
-    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+    for (tag, old) in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
         .map(retagged)
         .into_iter()
         .chain([(2, v2.clone())])
@@ -1096,8 +1270,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     }
 
     // A checkpoint left behind by a binary that wrote tag-2, tag-5, tag-6,
-    // tag-7, tag-8, tag-9, tag-10 or tag-11 snapshots: recovery surfaces
-    // the same typed error instead of panicking.
+    // tag-7, tag-8, tag-9, tag-10, tag-11 or tag-12 snapshots: recovery
+    // surfaces the same typed error instead of panicking.
     let dir = std::env::temp_dir().join(format!("pde-old-layout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let server = Arc::new(OracleServer::new());
@@ -1109,8 +1283,8 @@ fn retired_layouts_are_typed_rebuild_errors() {
     let ckpt = dir.join("old.ckpt");
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
-    assert_eq!(current[at + 4..at + 6], 12u16.to_le_bytes());
-    for tag in [2u16, 5, 6, 7, 8, 9, 10, 11] {
+    assert_eq!(current[at + 4..at + 6], 13u16.to_le_bytes());
+    for tag in [2u16, 5, 6, 7, 8, 9, 10, 11, 12] {
         let mut bytes = current.clone();
         bytes[at + 4..at + 6].copy_from_slice(&tag.to_le_bytes());
         std::fs::write(&ckpt, bytes).unwrap();
