@@ -359,16 +359,6 @@ impl<'a> WireReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| invalid_data("length exceeds usize"))
     }
 
-    /// Reads a sequence length prefix, rejecting lengths above `max`
-    /// (a corrupted prefix must not trigger a huge allocation).
-    pub fn len(&mut self, max: usize) -> io::Result<usize> {
-        let n = self.usize()?;
-        if n > max {
-            return Err(invalid_data(format!("sequence length {n} exceeds {max}")));
-        }
-        Ok(n)
-    }
-
     /// Reads a sequence length prefix against a `u64` cap (use with
     /// [`MAX_SEQ_LEN`]): the bound is checked **before** the `u64 →
     /// usize` conversion, so on 32-bit targets an oversized length is
@@ -409,7 +399,7 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.usize().unwrap(), 42);
         assert_eq!([r.u8().unwrap(), r.u8().unwrap()], [1, 0]);
-        assert_eq!(r.len(10).unwrap(), 3);
+        assert_eq!(r.len64(10).unwrap(), 3);
         assert_eq!(r.bytes(3).unwrap(), b"abc");
         assert!(cursor.is_empty(), "all bytes consumed");
     }
@@ -421,7 +411,7 @@ mod tests {
         let mut big_len = Vec::new();
         WireWriter::new(&mut big_len).u64(1 << 40).unwrap();
         let mut cursor = &big_len[..];
-        assert!(WireReader::new(&mut cursor).len(1 << 20).is_err());
+        assert!(WireReader::new(&mut cursor).len64(1 << 20).is_err());
     }
 
     #[test]

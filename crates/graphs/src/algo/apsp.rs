@@ -1,7 +1,7 @@
 //! Exact all-pairs shortest paths (reference).
 
 use crate::algo::dijkstra::{Search, Sssp};
-use crate::graph::{WGraph, INF};
+use crate::graph::WGraph;
 use congest::parallel::{resolve_threads, run_shards};
 use congest::NodeId;
 
@@ -14,7 +14,7 @@ pub struct Apsp {
 }
 
 impl Apsp {
-    /// `wd(u, v)`; [`INF`] if unreachable.
+    /// `wd(u, v)`; [`INF`](crate::INF) if unreachable.
     #[inline]
     pub fn dist(&self, u: NodeId, v: NodeId) -> u64 {
         self.dist[u.index() * self.n + v.index()]
@@ -132,100 +132,6 @@ pub fn sssp_with_first_hops(g: &WGraph, u: NodeId) -> (Sssp, Vec<u32>) {
     (s, row)
 }
 
-/// Re-derives the first-hop row for source `u` from an already-known
-/// exact distance row, without rerunning Dijkstra.
-///
-/// `hops` and `parent` are pure functions of the graph and the distance
-/// row:
-///
-/// * `hops[v] = 1 + min{ hops[p] : p ∼ v, dist[p] + w(p, v) = dist[v] }`
-///   — tight predecessors are strictly closer (weights are ≥ 1), so the
-///   recursion is well-founded in distance order;
-/// * `parent[v]` is the one the parent rule on [`Sssp::parent`] names:
-///   the argmin of `(dist[p], p.id)` over the minimum-hop tight
-///   predecessors.
-///
-/// Processing vertices in distance order therefore reproduces both
-/// bit-for-bit (pinned against [`sssp_with_first_hops`] by in-module
-/// tests), and the first-hop row follows by the same tree propagation
-/// the full kernel uses. The delta-repair path uses this to fix rows
-/// whose distances survived an edge change but whose canonical
-/// shortest-path tree crossed the changed edge — one `O(m + n log n)`
-/// pass instead of a Dijkstra run.
-pub fn first_hops_from_dist(g: &WGraph, u: NodeId, dist: &[u64]) -> Vec<u32> {
-    let n = g.len();
-    debug_assert_eq!(dist.len(), n);
-    let order = reachable_by_distance(dist, n);
-    let mut hops = vec![u32::MAX; n];
-    let mut row = vec![u32::MAX; n];
-    hops[u.index()] = 0;
-    for &vi in &order {
-        let v = NodeId(vi);
-        if v == u || dist[v.index()] == INF {
-            continue;
-        }
-        let dv = dist[v.index()];
-        let mut best_h = u32::MAX;
-        let mut best: Option<(u64, u32)> = None;
-        for (p, w) in g.neighbors(v) {
-            let dp = dist[p.index()];
-            if dp == INF || dp.saturating_add(w) != dv {
-                continue;
-            }
-            let hp = hops[p.index()] + 1;
-            let cand = (dp, p.0);
-            if hp < best_h {
-                best_h = hp;
-                best = Some(cand);
-            } else if hp == best_h && best.is_some_and(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        let (_, pid) = best.expect("a finite distance has a tight predecessor");
-        hops[v.index()] = best_h;
-        row[v.index()] = if pid == u.0 { vi } else { row[pid as usize] };
-    }
-    row
-}
-
-/// The reachable vertices in nondecreasing distance order. Ties carry no
-/// dependencies (tight predecessors are strictly closer), so a counting
-/// sort over the `0..=WD` distance range serves when the diameter is
-/// small — the typical case for bounded weights, and the difference
-/// between this derivation and a Dijkstra run at repair time; huge
-/// diameters fall back to a comparison sort.
-fn reachable_by_distance(dist: &[u64], n: usize) -> Vec<u32> {
-    let wd = dist
-        .iter()
-        .copied()
-        .filter(|&d| d != INF)
-        .max()
-        .unwrap_or(0);
-    if wd >= 4 * n as u64 {
-        let mut order: Vec<u32> = (0..n as u32).filter(|&v| dist[v as usize] != INF).collect();
-        order.sort_unstable_by_key(|&v| dist[v as usize]);
-        return order;
-    }
-    let mut start = vec![0u32; wd as usize + 2];
-    for &d in dist {
-        if d != INF {
-            start[d as usize + 1] += 1;
-        }
-    }
-    for i in 1..start.len() {
-        start[i] += start[i - 1];
-    }
-    let mut order = vec![0u32; start[wd as usize + 1] as usize];
-    for (v, &d) in dist.iter().enumerate() {
-        if d != INF {
-            let slot = &mut start[d as usize];
-            order[*slot as usize] = v as u32;
-            *slot += 1;
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,31 +202,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The distance-row derivation must agree with the Dijkstra kernel
-    /// bit-for-bit — including on unit weights, where tie-breaks (not
-    /// distances) decide every hop.
-    #[test]
-    fn first_hops_from_dist_matches_the_kernel() {
-        for (seed, weights) in [
-            (0u64, Weights::Unit),
-            (1, Weights::Unit),
-            (2, Weights::Uniform { lo: 1, hi: 7 }),
-            (3, Weights::PowerOfTwo { max_exp: 4 }),
-        ] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let g = gen::gnp_connected(40, 0.12, weights, &mut rng);
-            for u in g.nodes() {
-                let (s, row) = sssp_with_first_hops(&g, u);
-                let derived = first_hops_from_dist(&g, u, &s.dist);
-                assert_eq!(derived, row, "source {u}, seed {seed}");
-            }
-        }
-        // Disconnected pieces stay u32::MAX.
-        let g = WGraph::from_edges(4, &[(0, 1, 2), (2, 3, 1)]).unwrap();
-        let (s, row) = sssp_with_first_hops(&g, NodeId(0));
-        assert_eq!(first_hops_from_dist(&g, NodeId(0), &s.dist), row);
     }
 
     /// Row sharding is unobservable: every thread count gives the same

@@ -6,7 +6,7 @@ mod dijkstra;
 mod hops;
 mod props;
 
-pub use apsp::{apsp, apsp_with_first_hops, first_hops_from_dist, sssp_with_first_hops, Apsp};
+pub use apsp::{apsp, apsp_with_first_hops, sssp_with_first_hops, Apsp};
 pub use detection::{detection_reference, DetectionList};
 pub use dijkstra::{dijkstra, Sssp, DIAL_WEIGHT_LIMIT};
 pub use hops::hop_limited_distances;

@@ -191,49 +191,6 @@ impl WGraph {
         Topology::from_edges(self.n, &self.edges).expect("validated graph converts to topology")
     }
 
-    /// Serializes the graph (node count + canonical edge list) with the
-    /// snapshot wire format of [`congest::wire`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let mut w = congest::wire::WireWriter::new(sink);
-        w.usize(self.n)?;
-        w.len(self.edges.len())?;
-        for &(a, b, wt) in &self.edges {
-            w.u32(a)?;
-            w.u32(b)?;
-            w.u64(wt)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a graph written by [`WGraph::write_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes or an invalid edge list.
-    pub fn read_from(source: &mut dyn std::io::Read) -> std::io::Result<Self> {
-        let mut r = congest::wire::WireReader::new(source);
-        let n = r.usize()?;
-        if n > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(congest::wire::invalid_data(format!(
-                "graph snapshot claims {n} nodes"
-            )));
-        }
-        let m = r.len(n.saturating_mul(n))?;
-        let mut edges = Vec::with_capacity(congest::wire::clamped_capacity(m));
-        for _ in 0..m {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let wt = r.u64()?;
-            edges.push((a, b, wt));
-        }
-        WGraph::from_edges(n, &edges)
-            .map_err(|e| congest::wire::invalid_data(format!("bad graph snapshot: {e}")))
-    }
-
     /// Emits the graph into an arena: its canonical edge list through
     /// the shared narrow codec ([`congest::arena::write_edges`]).
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {

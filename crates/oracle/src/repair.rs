@@ -10,23 +10,17 @@
 //!
 //! * **The exact-row backend** ([`Backend::Flooding`]) stores one
 //!   exact row per source in its route table, distances beside first
-//!   hops, and a row is a pure function of the graph alone. A raised or
-//!   removed edge `{x, y}` is classified per source `s` from the **old**
-//!   row in `O(deg)` (see `classify_row`: a few probes of the table; a
-//!   row is decoded into dense scratch rows only when it must change):
-//!   non-tight rows are bit-identical and kept; a tight row whose far
-//!   endpoint keeps an *alternative* tight predecessor keeps all its
-//!   distances (every shortest path
-//!   survives by prefix replacement) and at most re-derives its
-//!   first hops from the kept distances
-//!   ([`graphs::algo::first_hops_from_dist`]) — and only when the
-//!   stored row shows the canonical tree actually entered `y` across
-//!   the edge; only rows whose distances truly change rerun the per-row
-//!   Dijkstra kernel ([`graphs::algo::sssp_with_first_hops`]). Identity
-//!   holds by construction (same kernels, pinned derivations), and a
-//!   single-edge repair touches a small fraction of rows instead of the
-//!   ~half a coarse tightness test would — [`RepairKind::Incremental`]
-//!   reports the ratio.
+//!   hops, and a row is a pure function of the graph alone. For a
+//!   changed edge `{x, y}` each source row is classified from the
+//!   **old** row in `O(deg)` (see `row_touched`: a few probes of the
+//!   table): a row whose edge was not tight, or whose shortest-path
+//!   tree keeps every distance and does not enter `y` across the edge,
+//!   is bit-identical and kept; every other row reruns the build's
+//!   per-source search ([`graphs::algo::sssp_with_first_hops`]), so
+//!   identity holds by construction. On connected G(n, 6/n) graphs a
+//!   raise, failure or halving touches ≈ 30–38 % of the rows, where a
+//!   coarse tightness test would take about half —
+//!   [`RepairKind::Incremental`] reports the count.
 //! * **Sampling-coupled schemes** (PDE, ApproxApsp, RTC, Compact,
 //!   Truncated) key their skeleton/level samples and ladder
 //!   stages on node ids and the global seed; a delta invalidates rungs
@@ -171,27 +165,6 @@ impl From<BuildError> for RepairError {
     }
 }
 
-/// How one source row reacts to an edge transition `w_old → w_new` on
-/// `{a, b}` (`w_new = u64::MAX` for a removal).
-enum RowFix {
-    /// Bit-identical: keep the stored row.
-    Keep,
-    /// Distances survive, but the canonical shortest-path tree entered
-    /// `y` across the edge: re-derive the first hops from the kept
-    /// distances (only entries at distance ≥ `wd(s, y)` can move).
-    Rederive {
-        /// The far endpoint of the tight direction.
-        y: NodeId,
-    },
-    /// Distances change. `Some(y)` when the raise/removal left `y`
-    /// without a tight predecessor, so the decremental patch applies;
-    /// `None` (weight decreases) reruns the full per-row kernel.
-    Recompute {
-        /// The far endpoint, when the decremental patch applies.
-        y: Option<NodeId>,
-    },
-}
-
 /// One edge transition `w_old → w_new` on `{a, b}` (`w_new = u64::MAX`
 /// encodes a removal), shared by every row classification of a repair.
 #[derive(Clone, Copy)]
@@ -202,21 +175,22 @@ struct EdgeTransition {
     w_new: u64,
 }
 
-/// Classifies one source row exactly (up to a sound over-approximation
-/// on the rare branches), from the stored row alone:
+/// Whether source row `s` may change, decided from the stored row alone
+/// (exactly, up to a sound over-approximation on the rare branches). A
+/// row this rejects is bit-identical after the delta:
 ///
 /// * A raised or removed edge matters only if it was *tight* from `s`
 ///   (`wd(s,x) + w_old = wd(s,y)`; the edge itself forces
 ///   `|da − db| ≤ w_old`, so with weights ≥ 1 at most one direction is
-///   tight). Non-tight rows are bit-identical.
+///   tight). Non-tight rows are kept.
 /// * If `y` keeps **no other tight predecessor**, every shortest
-///   `s → y` path crossed the edge and the distance row changes:
-///   recompute. Conversely, an alternative tight predecessor `v`
-///   certifies that no shortest path *to v* can cross the edge (any
-///   path through `y` is already longer than `wd(s,v) < wd(s,y)`), so
-///   every distance survives by prefix replacement — an `O(deg y)`
-///   scan, exact where the old `da + w ≤ db` test was satisfied by
-///   roughly half the rows of a unit-weight graph.
+///   `s → y` path crossed the edge and the distance row changes.
+///   Conversely, an alternative tight predecessor `v` certifies that no
+///   shortest path *to v* can cross the edge (any path through `y` is
+///   already longer than `wd(s,v) < wd(s,y)`), so every distance
+///   survives by prefix replacement — an `O(deg y)` scan, exact where
+///   the coarse `da + w ≤ db` test would touch roughly half the rows of
+///   a unit-weight graph.
 /// * With distances unchanged, `hops`/`parent` (and hence the stored
 ///   first-hop row) can only move if the canonical tree entered `y`
 ///   across the edge, i.e. `parent[y] = x`. On a **unit-weight** graph
@@ -226,38 +200,28 @@ struct EdgeTransition {
 ///   `x` has the smallest id among `y`'s tight predecessors. With
 ///   general weights the candidate hops are unknown and the test falls
 ///   back to the necessary condition `next[y] = next[x]` (or
-///   `next[y] = y` when `x = s`), a sound over-approximation. Rows
-///   failing the test are bit-identical; rows passing it re-derive the
-///   first hops from the kept distances.
+///   `next[y] = y` when `x = s`), a sound over-approximation.
 /// * Weight decreases fall back to the coarse tightness test on the new
-///   weight (the benchmark and repair fast paths are raises/removals).
-///
-/// Rows whose distances *do* change are patched decrementally
-/// ([`patch_dist_row`]): only the vertices that lost every shortest path
-/// re-enter a (small) Dijkstra, seeded from their unaffected neighbors.
-fn classify_row(
+///   weight.
+fn row_touched(
     g_old: &WGraph,
     dist: impl Fn(NodeId) -> u64,
     next: impl Fn(NodeId) -> u32,
     unit_weights: bool,
     s: u32,
     edge: EdgeTransition,
-) -> RowFix {
+) -> bool {
     let EdgeTransition { a, b, w_old, w_new } = edge;
     let (da, db) = (dist(a), dist(b));
     if w_new < w_old {
-        return if da.saturating_add(w_new) <= db || db.saturating_add(w_new) <= da {
-            RowFix::Recompute { y: None }
-        } else {
-            RowFix::Keep
-        };
+        return da.saturating_add(w_new) <= db || db.saturating_add(w_new) <= da;
     }
     let (x, y) = if da.saturating_add(w_old) == db {
         (a, b)
     } else if db.saturating_add(w_old) == da {
         (b, a)
     } else {
-        return RowFix::Keep;
+        return false;
     };
     let dy = dist(y);
     let mut min_tight_pred = u32::MAX;
@@ -269,159 +233,13 @@ fn classify_row(
         }
     }
     if !has_alternative {
-        return RowFix::Recompute { y: Some(y) };
+        return true;
     }
-    let tree_entered_via_edge = if unit_weights {
+    if unit_weights {
         min_tight_pred == x.0
     } else {
         let expected = if x.0 == s { y.0 } else { next(x) };
         next(y) == expected
-    };
-    if tree_entered_via_edge {
-        RowFix::Rederive { y }
-    } else {
-        RowFix::Keep
-    }
-}
-
-/// The reachable vertices at distance ≥ `dmin`, in nondecreasing
-/// distance order (counting sort over the small ranges bounded weights
-/// produce; comparison sort otherwise).
-fn tail_by_distance(dist: &[u64], dmin: u64) -> Vec<u32> {
-    let mut tail: Vec<u32> = (0..dist.len() as u32)
-        .filter(|&v| {
-            let d = dist[v as usize];
-            d >= dmin && d != graphs::INF
-        })
-        .collect();
-    let span = tail
-        .iter()
-        .map(|&v| dist[v as usize] - dmin)
-        .max()
-        .unwrap_or(0);
-    if span < 4 * dist.len() as u64 {
-        let mut start = vec![0u32; span as usize + 2];
-        for &v in &tail {
-            start[(dist[v as usize] - dmin) as usize + 1] += 1;
-        }
-        for i in 1..start.len() {
-            start[i] += start[i - 1];
-        }
-        let mut out = vec![0u32; tail.len()];
-        for &v in &tail {
-            let slot = &mut start[(dist[v as usize] - dmin) as usize];
-            out[*slot as usize] = v;
-            *slot += 1;
-        }
-        out
-    } else {
-        tail.sort_unstable_by_key(|&v| dist[v as usize]);
-        tail
-    }
-}
-
-/// Exact decremental patch of one distance row, in place, after a raise
-/// or removal of a tight edge `x → y` that left `y` with no alternative
-/// tight predecessor (so `wd(s, y)` strictly grows).
-///
-/// Phase 1 walks the row's tail in old-distance order and marks the
-/// *affected* vertices — those whose every tight predecessor is itself
-/// affected, seeded by `y`; exactly these lose all their shortest paths
-/// to the change (an unaffected tight predecessor certifies a surviving
-/// path by prefix replacement). An affected vertex sits within
-/// `w_max_old` of the last one, so the walk stops early once the
-/// frontier goes quiet. Phase 2 reseeds every affected vertex from its
-/// unaffected neighbors in the *new* graph (which reintroduces a merely
-/// raised edge at its new weight) and runs Dijkstra restricted to the
-/// affected set — unaffected distances are already final.
-fn patch_dist_row(g_new: &WGraph, g_old: &WGraph, dist: &mut [u64], y: NodeId, w_max_old: u64) {
-    let dy = dist[y.index()];
-    let tail = tail_by_distance(dist, dy);
-    let n = dist.len();
-    let mut affected = vec![false; n];
-    affected[y.index()] = true;
-    let mut aff_list = vec![y.0];
-    let mut last_affected = dy;
-    for &vi in &tail {
-        let v = NodeId(vi);
-        if v == y {
-            continue;
-        }
-        let dv = dist[v.index()];
-        if dv > last_affected.saturating_add(w_max_old) {
-            break;
-        }
-        if dv == dy {
-            continue; // tight predecessors sit strictly below dy
-        }
-        let all_affected = g_old
-            .neighbors(v)
-            .filter(|&(p, w)| dist[p.index()].saturating_add(w) == dv)
-            .all(|(p, _)| affected[p.index()]);
-        if all_affected {
-            affected[v.index()] = true;
-            aff_list.push(vi);
-            last_affected = dv;
-        }
-    }
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> =
-        std::collections::BinaryHeap::new();
-    for &vi in &aff_list {
-        let v = NodeId(vi);
-        let mut seed = u64::MAX;
-        for (p, w) in g_new.neighbors(v) {
-            if !affected[p.index()] {
-                seed = seed.min(dist[p.index()].saturating_add(w));
-            }
-        }
-        dist[v.index()] = seed;
-        if seed != u64::MAX {
-            heap.push(std::cmp::Reverse((seed, vi)));
-        }
-    }
-    let mut done = vec![false; n];
-    while let Some(std::cmp::Reverse((d, vi))) = heap.pop() {
-        let v = NodeId(vi);
-        if done[v.index()] || d > dist[v.index()] {
-            continue;
-        }
-        done[v.index()] = true;
-        for (u, w) in g_new.neighbors(v) {
-            if affected[u.index()] && !done[u.index()] {
-                let nd = d.saturating_add(w);
-                if nd < dist[u.index()] {
-                    dist[u.index()] = nd;
-                    heap.push(std::cmp::Reverse((nd, u.0)));
-                }
-            }
-        }
-    }
-}
-
-/// Unit-weight tail re-derivation of a first-hop row: with `hops ≡
-/// dist` the canonical parent of every vertex is its minimum-id tight
-/// predecessor, and entries below `dmin` keep their stored value (their
-/// canonical paths never leave the unchanged prefix of the row). The
-/// `dist` row must already be the new one.
-fn patch_next_row_unit(g_new: &WGraph, s: u32, dist: &[u64], next: &mut [u32], dmin: u64) {
-    let tail = tail_by_distance(dist, dmin);
-    for &vi in &tail {
-        if vi == s {
-            continue;
-        }
-        let v = NodeId(vi);
-        let dv = dist[v.index()];
-        let mut parent = u32::MAX;
-        for (p, w) in g_new.neighbors(v) {
-            if dist[p.index()].saturating_add(w) == dv {
-                parent = parent.min(p.0);
-            }
-        }
-        next[v.index()] = if parent == s {
-            vi
-        } else {
-            next[parent as usize]
-        };
     }
 }
 
@@ -542,10 +360,11 @@ fn edge_transition(g_old: &WGraph, delta: &GraphDelta) -> EdgeTransition {
 }
 
 /// Flooding's route table, repaired row by row. Each row is classified
-/// from a few probes of the stored table; a row the delta touches is
-/// decoded into dense scratch rows, patched and re-emitted through
-/// [`backends::push_exact_row`], and every other row is copied as
-/// stored. Returns the oracle and the number of rows touched.
+/// from a few probes of the stored table ([`row_touched`]); a touched
+/// row is recomputed by the build's own per-source search
+/// ([`graphs::algo::sssp_with_first_hops`]), so it is the rebuild's row
+/// by construction, and every other row is copied as stored. Returns the
+/// oracle and the number of rows touched.
 fn repair_flood(
     prev: &crate::PdeOracle,
     g_old: &WGraph,
@@ -555,11 +374,9 @@ fn repair_flood(
     let n = g_new.len();
     let edge = edge_transition(g_old, delta);
     let unit_old = g_old.max_weight() == 1;
-    let unit_new = g_new.max_weight() == 1;
-    let w_max_old = g_old.max_weight();
     let (old_topo, routes) = (&prev.topo, &prev.routes);
     // The touched rows, in row order: source, distances, first hops.
-    let mut patched = Vec::new();
+    let mut touched = Vec::new();
     let mut ladder = backends::ExactLadder::default();
     for s in 0..n {
         let src = NodeId(s as u32);
@@ -570,42 +387,19 @@ fn repair_flood(
             row.get(v)
                 .map_or(u32::MAX, |e| old_topo.neighbor(src, e.port).0)
         };
-        let fix = classify_row(g_old, dist, next, unit_old, s as u32, edge);
-        let (dist, next) = match fix {
-            RowFix::Keep => {
-                ladder.add(routes.row_iter(src).map(|e| e.est));
-                continue;
-            }
-            RowFix::Recompute { y: None } => {
-                let (sssp, next) = graphs::algo::sssp_with_first_hops(g_new, src);
-                (sssp.dist, next)
-            }
-            RowFix::Rederive { y } | RowFix::Recompute { y: Some(y) } => {
-                let (mut dist, mut next) = (vec![0; n], vec![u32::MAX; n]);
-                for e in routes.row_iter(src) {
-                    dist[e.src as usize] = e.est;
-                    next[e.src as usize] = old_topo.neighbor(src, e.port).0;
-                }
-                let dmin = dist[y.index()];
-                if let RowFix::Recompute { .. } = fix {
-                    patch_dist_row(g_new, g_old, &mut dist, y, w_max_old);
-                }
-                if unit_new {
-                    patch_next_row_unit(g_new, s as u32, &dist, &mut next, dmin);
-                } else {
-                    next = graphs::algo::first_hops_from_dist(g_new, src, &dist);
-                }
-                (dist, next)
-            }
-        };
-        ladder.add(dist.iter().copied());
-        patched.push((src, dist, next));
+        if !row_touched(g_old, dist, next, unit_old, s as u32, edge) {
+            ladder.add(routes.row_iter(src).map(|e| e.est));
+            continue;
+        }
+        let (sssp, next) = graphs::algo::sssp_with_first_hops(g_new, src);
+        ladder.add(sssp.dist.iter().copied());
+        touched.push((src, sssp.dist, next));
     }
-    let rows = patched.len();
-    let mut patched = patched.into_iter().peekable();
+    let rows = touched.len();
+    let mut touched = touched.into_iter().peekable();
     let m = backends::metrics(Backend::Flooding, n, 0, 0);
     let repaired = backends::exact_oracle(g_new, ladder, m, |topo, u, out| {
-        if let Some((_, dist, next)) = patched.next_if(|p| p.0 == u) {
+        if let Some((_, dist, next)) = touched.next_if(|t| t.0 == u) {
             return backends::push_exact_row(topo, u, &dist, &next, out);
         }
         // A delta only reweights or removes edges, so a node's ports

@@ -126,7 +126,7 @@ impl DynamicOracle {
     }
 
     /// [`DynamicOracle::install`] with crash-safe persistence: writes a
-    /// checkpoint (`<dir>/<name>.ckpt`, graph + snapshot, atomically)
+    /// checkpoint (`<dir>/<name>.ckpt`, the snapshot, atomically)
     /// and opens a fresh delta WAL (`<dir>/<name>.wal`). Every
     /// subsequent [`DynamicOracle::repair_and_swap`] logs its delta
     /// durably before installing, so [`DynamicOracle::recover`] can
@@ -147,7 +147,7 @@ impl DynamicOracle {
         let oracle = builder.try_build(g)?;
         let ckpt_path = dir.join(format!("{name}.ckpt"));
         let wal_path = dir.join(format!("{name}.wal"));
-        persist::write_checkpoint(&ckpt_path, 1, g, &oracle)?;
+        persist::write_checkpoint(&ckpt_path, 1, &oracle)?;
         let wal = DeltaWal::create(&wal_path, 1)?;
         server.install(name, oracle);
         Ok(Self::managing(
@@ -221,8 +221,8 @@ impl DynamicOracle {
         ))
     }
 
-    /// Folds the WAL into a fresh checkpoint: writes the current graph
-    /// and served snapshot atomically under a bumped epoch, then resets
+    /// Folds the WAL into a fresh checkpoint: writes the served snapshot
+    /// (which carries its graph) atomically under a bumped epoch, then resets
     /// the WAL to that epoch. Bounds recovery replay time after long
     /// repair histories. A crash between the two steps is benign:
     /// [`DynamicOracle::recover`] sees the epoch mismatch and discards
@@ -243,7 +243,7 @@ impl DynamicOracle {
         let wal = state.wal.as_ref().ok_or(PersistError::NotPersistent)?;
         let folded = wal.records();
         let epoch = wal.epoch() + 1;
-        persist::write_checkpoint(ckpt_path, epoch, &state.graph, lease.oracle())?;
+        persist::write_checkpoint(ckpt_path, epoch, lease.oracle())?;
         state.wal.as_mut().expect("checked above").reset(epoch)?;
         Ok(folded)
     }

@@ -1,16 +1,16 @@
 //! Crash-safe persistence for dynamic serving: an atomic checkpoint
-//! (graph + snapshot) plus a checksummed delta write-ahead log.
+//! (the served snapshot) plus a checksummed delta write-ahead log.
 //!
 //! The durability contract mirrors what [`crate::DynamicOracle`]
 //! actually mutates. A *checkpoint* captures one consistent state —
-//! the live graph and the served snapshot, written via temp file +
-//! `fsync` + rename so a crash leaves either the old file or the new
-//! one, never a torn hybrid. Every applied repair then appends its
-//! [`GraphDelta`] to the *WAL* before the swapped snapshot becomes
-//! visible. Recovery is checkpoint + replay: re-running
-//! [`oracle::OracleBuilder::repair`] for each logged delta reproduces
-//! the live artifact **byte-identically** (repairs are deterministic
-//! and rebuild-equivalent), which is the property
+//! the served snapshot, which carries the live graph as its topology,
+//! written via temp file + `fsync` + rename so a crash leaves either
+//! the old file or the new one, never a torn hybrid. Every applied
+//! repair then appends its [`GraphDelta`] to the *WAL* before the
+//! swapped snapshot becomes visible. Recovery is checkpoint + replay:
+//! re-running [`oracle::OracleBuilder::repair`] for each logged delta
+//! reproduces the live artifact **byte-identically** (repairs are
+//! deterministic and rebuild-equivalent), which is the property
 //! `tests/chaos_recovery.rs` pins.
 //!
 //! Two corruptions a crash can leave behind are handled explicitly:
@@ -36,7 +36,7 @@ use crate::ServeError;
 use congest::arena::SharedBytes;
 use congest::wire::{self, invalid_data, WireReader, WireWriter};
 use graphs::{GraphDelta, NodeId, WGraph};
-use oracle::{BuildError, Oracle, RepairError};
+use oracle::{BuildError, DistanceOracle, Oracle, RepairError};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -44,7 +44,9 @@ use std::path::Path;
 
 const WAL_MAGIC: &[u8; 4] = b"PDWL";
 const CKPT_MAGIC: &[u8; 4] = b"PDCK";
-const PERSIST_VERSION: u16 = 1;
+const WAL_VERSION: u16 = 1;
+/// Version 1 wrote the graph's own edge list before the snapshot.
+const CKPT_VERSION: u16 = 2;
 /// Header layout for both files: magic, version, reserved, epoch.
 const HEADER_LEN: u64 = 4 + 2 + 2 + 8;
 /// A WAL record is one delta plus bookkeeping — tiny. Bounding the
@@ -186,24 +188,29 @@ fn decode_delta(r: &mut WireReader<'_>) -> io::Result<GraphDelta> {
     })
 }
 
-fn write_header(sink: &mut dyn Write, magic: &[u8; 4], epoch: u64) -> io::Result<()> {
+fn write_header(sink: &mut dyn Write, magic: &[u8; 4], version: u16, epoch: u64) -> io::Result<()> {
     let mut w = WireWriter::new(sink);
     w.bytes(magic)?;
-    w.u16(PERSIST_VERSION)?;
+    w.u16(version)?;
     w.u16(0)?; // reserved
     w.u64(epoch)
 }
 
-fn read_header(source: &mut dyn Read, magic: &[u8; 4], what: &str) -> io::Result<u64> {
+fn read_header(
+    source: &mut dyn Read,
+    magic: &[u8; 4],
+    expected: u16,
+    what: &str,
+) -> io::Result<u64> {
     let mut r = WireReader::new(source);
     let got = r.bytes(4)?;
     if got != magic {
         return Err(invalid_data(format!("{what}: bad magic {got:?}")));
     }
     let version = r.u16()?;
-    if version != PERSIST_VERSION {
+    if version != expected {
         return Err(invalid_data(format!(
-            "{what}: version {version}, expected {PERSIST_VERSION}"
+            "{what}: version {version}, expected {expected}"
         )));
     }
     let _reserved = r.u16()?;
@@ -244,7 +251,7 @@ impl DeltaWal {
     /// Propagates file creation/write failures.
     pub fn create(path: &Path, epoch: u64) -> io::Result<DeltaWal> {
         let mut file = File::create(path)?;
-        write_header(&mut file, WAL_MAGIC, epoch)?;
+        write_header(&mut file, WAL_MAGIC, WAL_VERSION, epoch)?;
         file.sync_all()?;
         Ok(DeltaWal {
             file,
@@ -265,7 +272,7 @@ impl DeltaWal {
     /// otherwise the underlying i/o failure.
     pub fn open(path: &Path) -> io::Result<(DeltaWal, WalReplay)> {
         let mut reader = BufReader::new(File::open(path)?);
-        let epoch = read_header(&mut reader, WAL_MAGIC, "delta wal")?;
+        let epoch = read_header(&mut reader, WAL_MAGIC, WAL_VERSION, "delta wal")?;
         let mut deltas = Vec::new();
         let mut valid_len = HEADER_LEN;
         let mut next_seq = 1u64;
@@ -348,7 +355,7 @@ impl DeltaWal {
     pub fn reset(&mut self, epoch: u64) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        write_header(&mut self.file, WAL_MAGIC, epoch)?;
+        write_header(&mut self.file, WAL_MAGIC, WAL_VERSION, epoch)?;
         self.file.sync_all()?;
         self.epoch = epoch;
         self.next_seq = 1;
@@ -397,29 +404,25 @@ fn decode_record(payload: &[u8], expected_seq: u64) -> Option<GraphDelta> {
 pub struct Checkpoint {
     /// The epoch this checkpoint was written under.
     pub epoch: u64,
-    /// The graph the snapshot was built on.
+    /// The graph the snapshot was built on, read back from its topology.
     pub graph: WGraph,
     /// The decoded snapshot.
     pub oracle: Oracle,
 }
 
 /// Atomically writes a checkpoint ([`wire::write_file_atomic`]): a
-/// crash mid-write leaves the previous checkpoint intact.
+/// crash mid-write leaves the previous checkpoint intact. The graph is
+/// not written beside the snapshot: every snapshot carries the graph it
+/// was built on as its topology.
 ///
 /// # Errors
 ///
 /// Propagates the i/o failure; the temp file is cleaned up.
-pub fn write_checkpoint(
-    path: &Path,
-    epoch: u64,
-    graph: &WGraph,
-    oracle: &Oracle,
-) -> io::Result<()> {
+pub fn write_checkpoint(path: &Path, epoch: u64, oracle: &Oracle) -> io::Result<()> {
     let mut snap = Vec::new();
     oracle.save(&mut snap)?;
     wire::write_file_atomic(path, |sink| {
-        write_header(sink, CKPT_MAGIC, epoch)?;
-        graph.write_into(sink)?;
+        write_header(sink, CKPT_MAGIC, CKPT_VERSION, epoch)?;
         let mut w = WireWriter::new(sink);
         w.u64(snap.len() as u64)?;
         w.bytes(&snap)
@@ -431,12 +434,11 @@ pub fn write_checkpoint(
 /// # Errors
 ///
 /// `InvalidData` for corruption (checkpoints are written atomically, so
-/// unlike a WAL tail this is never expected), otherwise the i/o
-/// failure.
+/// unlike a WAL tail this is never expected) or another version,
+/// otherwise the i/o failure.
 pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
     let mut reader = BufReader::new(File::open(path)?);
-    let epoch = read_header(&mut reader, CKPT_MAGIC, "checkpoint")?;
-    let graph = WGraph::read_from(&mut reader)?;
+    let epoch = read_header(&mut reader, CKPT_MAGIC, CKPT_VERSION, "checkpoint")?;
     let mut r = WireReader::new(&mut reader);
     let snap_len = usize::try_from(r.u64()?)
         .map_err(|_| invalid_data("checkpoint snapshot length overflows usize"))?;
@@ -447,6 +449,9 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
     }
     let snap = r.bytes(snap_len)?;
     let oracle = Oracle::load_shared(SharedBytes::from_vec(snap))?;
+    let topo = oracle.topology();
+    let graph = WGraph::from_edges(topo.len(), &topo.undirected_edges())
+        .map_err(|e| invalid_data(format!("checkpoint topology is not a graph: {e}")))?;
     Ok(Checkpoint {
         epoch,
         graph,
@@ -560,6 +565,38 @@ mod tests {
         let (_, replay) = DeltaWal::open(&path).unwrap();
         assert_eq!(replay.epoch, 2);
         assert_eq!(replay.deltas, vec![some_deltas()[1]]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The graph is read back from the snapshot's topology, for every
+    /// backend; a version-1 checkpoint, which wrote the graph's own edge
+    /// list first, is refused as typed `InvalidData`.
+    #[test]
+    fn checkpoints_round_trip_graph_and_snapshot() {
+        use graphs::gen::{self, Weights};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let g = gen::gnp_connected(24, 0.2, Weights::Uniform { lo: 1, hi: 40 }, &mut rng);
+        let path = temp_path("ckpt-rt");
+        for backend in oracle::Backend::ALL {
+            let built = oracle::OracleBuilder::new(backend).k(2).build(&g);
+            write_checkpoint(&path, 3, &built).unwrap();
+            let back = read_checkpoint(&path).unwrap();
+            assert_eq!(back.epoch, 3);
+            assert_eq!(back.graph.edges(), g.edges(), "{backend}");
+            assert_eq!(
+                back.oracle.artifact_bytes(),
+                built.artifact_bytes(),
+                "{backend}"
+            );
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let Err(err) = read_checkpoint(&path) else {
+            panic!("a version-1 checkpoint was read");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -38,9 +38,10 @@ fn build_graph(family: u8, n: usize, weights: u8, seed: u64) -> WGraph {
 }
 
 /// Picks a delta of the requested kind deterministically from the graph:
-/// a seed-picked weight change, or the first edge/node (in seed-rotated
-/// order) whose failure keeps the graph connected. Falls back to a
-/// weight change when no failure is survivable (bridge-only graphs).
+/// a seed-picked weight raise (kind 0) or decrease (kind 3), or the first
+/// edge/node (in seed-rotated order) whose failure keeps the graph
+/// connected. Falls back to a raise when no failure is survivable
+/// (bridge-only graphs) or the picked edge weighs 1.
 fn pick_delta(g: &WGraph, kind: u8, seed: u64) -> GraphDelta {
     let edges = g.edges();
     match kind {
@@ -65,7 +66,7 @@ fn pick_delta(g: &WGraph, kind: u8, seed: u64) -> GraphDelta {
             }
             pick_delta(g, 0, seed)
         }
-        _ => {
+        2 => {
             for off in 0..g.len() {
                 let v = NodeId(((seed as usize + off) % g.len()) as u32);
                 let delta = GraphDelta::FailNode { v };
@@ -75,17 +76,27 @@ fn pick_delta(g: &WGraph, kind: u8, seed: u64) -> GraphDelta {
             }
             pick_delta(g, 0, seed)
         }
+        _ => match edges[(seed as usize) % edges.len()] {
+            (u, v, w) if w >= 2 => GraphDelta::SetWeight {
+                u: NodeId(u),
+                v: NodeId(v),
+                w: 1 + seed % (w - 1),
+            },
+            _ => pick_delta(g, 0, seed),
+        },
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    // 32 cases reach every delta kind: five node failures, and four
+    // decreases on weighted graphs (a decrease on unit weights is a raise).
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline repair contract: `repair(delta)` ≡ from-scratch
     /// rebuild on the mutated graph, byte for byte, for all 6 backends.
     #[test]
     fn repair_is_byte_identical_to_rebuild(
-        case in ((0u8..4), (12usize..=22), (0u8..3), (0u64..1 << 40), (0u8..3))
+        case in ((0u8..4), (12usize..=22), (0u8..3), (0u64..1 << 40), (0u8..4))
     ) {
         let (family, n, weights, seed, kind) = case;
         let g = build_graph(family, n, weights, seed);
