@@ -126,8 +126,8 @@ pub struct TruncatedMetrics {
 ///
 /// Query-side state is flat: route archives are source-sorted CSR rows
 /// ([`FlatTables`]), the skeleton index is a dense per-node array, and the
-/// upper-level `(node, source)` maps are [`PairTable`]s (dense `k × k` or
-/// row-sorted CSR) — no query ever probes a hash map.
+/// upper-level `(node, source)` maps are dense `m × m` [`PairTable`]s —
+/// no query ever probes a hash map.
 #[derive(Debug)]
 pub struct TruncatedScheme {
     /// Levels `< l0`, built exactly as in Lemma 4.7.
@@ -252,7 +252,7 @@ fn build_attempt(
     let gt_graph = virtual_graph(m, &gt_edges, "G̃(l0)")?;
 
     // ---- Upper levels on G̃. ----
-    // Each level's `(i, j, value)` entries go to `PairTable::auto` for the
+    // Each level's `(i, j, value)` entries go to `PairTable::dense` for the
     // query side. The BFS tree only carries simulated pipelining/broadcast
     // costs, so native builds skip it.
     let (bfs, d_hat) = match build_mode {
@@ -314,8 +314,8 @@ fn build_attempt(
                         nexts.push((i, e.src, u64::from(gt_topo.neighbor(v, e.port).0)));
                     }
                 }
-                upper_est.push(PairTable::auto(m.max(1), &ests));
-                upper_next.push(PairTable::auto(m.max(1), &nexts));
+                upper_est.push(PairTable::dense(m.max(1), &ests));
+                upper_next.push(PairTable::dense(m.max(1), &nexts));
             }
         }
         UpperMode::Local => {
@@ -350,8 +350,8 @@ fn build_attempt(
                         }
                     }
                 }
-                upper_est.push(PairTable::auto(m.max(1), &ests));
-                upper_next.push(PairTable::auto(m.max(1), &nexts));
+                upper_est.push(PairTable::dense(m.max(1), &ests));
+                upper_next.push(PairTable::dense(m.max(1), &nexts));
             }
         }
     }

@@ -1,10 +1,9 @@
 //! Deterministic `(1+ε)`-approximate APSP (Theorem 4.1): PDE with `S = V`
-//! and `h = σ = n`, answered from its rows. [`try_approx_apsp`] is the one
-//! definition of that configuration (`oracle`'s `Backend::ApproxApsp`).
+//! and `h = σ = n`, answered from its rows. [`approx_apsp`] is the one
+//! definition of that configuration; `oracle`'s `Backend::Pde` at its
+//! defaults builds the same rows.
 
 use crate::pde::{try_run_pde, PdeOutput, PdeParams};
-use crate::pipeline::BuildError;
-use crate::BuildMode;
 use congest::NodeId;
 use graphs::algo::Apsp;
 use graphs::{WGraph, INF};
@@ -59,41 +58,24 @@ impl ApspApprox {
     }
 }
 
-/// [`try_approx_apsp`] in simulated mode with automatic threads.
+/// Runs Theorem 4.1 at [`PdeParams::new`]'s defaults (simulated mode,
+/// automatic threads); rows are identical for every thread count and
+/// build mode, only rounds differ.
 ///
 /// # Panics
 ///
-/// As [`try_approx_apsp`], and on the inputs it rejects.
+/// On the inputs [`try_run_pde`] rejects, and if a pair ends up without
+/// an estimate (would falsify Theorem 4.1).
 pub fn approx_apsp(g: &WGraph, eps: f64) -> ApspApprox {
-    try_approx_apsp(g, eps, 0, BuildMode::Simulated).expect("approximate APSP build failed")
-}
-
-/// Runs Theorem 4.1 with [`PdeParams::threads`] workers in `mode`; rows
-/// are identical for every thread count and mode, only rounds differ.
-///
-/// # Errors
-///
-/// As [`try_run_pde`].
-///
-/// # Panics
-///
-/// Panics if a pair ends up without an estimate (would falsify Thm 4.1).
-pub fn try_approx_apsp(
-    g: &WGraph,
-    eps: f64,
-    threads: usize,
-    mode: BuildMode,
-) -> Result<ApspApprox, BuildError> {
     let n = g.len();
-    let params = PdeParams::new(n as u64, n, eps)
-        .with_threads(threads)
-        .with_mode(mode);
-    let pde = try_run_pde(g, &vec![true; n], &vec![false; n], &params)?;
+    let params = PdeParams::new(n as u64, n, eps);
+    let pde = try_run_pde(g, &vec![true; n], &vec![false; n], &params)
+        .expect("approximate APSP build failed");
     assert!(
         (0..n).all(|v| pde.routes.row_iter(NodeId::from_index(v)).count() == n),
         "APSP rows incomplete"
     );
-    Ok(ApspApprox { pde })
+    ApspApprox { pde }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!   `O(σ²/ε · log n)` messages.
 //! * **Section 4.1, Theorem 4.1** — deterministic `(1+ε)`-approximate APSP
 //!   in `O(n/ε² · log n)` rounds, by instantiating PDE with `S = V`,
-//!   `h = σ = n` ([`try_approx_apsp`]); its answers are the PDE rows.
+//!   `h = σ = n` ([`approx_apsp`]); its answers are the PDE rows.
 //!
 //! # Deviations from the paper
 //!
@@ -80,7 +80,7 @@ pub mod rounding;
 pub mod schedule;
 pub mod tables;
 
-pub use apsp::{approx_apsp, try_approx_apsp, ApspApprox};
+pub use apsp::{approx_apsp, ApspApprox};
 pub use ladder::{BuildMode, LadderSpec};
 pub use pde::{run_pde, try_run_pde, PdeEntry, PdeMetrics, PdeOutput, PdeParams, RouteInfo};
 pub use pipeline::BuildError;

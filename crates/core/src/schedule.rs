@@ -12,11 +12,11 @@
 //! the unscheduled batch for every batch order and thread count.
 //!
 //! The permutation is built with a two-pass stable counting sort (radix
-//! by dest, then by source) when node ids are dense relative to the
-//! batch — `O(q + n)`, no comparisons — and falls back to a stable
-//! comparison sort on packed `(u, v)` keys otherwise. Ties (duplicate
-//! pairs) keep their original submission order in both paths, so the
-//! schedule itself is a pure, deterministic function of the pair list.
+//! by dest, then by source) over the `n` node ids — `O(q + n)`, no
+//! comparisons (the oracle builds a schedule only for batches of at
+//! least 4 096 pairs). Ties (duplicate pairs) keep their original
+//! submission order, so the schedule itself is a pure, deterministic
+//! function of the pair list.
 //!
 //! [`BatchSchedule::shard_lens`] is the group-aware shard splitter for
 //! the parallel path: contiguous shards over the permutation that only
@@ -24,11 +24,6 @@
 //! workers and each worker still writes one contiguous output region.
 
 use congest::NodeId;
-
-/// Counting sort is only worth its `O(n)` counter passes while the key
-/// space is not much larger than the batch; beyond this ratio the
-/// comparison sort wins.
-const COUNTING_SORT_MAX_KEY_RATIO: usize = 8;
 
 /// An order-preserving source-grouped execution order for one batch.
 ///
@@ -45,32 +40,24 @@ pub struct BatchSchedule {
 }
 
 impl BatchSchedule {
-    /// Builds the schedule for `pairs` on an `n`-node oracle.
+    /// Builds the schedule for `pairs` on an `n`-node oracle: `O(q + n)`
+    /// time and `n + 1` counters.
     ///
     /// # Panics
     ///
     /// Panics when `pairs.len()` exceeds `u32::MAX` (batches are bounded
-    /// far below that by every serving layer).
+    /// far below that by every serving layer), and when a pair names a
+    /// node id `≥ n` — the same precondition as
+    /// `DistanceOracle::estimate`'s — before anything is allocated.
     pub fn build(pairs: &[(NodeId, NodeId)], n: usize) -> Self {
         let q = u32::try_from(pairs.len()).expect("batch fits u32 indices");
-        let max_key = pairs
-            .iter()
-            .map(|&(u, v)| u.0.max(v.0))
-            .max()
-            .map_or(0, |m| m as usize);
-        let keyspace = (max_key + 1).max(n);
-        let order = if keyspace <= COUNTING_SORT_MAX_KEY_RATIO * pairs.len().max(1) {
-            radix_order(pairs, keyspace, q)
-        } else {
-            let mut order: Vec<u32> = (0..q).collect();
-            // Stable: duplicate (u, v) pairs keep submission order, same
-            // as the radix path.
-            order.sort_by_key(|&i| {
-                let (u, v) = pairs[i as usize];
-                (u64::from(u.0) << 32) | u64::from(v.0)
-            });
-            order
-        };
+        for id in pairs.iter().flat_map(|&(u, v)| [u, v]) {
+            assert!(
+                id.index() < n,
+                "batch names node {id}, past the {n}-node oracle"
+            );
+        }
+        let order = radix_order(pairs, n, q);
         let mut group_starts = Vec::with_capacity(64);
         group_starts.push(0u32);
         for i in 1..order.len() {
@@ -138,8 +125,8 @@ impl BatchSchedule {
 }
 
 /// Two-pass stable LSD radix sort of query indices by `(u, v)`.
-fn radix_order(pairs: &[(NodeId, NodeId)], keyspace: usize, q: u32) -> Vec<u32> {
-    let mut counts = vec![0u32; keyspace + 1];
+fn radix_order(pairs: &[(NodeId, NodeId)], n: usize, q: u32) -> Vec<u32> {
+    let mut counts = vec![0u32; n + 1];
     // Pass 1: stable counting sort by dest.
     for &(_, v) in pairs {
         counts[v.0 as usize + 1] += 1;
@@ -155,7 +142,7 @@ fn radix_order(pairs: &[(NodeId, NodeId)], keyspace: usize, q: u32) -> Vec<u32> 
     }
     // Pass 2: stable counting sort by source over the dest-sorted order.
     counts.clear();
-    counts.resize(keyspace + 1, 0);
+    counts.resize(n + 1, 0);
     for &(u, _) in pairs {
         counts[u.0 as usize + 1] += 1;
     }
@@ -245,7 +232,7 @@ mod tests {
     #[test]
     fn order_is_sorted_and_stable() {
         let pairs = pairs_of(&[(3, 1), (0, 2), (3, 1), (1, 9), (0, 0), (3, 0)]);
-        let s = BatchSchedule::build(&pairs, 4);
+        let s = BatchSchedule::build(&pairs, 10);
         let keys: Vec<(u32, u32)> = s
             .order()
             .iter()
@@ -258,17 +245,21 @@ mod tests {
     }
 
     #[test]
-    fn radix_and_comparison_paths_agree() {
-        // Sparse ids force the comparison path; re-building with a huge
-        // claimed n forces it too, and both must equal the radix result.
+    fn a_huge_claimed_n_gives_the_same_order() {
         let raw: Vec<(u32, u32)> = (0..200)
             .map(|i: u32| (i.wrapping_mul(37) % 50, i.wrapping_mul(91) % 50))
             .collect();
         let pairs = pairs_of(&raw);
-        let dense = BatchSchedule::build(&pairs, 50);
-        let sparse = BatchSchedule::build(&pairs, 50 * COUNTING_SORT_MAX_KEY_RATIO * 400);
-        assert_eq!(dense.order(), sparse.order());
-        assert_eq!(dense.group_starts, sparse.group_starts);
+        let tight = BatchSchedule::build(&pairs, 50);
+        let huge = BatchSchedule::build(&pairs, 160_000);
+        assert_eq!(tight.order(), huge.order());
+        assert_eq!(tight.group_starts, huge.group_starts);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch names node v9, past the 9-node oracle")]
+    fn an_id_at_or_past_n_panics_naming_it() {
+        BatchSchedule::build(&pairs_of(&[(0, 2), (1, 9)]), 9);
     }
 
     #[test]
@@ -295,7 +286,7 @@ mod tests {
     #[test]
     fn scatter_inverts_the_permutation() {
         let pairs = pairs_of(&[(2, 1), (0, 3), (1, 1), (0, 1)]);
-        let s = BatchSchedule::build(&pairs, 3);
+        let s = BatchSchedule::build(&pairs, 4);
         // Answer i in schedule order is the scheduled query's index × 10.
         let grouped: Vec<u64> = s.order().iter().map(|&i| u64::from(i) * 10).collect();
         let mut out = vec![0u64; pairs.len()];

@@ -14,11 +14,9 @@
 //!   [`RowCursor`]); "iterate everything `v` knows" is a contiguous
 //!   walk. The arrays live behind zero-copy [`congest::arena`] views, so
 //!   a snapshot load *is* the in-memory form: no decode pass, no copy.
-//! * [`PairTable`] — a `k × k` partial map in either dense
-//!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
-//!   form; [`PairTable::auto`] picks dense unless the table is large and
-//!   sparse. Lookups agree exactly with a `HashMap` model (pinned by
-//!   proptests in `tests/flat_tables.rs`).
+//! * [`PairTable`] — a `k × k` partial map, one `row * k + col` indexed
+//!   array with an [`ABSENT`] sentinel. Lookups agree exactly with a
+//!   `HashMap` model (pinned by proptests in `tests/flat_tables.rs`).
 //!
 //! # The ladder record format
 //!
@@ -1035,7 +1033,11 @@ impl<'a> RowCursor<'a> {
     /// takes one bounds check and one load. Small keyed rows
     /// take one branchless sweep of the whole row; larger ones take one
     /// multiply and the same sweep over the window the fit predicts — no
-    /// load depends on another until the records themselves. The window
+    /// load depends on another until the records themselves. The sweep
+    /// is compiled for the one record shape every measured keyed row
+    /// takes, 3 bytes with a 1-byte key; any other shape (wider keys
+    /// only appear past 2⁸ members, or in synthetic tables) and any
+    /// window past [`WIDE_WINDOW`] are binary-searched. The window
     /// is clamped to the row: the arena checksum owns integrity and
     /// [`FlatTables::validate`] the fit, and a fit that is wrong anyway
     /// answers with a miss, never a panic.
@@ -1059,8 +1061,6 @@ impl<'a> RowCursor<'a> {
         let j = match shape {
             _ if window.len() > WIDE_WINDOW => search_keys(recs, shape, key),
             (3, 1) => scan_keys::<3, 1>(recs, key),
-            (6, 4) => scan_keys::<6, 4>(recs, key),
-            (8, 4) => scan_keys::<8, 4>(recs, key),
             _ => search_keys(recs, shape, key),
         }?;
         Some(self.slot(window.start + j))
@@ -1121,62 +1121,24 @@ pub fn resolve_entries(tables: &FlatTables, index: &graphs::DenseIndex) -> Vec<(
 /// A partial `k × k` map keyed by `(row, col)` pairs — the truncated
 /// hierarchy's upper-level `(node, source)` tables.
 ///
-/// Dense form is one `k²` value array with [`ABSENT`] sentinels (a lookup
-/// is a single indexed load); CSR form stores row-sorted `(col, value)`
-/// pairs (a lookup is a binary search within the row). Representation is
-/// part of the value: snapshots record it, so reload → re-save is
-/// byte-identical.
+/// One `k²` value array, `values[row * k + col]`, with [`ABSENT`] where
+/// no entry exists: a lookup is a single indexed load. Corollary 4.14
+/// solves the skeleton graph locally, so an upper level's map fills
+/// every column of its level's sources; a level with few sources pays
+/// for its absent cells.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PairTable {
-    /// `values[row * k + col]`, [`ABSENT`] where no entry exists.
-    Dense {
-        /// Side length `k`.
-        k: usize,
-        /// `k²` values.
-        values: Vec<u64>,
-    },
-    /// Row-sorted compressed sparse rows.
-    Csr {
-        /// Side length `k`.
-        k: usize,
-        /// `k + 1` row offsets.
-        starts: Vec<u32>,
-        /// Column ids, sorted within each row.
-        cols: Vec<u32>,
-        /// Values, parallel to `cols`.
-        vals: Vec<u64>,
-    },
+pub struct PairTable {
+    k: usize,
+    values: Vec<u64>,
 }
 
-/// Above this many cells, [`PairTable::auto`] considers CSR.
-const DENSE_CELL_FLOOR: usize = 1 << 12;
-/// `auto` stays dense while entries fill at least 1/8 of the cells.
-const DENSE_FILL_SHIFT: u32 = 3;
-
 impl PairTable {
-    /// Builds the representation [`PairTable::auto`] deems best: dense for
-    /// small or well-filled tables, CSR for large sparse ones. The rule is
-    /// deterministic (a pure function of `k` and the entry count), so
-    /// identical builds pick identical layouts.
+    /// Builds the `k × k` table holding `entries`.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range keys, duplicate keys, or [`ABSENT`] values
+    /// Panics on out-of-range keys, duplicates, or [`ABSENT`] values
     /// (builder bugs, not data).
-    pub fn auto(k: usize, entries: &[(u32, u32, u64)]) -> Self {
-        let cells = k.saturating_mul(k);
-        if cells <= DENSE_CELL_FLOOR || entries.len() >= cells >> DENSE_FILL_SHIFT {
-            Self::dense(k, entries)
-        } else {
-            Self::csr(k, entries)
-        }
-    }
-
-    /// Builds the dense representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range keys, duplicates, or [`ABSENT`] values.
     pub fn dense(k: usize, entries: &[(u32, u32, u64)]) -> Self {
         let mut values = vec![ABSENT; k * k];
         for &(r, c, v) in entries {
@@ -1189,207 +1151,67 @@ impl PairTable {
             assert_eq!(*cell, ABSENT, "duplicate pair key ({r}, {c})");
             *cell = v;
         }
-        PairTable::Dense { k, values }
-    }
-
-    /// Builds the CSR representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range keys, duplicates, or [`ABSENT`] values.
-    pub fn csr(k: usize, entries: &[(u32, u32, u64)]) -> Self {
-        let mut sorted: Vec<(u32, u32, u64)> = entries.to_vec();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut starts = Vec::with_capacity(k + 1);
-        let mut cols = Vec::with_capacity(sorted.len());
-        let mut vals = Vec::with_capacity(sorted.len());
-        starts.push(0u32);
-        let mut row = 0u32;
-        for (i, &(r, c, v)) in sorted.iter().enumerate() {
-            assert!(
-                (r as usize) < k && (c as usize) < k,
-                "pair key out of range"
-            );
-            assert_ne!(v, ABSENT, "ABSENT is reserved");
-            if i > 0 {
-                assert_ne!(
-                    (r, c),
-                    (sorted[i - 1].0, sorted[i - 1].1),
-                    "duplicate pair key"
-                );
-            }
-            while row < r {
-                starts.push(cols.len() as u32);
-                row += 1;
-            }
-            cols.push(c);
-            vals.push(v);
-        }
-        while starts.len() < k + 1 {
-            starts.push(cols.len() as u32);
-        }
-        PairTable::Csr {
-            k,
-            starts,
-            cols,
-            vals,
-        }
+        PairTable { k, values }
     }
 
     /// Side length `k`.
     pub fn k(&self) -> usize {
-        match self {
-            PairTable::Dense { k, .. } | PairTable::Csr { k, .. } => *k,
-        }
-    }
-
-    /// Number of present entries.
-    pub fn len(&self) -> usize {
-        match self {
-            PairTable::Dense { values, .. } => values.iter().filter(|&&v| v != ABSENT).count(),
-            PairTable::Csr { cols, .. } => cols.len(),
-        }
-    }
-
-    /// `true` if no entries are present.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            PairTable::Dense { values, .. } => values.iter().all(|&v| v == ABSENT),
-            PairTable::Csr { cols, .. } => cols.is_empty(),
-        }
+        self.k
     }
 
     /// The value at `(row, col)`, if present. Out-of-range keys are
     /// misses, matching the `HashMap` model.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> Option<u64> {
-        match self {
-            PairTable::Dense { k, values } => {
-                if row >= *k || col >= *k {
-                    return None;
-                }
-                let v = values[row * k + col];
-                (v != ABSENT).then_some(v)
-            }
-            PairTable::Csr {
-                k,
-                starts,
-                cols,
-                vals,
-            } => {
-                if row >= *k || col >= *k {
-                    return None;
-                }
-                let lo = starts[row] as usize;
-                let hi = starts[row + 1] as usize;
-                cols[lo..hi]
-                    .binary_search(&(col as u32))
-                    .ok()
-                    .map(|i| vals[lo + i])
-            }
+        if row >= self.k || col >= self.k {
+            return None;
         }
+        let v = self.values[row * self.k + col];
+        (v != ABSENT).then_some(v)
     }
 
-    /// Iterates present entries as `(row, col, value)`, row-major and
-    /// column-sorted within each row.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (u32, u32, u64)> + '_> {
-        match self {
-            PairTable::Dense { k, values } => {
-                let k = *k;
-                Box::new(
-                    values
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &v)| v != ABSENT)
-                        .map(move |(i, &v)| ((i / k) as u32, (i % k) as u32, v)),
-                )
-            }
-            PairTable::Csr {
-                starts, cols, vals, ..
-            } => Box::new((0..starts.len().saturating_sub(1)).flat_map(move |row| {
-                (starts[row] as usize..starts[row + 1] as usize)
-                    .map(move |i| (row as u32, cols[i], vals[i]))
-            })),
-        }
+    /// Iterates present entries as `(row, col, value)`, row-major.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
+        let k = self.k;
+        self.values
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != ABSENT)
+            .map(move |(i, &v)| ((i / k) as u32, (i % k) as u32, v))
     }
 
-    /// Emits the table into an arena: a `[tag, k]` meta section, then
-    /// the representation's arrays as typed sections.
+    /// Emits the table into an arena: a `[0, k]` meta section (the 0 is
+    /// the dense form's tag, the only one written), then the `k²`
+    /// values.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
-        match self {
-            PairTable::Dense { k, values } => {
-                a.u64s(&[0, *k as u64]);
-                a.u64s(values);
-            }
-            PairTable::Csr {
-                k,
-                starts,
-                cols,
-                vals,
-            } => {
-                a.u64s(&[1, *k as u64]);
-                a.u32s(starts);
-                a.u32s(cols);
-                a.u64s(vals);
-            }
-        }
+        a.u64s(&[0, self.k as u64]);
+        a.u64s(&self.values);
     }
 
-    /// Reads what [`PairTable::write_arena`] wrote, validating shape
-    /// (offsets monotone and bounded, columns sorted and in range).
+    /// Reads what [`PairTable::write_arena`] wrote.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on malformed sections.
+    /// Returns `InvalidData` on a misshapen meta section, a tag other
+    /// than 0 (a sparse table, which a file must be rebuilt to drop) or
+    /// a cell count other than `k²`.
     pub fn read_arena(c: &mut congest::arena::ArenaCursor<'_>) -> io::Result<Self> {
         let meta = c.u64s()?;
         let [tag, k] = meta[..] else {
             return Err(invalid_data("pair table meta section misshapen"));
         };
+        if tag != 0 {
+            return Err(invalid_data(format!("unknown pair table tag {tag}")));
+        }
         let k = usize::try_from(k).map_err(|_| invalid_data("pair table k overflow"))?;
         if k > congest::wire::MAX_SNAPSHOT_NODES {
             return Err(invalid_data(format!("pair table claims k = {k}")));
         }
-        match tag {
-            0 => {
-                let values = c.u64s()?;
-                let cells = congest::wire::seq_product(k, k, "pair table")?;
-                if values.len() != cells {
-                    return Err(invalid_data("pair table cell count mismatch"));
-                }
-                Ok(PairTable::Dense { k, values })
-            }
-            1 => {
-                let starts = c.u32s()?;
-                let cols = c.u32s()?;
-                let vals = c.u64s()?;
-                if starts.len() != k + 1 || cols.len() != vals.len() {
-                    return Err(invalid_data("pair table sections disagree on length"));
-                }
-                let m = cols.len();
-                if starts[0] != 0
-                    || starts.windows(2).any(|w| w[0] > w[1])
-                    || *starts.last().expect("nonempty") as usize != m
-                {
-                    return Err(invalid_data("pair table offsets inconsistent"));
-                }
-                for row in 0..k {
-                    let lo = starts[row] as usize;
-                    let hi = starts[row + 1] as usize;
-                    let r = &cols[lo..hi];
-                    if r.windows(2).any(|w| w[0] >= w[1]) || r.iter().any(|&cv| cv as usize >= k) {
-                        return Err(invalid_data("pair table row malformed"));
-                    }
-                }
-                Ok(PairTable::Csr {
-                    k,
-                    starts,
-                    cols,
-                    vals,
-                })
-            }
-            t => Err(invalid_data(format!("unknown pair table tag {t}"))),
+        let values = c.u64s()?;
+        if values.len() != congest::wire::seq_product(k, k, "pair table")? {
+            return Err(invalid_data("pair table cell count mismatch"));
         }
+        Ok(PairTable { k, values })
     }
 }
 
@@ -2047,41 +1869,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pair_table_reps_agree() {
-        let entries = &[(0u32, 2u32, 5u64), (1, 0, 9), (1, 3, 2), (3, 3, 7)];
-        let d = PairTable::dense(4, entries);
-        let c = PairTable::csr(4, entries);
-        for row in 0..5 {
-            for col in 0..5 {
-                assert_eq!(d.get(row, col), c.get(row, col), "({row}, {col})");
-            }
-        }
-        assert_eq!(d.len(), 4);
-        assert_eq!(c.len(), 4);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn auto_picks_dense_for_small_and_csr_for_large_sparse() {
-        assert!(matches!(
-            PairTable::auto(4, &[(0, 0, 1)]),
-            PairTable::Dense { .. }
-        ));
-        // 100×100 = 10_000 cells > floor, 1 entry ≪ 1/8 fill.
-        assert!(matches!(
-            PairTable::auto(100, &[(0, 0, 1)]),
-            PairTable::Csr { .. }
-        ));
-        // Same size, well filled → dense.
-        let filled: Vec<(u32, u32, u64)> = (0..100u32)
-            .flat_map(|r| (0..20u32).map(move |c| (r, c, 1u64)))
-            .collect();
-        assert!(matches!(
-            PairTable::auto(100, &filled),
-            PairTable::Dense { .. }
-        ));
     }
 }

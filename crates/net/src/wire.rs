@@ -1053,9 +1053,10 @@ mod tests {
             Request::decode(&buf).unwrap_err(),
             WireError::Malformed(_)
         ));
-        // Backend tags 5 and 6 are retired (the exact Thorup–Zwick
-        // matrices and the served distance-vector matrix): a summary
-        // carrying either is malformed, not a backend.
+        // Backend tags 1, 5 and 6 are retired (Theorem 4.1's approximate
+        // APSP, the exact Thorup–Zwick matrices and the served
+        // distance-vector matrix): a summary carrying one is malformed,
+        // not a backend.
         let summary = InstallSummary {
             backend: Backend::Flooding,
             n: 8,
@@ -1067,7 +1068,7 @@ mod tests {
         encode_response(7, Op::Swap, &Response::Installed(summary), &mut buf);
         // `ver | ok | op | req_id u64`, then the backend byte.
         assert_eq!(buf[11], Backend::Flooding.wire_tag());
-        for tag in [5, 6] {
+        for tag in [1, 5, 6] {
             buf[11] = tag;
             assert!(matches!(
                 decode_response(&buf).unwrap_err(),

@@ -1,11 +1,11 @@
 //! The backend wrappers behind [`crate::DistanceOracle`]: four structs
-//! for the six [`Backend`]s, since [`Backend::ApproxApsp`] is a
-//! [`PdeOracle`] at Theorem 4.1's configuration and
-//! [`Backend::Flooding`] one over exact rows.
+//! for the five [`Backend`]s, since [`Backend::Flooding`] is a
+//! [`PdeOracle`] over exact rows. [`Backend::Pde`] at its defaults
+//! (`S = V`, `h = σ = n`) is Theorem 4.1's approximate APSP.
 //!
 //! Every wrapper traces routes without caller-side plumbing: the
 //! distributed schemes expose the topology they were built on (borrowed,
-//! not copied), and the PDE-family wrapper keeps the graph itself. It
+//! not copied), and the PDE-family wrapper keeps its own. It
 //! serves what Definition 2.2 promises, [`pde_core::PdeOutput::served`]:
 //! each node's σ-list entries as per-node source-sorted rows
 //! ([`pde_core::FlatTables`]), so point queries are one short probe and
@@ -26,8 +26,7 @@ use congest::{NodeId, Port, Topology};
 use graphs::{WGraph, INF};
 use pde_core::pde::validate_pde_input;
 use pde_core::schedule::{self, RowEstimate};
-use pde_core::{try_approx_apsp, try_run_pde};
-use pde_core::{FlatTables, PdeParams, RouteInfo, RowCursor};
+use pde_core::{try_run_pde, FlatTables, PdeParams, RouteInfo, RowCursor};
 use routing::{try_build_rtc, RoutingScheme, RtcParams, RtcScheme};
 use std::collections::BTreeSet;
 use std::io;
@@ -56,12 +55,10 @@ fn truncated_ceiling(k: u32, eps: f64) -> f64 {
 
 /// [`Backend::Pde`]: flat per-node tables of one PDE run's σ-lists, and
 /// the transit hops their routes need ([`pde_core::PdeOutput::served`])
-/// — and [`Backend::ApproxApsp`], which is that run at `S = V`, `h = σ =
-/// n` ([`pde_core::try_approx_apsp`]), and [`Backend::Flooding`], the
-/// same coverage with exact rows (ε = 0; see `exact_oracle`). At σ ≥ |S|
+/// — and [`Backend::Flooding`], the coverage of Theorem 4.1's `S = V`,
+/// `h = σ = n` with exact rows (ε = 0; see `exact_oracle`). At σ ≥ |S|
 /// the lists are the whole archive and there is no transit.
 pub struct PdeOracle {
-    pub(crate) g: WGraph,
     pub(crate) topo: Topology,
     pub(crate) routes: FlatTables,
     pub(crate) transit: Transit,
@@ -94,7 +91,7 @@ impl RowEstimate for PdeOracle {
 
 impl DistanceOracle for PdeOracle {
     fn len(&self) -> usize {
-        self.g.len()
+        self.topo.len()
     }
 
     fn estimate(&self, u: NodeId, v: NodeId) -> u64 {
@@ -340,33 +337,25 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
     }
     if matches!(
         b.backend,
-        Backend::Pde | Backend::ApproxApsp | Backend::Rtc | Backend::Compact | Backend::Truncated
+        Backend::Pde | Backend::Rtc | Backend::Compact | Backend::Truncated
     ) {
         validate_pde_input(g, b.eps)?;
     }
     let inner = match b.backend {
-        Backend::Pde | Backend::ApproxApsp => {
-            // At σ ≥ |S| no list drops a source: the archive is the lists.
-            let (out, h, sigma, all_listed) = if b.backend == Backend::ApproxApsp {
-                let out = try_approx_apsp(g, b.eps, b.threads, b.mode)?.pde;
-                (out, n as u64, n, true)
-            } else {
-                let sources = match &b.sources {
-                    Some(s) => {
-                        assert_eq!(s.len(), n, "one source flag per node");
-                        s.clone()
-                    }
-                    None => vec![true; n],
-                };
-                let h = b.horizon.unwrap_or(n as u64);
-                let sigma = b.sigma.unwrap_or(n);
-                let params = PdeParams::new(h, sigma, b.eps)
-                    .with_threads(b.threads)
-                    .with_mode(b.mode);
-                let out = try_run_pde(g, &sources, &vec![false; n], &params)?;
-                let all_listed = sigma >= sources.iter().filter(|&&s| s).count();
-                (out, h, sigma, all_listed)
+        Backend::Pde => {
+            let sources = match &b.sources {
+                Some(s) => {
+                    assert_eq!(s.len(), n, "one source flag per node");
+                    s.clone()
+                }
+                None => vec![true; n],
             };
+            let h = b.horizon.unwrap_or(n as u64);
+            let sigma = b.sigma.unwrap_or(n);
+            let params = PdeParams::new(h, sigma, b.eps)
+                .with_threads(b.threads)
+                .with_mode(b.mode);
+            let out = try_run_pde(g, &sources, &vec![false; n], &params)?;
             let m = metrics(
                 b.backend,
                 n,
@@ -374,12 +363,12 @@ pub(crate) fn build_inner(b: &OracleBuilder, g: &WGraph) -> Result<Inner, BuildE
                 out.metrics.total.messages,
             );
             let topo = g.to_topology();
-            let (routes, transit) = match all_listed {
+            // At σ ≥ |S| no list drops a source: the archive is the lists.
+            let (routes, transit) = match sigma >= sources.iter().filter(|&&s| s).count() {
                 true => (out.routes, Vec::new()),
                 false => out.served(&topo),
             };
             Inner::Pde(PdeOracle {
-                g: g.clone(),
                 topo,
                 routes,
                 transit: Transit::new(&transit),
@@ -574,7 +563,6 @@ pub(crate) fn exact_oracle(
         }
     });
     Ok(Inner::Pde(PdeOracle {
-        g: g.clone(),
         topo,
         routes,
         transit: Transit::default(),

@@ -199,7 +199,7 @@ mod tests {
         let mut rng = graphs::Seed(6).rng();
         let g = gen::gnp_connected(14, 0.3, Weights::Unit, &mut rng);
         let exact = apsp(&g);
-        let o = OracleBuilder::new(Backend::ApproxApsp).build(&g);
+        let o = OracleBuilder::new(Backend::Pde).build(&g);
         let sel = PairSelection::Sample { count: 40, seed: 9 };
         let a = evaluate(&o, &g, &exact, sel);
         let b = evaluate(&o, &g, &exact, sel);

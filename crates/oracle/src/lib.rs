@@ -38,7 +38,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = WGraph::from_edges(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)])?;
-//! let oracle = OracleBuilder::new(Backend::ApproxApsp).eps(0.25).build(&g);
+//! let oracle = OracleBuilder::new(Backend::Pde).eps(0.25).build(&g);
 //! assert!(oracle.estimate(graphs::NodeId(0), graphs::NodeId(2)) >= 5);
 //! let mut bytes = Vec::new();
 //! oracle.save(&mut bytes)?;
@@ -333,9 +333,6 @@ pub enum Backend {
     /// Partial distance estimation towards a source set (Corollary 3.5):
     /// flat per-node tables, coverage limited by `horizon`/`sigma`.
     Pde,
-    /// Deterministic `(1+ε)`-approximate APSP (Theorem 4.1): PDE at
-    /// `S = V`, `h = σ = n`.
-    ApproxApsp,
     /// Routing tables with relabeling (Theorem 4.5), stretch `6k−1+o(1)`.
     Rtc,
     /// Compact Thorup–Zwick hierarchy (Theorem 4.8), stretch `4k−3+o(1)`.
@@ -352,9 +349,8 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in builder-matrix order.
-    pub const ALL: [Backend; 6] = [
+    pub const ALL: [Backend; 5] = [
         Backend::Pde,
-        Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Compact,
         Backend::Truncated,
@@ -365,7 +361,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Pde => "pde",
-            Backend::ApproxApsp => "approx_apsp",
             Backend::Rtc => "rtc",
             Backend::Compact => "compact",
             Backend::Truncated => "truncated",
@@ -378,13 +373,13 @@ impl Backend {
     /// protocol's install/stats frames. The assignment is append-only:
     /// existing values never change, new backends take the next free
     /// tag, so artifacts and peers from different builds agree. A
-    /// retired backend's tag is never reused: 5 was the exact
+    /// retired backend's tag is never reused: 1 was Theorem 4.1's
+    /// approximate APSP (now `Pde` at its defaults), 5 the exact
     /// Thorup–Zwick matrices and 6 the served distance-vector matrix,
-    /// both now unassigned.
+    /// all three now unassigned.
     pub fn wire_tag(self) -> u8 {
         match self {
             Backend::Pde => 0,
-            Backend::ApproxApsp => 1,
             Backend::Rtc => 2,
             Backend::Compact => 3,
             Backend::Truncated => 4,
@@ -747,7 +742,6 @@ mod tests {
             .collect();
         let want = [
             ("pde", 0),
-            ("approx_apsp", 1),
             ("rtc", 2),
             ("compact", 3),
             ("truncated", 4),
@@ -757,10 +751,11 @@ mod tests {
         for b in Backend::ALL {
             assert_eq!(Backend::from_wire_tag(b.wire_tag()), Some(b));
         }
-        // 5 was the exact Thorup–Zwick matrices and 6 the served
-        // distance-vector matrix; a retired tag is never reused.
-        assert_eq!(Backend::from_wire_tag(5), None);
-        assert_eq!(Backend::from_wire_tag(6), None);
-        assert_eq!(Backend::from_wire_tag(8), None);
+        // 1 was Theorem 4.1's approximate APSP, 5 the exact Thorup–Zwick
+        // matrices and 6 the served distance-vector matrix; a retired tag
+        // is never reused.
+        for retired in [1, 5, 6, 8] {
+            assert_eq!(Backend::from_wire_tag(retired), None, "tag {retired}");
+        }
     }
 }

@@ -21,14 +21,13 @@
 //!   raise, failure or halving touches ≈ 30–38 % of the rows, where a
 //!   coarse tightness test would take about half —
 //!   [`RepairKind::Incremental`] reports the count.
-//! * **Sampling-coupled schemes** (PDE, ApproxApsp, RTC, Compact,
-//!   Truncated) key their skeleton/level samples and ladder
-//!   stages on node ids and the global seed; a delta invalidates rungs
-//!   globally, and per-rung per-source state is exactly what the
-//!   compact artifact does *not* store. Repair for these is an honest
-//!   staged rebuild through the same pipeline
-//!   ([`RepairKind::Rebuilt`] names the reason) — still through one
-//!   entry point, so callers measure instead of guessing.
+//! * **Sampling-coupled schemes** (PDE, RTC, Compact, Truncated) key
+//!   their skeleton/level samples and ladder stages on node ids and the
+//!   global seed; a delta invalidates rungs globally, and per-rung
+//!   per-source state is exactly what the compact artifact does *not*
+//!   store. Repair for these is an honest staged rebuild through the
+//!   same pipeline ([`RepairKind::Rebuilt`] names the reason) — still
+//!   through one entry point, so callers measure instead of guessing.
 //! * **Node failure** renumbers the id space (dense `0..n` ids are
 //!   load-bearing in every artifact), which reshuffles every id-keyed
 //!   sample: node deltas rebuild on all backends.
@@ -592,7 +591,7 @@ mod tests {
     fn mismatches_are_typed() {
         let g = test_graph();
         let flood = OracleBuilder::new(Backend::Flooding).build(&g);
-        let err = OracleBuilder::new(Backend::ApproxApsp)
+        let err = OracleBuilder::new(Backend::Pde)
             .repair(&g, &flood, &GraphDelta::FailNode { v: NodeId(0) })
             .unwrap_err();
         assert!(matches!(err, RepairError::BackendMismatch { .. }));

@@ -21,15 +21,23 @@
 //! | 12 | as 11, but a PDE table holds only σ-list entries, with its transit hops (keys, ports) in two sections before it | — | rejected (rebuild) |
 //! | 13 | as 12, but a keyed record's key, the ranks and every edge list's endpoints and weights take the narrowest width their data needs | [`Oracle::save`] | zero-copy views, derived state stored |
 //!
-//! `approx_apsp` and `flooding` share the PDE layout under their own
-//! header tags (flooding's rows are exact: ε = 0, whole hops on rung 1).
+//! `flooding` shares the PDE layout under its own header tag (its rows
+//! are exact: ε = 0, whole hops on rung 1).
+//!
+//! A truncated arena's upper-level pair tables are dense (`[0, k]`, then
+//! `k²` values). A tag-13 file written before the sparse form was
+//! dropped may hold one (`[1, k]` and three CSR sections; only a build
+//! with `l0 < k − 1` at `k ≥ 3` wrote it): its load is `InvalidData`,
+//! and such a file must be rebuilt.
 //!
 //! A rejected tag surfaces as `InvalidData` wrapping
 //! [`congest::wire::SnapshotError::Rebuild`] (test with
 //! [`congest::wire::snapshot_cause`]): snapshots are caches of a
 //! deterministic build, so there is no migration — rebuild and re-save.
 //!
-//! Backend tags 5 and 6 are retired: 5 was the exact TZ matrices
+//! Backend tags 1, 5 and 6 are retired: 1 was `approx_apsp`, Theorem
+//! 4.1's PDE at `S = V`, `h = σ = n`, whose artifact was `pde`'s at its
+//! defaults byte for byte under another tag; 5 was the exact TZ matrices
 //! (`exact_tz`, a centralized exact Thorup–Zwick hierarchy over n × n
 //! distance and first-hop matrices) and 6 was `bellman_ford`, an n × n
 //! distance matrix without routes; `flooding`'s exact rows answer what
@@ -76,8 +84,8 @@
 //! the width that holds `n − 1` and the weights at the width that holds
 //! the largest; a load refuses any other width.
 //!
-//! A PDE-layout arena is the `[eps, h, σ]` meta section, the graph's
-//! sections, the transit hops (`node << 32 | source` keys, strictly
+//! A PDE-layout arena is the `[eps, h, σ]` meta section, the topology's
+//! edge list, the transit hops (`node << 32 | source` keys, strictly
 //! increasing, then one `u32` port each; both empty unless some list
 //! dropped a source its routes pass through) and the route table last.
 //!
@@ -97,7 +105,7 @@ use crate::{Backend, Oracle, OracleBuildMetrics};
 use compact::{CompactScheme, TruncatedScheme};
 use congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
 use congest::wire::{invalid_data, WireReader, WireWriter};
-use graphs::WGraph;
+use congest::Topology;
 use pde_core::FlatTables;
 use routing::RtcScheme;
 use std::io::{self, Read, Write};
@@ -144,7 +152,7 @@ fn write_arena_payload(inner: &Inner, a: &mut ArenaWriter) -> io::Result<()> {
     match inner {
         Inner::Pde(o) => {
             a.u64s(&[o.eps.to_bits(), o.h, o.sigma as u64]);
-            o.g.write_arena(a);
+            o.topo.write_arena(a);
             o.transit.write_arena(a);
             o.routes.write_arena(a);
             Ok(())
@@ -170,21 +178,19 @@ fn read_arena_payload(
     c: &mut ArenaCursor<'_>,
 ) -> io::Result<Inner> {
     Ok(match backend {
-        Backend::Pde | Backend::ApproxApsp | Backend::Flooding => {
+        Backend::Pde | Backend::Flooding => {
             let meta = c.u64s()?;
             let [eps, h, sigma] = meta[..] else {
                 return Err(invalid_data("PDE meta section misshapen"));
             };
             let eps = f64::from_bits(eps);
             let sigma = usize::try_from(sigma).map_err(|_| invalid_data("PDE sigma overflow"))?;
-            let g = WGraph::read_arena(c)?;
+            let topo = Topology::read_arena(c)?;
             let transit = Transit::read_arena(c)?;
             let routes = FlatTables::read_arena(c)?;
-            let topo = g.to_topology();
             routes.validate(&topo)?;
             transit.validate(&topo, &routes)?;
             Inner::Pde(PdeOracle {
-                g,
                 topo,
                 routes,
                 transit,

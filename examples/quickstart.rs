@@ -30,9 +30,10 @@ pub fn demo() -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
 
-    // 1. One builder for every backend. Here: deterministic (1+ε)-
+    // 1. One builder for every backend. Here: PDE at its defaults (every
+    //    node a source, h = σ = n), which is deterministic (1+ε)-
     //    approximate APSP (Theorem 4.1), built once, queried many times.
-    let apsp = OracleBuilder::new(Backend::ApproxApsp).eps(0.25).build(&g);
+    let apsp = OracleBuilder::new(Backend::Pde).eps(0.25).build(&g);
     println!(
         "approx-APSP oracle: {} CONGEST rounds to build, {} KiB artifact, stretch <= {:.2}",
         apsp.build_metrics().rounds,

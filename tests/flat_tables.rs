@@ -1,6 +1,6 @@
 //! Property-based tests for the flat SoA tables every scheme builds and
-//! serves (`pde_core::tables`): dense and CSR [`PairTable`] lookups must
-//! agree with a `HashMap` model across random probes — including misses
+//! serves (`pde_core::tables`): dense [`PairTable`] lookups must agree
+//! with a `HashMap` model across random probes — including misses
 //! and out-of-range keys — and [`FlatTables`] lookups with a per-node
 //! `BTreeMap` model over a random rung ladder — including hop counts and
 //! ports that take the escape, in keyed and direct rows, at every word
@@ -715,8 +715,8 @@ fn unsorted_or_duplicate_source_rows_panic_in_the_constructor() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Dense and CSR representations both agree with the `HashMap` model
-    /// on every probe, hits and misses alike.
+    /// The dense table agrees with the `HashMap` model on every probe,
+    /// hits and misses alike.
     #[test]
     fn pair_table_reps_agree_with_hashmap_model(case in pair_entries()) {
         let (k, entries, probes) = case;
@@ -724,40 +724,69 @@ proptest! {
             .iter()
             .map(|&(r, c, v)| ((r as usize, c as usize), v))
             .collect();
-        let dense = PairTable::dense(k, &entries);
-        let csr = PairTable::csr(k, &entries);
-        let auto = PairTable::auto(k, &entries);
-        prop_assert_eq!(dense.len(), entries.len());
-        prop_assert_eq!(csr.len(), entries.len());
+        let table = PairTable::dense(k, &entries);
+        prop_assert_eq!(table.iter().count(), entries.len());
         for &(r, c) in &probes {
-            let want = model.get(&(r, c)).copied();
-            prop_assert_eq!(dense.get(r, c), want, "dense ({}, {})", r, c);
-            prop_assert_eq!(csr.get(r, c), want, "csr ({}, {})", r, c);
-            prop_assert_eq!(auto.get(r, c), want, "auto ({}, {})", r, c);
+            prop_assert_eq!(table.get(r, c), model.get(&(r, c)).copied(), "({}, {})", r, c);
         }
         // And over the full (plus one out-of-range rim) key square.
         for r in 0..k + 1 {
             for c in 0..k + 1 {
-                prop_assert_eq!(dense.get(r, c), model.get(&(r, c)).copied());
-                prop_assert_eq!(csr.get(r, c), model.get(&(r, c)).copied());
+                prop_assert_eq!(table.get(r, c), model.get(&(r, c)).copied());
             }
         }
     }
 
-    /// Both representations round-trip through the arena codec
-    /// byte-identically, preserving the representation tag.
+    /// The table round-trips through the arena codec byte-identically,
+    /// and a hostile meta — the retired sparse form's tag 1, a cell count
+    /// other than `k²` — is `InvalidData`, never a panic.
     #[test]
     fn pair_table_round_trips_byte_identically(case in pair_entries()) {
         let (k, entries, _probes) = case;
-        for table in [PairTable::dense(k, &entries), PairTable::csr(k, &entries)] {
-            let buf = arena_bytes(|a| table.write_arena(a));
-            let reader = ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
-            let back = PairTable::read_arena(&mut reader.cursor()).unwrap();
-            prop_assert_eq!(&table, &back);
-            prop_assert_eq!(buf, arena_bytes(|a| back.write_arena(a)));
-            // Iteration agrees with construction.
-            let got: Vec<(u32, u32, u64)> = table.iter().collect();
-            prop_assert_eq!(got, entries.clone());
+        let read = |buf: Vec<u8>| {
+            let reader = ArenaReader::parse(SharedBytes::from_vec(buf)).unwrap();
+            PairTable::read_arena(&mut reader.cursor())
+        };
+        let table = PairTable::dense(k, &entries);
+        let buf = arena_bytes(|a| table.write_arena(a));
+        let back = read(buf.clone()).unwrap();
+        prop_assert_eq!(&table, &back);
+        prop_assert_eq!(buf, arena_bytes(|a| back.write_arena(a)));
+        // Iteration agrees with construction.
+        let got: Vec<(u32, u32, u64)> = table.iter().collect();
+        prop_assert_eq!(got, entries.clone());
+
+        let values: Vec<u64> = (0..k * k)
+            .map(|i| table.get(i / k, i % k).unwrap_or(u64::MAX))
+            .collect();
+        let sparse = arena_bytes(|a| {
+            a.u64s(&[1, k as u64]);
+            a.u32s(&vec![0; k + 1]);
+            a.u32s(&[]);
+            a.u64s(&[]);
+        });
+        let short = arena_bytes(|a| {
+            a.u64s(&[0, k as u64]);
+            a.u64s(&values[1..]);
+        });
+        let long = arena_bytes(|a| {
+            a.u64s(&[0, k as u64]);
+            a.u64s(&[values.as_slice(), &[7]].concat());
+        });
+        let wider = arena_bytes(|a| {
+            a.u64s(&[0, k as u64 + 1]);
+            a.u64s(&values);
+        });
+        let misshapen = arena_bytes(|a| a.u64s(&[0]));
+        for (what, buf) in [
+            ("sparse", sparse),
+            ("short", short),
+            ("long", long),
+            ("wider", wider),
+            ("misshapen", misshapen),
+        ] {
+            let err = read(buf).unwrap_err();
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}: {}", what, err);
         }
     }
 

@@ -73,9 +73,8 @@ fn answers_match_pinned_digests() {
             })
     };
     let exact = 0x74c0dffac37cd885; // every pair's true distance
-    let pins: [u64; 6] = [
+    let pins: [u64; 5] = [
         exact,              // pde
-        exact,              // approx_apsp
         0x97d88f34d94bc1bc, // rtc
         0xb5e2c1e126a693fc, // compact
         0x409c4e1b2b9ad159, // truncated
@@ -129,9 +128,8 @@ fn routes_match_pinned_digests() {
                 (d ^ u64::from(b)).wrapping_mul(0x100000001b3)
             })
     };
-    let pins: [u64; 6] = [
+    let pins: [u64; 5] = [
         0xf3a45158fa286530, // pde
-        0xf3a45158fa286530, // approx_apsp
         0xa98979b3deb2f1cd, // rtc
         0x39bc7dc16ab0a259, // compact
         0x5e98df62b43a7c19, // truncated
@@ -155,11 +153,14 @@ fn routes_match_pinned_digests() {
 }
 
 /// Theorem 4.1 is PDE at `S = V`, `h = σ = n` — `Backend::Pde`'s
-/// defaults — so `ApproxApsp` must answer, route and charge exactly as
-/// default `Pde` does, on weighted graphs where rounding is in play.
+/// defaults — so default `Pde` must answer, route and charge exactly as
+/// `pde_core::approx_apsp`, the library's one definition of it, on
+/// weighted graphs where rounding is in play, in both build modes and at
+/// every thread count.
 #[test]
 fn approx_apsp_is_pde_at_its_defaults() {
-    use pde_repro::oracle::BuildMode;
+    use pde_repro::oracle::{BuildMode, TracedRoute};
+    use pde_repro::pde_core::approx_apsp;
     let mut rng = Seed(7).rng();
     let graphs = [
         gen::gnp_connected(40, 0.1, Weights::Uniform { lo: 1, hi: 1000 }, &mut rng),
@@ -168,7 +169,7 @@ fn approx_apsp_is_pde_at_its_defaults() {
     ];
     let (mut pairs_seen, mut inexact) = (0usize, 0usize);
     for g in &graphs {
-        let exact = apsp(g);
+        let (exact, topo) = (apsp(g), g.to_topology());
         let square: Vec<(NodeId, NodeId)> = g
             .nodes()
             .flat_map(|u| g.nodes().map(move |v| (u, v)))
@@ -181,29 +182,43 @@ fn approx_apsp_is_pde_at_its_defaults() {
             .copied()
             .collect();
         for eps in [0.125, 0.5] {
+            let aps = approx_apsp(g, eps);
+            let want: Vec<u64> = batch.iter().map(|&(u, v)| aps.dist(u, v)).collect();
             for mode in [BuildMode::Simulated, BuildMode::Native] {
-                let build = |b| OracleBuilder::new(b).eps(eps).build_mode(mode).build(g);
-                let (aps, pde) = (build(Backend::ApproxApsp), build(Backend::Pde));
+                let pde = OracleBuilder::new(Backend::Pde)
+                    .eps(eps)
+                    .build_mode(mode)
+                    .build(g);
                 let at = format!("n={} eps={eps} {mode:?}", g.len());
-                let (mut ra, mut rp) = Default::default();
+                let mut route = TracedRoute::default();
                 for &(u, v) in &square {
-                    let est = aps.estimate(u, v);
-                    assert_eq!(est, pde.estimate(u, v), "{at} estimate ({u},{v})");
-                    assert_eq!(aps.next_hop(u, v), pde.next_hop(u, v), "{at} ({u},{v})");
-                    let ok = aps.route_into(u, v, &mut ra);
-                    assert_eq!(ok, pde.route_into(u, v, &mut rp), "{at} ({u},{v})");
-                    assert_eq!(ra, rp, "{at} route ({u},{v})");
+                    let est = pde.estimate(u, v);
+                    assert_eq!(est, aps.dist(u, v), "{at} estimate ({u},{v})");
+                    if u != v {
+                        let (nodes, weight) = aps.pde.trace_route(&topo, u, v).unwrap();
+                        assert!(pde.route_into(u, v, &mut route), "{at} ({u},{v})");
+                        assert_eq!((&route.nodes, route.weight), (&nodes, weight), "{at}");
+                    }
                     pairs_seen += 1;
                     inexact += usize::from(est != exact.dist(u, v));
                 }
                 for threads in [1usize, 0] {
-                    let (mut a, mut p) = (Vec::new(), Vec::new());
-                    aps.estimate_many_with(&batch, &mut a, threads);
-                    pde.estimate_many_with(&batch, &mut p, threads);
-                    assert_eq!(a, p, "{at} threads={threads}");
+                    let mut got = Vec::new();
+                    pde.estimate_many_with(&batch, &mut got, threads);
+                    assert_eq!(got, want, "{at} threads={threads}");
                 }
-                let (ma, mp) = (aps.build_metrics(), pde.build_metrics());
-                assert_eq!((ma.rounds, ma.messages), (mp.rounds, mp.messages), "{at}");
+                let m = pde.build_metrics();
+                match mode {
+                    BuildMode::Simulated => {
+                        let total = aps.pde.metrics.total;
+                        assert_eq!(
+                            (m.rounds, m.messages),
+                            (total.rounds, total.messages),
+                            "{at}"
+                        );
+                    }
+                    BuildMode::Native => assert_eq!(m.rounds, 0, "{at}: native charges no rounds"),
+                }
             }
         }
     }
@@ -475,7 +490,7 @@ fn heavy_weights_answer_identically_from_every_snapshot_form() {
 #[test]
 fn corrupted_snapshots_are_rejected() {
     let g = graph(5);
-    let oracle = build(Backend::ApproxApsp, &g, 1);
+    let oracle = build(Backend::Pde, &g, 1);
     let mut bytes = Vec::new();
     oracle.save(&mut bytes).unwrap();
     // Bad magic.

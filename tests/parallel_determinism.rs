@@ -113,7 +113,6 @@ fn oracle_batch_queries_are_thread_count_invariant() {
         .collect();
     for backend in [
         Backend::Pde,
-        Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Truncated,
         Backend::Flooding,

@@ -125,8 +125,8 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
     // bound-check (InvalidData) before any allocation sized by the
     // field. Compact's fifth section is the scheme's `[k]` meta, which
     // sizes its n × (k−1) pivot sections (after the oracle's `[k, eps]`
-    // and the topology's three sections); ApproxApsp's (the PDE
-    // layout's) second section is the graph's `[n]`.
+    // and the topology's three sections); the PDE layout's second
+    // section is the topology's `[n]`.
     let planted = |backend: Backend, section: usize, value: u64| {
         let snap = snapshot(backend);
         let mut sections = arena_sections(&snap);
@@ -136,40 +136,13 @@ fn adversarial_length_fields_are_invalid_data_not_aborts() {
         assert!(!is_truncated(&err), "bound check misreported as truncation");
     };
     planted(Backend::Compact, 4, u64::MAX);
-    planted(Backend::ApproxApsp, 1, u64::MAX / 2);
+    planted(Backend::Pde, 1, u64::MAX / 2);
 
     // An adversarial section directory: huge section count.
     let mut snap = snapshot(Backend::Flooding);
     snap[HEADER..HEADER + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = Oracle::load_bytes(&snap).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-}
-
-#[test]
-fn pre_fold_approx_apsp_arenas_are_invalid_data() {
-    // Before approx_apsp shared the PDE layout, its tag-5 arena was an
-    // `[eps]` meta section, the graph's three sections, an n × n `u64`
-    // distance matrix, then the routing table. Such a file must be a
-    // typed InvalidData — not a truncation, not a mis-load, not a panic.
-    let snap = snapshot(Backend::ApproxApsp);
-    let oracle = Oracle::load_bytes(&snap).unwrap();
-    let n = graph(21).len() as u32;
-    let matrix: Vec<u8> = (0..n)
-        .flat_map(|u| (0..n).map(move |v| (NodeId(u), NodeId(v))))
-        .flat_map(|(u, v)| oracle.estimate(u, v).to_le_bytes())
-        .collect();
-    let mut sections = arena_sections(&snap);
-    sections[0].truncate(8);
-    sections.insert(4, matrix);
-    let old = reassemble(&snap, &sections);
-    for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
-        let Err(err) = loaded else {
-            panic!("a pre-fold approx_apsp arena was loaded");
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(!is_truncated(&err), "misreported as truncation: {err}");
-        assert_eq!(snapshot_cause(&err), None, "{err}");
-    }
 }
 
 #[test]
@@ -979,7 +952,6 @@ fn well_checksummed_hostile_fits_are_typed_errors() {
         .sources((0..n).map(|v| v % 2 == 0).collect());
     for (backend, builder) in [
         Backend::Pde,
-        Backend::ApproxApsp,
         Backend::Rtc,
         Backend::Compact,
         Backend::Truncated,
@@ -1174,17 +1146,20 @@ fn serve_every_query(oracle: &Oracle) {
 
 #[test]
 fn retired_backend_tag_is_invalid_data_not_rebuild() {
-    // Backend tag 5 was exact_tz, the centralized exact Thorup–Zwick
-    // hierarchy over n × n matrices, and tag 6 was bellman_ford, a served
-    // n × n distance matrix without routes; flooding's exact rows answer
-    // the same pairs as either. A current-version file carrying one, as
-    // an old file of that backend would, has no backend left to load or
-    // rebuild it: typed InvalidData through both entry points, and never
-    // a panic.
+    // Backend tag 1 was approx_apsp, Theorem 4.1's PDE at S = V, h = σ =
+    // n, whose artifact was pde's at its defaults under its own tag (and,
+    // before that, an arena with an n × n distance matrix); tag 5 was
+    // exact_tz, the centralized exact Thorup–Zwick hierarchy over n × n
+    // matrices, and tag 6 was bellman_ford, a served n × n distance
+    // matrix without routes; flooding's exact rows answer the same pairs
+    // as either. A current-version file carrying one, as an old file of
+    // that backend would, has no backend left to load or rebuild it:
+    // typed InvalidData through both entry points, and never a panic.
     let snap = snapshot(Backend::Flooding);
     assert_eq!(snap[4..7], [13, 0, Backend::Flooding.wire_tag()]);
-    for tag in [5, 6] {
-        let mut old = snap.clone();
+    let pde = snapshot(Backend::Pde);
+    for (file, tag) in [(&pde, 1), (&snap, 1), (&snap, 5), (&snap, 6)] {
+        let mut old = file.clone();
         old[6] = tag;
         for loaded in [Oracle::load(&mut &old[..]), Oracle::load_bytes(&old)] {
             let Err(err) = loaded else {
@@ -1210,7 +1185,7 @@ fn retired_backend_tag_is_invalid_data_not_rebuild() {
     let current = std::fs::read(&ckpt).unwrap();
     let at = current.windows(4).position(|w| w == b"PDOR").unwrap();
     assert_eq!(current[at + 6], Backend::Flooding.wire_tag());
-    for tag in [5, 6] {
+    for tag in [1, 5, 6] {
         let mut bytes = current.clone();
         bytes[at + 6] = tag;
         std::fs::write(&ckpt, bytes).unwrap();
